@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench bench-short ci figures figures-paper scale-demo scale-paper scale-10m load-demo emu faults-demo failover-demo outage-shard-demo takeover-demo fuzz-smoke trace-demo timeline-demo cover clean
+.PHONY: all build test race bench bench-short ci figures figures-paper fig emu fuzz-smoke trace-demo cover clean
 
 all: build test
 
@@ -17,8 +17,8 @@ bench:
 	$(GO) test -bench=. -benchmem .
 
 # Fast allocation-focused micro-benchmarks for the hot paths (flood search,
-# mesh maintenance, per-request work), plus the small-N scale-sweep smoke
-# (appends its points to BENCH_scale.json). Seconds, not minutes.
+# mesh maintenance, per-request work), plus the small-N scale-sweep smoke.
+# Seconds, not minutes.
 bench-short:
 	$(GO) test -run '^$$' -bench 'BenchmarkFlood|BenchmarkMeshConnect|BenchmarkNeighbors' -benchmem ./internal/overlay/
 	$(GO) test -run '^$$' -bench 'BenchmarkRequest|BenchmarkProbe' -benchmem ./internal/core/
@@ -36,74 +36,25 @@ figures:
 figures-paper:
 	$(GO) run ./cmd/socialtube-sim -fig all -scale paper
 
-# Scalability sweep at smoke sizes: overhead-vs-N, hit-rate-vs-N and
-# bytes-per-user curves, appended to BENCH_scale.json. Seconds.
-scale-demo:
-	$(GO) run ./cmd/socialtube-sim -fig scale
-
-# The full 10k..1M-user sweep (the §IV-C constant-vs-linear maintenance
-# claim measured end to end). Minutes, single machine.
-scale-paper:
-	$(GO) run ./cmd/socialtube-sim -fig scale -scale paper
-
-# The 10M-user point on the community-sharded engine (one loop per
-# interest category, epoch-barrier mailboxes). Hours-scale on one core.
-scale-10m:
-	$(GO) run ./cmd/socialtube-sim -fig scale -scale 10m -shards 1
-
-# Open-loop load sweep: steady 2/6/18 offered RPS per protocol against a
-# bounded server admission queue — p50/p99/p999 startup delay, server
-# offload, shed rate — appended to BENCH_load.json. Seconds.
-load-demo:
-	$(GO) run ./cmd/socialtube-sim -fig load
+# Regenerate one figure by id: FIG is any id `socialtube-$(CLI) -h` lists
+# (CLI = sim, emu or trace; default sim) and ARGS passes further flags.
+# Nothing is written unless ARGS names a log, e.g.
+#   make fig FIG=scale ARGS="-scale paper -bench-out BENCH_scale.json"
+#   make fig FIG=load ARGS="-bench-out BENCH_load.json"
+#   make fig CLI=emu FIG=takeover ARGS="-bench-out BENCH_failover.json"
+CLI ?= sim
+fig:
+	$(GO) run ./cmd/socialtube-$(CLI) -fig $(FIG) $(ARGS)
 
 # Run the TCP emulation at the paper's 250-node PlanetLab scale.
 emu:
 	$(GO) run ./cmd/socialtube-emu -fig all -peers 250 -sessions 2 -videos 6 -watch 30ms
-
-# Drive the emulated cluster through the standard tracker-outage plan (a
-# crash wave, then the tracker dark for one session cycle) and print the
-# per-protocol resilience comparison. Seconds, not minutes.
-faults-demo:
-	$(GO) run ./cmd/socialtube-emu -fig outage -peers 32 -sessions 2 -videos 6 -watch 20ms
-
-# Crash the provider serving chunk 0 on every third request and measure
-# how often each protocol still finishes without restarting delivery at
-# the server (mid-stream handoff along the ranked candidate list). The
-# deterministic points land in BENCH_failover.json. Seconds.
-failover-demo:
-	$(GO) run ./cmd/socialtube-emu -fig failover -bench-out BENCH_failover.json
-
-# Run SocialTube on the sharded, replicated control plane (2 shards x 2
-# replicas) and kill each tracker replica in turn mid-run: the hit rate
-# must stay within a few percent of the no-fault baseline because peers
-# fail over to the shard's surviving replica. Deterministic points land
-# in BENCH_failover.json. Seconds.
-outage-shard-demo:
-	$(GO) run ./cmd/socialtube-emu -fig outage-shard -bench-out BENCH_failover.json
-
-# Kill a WHOLE shard (both replicas) of the 2x2 plane mid-run, then
-# separately split the cluster into two sides: gossip liveness declares
-# the dead shard, peers re-rendezvous its channels onto the survivors
-# and re-register their home channels, and the partition heals with zero
-# lost registrations (hinted handoff + LWW merge). Every variant must
-# lose zero requests. Deterministic points land in BENCH_failover.json.
-# Seconds.
-takeover-demo:
-	$(GO) run ./cmd/socialtube-emu -fig takeover -bench-out BENCH_failover.json
 
 # Short fuzz passes over the wire layer: the frame decoder and the peer's
 # message handlers must survive arbitrary bytes without panicking.
 fuzz-smoke:
 	$(GO) test ./internal/emu -run '^$$' -fuzz '^FuzzReadMessage$$' -fuzztime 30s
 	$(GO) test ./internal/emu -run '^$$' -fuzz '^FuzzHandleMessage$$' -fuzztime 30s
-
-# Run the three protocols under the standard churn plan with the windowed
-# sim-time telemetry recorder on: per-window hit rate, startup-delay
-# p50/p99, server load and breaker opens, appended to BENCH_timeline.json.
-# Seconds, not minutes.
-timeline-demo:
-	$(GO) run ./cmd/socialtube-sim -fig timeline
 
 # Record a JSONL event trace from the Fig. 17(a) run, validate it against
 # the golden schema, then pretty-print the first events, then group them

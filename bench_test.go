@@ -58,6 +58,24 @@ func benchTable(b *testing.B, build func() *metrics.Table) {
 	}
 }
 
+// benchTraceFigure regenerates one Section III figure through the
+// registry (the CDF figures exist only there).
+func benchTraceFigure(b *testing.B, id string) {
+	b.Helper()
+	figs, err := figures.Resolve(figures.GroupTrace, id)
+	if err != nil {
+		b.Fatal(err)
+	}
+	in := &figures.Inputs{Trace: benchTrace(b), MinShared: 3}
+	benchTable(b, func() *metrics.Table {
+		rep, err := figs[0].Run(in)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return rep.Tables[0]
+	})
+}
+
 // --- Section III trace-analysis figures ---
 
 func BenchmarkFig02VideoGrowth(b *testing.B) {
@@ -66,13 +84,11 @@ func BenchmarkFig02VideoGrowth(b *testing.B) {
 }
 
 func BenchmarkFig03ChannelViewFreq(b *testing.B) {
-	tr := benchTrace(b)
-	benchTable(b, func() *metrics.Table { return figures.Fig03(tr) })
+	benchTraceFigure(b, "3")
 }
 
 func BenchmarkFig04Subscribers(b *testing.B) {
-	tr := benchTrace(b)
-	benchTable(b, func() *metrics.Table { return figures.Fig04(tr) })
+	benchTraceFigure(b, "4")
 }
 
 func BenchmarkFig05ViewsVsSubs(b *testing.B) {
@@ -83,13 +99,11 @@ func BenchmarkFig05ViewsVsSubs(b *testing.B) {
 }
 
 func BenchmarkFig06VideosPerChannel(b *testing.B) {
-	tr := benchTrace(b)
-	benchTable(b, func() *metrics.Table { return figures.Fig06(tr) })
+	benchTraceFigure(b, "6")
 }
 
 func BenchmarkFig07ViewsPerVideo(b *testing.B) {
-	tr := benchTrace(b)
-	benchTable(b, func() *metrics.Table { return figures.Fig07(tr) })
+	benchTraceFigure(b, "7")
 }
 
 func BenchmarkFig08Favorites(b *testing.B) {
@@ -114,18 +128,15 @@ func BenchmarkFig10ChannelClusters(b *testing.B) {
 }
 
 func BenchmarkFig11InterestsPerChannel(b *testing.B) {
-	tr := benchTrace(b)
-	benchTable(b, func() *metrics.Table { return figures.Fig11(tr) })
+	benchTraceFigure(b, "11")
 }
 
 func BenchmarkFig12InterestSimilarity(b *testing.B) {
-	tr := benchTrace(b)
-	benchTable(b, func() *metrics.Table { return figures.Fig12(tr) })
+	benchTraceFigure(b, "12")
 }
 
 func BenchmarkFig13InterestsPerUser(b *testing.B) {
-	tr := benchTrace(b)
-	benchTable(b, func() *metrics.Table { return figures.Fig13(tr) })
+	benchTraceFigure(b, "13")
 }
 
 // --- Section IV analytical models ---

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -21,14 +23,19 @@ func TestRunSmallSkipEmu(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full small-scale evaluation")
 	}
-	// Redirect the bench logs so the test never writes BENCH_*.json
-	// into the working tree.
-	dir := t.TempDir()
-	if err := run([]string{"-skip-emu",
-		"-bench-out", filepath.Join(dir, "BENCH_scale.json"),
-		"-timeline-out", filepath.Join(dir, "BENCH_timeline.json"),
-		"-load-out", filepath.Join(dir, "BENCH_load.json"),
-	}); err != nil {
+	// One -bench-out collects every figure's points: the timeline, load
+	// and scale figures each contribute lines tagged with their id.
+	out := filepath.Join(t.TempDir(), "bench.json")
+	if err := run([]string{"-skip-emu", "-bench-out", out}); err != nil {
 		t.Fatalf("run: %v", err)
+	}
+	raw, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fig := range []string{"timeline", "load", "scale"} {
+		if !strings.Contains(string(raw), `{"fig":"`+fig+`",`) {
+			t.Errorf("bench log holds no %s points", fig)
+		}
 	}
 }

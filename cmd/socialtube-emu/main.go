@@ -1,7 +1,8 @@
 // Command socialtube-emu runs the real-network TCP emulation (the PlanetLab
-// experiments): Figs. 16(b), 17(b), 18(b) and the tracker-outage
-// resilience comparison. Every peer is a real TCP node on loopback with
-// injected WAN latency and loss.
+// experiments): the emu group of the figure registry (internal/figures) —
+// Figs. 16(b), 17(b), 18(b) and the outage, sharded-outage, takeover and
+// failover resilience comparisons. Every peer is a real TCP node on
+// loopback with injected WAN latency and loss.
 //
 // Usage:
 //
@@ -29,8 +30,8 @@ func main() {
 func run(args []string) (retErr error) {
 	fs := flag.NewFlagSet("socialtube-emu", flag.ContinueOnError)
 	var (
-		fig      = fs.String("fig", "all", "figure to regenerate: 16b, 17b, 18b, outage, outage-shard, takeover, failover or all")
-		benchOut = fs.String("bench-out", "", "append failover points to this JSONL file (empty disables)")
+		fig      = fs.String("fig", "all", figures.Help(figures.GroupEmu))
+		benchOut = fs.String("bench-out", "", "append the figure's per-point results to this JSONL file (empty = write nothing)")
 		peers    = fs.Int("peers", 24, "number of TCP peers")
 		sessions = fs.Int("sessions", 2, "sessions per peer")
 		videos   = fs.Int("videos", 6, "videos per session")
@@ -54,6 +55,10 @@ func run(args []string) (retErr error) {
 	case *watch <= 0:
 		return fmt.Errorf("-watch must be > 0, got %v", *watch)
 	}
+	figs, err := figures.Resolve(figures.GroupEmu, *fig)
+	if err != nil {
+		return err
+	}
 	s := figures.EmuScale{
 		Peers:            *peers,
 		Sessions:         *sessions,
@@ -69,15 +74,7 @@ func run(args []string) (retErr error) {
 			return err
 		}
 		s.Tracer = j
-		defer func() {
-			cerr := j.Close()
-			if retErr == nil {
-				retErr = cerr
-			}
-			if retErr == nil {
-				fmt.Printf("\ntrace: %d events -> %s\n", j.Total(), *traceOut)
-			}
-		}()
+		defer j.Finish(*traceOut, &retErr)
 	}
 	tr, err := s.EmuTrace()
 	if err != nil {
@@ -86,80 +83,11 @@ func run(args []string) (retErr error) {
 	fmt.Printf("emulation: %d TCP peers, %d sessions x %d videos over %d channels\n\n",
 		s.Peers, s.Sessions, s.VideosPerSession, len(tr.Channels))
 
-	show := func(id string) error {
-		switch id {
-		case "16b":
-			t, err := figures.Fig16b(s, tr)
-			if err != nil {
-				return err
-			}
-			fmt.Println(t)
-		case "17b":
-			t, err := figures.Fig17b(s, tr)
-			if err != nil {
-				return err
-			}
-			fmt.Println(t)
-		case "18b":
-			t, err := figures.Fig18b(s, tr)
-			if err != nil {
-				return err
-			}
-			fmt.Println(t)
-		case "outage":
-			t, err := figures.FigOutage(s, tr)
-			if err != nil {
-				return err
-			}
-			fmt.Println(t)
-		case "outage-shard":
-			f, err := figures.FigShardedOutage(s, tr)
-			if err != nil {
-				return err
-			}
-			fmt.Println(f)
-			if *benchOut != "" {
-				if err := figures.AppendShardedOutagePoints(*benchOut, f.Points); err != nil {
-					return err
-				}
-				fmt.Printf("appended %d sharded-outage points to %s\n\n", len(f.Points), *benchOut)
-			}
-		case "takeover":
-			f, err := figures.FigTakeover(s, tr)
-			if err != nil {
-				return err
-			}
-			fmt.Println(f)
-			if *benchOut != "" {
-				if err := figures.AppendTakeoverPoints(*benchOut, f.Points); err != nil {
-					return err
-				}
-				fmt.Printf("appended %d takeover points to %s\n\n", len(f.Points), *benchOut)
-			}
-		case "failover":
-			f, err := figures.FigFailover(s, tr)
-			if err != nil {
-				return err
-			}
-			fmt.Println(f)
-			if *benchOut != "" {
-				if err := figures.AppendFailoverPoints(*benchOut, f.Points); err != nil {
-					return err
-				}
-				fmt.Printf("appended %d failover points to %s\n\n", len(f.Points), *benchOut)
-			}
-		default:
-			return fmt.Errorf("unknown figure %q (want 16b, 17b, 18b, outage, outage-shard, takeover, failover or all)", id)
+	in := &figures.Inputs{Emu: s, EmuTrace: tr}
+	for _, f := range figs {
+		if err := f.Show(in, *benchOut); err != nil {
+			return err
 		}
-		return nil
 	}
-	if *fig == "all" {
-		for _, id := range []string{"16b", "17b", "18b", "outage", "outage-shard", "takeover", "failover"} {
-			if err := show(id); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return show(*fig)
+	return nil
 }

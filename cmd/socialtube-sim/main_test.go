@@ -60,7 +60,7 @@ func TestRunLoadFigure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full small-scale load sweep")
 	}
-	if err := run([]string{"-fig", "load", "-bench-out", "none",
+	if err := run([]string{"-fig", "load",
 		"-load-rps", "3,18", "-load-dur", "30s", "-load-flash", "0"}); err != nil {
 		t.Fatalf("fig load: %v", err)
 	}

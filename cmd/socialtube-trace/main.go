@@ -14,7 +14,6 @@ import (
 	"os"
 
 	"github.com/socialtube/socialtube/internal/figures"
-	"github.com/socialtube/socialtube/internal/metrics"
 	"github.com/socialtube/socialtube/internal/trace"
 )
 
@@ -28,7 +27,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("socialtube-trace", flag.ContinueOnError)
 	var (
-		fig       = fs.String("fig", "all", "figure to regenerate: 2..13 or all")
+		fig       = fs.String("fig", "all", figures.Help(figures.GroupTrace))
 		seed      = fs.Int64("seed", 1, "trace generation seed")
 		channels  = fs.Int("channels", 545, "number of channels")
 		users     = fs.Int("users", 2000, "number of users")
@@ -39,6 +38,10 @@ func run(args []string) error {
 		csv       = fs.Bool("csv", false, "emit figures as CSV instead of aligned tables")
 	)
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	figs, err := figures.Resolve(figures.GroupTrace, *fig)
+	if err != nil {
 		return err
 	}
 
@@ -77,37 +80,19 @@ func run(args []string) error {
 		fmt.Printf("saved trace to %s\n", *save)
 	}
 
-	tables := map[string]func() *metrics.Table{
-		"2":  func() *metrics.Table { return figures.Fig02(tr) },
-		"3":  func() *metrics.Table { return figures.Fig03(tr) },
-		"4":  func() *metrics.Table { return figures.Fig04(tr) },
-		"5":  func() *metrics.Table { return figures.Fig05(tr) },
-		"6":  func() *metrics.Table { return figures.Fig06(tr) },
-		"7":  func() *metrics.Table { return figures.Fig07(tr) },
-		"8":  func() *metrics.Table { return figures.Fig08(tr) },
-		"9":  func() *metrics.Table { return figures.Fig09(tr) },
-		"10": func() *metrics.Table { return figures.Fig10(tr, *minShared) },
-		"11": func() *metrics.Table { return figures.Fig11(tr) },
-		"12": func() *metrics.Table { return figures.Fig12(tr) },
-		"13": func() *metrics.Table { return figures.Fig13(tr) },
-	}
-	show := func(t *metrics.Table) {
-		if *csv {
-			fmt.Printf("# %s\n%s\n", t.Title(), t.CSV())
-			return
+	in := &figures.Inputs{Trace: tr, MinShared: *minShared}
+	for _, f := range figs {
+		rep, err := f.Run(in)
+		if err != nil {
+			return err
 		}
-		fmt.Println(t)
-	}
-	if *fig == "all" {
-		for _, id := range []string{"2", "3", "4", "5", "6", "7", "8", "9", "10", "11", "12", "13"} {
-			show(tables[id]())
+		for _, t := range rep.Tables {
+			if *csv {
+				fmt.Printf("# %s\n%s\n", t.Title(), t.CSV())
+			} else {
+				fmt.Println(t)
+			}
 		}
-		return nil
 	}
-	build, ok := tables[*fig]
-	if !ok {
-		return fmt.Errorf("unknown figure %q (want 2..13 or all)", *fig)
-	}
-	show(build())
 	return nil
 }

@@ -248,10 +248,6 @@ func RunCluster(cfg ClusterConfig, tr *trace.Trace) (*ClusterResult, error) {
 // is coming" signal; a nil driver (no plan) answers false everywhere.
 type faultDriver struct {
 	outage atomic.Bool
-	// shardOutageNano records (once) when the first whole-shard outage
-	// was applied, so the run can report time-to-takeover against the
-	// plane's first death declaration.
-	shardOutageNano atomic.Int64
 	// done closes when the last scheduled event has fired (or the run
 	// stopped), so a crashed peer whose rejoin will never come can give
 	// up instead of waiting forever.
@@ -341,7 +337,7 @@ func (f *faultDriver) drive(sched *faults.Schedule, begin time.Time, stop <-chan
 		case faults.KindOutageStart:
 			f.outage.Store(true)
 			if ev.Shard > 0 && ev.Replica == 0 {
-				f.shardOutageNano.CompareAndSwap(0, time.Now().UnixNano())
+				cp.ArmTakeover(time.Now().UnixNano())
 			}
 			setOutage(cp, ev, true)
 		case faults.KindOutageEnd:
@@ -554,11 +550,7 @@ func RunClusterCtx(ctx context.Context, cfg ClusterConfig, tr *trace.Trace) (*Cl
 
 	res.Elapsed = time.Since(begin)
 	res.ServerBytes = plane.ServedBytes()
-	if fd != nil {
-		if start, declared := fd.shardOutageNano.Load(), plane.TakeoverDeclaredAt(); start > 0 && declared > start {
-			res.TakeoverMs = float64(declared-start) / 1e6
-		}
-	}
+	res.TakeoverMs = plane.TakeoverMs()
 	res.Obs = plane.Counters()
 	for _, p := range peers {
 		res.PeerBytes += p.ServedBytes()

@@ -208,19 +208,31 @@ func (cp *ControlPlane) Epoch() uint64 {
 	return e
 }
 
-// TakeoverDeclaredAt returns the earliest wall time (UnixNano) at which
-// any replica declared a shard dead, 0 if none ever did — the takeover
-// figure's detection timestamp.
-func (cp *ControlPlane) TakeoverDeclaredAt() int64 {
-	var at int64
+// ArmTakeover marks wall time since (UnixNano) as the start of the run's
+// first whole-shard outage on every in-process replica's takeover latch;
+// later calls are ignored.
+func (cp *ControlPlane) ArmTakeover(since int64) {
 	for _, reps := range cp.trackers {
 		for _, tk := range reps {
-			if v := tk.TakeoverDeclaredAt(); v != 0 && (at == 0 || v < at) {
-				at = v
+			tk.takeoverSince.CompareAndSwap(0, since)
+		}
+	}
+}
+
+// TakeoverMs returns the delay between the armed outage start and the
+// earliest death verdict any replica declared at or after it — the
+// takeover figure's time-to-takeover; 0 when no outage was armed or no
+// replica has declared since.
+func (cp *ControlPlane) TakeoverMs() float64 {
+	var since, at int64
+	for _, reps := range cp.trackers {
+		for _, tk := range reps {
+			if v := tk.declaredNano.Load(); v != 0 && (at == 0 || v < at) {
+				at, since = v, tk.takeoverSince.Load()
 			}
 		}
 	}
-	return at
+	return float64(at-since) / 1e6
 }
 
 // Replicas returns a shard's endpoints in failover order (shared slice —

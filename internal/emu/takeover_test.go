@@ -213,3 +213,26 @@ func TestBreakerDemotesPreferredReplica(t *testing.T) {
 		t.Fatalf("preferredReplica still answers %d after demotion", got)
 	}
 }
+
+// TestTakeoverLatchIgnoresPreOutageVerdicts pins the time-to-takeover
+// latch: a false suspicion declared before the whole-shard outage began
+// must not consume it — the figure measures the first death verdict at
+// or after the outage start.
+func TestTakeoverLatchIgnoresPreOutageVerdicts(t *testing.T) {
+	tk, err := NewTracker(DefaultTrackerConfig(), emuTrace(t), fastConditions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const falseSuspicion, outage, declared = 100, 200, 300
+	tk.noteTransitions([]int{1}, nil, falseSuspicion)
+	tk.noteTransitions(nil, []int{1}, falseSuspicion+10)
+	tk.takeoverSince.Store(outage)
+	tk.noteTransitions([]int{1}, nil, declared)
+	tk.noteTransitions([]int{1}, nil, declared+50) // later verdicts do not move the latch
+	if got := tk.declaredNano.Load(); got != declared {
+		t.Fatalf("takeover latch = %d, want the first post-outage verdict %d", got, declared)
+	}
+	if got := tk.Counters().ShardsDeclaredDead; got != 3 {
+		t.Fatalf("ShardsDeclaredDead = %d, want every verdict (3) still counted", got)
+	}
+}

@@ -120,10 +120,14 @@ type Tracker struct {
 
 	// live is the plane failure detector (nil on 1-shard planes and
 	// standalone trackers); suspicionRounds tunes it (0 = default).
-	// declaredNano records the wall time of this replica's first shard
-	// death verdict — the takeover figure's time-to-takeover numerator.
+	// takeoverSince is the wall time the run's whole-shard outage began
+	// (0 until ControlPlane.ArmTakeover); declaredNano latches this
+	// replica's first shard death verdict at or after it — the takeover
+	// figure's time-to-takeover numerator. Verdicts before the outage are
+	// false suspicions and must not consume the latch.
 	live            atomic.Pointer[ctrl.Liveness]
 	suspicionRounds int
+	takeoverSince   atomic.Int64
 	declaredNano    atomic.Int64
 	// side is this replica's partition side id (its replica index), read
 	// by the receive path's partition backstop.
@@ -288,7 +292,7 @@ func (t *Tracker) gossipLoop() {
 		}
 		t.gossipMu.Unlock()
 		if live := t.live.Load(); live != nil {
-			t.noteTransitions(live.Tick(), nil)
+			t.noteTransitions(live.Tick(), nil, time.Now().UnixNano())
 		}
 		if sibIdx >= 0 && !t.cond.Severed(self, sibIdx) {
 			req := &Message{Type: MsgSync, From: -1, Sync: t.syncSnapshot()}
@@ -329,16 +333,18 @@ func (t *Tracker) mergeLiveness(m *Message) {
 	}
 	revived := live.MergeBeats(m.Beats)
 	died, revived2 := live.MergeStatus(m.Status, uint64(m.Epoch))
-	t.noteTransitions(died, append(revived, revived2...))
+	t.noteTransitions(died, append(revived, revived2...), time.Now().UnixNano())
 }
 
 // noteTransitions accounts shard death/revival verdicts this replica
-// observed (locally declared or adopted from gossip) and timestamps the
-// first death for the takeover figure.
-func (t *Tracker) noteTransitions(died, revived []int) {
+// observed at wall time now (locally declared or adopted from gossip) and
+// timestamps the first death of an armed outage for the takeover figure.
+func (t *Tracker) noteTransitions(died, revived []int, now int64) {
 	if len(died) > 0 {
 		atomic.AddUint64(&t.ctr.ShardsDeclaredDead, uint64(len(died)))
-		t.declaredNano.CompareAndSwap(0, time.Now().UnixNano())
+		if since := t.takeoverSince.Load(); since != 0 && now >= since {
+			t.declaredNano.CompareAndSwap(0, now)
+		}
 	}
 	if len(revived) > 0 {
 		atomic.AddUint64(&t.ctr.ShardsRevived, uint64(len(revived)))
@@ -372,12 +378,6 @@ func (t *Tracker) DeadShards() uint64 {
 		return live.DeadMask()
 	}
 	return 0
-}
-
-// TakeoverDeclaredAt returns the wall time (UnixNano) of this replica's
-// first shard-death verdict, 0 if it never declared one.
-func (t *Tracker) TakeoverDeclaredAt() int64 {
-	return t.declaredNano.Load()
 }
 
 // Membership table names on the wire.

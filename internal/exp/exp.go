@@ -360,27 +360,8 @@ func RunCtx(ctx context.Context, cfg Config, tr *trace.Trace, proto vod.Protocol
 			traceable.SetTracer(opts.Tracer)
 		}
 	}
-	if opts.TimelineWindow > 0 {
-		r.tl = newTimelineRec(opts.TimelineWindow)
-		r.res.Timeline = r.tl.tl
-	}
-	if opts.Load != nil {
-		// Open loop: arrivals come from the rate profile instead of
-		// per-user session chains (sessionsLeft stays 0 everywhere).
-		if err := r.installLoad(opts.Load); err != nil {
-			return nil, err
-		}
-	} else {
-		for i := range tr.Users {
-			r.sessionsLeft[i] = cfg.Sessions
-			// Stagger initial arrivals across one mean off-period.
-			delay := time.Duration(dist.Exponential(r.g, float64(cfg.MeanOffTime)))
-			node := i
-			r.engine.At(delay, func(now time.Duration) { r.startSession(node, now) })
-		}
-	}
-	if m, ok := proto.(Maintainer); ok {
-		r.engine.After(cfg.ProbeInterval, func(now time.Duration) { r.probeAll(m, now) })
+	if err := r.arm(opts.TimelineWindow, opts.Load); err != nil {
+		return nil, err
 	}
 	if opts.Faults != nil {
 		sched, err := opts.Faults.Compile(len(tr.Users))
@@ -461,6 +442,36 @@ func newRunner(cfg Config, tr *trace.Trace, proto vod.Protocol, netCfg simnet.Co
 		r.ctr = &obs.Counters{}
 	}
 	return r, nil
+}
+
+// arm schedules a freshly built runner's opening events, in the one order
+// both engines share (it fixes the RNG draws and the event sequence): the
+// timeline recorder, then the arrivals — open-loop from prof, or the
+// closed-loop session chains staggered across one mean off-period — then
+// the maintenance probe loop.
+func (r *runner) arm(timelineWindow time.Duration, prof *load.Profile) error {
+	if timelineWindow > 0 {
+		r.tl = newTimelineRec(timelineWindow)
+		r.res.Timeline = r.tl.tl
+	}
+	if prof != nil {
+		// Open loop: arrivals come from the rate profile instead of
+		// per-user session chains (sessionsLeft stays 0 everywhere).
+		if err := r.installLoad(prof); err != nil {
+			return err
+		}
+	} else {
+		for i := range r.tr.Users {
+			r.sessionsLeft[i] = r.cfg.Sessions
+			delay := time.Duration(dist.Exponential(r.g, float64(r.cfg.MeanOffTime)))
+			node := i
+			r.engine.At(delay, func(now time.Duration) { r.startSession(node, now) })
+		}
+	}
+	if m, ok := r.proto.(Maintainer); ok {
+		r.engine.After(r.cfg.ProbeInterval, func(now time.Duration) { r.probeAll(m, now) })
+	}
+	return nil
 }
 
 // tick forwards the virtual clock to Timed protocols.

@@ -197,10 +197,6 @@ func RunShardedCtx(ctx context.Context, cfg Config, tr *trace.Trace, factory Cel
 		r.engine = se.Shard(c)
 		r.remote = router
 		r.cell = c
-		if opts.TimelineWindow > 0 {
-			r.tl = newTimelineRec(opts.TimelineWindow)
-			r.res.Timeline = r.tl.tl
-		}
 		// Disjoint per-cell span ranges: cell in the high bits, the cell's
 		// request sequence below — a pure function of (cell, request
 		// order), independent of the worker count.
@@ -211,26 +207,17 @@ func RunShardedCtx(ctx context.Context, cfg Config, tr *trace.Trace, factory Cel
 			router.remotes[c] = rs
 		}
 		router.runners[c] = r
+		var cellProf *load.Profile
 		if opts.Load != nil {
-			cellProf := opts.Load.Split(c, len(cellTr.Users), len(tr.Users), c == flashCell)
+			cellProf = opts.Load.Split(c, len(cellTr.Users), len(tr.Users), c == flashCell)
 			if cellProf.Flash != nil {
 				// Channel ids are global across cells, so the flash
 				// target resolves in the cell's shared catalog.
 				cellProf.Flash.Channel = opts.Load.Flash.Channel
 			}
-			if err := r.installLoad(cellProf); err != nil {
-				return nil, fmt.Errorf("cell %d: %w", c, err)
-			}
-		} else {
-			for i := range cellTr.Users {
-				r.sessionsLeft[i] = cellCfg.Sessions
-				delay := time.Duration(dist.Exponential(r.g, float64(cellCfg.MeanOffTime)))
-				node := i
-				r.engine.At(delay, func(now time.Duration) { r.startSession(node, now) })
-			}
 		}
-		if m, ok := proto.(Maintainer); ok {
-			r.engine.After(cellCfg.ProbeInterval, func(now time.Duration) { r.probeAll(m, now) })
+		if err := r.arm(opts.TimelineWindow, cellProf); err != nil {
+			return nil, fmt.Errorf("cell %d: %w", c, err)
 		}
 	}
 	if name == "" {

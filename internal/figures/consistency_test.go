@@ -1,14 +1,12 @@
 package figures
 
 import (
-	"context"
 	"testing"
 	"time"
 
 	"github.com/socialtube/socialtube/internal/emu"
 	"github.com/socialtube/socialtube/internal/exp"
 	"github.com/socialtube/socialtube/internal/faults"
-	"github.com/socialtube/socialtube/internal/simnet"
 )
 
 // TestSimAndEmuAgreeOnWinner is the cross-environment check the paper makes
@@ -79,18 +77,17 @@ func TestChurnResilienceOrdering(t *testing.T) {
 	}
 	s := tinyScale()
 	tr := tinyTrace(t)
-	protos, err := s.Protocols(tr)
+	jobs := protocolJobs(protoOrder)
+	for i := range jobs {
+		jobs[i].opts.Faults = faults.ChurnPlan(s.Seed, s.churnUnit())
+	}
+	results, err := s.runJobs(tr, 0, jobs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	res := make(map[string]*exp.Resilience)
-	for name, p := range protos {
-		r, err := exp.RunCtx(context.Background(), s.expConfig(), tr, p,
-			simnet.DefaultConfig(), exp.Options{Faults: faults.ChurnPlan(s.Seed, s.churnUnit())})
-		if err != nil {
-			t.Fatalf("run %s: %v", name, err)
-		}
-		res[name] = &r.Resilience
+	for i, name := range protoOrder {
+		res[name] = &results[i].Resilience
 	}
 	st, nt, pv := res["SocialTube"], res["NetTube"], res["PA-VoD"]
 	for name, r := range res {

@@ -2,9 +2,6 @@ package figures
 
 import (
 	"encoding/json"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 )
@@ -39,8 +36,9 @@ func TestFailoverOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireRows(t, f, "noRestart")
+	points := pointsOf[FailoverPoint](t, f)
 	frac := map[string]float64{}
-	for _, p := range f.Points {
+	for _, p := range points {
 		frac[p.Protocol] = p.NoRestartFrac
 		if p.Crashed == 0 {
 			t.Errorf("%s: schedule crashed no providers", p.Protocol)
@@ -50,7 +48,7 @@ func TestFailoverOrdering(t *testing.T) {
 	if !(st > nt && nt > pv) {
 		t.Fatalf("no-restart ordering broken: SocialTube %.3f, NetTube %.3f, PA-VoD %.3f", st, nt, pv)
 	}
-	for _, p := range f.Points {
+	for _, p := range points {
 		if p.Protocol == "SocialTube" && p.Handoffs == 0 {
 			t.Error("SocialTube never handed off mid-stream despite crashes")
 		}
@@ -75,8 +73,8 @@ func TestFailoverDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pts := make([]FailoverPoint, len(f.Points))
-		for i, p := range f.Points {
+		pts := pointsOf[FailoverPoint](t, f)
+		for i, p := range pts {
 			pts[i] = p.Canonical()
 		}
 		b, err := json.Marshal(pts)
@@ -88,36 +86,5 @@ func TestFailoverDeterministic(t *testing.T) {
 	a, b := canonical(), canonical()
 	if string(a) != string(b) {
 		t.Fatalf("same-seed failover points differ:\n%s\n%s", a, b)
-	}
-}
-
-// TestAppendFailoverPoints checks the BENCH_failover.json appender writes
-// one parseable JSON line per point and appends across calls.
-func TestAppendFailoverPoints(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "failover.json")
-	pts := []FailoverPoint{
-		{Protocol: "SocialTube", Seed: 1, Requests: 16, NoRestartFrac: 1},
-		{Protocol: "NetTube", Seed: 1, Requests: 16, NoRestartFrac: 0.75},
-	}
-	if err := AppendFailoverPoints(path, pts); err != nil {
-		t.Fatal(err)
-	}
-	if err := AppendFailoverPoints(path, pts[:1]); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var n int
-	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
-		var p FailoverPoint
-		if err := json.Unmarshal([]byte(line), &p); err != nil {
-			t.Fatalf("line %q: %v", line, err)
-		}
-		n++
-	}
-	if n != 3 {
-		t.Fatalf("appended %d lines, want 3", n)
 	}
 }

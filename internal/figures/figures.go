@@ -6,6 +6,7 @@
 package figures
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sort"
@@ -94,6 +95,15 @@ func PaperScale() Scale {
 	}
 }
 
+// ScalePreset resolves a -scale flag value for the trace-sharing figures.
+func ScalePreset(name string) (Scale, error) {
+	preset, ok := map[string]func() Scale{"small": SmallScale, "paper": PaperScale}[name]
+	if !ok {
+		return Scale{}, fmt.Errorf("unknown scale %q (want small or paper)", name)
+	}
+	return preset(), nil
+}
+
 // BuildTrace generates the scale's synthetic trace.
 func (s Scale) BuildTrace() (*trace.Trace, error) {
 	cfg := trace.DefaultConfig()
@@ -156,16 +166,6 @@ func Fig02(tr *trace.Trace) *metrics.Table {
 	return t
 }
 
-// Fig03 prints the CDF of per-channel view frequency.
-func Fig03(tr *trace.Trace) *metrics.Table {
-	return cdfTable("Fig. 3 — CDF of channel view frequency (views/day)", "viewsPerDay", tr.ChannelViewFrequencies())
-}
-
-// Fig04 prints the CDF of subscribers per channel.
-func Fig04(tr *trace.Trace) *metrics.Table {
-	return cdfTable("Fig. 4 — CDF of subscribers per channel", "subscribers", tr.SubscriberCounts())
-}
-
 // Fig05 prints the channel views vs subscriptions correlation.
 func Fig05(tr *trace.Trace) *metrics.Table {
 	subs, views := tr.ViewsVsSubscriptions()
@@ -186,16 +186,6 @@ func Fig05(tr *trace.Trace) *metrics.Table {
 		t.AddRow(fmt.Sprintf("views@p%.0f", q*100), pts[idx].v)
 	}
 	return t
-}
-
-// Fig06 prints the CDF of videos per channel.
-func Fig06(tr *trace.Trace) *metrics.Table {
-	return cdfTable("Fig. 6 — CDF of videos per channel", "videos", tr.VideosPerChannel())
-}
-
-// Fig07 prints the CDF of views per video.
-func Fig07(tr *trace.Trace) *metrics.Table {
-	return cdfTable("Fig. 7 — CDF of views per video", "views", tr.ViewsPerVideo())
 }
 
 // Fig08 prints the CDF of favourites per video plus the views correlation.
@@ -257,21 +247,6 @@ func Fig10(tr *trace.Trace, minShared int) *metrics.Table {
 	return t
 }
 
-// Fig11 prints the CDF of interest categories per channel.
-func Fig11(tr *trace.Trace) *metrics.Table {
-	return cdfTable("Fig. 11 — CDF of categories per channel", "categories", tr.InterestsPerChannel())
-}
-
-// Fig12 prints the CDF of user-interest / subscription similarity.
-func Fig12(tr *trace.Trace) *metrics.Table {
-	return cdfTable("Fig. 12 — CDF of interest similarity |Cu∩Cc|/|Cu|", "similarity", tr.InterestSimilarities())
-}
-
-// Fig13 prints the CDF of interests per user.
-func Fig13(tr *trace.Trace) *metrics.Table {
-	return cdfTable("Fig. 13 — CDF of interests per user", "interests", tr.InterestsPerUser())
-}
-
 // Fig15 prints the analytical maintenance-overhead model.
 func Fig15() *metrics.Table {
 	m := core.DefaultMaintenanceModel()
@@ -301,10 +276,14 @@ func (s Scale) pavodConfig() baseline.PAVoDConfig {
 }
 
 // Protocol builds one comparison system by name ("SocialTube", "NetTube"
-// or "PA-VoD") over a trace at this scale, tracer attached. The scale
-// sweep builds protocols one at a time through this so each run's node
-// state can be released before the next protocol's is allocated.
+// or "PA-VoD") over a trace at this scale, tracer attached.
 func (s Scale) Protocol(name string, tr *trace.Trace) (vod.Protocol, error) {
+	return s.protocol(name, tr, true)
+}
+
+// protocol is Protocol with prefetching optionally off (Fig. 17's "w/o
+// PF" variants; PA-VoD never prefetches).
+func (s Scale) protocol(name string, tr *trace.Trace, prefetch bool) (vod.Protocol, error) {
 	var (
 		p   vod.Protocol
 		err error
@@ -313,10 +292,16 @@ func (s Scale) Protocol(name string, tr *trace.Trace) (vod.Protocol, error) {
 	case "SocialTube":
 		cfg := core.DefaultConfig()
 		cfg.Seed = s.Seed
+		if !prefetch {
+			cfg.PrefetchCount = 0
+		}
 		p, err = core.New(cfg, tr)
 	case "NetTube":
 		cfg := baseline.DefaultNetTubeConfig()
 		cfg.Seed = s.Seed
+		if !prefetch {
+			cfg.PrefetchCount = 0
+		}
 		p, err = baseline.NewNetTube(cfg, tr)
 	case "PA-VoD":
 		p, err = baseline.NewPAVoD(s.pavodConfig(), tr)
@@ -330,125 +315,153 @@ func (s Scale) Protocol(name string, tr *trace.Trace) (vod.Protocol, error) {
 	return p, nil
 }
 
-// Protocols builds the three comparison systems over a trace at this scale.
-func (s Scale) Protocols(tr *trace.Trace) (map[string]vod.Protocol, error) {
-	protos := make(map[string]vod.Protocol, len(protoOrder))
-	for _, name := range protoOrder {
-		p, err := s.Protocol(name, tr)
+// simJob is one simulation a figure asks for: the protocol to build, the
+// network it runs over and the runner options (fault plan, timeline
+// window, open-loop profile). build is called once per run — on the
+// sharded engine once per community cell, with the cell's own Scale —
+// and attaches the scale's tracer.
+type simJob struct {
+	label string
+	build func(s Scale, tr *trace.Trace) (vod.Protocol, error)
+	net   simnet.Config
+	opts  exp.Options
+}
+
+// protocolJob is the common case: one of the named comparison systems
+// over the default network.
+func protocolJob(name string) simJob {
+	return simJob{
+		label: name,
+		build: func(s Scale, tr *trace.Trace) (vod.Protocol, error) { return s.Protocol(name, tr) },
+		net:   simnet.DefaultConfig(),
+	}
+}
+
+func protocolJobs(names []string) []simJob {
+	jobs := make([]simJob, len(names))
+	for i, name := range names {
+		jobs[i] = protocolJob(name)
+	}
+	return jobs
+}
+
+// run executes one job. It is the only place in this package that builds
+// a protocol for a run and picks the engine: shards == 0 is the classic
+// single-loop runner, shards ≥ 1 the community-sharded one with that many
+// workers (which takes no fault plan). Deterministic result fields are
+// byte-identical across shards ≥ 1; they differ from the classic
+// engine's, whose RNG streams are global rather than per-community.
+func (s Scale) run(tr *trace.Trace, j simJob, shards int) (*exp.Result, error) {
+	var (
+		res *exp.Result
+		err error
+	)
+	if shards > 0 {
+		// Each community cell gets its own protocol instance over the
+		// cell's renumbered trace, with the protocol RNG reseeded per cell
+		// (the derivation the sharded runner uses for its own streams) and
+		// the population-derived knobs — PA-VoD's ISP count — computed
+		// from the cell's own size.
+		factory := func(cell int, cellTr *trace.Trace) (vod.Protocol, error) {
+			cs := s
+			cs.Seed = s.Seed*1_000_003 + int64(cell+1)
+			cs.TraceUsers = len(cellTr.Users)
+			return j.build(cs, cellTr)
+		}
+		res, err = exp.RunSharded(s.expConfig(), tr, factory, j.net, exp.ShardedOptions{
+			Workers: shards, TimelineWindow: j.opts.TimelineWindow, Load: j.opts.Load,
+		})
+	} else {
+		var p vod.Protocol
+		if p, err = j.build(s, tr); err == nil {
+			res, err = exp.RunCtx(context.Background(), s.expConfig(), tr, p, j.net, j.opts)
+		}
+	}
+	if err != nil {
+		return nil, fmt.Errorf("run %s: %w", j.label, err)
+	}
+	return res, nil
+}
+
+// runJobs executes the jobs over one trace and returns their results in
+// job order. Classic-engine jobs are independent single-threaded
+// deterministic simulations (own RNG, own simnet, read-only trace), so
+// they run side by side, bounded by GOMAXPROCS, and only wall-clock time
+// changes; sharded jobs run one at a time because the worker budget
+// belongs to each job's community loops. Protocols are built inside their
+// worker so each one's node state is released as soon as its run ends.
+// done, when non-nil, is called — possibly concurrently — as each job
+// finishes, with its wall time.
+func (s Scale) runJobs(tr *trace.Trace, shards int, jobs []simJob, done func(i int, res *exp.Result, wall time.Duration)) ([]*exp.Result, error) {
+	results := make([]*exp.Result, len(jobs))
+	workers := runtime.GOMAXPROCS(0)
+	if shards > 0 {
+		workers = 1
+	}
+	sem := make(chan struct{}, workers)
+	errs := make([]error, len(jobs))
+	var wg sync.WaitGroup
+	for i := range jobs {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func(i int) {
+			defer wg.Done()
+			defer func() { <-sem }()
+			start := time.Now()
+			results[i], errs[i] = s.run(tr, jobs[i], shards)
+			if errs[i] == nil && done != nil {
+				done(i, results[i], time.Since(start))
+			}
+		}(i)
+	}
+	wg.Wait()
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		protos[name] = p
 	}
-	return protos, nil
+	return results, nil
 }
 
 // RunSocialTube runs one SocialTube variant through the standard workload —
 // the entry point of the ablation benches (TTL sweep, link-budget sweep,
 // channel-only overlay).
 func RunSocialTube(s Scale, tr *trace.Trace, cfg core.Config) (*exp.Result, error) {
-	sys, err := core.New(cfg, tr)
-	if err != nil {
-		return nil, err
-	}
-	s.attach(sys)
-	return exp.Run(s.expConfig(), tr, sys, simnet.DefaultConfig())
+	return s.run(tr, simJob{
+		label: "SocialTube",
+		build: func(s Scale, tr *trace.Trace) (vod.Protocol, error) {
+			sys, err := core.New(cfg, tr)
+			if err == nil {
+				s.attach(sys)
+			}
+			return sys, err
+		},
+		net: simnet.DefaultConfig(),
+	}, 0)
 }
+
+var protoOrder = []string{"PA-VoD", "SocialTube", "NetTube"}
 
 // RunAllProtocols executes the standard workload for each of the three
 // protocols and returns the raw results keyed by protocol name (the
 // socialtube-sim -json path).
 func RunAllProtocols(s Scale, tr *trace.Trace) (map[string]*exp.Result, error) {
-	protos, err := s.Protocols(tr)
+	results, err := s.runJobs(tr, 0, protocolJobs(protoOrder), nil)
 	if err != nil {
 		return nil, err
 	}
-	return runAll(s, tr, protos)
-}
-
-// runConcurrently executes fn(i) for i in [0, n) across goroutines bounded
-// by GOMAXPROCS and returns the first error by index order. Each exp.Run is
-// an independent single-threaded deterministic simulation (own RNG, own
-// simnet, read-only trace), so running them side by side changes nothing
-// but wall-clock time.
-func runConcurrently(n int, fn func(i int) error) error {
-	if n <= 1 {
-		if n == 1 {
-			return fn(0)
-		}
-		return nil
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	sem := make(chan struct{}, workers)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			errs[i] = fn(i)
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// runAll executes the standard workload for each named protocol, running
-// the independent simulations concurrently. Results are keyed exactly as
-// the sequential version keyed them.
-func runAll(s Scale, tr *trace.Trace, protos map[string]vod.Protocol) (map[string]*exp.Result, error) {
-	names := make([]string, 0, len(protos))
-	for name := range protos {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	results := make([]*exp.Result, len(names))
-	err := runConcurrently(len(names), func(i int) error {
-		res, err := exp.Run(s.expConfig(), tr, protos[names[i]], simnet.DefaultConfig())
-		if err != nil {
-			return fmt.Errorf("run %s: %w", names[i], err)
-		}
-		results[i] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]*exp.Result, len(names))
-	for i, name := range names {
+	out := make(map[string]*exp.Result, len(protoOrder))
+	for i, name := range protoOrder {
 		out[name] = results[i]
 	}
 	return out, nil
 }
 
-var protoOrder = []string{"PA-VoD", "SocialTube", "NetTube"}
-
-// FigSim bundles a simulator figure's main table with the per-run counter
-// summary produced by the same simulations — every simulator figure reports
-// not just its metric but the protocol activity that generated it.
-type FigSim struct {
-	Table    *metrics.Table
-	Counters *metrics.Table
-}
-
-// String renders the figure table followed by its counter summary.
-func (f *FigSim) String() string {
-	return f.Table.String() + "\n" + f.Counters.String()
-}
-
 // countersTable renders the runs' counter snapshots side by side, one column
 // per run in the given order, one row per counter (declaration order, so the
-// output is byte-stable), followed by the engine's accounting.
+// output is byte-stable), followed by the engine's accounting. Every
+// simulator figure carries one: not just its metric but the protocol
+// activity that generated it.
 func countersTable(title string, names []string, results []*exp.Result) *metrics.Table {
 	headers := make([]string, 0, len(names)+1)
 	headers = append(headers, "counter")
@@ -457,153 +470,95 @@ func countersTable(title string, names []string, results []*exp.Result) *metrics
 	if len(results) == 0 {
 		return t
 	}
+	addRow := func(name string, value func(run int) any) {
+		cells := make([]any, 0, len(results)+1)
+		cells = append(cells, name)
+		for i := range results {
+			cells = append(cells, value(i))
+		}
+		t.AddRow(cells...)
+	}
 	perRun := make([][]obs.CounterRow, len(results))
 	for i, r := range results {
 		perRun[i] = r.Obs.Rows()
 	}
 	for ri, row := range perRun[0] {
-		cells := make([]any, 0, len(results)+1)
-		cells = append(cells, row.Name)
-		for i := range results {
-			cells = append(cells, perRun[i][ri].Value)
-		}
-		t.AddRow(cells...)
+		addRow(row.Name, func(i int) any { return perRun[i][ri].Value })
 	}
-	engineRows := []struct {
-		name string
-		get  func(r *exp.Result) any
-	}{
-		{"engineEventsFired", func(r *exp.Result) any { return r.Engine.EventsFired }},
-		{"engineEventsScheduled", func(r *exp.Result) any { return r.Engine.EventsScheduled }},
-		{"engineHeapHighWater", func(r *exp.Result) any { return r.Engine.HeapHighWater }},
-	}
-	for _, er := range engineRows {
-		cells := make([]any, 0, len(results)+1)
-		cells = append(cells, er.name)
-		for _, r := range results {
-			cells = append(cells, er.get(r))
-		}
-		t.AddRow(cells...)
-	}
+	addRow("engineEventsFired", func(i int) any { return results[i].Engine.EventsFired })
+	addRow("engineEventsScheduled", func(i int) any { return results[i].Engine.EventsScheduled })
+	addRow("engineHeapHighWater", func(i int) any { return results[i].Engine.HeapHighWater })
 	return t
 }
 
 // Fig16a prints the normalized peer bandwidth percentiles per protocol on
 // the simulator, with the per-protocol counter summary.
-func Fig16a(s Scale, tr *trace.Trace) (*FigSim, error) {
-	protos, err := s.Protocols(tr)
-	if err != nil {
-		return nil, err
-	}
-	results, err := runAll(s, tr, protos)
+func Fig16a(s Scale, tr *trace.Trace) (*Report, error) {
+	results, err := s.runJobs(tr, 0, protocolJobs(protoOrder), nil)
 	if err != nil {
 		return nil, err
 	}
 	t := metrics.NewTable("Fig. 16(a) — normalized peer bandwidth (simulator)",
 		"protocol", "p1", "p50", "p99")
-	ordered := make([]*exp.Result, 0, len(protoOrder))
-	for _, name := range protoOrder {
-		p1, p50, p99 := results[name].NormalizedPeerBandwidthPercentiles()
+	for i, name := range protoOrder {
+		p1, p50, p99 := results[i].NormalizedPeerBandwidthPercentiles()
 		t.AddRow(name, p1, p50, p99)
-		ordered = append(ordered, results[name])
 	}
-	return &FigSim{
-		Table:    t,
-		Counters: countersTable("Fig. 16(a) — protocol counters", protoOrder, ordered),
-	}, nil
+	return &Report{Tables: []*metrics.Table{
+		t, countersTable("Fig. 16(a) — protocol counters", protoOrder, results),
+	}}, nil
 }
 
 // Fig17a prints startup delay with and without prefetching per protocol on
 // the simulator, with the per-variant counter summary.
-func Fig17a(s Scale, tr *trace.Trace) (*FigSim, error) {
-	t := metrics.NewTable("Fig. 17(a) — startup delay (simulator)",
-		"variant", "meanMs", "p50Ms", "p99Ms")
-	variants := []struct {
-		name  string
-		build func() (vod.Protocol, error)
-	}{
-		{"PA-VoD", func() (vod.Protocol, error) {
-			return baseline.NewPAVoD(s.pavodConfig(), tr)
-		}},
-		{"SocialTube w/ PF", func() (vod.Protocol, error) {
-			cfg := core.DefaultConfig()
-			cfg.Seed = s.Seed
-			return core.New(cfg, tr)
-		}},
-		{"SocialTube w/o PF", func() (vod.Protocol, error) {
-			cfg := core.DefaultConfig()
-			cfg.Seed = s.Seed
-			cfg.PrefetchCount = 0
-			return core.New(cfg, tr)
-		}},
-		{"NetTube w/ PF", func() (vod.Protocol, error) {
-			cfg := baseline.DefaultNetTubeConfig()
-			cfg.Seed = s.Seed
-			return baseline.NewNetTube(cfg, tr)
-		}},
-		{"NetTube w/o PF", func() (vod.Protocol, error) {
-			cfg := baseline.DefaultNetTubeConfig()
-			cfg.Seed = s.Seed
-			cfg.PrefetchCount = 0
-			return baseline.NewNetTube(cfg, tr)
-		}},
+func Fig17a(s Scale, tr *trace.Trace) (*Report, error) {
+	variant := func(label, proto string, prefetch bool) simJob {
+		j := protocolJob(proto)
+		j.label = label
+		j.build = func(s Scale, tr *trace.Trace) (vod.Protocol, error) { return s.protocol(proto, tr, prefetch) }
+		return j
 	}
-	// Each variant is an independent deterministic simulation: build and
-	// run them concurrently, then emit rows in the declared order.
-	results := make([]*exp.Result, len(variants))
-	err := runConcurrently(len(variants), func(i int) error {
-		p, err := variants[i].build()
-		if err != nil {
-			return err
-		}
-		s.attach(p)
-		res, err := exp.Run(s.expConfig(), tr, p, simnet.DefaultConfig())
-		if err != nil {
-			return fmt.Errorf("run %s: %w", variants[i].name, err)
-		}
-		results[i] = res
-		return nil
-	})
+	jobs := []simJob{
+		variant("PA-VoD", "PA-VoD", true),
+		variant("SocialTube w/ PF", "SocialTube", true),
+		variant("SocialTube w/o PF", "SocialTube", false),
+		variant("NetTube w/ PF", "NetTube", true),
+		variant("NetTube w/o PF", "NetTube", false),
+	}
+	results, err := s.runJobs(tr, 0, jobs, nil)
 	if err != nil {
 		return nil, err
 	}
-	names := make([]string, len(variants))
-	for i, variant := range variants {
-		names[i] = variant.name
+	t := metrics.NewTable("Fig. 17(a) — startup delay (simulator)",
+		"variant", "meanMs", "p50Ms", "p99Ms")
+	names := make([]string, len(jobs))
+	for i, j := range jobs {
+		names[i] = j.label
 		d := results[i].StartupDelay.Summary()
-		t.AddRow(variant.name, d.Mean, d.P50, d.P99)
+		t.AddRow(j.label, d.Mean, d.P50, d.P99)
 	}
-	return &FigSim{
-		Table:    t,
-		Counters: countersTable("Fig. 17(a) — protocol counters", names, results),
-	}, nil
+	return &Report{Tables: []*metrics.Table{
+		t, countersTable("Fig. 17(a) — protocol counters", names, results),
+	}}, nil
 }
 
 // Fig18a prints maintenance overhead versus videos watched per protocol on
-// the simulator, with the per-protocol counter summary.
-func Fig18a(s Scale, tr *trace.Trace) (*FigSim, error) {
-	protos, err := s.Protocols(tr)
-	if err != nil {
-		return nil, err
-	}
-	delete(protos, "PA-VoD") // the paper plots SocialTube vs NetTube
-	results, err := runAll(s, tr, protos)
+// the simulator (the paper plots SocialTube vs NetTube), with the
+// per-protocol counter summary.
+func Fig18a(s Scale, tr *trace.Trace) (*Report, error) {
+	names := []string{"SocialTube", "NetTube"}
+	results, err := s.runJobs(tr, 0, protocolJobs(names), nil)
 	if err != nil {
 		return nil, err
 	}
 	t := metrics.NewTable("Fig. 18(a) — maintenance overhead vs videos watched (simulator)",
 		"videosWatched", "SocialTube", "NetTube")
 	for k := 0; k < s.VideosPerSession; k++ {
-		t.AddRow(k+1,
-			results["SocialTube"].LinksByVideoIndex[k].Mean(),
-			results["NetTube"].LinksByVideoIndex[k].Mean())
+		t.AddRow(k+1, results[0].LinksByVideoIndex[k].Mean(), results[1].LinksByVideoIndex[k].Mean())
 	}
-	names := []string{"SocialTube", "NetTube"}
-	return &FigSim{
-		Table: t,
-		Counters: countersTable("Fig. 18(a) — protocol counters", names,
-			[]*exp.Result{results["SocialTube"], results["NetTube"]}),
-	}, nil
+	return &Report{Tables: []*metrics.Table{
+		t, countersTable("Fig. 18(a) — protocol counters", names, results),
+	}}, nil
 }
 
 // Table1 prints the experiment's default parameters alongside the paper's.

@@ -1,14 +1,12 @@
 package figures
 
 import (
-	"context"
 	"fmt"
 	"time"
 
 	"github.com/socialtube/socialtube/internal/exp"
 	"github.com/socialtube/socialtube/internal/faults"
 	"github.com/socialtube/socialtube/internal/metrics"
-	"github.com/socialtube/socialtube/internal/simnet"
 	"github.com/socialtube/socialtube/internal/trace"
 )
 
@@ -40,35 +38,14 @@ func peerHitRate(r *exp.Result) float64 {
 // neighbors, and the orphan fraction left behind after each crash.
 // Baselines recover through probing alone, which is exactly the
 // asymmetry the paper's §IV-C maintenance argument predicts.
-func FigChurn(s Scale, tr *trace.Trace) (*FigSim, error) {
-	// Protocols are stateful: every run needs a fresh instance.
-	healthy, err := s.Protocols(tr)
-	if err != nil {
-		return nil, err
-	}
-	faulted, err := s.Protocols(tr)
-	if err != nil {
-		return nil, err
-	}
+func FigChurn(s Scale, tr *trace.Trace) (*Report, error) {
 	unit := s.churnUnit()
 	n := len(protoOrder)
-	results := make([]*exp.Result, 2*n) // [0,n): healthy, [n,2n): faulted
-	err = runConcurrently(2*n, func(i int) error {
-		name := protoOrder[i%n]
-		var res *exp.Result
-		var err error
-		if i < n {
-			res, err = exp.Run(s.expConfig(), tr, healthy[name], simnet.DefaultConfig())
-		} else {
-			res, err = exp.RunCtx(context.Background(), s.expConfig(), tr, faulted[name],
-				simnet.DefaultConfig(), exp.Options{Faults: faults.ChurnPlan(s.Seed, unit)})
-		}
-		if err != nil {
-			return fmt.Errorf("run %s: %w", name, err)
-		}
-		results[i] = res
-		return nil
-	})
+	jobs := append(protocolJobs(protoOrder), protocolJobs(protoOrder)...) // [0,n): healthy, [n,2n): faulted
+	for i := n; i < 2*n; i++ {
+		jobs[i].opts.Faults = faults.ChurnPlan(s.Seed, unit)
+	}
+	results, err := s.runJobs(tr, 0, jobs, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -82,8 +59,7 @@ func FigChurn(s Scale, tr *trace.Trace) (*FigSim, error) {
 		t.AddRow(name, hh, fh, hh-fh,
 			rz.RepairLatencyMs.Mean(), rz.OrphanFraction.Mean(), rz.Crashes, rz.Rejoins)
 	}
-	return &FigSim{
-		Table:    t,
-		Counters: countersTable("Churn resilience — protocol counters (faulted runs)", protoOrder, results[n:]),
-	}, nil
+	return &Report{Tables: []*metrics.Table{
+		t, countersTable("Churn resilience — protocol counters (faulted runs)", protoOrder, results[n:]),
+	}}, nil
 }

@@ -97,7 +97,7 @@ func (s EmuScale) runMode(tr *trace.Trace, mode emu.Mode, mutate func(*emu.Clust
 
 // Fig16b prints normalized peer bandwidth percentiles per protocol over the
 // TCP emulation.
-func Fig16b(s EmuScale, tr *trace.Trace) (*metrics.Table, error) {
+func Fig16b(s EmuScale, tr *trace.Trace) (*Report, error) {
 	t := metrics.NewTable("Fig. 16(b) — normalized peer bandwidth (TCP emulation)",
 		"protocol", "p1", "p50", "p99")
 	for _, mode := range []emu.Mode{emu.ModePAVoD, emu.ModeSocialTube, emu.ModeNetTube} {
@@ -108,12 +108,12 @@ func Fig16b(s EmuScale, tr *trace.Trace) (*metrics.Table, error) {
 		p1, p50, p99 := res.NormalizedPeerBandwidthPercentiles()
 		t.AddRow(res.Protocol, p1, p50, p99)
 	}
-	return t, nil
+	return &Report{Tables: []*metrics.Table{t}}, nil
 }
 
 // Fig17b prints startup delay with and without prefetching per protocol
 // over the TCP emulation.
-func Fig17b(s EmuScale, tr *trace.Trace) (*metrics.Table, error) {
+func Fig17b(s EmuScale, tr *trace.Trace) (*Report, error) {
 	t := metrics.NewTable("Fig. 17(b) — startup delay (TCP emulation)",
 		"variant", "meanMs", "p50Ms", "p99Ms")
 	variants := []struct {
@@ -140,7 +140,7 @@ func Fig17b(s EmuScale, tr *trace.Trace) (*metrics.Table, error) {
 		d := res.StartupDelay.Summary()
 		t.AddRow(variant.name, d.Mean, d.P50, d.P99)
 	}
-	return t, nil
+	return &Report{Tables: []*metrics.Table{t}}, nil
 }
 
 // outageUnit derives the emu fault plan's time base from the workload:
@@ -155,12 +155,20 @@ func (s EmuScale) outageUnit() time.Duration {
 	return u
 }
 
+// tightRetry is the outage figures' retry policy: a request's budget is
+// on the order of the outage window, so what survives did so via the
+// local cache, peer links formed before the outage, failover or takeover —
+// not patience.
+func tightRetry(c *emu.ClusterConfig) {
+	c.RPCTimeout = 250 * time.Millisecond
+	c.MaxRetries = 1
+	c.RetryBackoff = 25 * time.Millisecond
+}
+
 // FigOutage measures service continuity through the standard OutagePlan
 // (a 20% crash wave, then the tracker dark for one unit) over the TCP
-// emulation. The retry policy is tightened so a request's budget is on
-// the order of the outage window: what survives did so via the local
-// cache, peer links formed before the outage, or a late retry.
-func FigOutage(s EmuScale, tr *trace.Trace) (*metrics.Table, error) {
+// emulation, under the tight retry policy.
+func FigOutage(s EmuScale, tr *trace.Trace) (*Report, error) {
 	unit := s.outageUnit()
 	t := metrics.NewTable(
 		fmt.Sprintf("Tracker outage resilience under OutagePlan(unit=%s) (TCP emulation)", unit),
@@ -168,9 +176,7 @@ func FigOutage(s EmuScale, tr *trace.Trace) (*metrics.Table, error) {
 	for _, mode := range []emu.Mode{emu.ModePAVoD, emu.ModeSocialTube, emu.ModeNetTube} {
 		res, err := s.runMode(tr, mode, func(c *emu.ClusterConfig) {
 			c.Faults = faults.OutagePlan(s.Seed, unit)
-			c.RPCTimeout = 250 * time.Millisecond
-			c.MaxRetries = 1
-			c.RetryBackoff = 25 * time.Millisecond
+			tightRetry(c)
 		})
 		if err != nil {
 			return nil, err
@@ -182,12 +188,12 @@ func FigOutage(s EmuScale, tr *trace.Trace) (*metrics.Table, error) {
 		t.AddRow(res.Protocol, res.OutageRequests, served, res.FailedRequests,
 			res.Crashes, res.Rejoins, res.ServerHits)
 	}
-	return t, nil
+	return &Report{Tables: []*metrics.Table{t}}, nil
 }
 
 // Fig18b prints maintenance overhead versus videos watched over the TCP
 // emulation.
-func Fig18b(s EmuScale, tr *trace.Trace) (*metrics.Table, error) {
+func Fig18b(s EmuScale, tr *trace.Trace) (*Report, error) {
 	st, err := s.runMode(tr, emu.ModeSocialTube, nil)
 	if err != nil {
 		return nil, err
@@ -201,5 +207,5 @@ func Fig18b(s EmuScale, tr *trace.Trace) (*metrics.Table, error) {
 	for k := 0; k < s.VideosPerSession; k++ {
 		t.AddRow(k+1, st.LinksByVideoIndex[k].Mean(), nt.LinksByVideoIndex[k].Mean())
 	}
-	return t, nil
+	return &Report{Tables: []*metrics.Table{t}}, nil
 }

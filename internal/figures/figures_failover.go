@@ -1,9 +1,7 @@
 package figures
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 
 	"github.com/socialtube/socialtube/internal/emu"
 	"github.com/socialtube/socialtube/internal/metrics"
@@ -84,16 +82,6 @@ func failoverPoint(cfg emu.FailoverConfig, res *emu.FailoverResult) FailoverPoin
 	}
 }
 
-// FigFailoverResult bundles the figure's table with the raw per-protocol
-// points for BENCH_failover.json.
-type FigFailoverResult struct {
-	Table  *metrics.Table
-	Points []FailoverPoint
-}
-
-// String renders the table.
-func (f *FigFailoverResult) String() string { return f.Table.String() }
-
 // FigFailover measures delivery resilience under a seeded mid-stream
 // provider-crash schedule: on every second request the provider serving
 // chunk 0 is crashed the moment the chunk lands, and the table reports
@@ -104,7 +92,7 @@ func (f *FigFailoverResult) String() string { return f.Table.String() }
 // construction; NetTube mixes live links with the tracker's stale
 // per-video member lists; PA-VoD depends entirely on the tracker's
 // watcher lists, which crashed watchers never leave.
-func FigFailover(s EmuScale, tr *trace.Trace) (*FigFailoverResult, error) {
+func FigFailover(s EmuScale, tr *trace.Trace) (*Report, error) {
 	t := metrics.NewTable(
 		"Failover resilience under mid-stream provider crashes (TCP emulation)",
 		"protocol", "crashed", "noRestart", "peerDone", "rescues", "restarts", "handoffs", "waitMs", "brkSkips")
@@ -121,22 +109,5 @@ func FigFailover(s EmuScale, tr *trace.Trace) (*FigFailoverResult, error) {
 			res.HandoffWaitMs.Mean(), res.Obs.BreakerSkips)
 		points = append(points, failoverPoint(cfg, res))
 	}
-	return &FigFailoverResult{Table: t, Points: points}, nil
-}
-
-// AppendFailoverPoints appends one JSON line per point to path — the
-// BENCH_failover.json convention, mirroring AppendScalePoints.
-func AppendFailoverPoints(path string, points []FailoverPoint) error {
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	for _, p := range points {
-		if err := enc.Encode(p); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	return f.Close()
+	return report(points, t), nil
 }

@@ -1,16 +1,12 @@
 package figures
 
 import (
-	"context"
-	"encoding/json"
 	"fmt"
-	"os"
 	"time"
 
 	"github.com/socialtube/socialtube/internal/exp"
 	"github.com/socialtube/socialtube/internal/load"
 	"github.com/socialtube/socialtube/internal/metrics"
-	"github.com/socialtube/socialtube/internal/simnet"
 )
 
 // LoadSweep configures the open-loop load figure: the three protocols
@@ -43,10 +39,7 @@ type LoadSweep struct {
 	WatchScale float64
 	// Seed drives the trace, the protocols and the arrival streams.
 	Seed int64
-	// Shards selects the engine, as in ScaleSweep: 0 runs each cell on
-	// the classic single-loop exp.Run; ≥1 runs it community-sharded
-	// with that many workers (deterministic fields byte-identical
-	// across worker counts, different from the classic engine's).
+	// Shards selects the engine, as in ScaleSweep.
 	Shards int
 	// Progress, when non-nil, receives one line per completed cell.
 	Progress func(msg string)
@@ -145,12 +138,6 @@ func (sw LoadSweep) profile(rps float64) *load.Profile {
 	return p
 }
 
-func (sw LoadSweep) progress(msg string) {
-	if sw.Progress != nil {
-		sw.Progress(msg)
-	}
-}
-
 // LoadEnv carries a cell's environmental measurements — wall clock and
 // the sharded worker count. They ride along in BENCH_load.json but never
 // enter the figure tables; Canonical() zeroes them for determinism
@@ -235,29 +222,21 @@ func (sw LoadSweep) loadPoint(protocol string, rps float64, res *exp.Result, wal
 	return p
 }
 
-// FigLoad bundles the load figure's output: the per-cell table and the
-// raw points for BENCH_load.json.
-type FigLoad struct {
-	Table  *metrics.Table
-	Points []LoadPoint
-}
-
-// String renders the figure table.
-func (f *FigLoad) String() string {
-	return f.Table.String()
-}
-
-// RunLoad executes the sweep: one fixed trace, len(RPS)×3 cells. Classic
-// cells are independent single-threaded deterministic simulations and run
-// concurrently; sharded cells run one at a time so the worker budget
-// belongs to each cell's community loops.
-func RunLoad(sw LoadSweep) (*FigLoad, error) {
+// RunLoad executes the sweep — one fixed trace, len(RPS)×3 cells through
+// Scale.runJobs — and returns the per-cell table with the raw points.
+func RunLoad(sw LoadSweep) (*Report, error) {
 	if len(sw.RPS) == 0 {
 		return nil, fmt.Errorf("load sweep: no RPS columns")
 	}
+	jobs := make([]simJob, 0, len(sw.RPS)*len(protoOrder))
 	for _, rps := range sw.RPS {
 		if err := sw.profile(rps).Validate(); err != nil {
 			return nil, fmt.Errorf("load sweep: rps %g: %w", rps, err)
+		}
+		for _, j := range protocolJobs(protoOrder) {
+			j.net.ServerQueueCap = sw.QueueCap
+			j.opts.Load = sw.profile(rps)
+			jobs = append(jobs, j)
 		}
 	}
 	s := sw.scale()
@@ -265,50 +244,15 @@ func RunLoad(sw LoadSweep) (*FigLoad, error) {
 	if err != nil {
 		return nil, fmt.Errorf("load sweep: trace: %w", err)
 	}
-	netCfg := simnet.DefaultConfig()
-	netCfg.ServerQueueCap = sw.QueueCap
-	expCfg := s.expConfig()
-
-	n := len(sw.RPS) * len(protoOrder)
-	points := make([]LoadPoint, n)
-	runCell := func(i int) error {
-		rps := sw.RPS[i/len(protoOrder)]
-		name := protoOrder[i%len(protoOrder)]
-		prof := sw.profile(rps)
-		start := time.Now()
-		var (
-			res    *exp.Result
-			runErr error
-		)
-		if sw.Shards > 0 {
-			res, runErr = exp.RunSharded(expCfg, tr, s.cellProtocol(name), netCfg,
-				exp.ShardedOptions{Workers: sw.Shards, Load: prof})
-		} else {
-			proto, perr := s.Protocol(name, tr)
-			if perr != nil {
-				return fmt.Errorf("load rps %g: build %s: %w", rps, name, perr)
-			}
-			res, runErr = exp.RunCtx(context.Background(), expCfg, tr, proto, netCfg,
-				exp.Options{Load: prof})
-		}
-		if runErr != nil {
-			return fmt.Errorf("load rps %g: run %s: %w", rps, name, runErr)
-		}
-		points[i] = sw.loadPoint(name, rps, res, time.Since(start))
-		p := points[i]
-		sw.progress(fmt.Sprintf("rps %g %s: offered %d, shed %d (%.3f), p99 %.0f ms, %v",
-			rps, name, p.Offered, p.ServerShed, p.ShedRate, p.P99Ms,
-			time.Since(start).Round(time.Millisecond)))
-		return nil
-	}
-	if sw.Shards > 0 {
-		for i := 0; i < n; i++ {
-			if err := runCell(i); err != nil {
-				return nil, err
-			}
-		}
-	} else if err := runConcurrently(n, runCell); err != nil {
-		return nil, err
+	points := make([]LoadPoint, len(jobs))
+	_, err = s.runJobs(tr, sw.Shards, jobs, func(i int, res *exp.Result, wall time.Duration) {
+		p := sw.loadPoint(jobs[i].label, sw.RPS[i/len(protoOrder)], res, wall)
+		points[i] = p
+		progressf(sw.Progress, "rps %g %s: offered %d, shed %d (%.3f), p99 %.0f ms, %v",
+			p.RPS, p.Protocol, p.Offered, p.ServerShed, p.ShedRate, p.P99Ms, wall.Round(time.Millisecond))
+	})
+	if err != nil {
+		return nil, fmt.Errorf("load sweep: %w", err)
 	}
 	t := metrics.NewTable(
 		fmt.Sprintf("Open-loop load — %s profile over %s, server queue cap %d (simulator)",
@@ -319,24 +263,5 @@ func RunLoad(sw LoadSweep) (*FigLoad, error) {
 		t.AddRow(p.RPS, p.Protocol, p.Offered, p.Busy, p.Requests, p.ServerOffload,
 			p.P50Ms, p.P99Ms, p.P999Ms, p.ServerShed, p.ShedRate, p.QueuePeak)
 	}
-	return &FigLoad{Table: t, Points: points}, nil
-}
-
-// AppendLoadPoints appends one JSON line per point to path — the
-// BENCH_load.json convention, mirroring BENCH_scale.json: a grow-only
-// JSONL log of load cells, environmental fields included, one run
-// appended after another.
-func AppendLoadPoints(path string, points []LoadPoint) error {
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	for _, p := range points {
-		if err := enc.Encode(p); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	return f.Close()
+	return report(points, t), nil
 }

@@ -1,16 +1,11 @@
 package figures
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"time"
 
 	"github.com/socialtube/socialtube/internal/exp"
 	"github.com/socialtube/socialtube/internal/metrics"
-	"github.com/socialtube/socialtube/internal/simnet"
-	"github.com/socialtube/socialtube/internal/trace"
-	"github.com/socialtube/socialtube/internal/vod"
 )
 
 // ScaleSweep configures the scalability sweep: the §IV-C / Fig. 15
@@ -41,12 +36,9 @@ type ScaleSweep struct {
 	ProbeInterval time.Duration
 	// Seed drives every shard (trace and workload).
 	Seed int64
-	// Shards selects the engine: 0 runs each point on the classic
-	// single-loop exp.Run; ≥1 runs it community-sharded (exp.RunSharded)
-	// with that many worker goroutines advancing the per-category loops.
-	// Deterministic point fields are byte-identical across Shards ≥ 1 (the
-	// worker count is wall-clock only); they differ from the Shards=0
-	// engine, whose RNG streams are global rather than per-community.
+	// Shards selects the engine (see Scale.run): 0 runs each point on the
+	// classic single-loop engine, ≥1 community-sharded with that many
+	// worker goroutines advancing the per-category loops.
 	Shards int
 	// Progress, when non-nil, receives one line per trace build and per
 	// completed point; paper-size sweeps run for minutes.
@@ -113,9 +105,11 @@ func (sw ScaleSweep) scaleFor(users int) Scale {
 	}
 }
 
-func (sw ScaleSweep) progress(msg string) {
-	if sw.Progress != nil {
-		sw.Progress(msg)
+// progressf sends one formatted progress line to a sweep's listener, if
+// it has one.
+func progressf(listener func(msg string), format string, args ...any) {
+	if listener != nil {
+		listener(fmt.Sprintf(format, args...))
 	}
 }
 
@@ -235,28 +229,13 @@ func sweepPoint(users int, protocol string, seed int64, probeInterval time.Durat
 	return p
 }
 
-// FigScale bundles the sweep's output: the overhead-vs-N and
-// hit-rate-vs-N curves, the memory curve, and the raw per-cell points
-// (environmental block included) for BENCH_scale.json.
-type FigScale struct {
-	Overhead *metrics.Table
-	HitRates *metrics.Table
-	Memory   *metrics.Table
-	Points   []ScalePoint
-}
-
-// String renders the three curve tables.
-func (f *FigScale) String() string {
-	return f.Overhead.String() + "\n" + f.HitRates.String() + "\n" + f.Memory.String()
-}
-
-// RunScaleSweep executes the sweep. Shards run strictly one population at
-// a time — the sweep's live heap is bounded by its largest shard, not the
-// sum — while the protocols inside a shard share one read-only trace and
-// go through the GOMAXPROCS-bounded worker pool. Each cell is an
-// independent single-threaded deterministic simulation, so the tables and
-// the points' deterministic fields are bit-identical run over run.
-func RunScaleSweep(sw ScaleSweep) (*FigScale, error) {
+// RunScaleSweep executes the sweep and returns the overhead-vs-N,
+// hit-rate-vs-N and memory curves with the raw per-cell points. Shards run
+// strictly one population at a time — the sweep's live heap is bounded by
+// its largest shard, not the sum — while the protocols inside a shard
+// share one read-only trace (Scale.runJobs). The tables and the points'
+// deterministic fields are bit-identical run over run.
+func RunScaleSweep(sw ScaleSweep) (*Report, error) {
 	if len(sw.Sizes) == 0 {
 		return nil, fmt.Errorf("scale sweep: no sizes")
 	}
@@ -264,172 +243,85 @@ func RunScaleSweep(sw ScaleSweep) (*FigScale, error) {
 	for _, n := range sw.Sizes {
 		shard, err := sw.runShard(n)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("scale %d: %w", n, err)
 		}
 		points = append(points, shard...)
 	}
-	return &FigScale{
-		Overhead: scaleOverheadTable(points),
-		HitRates: scaleHitRateTable(points),
-		Memory:   scaleMemoryTable(points),
-		Points:   points,
-	}, nil
+	return report(points, scaleOverheadTable(points), scaleHitRateTable(points), scaleMemoryTable(points)), nil
 }
 
 // runShard builds one shard's trace and runs every protocol over it,
-// returning the cells in protoOrder. Protocols are built inside their
-// worker so each one's node state is released as soon as its run ends.
+// returning the cells in protoOrder.
 func (sw ScaleSweep) runShard(users int) ([]ScalePoint, error) {
 	s := sw.scaleFor(users)
 	begin := time.Now()
 	tr, err := s.BuildTrace()
 	if err != nil {
-		return nil, fmt.Errorf("scale %d: trace: %w", users, err)
+		return nil, fmt.Errorf("trace: %w", err)
 	}
 	tb := tr.Bytes()
-	sw.progress(fmt.Sprintf("N=%d: trace %d channels / %d videos, %d bytes (%.1f/user), built in %v",
+	progressf(sw.Progress, "N=%d: trace %d channels / %d videos, %d bytes (%.1f/user), built in %v",
 		users, len(tr.Channels), len(tr.Videos), tb, float64(tb)/float64(users),
-		time.Since(begin).Round(time.Millisecond)))
+		time.Since(begin).Round(time.Millisecond))
 
+	jobs := protocolJobs(protoOrder)
 	// The server's capacity keeps Table I's per-capita ratio (50 Mbps
 	// per 10k users) as the population grows. With a fixed uplink the
 	// queue at the server stretches the virtual timeline linearly in N,
 	// and every per-run total inflates with it — the sweep would measure
 	// server meltdown, not overlay scale. Server offload at fixed N is
 	// Fig. 16's experiment, not this one's.
-	netCfg := simnet.DefaultConfig()
 	if users > 10_000 {
-		netCfg.ServerUplinkBps = netCfg.ServerUplinkBps * int64(users) / 10_000
-	}
-	expCfg := s.expConfig()
-	pts := make([]ScalePoint, len(protoOrder))
-	runPoint := func(i int) error {
-		name := protoOrder[i]
-		start := time.Now()
-		var (
-			res    *exp.Result
-			runErr error
-		)
-		if sw.Shards > 0 {
-			res, runErr = exp.RunSharded(expCfg, tr, s.cellProtocol(name), netCfg,
-				exp.ShardedOptions{Workers: sw.Shards})
-		} else {
-			proto, perr := s.Protocol(name, tr)
-			if perr != nil {
-				return fmt.Errorf("scale %d: build %s: %w", users, name, perr)
-			}
-			res, runErr = exp.Run(expCfg, tr, proto, netCfg)
+		for i := range jobs {
+			jobs[i].net.ServerUplinkBps = jobs[i].net.ServerUplinkBps * int64(users) / 10_000
 		}
-		if runErr != nil {
-			return fmt.Errorf("scale %d: run %s: %w", users, name, runErr)
-		}
-		pts[i] = sweepPoint(users, name, sw.Seed, expCfg.ProbeInterval, sw.Shards, res, time.Since(start))
-		sw.progress(fmt.Sprintf("N=%d %s: %d requests, peer %.3f, probes/node %.2f, heap %.1f MB, %v",
-			users, name, pts[i].Requests, pts[i].PeerHitRate, pts[i].ProbesPerNode,
-			float64(pts[i].Env.HeapHighWaterBytes)/1e6, time.Since(start).Round(time.Millisecond)))
-		return nil
 	}
-	if sw.Shards > 0 {
-		// The worker budget belongs to each point's shard loops; running
-		// protocols concurrently on top would oversubscribe it.
-		for i := range pts {
-			if err := runPoint(i); err != nil {
-				return nil, err
-			}
-		}
-	} else if err := runConcurrently(len(protoOrder), runPoint); err != nil {
-		return nil, err
-	}
-	return pts, nil
+	probeInterval := s.expConfig().ProbeInterval
+	pts := make([]ScalePoint, len(jobs))
+	_, err = s.runJobs(tr, sw.Shards, jobs, func(i int, res *exp.Result, wall time.Duration) {
+		pts[i] = sweepPoint(users, protoOrder[i], sw.Seed, probeInterval, sw.Shards, res, wall)
+		progressf(sw.Progress, "N=%d %s: %d requests, peer %.3f, probes/node %.2f, heap %.1f MB, %v",
+			users, protoOrder[i], pts[i].Requests, pts[i].PeerHitRate, pts[i].ProbesPerNode,
+			float64(pts[i].Env.HeapHighWaterBytes)/1e6, wall.Round(time.Millisecond))
+	})
+	return pts, err
 }
 
-// cellProtocol adapts Scale.Protocol to the sharded runner's per-cell
-// factory: each community cell gets its own protocol instance over the
-// cell's renumbered trace, with the protocol RNG reseeded per cell (the
-// same seed-and-cell derivation the sharded runner uses for its own
-// streams) and the population-derived knobs — PA-VoD's ISP count —
-// computed from the cell's own size.
-func (s Scale) cellProtocol(name string) exp.CellProtocol {
-	return func(cell int, cellTr *trace.Trace) (vod.Protocol, error) {
-		cs := s
-		cs.Seed = s.Seed*1_000_003 + int64(cell+1)
-		cs.TraceUsers = len(cellTr.Users)
-		return cs.Protocol(name, cellTr)
+// scaleRows walks the sweep's points one population at a time; the runner
+// emits every cell in protoOrder, so each stride is (PA-VoD, SocialTube,
+// NetTube) at one N.
+func scaleRows(points []ScalePoint, row func(pv, st, nt ScalePoint)) {
+	for i := 0; i+2 < len(points); i += len(protoOrder) {
+		row(points[i], points[i+1], points[i+2])
 	}
-}
-
-// cell returns the sweep point for (users, protocol); the runner emits
-// every cell, so a miss is a bug.
-func cell(points []ScalePoint, users int, protocol string) ScalePoint {
-	for _, p := range points {
-		if p.Users == users && p.Protocol == protocol {
-			return p
-		}
-	}
-	return ScalePoint{Users: users, Protocol: protocol}
-}
-
-// sizesOf lists the distinct populations in first-seen (ascending) order.
-func sizesOf(points []ScalePoint) []int {
-	var sizes []int
-	for _, p := range points {
-		if len(sizes) == 0 || sizes[len(sizes)-1] != p.Users {
-			sizes = append(sizes, p.Users)
-		}
-	}
-	return sizes
 }
 
 func scaleOverheadTable(points []ScalePoint) *metrics.Table {
 	t := metrics.NewTable(
 		"Scale sweep — per-node maintenance vs N (probe msgs/node/round; links after last video)",
 		"users", "st.probes", "nt.probes", "st.links", "nt.links", "st.msgs", "nt.msgs")
-	for _, n := range sizesOf(points) {
-		st := cell(points, n, "SocialTube")
-		nt := cell(points, n, "NetTube")
-		t.AddRow(n, st.ProbesPerNodeRound, nt.ProbesPerNodeRound, st.MeanLinks, nt.MeanLinks,
+	scaleRows(points, func(_, st, nt ScalePoint) {
+		t.AddRow(st.Users, st.ProbesPerNodeRound, nt.ProbesPerNodeRound, st.MeanLinks, nt.MeanLinks,
 			st.MessagesPerNode, nt.MessagesPerNode)
-	}
+	})
 	return t
 }
 
 func scaleHitRateTable(points []ScalePoint) *metrics.Table {
 	t := metrics.NewTable("Scale sweep — hit rates vs N",
 		"users", "st.peer", "nt.peer", "pv.peer", "st.server", "nt.server", "pv.server")
-	for _, n := range sizesOf(points) {
-		st := cell(points, n, "SocialTube")
-		nt := cell(points, n, "NetTube")
-		pv := cell(points, n, "PA-VoD")
-		t.AddRow(n, st.PeerHitRate, nt.PeerHitRate, pv.PeerHitRate,
+	scaleRows(points, func(pv, st, nt ScalePoint) {
+		t.AddRow(st.Users, st.PeerHitRate, nt.PeerHitRate, pv.PeerHitRate,
 			st.ServerHitRate, nt.ServerHitRate, pv.ServerHitRate)
-	}
+	})
 	return t
 }
 
 func scaleMemoryTable(points []ScalePoint) *metrics.Table {
 	t := metrics.NewTable("Scale sweep — dense trace memory vs N",
 		"users", "traceBytes", "bytesPerUser")
-	for _, n := range sizesOf(points) {
-		p := cell(points, n, "SocialTube")
-		t.AddRow(n, p.TraceBytes, p.BytesPerUser)
-	}
+	scaleRows(points, func(_, st, _ ScalePoint) {
+		t.AddRow(st.Users, st.TraceBytes, st.BytesPerUser)
+	})
 	return t
-}
-
-// AppendScalePoints appends one JSON line per point to path — the
-// BENCH_scale.json convention: a grow-only JSONL log of sweep cells,
-// environmental fields included, one run appended after another.
-func AppendScalePoints(path string, points []ScalePoint) error {
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	for _, p := range points {
-		if err := enc.Encode(p); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	return f.Close()
 }

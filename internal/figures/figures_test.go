@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/socialtube/socialtube/internal/metrics"
 	"github.com/socialtube/socialtube/internal/trace"
 )
 
@@ -31,6 +30,16 @@ func tinyTrace(t *testing.T) *trace.Trace {
 	return tr
 }
 
+// pointsOf returns a report's points as their concrete type.
+func pointsOf[P any](t *testing.T, r *Report) []P {
+	t.Helper()
+	out := make([]P, len(r.Points))
+	for i, p := range r.Points {
+		out[i] = p.(P)
+	}
+	return out
+}
+
 func requireRows(t *testing.T, tb fmt.Stringer, wantSubstring string) {
 	t.Helper()
 	out := tb.String()
@@ -42,32 +51,43 @@ func requireRows(t *testing.T, tb fmt.Stringer, wantSubstring string) {
 	}
 }
 
-func TestTraceFigures(t *testing.T) {
-	tr := tinyTrace(t)
+// TestTableFigures renders every registry figure that needs no
+// simulation or emulation run — the whole trace group plus the sim
+// group's analytical tables — and checks each for its signature content.
+func TestTableFigures(t *testing.T) {
+	in := &Inputs{Scale: tinyScale(), Trace: tinyTrace(t), MinShared: 2}
 	tests := []struct {
-		name string
-		tb   *metrics.Table
-		want string
+		group Group
+		id    string
+		want  string
 	}{
-		{"fig2", Fig02(tr), "Fig. 2"},
-		{"fig3", Fig03(tr), "Fig. 3"},
-		{"fig4", Fig04(tr), "Fig. 4"},
-		{"fig5", Fig05(tr), "pearson"},
-		{"fig6", Fig06(tr), "Fig. 6"},
-		{"fig7", Fig07(tr), "Fig. 7"},
-		{"fig8", Fig08(tr), "Fig. 8"},
-		{"fig9", Fig09(tr), "zipf"},
-		{"fig10", Fig10(tr, 2), "intraCategoryFraction"},
-		{"fig11", Fig11(tr), "Fig. 11"},
-		{"fig12", Fig12(tr), "similarity"},
-		{"fig13", Fig13(tr), "interests"},
-		{"fig15", Fig15(), "NetTube"},
-		{"prefetch", PrefetchAccuracyTable(), "accuracy"},
-		{"table1", Table1(tinyScale(), tr), "Table I"},
+		{GroupTrace, "2", "Fig. 2"},
+		{GroupTrace, "3", "Fig. 3"},
+		{GroupTrace, "4", "Fig. 4"},
+		{GroupTrace, "5", "pearson"},
+		{GroupTrace, "6", "Fig. 6"},
+		{GroupTrace, "7", "Fig. 7"},
+		{GroupTrace, "8", "Fig. 8"},
+		{GroupTrace, "9", "zipf"},
+		{GroupTrace, "10", "intraCategoryFraction"},
+		{GroupTrace, "11", "Fig. 11"},
+		{GroupTrace, "12", "similarity"},
+		{GroupTrace, "13", "interests"},
+		{GroupSim, "15", "NetTube"},
+		{GroupSim, "prefetch", "accuracy"},
+		{GroupSim, "table1", "Table I"},
 	}
 	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			requireRows(t, tt.tb, tt.want)
+		t.Run(tt.id, func(t *testing.T) {
+			figs, err := Resolve(tt.group, tt.id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := figs[0].Run(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireRows(t, rep, tt.want)
 		})
 	}
 }

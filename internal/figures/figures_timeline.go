@@ -1,27 +1,14 @@
 package figures
 
 import (
-	"context"
-	"encoding/json"
 	"fmt"
-	"os"
-	"time"
 
 	"github.com/socialtube/socialtube/internal/exp"
 	"github.com/socialtube/socialtube/internal/faults"
 	"github.com/socialtube/socialtube/internal/metrics"
 	"github.com/socialtube/socialtube/internal/obs"
-	"github.com/socialtube/socialtube/internal/simnet"
 	"github.com/socialtube/socialtube/internal/trace"
 )
-
-// timelineWindow is the per-window width of the timeline figure: one
-// session cycle (playback plus mean off period), so each window covers
-// roughly one generation of sessions and the churn plan's crash wave,
-// outage and burst each land in distinct windows.
-func (s Scale) timelineWindow() time.Duration {
-	return s.churnUnit()
-}
 
 // TimelinePoint is one (protocol, window) cell of the timeline figure.
 // Every field is deterministic under a fixed seed — windows are keyed by
@@ -46,20 +33,6 @@ type TimelinePoint struct {
 	ServerBytes int64 `json:"serverBytes"`
 	// BreakerOpens counts circuit-breaker opens filed into the window.
 	BreakerOpens int64 `json:"breakerOpens"`
-}
-
-// FigTimeline bundles the timeline figure's output: the per-window table,
-// the faulted runs' counter summary, and the raw points for
-// BENCH_timeline.json.
-type FigTimeline struct {
-	Table    *metrics.Table
-	Counters *metrics.Table
-	Points   []TimelinePoint
-}
-
-// String renders the window table followed by the counter summary.
-func (f *FigTimeline) String() string {
-	return f.Table.String() + "\n" + f.Counters.String()
 }
 
 // timelinePoints reduces one run's Timeline to its figure cells, one per
@@ -105,33 +78,21 @@ func timelinePoints(protocol string, seed int64, tl *obs.Timeline) []TimelinePoi
 // renders hit rate, startup-delay percentiles, server load and breaker
 // opens per simulated-time window — the degradation-and-recovery arc of
 // the churn figure resolved in time instead of collapsed into run totals.
-func RunTimeline(s Scale, tr *trace.Trace) (*FigTimeline, error) {
-	protos, err := s.Protocols(tr)
-	if err != nil {
-		return nil, err
-	}
+func RunTimeline(s Scale, tr *trace.Trace) (*Report, error) {
+	// One window per session cycle (playback plus mean off period): each
+	// covers roughly one generation of sessions, and the churn plan's
+	// crash wave, outage and burst land in distinct windows.
 	unit := s.churnUnit()
-	window := s.timelineWindow()
-	n := len(protoOrder)
-	results := make([]*exp.Result, n)
-	err = runConcurrently(n, func(i int) error {
-		name := protoOrder[i]
-		res, err := exp.RunCtx(context.Background(), s.expConfig(), tr, protos[name],
-			simnet.DefaultConfig(), exp.Options{
-				Faults:         faults.ChurnPlan(s.Seed, unit),
-				TimelineWindow: window,
-			})
-		if err != nil {
-			return fmt.Errorf("run %s: %w", name, err)
-		}
-		results[i] = res
-		return nil
-	})
+	jobs := protocolJobs(protoOrder)
+	for i := range jobs {
+		jobs[i].opts = exp.Options{Faults: faults.ChurnPlan(s.Seed, unit), TimelineWindow: unit}
+	}
+	results, err := s.runJobs(tr, 0, jobs, nil)
 	if err != nil {
 		return nil, err
 	}
 	t := metrics.NewTable(
-		fmt.Sprintf("Telemetry timeline under ChurnPlan(unit=%s), window=%s (simulator)", unit, window),
+		fmt.Sprintf("Telemetry timeline under ChurnPlan(unit=%[1]s), window=%[1]s (simulator)", unit),
 		"protocol", "window", "startMs", "requests", "hitRate", "p50Ms", "p99Ms", "serverMB", "brkOpens")
 	var points []TimelinePoint
 	for i, name := range protoOrder {
@@ -142,27 +103,5 @@ func RunTimeline(s Scale, tr *trace.Trace) (*FigTimeline, error) {
 		}
 		points = append(points, pts...)
 	}
-	return &FigTimeline{
-		Table:    t,
-		Counters: countersTable("Telemetry timeline — protocol counters", protoOrder, results),
-		Points:   points,
-	}, nil
-}
-
-// AppendTimelinePoints appends one JSON line per point to path — the
-// BENCH_timeline.json convention, mirroring BENCH_scale.json: a grow-only
-// JSONL log of timeline cells, one run appended after another.
-func AppendTimelinePoints(path string, points []TimelinePoint) error {
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	for _, p := range points {
-		if err := enc.Encode(p); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	return f.Close()
+	return report(points, t, countersTable("Telemetry timeline — protocol counters", protoOrder, results)), nil
 }

@@ -1,10 +1,7 @@
 package figures
 
 import (
-	"bufio"
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"github.com/socialtube/socialtube/internal/load"
@@ -27,18 +24,19 @@ func TestLoadSweepDeterminism(t *testing.T) {
 	if a.String() != b.String() {
 		t.Fatalf("same-seed sweeps rendered different tables:\n%s\nvs\n%s", a, b)
 	}
-	if len(a.Points) != len(b.Points) {
-		t.Fatalf("point counts differ: %d vs %d", len(a.Points), len(b.Points))
+	pa, pb := pointsOf[LoadPoint](t, a), pointsOf[LoadPoint](t, b)
+	if len(pa) != len(pb) {
+		t.Fatalf("point counts differ: %d vs %d", len(pa), len(pb))
 	}
-	for i := range a.Points {
-		ja, _ := json.Marshal(a.Points[i].Canonical())
-		jb, _ := json.Marshal(b.Points[i].Canonical())
+	for i := range pa {
+		ja, _ := json.Marshal(pa[i].Canonical())
+		jb, _ := json.Marshal(pb[i].Canonical())
 		if string(ja) != string(jb) {
 			t.Fatalf("point %d differs across same-seed sweeps:\n%s\nvs\n%s", i, ja, jb)
 		}
 	}
 	var flash int64
-	for _, p := range a.Points {
+	for _, p := range pa {
 		flash += p.FlashOffered
 	}
 	if flash == 0 {
@@ -57,10 +55,11 @@ func TestLoadSweepShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := len(sw.RPS) * len(protoOrder); len(fig.Points) != want {
-		t.Fatalf("%d points, want %d", len(fig.Points), want)
+	points := pointsOf[LoadPoint](t, fig)
+	if want := len(sw.RPS) * len(protoOrder); len(points) != want {
+		t.Fatalf("%d points, want %d", len(points), want)
 	}
-	for i, p := range fig.Points {
+	for i, p := range points {
 		wantRPS := sw.RPS[i/len(protoOrder)]
 		wantProto := protoOrder[i%len(protoOrder)]
 		if p.RPS != wantRPS || p.Protocol != wantProto {
@@ -105,60 +104,15 @@ func TestLoadSweepShardedWorkerInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.Points) != len(protoOrder) || len(b.Points) != len(a.Points) {
-		t.Fatalf("point counts: %d and %d, want %d", len(a.Points), len(b.Points), len(protoOrder))
+	pa, pb := pointsOf[LoadPoint](t, a), pointsOf[LoadPoint](t, b)
+	if len(pa) != len(protoOrder) || len(pb) != len(pa) {
+		t.Fatalf("point counts: %d and %d, want %d", len(pa), len(pb), len(protoOrder))
 	}
-	for i := range a.Points {
-		ja, _ := json.Marshal(a.Points[i].Canonical())
-		jb, _ := json.Marshal(b.Points[i].Canonical())
+	for i := range pa {
+		ja, _ := json.Marshal(pa[i].Canonical())
+		jb, _ := json.Marshal(pb[i].Canonical())
 		if string(ja) != string(jb) {
 			t.Fatalf("point %d differs between 1 and 4 workers:\n%s\nvs\n%s", i, ja, jb)
-		}
-	}
-}
-
-// TestAppendLoadPoints pins the BENCH_load.json convention: appending
-// twice grows the JSONL log, every line parses back into a LoadPoint, and
-// the canonical form round-trips byte-identically.
-func TestAppendLoadPoints(t *testing.T) {
-	sw := SmokeLoadSweep()
-	sw.RPS = sw.RPS[:1]
-	fig, err := RunLoad(sw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "BENCH_load.json")
-	if err := AppendLoadPoints(path, fig.Points); err != nil {
-		t.Fatal(err)
-	}
-	if err := AppendLoadPoints(path, fig.Points); err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	var got []LoadPoint
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		var p LoadPoint
-		if err := json.Unmarshal(sc.Bytes(), &p); err != nil {
-			t.Fatalf("line %d: %v", len(got), err)
-		}
-		got = append(got, p)
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if want := 2 * len(fig.Points); len(got) != want {
-		t.Fatalf("%d lines, want %d", len(got), want)
-	}
-	for i, p := range got {
-		ja, _ := json.Marshal(p.Canonical())
-		jb, _ := json.Marshal(fig.Points[i%len(fig.Points)].Canonical())
-		if string(ja) != string(jb) {
-			t.Fatalf("line %d did not round-trip:\n%s\nvs\n%s", i, ja, jb)
 		}
 	}
 }

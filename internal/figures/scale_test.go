@@ -1,10 +1,7 @@
 package figures
 
 import (
-	"bufio"
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"github.com/socialtube/socialtube/internal/core"
@@ -34,12 +31,13 @@ func TestScaleSweepDeterministic(t *testing.T) {
 	if a.String() != b.String() {
 		t.Fatalf("same-seed sweeps rendered different tables:\n%s\nvs\n%s", a, b)
 	}
-	if len(a.Points) != len(b.Points) {
-		t.Fatalf("point counts differ: %d vs %d", len(a.Points), len(b.Points))
+	pa, pb := pointsOf[ScalePoint](t, a), pointsOf[ScalePoint](t, b)
+	if len(pa) != len(pb) {
+		t.Fatalf("point counts differ: %d vs %d", len(pa), len(pb))
 	}
-	for i := range a.Points {
-		ja, _ := json.Marshal(a.Points[i].Canonical())
-		jb, _ := json.Marshal(b.Points[i].Canonical())
+	for i := range pa {
+		ja, _ := json.Marshal(pa[i].Canonical())
+		jb, _ := json.Marshal(pb[i].Canonical())
 		if string(ja) != string(jb) {
 			t.Fatalf("point %d differs across same-seed sweeps:\n%s\nvs\n%s", i, ja, jb)
 		}
@@ -57,11 +55,12 @@ func TestScaleSweepShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := len(sw.Sizes) * len(protoOrder); len(f.Points) != want {
-		t.Fatalf("%d points, want %d", len(f.Points), want)
+	points := pointsOf[ScalePoint](t, f)
+	if want := len(sw.Sizes) * len(protoOrder); len(points) != want {
+		t.Fatalf("%d points, want %d", len(points), want)
 	}
 	budget := float64(core.DefaultConfig().InnerLinks + core.DefaultConfig().InterLinks)
-	for i, p := range f.Points {
+	for i, p := range points {
 		wantUsers := sw.Sizes[i/len(protoOrder)]
 		wantProto := protoOrder[i%len(protoOrder)]
 		if p.Users != wantUsers || p.Protocol != wantProto {
@@ -98,8 +97,7 @@ func TestScaleSweepShape(t *testing.T) {
 	}
 	// The sweep's reason to exist: on a fixed catalog, NetTube's per-node
 	// links grow with the audience.
-	small := cell(f.Points, sw.Sizes[0], "NetTube")
-	large := cell(f.Points, sw.Sizes[len(sw.Sizes)-1], "NetTube")
+	small, large := points[2], points[len(points)-1] // NetTube closes each population's stride
 	if large.MeanLinks <= small.MeanLinks {
 		t.Errorf("NetTube links did not grow with N: %f at N=%d, %f at N=%d",
 			small.MeanLinks, small.Users, large.MeanLinks, large.Users)
@@ -123,17 +121,18 @@ func TestScaleSweepSharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.Points) != len(protoOrder) || len(b.Points) != len(a.Points) {
-		t.Fatalf("point counts: %d and %d, want %d", len(a.Points), len(b.Points), len(protoOrder))
+	pa, pb := pointsOf[ScalePoint](t, a), pointsOf[ScalePoint](t, b)
+	if len(pa) != len(protoOrder) || len(pb) != len(pa) {
+		t.Fatalf("point counts: %d and %d, want %d", len(pa), len(pb), len(protoOrder))
 	}
-	for i := range a.Points {
-		ja, _ := json.Marshal(a.Points[i].Canonical())
-		jb, _ := json.Marshal(b.Points[i].Canonical())
+	for i := range pa {
+		ja, _ := json.Marshal(pa[i].Canonical())
+		jb, _ := json.Marshal(pb[i].Canonical())
 		if string(ja) != string(jb) {
 			t.Fatalf("point %d differs between 1 and 4 workers:\n%s\nvs\n%s", i, ja, jb)
 		}
 	}
-	for _, p := range b.Points {
+	for _, p := range pb {
 		if p.Cells != sw.Categories {
 			t.Errorf("%s: %d cells, want %d", p.Protocol, p.Cells, sw.Categories)
 		}
@@ -160,48 +159,9 @@ func TestScaleSweepSharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range c.Points {
+	for _, p := range pointsOf[ScalePoint](t, c) {
 		if p.Cells != 0 || p.Env.Workers != 0 || p.Env.ShardLoad != nil {
 			t.Fatalf("%s: single-engine point carries sharded fields: %+v", p.Protocol, p)
 		}
-	}
-}
-
-// TestAppendScalePoints pins the BENCH_scale.json convention: one JSON
-// line per point, appended across runs, decodable back into points.
-func TestAppendScalePoints(t *testing.T) {
-	pts := []ScalePoint{
-		{Users: 100, Protocol: "SocialTube", Seed: 1, Requests: 300},
-		{Users: 100, Protocol: "NetTube", Seed: 1, Requests: 300},
-	}
-	path := filepath.Join(t.TempDir(), "BENCH_scale.json")
-	if err := AppendScalePoints(path, pts); err != nil {
-		t.Fatal(err)
-	}
-	if err := AppendScalePoints(path, pts[:1]); err != nil {
-		t.Fatal(err)
-	}
-	file, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer file.Close()
-	var got []ScalePoint
-	sc := bufio.NewScanner(file)
-	for sc.Scan() {
-		var p ScalePoint
-		if err := json.Unmarshal(sc.Bytes(), &p); err != nil {
-			t.Fatalf("line %d: %v", len(got), err)
-		}
-		got = append(got, p)
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 {
-		t.Fatalf("%d lines after two appends, want 3", len(got))
-	}
-	if got[2].Protocol != "SocialTube" || got[1].Protocol != "NetTube" {
-		t.Fatalf("append order lost: %+v", got)
 	}
 }

@@ -1,10 +1,7 @@
 package figures
 
 import (
-	"bufio"
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 )
@@ -36,10 +33,11 @@ func TestTakeoverRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(f.Points) != 3 {
-		t.Fatalf("want baseline + shard-dead + partition points, got %d", len(f.Points))
+	points := pointsOf[ControlPlanePoint](t, f)
+	if len(points) != 3 {
+		t.Fatalf("want baseline + shard-dead + partition points, got %d", len(points))
 	}
-	for _, p := range f.Points {
+	for _, p := range points {
 		if p.Failed != 0 {
 			t.Errorf("%s: lost %d requests; want 0", p.Variant, p.Failed)
 		}
@@ -47,7 +45,7 @@ func TestTakeoverRecovers(t *testing.T) {
 			t.Errorf("%s: served nothing", p.Variant)
 		}
 	}
-	dead := f.Points[1]
+	dead := points[1]
 	if dead.Variant != "shard1-dead" {
 		t.Fatalf("point order changed: %q", dead.Variant)
 	}
@@ -78,8 +76,8 @@ func TestTakeoverDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pts := make([]TakeoverPoint, len(f.Points))
-		for i, p := range f.Points {
+		pts := pointsOf[ControlPlanePoint](t, f)
+		for i, p := range pts {
 			pts[i] = p.Canonical()
 		}
 		b, err := json.Marshal(pts)
@@ -91,39 +89,5 @@ func TestTakeoverDeterministic(t *testing.T) {
 	a, b := canonical(), canonical()
 	if string(a) != string(b) {
 		t.Fatalf("same-seed takeover points differ:\n%s\n%s", a, b)
-	}
-}
-
-// TestAppendTakeoverPoints checks the BENCH_failover.json appender
-// writes one parseable JSON line per point and appends across calls.
-func TestAppendTakeoverPoints(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "takeover.json")
-	pts := []TakeoverPoint{
-		{Variant: "baseline", Protocol: "SocialTube", Seed: 1, Shards: 2, Replicas: 2, Requests: 16, HitRate: 1},
-		{Variant: "shard1-dead", Protocol: "SocialTube", Seed: 1, Shards: 2, Replicas: 2, DeadShard: 1, Requests: 16, HitRate: 1,
-			Env: TakeoverEnv{TakeoverMs: 12.5, Reroutes: 3}},
-	}
-	if err := AppendTakeoverPoints(path, pts); err != nil {
-		t.Fatal(err)
-	}
-	if err := AppendTakeoverPoints(path, pts[:1]); err != nil {
-		t.Fatal(err)
-	}
-	fl, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fl.Close()
-	var lines int
-	sc := bufio.NewScanner(fl)
-	for sc.Scan() {
-		var p TakeoverPoint
-		if err := json.Unmarshal(sc.Bytes(), &p); err != nil {
-			t.Fatalf("line %d unparseable: %v", lines, err)
-		}
-		lines++
-	}
-	if lines != 3 {
-		t.Fatalf("want 3 JSONL lines, got %d", lines)
 	}
 }

@@ -254,6 +254,18 @@ func (j *JSONL) Close() error {
 	return err
 }
 
+// Finish ends a CLI's -trace-out recording (deferred with the run's named
+// error): it closes the tracer, makes a close failure the run's error if
+// it had none, and on a clean run reports the event count on stdout.
+func (j *JSONL) Finish(path string, runErr *error) {
+	if err := j.Close(); *runErr == nil {
+		*runErr = err
+	}
+	if *runErr == nil {
+		fmt.Printf("\ntrace: %d events -> %s\n", j.Total(), path)
+	}
+}
+
 // Pretty reads JSONL trace events from r and writes up to max (0 = all) of
 // them human-readably to w, returning how many events it printed.
 func Pretty(r io.Reader, w io.Writer, max int) (int, error) {
