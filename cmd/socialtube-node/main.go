@@ -46,7 +46,7 @@ func run(args []string, stop chan struct{}) error {
 		role        = fs.String("role", "", "tracker or peer")
 		tracePath   = fs.String("trace", "", "path to the shared trace JSON (see socialtube-trace -save)")
 		addr        = fs.String("addr", "127.0.0.1:0", "listen address")
-		trackerAddr = fs.String("tracker", "", "tracker endpoints (peer role): shards separated by ';', a shard's replicas by ',' (one address = legacy single tracker)")
+		trackerAddr = fs.String("tracker", "", "tracker endpoints (peer role): shards separated by ';', a shard's replicas by ',' (one address = a 1x1 plane: one tracker)")
 		ringSeed    = fs.Int64("ring-seed", 0, "channel->shard ring seed; must match on every peer of a sharded plane (peer role)")
 		id          = fs.Int("id", 0, "peer id — the user id this peer plays (peer role)")
 		mode        = fs.String("mode", "socialtube", "protocol: socialtube, nettube or pavod")
@@ -159,7 +159,7 @@ func parseMode(mode string) (emu.Mode, error) {
 
 // parsePlaneSpec turns a -tracker spec into a routing-only control plane:
 // shards are separated by ';', a shard's replicas by ','. A single bare
-// address yields the 1x1 legacy plane.
+// address yields the 1x1 plane.
 func parsePlaneSpec(spec string, ringSeed int64) (*emu.ControlPlane, error) {
 	var replicas [][]string
 	for _, shard := range strings.Split(spec, ";") {

@@ -1,5 +1,5 @@
 // Emulation builds a small real-network SocialTube deployment by hand: a
-// TCP tracker plus a handful of TCP peers on loopback with injected WAN
+// one-tracker control plane plus a handful of TCP peers on loopback with injected WAN
 // latency, then shows one video travelling server → peer cache → peer
 // delivery, and finishes with a full three-protocol cluster comparison.
 //
@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -32,15 +33,14 @@ func run() error {
 	}
 
 	cond := socialtube.DefaultConditions()
-	tracker, err := socialtube.NewTracker(socialtube.DefaultTrackerConfig(), tr, cond)
+	plane, err := socialtube.StartControlPlane(
+		socialtube.ControlPlaneConfig{Shards: 1, Replicas: 1},
+		socialtube.DefaultTrackerConfig(), tr, cond)
 	if err != nil {
 		return err
 	}
-	if err := tracker.Start(); err != nil {
-		return err
-	}
-	defer tracker.Stop()
-	fmt.Printf("tracker listening on %s\n", tracker.Addr())
+	defer plane.Stop()
+	fmt.Printf("tracker listening on %s\n", plane.First().Addr())
 
 	// Two peers subscribed to the same channel.
 	var a, b int
@@ -53,7 +53,7 @@ func run() error {
 			break
 		}
 	}
-	peerA, err := socialtube.NewPeer(socialtube.DefaultPeerConfig(a, socialtube.ModeSocialTube), tr, tracker.Addr(), cond)
+	peerA, err := socialtube.NewPeerWithControlPlane(socialtube.DefaultPeerConfig(a, socialtube.ModeSocialTube), tr, plane, cond)
 	if err != nil {
 		return err
 	}
@@ -61,7 +61,7 @@ func run() error {
 		return err
 	}
 	defer peerA.Stop()
-	peerB, err := socialtube.NewPeer(socialtube.DefaultPeerConfig(b, socialtube.ModeSocialTube), tr, tracker.Addr(), cond)
+	peerB, err := socialtube.NewPeerWithControlPlane(socialtube.DefaultPeerConfig(b, socialtube.ModeSocialTube), tr, plane, cond)
 	if err != nil {
 		return err
 	}
@@ -87,7 +87,7 @@ func run() error {
 		cfg.Sessions = 2
 		cfg.VideosPerSession = 5
 		cfg.WatchTime = 15 * time.Millisecond
-		res, err := socialtube.RunCluster(cfg, tr)
+		res, err := socialtube.RunClusterCtx(context.Background(), cfg, tr)
 		if err != nil {
 			return err
 		}

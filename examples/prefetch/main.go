@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -52,7 +53,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		res, err := socialtube.RunExperiment(expCfg, tr, sys, socialtube.DefaultNetworkConfig())
+		res, err := socialtube.RunExperimentCtx(context.Background(), expCfg, tr, sys)
 		if err != nil {
 			return err
 		}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -48,7 +49,7 @@ func run() error {
 	expCfg.WatchScale = 0.05 // compress playback 20x
 	expCfg.MeanOffTime = 60 * time.Second
 	expCfg.Horizon = 12 * time.Hour
-	res, err := socialtube.RunExperiment(expCfg, tr, sys, socialtube.DefaultNetworkConfig())
+	res, err := socialtube.RunExperimentCtx(context.Background(), expCfg, tr, sys)
 	if err != nil {
 		return err
 	}

@@ -50,3 +50,14 @@ func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
 
 // Bool returns true with probability p.
 func (g *RNG) Bool(p float64) bool { return g.r.Float64() < p }
+
+// PairUniform returns the uniform [0, 1) draw that the latency models of
+// both substrates (simnet.Network and emu.Conditions) assign to the
+// unordered node pair {a, b} under seed: the pair is hashed with the seed
+// into a fresh RNG, so the value is stable without an O(N²) matrix.
+func PairUniform(seed, a, b int64) float64 {
+	if a > b {
+		a, b = b, a
+	}
+	return NewRNG(a*1_000_003 + b*7919 + seed*104_729).Float64()
+}

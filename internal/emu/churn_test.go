@@ -75,7 +75,7 @@ func TestRunClusterEarlyErrorReleasesEverything(t *testing.T) {
 	before := runtime.NumGoroutine()
 	cfg := fastClusterConfig(ModeSocialTube)
 	cfg.MetricsAddr = "definitely:not:an:addr"
-	if _, err := RunCluster(cfg, tr); err == nil {
+	if _, err := RunClusterCtx(context.Background(), cfg, tr); err == nil {
 		t.Fatal("bad metrics address accepted")
 	}
 	waitGoroutines(t, before)
@@ -94,7 +94,7 @@ func TestRunClusterRejectsBadPlan(t *testing.T) {
 	tr := emuTrace(t)
 	cfg := fastClusterConfig(ModeSocialTube)
 	cfg.Faults = &faults.Plan{Waves: []faults.ChurnWave{{At: time.Second}}}
-	if _, err := RunCluster(cfg, tr); err == nil {
+	if _, err := RunClusterCtx(context.Background(), cfg, tr); err == nil {
 		t.Fatal("invalid fault plan accepted")
 	}
 }
@@ -114,7 +114,7 @@ func TestClusterChurnCrashesAndRejoins(t *testing.T) {
 			{At: 5 * time.Millisecond, Fraction: 0.25, DownFor: 15 * time.Millisecond},
 		},
 	}
-	res, err := RunCluster(cfg, tr)
+	res, err := RunClusterCtx(context.Background(), cfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestClusterTrackerOutage(t *testing.T) {
 		Seed:    3,
 		Outages: []faults.Outage{{At: 0, Duration: 300 * time.Millisecond}},
 	}
-	res, err := RunCluster(cfg, tr)
+	res, err := RunClusterCtx(context.Background(), cfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,49 +79,13 @@ func (p *Peer) RequestVideo(v trace.VideoID) Record {
 // server.
 func (p *Peer) socialTubeRequest(v trace.VideoID, video *trace.Video, rec *Record) {
 	recommended := p.attachChannel(video.Channel)
-	// Phase 1: flood the channel overlay.
 	p.mu.Lock()
-	innerNbs := make([]PeerInfo, 0, len(p.inner))
-	for _, info := range p.inner {
-		innerNbs = append(innerNbs, info)
-	}
-	interNbs := make([]PeerInfo, 0, len(p.inter))
-	for _, info := range p.inter {
-		interNbs = append(interNbs, info)
-	}
+	innerNbs := p.links.neighbours(linkInner)
+	interNbs := p.links.neighbours(linkInter)
 	p.mu.Unlock()
-	sortInfos(innerNbs)
-	sortInfos(interNbs)
-
-	// requery refills the candidate list after a mid-stream exhaustion:
-	// a fresh flood only returns providers that are alive right now.
-	requery := func() []PeerInfo {
-		if cands, ok := p.flood(v, innerNbs, rec); ok {
-			return cands
-		}
-		cands, _ := p.flood(v, interNbs, rec)
-		return cands
-	}
-	if cands, ok := p.flood(v, innerNbs, rec); ok {
-		if !p.fetchFromCandidates(v, cands, requery, rec) {
-			// Every candidate vanished before the first chunk; the
-			// server serves the whole request.
-			p.fetchFromServer(v, rec)
-		}
-		p.connectTo(cands[0], "inner", int(video.Channel), 0)
-		return
-	}
-	// Phase 2: each inter-neighbour floods its own channel overlay.
-	if cands, ok := p.flood(v, interNbs, rec); ok {
-		if !p.fetchFromCandidates(v, cands, requery, rec) {
-			p.fetchFromServer(v, rec)
-		}
-		p.connectTo(cands[0], "inter", 0, 0)
-		return
-	}
-	// Phase 2.5: the server recommended a member of the video's own
-	// channel overlay ("including a node with the video", §IV-A); query
-	// it even when the inter-link budget had no room to keep it.
+	// The server recommended a member of the video's own channel overlay
+	// ("including a node with the video", §IV-A); it is queried even when
+	// the inter-link budget had no room to keep it.
 	queried := make(map[int]bool, len(innerNbs)+len(interNbs))
 	for _, nb := range innerNbs {
 		queried[nb.ID] = true
@@ -135,15 +99,42 @@ func (p *Peer) socialTubeRequest(v trace.VideoID, video *trace.Video, rec *Recor
 			entries = append(entries, info)
 		}
 	}
-	if cands, ok := p.flood(v, entries, rec); ok {
-		if !p.fetchFromCandidates(v, cands, requery, rec) {
-			p.fetchFromServer(v, rec)
+
+	// requery refills the candidate list after a mid-stream exhaustion:
+	// a fresh flood only returns providers that are alive right now.
+	requery := func() []PeerInfo {
+		if cands, ok := p.flood(v, innerNbs, rec); ok {
+			return cands
 		}
-		p.connectTo(cands[0], "inter", 0, 0)
+		cands, _ := p.flood(v, interNbs, rec)
+		return cands
+	}
+	// The search order: the channel overlay, then each inter-neighbour's
+	// own channel overlay, then the server's entry points. The first
+	// phase whose flood hits serves the request and keeps a link of its
+	// kind to the best provider.
+	for _, phase := range []struct {
+		nbs     []PeerInfo
+		link    string
+		channel int
+	}{
+		{innerNbs, linkInner, int(video.Channel)},
+		{interNbs, linkInter, 0},
+		{entries, linkInter, 0},
+	} {
+		cands, ok := p.flood(v, phase.nbs, rec)
+		if !ok {
+			continue
+		}
+		if !p.fetchFromCandidates(v, cands, requery, rec) {
+			// Every candidate vanished before the first chunk; the
+			// server serves the whole request.
+			p.fetchFromServer(v, 0, rec)
+		}
+		p.connectTo(cands[0], phase.link, phase.channel, 0)
 		return
 	}
-	// Phase 3: the server.
-	p.fetchFromServer(v, rec)
+	p.fetchFromServer(v, 0, rec)
 }
 
 // netTubeRequest queries neighbours across all joined per-video overlays;
@@ -151,18 +142,8 @@ func (p *Peer) socialTubeRequest(v trace.VideoID, video *trace.Video, rec *Recor
 // are served by the server. Either way the node joins the video's overlay.
 func (p *Peer) netTubeRequest(v trace.VideoID, rec *Record) {
 	p.mu.Lock()
-	seen := make(map[int]bool)
-	var nbs []PeerInfo
-	for _, m := range p.perVideo {
-		for id, info := range m {
-			if !seen[id] {
-				seen[id] = true
-				nbs = append(nbs, info)
-			}
-		}
-	}
+	nbs := p.links.neighbours(linkVideo)
 	p.mu.Unlock()
-	sortInfos(nbs)
 
 	// requery asks the tracker for the overlay's current members — the
 	// only failover source NetTube has beyond its own links.
@@ -173,12 +154,12 @@ func (p *Peer) netTubeRequest(v trace.VideoID, rec *Record) {
 	if len(nbs) > 0 {
 		if cands, ok := p.flood(v, nbs, rec); ok {
 			if !p.fetchFromCandidates(v, cands, requery, rec) {
-				p.fetchFromServer(v, rec)
+				p.fetchFromServer(v, 0, rec)
 			}
 			p.joinVideoOverlay(v, &cands[0])
 			return
 		}
-		p.fetchFromServer(v, rec)
+		p.fetchFromServer(v, 0, rec)
 		p.joinVideoOverlay(v, nil)
 		return
 	}
@@ -188,7 +169,7 @@ func (p *Peer) netTubeRequest(v trace.VideoID, rec *Record) {
 	if len(peers) > 0 && p.fetchFromCandidates(v, peers, requery, rec) {
 		return
 	}
-	p.fetchFromServer(v, rec)
+	p.fetchFromServer(v, 0, rec)
 }
 
 // paVoDRequest registers as a watcher and downloads from a concurrent
@@ -207,67 +188,50 @@ func (p *Peer) paVoDRequest(v trace.VideoID, rec *Record) {
 		if err != nil || resp.Type != MsgOK {
 			return nil
 		}
-		return responseProviders(resp)
+		return resp.Providers
 	}
 	if cands := watchStart(); len(cands) > 0 && p.fetchFromCandidates(v, cands, watchStart, rec) {
 		return
 	}
-	p.fetchFromServer(v, rec)
+	p.fetchFromServer(v, 0, rec)
 }
 
-// flood sends the query to each neighbour in turn; neighbours forward
-// with the configured TTL. Responses are merged into one ranked
-// candidate list (closest-first, deduped), capped at maxQueryProviders.
-// Neighbours behind an open breaker are skipped without spending a
-// message.
+// flood starts a query at this peer with the configured TTL and returns
+// the ranked candidates, charging the messages it consumed to rec.
 func (p *Peer) flood(v trace.VideoID, nbs []PeerInfo, rec *Record) ([]PeerInfo, bool) {
-	var cands []PeerInfo
-	for _, nb := range nbs {
-		if !p.allowPeer(nb.ID) {
-			continue
-		}
-		rec.Messages++
-		resp, err := rpc(nb.Addr, &Message{
-			Type: MsgQuery, From: p.cfg.ID,
-			Video: int(v), TTL: p.cfg.TTL, Visited: []int{p.cfg.ID},
-		}, p.cfg.RPCTimeout)
-		if err != nil {
-			p.peerFail(nb.ID)
-			continue
-		}
-		p.peerOK(nb.ID)
-		rec.Messages += resp.Messages
-		if resp.Type != MsgOK {
-			continue
-		}
-		cands = appendProviders(cands, responseProviders(resp), maxQueryProviders)
-		if len(cands) >= maxQueryProviders {
-			break
-		}
-	}
+	cands, msgs, _ := p.query(int(v), p.cfg.TTL, []int{p.cfg.ID}, nbs)
+	rec.Messages += msgs
 	return cands, len(cands) > 0
 }
 
 // fetchFromCandidates downloads the video chunk-by-chunk, failing over
 // along the ranked candidate list: a provider lost mid-stream is replaced
 // by the next candidate and the download resumes from the last received
-// chunk. When the list runs dry mid-stream, requery (when non-nil, called
-// at most once) refills it with providers that are alive right now; if
-// that also fails the server completes only the remainder — a rescue, not
-// a restart. It reports false only when no candidate delivered chunk 0;
-// the caller then falls back to a full server fetch.
+// chunk. When the scan reaches the end of the list mid-stream — whatever
+// the last entry was: tried, skipped, or this peer itself — requery (when
+// non-nil, called at most once) refills it with providers that are alive
+// right now; if that also fails the server completes only the remainder —
+// a rescue, not a restart. It reports false only when no candidate
+// delivered chunk 0; the caller then falls back to a full server fetch.
 func (p *Peer) fetchFromCandidates(v trace.VideoID, cands []PeerInfo, requery func() []PeerInfo, rec *Record) bool {
 	chunk := 0
 	requeried := false
 	tried := make(map[int]bool)
 	var waitStart time.Time // running stall of the current handoff
-	for i := 0; i < len(cands); i++ {
+	for i := 0; ; i++ {
+		if i == len(cands) && chunk > 0 && !requeried && requery != nil {
+			requeried = true
+			cands = appendProviders(cands, requery(), len(cands)+maxQueryProviders)
+		}
+		if i >= len(cands) {
+			break
+		}
 		c := cands[i]
 		if c.Addr == "" || c.ID == p.cfg.ID || tried[c.ID] {
 			continue
 		}
 		tried[c.ID] = true
-		if !p.allowPeer(c.ID) {
+		if !p.peers.allow(c.ID) {
 			continue
 		}
 		if chunk > 0 {
@@ -280,14 +244,12 @@ func (p *Peer) fetchFromCandidates(v trace.VideoID, cands []PeerInfo, requery fu
 		}
 		delivered := false
 		for chunk < vod.DefaultChunksPerVideo {
-			resp, err := rpc(c.Addr, &Message{
+			resp, err := p.peers.send(c.ID, c.Addr, &Message{
 				Type: MsgChunkReq, From: p.cfg.ID, Video: int(v), Chunk: chunk,
-			}, p.cfg.RPCTimeout)
+			})
 			if err != nil {
-				p.peerFail(c.ID)
 				break
 			}
-			p.peerOK(c.ID)
 			if resp.Type != MsgOK {
 				break // healthy peer without the chunk: next candidate
 			}
@@ -306,10 +268,6 @@ func (p *Peer) fetchFromCandidates(v trace.VideoID, cands []PeerInfo, requery fu
 			rec.Source = vod.SourcePeer
 			return true
 		}
-		if i == len(cands)-1 && chunk > 0 && !requeried && requery != nil {
-			requeried = true
-			cands = appendProviders(cands, requery(), len(cands)+maxQueryProviders)
-		}
 	}
 	if chunk == 0 {
 		return false // nothing delivered: the caller owns the fallback
@@ -317,7 +275,7 @@ func (p *Peer) fetchFromCandidates(v trace.VideoID, cands []PeerInfo, requery fu
 	// Candidates exhausted mid-stream: the server rescues the remainder.
 	atomic.AddUint64(&p.ctr.HandoffServerRescues, 1)
 	rec.ServerRescued = true
-	p.fetchFromServerFrom(v, chunk, rec)
+	p.fetchFromServer(v, chunk, rec)
 	return true
 }
 
@@ -332,18 +290,13 @@ func (p *Peer) noteChunk(v trace.VideoID, chunk, provider int) {
 	}
 }
 
-// fetchFromServer downloads all chunks from the tracker, retrying each
-// within the peer's retry budget.
-func (p *Peer) fetchFromServer(v trace.VideoID, rec *Record) {
-	p.fetchFromServerFrom(v, 0, rec)
-}
-
-// fetchFromServerFrom downloads chunks [from, end) from the tracker. When
-// even the first requested chunk never arrives on a full fetch (the
-// tracker outage outlasted every retry) the request is marked Failed and
-// the remaining chunks are skipped — the player gave up. A mid-stream
-// rescue (from > 0) is never Failed: playback already started from peers.
-func (p *Peer) fetchFromServerFrom(v trace.VideoID, from int, rec *Record) {
+// fetchFromServer downloads chunks [from, end) from the tracker, retrying
+// each within the peer's retry budget. When even the first requested
+// chunk never arrives on a full fetch (the tracker outage outlasted every
+// retry) the request is marked Failed and the remaining chunks are
+// skipped — the player gave up. A mid-stream rescue (from > 0) is never
+// Failed: playback already started from peers.
+func (p *Peer) fetchFromServer(v trace.VideoID, from int, rec *Record) {
 	served := false
 	for c := from; c < vod.DefaultChunksPerVideo; c++ {
 		resp, err := p.trackerRPC(p.chanKey(v), &Message{
@@ -370,12 +323,9 @@ func (p *Peer) fetchFromServerFrom(v trace.VideoID, from int, rec *Record) {
 func (p *Peer) attachChannel(ch trace.ChannelID) []PeerInfo {
 	p.mu.Lock()
 	subscribed := p.subs[ch]
-	home := p.home
-	innerCount := len(p.inner)
-	interCount := len(p.inter)
-	p.mu.Unlock()
-
-	p.mu.Lock()
+	home := p.links.home
+	noInner := p.links.size(linkInner, 0) == 0
+	needInter := p.links.room(linkInter, 0) > 0
 	joinedEpoch := p.joinedEpoch
 	p.mu.Unlock()
 	curEpoch, _ := p.planeView()
@@ -385,8 +335,7 @@ func (p *Peer) attachChannel(ch trace.ChannelID) []PeerInfo {
 	// that never saw it, so re-join to repopulate the adopting shard's
 	// table — the server-assisted re-registration leg of the takeover.
 	epochMoved := subscribed && home == ch && joinedEpoch != curEpoch
-	needJoin := subscribed && (home != ch || innerCount == 0 || epochMoved)
-	needInter := interCount < p.cfg.InterLinks
+	needJoin := subscribed && (home != ch || noInner || epochMoved)
 	needEntry := home != ch // a foreign channel needs an entry point
 	if !needJoin && !needInter && !needEntry {
 		return nil
@@ -406,54 +355,34 @@ func (p *Peer) attachChannel(ch trace.ChannelID) []PeerInfo {
 			atomic.AddUint64(&p.ctr.TakeoverRejoins, 1)
 		}
 		p.mu.Lock()
-		if p.home != ch {
-			p.home = ch
-			p.inner = make(map[int]PeerInfo)
-			// Inter-links persist only within the same category; a
-			// category switch rebuilds them lazily below.
-		}
+		p.links.setHome(ch)
 		p.joinedEpoch = curEpoch
 		p.mu.Unlock()
 	}
 	for _, info := range resp.Peers {
 		if trace.ChannelID(info.Channel) == ch && subscribed {
-			p.connectTo(info, "inner", int(ch), 0)
+			p.connectTo(info, linkInner, int(ch), 0)
 		} else {
-			p.connectTo(info, "inter", info.Channel, 0)
+			p.connectTo(info, linkInter, info.Channel, 0)
 		}
 	}
 	return resp.Peers
 }
 
 // connectTo performs the symmetric link handshake: ask the target to accept
-// the link, and record it locally only when accepted.
+// the link, and record it locally only when accepted (and still within
+// budget — handlers may have filled the set while the request was out).
 func (p *Peer) connectTo(info PeerInfo, link string, channel, video int) bool {
-	if info.ID == p.cfg.ID || info.Addr == "" {
+	if info.Addr == "" {
 		return false
 	}
+	v := trace.VideoID(video)
 	p.mu.Lock()
-	switch link {
-	case "inner":
-		if _, dup := p.inner[info.ID]; dup || len(p.inner) >= p.cfg.InnerLinks {
-			p.mu.Unlock()
-			return false
-		}
-	case "inter":
-		if _, dup := p.inter[info.ID]; dup || len(p.inter) >= p.cfg.InterLinks {
-			p.mu.Unlock()
-			return false
-		}
-	case "video":
-		m := p.perVideo[trace.VideoID(video)]
-		if m != nil {
-			if _, dup := m[info.ID]; dup || len(m) >= p.cfg.LinksPerOverlay {
-				p.mu.Unlock()
-				return false
-			}
-		}
-	}
+	fits := p.links.canAdd(link, info, v)
 	p.mu.Unlock()
-
+	if !fits {
+		return false
+	}
 	resp, err := rpc(info.Addr, &Message{
 		Type: MsgConnect, From: p.cfg.ID, Addr: p.Addr(),
 		Link: link, Channel: channel, Video: video,
@@ -463,21 +392,7 @@ func (p *Peer) connectTo(info PeerInfo, link string, channel, video int) bool {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	switch link {
-	case "inner":
-		p.inner[info.ID] = info
-	case "inter":
-		p.inter[info.ID] = info
-	case "video":
-		v := trace.VideoID(video)
-		m := p.perVideo[v]
-		if m == nil {
-			m = make(map[int]PeerInfo)
-			p.perVideo[v] = m
-		}
-		m[info.ID] = info
-	}
-	return true
+	return p.links.add(link, info, v)
 }
 
 // joinVideoOverlay registers in the tracker's per-video overlay and links
@@ -488,18 +403,16 @@ func (p *Peer) joinVideoOverlay(v trace.VideoID, provider *PeerInfo) []PeerInfo 
 		Type: MsgJoinVideo, From: p.cfg.ID, Addr: p.Addr(), Video: int(v),
 	})
 	p.mu.Lock()
-	if p.perVideo[v] == nil {
-		p.perVideo[v] = make(map[int]PeerInfo)
-	}
+	p.links.joinVideo(v)
 	p.mu.Unlock()
 	if provider != nil {
-		p.connectTo(*provider, "video", 0, int(v))
+		p.connectTo(*provider, linkVideo, 0, int(v))
 	}
 	if err != nil || resp.Type != MsgJoinOK {
 		return nil
 	}
 	for _, info := range resp.Peers {
-		p.connectTo(info, "video", 0, int(v))
+		p.connectTo(info, linkVideo, 0, int(v))
 	}
 	return resp.Peers
 }
@@ -560,10 +473,7 @@ func (p *Peer) socialTubePrefetch(ch trace.ChannelID, watched trace.VideoID) {
 			continue
 		}
 		p.mu.Lock()
-		have := p.cache.HasPrefix(v)
-		if !have {
-			p.cache.AddPrefix(v)
-		}
+		p.cache.AddPrefix(v)
 		p.mu.Unlock()
 		added++
 	}
@@ -577,21 +487,11 @@ func (p *Peer) netTubePrefetch(watched trace.VideoID) {
 		return
 	}
 	p.mu.Lock()
-	var nbs []PeerInfo
-	seen := make(map[int]bool)
-	for _, m := range p.perVideo {
-		for id, info := range m {
-			if !seen[id] {
-				seen[id] = true
-				nbs = append(nbs, info)
-			}
-		}
-	}
+	nbs := p.links.neighbours(linkVideo) // id-ordered: the g.Intn pick below needs a stable order
 	p.mu.Unlock()
 	if len(nbs) == 0 {
 		return
 	}
-	sortInfos(nbs) // the g.Intn pick below must see a stable order
 	added := 0
 	for attempts := 0; added < p.cfg.PrefetchCount && attempts < 2*len(nbs); attempts++ {
 		p.mu.Lock()
@@ -622,49 +522,20 @@ func (p *Peer) netTubePrefetch(watched trace.VideoID) {
 	}
 }
 
-// Probe checks every neighbour and drops dead links. It returns the number
-// of probe messages sent.
+// Probe checks every neighbour once and drops every link to the ones that
+// do not answer. It returns the number of probe messages sent.
 func (p *Peer) Probe() int {
-	type link struct {
-		info  PeerInfo
-		kind  string
-		video trace.VideoID
-	}
 	p.mu.Lock()
-	var links []link
-	for _, info := range p.inner {
-		links = append(links, link{info: info, kind: "inner"})
-	}
-	for _, info := range p.inter {
-		links = append(links, link{info: info, kind: "inter"})
-	}
-	for v, m := range p.perVideo {
-		for _, info := range m {
-			links = append(links, link{info: info, kind: "video", video: v})
-		}
-	}
+	nbs := p.links.neighbours("")
 	p.mu.Unlock()
-	msgs := 0
-	for _, l := range links {
-		msgs++
-		_, err := rpc(l.info.Addr, &Message{Type: MsgProbe, From: p.cfg.ID}, p.cfg.RPCTimeout)
-		if err == nil {
-			continue
+	for _, nb := range nbs {
+		if _, err := rpc(nb.Addr, &Message{Type: MsgProbe, From: p.cfg.ID}, p.cfg.RPCTimeout); err != nil {
+			p.mu.Lock()
+			p.links.dropPeer(nb.ID)
+			p.mu.Unlock()
 		}
-		p.mu.Lock()
-		switch l.kind {
-		case "inner":
-			delete(p.inner, l.info.ID)
-		case "inter":
-			delete(p.inter, l.info.ID)
-		case "video":
-			if m := p.perVideo[l.video]; m != nil {
-				delete(m, l.info.ID)
-			}
-		}
-		p.mu.Unlock()
 	}
-	return msgs
+	return len(nbs)
 }
 
 // LeaveOverlays gracefully departs: notify every neighbour (which drops its
@@ -672,30 +543,16 @@ func (p *Peer) Probe() int {
 // link state. The cache survives for the next session, as in the paper.
 func (p *Peer) LeaveOverlays() {
 	p.mu.Lock()
-	nbs := make(map[int]PeerInfo)
-	for id, info := range p.inner {
-		nbs[id] = info
-	}
-	for id, info := range p.inter {
-		nbs[id] = info
-	}
-	for _, m := range p.perVideo {
-		for id, info := range m {
-			nbs[id] = info
-		}
-	}
+	nbs := p.links.neighbours("")
 	p.mu.Unlock()
-	for _, info := range nbs {
-		rpc(info.Addr, &Message{Type: MsgBye, From: p.cfg.ID}, p.cfg.RPCTimeout)
+	for _, nb := range nbs {
+		rpc(nb.Addr, &Message{Type: MsgBye, From: p.cfg.ID}, p.cfg.RPCTimeout)
 	}
 	// Leave is plane-wide: every shard replica may hold membership rows
 	// for this peer (gossip also carries the departure between replicas).
 	// Unreachable replicas get the leave as a hinted handoff.
 	p.broadcastPlane(&Message{Type: MsgLeave, From: p.cfg.ID}, false)
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.inner = make(map[int]PeerInfo)
-	p.inter = make(map[int]PeerInfo)
-	p.perVideo = make(map[trace.VideoID]map[int]PeerInfo)
-	p.home = -1
+	p.links.reset()
+	p.mu.Unlock()
 }

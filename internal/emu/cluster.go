@@ -42,15 +42,14 @@ type ClusterConfig struct {
 	Seed int64
 	// Behavior is the 75/15/10 video-selection model.
 	Behavior vod.Behavior
-	// Tracker configures the central server (the template for every
-	// tracker replica when ControlPlane is set).
+	// Tracker configures the central server — the template for every
+	// tracker replica of the control plane.
 	Tracker TrackerConfig
-	// ControlPlane, when non-nil, shards and replicates the tracker:
-	// Shards x Replicas trackers are started, channels map to shards by
-	// rendezvous hashing, and peers fail over between a shard's
-	// replicas. nil runs the legacy single tracker (a 1x1 plane, byte-
-	// identical behaviour).
-	ControlPlane *ControlPlaneConfig
+	// ControlPlane shards and replicates the tracker: Shards x Replicas
+	// trackers are started, channels map to shards by rendezvous
+	// hashing, and peers fail over between a shard's replicas. The zero
+	// value is the 1x1 plane: one tracker.
+	ControlPlane ControlPlaneConfig
 	// Conditions injects latency and loss (nil = pristine loopback).
 	Conditions *Conditions
 	// Tracer, when non-nil, receives the run's event stream: one serve
@@ -127,12 +126,19 @@ func (c ClusterConfig) Validate() error {
 			return err
 		}
 	}
-	if c.ControlPlane != nil {
-		if err := c.ControlPlane.Validate(); err != nil {
-			return err
-		}
+	if err := c.plane().Validate(); err != nil {
+		return err
 	}
 	return c.Behavior.Validate()
+}
+
+// plane returns the control-plane shape the cluster runs: ControlPlane,
+// or 1x1 when it is the zero value.
+func (c ClusterConfig) plane() ControlPlaneConfig {
+	if c.ControlPlane == (ControlPlaneConfig{}) {
+		return ControlPlaneConfig{Shards: 1, Replicas: 1}
+	}
+	return c.ControlPlane
 }
 
 // ClusterResult aggregates one emulated run; its fields mirror exp.Result
@@ -237,12 +243,6 @@ func liveMetrics(cfg ClusterConfig, tracker *Tracker, res *ClusterResult, resMu 
 	return m
 }
 
-// RunCluster starts a tracker and peers, drives the session workload to
-// completion, shuts everything down and returns aggregated metrics.
-func RunCluster(cfg ClusterConfig, tr *trace.Trace) (*ClusterResult, error) {
-	return RunClusterCtx(context.Background(), cfg, tr)
-}
-
 // faultDriver is the wall-clock fault scheduler's shared state. Peer
 // session loops consult it for outage accounting and for the "no rejoin
 // is coming" signal; a nil driver (no plan) answers false everywhere.
@@ -284,11 +284,7 @@ func (f *faultDriver) waitRejoin(p *Peer, stop <-chan struct{}) bool {
 // fall back to the widest enclosing scope so a plan written for a bigger
 // plane still darkens something rather than silently no-opping.
 func setOutage(cp *ControlPlane, ev faults.Event, down bool) {
-	if ev.Shard <= 0 {
-		cp.SetDown(down)
-		return
-	}
-	if ev.Shard > cp.NumShards() {
+	if ev.Shard <= 0 || ev.Shard > cp.NumShards() {
 		cp.SetDown(down)
 		return
 	}
@@ -397,10 +393,11 @@ func sleepOrStop(d time.Duration, stop <-chan struct{}) bool {
 	return sleepUntil(time.Now().Add(d), stop)
 }
 
-// RunClusterCtx is RunCluster with cancellation and fault injection: a
-// cancelled context stops the workload, the fault driver and every
-// tracker/peer goroutine before returning ctx.Err(). With a fault plan,
-// the compiled schedule is replayed on wall-clock offsets while the
+// RunClusterCtx starts a control plane and peers, drives the session
+// workload to completion, shuts everything down and returns aggregated
+// metrics. A cancelled context stops the workload, the fault driver and
+// every tracker/peer goroutine before returning ctx.Err(). With a fault
+// plan, the compiled schedule is replayed on wall-clock offsets while the
 // workload runs.
 func RunClusterCtx(ctx context.Context, cfg ClusterConfig, tr *trace.Trace) (*ClusterResult, error) {
 	if err := cfg.Validate(); err != nil {
@@ -430,14 +427,7 @@ func RunClusterCtx(ctx context.Context, cfg ClusterConfig, tr *trace.Trace) (*Cl
 		}
 	}
 
-	// A nil ControlPlane runs the legacy single tracker as a 1x1 plane:
-	// one shard owns every channel and routing reduces to plain rpcRetry
-	// against it, so legacy results are unchanged.
-	cpCfg := ControlPlaneConfig{Shards: 1, Replicas: 1}
-	if cfg.ControlPlane != nil {
-		cpCfg = *cfg.ControlPlane
-	}
-	plane, err := StartControlPlane(cpCfg, cfg.Tracker, tr, cfg.Conditions)
+	plane, err := StartControlPlane(cfg.plane(), cfg.Tracker, tr, cfg.Conditions)
 	if err != nil {
 		return nil, err
 	}

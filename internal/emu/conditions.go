@@ -73,11 +73,7 @@ func (c *Conditions) Latency(a, b int) time.Duration {
 	if c == nil || a == b || c.MaxLatency <= 0 {
 		return 0
 	}
-	if a > b {
-		a, b = b, a
-	}
-	h := int64(a)*1_000_003 + int64(b)*7919 + c.Seed*104_729
-	g := dist.NewRNG(h)
+	u := dist.PairUniform(c.Seed, int64(a), int64(b))
 	span := c.MaxLatency - c.MinLatency
 	if span < 0 {
 		span = 0
@@ -85,12 +81,12 @@ func (c *Conditions) Latency(a, b int) time.Duration {
 	var d time.Duration
 	switch {
 	case c.Regions > 1 && c.region(a) == c.region(b):
-		d = c.MinLatency + time.Duration(g.Float64()*float64(span/4))
+		d = c.MinLatency + time.Duration(u*float64(span/4))
 	case c.Regions > 1:
 		quarter := span / 4
-		d = c.MinLatency + quarter + time.Duration(g.Float64()*float64(span-quarter))
+		d = c.MinLatency + quarter + time.Duration(u*float64(span-quarter))
 	default:
-		d = c.MinLatency + time.Duration(g.Float64()*float64(span))
+		d = c.MinLatency + time.Duration(u*float64(span))
 	}
 	if bits := c.burstLatBits.Load(); bits != 0 {
 		if f := math.Float64frombits(bits); f > 1 {
@@ -179,8 +175,8 @@ func (c *Conditions) ClearPartition() {
 // Severed reports whether a message between nodes a and b crosses the
 // open partition cut. Ids are peer ids on the peer plane and replica
 // indices on the tracker plane; negatives (the tracker sentinel -1, or
-// an unknown sender) are folded to side 0 so legacy single-tracker
-// traffic is never cut off from the id-0 side by accident. Healthy runs
+// an unknown sender) are folded to side 0 so tracker-originated traffic
+// is never cut off from the id-0 side by accident. Healthy runs
 // take the zero-load branch and draw nothing.
 func (c *Conditions) Severed(a, b int) bool {
 	if c == nil {

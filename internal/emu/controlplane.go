@@ -13,7 +13,8 @@ import (
 // ControlPlaneConfig shapes the sharded, replicated tracker plane:
 // Shards tracker shards, each holding the channels the rendezvous ring
 // assigns it, replicated Replicas ways with anti-entropy gossip between
-// the replicas of a shard. {1, 1} is the legacy single tracker.
+// the replicas of a shard. {1, 1} is a single tracker: one shard owns
+// every channel and there is nobody to gossip with.
 type ControlPlaneConfig struct {
 	// Shards is the number of tracker shards (>= 1). Channels map to
 	// shards by rendezvous hashing; every tracker-path RPC routes to the
@@ -83,7 +84,6 @@ func (c ControlPlaneConfig) Validate() error {
 // elsewhere (cmd/socialtube-node). Server-side methods are no-ops on a
 // client-only plane.
 type ControlPlane struct {
-	cfg ControlPlaneConfig
 	dir *ctrl.Directory
 	// trackers[shard][replica]; nil on a client-only plane.
 	trackers [][]*Tracker
@@ -97,32 +97,14 @@ func NewControlPlaneClient(ringSeed int64, replicas [][]string) (*ControlPlane, 
 	if err != nil {
 		return nil, err
 	}
-	cfg := ControlPlaneConfig{Shards: len(replicas), Replicas: 1, RingSeed: ringSeed}
-	return &ControlPlane{cfg: cfg, dir: dir}, nil
-}
-
-// SingleTracker wraps one tracker address as a 1x1 control plane — the
-// documented shim keeping the legacy NewPeer(cfg, tr, trackerAddr, cond)
-// path alive. Routing through it is bit-identical to dialing the address
-// directly: one shard owns every channel and the single endpoint never
-// enters the failover walk.
-func SingleTracker(addr string) *ControlPlane {
-	cp, err := NewControlPlaneClient(0, [][]string{{addr}})
-	if err != nil {
-		// Only possible for an empty address; keep the legacy constructor
-		// signature (no error) and let the first RPC surface the problem.
-		cp = &ControlPlane{cfg: ControlPlaneConfig{Shards: 1, Replicas: 1}}
-		cp.dir, _ = ctrl.NewDirectory(0, [][]string{{"invalid:0"}})
-	}
-	return cp
+	return &ControlPlane{dir: dir}, nil
 }
 
 // StartControlPlane launches Shards x Replicas trackers over the trace
 // and wires each shard's replicas together with gossip. The tracker
-// template tc supplies every tracker's parameters; replica trackers get
-// deterministic per-replica seed offsets (shard 0 replica 0 keeps tc.Seed
-// exactly, so a 1x1 plane is byte-identical to the legacy single
-// tracker). The caller owns Stop.
+// template tc supplies every tracker's parameters; each tracker draws its
+// recommendations from its own stream, seeded at a deterministic offset
+// from tc.Seed. The caller owns Stop.
 func StartControlPlane(cfg ControlPlaneConfig, tc TrackerConfig, tr *trace.Trace, cond *Conditions) (*ControlPlane, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -132,52 +114,38 @@ func StartControlPlane(cfg ControlPlaneConfig, tc TrackerConfig, tr *trace.Trace
 	if (cfg.Replicas > 1 || cfg.Shards > 1) && cfg.GossipInterval == 0 {
 		cfg.GossipInterval = DefaultControlPlaneConfig().GossipInterval
 	}
-	trackers := make([][]*Tracker, cfg.Shards)
-	ok := false
-	defer func() {
-		if !ok {
-			for _, reps := range trackers {
-				for _, tk := range reps {
-					if tk != nil {
-						tk.Stop()
-					}
-				}
-			}
-		}
-	}()
+	// cp owns every tracker from the moment it starts, so any later
+	// failure releases them all through Stop.
+	cp := &ControlPlane{trackers: make([][]*Tracker, cfg.Shards)}
 	addrs := make([][]string, cfg.Shards)
 	for s := 0; s < cfg.Shards; s++ {
-		trackers[s] = make([]*Tracker, cfg.Replicas)
-		addrs[s] = make([]string, cfg.Replicas)
 		for r := 0; r < cfg.Replicas; r++ {
 			rtc := tc
-			// Distinct recommendation streams per tracker, anchored so a
-			// 1x1 plane keeps the template seed untouched.
 			rtc.Seed = tc.Seed + int64(s*cfg.Replicas+r)*104_729
 			tk, err := NewTracker(rtc, tr, cond)
+			if err == nil {
+				err = tk.Start()
+			}
 			if err != nil {
+				cp.Stop()
 				return nil, fmt.Errorf("control plane shard %d replica %d: %w", s, r, err)
 			}
-			if err := tk.Start(); err != nil {
-				return nil, fmt.Errorf("control plane shard %d replica %d: %w", s, r, err)
-			}
-			trackers[s][r] = tk
-			addrs[s][r] = tk.Addr()
+			cp.trackers[s] = append(cp.trackers[s], tk)
+			addrs[s] = append(addrs[s], tk.Addr())
 		}
 	}
-	for s := 0; s < cfg.Shards; s++ {
-		for r := 0; r < cfg.Replicas; r++ {
-			trackers[s][r].suspicionRounds = cfg.SuspicionRounds
-			trackers[s][r].StartGossip(cfg.RingSeed, addrs, s, r,
-				cfg.GossipInterval, cfg.GossipTimeout)
+	for s, reps := range cp.trackers {
+		for r, tk := range reps {
+			tk.suspicionRounds = cfg.SuspicionRounds
+			tk.StartGossip(cfg.RingSeed, addrs, s, r, cfg.GossipInterval, cfg.GossipTimeout)
 		}
 	}
-	dir, err := ctrl.NewDirectory(cfg.RingSeed, addrs)
-	if err != nil {
+	var err error
+	if cp.dir, err = ctrl.NewDirectory(cfg.RingSeed, addrs); err != nil {
+		cp.Stop()
 		return nil, err
 	}
-	ok = true
-	return &ControlPlane{cfg: cfg, dir: dir, trackers: trackers}, nil
+	return cp, nil
 }
 
 // NumShards returns the number of shards.
@@ -193,29 +161,12 @@ func (cp *ControlPlane) OwnerExcluding(key int64, dead uint64) int {
 	return cp.dir.OwnerExcluding(key, dead)
 }
 
-// Epoch returns the highest ring epoch any replica of the plane has
-// reached (0 = no shard ever changed status). No-op zero on a
-// client-only plane.
-func (cp *ControlPlane) Epoch() uint64 {
-	var e uint64
-	for _, reps := range cp.trackers {
-		for _, tk := range reps {
-			if v := tk.Epoch(); v > e {
-				e = v
-			}
-		}
-	}
-	return e
-}
-
 // ArmTakeover marks wall time since (UnixNano) as the start of the run's
 // first whole-shard outage on every in-process replica's takeover latch;
 // later calls are ignored.
 func (cp *ControlPlane) ArmTakeover(since int64) {
-	for _, reps := range cp.trackers {
-		for _, tk := range reps {
-			tk.takeoverSince.CompareAndSwap(0, since)
-		}
+	for _, tk := range cp.Trackers() {
+		tk.takeoverSince.CompareAndSwap(0, since)
 	}
 }
 
@@ -225,11 +176,9 @@ func (cp *ControlPlane) ArmTakeover(since int64) {
 // replica has declared since.
 func (cp *ControlPlane) TakeoverMs() float64 {
 	var since, at int64
-	for _, reps := range cp.trackers {
-		for _, tk := range reps {
-			if v := tk.declaredNano.Load(); v != 0 && (at == 0 || v < at) {
-				at, since = v, tk.takeoverSince.Load()
-			}
+	for _, tk := range cp.Trackers() {
+		if v := tk.declaredNano.Load(); v != 0 && (at == 0 || v < at) {
+			at, since = v, tk.takeoverSince.Load()
 		}
 	}
 	return float64(at-since) / 1e6
@@ -239,18 +188,11 @@ func (cp *ControlPlane) TakeoverMs() float64 {
 // do not mutate).
 func (cp *ControlPlane) Replicas(shard int) []string { return cp.dir.Replicas(shard) }
 
-// Endpoints returns the total endpoint count across all shards.
-func (cp *ControlPlane) Endpoints() int { return cp.dir.Endpoints() }
-
 // EndpointIndex returns the stable flat index of (shard, replica) — the
 // circuit-breaker id peers key endpoint health by.
 func (cp *ControlPlane) EndpointIndex(shard, replica int) int {
 	return cp.dir.EndpointIndex(shard, replica)
 }
-
-// All returns every endpoint address, shard-major (plane-wide broadcasts:
-// register, leave).
-func (cp *ControlPlane) All() []string { return cp.dir.All() }
 
 // ShardHandle addresses one shard's replicas for fault injection.
 type ShardHandle struct {
@@ -275,13 +217,6 @@ func (s ShardHandle) SetDown(v bool) {
 	}
 }
 
-// SetCapacityFactor throttles every replica of the shard.
-func (s ShardHandle) SetCapacityFactor(f float64) {
-	for _, tk := range s.trackers {
-		tk.SetCapacityFactor(f)
-	}
-}
-
 // Replicas returns the shard's replica count (0 for an empty handle).
 func (s ShardHandle) Replicas() int { return len(s.trackers) }
 
@@ -294,50 +229,41 @@ func (s ShardHandle) Replica(j int) *Tracker {
 	return s.trackers[j]
 }
 
-// SetDown starts or ends an outage on the whole plane — the legacy
-// tracker-dark fault. No-op on a client-only plane.
+// SetDown starts or ends an outage on the whole plane. No-op on a
+// client-only plane.
 func (cp *ControlPlane) SetDown(v bool) {
-	for _, reps := range cp.trackers {
-		for _, tk := range reps {
-			tk.SetDown(v)
-		}
+	for _, tk := range cp.Trackers() {
+		tk.SetDown(v)
 	}
 }
 
 // SetCapacityFactor throttles the whole plane. No-op on a client-only
 // plane.
 func (cp *ControlPlane) SetCapacityFactor(f float64) {
-	for _, reps := range cp.trackers {
-		for _, tk := range reps {
-			tk.SetCapacityFactor(f)
-		}
+	for _, tk := range cp.Trackers() {
+		tk.SetCapacityFactor(f)
 	}
 }
 
 // Stop shuts every tracker down. No-op on a client-only plane.
 func (cp *ControlPlane) Stop() {
-	for _, reps := range cp.trackers {
-		for _, tk := range reps {
-			tk.Stop()
-		}
+	for _, tk := range cp.Trackers() {
+		tk.Stop()
 	}
 }
 
 // Trackers returns the plane's trackers shard-major (nil on a client-only
 // plane).
 func (cp *ControlPlane) Trackers() []*Tracker {
-	if cp.trackers == nil {
-		return nil
-	}
-	out := make([]*Tracker, 0, cp.dir.Endpoints())
+	var out []*Tracker
 	for _, reps := range cp.trackers {
 		out = append(out, reps...)
 	}
 	return out
 }
 
-// First returns shard 0 replica 0 (the legacy "the tracker"; nil on a
-// client-only plane). Live metrics snapshots key on it.
+// First returns shard 0 replica 0 (nil on a client-only plane). Live
+// metrics snapshots key on it.
 func (cp *ControlPlane) First() *Tracker {
 	if cp.trackers == nil {
 		return nil
@@ -348,10 +274,8 @@ func (cp *ControlPlane) First() *Tracker {
 // ServedBytes sums bytes served across the plane.
 func (cp *ControlPlane) ServedBytes() int64 {
 	var n int64
-	for _, reps := range cp.trackers {
-		for _, tk := range reps {
-			n += tk.ServedBytes()
-		}
+	for _, tk := range cp.Trackers() {
+		n += tk.ServedBytes()
 	}
 	return n
 }
@@ -359,16 +283,8 @@ func (cp *ControlPlane) ServedBytes() int64 {
 // Counters merges every tracker's counter snapshot.
 func (cp *ControlPlane) Counters() obs.Counters {
 	var ctr obs.Counters
-	first := true
-	for _, reps := range cp.trackers {
-		for _, tk := range reps {
-			if first {
-				ctr = tk.Counters()
-				first = false
-				continue
-			}
-			ctr.Merge(tk.Counters())
-		}
+	for _, tk := range cp.Trackers() {
+		ctr.Merge(tk.Counters())
 	}
 	return ctr
 }

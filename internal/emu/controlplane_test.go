@@ -1,12 +1,14 @@
 package emu
 
 import (
+	"context"
 	"runtime"
 	"testing"
 	"time"
 
 	"github.com/socialtube/socialtube/internal/faults"
 	"github.com/socialtube/socialtube/internal/trace"
+	"github.com/socialtube/socialtube/internal/vod"
 )
 
 // startPlane builds and starts an in-process control plane with fast
@@ -21,23 +23,23 @@ func startPlane(t *testing.T, tr *trace.Trace, cfg ControlPlaneConfig) *ControlP
 	return cp
 }
 
-// TestSingleTrackerShim pins the legacy shim's shape: one shard owning
-// every key, one endpoint, and inert server-side methods (a client-only
-// plane must be safe to target with fault handles).
-func TestSingleTrackerShim(t *testing.T) {
-	cp := SingleTracker("127.0.0.1:1")
-	if cp.NumShards() != 1 || cp.Endpoints() != 1 {
-		t.Fatalf("shim plane is %dx%d endpoints=%d, want 1x1", cp.NumShards(), 1, cp.Endpoints())
+// TestControlPlaneClientIsInert pins the routing-only plane's shape: over
+// one address it is one shard owning every key, and every server-side
+// method is a no-op, so fault drivers can target it unconditionally.
+func TestControlPlaneClientIsInert(t *testing.T) {
+	cp, err := NewControlPlaneClient(0, [][]string{{"127.0.0.1:1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := cp.Replicas(0); cp.NumShards() != 1 || len(got) != 1 || got[0] != "127.0.0.1:1" {
+		t.Fatalf("plane is %d shards with replicas %v, want 1x1", cp.NumShards(), got)
 	}
 	for _, key := range []int64{0, 1, 42, 1 << 40} {
-		if cp.Owner(key) != 0 {
-			t.Fatalf("Owner(%d) = %d, want 0", key, cp.Owner(key))
+		if cp.Owner(key) != 0 || cp.OwnerExcluding(key, 1) != 0 {
+			t.Fatalf("key %d: owner %d, excluding-owner %d, want 0 and 0",
+				key, cp.Owner(key), cp.OwnerExcluding(key, 1))
 		}
 	}
-	if got := cp.All(); len(got) != 1 || got[0] != "127.0.0.1:1" {
-		t.Fatalf("All() = %v", got)
-	}
-	// Client-only plane: every server-side method is a no-op.
 	cp.SetDown(true)
 	cp.SetCapacityFactor(0.5)
 	cp.Shard(0).SetDown(true)
@@ -178,8 +180,8 @@ func TestShardedClusterShutdownReleasesEverything(t *testing.T) {
 	cfg.Peers = 8
 	cfg.Sessions = 1
 	cfg.VideosPerSession = 3
-	cfg.ControlPlane = &ControlPlaneConfig{Shards: 2, Replicas: 2, RingSeed: 1, GossipInterval: 2 * time.Millisecond}
-	if _, err := RunCluster(cfg, tr); err != nil {
+	cfg.ControlPlane = ControlPlaneConfig{Shards: 2, Replicas: 2, RingSeed: 1, GossipInterval: 2 * time.Millisecond}
+	if _, err := RunClusterCtx(context.Background(), cfg, tr); err != nil {
 		t.Fatal(err)
 	}
 	waitGoroutines(t, before)
@@ -191,12 +193,12 @@ func TestShardedClusterShutdownReleasesEverything(t *testing.T) {
 func TestShardedReplicaKillNoFailedRequests(t *testing.T) {
 	tr := emuTrace(t)
 	cfg := fastClusterConfig(ModeSocialTube)
-	cfg.ControlPlane = &ControlPlaneConfig{Shards: 2, Replicas: 2, RingSeed: 1, GossipInterval: 2 * time.Millisecond}
+	cfg.ControlPlane = ControlPlaneConfig{Shards: 2, Replicas: 2, RingSeed: 1, GossipInterval: 2 * time.Millisecond}
 	cfg.Faults = faults.ReplicaOutagePlan(cfg.Seed, 30*time.Millisecond, 1, 1)
 	cfg.RPCTimeout = 100 * time.Millisecond
 	cfg.MaxRetries = 1
 	cfg.RetryBackoff = 5 * time.Millisecond
-	res, err := RunCluster(cfg, tr)
+	res, err := RunClusterCtx(context.Background(), cfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,5 +207,78 @@ func TestShardedReplicaKillNoFailedRequests(t *testing.T) {
 	}
 	if res.CacheHits+res.PeerHits+res.ServerHits == 0 {
 		t.Fatal("run served nothing")
+	}
+}
+
+// TestSingleTrackerOutageWalksTheFailoverPath drives a 1x1 plane through
+// the one tracker-RPC path every plane takes (retry → walkShard → endpoint
+// breaker): an outage shorter than the retry budget is ridden out with no
+// RPC failure, a longer one fails the request and opens the endpoint's
+// breaker, and an open breaker on the only replica is still probed, so
+// service resumes the moment the tracker does.
+func TestSingleTrackerOutageWalksTheFailoverPath(t *testing.T) {
+	tr := emuTrace(t)
+	plane := startPlane(t, tr, ControlPlaneConfig{Shards: 1, Replicas: 1})
+	startOn := func(id int, tune func(*PeerConfig)) *Peer {
+		t.Helper()
+		pc := DefaultPeerConfig(id, ModePAVoD)
+		tune(&pc)
+		p, err := NewPeerWithControlPlane(pc, tr, plane, fastConditions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Start(); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(p.Stop)
+		return p
+	}
+
+	// Attempts start at ≈0, ≈150ms and ≈400ms; the tracker is back at
+	// 150ms, so the third attempt at the latest gets through.
+	patient := startOn(0, func(c *PeerConfig) {
+		c.RPCTimeout = 50 * time.Millisecond
+		c.MaxRetries = 2
+		c.RetryBackoff = 100 * time.Millisecond
+	})
+	plane.SetDown(true)
+	recover := time.AfterFunc(150*time.Millisecond, func() { plane.SetDown(false) })
+	defer recover.Stop()
+	rec := patient.RequestVideo(tr.Videos[0].ID)
+	if rec.Failed || rec.Source != vod.SourceServer {
+		t.Fatalf("outage inside the retry budget lost the request: %+v", rec)
+	}
+	if got := patient.Counters().RPCFailures; got != 0 {
+		t.Fatalf("RPCFailures = %d, want 0 (every call succeeded within its budget)", got)
+	}
+
+	// ≈45ms of budget against a tracker that stays dark.
+	hasty := startOn(1, func(c *PeerConfig) {
+		c.RPCTimeout = 20 * time.Millisecond
+		c.MaxRetries = 1
+		c.RetryBackoff = 5 * time.Millisecond
+	})
+	plane.SetDown(true)
+	rec = hasty.RequestVideo(tr.Videos[1].ID)
+	if !rec.Failed {
+		t.Fatalf("request served by a dark tracker: %+v", rec)
+	}
+	ctr := hasty.Counters()
+	if ctr.RPCFailures == 0 {
+		t.Fatal("exhausted retry budgets recorded no RPCFailures")
+	}
+	if ctr.BreakerOpens == 0 {
+		t.Fatal("repeated failures never opened the only endpoint's breaker")
+	}
+
+	// The breaker stays open for 30s; the walk must probe the replica
+	// anyway, because there is no other.
+	plane.SetDown(false)
+	rec = hasty.RequestVideo(tr.Videos[2].ID)
+	if rec.Failed {
+		t.Fatalf("open breaker starved the only replica: %+v", rec)
+	}
+	if got := hasty.Counters().BreakerSkips; got == 0 {
+		t.Fatal("the recovered request never met the open breaker; the probe path went untested")
 	}
 }

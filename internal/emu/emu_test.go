@@ -2,6 +2,8 @@ package emu
 
 import (
 	"bytes"
+	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -46,13 +48,25 @@ func startTracker(t *testing.T, tr *trace.Trace, cond *Conditions) *Tracker {
 	return tk
 }
 
-func startPeer(t *testing.T, tr *trace.Trace, tk *Tracker, id int, mode Mode, cond *Conditions) *Peer {
+// newTestPeer builds (without starting) a peer whose control plane is the
+// one tracker at addr — the routing-only 1x1 plane.
+func newTestPeer(t testing.TB, cfg PeerConfig, tr *trace.Trace, addr string, cond *Conditions) *Peer {
 	t.Helper()
-	cfg := DefaultPeerConfig(id, mode)
-	p, err := NewPeer(cfg, tr, tk.Addr(), cond)
+	cp, err := NewControlPlaneClient(0, [][]string{{addr}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	p, err := NewPeerWithControlPlane(cfg, tr, cp, cond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+func startPeer(t *testing.T, tr *trace.Trace, tk *Tracker, id int, mode Mode, cond *Conditions) *Peer {
+	t.Helper()
+	cfg := DefaultPeerConfig(id, mode)
+	p := newTestPeer(t, cfg, tr, tk.Addr(), cond)
 	if err := p.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -68,6 +82,15 @@ func TestMessageRoundTrip(t *testing.T) {
 	}
 	if err := WriteMessage(&buf, in); err != nil {
 		t.Fatal(err)
+	}
+	// The frame is exactly json.Marshal's bytes behind their big-endian
+	// length: nothing else (no trailing newline) rides in it.
+	body, err := json.Marshal(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if frame := buf.Bytes(); binary.BigEndian.Uint32(frame) != uint32(len(body)) || !bytes.Equal(frame[4:], body) {
+		t.Fatalf("frame is not length-prefixed Marshal output: %q", frame)
 	}
 	out, err := ReadMessage(&buf)
 	if err != nil {
@@ -349,10 +372,7 @@ func TestProbeDropsDeadLinks(t *testing.T) {
 	v := tr.Videos[0].ID
 
 	cfgB := DefaultPeerConfig(1, ModeNetTube)
-	pb, err := NewPeer(cfgB, tr, tk.Addr(), cond)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pb := newTestPeer(t, cfgB, tr, tk.Addr(), cond)
 	if err := pb.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +406,7 @@ func TestClusterRunAllModes(t *testing.T) {
 			cfg.MeanOffTime = 5 * time.Millisecond
 			cfg.ProbeInterval = 50 * time.Millisecond
 			cfg.Conditions = fastConditions()
-			res, err := RunCluster(cfg, tr)
+			res, err := RunClusterCtx(context.Background(), cfg, tr)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -449,7 +469,7 @@ func TestClusterLiveMetrics(t *testing.T) {
 		pprofStatus = pr.StatusCode
 	}
 
-	res, err := RunCluster(cfg, tr)
+	res, err := RunClusterCtx(context.Background(), cfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,15 +496,15 @@ func TestClusterValidation(t *testing.T) {
 	tr := emuTrace(t)
 	cfg := DefaultClusterConfig(ModeSocialTube)
 	cfg.Peers = 0
-	if _, err := RunCluster(cfg, tr); err == nil {
+	if _, err := RunClusterCtx(context.Background(), cfg, tr); err == nil {
 		t.Fatal("zero peers accepted")
 	}
 	cfg = DefaultClusterConfig(ModeSocialTube)
 	cfg.Peers = len(tr.Users) + 1
-	if _, err := RunCluster(cfg, tr); err == nil {
+	if _, err := RunClusterCtx(context.Background(), cfg, tr); err == nil {
 		t.Fatal("more peers than users accepted")
 	}
-	if _, err := RunCluster(DefaultClusterConfig(ModeSocialTube), nil); err == nil {
+	if _, err := RunClusterCtx(context.Background(), DefaultClusterConfig(ModeSocialTube), nil); err == nil {
 		t.Fatal("nil trace accepted")
 	}
 }
@@ -499,7 +519,7 @@ func TestNoGoroutineLeaks(t *testing.T) {
 	cfg.VideosPerSession = 3
 	cfg.WatchTime = 2 * time.Millisecond
 	cfg.Conditions = fastConditions()
-	if _, err := RunCluster(cfg, tr); err != nil {
+	if _, err := RunClusterCtx(context.Background(), cfg, tr); err != nil {
 		t.Fatal(err)
 	}
 	// Allow lingering handler goroutines to wind down.
@@ -564,7 +584,7 @@ func TestClusterWithRegions(t *testing.T) {
 		MaxLatency: 3 * time.Millisecond,
 		Regions:    3,
 	}
-	res, err := RunCluster(cfg, tr)
+	res, err := RunClusterCtx(context.Background(), cfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -159,14 +159,11 @@ func RunFailover(cfg FailoverConfig, tr *trace.Trace) (*FailoverResult, error) {
 
 	tc := DefaultTrackerConfig()
 	tc.Seed = cfg.Seed
-	tracker, err := NewTracker(tc, tr, nil)
+	plane, err := StartControlPlane(ControlPlaneConfig{Shards: 1, Replicas: 1}, tc, tr, nil)
 	if err != nil {
 		return nil, err
 	}
-	if err := tracker.Start(); err != nil {
-		return nil, err
-	}
-	defer tracker.Stop()
+	defer plane.Stop()
 
 	peers := make([]*Peer, 0, cfg.Providers+1)
 	defer func() {
@@ -181,7 +178,7 @@ func RunFailover(cfg FailoverConfig, tr *trace.Trace) (*FailoverResult, error) {
 		pc.Seed = cfg.Seed + int64(i)*7919
 		pc.BreakerThreshold = cfg.BreakerThreshold
 		pc.BreakerOpenFor = cfg.BreakerOpenFor
-		p, err := NewPeer(pc, tr, tracker.Addr(), nil)
+		p, err := NewPeerWithControlPlane(pc, tr, plane, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -209,11 +206,10 @@ func RunFailover(cfg FailoverConfig, tr *trace.Trace) (*FailoverResult, error) {
 		requester.Subscribe(ch.ID)
 		// The requester is an established member: each join grants at
 		// most one more inner link.
-		warm := cfg.Providers
-		if warm > DefaultPeerConfig(0, cfg.Mode).InnerLinks {
-			warm = DefaultPeerConfig(0, cfg.Mode).InnerLinks
-		}
-		for i := 0; i < warm; i++ {
+		requester.mu.Lock()
+		warm := requester.links.room(linkInner, 0)
+		requester.mu.Unlock()
+		for i := 0; i < warm && i < cfg.Providers; i++ {
 			requester.JoinChannel(ch.ID)
 		}
 	case ModeNetTube:
@@ -290,7 +286,7 @@ func RunFailover(cfg FailoverConfig, tr *trace.Trace) (*FailoverResult, error) {
 		}
 	}
 	res.Elapsed = time.Since(begin)
-	res.Obs = tracker.Counters()
+	res.Obs = plane.Counters()
 	for _, p := range peers {
 		res.Obs.Merge(p.Counters())
 	}

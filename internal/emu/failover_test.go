@@ -17,10 +17,7 @@ func startPeerCfg(t *testing.T, tr *trace.Trace, tk *Tracker, id int, mode Mode,
 	if tune != nil {
 		tune(&cfg)
 	}
-	p, err := NewPeer(cfg, tr, tk.Addr(), cond)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := newTestPeer(t, cfg, tr, tk.Addr(), cond)
 	if err := p.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +66,7 @@ func TestMidStreamCrashResumesOnSecondCandidate(t *testing.T) {
 	// White-box: guarantee both providers are inner neighbours so the
 	// flood ranks them both, whatever the tracker recommended.
 	for id, p := range providers {
-		requester.connectTo(PeerInfo{ID: id, Addr: p.Addr(), Channel: int(ch)}, "inner", int(ch), 0)
+		requester.connectTo(PeerInfo{ID: id, Addr: p.Addr(), Channel: int(ch)}, linkInner, int(ch), 0)
 	}
 
 	crashed := 0
@@ -106,6 +103,56 @@ func TestMidStreamCrashResumesOnSecondCandidate(t *testing.T) {
 	}
 	if got := requester.Counters().Handoffs; got != 1 {
 		t.Fatalf("peer Handoffs counter = %d, want 1", got)
+	}
+}
+
+// TestRequeryRunsWhenListEndsInSkippedEntry is the regression test for the
+// skipped refill: the candidate list ends in an entry the scan skips (this
+// peer itself), its only real provider crashes after chunk 0, and the one
+// promised requery must still run — it names a live holder, so the
+// download finishes from peers with one handoff and no server rescue. The
+// refill check used to sit behind the skip, so such a list fell straight
+// through to the server.
+func TestRequeryRunsWhenListEndsInSkippedEntry(t *testing.T) {
+	tr := emuTrace(t)
+	tk := startTracker(t, tr, nil)
+	tune := func(c *PeerConfig) {
+		c.RPCTimeout = 150 * time.Millisecond
+		c.PrefetchCount = 0
+	}
+	requester := startPeerCfg(t, tr, tk, 0, ModeSocialTube, nil, tune)
+	a := startPeerCfg(t, tr, tk, 1, ModeSocialTube, nil, tune)
+	c := startPeerCfg(t, tr, tk, 2, ModeSocialTube, nil, tune)
+	v := tr.Videos[0].ID
+	a.SeedCache(v)
+	c.SeedCache(v)
+	requester.SetOnChunk(func(_ trace.VideoID, chunk, provider int) {
+		if chunk == 0 && provider == 1 {
+			a.Crash()
+		}
+	})
+
+	requeries := 0
+	requery := func() []PeerInfo {
+		requeries++
+		return []PeerInfo{{ID: 2, Addr: c.Addr()}}
+	}
+	cands := []PeerInfo{{ID: 1, Addr: a.Addr()}, {ID: 0, Addr: requester.Addr()}}
+	var rec Record
+	if !requester.fetchFromCandidates(v, cands, requery, &rec) {
+		t.Fatal("no candidate delivered chunk 0 — staging broken")
+	}
+	if requeries != 1 {
+		t.Fatalf("requery ran %d times, want exactly 1", requeries)
+	}
+	if rec.Source != vod.SourcePeer || rec.ServerRescued {
+		t.Fatalf("Source = %v rescued = %v, want a peer-completed download", rec.Source, rec.ServerRescued)
+	}
+	if rec.Handoffs != 1 {
+		t.Fatalf("Handoffs = %d, want 1", rec.Handoffs)
+	}
+	if got := tk.ServedBytes(); got != 0 {
+		t.Fatalf("server served %d bytes, want 0", got)
 	}
 }
 
@@ -162,36 +209,6 @@ func TestChaosFrameFaults(t *testing.T) {
 	}
 }
 
-// TestMalformedFrameCountsAndListenerSurvives feeds a peer raw garbage:
-// the frame is rejected and counted, and the listener keeps serving.
-func TestMalformedFrameCountsAndListenerSurvives(t *testing.T) {
-	tr := emuTrace(t)
-	tk := startTracker(t, tr, nil)
-	p := startPeerCfg(t, tr, tk, 1, ModeSocialTube, nil, nil)
-
-	conn, err := net.Dial("tcp", p.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A plausible-length header followed by non-JSON bytes.
-	if _, err := conn.Write([]byte{0, 0, 0, 4, 'j', 'u', 'n', 'k'}); err != nil {
-		t.Fatal(err)
-	}
-	conn.Close()
-
-	deadline := time.Now().Add(2 * time.Second)
-	for p.Counters().FramesMalformed == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("FramesMalformed never incremented")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	resp, err := rpc(p.Addr(), &Message{Type: MsgProbe, From: 0}, time.Second)
-	if err != nil || resp.Type != MsgOK {
-		t.Fatalf("listener did not survive the malformed frame: %v %v", resp, err)
-	}
-}
-
 // countingSink returns a listener address that accepts and immediately
 // closes every connection, plus a function reporting how many arrived.
 func countingSink(t *testing.T) (string, func() int) {
@@ -225,7 +242,7 @@ func countingSink(t *testing.T) (string, func() int) {
 	}
 }
 
-// TestRPCRetryExhaustsBudgetWithDoublingBackoff pins rpcRetry's contract:
+// TestRPCRetryExhaustsBudgetWithDoublingBackoff pins retry's contract:
 // exactly MaxRetries+1 attempts against a sink that hangs up on every
 // connection, one RPCFailures increment at the end, and a total elapsed
 // time that proves the backoff doubled rather than stayed flat.
@@ -241,10 +258,12 @@ func TestRPCRetryExhaustsBudgetWithDoublingBackoff(t *testing.T) {
 	addr, attempts := countingSink(t)
 
 	begin := time.Now()
-	_, err := p.rpcRetry(addr, &Message{Type: MsgRegister, From: 1, Addr: p.Addr()})
+	_, err := p.retry(func() (*Message, error) {
+		return rpc(addr, &Message{Type: MsgRegister, From: 1, Addr: p.Addr()}, p.cfg.RPCTimeout)
+	})
 	elapsed := time.Since(begin)
 	if err == nil {
-		t.Fatal("rpcRetry succeeded against a hang-up sink")
+		t.Fatal("retry succeeded against a hang-up sink")
 	}
 	if got := attempts(); got != 3 {
 		t.Fatalf("sink saw %d attempts, want MaxRetries+1 = 3", got)
@@ -274,7 +293,9 @@ func TestRPCRetryAbortsOnStop(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := p.rpcRetry(addr, &Message{Type: MsgRegister, From: 1, Addr: p.Addr()})
+		_, err := p.retry(func() (*Message, error) {
+			return rpc(addr, &Message{Type: MsgRegister, From: 1, Addr: p.Addr()}, p.cfg.RPCTimeout)
+		})
 		done <- err
 	}()
 	time.Sleep(50 * time.Millisecond) // let the first attempt fail into the backoff wait
@@ -282,10 +303,10 @@ func TestRPCRetryAbortsOnStop(t *testing.T) {
 	select {
 	case err := <-done:
 		if err == nil {
-			t.Fatal("aborted rpcRetry reported success")
+			t.Fatal("aborted retry reported success")
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("rpcRetry kept sleeping after Stop")
+		t.Fatal("retry kept sleeping after Stop")
 	}
 	if got := p.Counters().RPCFailures; got != 1 {
 		t.Fatalf("RPCFailures = %d, want 1", got)

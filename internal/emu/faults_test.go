@@ -1,6 +1,7 @@
 package emu
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -23,7 +24,7 @@ func TestClusterSurvivesHeavyLoss(t *testing.T) {
 		MaxLatency: 2 * time.Millisecond,
 		LossP:      0.2,
 	}
-	res, err := RunCluster(cfg, tr)
+	res, err := RunClusterCtx(context.Background(), cfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,10 +42,7 @@ func TestPeerFallsBackWhenProviderDies(t *testing.T) {
 	tk := startTracker(t, tr, cond)
 	v := tr.Videos[0].ID
 
-	provider, err := NewPeer(DefaultPeerConfig(0, ModeSocialTube), tr, tk.Addr(), cond)
-	if err != nil {
-		t.Fatal(err)
-	}
+	provider := newTestPeer(t, DefaultPeerConfig(0, ModeSocialTube), tr, tk.Addr(), cond)
 	if err := provider.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -60,30 +58,6 @@ func TestPeerFallsBackWhenProviderDies(t *testing.T) {
 	if rec.Source == vod.SourcePeer {
 		t.Fatalf("dead provider served a video")
 	}
-}
-
-// TestTrackerStopIsIdempotent double-stops the tracker and peers.
-func TestTrackerStopIsIdempotent(t *testing.T) {
-	tr := emuTrace(t)
-	cond := fastConditions()
-	tk, err := NewTracker(DefaultTrackerConfig(), tr, cond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tk.Start(); err != nil {
-		t.Fatal(err)
-	}
-	tk.Stop()
-	tk.Stop()
-	p, err := NewPeer(DefaultPeerConfig(0, ModeSocialTube), tr, tk.Addr(), cond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Start(); err != nil {
-		t.Fatal(err)
-	}
-	p.Stop()
-	p.Stop()
 }
 
 // TestRequestAgainstDeadTracker: with the tracker gone, requests must not
@@ -103,10 +77,7 @@ func TestRequestAgainstDeadTracker(t *testing.T) {
 
 	cfg := DefaultPeerConfig(0, ModeSocialTube)
 	cfg.RPCTimeout = 300 * time.Millisecond
-	p, err := NewPeer(cfg, tr, addr, cond)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := newTestPeer(t, cfg, tr, addr, cond)
 	if err := p.Start(); err != nil {
 		t.Fatal(err)
 	}

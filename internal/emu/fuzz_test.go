@@ -114,10 +114,7 @@ func FuzzHandleMessage(f *testing.F) {
 	pc.RPCTimeout = time.Millisecond
 	pc.ChunkPayload = 64
 	pc.UplinkBps = 1 << 30
-	p, err := NewPeer(pc, tr, "127.0.0.1:1", nil)
-	if err != nil {
-		f.Fatal(err)
-	}
+	p := newTestPeer(f, pc, tr, "127.0.0.1:1", nil)
 	if err := p.Start(); err != nil {
 		f.Fatal(err)
 	}

@@ -114,10 +114,7 @@ func TestHandleConnectRespectsBudgets(t *testing.T) {
 	tk := startTracker(t, tr, fastConditions())
 	cfg := DefaultPeerConfig(0, ModeSocialTube)
 	cfg.InterLinks = 1
-	p, err := NewPeer(cfg, tr, tk.Addr(), fastConditions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := newTestPeer(t, cfg, tr, tk.Addr(), fastConditions())
 	if err := p.Start(); err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,6 @@ package emu
 
 import (
 	"fmt"
-	"net"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -131,40 +129,34 @@ func (c PeerConfig) Validate() error {
 // Peer is one TCP node. Start it, drive it with RequestVideo/FinishVideo,
 // and Stop it to release all goroutines.
 type Peer struct {
-	cfg     PeerConfig
-	tr      *trace.Trace
-	cond    *Conditions
-	cp      *ControlPlane
-	ln      net.Listener
-	wg      sync.WaitGroup
-	closeCh chan struct{}
+	cfg  PeerConfig
+	tr   *trace.Trace
+	cond *Conditions
+	cp   *ControlPlane
+	ep   *endpoint
 	// crashed marks an abrupt failure: the process is alive but drops
 	// every incoming message, exactly like a host that lost power —
 	// neighbors keep dangling links until their probes time out.
 	crashed atomic.Bool
 	// ctr counts protocol events (atomic fields; see Counters).
 	ctr obs.Counters
-	// epoch anchors breaker time: health.Set wants monotonic offsets,
-	// so every breaker call passes time.Since(epoch).
-	epoch time.Time
-	// brk short-circuits RPCs to neighbours that keep failing; tbrk does
-	// the same for control-plane endpoints, keyed by the directory's flat
-	// endpoint index, so the failover walk skips replicas known dark.
-	brkMu sync.Mutex
-	brk   *health.Set
-	tbrk  *health.Set
-	// prefRep overrides the configured preferred replica per shard after
-	// a breaker-driven demotion (guarded by brkMu).
-	prefRep map[int]int
+	// peers short-circuits RPCs to neighbours that keep failing; replicas
+	// does the same for control-plane endpoints, keyed by the directory's
+	// flat endpoint index, so the failover walk skips replicas known dark.
+	peers    *guard
+	replicas *guard
 
 	// planeMu guards the peer's routing view of the control plane: the
-	// highest ring epoch seen on a tracker response and the dead-shard
-	// mask that came with it. joinedEpoch (under p.mu) tracks the epoch
-	// the current home-channel registration was made under, so an epoch
-	// change triggers re-registration with the adopting shard.
+	// highest ring epoch seen on a tracker response, the dead-shard mask
+	// that came with it, and prefRep, which overrides the configured
+	// preferred replica per shard after a breaker-driven demotion.
+	// joinedEpoch (under p.mu) tracks the epoch the current home-channel
+	// registration was made under, so an epoch change triggers
+	// re-registration with the adopting shard.
 	planeMu    sync.Mutex
 	planeEpoch int64
 	planeDead  uint64
+	prefRep    map[int]int
 
 	// hintMu guards the hinted-handoff queue: plane-broadcast writes
 	// (register/leave) that could not reach a replica, replayed on heal.
@@ -180,30 +172,18 @@ type Peer struct {
 	// PA-VoD peers serve the video they are watching even though they
 	// keep no cache.
 	watching trace.VideoID
-	// SocialTube state.
-	home  trace.ChannelID
-	inner map[int]PeerInfo
-	inter map[int]PeerInfo
+	// links holds every overlay link (SocialTube's inner/inter sets and
+	// home channel, NetTube's per-video overlays) and their budgets.
+	links *linkTable
 	// joinedEpoch is the ring epoch the current home registration was
 	// made under; attachChannel re-joins when the plane's epoch moves.
 	joinedEpoch int64
-	// NetTube state: links per joined per-video overlay.
-	perVideo map[trace.VideoID]map[int]PeerInfo
 	// Uplink queue + accounting.
 	busyUntil   time.Time
 	servedBytes int64
 	// onChunk, when set (figure/test harnesses), observes every chunk
 	// this peer receives while fetching a video.
 	onChunk func(v trace.VideoID, chunk, provider int)
-}
-
-// NewPeer builds a peer that talks to one tracker address. It is the
-// documented single-shard shim over NewPeerWithControlPlane: the address
-// is wrapped in a 1x1 SingleTracker plane, whose routing is identical to
-// dialing the address directly. New code should build a ControlPlane and
-// use NewPeerWithControlPlane.
-func NewPeer(cfg PeerConfig, tr *trace.Trace, trackerAddr string, cond *Conditions) (*Peer, error) {
-	return NewPeerWithControlPlane(cfg, tr, SingleTracker(trackerAddr), cond)
 }
 
 // NewPeerWithControlPlane builds a peer over the trace, routing every
@@ -219,32 +199,25 @@ func NewPeerWithControlPlane(cfg PeerConfig, tr *trace.Trace, cp *ControlPlane, 
 	if cp == nil {
 		return nil, fmt.Errorf("%w: peer needs a control plane", dist.ErrBadParameter)
 	}
+	epoch := time.Now()
 	p := &Peer{
-		cfg:     cfg,
-		tr:      tr,
-		cond:    cond,
-		cp:      cp,
-		closeCh: make(chan struct{}),
-		epoch:   time.Now(),
-		brk: health.NewSet(health.Config{
-			Threshold: cfg.BreakerThreshold,
-			OpenFor:   cfg.BreakerOpenFor,
-		}, 0),
-		tbrk: health.NewSet(health.Config{
-			Threshold: cfg.BreakerThreshold,
-			OpenFor:   cfg.BreakerOpenFor,
-		}, 0),
+		cfg:      cfg,
+		tr:       tr,
+		cond:     cond,
+		cp:       cp,
+		peers:    newGuard(cfg, epoch),
+		replicas: newGuard(cfg, epoch),
 		prefRep:  make(map[int]int),
 		g:        dist.NewRNG(cfg.Seed),
 		online:   true,
 		watching: -1,
 		cache:    vod.NewCache(0),
 		subs:     make(map[trace.ChannelID]bool),
-		home:     -1,
-		inner:    make(map[int]PeerInfo),
-		inter:    make(map[int]PeerInfo),
-		perVideo: make(map[trace.VideoID]map[int]PeerInfo),
+		links:    newLinkTable(cfg),
 	}
+	// A few RPC timeouts per exchange: a stalled client cannot pin a
+	// handler, yet legitimately queued chunk transfers are not cut off.
+	p.ep = newEndpoint(cfg.ID, cond, 4*cfg.RPCTimeout, &p.ctr, p.admit, p.dispatch)
 	if u := tr.User(trace.UserID(cfg.ID)); u != nil {
 		for _, ch := range u.Subscriptions {
 			p.subs[ch] = true
@@ -255,13 +228,9 @@ func NewPeerWithControlPlane(cfg PeerConfig, tr *trace.Trace, cp *ControlPlane, 
 
 // Start begins listening and registers with the tracker.
 func (p *Peer) Start() error {
-	ln, err := net.Listen("tcp", p.cfg.Addr)
-	if err != nil {
+	if err := p.ep.start(p.cfg.Addr); err != nil {
 		return fmt.Errorf("peer %d listen: %w", p.cfg.ID, err)
 	}
-	p.ln = ln
-	p.wg.Add(1)
-	go p.acceptLoop()
 	// Registration is plane-wide (every shard replica tracks the address
 	// book) and best-effort: it is retried implicitly by later joins, so
 	// losing an RPC here mirrors a lossy network, not a fatal error. A
@@ -274,9 +243,9 @@ func (p *Peer) Start() error {
 // broadcastPlane sends req to every replica of every shard, shard-major
 // (register and leave are plane-wide writes). Replicas across an open
 // partition cut are skipped outright, and any replica the write fails to
-// reach is queued as a hinted handoff for replay on heal. retry selects
-// rpcRetry semantics per endpoint (Rejoin's re-registration) over the
-// single best-effort attempt (Start, LeaveOverlays).
+// reach is queued as a hinted handoff for replay on heal. retry spends the
+// peer's retry budget per endpoint (Rejoin's re-registration) instead of
+// a single best-effort attempt (Start, LeaveOverlays).
 func (p *Peer) broadcastPlane(req *Message, retry bool) {
 	for s := 0; s < p.cp.NumShards(); s++ {
 		for r, addr := range p.cp.Replicas(s) {
@@ -284,11 +253,12 @@ func (p *Peer) broadcastPlane(req *Message, retry bool) {
 				p.queueHint(addr, req)
 				continue
 			}
+			once := func() (*Message, error) { return rpc(addr, req, p.cfg.RPCTimeout) }
 			var err error
 			if retry {
-				_, err = p.rpcRetry(addr, req)
+				_, err = p.retry(once)
 			} else {
-				_, err = rpc(addr, req, p.cfg.RPCTimeout)
+				_, err = once()
 			}
 			if err != nil {
 				p.queueHint(addr, req)
@@ -348,8 +318,7 @@ func (p *Peer) ReplayHints() {
 
 // observePlane folds an epoch-stamped tracker response into the routing
 // view: a strictly newer epoch replaces the dead-shard mask. Healthy
-// planes stamp nothing, so the view stays (0, 0) and routing is
-// byte-identical to the pre-takeover walk.
+// planes stamp nothing, so the view stays (0, 0).
 func (p *Peer) observePlane(resp *Message) {
 	if resp == nil || resp.Epoch == 0 {
 		return
@@ -370,26 +339,10 @@ func (p *Peer) planeView() (int64, uint64) {
 }
 
 // Addr returns the peer's listen address (valid after Start).
-func (p *Peer) Addr() string {
-	if p.ln == nil {
-		return ""
-	}
-	return p.ln.Addr().String()
-}
+func (p *Peer) Addr() string { return p.ep.addr() }
 
 // Stop closes the listener and waits for all handler goroutines.
-func (p *Peer) Stop() {
-	select {
-	case <-p.closeCh:
-		return
-	default:
-	}
-	close(p.closeCh)
-	if p.ln != nil {
-		p.ln.Close()
-	}
-	p.wg.Wait()
-}
+func (p *Peer) Stop() { p.ep.stop() }
 
 // ServedBytes returns the bytes this peer uploaded to others.
 func (p *Peer) ServedBytes() int64 {
@@ -402,11 +355,7 @@ func (p *Peer) ServedBytes() int64 {
 func (p *Peer) Links() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	n := len(p.inner) + len(p.inter)
-	for _, m := range p.perVideo {
-		n += len(m)
-	}
-	return n
+	return p.links.count()
 }
 
 // CacheLen returns the number of fully cached videos.
@@ -416,90 +365,13 @@ func (p *Peer) CacheLen() int {
 	return p.cache.FullLen()
 }
 
-func (p *Peer) acceptLoop() {
-	defer p.wg.Done()
-	for {
-		conn, err := p.ln.Accept()
-		if err != nil {
-			select {
-			case <-p.closeCh:
-				return
-			default:
-				continue
-			}
-		}
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			p.handle(conn)
-		}()
-	}
-}
-
-func (p *Peer) handle(conn net.Conn) {
-	defer conn.Close()
-	// Budget the whole exchange (read, uplink queueing, write) at a few
-	// RPC timeouts so a stalled client can't pin a handler goroutine,
-	// without cutting off legitimately queued chunk transfers.
-	if err := conn.SetDeadline(time.Now().Add(4 * p.cfg.RPCTimeout)); err != nil {
-		return
-	}
-	req, err := ReadMessage(conn)
-	if err != nil {
-		atomic.AddUint64(&p.ctr.FramesMalformed, 1)
-		return
-	}
-	if err := req.Validate(); err != nil {
-		atomic.AddUint64(&p.ctr.FramesRejected, 1)
-		return
-	}
-	if p.cond.Drop() {
-		return // simulated loss
-	}
-	time.Sleep(p.cond.Latency(p.cfg.ID, req.From))
-	resp := p.dispatch(req)
-	if resp != nil {
-		act, stall := p.cond.nextChaos()
-		writeMessageChaos(conn, resp, act, stall, &p.ctr)
-	}
-}
-
 // Counters snapshots the peer's protocol counters, folding in the
 // current breaker statistics.
 func (p *Peer) Counters() obs.Counters {
 	c := p.ctr.Snapshot()
-	p.brkMu.Lock()
-	c.BreakerOpens = p.brk.Opens + p.tbrk.Opens
-	c.BreakerSkips = p.brk.Skips + p.tbrk.Skips
-	c.BreakerProbes = p.brk.Probes + p.tbrk.Probes
-	c.BreakerRecoveries = p.brk.Recoveries + p.tbrk.Recoveries
-	p.brkMu.Unlock()
+	p.peers.addStats(&c)
+	p.replicas.addStats(&c)
 	return c
-}
-
-// allowPeer consults the circuit breaker before an RPC to peer id:
-// false means the breaker is open and the call should be skipped.
-func (p *Peer) allowPeer(id int) bool {
-	p.brkMu.Lock()
-	defer p.brkMu.Unlock()
-	p.brk.Ensure(id)
-	return p.brk.Allow(id, time.Since(p.epoch))
-}
-
-// peerOK / peerFail feed RPC outcomes back into the breaker. Only
-// transport-level failures count — a well-formed MsgMiss is a healthy
-// peer without the content.
-func (p *Peer) peerOK(id int) {
-	p.brkMu.Lock()
-	p.brk.Success(id)
-	p.brkMu.Unlock()
-}
-
-func (p *Peer) peerFail(id int) {
-	p.brkMu.Lock()
-	p.brk.Ensure(id)
-	p.brk.Failure(id, time.Since(p.epoch))
-	p.brkMu.Unlock()
 }
 
 // SetOnline flips the peer's availability: an offline peer's listener stays
@@ -533,11 +405,8 @@ func (p *Peer) Rejoin() {
 		return
 	}
 	p.mu.Lock()
-	home := p.home
-	p.inner = make(map[int]PeerInfo)
-	p.inter = make(map[int]PeerInfo)
-	p.perVideo = make(map[trace.VideoID]map[int]PeerInfo)
-	p.home = -1
+	home := p.links.home
+	p.links.reset()
 	p.mu.Unlock()
 	p.broadcastPlane(&Message{Type: MsgRegister, From: p.cfg.ID, Addr: p.Addr()}, true)
 	p.ReplayHints()
@@ -546,28 +415,28 @@ func (p *Peer) Rejoin() {
 	}
 }
 
-// rpcRetry performs one RPC with up to MaxRetries additional attempts and
-// exponential backoff, aborting early when the peer stops. It is used on the
-// tracker path, where a transient outage should degrade service gracefully
-// instead of losing the request outright.
-func (p *Peer) rpcRetry(addr string, req *Message) (*Message, error) {
+// retry runs attempt up to 1+MaxRetries times with a doubling backoff
+// between tries, aborting early when the peer stops. It is the tracker
+// path's policy, where a transient outage should degrade service
+// gracefully instead of losing the request outright; spending the whole
+// budget (or aborting) counts one RPCFailures.
+func (p *Peer) retry(attempt func() (*Message, error)) (*Message, error) {
 	backoff := p.cfg.RetryBackoff
-	for attempt := 0; ; attempt++ {
-		resp, err := rpc(addr, req, p.cfg.RPCTimeout)
+	for n := 0; ; n++ {
+		resp, err := attempt()
 		if err == nil {
 			return resp, nil
 		}
-		if attempt >= p.cfg.MaxRetries {
-			atomic.AddUint64(&p.ctr.RPCFailures, 1)
-			return resp, err
+		if n < p.cfg.MaxRetries {
+			select {
+			case <-p.ep.done:
+			case <-time.After(backoff):
+				backoff *= 2
+				continue
+			}
 		}
-		select {
-		case <-p.closeCh:
-			atomic.AddUint64(&p.ctr.RPCFailures, 1)
-			return nil, err
-		case <-time.After(backoff):
-		}
-		backoff *= 2
+		atomic.AddUint64(&p.ctr.RPCFailures, 1)
+		return nil, err
 	}
 }
 
@@ -582,25 +451,20 @@ func (p *Peer) chanKey(v trace.VideoID) int64 {
 }
 
 // trackerRPC routes one tracker-path RPC to the shard owning key, failing
-// over between the shard's replicas. On a single-endpoint plane (the
-// legacy path) it reduces to exactly rpcRetry against that address — no
-// breaker is consulted, so legacy behaviour is unchanged.
+// over between the shard's replicas, under the retry budget.
 //
-// With replicas, each retry round walks the owning shard's replica set
-// (walkShard) starting from the preferred replica, then — if the whole
-// shard failed — walks the shard the key re-rendezvouses onto when the
-// owner is removed from the ring. That fallback is what bounds the
-// pre-takeover loss window: requests survive a whole-shard death even
-// before any survivor has declared it, at the cost of one extra walk.
-// Once a declaration has gossiped, responses carry the ring epoch and
-// dead-shard mask, the peer's plane view reroutes the request up front,
-// and the failed walk disappears. Backoff doubles between rounds exactly
-// like rpcRetry.
+// Each attempt walks the owning shard's replica set (walkShard) starting
+// from the preferred replica, then — if the whole shard failed — walks the
+// shard the key re-rendezvouses onto when the owner is removed from the
+// ring (on a one-shard plane that is the owner again, so there is nothing
+// further to try). That fallback is what bounds the pre-takeover loss
+// window: requests survive a whole-shard death even before any survivor
+// has declared it, at the cost of one extra walk. Once a declaration has
+// gossiped, responses carry the ring epoch and dead-shard mask, the
+// peer's plane view reroutes the request up front, and the failed walk
+// disappears.
 func (p *Peer) trackerRPC(key int64, req *Message) (*Message, error) {
 	shard := p.cp.Owner(key)
-	if p.cp.Endpoints() == 1 {
-		return p.rpcRetry(p.cp.Replicas(shard)[0], req)
-	}
 	_, dead := p.planeView()
 	if dead != 0 {
 		if alt := p.cp.OwnerExcluding(key, dead); alt != shard {
@@ -608,37 +472,20 @@ func (p *Peer) trackerRPC(key int64, req *Message) (*Message, error) {
 			shard = alt
 		}
 	}
-	backoff := p.cfg.RetryBackoff
-	var lastResp *Message
-	var lastErr error
-	for round := 0; ; round++ {
+	return p.retry(func() (*Message, error) {
 		resp, err := p.walkShard(shard, req)
-		if err == nil {
-			p.observePlane(resp)
-			return resp, nil
-		}
-		lastResp, lastErr = resp, err
-		if shard < 64 {
+		if err != nil && shard < 64 {
 			if fb := p.cp.OwnerExcluding(key, dead|1<<uint(shard)); fb != shard {
-				if resp, err := p.walkShard(fb, req); err == nil {
+				if resp, err = p.walkShard(fb, req); err == nil {
 					atomic.AddUint64(&p.ctr.TakeoverReroutes, 1)
-					p.observePlane(resp)
-					return resp, nil
 				}
 			}
 		}
-		if round >= p.cfg.MaxRetries {
-			atomic.AddUint64(&p.ctr.RPCFailures, 1)
-			return lastResp, lastErr
+		if err == nil {
+			p.observePlane(resp)
 		}
-		select {
-		case <-p.closeCh:
-			atomic.AddUint64(&p.ctr.RPCFailures, 1)
-			return nil, lastErr
-		case <-time.After(backoff):
-		}
-		backoff *= 2
-	}
+		return resp, err
+	})
 }
 
 // walkShard tries one request against every replica of shard, starting
@@ -650,54 +497,39 @@ func (p *Peer) trackerRPC(key int64, req *Message) (*Message, error) {
 func (p *Peer) walkShard(shard int, req *Message) (*Message, error) {
 	reps := p.cp.Replicas(shard)
 	pref := p.preferredReplica(shard, len(reps))
+	err := fmt.Errorf("emu: no reachable replica of shard %d", shard)
 	tried := false
-	var lastResp *Message
-	var lastErr error
 	for k := 0; k < len(reps); k++ {
 		r := (pref + k) % len(reps)
 		if p.cond.Severed(p.cfg.ID, r) {
 			continue
 		}
-		idx := p.cp.EndpointIndex(shard, r)
-		if !p.allowEndpoint(idx) {
+		resp, e := p.replicas.call(p.cp.EndpointIndex(shard, r), reps[r], req)
+		if e == errBreakerOpen {
 			continue
 		}
-		tried = true
-		resp, err := rpc(reps[r], req, p.cfg.RPCTimeout)
-		if err == nil {
-			p.endpointOK(idx)
+		if e == nil {
 			p.maybeDemote(shard, pref, r)
 			return resp, nil
 		}
-		p.endpointFail(idx)
-		lastResp, lastErr = resp, err
+		tried, err = true, e
 	}
 	if !tried && !p.cond.Severed(p.cfg.ID, pref) {
-		idx := p.cp.EndpointIndex(shard, pref)
-		resp, err := rpc(reps[pref], req, p.cfg.RPCTimeout)
-		if err == nil {
-			p.endpointOK(idx)
-			return resp, nil
-		}
-		p.endpointFail(idx)
-		lastResp, lastErr = resp, err
+		return p.replicas.send(p.cp.EndpointIndex(shard, pref), reps[pref], req)
 	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("emu: no reachable replica of shard %d", shard)
-	}
-	return lastResp, lastErr
+	return nil, err
 }
 
 // preferredReplica returns the replica of shard this peer tries first:
 // the ID-stable configured choice (spreading peers across replicas)
 // unless a breaker-driven demotion moved it.
 func (p *Peer) preferredReplica(shard, n int) int {
-	p.brkMu.Lock()
-	if v, ok := p.prefRep[shard]; ok && v >= 0 && v < n {
-		p.brkMu.Unlock()
+	p.planeMu.Lock()
+	v, ok := p.prefRep[shard]
+	p.planeMu.Unlock()
+	if ok && v >= 0 && v < n {
 		return v
 	}
-	p.brkMu.Unlock()
 	pref := p.cfg.ID % n
 	if pref < 0 {
 		pref += n
@@ -716,49 +548,26 @@ func (p *Peer) maybeDemote(shard, pref, winner int) {
 	if winner == pref {
 		return
 	}
-	p.brkMu.Lock()
-	defer p.brkMu.Unlock()
-	if p.tbrk.State(p.cp.EndpointIndex(shard, pref)) == health.Open {
+	if p.replicas.state(p.cp.EndpointIndex(shard, pref)) == health.Open {
+		p.planeMu.Lock()
 		p.prefRep[shard] = winner
+		p.planeMu.Unlock()
 	}
 }
 
-// allowEndpoint / endpointOK / endpointFail mirror the per-neighbour
-// breaker helpers for control-plane endpoints, keyed by flat endpoint
-// index.
-func (p *Peer) allowEndpoint(idx int) bool {
-	p.brkMu.Lock()
-	defer p.brkMu.Unlock()
-	p.tbrk.Ensure(idx)
-	return p.tbrk.Allow(idx, time.Since(p.epoch))
-}
-
-func (p *Peer) endpointOK(idx int) {
-	p.brkMu.Lock()
-	p.tbrk.Success(idx)
-	p.brkMu.Unlock()
-}
-
-func (p *Peer) endpointFail(idx int) {
-	p.brkMu.Lock()
-	p.tbrk.Ensure(idx)
-	p.tbrk.Failure(idx, time.Since(p.epoch))
-	p.brkMu.Unlock()
+// admit is the endpoint's reachability check: a crashed host answers
+// nothing at all, a partitioned sender is on the other side of the cut,
+// and an offline peer does not answer.
+func (p *Peer) admit(req *Message) bool {
+	if p.crashed.Load() || (req.From >= 0 && p.cond.Severed(req.From, p.cfg.ID)) {
+		return false
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.online
 }
 
 func (p *Peer) dispatch(req *Message) *Message {
-	if p.crashed.Load() {
-		return nil // a crashed host answers nothing at all
-	}
-	if req.From >= 0 && p.cond.Severed(req.From, p.cfg.ID) {
-		return nil // partitioned: the sender is on the other side of the cut
-	}
-	p.mu.Lock()
-	up := p.online
-	p.mu.Unlock()
-	if !up {
-		return nil // an offline peer does not answer
-	}
 	switch req.Type {
 	case MsgQuery:
 		return p.handleQuery(req)
@@ -769,7 +578,9 @@ func (p *Peer) dispatch(req *Message) *Message {
 	case MsgProbe:
 		return &Message{Type: MsgOK, From: p.cfg.ID}
 	case MsgBye:
-		p.dropLinksTo(req.From)
+		p.mu.Lock()
+		p.links.dropPeer(req.From)
+		p.mu.Unlock()
 		return &Message{Type: MsgOK, From: p.cfg.ID}
 	case MsgCacheSample:
 		return p.handleCacheSample(req)
@@ -778,29 +589,16 @@ func (p *Peer) dispatch(req *Message) *Message {
 	}
 }
 
-// dropLinksTo removes every link to the departed peer ("for graceful
-// departures, before a node leaves the system, it notifies all of its
-// neighbors, which will update the links", §IV-A).
-func (p *Peer) dropLinksTo(id int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	delete(p.inner, id)
-	delete(p.inter, id)
-	for _, m := range p.perVideo {
-		delete(m, id)
-	}
-}
-
 // handleQuery implements the receiver side of the TTL flood: answer from
 // the local cache or forward to neighbours with a decremented TTL. A hit
 // short-circuits with this peer as the sole candidate (rank 1: fewest
-// hops); forwarded floods accumulate a ranked candidate list, up to
-// maxQueryProviders, so the requester can fail over without re-flooding.
+// hops); forwarded floods (query) accumulate a ranked candidate list, so
+// the requester can fail over without re-flooding.
 func (p *Peer) handleQuery(req *Message) *Message {
 	v := trace.VideoID(req.Video)
 	p.mu.Lock()
 	hasIt := p.cache.HasFull(v)
-	neighbors := p.forwardSet(req)
+	neighbors := p.forwardSet()
 	p.mu.Unlock()
 
 	if hasIt {
@@ -815,41 +613,7 @@ func (p *Peer) handleQuery(req *Message) *Message {
 		return &Message{Type: MsgMiss, From: p.cfg.ID, Messages: 0}
 	}
 	visited := append(append([]int{}, req.Visited...), p.cfg.ID)
-	seen := make(map[int]bool, len(visited))
-	for _, id := range visited {
-		seen[id] = true
-	}
-	msgs, hops := 0, 0
-	var provs []PeerInfo
-	for _, nb := range neighbors {
-		if seen[nb.ID] {
-			continue
-		}
-		if !p.allowPeer(nb.ID) {
-			continue // open breaker: don't spend a message on a dead link
-		}
-		msgs++
-		resp, err := rpc(nb.Addr, &Message{
-			Type: MsgQuery, From: p.cfg.ID,
-			Video: req.Video, TTL: req.TTL - 1, Visited: visited,
-		}, p.cfg.RPCTimeout)
-		if err != nil {
-			p.peerFail(nb.ID)
-			continue
-		}
-		p.peerOK(nb.ID)
-		msgs += resp.Messages
-		if resp.Type != MsgOK {
-			continue
-		}
-		if hops == 0 {
-			hops = resp.Hops + 1
-		}
-		provs = appendProviders(provs, responseProviders(resp), maxQueryProviders)
-		if len(provs) >= maxQueryProviders {
-			break
-		}
-	}
+	provs, msgs, hops := p.query(req.Video, req.TTL-1, visited, neighbors)
 	if len(provs) == 0 {
 		return &Message{Type: MsgMiss, From: p.cfg.ID, Messages: msgs}
 	}
@@ -861,16 +625,44 @@ func (p *Peer) handleQuery(req *Message) *Message {
 	}
 }
 
-// responseProviders returns a response's ranked candidate list, falling
-// back to the legacy single-provider head.
-func responseProviders(m *Message) []PeerInfo {
-	if len(m.Providers) > 0 {
-		return m.Providers
+// query is the sending side of the TTL flood, for the origin and for
+// every forwarder alike: ask each neighbour outside visited in turn, and
+// merge the answers into one ranked candidate list (closest-first,
+// deduped, capped at maxQueryProviders). It returns the list, the query
+// messages the flood consumed, and the depth of the first hit. Neighbours
+// behind an open breaker are skipped without spending a message.
+func (p *Peer) query(video, ttl int, visited []int, nbs []PeerInfo) (provs []PeerInfo, msgs, hops int) {
+	seen := make(map[int]bool, len(visited))
+	for _, id := range visited {
+		seen[id] = true
 	}
-	if m.ProviderAddr != "" {
-		return []PeerInfo{{ID: m.Provider, Addr: m.ProviderAddr}}
+	for _, nb := range nbs {
+		if seen[nb.ID] {
+			continue
+		}
+		resp, err := p.peers.call(nb.ID, nb.Addr, &Message{
+			Type: MsgQuery, From: p.cfg.ID, Video: video, TTL: ttl, Visited: visited,
+		})
+		if err == errBreakerOpen {
+			continue
+		}
+		msgs++
+		if err != nil {
+			continue
+		}
+		msgs += resp.Messages
+		if resp.Type != MsgOK {
+			continue
+		}
+		if hops == 0 {
+			hops = resp.Hops + 1
+		}
+		provs = appendProviders(provs, resp.Providers, maxQueryProviders)
+		if len(provs) >= maxQueryProviders {
+			break
+		}
 	}
-	return nil
+	return provs, msgs, hops
 }
 
 // appendProviders merges src into dst keeping ids unique and the list at
@@ -896,40 +688,18 @@ func appendProviders(dst, src []PeerInfo, limit int) []PeerInfo {
 
 // forwardSet returns the neighbours a query is forwarded to. The caller
 // must hold p.mu.
-func (p *Peer) forwardSet(req *Message) []PeerInfo {
+func (p *Peer) forwardSet() []PeerInfo {
 	switch p.cfg.Mode {
 	case ModeSocialTube:
 		// Queries are forwarded along inner-links within the channel
 		// overlay only (inter-neighbours start their own channel
 		// floods at the origin).
-		out := make([]PeerInfo, 0, len(p.inner))
-		for _, info := range p.inner {
-			out = append(out, info)
-		}
-		sortInfos(out)
-		return out
+		return p.links.neighbours(linkInner)
 	case ModeNetTube:
-		seen := make(map[int]bool)
-		var out []PeerInfo
-		for _, m := range p.perVideo {
-			for id, info := range m {
-				if !seen[id] {
-					seen[id] = true
-					out = append(out, info)
-				}
-			}
-		}
-		sortInfos(out)
-		return out
+		return p.links.neighbours(linkVideo)
 	default:
 		return nil
 	}
-}
-
-// sortInfos orders a map-gathered peer list by id so every flood walks
-// neighbours in the same order run-to-run (Go map iteration is random).
-func sortInfos(s []PeerInfo) {
-	sort.Slice(s, func(i, j int) bool { return s[i].ID < s[j].ID })
 }
 
 // handleChunkReq serves one cached chunk from the peer's finite uplink.
@@ -977,47 +747,13 @@ func (p *Peer) handleCacheSample(req *Message) *Message {
 	return &Message{Type: MsgOK, From: p.cfg.ID, Videos: out}
 }
 
-// handleConnect accepts or rejects an overlay link request depending on the
-// relevant budget, keeping links symmetric (the requester adds the link
-// only on acceptance).
+// handleConnect accepts or rejects an overlay link request, keeping links
+// symmetric (the requester adds the link only on acceptance).
 func (p *Peer) handleConnect(req *Message) *Message {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	v := trace.VideoID(req.Video)
 	info := PeerInfo{ID: req.From, Addr: req.Addr, Channel: req.Channel}
-	accepted := false
-	switch req.Link {
-	case "inner":
-		if trace.ChannelID(req.Channel) == p.home && len(p.inner) < p.cfg.InnerLinks {
-			if _, dup := p.inner[req.From]; !dup {
-				p.inner[req.From] = info
-				accepted = true
-			}
-		}
-	case "inter":
-		if len(p.inter) < p.cfg.InterLinks {
-			if _, dup := p.inter[req.From]; !dup {
-				p.inter[req.From] = info
-				accepted = true
-			}
-		}
-	case "video":
-		v := trace.VideoID(req.Video)
-		m := p.perVideo[v]
-		if m == nil {
-			// Only accept overlay links for videos this peer is in
-			// the overlay of (it has watched/cached it).
-			if !p.cache.HasFull(v) {
-				break
-			}
-			m = make(map[int]PeerInfo)
-			p.perVideo[v] = m
-		}
-		if len(m) < p.cfg.LinksPerOverlay {
-			if _, dup := m[req.From]; !dup {
-				m[req.From] = info
-				accepted = true
-			}
-		}
-	}
+	p.mu.Lock()
+	accepted := p.links.accept(req.Link, info, v, p.cache.HasFull(v))
+	p.mu.Unlock()
 	return &Message{Type: MsgOK, From: p.cfg.ID, Accepted: accepted}
 }

@@ -7,12 +7,12 @@
 package emu
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"sync/atomic"
 	"time"
 
@@ -249,22 +249,31 @@ func (m *Message) Validate() error {
 	return nil
 }
 
+// encodeFrame returns m's wire form: the JSON body behind a 4-byte
+// big-endian length prefix, built in one buffer so a frame is one
+// allocation and one write.
+func encodeFrame(m *Message) ([]byte, error) {
+	buf := bytes.NewBuffer(make([]byte, 4, 512))
+	if err := json.NewEncoder(buf).Encode(m); err != nil {
+		return nil, fmt.Errorf("marshal %s: %w", m.Type, err)
+	}
+	frame := buf.Bytes()
+	frame = frame[:len(frame)-1] // Encode ends with a newline json.Marshal does not emit
+	if len(frame)-4 > maxFrame {
+		return nil, ErrMessageTooLarge
+	}
+	binary.BigEndian.PutUint32(frame, uint32(len(frame)-4))
+	return frame, nil
+}
+
 // WriteMessage frames and writes one message.
 func WriteMessage(w io.Writer, m *Message) error {
-	body, err := json.Marshal(m)
+	frame, err := encodeFrame(m)
 	if err != nil {
-		return fmt.Errorf("marshal %s: %w", m.Type, err)
+		return err
 	}
-	if len(body) > maxFrame {
-		return ErrMessageTooLarge
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("write frame header: %w", err)
-	}
-	if _, err := w.Write(body); err != nil {
-		return fmt.Errorf("write frame body: %w", err)
+	if _, err := w.Write(frame); err != nil {
+		return fmt.Errorf("write frame: %w", err)
 	}
 	return nil
 }
@@ -290,33 +299,6 @@ func ReadMessage(r io.Reader) (*Message, error) {
 	return &m, nil
 }
 
-// rpc dials addr, sends req and waits for a single response, bounded by
-// timeout. The connection is closed afterwards (one-shot RPC style).
-// Responses are validated with the same strict bounds servers apply to
-// requests, so a corrupted or hostile reply surfaces as an error instead
-// of propagating garbage ids into the caller.
-func rpc(addr string, req *Message, timeout time.Duration) (*Message, error) {
-	conn, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return nil, fmt.Errorf("dial %s: %w", addr, err)
-	}
-	defer conn.Close()
-	if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
-		return nil, fmt.Errorf("set deadline: %w", err)
-	}
-	if err := WriteMessage(conn, req); err != nil {
-		return nil, err
-	}
-	resp, err := ReadMessage(conn)
-	if err != nil {
-		return nil, fmt.Errorf("rpc %s to %s: %w", req.Type, addr, err)
-	}
-	if err := resp.Validate(); err != nil {
-		return nil, fmt.Errorf("rpc %s to %s: %w", req.Type, addr, err)
-	}
-	return resp, nil
-}
-
 // chaosAction is the frame-level fault chosen for one response write.
 type chaosAction uint8
 
@@ -328,71 +310,37 @@ const (
 	chaosStall
 )
 
-// writeMessageChaos writes m, applying one injected frame fault. ctr
-// accounts each injected fault (nil-safe); callers pass their live
-// counter block so chaos volume shows up in snapshots.
+// writeMessageChaos writes m, applying one injected frame fault and
+// accounting it in ctr, the writer's live counter block, so chaos volume
+// shows up in snapshots.
 func writeMessageChaos(w io.Writer, m *Message, act chaosAction, stallFor time.Duration, ctr *obs.Counters) error {
+	frame, err := encodeFrame(m)
+	if err != nil {
+		return err
+	}
 	switch act {
 	case chaosCorrupt:
-		if ctr != nil {
-			atomic.AddUint64(&ctr.ChaosCorrupted, 1)
-		}
-		body, err := json.Marshal(m)
-		if err != nil {
-			return fmt.Errorf("marshal %s: %w", m.Type, err)
-		}
-		if len(body) > maxFrame {
-			return ErrMessageTooLarge
-		}
-		// Flip bytes at three fixed offsets: the frame stays well-formed
-		// at the framing layer but the body no longer decodes (or no
-		// longer validates) at the receiver.
+		atomic.AddUint64(&ctr.ChaosCorrupted, 1)
+		// Flip bytes at three fixed offsets of the body: the frame stays
+		// well-formed at the framing layer but the body no longer decodes
+		// (or no longer validates) at the receiver.
+		body := frame[4:]
 		for _, off := range []int{len(body) / 4, len(body) / 2, 3 * len(body) / 4} {
 			body[off] ^= 0x5A
 		}
-		var hdr [4]byte
-		binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-		if _, err := w.Write(hdr[:]); err != nil {
-			return fmt.Errorf("write frame header: %w", err)
-		}
-		_, err = w.Write(body)
-		return err
 	case chaosTruncate:
-		if ctr != nil {
-			atomic.AddUint64(&ctr.ChaosTruncated, 1)
-		}
-		body, err := json.Marshal(m)
-		if err != nil {
-			return fmt.Errorf("marshal %s: %w", m.Type, err)
-		}
-		if len(body) > maxFrame {
-			return ErrMessageTooLarge
-		}
+		atomic.AddUint64(&ctr.ChaosTruncated, 1)
 		// Promise the full body, deliver half: the receiver blocks on
 		// the missing bytes until the connection closes and surfaces an
 		// unexpected-EOF decode error.
-		var hdr [4]byte
-		binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-		if _, err := w.Write(hdr[:]); err != nil {
-			return fmt.Errorf("write frame header: %w", err)
-		}
-		_, err = w.Write(body[:len(body)/2])
-		return err
+		frame = frame[:4+(len(frame)-4)/2]
 	case chaosDuplicate:
-		if ctr != nil {
-			atomic.AddUint64(&ctr.ChaosDuplicated, 1)
-		}
-		if err := WriteMessage(w, m); err != nil {
-			return err
-		}
-		return WriteMessage(w, m)
+		atomic.AddUint64(&ctr.ChaosDuplicated, 1)
+		frame = append(frame, frame...)
 	case chaosStall:
-		if ctr != nil {
-			atomic.AddUint64(&ctr.ChaosStalled, 1)
-		}
+		atomic.AddUint64(&ctr.ChaosStalled, 1)
 		time.Sleep(stallFor)
-		return WriteMessage(w, m)
-	default:
-		return WriteMessage(w, m)
 	}
+	_, err = w.Write(frame)
+	return err
 }

@@ -1,6 +1,7 @@
 package emu
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -20,7 +21,7 @@ func TestWholeShardTakeover(t *testing.T) {
 	cfg.VideosPerSession = 20
 	cfg.WatchTime = 4 * time.Millisecond
 	cfg.MeanOffTime = 4 * time.Millisecond
-	cfg.ControlPlane = &ControlPlaneConfig{
+	cfg.ControlPlane = ControlPlaneConfig{
 		Shards: 2, Replicas: 2, RingSeed: 1,
 		GossipInterval:  2 * time.Millisecond,
 		GossipTimeout:   10 * time.Millisecond,
@@ -31,7 +32,7 @@ func TestWholeShardTakeover(t *testing.T) {
 	cfg.RPCTimeout = 25 * time.Millisecond
 	cfg.MaxRetries = 2
 	cfg.RetryBackoff = 3 * time.Millisecond
-	res, err := RunCluster(cfg, tr)
+	res, err := RunClusterCtx(context.Background(), cfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,9 +204,9 @@ func TestBreakerDemotesPreferredReplica(t *testing.T) {
 			t.Fatalf("call %d failed despite a live replica: %v", i, err)
 		}
 	}
-	p.brkMu.Lock()
+	p.planeMu.Lock()
 	v, ok := p.prefRep[0]
-	p.brkMu.Unlock()
+	p.planeMu.Unlock()
 	if !ok || v != 1 {
 		t.Fatalf("preference not demoted to the surviving replica: got %v/%v", v, ok)
 	}

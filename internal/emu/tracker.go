@@ -3,7 +3,6 @@ package emu
 import (
 	"fmt"
 	"math"
-	"net"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -59,12 +58,10 @@ func DefaultTrackerConfig() TrackerConfig {
 // for PA-VoD), recommends neighbours on join, publishes channel popularity
 // lists and serves chunks from a finite uplink.
 type Tracker struct {
-	cfg   TrackerConfig
-	tr    *trace.Trace
-	cond  *Conditions
-	ln    net.Listener
-	wg    sync.WaitGroup
-	close chan struct{}
+	cfg  TrackerConfig
+	tr   *trace.Trace
+	cond *Conditions
+	ep   *endpoint
 
 	// ctr is updated with atomics (some handlers touch it outside t.mu)
 	// and read lock-free by MetricsSnapshot while the run is live.
@@ -82,9 +79,8 @@ type Tracker struct {
 	addrs map[int]string
 	// Membership state lives in replicated, versioned tables (tombstoned
 	// departures, last-writer-wins merge) so shard replicas reconcile by
-	// anti-entropy gossip. On a single unreplicated tracker they behave
-	// exactly like the plain maps they replaced: Live() hands handlers an
-	// id -> addr map and every selection goes through a sorted view.
+	// anti-entropy gossip. Live() hands handlers an id -> addr map and
+	// every selection goes through a sorted view.
 	//
 	// channels: online SocialTube members per channel overlay. Membership
 	// is exclusive — a peer's home is one channel, so registering it under
@@ -111,7 +107,6 @@ type Tracker struct {
 	gossipMu       sync.Mutex
 	gossipAddrs    []string // own shard's replica endpoints
 	gossipSelf     int      // replica index within the shard
-	gossipShard    int
 	gossipInterval time.Duration
 	gossipTimeout  time.Duration
 	gossiper       *ctrl.Gossiper // same-shard rotation (nil when single-replica)
@@ -164,7 +159,6 @@ func NewTracker(cfg TrackerConfig, tr *trace.Trace, cond *Conditions) (*Tracker,
 		cfg:      cfg,
 		tr:       tr,
 		cond:     cond,
-		close:    make(chan struct{}),
 		g:        dist.NewRNG(cfg.Seed),
 		addrs:    make(map[int]string),
 		channels: ctrl.NewMemberTable(0),
@@ -176,18 +170,15 @@ func NewTracker(cfg TrackerConfig, tr *trace.Trace, cond *Conditions) (*Tracker,
 	for _, ch := range tr.Channels {
 		t.byCat[ch.Primary] = append(t.byCat[ch.Primary], ch.ID)
 	}
+	t.ep = newEndpoint(-1, cond, trackerHandleBudget, &t.ctr, t.admit, t.serve)
 	return t, nil
 }
 
 // Start begins listening and serving requests.
 func (t *Tracker) Start() error {
-	ln, err := net.Listen("tcp", t.cfg.Addr)
-	if err != nil {
+	if err := t.ep.start(t.cfg.Addr); err != nil {
 		return fmt.Errorf("tracker listen: %w", err)
 	}
-	t.ln = ln
-	t.wg.Add(1)
-	go t.acceptLoop()
 	return nil
 }
 
@@ -202,8 +193,9 @@ func (t *Tracker) Start() error {
 // seed is derived as seed + shard*7919, preserving the schedule the
 // sharded control plane has always used. Call after every replica of the
 // plane has Started and before peers register, so the tables' version
-// stamps carry the replica id from the first write. No-op for a 1x1
-// plane (the legacy single tracker's wire traffic stays byte-identical).
+// stamps carry the replica id from the first write. A replica with no
+// partner at all (the 1x1 plane) has nobody to gossip with and starts no
+// loop.
 func (t *Tracker) StartGossip(seed int64, plane [][]string, shard, replica int, interval, timeout time.Duration) {
 	t.channels.SetNode(replica)
 	t.videos.SetNode(replica)
@@ -239,7 +231,6 @@ func (t *Tracker) StartGossip(seed int64, plane [][]string, shard, replica int, 
 	t.gossipMu.Lock()
 	t.gossipAddrs = append([]string(nil), plane[shard]...)
 	t.gossipSelf = replica
-	t.gossipShard = shard
 	t.gossipInterval = interval
 	t.gossipTimeout = timeout
 	t.gossiper = g
@@ -250,24 +241,24 @@ func (t *Tracker) StartGossip(seed int64, plane [][]string, shard, replica int, 
 		t.gossipNext = dist.NewRNG(eff ^ int64(replica)*104_729).Intn(len(others))
 	}
 	t.gossipMu.Unlock()
-	t.wg.Add(1)
+	t.ep.wg.Add(1)
 	go t.gossipLoop()
 }
 
 // gossipLoop drives the replica's anti-entropy rounds until Stop. A
-// replica in a simulated outage neither initiates nor (via handle's down
+// replica in a simulated outage neither initiates nor (via admit's down
 // check) answers exchanges — its beats freeze everywhere, which is
 // exactly the signal the suspicion timeout turns into a death verdict.
 // Partition windows sever rounds at the sender: both gossip legs know
 // their partner's replica index, so a cut exchange is skipped outright
 // and the two sides' views diverge until heal.
 func (t *Tracker) gossipLoop() {
-	defer t.wg.Done()
+	defer t.ep.wg.Done()
 	ticker := time.NewTicker(t.gossipInterval)
 	defer ticker.Stop()
 	for {
 		select {
-		case <-t.close:
+		case <-t.ep.done:
 			return
 		case <-ticker.C:
 		}
@@ -363,23 +354,6 @@ func (t *Tracker) compactTables() {
 	t.watchers.CompactTombstones(h)
 }
 
-// Epoch returns the plane's ring epoch as this replica knows it (0 when
-// liveness is off or no shard has ever changed status).
-func (t *Tracker) Epoch() uint64 {
-	if live := t.live.Load(); live != nil {
-		return live.Epoch()
-	}
-	return 0
-}
-
-// DeadShards returns the dead-shard bitmask as this replica knows it.
-func (t *Tracker) DeadShards() uint64 {
-	if live := t.live.Load(); live != nil {
-		return live.DeadMask()
-	}
-	return 0
-}
-
 // Membership table names on the wire.
 const (
 	syncTableChannels = "channels"
@@ -427,30 +401,15 @@ func (t *Tracker) handleSync(req *Message) *Message {
 }
 
 // Addr returns the tracker's listen address (valid after Start).
-func (t *Tracker) Addr() string {
-	if t.ln == nil {
-		return ""
-	}
-	return t.ln.Addr().String()
-}
+func (t *Tracker) Addr() string { return t.ep.addr() }
 
 // Stop shuts the tracker down and waits for its goroutines.
-func (t *Tracker) Stop() {
-	select {
-	case <-t.close:
-		return
-	default:
-	}
-	close(t.close)
-	if t.ln != nil {
-		t.ln.Close()
-	}
-	t.wg.Wait()
-}
+func (t *Tracker) Stop() { t.ep.stop() }
 
 // SetDown starts (true) or ends (false) a simulated outage. While down the
-// tracker accepts connections and reads requests but never answers — the
-// failure mode a request timeout plus retry is designed for.
+// tracker accepts connections and reads requests but never answers, so
+// clients see timeouts, not resets — the failure mode a request timeout
+// plus retry is designed for.
 func (t *Tracker) SetDown(v bool) {
 	t.down.Store(v)
 }
@@ -489,70 +448,30 @@ func (t *Tracker) ServedBytes() int64 {
 	return t.servedBytes
 }
 
-func (t *Tracker) acceptLoop() {
-	defer t.wg.Done()
-	for {
-		conn, err := t.ln.Accept()
-		if err != nil {
-			select {
-			case <-t.close:
-				return
-			default:
-				continue
-			}
-		}
-		t.wg.Add(1)
-		go func() {
-			defer t.wg.Done()
-			t.handle(conn)
-		}()
-	}
-}
-
 // trackerHandleBudget bounds one request exchange end to end; chunk
 // serves queued beyond it time out exactly as an overloaded server's
 // clients would observe.
 const trackerHandleBudget = 10 * time.Second
 
-func (t *Tracker) handle(conn net.Conn) {
-	defer conn.Close()
-	if err := conn.SetDeadline(time.Now().Add(trackerHandleBudget)); err != nil {
-		return
-	}
-	req, err := ReadMessage(conn)
-	if err != nil {
-		atomic.AddUint64(&t.ctr.FramesMalformed, 1)
-		return
-	}
-	if err := req.Validate(); err != nil {
-		atomic.AddUint64(&t.ctr.FramesRejected, 1)
-		return
-	}
-	if t.down.Load() {
-		return // simulated outage: the request vanishes
-	}
-	if req.From >= 0 && t.cond.Severed(req.From, int(t.side.Load())) {
-		return // partitioned: the peer is on the other side of the cut
-	}
-	if t.cond.Drop() {
-		return // simulated loss: no response
-	}
-	time.Sleep(t.cond.Latency(-1, req.From))
+// admit is the endpoint's reachability check: in a simulated outage the
+// request vanishes, and a partitioned peer is on the other side of the
+// cut.
+func (t *Tracker) admit(req *Message) bool {
+	return !t.down.Load() && !(req.From >= 0 && t.cond.Severed(req.From, int(t.side.Load())))
+}
+
+// serve dispatches req and rides the current ring view on the response,
+// so peers learn about takeovers from ordinary traffic. Epoch 0 (healthy
+// plane or liveness off) stamps nothing.
+func (t *Tracker) serve(req *Message) *Message {
 	resp := t.dispatch(req)
-	if resp != nil {
-		// Ride the current ring view on every peer-facing response, so
-		// peers learn about takeovers from ordinary traffic. Epoch 0
-		// (healthy plane or liveness off) stamps nothing: omitempty
-		// keeps the frames byte-identical to the pre-liveness wire.
-		if live := t.live.Load(); live != nil {
-			if e := live.Epoch(); e > 0 {
-				resp.Epoch = int64(e)
-				resp.DeadShards = live.DeadMask()
-			}
+	if live := t.live.Load(); live != nil {
+		if e := live.Epoch(); e > 0 {
+			resp.Epoch = int64(e)
+			resp.DeadShards = live.DeadMask()
 		}
-		act, stall := t.cond.nextChaos()
-		writeMessageChaos(conn, resp, act, stall, &t.ctr)
 	}
+	return resp
 }
 
 // Stats returns how many requests the tracker handled, by message type.
@@ -578,17 +497,10 @@ type TrackerMetrics struct {
 // MetricsSnapshot captures the tracker's current metrics. Safe to call from
 // any goroutine while the tracker serves.
 func (t *Tracker) MetricsSnapshot() TrackerMetrics {
+	m := TrackerMetrics{RequestsByType: t.Stats(), Counters: t.ctr.Snapshot()}
 	t.mu.Lock()
-	m := TrackerMetrics{
-		Peers:          len(t.addrs),
-		ServedBytes:    t.servedBytes,
-		RequestsByType: make(map[MsgType]int64, len(t.requests)),
-	}
-	for k, v := range t.requests {
-		m.RequestsByType[k] = v
-	}
+	m.Peers, m.ServedBytes = len(t.addrs), t.servedBytes
 	t.mu.Unlock()
-	m.Counters = t.ctr.Snapshot()
 	return m
 }
 

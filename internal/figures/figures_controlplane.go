@@ -92,7 +92,7 @@ func (s EmuScale) planeFaults(tr *trace.Trace, cp emu.ControlPlaneConfig, title 
 	points := make([]ControlPlanePoint, 0, len(variants))
 	for _, v := range variants {
 		res, err := s.runMode(tr, emu.ModeSocialTube, func(c *emu.ClusterConfig) {
-			c.ControlPlane = &cp
+			c.ControlPlane = cp
 			c.Faults = v.plan
 			tightRetry(c)
 		})

@@ -1,6 +1,7 @@
 package figures
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -88,7 +89,7 @@ func (s EmuScale) runMode(tr *trace.Trace, mode emu.Mode, mutate func(*emu.Clust
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	res, err := emu.RunCluster(cfg, tr)
+	res, err := emu.RunClusterCtx(context.Background(), cfg, tr)
 	if err != nil {
 		return nil, fmt.Errorf("emulate %s: %w", mode, err)
 	}

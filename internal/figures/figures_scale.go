@@ -123,21 +123,25 @@ type ScaleEnv struct {
 	// Workers and ShardLoad appear on sharded-engine points only: the
 	// worker-pool size the run was launched with and the per-community
 	// loop load. They live in Env — Canonical() zeroes them — because
-	// busy/barrier-wait are wall-clock and Workers is a launch parameter;
-	// the EventsFired column rides along to give the times a denominator.
+	// busy time is wall-clock and Workers is a launch parameter; the
+	// EventsFired column rides along to give the times a denominator.
 	Workers   int            `json:"workers,omitempty"`
 	ShardLoad []ShardLoadEnv `json:"shardLoad,omitempty"`
+	// Utilisation is Σbusy / (workers × wall): how much of the worker
+	// pool the run kept occupied. CriticalPathFrac is max busy / Σbusy:
+	// the share of the work in the hottest loop, whose inverse bounds the
+	// speedup this partition allows. Same definitions as bench/'s
+	// sim.sharded.utilisation and sim.sharded.critical_path_frac.
+	Utilisation      float64 `json:"utilisation,omitempty"`
+	CriticalPathFrac float64 `json:"criticalPathFrac,omitempty"`
 }
 
 // ShardLoadEnv is one community loop's load in a sharded point: the
-// events it fired, the wall time its engine ran, and the wall time the
-// epoch barriers spent waiting past its own work for the slowest loop —
-// the load-imbalance signal of the sharded engine.
+// events it fired and the wall time its engine ran.
 type ShardLoadEnv struct {
-	Shard         int     `json:"shard"`
-	EventsFired   uint64  `json:"eventsFired"`
-	BusyMs        float64 `json:"busyMs"`
-	BarrierWaitMs float64 `json:"barrierWaitMs"`
+	Shard       int     `json:"shard"`
+	EventsFired uint64  `json:"eventsFired"`
+	BusyMs      float64 `json:"busyMs"`
 }
 
 // ScalePoint is one (population, protocol) cell of the sweep. Every field
@@ -217,13 +221,23 @@ func sweepPoint(users int, protocol string, seed int64, probeInterval time.Durat
 		p.RemoteHits = info.RemoteHits
 		p.Env.Workers = workers
 		p.Env.ShardLoad = make([]ShardLoadEnv, 0, len(info.ShardLoad))
+		var busy, longest time.Duration
 		for _, s := range info.ShardLoad {
 			p.Env.ShardLoad = append(p.Env.ShardLoad, ShardLoadEnv{
-				Shard:         s.Shard,
-				EventsFired:   s.EventsFired,
-				BusyMs:        float64(s.Busy.Nanoseconds()) / 1e6,
-				BarrierWaitMs: float64(s.BarrierWait.Nanoseconds()) / 1e6,
+				Shard:       s.Shard,
+				EventsFired: s.EventsFired,
+				BusyMs:      float64(s.Busy.Nanoseconds()) / 1e6,
 			})
+			busy += s.Busy
+			if s.Busy > longest {
+				longest = s.Busy
+			}
+		}
+		if workers > 0 && wall > 0 {
+			p.Env.Utilisation = busy.Seconds() / (float64(workers) * wall.Seconds())
+		}
+		if busy > 0 {
+			p.Env.CriticalPathFrac = longest.Seconds() / busy.Seconds()
 		}
 	}
 	return p

@@ -148,6 +148,15 @@ func TestScaleSweepSharded(t *testing.T) {
 		if len(p.Env.ShardLoad) != p.Cells {
 			t.Errorf("%s: %d shard-load rows for %d cells", p.Protocol, len(p.Env.ShardLoad), p.Cells)
 		}
+		// The two imbalance numbers share bench/'s definitions: the pool
+		// cannot be more than fully busy, and the hottest of k loops holds
+		// between 1/k and all of the work.
+		if u := p.Env.Utilisation; u <= 0 || u > 1.001 {
+			t.Errorf("%s: utilisation %f outside (0, 1]", p.Protocol, u)
+		}
+		if c := p.Env.CriticalPathFrac; c < 1/float64(p.Cells)-1e-9 || c > 1 {
+			t.Errorf("%s: criticalPathFrac %f outside [1/%d, 1]", p.Protocol, c, p.Cells)
+		}
 		if p.Protocol == "SocialTube" && p.RemoteHits > p.RemoteLookups {
 			t.Errorf("remote hits %d exceed lookups %d", p.RemoteHits, p.RemoteLookups)
 		}

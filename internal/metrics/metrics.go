@@ -135,9 +135,6 @@ func (s *Sample) Summary() Summary {
 	}
 }
 
-// Summarize is an alias of Summary, kept for callers that predate it.
-func (s *Sample) Summarize() Summary { return s.Summary() }
-
 // MarshalJSON encodes the sample as its Summary.
 func (s *Sample) MarshalJSON() ([]byte, error) {
 	return json.Marshal(s.Summary())

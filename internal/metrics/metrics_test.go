@@ -198,7 +198,7 @@ func TestSampleSummarizeAndJSON(t *testing.T) {
 	for i := 1; i <= 100; i++ {
 		s.Add(float64(i))
 	}
-	sum := s.Summarize()
+	sum := s.Summary()
 	if sum.Count != 100 || sum.P50 != 50.5 || sum.Min != 1 || sum.Max != 100 {
 		t.Fatalf("summary wrong: %+v", sum)
 	}
@@ -214,7 +214,7 @@ func TestSampleSummarizeAndJSON(t *testing.T) {
 		t.Fatalf("json round trip: %+v", back)
 	}
 	var empty Sample
-	if got := empty.Summarize(); got.Count != 0 {
+	if got := empty.Summary(); got.Count != 0 {
 		t.Fatal("empty summary should be zero")
 	}
 }

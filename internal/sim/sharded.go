@@ -44,9 +44,6 @@ type ShardedEngine struct {
 	outbox [][]mailItem
 	// scratch is the barrier-time merge buffer, reused across epochs.
 	scratch []mailItem
-	// epochBusy[s] is shard s's wall-clock busy time in the epoch being
-	// executed, used to attribute barrier wait.
-	epochBusy []time.Duration
 
 	stats  []ShardStat
 	epochs uint64
@@ -61,10 +58,10 @@ type mailItem struct {
 }
 
 // ShardStat is one shard's load accounting, surfaced so experiments can
-// report per-shard imbalance. The wall-clock fields (Busy, BarrierWait)
-// measure real time and are therefore environmental: they carry json:"-"
-// so same-seed results marshal byte-identically regardless of machine
-// load — the same convention as obs.MemUsage.
+// report per-shard imbalance. Busy measures real time and is therefore
+// environmental: it carries json:"-" so same-seed results marshal
+// byte-identically regardless of machine load — the same convention as
+// obs.MemUsage.
 type ShardStat struct {
 	// Shard is the shard index.
 	Shard int `json:"shard"`
@@ -78,11 +75,10 @@ type ShardStat struct {
 	MailSent uint64 `json:"mailSent"`
 	MailRecv uint64 `json:"mailRecv"`
 	// Busy is the wall-clock time this shard's engine spent executing
-	// epochs; BarrierWait is the wall-clock time the epoch barrier spent
-	// waiting past this shard's own work for the slowest shard — the
-	// load-imbalance signal.
-	Busy        time.Duration `json:"-"`
-	BarrierWait time.Duration `json:"-"`
+	// epochs. Summed over shards against workers × wall it gives the
+	// run's utilisation; the largest share of the sum is its critical
+	// path.
+	Busy time.Duration `json:"-"`
 }
 
 // ShardedConfig configures a ShardedEngine.
@@ -116,12 +112,11 @@ func NewShardedEngine(cfg ShardedConfig) (*ShardedEngine, error) {
 		workers = cfg.Shards
 	}
 	se := &ShardedEngine{
-		shards:    make([]*Engine, cfg.Shards),
-		epoch:     cfg.Epoch,
-		workers:   workers,
-		outbox:    make([][]mailItem, cfg.Shards),
-		epochBusy: make([]time.Duration, cfg.Shards),
-		stats:     make([]ShardStat, cfg.Shards),
+		shards:  make([]*Engine, cfg.Shards),
+		epoch:   cfg.Epoch,
+		workers: workers,
+		outbox:  make([][]mailItem, cfg.Shards),
+		stats:   make([]ShardStat, cfg.Shards),
 	}
 	for i := range se.shards {
 		se.shards[i] = NewEngine()
@@ -278,18 +273,13 @@ func (se *ShardedEngine) RunCtx(ctx context.Context, horizon time.Duration) erro
 // workers > 1. A direct Engine.Stop on a shard (returning ErrStopped)
 // stops the whole sharded run at this barrier.
 func (se *ShardedEngine) runEpoch(barrier time.Duration) {
-	for i := range se.epochBusy {
-		se.epochBusy[i] = 0
-	}
 	if se.workers == 1 {
 		for i, e := range se.shards {
 			start := time.Now()
 			if err := e.Run(barrier, 0); err != nil {
 				se.stopped = true
 			}
-			busy := time.Since(start)
-			se.epochBusy[i] = busy
-			se.stats[i].Busy += busy
+			se.stats[i].Busy += time.Since(start)
 		}
 		return
 	}
@@ -298,7 +288,6 @@ func (se *ShardedEngine) runEpoch(barrier time.Duration) {
 		mu   sync.Mutex
 		work = make(chan int, len(se.shards))
 	)
-	epochStart := time.Now()
 	for i := range se.shards {
 		work <- i
 	}
@@ -315,23 +304,12 @@ func (se *ShardedEngine) runEpoch(barrier time.Duration) {
 				if err != nil {
 					se.stopped = true
 				}
-				se.epochBusy[i] = busy
 				se.stats[i].Busy += busy
 				mu.Unlock()
 			}
 		}()
 	}
 	wg.Wait()
-	// Barrier wait: the idle tail each shard spends waiting for the
-	// slowest one. With workers < shards the work queue serializes some
-	// shards, so this is an upper bound per shard; it still ranks hot
-	// shards correctly.
-	span := time.Since(epochStart)
-	for i := range se.stats {
-		if wait := span - se.epochBusy[i]; wait > 0 {
-			se.stats[i].BarrierWait += wait
-		}
-	}
 }
 
 // deliver drains every outbox into the destination engines in ascending

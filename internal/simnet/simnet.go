@@ -107,15 +107,8 @@ func (n *Network) Latency(a, b NodeID) time.Duration {
 	if a == b {
 		return 0
 	}
-	if a > b {
-		a, b = b, a
-	}
-	// Hash the ordered pair with the seed into a per-pair RNG so latency
-	// is stable without storing an O(N²) matrix.
-	h := int64(a)*1_000_003 + int64(b)*7919 + n.cfg.Seed*104_729
-	g := dist.NewRNG(h)
 	span := n.cfg.MaxLatency - n.cfg.MinLatency
-	return n.cfg.MinLatency + time.Duration(g.Float64()*float64(span))
+	return n.cfg.MinLatency + time.Duration(dist.PairUniform(n.cfg.Seed, int64(a), int64(b))*float64(span))
 }
 
 // SetServerUplinkFactor throttles the server uplink to factor×configured

@@ -21,31 +21,30 @@ func quickExperimentConfig() socialtube.ExperimentConfig {
 	return cfg
 }
 
-// TestScenarioMatchesLegacyRun pins the migration contract from the
-// package doc: RunExperimentCtx with no options is bit-identical to the
-// legacy RunExperiment.
-func TestScenarioMatchesLegacyRun(t *testing.T) {
+// TestScenarioDefaultsToDefaultNetwork pins what a run without
+// WithNetwork means: the result is bit-identical to one that passes
+// DefaultNetworkConfig explicitly.
+func TestScenarioDefaultsToDefaultNetwork(t *testing.T) {
 	tr := smallTrace(t)
-	sys, err := socialtube.NewSystem(socialtube.DefaultSystemConfig(), tr)
-	if err != nil {
-		t.Fatal(err)
+	run := func(opts ...socialtube.RunOption) []byte {
+		t.Helper()
+		sys, err := socialtube.NewSystem(socialtube.DefaultSystemConfig(), tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := socialtube.RunExperimentCtx(context.Background(), quickExperimentConfig(), tr, sys, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
 	}
-	legacy, err := socialtube.RunExperiment(quickExperimentConfig(), tr, sys, socialtube.DefaultNetworkConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys2, err := socialtube.NewSystem(socialtube.DefaultSystemConfig(), tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctxed, err := socialtube.RunExperimentCtx(context.Background(), quickExperimentConfig(), tr, sys2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jl, _ := json.Marshal(legacy)
-	jc, _ := json.Marshal(ctxed)
-	if string(jl) != string(jc) {
-		t.Fatal("RunExperimentCtx without options diverged from RunExperiment")
+	explicit := run(socialtube.WithNetwork(socialtube.DefaultNetworkConfig()))
+	if implicit := run(); string(implicit) != string(explicit) {
+		t.Fatal("RunExperimentCtx without WithNetwork diverged from the default network")
 	}
 }
 

@@ -18,9 +18,9 @@
 //   - Protocols: SocialTube (NewSystem) plus the NetTube and PA-VoD
 //     baselines (NewNetTube, NewPAVoD), all implementing Protocol.
 //   - Simulation: a discrete-event, trace-driven experiment engine
-//     (RunExperiment) reproducing the PeerSim evaluation.
+//     (RunExperimentCtx) reproducing the PeerSim evaluation.
 //   - Emulation: real TCP nodes on loopback with injected WAN latency and
-//     loss (RunCluster) reproducing the PlanetLab evaluation.
+//     loss (RunClusterCtx) reproducing the PlanetLab evaluation.
 //
 // A minimal end-to-end run:
 //
@@ -28,19 +28,17 @@
 //	if err != nil { ... }
 //	sys, err := socialtube.NewSystem(socialtube.DefaultSystemConfig(), tr)
 //	if err != nil { ... }
-//	res, err := socialtube.RunExperiment(
-//		socialtube.DefaultExperimentConfig(), tr, sys,
-//		socialtube.DefaultNetworkConfig())
+//	res, err := socialtube.RunExperimentCtx(ctx,
+//		socialtube.DefaultExperimentConfig(), tr, sys)
 //	if err != nil { ... }
 //	p1, p50, p99 := res.NormalizedPeerBandwidthPercentiles()
 //
 // # Scenarios: context, fault injection and observability
 //
-// RunExperimentCtx and RunClusterCtx are the context-aware forms of the
-// two run entry points. Cross-cutting concerns — a deterministic fault
-// plan, a trace sink, a counter snapshot destination, a non-default
-// network — attach through functional options instead of extra
-// positional parameters:
+// RunExperimentCtx and RunClusterCtx are the two run entry points.
+// Cross-cutting concerns — a deterministic fault plan, a trace sink, a
+// counter snapshot destination, a non-default network, a sharded control
+// plane — attach through functional options:
 //
 //	var ctr socialtube.Counters
 //	res, err := socialtube.RunExperimentCtx(ctx,
@@ -53,12 +51,6 @@
 // The same FaultPlan drives both engines: compiled once per run from its
 // seed, it replays identically in simulated time (RunExperimentCtx) and
 // on wall-clock offsets against live TCP nodes (RunClusterCtx).
-//
-// Migration note: the legacy four-positional-argument RunExperiment and
-// the two-argument RunCluster are retained as thin wrappers over the Ctx
-// forms with context.Background() and no options; healthy runs produce
-// bit-identical results through either entry point. New code should call
-// the Ctx forms.
 package socialtube
 
 import (
@@ -246,7 +238,6 @@ func ReplicaOutagePlan(seed int64, unit time.Duration, shard, replica int) *Faul
 // RunClusterCtx, or explicitly with NewScenario.
 type Scenario struct {
 	network      NetworkConfig
-	hasNetwork   bool
 	conditions   *Conditions
 	faults       *FaultPlan
 	tracer       Tracer
@@ -257,9 +248,10 @@ type Scenario struct {
 // RunOption configures one aspect of a Scenario.
 type RunOption func(*Scenario)
 
-// NewScenario applies the options to a fresh Scenario.
+// NewScenario applies the options to a fresh Scenario, whose network is
+// DefaultNetworkConfig until WithNetwork says otherwise.
 func NewScenario(opts ...RunOption) *Scenario {
-	s := &Scenario{}
+	s := &Scenario{network: simnet.DefaultConfig()}
 	for _, o := range opts {
 		if o != nil {
 			o(s)
@@ -271,7 +263,7 @@ func NewScenario(opts ...RunOption) *Scenario {
 // WithNetwork sets the simulated network model (simulation runs only;
 // emulated clusters model the network with Conditions instead).
 func WithNetwork(net NetworkConfig) RunOption {
-	return func(s *Scenario) { s.network = net; s.hasNetwork = true }
+	return func(s *Scenario) { s.network = net }
 }
 
 // WithConditions sets the emulated WAN conditions (cluster runs only).
@@ -300,7 +292,7 @@ func WithCounters(dst *Counters) RunOption {
 // WithControlPlane shards and replicates the cluster's tracker (cluster
 // runs only): cp.Shards x cp.Replicas trackers are started, channels map
 // to shards by rendezvous hashing, and peers fail over between a shard's
-// replicas. Without this option the cluster runs the legacy single
+// replicas. Without this option the cluster runs the 1x1 plane: one
 // tracker.
 func WithControlPlane(cp ControlPlaneConfig) RunOption {
 	return func(s *Scenario) { s.controlPlane = &cp }
@@ -312,24 +304,13 @@ func DefaultExperimentConfig() ExperimentConfig { return exp.DefaultConfig() }
 // DefaultNetworkConfig returns Table I's network parameters.
 func DefaultNetworkConfig() NetworkConfig { return simnet.DefaultConfig() }
 
-// RunExperiment drives the protocol over the trace with churn and returns
-// the paper's three evaluation metrics. It is the legacy positional form
-// of RunExperimentCtx (background context, no faults, no tracing).
-func RunExperiment(cfg ExperimentConfig, tr *Trace, p Protocol, net NetworkConfig) (*ExperimentResult, error) {
-	return RunExperimentCtx(context.Background(), cfg, tr, p, WithNetwork(net))
-}
-
-// RunExperimentCtx drives the protocol over the trace under ctx. Options
-// attach a fault plan, a tracer, a counter sink and a non-default
-// network model; with no options the result is bit-identical to
-// RunExperiment's.
+// RunExperimentCtx drives the protocol over the trace with churn under
+// ctx and returns the paper's three evaluation metrics. Options attach a
+// fault plan, a tracer, a counter sink and a non-default network model
+// (the default is DefaultNetworkConfig).
 func RunExperimentCtx(ctx context.Context, cfg ExperimentConfig, tr *Trace, p Protocol, opts ...RunOption) (*ExperimentResult, error) {
 	sc := NewScenario(opts...)
-	net := sc.network
-	if !sc.hasNetwork {
-		net = simnet.DefaultConfig()
-	}
-	res, err := exp.RunCtx(ctx, cfg, tr, p, net, exp.Options{Faults: sc.faults, Tracer: sc.tracer})
+	res, err := exp.RunCtx(ctx, cfg, tr, p, sc.network, exp.Options{Faults: sc.faults, Tracer: sc.tracer})
 	if err != nil {
 		return nil, err
 	}
@@ -394,14 +375,6 @@ func NewTracker(cfg TrackerConfig, tr *Trace, cond *Conditions) (*Tracker, error
 	return emu.NewTracker(cfg, tr, cond)
 }
 
-// NewPeer builds one TCP peer over the trace against a single tracker
-// address. It is the documented single-shard shim over
-// NewPeerWithControlPlane (the address becomes a 1x1 SingleTracker
-// plane); new code should build a ControlPlane and use the Ctx-era form.
-func NewPeer(cfg PeerConfig, tr *Trace, trackerAddr string, cond *Conditions) (*Peer, error) {
-	return emu.NewPeer(cfg, tr, trackerAddr, cond)
-}
-
 // NewPeerWithControlPlane builds one TCP peer that routes tracker-path
 // RPCs through the control plane's shard directory and fails over
 // between a shard's replicas.
@@ -419,23 +392,14 @@ func StartControlPlane(cfg ControlPlaneConfig, tc TrackerConfig, tr *Trace, cond
 }
 
 // NewControlPlaneClient builds a routing-only plane over already-running
-// tracker endpoints (replicas[shard][replica] lists their addresses).
+// tracker endpoints (replicas[shard][replica] lists their addresses); one
+// address is the 1x1 plane over a single tracker.
 func NewControlPlaneClient(ringSeed int64, replicas [][]string) (*ControlPlane, error) {
 	return emu.NewControlPlaneClient(ringSeed, replicas)
 }
 
-// SingleTracker wraps one tracker address as a 1x1 control plane — the
-// legacy single-tracker topology.
-func SingleTracker(addr string) *ControlPlane { return emu.SingleTracker(addr) }
-
-// RunCluster starts a tracker plus peers, drives the session workload and
-// returns aggregated metrics. It is the legacy positional form of
-// RunClusterCtx (background context, no options).
-func RunCluster(cfg ClusterConfig, tr *Trace) (*ClusterResult, error) {
-	return RunClusterCtx(context.Background(), cfg, tr)
-}
-
-// RunClusterCtx runs the emulated cluster under ctx: cancellation stops
+// RunClusterCtx starts a control plane plus peers, drives the session
+// workload under ctx and returns aggregated metrics: cancellation stops
 // the workload and releases every tracker and peer goroutine before
 // returning ctx.Err(). WithConditions, WithFaults, WithTracer and
 // WithCounters apply; WithNetwork is simulation-only and is ignored here
@@ -452,7 +416,7 @@ func RunClusterCtx(ctx context.Context, cfg ClusterConfig, tr *Trace, opts ...Ru
 		cfg.Tracer = sc.tracer
 	}
 	if sc.controlPlane != nil {
-		cfg.ControlPlane = sc.controlPlane
+		cfg.ControlPlane = *sc.controlPlane
 	}
 	res, err := emu.RunClusterCtx(ctx, cfg, tr)
 	if err != nil {

@@ -1,6 +1,7 @@
 package socialtube_test
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -35,7 +36,7 @@ func TestPublicAPIEndToEndSimulation(t *testing.T) {
 	cfg.WatchScale = 0.05
 	cfg.MeanOffTime = 60 * time.Second
 	cfg.Horizon = 6 * time.Hour
-	res, err := socialtube.RunExperiment(cfg, tr, sys, socialtube.DefaultNetworkConfig())
+	res, err := socialtube.RunExperimentCtx(context.Background(), cfg, tr, sys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestPublicAPIEmulation(t *testing.T) {
 	cfg.Sessions = 1
 	cfg.VideosPerSession = 3
 	cfg.WatchTime = 5 * time.Millisecond
-	res, err := socialtube.RunCluster(cfg, tr)
+	res, err := socialtube.RunClusterCtx(context.Background(), cfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
