@@ -20,6 +20,8 @@ package ctrl
 import (
 	"fmt"
 	"sort"
+
+	"github.com/socialtube/socialtube/internal/dist"
 )
 
 // Ring maps int64 keys (channel ids) to shard indices by rendezvous
@@ -50,7 +52,7 @@ func (r *Ring) Owner(key int64) int {
 	}
 	best, bestScore := 0, uint64(0)
 	for s := 0; s < r.shards; s++ {
-		score := mix64(uint64(r.seed)*0x9E3779B97F4A7C15 ^ uint64(key)<<1 ^ uint64(s)*0xBF58476D1CE4E5B9)
+		score := dist.Mix64(uint64(r.seed)*0x9E3779B97F4A7C15 ^ uint64(key)<<1 ^ uint64(s)*0xBF58476D1CE4E5B9)
 		if s == 0 || score > bestScore {
 			best, bestScore = s, score
 		}
@@ -76,7 +78,7 @@ func (r *Ring) OwnerExcluding(key int64, dead uint64) int {
 		if s < 64 && dead&(1<<uint(s)) != 0 {
 			continue
 		}
-		score := mix64(uint64(r.seed)*0x9E3779B97F4A7C15 ^ uint64(key)<<1 ^ uint64(s)*0xBF58476D1CE4E5B9)
+		score := dist.Mix64(uint64(r.seed)*0x9E3779B97F4A7C15 ^ uint64(key)<<1 ^ uint64(s)*0xBF58476D1CE4E5B9)
 		if !found || score > bestScore {
 			best, bestScore, found = s, score, true
 		}
@@ -85,18 +87,6 @@ func (r *Ring) OwnerExcluding(key int64, dead uint64) int {
 		return r.Owner(key)
 	}
 	return best
-}
-
-// mix64 is the splitmix64 finalizer: a cheap, well-distributed 64-bit
-// mixer, plenty for spreading a few hundred channel keys over a handful
-// of shards.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return x
 }
 
 // Directory is the client-side view of the control plane: the ring plus
@@ -201,7 +191,7 @@ func NewGossiper(seed int64, self, n int) *Gossiper {
 	}
 	// A seeded rotation start keeps replicas from thundering at the same
 	// sibling; the walk itself is round-robin so no sibling starves.
-	off := int(mix64(uint64(seed)^uint64(self)*0x9E3779B97F4A7C15) % uint64(len(sib)))
+	off := int(dist.Mix64(uint64(seed)^uint64(self)*0x9E3779B97F4A7C15) % uint64(len(sib)))
 	sort.Ints(sib)
 	g := &Gossiper{siblings: sib, next: off}
 	return g

@@ -365,3 +365,43 @@ func TestBoundedParetoRangeProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestPairUniform pins what the latency models need from the stateless
+// pair draw: symmetric, in [0, 1), defined for the server/tracker id -1,
+// seed-dependent, uniform in mean and variance over 10^5 pairs, and
+// uncorrelated between pairs that differ by one in either id.
+func TestPairUniform(t *testing.T) {
+	const n = 100_000
+	var sum, sumSq, covA, covB float64
+	for i := int64(0); i < n; i++ {
+		a, b := i%317-1, i/317+i%7 // a covers -1..315
+		u := PairUniform(9, a, b)
+		if u < 0 || u >= 1 {
+			t.Fatalf("PairUniform(9, %d, %d) = %v outside [0, 1)", a, b, u)
+		}
+		if rev := PairUniform(9, b, a); rev != u {
+			t.Fatalf("PairUniform not symmetric for (%d, %d): %v vs %v", a, b, u, rev)
+		}
+		sum += u
+		sumSq += u * u
+		covA += (u - 0.5) * (PairUniform(9, a+1, b) - 0.5)
+		covB += (u - 0.5) * (PairUniform(9, a, b+1) - 0.5)
+	}
+	mean := sum / n
+	if math.Abs(mean-0.5) > 0.005 {
+		t.Errorf("mean %v, want 0.5 within 1%%", mean)
+	}
+	if variance := sumSq/n - mean*mean; math.Abs(variance-1.0/12) > 0.01/12 {
+		t.Errorf("variance %v, want 1/12 within 1%%", variance)
+	}
+	// Correlation of independent uniforms over n pairs is ~N(0, 1/n):
+	// 0.02 is more than six standard deviations.
+	for name, cov := range map[string]float64{"a+1": covA, "b+1": covB} {
+		if corr := cov / n * 12; math.Abs(corr) > 0.02 {
+			t.Errorf("adjacent pairs (%s) correlate: r = %v", name, corr)
+		}
+	}
+	if PairUniform(1, -1, 5) == PairUniform(2, -1, 5) {
+		t.Error("seed does not enter the draw")
+	}
+}

@@ -51,13 +51,26 @@ func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
 // Bool returns true with probability p.
 func (g *RNG) Bool(p float64) bool { return g.r.Float64() < p }
 
+// Mix64 is the splitmix64 finalizer: a cheap, well-distributed, stateless
+// 64-bit mixer. It backs PairUniform and the control plane's HRW ring.
+func Mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xBF58476D1CE4E5B9
+	x ^= x >> 27
+	x *= 0x94D049BB133111EB
+	x ^= x >> 31
+	return x
+}
+
 // PairUniform returns the uniform [0, 1) draw that the latency models of
 // both substrates (simnet.Network and emu.Conditions) assign to the
-// unordered node pair {a, b} under seed: the pair is hashed with the seed
-// into a fresh RNG, so the value is stable without an O(N²) matrix.
+// unordered node pair {a, b} under seed: a stateless chained mix of
+// (seed, min, max), so the value is stable without an O(N²) matrix and
+// costs no allocation. Negative ids (the server/tracker, -1) are valid.
 func PairUniform(seed, a, b int64) float64 {
 	if a > b {
 		a, b = b, a
 	}
-	return NewRNG(a*1_000_003 + b*7919 + seed*104_729).Float64()
+	x := Mix64(Mix64(Mix64(uint64(seed))+uint64(a)) + uint64(b))
+	return float64(x>>11) / (1 << 53)
 }

@@ -10,7 +10,6 @@ import (
 
 	"github.com/socialtube/socialtube/internal/dist"
 	"github.com/socialtube/socialtube/internal/faults"
-	"github.com/socialtube/socialtube/internal/metrics"
 	"github.com/socialtube/socialtube/internal/obs"
 	"github.com/socialtube/socialtube/internal/trace"
 	"github.com/socialtube/socialtube/internal/vod"
@@ -151,10 +150,10 @@ type ClusterResult struct {
 	// render it as a Prometheus histogram.
 	StartupDelay obs.Hist
 	// PeerBandwidth: per node, fraction of videos served by peers.
-	PeerBandwidth metrics.Sample
+	PeerBandwidth obs.Hist
 	// LinksByVideoIndex[k]: link counts right after the (k+1)-th video of
 	// a session.
-	LinksByVideoIndex []metrics.Sample
+	LinksByVideoIndex []obs.Hist
 	// Hit counts.
 	CacheHits  int64
 	PrefixHits int64
@@ -183,7 +182,7 @@ type ClusterResult struct {
 	HandoffAttempts int64
 	Handoffs        int64
 	ServerRescues   int64
-	HandoffWaitMs   metrics.Sample
+	HandoffWaitMs   obs.Hist
 	// Obs merges the tracker's and every peer's protocol-counter
 	// snapshots at the end of the run.
 	Obs obs.Counters
@@ -464,7 +463,7 @@ func RunClusterCtx(ctx context.Context, cfg ClusterConfig, tr *trace.Trace) (*Cl
 
 	res := &ClusterResult{
 		Protocol:          cfg.Mode.String(),
-		LinksByVideoIndex: make([]metrics.Sample, cfg.VideosPerSession),
+		LinksByVideoIndex: make([]obs.Hist, cfg.VideosPerSession),
 	}
 	var resMu sync.Mutex
 
@@ -479,8 +478,9 @@ func RunClusterCtx(ctx context.Context, cfg ClusterConfig, tr *trace.Trace) (*Cl
 				ctr.Merge(p.Counters())
 			}
 			obs.WritePromCounters(w, "socialtube", &ctr)
+			// A plain copy would alias the live bucket window.
 			resMu.Lock()
-			hist := res.StartupDelay
+			hist := res.StartupDelay.Clone()
 			resMu.Unlock()
 			obs.WritePromHist(w, "socialtube_startup_delay_ms", &hist)
 		}

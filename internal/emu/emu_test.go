@@ -6,8 +6,11 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -489,6 +492,78 @@ func TestClusterLiveMetrics(t *testing.T) {
 	// same counters the endpoint was serving.
 	if res.CacheHits+res.PeerHits+res.ServerHits == 0 {
 		t.Fatal("run produced no requests")
+	}
+}
+
+// TestPromScrapeRacesRequests scrapes the Prometheus exposition in a loop
+// while requests complete. The handler renders the startup-delay histogram
+// after releasing the result lock, so it must work on a deep copy: a plain
+// struct copy shares the slice-backed bucket window with the histogram the
+// session goroutines keep adding to (the race detector flags it, and a
+// torn render shows buckets summing past the count). Run under -race.
+func TestPromScrapeRacesRequests(t *testing.T) {
+	cfg := DefaultClusterConfig(ModeSocialTube)
+	cfg.Peers = 8
+	cfg.Sessions = 3
+	cfg.VideosPerSession = 4
+	cfg.WatchTime = 3 * time.Millisecond
+	cfg.MeanOffTime = 3 * time.Millisecond
+	cfg.Conditions = fastConditions()
+	cfg.MetricsAddr = "127.0.0.1:0"
+
+	runDone := make(chan struct{})
+	scraperDone := make(chan struct{})
+	scrapes, sawRequests := 0, false
+	cfg.OnMetricsAddr = func(addr string) {
+		go func() {
+			defer close(scraperDone)
+			for {
+				select {
+				case <-runDone:
+					return
+				default:
+				}
+				resp, err := http.Get("http://" + addr + "/metrics?format=prom")
+				if err != nil {
+					continue // the server closes when the run ends
+				}
+				body, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil {
+					continue
+				}
+				scrapes++
+				var lastBucket, inf, count uint64
+				for _, line := range strings.Split(string(body), "\n") {
+					name, val, _ := strings.Cut(line, " ")
+					n, _ := strconv.ParseUint(val, 10, 64)
+					switch {
+					case name == `socialtube_startup_delay_ms_bucket{le="+Inf"}`:
+						inf = n
+					case strings.HasPrefix(name, "socialtube_startup_delay_ms_bucket"):
+						lastBucket = n
+					case name == "socialtube_startup_delay_ms_count":
+						count = n
+					}
+				}
+				if inf != count || lastBucket != count {
+					t.Errorf("torn histogram render: last bucket %d, +Inf %d, count %d", lastBucket, inf, count)
+				}
+				sawRequests = sawRequests || count > 0
+			}
+		}()
+	}
+	res, err := RunClusterCtx(context.Background(), cfg, emuTrace(t))
+	close(runDone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-scraperDone
+	if scrapes == 0 || !sawRequests {
+		t.Fatalf("%d scrapes overlapped the run (saw requests: %v); the test raced nothing", scrapes, sawRequests)
+	}
+	if res.StartupDelay.Len() == 0 {
+		t.Fatal("run recorded no startup delays")
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"github.com/socialtube/socialtube/internal/dist"
 	"github.com/socialtube/socialtube/internal/health"
-	"github.com/socialtube/socialtube/internal/metrics"
 	"github.com/socialtube/socialtube/internal/obs"
 	"github.com/socialtube/socialtube/internal/trace"
 	"github.com/socialtube/socialtube/internal/vod"
@@ -108,7 +107,7 @@ type FailoverResult struct {
 	// Handoff accounting across all requests.
 	HandoffAttempts int
 	Handoffs        int
-	HandoffWaitMs   metrics.Sample
+	HandoffWaitMs   obs.Hist
 	// Messages counts query messages across all requests.
 	Messages int
 	// Obs merges the tracker's and every peer's counters.

@@ -1,0 +1,72 @@
+// Heap accounting is meaningless under the race detector (its shadow
+// memory inflates it), so this file is build-tagged out of -race runs —
+// same convention as internal/sim/alloc_test.go.
+
+//go:build !race
+
+package exp
+
+import (
+	"runtime"
+	"testing"
+	"time"
+
+	"github.com/socialtube/socialtube/internal/load"
+	"github.com/socialtube/socialtube/internal/simnet"
+)
+
+// TestFinishedResultFootprint keeps finished Results of an open-loop run
+// alive — what a sweep or the benchmark harness does with every round —
+// and measures what each one retains. Every series in a Result is a
+// bounded histogram, so the footprint must be a few KiB and must not
+// depend on how many requests the run served: a Result that holds one
+// float per finished video (as LinksByVideoIndex once did) grows 4x
+// between the two durations and is what multiplied a faster simulator's
+// rounds into resident memory.
+func TestFinishedResultFootprint(t *testing.T) {
+	tr := expTrace(t)
+	cfg := quickConfig()
+	cfg.Sessions = 1
+	cfg.VideosPerSession = 4
+	const keep = 8
+	liveHeap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	// perResult is the live heap with the Results held minus the live
+	// heap once they are dropped: exactly what they alone retain.
+	perResult := func(d time.Duration) (bytes, requests int64) {
+		results := make([]*Result, 0, keep)
+		for i := 0; i < keep; i++ {
+			prof := &load.Profile{Mode: load.Steady, Seed: int64(i + 1), RPS: 10, Duration: d}
+			res, err := RunCtx(t.Context(), cfg, tr, socialTube(t, tr), simnet.DefaultConfig(), Options{Load: prof})
+			if err != nil {
+				t.Fatal(err)
+			}
+			results = append(results, res)
+			requests += res.Requests
+		}
+		held := liveHeap()
+		runtime.KeepAlive(results)
+		results = nil
+		return (held - liveHeap()) / keep, requests / keep
+	}
+	short, shortReq := perResult(2 * time.Minute)
+	long, longReq := perResult(8 * time.Minute)
+	t.Logf("retained per Result: %d B at %d requests, %d B at %d requests", short, shortReq, long, longReq)
+	if longReq < 3*shortReq {
+		t.Fatalf("4x duration served %d requests against %d; the comparison needs ~4x", longReq, shortReq)
+	}
+	const budget = 16 << 10
+	if short > budget || long > budget {
+		t.Fatalf("a finished Result retains %d B (%d requests) / %d B (%d requests), budget %d B",
+			short, shortReq, long, longReq, budget)
+	}
+	if long > short+short/2+1024 {
+		t.Fatalf("retained bytes grow with the request count: %d B at %d requests, %d B at %d",
+			short, shortReq, long, longReq)
+	}
+}

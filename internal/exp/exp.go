@@ -119,22 +119,24 @@ func (c Config) Validate() error {
 	return c.Behavior.Validate()
 }
 
-// Result aggregates one experiment run. It marshals to JSON with samples
-// rendered as percentile summaries, for downstream analysis tooling.
+// Result aggregates one experiment run. It marshals to JSON with every
+// series rendered as a percentile summary plus its sparse buckets, for
+// downstream analysis tooling.
 type Result struct {
 	Protocol string `json:"protocol"`
 	// StartupDelay has one observation (in milliseconds) per video
-	// request, excluding local cache hits. It is a bounded log-bucketed
-	// histogram, not a raw sample: request volume grows with N (1M+
-	// users at the top of the scale sweep), so the unbounded
-	// keep-every-observation layout of metrics.Sample is untenable here.
+	// request, excluding local cache hits. Like every series below it is
+	// a bounded log-bucketed histogram: request volume grows with N (1M+
+	// users at the top of the scale sweep), so a finished Result must
+	// not retain anything per request, per finished video or per node.
 	StartupDelay obs.Hist `json:"startupDelayMs"`
 	// PeerBandwidth has one observation per node: the fraction of that
 	// node's downloaded chunks served by peers.
-	PeerBandwidth metrics.Sample `json:"peerBandwidth"`
-	// LinksByVideoIndex[k] samples a node's link count right after it
-	// watched its (k+1)-th video of a session — the Fig. 18 series.
-	LinksByVideoIndex []metrics.Sample `json:"linksByVideoIndex"`
+	PeerBandwidth obs.Hist `json:"peerBandwidth"`
+	// LinksByVideoIndex[k] has one observation per finished video: the
+	// node's link count right after it watched its (k+1)-th video of a
+	// session — the Fig. 18 series.
+	LinksByVideoIndex []obs.Hist `json:"linksByVideoIndex"`
 	// Hit counters by source.
 	CacheHits  metrics.Counter `json:"cacheHits"`
 	PrefixHits metrics.Counter `json:"prefixHits"`
@@ -421,7 +423,7 @@ func newRunner(cfg Config, tr *trace.Trace, proto vod.Protocol, netCfg simnet.Co
 		picker: picker,
 		res: &Result{
 			Protocol:          proto.Name(),
-			LinksByVideoIndex: make([]metrics.Sample, cfg.VideosPerSession),
+			LinksByVideoIndex: make([]obs.Hist, cfg.VideosPerSession),
 		},
 		peerChunks:    make([]int64, len(tr.Users)),
 		serverChunks:  make([]int64, len(tr.Users)),

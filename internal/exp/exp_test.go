@@ -145,10 +145,8 @@ func TestRunCompletesAndAccounts(t *testing.T) {
 	if res.SimulatedTime <= 0 {
 		t.Fatal("no simulated time elapsed")
 	}
-	for _, v := range res.PeerBandwidth.Values() {
-		if v < 0 || v > 1 {
-			t.Fatalf("normalized bandwidth %v outside [0,1]", v)
-		}
+	if lo, hi := res.PeerBandwidth.Min(), res.PeerBandwidth.Max(); lo < 0 || hi > 1 {
+		t.Fatalf("normalized bandwidth range [%v, %v] outside [0,1]", lo, hi)
 	}
 	if res.StartupDelay.Min() < 0 {
 		t.Fatalf("negative startup delay %v", res.StartupDelay.Min())

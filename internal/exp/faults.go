@@ -5,7 +5,6 @@ import (
 
 	"github.com/socialtube/socialtube/internal/faults"
 	"github.com/socialtube/socialtube/internal/load"
-	"github.com/socialtube/socialtube/internal/metrics"
 	"github.com/socialtube/socialtube/internal/obs"
 	"github.com/socialtube/socialtube/internal/vod"
 )
@@ -77,10 +76,10 @@ type Resilience struct {
 	PeerServedDuringFaults uint64 `json:"peerServedDuringFaults"`
 	// RepairLatencyMs samples crash→repair-complete time per
 	// repaired crash, in milliseconds.
-	RepairLatencyMs metrics.Sample `json:"repairLatencyMs"`
+	RepairLatencyMs obs.Hist `json:"repairLatencyMs"`
 	// OrphanFraction samples, after each detected crash, the fraction
 	// of online nodes left with zero overlay links.
-	OrphanFraction metrics.Sample `json:"orphanFraction"`
+	OrphanFraction obs.Hist `json:"orphanFraction"`
 }
 
 // HitRateUnderFaults is the fraction of fault-time requests that peers

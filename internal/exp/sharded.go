@@ -14,7 +14,6 @@ import (
 
 	"github.com/socialtube/socialtube/internal/dist"
 	"github.com/socialtube/socialtube/internal/load"
-	"github.com/socialtube/socialtube/internal/metrics"
 	"github.com/socialtube/socialtube/internal/obs"
 	"github.com/socialtube/socialtube/internal/sim"
 	"github.com/socialtube/socialtube/internal/simnet"
@@ -234,7 +233,7 @@ func RunShardedCtx(ctx context.Context, cfg Config, tr *trace.Trace, factory Cel
 func mergeSharded(cfg Config, tr *trace.Trace, se *sim.ShardedEngine, router *remoteRouter, name string, epoch, tlWindow time.Duration) *Result {
 	merged := &Result{
 		Protocol:          name,
-		LinksByVideoIndex: make([]metrics.Sample, cfg.VideosPerSession),
+		LinksByVideoIndex: make([]obs.Hist, cfg.VideosPerSession),
 	}
 	if tlWindow > 0 {
 		merged.Timeline = newTimelineRec(tlWindow).tl
@@ -257,13 +256,9 @@ func mergeSharded(cfg Config, tr *trace.Trace, se *sim.ShardedEngine, router *re
 				panic(err)
 			}
 		}
-		for _, v := range res.PeerBandwidth.Values() {
-			merged.PeerBandwidth.Add(v)
-		}
+		merged.PeerBandwidth.Merge(&res.PeerBandwidth)
 		for k := range merged.LinksByVideoIndex {
-			for _, v := range res.LinksByVideoIndex[k].Values() {
-				merged.LinksByVideoIndex[k].Add(v)
-			}
+			merged.LinksByVideoIndex[k].Merge(&res.LinksByVideoIndex[k])
 		}
 		merged.CacheHits.Addn(res.CacheHits.Value())
 		merged.PrefixHits.Addn(res.PrefixHits.Value())

@@ -53,10 +53,6 @@ func (p FailoverPoint) Canonical() FailoverPoint {
 
 // failoverPoint reduces one run to its figure cell.
 func failoverPoint(cfg emu.FailoverConfig, res *emu.FailoverResult) FailoverPoint {
-	waitMs := 0.0 // Mean is NaN when the protocol never handed off
-	if res.Handoffs > 0 {
-		waitMs = res.HandoffWaitMs.Mean()
-	}
 	return FailoverPoint{
 		Protocol:        res.Protocol,
 		Seed:            cfg.Seed,
@@ -77,7 +73,7 @@ func failoverPoint(cfg emu.FailoverConfig, res *emu.FailoverResult) FailoverPoin
 		RPCFailures:     res.Obs.RPCFailures,
 		Env: FailoverEnv{
 			WallMs:            float64(res.Elapsed.Nanoseconds()) / 1e6,
-			MeanHandoffWaitMs: waitMs,
+			MeanHandoffWaitMs: res.HandoffWaitMs.Mean(),
 		},
 	}
 }

@@ -16,18 +16,14 @@ import (
 // The zero value is ready to use.
 //
 // Memory: a Sample keeps every observation (plus a lazily built sorted
-// copy), so it holds O(N) float64s — 16 bytes per observation worst case.
-// That is the right trade for per-node or per-event series whose size is
-// bounded by the population (peer bandwidth, links-by-index, repair
-// latency), and it is what makes exact interpolated percentiles possible.
-// It is the wrong trade for per-request series at scale-sweep sizes
-// (1M+ users × sessions × videos): those paths use obs.Hist, a bounded
-// log-bucketed histogram with O(buckets) memory and ≤~1.6% relative
-// quantile error, instead.
+// copy), so it holds O(N) float64s — 16 bytes per observation worst case
+// — which is what makes exact interpolated percentiles possible. No
+// experiment result holds one: every result series, including the ones
+// that look population-bounded (peer bandwidth is per node, but
+// links-by-index is one observation per finished video), is an obs.Hist,
+// a bounded log-bucketed histogram with O(observed range) memory and
+// ≤~3% relative quantile error.
 type Sample struct {
-	// values stays in insertion order for the Sample's whole life:
-	// Values() must not depend on whether a percentile was queried
-	// first.
 	values []float64
 	// sorted is an ascending copy of values, built lazily on the first
 	// percentile query and invalidated by Add.
@@ -38,11 +34,6 @@ type Sample struct {
 func (s *Sample) Add(v float64) {
 	s.values = append(s.values, v)
 	s.sorted = nil
-}
-
-// AddDuration records a duration observation in milliseconds.
-func (s *Sample) AddDuration(d time.Duration) {
-	s.Add(float64(d) / float64(time.Millisecond))
 }
 
 // Len returns the number of observations.
@@ -91,54 +82,6 @@ func (s *Sample) Min() float64 { return s.Percentile(0) }
 
 // Max returns the largest observation, or NaN when empty.
 func (s *Sample) Max() float64 { return s.Percentile(100) }
-
-// Values returns a copy of the observations.
-func (s *Sample) Values() []float64 {
-	out := make([]float64, len(s.values))
-	copy(out, s.values)
-	return out
-}
-
-// Summary is the JSON form of a Sample: its size and key percentiles. It is
-// the one percentile-extraction point shared by the figure builders, the
-// experiment results and the emu /metrics endpoint, so every consumer reports
-// the same statistics.
-type Summary struct {
-	Count int     `json:"count"`
-	Mean  float64 `json:"mean"`
-	P1    float64 `json:"p1"`
-	P25   float64 `json:"p25"`
-	P50   float64 `json:"p50"`
-	P75   float64 `json:"p75"`
-	P90   float64 `json:"p90"`
-	P99   float64 `json:"p99"`
-	Min   float64 `json:"min"`
-	Max   float64 `json:"max"`
-}
-
-// Summary returns the sample's summary (zero-valued when empty).
-func (s *Sample) Summary() Summary {
-	if s.Len() == 0 {
-		return Summary{}
-	}
-	return Summary{
-		Count: s.Len(),
-		Mean:  s.Mean(),
-		P1:    s.Percentile(1),
-		P25:   s.Percentile(25),
-		P50:   s.Percentile(50),
-		P75:   s.Percentile(75),
-		P90:   s.Percentile(90),
-		P99:   s.Percentile(99),
-		Min:   s.Min(),
-		Max:   s.Max(),
-	}
-}
-
-// MarshalJSON encodes the sample as its Summary.
-func (s *Sample) MarshalJSON() ([]byte, error) {
-	return json.Marshal(s.Summary())
-}
 
 // Counter is a named monotonically increasing count.
 type Counter struct {

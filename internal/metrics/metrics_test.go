@@ -62,57 +62,6 @@ func TestSampleAddAfterPercentile(t *testing.T) {
 	}
 }
 
-// TestSampleValuesStableAcrossPercentile pins the call-order
-// independence of Values(): Percentile used to sort the observations in
-// place, so Values() silently switched from insertion order to sorted
-// order after the first percentile query.
-func TestSampleValuesStableAcrossPercentile(t *testing.T) {
-	var s Sample
-	for _, v := range []float64{3, 1, 2} {
-		s.Add(v)
-	}
-	before := s.Values()
-	if got := s.Percentile(50); got != 2 {
-		t.Fatalf("Percentile(50) = %v, want 2", got)
-	}
-	after := s.Values()
-	want := []float64{3, 1, 2}
-	for i := range want {
-		if before[i] != want[i] {
-			t.Fatalf("Values() before percentile = %v, want %v", before, want)
-		}
-		if after[i] != want[i] {
-			t.Fatalf("Values() after percentile = %v, want %v (insertion order lost)", after, want)
-		}
-	}
-	// Percentiles stay correct when observations arrive after a query.
-	s.Add(0)
-	if got := s.Percentile(0); got != 0 {
-		t.Fatalf("Min after re-add = %v, want 0", got)
-	}
-	if got := s.Values()[3]; got != 0 {
-		t.Fatalf("Values()[3] = %v, want the appended 0 last", got)
-	}
-}
-
-func TestSampleAddDuration(t *testing.T) {
-	var s Sample
-	s.AddDuration(1500 * time.Millisecond)
-	if got := s.Mean(); got != 1500 {
-		t.Fatalf("duration sample = %v ms, want 1500", got)
-	}
-}
-
-func TestSampleValuesCopy(t *testing.T) {
-	var s Sample
-	s.Add(7)
-	v := s.Values()
-	v[0] = 1
-	if s.Mean() != 7 {
-		t.Fatal("mutating Values() affected the sample")
-	}
-}
-
 func TestCounter(t *testing.T) {
 	var c Counter
 	c.Inc()
@@ -190,32 +139,6 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestSampleSummarizeAndJSON(t *testing.T) {
-	var s Sample
-	for i := 1; i <= 100; i++ {
-		s.Add(float64(i))
-	}
-	sum := s.Summary()
-	if sum.Count != 100 || sum.P50 != 50.5 || sum.Min != 1 || sum.Max != 100 {
-		t.Fatalf("summary wrong: %+v", sum)
-	}
-	raw, err := json.Marshal(&s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Summary
-	if err := json.Unmarshal(raw, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Count != 100 || back.Mean != sum.Mean {
-		t.Fatalf("json round trip: %+v", back)
-	}
-	var empty Sample
-	if got := empty.Summary(); got.Count != 0 {
-		t.Fatal("empty summary should be zero")
 	}
 }
 

@@ -6,12 +6,14 @@ import (
 	"time"
 )
 
-// Hist is a fixed-size log-bucketed histogram (HDR-style): observations
+// Hist is a bounded log-bucketed histogram (HDR-style): observations
 // land in one of histBuckets exponential buckets with 1/histSubCount
-// relative width, so memory is O(buckets) — a few KiB — no matter how
-// many values are recorded. This is the aggregation type for unbounded
-// paths (per-request startup delays at 1M+ users) where metrics.Sample's
-// keep-every-observation layout is untenable.
+// relative width. Only the window of octaves actually observed is
+// allocated (see counts), so memory is O(observed range) — 72 bytes
+// empty, at most ~10 KiB — no matter how many values are recorded. It is
+// the one aggregation type of every result: per-request series
+// (startup delays at 1M+ users), per-finished-video series (link counts)
+// and per-node series alike.
 //
 // Quantiles are estimated deterministically by walking the cumulative
 // bucket counts and interpolating inside the landing bucket, then
@@ -22,17 +24,21 @@ import (
 // precision beyond the shared bucket layout.
 //
 // Hist is not safe for concurrent use; callers that share one (the emu
-// cluster result) must hold their own lock, exactly as they did for
-// metrics.Sample.
+// cluster result) must hold their own lock. A by-value copy shares the
+// bucket window with the original: readers that outlive the lock must
+// take a Clone.
 type Hist struct {
 	count uint64
 	zeros uint64 // observations <= 0 (e.g. exactly-zero prefix-cache startup delays)
 	sum   float64
 	min   float64
 	max   float64
-	// counts is inline (not a slice) so embedding a Hist in a result
-	// struct costs zero pointer chasing and zero allocations.
-	counts [histBuckets]uint64
+	// counts is a dense window over the absolute bucket range
+	// [lo, lo+len(counts)), grown one whole octave at a time to cover
+	// what was observed. Buckets outside the window are zero. Bucket
+	// indices everywhere else (JSON, EachBucket, Merge) stay absolute.
+	lo     int
+	counts []uint64
 }
 
 const (
@@ -75,6 +81,30 @@ func histBucketBounds(i int) (lo, hi float64) {
 	return lo, hi
 }
 
+// cover grows the window to include the absolute bucket range [from, to),
+// rounded out to whole octaves.
+func (h *Hist) cover(from, to int) {
+	from &^= histSubCount - 1
+	to = (to + histSubCount - 1) &^ (histSubCount - 1)
+	if len(h.counts) == 0 {
+		h.lo = from // an empty window sits wherever it is first needed
+	}
+	if from >= h.lo && to <= h.lo+len(h.counts) {
+		return
+	}
+	from, to = min(from, h.lo), max(to, h.lo+len(h.counts))
+	grown := make([]uint64, to-from)
+	copy(grown[h.lo-from:], h.counts)
+	h.lo, h.counts = from, grown
+}
+
+// Clone returns a deep copy that shares no bucket storage with h.
+func (h *Hist) Clone() Hist {
+	c := *h
+	c.counts = append([]uint64(nil), h.counts...)
+	return c
+}
+
 // Add records one observation. Non-positive values are counted in a
 // dedicated underflow bucket and quantile-estimated as 0 (prefix-cached
 // requests legitimately report a 0 ms startup delay).
@@ -91,12 +121,14 @@ func (h *Hist) Add(v float64) {
 		h.zeros++
 		return
 	}
-	h.counts[histBucketIndex(v)]++
+	i := histBucketIndex(v)
+	if i < h.lo || i >= h.lo+len(h.counts) {
+		h.cover(i, i+1)
+	}
+	h.counts[i-h.lo]++
 }
 
-// AddDuration records a duration in milliseconds (matching
-// metrics.Sample.AddDuration, so call sites swap between the two types
-// without unit drift).
+// AddDuration records a duration in milliseconds.
 func (h *Hist) AddDuration(d time.Duration) {
 	h.Add(float64(d) / float64(time.Millisecond))
 }
@@ -163,22 +195,21 @@ func (h *Hist) Percentile(p float64) float64 {
 	if cum >= rank {
 		return h.clampObserved(0)
 	}
-	for i := range h.counts {
-		c := h.counts[i]
+	for i, c := range h.counts {
 		if c == 0 {
 			continue
 		}
 		prev := cum
 		cum += float64(c)
 		if cum >= rank {
-			lo, hi := histBucketBounds(i)
+			lo, hi := histBucketBounds(h.lo + i)
 			return h.clampObserved(lo + (hi-lo)*(rank-prev)/float64(c))
 		}
 	}
 	return h.Max()
 }
 
-// Merge folds other into h. Both histograms share the fixed bucket
+// Merge folds other into h. Both histograms share the absolute bucket
 // layout, so merging is exact: the merged histogram equals one that
 // observed both value streams directly. Merging order never changes the
 // result.
@@ -195,14 +226,15 @@ func (h *Hist) Merge(other *Hist) {
 	h.count += other.count
 	h.zeros += other.zeros
 	h.sum += other.sum
-	for i := range h.counts {
-		h.counts[i] += other.counts[i]
+	if len(other.counts) > 0 {
+		h.cover(other.lo, other.lo+len(other.counts))
+	}
+	for i, c := range other.counts {
+		h.counts[other.lo-h.lo+i] += c
 	}
 }
 
-// HistSummary is the compact derived view of a Hist. Field names and
-// JSON tags match metrics.Summary, so figure code consuming either type
-// reads d.Mean / d.P50 / d.P99 unchanged.
+// HistSummary is the compact derived view of a Hist.
 type HistSummary struct {
 	Count int     `json:"count"`
 	Mean  float64 `json:"mean"`
@@ -247,7 +279,7 @@ func (h Hist) MarshalJSON() ([]byte, error) {
 	out := histJSON{HistSummary: h.Summary(), Zeros: h.zeros}
 	for i, c := range h.counts {
 		if c != 0 {
-			out.Buckets = append(out.Buckets, [2]uint64{uint64(i), c})
+			out.Buckets = append(out.Buckets, [2]uint64{uint64(h.lo + i), c})
 		}
 	}
 	return json.Marshal(out)
@@ -268,7 +300,7 @@ func (h *Hist) EachBucket(fn func(upperBound float64, cumulative uint64)) {
 			continue
 		}
 		cum += c
-		_, hi := histBucketBounds(i)
+		_, hi := histBucketBounds(h.lo + i)
 		fn(hi, cum)
 	}
 }

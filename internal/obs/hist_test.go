@@ -144,11 +144,10 @@ func TestHistJSONShape(t *testing.T) {
 	}
 }
 
-// TestHistBoundedMemoryAtScale is the metrics.Sample replacement
-// regression pin: one million observations — the 1M-user scale sweep's
-// per-request startup-delay volume — must not grow the histogram at all.
-// metrics.Sample would hold 8 MB of float64s here (plus the sorted
-// copy); the histogram stays at its fixed footprint.
+// TestHistBoundedMemoryAtScale is the keep-every-observation regression
+// pin: one million observations — the 1M-user scale sweep's per-request
+// startup-delay volume — would be 8 MB of float64s; the histogram holds
+// only the bucket window the values span.
 func TestHistBoundedMemoryAtScale(t *testing.T) {
 	var h Hist
 	for i := 0; i < 1_000_000; i++ {
@@ -157,8 +156,11 @@ func TestHistBoundedMemoryAtScale(t *testing.T) {
 	if h.Len() != 1_000_000 {
 		t.Fatalf("Len = %d", h.Len())
 	}
-	// The struct is fixed-size by construction; pin that the JSON stays
-	// compact too (sparse buckets, not observations).
+	if len(h.counts) > histBuckets {
+		t.Fatalf("window holds %d buckets, more than the layout's %d", len(h.counts), histBuckets)
+	}
+	// Pin that the JSON stays compact too (sparse buckets, not
+	// observations).
 	buf, err := json.Marshal(&h)
 	if err != nil {
 		t.Fatal(err)

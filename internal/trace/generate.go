@@ -107,6 +107,7 @@ type generator struct {
 	catWeights []float64
 	chanPop    []float64     // per-channel popularity weight
 	byCat      [][]ChannelID // channels indexed by primary category
+	catPop     [][]float64   // catPop[c][i] = chanPop[byCat[c][i]], built once
 	zipfCache  map[zipfKey]*dist.Zipf
 }
 
@@ -230,6 +231,7 @@ func (gen *generator) channels() error {
 	tr.Channels = make([]Channel, 0, cfg.Channels)
 	gen.chanPop = make([]float64, 0, cfg.Channels)
 	gen.byCat = make([][]ChannelID, cfg.Categories)
+	gen.catPop = make([][]float64, cfg.Categories)
 	for i := 0; i < cfg.Channels; i++ {
 		primary := CategoryID(dist.WeightedChoice(g, gen.catWeights))
 		// Channels focus on few categories (Fig. 11): 1 + Poisson(0.9)
@@ -246,8 +248,10 @@ func (gen *generator) channels() error {
 			Primary:    primary,
 			Categories: pickCategories(g, cfg.Categories, int(primary), nCats),
 		})
-		gen.chanPop = append(gen.chanPop, popDist.Sample(g))
+		pop := popDist.Sample(g)
+		gen.chanPop = append(gen.chanPop, pop)
 		gen.byCat[primary] = append(gen.byCat[primary], ChannelID(i))
+		gen.catPop[primary] = append(gen.catPop[primary], pop)
 	}
 	return nil
 }
@@ -423,34 +427,16 @@ func (gen *generator) pickSubscription(u *User) (ChannelID, error) {
 		}
 		cat := u.Interests[z.Sample(g)-1]
 		if chans := gen.byCat[cat]; len(chans) > 0 {
-			return gen.weightedChannel(chans), nil
+			return chans[dist.WeightedChoice(g, gen.catPop[cat])], nil
 		}
 		// Explicit fallback: no channel has this category as its
 		// primary, so the aligned draw cannot be honored — fall
 		// through to the global popularity-weighted draw.
 	}
-	if len(gen.tr.Channels) == 0 {
-		return -1, nil
-	}
 	// Popularity-weighted global draw: users sometimes subscribe
 	// outside their interests (1-InterestAlignedSubscriptionP of draws).
-	all := make([]ChannelID, len(gen.tr.Channels))
-	for i := range all {
-		all[i] = ChannelID(i)
-	}
-	return gen.weightedChannel(all), nil
-}
-
-func (gen *generator) weightedChannel(chans []ChannelID) ChannelID {
-	weights := make([]float64, len(chans))
-	for i, id := range chans {
-		weights[i] = gen.chanPop[id]
-	}
-	idx := dist.WeightedChoice(gen.g, weights)
-	if idx < 0 {
-		return -1
-	}
-	return chans[idx]
+	// Channel ids are dense, so chanPop is its own weight slice.
+	return ChannelID(dist.WeightedChoice(g, gen.chanPop)), nil
 }
 
 func (gen *generator) favorites(u *User) error {

@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 	"testing/quick"
 	"time"
@@ -332,5 +334,43 @@ func TestInterestsDerivedFromFavorites(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Skip("no users with favourites")
+	}
+}
+
+// TestGenerateGoldenBytes pins the generator's output byte-for-byte: the
+// sha-256 of SaveStream for the default configuration at three population
+// sizes, taken before the subscription draws stopped building a weight
+// slice per draw. Any change to the RNG stream or the draw arithmetic
+// moves every figure and must show up here first.
+func TestGenerateGoldenBytes(t *testing.T) {
+	golden := map[int]string{
+		2_000:   "3cf5fced5c38c126b80fd9fc2707b577bc5cfe343c3e96a9ef5ea34ccd8adf10",
+		10_000:  "231261a462196b53d330e0c3afb82d82d1582bf9a5b7e7a98137327436b6c1ed",
+		100_000: "41f68ee7ce16ed1508db1b26acf150f7900914a53f0164098b3a90deb0e608be",
+	}
+	for users, want := range golden {
+		if users > 10_000 && testing.Short() {
+			continue
+		}
+		cfg := DefaultConfig()
+		cfg.Users = users
+		h := sha256.New()
+		if err := mustGenerate(t, cfg).SaveStream(h); err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != want {
+			t.Errorf("%d users: SaveStream sha-256 %s, want %s", users, got, want)
+		}
+	}
+}
+
+// BenchmarkGenerate measures generating the default 2 000-user trace;
+// scripts/ci.sh prints its ns/op and B/op.
+func BenchmarkGenerate(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Generate(DefaultConfig()); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -57,3 +57,19 @@ func TestLoadStreamHeapBudget(t *testing.T) {
 	}
 	runtime.KeepAlive(loaded)
 }
+
+// TestGenerateAllocBudget guards the subscription draws: they used to
+// build a channel-id slice and a weight slice per draw (28.9 MB/op at
+// 2 000 users, three quarters of it from those two slices); drawing from
+// weights built once leaves ~7.4 MB/op.
+func TestGenerateAllocBudget(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Generate(DefaultConfig()); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got, budget := after.TotalAlloc-before.TotalAlloc, uint64(10<<20); got > budget {
+		t.Fatalf("Generate allocates %d bytes at 2 000 users, budget %d", got, budget)
+	}
+}

@@ -52,6 +52,7 @@ go test ./internal/emu -run '^$' -fuzz '^FuzzHandleMessage$' -fuzztime 30s
 echo "== short benchmarks (allocations) =="
 go test -run '^$' -bench 'BenchmarkFlood|BenchmarkMeshConnect|BenchmarkNeighbors' -benchtime 100x -benchmem ./internal/overlay/
 go test -run '^$' -bench 'BenchmarkRequest|BenchmarkProbe|BenchmarkEngine' -benchtime 100x -benchmem ./internal/core/ ./internal/sim/
+go test -run '^$' -bench 'BenchmarkLatency|BenchmarkGenerate' -benchtime 100x -benchmem ./internal/simnet/ ./internal/trace/
 
 echo "== sharded engine bench smoke (1 worker vs GOMAXPROCS) =="
 # Wall-clock for the same seeded workload on the sequential loop and the
