@@ -44,7 +44,7 @@ func run(args []string) (retErr error) {
 		skipEmu   = fs.Bool("skip-emu", false, "skip the TCP emulation figures")
 		skipScale = fs.Bool("skip-scale", false, "skip the small-N scalability sweep")
 		skipLoad  = fs.Bool("skip-load", false, "skip the open-loop load sweep")
-		shards    = fs.Int("shards", 0, "run the scale and load sweeps on the community-sharded engine with this many workers (0 = classic single-loop engine)")
+		shards    = fs.Int("shards", 0, "run the scale and load sweeps over the category partition (one loop per interest community) with this many workers (0 = the whole trace on one loop)")
 		benchOut  = fs.String("bench-out", "", "append every figure's per-point results to this JSONL file (empty = write nothing)")
 		traceOut  = fs.String("trace-out", "", "write simulation protocol events as JSON Lines to this file")
 	)

@@ -135,7 +135,7 @@ func run(args []string) (retErr error) {
 		fig        = fs.String("fig", "all", figures.Help(figures.GroupSim))
 		scale      = fs.String("scale", "small", "workload scale: small or paper (-fig scale also takes 10m)")
 		seed       = fs.Int64("seed", 1, "experiment seed")
-		shards     = fs.Int("shards", 0, "with -fig scale or -fig load, run each point on the community-sharded engine with this many workers (0 = classic single-loop engine)")
+		shards     = fs.Int("shards", 0, "with -fig scale or -fig load, run each point over the category partition (one loop per interest community) with this many workers (0 = the whole trace on one loop)")
 		users      = fs.Int("users", 0, "with -fig scale or -fig load, replace the preset population with this single size (0 = preset)")
 		benchOut   = fs.String("bench-out", "", "append the figure's per-point results to this JSONL file (empty = write nothing)")
 		jsonDump   = fs.Bool("json", false, "run the three protocols once and dump raw results as JSON")

@@ -169,8 +169,8 @@ func (s *System) SetTracer(t obs.Tracer) { s.tracer = t }
 func (s *System) SetNow(now time.Duration) { s.now = now }
 
 // SetSpanBase namespaces the span ids this system assigns: every id is
-// base|seq. The sharded runner gives each community cell a disjoint
-// base so spans stay unique across one merged trace; single-engine runs
+// base|seq. The category partition gives each community cell a disjoint
+// base so spans stay unique across one merged trace; one-cell runs
 // keep the zero base. Span ids depend only on request order, so they
 // are deterministic for a given seed.
 func (s *System) SetSpanBase(base uint64) { s.spanBase = base }

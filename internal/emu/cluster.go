@@ -238,7 +238,8 @@ func liveMetrics(cfg ClusterConfig, tracker *Tracker, res *ClusterResult, resMu 
 		TraceBytes:   traceBytes,
 		BytesPerUser: float64(traceBytes) / float64(users),
 	}
-	m.HeapHighWater = mem.Sample()
+	mem.Sample()
+	m.HeapHighWater = mem.HighWater()
 	return m
 }
 

@@ -13,7 +13,70 @@ import (
 
 	"github.com/socialtube/socialtube/internal/load"
 	"github.com/socialtube/socialtube/internal/simnet"
+	"github.com/socialtube/socialtube/internal/trace"
+	"github.com/socialtube/socialtube/internal/vod"
 )
+
+// heapSpike holds a large allocation across the request on which the
+// runner's watermark samples the heap, then frees it and forces a GC, so
+// the heap when the run ends is far below its peak.
+type heapSpike struct {
+	vod.Protocol
+	n       int
+	ballast []byte
+}
+
+const spikeBytes = 32 << 20
+
+func (p *heapSpike) Request(node int, v trace.VideoID) vod.RequestResult {
+	switch p.n++; p.n {
+	case watermarkEvery - 8:
+		p.ballast = make([]byte, spikeBytes)
+	case watermarkEvery + 8:
+		p.ballast = nil
+		runtime.GC()
+	}
+	return p.Protocol.Request(node, v)
+}
+
+// TestHeapHighWaterReportsThePeak: Result.Mem.HeapHighWater is the largest
+// heap sample of the run, not the closing one — on either partition, where
+// the fold takes the largest cell's. It used to report MemWatermark.Sample's
+// return value, the heap when the run ended; the partitioned path even
+// discarded every in-run sample.
+func TestHeapHighWaterReportsThePeak(t *testing.T) {
+	tr := expTrace(t)
+	cfg := quickConfig()
+	cfg.Sessions = 16 // ≥ watermarkEvery requests in the largest community cell too
+	check := func(name string, res *Result, err error, spiked int) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if spiked == 0 {
+			t.Fatalf("%s: no cell reached request %d, the test needs a longer workload", name, watermarkEvery)
+		}
+		if res.Mem.HeapHighWater < spikeBytes {
+			t.Fatalf("%s: HeapHighWater %d B is below the %d B held when the watermark sampled mid-run",
+				name, res.Mem.HeapHighWater, spikeBytes)
+		}
+	}
+	p := &heapSpike{Protocol: socialTube(t, tr)}
+	res, err := Run(cfg, tr, p, simnet.DefaultConfig())
+	check("identity", res, err, p.n/watermarkEvery)
+
+	spiked := 0
+	inner := socialTubeFactory(1)
+	factory := func(cell int, cellTr *trace.Trace) (vod.Protocol, error) {
+		proto, err := inner(cell, cellTr)
+		if len(cellTr.Users)*cfg.Sessions*cfg.VideosPerSession > watermarkEvery+8 {
+			spiked++
+		}
+		return &heapSpike{Protocol: proto}, err
+	}
+	res, err = RunSharded(cfg, tr, factory, simnet.DefaultConfig(), ShardedOptions{Workers: 1})
+	check("category", res, err, spiked)
+}
 
 // TestFinishedResultFootprint keeps finished Results of an open-loop run
 // alive — what a sweep or the benchmark harness does with every round —

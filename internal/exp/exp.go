@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"github.com/socialtube/socialtube/internal/dist"
-	"github.com/socialtube/socialtube/internal/faults"
 	"github.com/socialtube/socialtube/internal/load"
 	"github.com/socialtube/socialtube/internal/metrics"
 	"github.com/socialtube/socialtube/internal/obs"
@@ -167,19 +166,17 @@ type Result struct {
 	// mark, which MemUsage keeps out of the JSON encoding so same-seed
 	// Results marshal byte-identically.
 	Mem obs.MemUsage `json:"mem"`
-	// Sharded carries the community-sharded run's extra accounting
-	// (RunSharded); nil for single-engine runs, whose JSON is unchanged.
+	// Sharded carries the category partition's extra accounting
+	// (RunSharded); nil on the identity partition (Run, RunCtx).
 	Sharded *ShardedInfo `json:"sharded,omitempty"`
 	// Timeline is the per-window telemetry recorded when
-	// Options.TimelineWindow (or ShardedOptions.TimelineWindow) is set;
-	// nil otherwise, keeping the JSON of untimed runs unchanged. Windows
-	// are keyed by simulated time, so same-seed timelines are
-	// byte-identical — in sharded runs for any worker count.
+	// Options.TimelineWindow is set; nil otherwise. Windows are keyed by
+	// simulated time, so same-seed timelines are byte-identical — on the
+	// category partition for any worker count.
 	Timeline *obs.Timeline `json:"timeline,omitempty"`
 	// Load carries the open-loop engine's accounting when Options.Load
-	// (or ShardedOptions.Load) installed an offered-load profile, or
-	// when a fault plan fired a flash crowd; nil otherwise, keeping the
-	// JSON of closed-loop runs unchanged.
+	// installed an offered-load profile or a fault plan fired a flash
+	// crowd; nil otherwise.
 	Load *LoadInfo `json:"load,omitempty"`
 }
 
@@ -244,17 +241,19 @@ type runner struct {
 	// mem samples the heap high-water mark once per watermarkEvery
 	// requests (power of two, so the hot path pays one mask test).
 	mem *obs.MemWatermark
-	// remote routes cross-community lookups in sharded runs (RunSharded);
-	// nil for single-engine runs, whose hot path pays one comparison.
+	// remote routes cross-cell lookups and cell is this runner's index in
+	// the partition; nil and 0 on the identity partition, whose hot path
+	// pays one comparison.
 	remote *remoteRouter
-	// cell is this runner's community cell index in a sharded run.
-	cell int
+	cell   int
 	// tl is the per-window telemetry recorder; nil unless
 	// Options.TimelineWindow is set, so untimed runs pay one comparison.
 	tl *timelineRec
 	// Open-loop load state (Options.Load / flash-crowd fault events);
-	// all nil/zero in closed-loop runs.
-	loadGen *load.Gen
+	// all nil/zero in closed-loop runs. streams counts pending arrival
+	// events, one per stream — a profile or a plan-driven flash crowd —
+	// that is still emitting.
+	streams int
 	// loadG is a dedicated RNG for arrival-side decisions (idle-node
 	// choice, session sampling) so installing a load profile never
 	// perturbs the main stream's draws.
@@ -262,13 +261,11 @@ type runner struct {
 	// flashChannel is the channel whose top video a flash arrival
 	// requests.
 	flashChannel int
-	// flashGens counts plan-driven flash generators still emitting.
-	flashGens int
 }
 
 // timelineRec bundles the runner's timeline series handles. The series
-// set and registration order are fixed — every cell of a sharded run
-// builds the same layout, which is what makes cell-order merging valid.
+// set and registration order are fixed — every cell of a run builds the
+// same layout, which is what makes cell-order merging valid.
 type timelineRec struct {
 	tl           *obs.Timeline
 	requests     *obs.Series
@@ -309,31 +306,25 @@ func newTimelineRec(window time.Duration) *timelineRec {
 // it, even when a cross-cell barrier delays the reply.
 func (t *timelineRec) record(ctr *obs.Counters, res vod.RequestResult, reqAt, ready time.Duration, servedBytes int64, shed bool) {
 	t.requests.Add(reqAt, 1)
-	if shed {
-		t.shed.Add(reqAt, 1)
-		if opens := ctr.BreakerOpens; opens != t.lastOpens {
-			t.breakerOpens.Add(reqAt, int64(opens-t.lastOpens))
-			t.lastOpens = opens
-		}
-		return
+	if opens := ctr.BreakerOpens; opens != t.lastOpens {
+		t.breakerOpens.Add(reqAt, int64(opens-t.lastOpens))
+		t.lastOpens = opens
 	}
-	switch res.Source {
-	case vod.SourceCache:
+	switch {
+	case shed:
+		t.shed.Add(reqAt, 1)
+		return
+	case res.Source == vod.SourceCache:
 		t.cacheHits.Add(reqAt, 1)
-	case vod.SourcePeer:
+		return
+	case res.Source == vod.SourcePeer:
 		t.peerHits.Add(reqAt, 1)
 	default:
 		t.serverHits.Add(reqAt, 1)
 	}
-	if res.Source != vod.SourceCache {
-		t.startup.Observe(reqAt, float64(ready-reqAt)/float64(time.Millisecond))
-	}
+	t.startup.Observe(reqAt, float64(ready-reqAt)/float64(time.Millisecond))
 	if servedBytes > 0 {
 		t.serverBytes.Add(reqAt, servedBytes)
-	}
-	if opens := ctr.BreakerOpens; opens != t.lastOpens {
-		t.breakerOpens.Add(reqAt, int64(opens-t.lastOpens))
-		t.lastOpens = opens
 	}
 }
 
@@ -349,58 +340,103 @@ func Run(cfg Config, tr *trace.Trace, proto vod.Protocol, netCfg simnet.Config) 
 }
 
 // RunCtx is Run with cooperative cancellation and cross-cutting options:
-// a deterministic fault plan and/or a tracer. A healthy RunCtx (zero
-// Options) is bit-identical to Run — fault support draws no randomness
-// and schedules no events unless a plan is installed.
+// the identity partition of the one driver — a single cell holding the
+// whole trace, the caller's seed, network and protocol passed through
+// untouched, no router and so no barrier grid. A healthy RunCtx (zero
+// Options) is bit-identical to Run: fault support draws no randomness and
+// schedules no events unless a plan is installed.
 func RunCtx(ctx context.Context, cfg Config, tr *trace.Trace, proto vod.Protocol, netCfg simnet.Config, opts Options) (*Result, error) {
-	r, err := newRunner(cfg, tr, proto, netCfg)
+	lone := []cell{{cfg: cfg, tr: tr, proto: proto, net: netCfg, load: opts.Load}}
+	return drive(ctx, tr, lone, ShardedOptions{Options: opts}, nil)
+}
+
+// cell is one event loop's share of a run: the users it simulates and the
+// protocol instance, workload seed, network and arrival profile they run
+// under — the partition's decisions. A cell without users does no work.
+type cell struct {
+	cfg   Config
+	tr    *trace.Trace
+	proto vod.Protocol
+	net   simnet.Config
+	load  *load.Profile
+}
+
+// drive is the package's one experiment driver: it builds a runner per
+// cell on that cell's loop of a sim.ShardedEngine, arms it, advances all
+// loops to the horizon — opts.Workers at a time, cancellable every few
+// hundred events — and folds the cells' results in cell order. tr is the
+// population the cells partition. The barrier grid only carries the
+// router's cross-cell mail, so without a router the run is a single epoch:
+// for one cell, exactly sim.Engine.RunCtx.
+func drive(ctx context.Context, tr *trace.Trace, cells []cell, opts ShardedOptions, router *remoteRouter) (*Result, error) {
+	if opts.Faults != nil && len(cells) > 1 {
+		return nil, fmt.Errorf("%w: a fault plan addresses global node ids and cannot be installed on a %d-cell partition",
+			dist.ErrBadParameter, len(cells))
+	}
+	loops := sim.ShardedConfig{Shards: len(cells), Workers: opts.Workers}
+	if router != nil {
+		loops.Epoch = DefaultShardedEpoch
+	}
+	se, err := sim.NewShardedEngine(loops)
 	if err != nil {
 		return nil, err
 	}
-	if opts.Tracer != nil {
-		if traceable, ok := proto.(obs.Traceable); ok {
-			traceable.SetTracer(opts.Tracer)
-		}
+	if router != nil {
+		router.se = se
 	}
-	if err := r.arm(opts.TimelineWindow, opts.Load); err != nil {
-		return nil, err
-	}
-	if opts.Faults != nil {
-		sched, err := opts.Faults.Compile(len(tr.Users))
-		if err != nil {
-			return nil, fmt.Errorf("fault plan: %w", err)
+	var runners []*runner
+	for c, cl := range cells {
+		if cl.tr == nil || len(cl.tr.Users) == 0 {
+			continue
 		}
-		for _, ev := range sched.Events {
-			if ev.Kind == faults.KindFlashStart {
-				if err := r.checkFlashChannel(ev.Channel); err != nil {
-					return nil, fmt.Errorf("fault plan: %w", err)
-				}
+		r, err := newRunner(cl.cfg, cl.tr, cl.proto, cl.net)
+		if err == nil {
+			// Everything the runner schedules stays on its cell's loop.
+			r.engine, r.remote, r.cell = se.Shard(c), router, c
+			if router != nil {
+				r.res.Sharded = &ShardedInfo{}
 			}
+			cellOpts := opts.Options
+			cellOpts.Load = cl.load
+			err = r.arm(cellOpts)
 		}
-		if rp, ok := proto.(Repairer); ok {
-			r.repairer = rp
+		if err != nil {
+			if len(cells) > 1 {
+				err = fmt.Errorf("cell %d: %w", c, err)
+			}
+			return nil, err
 		}
-		if rs, ok := proto.(Reseeder); ok {
-			r.reseeder = rs
-		}
-		r.scheduleFaults(sched)
+		runners = append(runners, r)
 	}
-	if err := r.engine.RunCtx(ctx, cfg.Horizon, 0); err != nil {
+	if len(runners) == 0 {
+		return nil, fmt.Errorf("%w: experiment needs a non-empty trace", dist.ErrBadParameter)
+	}
+	if err := se.RunCtx(ctx, runners[0].cfg.Horizon); err != nil {
 		return nil, err
 	}
-	r.finalize()
-	return r.res, nil
+	// The first cell's result is the accumulator, so folding one cell is
+	// the identity.
+	merged := runners[0].finalize()
+	for _, r := range runners[1:] {
+		merged.merge(r.finalize())
+	}
+	merged.SimulatedTime = se.Now()
+	merged.Engine = se.Stats()
+	merged.Mem.TraceBytes = tr.Bytes()
+	merged.Mem.BytesPerUser = float64(merged.Mem.TraceBytes) / float64(len(tr.Users))
+	if info := merged.Sharded; info != nil {
+		info.Cells, info.Epoch, info.Epochs, info.ShardLoad = len(cells), se.EpochLen(), se.Epochs(), se.ShardStats()
+	}
+	return merged, nil
 }
 
-// newRunner validates the inputs and builds a fully wired runner with no
-// events scheduled yet. Split from RunCtx so lifecycle unit tests can
-// drive individual transitions (startSession/watch/endSession) directly.
+// newRunner validates the inputs and builds a fully wired runner over a
+// non-empty trace, on a private engine, with no events scheduled yet.
+// Split from drive so lifecycle unit tests can drive individual
+// transitions (startSession/watch/endSession) directly.
 func newRunner(cfg Config, tr *trace.Trace, proto vod.Protocol, netCfg simnet.Config) (*runner, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("exp config: %w", err)
-	}
-	if tr == nil || len(tr.Users) == 0 {
-		return nil, fmt.Errorf("%w: experiment needs a non-empty trace", dist.ErrBadParameter)
 	}
 	if proto == nil {
 		return nil, fmt.Errorf("%w: nil protocol", dist.ErrBadParameter)
@@ -431,47 +467,51 @@ func newRunner(cfg Config, tr *trace.Trace, proto vod.Protocol, netCfg simnet.Co
 		online:        make([]bool, len(tr.Users)),
 		gen:           make([]uint64, len(tr.Users)),
 		crashed:       make([]bool, len(tr.Users)),
+		ctr:           &obs.Counters{},
 		latencyFactor: 1,
 		mem:           obs.NewMemWatermark(watermarkEvery),
 		flashChannel:  -1,
 	}
-	if timed, ok := proto.(Timed); ok {
-		r.timed = timed
-	}
+	r.timed, _ = proto.(Timed)
 	if inst, ok := proto.(obs.Instrumented); ok {
 		r.ctr = inst.ObsCounters()
-	} else {
-		r.ctr = &obs.Counters{}
 	}
 	return r, nil
 }
 
-// arm schedules a freshly built runner's opening events, in the one order
-// both engines share (it fixes the RNG draws and the event sequence): the
-// timeline recorder, then the arrivals — open-loop from prof, or the
-// closed-loop session chains staggered across one mean off-period — then
-// the maintenance probe loop.
-func (r *runner) arm(timelineWindow time.Duration, prof *load.Profile) error {
-	if timelineWindow > 0 {
-		r.tl = newTimelineRec(timelineWindow)
+// arm installs every run option on a freshly built runner and schedules its
+// opening events, in one fixed order (it fixes the RNG draws and the event
+// sequence): tracer and timeline recorder, then the arrivals — open-loop
+// from opts.Load, or the closed-loop session chains staggered across one
+// mean off-period — then the maintenance probe loop, then the fault plan.
+func (r *runner) arm(opts Options) error {
+	if opts.Tracer != nil {
+		if traceable, ok := r.proto.(obs.Traceable); ok {
+			traceable.SetTracer(opts.Tracer)
+		}
+	}
+	if opts.TimelineWindow > 0 {
+		r.tl = newTimelineRec(opts.TimelineWindow)
 		r.res.Timeline = r.tl.tl
 	}
-	if prof != nil {
+	if opts.Load != nil {
 		// Open loop: arrivals come from the rate profile instead of
 		// per-user session chains (sessionsLeft stays 0 everywhere).
-		if err := r.installLoad(prof); err != nil {
+		if err := r.installLoad(opts.Load); err != nil {
 			return err
 		}
 	} else {
-		for i := range r.tr.Users {
-			r.sessionsLeft[i] = r.cfg.Sessions
+		for node := range r.tr.Users {
+			r.sessionsLeft[node] = r.cfg.Sessions
 			delay := time.Duration(dist.Exponential(r.g, float64(r.cfg.MeanOffTime)))
-			node := i
 			r.engine.At(delay, func(now time.Duration) { r.startSession(node, now) })
 		}
 	}
 	if m, ok := r.proto.(Maintainer); ok {
 		r.engine.After(r.cfg.ProbeInterval, func(now time.Duration) { r.probeAll(m, now) })
+	}
+	if opts.Faults != nil {
+		return r.scheduleFaults(opts.Faults)
 	}
 	return nil
 }
@@ -496,8 +536,7 @@ func (r *runner) startSession(node int, now time.Duration) {
 	r.online[node] = true
 	r.gen[node]++
 	r.proto.Join(node)
-	user := &r.tr.Users[node]
-	plan := r.picker.PlanSession(r.g, user, r.cfg.VideosPerSession, r.cfg.MeanOffTime)
+	plan := r.picker.PlanSession(r.g, &r.tr.Users[node], r.cfg.VideosPerSession, r.cfg.MeanOffTime)
 	r.watch(node, plan, 0, r.gen[node], now)
 }
 
@@ -526,37 +565,31 @@ func (r *runner) watch(node int, plan vod.SessionPlan, idx int, gen uint64, now 
 		// arrives after the epoch barrier.
 		return
 	}
-	r.watchAccount(node, plan, idx, gen, v, res, now, now, false)
+	r.watchAccount(node, plan, idx, gen, res, now, now)
 }
 
 // watchAccount is the second half of watch: account the located result's
 // delivery and schedule the post-playback step. reqAt is when the request
 // was issued and now when the result became known — they differ only for
 // cross-community lookups, whose barrier wait is real startup delay.
-// remotePeer marks a provider living in another community cell, delivered
-// by the analytic cross-community path instead of the local simnet.
-func (r *runner) watchAccount(node int, plan vod.SessionPlan, idx int, gen uint64, v trace.VideoID, res vod.RequestResult, reqAt, now time.Duration, remotePeer bool) {
+func (r *runner) watchAccount(node int, plan vod.SessionPlan, idx int, gen uint64, res vod.RequestResult, reqAt, now time.Duration) {
 	if r.gen[node] != gen {
 		return
 	}
-	video := r.tr.Video(v)
+	video := r.tr.Video(plan.Videos[idx])
 	// Chunk sizes scale with WatchScale so compressed timelines offer the
 	// server a proportionally compressed load; otherwise time compression
 	// would multiply the offered bitrate without scaling capacity.
 	chunkBytes := int64(float64(vod.ChunkBytes(video.Length, r.cfg.BitrateBps, r.cfg.ChunksPerVideo)) * r.cfg.WatchScale)
-	var ready time.Duration // when playback can start
-	var shed bool           // server admission queue turned the request away
+	ready := now  // when playback can start: at once from the local cache
+	var shed bool // server admission queue turned the request away
+	serverBytes := r.net.ServerBytes()
 	switch res.Source {
 	case vod.SourceCache:
 		r.res.CacheHits.Inc()
-		ready = now
 	case vod.SourcePeer:
 		r.res.PeerHits.Inc()
-		if remotePeer {
-			ready = r.remote.deliverRemote(r, node, res, chunkBytes, now)
-		} else {
-			ready, _ = r.deliver(node, simnet.NodeID(res.Provider), res, chunkBytes, now)
-		}
+		ready, _ = r.deliver(node, simnet.NodeID(res.Provider), res, chunkBytes, now)
 		r.peerChunks[node] += int64(r.cfg.ChunksPerVideo)
 		r.ctr.ChunksPeer += uint64(r.cfg.ChunksPerVideo)
 	case vod.SourceServer:
@@ -586,8 +619,6 @@ func (r *runner) watchAccount(node int, plan vod.SessionPlan, idx int, gen uint6
 			r.serverChunks[node] += int64(r.cfg.ChunksPerVideo)
 			r.ctr.ChunksServer += uint64(r.cfg.ChunksPerVideo)
 		}
-	default:
-		ready = now
 	}
 	if res.Source != vod.SourceCache && !shed {
 		r.res.StartupDelay.AddDuration(ready - reqAt)
@@ -596,38 +627,24 @@ func (r *runner) watchAccount(node int, plan vod.SessionPlan, idx int, gen uint6
 		}
 	}
 	if r.tl != nil {
-		served := int64(0)
-		if res.Source == vod.SourceServer && !shed {
-			served = chunkBytes * int64(r.cfg.ChunksPerVideo)
-			if res.PrefixCached {
-				served -= chunkBytes
-			}
-		}
-		r.tl.record(r.ctr, res, reqAt, ready, served, shed)
+		r.tl.record(r.ctr, res, reqAt, ready, r.net.ServerBytes()-serverBytes, shed)
 	}
-	if shed {
-		// The abandoned video still advances the session chain: the
-		// viewer moves on to the next one immediately.
-		r.engine.At(ready, func(at time.Duration) {
-			if !r.online[node] || r.gen[node] != gen {
-				return
-			}
-			r.tick(at)
-			r.watch(node, plan, idx+1, gen, at)
-		})
-		return
+	// Playback, then the next video — immediately when the request was shed:
+	// the viewer abandons it and the session chain moves on.
+	finishAt := ready
+	if !shed {
+		finishAt += time.Duration(float64(video.Length) * r.cfg.WatchScale)
 	}
-
-	playback := time.Duration(float64(video.Length) * r.cfg.WatchScale)
-	finishAt := ready + playback
 	r.engine.At(finishAt, func(at time.Duration) {
 		if !r.online[node] || r.gen[node] != gen {
 			return
 		}
 		r.tick(at)
-		r.proto.Finish(node, v)
-		if idx < len(r.res.LinksByVideoIndex) {
-			r.res.LinksByVideoIndex[idx].Add(float64(r.proto.Links(node)))
+		if !shed {
+			r.proto.Finish(node, plan.Videos[idx])
+			if idx < len(r.res.LinksByVideoIndex) {
+				r.res.LinksByVideoIndex[idx].Add(float64(r.proto.Links(node)))
+			}
 		}
 		r.watch(node, plan, idx+1, gen, at)
 	})
@@ -641,9 +658,16 @@ func (r *runner) watchAccount(node int, plan vod.SessionPlan, idx int, gen uint6
 // and only the remainder — total minus the local chunk — crosses the
 // provider's uplink. Server deliveries pass through the bounded admission
 // queue when the simnet configures one: shed=true means the queue was full,
-// no bytes moved and the viewer abandoned this video.
+// no bytes moved and the viewer abandoned this video. A provider in another
+// cell (remoteProvider) is reached over the server-path latency and fills
+// the buffer at its nominal uplink rate: its uplink queue lives in that cell
+// and is deliberately not shared state (DESIGN.md §12).
 func (r *runner) deliver(node int, from simnet.NodeID, res vod.RequestResult, chunkBytes int64, now time.Duration) (ready time.Duration, shed bool) {
 	to := simnet.NodeID(node)
+	remote := from == remoteProvider
+	if remote {
+		from = simnet.ServerID
+	}
 	// Query path: one one-way latency per overlay hop (server requests
 	// pay one round trip to the server).
 	lat := r.net.Latency(from, to)
@@ -660,42 +684,37 @@ func (r *runner) deliver(node int, from simnet.NodeID, res vod.RequestResult, ch
 	if res.PrefixCached {
 		// The leading chunk is already local: only the remainder is
 		// fetched over the provider's uplink.
-		fetch = total - chunkBytes
-		if fetch < 0 {
-			fetch = 0
-		}
+		fetch = max(0, total-chunkBytes)
 	}
-	buffer := int64(float64(r.cfg.BitrateBps) * r.cfg.PlayoutBuffer.Seconds() / 8 * r.cfg.WatchScale)
-	if buffer > fetch {
-		buffer = fetch
+	// head is what must land before playback starts: the playout buffer,
+	// or nothing when playback starts from the local chunk and the whole
+	// fetch streams behind it.
+	head := min(fetch, int64(float64(r.cfg.BitrateBps)*r.cfg.PlayoutBuffer.Seconds()/8*r.cfg.WatchScale))
+	if res.PrefixCached {
+		head = 0
 	}
-	if from == simnet.ServerID {
-		head := buffer
-		if res.PrefixCached {
-			// Playback starts from the local chunk; the whole fetch
-			// streams behind it.
-			head = 0
-		}
-		headDone, ok := r.net.ServerTransfer(to, head, fetch, start)
-		if !ok {
+	headDone := now
+	switch {
+	case remote:
+		r.res.Sharded.RemoteBytes += fetch
+		headDone = start + time.Duration(float64(head)*8/float64(r.remote.peerUplinkBps)*float64(time.Second))
+	case from == simnet.ServerID:
+		var ok bool
+		if headDone, ok = r.net.ServerTransfer(to, head, fetch, start); !ok {
 			return now, true
 		}
-		if res.PrefixCached {
-			return now, false
+	default:
+		if !res.PrefixCached {
+			headDone = r.net.Transfer(from, to, head, start)
 		}
-		return headDone, false
+		if rest := fetch - head; rest > 0 {
+			r.net.Transfer(from, to, rest, start)
+		}
 	}
 	if res.PrefixCached {
-		if fetch > 0 {
-			r.net.Transfer(from, to, fetch, start)
-		}
 		return now, false
 	}
-	bufferDone := r.net.Transfer(from, to, buffer, start)
-	if rest := fetch - buffer; rest > 0 {
-		r.net.Transfer(from, to, rest, start)
-	}
-	return bufferDone, false
+	return headDone, false
 }
 
 // endSession closes a node's session chain. The usual caller is watch()
@@ -736,38 +755,73 @@ func (r *runner) probeAll(m Maintainer, now time.Duration) {
 	// population is down ends maintenance for the rest of the run.)
 	// An open-loop arrival stream (or a still-running flash crowd) is
 	// future work too, even at an instant when nobody is online.
-	if (r.loadGen != nil && !r.loadGen.Done()) || r.flashGens > 0 {
-		r.engine.After(r.cfg.ProbeInterval, func(at time.Duration) { r.probeAll(m, at) })
-		return
+	more, rejoinable := r.streams > 0, r.rejoinsPending > 0
+	for node := 0; !more && node < len(r.online); node++ {
+		more = r.online[node] || (r.sessionsLeft[node] > 0 && (!r.crashed[node] || rejoinable))
 	}
-	rejoinable := r.rejoinsPending > 0
-	for node := range r.sessionsLeft {
-		if r.online[node] || (r.sessionsLeft[node] > 0 && (!r.crashed[node] || rejoinable)) {
-			r.engine.After(r.cfg.ProbeInterval, func(at time.Duration) { r.probeAll(m, at) })
-			return
-		}
+	if more {
+		r.engine.After(r.cfg.ProbeInterval, func(at time.Duration) { r.probeAll(m, at) })
 	}
 }
 
-func (r *runner) finalize() {
+// finalize closes the runner's accounting and returns its cell's Result;
+// simulated time, engine stats and trace footprint are the driver's.
+func (r *runner) finalize() *Result {
 	for node := range r.tr.Users {
-		total := r.peerChunks[node] + r.serverChunks[node]
-		if total == 0 {
-			continue
+		if total := r.peerChunks[node] + r.serverChunks[node]; total > 0 {
+			r.res.PeerBandwidth.Add(float64(r.peerChunks[node]) / float64(total))
 		}
-		r.res.PeerBandwidth.Add(float64(r.peerChunks[node]) / float64(total))
 	}
 	r.res.ServerBytes = r.net.ServerBytes()
 	r.res.PeerBytes = r.net.PeerBytes()
+	if info := r.res.Sharded; info != nil {
+		// Cross-community providers are peers too, but their bytes never
+		// crossed this cell's simnet.
+		r.res.PeerBytes += info.RemoteBytes
+	}
 	if r.res.Load != nil {
 		r.res.Load.QueuePeak = r.net.ServerQueuePeak()
 	}
-	r.res.SimulatedTime = r.engine.Now()
 	r.res.Obs = r.ctr.Snapshot()
-	r.res.Engine = r.engine.Stats()
-	r.res.Mem = obs.MemUsage{
-		TraceBytes:    r.tr.Bytes(),
-		HeapHighWater: r.mem.Sample(),
+	r.mem.Sample()
+	r.res.Mem.HeapHighWater = r.mem.HighWater()
+	return r.res
+}
+
+// merge folds another cell's Result into this one. Callers fold in cell
+// order, so the merged series are independent of the worker layout. The
+// resilience block is not folded: a fault plan runs on one cell only.
+func (res *Result) merge(o *Result) {
+	res.StartupDelay.Merge(&o.StartupDelay)
+	res.PeerBandwidth.Merge(&o.PeerBandwidth)
+	for k := range res.LinksByVideoIndex {
+		res.LinksByVideoIndex[k].Merge(&o.LinksByVideoIndex[k])
 	}
-	r.res.Mem.BytesPerUser = float64(r.res.Mem.TraceBytes) / float64(len(r.tr.Users))
+	res.CacheHits.Addn(o.CacheHits.Value())
+	res.PrefixHits.Addn(o.PrefixHits.Value())
+	res.PeerHits.Addn(o.PeerHits.Value())
+	res.ServerHits.Addn(o.ServerHits.Value())
+	res.Messages.Addn(o.Messages.Value())
+	res.ProbeMessages.Addn(o.ProbeMessages.Value())
+	res.ServerBytes += o.ServerBytes
+	res.PeerBytes += o.PeerBytes
+	res.Requests += o.Requests
+	res.Obs.Merge(o.Obs)
+	res.Mem.HeapHighWater = max(res.Mem.HeapHighWater, o.Mem.HeapHighWater)
+	// The partition arms every cell alike, so the optional blocks are
+	// present in all of them or in none — and every timeline has the layout
+	// newTimelineRec built, so a merge error is a programming error.
+	if res.Timeline != nil {
+		if err := res.Timeline.Merge(o.Timeline); err != nil {
+			panic(err)
+		}
+	}
+	if res.Sharded != nil {
+		res.Sharded.RemoteLookups += o.Sharded.RemoteLookups
+		res.Sharded.RemoteHits += o.Sharded.RemoteHits
+		res.Sharded.RemoteBytes += o.Sharded.RemoteBytes
+	}
+	if res.Load != nil {
+		res.Load.merge(o.Load)
+	}
 }

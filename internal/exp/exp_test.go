@@ -237,21 +237,6 @@ func TestServerBytesOrdering(t *testing.T) {
 	}
 }
 
-func TestDeterministicUnderSeed(t *testing.T) {
-	tr := expTrace(t)
-	a := runProto(t, tr, socialTube(t, tr))
-	b := runProto(t, tr, socialTube(t, tr))
-	if a.Requests != b.Requests {
-		t.Fatalf("request counts differ: %d vs %d", a.Requests, b.Requests)
-	}
-	if a.PeerHits.Value() != b.PeerHits.Value() || a.ServerHits.Value() != b.ServerHits.Value() {
-		t.Fatal("hit counts differ between same-seed runs")
-	}
-	if a.StartupDelay.Mean() != b.StartupDelay.Mean() {
-		t.Fatal("startup delays differ between same-seed runs")
-	}
-}
-
 func TestHorizonBoundsRun(t *testing.T) {
 	tr := expTrace(t)
 	cfg := quickConfig()

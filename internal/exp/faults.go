@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"fmt"
 	"time"
 
 	"github.com/socialtube/socialtube/internal/faults"
@@ -9,11 +10,12 @@ import (
 	"github.com/socialtube/socialtube/internal/vod"
 )
 
-// Options carries RunCtx's cross-cutting concerns. The zero value is a
-// plain healthy run.
+// Options carries a run's cross-cutting concerns, on either partition
+// (ShardedOptions embeds it). The zero value is a plain healthy run.
 type Options struct {
 	// Faults is a deterministic fault plan compiled against the
 	// trace's user population; nil disables fault injection entirely.
+	// Its node ids are global, so a run of more than one cell refuses it.
 	Faults *faults.Plan
 	// Tracer, when non-nil, is installed on the protocol before the
 	// run if it implements obs.Traceable.
@@ -91,79 +93,75 @@ func (r *Resilience) HitRateUnderFaults() float64 {
 	return float64(r.PeerServedDuringFaults) / float64(r.RequestsDuringFaults)
 }
 
-// scheduleFaults turns a compiled schedule into engine events. Window
-// events mutate the runner's degradation knobs; churn events go through
-// the apply* handlers.
-func (r *runner) scheduleFaults(sched *faults.Schedule) {
+// scheduleFaults compiles the plan against the runner's population and
+// schedules every event of it.
+func (r *runner) scheduleFaults(plan *faults.Plan) error {
+	sched, err := plan.Compile(len(r.tr.Users))
+	if err != nil {
+		return fmt.Errorf("fault plan: %w", err)
+	}
 	for _, ev := range sched.Events {
-		ev := ev
-		switch ev.Kind {
-		case faults.KindCrash:
-			r.engine.At(ev.At, func(now time.Duration) { r.applyCrash(ev.Node, now) })
-		case faults.KindRejoin:
-			r.rejoinsPending++
-			r.engine.At(ev.At, func(now time.Duration) {
-				r.rejoinsPending--
-				r.applyRejoin(ev.Node, now)
-			})
-		case faults.KindRepair:
-			r.engine.At(ev.At, func(now time.Duration) { r.applyRepair(ev, now) })
-		case faults.KindBurstStart:
-			r.engine.At(ev.At, func(time.Duration) {
-				r.windows++
-				// Compile normalized the factor: 1 for "unchanged",
-				// (0,1) for recovery windows, > 1 for degradation.
-				// All of them are honored here.
-				r.latencyFactor = ev.LatencyFactor
-				if r.latencyFactor <= 0 {
-					r.latencyFactor = 1
-				}
-				r.burstLossP = ev.LossP
-			})
-		case faults.KindBurstEnd:
-			r.engine.At(ev.At, func(time.Duration) {
-				r.windows--
-				r.latencyFactor = 1
-				r.burstLossP = 0
-			})
-		case faults.KindOutageStart:
-			r.engine.At(ev.At, func(time.Duration) {
-				r.windows++
-				r.outageUntil = ev.Until
-			})
-		case faults.KindOutageEnd:
-			r.engine.At(ev.At, func(time.Duration) {
-				r.windows--
-				r.outageUntil = 0
-			})
-		case faults.KindBrownoutStart:
-			r.engine.At(ev.At, func(time.Duration) {
-				r.windows++
-				r.net.SetServerUplinkFactor(ev.CapacityFactor)
-			})
-		case faults.KindBrownoutEnd:
-			r.engine.At(ev.At, func(time.Duration) {
-				r.windows--
-				r.net.SetServerUplinkFactor(1)
-			})
-		case faults.KindChaosStart:
-			r.engine.At(ev.At, func(time.Duration) {
-				r.windows++
-				r.chaosLossP = ev.CorruptP + ev.TruncateP + ev.StallP
-			})
-		case faults.KindChaosEnd:
-			r.engine.At(ev.At, func(time.Duration) {
-				r.windows--
-				r.chaosLossP = 0
-			})
-		case faults.KindFlashStart:
-			r.engine.At(ev.At, func(now time.Duration) {
-				r.windows++
-				r.startPlanFlash(ev, now)
-			})
-		case faults.KindFlashEnd:
-			r.engine.At(ev.At, func(time.Duration) { r.windows-- })
+		if ev.Kind == faults.KindFlashStart {
+			if err := checkFlashChannel(r.tr, ev.Channel); err != nil {
+				return fmt.Errorf("fault plan: %w", err)
+			}
 		}
+	}
+	r.repairer, _ = r.proto.(Repairer)
+	r.reseeder, _ = r.proto.(Reseeder)
+	for _, ev := range sched.Events {
+		if ev.Kind == faults.KindRejoin {
+			r.rejoinsPending++
+		}
+		r.engine.At(ev.At, func(now time.Duration) { r.applyFault(ev, now) })
+	}
+	return nil
+}
+
+// applyFault fires one compiled event. Churn events go through the apply*
+// handlers; window events open or close a window and set or reset the
+// degradation knob it governs.
+func (r *runner) applyFault(ev faults.Event, now time.Duration) {
+	switch ev.Kind {
+	case faults.KindCrash:
+		r.applyCrash(ev.Node, now)
+	case faults.KindRejoin:
+		r.rejoinsPending--
+		r.applyRejoin(ev.Node, now)
+	case faults.KindRepair:
+		r.applyRepair(ev, now)
+	case faults.KindBurstStart:
+		r.windows++
+		// Compile normalized the factor: 1 for "unchanged", (0,1) for
+		// recovery windows, > 1 for degradation. All are honored here.
+		r.latencyFactor = ev.LatencyFactor
+		r.burstLossP = ev.LossP
+	case faults.KindBurstEnd:
+		r.windows--
+		r.latencyFactor, r.burstLossP = 1, 0
+	case faults.KindOutageStart:
+		r.windows++
+		r.outageUntil = ev.Until
+	case faults.KindOutageEnd:
+		r.windows--
+		r.outageUntil = 0
+	case faults.KindBrownoutStart:
+		r.windows++
+		r.net.SetServerUplinkFactor(ev.CapacityFactor)
+	case faults.KindBrownoutEnd:
+		r.windows--
+		r.net.SetServerUplinkFactor(1)
+	case faults.KindChaosStart:
+		r.windows++
+		r.chaosLossP = ev.CorruptP + ev.TruncateP + ev.StallP
+	case faults.KindChaosEnd:
+		r.windows--
+		r.chaosLossP = 0
+	case faults.KindFlashStart:
+		r.windows++
+		r.startPlanFlash(ev, now)
+	case faults.KindFlashEnd:
+		r.windows--
 	}
 }
 

@@ -4,9 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
+	"github.com/socialtube/socialtube/internal/dist"
 	"github.com/socialtube/socialtube/internal/faults"
 	"github.com/socialtube/socialtube/internal/simnet"
 	"github.com/socialtube/socialtube/internal/trace"
@@ -154,6 +156,56 @@ func TestRunCtxCancelled(t *testing.T) {
 	_, err := RunCtx(ctx, quickConfig(), tr, socialTube(t, tr), simnet.DefaultConfig(), Options{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
+	}
+}
+
+// cancelAt cancels its context from inside the at-th request.
+type cancelAt struct {
+	vod.Protocol
+	n, at  int
+	cancel context.CancelFunc
+}
+
+func (p *cancelAt) Request(node int, v trace.VideoID) vod.RequestResult {
+	if p.n++; p.n == p.at {
+		p.cancel()
+	}
+	return p.Protocol.Request(node, v)
+}
+
+// TestRunCtxCancelsMidRun: a one-cell run has no barrier to notice a
+// cancellation at, so its loop must check the context itself, every few
+// hundred events — the run stops promptly with context.Canceled instead of
+// finishing the workload.
+func TestRunCtxCancelsMidRun(t *testing.T) {
+	tr := expTrace(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	p := &cancelAt{Protocol: socialTube(t, tr), at: 500, cancel: cancel}
+	res, err := RunCtx(ctx, quickConfig(), tr, p, simnet.DefaultConfig(), Options{})
+	if !errors.Is(err, context.Canceled) || res != nil {
+		t.Fatalf("run = %v, %v; want nil, context.Canceled", res, err)
+	}
+	// Every request is at least one event, and the loop checks the context
+	// every 256 events.
+	if p.n > p.at+256 {
+		t.Fatalf("%d requests served after a cancellation at request %d", p.n, p.at)
+	}
+}
+
+// TestPartitionedRunRefusesFaultPlan: a fault plan names global node ids,
+// which a per-community cell cannot resolve, so a run of more than one
+// cell must refuse the plan — it used to be dropped on the way to the
+// engine and the run came back healthy.
+func TestPartitionedRunRefusesFaultPlan(t *testing.T) {
+	tr := expTrace(t)
+	opts := ShardedOptions{Options: Options{Faults: testPlan(1)}, Workers: 1}
+	res, err := RunSharded(shardedConfig(), tr, socialTubeFactory(1), simnet.DefaultConfig(), opts)
+	if !errors.Is(err, dist.ErrBadParameter) || res != nil {
+		t.Fatalf("run = %v, %v; want nil and a wrapped dist.ErrBadParameter", res, err)
+	}
+	if !strings.Contains(err.Error(), "fault plan") {
+		t.Fatalf("error %q does not name the unsupported combination", err)
 	}
 }
 

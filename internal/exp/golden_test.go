@@ -57,7 +57,7 @@ func resultDigest(t *testing.T, res *Result, err error) string {
 
 // shardedOpts builds the category-partition option set of a golden run.
 func shardedOpts(workers int, v goldenVariant) ShardedOptions {
-	return ShardedOptions{Workers: workers, TimelineWindow: v.window, Load: v.prof}
+	return ShardedOptions{Options: Options{TimelineWindow: v.window, Load: v.prof}, Workers: workers}
 }
 
 // TestGoldenResults pins the sha-256 of the whole marshalled Result —

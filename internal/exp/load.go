@@ -3,8 +3,8 @@
 // the offered rate no longer tracks the system's service rate and
 // overload — server queueing, shedding, tail startup delay — becomes
 // measurable. Each arrival claims an idle node, runs one session, and
-// the stream self-clocks: every arrival event schedules the next one,
-// so the event queue never holds more than one pending arrival.
+// a stream self-clocks: every arrival event schedules the next one, so
+// the event queue never holds more than one pending arrival per stream.
 package exp
 
 import (
@@ -45,33 +45,30 @@ func (l *LoadInfo) merge(o *LoadInfo) {
 	l.Busy += o.Busy
 	l.ServerAdmitted += o.ServerAdmitted
 	l.ServerShed += o.ServerShed
-	if o.QueuePeak > l.QueuePeak {
-		l.QueuePeak = o.QueuePeak
-	}
+	l.QueuePeak = max(l.QueuePeak, o.QueuePeak)
 }
 
 // installLoad switches the runner to open-loop arrivals from the
 // profile. Callers must not have seeded closed-loop sessions.
 func (r *runner) installLoad(p *load.Profile) error {
-	gen, err := load.NewGen(p)
-	if err != nil {
-		return err
-	}
 	if f := p.Flash; f != nil {
-		if err := r.checkFlashChannel(f.Channel); err != nil {
+		if err := checkFlashChannel(r.tr, f.Channel); err != nil {
 			return err
 		}
 		r.flashChannel = f.Channel
 	}
-	r.loadGen = gen
-	r.ensureLoadState()
-	r.scheduleNextArrival()
-	return nil
+	return r.openStream(p, 0, false)
 }
 
-// ensureLoadState lazily builds the arrival-side RNG and accounting
-// block shared by profile arrivals and plan-driven flash crowds.
-func (r *runner) ensureLoadState() {
+// openStream starts an arrival stream from the profile, its clock offset by
+// base, lazily building the arrival-side RNG and accounting block that
+// profile arrivals and plan-driven flash crowds share. flash sends every
+// arrival of the stream to the viral video.
+func (r *runner) openStream(p *load.Profile, base time.Duration, flash bool) error {
+	gen, err := load.NewGen(p)
+	if err != nil {
+		return err
+	}
 	if r.loadG == nil {
 		// A dedicated stream: arrival decisions must not perturb the
 		// main RNG's draws (closed-loop runs with a flash-crowd plan
@@ -81,30 +78,36 @@ func (r *runner) ensureLoadState() {
 	if r.res.Load == nil {
 		r.res.Load = &LoadInfo{}
 	}
-}
-
-// checkFlashChannel validates a flash-crowd target against the trace.
-func (r *runner) checkFlashChannel(ch int) error {
-	if ch < 0 || ch >= len(r.tr.Channels) {
-		return fmt.Errorf("%w: flash channel %d outside [0, %d)", dist.ErrBadParameter, ch, len(r.tr.Channels))
+	// The stream self-clocks on one event, allocated here rather than per
+	// arrival: firing it schedules it again for the arrival after a.
+	var a load.Arrival
+	var fire func(time.Duration)
+	pump := func() {
+		var ok bool
+		if a, ok = gen.Next(); ok {
+			r.streams++
+			r.engine.At(base+a.At, fire)
+		}
 	}
-	if len(r.tr.Channels[ch].Videos) == 0 {
-		return fmt.Errorf("%w: flash channel %d has no videos", dist.ErrBadParameter, ch)
+	fire = func(now time.Duration) {
+		viral := flash || a.Flash
+		r.streams--
+		pump()
+		r.applyArrival(viral, now)
 	}
+	pump()
 	return nil
 }
 
-// scheduleNextArrival pulls the next profile arrival and schedules it;
-// the arrival event schedules its successor, bounding queue memory.
-func (r *runner) scheduleNextArrival() {
-	a, ok := r.loadGen.Next()
-	if !ok {
-		return
+// checkFlashChannel validates a flash-crowd target against the trace.
+func checkFlashChannel(tr *trace.Trace, ch int) error {
+	if ch < 0 || ch >= len(tr.Channels) {
+		return fmt.Errorf("%w: flash channel %d outside [0, %d)", dist.ErrBadParameter, ch, len(tr.Channels))
 	}
-	r.engine.At(a.At, func(now time.Duration) {
-		r.scheduleNextArrival()
-		r.applyArrival(a.Flash, now)
-	})
+	if len(tr.Channels[ch].Videos) == 0 {
+		return fmt.Errorf("%w: flash channel %d has no videos", dist.ErrBadParameter, ch)
+	}
+	return nil
 }
 
 // applyArrival turns one offered arrival into a session on an idle
@@ -130,10 +133,10 @@ func (r *runner) applyArrival(flash bool, now time.Duration) {
 	r.proto.Join(node)
 	var plan vod.SessionPlan
 	if flash {
-		plan = vod.SessionPlan{Videos: []trace.VideoID{r.flashVideo()}}
+		// The viral video: the flash channel's top-ranked one.
+		plan = vod.SessionPlan{Videos: []trace.VideoID{r.tr.Channels[r.flashChannel].Videos[0]}}
 	} else {
-		user := &r.tr.Users[node]
-		plan = r.picker.PlanSession(r.loadG, user, r.cfg.VideosPerSession, r.cfg.MeanOffTime)
+		plan = r.picker.PlanSession(r.loadG, &r.tr.Users[node], r.cfg.VideosPerSession, r.cfg.MeanOffTime)
 	}
 	r.watch(node, plan, 0, r.gen[node], now)
 }
@@ -144,20 +147,11 @@ func (r *runner) pickIdleNode() (int, bool) {
 	n := len(r.online)
 	start := r.loadG.Intn(n)
 	for i := 0; i < n; i++ {
-		node := start + i
-		if node >= n {
-			node -= n
-		}
-		if !r.online[node] && !r.crashed[node] {
+		if node := (start + i) % n; !r.online[node] && !r.crashed[node] {
 			return node, true
 		}
 	}
 	return 0, false
-}
-
-// flashVideo is the viral video: the flash channel's top-ranked one.
-func (r *runner) flashVideo() trace.VideoID {
-	return r.tr.Channels[r.flashChannel].Videos[0]
 }
 
 // startPlanFlash runs a plan-driven flash crowd (faults.KindFlashStart):
@@ -171,26 +165,10 @@ func (r *runner) startPlanFlash(ev faults.Event, now time.Duration) {
 		RPS:      ev.RPS,
 		Duration: ev.Until - ev.At,
 	}
-	gen, err := load.NewGen(prof)
-	if err != nil {
+	r.flashChannel = ev.Channel
+	if err := r.openStream(prof, now, true); err != nil {
 		// The plan validated RPS and the window at compile time;
 		// reaching this is a programming error.
 		panic(fmt.Sprintf("flash profile from compiled plan invalid: %v", err))
 	}
-	r.ensureLoadState()
-	r.flashChannel = ev.Channel
-	r.flashGens++
-	var next func()
-	next = func() {
-		a, ok := gen.Next()
-		if !ok {
-			r.flashGens--
-			return
-		}
-		r.engine.At(now+a.At, func(at time.Duration) {
-			next()
-			r.applyArrival(true, at)
-		})
-	}
-	next()
 }

@@ -87,6 +87,44 @@ func TestDeliverPrefixCachedPeerBytes(t *testing.T) {
 	}
 }
 
+// TestDeliverRemoteProvider pins the cross-community branch of deliver — the
+// one statement of the fetch and playout-buffer arithmetic, which a second
+// copy on the router used to restate: the provider is reached over the
+// server-path latency per hop, the buffer fills at the nominal peer uplink,
+// nothing touches the cell's own simnet, and the fetched bytes (the whole
+// video, or all but the prefetched chunk) are billed as remote bytes.
+func TestDeliverRemoteProvider(t *testing.T) {
+	const chunkBytes = 1_000_000
+	for _, prefix := range []bool{false, true} {
+		r := deliverRunner(t)
+		r.remote = &remoteRouter{peerUplinkBps: simnet.DefaultConfig().PeerUplinkBps}
+		r.res.Sharded = &ShardedInfo{}
+		res := vod.RequestResult{Source: vod.SourcePeer, Provider: int(remoteProvider), Hops: 2, PrefixCached: prefix}
+		const now = 5 * time.Second
+		ready, shed := r.deliver(0, remoteProvider, res, chunkBytes, now)
+		if shed {
+			t.Fatal("remote delivery shed")
+		}
+		total := chunkBytes * int64(r.cfg.ChunksPerVideo)
+		want, fetched := now, total-chunkBytes
+		if !prefix {
+			fetched = total
+			buffer := float64(r.cfg.BitrateBps) * r.cfg.PlayoutBuffer.Seconds() / 8 * r.cfg.WatchScale
+			fill := time.Duration(float64(int64(buffer)) * 8 / float64(r.remote.peerUplinkBps) * float64(time.Second))
+			want = now + 3*r.net.Latency(simnet.ServerID, 0) + fill
+		}
+		if ready != want {
+			t.Fatalf("prefix=%v: ready %v, want %v", prefix, ready, want)
+		}
+		if got := r.res.Sharded.RemoteBytes; got != fetched {
+			t.Fatalf("prefix=%v: cell billed %d remote bytes, want %d", prefix, got, fetched)
+		}
+		if r.net.PeerBytes() != 0 || r.net.ServerBytes() != 0 {
+			t.Fatalf("prefix=%v: remote delivery moved bytes on the cell's own simnet", prefix)
+		}
+	}
+}
+
 // TestDeliverHonorsLatencyBoost is the regression test for the ignored
 // boost window: latency factors in (0,1) — a recovery/boost window —
 // must scale the query path down, exactly as factors > 1 scale it up.
@@ -228,14 +266,11 @@ func TestOpenLoopShardedWorkerInvariance(t *testing.T) {
 	tr := expTrace(t)
 	netCfg := simnet.DefaultConfig()
 	netCfg.ServerQueueCap = 8
-	prof := &load.Profile{
-		Mode: load.Steady, Seed: 5, RPS: 20, Duration: 45 * time.Second,
-		Flash: &load.FlashCrowd{Channel: 1, At: 10 * time.Second, For: 10 * time.Second},
-	}
+	prof := flashProfile()
 	run := func(workers int) []byte {
 		t.Helper()
 		res, err := RunSharded(openLoopConfig(), tr, socialTubeFactory(1), netCfg,
-			ShardedOptions{Workers: workers, Load: prof})
+			ShardedOptions{Options: Options{Load: prof}, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,11 +2,15 @@ package exp
 
 import (
 	"encoding/json"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
 	"github.com/socialtube/socialtube/internal/baseline"
 	"github.com/socialtube/socialtube/internal/core"
+	"github.com/socialtube/socialtube/internal/load"
+	"github.com/socialtube/socialtube/internal/obs"
 	"github.com/socialtube/socialtube/internal/simnet"
 	"github.com/socialtube/socialtube/internal/trace"
 	"github.com/socialtube/socialtube/internal/vod"
@@ -51,77 +55,123 @@ func runSharded(t *testing.T, workers int) *Result {
 	return res
 }
 
-// TestShardedWorkerCountInvariance is the acceptance pin: the same seed
-// run under worker counts {1, 2, 4, 8} — from the fully sequential loop
-// to more workers than cores — marshals to byte-identical JSON. The
-// worker count decides only which OS thread advances which community
-// loop; it must never leak into results.
-func TestShardedWorkerCountInvariance(t *testing.T) {
-	ref := runSharded(t, 1)
-	refJSON, err := json.Marshal(ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ref.Requests == 0 {
-		t.Fatal("sharded reference run issued no requests")
-	}
-	for _, workers := range []int{2, 4, 8} {
-		got, err := json.Marshal(runSharded(t, workers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(got) != string(refJSON) {
-			t.Fatalf("workers=%d result diverged from the sequential reference\nseq: %s\ngot: %s",
-				workers, refJSON, got)
-		}
+// determinismTable is the package's one statement of determinism: every
+// {partition × option variant} row, run under worker counts {1, 1, 2, 4, 8}
+// — a rerun, then from the fully sequential loop to more workers than cores
+// — must marshal to byte-identical JSON. The worker count decides only
+// which OS thread advances which cell's loop; it must never leak into
+// results. The identity partition has one cell, so its rows are the
+// same-seed rerun pin; the category partition's are the worker-count
+// invariance pin, the same code checking both.
+var determinismTable = []struct {
+	partition string // "identity" or "category"
+	variant   goldenVariant
+}{
+	{"identity", goldenVariant{name: "plain"}},
+	{"identity", goldenVariant{name: "timeline", window: 30 * time.Minute}},
+	{"identity", goldenVariant{name: "load", prof: flashProfile()}},
+	{"category", goldenVariant{name: "plain"}},
+	{"category", goldenVariant{name: "timeline", window: 30 * time.Minute}},
+	{"category", goldenVariant{name: "load", prof: flashProfile()}},
+}
+
+func flashProfile() *load.Profile {
+	return &load.Profile{
+		Mode: load.Steady, Seed: 5, RPS: 20, Duration: 45 * time.Second,
+		Flash: &load.FlashCrowd{Channel: 1, At: 10 * time.Second, For: 10 * time.Second},
 	}
 }
 
-// TestShardedTimelineWorkerCountInvariance extends the worker-invariance
-// acceptance pin to the telemetry timeline: with TimelineWindow set, the
-// per-cell recorders merge in cell order into one Timeline whose JSON —
-// per-window counters and startup-delay histogram summaries alike — is
-// byte-identical for worker counts {1, 2, 4, 8}.
-func TestShardedTimelineWorkerCountInvariance(t *testing.T) {
-	tr := expTrace(t)
-	run := func(workers int) *Result {
-		t.Helper()
-		res, err := RunSharded(shardedConfig(), tr, socialTubeFactory(1), simnet.DefaultConfig(),
-			ShardedOptions{Workers: workers, TimelineWindow: 30 * time.Minute})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+// runPartition runs SocialTube over one partition through the driver, so
+// the identity partition takes a worker count too.
+func runPartition(t *testing.T, tr *trace.Trace, partition string, v goldenVariant, workers int) *Result {
+	t.Helper()
+	cfg, netCfg := shardedConfig(), simnet.DefaultConfig()
+	if v.prof != nil {
+		cfg = openLoopConfig()
+		netCfg.ServerQueueCap = 8
 	}
-	ref := run(1)
-	if ref.Timeline == nil || ref.Timeline.Windows() == 0 {
-		t.Fatal("sharded timeline run recorded no windows")
+	opts := ShardedOptions{Options: Options{TimelineWindow: v.window, Load: v.prof}, Workers: workers}
+	var (
+		res *Result
+		err error
+	)
+	if partition == "identity" {
+		lone := []cell{{cfg: cfg, tr: tr, proto: socialTube(t, tr), net: netCfg, load: v.prof}}
+		res, err = drive(t.Context(), tr, lone, opts, nil)
+	} else {
+		res, err = RunShardedCtx(t.Context(), cfg, tr, socialTubeFactory(1), netCfg, opts)
 	}
-	// The merged per-window request counts must re-sum to the run total.
-	reqs := ref.Timeline.Series("requests")
-	if reqs == nil {
-		t.Fatal("timeline is missing the requests series")
-	}
-	var total int64
-	for i := 0; i < ref.Timeline.Windows(); i++ {
-		total += reqs.Value(i)
-	}
-	if total != ref.Requests {
-		t.Fatalf("timeline windows sum to %d requests, run counted %d", total, ref.Requests)
-	}
-	refJSON, err := json.Marshal(ref)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{2, 4, 8} {
-		got, err := json.Marshal(run(workers))
-		if err != nil {
-			t.Fatal(err)
+	return res
+}
+
+// checkDeterminism runs the table's rows for one partition (and, when
+// given, only the named variants).
+func checkDeterminism(t *testing.T, partition string, variants ...string) {
+	tr := expTrace(t)
+	for _, row := range determinismTable {
+		if row.partition != partition || (len(variants) > 0 && !slices.Contains(variants, row.variant.name)) {
+			continue
 		}
-		if string(got) != string(refJSON) {
-			t.Fatalf("workers=%d timeline result diverged from the sequential reference", workers)
-		}
+		t.Run(row.partition+"/"+row.variant.name, func(t *testing.T) {
+			ref := runPartition(t, tr, row.partition, row.variant, 1)
+			if ref.Requests == 0 {
+				t.Fatal("reference run issued no requests")
+			}
+			if (ref.Sharded != nil) != (row.partition == "category") {
+				t.Fatalf("sharded block present = %v on the %s partition", ref.Sharded != nil, row.partition)
+			}
+			if row.variant.window > 0 {
+				// The merged per-window request counts must re-sum to the
+				// run total.
+				if ref.Timeline == nil || ref.Timeline.Windows() == 0 {
+					t.Fatal("timeline run recorded no windows")
+				}
+				reqs := ref.Timeline.Series("requests")
+				if reqs == nil {
+					t.Fatal("timeline is missing the requests series")
+				}
+				var total int64
+				for i := 0; i < ref.Timeline.Windows(); i++ {
+					total += reqs.Value(i)
+				}
+				if total != ref.Requests {
+					t.Fatalf("timeline windows sum to %d requests, run counted %d", total, ref.Requests)
+				}
+			}
+			if (ref.Load != nil) != (row.variant.prof != nil) {
+				t.Fatalf("load block present = %v", ref.Load != nil)
+			}
+			refJSON, err := json.Marshal(ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{1, 2, 4, 8} {
+				got, err := json.Marshal(runPartition(t, tr, row.partition, row.variant, workers))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if string(got) != string(refJSON) {
+					t.Fatalf("workers=%d result diverged from the sequential reference\nseq: %s\ngot: %s",
+						workers, refJSON, got)
+				}
+			}
+		})
 	}
+}
+
+// The table's three entry points keep the names the rows were first pinned
+// under: same-seed reruns of the one-cell run, and worker-count invariance
+// of the per-community one without and with a timeline.
+func TestDeterministicUnderSeed(t *testing.T) { checkDeterminism(t, "identity") }
+
+func TestShardedWorkerCountInvariance(t *testing.T) { checkDeterminism(t, "category", "plain", "load") }
+
+func TestShardedTimelineWorkerCountInvariance(t *testing.T) {
+	checkDeterminism(t, "category", "timeline")
 }
 
 // TestShardedAccountingConsistency checks the merged result's internal
@@ -161,6 +211,48 @@ func TestShardedAccountingConsistency(t *testing.T) {
 	}
 	if res.SimulatedTime <= 0 || res.SimulatedTime > shardedConfig().Horizon {
 		t.Fatalf("simulated time %v outside (0, horizon]", res.SimulatedTime)
+	}
+}
+
+// cellSpans records which cells' span ranges a run's trace events carry.
+type cellSpans struct {
+	mu    sync.Mutex
+	cells map[uint64]bool
+}
+
+func (c *cellSpans) Emit(e obs.Event) {
+	if e.Span != 0 {
+		c.mu.Lock()
+		c.cells[e.Span>>40] = true
+		c.mu.Unlock()
+	}
+}
+
+// TestShardedRunInstallsTheTracerOnEveryCell: Options.Tracer used to stop
+// at the identity partition; on the category partition it reaches every
+// cell's protocol, and tracing changes no result byte.
+func TestShardedRunInstallsTheTracerOnEveryCell(t *testing.T) {
+	tr := expTrace(t)
+	tracer := &cellSpans{cells: map[uint64]bool{}}
+	run := func(opts Options) []byte {
+		t.Helper()
+		res, err := RunSharded(shardedConfig(), tr, socialTubeFactory(1), simnet.DefaultConfig(),
+			ShardedOptions{Options: opts, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	traced, plain := run(Options{Tracer: tracer}), run(Options{})
+	if len(tracer.cells) != 10 { // expTrace's 10 categories are all populated
+		t.Fatalf("trace carries spans of %d cells, want all 10", len(tracer.cells))
+	}
+	if string(traced) != string(plain) {
+		t.Fatal("installing a tracer changed the result")
 	}
 }
 

@@ -1,9 +1,11 @@
 package figures
 
 import (
+	"errors"
 	"testing"
 	"time"
 
+	"github.com/socialtube/socialtube/internal/dist"
 	"github.com/socialtube/socialtube/internal/emu"
 	"github.com/socialtube/socialtube/internal/exp"
 	"github.com/socialtube/socialtube/internal/faults"
@@ -61,6 +63,33 @@ func TestSimAndEmuAgreeOnWinner(t *testing.T) {
 	const noise = 0.1
 	if emuST < emuPV-noise {
 		t.Fatalf("emulator disagrees with simulator beyond noise: SocialTube %.3f vs PA-VoD %.3f", emuST, emuPV)
+	}
+}
+
+// TestRunCarriesJobOptionsToEitherPartition: a job states its options once
+// and Scale.run hands them whole to whichever partition runs it. A fault
+// plan on the category partition (shards ≥ 1) used to be dropped on the way
+// to the engine — the run came back healthy; now the driver refuses it,
+// while the identity partition (shards 0) still runs it.
+func TestRunCarriesJobOptionsToEitherPartition(t *testing.T) {
+	s := tinyScale()
+	tr := tinyTrace(t)
+	job := protocolJob("SocialTube")
+	job.opts = exp.Options{Faults: faults.ChurnPlan(s.Seed, s.churnUnit()), TimelineWindow: s.churnUnit()}
+	res, err := s.run(tr, job, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Resilience.Crashes == 0 || res.Timeline == nil {
+		t.Fatalf("identity partition: crashes=%d timeline=%v, want the plan and the timeline applied",
+			res.Resilience.Crashes, res.Timeline != nil)
+	}
+	if res, err = s.run(tr, job, 2); !errors.Is(err, dist.ErrBadParameter) || res != nil {
+		t.Fatalf("category partition with a fault plan: %v, %v; want nil and a wrapped dist.ErrBadParameter", res, err)
+	}
+	job.opts.Faults = nil
+	if res, err = s.run(tr, job, 2); err != nil || res.Timeline == nil || res.Sharded == nil {
+		t.Fatalf("category partition without the plan: err=%v, want a sharded result with its timeline", err)
 	}
 }
 

@@ -316,10 +316,10 @@ func (s Scale) protocol(name string, tr *trace.Trace, prefetch bool) (vod.Protoc
 }
 
 // simJob is one simulation a figure asks for: the protocol to build, the
-// network it runs over and the runner options (fault plan, timeline
-// window, open-loop profile). build is called once per run — on the
-// sharded engine once per community cell, with the cell's own Scale —
-// and attaches the scale's tracer.
+// network it runs over and the run options (fault plan, timeline window,
+// open-loop profile), stated once for whichever partition runs it. build
+// is called once per cell — on the category partition with the cell's own
+// Scale — and attaches the scale's tracer.
 type simJob struct {
 	label string
 	build func(s Scale, tr *trace.Trace) (vod.Protocol, error)
@@ -346,11 +346,14 @@ func protocolJobs(names []string) []simJob {
 }
 
 // run executes one job. It is the only place in this package that builds
-// a protocol for a run and picks the engine: shards == 0 is the classic
-// single-loop runner, shards ≥ 1 the community-sharded one with that many
-// workers (which takes no fault plan). Deterministic result fields are
-// byte-identical across shards ≥ 1; they differ from the classic
-// engine's, whose RNG streams are global rather than per-community.
+// a protocol for a run and picks the partition exp's one driver runs it
+// over: shards == 0 is the identity partition (the whole trace in one
+// cell), shards ≥ 1 the category partition — one cell per interest
+// community — advanced by that many workers. The job's options travel
+// whole to either; the driver refuses what a partition cannot honour (a
+// fault plan on more than one cell). Deterministic result fields are
+// byte-identical across shards ≥ 1; they differ from the identity
+// partition's, whose streams and overlays are global, not per-community.
 func (s Scale) run(tr *trace.Trace, j simJob, shards int) (*exp.Result, error) {
 	var (
 		res *exp.Result
@@ -359,8 +362,8 @@ func (s Scale) run(tr *trace.Trace, j simJob, shards int) (*exp.Result, error) {
 	if shards > 0 {
 		// Each community cell gets its own protocol instance over the
 		// cell's renumbered trace, with the protocol RNG reseeded per cell
-		// (the derivation the sharded runner uses for its own streams) and
-		// the population-derived knobs — PA-VoD's ISP count — computed
+		// (the derivation the category partition uses for its own streams)
+		// and the population-derived knobs — PA-VoD's ISP count — computed
 		// from the cell's own size.
 		factory := func(cell int, cellTr *trace.Trace) (vod.Protocol, error) {
 			cs := s
@@ -368,9 +371,7 @@ func (s Scale) run(tr *trace.Trace, j simJob, shards int) (*exp.Result, error) {
 			cs.TraceUsers = len(cellTr.Users)
 			return j.build(cs, cellTr)
 		}
-		res, err = exp.RunSharded(s.expConfig(), tr, factory, j.net, exp.ShardedOptions{
-			Workers: shards, TimelineWindow: j.opts.TimelineWindow, Load: j.opts.Load,
-		})
+		res, err = exp.RunSharded(s.expConfig(), tr, factory, j.net, exp.ShardedOptions{Options: j.opts, Workers: shards})
 	} else {
 		var p vod.Protocol
 		if p, err = j.build(s, tr); err == nil {
@@ -384,12 +385,12 @@ func (s Scale) run(tr *trace.Trace, j simJob, shards int) (*exp.Result, error) {
 }
 
 // runJobs executes the jobs over one trace and returns their results in
-// job order. Classic-engine jobs are independent single-threaded
+// job order. Identity-partition jobs are independent single-threaded
 // deterministic simulations (own RNG, own simnet, read-only trace), so
 // they run side by side, bounded by GOMAXPROCS, and only wall-clock time
-// changes; sharded jobs run one at a time because the worker budget
-// belongs to each job's community loops. Protocols are built inside their
-// worker so each one's node state is released as soon as its run ends.
+// changes; category-partition jobs run one at a time because the worker
+// budget belongs to each job's community loops. Protocols are built inside
+// their worker so each one's node state is released as soon as its run ends.
 // done, when non-nil, is called — possibly concurrently — as each job
 // finishes, with its wall time.
 func (s Scale) runJobs(tr *trace.Trace, shards int, jobs []simJob, done func(i int, res *exp.Result, wall time.Duration)) ([]*exp.Result, error) {

@@ -36,8 +36,8 @@ type ScaleSweep struct {
 	ProbeInterval time.Duration
 	// Seed drives every shard (trace and workload).
 	Seed int64
-	// Shards selects the engine (see Scale.run): 0 runs each point on the
-	// classic single-loop engine, ≥1 community-sharded with that many
+	// Shards selects the partition (see Scale.run): 0 runs each point as
+	// one cell on one loop, ≥1 over the category partition with that many
 	// worker goroutines advancing the per-category loops.
 	Shards int
 	// Progress, when non-nil, receives one line per trace build and per
@@ -64,8 +64,8 @@ func DefaultScaleSweep() ScaleSweep {
 // TenMScaleSweep is the 10M-user scale point: one population an order of
 // magnitude past the paper sweep's 1M ceiling, over the same fixed
 // Table I catalog. The workload is trimmed to one video per session so
-// the point stays at ~10M requests per protocol; it is meant to run on
-// the sharded engine (Shards ≥ 1 via the -shards flag).
+// the point stays at ~10M requests per protocol; it is meant to run over
+// the category partition (Shards ≥ 1 via the -shards flag).
 func TenMScaleSweep() ScaleSweep {
 	sw := DefaultScaleSweep()
 	sw.Sizes = []int{10_000_000}
@@ -185,8 +185,8 @@ func (p ScalePoint) Canonical() ScalePoint {
 
 // sweepPoint reduces one run result to its sweep cell. probeInterval is
 // the run's maintenance period, used to convert the probe total into a
-// per-node per-round rate; workers is the sharded worker-pool size (0 on
-// the single-engine path).
+// per-node per-round rate; workers is the category partition's worker-pool
+// size (0 on the identity partition).
 func sweepPoint(users int, protocol string, seed int64, probeInterval time.Duration, workers int, res *exp.Result, wall time.Duration) ScalePoint {
 	p := ScalePoint{
 		Users:        users,

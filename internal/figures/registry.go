@@ -33,7 +33,7 @@ type Inputs struct {
 	MinShared int
 	// SweepScale names the sweep figures' preset: small or paper, and
 	// for the scale sweep also 10m. Shards and Users, when positive,
-	// select the sharded engine's worker count and replace the preset
+	// select the category partition's worker count and replace the preset
 	// population; TuneLoad, when non-nil, edits the load sweep's preset
 	// before it runs; Progress, when non-nil, receives the sweeps'
 	// per-point progress lines.

@@ -1,87 +1,15 @@
-// Package metrics collects and summarizes experiment measurements:
-// streaming samples, percentile extraction and the plain-text tables the
-// benchmark harness prints for each figure of the paper.
+// Package metrics holds the result counters and the plain-text tables the
+// figure runner prints for each figure of the paper. Series of observations
+// live in obs.Hist, a bounded histogram.
 package metrics
 
 import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"time"
 )
-
-// Sample accumulates float64 observations and answers percentile queries.
-// The zero value is ready to use.
-//
-// Memory: a Sample keeps every observation (plus a lazily built sorted
-// copy), so it holds O(N) float64s — 16 bytes per observation worst case
-// — which is what makes exact interpolated percentiles possible. No
-// experiment result holds one: every result series, including the ones
-// that look population-bounded (peer bandwidth is per node, but
-// links-by-index is one observation per finished video), is an obs.Hist,
-// a bounded log-bucketed histogram with O(observed range) memory and
-// ≤~3% relative quantile error.
-type Sample struct {
-	values []float64
-	// sorted is an ascending copy of values, built lazily on the first
-	// percentile query and invalidated by Add.
-	sorted []float64
-}
-
-// Add records one observation.
-func (s *Sample) Add(v float64) {
-	s.values = append(s.values, v)
-	s.sorted = nil
-}
-
-// Len returns the number of observations.
-func (s *Sample) Len() int { return len(s.values) }
-
-// Mean returns the average, or NaN when empty.
-func (s *Sample) Mean() float64 {
-	if len(s.values) == 0 {
-		return math.NaN()
-	}
-	sum := 0.0
-	for _, v := range s.values {
-		sum += v
-	}
-	return sum / float64(len(s.values))
-}
-
-// Percentile returns the p-th percentile (0-100), or NaN when empty.
-func (s *Sample) Percentile(p float64) float64 {
-	if len(s.values) == 0 {
-		return math.NaN()
-	}
-	if len(s.sorted) != len(s.values) {
-		s.sorted = append(s.sorted[:0], s.values...)
-		sort.Float64s(s.sorted)
-	}
-	q := p / 100
-	if q <= 0 {
-		return s.sorted[0]
-	}
-	if q >= 1 {
-		return s.sorted[len(s.sorted)-1]
-	}
-	pos := q * float64(len(s.sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return s.sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return s.sorted[lo]*(1-frac) + s.sorted[hi]*frac
-}
-
-// Min returns the smallest observation, or NaN when empty.
-func (s *Sample) Min() float64 { return s.Percentile(0) }
-
-// Max returns the largest observation, or NaN when empty.
-func (s *Sample) Max() float64 { return s.Percentile(100) }
 
 // Counter is a named monotonically increasing count.
 type Counter struct {

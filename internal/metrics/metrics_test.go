@@ -5,62 +5,8 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 	"time"
 )
-
-func TestSampleEmpty(t *testing.T) {
-	var s Sample
-	if !math.IsNaN(s.Mean()) || !math.IsNaN(s.Percentile(50)) {
-		t.Fatal("empty sample should answer NaN")
-	}
-	if s.Len() != 0 {
-		t.Fatal("empty sample length")
-	}
-}
-
-func TestSamplePercentiles(t *testing.T) {
-	var s Sample
-	for i := 1; i <= 100; i++ {
-		s.Add(float64(i))
-	}
-	tests := []struct {
-		p    float64
-		want float64
-	}{
-		{0, 1}, {50, 50.5}, {100, 100}, {-5, 1}, {200, 100},
-	}
-	for _, tt := range tests {
-		if got := s.Percentile(tt.p); math.Abs(got-tt.want) > 1e-9 {
-			t.Errorf("Percentile(%v) = %v, want %v", tt.p, got, tt.want)
-		}
-	}
-	if got := s.Min(); got != 1 {
-		t.Errorf("Min = %v", got)
-	}
-	if got := s.Max(); got != 100 {
-		t.Errorf("Max = %v", got)
-	}
-}
-
-func TestSampleMean(t *testing.T) {
-	var s Sample
-	s.Add(2)
-	s.Add(4)
-	if got := s.Mean(); got != 3 {
-		t.Fatalf("Mean = %v, want 3", got)
-	}
-}
-
-func TestSampleAddAfterPercentile(t *testing.T) {
-	var s Sample
-	s.Add(10)
-	_ = s.Percentile(50)
-	s.Add(1)
-	if got := s.Min(); got != 1 {
-		t.Fatalf("Min after re-add = %v, want 1", got)
-	}
-}
 
 func TestCounter(t *testing.T) {
 	var c Counter
@@ -110,35 +56,6 @@ func TestFormatFloatRanges(t *testing.T) {
 		if got := formatFloat(tt.in); got != tt.want {
 			t.Errorf("formatFloat(%v) = %q, want %q", tt.in, got, tt.want)
 		}
-	}
-}
-
-// Property: Percentile is monotone in p and bounded by [Min, Max].
-func TestPercentileMonotoneProperty(t *testing.T) {
-	f := func(values []float64) bool {
-		var s Sample
-		ok := false
-		for _, v := range values {
-			if !math.IsNaN(v) && !math.IsInf(v, 0) {
-				s.Add(v)
-				ok = true
-			}
-		}
-		if !ok {
-			return true
-		}
-		prev := s.Min()
-		for p := 0.0; p <= 100; p += 5 {
-			cur := s.Percentile(p)
-			if cur < prev-1e-9 {
-				return false
-			}
-			prev = cur
-		}
-		return s.Max() >= s.Min()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
 	}
 }
 

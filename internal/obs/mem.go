@@ -55,16 +55,18 @@ func (m *MemWatermark) Tick() {
 	}
 }
 
-// Sample reads the current live heap unconditionally, folds it into the
-// high-water mark, and returns it. Call it at run end so short runs that
-// never crossed a period boundary still report a watermark.
-func (m *MemWatermark) Sample() uint64 {
+// Sample reads the current live heap unconditionally and folds it into
+// the high-water mark. Call it at run end so short runs that never crossed
+// a period boundary still report a watermark, then report HighWater: Sample
+// returns nothing so that the heap at that one moment cannot be published
+// under the name of the peak.
+func (m *MemWatermark) Sample() {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	for {
 		old := m.high.Load()
 		if ms.HeapAlloc <= old || m.high.CompareAndSwap(old, ms.HeapAlloc) {
-			return ms.HeapAlloc
+			return
 		}
 	}
 }

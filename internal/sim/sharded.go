@@ -31,7 +31,10 @@ import (
 // Epoch barriers lie on the fixed grid t_k = k*Epoch. Empty stretches are
 // skipped: the next barrier is the grid point at or after the earliest
 // pending event across all shards, so a sparse schedule costs barriers
-// proportional to occupied epochs, not to the horizon.
+// proportional to occupied epochs, not to the horizon. A program that
+// exchanges no mail — a lone shard above all — needs no grid: with Epoch 0
+// the only barrier is the end of the run, and a one-shard engine fires
+// exactly what Engine.RunCtx fires and stops its clock where that does.
 type ShardedEngine struct {
 	shards  []*Engine
 	epoch   time.Duration
@@ -85,9 +88,11 @@ type ShardStat struct {
 type ShardedConfig struct {
 	// Shards is the number of per-shard event loops (≥1).
 	Shards int
-	// Epoch is the barrier interval (>0). Cross-shard sends are delivered
-	// at the barrier ending the epoch they were sent in, so Epoch bounds
-	// the extra virtual latency a cross-shard event observes.
+	// Epoch is the barrier interval. Cross-shard sends are delivered at
+	// the barrier ending the epoch they were sent in, so Epoch bounds the
+	// extra virtual latency a cross-shard event observes. 0 means no grid:
+	// one epoch to the horizon (or, without a horizon, until every queue
+	// drains), mail delivered where it ends.
 	Epoch time.Duration
 	// Workers bounds the goroutines running shard epochs; 0 means
 	// GOMAXPROCS. Workers=1 runs every epoch on the calling goroutine —
@@ -101,8 +106,8 @@ func NewShardedEngine(cfg ShardedConfig) (*ShardedEngine, error) {
 	if cfg.Shards <= 0 {
 		return nil, fmt.Errorf("sim: sharded engine needs ≥1 shard, got %d", cfg.Shards)
 	}
-	if cfg.Epoch <= 0 {
-		return nil, fmt.Errorf("sim: sharded engine needs a positive epoch, got %v", cfg.Epoch)
+	if cfg.Epoch < 0 {
+		return nil, fmt.Errorf("sim: sharded engine needs a non-negative epoch, got %v", cfg.Epoch)
 	}
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -133,7 +138,9 @@ func (se *ShardedEngine) Shards() int { return len(se.shards) }
 // must use Send for everything cross-shard.
 func (se *ShardedEngine) Shard(i int) *Engine { return se.shards[i] }
 
-// Now returns the last completed barrier time.
+// Now returns the last completed barrier time. Without a grid that is
+// where the shards stopped: the horizon, or the last event fired when
+// every queue drained first — Engine.Now's semantics.
 func (se *ShardedEngine) Now() time.Duration { return se.now }
 
 // EpochLen returns the barrier interval.
@@ -218,15 +225,18 @@ func (se *ShardedEngine) Run(horizon time.Duration) error {
 	return se.RunCtx(context.Background(), horizon)
 }
 
-// RunCtx is Run with cooperative cancellation, checked at every barrier.
-// On cancellation it returns ctx.Err() with the remaining schedule intact.
+// RunCtx is Run with cooperative cancellation, checked at every barrier
+// and, inside an epoch, by each shard every ctxCheckInterval events — so a
+// long epoch (a gridless run is a single one) still cancels promptly. On
+// cancellation it returns ctx.Err() with the remaining schedule intact.
 func (se *ShardedEngine) RunCtx(ctx context.Context, horizon time.Duration) error {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	se.stopped = false
 	for {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
+		if err := ctx.Err(); err != nil {
+			return err
 		}
 		if se.stopped {
 			return ErrStopped
@@ -241,10 +251,14 @@ func (se *ShardedEngine) RunCtx(ctx context.Context, horizon time.Duration) erro
 		}
 		// Skip empty stretches: barrier at the grid point covering the
 		// earliest pending work, but always strictly past the current
-		// clock so every epoch advances time.
-		barrier := se.gridCeil(next)
-		if barrier <= se.now {
-			barrier = se.gridCeil(se.now + 1)
+		// clock so every epoch advances time. Without a grid the epoch
+		// runs to the horizon (0: until the queues drain).
+		barrier := horizon
+		if se.epoch > 0 {
+			barrier = se.gridCeil(next)
+			if barrier <= se.now {
+				barrier = se.gridCeil(se.now + 1)
+			}
 		}
 		if horizon > 0 && barrier > horizon {
 			if next > horizon && !se.pendingMail() {
@@ -256,7 +270,16 @@ func (se *ShardedEngine) RunCtx(ctx context.Context, horizon time.Duration) erro
 			// on the horizon itself.
 			barrier = horizon
 		}
-		se.runEpoch(barrier)
+		se.runEpoch(ctx, barrier)
+		if err := ctx.Err(); err != nil {
+			return err // a shard may have stopped mid-epoch: no barrier reached
+		}
+		if se.epoch == 0 {
+			barrier = 0 // no grid: the barrier is where the shards stopped
+			for _, e := range se.shards {
+				barrier = max(barrier, e.now)
+			}
+		}
 		se.deliver(barrier)
 		se.now = barrier
 		se.epochs++
@@ -270,13 +293,13 @@ func (se *ShardedEngine) RunCtx(ctx context.Context, horizon time.Duration) erro
 }
 
 // runEpoch advances every shard's engine to the barrier, in parallel when
-// workers > 1. A direct Engine.Stop on a shard (returning ErrStopped)
-// stops the whole sharded run at this barrier.
-func (se *ShardedEngine) runEpoch(barrier time.Duration) {
+// workers > 1. A direct Engine.Stop on a shard (returning ErrStopped), or
+// a cancelled ctx, stops the whole sharded run at this barrier.
+func (se *ShardedEngine) runEpoch(ctx context.Context, barrier time.Duration) {
 	if se.workers == 1 {
 		for i, e := range se.shards {
 			start := time.Now()
-			if err := e.Run(barrier, 0); err != nil {
+			if err := e.RunCtx(ctx, barrier, 0); err != nil {
 				se.stopped = true
 			}
 			se.stats[i].Busy += time.Since(start)
@@ -298,7 +321,7 @@ func (se *ShardedEngine) runEpoch(barrier time.Duration) {
 			defer wg.Done()
 			for i := range work {
 				start := time.Now()
-				err := se.shards[i].Run(barrier, 0)
+				err := se.shards[i].RunCtx(ctx, barrier, 0)
 				busy := time.Since(start)
 				mu.Lock()
 				if err != nil {

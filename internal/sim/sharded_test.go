@@ -242,9 +242,9 @@ func TestShardedStopAtBarrier(t *testing.T) {
 	}
 }
 
-// TestShardedRunCtxCancelled pins barrier-grained cancellation: a context
-// cancelled from inside an event stops the run at that epoch's barrier
-// with the remaining schedule intact.
+// TestShardedRunCtxCancelled: a context cancelled from inside an event
+// stops the run no later than that epoch's barrier, with the remaining
+// schedule intact.
 func TestShardedRunCtxCancelled(t *testing.T) {
 	se, err := NewShardedEngine(ShardedConfig{Shards: 2, Epoch: time.Second, Workers: 1})
 	if err != nil {
@@ -265,6 +265,102 @@ func TestShardedRunCtxCancelled(t *testing.T) {
 	}
 	if n != 2 {
 		t.Fatalf("resume fired %d total, want 2", n)
+	}
+}
+
+// TestShardedGridlessMatchesEngine pins the Epoch-0 contract: a lone shard
+// without a grid fires what Engine.RunCtx fires, in one epoch, and stops
+// its clock where Engine.RunCtx stops it — at the last event when the queue
+// drains first, on the horizon otherwise.
+func TestShardedGridlessMatchesEngine(t *testing.T) {
+	program := func(e *Engine, fired *[]time.Duration) {
+		var chain func(now time.Duration)
+		chain = func(now time.Duration) {
+			*fired = append(*fired, now)
+			if len(*fired) < 1000 {
+				e.After(700*time.Millisecond, chain)
+			}
+		}
+		e.At(300*time.Millisecond, chain)
+	}
+	for _, horizon := range []time.Duration{0, time.Minute, time.Hour} {
+		plain := NewEngine()
+		var want []time.Duration
+		program(plain, &want)
+		if err := plain.RunCtx(context.Background(), horizon, 0); err != nil {
+			t.Fatal(err)
+		}
+		se, err := NewShardedEngine(ShardedConfig{Shards: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []time.Duration
+		program(se.Shard(0), &got)
+		if err := se.RunCtx(context.Background(), horizon); err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) || (len(got) > 0 && got[len(got)-1] != want[len(want)-1]) {
+			t.Fatalf("horizon %v: gridless shard fired %d events, engine %d", horizon, len(got), len(want))
+		}
+		if se.Now() != plain.Now() || se.Stats() != plain.Stats() {
+			t.Fatalf("horizon %v: gridless (now %v, %+v) vs engine (now %v, %+v)",
+				horizon, se.Now(), se.Stats(), plain.Now(), plain.Stats())
+		}
+		if se.Epochs() != 1 {
+			t.Fatalf("horizon %v: %d epochs without a grid, want 1", horizon, se.Epochs())
+		}
+	}
+}
+
+// TestShardedGridlessDeliversMailAtDrain: without a grid or a horizon the
+// barrier is where the shards drained, so mail still arrives and the run
+// continues until nothing is left.
+func TestShardedGridlessDeliversMailAtDrain(t *testing.T) {
+	se, err := NewShardedEngine(ShardedConfig{Shards: 2, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var at time.Duration
+	se.Shard(0).At(2*time.Second, func(now time.Duration) {
+		se.Send(0, 1, now, 1, func(got time.Duration) { at = got })
+	})
+	se.Shard(1).At(5*time.Second, func(time.Duration) {})
+	if err := se.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if at != 5*time.Second || se.Now() != 5*time.Second || se.Epochs() != 2 {
+		t.Fatalf("mail fired at %v, clock %v, %d epochs; want 5s (the drain point), 5s, 2", at, se.Now(), se.Epochs())
+	}
+}
+
+// TestShardedRunCtxCancelsInsideEpoch pins event-grained cancellation: a
+// context cancelled from inside an event stops that shard within
+// ctxCheckInterval events, not at the end of a (here: endless) epoch.
+func TestShardedRunCtxCancelsInsideEpoch(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		se, err := NewShardedEngine(ShardedConfig{Shards: 2, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		n := 0
+		var chain func(time.Duration)
+		chain = func(time.Duration) {
+			if n++; n == 100 {
+				cancel()
+			}
+			se.Shard(0).After(time.Millisecond, chain) // never drains on its own
+		}
+		se.Shard(0).At(0, chain)
+		if err := se.RunCtx(ctx, 0); !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: run = %v, want context.Canceled", workers, err)
+		}
+		if n > 100+ctxCheckInterval {
+			t.Fatalf("workers=%d: %d events fired, cancellation at 100 must bite within %d", workers, n, ctxCheckInterval)
+		}
+		if se.Shard(0).Pending() != 1 {
+			t.Fatalf("workers=%d: pending %d, want the chain's next event intact", workers, se.Shard(0).Pending())
+		}
 	}
 }
 
@@ -303,8 +399,8 @@ func TestShardedConfigValidation(t *testing.T) {
 	if _, err := NewShardedEngine(ShardedConfig{Shards: 0, Epoch: time.Second}); err == nil {
 		t.Fatal("0 shards accepted")
 	}
-	if _, err := NewShardedEngine(ShardedConfig{Shards: 2, Epoch: 0}); err == nil {
-		t.Fatal("0 epoch accepted")
+	if _, err := NewShardedEngine(ShardedConfig{Shards: 2, Epoch: -time.Second}); err == nil {
+		t.Fatal("negative epoch accepted")
 	}
 	se, err := NewShardedEngine(ShardedConfig{Shards: 2, Epoch: time.Second, Workers: 16})
 	if err != nil {

@@ -42,6 +42,12 @@ check_loc() { # name budget-file find-args...
 check_loc "outside bench/" scripts/loc-budget . -not -path './bench/*'
 check_loc "bench/" scripts/loc-budget-bench bench
 
+echo "== experiment-driver gate (golden Results + determinism table, -race x5) =="
+# exp has one driver; these pin it. The golden hashes hold the whole
+# marshalled Result of both partitions, the table reruns each under worker
+# counts {1, 2, 4, 8}. Seconds, so they run before the minute-long suite.
+go test -race -count=5 -run 'TestGoldenResults|TestDeterministicUnderSeed|TestSharded(Timeline)?WorkerCountInvariance' ./internal/exp/
+
 echo "== go test -race =="
 go test -race ./...
 
@@ -54,7 +60,7 @@ go test -run '^$' -bench 'BenchmarkFlood|BenchmarkMeshConnect|BenchmarkNeighbors
 go test -run '^$' -bench 'BenchmarkRequest|BenchmarkProbe|BenchmarkEngine' -benchtime 100x -benchmem ./internal/core/ ./internal/sim/
 go test -run '^$' -bench 'BenchmarkLatency|BenchmarkGenerate' -benchtime 100x -benchmem ./internal/simnet/ ./internal/trace/
 
-echo "== sharded engine bench smoke (1 worker vs GOMAXPROCS) =="
+echo "== category-partition bench smoke (1 worker vs GOMAXPROCS) =="
 # Wall-clock for the same seeded workload on the sequential loop and the
 # full worker pool; on multi-core runners a parallel-speedup regression
 # shows up as the workers=max line drifting toward workers=1.
