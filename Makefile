@@ -28,9 +28,12 @@ bench-short:
 ci:
 	./scripts/ci.sh
 
-# Regenerate every table and figure at laptop scale (~90 s).
+# Regenerate every table and figure at laptop scale (~90 s): each CLI's
+# `-fig all` is its group of the figure registry.
 figures:
-	$(GO) run ./cmd/socialtube-bench
+	$(GO) run ./cmd/socialtube-trace -fig all
+	$(GO) run ./cmd/socialtube-sim -fig all
+	$(GO) run ./cmd/socialtube-emu -fig all
 
 # Regenerate the simulation figures at the paper's Table I scale (minutes).
 figures-paper:

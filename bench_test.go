@@ -2,7 +2,7 @@ package socialtube_test
 
 // One benchmark per table and figure of the paper's evaluation. Each bench
 // regenerates the corresponding result through internal/figures — the same
-// code path the socialtube-bench CLI uses — and reports the headline series
+// code path the CLIs' -fig flag uses — and reports the headline series
 // via b.ReportMetric so `go test -bench=. -benchmem` prints rows comparable
 // to the paper. Absolute numbers come from a laptop-scale workload; the
 // shapes (who wins, by what factor) are what reproduce the paper. See
@@ -15,7 +15,6 @@ import (
 
 	"github.com/socialtube/socialtube/internal/core"
 	"github.com/socialtube/socialtube/internal/figures"
-	"github.com/socialtube/socialtube/internal/metrics"
 	"github.com/socialtube/socialtube/internal/trace"
 )
 
@@ -47,9 +46,9 @@ func benchTrace(b *testing.B) *trace.Trace {
 	return benchTraceVal
 }
 
-func benchTable(b *testing.B, build func() *metrics.Table) {
+func benchTable(b *testing.B, build func() *figures.Table) {
 	b.Helper()
-	var tb *metrics.Table
+	var tb *figures.Table
 	for i := 0; i < b.N; i++ {
 		tb = build()
 	}
@@ -67,7 +66,7 @@ func benchTraceFigure(b *testing.B, id string) {
 		b.Fatal(err)
 	}
 	in := &figures.Inputs{Trace: benchTrace(b), MinShared: 3}
-	benchTable(b, func() *metrics.Table {
+	benchTable(b, func() *figures.Table {
 		rep, err := figs[0].Run(in)
 		if err != nil {
 			b.Fatal(err)
@@ -80,7 +79,7 @@ func benchTraceFigure(b *testing.B, id string) {
 
 func BenchmarkFig02VideoGrowth(b *testing.B) {
 	tr := benchTrace(b)
-	benchTable(b, func() *metrics.Table { return figures.Fig02(tr) })
+	benchTable(b, func() *figures.Table { return figures.Fig02(tr) })
 }
 
 func BenchmarkFig03ChannelViewFreq(b *testing.B) {
@@ -93,7 +92,7 @@ func BenchmarkFig04Subscribers(b *testing.B) {
 
 func BenchmarkFig05ViewsVsSubs(b *testing.B) {
 	tr := benchTrace(b)
-	benchTable(b, func() *metrics.Table { return figures.Fig05(tr) })
+	benchTable(b, func() *figures.Table { return figures.Fig05(tr) })
 	subs, views := tr.ViewsVsSubscriptions()
 	b.ReportMetric(trace.Pearson(subs, views), "pearson")
 }
@@ -108,13 +107,13 @@ func BenchmarkFig07ViewsPerVideo(b *testing.B) {
 
 func BenchmarkFig08Favorites(b *testing.B) {
 	tr := benchTrace(b)
-	benchTable(b, func() *metrics.Table { return figures.Fig08(tr) })
+	benchTable(b, func() *figures.Table { return figures.Fig08(tr) })
 	b.ReportMetric(trace.Pearson(tr.ViewsPerVideo(), tr.FavoritesPerVideo()), "views_favs_pearson")
 }
 
 func BenchmarkFig09ZipfWithinChannel(b *testing.B) {
 	tr := benchTrace(b)
-	benchTable(b, func() *metrics.Table { return figures.Fig09(tr) })
+	benchTable(b, func() *figures.Table { return figures.Fig09(tr) })
 	ch := tr.ChannelPopularityClass(1.0)
 	s, r2 := trace.ZipfFit(tr.WithinChannelViews(ch.ID))
 	b.ReportMetric(s, "zipf_s")
@@ -123,7 +122,7 @@ func BenchmarkFig09ZipfWithinChannel(b *testing.B) {
 
 func BenchmarkFig10ChannelClusters(b *testing.B) {
 	tr := benchTrace(b)
-	benchTable(b, func() *metrics.Table { return figures.Fig10(tr, 3) })
+	benchTable(b, func() *figures.Table { return figures.Fig10(tr, 3) })
 	b.ReportMetric(tr.IntraCategoryEdgeFraction(3), "intra_category_fraction")
 }
 
@@ -159,7 +158,7 @@ func BenchmarkPrefetchAccuracy(b *testing.B) {
 func BenchmarkTable1Defaults(b *testing.B) {
 	tr := benchTrace(b)
 	s := benchScale()
-	benchTable(b, func() *metrics.Table { return figures.Table1(s, tr) })
+	benchTable(b, func() *figures.Table { return figures.Table1(s, tr) })
 }
 
 func BenchmarkFig16aPeerBandwidthSim(b *testing.B) {

@@ -86,7 +86,7 @@ func run(args []string, stop chan struct{}) error {
 	if err != nil {
 		return err
 	}
-	tr, err := trace.Load(f)
+	tr, err := trace.LoadStream(f)
 	f.Close()
 	if err != nil {
 		return err

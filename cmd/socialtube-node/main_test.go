@@ -28,7 +28,7 @@ func writeTrace(t *testing.T) string {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if err := tr.Save(f); err != nil {
+	if err := tr.SaveStream(f); err != nil {
 		t.Fatal(err)
 	}
 	return path

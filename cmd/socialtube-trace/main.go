@@ -33,7 +33,7 @@ func run(args []string) error {
 		users     = fs.Int("users", 2000, "number of users")
 		cats      = fs.Int("categories", 18, "number of interest categories")
 		minShared = fs.Int("minshared", 3, "shared-subscriber threshold for fig 10")
-		save      = fs.String("save", "", "write the generated trace as JSON to this file")
+		save      = fs.String("save", "", "write the generated trace to this file (the chunked JSONL stream socialtube-node -trace reads)")
 		crawl     = fs.Int("crawl", 0, "BFS-crawl this many users from the generated network first (the paper's Section III sampling methodology)")
 		csv       = fs.Bool("csv", false, "emit figures as CSV instead of aligned tables")
 	)
@@ -73,8 +73,11 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		defer f.Close()
-		if err := tr.Save(f); err != nil {
+		if err := tr.SaveStream(f); err != nil {
+			f.Close()
+			return err
+		}
+		if err := f.Close(); err != nil {
 			return err
 		}
 		fmt.Printf("saved trace to %s\n", *save)

@@ -4,6 +4,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"github.com/socialtube/socialtube/internal/trace"
 )
 
 func TestRunSingleFigure(t *testing.T) {
@@ -45,12 +47,18 @@ func TestRunSaveTrace(t *testing.T) {
 	if err := run(args); err != nil {
 		t.Fatalf("run with save: %v", err)
 	}
-	info, err := os.Stat(out)
+	// The file is what socialtube-node -trace reads back.
+	f, err := os.Open(out)
 	if err != nil {
 		t.Fatalf("saved trace missing: %v", err)
 	}
-	if info.Size() == 0 {
-		t.Fatal("saved trace empty")
+	defer f.Close()
+	tr, err := trace.LoadStream(f)
+	if err != nil {
+		t.Fatalf("saved trace does not load: %v", err)
+	}
+	if len(tr.Channels) != 20 || len(tr.Users) != 60 {
+		t.Fatalf("loaded %d channels, %d users; want 20, 60", len(tr.Channels), len(tr.Users))
 	}
 }
 

@@ -8,7 +8,6 @@ package baseline
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"github.com/socialtube/socialtube/internal/dist"
 	"github.com/socialtube/socialtube/internal/obs"
@@ -60,49 +59,35 @@ func (c NetTubeConfig) Validate() error {
 	return nil
 }
 
-// NetTube implements the per-video-overlay baseline over a trace. Node ids
-// are dense user indices, so per-node state is slice-indexed.
+// NetTube implements the per-video-overlay baseline over a trace, on the
+// shared vod.Chassis. Node ids are dense user indices, so per-node state is
+// slice-indexed.
 type NetTube struct {
+	vod.Chassis
 	cfg NetTubeConfig
-	tr  *trace.Trace
-	g   *dist.RNG
 	// overlays holds one mesh per video; a node that watched the video
 	// stays in its overlay as a provider.
-	overlays map[trace.VideoID]*overlay.Mesh
+	overlays *overlay.Registry[trace.VideoID, overlay.Mesh]
 	// members tracks the online members of each per-video overlay — the
 	// per-video state the central server must keep (contrast §IV-A).
-	members map[trace.VideoID]*overlay.Members
+	members *overlay.Registry[trace.VideoID, overlay.Members]
 	nodes   []ntNode
 
 	// scratch is the reusable flood state; unionSeen/unionBuf back the
-	// allocation-free cross-overlay neighbour union.
-	scratch    overlay.FloodScratch
-	unionSeen  []uint32
-	unionEpoch uint32
-	unionBuf   []int
-
-	// ctr/tracer/now are the observability hooks; see internal/obs.
-	ctr    obs.Counters
-	tracer obs.Tracer
-	now    time.Duration
-	// spanSeq numbers request spans for trace linkage (obs.Event.Span).
-	spanSeq uint64
+	// allocation-free cross-overlay neighbour union, which runs inside a
+	// flood and so cannot share the scratch's own visited set.
+	scratch   overlay.FloodScratch
+	unionSeen overlay.Stamps
+	unionBuf  []int
 }
 
 var _ vod.Protocol = (*NetTube)(nil)
 
 type ntNode struct {
-	online bool
-	cache  *vod.Cache
+	cache *vod.Cache
 	// joined lists the per-video overlays the node currently has links
 	// in, sorted ascending so every iteration order is deterministic.
 	joined []trace.VideoID
-}
-
-// joinedHas reports whether v is in the node's sorted joined list.
-func (st *ntNode) joinedHas(v trace.VideoID) bool {
-	i := sort.Search(len(st.joined), func(i int) bool { return st.joined[i] >= v })
-	return i < len(st.joined) && st.joined[i] == v
 }
 
 // joinedAdd inserts v into the sorted joined list if absent.
@@ -121,18 +106,17 @@ func NewNetTube(cfg NetTubeConfig, tr *trace.Trace) (*NetTube, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("nettube config: %w", err)
 	}
-	if tr == nil || len(tr.Users) == 0 {
-		return nil, fmt.Errorf("%w: nettube needs a non-empty trace", dist.ErrBadParameter)
+	chassis, err := vod.NewChassis("NetTube", tr, cfg.Seed)
+	if err != nil {
+		return nil, err
 	}
 	n := &NetTube{
-		cfg:       cfg,
-		tr:        tr,
-		g:         dist.NewRNG(cfg.Seed),
-		overlays:  make(map[trace.VideoID]*overlay.Mesh),
-		members:   make(map[trace.VideoID]*overlay.Members),
-		nodes:     make([]ntNode, len(tr.Users)),
-		scratch:   *overlay.NewFloodScratch(len(tr.Users)),
-		unionSeen: make([]uint32, len(tr.Users)),
+		Chassis:  chassis,
+		cfg:      cfg,
+		overlays: overlay.NewRegistry[trace.VideoID](func() *overlay.Mesh { return overlay.NewMesh(cfg.LinksPerOverlay) }),
+		members:  overlay.NewRegistry[trace.VideoID](overlay.NewMembers),
+		nodes:    make([]ntNode, len(tr.Users)),
+		scratch:  *overlay.NewFloodScratch(len(tr.Users)),
 	}
 	for i := range n.nodes {
 		n.nodes[i] = ntNode{cache: vod.NewCache(cfg.CacheVideos)}
@@ -140,91 +124,33 @@ func NewNetTube(cfg NetTubeConfig, tr *trace.Trace) (*NetTube, error) {
 	return n, nil
 }
 
-func (n *NetTube) state(node int) *ntNode {
-	if node < 0 || node >= len(n.nodes) {
-		return nil
-	}
-	return &n.nodes[node]
-}
-
-// Name implements vod.Protocol.
-func (n *NetTube) Name() string { return "NetTube" }
-
-// ObsCounters implements obs.Instrumented.
-func (n *NetTube) ObsCounters() *obs.Counters { return &n.ctr }
-
-// SetTracer implements obs.Traceable; a nil tracer disables tracing.
-func (n *NetTube) SetTracer(t obs.Tracer) { n.tracer = t }
-
-// SetNow implements the experiment engine's clock hook so trace events carry
-// virtual timestamps.
-func (n *NetTube) SetNow(now time.Duration) { n.now = now }
-
-func (n *NetTube) mesh(v trace.VideoID) *overlay.Mesh {
-	m, ok := n.overlays[v]
-	if !ok {
-		m = overlay.NewMesh(n.cfg.LinksPerOverlay)
-		n.overlays[v] = m
-	}
-	return m
-}
-
-func (n *NetTube) memberSet(v trace.VideoID) *overlay.Members {
-	m, ok := n.members[v]
-	if !ok {
-		m = overlay.NewMembers()
-		n.members[v] = m
-	}
-	return m
-}
-
-func (n *NetTube) online(node int) bool {
-	st := n.state(node)
-	return st != nil && st.online
-}
-
 // Join implements vod.Protocol. A returning NetTube node starts with no
 // overlay links and accumulates them as it watches videos — the behaviour
 // behind the growing curve of Fig. 18.
-func (n *NetTube) Join(node int) {
-	st := n.state(node)
-	if st == nil || st.online {
-		return
-	}
-	st.online = true
-	n.ctr.OverlayJoins++
-	churnEvent(n.tracer, "NetTube", n.now, obs.KindJoin, node)
-}
+func (n *NetTube) Join(node int) { n.Arrive(node) }
 
 // Leave implements vod.Protocol: graceful departure from every overlay.
 func (n *NetTube) Leave(node int) {
-	st := n.state(node)
-	if st == nil || !st.online {
+	if !n.Depart(node, obs.KindLeave) {
 		return
 	}
+	st := &n.nodes[node]
 	for _, v := range st.joined {
-		n.mesh(v).RemoveNode(node)
-		n.memberSet(v).Remove(node)
+		n.overlays.Get(v).RemoveNode(node)
+		n.members.Get(v).Remove(node)
 	}
 	st.joined = st.joined[:0]
-	st.online = false
-	n.ctr.OverlayLeaves++
-	churnEvent(n.tracer, "NetTube", n.now, obs.KindLeave, node)
 }
 
 // Fail implements vod.Protocol: the node vanishes from member sets but its
 // mesh links linger until neighbours probe.
 func (n *NetTube) Fail(node int) {
-	st := n.state(node)
-	if st == nil || !st.online {
+	if !n.Depart(node, obs.KindFail) {
 		return
 	}
-	for _, v := range st.joined {
-		n.memberSet(v).Remove(node)
+	for _, v := range n.nodes[node].joined {
+		n.members.Get(v).Remove(node)
 	}
-	st.online = false
-	n.ctr.OverlayFails++
-	churnEvent(n.tracer, "NetTube", n.now, obs.KindFail, node)
 }
 
 // unionNeighbors returns the node's neighbours across every overlay it has
@@ -232,61 +158,43 @@ func (n *NetTube) Fail(node int) {
 // is a reusable buffer, valid until the next unionNeighbors call; the
 // joined list is sorted, so the order is deterministic.
 func (n *NetTube) unionNeighbors(node int) []int {
-	st := n.state(node)
-	if st == nil || !st.online {
+	if !n.Online(node) {
 		return nil
 	}
-	n.unionEpoch++
-	if n.unionEpoch == 0 {
-		for i := range n.unionSeen {
-			n.unionSeen[i] = 0
-		}
-		n.unionEpoch = 1
-	}
+	n.unionSeen.Reset()
 	out := n.unionBuf[:0]
-	for _, v := range st.joined {
-		for _, nb := range n.mesh(v).NeighborsView(node) {
-			if nb < len(n.unionSeen) && n.unionSeen[nb] == n.unionEpoch {
-				continue
+	for _, v := range n.nodes[node].joined {
+		for _, nb := range n.overlays.Get(v).NeighborsView(node) {
+			if n.unionSeen.Add(nb) {
+				out = append(out, nb)
 			}
-			if nb < len(n.unionSeen) {
-				n.unionSeen[nb] = n.unionEpoch
-			}
-			out = append(out, nb)
 		}
 	}
 	n.unionBuf = out
 	return out
 }
 
-// Request implements vod.Protocol: locate the video, then account the
-// outcome and emit the serve event (shared with PA-VoD via accountRequest).
+// Request implements vod.Protocol: locate inside the chassis' request
+// bracket (span before, accounting and serve event after).
 func (n *NetTube) Request(node int, v trace.VideoID) vod.RequestResult {
-	res := n.locate(node, v)
-	n.spanSeq++
-	res.Span = n.spanSeq
-	accountRequest(&n.ctr, n.tracer, "NetTube", n.now, node, v, res)
-	return res
+	n.BeginRequest()
+	return n.Account(node, v, n.locate(node, v))
 }
 
 // locate queries neighbours within TTL hops across the node's overlays; on a
 // miss the server serves the video and directs the node into the video's
 // overlay.
 func (n *NetTube) locate(node int, v trace.VideoID) vod.RequestResult {
-	st := n.state(node)
-	video := n.tr.Video(v)
-	if st == nil || !st.online || video == nil {
+	if !n.Online(node) || n.Trace.Video(v) == nil {
 		return vod.RequestResult{Source: vod.SourceServer}
 	}
+	st := &n.nodes[node]
 	res := vod.RequestResult{PrefixCached: st.cache.HasPrefix(v)}
 	if st.cache.HasFull(v) {
 		res.Source = vod.SourceCache
 		return res
 	}
-	match := func(m int) bool {
-		other := n.state(m)
-		return other != nil && other.online && other.cache.HasFull(v)
-	}
+	match := func(m int) bool { return n.Online(m) && n.nodes[m].cache.HasFull(v) }
 	// A node with overlay links queries its neighbours within TTL hops;
 	// a fresh node (first request of a session) instead asks the server,
 	// which directs it to providers in the video's overlay. On a miss the
@@ -294,44 +202,26 @@ func (n *NetTube) locate(node int, v trace.VideoID) vod.RequestResult {
 	// cross-overlay flood counts at the channel level and its
 	// server-directed provider lookup at the server level.
 	if len(st.joined) > 0 {
-		n.ctr.LookupsChannel++
+		n.Ctr.LookupsChannel++
 		fr := n.scratch.Flood(node, n.cfg.TTL, n.unionNeighbors, match)
 		res.Messages += fr.Messages
-		n.ctr.FloodMsgsChannel += uint64(fr.Messages)
-		if n.tracer != nil {
-			provider := -1
-			if fr.OK {
-				provider = fr.Found
-			}
-			n.tracer.Emit(obs.Event{T: int64(n.now), Proto: "NetTube", Kind: obs.KindFlood, Node: node,
-				Video: int64(v), Provider: provider, Level: obs.LevelChannel, OK: fr.OK, Hops: fr.Hops, Msgs: fr.Messages})
-		}
+		n.Flooded(node, v, obs.LevelChannel, fr.OK, fr.Found, fr.Hops, fr.Messages)
 		if fr.OK {
-			n.ctr.HitsChannel++
-			res.Source = vod.SourcePeer
-			res.Provider = fr.Found
-			res.Hops = fr.Hops
+			res.Source, res.Provider, res.Hops = vod.SourcePeer, fr.Found, fr.Hops
 			n.joinOverlay(node, v, fr.Found)
 			return res
 		}
-		n.ctr.TTLExhausted++
+		n.Ctr.TTLExhausted++
 	}
 	// The request reaches the server either way: it serves the video, and
 	// for a fresh node it first tries to direct the request to a provider
 	// already in the video's overlay.
-	n.ctr.LookupsServer++
+	n.Ctr.LookupsServer++
 	if len(st.joined) == 0 {
-		if provider := n.memberSet(v).Random(n.g, node); provider >= 0 && match(provider) {
-			res.Source = vod.SourcePeer
-			res.Provider = provider
-			res.Hops = 1
+		if provider := n.members.Get(v).Random(n.RNG, node); provider >= 0 && match(provider) {
+			res.Source, res.Provider, res.Hops = vod.SourcePeer, provider, 1
 			res.Messages++ // the server-directed contact
-			n.ctr.FloodMsgsServer++
-			n.ctr.HitsServerAssist++
-			if n.tracer != nil {
-				n.tracer.Emit(obs.Event{T: int64(n.now), Proto: "NetTube", Kind: obs.KindFlood, Node: node,
-					Video: int64(v), Provider: provider, Level: obs.LevelServer, OK: true, Hops: 1, Msgs: 1})
-			}
+			n.Flooded(node, v, obs.LevelServer, true, provider, 1, 1)
 			n.joinOverlay(node, v, provider)
 			return res
 		}
@@ -344,20 +234,19 @@ func (n *NetTube) locate(node int, v trace.VideoID) vod.RequestResult {
 // joinOverlay places the node in the video's overlay, linking it to the
 // provider (when given) and to random overlay members up to the bound.
 func (n *NetTube) joinOverlay(node int, v trace.VideoID, provider int) {
-	st := n.state(node)
-	mesh := n.mesh(v)
-	members := n.memberSet(v)
-	st.joinedAdd(v)
+	mesh := n.overlays.Get(v)
+	members := n.members.Get(v)
+	n.nodes[node].joinedAdd(v)
 	members.Add(node)
 	if provider >= 0 {
 		mesh.Connect(node, provider)
 	}
 	for attempts := 0; !mesh.Full(node) && attempts < 2*n.cfg.LinksPerOverlay; attempts++ {
-		cand := members.Random(n.g, node)
+		cand := members.Random(n.RNG, node)
 		if cand < 0 {
 			break
 		}
-		if n.online(cand) {
+		if n.Online(cand) {
 			mesh.Connect(node, cand)
 		}
 	}
@@ -367,11 +256,11 @@ func (n *NetTube) joinOverlay(node int, v trace.VideoID, provider int) {
 // provider, and prefetch the first chunks of randomly chosen videos from
 // neighbours' caches (NetTube's related-video prefetching).
 func (n *NetTube) Finish(node int, v trace.VideoID) {
-	st := n.state(node)
-	if st == nil || n.tr.Video(v) == nil {
+	if !n.Known(node) || n.Trace.Video(v) == nil {
 		return
 	}
-	st.cache.AddFull(v)
+	cache := n.nodes[node].cache
+	cache.AddFull(v)
 	if n.cfg.PrefetchCount <= 0 {
 		return
 	}
@@ -381,25 +270,17 @@ func (n *NetTube) Finish(node int, v trace.VideoID) {
 	}
 	prefetched := 0
 	for attempts := 0; prefetched < n.cfg.PrefetchCount && attempts < 4*n.cfg.PrefetchCount; attempts++ {
-		nb := neighbors[n.g.Intn(len(neighbors))]
-		other := n.state(nb)
-		if other == nil {
-			continue
-		}
-		vids := other.cache.FullVideos()
+		nb := neighbors[n.RNG.Intn(len(neighbors))]
+		vids := n.nodes[nb].cache.FullVideos()
 		if len(vids) == 0 {
 			continue
 		}
-		pick := vids[n.g.Intn(len(vids))]
-		if pick == v || st.cache.HasPrefix(pick) {
-			continue
+		pick := vids[n.RNG.Intn(len(vids))]
+		if cache.HasPrefix(pick) {
+			continue // already local (the video just watched included)
 		}
-		st.cache.AddPrefix(pick)
-		n.ctr.PrefetchStored++
-		if n.tracer != nil {
-			n.tracer.Emit(obs.Event{T: int64(n.now), Proto: "NetTube", Kind: obs.KindPrefetch, Node: node,
-				Video: int64(pick), Provider: -1})
-		}
+		cache.AddPrefix(pick)
+		n.Prefetched(node, pick)
 		prefetched++
 	}
 }
@@ -408,13 +289,9 @@ func (n *NetTube) Finish(node int, v trace.VideoID) {
 // counting redundant links to the same neighbour in different overlays
 // separately — exactly the overhead §IV-C criticizes.
 func (n *NetTube) Links(node int) int {
-	st := n.state(node)
-	if st == nil {
-		return 0
-	}
 	total := 0
-	for _, v := range st.joined {
-		total += n.mesh(v).Degree(node)
+	for _, v := range n.joined(node) {
+		total += n.overlays.Get(v).Degree(node)
 	}
 	return total
 }
@@ -422,39 +299,35 @@ func (n *NetTube) Links(node int) int {
 // Probe drops dead links in every joined overlay and returns the number of
 // probe messages sent.
 func (n *NetTube) Probe(node int) int {
-	st := n.state(node)
-	if st == nil || !st.online {
+	if !n.Online(node) {
 		return 0
 	}
 	before := n.Links(node)
 	msgs := 0
-	for _, v := range st.joined {
-		msgs += n.mesh(v).Prune(node, n.online)
+	for _, v := range n.nodes[node].joined {
+		msgs += n.overlays.Get(v).Prune(node, n.Online)
 	}
-	n.ctr.LinksPruned += uint64(before - n.Links(node))
-	n.ctr.ProbeMsgs += uint64(msgs)
-	if n.tracer != nil {
-		n.tracer.Emit(obs.Event{T: int64(n.now), Proto: "NetTube", Kind: obs.KindProbe, Node: node,
-			Video: -1, Provider: -1, Msgs: msgs})
-	}
+	n.Ctr.LinksPruned += uint64(before - n.Links(node))
+	n.Probed(node, msgs)
 	return msgs
 }
 
 // Cache exposes the node's cache for accounting.
 func (n *NetTube) Cache(node int) *vod.Cache {
-	st := n.state(node)
-	if st == nil {
+	if !n.Known(node) {
 		return nil
 	}
-	return st.cache
+	return n.nodes[node].cache
 }
 
 // Overlays returns how many per-video overlays the node currently belongs
 // to (tests and ablations).
-func (n *NetTube) Overlays(node int) int {
-	st := n.state(node)
-	if st == nil {
-		return 0
+func (n *NetTube) Overlays(node int) int { return len(n.joined(node)) }
+
+// joined is the node's sorted overlay list (nil for an unknown node).
+func (n *NetTube) joined(node int) []trace.VideoID {
+	if !n.Known(node) {
+		return nil
 	}
-	return len(st.joined)
+	return n.nodes[node].joined
 }

@@ -47,45 +47,34 @@ func (c PAVoDConfig) Validate() error {
 	return nil
 }
 
-// PAVoD implements the peer-assisted VoD baseline: when a user requests a
-// video, the server directs the request to users *currently watching* it;
-// when a user finishes watching, it stops being a provider. There is no
-// cache and no prefetching, which is why videos without concurrent watchers
-// always fall back to the server.
+// PAVoD implements the peer-assisted VoD baseline on the shared
+// vod.Chassis: when a user requests a video, the server directs the request
+// to users *currently watching* it; when a user finishes watching, it stops
+// being a provider. There is no cache and no prefetching, which is why
+// videos without concurrent watchers always fall back to the server.
 type PAVoD struct {
+	vod.Chassis
 	cfg PAVoDConfig
-	tr  *trace.Trace
-	g   *dist.RNG
-	now time.Duration
 	// watchers tracks who is currently watching each video — the
 	// server-side state PA-VoD needs.
-	watchers map[trace.VideoID]*overlay.Members
-	// startedAt records when each node began its current watch, for the
-	// readiness constraint (indexed by node id).
-	startedAt []time.Duration
-	// uploads counts each node's concurrent uploads (indexed by node id).
-	uploads []int
-	nodes   []paNode
+	watchers *overlay.Registry[trace.VideoID, overlay.Members]
+	nodes    []paNode
 	// eligible is the reusable candidate buffer of eligibleProvider.
 	eligible []int
-
-	// ctr/tracer are the observability hooks; see internal/obs.
-	ctr    obs.Counters
-	tracer obs.Tracer
-	// spanSeq numbers request spans for trace linkage (obs.Event.Span).
-	spanSeq uint64
 }
 
-var (
-	_ vod.Protocol = (*PAVoD)(nil)
-)
+var _ vod.Protocol = (*PAVoD)(nil)
 
 type paNode struct {
-	online   bool
 	watching trace.VideoID
+	// startedAt is when the node began its current watch, for the
+	// readiness constraint.
+	startedAt time.Duration
 	// provider is the peer currently streaming to this node (-1 when the
 	// server serves it); it is the node's only "link".
 	provider int
+	// uploads counts the node's concurrent uploads.
+	uploads int
 }
 
 // NewPAVoD builds a PA-VoD system over the trace.
@@ -93,17 +82,15 @@ func NewPAVoD(cfg PAVoDConfig, tr *trace.Trace) (*PAVoD, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("pa-vod config: %w", err)
 	}
-	if tr == nil || len(tr.Users) == 0 {
-		return nil, fmt.Errorf("%w: pa-vod needs a non-empty trace", dist.ErrBadParameter)
+	chassis, err := vod.NewChassis("PA-VoD", tr, cfg.Seed)
+	if err != nil {
+		return nil, err
 	}
 	p := &PAVoD{
-		cfg:       cfg,
-		tr:        tr,
-		g:         dist.NewRNG(cfg.Seed),
-		watchers:  make(map[trace.VideoID]*overlay.Members),
-		startedAt: make([]time.Duration, len(tr.Users)),
-		uploads:   make([]int, len(tr.Users)),
-		nodes:     make([]paNode, len(tr.Users)),
+		Chassis:  chassis,
+		cfg:      cfg,
+		watchers: overlay.NewRegistry[trace.VideoID](overlay.NewMembers),
+		nodes:    make([]paNode, len(tr.Users)),
 	}
 	for i := range p.nodes {
 		p.nodes[i] = paNode{watching: -1, provider: -1}
@@ -111,87 +98,35 @@ func NewPAVoD(cfg PAVoDConfig, tr *trace.Trace) (*PAVoD, error) {
 	return p, nil
 }
 
-func (p *PAVoD) state(node int) *paNode {
-	if node < 0 || node >= len(p.nodes) {
-		return nil
-	}
-	return &p.nodes[node]
-}
-
-// Name implements vod.Protocol.
-func (p *PAVoD) Name() string { return "PA-VoD" }
-
-// SetNow implements the experiment engine's optional clock hook so the
-// readiness constraint can reason about elapsed watch time.
-func (p *PAVoD) SetNow(now time.Duration) { p.now = now }
-
-// ObsCounters implements obs.Instrumented.
-func (p *PAVoD) ObsCounters() *obs.Counters { return &p.ctr }
-
-// SetTracer implements obs.Traceable; a nil tracer disables tracing.
-func (p *PAVoD) SetTracer(t obs.Tracer) { p.tracer = t }
-
-func (p *PAVoD) watcherSet(v trace.VideoID) *overlay.Members {
-	m, ok := p.watchers[v]
-	if !ok {
-		m = overlay.NewMembers()
-		p.watchers[v] = m
-	}
-	return m
-}
-
-// Join implements vod.Protocol.
-func (p *PAVoD) Join(node int) {
-	st := p.state(node)
-	if st == nil || st.online {
-		return
-	}
-	st.online = true
-	st.watching = -1
-	st.provider = -1
-	p.ctr.OverlayJoins++
-	churnEvent(p.tracer, "PA-VoD", p.now, obs.KindJoin, node)
-}
-
-// depart takes the node out of the system; it reports whether the node was
-// online so Leave/Fail can account gracefully-left versus failed sessions.
-func (p *PAVoD) depart(node int) bool {
-	st := p.state(node)
-	if st == nil || !st.online {
-		return false
-	}
-	p.stopWatching(node)
-	st.online = false
-	return true
-}
+// Join implements vod.Protocol. A departing node stopped watching, so a
+// returning one starts with no video and no provider.
+func (p *PAVoD) Join(node int) { p.Arrive(node) }
 
 // Leave implements vod.Protocol.
 func (p *PAVoD) Leave(node int) {
-	if p.depart(node) {
-		p.ctr.OverlayLeaves++
-		churnEvent(p.tracer, "PA-VoD", p.now, obs.KindLeave, node)
+	if p.Depart(node, obs.KindLeave) {
+		p.stopWatching(node)
 	}
 }
 
 // Fail implements vod.Protocol. PA-VoD keeps no overlay links, so an abrupt
 // failure behaves like a departure from the server's perspective.
 func (p *PAVoD) Fail(node int) {
-	if p.depart(node) {
-		p.ctr.OverlayFails++
-		churnEvent(p.tracer, "PA-VoD", p.now, obs.KindFail, node)
+	if p.Depart(node, obs.KindFail) {
+		p.stopWatching(node)
 	}
 }
 
 func (p *PAVoD) stopWatching(node int) {
-	st := p.state(node)
+	st := &p.nodes[node]
 	if st.watching >= 0 {
-		p.watcherSet(st.watching).Remove(node)
-		p.startedAt[node] = 0
+		p.watchers.Get(st.watching).Remove(node)
+		st.startedAt = 0
 		st.watching = -1
 	}
 	if st.provider >= 0 {
-		if p.uploads[st.provider] > 0 {
-			p.uploads[st.provider]--
+		if p.nodes[st.provider].uploads > 0 {
+			p.nodes[st.provider].uploads--
 		}
 		st.provider = -1
 	}
@@ -201,21 +136,17 @@ func (p *PAVoD) stopWatching(node int) {
 // to hold the leading chunk and (b) has upload capacity left.
 func (p *PAVoD) eligibleProvider(v trace.VideoID, exclude int) int {
 	eligible := p.eligible[:0]
-	for _, id := range p.watcherSet(v).View() {
-		if id == exclude {
-			continue
-		}
-		other := p.state(id)
-		if other == nil || !other.online {
+	for _, id := range p.watchers.Get(v).View() {
+		if id == exclude || !p.Online(id) {
 			continue
 		}
 		if p.cfg.ISPs > 1 && id%p.cfg.ISPs != exclude%p.cfg.ISPs {
 			continue // ISP-localized peer assistance
 		}
-		if p.cfg.ReadyDelay > 0 && p.now-p.startedAt[id] < p.cfg.ReadyDelay {
+		if p.cfg.ReadyDelay > 0 && p.Now()-p.nodes[id].startedAt < p.cfg.ReadyDelay {
 			continue
 		}
-		if p.cfg.MaxUploads > 0 && p.uploads[id] >= p.cfg.MaxUploads {
+		if p.cfg.MaxUploads > 0 && p.nodes[id].uploads >= p.cfg.MaxUploads {
 			continue
 		}
 		eligible = append(eligible, id)
@@ -224,70 +155,54 @@ func (p *PAVoD) eligibleProvider(v trace.VideoID, exclude int) int {
 	if len(eligible) == 0 {
 		return -1
 	}
-	return eligible[p.g.Intn(len(eligible))]
+	return eligible[p.RNG.Intn(len(eligible))]
 }
 
-// Request implements vod.Protocol: locate a provider via the server, then
-// account the outcome and emit the serve event.
+// Request implements vod.Protocol: locate inside the chassis' request
+// bracket (span before, accounting and serve event after).
 func (p *PAVoD) Request(node int, v trace.VideoID) vod.RequestResult {
-	res := p.locate(node, v)
-	p.spanSeq++
-	res.Span = p.spanSeq
-	accountRequest(&p.ctr, p.tracer, "PA-VoD", p.now, node, v, res)
-	return res
+	p.BeginRequest()
+	return p.Account(node, v, p.locate(node, v))
 }
 
 // locate asks the server to direct the request to a current watcher of the
 // video, if any; otherwise the server serves the video itself. The node
 // becomes a watcher (and thus a prospective provider) until Finish.
 func (p *PAVoD) locate(node int, v trace.VideoID) vod.RequestResult {
-	st := p.state(node)
-	video := p.tr.Video(v)
-	if st == nil || !st.online || video == nil {
+	if !p.Online(node) || p.Trace.Video(v) == nil {
 		return vod.RequestResult{Source: vod.SourceServer}
 	}
 	// Moving to a new video ends the previous watch.
 	p.stopWatching(node)
-	res := vod.RequestResult{Messages: 1} // the request to the server
+	st := &p.nodes[node]
+	res := vod.RequestResult{Source: vod.SourceServer, Messages: 1} // the request to the server
 	// PA-VoD has no overlay to flood: every lookup is server-level.
-	p.ctr.LookupsServer++
-	p.ctr.FloodMsgsServer++
+	p.Ctr.LookupsServer++
 	provider := p.eligibleProvider(v, node)
-	if p.tracer != nil {
-		p.tracer.Emit(obs.Event{T: int64(p.now), Proto: "PA-VoD", Kind: obs.KindFlood, Node: node,
-			Video: int64(v), Provider: provider, Level: obs.LevelServer, OK: provider >= 0, Hops: 1, Msgs: 1})
-	}
+	p.Flooded(node, v, obs.LevelServer, provider >= 0, provider, 1, 1)
 	if provider >= 0 {
-		p.ctr.HitsServerAssist++
-		res.Source = vod.SourcePeer
-		res.Provider = provider
-		res.Hops = 1
+		res.Source, res.Provider, res.Hops = vod.SourcePeer, provider, 1
 		st.provider = provider
-		p.uploads[provider]++
-	} else {
-		res.Source = vod.SourceServer
+		p.nodes[provider].uploads++
 	}
 	st.watching = v
-	p.startedAt[node] = p.now
-	p.watcherSet(v).Add(node)
+	st.startedAt = p.Now()
+	p.watchers.Get(v).Add(node)
 	return res
 }
 
 // Finish implements vod.Protocol: the node stops being a provider for the
 // video; nothing is cached.
 func (p *PAVoD) Finish(node int, v trace.VideoID) {
-	st := p.state(node)
-	if st == nil || st.watching != v {
-		return
+	if p.Known(node) && p.nodes[node].watching == v {
+		p.stopWatching(node)
 	}
-	p.stopWatching(node)
 }
 
 // Links implements vod.Protocol: a PA-VoD node maintains at most one active
 // peer connection (to its current provider).
 func (p *PAVoD) Links(node int) int {
-	st := p.state(node)
-	if st == nil || st.provider < 0 {
+	if !p.Known(node) || p.nodes[node].provider < 0 {
 		return 0
 	}
 	return 1
@@ -295,5 +210,5 @@ func (p *PAVoD) Links(node int) int {
 
 // Watchers returns how many nodes currently watch the video (tests).
 func (p *PAVoD) Watchers(v trace.VideoID) int {
-	return p.watcherSet(v).Len()
+	return p.watchers.Get(v).Len()
 }

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"github.com/socialtube/socialtube/internal/obs"
-	"github.com/socialtube/socialtube/internal/trace"
-)
+import "github.com/socialtube/socialtube/internal/trace"
 
 // RemoteLookup answers a cross-community lookup arriving at this
 // community's server: it runs the server-assisted phase of Algorithm 1 —
@@ -15,29 +12,18 @@ import (
 // community (the forwarding layer adds its own inter-community messages).
 //
 // span is the requester's span id (assigned by its home cell's Request);
-// the query event this side emits carries it, so a merged trace links the
-// hop across the shard mailbox back to the originating request.
+// the query event this side emits carries it.
 func (s *System) RemoteLookup(span uint64, v trace.VideoID) (provider, hops, msgs int, ok bool) {
-	video := s.tr.Video(v)
+	video := s.Trace.Video(v)
 	if video == nil {
 		return 0, 0, 0, false
 	}
 	s.matchVideo = v
-	s.ctr.LookupsServer++
+	s.Ctr.LookupsServer++
 	provider, hops, msgs, ok = s.searchChannelOverlay(-1, video.Channel)
-	s.ctr.FloodMsgsServer += uint64(msgs)
-	if ok {
-		s.ctr.HitsServerAssist++
-	} else if msgs > 0 {
-		s.ctr.TTLExhausted++
-	}
-	if s.tracer != nil {
-		p := -1
-		if ok {
-			p = provider
-		}
-		s.tracer.Emit(obs.Event{T: int64(s.now), Proto: "SocialTube", Kind: obs.KindQuery, Node: -1,
-			Video: int64(v), Provider: p, OK: ok, Hops: hops, Msgs: msgs, Span: span})
+	s.Queried(span, v, ok, provider, hops, msgs)
+	if !ok && msgs > 0 {
+		s.Ctr.TTLExhausted++
 	}
 	return provider, hops, msgs, ok
 }

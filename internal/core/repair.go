@@ -1,9 +1,5 @@
 package core
 
-import (
-	"github.com/socialtube/socialtube/internal/obs"
-)
-
 // RepairNeighbors runs active overlay self-repair around a crashed
 // node: once the fault layer decides the crash has been detected (a
 // plan's DetectDelay after the abrupt Fail), every surviving neighbor
@@ -15,31 +11,27 @@ import (
 // This is the hook internal/exp drives through its Repairer interface;
 // it is never called on the request hot path.
 func (s *System) RepairNeighbors(dead int) (links, msgs int) {
-	st := s.state(dead)
-	if st == nil || st.online {
+	if !s.Known(dead) || s.Online(dead) {
 		return 0, 0
 	}
-	var nbs []int
-	if st.home >= 0 {
-		nbs = append(nbs, s.innerMesh(st.home).Neighbors(dead)...)
-	}
-	nbs = append(nbs, s.inter.Neighbors(dead)...)
-	if len(nbs) == 0 {
-		return 0, 0
-	}
+	nbs := s.inter.Neighbors(dead)
 	// Drop the dead node's stale edges from both meshes. Fail already
 	// saved them in prevInner/prevInter, so a later rejoin can still
 	// try to reconnect.
-	if st.home >= 0 {
-		s.innerMesh(st.home).RemoveNode(dead)
+	if home := s.nodes[dead].home; home >= 0 {
+		nbs = append(s.inner.Get(home).Neighbors(dead), nbs...)
+		s.inner.Get(home).RemoveNode(dead)
 	}
 	s.inter.RemoveNode(dead)
-	s.ctr.LinksPruned += uint64(len(nbs))
+	if len(nbs) == 0 {
+		return 0, 0
+	}
+	s.Ctr.LinksPruned += uint64(len(nbs))
 	// A pair linked in both meshes appears twice; each neighbor runs
 	// one repair round regardless.
 	seen := make(map[int]struct{}, len(nbs))
 	for _, nb := range nbs {
-		if _, dup := seen[nb]; dup || !s.online(nb) {
+		if _, dup := seen[nb]; dup || !s.Online(nb) {
 			continue
 		}
 		seen[nb] = struct{}{}
@@ -50,12 +42,7 @@ func (s *System) RepairNeighbors(dead int) (links, msgs int) {
 			links += d
 		}
 	}
-	s.ctr.RepairCalls++
-	s.ctr.RepairedLinks += uint64(links)
-	if s.tracer != nil {
-		s.tracer.Emit(obs.Event{T: int64(s.now), Proto: "SocialTube", Kind: obs.KindRepair,
-			Node: dead, Video: -1, Provider: -1, Hops: links, Msgs: msgs})
-	}
+	s.Repaired(dead, links, msgs)
 	return links, msgs
 }
 
@@ -65,24 +52,14 @@ func (s *System) RepairNeighbors(dead int) (links, msgs int) {
 // returns the number of prefixes newly stored. This is the hook
 // internal/exp drives through its Reseeder interface on rejoin.
 func (s *System) Reseed(node int) int {
-	st := s.state(node)
-	if st == nil || !st.online || st.home < 0 || s.cfg.PrefetchCount <= 0 {
+	if !s.Online(node) {
 		return 0
 	}
-	ch := s.tr.Channel(st.home)
-	if ch == nil {
-		return 0
+	st := &s.nodes[node]
+	choice := s.prefetchChoice(st.cache, st.home) // empty while unattached
+	for _, v := range choice {
+		st.cache.AddPrefix(v)
 	}
-	n := 0
-	for i := 0; i < len(ch.Videos) && i < s.cfg.PrefetchCount; i++ {
-		if st.cache.HasPrefix(ch.Videos[i]) {
-			continue
-		}
-		st.cache.AddPrefix(ch.Videos[i])
-		n++
-	}
-	if n > 0 {
-		s.ctr.PrefetchReseeds += uint64(n)
-	}
-	return n
+	s.Ctr.PrefetchReseeds += uint64(len(choice))
+	return len(choice)
 }

@@ -20,59 +20,28 @@ func (s *System) flood(origin int, mesh *overlay.Mesh) overlay.FloodResult {
 // so message counts and RNG draws stay bit-identical with PR-1 runs; all
 // three are allocation-free (the set is pre-sized to the population).
 func (s *System) breakerAllow(id int) bool {
-	ok := s.brk.Allow(id, s.now)
-	s.ctr.BreakerSkips = s.brk.Skips
-	s.ctr.BreakerProbes = s.brk.Probes
+	ok := s.brk.Allow(id, s.Now())
+	s.Ctr.BreakerSkips = s.brk.Skips
+	s.Ctr.BreakerProbes = s.brk.Probes
 	return ok
 }
 
 func (s *System) breakerFail(id int) {
-	s.brk.Failure(id, s.now)
-	s.ctr.BreakerOpens = s.brk.Opens
+	s.brk.Failure(id, s.Now())
+	s.Ctr.BreakerOpens = s.brk.Opens
 }
 
 func (s *System) breakerOK(id int) {
 	s.brk.Success(id)
-	s.ctr.BreakerRecoveries = s.brk.Recoveries
+	s.Ctr.BreakerRecoveries = s.brk.Recoveries
 }
 
-// Request implements vod.Protocol: locate the video per Algorithm 1, then
-// account the outcome (request source, hop histogram, prefetch hit/miss) and
-// emit the serve event. The accounting is hoisted out of locate so the
-// search phases stay exactly the PR-1 hot path plus counter increments.
+// Request implements vod.Protocol: locate the video per Algorithm 1 inside
+// the chassis' request bracket (span before, accounting and serve event
+// after).
 func (s *System) Request(node int, v trace.VideoID) vod.RequestResult {
-	// One span id per request: every event in the causal chain (the
-	// floods below, a cross-cell query, the final serve) carries it so a
-	// JSONL trace reconstructs per-request paths (obs.PrettySpans).
-	s.span = s.nextSpan()
-	res := s.locate(node, v)
-	res.Span = s.span
-	switch res.Source {
-	case vod.SourceCache:
-		s.ctr.RequestsCache++
-	case vod.SourcePeer:
-		s.ctr.RequestsPeer++
-		s.ctr.AddHops(res.Hops)
-	default:
-		s.ctr.RequestsServer++
-	}
-	if res.Source != vod.SourceCache {
-		if res.PrefixCached {
-			s.ctr.PrefetchHits++
-		} else {
-			s.ctr.PrefetchMisses++
-		}
-	}
-	if s.tracer != nil {
-		provider := -1
-		if res.Source == vod.SourcePeer {
-			provider = res.Provider
-		}
-		s.tracer.Emit(obs.Event{T: int64(s.now), Proto: "SocialTube", Kind: obs.KindServe, Node: node,
-			Video: int64(v), Provider: provider, Source: res.Source.String(), Hops: res.Hops, Msgs: res.Messages,
-			Span: s.span})
-	}
-	return res
+	s.BeginRequest()
+	return s.Account(node, v, s.locate(node, v))
 }
 
 // locate follows Algorithm 1 of the paper: the node queries its channel
@@ -80,11 +49,11 @@ func (s *System) Request(node int, v trace.VideoID) vod.RequestResult {
 // forwards within its own channel overlay with the TTL), and finally resorts
 // to the server.
 func (s *System) locate(node int, v trace.VideoID) vod.RequestResult {
-	st := s.state(node)
-	video := s.tr.Video(v)
-	if st == nil || !st.online || video == nil {
+	video := s.Trace.Video(v)
+	if !s.Online(node) || video == nil {
 		return vod.RequestResult{Source: vod.SourceServer}
 	}
+	st := &s.nodes[node]
 	res := vod.RequestResult{PrefixCached: st.cache.HasPrefix(v)}
 	if st.cache.HasFull(v) {
 		res.Source = vod.SourceCache
@@ -95,31 +64,19 @@ func (s *System) locate(node int, v trace.VideoID) vod.RequestResult {
 
 	// Phase 1: flood the node's channel overlay along inner-links.
 	if st.home >= 0 {
-		mesh := s.innerMesh(st.home)
-		s.ctr.LookupsChannel++
+		mesh := s.inner.Get(st.home)
+		s.Ctr.LookupsChannel++
 		fr := s.flood(node, mesh)
 		res.Messages += fr.Messages
-		s.ctr.FloodMsgsChannel += uint64(fr.Messages)
-		if s.tracer != nil {
-			provider := -1
-			if fr.OK {
-				provider = fr.Found
-			}
-			s.tracer.Emit(obs.Event{T: int64(s.now), Proto: "SocialTube", Kind: obs.KindFlood, Node: node,
-				Video: int64(v), Provider: provider, Level: obs.LevelChannel, OK: fr.OK, Hops: fr.Hops, Msgs: fr.Messages,
-				Span: s.span})
-		}
+		s.Flooded(node, v, obs.LevelChannel, fr.OK, fr.Found, fr.Hops, fr.Messages)
 		if fr.OK {
-			s.ctr.HitsChannel++
-			res.Source = vod.SourcePeer
-			res.Provider = fr.Found
-			res.Hops = fr.Hops
+			res.Source, res.Provider, res.Hops = vod.SourcePeer, fr.Found, fr.Hops
 			// The requester connects to the provider it found
 			// (§IV-A), building inner-links up to N_l.
 			mesh.Connect(node, fr.Found)
 			return res
 		}
-		s.ctr.TTLExhausted++
+		s.Ctr.TTLExhausted++
 	}
 
 	// Phase 2: query inter-neighbours; each forwards within its own
@@ -127,7 +84,7 @@ func (s *System) locate(node int, v trace.VideoID) vod.RequestResult {
 	// inter mesh is only mutated right before returning. catMsgs tracks
 	// the category-level message volume for the counters and the flood
 	// event (a request that never leaves its channel emits none).
-	s.ctr.LookupsCategory++
+	s.Ctr.LookupsCategory++
 	catMsgs := 0
 	for _, j := range s.inter.NeighborsView(node) {
 		if !s.breakerAllow(j) {
@@ -135,7 +92,7 @@ func (s *System) locate(node int, v trace.VideoID) vod.RequestResult {
 		}
 		res.Messages++
 		catMsgs++
-		if !s.online(j) {
+		if !s.Online(j) {
 			// The contact timed out: the breaker absorbs the strike so
 			// repeated requests stop paying for this neighbour before
 			// the next probe round prunes it.
@@ -143,52 +100,35 @@ func (s *System) locate(node int, v trace.VideoID) vod.RequestResult {
 			continue
 		}
 		s.breakerOK(j)
-		if s.matchNode(j) {
-			res.Source = vod.SourcePeer
-			res.Provider = j
-			res.Hops = 1
-			s.ctr.FloodMsgsCategory += uint64(catMsgs)
-			s.ctr.HitsCategory++
-			if s.tracer != nil {
-				s.tracer.Emit(obs.Event{T: int64(s.now), Proto: "SocialTube", Kind: obs.KindFlood, Node: node,
-					Video: int64(v), Provider: j, Level: obs.LevelCategory, OK: true, Hops: 1, Msgs: catMsgs,
-					Span: s.span})
+		provider, hops := j, 1
+		if !s.matchNode(j) {
+			jHome := s.nodes[j].home
+			if jHome < 0 {
+				continue
 			}
-			return res
-		}
-		jHome := s.nodes[j].home
-		if jHome < 0 {
-			continue
-		}
-		fr := s.flood(j, s.innerMesh(jHome))
-		res.Messages += fr.Messages
-		catMsgs += fr.Messages
-		if fr.OK {
-			res.Source = vod.SourcePeer
-			res.Provider = fr.Found
-			res.Hops = 1 + fr.Hops
-			s.ctr.FloodMsgsCategory += uint64(catMsgs)
-			s.ctr.HitsCategory++
-			if s.tracer != nil {
-				s.tracer.Emit(obs.Event{T: int64(s.now), Proto: "SocialTube", Kind: obs.KindFlood, Node: node,
-					Video: int64(v), Provider: fr.Found, Level: obs.LevelCategory, OK: true, Hops: res.Hops, Msgs: catMsgs,
-					Span: s.span})
+			fr := s.flood(j, s.inner.Get(jHome))
+			res.Messages += fr.Messages
+			catMsgs += fr.Messages
+			if !fr.OK {
+				s.Ctr.TTLExhausted++
+				continue
 			}
-			// Connect to the provider if inter-link budget remains.
-			s.inter.Connect(node, fr.Found)
-			return res
+			provider, hops = fr.Found, 1+fr.Hops
 		}
-		s.ctr.TTLExhausted++
+		s.Flooded(node, v, obs.LevelCategory, true, provider, hops, catMsgs)
+		res.Source, res.Provider, res.Hops = vod.SourcePeer, provider, hops
+		// Connect to the provider if inter-link budget remains (j
+		// itself already is a neighbour).
+		s.inter.Connect(node, provider)
+		return res
 	}
-	s.ctr.FloodMsgsCategory += uint64(catMsgs)
-	if s.tracer != nil && catMsgs > 0 {
-		s.tracer.Emit(obs.Event{T: int64(s.now), Proto: "SocialTube", Kind: obs.KindFlood, Node: node,
-			Video: int64(v), Provider: -1, Level: obs.LevelCategory, OK: false, Msgs: catMsgs, Span: s.span})
+	if catMsgs > 0 {
+		s.Flooded(node, v, obs.LevelCategory, false, -1, 0, catMsgs)
 	}
 
 	// The request now reaches the server, whether it assists (phase 2.5)
 	// or serves the video itself (phase 3).
-	s.ctr.LookupsServer++
+	s.Ctr.LookupsServer++
 
 	// Phase 2.5: before serving the video itself, the server recommends
 	// a node in the video's own channel overlay ("including a node with
@@ -197,26 +137,14 @@ func (s *System) locate(node int, v trace.VideoID) vod.RequestResult {
 	if st.home != video.Channel {
 		provider, hops, msgs, ok := s.searchChannelOverlay(node, video.Channel)
 		res.Messages += msgs
-		s.ctr.FloodMsgsServer += uint64(msgs)
-		if s.tracer != nil && msgs > 0 {
-			p := -1
-			if ok {
-				p = provider
-			}
-			s.tracer.Emit(obs.Event{T: int64(s.now), Proto: "SocialTube", Kind: obs.KindFlood, Node: node,
-				Video: int64(v), Provider: p, Level: obs.LevelServer, OK: ok, Hops: hops, Msgs: msgs,
-				Span: s.span})
-		}
-		if ok {
-			s.ctr.HitsServerAssist++
-			res.Source = vod.SourcePeer
-			res.Provider = provider
-			res.Hops = hops
-			s.inter.Connect(node, provider)
-			return res
-		}
 		if msgs > 0 {
-			s.ctr.TTLExhausted++
+			s.Flooded(node, v, obs.LevelServer, ok, provider, hops, msgs)
+			if ok {
+				res.Source, res.Provider, res.Hops = vod.SourcePeer, provider, hops
+				s.inter.Connect(node, provider)
+				return res
+			}
+			s.Ctr.TTLExhausted++
 		}
 	}
 
@@ -229,11 +157,11 @@ func (s *System) locate(node int, v trace.VideoID) vod.RequestResult {
 // overlay and lets the query flood that overlay with the TTL, matching the
 // video set by the caller through s.matchVideo.
 func (s *System) searchChannelOverlay(node int, ch trace.ChannelID) (provider, hops, msgs int, ok bool) {
-	entry := s.memberSetOf(ch).Random(s.g, node)
+	entry := s.members.Get(ch).Random(s.RNG, node)
 	if entry < 0 || !s.breakerAllow(entry) {
 		return 0, 0, 0, false
 	}
-	if !s.online(entry) {
+	if !s.Online(entry) {
 		// Member sets shed failed nodes, but a recommendation can race a
 		// crash; the breaker remembers the dead entry point.
 		s.breakerFail(entry)
@@ -244,7 +172,7 @@ func (s *System) searchChannelOverlay(node int, ch trace.ChannelID) (provider, h
 	if s.matchNode(entry) {
 		return entry, 1, msgs, true
 	}
-	fr := s.flood(entry, s.innerMesh(ch))
+	fr := s.flood(entry, s.inner.Get(ch))
 	msgs += fr.Messages
 	if fr.OK {
 		return fr.Found, 1 + fr.Hops, msgs, true
@@ -257,7 +185,7 @@ func (s *System) searchChannelOverlay(node int, ch trace.ChannelID) (provider, h
 // overlay; non-subscribers are instead given inter-links into the channel's
 // category by the server, per §IV-A.
 func (s *System) ensureAttached(node int, ch trace.ChannelID) {
-	st := s.state(node)
+	st := &s.nodes[node]
 	cat := s.channelCategory(ch)
 	if !s.subscribed(node, ch) {
 		// Non-subscriber: keep the current home overlay; the server
@@ -267,23 +195,20 @@ func (s *System) ensureAttached(node int, ch trace.ChannelID) {
 		return
 	}
 	if st.home == ch {
-		s.memberSetOf(ch).Add(node)
+		s.members.Get(ch).Add(node)
 		s.replenish(node)
 		return
 	}
 	// Switching channel overlays: leave the old one; drop inter-links
 	// too when the interest category changes, since the node maintains
 	// links only within its channel and category (§IV-A).
-	oldCat := trace.CategoryID(-1)
-	if st.home >= 0 {
-		oldCat = s.channelCategory(st.home)
-	}
+	oldCat := s.channelCategory(st.home) // -1 when unattached
 	s.detach(node)
 	if oldCat != cat {
 		s.inter.RemoveNode(node)
 	}
 	st.home = ch
-	s.memberSetOf(ch).Add(node)
+	s.members.Get(ch).Add(node)
 	// The server assists the join with inner neighbours from the channel
 	// overlay and inter neighbours across the category's channels; links
 	// reach the steady-state N_l + N_h Fig. 18 observes ("15 links at
@@ -301,13 +226,10 @@ func (s *System) seedInterLinks(node int, cat trace.CategoryID) {
 		return
 	}
 	chans := s.byCat[cat]
-	if len(chans) == 0 {
-		return
-	}
-	st := s.state(node)
+	st := &s.nodes[node]
 	// Random channel order, bounded attempts: the server recommends one
 	// node per sibling channel.
-	perm := s.g.Perm(len(chans))
+	perm := s.RNG.Perm(len(chans))
 	for _, idx := range perm {
 		if s.inter.Full(node) {
 			return
@@ -316,8 +238,8 @@ func (s *System) seedInterLinks(node int, cat trace.CategoryID) {
 		if st.home == ch {
 			continue // inner overlay already covers the home channel
 		}
-		cand := s.memberSetOf(ch).Random(s.g, node)
-		if cand < 0 || !s.online(cand) {
+		cand := s.members.Get(ch).Random(s.RNG, node)
+		if cand < 0 || !s.Online(cand) {
 			continue
 		}
 		s.inter.Connect(node, cand)
@@ -330,36 +252,35 @@ func (s *System) subscribed(node int, ch trace.ChannelID) bool {
 }
 
 // Finish implements vod.Protocol: the node caches the watched video and
-// prefetches the first chunks of the M most popular videos of the channel
-// it is watching (§IV-B's channel-facilitated prefetching).
+// prefetches the first chunks of the most popular videos of the channel it
+// is watching (§IV-B's channel-facilitated prefetching).
 func (s *System) Finish(node int, v trace.VideoID) {
-	st := s.state(node)
-	video := s.tr.Video(v)
-	if st == nil || video == nil {
+	video := s.Trace.Video(v)
+	if !s.Known(node) || video == nil {
 		return
 	}
-	st.cache.AddFull(v)
-	if s.cfg.PrefetchCount <= 0 {
-		return
+	cache := s.nodes[node].cache
+	cache.AddFull(v)
+	for _, top := range s.prefetchChoice(cache, video.Channel) {
+		cache.AddPrefix(top)
+		s.Prefetched(node, top)
 	}
-	ch := s.tr.Channel(video.Channel)
-	if ch == nil {
-		return
-	}
-	// Channel videos are ordered by popularity rank, so the top-M list
-	// the server publishes is simply the prefix.
-	for i := 0; i < len(ch.Videos) && i < s.cfg.PrefetchCount; i++ {
-		if ch.Videos[i] == v {
-			continue
-		}
-		if st.cache.HasPrefix(ch.Videos[i]) {
-			continue // already local: nothing new to prefetch
-		}
-		st.cache.AddPrefix(ch.Videos[i])
-		s.ctr.PrefetchStored++
-		if s.tracer != nil {
-			s.tracer.Emit(obs.Event{T: int64(s.now), Proto: "SocialTube", Kind: obs.KindPrefetch, Node: node,
-				Video: int64(ch.Videos[i]), Provider: -1})
+}
+
+// prefetchChoice is §IV-B's decision: of the channel's M most popular
+// videos — its list is ordered by popularity rank, so the top-M the server
+// publishes is the prefix — those the cache holds no first chunk of. A
+// video just watched is cached in full, hence never chosen. The result is
+// valid until the next call.
+func (s *System) prefetchChoice(cache *vod.Cache, id trace.ChannelID) []trace.VideoID {
+	choice := s.topBuf[:0]
+	if ch := s.Trace.Channel(id); ch != nil {
+		for i := 0; i < len(ch.Videos) && i < s.cfg.PrefetchCount; i++ {
+			if !cache.HasPrefix(ch.Videos[i]) {
+				choice = append(choice, ch.Videos[i])
+			}
 		}
 	}
+	s.topBuf = choice
+	return choice
 }

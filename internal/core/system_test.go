@@ -204,8 +204,8 @@ func TestGracefulLeaveClearsLinks(t *testing.T) {
 		if other == node {
 			continue
 		}
-		if st := s.state(other); st.home >= 0 {
-			for _, nb := range s.innerMesh(st.home).Neighbors(other) {
+		if st := &s.nodes[other]; st.home >= 0 {
+			for _, nb := range s.inner.Get(st.home).Neighbors(other) {
 				if nb == node {
 					t.Fatalf("node %d retains link to departed %d", other, node)
 				}
@@ -251,8 +251,8 @@ func TestFailKeepsNeighborLinksUntilProbe(t *testing.T) {
 		t.Fatal("probe sent no messages")
 	}
 	// The dead link must be gone (replenish may add fresh live links).
-	if st := s.state(node); st.home >= 0 {
-		for _, nb := range s.innerMesh(st.home).Neighbors(node) {
+	if st := &s.nodes[node]; st.home >= 0 {
+		for _, nb := range s.inner.Get(st.home).Neighbors(node) {
 			if nb == other {
 				t.Fatal("probe left a dead link")
 			}
@@ -430,15 +430,15 @@ func TestMeshesStaySymmetricUnderChurn(t *testing.T) {
 			case 3:
 				s.Probe(node)
 			default:
-				if s.online(node) {
+				if s.Online(node) {
 					v := picker.First(g, &tr.Users[node])
 					s.Request(node, v)
 					s.Finish(node, v)
 				}
 			}
 		}
-		for ch, mesh := range s.inner {
-			if !mesh.Symmetric() {
+		for ch := range tr.Channels {
+			if !s.inner.Get(tr.Channels[ch].ID).Symmetric() {
 				t.Fatalf("inner mesh of channel %d asymmetric after round %d", ch, round)
 			}
 		}

@@ -12,7 +12,6 @@ import (
 
 	"github.com/socialtube/socialtube/internal/dist"
 	"github.com/socialtube/socialtube/internal/load"
-	"github.com/socialtube/socialtube/internal/metrics"
 	"github.com/socialtube/socialtube/internal/obs"
 	"github.com/socialtube/socialtube/internal/sim"
 	"github.com/socialtube/socialtube/internal/simnet"
@@ -137,14 +136,14 @@ type Result struct {
 	// session — the Fig. 18 series.
 	LinksByVideoIndex []obs.Hist `json:"linksByVideoIndex"`
 	// Hit counters by source.
-	CacheHits  metrics.Counter `json:"cacheHits"`
-	PrefixHits metrics.Counter `json:"prefixHits"`
-	PeerHits   metrics.Counter `json:"peerHits"`
-	ServerHits metrics.Counter `json:"serverHits"`
+	CacheHits  Counter `json:"cacheHits"`
+	PrefixHits Counter `json:"prefixHits"`
+	PeerHits   Counter `json:"peerHits"`
+	ServerHits Counter `json:"serverHits"`
 	// Messages counts query messages sent by the protocol.
-	Messages metrics.Counter `json:"messages"`
+	Messages Counter `json:"messages"`
 	// ProbeMessages counts maintenance probe messages.
-	ProbeMessages metrics.Counter `json:"probeMessages"`
+	ProbeMessages Counter `json:"probeMessages"`
 	// ServerBytes / PeerBytes are total bytes served.
 	ServerBytes int64 `json:"serverBytes"`
 	PeerBytes   int64 `json:"peerBytes"`

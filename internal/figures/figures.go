@@ -16,7 +16,6 @@ import (
 	"github.com/socialtube/socialtube/internal/baseline"
 	"github.com/socialtube/socialtube/internal/core"
 	"github.com/socialtube/socialtube/internal/exp"
-	"github.com/socialtube/socialtube/internal/metrics"
 	"github.com/socialtube/socialtube/internal/obs"
 	"github.com/socialtube/socialtube/internal/simnet"
 	"github.com/socialtube/socialtube/internal/trace"
@@ -146,8 +145,8 @@ func (s Scale) expConfig() exp.Config {
 // cdfFractions are the quantiles the CDF figures report.
 var cdfFractions = []float64{0.01, 0.10, 0.25, 0.50, 0.75, 0.90, 0.99}
 
-func cdfTable(title, valueName string, values []float64) *metrics.Table {
-	t := metrics.NewTable(title, "fraction", valueName)
+func cdfTable(title, valueName string, values []float64) *Table {
+	t := NewTable(title, "fraction", valueName)
 	for _, pt := range trace.CDF(values, cdfFractions) {
 		t.AddRow(pt.Fraction, pt.Value)
 	}
@@ -155,8 +154,8 @@ func cdfTable(title, valueName string, values []float64) *metrics.Table {
 }
 
 // Fig02 prints cumulative video uploads over time (scalability, O1).
-func Fig02(tr *trace.Trace) *metrics.Table {
-	t := metrics.NewTable("Fig. 2 — videos added over time (cumulative)", "bucket", "date", "cumulativeVideos")
+func Fig02(tr *trace.Trace) *Table {
+	t := NewTable("Fig. 2 — videos added over time (cumulative)", "bucket", "date", "cumulativeVideos")
 	growth := tr.VideoGrowth(12)
 	span := tr.End.Sub(tr.Start)
 	for i, n := range growth {
@@ -167,9 +166,9 @@ func Fig02(tr *trace.Trace) *metrics.Table {
 }
 
 // Fig05 prints the channel views vs subscriptions correlation.
-func Fig05(tr *trace.Trace) *metrics.Table {
+func Fig05(tr *trace.Trace) *Table {
 	subs, views := tr.ViewsVsSubscriptions()
-	t := metrics.NewTable("Fig. 5 — channel views vs subscriptions", "metric", "value")
+	t := NewTable("Fig. 5 — channel views vs subscriptions", "metric", "value")
 	t.AddRow("channels", len(subs))
 	t.AddRow("pearson", trace.Pearson(subs, views))
 	t.AddRow("logPearson", trace.LogPearson(subs, views))
@@ -189,7 +188,7 @@ func Fig05(tr *trace.Trace) *metrics.Table {
 }
 
 // Fig08 prints the CDF of favourites per video plus the views correlation.
-func Fig08(tr *trace.Trace) *metrics.Table {
+func Fig08(tr *trace.Trace) *Table {
 	t := cdfTable("Fig. 8 — CDF of favourites per video", "favorites", tr.FavoritesPerVideo())
 	t.AddRow(0, trace.Pearson(tr.ViewsPerVideo(), tr.FavoritesPerVideo()))
 	return t
@@ -197,8 +196,8 @@ func Fig08(tr *trace.Trace) *metrics.Table {
 
 // Fig09 prints within-channel view counts for a high-, medium- and
 // low-popularity channel together with Zipf fits.
-func Fig09(tr *trace.Trace) *metrics.Table {
-	t := metrics.NewTable("Fig. 9 — video popularity within channels (Zipf)", "channel", "rank", "views")
+func Fig09(tr *trace.Trace) *Table {
+	t := NewTable("Fig. 9 — video popularity within channels (Zipf)", "channel", "rank", "views")
 	classes := []struct {
 		name     string
 		quantile float64
@@ -225,8 +224,8 @@ func Fig09(tr *trace.Trace) *metrics.Table {
 }
 
 // Fig10 prints the shared-subscriber channel graph's clustering statistics.
-func Fig10(tr *trace.Trace, minShared int) *metrics.Table {
-	t := metrics.NewTable(
+func Fig10(tr *trace.Trace, minShared int) *Table {
+	t := NewTable(
 		fmt.Sprintf("Fig. 10 — channel graph via ≥%d shared subscribers", minShared),
 		"metric", "value")
 	edges := tr.SharedSubscriberGraph(minShared)
@@ -248,9 +247,9 @@ func Fig10(tr *trace.Trace, minShared int) *metrics.Table {
 }
 
 // Fig15 prints the analytical maintenance-overhead model.
-func Fig15() *metrics.Table {
+func Fig15() *Table {
 	m := core.DefaultMaintenanceModel()
-	t := metrics.NewTable(
+	t := NewTable(
 		"Fig. 15 — modelled overlay maintenance overhead (u=500, u_c=5000, u_t=25000)",
 		"videosWatched", "SocialTube", "NetTube")
 	for _, videos := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10} {
@@ -463,11 +462,11 @@ func RunAllProtocols(s Scale, tr *trace.Trace) (map[string]*exp.Result, error) {
 // output is byte-stable), followed by the engine's accounting. Every
 // simulator figure carries one: not just its metric but the protocol
 // activity that generated it.
-func countersTable(title string, names []string, results []*exp.Result) *metrics.Table {
+func countersTable(title string, names []string, results []*exp.Result) *Table {
 	headers := make([]string, 0, len(names)+1)
 	headers = append(headers, "counter")
 	headers = append(headers, names...)
-	t := metrics.NewTable(title, headers...)
+	t := NewTable(title, headers...)
 	if len(results) == 0 {
 		return t
 	}
@@ -499,13 +498,13 @@ func Fig16a(s Scale, tr *trace.Trace) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := metrics.NewTable("Fig. 16(a) — normalized peer bandwidth (simulator)",
+	t := NewTable("Fig. 16(a) — normalized peer bandwidth (simulator)",
 		"protocol", "p1", "p50", "p99")
 	for i, name := range protoOrder {
 		p1, p50, p99 := results[i].NormalizedPeerBandwidthPercentiles()
 		t.AddRow(name, p1, p50, p99)
 	}
-	return &Report{Tables: []*metrics.Table{
+	return &Report{Tables: []*Table{
 		t, countersTable("Fig. 16(a) — protocol counters", protoOrder, results),
 	}}, nil
 }
@@ -530,7 +529,7 @@ func Fig17a(s Scale, tr *trace.Trace) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := metrics.NewTable("Fig. 17(a) — startup delay (simulator)",
+	t := NewTable("Fig. 17(a) — startup delay (simulator)",
 		"variant", "meanMs", "p50Ms", "p99Ms")
 	names := make([]string, len(jobs))
 	for i, j := range jobs {
@@ -538,7 +537,7 @@ func Fig17a(s Scale, tr *trace.Trace) (*Report, error) {
 		d := results[i].StartupDelay.Summary()
 		t.AddRow(j.label, d.Mean, d.P50, d.P99)
 	}
-	return &Report{Tables: []*metrics.Table{
+	return &Report{Tables: []*Table{
 		t, countersTable("Fig. 17(a) — protocol counters", names, results),
 	}}, nil
 }
@@ -552,21 +551,21 @@ func Fig18a(s Scale, tr *trace.Trace) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := metrics.NewTable("Fig. 18(a) — maintenance overhead vs videos watched (simulator)",
+	t := NewTable("Fig. 18(a) — maintenance overhead vs videos watched (simulator)",
 		"videosWatched", "SocialTube", "NetTube")
 	for k := 0; k < s.VideosPerSession; k++ {
 		t.AddRow(k+1, results[0].LinksByVideoIndex[k].Mean(), results[1].LinksByVideoIndex[k].Mean())
 	}
-	return &Report{Tables: []*metrics.Table{
+	return &Report{Tables: []*Table{
 		t, countersTable("Fig. 18(a) — protocol counters", names, results),
 	}}, nil
 }
 
 // Table1 prints the experiment's default parameters alongside the paper's.
-func Table1(s Scale, tr *trace.Trace) *metrics.Table {
+func Table1(s Scale, tr *trace.Trace) *Table {
 	cfg := s.expConfig()
 	net := simnet.DefaultConfig()
-	t := metrics.NewTable("Table I — experiment parameters (paper default / this run)",
+	t := NewTable("Table I — experiment parameters (paper default / this run)",
 		"parameter", "paper", "thisRun")
 	t.AddRow("simulation duration", "3 days", cfg.Horizon.String())
 	t.AddRow("number of nodes", 10000, len(tr.Users))
@@ -586,8 +585,8 @@ func Table1(s Scale, tr *trace.Trace) *metrics.Table {
 }
 
 // PrefetchAccuracyTable prints the §IV-B prefetch-accuracy analysis.
-func PrefetchAccuracyTable() *metrics.Table {
-	t := metrics.NewTable("§IV-B — prefetch accuracy (Zipf s=1, 25-video channel)",
+func PrefetchAccuracyTable() *Table {
+	t := NewTable("§IV-B — prefetch accuracy (Zipf s=1, 25-video channel)",
 		"prefetchedVideos", "accuracy")
 	for m := 1; m <= 6; m++ {
 		t.AddRow(m, core.PrefetchAccuracy(25, m))

@@ -6,7 +6,6 @@ import (
 
 	"github.com/socialtube/socialtube/internal/exp"
 	"github.com/socialtube/socialtube/internal/faults"
-	"github.com/socialtube/socialtube/internal/metrics"
 	"github.com/socialtube/socialtube/internal/trace"
 )
 
@@ -49,7 +48,7 @@ func FigChurn(s Scale, tr *trace.Trace) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := metrics.NewTable(
+	t := NewTable(
 		fmt.Sprintf("Churn resilience under ChurnPlan(unit=%s) (simulator)", unit),
 		"protocol", "healthyHit", "faultHit", "degradation", "repairMs", "orphanFrac", "crashes", "rejoins")
 	for i, name := range protoOrder {
@@ -59,7 +58,7 @@ func FigChurn(s Scale, tr *trace.Trace) (*Report, error) {
 		t.AddRow(name, hh, fh, hh-fh,
 			rz.RepairLatencyMs.Mean(), rz.OrphanFraction.Mean(), rz.Crashes, rz.Rejoins)
 	}
-	return &Report{Tables: []*metrics.Table{
+	return &Report{Tables: []*Table{
 		t, countersTable("Churn resilience — protocol counters (faulted runs)", protoOrder, results[n:]),
 	}}, nil
 }

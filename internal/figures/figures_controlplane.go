@@ -5,7 +5,6 @@ import (
 
 	"github.com/socialtube/socialtube/internal/emu"
 	"github.com/socialtube/socialtube/internal/faults"
-	"github.com/socialtube/socialtube/internal/metrics"
 	"github.com/socialtube/socialtube/internal/trace"
 )
 
@@ -87,7 +86,7 @@ type planeVariant struct {
 // hit rates compare directly against variants[0], the no-fault baseline.
 func (s EmuScale) planeFaults(tr *trace.Trace, cp emu.ControlPlaneConfig, title string,
 	variants []planeVariant, headers []string, extra func(ControlPlanePoint) []any) (*Report, error) {
-	t := metrics.NewTable(title,
+	t := NewTable(title,
 		append([]string{"variant", "requests", "failed", "hitRate", "deltaVsBaseline"}, headers...)...)
 	points := make([]ControlPlanePoint, 0, len(variants))
 	for _, v := range variants {

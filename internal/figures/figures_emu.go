@@ -7,7 +7,6 @@ import (
 
 	"github.com/socialtube/socialtube/internal/emu"
 	"github.com/socialtube/socialtube/internal/faults"
-	"github.com/socialtube/socialtube/internal/metrics"
 	"github.com/socialtube/socialtube/internal/obs"
 	"github.com/socialtube/socialtube/internal/trace"
 )
@@ -99,7 +98,7 @@ func (s EmuScale) runMode(tr *trace.Trace, mode emu.Mode, mutate func(*emu.Clust
 // Fig16b prints normalized peer bandwidth percentiles per protocol over the
 // TCP emulation.
 func Fig16b(s EmuScale, tr *trace.Trace) (*Report, error) {
-	t := metrics.NewTable("Fig. 16(b) — normalized peer bandwidth (TCP emulation)",
+	t := NewTable("Fig. 16(b) — normalized peer bandwidth (TCP emulation)",
 		"protocol", "p1", "p50", "p99")
 	for _, mode := range []emu.Mode{emu.ModePAVoD, emu.ModeSocialTube, emu.ModeNetTube} {
 		res, err := s.runMode(tr, mode, nil)
@@ -109,13 +108,13 @@ func Fig16b(s EmuScale, tr *trace.Trace) (*Report, error) {
 		p1, p50, p99 := res.NormalizedPeerBandwidthPercentiles()
 		t.AddRow(res.Protocol, p1, p50, p99)
 	}
-	return &Report{Tables: []*metrics.Table{t}}, nil
+	return &Report{Tables: []*Table{t}}, nil
 }
 
 // Fig17b prints startup delay with and without prefetching per protocol
 // over the TCP emulation.
 func Fig17b(s EmuScale, tr *trace.Trace) (*Report, error) {
-	t := metrics.NewTable("Fig. 17(b) — startup delay (TCP emulation)",
+	t := NewTable("Fig. 17(b) — startup delay (TCP emulation)",
 		"variant", "meanMs", "p50Ms", "p99Ms")
 	variants := []struct {
 		name     string
@@ -141,7 +140,7 @@ func Fig17b(s EmuScale, tr *trace.Trace) (*Report, error) {
 		d := res.StartupDelay.Summary()
 		t.AddRow(variant.name, d.Mean, d.P50, d.P99)
 	}
-	return &Report{Tables: []*metrics.Table{t}}, nil
+	return &Report{Tables: []*Table{t}}, nil
 }
 
 // outageUnit derives the emu fault plan's time base from the workload:
@@ -171,7 +170,7 @@ func tightRetry(c *emu.ClusterConfig) {
 // emulation, under the tight retry policy.
 func FigOutage(s EmuScale, tr *trace.Trace) (*Report, error) {
 	unit := s.outageUnit()
-	t := metrics.NewTable(
+	t := NewTable(
 		fmt.Sprintf("Tracker outage resilience under OutagePlan(unit=%s) (TCP emulation)", unit),
 		"protocol", "outageReqs", "outageServed", "failed", "crashes", "rejoins", "serverHits")
 	for _, mode := range []emu.Mode{emu.ModePAVoD, emu.ModeSocialTube, emu.ModeNetTube} {
@@ -189,7 +188,7 @@ func FigOutage(s EmuScale, tr *trace.Trace) (*Report, error) {
 		t.AddRow(res.Protocol, res.OutageRequests, served, res.FailedRequests,
 			res.Crashes, res.Rejoins, res.ServerHits)
 	}
-	return &Report{Tables: []*metrics.Table{t}}, nil
+	return &Report{Tables: []*Table{t}}, nil
 }
 
 // Fig18b prints maintenance overhead versus videos watched over the TCP
@@ -203,10 +202,10 @@ func Fig18b(s EmuScale, tr *trace.Trace) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := metrics.NewTable("Fig. 18(b) — maintenance overhead vs videos watched (TCP emulation)",
+	t := NewTable("Fig. 18(b) — maintenance overhead vs videos watched (TCP emulation)",
 		"videosWatched", "SocialTube", "NetTube")
 	for k := 0; k < s.VideosPerSession; k++ {
 		t.AddRow(k+1, st.LinksByVideoIndex[k].Mean(), nt.LinksByVideoIndex[k].Mean())
 	}
-	return &Report{Tables: []*metrics.Table{t}}, nil
+	return &Report{Tables: []*Table{t}}, nil
 }

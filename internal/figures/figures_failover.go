@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/socialtube/socialtube/internal/emu"
-	"github.com/socialtube/socialtube/internal/metrics"
 	"github.com/socialtube/socialtube/internal/trace"
 )
 
@@ -89,7 +88,7 @@ func failoverPoint(cfg emu.FailoverConfig, res *emu.FailoverResult) FailoverPoin
 // per-video member lists; PA-VoD depends entirely on the tracker's
 // watcher lists, which crashed watchers never leave.
 func FigFailover(s EmuScale, tr *trace.Trace) (*Report, error) {
-	t := metrics.NewTable(
+	t := NewTable(
 		"Failover resilience under mid-stream provider crashes (TCP emulation)",
 		"protocol", "crashed", "noRestart", "peerDone", "rescues", "restarts", "handoffs", "waitMs", "brkSkips")
 	points := make([]FailoverPoint, 0, 3)

@@ -6,7 +6,6 @@ import (
 
 	"github.com/socialtube/socialtube/internal/exp"
 	"github.com/socialtube/socialtube/internal/load"
-	"github.com/socialtube/socialtube/internal/metrics"
 )
 
 // LoadSweep configures the open-loop load figure: the three protocols
@@ -254,7 +253,7 @@ func RunLoad(sw LoadSweep) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("load sweep: %w", err)
 	}
-	t := metrics.NewTable(
+	t := NewTable(
 		fmt.Sprintf("Open-loop load — %s profile over %s, server queue cap %d (simulator)",
 			sw.Mode, sw.Duration, sw.QueueCap),
 		"rps", "protocol", "offered", "busy", "requests", "offload",

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"github.com/socialtube/socialtube/internal/exp"
-	"github.com/socialtube/socialtube/internal/metrics"
 )
 
 // ScaleSweep configures the scalability sweep: the §IV-C / Fig. 15
@@ -310,8 +309,8 @@ func scaleRows(points []ScalePoint, row func(pv, st, nt ScalePoint)) {
 	}
 }
 
-func scaleOverheadTable(points []ScalePoint) *metrics.Table {
-	t := metrics.NewTable(
+func scaleOverheadTable(points []ScalePoint) *Table {
+	t := NewTable(
 		"Scale sweep — per-node maintenance vs N (probe msgs/node/round; links after last video)",
 		"users", "st.probes", "nt.probes", "st.links", "nt.links", "st.msgs", "nt.msgs")
 	scaleRows(points, func(_, st, nt ScalePoint) {
@@ -321,8 +320,8 @@ func scaleOverheadTable(points []ScalePoint) *metrics.Table {
 	return t
 }
 
-func scaleHitRateTable(points []ScalePoint) *metrics.Table {
-	t := metrics.NewTable("Scale sweep — hit rates vs N",
+func scaleHitRateTable(points []ScalePoint) *Table {
+	t := NewTable("Scale sweep — hit rates vs N",
 		"users", "st.peer", "nt.peer", "pv.peer", "st.server", "nt.server", "pv.server")
 	scaleRows(points, func(pv, st, nt ScalePoint) {
 		t.AddRow(st.Users, st.PeerHitRate, nt.PeerHitRate, pv.PeerHitRate,
@@ -331,8 +330,8 @@ func scaleHitRateTable(points []ScalePoint) *metrics.Table {
 	return t
 }
 
-func scaleMemoryTable(points []ScalePoint) *metrics.Table {
-	t := metrics.NewTable("Scale sweep — dense trace memory vs N",
+func scaleMemoryTable(points []ScalePoint) *Table {
+	t := NewTable("Scale sweep — dense trace memory vs N",
 		"users", "traceBytes", "bytesPerUser")
 	scaleRows(points, func(_, st, _ ScalePoint) {
 		t.AddRow(st.Users, st.TraceBytes, st.BytesPerUser)

@@ -5,7 +5,6 @@ import (
 
 	"github.com/socialtube/socialtube/internal/exp"
 	"github.com/socialtube/socialtube/internal/faults"
-	"github.com/socialtube/socialtube/internal/metrics"
 	"github.com/socialtube/socialtube/internal/obs"
 	"github.com/socialtube/socialtube/internal/trace"
 )
@@ -91,7 +90,7 @@ func RunTimeline(s Scale, tr *trace.Trace) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := metrics.NewTable(
+	t := NewTable(
 		fmt.Sprintf("Telemetry timeline under ChurnPlan(unit=%[1]s), window=%[1]s (simulator)", unit),
 		"protocol", "window", "startMs", "requests", "hitRate", "p50Ms", "p99Ms", "serverMB", "brkOpens")
 	var points []TimelinePoint

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/socialtube/socialtube/internal/metrics"
 	"github.com/socialtube/socialtube/internal/trace"
 )
 
@@ -17,11 +16,8 @@ const (
 	GroupEmu   Group = "emu"   // Section V TCP emulation (socialtube-emu)
 )
 
-// Groups lists the groups in evaluation order (socialtube-bench's order).
-var Groups = []Group{GroupTrace, GroupSim, GroupEmu}
-
 // Inputs is everything a figure may draw on. Each CLI fills the part its
-// group reads; socialtube-bench fills all of it.
+// group reads.
 type Inputs struct {
 	// Scale and Trace feed the trace-analysis and simulation figures:
 	// workload sizing, seed and tracer, and the one synthetic trace they
@@ -54,7 +50,6 @@ type Figure struct {
 	Group Group
 	// All marks the figures the group CLI's `-fig all` runs; the rest —
 	// the sweeps and the timeline, each a run of its own — go by id only.
-	// socialtube-bench runs every figure.
 	All bool
 	// Sweep marks the figures that size their own traces from
 	// Inputs.SweepScale instead of taking Inputs.Scale and Inputs.Trace.
@@ -63,20 +58,20 @@ type Figure struct {
 }
 
 // tableFig wraps a single-table figure that cannot fail.
-func tableFig(id string, g Group, all bool, fig func(in *Inputs) *metrics.Table) Figure {
+func tableFig(id string, g Group, all bool, fig func(in *Inputs) *Table) Figure {
 	return Figure{ID: id, Group: g, All: all, Run: func(in *Inputs) (*Report, error) {
-		return &Report{Tables: []*metrics.Table{fig(in)}}, nil
+		return &Report{Tables: []*Table{fig(in)}}, nil
 	}}
 }
 
-func traceFig(id string, fig func(*trace.Trace) *metrics.Table) Figure {
-	return tableFig(id, GroupTrace, true, func(in *Inputs) *metrics.Table { return fig(in.Trace) })
+func traceFig(id string, fig func(*trace.Trace) *Table) Figure {
+	return tableFig(id, GroupTrace, true, func(in *Inputs) *Table { return fig(in.Trace) })
 }
 
 // cdfFig is a Section III figure that is the plain CDF of one per-entity
 // statistic of the trace.
 func cdfFig(id, title, valueName string, values func(*trace.Trace) []float64) Figure {
-	return traceFig(id, func(tr *trace.Trace) *metrics.Table { return cdfTable(title, valueName, values(tr)) })
+	return traceFig(id, func(tr *trace.Trace) *Table { return cdfTable(title, valueName, values(tr)) })
 }
 
 func simFig(id string, all bool, fig func(Scale, *trace.Trace) (*Report, error)) Figure {
@@ -106,13 +101,13 @@ func registry() []Figure {
 		cdfFig("7", "Fig. 7 — CDF of views per video", "views", (*trace.Trace).ViewsPerVideo),
 		traceFig("8", Fig08),
 		traceFig("9", Fig09),
-		tableFig("10", GroupTrace, true, func(in *Inputs) *metrics.Table { return Fig10(in.Trace, in.MinShared) }),
+		tableFig("10", GroupTrace, true, func(in *Inputs) *Table { return Fig10(in.Trace, in.MinShared) }),
 		cdfFig("11", "Fig. 11 — CDF of categories per channel", "categories", (*trace.Trace).InterestsPerChannel),
 		cdfFig("12", "Fig. 12 — CDF of interest similarity |Cu∩Cc|/|Cu|", "similarity", (*trace.Trace).InterestSimilarities),
 		cdfFig("13", "Fig. 13 — CDF of interests per user", "interests", (*trace.Trace).InterestsPerUser),
 
-		tableFig("table1", GroupSim, true, func(in *Inputs) *metrics.Table { return Table1(in.Scale, in.Trace) }),
-		tableFig("15", GroupSim, true, func(*Inputs) *metrics.Table { return Fig15() }),
+		tableFig("table1", GroupSim, true, func(in *Inputs) *Table { return Table1(in.Scale, in.Trace) }),
+		tableFig("15", GroupSim, true, func(*Inputs) *Table { return Fig15() }),
 		simFig("16a", true, Fig16a),
 		simFig("17a", true, Fig17a),
 		simFig("18a", true, Fig18a),
@@ -120,7 +115,7 @@ func registry() []Figure {
 		simFig("timeline", false, RunTimeline),
 		{ID: "scale", Group: GroupSim, Sweep: true, Run: runScaleFigure},
 		{ID: "load", Group: GroupSim, Sweep: true, Run: runLoadFigure},
-		tableFig("prefetch", GroupSim, false, func(*Inputs) *metrics.Table { return PrefetchAccuracyTable() }),
+		tableFig("prefetch", GroupSim, false, func(*Inputs) *Table { return PrefetchAccuracyTable() }),
 
 		emuFig("16b", Fig16b), emuFig("17b", Fig17b), emuFig("18b", Fig18b),
 		emuFig("outage", FigOutage), emuFig("outage-shard", FigShardedOutage),

@@ -16,7 +16,7 @@ import (
 func TestRegistry(t *testing.T) {
 	tests := []struct {
 		group Group
-		ids   []string // registry order: the help text and socialtube-bench's order
+		ids   []string // registry order, which is the help text's order
 		all   []string // what -fig all runs
 	}{
 		{GroupTrace,

@@ -8,8 +8,6 @@ import (
 	"runtime/debug"
 	"strings"
 	"time"
-
-	"github.com/socialtube/socialtube/internal/metrics"
 )
 
 // Report is what every figure produces: the tables it prints, in order,
@@ -18,7 +16,7 @@ import (
 // heap, socket-race counters) in an `env` block the tables never read, so
 // same-seed runs render identical tables.
 type Report struct {
-	Tables []*metrics.Table
+	Tables []*Table
 	Points []any
 }
 
@@ -32,7 +30,7 @@ func (r *Report) String() string {
 }
 
 // report bundles tables with a typed point slice.
-func report[P any](points []P, tables ...*metrics.Table) *Report {
+func report[P any](points []P, tables ...*Table) *Report {
 	r := &Report{Tables: tables, Points: make([]any, len(points))}
 	for i, p := range points {
 		r.Points[i] = p

@@ -1,41 +1,14 @@
-// Package metrics holds the result counters and the plain-text tables the
-// figure runner prints for each figure of the paper. Series of observations
-// live in obs.Hist, a bounded histogram.
-package metrics
+package figures
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"strings"
 	"time"
 )
 
-// Counter is a named monotonically increasing count.
-type Counter struct {
-	n int64
-}
-
-// MarshalJSON encodes the counter as its value.
-func (c *Counter) MarshalJSON() ([]byte, error) {
-	return json.Marshal(c.n)
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.n++ }
-
-// Addn adds delta (negative deltas are ignored).
-func (c *Counter) Addn(delta int64) {
-	if delta > 0 {
-		c.n += delta
-	}
-}
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.n }
-
 // Table renders aligned plain-text result tables, one per paper
-// figure/table, so the bench harness prints rows comparable to the paper.
+// figure/table, so the CLIs print rows comparable to the paper.
 type Table struct {
 	title   string
 	headers []string

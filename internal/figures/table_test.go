@@ -1,22 +1,11 @@
-package metrics
+package figures
 
 import (
-	"encoding/json"
 	"math"
 	"strings"
 	"testing"
 	"time"
 )
-
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Inc()
-	c.Addn(5)
-	c.Addn(-3) // ignored
-	if c.Value() != 6 {
-		t.Fatalf("counter = %d, want 6", c.Value())
-	}
-}
 
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("Fig. X", "protocol", "p50", "delay")
@@ -56,18 +45,6 @@ func TestFormatFloatRanges(t *testing.T) {
 		if got := formatFloat(tt.in); got != tt.want {
 			t.Errorf("formatFloat(%v) = %q, want %q", tt.in, got, tt.want)
 		}
-	}
-}
-
-func TestCounterJSON(t *testing.T) {
-	var c Counter
-	c.Addn(7)
-	raw, err := json.Marshal(&c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(raw) != "7" {
-		t.Fatalf("counter json = %s", raw)
 	}
 }
 

@@ -15,6 +15,8 @@ import (
 
 	"github.com/socialtube/socialtube/internal/baseline"
 	"github.com/socialtube/socialtube/internal/core"
+	"github.com/socialtube/socialtube/internal/dist"
+	"github.com/socialtube/socialtube/internal/exp"
 	"github.com/socialtube/socialtube/internal/obs"
 	"github.com/socialtube/socialtube/internal/trace"
 	"github.com/socialtube/socialtube/internal/vod"
@@ -187,9 +189,9 @@ func TestNetTubeCounters(t *testing.T) {
 		LookupsChannel: 1, LookupsServer: 3,
 		HitsServerAssist: 1,
 		FloodMsgsChannel: 2, FloodMsgsServer: 1,
-		TTLExhausted:     1,
-		Hops1:            1,
-		RequestsPeer:     1, RequestsServer: 2,
+		TTLExhausted: 1,
+		Hops1:        1,
+		RequestsPeer: 1, RequestsServer: 2,
 		PrefetchMisses: 3,
 		OverlayJoins:   2, OverlayLeaves: 1, OverlayFails: 1,
 	}
@@ -226,4 +228,153 @@ func TestPAVoDCounters(t *testing.T) {
 		OverlayJoins:   2, OverlayLeaves: 1, OverlayFails: 1,
 	}
 	requireCounters(t, pa.ObsCounters().Snapshot(), want)
+}
+
+// optional-interface bits of a protocol: the runners discover behaviour by
+// type assertion, so the set each protocol implements is part of its
+// contract (and what bench/'s timing wrappers are written against).
+const (
+	isMaintainer = 1 << iota
+	isTimed
+	isRepairer
+	isReseeder
+	isRemoteSearcher
+	isSpanScoped
+	isInstrumented
+	isTraceable
+)
+
+func optionalSet(p vod.Protocol) int {
+	set := 0
+	for bit, ok := range []bool{ // in the order of the constants above
+		implements[exp.Maintainer](p), implements[exp.Timed](p),
+		implements[exp.Repairer](p), implements[exp.Reseeder](p),
+		implements[exp.RemoteSearcher](p), implements[exp.SpanScoped](p),
+		implements[obs.Instrumented](p), implements[obs.Traceable](p),
+	} {
+		if ok {
+			set |= 1 << bit
+		}
+	}
+	return set
+}
+
+func implements[I any](p vod.Protocol) bool {
+	_, ok := p.(I)
+	return ok
+}
+
+// TestProtocolContract drives each protocol through the same traced churn-
+// and-request schedule over a generated trace and checks what the shared
+// chassis promises for all of them: (a) every flood event carries the span
+// of the serve event that closes its request, (b) request and prefetch
+// accounting is conserved, and (c) the protocol implements exactly its
+// optional-interface set — an embedded method that widened one would
+// silently switch on a runner behaviour.
+func TestProtocolContract(t *testing.T) {
+	cfg := trace.DefaultConfig()
+	cfg.Seed, cfg.Channels, cfg.Users, cfg.Categories, cfg.MaxInterestsPerUser = 3, 40, 200, 4, 4
+	tr, err := trace.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	picker, err := vod.NewPicker(tr, vod.DefaultBehavior())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const base = isTimed | isInstrumented | isTraceable
+	cases := []struct {
+		name     string
+		build    func() (vod.Protocol, error)
+		optional int
+	}{
+		{"SocialTube", func() (vod.Protocol, error) { return core.New(core.DefaultConfig(), tr) },
+			base | isMaintainer | isRepairer | isReseeder | isRemoteSearcher | isSpanScoped},
+		{"NetTube", func() (vod.Protocol, error) { return baseline.NewNetTube(baseline.DefaultNetTubeConfig(), tr) },
+			base | isMaintainer},
+		{"PA-VoD", func() (vod.Protocol, error) { return baseline.NewPAVoD(baseline.DefaultPAVoDConfig(), tr) },
+			base},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p, err := tc.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.Name() != tc.name {
+				t.Errorf("Name() = %q, want %q", p.Name(), tc.name)
+			}
+			if got := optionalSet(p); got != tc.optional {
+				t.Errorf("optional-interface set = %#b, want %#b", got, tc.optional)
+			}
+			ring := obs.NewRing(1 << 17)
+			p.(obs.Traceable).SetTracer(ring)
+			prober, _ := p.(exp.Maintainer)
+
+			g := dist.NewRNG(5)
+			online := make([]bool, len(tr.Users))
+			requests := uint64(0)
+			for step := 0; step < 6000; step++ {
+				p.(exp.Timed).SetNow(time.Duration(step) * time.Second)
+				node := g.Intn(len(tr.Users))
+				switch op := g.Intn(10); {
+				case op == 0:
+					p.Leave(node)
+					online[node] = false
+				case op == 1:
+					p.Fail(node)
+					online[node] = false
+				case op == 2 && prober != nil:
+					prober.Probe(node)
+				default:
+					if !online[node] {
+						p.Join(node)
+						online[node] = true
+					}
+					v := picker.First(g, &tr.Users[node])
+					p.Request(node, v)
+					p.Finish(node, v)
+					requests++
+				}
+			}
+
+			events := ring.Events()
+			if uint64(len(events)) != ring.Total() {
+				t.Fatalf("ring kept %d of %d events; raise its capacity", len(events), ring.Total())
+			}
+			// (a) A request's floods precede its serve, both on the
+			// requesting node, so the floods pending for a node when
+			// it is served are exactly that request's.
+			pending := make(map[int][]uint64)
+			floods := 0
+			for _, e := range events {
+				switch e.Kind {
+				case obs.KindFlood:
+					floods++
+					pending[e.Node] = append(pending[e.Node], e.Span)
+				case obs.KindServe:
+					if e.Span == 0 {
+						t.Fatalf("serve event without a span: %+v", e)
+					}
+					for _, span := range pending[e.Node] {
+						if span != e.Span {
+							t.Fatalf("node %d: flood span %d, closing serve span %d", e.Node, span, e.Span)
+						}
+					}
+					delete(pending, e.Node)
+				}
+			}
+			if floods == 0 || len(pending) != 0 {
+				t.Fatalf("%d flood events, %d nodes with floods no serve closed", floods, len(pending))
+			}
+			// (b) Conservation.
+			c := p.(obs.Instrumented).ObsCounters().Snapshot()
+			if got := c.RequestsCache + c.RequestsPeer + c.RequestsServer; got != requests {
+				t.Errorf("cache+peer+server = %d, want %d requests issued", got, requests)
+			}
+			if got, want := c.PrefetchHits+c.PrefetchMisses, requests-c.RequestsCache; got != want {
+				t.Errorf("prefetch hits+misses = %d, want %d non-cache requests", got, want)
+			}
+		})
+	}
 }

@@ -264,41 +264,57 @@ type FloodResult struct {
 	Visited int
 }
 
-// FloodScratch is reusable flood-search state: an epoch-stamped visited
-// array plus two frontier buffers. One scratch serves any number of
-// sequential floods with zero steady-state allocation — the visited array
-// grows to the highest node id seen and is never cleared (bumping the epoch
-// invalidates all stamps at once). The zero value is ready to use. A
-// scratch must not be shared between concurrent floods.
+// Stamps is an epoch-stamped set of node ids: Reset empties it in O(1) by
+// bumping the epoch, so one set serves any number of sequential uses with
+// zero steady-state allocation — the array grows to the highest id added and
+// is never cleared. Every use starts with Reset, the zero value's included.
+// Negative ids are not supported (node ids are dense user indices).
+type Stamps struct {
+	epoch uint32
+	at    []uint32 // at[n] == epoch ⇔ n is in the set
+}
+
+// Reset empties the set.
+func (s *Stamps) Reset() {
+	s.epoch++
+	if s.epoch == 0 { // wrapped: stale stamps could collide, so clear all
+		for i := range s.at {
+			s.at[i] = 0
+		}
+		s.epoch = 1
+	}
+}
+
+// Add inserts n and reports whether it was absent.
+func (s *Stamps) Add(n int) bool {
+	if n >= len(s.at) {
+		grown := make([]uint32, n+1+n/2)
+		copy(grown, s.at)
+		s.at = grown
+	} else if s.at[n] == s.epoch {
+		return false
+	}
+	s.at[n] = s.epoch
+	return true
+}
+
+// FloodScratch is reusable flood-search state: a visited set plus two
+// frontier buffers, so sequential floods allocate nothing in steady state.
+// The zero value is ready to use. A scratch must not be shared between
+// concurrent floods.
 type FloodScratch struct {
-	epoch    uint32
-	visited  []uint32 // visited[n] == epoch ⇔ n visited this flood
+	visited  Stamps
 	frontier []int
 	next     []int
 }
 
 // NewFloodScratch returns a scratch pre-sized for node ids below n, so the
-// first floods do not grow the visited array incrementally.
+// first floods do not grow the visited set incrementally.
 func NewFloodScratch(n int) *FloodScratch {
 	if n < 0 {
 		n = 0
 	}
-	return &FloodScratch{visited: make([]uint32, n)}
-}
-
-// mark stamps n as visited in the current epoch, growing the array when n
-// is beyond its current bound.
-func (s *FloodScratch) mark(n int) {
-	if n >= len(s.visited) {
-		grown := make([]uint32, n+1+n/2)
-		copy(grown, s.visited)
-		s.visited = grown
-	}
-	s.visited[n] = s.epoch
-}
-
-func (s *FloodScratch) seen(n int) bool {
-	return n < len(s.visited) && s.visited[n] == s.epoch
+	return &FloodScratch{visited: Stamps{at: make([]uint32, n)}}
 }
 
 // Flood runs one TTL-scoped flood search reusing the scratch buffers; see
@@ -309,24 +325,17 @@ func (s *FloodScratch) Flood(origin int, ttl int, neighbors func(int) []int, mat
 	if ttl <= 0 || origin < 0 || neighbors == nil || match == nil {
 		return res
 	}
-	s.epoch++
-	if s.epoch == 0 { // wrapped: stale stamps could collide, so reset all
-		for i := range s.visited {
-			s.visited[i] = 0
-		}
-		s.epoch = 1
-	}
-	s.mark(origin)
+	s.visited.Reset()
+	s.visited.Add(origin)
 	s.frontier = append(s.frontier[:0], origin)
 	for depth := 1; depth <= ttl; depth++ {
 		s.next = s.next[:0]
 		for _, sender := range s.frontier {
 			for _, nb := range neighbors(sender) {
 				res.Messages++
-				if s.seen(nb) {
+				if !s.visited.Add(nb) {
 					continue
 				}
-				s.mark(nb)
 				res.Visited++
 				if match(nb) {
 					res.Found = nb

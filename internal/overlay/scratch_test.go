@@ -49,7 +49,7 @@ func TestFloodScratchReuse(t *testing.T) {
 func TestFloodScratchEpochWrap(t *testing.T) {
 	m := ringMesh(6)
 	s := NewFloodScratch(6)
-	s.epoch = ^uint32(0) - 1 // two floods from wrapping
+	s.visited.epoch = ^uint32(0) - 1 // two floods from wrapping
 	for i := 0; i < 4; i++ {
 		res := s.Flood(0, 3, m.NeighborsView, func(int) bool { return false })
 		if res.Visited != 5 {

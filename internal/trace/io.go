@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,47 +9,8 @@ import (
 	"time"
 )
 
-// Save writes the trace as one JSON document to w — the legacy codec,
-// kept for interoperability and as the round-trip oracle for the
-// streaming format. For paper-scale traces prefer SaveStream: encoding
-// one document materializes the whole output tree at once.
-func (t *Trace) Save(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(t); err != nil {
-		return fmt.Errorf("encode trace: %w", err)
-	}
-	return nil
-}
-
-// Load reads a trace from r and validates its internal references. It
-// accepts both codecs: a StreamFormat header on the first line selects
-// the chunked JSONL decoder, anything else the legacy single-document
-// decoder.
-func Load(r io.Reader) (*Trace, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	head, _ := br.Peek(streamProbe)
-	if bytes.Contains(head, []byte(StreamFormat)) {
-		return LoadStream(br)
-	}
-	var t Trace
-	dec := json.NewDecoder(br)
-	if err := dec.Decode(&t); err != nil {
-		return nil, fmt.Errorf("decode trace: %w", err)
-	}
-	t.Compact()
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	return &t, nil
-}
-
 // StreamFormat tags the first line of the chunked JSONL trace encoding.
 const StreamFormat = "socialtube-trace/v2"
-
-// streamProbe bounds how many header bytes Load peeks at when sniffing
-// the codec: the format tag must appear within the first line's fixed
-// prefix.
-const streamProbe = len(`{"format":"`) + len(StreamFormat) + 4
 
 // streamChunkSize is how many objects each JSONL chunk line carries.
 // Decoding buffers one chunk at a time, so this bounds the decoder's
@@ -155,11 +115,13 @@ func (t *Trace) SaveStream(w io.Writer) error {
 func LoadStream(r io.Reader) (*Trace, error) {
 	dec := json.NewDecoder(bufio.NewReaderSize(r, 1<<20))
 	var hdr streamHeader
-	if err := dec.Decode(&hdr); err != nil {
-		return nil, fmt.Errorf("decode trace header: %w", err)
-	}
+	err := dec.Decode(&hdr) // a type error still fills the fields that fit
 	if hdr.Format != StreamFormat {
-		return nil, fmt.Errorf("trace stream format %q, want %q", hdr.Format, StreamFormat)
+		return nil, fmt.Errorf("not a %s trace stream (first line declares format %q): the single-document "+
+			"encoding is no longer read, regenerate the file with socialtube-trace -save", StreamFormat, hdr.Format)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("decode trace header: %w", err)
 	}
 	if hdr.Channels < 0 || hdr.Videos < 0 || hdr.Users < 0 ||
 		hdr.CatArena < 0 || hdr.VidArena < 0 || hdr.UserArena < 0 || hdr.ChanArena < 0 {

@@ -21,8 +21,8 @@ func ioTrace(t *testing.T) *Trace {
 	return tr
 }
 
-// mustJSON canonicalizes a trace through the legacy document encoding:
-// two traces with identical exported content render identically.
+// mustJSON canonicalizes a trace as one JSON document: two traces with
+// identical exported content render identically.
 func mustJSON(t *testing.T, tr *Trace) string {
 	t.Helper()
 	b, err := json.Marshal(tr)
@@ -32,36 +32,24 @@ func mustJSON(t *testing.T, tr *Trace) string {
 	return string(b)
 }
 
-// TestStreamRoundTrip pins the chunked codec against itself and the
-// legacy codec: the same seeded trace survives either encoding with
-// byte-identical JSON content and identical deterministic accounting.
+// TestStreamRoundTrip pins the chunked codec against the in-memory
+// trace: a seeded trace survives the encoding with byte-identical JSON
+// content and identical deterministic accounting.
 func TestStreamRoundTrip(t *testing.T) {
 	tr := ioTrace(t)
-	want := mustJSON(t, tr)
-
-	var legacy, stream bytes.Buffer
-	if err := tr.Save(&legacy); err != nil {
-		t.Fatal(err)
-	}
+	var stream bytes.Buffer
 	if err := tr.SaveStream(&stream); err != nil {
 		t.Fatal(err)
 	}
-	fromLegacy, err := Load(&legacy)
+	loaded, err := LoadStream(&stream)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromStream, err := Load(&stream) // Load must sniff the stream header
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := mustJSON(t, fromLegacy); got != want {
-		t.Error("legacy round-trip changed the trace")
-	}
-	if got := mustJSON(t, fromStream); got != want {
+	if mustJSON(t, loaded) != mustJSON(t, tr) {
 		t.Error("stream round-trip changed the trace")
 	}
-	if got, want := fromStream.Bytes(), fromLegacy.Bytes(); got != want {
-		t.Errorf("accounting differs across codecs: stream %d bytes, legacy %d", got, want)
+	if got, want := loaded.Bytes(), tr.Bytes(); got != want {
+		t.Errorf("accounting differs after the round-trip: loaded %d bytes, generated %d", got, want)
 	}
 }
 
@@ -148,19 +136,17 @@ func itoa(n int) string {
 	return string(b)
 }
 
-// TestLegacyLoadStillWorks pins the legacy path for documents that do
-// not start with the stream header.
-func TestLegacyLoadStillWorks(t *testing.T) {
-	tr := ioTrace(t)
-	var buf bytes.Buffer
-	if err := tr.Save(&buf); err != nil {
-		t.Fatal(err)
+// TestLoadRejectsSingleDocument: a trace saved as one JSON document (the
+// encoding before the stream format) is refused with an error that says
+// what the file is and how to replace it, not decoded as an empty trace.
+func TestLoadRejectsSingleDocument(t *testing.T) {
+	_, err := LoadStream(strings.NewReader(mustJSON(t, ioTrace(t))))
+	if err == nil {
+		t.Fatal("single-document trace accepted")
 	}
-	loaded, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(loaded.Users) != len(tr.Users) {
-		t.Fatalf("legacy load: %d users, want %d", len(loaded.Users), len(tr.Users))
+	for _, want := range []string{StreamFormat, "single-document", "socialtube-trace -save"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
 	}
 }

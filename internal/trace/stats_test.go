@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -294,12 +295,12 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	cfg := smallConfig(12)
 	tr := mustGenerate(t, cfg)
 	var buf bytes.Buffer
-	if err := tr.Save(&buf); err != nil {
-		t.Fatalf("Save: %v", err)
+	if err := tr.SaveStream(&buf); err != nil {
+		t.Fatalf("SaveStream: %v", err)
 	}
-	got, err := Load(&buf)
+	got, err := LoadStream(&buf)
 	if err != nil {
-		t.Fatalf("Load: %v", err)
+		t.Fatalf("LoadStream: %v", err)
 	}
 	if len(got.Videos) != len(tr.Videos) || len(got.Users) != len(tr.Users) {
 		t.Fatal("round trip lost entities")
@@ -310,15 +311,18 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewBufferString("{not json")); err == nil {
+	if _, err := LoadStream(bytes.NewBufferString("{not json")); err == nil {
 		t.Fatal("expected decode error")
 	}
 }
 
 func TestLoadRejectsBrokenReferences(t *testing.T) {
-	bad := `{"seed":1,"categories":2,"channels":[{"id":0,"primary":0,"categories":[0],"videos":[99],"subscribers":[]}],"videos":[],"users":[]}`
-	if _, err := Load(bytes.NewBufferString(bad)); err == nil {
-		t.Fatal("expected validation error for dangling video reference")
+	bad := `{"format":"` + StreamFormat + `","seed":1,"categories":2,"channels":1,"videos":0,"users":0,"catArena":1,"vidArena":1}
+{"channels":[{"id":0,"primary":0,"categories":[0],"videos":[99],"subscribers":[]}]}
+{"eof":true}
+`
+	if _, err := LoadStream(bytes.NewBufferString(bad)); err == nil || !strings.Contains(err.Error(), "missing video 99") {
+		t.Fatalf("dangling video reference: got %v, want a validation error naming it", err)
 	}
 }
 
