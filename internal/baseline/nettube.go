@@ -84,7 +84,7 @@ type NetTube struct {
 var _ vod.Protocol = (*NetTube)(nil)
 
 type ntNode struct {
-	cache *vod.Cache
+	cache vod.Cache
 	// joined lists the per-video overlays the node currently has links
 	// in, sorted ascending so every iteration order is deterministic.
 	joined []trace.VideoID
@@ -119,7 +119,7 @@ func NewNetTube(cfg NetTubeConfig, tr *trace.Trace) (*NetTube, error) {
 		scratch:  *overlay.NewFloodScratch(len(tr.Users)),
 	}
 	for i := range n.nodes {
-		n.nodes[i] = ntNode{cache: vod.NewCache(cfg.CacheVideos)}
+		n.nodes[i] = ntNode{cache: *vod.NewCache(cfg.CacheVideos)}
 	}
 	return n, nil
 }
@@ -259,7 +259,7 @@ func (n *NetTube) Finish(node int, v trace.VideoID) {
 	if !n.Known(node) || n.Trace.Video(v) == nil {
 		return
 	}
-	cache := n.nodes[node].cache
+	cache := &n.nodes[node].cache
 	cache.AddFull(v)
 	if n.cfg.PrefetchCount <= 0 {
 		return
@@ -317,7 +317,7 @@ func (n *NetTube) Cache(node int) *vod.Cache {
 	if !n.Known(node) {
 		return nil
 	}
-	return n.nodes[node].cache
+	return &n.nodes[node].cache
 }
 
 // Overlays returns how many per-video overlays the node currently belongs

@@ -167,3 +167,56 @@ func TestRequestStaysAllocFree(t *testing.T) {
 		})
 	}
 }
+
+// TestProbeAllocFree pins steady-state maintenance at 0 allocs/op on the
+// probes that exercise all of it: a node whose inter-links are below N_h
+// re-runs the server's per-category seeding, whose random channel order
+// must come from the system's reusable buffer, not a fresh permutation.
+func TestProbeAllocFree(t *testing.T) {
+	sys, tr := benchSystem(t)
+	i, reseeded := 0, 0
+	probeNext := func() {
+		for tries := 0; tries < len(tr.Users); tries++ {
+			i++
+			if n := i % len(tr.Users); sys.Home(n) >= 0 && !sys.inter.Full(n) {
+				sys.Probe(n)
+				reseeded++
+				return
+			}
+		}
+	}
+	for range tr.Users {
+		probeNext() // tops up what can be topped up, sizes the buffer
+	}
+	reseeded = 0
+	if avg := testing.AllocsPerRun(2000, probeNext); avg != 0 {
+		t.Fatalf("probe allocates %.0f allocs/op, want 0", avg)
+	}
+	if reseeded < 2000 {
+		t.Fatalf("only %d of 2000 probes re-seeded inter-links", reseeded)
+	}
+}
+
+// TestLeaveJoinAllocFree pins a session boundary at 0 allocs/op: a graceful
+// leave remembers its neighbours in the node's own two lists, and the
+// rejoin reconnects through the dense meshes.
+func TestLeaveJoinAllocFree(t *testing.T) {
+	sys, tr := benchSystem(t)
+	for n := range tr.Users {
+		sys.Leave(n) // first cycle sizes prevInner/prevInter
+		sys.Join(n)
+	}
+	i, linked := 0, 0
+	if avg := testing.AllocsPerRun(2000, func() {
+		i++
+		n := i % len(tr.Users)
+		sys.Leave(n)
+		sys.Join(n)
+		linked += sys.Links(n)
+	}); avg != 0 {
+		t.Fatalf("leave+join allocates %.0f allocs/op, want 0", avg)
+	}
+	if linked == 0 {
+		t.Fatal("no rejoin reconnected: the cycle measured nothing")
+	}
+}

@@ -14,14 +14,11 @@ func (s *System) RepairNeighbors(dead int) (links, msgs int) {
 	if !s.Known(dead) || s.Online(dead) {
 		return 0, 0
 	}
-	nbs := s.inter.Neighbors(dead)
 	// Drop the dead node's stale edges from both meshes. Fail already
 	// saved them in prevInner/prevInter, so a later rejoin can still
 	// try to reconnect.
-	if home := s.nodes[dead].home; home >= 0 {
-		nbs = append(s.inner.Get(home).Neighbors(dead), nbs...)
-		s.inner.Get(home).RemoveNode(dead)
-	}
+	nbs := append(s.inner.Neighbors(dead), s.inter.NeighborsView(dead)...)
+	s.inner.RemoveNode(dead)
 	s.inter.RemoveNode(dead)
 	if len(nbs) == 0 {
 		return 0, 0
@@ -56,7 +53,7 @@ func (s *System) Reseed(node int) int {
 		return 0
 	}
 	st := &s.nodes[node]
-	choice := s.prefetchChoice(st.cache, st.home) // empty while unattached
+	choice := s.prefetchChoice(&st.cache, st.home) // empty while unattached
 	for _, v := range choice {
 		st.cache.AddPrefix(v)
 	}

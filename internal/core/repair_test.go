@@ -44,12 +44,7 @@ func TestRepairNeighborsReplacesLinks(t *testing.T) {
 	s, node, _ := failCluster(t, tr)
 
 	// Abrupt failure leaves the dead node's edges dangling.
-	neighbors := 0
-	if home := s.Home(node); home >= 0 {
-		neighbors += s.inner.Get(home).Degree(node)
-	}
-	neighbors += s.inter.Degree(node)
-	if neighbors == 0 {
+	if s.inner.Degree(node)+s.inter.Degree(node) == 0 {
 		t.Fatal("Fail dropped edges eagerly; repair has nothing to do")
 	}
 
@@ -57,7 +52,7 @@ func TestRepairNeighborsReplacesLinks(t *testing.T) {
 	if msgs == 0 {
 		t.Fatal("repair contacted no neighbors")
 	}
-	if got := s.inner.Get(s.Home(node)).Degree(node) + s.inter.Degree(node); got != 0 {
+	if got := s.inner.Degree(node) + s.inter.Degree(node); got != 0 {
 		t.Fatalf("repair left %d stale edges to the dead node", got)
 	}
 	ctr := s.ObsCounters()

@@ -1,16 +1,18 @@
 package core
 
 import (
+	"slices"
+
 	"github.com/socialtube/socialtube/internal/obs"
 	"github.com/socialtube/socialtube/internal/overlay"
 	"github.com/socialtube/socialtube/internal/trace"
 	"github.com/socialtube/socialtube/internal/vod"
 )
 
-// flood runs one TTL-scoped flood over mesh through the system's reusable
-// scratch and hoisted closures — zero allocation per query.
-func (s *System) flood(origin int, mesh *overlay.Mesh) overlay.FloodResult {
-	s.floodMesh = mesh
+// flood runs one TTL-scoped flood of origin's channel overlay — the inner
+// mesh reaches only nodes that share origin's home — through the system's
+// reusable scratch and hoisted closures: zero allocation per query.
+func (s *System) flood(origin int) overlay.FloodResult {
 	return s.scratch.Flood(origin, s.cfg.TTL, s.floodNeighbors, s.matchNode)
 }
 
@@ -64,16 +66,15 @@ func (s *System) locate(node int, v trace.VideoID) vod.RequestResult {
 
 	// Phase 1: flood the node's channel overlay along inner-links.
 	if st.home >= 0 {
-		mesh := s.inner.Get(st.home)
 		s.Ctr.LookupsChannel++
-		fr := s.flood(node, mesh)
+		fr := s.flood(node)
 		res.Messages += fr.Messages
 		s.Flooded(node, v, obs.LevelChannel, fr.OK, fr.Found, fr.Hops, fr.Messages)
 		if fr.OK {
 			res.Source, res.Provider, res.Hops = vod.SourcePeer, fr.Found, fr.Hops
 			// The requester connects to the provider it found
 			// (§IV-A), building inner-links up to N_l.
-			mesh.Connect(node, fr.Found)
+			s.inner.Connect(node, fr.Found)
 			return res
 		}
 		s.Ctr.TTLExhausted++
@@ -102,11 +103,10 @@ func (s *System) locate(node int, v trace.VideoID) vod.RequestResult {
 		s.breakerOK(j)
 		provider, hops := j, 1
 		if !s.matchNode(j) {
-			jHome := s.nodes[j].home
-			if jHome < 0 {
+			if s.nodes[j].home < 0 {
 				continue
 			}
-			fr := s.flood(j, s.inner.Get(jHome))
+			fr := s.flood(j)
 			res.Messages += fr.Messages
 			catMsgs += fr.Messages
 			if !fr.OK {
@@ -157,7 +157,7 @@ func (s *System) locate(node int, v trace.VideoID) vod.RequestResult {
 // overlay and lets the query flood that overlay with the TTL, matching the
 // video set by the caller through s.matchVideo.
 func (s *System) searchChannelOverlay(node int, ch trace.ChannelID) (provider, hops, msgs int, ok bool) {
-	entry := s.members.Get(ch).Random(s.RNG, node)
+	entry := s.members[ch].Random(s.RNG, node)
 	if entry < 0 || !s.breakerAllow(entry) {
 		return 0, 0, 0, false
 	}
@@ -172,7 +172,7 @@ func (s *System) searchChannelOverlay(node int, ch trace.ChannelID) (provider, h
 	if s.matchNode(entry) {
 		return entry, 1, msgs, true
 	}
-	fr := s.flood(entry, s.inner.Get(ch))
+	fr := s.flood(entry) // entry is a member of ch's overlay: its home is ch
 	msgs += fr.Messages
 	if fr.OK {
 		return fr.Found, 1 + fr.Hops, msgs, true
@@ -195,7 +195,7 @@ func (s *System) ensureAttached(node int, ch trace.ChannelID) {
 		return
 	}
 	if st.home == ch {
-		s.members.Get(ch).Add(node)
+		s.members[ch].Add(node)
 		s.replenish(node)
 		return
 	}
@@ -208,7 +208,7 @@ func (s *System) ensureAttached(node int, ch trace.ChannelID) {
 		s.inter.RemoveNode(node)
 	}
 	st.home = ch
-	s.members.Get(ch).Add(node)
+	s.members[ch].Add(node)
 	// The server assists the join with inner neighbours from the channel
 	// overlay and inter neighbours across the category's channels; links
 	// reach the steady-state N_l + N_h Fig. 18 observes ("15 links at
@@ -219,18 +219,15 @@ func (s *System) ensureAttached(node int, ch trace.ChannelID) {
 // seedInterLinks asks the server for one random online node per channel in
 // the category until the node's inter-link budget N_h is filled.
 func (s *System) seedInterLinks(node int, cat trace.CategoryID) {
-	if s.cfg.InterLinks == 0 || cat < 0 {
-		return
-	}
-	if s.inter.Full(node) {
+	if s.cfg.InterLinks == 0 || cat < 0 || int(cat) >= len(s.byCat) || s.inter.Full(node) {
 		return
 	}
 	chans := s.byCat[cat]
 	st := &s.nodes[node]
 	// Random channel order, bounded attempts: the server recommends one
 	// node per sibling channel.
-	perm := s.RNG.Perm(len(chans))
-	for _, idx := range perm {
+	s.permBuf = s.RNG.PermInto(s.permBuf, len(chans))
+	for _, idx := range s.permBuf {
 		if s.inter.Full(node) {
 			return
 		}
@@ -238,7 +235,7 @@ func (s *System) seedInterLinks(node int, cat trace.CategoryID) {
 		if st.home == ch {
 			continue // inner overlay already covers the home channel
 		}
-		cand := s.members.Get(ch).Random(s.RNG, node)
+		cand := s.members[ch].Random(s.RNG, node)
 		if cand < 0 || !s.Online(cand) {
 			continue
 		}
@@ -248,7 +245,7 @@ func (s *System) seedInterLinks(node int, cat trace.CategoryID) {
 
 // subscribed reports whether the node's user subscribes to the channel.
 func (s *System) subscribed(node int, ch trace.ChannelID) bool {
-	return node >= 0 && node < len(s.subs) && s.subs[node][ch]
+	return s.Known(node) && slices.Contains(s.subs[node], ch)
 }
 
 // Finish implements vod.Protocol: the node caches the watched video and
@@ -259,7 +256,7 @@ func (s *System) Finish(node int, v trace.VideoID) {
 	if !s.Known(node) || video == nil {
 		return
 	}
-	cache := s.nodes[node].cache
+	cache := &s.nodes[node].cache
 	cache.AddFull(v)
 	for _, top := range s.prefetchChoice(cache, video.Channel) {
 		cache.AddPrefix(top)

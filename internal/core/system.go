@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/socialtube/socialtube/internal/health"
 	"github.com/socialtube/socialtube/internal/obs"
@@ -16,44 +16,56 @@ import (
 // clock, spans, accounting); what this package states is SocialTube's
 // decisions. It is single-threaded, driven by the experiment engine.
 //
-// Node ids are dense (trace users are 0..len(Users)-1), so all per-node
-// state lives in slices indexed by node id rather than maps — the flood
-// hot path touches no hash buckets and does no per-query allocation.
+// Node ids are dense (trace users are 0..len(Users)-1) and so are channel
+// ids, so state is indexed, not hashed: cache, both link sets (by value in
+// the two dense meshes), subscriptions, remembered neighbours and breaker
+// by node id, member sets and the category index by channel and category
+// id. A flood and a probe round touch no hash bucket, and neither they
+// nor a leave/join cycle allocate; the one map left is inside
+// overlay.Members (node → slot), read when a request re-asserts the
+// node's membership and written when it enters or leaves a member set.
 type System struct {
 	vod.Chassis
 	cfg Config
 
-	// inner holds one lower-level mesh per channel overlay, each node
-	// bounded to N_l inner-links.
-	inner *overlay.Registry[trace.ChannelID, overlay.Mesh]
+	// inner is the lower level: every channel overlay in one mesh, each
+	// node bounded to N_l inner-links. One mesh suffices because a node's
+	// inner-links only ever live in the overlay of its nodeState.home —
+	// every inner edge joins two nodes with the same home, and leaveHome
+	// removes a node's edges before its home changes — so the overlay of
+	// channel c is exactly the edges among the nodes whose home is c.
+	inner *overlay.Mesh
 	// inter is the higher-level mesh; links connect nodes across channels
 	// of the same category, bounded to N_h per node.
 	inter *overlay.Mesh
-	// members tracks online nodes per channel overlay — the state the
-	// server keeps so it can assist joins (much less than NetTube's
-	// per-video tracking, as §IV-A notes).
-	members *overlay.Registry[trace.ChannelID, overlay.Members]
+	// members tracks online nodes per channel overlay, indexed by channel
+	// id — the state the server keeps so it can assist joins (much less
+	// than NetTube's per-video tracking, as §IV-A notes).
+	members []overlay.Members
 	// nodes is indexed by node id.
 	nodes []nodeState
 	// byCat indexes channels by primary category for inter-link seeding.
-	byCat map[trace.CategoryID][]trace.ChannelID
-	// subs is each node's subscription set, indexed by node id.
-	subs []map[trace.ChannelID]bool
+	byCat [][]trace.ChannelID
+	// subs is each node's subscription set, indexed by node id: the
+	// trace's own list until the node's first Subscribe or Unsubscribe,
+	// which replace it with a fresh one and never write through it.
+	subs [][]trace.ChannelID
 
 	// scratch is the reusable flood state; one flood runs at a time, so a
 	// single scratch serves every query the system issues.
 	scratch overlay.FloodScratch
-	// floodMesh is the mesh floodNeighbors reads; Request points it at the
-	// overlay being searched so the closure is built once, not per flood.
-	floodMesh      *overlay.Mesh
+	// floodNeighbors is inner-link adjacency as a live node forwards it,
+	// built once so no flood allocates a closure.
 	floodNeighbors func(int) []int
 	// matchVideo is the video matchNode tests for, set per request.
 	matchVideo trace.VideoID
 	matchNode  func(int) bool
 	// keepOnline is the probe/repair predicate for Mesh.Prune.
 	keepOnline func(int) bool
-	// topBuf backs prefetchChoice's result.
-	topBuf []trace.VideoID
+	// topBuf backs prefetchChoice's result, permBuf seedInterLinks' random
+	// channel order.
+	topBuf  []trace.VideoID
+	permBuf []int
 
 	// brk is the per-peer circuit breaker, pre-sized to the population so
 	// every operation stays allocation-free on the Request hot path. The
@@ -67,7 +79,7 @@ var _ vod.Protocol = (*System)(nil)
 // nodeState is one peer's protocol state. The cache survives offline
 // periods ("nodes store their cached videos for their next session").
 type nodeState struct {
-	cache *vod.Cache
+	cache vod.Cache
 	// home is the channel overlay the node currently belongs to (the
 	// channel it is watching); -1 when unattached.
 	home trace.ChannelID
@@ -89,12 +101,12 @@ func New(cfg Config, tr *trace.Trace) (*System, error) {
 	s := &System{
 		Chassis: chassis,
 		cfg:     cfg,
-		inner:   overlay.NewRegistry[trace.ChannelID](func() *overlay.Mesh { return overlay.NewMesh(cfg.InnerLinks) }),
-		inter:   overlay.NewMesh(cfg.InterLinks),
-		members: overlay.NewRegistry[trace.ChannelID](overlay.NewMembers),
+		inner:   overlay.NewDenseMesh(cfg.InnerLinks, len(tr.Users)),
+		inter:   overlay.NewDenseMesh(cfg.InterLinks, len(tr.Users)),
+		members: make([]overlay.Members, len(tr.Channels)),
 		nodes:   make([]nodeState, len(tr.Users)),
-		byCat:   make(map[trace.CategoryID][]trace.ChannelID),
-		subs:    make([]map[trace.ChannelID]bool, len(tr.Users)),
+		byCat:   make([][]trace.ChannelID, tr.Categories),
+		subs:    make([][]trace.ChannelID, len(tr.Users)),
 		scratch: *overlay.NewFloodScratch(len(tr.Users)),
 		brk: health.NewSet(health.Config{
 			Threshold: cfg.BreakerThreshold,
@@ -103,17 +115,15 @@ func New(cfg Config, tr *trace.Trace) (*System, error) {
 	}
 	for i := range tr.Channels {
 		ch := &tr.Channels[i]
-		s.byCat[ch.Primary] = append(s.byCat[ch.Primary], ch.ID)
+		if c := int(ch.Primary); c >= 0 && c < len(s.byCat) {
+			s.byCat[c] = append(s.byCat[c], ch.ID)
+		}
 	}
 	for i := range tr.Users {
 		u := &tr.Users[i]
 		node := int(u.ID)
-		s.nodes[node] = nodeState{cache: vod.NewCache(cfg.CacheVideos), home: -1}
-		set := make(map[trace.ChannelID]bool, len(u.Subscriptions))
-		for _, ch := range u.Subscriptions {
-			set[ch] = true
-		}
-		s.subs[node] = set
+		s.nodes[node] = nodeState{cache: *vod.NewCache(cfg.CacheVideos), home: -1}
+		s.subs[node] = u.Subscriptions
 	}
 	// The flood and probe closures are built once and steered through
 	// System fields, so the per-request hot path allocates nothing.
@@ -121,7 +131,7 @@ func New(cfg Config, tr *trace.Trace) (*System, error) {
 		if !s.Online(n) {
 			return nil // a failed node cannot forward
 		}
-		return s.floodMesh.NeighborsView(n)
+		return s.inner.NeighborsView(n)
 	}
 	s.matchNode = func(n int) bool {
 		return s.Online(n) && s.nodes[n].cache.HasFull(s.matchVideo)
@@ -153,10 +163,9 @@ func (s *System) Join(node int) {
 	// Drop stale mesh edges left by an earlier abrupt failure.
 	s.prune(node)
 	reconnected := false
-	mesh := s.inner.Get(st.home)
 	for _, nb := range st.prevInner {
 		if s.Online(nb) && s.nodes[nb].home == st.home {
-			if mesh.Connected(node, nb) || mesh.Connect(node, nb) {
+			if s.inner.Connected(node, nb) || s.inner.Connect(node, nb) {
 				reconnected = true
 			}
 		}
@@ -169,7 +178,7 @@ func (s *System) Join(node int) {
 		}
 	}
 	if reconnected {
-		s.members.Get(st.home).Add(node)
+		s.members[st.home].Add(node)
 		return
 	}
 	// No previous neighbour survived: rejoin from scratch via the
@@ -197,17 +206,16 @@ func (s *System) Fail(node int) {
 	}
 	s.rememberNeighbors(node)
 	if home := s.nodes[node].home; home >= 0 {
-		s.members.Get(home).Remove(node)
+		s.members[home].Remove(node)
 	}
 }
 
+// rememberNeighbors saves the departing node's links, refilling the two
+// lists in place.
 func (s *System) rememberNeighbors(node int) {
 	st := &s.nodes[node]
-	st.prevInner = nil
-	if st.home >= 0 {
-		st.prevInner = s.inner.Get(st.home).Neighbors(node)
-	}
-	st.prevInter = s.inter.Neighbors(node)
+	st.prevInner = append(st.prevInner[:0], s.inner.NeighborsView(node)...)
+	st.prevInter = append(st.prevInter[:0], s.inter.NeighborsView(node)...)
 }
 
 // detach removes a node from its overlays entirely (used when switching
@@ -221,8 +229,8 @@ func (s *System) detach(node int) {
 // but still remembers the channel, so a later session can try to reconnect.
 func (s *System) leaveHome(node int) {
 	if home := s.nodes[node].home; home >= 0 {
-		s.inner.Get(home).RemoveNode(node)
-		s.members.Get(home).Remove(node)
+		s.inner.RemoveNode(node)
+		s.members[home].Remove(node)
 	}
 }
 
@@ -231,11 +239,7 @@ func (s *System) leaveHome(node int) {
 // the number of neighbours examined.
 func (s *System) prune(node int) int {
 	before := s.Links(node)
-	examined := 0
-	if home := s.nodes[node].home; home >= 0 {
-		examined += s.inner.Get(home).Prune(node, s.keepOnline)
-	}
-	examined += s.inter.Prune(node, s.keepOnline)
+	examined := s.inner.Prune(node, s.keepOnline) + s.inter.Prune(node, s.keepOnline)
 	s.Ctr.LinksPruned += uint64(before - s.Links(node))
 	return examined
 }
@@ -260,14 +264,13 @@ func (s *System) replenish(node int) {
 	if home < 0 {
 		return
 	}
-	mesh := s.inner.Get(home)
-	members := s.members.Get(home)
-	for attempts := 0; !mesh.Full(node) && attempts < 2*s.cfg.InnerLinks; attempts++ {
+	members := &s.members[home]
+	for attempts := 0; !s.inner.Full(node) && attempts < 2*s.cfg.InnerLinks; attempts++ {
 		cand := members.Random(s.RNG, node)
 		if cand < 0 {
 			break
 		}
-		mesh.Connect(node, cand)
+		s.inner.Connect(node, cand)
 	}
 	s.seedInterLinks(node, s.channelCategory(home))
 }
@@ -279,12 +282,7 @@ func (s *System) Links(node int) int {
 }
 
 // InnerLinks returns the node's lower-level link count.
-func (s *System) InnerLinks(node int) int {
-	if home := s.Home(node); home >= 0 {
-		return s.inner.Get(home).Degree(node)
-	}
-	return 0
-}
+func (s *System) InnerLinks(node int) int { return s.inner.Degree(node) }
 
 // InterLinks returns the node's higher-level link count.
 func (s *System) InterLinks(node int) int { return s.inter.Degree(node) }
@@ -304,7 +302,7 @@ func (s *System) Cache(node int) *vod.Cache {
 	if !s.Known(node) {
 		return nil
 	}
-	return s.nodes[node].cache
+	return &s.nodes[node].cache
 }
 
 func (s *System) channelCategory(ch trace.ChannelID) trace.CategoryID {
@@ -322,15 +320,10 @@ func (s *System) Subscribe(node int, ch trace.ChannelID) bool {
 	if !s.Known(node) || s.Trace.Channel(ch) == nil {
 		return false
 	}
-	set := s.subs[node]
-	if set == nil {
-		set = make(map[trace.ChannelID]bool, 1)
-		s.subs[node] = set
-	}
-	if set[ch] {
+	if s.subscribed(node, ch) {
 		return false
 	}
-	set[ch] = true
+	s.subs[node] = append(slices.Clip(s.subs[node]), ch) // clipped: always a fresh array
 	return true
 }
 
@@ -342,7 +335,8 @@ func (s *System) Unsubscribe(node int, ch trace.ChannelID) bool {
 	if !s.subscribed(node, ch) {
 		return false
 	}
-	delete(s.subs[node], ch)
+	s.subs[node] = slices.DeleteFunc(slices.Clone(s.subs[node]),
+		func(c trace.ChannelID) bool { return c == ch })
 	if s.nodes[node].home == ch {
 		s.detach(node)
 	}
@@ -355,11 +349,7 @@ func (s *System) Subscriptions(node int) []trace.ChannelID {
 	if node < 0 || node >= len(s.subs) {
 		return nil
 	}
-	set := s.subs[node]
-	out := make([]trace.ChannelID, 0, len(set))
-	for ch := range set {
-		out = append(out, ch)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	out := slices.Clone(s.subs[node])
+	slices.Sort(out)
+	return slices.Compact(out)
 }

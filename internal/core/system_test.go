@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/socialtube/socialtube/internal/dist"
@@ -204,12 +205,8 @@ func TestGracefulLeaveClearsLinks(t *testing.T) {
 		if other == node {
 			continue
 		}
-		if st := &s.nodes[other]; st.home >= 0 {
-			for _, nb := range s.inner.Get(st.home).Neighbors(other) {
-				if nb == node {
-					t.Fatalf("node %d retains link to departed %d", other, node)
-				}
-			}
+		if s.inner.Connected(other, node) {
+			t.Fatalf("node %d retains link to departed %d", other, node)
 		}
 	}
 }
@@ -251,12 +248,8 @@ func TestFailKeepsNeighborLinksUntilProbe(t *testing.T) {
 		t.Fatal("probe sent no messages")
 	}
 	// The dead link must be gone (replenish may add fresh live links).
-	if st := &s.nodes[node]; st.home >= 0 {
-		for _, nb := range s.inner.Get(st.home).Neighbors(node) {
-			if nb == other {
-				t.Fatal("probe left a dead link")
-			}
-		}
+	if s.inner.Connected(node, other) {
+		t.Fatal("probe left a dead link")
 	}
 }
 
@@ -420,7 +413,7 @@ func TestMeshesStaySymmetricUnderChurn(t *testing.T) {
 	for round := 0; round < 5; round++ {
 		for i := 0; i < 200; i++ {
 			node := int(tr.Users[g.Intn(len(tr.Users))].ID)
-			switch g.Intn(5) {
+			switch g.Intn(6) {
 			case 0:
 				s.Join(node)
 			case 1:
@@ -429,6 +422,14 @@ func TestMeshesStaySymmetricUnderChurn(t *testing.T) {
 				s.Fail(node)
 			case 3:
 				s.Probe(node)
+			case 4:
+				// Dropping the home channel's subscription detaches the
+				// node; resubscribing lets a later request rejoin.
+				if home := s.Home(node); home >= 0 && g.Bool(0.5) {
+					s.Unsubscribe(node, home)
+				} else if subs := tr.Users[node].Subscriptions; len(subs) > 0 {
+					s.Subscribe(node, subs[g.Intn(len(subs))])
+				}
 			default:
 				if s.Online(node) {
 					v := picker.First(g, &tr.Users[node])
@@ -437,13 +438,23 @@ func TestMeshesStaySymmetricUnderChurn(t *testing.T) {
 				}
 			}
 		}
-		for ch := range tr.Channels {
-			if !s.inner.Get(tr.Channels[ch].ID).Symmetric() {
-				t.Fatalf("inner mesh of channel %d asymmetric after round %d", ch, round)
+		// Both meshes are symmetric, and every inner link joins two nodes
+		// with the same non-negative home: the invariant that lets one
+		// inner mesh hold every channel overlay.
+		for a := range s.nodes {
+			for _, b := range s.inner.NeighborsView(a) {
+				if !s.inner.Connected(b, a) {
+					t.Fatalf("inner link %d-%d one-sided after round %d", a, b, round)
+				}
+				if ha, hb := s.nodes[a].home, s.nodes[b].home; ha < 0 || ha != hb {
+					t.Fatalf("inner link %d-%d joins homes %d and %d after round %d", a, b, ha, hb, round)
+				}
 			}
-		}
-		if !s.inter.Symmetric() {
-			t.Fatalf("inter mesh asymmetric after round %d", round)
+			for _, b := range s.inter.NeighborsView(a) {
+				if !s.inter.Connected(b, a) {
+					t.Fatalf("inter link %d-%d one-sided after round %d", a, b, round)
+				}
+			}
 		}
 	}
 }
@@ -500,7 +511,7 @@ func TestMemberSet(t *testing.T) {
 	if m.Len() != 2 {
 		t.Fatalf("len = %d, want 2", m.Len())
 	}
-	if !m.Has(1) || m.Has(3) {
+	if view := m.View(); !slices.Contains(view, 1) || slices.Contains(view, 3) {
 		t.Fatal("membership wrong")
 	}
 	if got := m.Random(g, 2); got != 1 {

@@ -174,28 +174,42 @@ func Poisson(g *RNG, mean float64) int {
 	}
 }
 
-// WeightedChoice selects an index with probability proportional to its
-// weight. It returns -1 when weights is empty or sums to zero.
-func WeightedChoice(g *RNG, weights []float64) int {
+// Cumulative is a weight vector kept as its running sum, so a draw
+// proportional to weight is one Float64 and a binary search rather than two
+// passes over the vector — for vectors that are fixed once built (catalog
+// popularity, category weights). The zero value is an empty vector.
+//
+// Add sums left to right, skipping non-positive weights, exactly as a linear
+// scan over the raw weights would: the total and every threshold are the
+// same floats, so Choice picks the index that scan picks from the same draw.
+type Cumulative struct {
+	acc []float64 // acc[i] = sum of the positive weights among the first i+1
+}
+
+// Add appends a weight to the vector.
+func (c *Cumulative) Add(w float64) {
 	total := 0.0
-	for _, w := range weights {
-		if w > 0 {
-			total += w
-		}
+	if n := len(c.acc); n > 0 {
+		total = c.acc[n-1]
 	}
-	if total == 0 {
+	if w > 0 {
+		total += w
+	}
+	c.acc = append(c.acc, total)
+}
+
+// Choice selects an index with probability proportional to its weight. It
+// returns -1, without drawing, when the vector is empty or sums to zero.
+func (c Cumulative) Choice(g *RNG) int {
+	n := len(c.acc)
+	if n == 0 || c.acc[n-1] == 0 {
 		return -1
 	}
-	u := g.Float64() * total
-	acc := 0.0
-	for i, w := range weights {
-		if w <= 0 {
-			continue
-		}
-		acc += w
-		if u < acc {
-			return i
-		}
+	u := g.Float64() * c.acc[n-1]
+	// The first index whose running sum exceeds u; a non-positive weight
+	// repeats its predecessor's sum, so it is never the first.
+	if i := sort.Search(n, func(i int) bool { return u < c.acc[i] }); i < n {
+		return i
 	}
-	return len(weights) - 1
+	return n - 1
 }

@@ -405,3 +405,76 @@ func TestPairUniform(t *testing.T) {
 		t.Error("seed does not enter the draw")
 	}
 }
+
+// cumulativeOf builds the running-sum form of a weight vector.
+func cumulativeOf(weights []float64) Cumulative {
+	var c Cumulative
+	for _, w := range weights {
+		c.Add(w)
+	}
+	return c
+}
+
+// TestCumulativeChoiceMatchesWeightedChoice: from the same seed the
+// prefix-sum draw and the linear scan it replaced return the same index on
+// every draw and leave the two RNGs in the same state — the bit-identity the
+// trace generator and the picker rely on.
+func TestCumulativeChoiceMatchesWeightedChoice(t *testing.T) {
+	skewed := make([]float64, 545)
+	g := NewRNG(3)
+	for i := range skewed {
+		skewed[i] = math.Exp(4 * g.NormFloat64()) // spans many orders of magnitude
+	}
+	vectors := map[string][]float64{
+		"zeros and negatives": {0, 2.5, -1, 0, 1e-9, 7, -3, 0},
+		"leading zero":        {0, 1, 3},
+		"single":              {4.2},
+		"skewed":              skewed,
+		"all zero":            {0, 0, -1},
+		"empty":               nil,
+	}
+	for name, weights := range vectors {
+		c := cumulativeOf(weights)
+		a, b := NewRNG(11), NewRNG(11)
+		for i := 0; i < 100_000; i++ {
+			if got, want := c.Choice(a), WeightedChoice(b, weights); got != want {
+				t.Fatalf("%s: draw %d: Choice = %d, WeightedChoice = %d", name, i, got, want)
+			}
+		}
+		if a.Int63() != b.Int63() {
+			t.Errorf("%s: RNG streams diverged", name)
+		}
+	}
+	// A vector with no positive weight returns -1 without drawing.
+	a, b := NewRNG(5), NewRNG(5)
+	if got := cumulativeOf([]float64{0, -2, 0}).Choice(a); got != -1 {
+		t.Fatalf("all-zero Choice = %d, want -1", got)
+	}
+	if a.Int63() != b.Int63() {
+		t.Error("all-zero Choice advanced the RNG")
+	}
+}
+
+// TestPermIntoMatchesPerm: PermInto yields math/rand.Perm's permutation
+// element for element and consumes the same draws, into a fresh buffer, a
+// too-small one and a reused dirty one.
+func TestPermIntoMatchesPerm(t *testing.T) {
+	a, b := NewRNG(17), NewRNG(17)
+	buf := []int{-7, 99, 3} // dirty, and too small for most sizes below
+	for round := 0; round < 200; round++ {
+		n := round % 23 // includes 0 and 1
+		want := a.Perm(n)
+		buf = b.PermInto(buf, n)
+		if len(buf) != n {
+			t.Fatalf("n=%d: PermInto returned %d elements", n, len(buf))
+		}
+		for i := range want {
+			if buf[i] != want[i] {
+				t.Fatalf("n=%d: PermInto = %v, Perm = %v", n, buf, want)
+			}
+		}
+		if a.Int63() != b.Int63() {
+			t.Fatalf("n=%d: RNG streams diverged", n)
+		}
+	}
+}

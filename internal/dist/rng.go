@@ -45,6 +45,24 @@ func (g *RNG) ExpFloat64() float64 { return g.r.ExpFloat64() }
 // Perm returns a random permutation of [0, n).
 func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
 
+// PermInto is Perm into caller storage: it fills buf[:n] (reallocating only
+// when buf is too small) by replaying math/rand.Perm's loop draw for draw,
+// so the permutation and the RNG state afterwards are Perm's own. buf's
+// previous contents do not matter: a stale slot is only ever copied onto
+// itself, and overwritten by the next statement.
+func (g *RNG) PermInto(buf []int, n int) []int {
+	if cap(buf) < n {
+		buf = make([]int, n)
+	}
+	buf = buf[:n]
+	for i := range buf {
+		j := g.r.Intn(i + 1)
+		buf[i] = buf[j]
+		buf[j] = i
+	}
+	return buf
+}
+
 // Shuffle pseudo-randomizes the order of n elements using swap.
 func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
 

@@ -43,7 +43,7 @@ func fuzzSeedMessages() []*Message {
 			Status: []ctrl.ShardStatus{{Shard: 1, Dead: true, Ver: 5 << 8}},
 			Epoch:  1},
 		{Type: MsgSync, From: -1,
-			Sync: []ctrl.TableSync{{Table: "channels"}},
+			Sync:  []ctrl.TableSync{{Table: "channels"}},
 			Beats: []ctrl.Beat{{Key: 2 << 8, Ver: 1}},
 			Epoch: 2},
 		{Type: MsgJoinOK, From: -1, Epoch: 3, DeadShards: 1 << 1,

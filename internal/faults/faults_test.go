@@ -166,9 +166,9 @@ func TestValidateRejectsBadPlans(t *testing.T) {
 		{Chaos: []ChaosBurst{{At: 0, Duration: time.Second, CorruptP: 1.5}}},                 // P > 1
 		{Chaos: []ChaosBurst{{At: 0, Duration: time.Second, CorruptP: 0.6, TruncateP: 0.6}}}, // sum > 1
 		{Chaos: []ChaosBurst{{At: 0, Duration: time.Second, StallP: 0.5}}},                   // stall without StallFor
-		{Partitions: []Partition{{At: 0, Groups: 2}}},                                       // zero duration
-		{Partitions: []Partition{{At: 0, Duration: time.Second, Groups: 1}}},                // one side is no cut
-		{Partitions: []Partition{{At: -time.Second, Duration: time.Second, Groups: 2}}},     // negative At
+		{Partitions: []Partition{{At: 0, Groups: 2}}},                                        // zero duration
+		{Partitions: []Partition{{At: 0, Duration: time.Second, Groups: 1}}},                 // one side is no cut
+		{Partitions: []Partition{{At: -time.Second, Duration: time.Second, Groups: 2}}},      // negative At
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {

@@ -72,7 +72,7 @@ func TestTimelineHistSeries(t *testing.T) {
 func TestTimelineMergeMatchesDirect(t *testing.T) {
 	vals := make([][3]int64, 0, 300)
 	for i := 0; i < 300; i++ {
-		vals = append(vals, [3]int64{int64(i) * int64(7 * time.Second), int64(i % 50 * 13), int64(i * 100)})
+		vals = append(vals, [3]int64{int64(i) * int64(7*time.Second), int64(i % 50 * 13), int64(i * 100)})
 	}
 	direct := buildTimeline(vals)
 	var parts [3]*Timeline
@@ -164,7 +164,7 @@ func TestPrettySpans(t *testing.T) {
 		{T: 2, Proto: "SocialTube", Kind: KindFlood, Node: 1, Video: 7, Provider: -1, Span: 42, Level: "channel"},  // span 42
 		{T: 3, Proto: "SocialTube", Kind: KindServe, Node: 1, Video: 7, Provider: 9, Span: 42, Source: "peer"},     // span 42
 		{T: 4, Proto: "SocialTube", Kind: KindFlood, Node: 2, Video: 8, Provider: -1, Span: 43, Level: "category"}, // span 43
-		{T: 5, Proto: "NetTube", Kind: KindServe, Node: 3, Video: 7, Provider: -1, Span: 42, Source: "server"},    // same id, other protocol: distinct span
+		{T: 5, Proto: "NetTube", Kind: KindServe, Node: 3, Video: 7, Provider: -1, Span: 42, Source: "server"},     // same id, other protocol: distinct span
 	}
 	for _, e := range events {
 		if err := enc.Encode(e); err != nil {

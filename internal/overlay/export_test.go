@@ -1,0 +1,69 @@
+package overlay
+
+import "slices"
+
+// Test-only views of Links, Mesh and Members: nothing outside this package's
+// tests reads a bare link set, enumerates a mesh, cuts a single edge or
+// lists members.
+
+// Len returns the number of neighbours.
+func (l *Links) Len() int { return len(l.items) }
+
+// Max returns the capacity (0 = unbounded).
+func (l *Links) Max() int { return l.max }
+
+// List returns the neighbours in ascending order (a copy the caller owns).
+func (l *Links) List() []int { return append([]int(nil), l.items...) }
+
+// View returns the neighbours in ascending order without copying. The slice
+// is live: it is invalidated by the next Add/Remove/Clear and must not be
+// mutated or retained across mutations.
+func (l *Links) View() []int { return l.items }
+
+// Disconnect removes the symmetric edge (a, b) if present.
+func (m *Mesh) Disconnect(a, b int) {
+	m.unlink(a, b)
+	m.unlink(b, a)
+}
+
+// Nodes returns all node ids holding at least one link, ascending.
+func (m *Mesh) Nodes() []int {
+	var out []int
+	for n := range m.keyed {
+		out = append(out, n)
+	}
+	for n := range m.dense {
+		out = append(out, n)
+	}
+	out = slices.DeleteFunc(out, func(n int) bool { return m.Degree(n) == 0 })
+	slices.Sort(out)
+	return out
+}
+
+// Symmetric verifies the mesh invariant: every link is present on both
+// endpoints. It returns true for a consistent mesh.
+func (m *Mesh) Symmetric() bool {
+	for _, a := range m.Nodes() {
+		for _, b := range m.NeighborsView(a) {
+			if !m.Connected(b, a) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// Flood is FloodScratch.Flood on fresh scratch state.
+func Flood(origin int, ttl int, neighbors func(int) []int, match func(int) bool) FloodResult {
+	var s FloodScratch
+	return s.Flood(origin, ttl, neighbors, match)
+}
+
+// Has reports membership of n.
+func (m *Members) Has(n int) bool {
+	_, ok := m.index[n]
+	return ok
+}
+
+// List returns the members in insertion-compacted order (a copy).
+func (m *Members) List() []int { return append([]int(nil), m.items...) }

@@ -6,8 +6,7 @@ import (
 
 // Members tracks the online members of one overlay with O(1) insert, delete
 // and uniform random selection — the operations the tracking server performs
-// when it assists joins. The zero value is unusable; construct with
-// NewMembers.
+// when it assists joins. The zero value is an empty set.
 type Members struct {
 	items []int
 	index map[int]int
@@ -22,6 +21,9 @@ func NewMembers() *Members {
 func (m *Members) Add(n int) {
 	if _, ok := m.index[n]; ok {
 		return
+	}
+	if m.index == nil {
+		m.index = make(map[int]int)
 	}
 	m.index[n] = len(m.items)
 	m.items = append(m.items, n)
@@ -40,21 +42,8 @@ func (m *Members) Remove(n int) {
 	delete(m.index, n)
 }
 
-// Has reports membership of n.
-func (m *Members) Has(n int) bool {
-	_, ok := m.index[n]
-	return ok
-}
-
 // Len returns the member count.
 func (m *Members) Len() int { return len(m.items) }
-
-// List returns the members in insertion-compacted order (a copy).
-func (m *Members) List() []int {
-	out := make([]int, len(m.items))
-	copy(out, m.items)
-	return out
-}
 
 // View returns the members in insertion-compacted order without copying.
 // The slice is live: it is invalidated by the next Add/Remove and must not

@@ -65,12 +65,14 @@ func TestMembersRandomSpread(t *testing.T) {
 }
 
 func TestMeshFull(t *testing.T) {
-	m := NewMesh(1)
-	if m.Full(0) {
-		t.Fatal("unknown node reported full")
-	}
-	m.Connect(0, 1)
-	if !m.Full(0) || !m.Full(1) {
-		t.Fatal("capacity-1 nodes should be full after one edge")
-	}
+	eachMesh(t, func(t *testing.T, newMesh func(max int) *Mesh) {
+		m := newMesh(1)
+		if m.Full(0) {
+			t.Fatal("unknown node reported full")
+		}
+		m.Connect(0, 1)
+		if !m.Full(0) || !m.Full(1) {
+			t.Fatal("capacity-1 nodes should be full after one edge")
+		}
+	})
 }

@@ -5,13 +5,12 @@
 // Data layout: neighbour sets are small (the paper's N_l=5, N_h=10 bounds),
 // so Links stores a single sorted []int instead of a map. Membership is a
 // binary search, iteration is allocation-free and already in ascending
-// order, and the flood hot path reads adjacency through View/NeighborsView
-// without copying.
+// order, and the flood hot path reads adjacency through Mesh.NeighborsView
+// without copying. A Mesh over a known population (NewDenseMesh) also keeps
+// the sets themselves in a node-indexed slice, so that read probes no map.
 package overlay
 
-import (
-	"sort"
-)
+import "slices"
 
 // Links is a bounded set of neighbour node ids, kept sorted ascending. The
 // zero value is unusable; construct with NewLinks.
@@ -32,10 +31,7 @@ func NewLinks(max int) *Links {
 }
 
 // search returns the insertion index of n and whether n is present.
-func (l *Links) search(n int) (int, bool) {
-	i := sort.SearchInts(l.items, n)
-	return i, i < len(l.items) && l.items[i] == n
-}
+func (l *Links) search(n int) (int, bool) { return slices.BinarySearch(l.items, n) }
 
 // Add inserts a neighbour. It reports false when the set is full or the
 // neighbour is already present.
@@ -68,26 +64,8 @@ func (l *Links) Has(n int) bool {
 	return ok
 }
 
-// Len returns the number of neighbours.
-func (l *Links) Len() int { return len(l.items) }
-
 // Full reports whether the set is at capacity.
 func (l *Links) Full() bool { return l.max > 0 && len(l.items) >= l.max }
-
-// Max returns the capacity (0 = unbounded).
-func (l *Links) Max() int { return l.max }
-
-// List returns the neighbours in ascending order (a copy the caller owns).
-func (l *Links) List() []int {
-	out := make([]int, len(l.items))
-	copy(out, l.items)
-	return out
-}
-
-// View returns the neighbours in ascending order without copying. The slice
-// is live: it is invalidated by the next Add/Remove/Clear and must not be
-// mutated or retained across mutations. Use List for a stable copy.
-func (l *Links) View() []int { return l.items }
 
 // Clear removes all neighbours, reusing the backing storage.
 func (l *Links) Clear() {
@@ -97,34 +75,72 @@ func (l *Links) Clear() {
 // Mesh maintains symmetric bounded links between nodes: an edge exists on
 // both endpoints or not at all, which is the paper's structure-maintenance
 // invariant (neighbours probe each other and drop dead links on both sides).
+//
+// A mesh stores its per-node Links one of two ways, fixed by the
+// constructor. NewMesh keys them by node id and creates a node's set on its
+// first Connect — right for NetTube's many tiny per-video overlays, where
+// almost every node is absent from almost every mesh. NewDenseMesh, for one
+// overlay over a known population, holds them by value in a node-indexed
+// slice whose backing arrays are carved from a single arena: no per-node
+// allocation and no hash probe per adjacency read. Only get and links know
+// which; every edge operation is written once over them.
 type Mesh struct {
 	max   int
-	nodes map[int]*Links
+	keyed map[int]*Links
+	dense []Links
 }
 
-// NewMesh returns a mesh whose nodes each hold at most max links
+// NewMesh returns a keyed mesh whose nodes each hold at most max links
 // (max <= 0 means unbounded).
 func NewMesh(max int) *Mesh {
-	return &Mesh{max: max, nodes: make(map[int]*Links)}
+	return &Mesh{max: max, keyed: make(map[int]*Links)}
 }
 
+// NewDenseMesh returns a mesh over node ids 0..n-1, each holding at most max
+// links, with every link array allocated here, once (max = 0 means
+// unbounded, and then the arrays grow on demand instead). Ids outside the
+// population are never linked.
+func NewDenseMesh(max, n int) *Mesh {
+	m := &Mesh{max: max, dense: make([]Links, n)}
+	arena := make([]int, n*max)
+	for i := range m.dense {
+		m.dense[i] = Links{max: max, items: arena[i*max : i*max : (i+1)*max]}
+	}
+	return m
+}
+
+// get returns n's link set, or nil when n has none (keyed: never connected;
+// dense: outside the population).
+func (m *Mesh) get(n int) *Links {
+	if m.dense != nil {
+		if n < 0 || n >= len(m.dense) {
+			return nil
+		}
+		return &m.dense[n]
+	}
+	return m.keyed[n]
+}
+
+// links is get for an endpoint about to be connected: a keyed mesh creates
+// the set on first use.
 func (m *Mesh) links(n int) *Links {
-	l, ok := m.nodes[n]
-	if !ok {
+	l := m.get(n)
+	if l == nil && m.keyed != nil {
 		l = NewLinks(m.max)
-		m.nodes[n] = l
+		m.keyed[n] = l
 	}
 	return l
 }
 
 // Connect adds the symmetric edge (a, b). It reports false — and changes
-// nothing — when a == b, the edge exists, or either endpoint is full.
+// nothing — when a == b, the edge exists, either endpoint is full, or the
+// mesh is dense and an endpoint lies outside its population.
 func (m *Mesh) Connect(a, b int) bool {
 	if a == b {
 		return false
 	}
 	la, lb := m.links(a), m.links(b)
-	if la.Has(b) || la.Full() || lb.Full() {
+	if la == nil || lb == nil || la.Has(b) || la.Full() || lb.Full() {
 		return false
 	}
 	la.Add(b)
@@ -132,71 +148,60 @@ func (m *Mesh) Connect(a, b int) bool {
 	return true
 }
 
-// Disconnect removes the symmetric edge (a, b) if present.
-func (m *Mesh) Disconnect(a, b int) {
-	if la, ok := m.nodes[a]; ok {
-		la.Remove(b)
-	}
-	if lb, ok := m.nodes[b]; ok {
-		lb.Remove(a)
-	}
-}
-
 // Connected reports whether the edge (a, b) exists.
 func (m *Mesh) Connected(a, b int) bool {
-	la, ok := m.nodes[a]
-	return ok && la.Has(b)
+	la := m.get(a)
+	return la != nil && la.Has(b)
 }
 
 // Neighbors returns a's neighbours in ascending order (a copy the caller
 // owns).
 func (m *Mesh) Neighbors(a int) []int {
-	la, ok := m.nodes[a]
-	if !ok || len(la.items) == 0 {
-		return nil
+	if view := m.NeighborsView(a); len(view) > 0 {
+		return slices.Clone(view)
 	}
-	return la.List()
+	return nil
 }
 
 // NeighborsView returns a's neighbours in ascending order without copying —
 // the allocation-free adjacency read the flood hot path uses. The slice is
 // live: it is invalidated by the next mutation of a's links and must not be
-// mutated or retained across Connect/Disconnect/RemoveNode.
+// mutated or retained across Connect/RemoveNode/Prune.
 func (m *Mesh) NeighborsView(a int) []int {
-	la, ok := m.nodes[a]
-	if !ok {
+	la := m.get(a)
+	if la == nil {
 		return nil
 	}
-	return la.View()
+	return la.items
 }
 
 // Degree returns the number of links a holds.
-func (m *Mesh) Degree(a int) int {
-	la, ok := m.nodes[a]
-	if !ok {
-		return 0
-	}
-	return la.Len()
-}
+func (m *Mesh) Degree(a int) int { return len(m.NeighborsView(a)) }
 
 // Full reports whether a cannot take more links.
 func (m *Mesh) Full(a int) bool {
-	la, ok := m.nodes[a]
-	return ok && la.Full()
+	la := m.get(a)
+	return la != nil && la.Full()
+}
+
+// unlink removes a from b's side of an edge.
+func (m *Mesh) unlink(b, a int) {
+	if lb := m.get(b); lb != nil {
+		lb.Remove(a)
+	}
 }
 
 // RemoveNode drops a and all its edges (both directions).
 func (m *Mesh) RemoveNode(a int) {
-	la, ok := m.nodes[a]
-	if !ok {
+	la := m.get(a)
+	if la == nil {
 		return
 	}
-	for _, b := range la.View() {
-		if lb, ok := m.nodes[b]; ok {
-			lb.Remove(a)
-		}
+	for _, b := range la.items {
+		m.unlink(b, a)
 	}
-	delete(m.nodes, a)
+	la.Clear()
+	delete(m.keyed, a) // a keyed mesh forgets the node; no-op on a dense one
 }
 
 // Prune removes a's edges to every neighbour failing keep and reports the
@@ -204,11 +209,11 @@ func (m *Mesh) RemoveNode(a int) {
 // without allocating: the neighbour list is walked in descending order so
 // in-place removals never shift an unvisited entry.
 func (m *Mesh) Prune(a int, keep func(int) bool) int {
-	la, ok := m.nodes[a]
-	if !ok {
+	la := m.get(a)
+	if la == nil {
 		return 0
 	}
-	nbs := la.View()
+	nbs := la.items
 	examined := len(nbs)
 	for i := len(nbs) - 1; i >= 0; i-- {
 		b := nbs[i]
@@ -216,35 +221,9 @@ func (m *Mesh) Prune(a int, keep func(int) bool) int {
 			continue
 		}
 		la.Remove(b)
-		if lb, ok := m.nodes[b]; ok {
-			lb.Remove(a)
-		}
+		m.unlink(b, a)
 	}
 	return examined
-}
-
-// Nodes returns all node ids with at least one link record, ascending.
-func (m *Mesh) Nodes() []int {
-	out := make([]int, 0, len(m.nodes))
-	for n := range m.nodes {
-		out = append(out, n)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// Symmetric verifies the mesh invariant: every link is present on both
-// endpoints. It returns true for a consistent mesh.
-func (m *Mesh) Symmetric() bool {
-	for a, la := range m.nodes {
-		for _, b := range la.View() {
-			lb, ok := m.nodes[b]
-			if !ok || !lb.Has(a) {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // FloodResult reports the outcome of a TTL-scoped flood search.
@@ -317,9 +296,12 @@ func NewFloodScratch(n int) *FloodScratch {
 	return &FloodScratch{visited: Stamps{at: make([]uint32, n)}}
 }
 
-// Flood runs one TTL-scoped flood search reusing the scratch buffers; see
-// the package-level Flood for the search semantics. Negative node ids are
-// not supported (node ids are dense user indices).
+// Flood performs the paper's query forwarding, reusing the scratch buffers:
+// origin sends the query to its neighbours with the given TTL; each receiver
+// that does not match forwards to its own neighbours while TTL remains.
+// neighbors supplies adjacency and match is the "has the video" predicate.
+// The origin itself is not matched. Negative node ids are not supported
+// (node ids are dense user indices).
 func (s *FloodScratch) Flood(origin int, ttl int, neighbors func(int) []int, match func(int) bool) FloodResult {
 	var res FloodResult
 	if ttl <= 0 || origin < 0 || neighbors == nil || match == nil {
@@ -352,16 +334,4 @@ func (s *FloodScratch) Flood(origin int, ttl int, neighbors func(int) []int, mat
 		}
 	}
 	return res
-}
-
-// Flood performs the paper's query forwarding: origin sends the query to its
-// neighbours with the given TTL; each receiver that does not match forwards
-// to its own neighbours while TTL remains. neighbors supplies adjacency and
-// match is the "has the video" predicate. The origin itself is not matched.
-//
-// This wrapper allocates fresh scratch state per call; hot paths should
-// hold a FloodScratch and call its Flood method instead.
-func Flood(origin int, ttl int, neighbors func(int) []int, match func(int) bool) FloodResult {
-	var s FloodScratch
-	return s.Flood(origin, ttl, neighbors, match)
 }

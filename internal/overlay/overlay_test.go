@@ -67,116 +67,143 @@ func TestLinksClear(t *testing.T) {
 	}
 }
 
+// eachMesh runs a Mesh test over both constructions: keyed, and dense over a
+// population that covers every node id the tests use (their "unbounded"
+// max <= 0 becomes a bound no test reaches).
+func eachMesh(t *testing.T, test func(t *testing.T, newMesh func(max int) *Mesh)) {
+	t.Run("keyed", func(t *testing.T) { test(t, NewMesh) })
+	t.Run("dense", func(t *testing.T) {
+		test(t, func(max int) *Mesh {
+			if max <= 0 {
+				max = 64
+			}
+			return NewDenseMesh(max, 128)
+		})
+	})
+}
+
 func TestMeshConnectSymmetric(t *testing.T) {
-	m := NewMesh(5)
-	if !m.Connect(1, 2) {
-		t.Fatal("connect failed")
-	}
-	if !m.Connected(1, 2) || !m.Connected(2, 1) {
-		t.Fatal("edge not symmetric")
-	}
-	if m.Connect(1, 2) {
-		t.Fatal("duplicate edge should fail")
-	}
-	if m.Connect(1, 1) {
-		t.Fatal("self edge should fail")
-	}
+	eachMesh(t, func(t *testing.T, newMesh func(max int) *Mesh) {
+		m := newMesh(5)
+		if !m.Connect(1, 2) {
+			t.Fatal("connect failed")
+		}
+		if !m.Connected(1, 2) || !m.Connected(2, 1) {
+			t.Fatal("edge not symmetric")
+		}
+		if m.Connect(1, 2) {
+			t.Fatal("duplicate edge should fail")
+		}
+		if m.Connect(1, 1) {
+			t.Fatal("self edge should fail")
+		}
+	})
 }
 
 func TestMeshCapacityRespected(t *testing.T) {
-	m := NewMesh(2)
-	if !m.Connect(0, 1) || !m.Connect(0, 2) {
-		t.Fatal("connects within capacity failed")
-	}
-	if m.Connect(0, 3) {
-		t.Fatal("connect beyond node 0's capacity succeeded")
-	}
-	// Node 3 is empty but node 0 is full, so the edge must not appear on
-	// either side.
-	if m.Degree(3) != 0 {
-		t.Fatal("one-sided edge created")
-	}
-	if !m.Symmetric() {
-		t.Fatal("mesh asymmetric")
-	}
+	eachMesh(t, func(t *testing.T, newMesh func(max int) *Mesh) {
+		m := newMesh(2)
+		if !m.Connect(0, 1) || !m.Connect(0, 2) {
+			t.Fatal("connects within capacity failed")
+		}
+		if m.Connect(0, 3) {
+			t.Fatal("connect beyond node 0's capacity succeeded")
+		}
+		// Node 3 is empty but node 0 is full, so the edge must not appear on
+		// either side.
+		if m.Degree(3) != 0 {
+			t.Fatal("one-sided edge created")
+		}
+		if !m.Symmetric() {
+			t.Fatal("mesh asymmetric")
+		}
+	})
 }
 
 func TestMeshDisconnect(t *testing.T) {
-	m := NewMesh(0)
-	m.Connect(1, 2)
-	m.Disconnect(1, 2)
-	if m.Connected(1, 2) || m.Connected(2, 1) {
-		t.Fatal("disconnect left an edge")
-	}
-	// Disconnecting a non-edge is a no-op.
-	m.Disconnect(7, 8)
+	eachMesh(t, func(t *testing.T, newMesh func(max int) *Mesh) {
+		m := newMesh(0)
+		m.Connect(1, 2)
+		m.Disconnect(1, 2)
+		if m.Connected(1, 2) || m.Connected(2, 1) {
+			t.Fatal("disconnect left an edge")
+		}
+		// Disconnecting a non-edge is a no-op.
+		m.Disconnect(7, 8)
+	})
 }
 
 func TestMeshRemoveNode(t *testing.T) {
-	m := NewMesh(0)
-	m.Connect(1, 2)
-	m.Connect(1, 3)
-	m.RemoveNode(1)
-	if m.Degree(1) != 0 || m.Connected(2, 1) || m.Connected(3, 1) {
-		t.Fatal("remove node left dangling links")
-	}
-	if !m.Symmetric() {
-		t.Fatal("asymmetric after node removal")
-	}
-	m.RemoveNode(99) // unknown node is a no-op
+	eachMesh(t, func(t *testing.T, newMesh func(max int) *Mesh) {
+		m := newMesh(0)
+		m.Connect(1, 2)
+		m.Connect(1, 3)
+		m.RemoveNode(1)
+		if m.Degree(1) != 0 || m.Connected(2, 1) || m.Connected(3, 1) {
+			t.Fatal("remove node left dangling links")
+		}
+		if !m.Symmetric() {
+			t.Fatal("asymmetric after node removal")
+		}
+		m.RemoveNode(99) // unknown node is a no-op
+	})
 }
 
 func TestMeshNeighborsAndNodes(t *testing.T) {
-	m := NewMesh(0)
-	m.Connect(2, 5)
-	m.Connect(2, 3)
-	nbs := m.Neighbors(2)
-	if len(nbs) != 2 || nbs[0] != 3 || nbs[1] != 5 {
-		t.Fatalf("Neighbors = %v, want [3 5]", nbs)
-	}
-	if m.Neighbors(42) != nil {
-		t.Fatal("unknown node should have nil neighbours")
-	}
-	nodes := m.Nodes()
-	if len(nodes) != 3 {
-		t.Fatalf("Nodes = %v, want 3 entries", nodes)
-	}
+	eachMesh(t, func(t *testing.T, newMesh func(max int) *Mesh) {
+		m := newMesh(0)
+		m.Connect(2, 5)
+		m.Connect(2, 3)
+		nbs := m.Neighbors(2)
+		if len(nbs) != 2 || nbs[0] != 3 || nbs[1] != 5 {
+			t.Fatalf("Neighbors = %v, want [3 5]", nbs)
+		}
+		if m.Neighbors(42) != nil {
+			t.Fatal("unknown node should have nil neighbours")
+		}
+		nodes := m.Nodes()
+		if len(nodes) != 3 {
+			t.Fatalf("Nodes = %v, want 3 entries", nodes)
+		}
+	})
 }
 
 // Property: after arbitrary connect/disconnect/remove operations, the mesh
 // stays symmetric and respects its per-node capacity.
 func TestMeshInvariantsProperty(t *testing.T) {
-	type op struct {
-		Kind uint8
-		A, B uint8
-	}
-	f := func(ops []op, capRaw uint8) bool {
-		capacity := int(capRaw%6) + 1
-		m := NewMesh(capacity)
-		for _, o := range ops {
-			a, b := int(o.A%20), int(o.B%20)
-			switch o.Kind % 3 {
-			case 0:
-				m.Connect(a, b)
-			case 1:
-				m.Disconnect(a, b)
-			case 2:
-				m.RemoveNode(a)
+	eachMesh(t, func(t *testing.T, newMesh func(max int) *Mesh) {
+		type op struct {
+			Kind uint8
+			A, B uint8
+		}
+		f := func(ops []op, capRaw uint8) bool {
+			capacity := int(capRaw%6) + 1
+			m := newMesh(capacity)
+			for _, o := range ops {
+				a, b := int(o.A%20), int(o.B%20)
+				switch o.Kind % 3 {
+				case 0:
+					m.Connect(a, b)
+				case 1:
+					m.Disconnect(a, b)
+				case 2:
+					m.RemoveNode(a)
+				}
 			}
-		}
-		if !m.Symmetric() {
-			return false
-		}
-		for _, n := range m.Nodes() {
-			if m.Degree(n) > capacity {
+			if !m.Symmetric() {
 				return false
 			}
+			for _, n := range m.Nodes() {
+				if m.Degree(n) > capacity {
+					return false
+				}
+			}
+			return true
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
+		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+			t.Error(err)
+		}
+	})
 }
 
 func ringMesh(n int) *Mesh {
@@ -275,5 +302,58 @@ func TestFloodInvariantsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestDenseMeshOutsidePopulation: a dense mesh reads ids outside 0..n-1 (the
+// -1 requester of a cross-cell lookup) as linkless and never links them.
+func TestDenseMeshOutsidePopulation(t *testing.T) {
+	m := NewDenseMesh(3, 4)
+	for _, out := range []int{-1, 4, 1 << 30} {
+		if m.Connect(0, out) || m.Connect(out, 0) {
+			t.Fatalf("connected node %d outside the population", out)
+		}
+		if m.Degree(out) != 0 || m.NeighborsView(out) != nil || m.Full(out) || m.Connected(out, 0) {
+			t.Fatalf("node %d outside the population reads as linked", out)
+		}
+		m.RemoveNode(out)
+		m.Prune(out, func(int) bool { return false })
+	}
+	if m.Degree(0) != 0 {
+		t.Fatal("a refused connect left a one-sided edge")
+	}
+}
+
+// TestDenseMeshUnbounded: max = 0 keeps NewMesh's meaning — no bound — which
+// core relies on when an ablation sets N_h = 0.
+func TestDenseMeshUnbounded(t *testing.T) {
+	m := NewDenseMesh(0, 8)
+	for b := 1; b < 8; b++ {
+		if !m.Connect(0, b) {
+			t.Fatalf("unbounded dense mesh refused edge 0-%d", b)
+		}
+	}
+	if m.Degree(0) != 7 || m.Full(0) || !m.Symmetric() {
+		t.Fatalf("degree %d, full %v after 7 unbounded connects", m.Degree(0), m.Full(0))
+	}
+}
+
+// TestDenseMeshNeverAllocates: every link array is carved at construction,
+// so connect/prune/remove churn allocates nothing.
+func TestDenseMeshNeverAllocates(t *testing.T) {
+	const n = 64
+	m := NewDenseMesh(5, n)
+	i := 0
+	if avg := testing.AllocsPerRun(1000, func() {
+		i++
+		a := i % n
+		m.Connect(a, (a*7+i)%n)
+		m.Connect(a, (a*13+i)%n)
+		if i%3 == 0 {
+			m.RemoveNode((a + 1) % n)
+		}
+		m.Prune(a, func(b int) bool { return b%2 == 0 })
+	}); avg != 0 {
+		t.Fatalf("dense mesh churn allocates %.0f allocs/op, want 0", avg)
 	}
 }

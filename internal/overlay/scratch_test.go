@@ -108,44 +108,48 @@ func TestLinksViewIsLiveAndSorted(t *testing.T) {
 // TestMeshPrune: pruning drops exactly the edges whose neighbour fails the
 // predicate, on both endpoints, and reports the examined count.
 func TestMeshPrune(t *testing.T) {
-	m := NewMesh(0)
-	for _, b := range []int{1, 2, 3, 4, 5} {
-		m.Connect(0, b)
-	}
-	examined := m.Prune(0, func(n int) bool { return n%2 == 0 })
-	if examined != 5 {
-		t.Fatalf("examined %d, want 5", examined)
-	}
-	for _, odd := range []int{1, 3, 5} {
-		if m.Connected(0, odd) || m.Connected(odd, 0) {
-			t.Fatalf("edge to %d survived prune", odd)
+	eachMesh(t, func(t *testing.T, newMesh func(max int) *Mesh) {
+		m := newMesh(0)
+		for _, b := range []int{1, 2, 3, 4, 5} {
+			m.Connect(0, b)
 		}
-	}
-	for _, even := range []int{2, 4} {
-		if !m.Connected(0, even) {
-			t.Fatalf("edge to %d wrongly pruned", even)
+		examined := m.Prune(0, func(n int) bool { return n%2 == 0 })
+		if examined != 5 {
+			t.Fatalf("examined %d, want 5", examined)
 		}
-	}
-	if !m.Symmetric() {
-		t.Fatal("mesh asymmetric after prune")
-	}
-	if m.Prune(99, func(int) bool { return true }) != 0 {
-		t.Fatal("pruning an unknown node examined neighbours")
-	}
+		for _, odd := range []int{1, 3, 5} {
+			if m.Connected(0, odd) || m.Connected(odd, 0) {
+				t.Fatalf("edge to %d survived prune", odd)
+			}
+		}
+		for _, even := range []int{2, 4} {
+			if !m.Connected(0, even) {
+				t.Fatalf("edge to %d wrongly pruned", even)
+			}
+		}
+		if !m.Symmetric() {
+			t.Fatal("mesh asymmetric after prune")
+		}
+		if m.Prune(99, func(int) bool { return true }) != 0 {
+			t.Fatal("pruning an unknown node examined neighbours")
+		}
+	})
 }
 
 // TestMeshPruneAll: removing every neighbour in one pass must not skip
 // entries as the underlying slice shrinks.
 func TestMeshPruneAll(t *testing.T) {
-	m := NewMesh(0)
-	for b := 1; b <= 6; b++ {
-		m.Connect(0, b)
-	}
-	m.Prune(0, func(int) bool { return false })
-	if m.Degree(0) != 0 {
-		t.Fatalf("degree %d after pruning all, want 0", m.Degree(0))
-	}
-	if !m.Symmetric() {
-		t.Fatal("mesh asymmetric after pruning all")
-	}
+	eachMesh(t, func(t *testing.T, newMesh func(max int) *Mesh) {
+		m := newMesh(0)
+		for b := 1; b <= 6; b++ {
+			m.Connect(0, b)
+		}
+		m.Prune(0, func(int) bool { return false })
+		if m.Degree(0) != 0 {
+			t.Fatalf("degree %d after pruning all, want 0", m.Degree(0))
+		}
+		if !m.Symmetric() {
+			t.Fatal("mesh asymmetric after pruning all")
+		}
+	})
 }

@@ -1,11 +1,14 @@
 package sim
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -40,7 +43,9 @@ type ShardedEngine struct {
 	epoch   time.Duration
 	workers int
 	now     time.Duration
-	stopped bool
+	// stopped is atomic: Stop may be called from events firing on
+	// different shards in the same epoch.
+	stopped atomic.Bool
 
 	// outbox[s] buffers shard s's cross-shard sends during the current
 	// epoch; only shard s's goroutine appends to it between barriers.
@@ -50,6 +55,13 @@ type ShardedEngine struct {
 
 	stats  []ShardStat
 	epochs uint64
+
+	// order is the sequence a parallel epoch hands shards to workers in,
+	// lastBusy each shard's wall time in the previous epoch and next the
+	// index into order of the first shard no worker has taken yet.
+	order    []int
+	lastBusy []time.Duration
+	next     atomic.Int64
 }
 
 // mailItem is one buffered cross-shard event.
@@ -117,15 +129,18 @@ func NewShardedEngine(cfg ShardedConfig) (*ShardedEngine, error) {
 		workers = cfg.Shards
 	}
 	se := &ShardedEngine{
-		shards:  make([]*Engine, cfg.Shards),
-		epoch:   cfg.Epoch,
-		workers: workers,
-		outbox:  make([][]mailItem, cfg.Shards),
-		stats:   make([]ShardStat, cfg.Shards),
+		shards:   make([]*Engine, cfg.Shards),
+		epoch:    cfg.Epoch,
+		workers:  workers,
+		outbox:   make([][]mailItem, cfg.Shards),
+		stats:    make([]ShardStat, cfg.Shards),
+		order:    make([]int, cfg.Shards),
+		lastBusy: make([]time.Duration, cfg.Shards),
 	}
 	for i := range se.shards {
 		se.shards[i] = NewEngine()
 		se.stats[i].Shard = i
+		se.order[i] = i
 	}
 	return se, nil
 }
@@ -175,7 +190,7 @@ func (se *ShardedEngine) Send(src, dst int, at time.Duration, key uint64, fn Eve
 // Stop makes Run return ErrStopped at the next barrier. Safe to call from
 // inside an event: the flag is only read between epochs, so it takes
 // effect at the barrier ending the epoch that set it.
-func (se *ShardedEngine) Stop() { se.stopped = true }
+func (se *ShardedEngine) Stop() { se.stopped.Store(true) }
 
 // pendingMail reports whether any outbox holds undelivered events (only
 // possible from pre-run Sends; in-run sends drain at their own barrier).
@@ -233,12 +248,12 @@ func (se *ShardedEngine) RunCtx(ctx context.Context, horizon time.Duration) erro
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	se.stopped = false
+	se.stopped.Store(false)
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if se.stopped {
+		if se.stopped.Load() {
 			return ErrStopped
 		}
 		next, ok := se.nextEventAt()
@@ -283,7 +298,7 @@ func (se *ShardedEngine) RunCtx(ctx context.Context, horizon time.Duration) erro
 		se.deliver(barrier)
 		se.now = barrier
 		se.epochs++
-		if se.stopped {
+		if se.stopped.Load() {
 			return ErrStopped
 		}
 		if horizon > 0 && se.now >= horizon {
@@ -295,44 +310,49 @@ func (se *ShardedEngine) RunCtx(ctx context.Context, horizon time.Duration) erro
 // runEpoch advances every shard's engine to the barrier, in parallel when
 // workers > 1. A direct Engine.Stop on a shard (returning ErrStopped), or
 // a cancelled ctx, stops the whole sharded run at this barrier.
+//
+// A parallel epoch hands shards out longest-first by their busy time in the
+// previous epoch (ties by index), so the heaviest cell starts at once
+// instead of being the last one a worker picks up while the others idle.
+// The order only decides which worker runs which shard when: shards share
+// no state between barriers, so results do not depend on it.
 func (se *ShardedEngine) runEpoch(ctx context.Context, barrier time.Duration) {
 	if se.workers == 1 {
-		for i, e := range se.shards {
-			start := time.Now()
-			if err := e.RunCtx(ctx, barrier, 0); err != nil {
-				se.stopped = true
-			}
-			se.stats[i].Busy += time.Since(start)
+		for i := range se.shards {
+			se.runShard(ctx, i, barrier)
 		}
 		return
 	}
-	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		work = make(chan int, len(se.shards))
-	)
-	for i := range se.shards {
-		work <- i
-	}
-	close(work)
+	slices.SortFunc(se.order, func(a, b int) int {
+		if c := cmp.Compare(se.lastBusy[b], se.lastBusy[a]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	se.next.Store(0)
+	var wg sync.WaitGroup
 	for w := 0; w < se.workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range work {
-				start := time.Now()
-				err := se.shards[i].RunCtx(ctx, barrier, 0)
-				busy := time.Since(start)
-				mu.Lock()
-				if err != nil {
-					se.stopped = true
-				}
-				se.stats[i].Busy += busy
-				mu.Unlock()
+			for k := se.next.Add(1) - 1; int(k) < len(se.order); k = se.next.Add(1) - 1 {
+				se.runShard(ctx, se.order[k], barrier)
 			}
 		}()
 	}
 	wg.Wait()
+}
+
+// runShard advances shard i to the barrier and accounts its wall time. Each
+// shard is run by exactly one goroutine per epoch, so its stats slot needs
+// no lock.
+func (se *ShardedEngine) runShard(ctx context.Context, i int, barrier time.Duration) {
+	start := time.Now()
+	if err := se.shards[i].RunCtx(ctx, barrier, 0); err != nil {
+		se.stopped.Store(true)
+	}
+	se.lastBusy[i] = time.Since(start)
+	se.stats[i].Busy += se.lastBusy[i]
 }
 
 // deliver drains every outbox into the destination engines in ascending

@@ -410,3 +410,44 @@ func TestShardedConfigValidation(t *testing.T) {
 		t.Fatalf("workers %d, want capped at shard count 2", se.Workers())
 	}
 }
+
+// TestShardedEpochOrderLongestFirst pins the parallel work queue: shards
+// are handed out by descending previous-epoch busy time, ties by index, and
+// every shard still runs exactly once per epoch.
+func TestShardedEpochOrderLongestFirst(t *testing.T) {
+	se, err := NewShardedEngine(ShardedConfig{Shards: 5, Epoch: time.Second, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fired := make([]int, 5)
+	for i := range fired {
+		se.Shard(i).At(time.Millisecond, func(time.Duration) { fired[i]++ })
+	}
+	copy(se.lastBusy, []time.Duration{1, 3, 3, 0, 7})
+	se.runEpoch(context.Background(), time.Second)
+	if got, want := fmt.Sprint(se.order), "[4 1 2 0 3]"; got != want {
+		t.Fatalf("epoch order %s, want %s", got, want)
+	}
+	for i, n := range fired {
+		if n != 1 {
+			t.Fatalf("shard %d fired %d events in the epoch, want 1", i, n)
+		}
+	}
+}
+
+// TestShardedStopFromEveryShard: events on different shards may call Stop
+// in the same parallel epoch (run under -race); the run stops at that
+// epoch's barrier.
+func TestShardedStopFromEveryShard(t *testing.T) {
+	se, err := NewShardedEngine(ShardedConfig{Shards: 4, Epoch: time.Second, Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		se.Shard(i).At(time.Millisecond, func(time.Duration) { se.Stop() })
+		se.Shard(i).At(5*time.Second, func(time.Duration) { t.Error("event past the stop barrier fired") })
+	}
+	if err := se.Run(0); !errors.Is(err, ErrStopped) {
+		t.Fatalf("run = %v, want ErrStopped", err)
+	}
+}

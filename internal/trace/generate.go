@@ -104,10 +104,11 @@ type generator struct {
 	cfg        Config
 	g          *dist.RNG
 	tr         *Trace
-	catWeights []float64
-	chanPop    []float64     // per-channel popularity weight
-	byCat      [][]ChannelID // channels indexed by primary category
-	catPop     [][]float64   // catPop[c][i] = chanPop[byCat[c][i]], built once
+	catWeights dist.Cumulative
+	chanPop    []float64         // per-channel popularity weight
+	chanDraw   dist.Cumulative   // chanPop as a draw over all channels
+	byCat      [][]ChannelID     // channels indexed by primary category
+	catDraw    []dist.Cumulative // catDraw[c] draws an index into byCat[c] by chanPop
 	zipfCache  map[zipfKey]*dist.Zipf
 }
 
@@ -209,10 +210,10 @@ func (gen *generator) deriveInterests(u *User) {
 
 // categoryWeights gives each category a popularity weight so some categories
 // (e.g. Music, Entertainment) attract more channels and users than others.
-func categoryWeights(g *dist.RNG, n int) []float64 {
-	w := make([]float64, n)
-	for i := range w {
-		w[i] = math.Exp(g.NormFloat64() * 0.8)
+func categoryWeights(g *dist.RNG, n int) dist.Cumulative {
+	var w dist.Cumulative
+	for i := 0; i < n; i++ {
+		w.Add(math.Exp(g.NormFloat64() * 0.8))
 	}
 	return w
 }
@@ -231,9 +232,9 @@ func (gen *generator) channels() error {
 	tr.Channels = make([]Channel, 0, cfg.Channels)
 	gen.chanPop = make([]float64, 0, cfg.Channels)
 	gen.byCat = make([][]ChannelID, cfg.Categories)
-	gen.catPop = make([][]float64, cfg.Categories)
+	gen.catDraw = make([]dist.Cumulative, cfg.Categories)
 	for i := 0; i < cfg.Channels; i++ {
-		primary := CategoryID(dist.WeightedChoice(g, gen.catWeights))
+		primary := CategoryID(gen.catWeights.Choice(g))
 		// Channels focus on few categories (Fig. 11): 1 + Poisson(0.9)
 		// extra categories, capped at 5.
 		nCats := 1 + dist.Poisson(g, 0.9)
@@ -251,7 +252,8 @@ func (gen *generator) channels() error {
 		pop := popDist.Sample(g)
 		gen.chanPop = append(gen.chanPop, pop)
 		gen.byCat[primary] = append(gen.byCat[primary], ChannelID(i))
-		gen.catPop[primary] = append(gen.catPop[primary], pop)
+		gen.chanDraw.Add(pop)
+		gen.catDraw[primary].Add(pop)
 	}
 	return nil
 }
@@ -391,11 +393,11 @@ func (gen *generator) users() error {
 // sampleInterests draws n distinct categories in preference order: the first
 // entries are the user's dominant interests, which receive most of the
 // user's subscriptions.
-func sampleInterests(g *dist.RNG, catWeights []float64, n int) []CategoryID {
+func sampleInterests(g *dist.RNG, catWeights dist.Cumulative, n int) []CategoryID {
 	seen := make(map[int]bool, n)
 	out := make([]CategoryID, 0, n)
 	for attempts := 0; len(out) < n && attempts < 20*n; attempts++ {
-		c := dist.WeightedChoice(g, catWeights)
+		c := catWeights.Choice(g)
 		if c < 0 || seen[c] {
 			continue
 		}
@@ -427,7 +429,7 @@ func (gen *generator) pickSubscription(u *User) (ChannelID, error) {
 		}
 		cat := u.Interests[z.Sample(g)-1]
 		if chans := gen.byCat[cat]; len(chans) > 0 {
-			return chans[dist.WeightedChoice(g, gen.catPop[cat])], nil
+			return chans[gen.catDraw[cat].Choice(g)], nil
 		}
 		// Explicit fallback: no channel has this category as its
 		// primary, so the aligned draw cannot be honored — fall
@@ -435,8 +437,8 @@ func (gen *generator) pickSubscription(u *User) (ChannelID, error) {
 	}
 	// Popularity-weighted global draw: users sometimes subscribe
 	// outside their interests (1-InterestAlignedSubscriptionP of draws).
-	// Channel ids are dense, so chanPop is its own weight slice.
-	return ChannelID(dist.WeightedChoice(g, gen.chanPop)), nil
+	// Channel ids are dense, so the drawn index is the channel id.
+	return ChannelID(gen.chanDraw.Choice(g)), nil
 }
 
 func (gen *generator) favorites(u *User) error {

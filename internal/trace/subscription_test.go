@@ -14,11 +14,11 @@ func subGenerator(t *testing.T, nCats, nPerCat int) *generator {
 	cfg := DefaultConfig()
 	cfg.Categories = nCats
 	gen := &generator{
-		cfg:    cfg,
-		g:      dist.NewRNG(3),
-		tr:     &Trace{Categories: nCats},
-		byCat:  make([][]ChannelID, nCats),
-		catPop: make([][]float64, nCats),
+		cfg:     cfg,
+		g:       dist.NewRNG(3),
+		tr:      &Trace{Categories: nCats},
+		byCat:   make([][]ChannelID, nCats),
+		catDraw: make([]dist.Cumulative, nCats),
 	}
 	for c := 0; c < nCats; c++ {
 		for i := 0; i < nPerCat; i++ {
@@ -30,7 +30,8 @@ func subGenerator(t *testing.T, nCats, nPerCat int) *generator {
 			})
 			gen.chanPop = append(gen.chanPop, 1)
 			gen.byCat[c] = append(gen.byCat[c], id)
-			gen.catPop[c] = append(gen.catPop[c], 1)
+			gen.chanDraw.Add(1)
+			gen.catDraw[c].Add(1)
 		}
 	}
 	return gen

@@ -5,6 +5,7 @@ package vod
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -39,46 +40,44 @@ func ChunkBytes(length time.Duration, bitrateBps int64, chunks int) int64 {
 // watched during a session (NetTube, SocialTube) plus prefetched first
 // chunks; MaxVideos=0 reproduces that unbounded session cache, while a
 // positive bound turns it into an LRU cache for the ablation benches.
+//
+// A peer holds few short videos, so both sets are sorted slices, not maps:
+// a lookup is a binary search over a cache line or two, and a Cache is three
+// slice headers a protocol embeds by value in its per-node state.
 type Cache struct {
 	maxVideos int
-	full      map[trace.VideoID]bool
-	prefix    map[trace.VideoID]bool
-	order     []trace.VideoID // LRU order of full videos, oldest first
+	full      []trace.VideoID // sorted ascending
+	prefix    []trace.VideoID // prefix-only entries, sorted ascending
+	order     []trace.VideoID // the full videos in LRU order, oldest first
 }
 
 // NewCache returns a cache bounded to maxVideos full videos (0 = unbounded).
-func NewCache(maxVideos int) *Cache {
-	return &Cache{
-		maxVideos: maxVideos,
-		full:      make(map[trace.VideoID]bool),
-		prefix:    make(map[trace.VideoID]bool),
+func NewCache(maxVideos int) *Cache { return &Cache{maxVideos: maxVideos} }
+
+// remove deletes v from the sorted set if present.
+func remove(set []trace.VideoID, v trace.VideoID) []trace.VideoID {
+	if i, ok := slices.BinarySearch(set, v); ok {
+		set = slices.Delete(set, i, i+1)
 	}
+	return set
 }
 
 // AddFull stores a complete video, evicting the least recently used video
 // if the bound is exceeded. Storing a full video supersedes its prefix.
 func (c *Cache) AddFull(v trace.VideoID) {
-	if c.full[v] {
-		c.touch(v)
+	at, held := slices.BinarySearch(c.full, v)
+	if held {
+		// Refresh its LRU position.
+		i := slices.Index(c.order, v)
+		c.order = append(slices.Delete(c.order, i, i+1), v)
 		return
 	}
-	c.full[v] = true
+	c.full = slices.Insert(c.full, at, v)
 	c.order = append(c.order, v)
-	delete(c.prefix, v)
-	if c.maxVideos > 0 && len(c.full) > c.maxVideos {
-		oldest := c.order[0]
-		c.order = c.order[1:]
-		delete(c.full, oldest)
-	}
-}
-
-func (c *Cache) touch(v trace.VideoID) {
-	for i, id := range c.order {
-		if id == v {
-			c.order = append(c.order[:i], c.order[i+1:]...)
-			c.order = append(c.order, v)
-			return
-		}
+	c.prefix = remove(c.prefix, v)
+	if c.maxVideos > 0 && len(c.order) > c.maxVideos {
+		c.full = remove(c.full, c.order[0])
+		c.order = slices.Delete(c.order, 0, 1)
 	}
 }
 
@@ -86,17 +85,24 @@ func (c *Cache) touch(v trace.VideoID) {
 // never evicts full videos; prefetched chunks are tiny (~15 KB per the
 // paper) so they are not counted against the video bound.
 func (c *Cache) AddPrefix(v trace.VideoID) {
-	if c.full[v] {
-		return
+	if at, held := slices.BinarySearch(c.prefix, v); !held && !c.HasFull(v) {
+		c.prefix = slices.Insert(c.prefix, at, v)
 	}
-	c.prefix[v] = true
 }
 
 // HasFull reports whether the complete video is cached.
-func (c *Cache) HasFull(v trace.VideoID) bool { return c.full[v] }
+func (c *Cache) HasFull(v trace.VideoID) bool {
+	_, ok := slices.BinarySearch(c.full, v)
+	return ok
+}
 
 // HasPrefix reports whether at least the first chunk is cached.
-func (c *Cache) HasPrefix(v trace.VideoID) bool { return c.full[v] || c.prefix[v] }
+func (c *Cache) HasPrefix(v trace.VideoID) bool {
+	if _, ok := slices.BinarySearch(c.prefix, v); ok {
+		return true
+	}
+	return c.HasFull(v)
+}
 
 // FullLen returns the number of complete videos cached.
 func (c *Cache) FullLen() int { return len(c.full) }
@@ -105,18 +111,7 @@ func (c *Cache) FullLen() int { return len(c.full) }
 func (c *Cache) PrefixLen() int { return len(c.prefix) }
 
 // FullVideos returns the ids of all fully cached videos (copy).
-func (c *Cache) FullVideos() []trace.VideoID {
-	out := make([]trace.VideoID, len(c.order))
-	copy(out, c.order)
-	return out
-}
-
-// Clear empties the cache.
-func (c *Cache) Clear() {
-	c.full = make(map[trace.VideoID]bool)
-	c.prefix = make(map[trace.VideoID]bool)
-	c.order = nil
-}
+func (c *Cache) FullVideos() []trace.VideoID { return slices.Clone(c.order) }
 
 // Behavior holds the probabilities of the paper's video-selection mechanism
 // (§V): when choosing the next video, a node picks from the same channel
@@ -145,10 +140,11 @@ func (b Behavior) Validate() error {
 type Picker struct {
 	tr       *trace.Trace
 	behavior Behavior
-	// Per-category video lists and weights.
-	byCat        [][]trace.VideoID
-	byCatWeights [][]float64
-	allWeights   []float64
+	// byCat lists each category's videos; byCatDraw[c] draws an index into
+	// byCat[c], and all an index into the trace's videos, by view count.
+	byCat     [][]trace.VideoID
+	byCatDraw []dist.Cumulative
+	all       dist.Cumulative
 	// zipfBySize caches Zipf samplers keyed by channel size; building
 	// the CDF is O(n) and channel sizes repeat constantly. zipfMu guards
 	// the cache: the emulator shares one Picker across peer goroutines.
@@ -165,19 +161,18 @@ func NewPicker(tr *trace.Trace, b Behavior) (*Picker, error) {
 		return nil, fmt.Errorf("%w: picker needs a non-empty trace", dist.ErrBadParameter)
 	}
 	p := &Picker{
-		tr:           tr,
-		behavior:     b,
-		byCat:        make([][]trace.VideoID, tr.Categories),
-		byCatWeights: make([][]float64, tr.Categories),
-		allWeights:   make([]float64, len(tr.Videos)),
-		zipfBySize:   make(map[int]*dist.Zipf),
+		tr:         tr,
+		behavior:   b,
+		byCat:      make([][]trace.VideoID, tr.Categories),
+		byCatDraw:  make([]dist.Cumulative, tr.Categories),
+		zipfBySize: make(map[int]*dist.Zipf),
 	}
-	for i, v := range tr.Videos {
-		p.allWeights[i] = float64(v.Views)
+	for _, v := range tr.Videos {
+		p.all.Add(float64(v.Views))
 		c := int(v.Category)
 		if c >= 0 && c < tr.Categories {
 			p.byCat[c] = append(p.byCat[c], v.ID)
-			p.byCatWeights[c] = append(p.byCatWeights[c], float64(v.Views))
+			p.byCatDraw[c].Add(float64(v.Views))
 		}
 	}
 	return p, nil
@@ -252,7 +247,7 @@ func (p *Picker) fromCategory(g *dist.RNG, c trace.CategoryID) (trace.VideoID, b
 	if ci < 0 || ci >= len(p.byCat) || len(p.byCat[ci]) == 0 {
 		return 0, false
 	}
-	idx := dist.WeightedChoice(g, p.byCatWeights[ci])
+	idx := p.byCatDraw[ci].Choice(g)
 	if idx < 0 {
 		return 0, false
 	}
@@ -260,7 +255,7 @@ func (p *Picker) fromCategory(g *dist.RNG, c trace.CategoryID) (trace.VideoID, b
 }
 
 func (p *Picker) global(g *dist.RNG) trace.VideoID {
-	idx := dist.WeightedChoice(g, p.allWeights)
+	idx := p.all.Choice(g)
 	if idx < 0 {
 		return p.tr.Videos[g.Intn(len(p.tr.Videos))].ID
 	}

@@ -1,7 +1,7 @@
 #!/bin/sh
 # CI gate for the SocialTube reproduction.
 #
-# Build and vet, check what fails fast (the nested benchmark module, the two
+# Build, vet and gofmt, check what fails fast (the nested benchmark module, the two
 # line-count budgets), race-test everything once (no per-subsystem -run
 # reruns: the ./... line already ran them), then run the short allocation
 # benchmarks and the end-to-end CLI smokes.
@@ -14,6 +14,10 @@ go build ./...
 
 echo "== go vet =="
 go vet ./...
+
+echo "== gofmt (any listed file fails) =="
+unformatted=$(gofmt -l .)
+[ -z "$unformatted" ] || { echo "$unformatted"; exit 1; }
 
 echo "== benchmark harness (nested module: vet + tests) =="
 # bench/ has its own go.mod, so the ./... lines skip it; it compiles
