@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench bench-short ci figures figures-paper fig emu fuzz-smoke trace-demo cover clean
+.PHONY: all build test race bench-short ci figures figures-paper fig emu fuzz-smoke trace-demo cover clean
 
 all: build test
 
@@ -12,9 +12,6 @@ test:
 
 race:
 	$(GO) test -race ./...
-
-bench:
-	$(GO) test -bench=. -benchmem .
 
 # Fast allocation-focused micro-benchmarks for the hot paths (flood search,
 # mesh maintenance, per-request work), plus the small-N scale-sweep smoke.

@@ -93,7 +93,7 @@ func run() error {
 		}
 		_, p50, _ := res.NormalizedPeerBandwidthPercentiles()
 		fmt.Printf("%-11s peer-bandwidth p50 %.2f  startup mean %.0f ms  (cache %d / peer %d / server %d)\n",
-			res.Protocol, p50, res.StartupDelay.Mean(), res.CacheHits, res.PeerHits, res.ServerHits)
+			res.Protocol, p50, res.StartupDelay.Mean(), res.CacheHits.Value(), res.PeerHits.Value(), res.ServerHits.Value())
 	}
 	return nil
 }

@@ -124,7 +124,7 @@ func TestClusterChurnCrashesAndRejoins(t *testing.T) {
 	if res.Rejoins != res.Crashes {
 		t.Fatalf("crashes=%d but rejoins=%d (every wave sets DownFor)", res.Crashes, res.Rejoins)
 	}
-	total := res.CacheHits + res.PeerHits + res.ServerHits
+	total := res.Delivered()
 	want := int64(cfg.Peers * cfg.Sessions * cfg.VideosPerSession)
 	if total != want {
 		t.Fatalf("requests lost to churn: %d accounted of %d", total, want)
@@ -142,9 +142,9 @@ func TestClusterTrackerOutage(t *testing.T) {
 	cfg.Sessions = 1
 	cfg.VideosPerSession = 3
 	cfg.WatchTime = 5 * time.Millisecond
-	cfg.RPCTimeout = 30 * time.Millisecond
-	cfg.MaxRetries = 1
-	cfg.RetryBackoff = 2 * time.Millisecond
+	cfg.Peer.RPCTimeout = 30 * time.Millisecond
+	cfg.Peer.MaxRetries = 1
+	cfg.Peer.RetryBackoff = 2 * time.Millisecond
 	cfg.Faults = &faults.Plan{
 		Seed:    3,
 		Outages: []faults.Outage{{At: 0, Duration: 300 * time.Millisecond}},
@@ -159,16 +159,43 @@ func TestClusterTrackerOutage(t *testing.T) {
 	if res.FailedRequests == 0 {
 		t.Fatal("a 300ms outage with a ~60ms retry budget failed no requests")
 	}
-	if res.FailedRequests > res.ServerHits {
-		t.Fatalf("failed requests (%d) not contained in server hits (%d)", res.FailedRequests, res.ServerHits)
+	if res.FailedRequests > res.ServerHits.Value() {
+		t.Fatalf("failed requests (%d) not contained in server hits (%d)", res.FailedRequests, res.ServerHits.Value())
 	}
 	if res.OutageServed > res.OutageRequests {
 		t.Fatalf("outage served %d of only %d outage requests", res.OutageServed, res.OutageRequests)
 	}
-	total := res.CacheHits + res.PeerHits + res.ServerHits
+	total := res.Delivered()
 	want := int64(cfg.Peers * cfg.Sessions * cfg.VideosPerSession)
 	if total != want {
 		t.Fatalf("requests lost during outage: %d accounted of %d", total, want)
+	}
+}
+
+// TestClusterPeerTemplateDisablesRetries: the cluster copies its Peer
+// template as it stands, so MaxRetries 0 means what PeerConfig documents —
+// no retrying. (The "override when positive" knob this replaced kept the
+// default two retries.) Against a tracker that stays dark, one retry
+// sequence at that default sleeps 1 s + 2 s of backoff; with retries off a
+// failed call costs only its 20 ms timeout.
+func TestClusterPeerTemplateDisablesRetries(t *testing.T) {
+	tr := emuTrace(t)
+	cfg := fastClusterConfig(ModeSocialTube)
+	cfg.Peers, cfg.VideosPerSession = 2, 1
+	cfg.ProbeInterval = 0
+	cfg.Peer.RPCTimeout = 20 * time.Millisecond
+	cfg.Peer.MaxRetries = 0
+	cfg.Peer.RetryBackoff = time.Second
+	cfg.Faults = &faults.Plan{Outages: []faults.Outage{{At: 0, Duration: time.Minute}}}
+	res, err := RunClusterCtx(context.Background(), cfg, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.FailedRequests == 0 {
+		t.Fatal("no request failed: the tracker was never dark, so no call could have retried")
+	}
+	if res.Elapsed >= time.Second {
+		t.Fatalf("run took %v: some failed call slept through a retry backoff with MaxRetries 0", res.Elapsed)
 	}
 }
 

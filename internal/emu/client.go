@@ -8,17 +8,17 @@ import (
 	"github.com/socialtube/socialtube/internal/vod"
 )
 
-// Record is the outcome of one emulated video request.
+// Record is the outcome of one emulated video request: the simulator's
+// per-request outcome plus what only a real delivery can report.
 type Record struct {
-	// Source says who served the video.
-	Source vod.Source
+	// RequestResult says who served the video (Source), how many query
+	// messages the request consumed and whether the first chunk was already
+	// local (PrefixCached). Provider, Hops and Span stay zero: a download
+	// may switch providers mid-stream, and the driver assigns spans.
+	vod.RequestResult
 	// Startup is the measured wall-clock delay before playback could
 	// start (first chunk available).
 	Startup time.Duration
-	// Messages counts query messages the request consumed.
-	Messages int
-	// PrefixCached reports a prefetch hit.
-	PrefixCached bool
 	// Failed reports that neither peers nor the server delivered the
 	// video (a tracker outage outlasted the retry budget). Failed
 	// requests still carry SourceServer so hit counts sum to the
@@ -43,14 +43,14 @@ type Record struct {
 func (p *Peer) RequestVideo(v trace.VideoID) Record {
 	video := p.tr.Video(v)
 	if video == nil {
-		return Record{Source: vod.SourceServer}
+		return Record{RequestResult: vod.RequestResult{Source: vod.SourceServer}}
 	}
 	start := time.Now()
 	p.mu.Lock()
 	full := p.cache.HasFull(v)
 	prefix := p.cache.HasPrefix(v)
 	p.mu.Unlock()
-	rec := Record{PrefixCached: prefix}
+	rec := Record{RequestResult: vod.RequestResult{PrefixCached: prefix}}
 	if full {
 		rec.Source = vod.SourceCache
 		rec.Links = p.Links()

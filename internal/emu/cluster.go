@@ -19,8 +19,6 @@ import (
 // nodes on loopback running Sessions sessions each — the PlanetLab workload
 // of §V scaled to one machine.
 type ClusterConfig struct {
-	// Mode selects the protocol all peers run.
-	Mode Mode
 	// Peers is the number of TCP nodes (the paper uses 250 PlanetLab
 	// nodes; loopback runs scale this down).
 	Peers int
@@ -34,13 +32,15 @@ type ClusterConfig struct {
 	MeanOffTime time.Duration
 	// ProbeInterval is the neighbour probe period (0 disables probing).
 	ProbeInterval time.Duration
-	// PrefetchCount is how many first chunks each peer prefetches
-	// (0 disables prefetching).
-	PrefetchCount int
 	// Seed drives workload randomness.
 	Seed int64
 	// Behavior is the 75/15/10 video-selection model.
 	Behavior vod.Behavior
+	// Peer is the template every peer is a copy of, ID and Seed aside: the
+	// protocol they all run (Mode), link budgets, TTL, prefetch count, RPC
+	// timeout, retry and breaker policy. Outage experiments want a short
+	// RPCTimeout: a down tracker costs the default 3 s per attempt.
+	Peer PeerConfig
 	// Tracker configures the central server — the template for every
 	// tracker replica of the control plane.
 	Tracker TrackerConfig
@@ -64,13 +64,6 @@ type ClusterConfig struct {
 	// (scale them to WatchTime/MeanOffTime). The same plan drives the
 	// simulator, so sim and emu replay identical fault sequences.
 	Faults *faults.Plan
-	// RPCTimeout, MaxRetries and RetryBackoff override every peer's
-	// RPC/retry policy when positive (zero keeps the peer defaults).
-	// Outage experiments want a short timeout so a down tracker costs
-	// milliseconds, not the default 3s per attempt.
-	RPCTimeout   time.Duration
-	MaxRetries   int
-	RetryBackoff time.Duration
 	// MetricsAddr, when non-empty, serves live run metrics as JSON on
 	// GET <addr>/metrics for the duration of the run ("127.0.0.1:0" picks
 	// an ephemeral port).
@@ -87,16 +80,15 @@ type ClusterConfig struct {
 // DefaultClusterConfig returns a loopback-scaled PlanetLab workload.
 func DefaultClusterConfig(mode Mode) ClusterConfig {
 	return ClusterConfig{
-		Mode:             mode,
 		Peers:            24,
 		Sessions:         2,
 		VideosPerSession: 6,
 		WatchTime:        40 * time.Millisecond,
 		MeanOffTime:      60 * time.Millisecond,
 		ProbeInterval:    300 * time.Millisecond,
-		PrefetchCount:    3,
 		Seed:             1,
 		Behavior:         vod.DefaultBehavior(),
+		Peer:             DefaultPeerConfig(0, mode),
 		Tracker:          DefaultTrackerConfig(),
 		Conditions:       DefaultConditions(),
 	}
@@ -105,8 +97,6 @@ func DefaultClusterConfig(mode Mode) ClusterConfig {
 // Validate reports the first problem with the configuration.
 func (c ClusterConfig) Validate() error {
 	switch {
-	case c.Mode < ModeSocialTube || c.Mode > ModePAVoD:
-		return fmt.Errorf("%w: mode=%d", dist.ErrBadParameter, c.Mode)
 	case c.Peers <= 0:
 		return fmt.Errorf("%w: peers=%d", dist.ErrBadParameter, c.Peers)
 	case c.Sessions <= 0:
@@ -115,10 +105,9 @@ func (c ClusterConfig) Validate() error {
 		return fmt.Errorf("%w: videosPerSession=%d", dist.ErrBadParameter, c.VideosPerSession)
 	case c.WatchTime < 0 || c.MeanOffTime < 0 || c.ProbeInterval < 0:
 		return fmt.Errorf("%w: negative durations", dist.ErrBadParameter)
-	case c.PrefetchCount < 0:
-		return fmt.Errorf("%w: prefetchCount=%d", dist.ErrBadParameter, c.PrefetchCount)
-	case c.RPCTimeout < 0 || c.MaxRetries < 0 || c.RetryBackoff < 0:
-		return fmt.Errorf("%w: negative retry policy", dist.ErrBadParameter)
+	}
+	if err := c.Peer.Validate(); err != nil {
+		return fmt.Errorf("peer template: %w", err)
 	}
 	if c.Faults != nil {
 		if err := c.Faults.Validate(); err != nil {
@@ -140,27 +129,14 @@ func (c ClusterConfig) plane() ControlPlaneConfig {
 	return c.ControlPlane
 }
 
-// ClusterResult aggregates one emulated run; its fields mirror exp.Result
-// so the bench harness prints Fig. 16(b)/17(b)/18(b) rows the same way.
+// ClusterResult aggregates one emulated run: the delivery ledger the
+// simulator's exp.Result also embeds, plus what only real sockets produce.
 type ClusterResult struct {
 	Protocol string
-	// StartupDelay in milliseconds per request (cache hits excluded),
-	// as a bounded log-bucketed histogram (obs.Hist) so long soak runs
-	// hold O(buckets) memory, and so the live /metrics endpoint can
-	// render it as a Prometheus histogram.
-	StartupDelay obs.Hist
-	// PeerBandwidth: per node, fraction of videos served by peers.
-	PeerBandwidth obs.Hist
-	// LinksByVideoIndex[k]: link counts right after the (k+1)-th video of
-	// a session.
-	LinksByVideoIndex []obs.Hist
-	// Hit counts.
-	CacheHits  int64
-	PrefixHits int64
-	PeerHits   int64
-	ServerHits int64
-	// Messages counts query messages.
-	Messages int64
+	// Ledger is the delivery account (Figs. 16(b)–18(b)); its StartupDelay
+	// is wall-clock, and the live /metrics endpoint renders it as a
+	// Prometheus histogram.
+	vod.Ledger
 	// ServerBytes / PeerBytes shipped.
 	ServerBytes int64
 	PeerBytes   int64
@@ -196,11 +172,6 @@ type ClusterResult struct {
 	Elapsed time.Duration
 }
 
-// NormalizedPeerBandwidthPercentiles returns the Fig. 16 percentile triplet.
-func (r *ClusterResult) NormalizedPeerBandwidthPercentiles() (p1, p50, p99 float64) {
-	return r.PeerBandwidth.Percentile(1), r.PeerBandwidth.Percentile(50), r.PeerBandwidth.Percentile(99)
-}
-
 // LiveMetrics is the JSON document the cluster's /metrics endpoint serves
 // while a run is in flight: the tracker's view plus the workload aggregates
 // collected so far.
@@ -224,13 +195,13 @@ type LiveMetrics struct {
 func liveMetrics(cfg ClusterConfig, tracker *Tracker, res *ClusterResult, resMu *sync.Mutex, mem *obs.MemWatermark, traceBytes uint64, users int) LiveMetrics {
 	resMu.Lock()
 	m := LiveMetrics{
-		Protocol:       cfg.Mode.String(),
+		Protocol:       cfg.Peer.Mode.String(),
 		StartupDelayMs: res.StartupDelay.Summary(),
-		CacheHits:      res.CacheHits,
-		PrefixHits:     res.PrefixHits,
-		PeerHits:       res.PeerHits,
-		ServerHits:     res.ServerHits,
-		Messages:       res.Messages,
+		CacheHits:      res.CacheHits.Value(),
+		PrefixHits:     res.PrefixHits.Value(),
+		PeerHits:       res.PeerHits.Value(),
+		ServerHits:     res.ServerHits.Value(),
+		Messages:       res.Messages.Value(),
 	}
 	resMu.Unlock()
 	m.Tracker = tracker.MetricsSnapshot()
@@ -393,6 +364,33 @@ func sleepOrStop(d time.Duration, stop <-chan struct{}) bool {
 	return sleepUntil(time.Now().Add(d), stop)
 }
 
+// startPeers starts n peers on the plane, each a copy of the template with
+// only its id and its own seed stream set. The caller stops them; on error
+// the ones already started are stopped here.
+func startPeers(template PeerConfig, n int, seed int64, tr *trace.Trace, plane *ControlPlane, cond *Conditions) ([]*Peer, error) {
+	peers := make([]*Peer, 0, n)
+	for i := 0; i < n; i++ {
+		pc := template
+		pc.ID, pc.Seed = i, seed+int64(i)*7919
+		p, err := NewPeerWithControlPlane(pc, tr, plane, cond)
+		if err == nil {
+			err = p.Start()
+		}
+		if err != nil {
+			stopPeers(peers)
+			return nil, err
+		}
+		peers = append(peers, p)
+	}
+	return peers, nil
+}
+
+func stopPeers(peers []*Peer) {
+	for _, p := range peers {
+		p.Stop()
+	}
+}
+
 // RunClusterCtx starts a control plane and peers, drives the session
 // workload to completion, shuts everything down and returns aggregated
 // metrics. A cancelled context stops the workload, the fault driver and
@@ -433,38 +431,15 @@ func RunClusterCtx(ctx context.Context, cfg ClusterConfig, tr *trace.Trace) (*Cl
 	}
 	defer plane.Stop()
 
-	peers := make([]*Peer, 0, cfg.Peers)
-	defer func() {
-		for _, p := range peers {
-			p.Stop()
-		}
-	}()
-	for i := 0; i < cfg.Peers; i++ {
-		pc := DefaultPeerConfig(i, cfg.Mode)
-		pc.PrefetchCount = cfg.PrefetchCount
-		pc.Seed = cfg.Seed + int64(i)*7919
-		if cfg.RPCTimeout > 0 {
-			pc.RPCTimeout = cfg.RPCTimeout
-		}
-		if cfg.MaxRetries > 0 {
-			pc.MaxRetries = cfg.MaxRetries
-		}
-		if cfg.RetryBackoff > 0 {
-			pc.RetryBackoff = cfg.RetryBackoff
-		}
-		p, err := NewPeerWithControlPlane(pc, tr, plane, cfg.Conditions)
-		if err != nil {
-			return nil, err
-		}
-		if err := p.Start(); err != nil {
-			return nil, err
-		}
-		peers = append(peers, p)
+	peers, err := startPeers(cfg.Peer, cfg.Peers, cfg.Seed, tr, plane, cfg.Conditions)
+	if err != nil {
+		return nil, err
 	}
+	defer stopPeers(peers)
 
 	res := &ClusterResult{
-		Protocol:          cfg.Mode.String(),
-		LinksByVideoIndex: make([]obs.Hist, cfg.VideosPerSession),
+		Protocol: cfg.Peer.Mode.String(),
+		Ledger:   vod.NewLedger(cfg.Peers, cfg.VideosPerSession),
 	}
 	var resMu sync.Mutex
 
@@ -539,6 +514,7 @@ func RunClusterCtx(ctx context.Context, cfg ClusterConfig, tr *trace.Trace) (*Cl
 	halt()
 	faultWG.Wait()
 
+	res.Close()
 	res.Elapsed = time.Since(begin)
 	res.ServerBytes = plane.ServedBytes()
 	res.TakeoverMs = plane.TakeoverMs()
@@ -560,7 +536,7 @@ func runPeerSessions(cfg ClusterConfig, tr *trace.Trace, picker *vod.Picker, p *
 	begin time.Time, res *ClusterResult, resMu *sync.Mutex, stop <-chan struct{}, fd *faultDriver) {
 	g := dist.NewRNG(cfg.Seed*1_000_003 + int64(idx))
 	user := &tr.Users[idx]
-	proto := cfg.Mode.String()
+	proto := cfg.Peer.Mode.String()
 	// Per-peer span sequence with the peer id in the high bits, so spans
 	// from different peers never alias in a merged trace.
 	var spanSeq uint64
@@ -601,14 +577,6 @@ func runPeerSessions(cfg ClusterConfig, tr *trace.Trace, picker *vod.Picker, p *
 		probeWG.Wait()
 	}()
 
-	peerVideos, totalVideos := 0, 0
-	defer func() {
-		if totalVideos > 0 {
-			resMu.Lock()
-			res.PeerBandwidth.Add(float64(peerVideos) / float64(totalVideos))
-			resMu.Unlock()
-		}
-	}()
 	for s := 0; s < cfg.Sessions; s++ {
 		if !fd.waitRejoin(p, stop) {
 			return
@@ -635,24 +603,7 @@ func runPeerSessions(cfg ClusterConfig, tr *trace.Trace, picker *vod.Picker, p *
 					Source: vod.SourceServer.String(), Span: span})
 			}
 			resMu.Lock()
-			res.Messages += int64(rec.Messages)
-			switch rec.Source {
-			case vod.SourceCache:
-				res.CacheHits++
-			case vod.SourcePeer:
-				res.PeerHits++
-				peerVideos++
-				totalVideos++
-			case vod.SourceServer:
-				res.ServerHits++
-				totalVideos++
-			}
-			if rec.Source != vod.SourceCache {
-				res.StartupDelay.AddDuration(rec.Startup)
-				if rec.PrefixCached {
-					res.PrefixHits++
-				}
-			}
+			res.Record(idx, rec.RequestResult, rec.Startup)
 			if rec.Failed {
 				res.FailedRequests++
 			}
@@ -680,9 +631,7 @@ func runPeerSessions(cfg ClusterConfig, tr *trace.Trace, picker *vod.Picker, p *
 				p.FinishVideo(v)
 			}
 			resMu.Lock()
-			if i < len(res.LinksByVideoIndex) {
-				res.LinksByVideoIndex[i].Add(float64(p.Links()))
-			}
+			res.Links(i, p.Links())
 			resMu.Unlock()
 		}
 		p.SetOnline(false)

@@ -195,9 +195,9 @@ func TestShardedReplicaKillNoFailedRequests(t *testing.T) {
 	cfg := fastClusterConfig(ModeSocialTube)
 	cfg.ControlPlane = ControlPlaneConfig{Shards: 2, Replicas: 2, RingSeed: 1, GossipInterval: 2 * time.Millisecond}
 	cfg.Faults = faults.ReplicaOutagePlan(cfg.Seed, 30*time.Millisecond, 1, 1)
-	cfg.RPCTimeout = 100 * time.Millisecond
-	cfg.MaxRetries = 1
-	cfg.RetryBackoff = 5 * time.Millisecond
+	cfg.Peer.RPCTimeout = 100 * time.Millisecond
+	cfg.Peer.MaxRetries = 1
+	cfg.Peer.RetryBackoff = 5 * time.Millisecond
 	res, err := RunClusterCtx(context.Background(), cfg, tr)
 	if err != nil {
 		t.Fatal(err)
@@ -205,7 +205,7 @@ func TestShardedReplicaKillNoFailedRequests(t *testing.T) {
 	if res.FailedRequests != 0 {
 		t.Fatalf("lost %d requests with a replicated shard down; want 0", res.FailedRequests)
 	}
-	if res.CacheHits+res.PeerHits+res.ServerHits == 0 {
+	if res.Delivered() == 0 {
 		t.Fatal("run served nothing")
 	}
 }

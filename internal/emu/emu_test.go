@@ -413,7 +413,7 @@ func TestClusterRunAllModes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			total := res.CacheHits + res.PeerHits + res.ServerHits
+			total := res.Delivered()
 			want := int64(cfg.Peers * cfg.Sessions * cfg.VideosPerSession)
 			if total != want {
 				t.Fatalf("requests accounted %d, want %d", total, want)
@@ -490,7 +490,7 @@ func TestClusterLiveMetrics(t *testing.T) {
 	}
 	// After the run the endpoint is down but the final result carries the
 	// same counters the endpoint was serving.
-	if res.CacheHits+res.PeerHits+res.ServerHits == 0 {
+	if res.Delivered() == 0 {
 		t.Fatal("run produced no requests")
 	}
 }
@@ -663,7 +663,7 @@ func TestClusterWithRegions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.CacheHits+res.PeerHits+res.ServerHits == 0 {
+	if res.Delivered() == 0 {
 		t.Fatal("regional cluster served nothing")
 	}
 }

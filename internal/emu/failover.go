@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"github.com/socialtube/socialtube/internal/dist"
-	"github.com/socialtube/socialtube/internal/health"
 	"github.com/socialtube/socialtube/internal/obs"
 	"github.com/socialtube/socialtube/internal/trace"
 	"github.com/socialtube/socialtube/internal/vod"
@@ -21,8 +20,6 @@ import (
 // the whole run is single-threaded on the client side, so every count the
 // result carries is bit-identical under one seed.
 type FailoverConfig struct {
-	// Mode selects the protocol under test.
-	Mode Mode
 	// Providers is the provider pool size (peer ids 1..Providers; the
 	// requester is id 0).
 	Providers int
@@ -42,38 +39,36 @@ type FailoverConfig struct {
 	CrashEvery int
 	// Seed drives the tracker's and every peer's random choices.
 	Seed int64
-	// RPCTimeout bounds each RPC; a crashed provider costs exactly one
-	// timeout per attempt until the requester's breaker opens.
-	RPCTimeout time.Duration
-	// BreakerThreshold / BreakerOpenFor parameterise every peer's
-	// circuit breaker. The default window (an hour) outlasts any run, so
-	// an opened breaker stays open and the schedule stays deterministic.
-	BreakerThreshold int
-	BreakerOpenFor   time.Duration
+	// Peer is the template the requester and every provider are copies of,
+	// ID and Seed aside; its Mode is the protocol under test. A crashed
+	// provider costs one RPCTimeout per attempt until the requester's
+	// breaker opens; the default BreakerOpenFor (an hour) outlasts any run,
+	// so an opened breaker stays open and the schedule deterministic; the
+	// default PrefetchCount of 0 isolates delivery from prefetching.
+	Peer PeerConfig
 }
 
 // DefaultFailoverConfig returns the figure's standard schedule: 12
 // providers (2 NetTube replicas per video), 16 requests, a crash every
 // third request — up to 6 of the 12 providers die over the run.
 func DefaultFailoverConfig(mode Mode) FailoverConfig {
+	peer := DefaultPeerConfig(0, mode)
+	peer.PrefetchCount = 0
+	peer.RPCTimeout = 120 * time.Millisecond
+	peer.BreakerOpenFor = time.Hour
 	return FailoverConfig{
-		Mode:             mode,
-		Providers:        12,
-		CachersPerVideo:  2,
-		Requests:         16,
-		CrashEvery:       3,
-		Seed:             1,
-		RPCTimeout:       120 * time.Millisecond,
-		BreakerThreshold: health.DefaultConfig().Threshold,
-		BreakerOpenFor:   time.Hour,
+		Providers:       12,
+		CachersPerVideo: 2,
+		Requests:        16,
+		CrashEvery:      3,
+		Seed:            1,
+		Peer:            peer,
 	}
 }
 
 // Validate reports the first problem with the configuration.
 func (c FailoverConfig) Validate() error {
 	switch {
-	case c.Mode < ModeSocialTube || c.Mode > ModePAVoD:
-		return fmt.Errorf("%w: mode=%d", dist.ErrBadParameter, c.Mode)
 	case c.Providers < 2:
 		return fmt.Errorf("%w: providers=%d", dist.ErrBadParameter, c.Providers)
 	case c.CachersPerVideo < 1 || c.CachersPerVideo > c.Providers:
@@ -82,10 +77,9 @@ func (c FailoverConfig) Validate() error {
 		return fmt.Errorf("%w: requests=%d", dist.ErrBadParameter, c.Requests)
 	case c.CrashEvery < 1:
 		return fmt.Errorf("%w: crashEvery=%d", dist.ErrBadParameter, c.CrashEvery)
-	case c.RPCTimeout <= 0:
-		return fmt.Errorf("%w: rpcTimeout=%v", dist.ErrBadParameter, c.RPCTimeout)
-	case c.BreakerThreshold < 0 || c.BreakerOpenFor < 0:
-		return fmt.Errorf("%w: breaker policy", dist.ErrBadParameter)
+	}
+	if err := c.Peer.Validate(); err != nil {
+		return fmt.Errorf("peer template: %w", err)
 	}
 	return nil
 }
@@ -164,33 +158,18 @@ func RunFailover(cfg FailoverConfig, tr *trace.Trace) (*FailoverResult, error) {
 	}
 	defer plane.Stop()
 
-	peers := make([]*Peer, 0, cfg.Providers+1)
-	defer func() {
-		for _, p := range peers {
-			p.Stop()
-		}
-	}()
-	for i := 0; i <= cfg.Providers; i++ {
-		pc := DefaultPeerConfig(i, cfg.Mode)
-		pc.PrefetchCount = 0 // isolate the delivery path from prefetching
-		pc.RPCTimeout = cfg.RPCTimeout
-		pc.Seed = cfg.Seed + int64(i)*7919
-		pc.BreakerThreshold = cfg.BreakerThreshold
-		pc.BreakerOpenFor = cfg.BreakerOpenFor
-		p, err := NewPeerWithControlPlane(pc, tr, plane, nil)
-		if err != nil {
-			return nil, err
-		}
-		if err := p.Start(); err != nil {
-			return nil, err
-		}
+	peers, err := startPeers(cfg.Peer, cfg.Providers+1, cfg.Seed, tr, plane, nil)
+	if err != nil {
+		return nil, err
+	}
+	defer stopPeers(peers)
+	for _, p := range peers {
 		p.SetOnline(true)
-		peers = append(peers, p)
 	}
 	requester := peers[0]
 
 	// Stage each protocol's own storage and discovery state.
-	switch cfg.Mode {
+	switch cfg.Peer.Mode {
 	case ModeSocialTube:
 		// The channel's subscriber community holds the channel's content
 		// (session cache plus §IV-B community prefetching) and every
@@ -251,7 +230,7 @@ func RunFailover(cfg FailoverConfig, tr *trace.Trace) (*FailoverResult, error) {
 		armed = false
 	})
 
-	res := &FailoverResult{Protocol: cfg.Mode.String(), Requests: cfg.Requests}
+	res := &FailoverResult{Protocol: cfg.Peer.Mode.String(), Requests: cfg.Requests}
 	begin := time.Now()
 	for k, v := range videos {
 		armed = k%cfg.CrashEvery == 0

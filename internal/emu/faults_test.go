@@ -29,7 +29,7 @@ func TestClusterSurvivesHeavyLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := int64(cfg.Peers * cfg.Sessions * cfg.VideosPerSession)
-	if got := res.CacheHits + res.PeerHits + res.ServerHits; got != want {
+	if got := res.Delivered(); got != want {
 		t.Fatalf("requests accounted %d, want %d under loss", got, want)
 	}
 }

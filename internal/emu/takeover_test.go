@@ -29,9 +29,9 @@ func TestWholeShardTakeover(t *testing.T) {
 	}
 	// Whole shard 1 (both replicas) goes dark from 40ms to 120ms.
 	cfg.Faults = faults.ShardOutagePlan(cfg.Seed, 40*time.Millisecond, 1)
-	cfg.RPCTimeout = 25 * time.Millisecond
-	cfg.MaxRetries = 2
-	cfg.RetryBackoff = 3 * time.Millisecond
+	cfg.Peer.RPCTimeout = 25 * time.Millisecond
+	cfg.Peer.MaxRetries = 2
+	cfg.Peer.RetryBackoff = 3 * time.Millisecond
 	res, err := RunClusterCtx(context.Background(), cfg, tr)
 	if err != nil {
 		t.Fatal(err)
@@ -39,7 +39,7 @@ func TestWholeShardTakeover(t *testing.T) {
 	if res.FailedRequests != 0 {
 		t.Fatalf("lost %d requests across a whole-shard outage; want 0", res.FailedRequests)
 	}
-	if res.CacheHits+res.PeerHits+res.ServerHits == 0 {
+	if res.Delivered() == 0 {
 		t.Fatal("run served nothing")
 	}
 	if res.Obs.ShardsDeclaredDead == 0 {

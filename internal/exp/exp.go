@@ -122,28 +122,12 @@ func (c Config) Validate() error {
 // downstream analysis tooling.
 type Result struct {
 	Protocol string `json:"protocol"`
-	// StartupDelay has one observation (in milliseconds) per video
-	// request, excluding local cache hits. Like every series below it is
-	// a bounded log-bucketed histogram: request volume grows with N (1M+
-	// users at the top of the scale sweep), so a finished Result must
-	// not retain anything per request, per finished video or per node.
-	StartupDelay obs.Hist `json:"startupDelayMs"`
-	// PeerBandwidth has one observation per node: the fraction of that
-	// node's downloaded chunks served by peers.
-	PeerBandwidth obs.Hist `json:"peerBandwidth"`
-	// LinksByVideoIndex[k] has one observation per finished video: the
-	// node's link count right after it watched its (k+1)-th video of a
-	// session — the Fig. 18 series.
-	LinksByVideoIndex []obs.Hist `json:"linksByVideoIndex"`
-	// Hit counters by source.
-	CacheHits  Counter `json:"cacheHits"`
-	PrefixHits Counter `json:"prefixHits"`
-	PeerHits   Counter `json:"peerHits"`
-	ServerHits Counter `json:"serverHits"`
-	// Messages counts query messages sent by the protocol.
-	Messages Counter `json:"messages"`
+	// Ledger is the delivery account shared with the emulator: startup
+	// delay, per-node peer bandwidth, links by video index, hit counters
+	// and query messages (Figs. 16–18).
+	vod.Ledger
 	// ProbeMessages counts maintenance probe messages.
-	ProbeMessages Counter `json:"probeMessages"`
+	ProbeMessages vod.Counter `json:"probeMessages"`
 	// ServerBytes / PeerBytes are total bytes served.
 	ServerBytes int64 `json:"serverBytes"`
 	PeerBytes   int64 `json:"peerBytes"`
@@ -174,15 +158,8 @@ type Result struct {
 	// category partition for any worker count.
 	Timeline *obs.Timeline `json:"timeline,omitempty"`
 	// Load carries the open-loop engine's accounting when Options.Load
-	// installed an offered-load profile or a fault plan fired a flash
-	// crowd; nil otherwise.
+	// installed an offered-load profile; nil otherwise.
 	Load *LoadInfo `json:"load,omitempty"`
-}
-
-// NormalizedPeerBandwidthPercentiles returns the paper's Fig. 16 triplet:
-// the 1st, 50th and 99th percentile of per-node normalized peer bandwidth.
-func (r *Result) NormalizedPeerBandwidthPercentiles() (p1, p50, p99 float64) {
-	return r.PeerBandwidth.Percentile(1), r.PeerBandwidth.Percentile(50), r.PeerBandwidth.Percentile(99)
 }
 
 // String summarizes the run in one human-readable line.
@@ -207,11 +184,8 @@ type runner struct {
 	// ctr is the protocol's counter block when it is obs.Instrumented,
 	// otherwise a private scratch block, so the runner's own accounting
 	// (chunk split) never needs a nil check.
-	ctr *obs.Counters
-	res *Result
-	// Per-node chunk accounting for normalized peer bandwidth.
-	peerChunks   []int64
-	serverChunks []int64
+	ctr          *obs.Counters
+	res          *Result
 	sessionsLeft []int
 	online       []bool
 	// gen is a per-node session generation: a crash abandons the
@@ -248,10 +222,9 @@ type runner struct {
 	// tl is the per-window telemetry recorder; nil unless
 	// Options.TimelineWindow is set, so untimed runs pay one comparison.
 	tl *timelineRec
-	// Open-loop load state (Options.Load / flash-crowd fault events);
-	// all nil/zero in closed-loop runs. streams counts pending arrival
-	// events, one per stream — a profile or a plan-driven flash crowd —
-	// that is still emitting.
+	// Open-loop load state (Options.Load); all nil/zero in closed-loop
+	// runs. streams counts pending arrival events: one while the profile's
+	// stream is still emitting.
 	streams int
 	// loadG is a dedicated RNG for arrival-side decisions (idle-node
 	// choice, session sampling) so installing a load profile never
@@ -457,11 +430,9 @@ func newRunner(cfg Config, tr *trace.Trace, proto vod.Protocol, netCfg simnet.Co
 		g:      dist.NewRNG(cfg.Seed),
 		picker: picker,
 		res: &Result{
-			Protocol:          proto.Name(),
-			LinksByVideoIndex: make([]obs.Hist, cfg.VideosPerSession),
+			Protocol: proto.Name(),
+			Ledger:   vod.NewLedger(len(tr.Users), cfg.VideosPerSession),
 		},
-		peerChunks:    make([]int64, len(tr.Users)),
-		serverChunks:  make([]int64, len(tr.Users)),
 		sessionsLeft:  make([]int, len(tr.Users)),
 		online:        make([]bool, len(tr.Users)),
 		gen:           make([]uint64, len(tr.Users)),
@@ -555,7 +526,6 @@ func (r *runner) watch(node int, plan vod.SessionPlan, idx int, gen uint64, now 
 	res := r.proto.Request(node, v)
 	r.res.Requests++
 	r.mem.Tick()
-	r.res.Messages.Addn(int64(res.Messages))
 	r.accountFaults(&res)
 	if r.remote != nil && res.Source == vod.SourceServer &&
 		r.remote.forward(r, node, plan, idx, gen, v, res, now) {
@@ -584,12 +554,8 @@ func (r *runner) watchAccount(node int, plan vod.SessionPlan, idx int, gen uint6
 	var shed bool // server admission queue turned the request away
 	serverBytes := r.net.ServerBytes()
 	switch res.Source {
-	case vod.SourceCache:
-		r.res.CacheHits.Inc()
 	case vod.SourcePeer:
-		r.res.PeerHits.Inc()
 		ready, _ = r.deliver(node, simnet.NodeID(res.Provider), res, chunkBytes, now)
-		r.peerChunks[node] += int64(r.cfg.ChunksPerVideo)
 		r.ctr.ChunksPeer += uint64(r.cfg.ChunksPerVideo)
 	case vod.SourceServer:
 		at := now
@@ -602,28 +568,24 @@ func (r *runner) watchAccount(node int, plan vod.SessionPlan, idx int, gen uint6
 		}
 		ready, shed = r.deliver(node, simnet.ServerID, res, chunkBytes, at)
 		if shed {
-			// Queue full: the viewer gives up on this video. No bytes
-			// moved, so it counts neither as a server hit nor toward
-			// the node's chunk split or the startup-delay histogram.
 			r.ctr.ServerShed++
 			if r.res.Load != nil {
 				r.res.Load.ServerShed++
 			}
 		} else {
-			r.res.ServerHits.Inc()
 			r.ctr.ServerAdmitted++
 			if r.res.Load != nil {
 				r.res.Load.ServerAdmitted++
 			}
-			r.serverChunks[node] += int64(r.cfg.ChunksPerVideo)
 			r.ctr.ChunksServer += uint64(r.cfg.ChunksPerVideo)
 		}
 	}
-	if res.Source != vod.SourceCache && !shed {
-		r.res.StartupDelay.AddDuration(ready - reqAt)
-		if res.PrefixCached {
-			r.res.PrefixHits.Inc()
-		}
+	if shed {
+		// Queue full: the viewer gives up on this video. No bytes moved, so
+		// it is no delivery: the ledger keeps only the search it spent.
+		r.res.Messages.Addn(int64(res.Messages))
+	} else {
+		r.res.Record(node, res, ready-reqAt)
 	}
 	if r.tl != nil {
 		r.tl.record(r.ctr, res, reqAt, ready, r.net.ServerBytes()-serverBytes, shed)
@@ -641,9 +603,7 @@ func (r *runner) watchAccount(node int, plan vod.SessionPlan, idx int, gen uint6
 		r.tick(at)
 		if !shed {
 			r.proto.Finish(node, plan.Videos[idx])
-			if idx < len(r.res.LinksByVideoIndex) {
-				r.res.LinksByVideoIndex[idx].Add(float64(r.proto.Links(node)))
-			}
+			r.res.Links(idx, r.proto.Links(node))
 		}
 		r.watch(node, plan, idx+1, gen, at)
 	})
@@ -752,8 +712,8 @@ func (r *runner) probeAll(m Maintainer, now time.Duration) {
 	// sessions left will come back, so the probe loop must stay alive.
 	// (Without that clause a probe tick landing while the whole
 	// population is down ends maintenance for the rest of the run.)
-	// An open-loop arrival stream (or a still-running flash crowd) is
-	// future work too, even at an instant when nobody is online.
+	// An open-loop arrival stream is future work too, even at an instant
+	// when nobody is online.
 	more, rejoinable := r.streams > 0, r.rejoinsPending > 0
 	for node := 0; !more && node < len(r.online); node++ {
 		more = r.online[node] || (r.sessionsLeft[node] > 0 && (!r.crashed[node] || rejoinable))
@@ -766,11 +726,7 @@ func (r *runner) probeAll(m Maintainer, now time.Duration) {
 // finalize closes the runner's accounting and returns its cell's Result;
 // simulated time, engine stats and trace footprint are the driver's.
 func (r *runner) finalize() *Result {
-	for node := range r.tr.Users {
-		if total := r.peerChunks[node] + r.serverChunks[node]; total > 0 {
-			r.res.PeerBandwidth.Add(float64(r.peerChunks[node]) / float64(total))
-		}
-	}
+	r.res.Close()
 	r.res.ServerBytes = r.net.ServerBytes()
 	r.res.PeerBytes = r.net.PeerBytes()
 	if info := r.res.Sharded; info != nil {
@@ -791,16 +747,7 @@ func (r *runner) finalize() *Result {
 // order, so the merged series are independent of the worker layout. The
 // resilience block is not folded: a fault plan runs on one cell only.
 func (res *Result) merge(o *Result) {
-	res.StartupDelay.Merge(&o.StartupDelay)
-	res.PeerBandwidth.Merge(&o.PeerBandwidth)
-	for k := range res.LinksByVideoIndex {
-		res.LinksByVideoIndex[k].Merge(&o.LinksByVideoIndex[k])
-	}
-	res.CacheHits.Addn(o.CacheHits.Value())
-	res.PrefixHits.Addn(o.PrefixHits.Value())
-	res.PeerHits.Addn(o.PeerHits.Value())
-	res.ServerHits.Addn(o.ServerHits.Value())
-	res.Messages.Addn(o.Messages.Value())
+	res.Ledger.Merge(&o.Ledger)
 	res.ProbeMessages.Addn(o.ProbeMessages.Value())
 	res.ServerBytes += o.ServerBytes
 	res.PeerBytes += o.PeerBytes

@@ -100,13 +100,6 @@ func (r *runner) scheduleFaults(plan *faults.Plan) error {
 	if err != nil {
 		return fmt.Errorf("fault plan: %w", err)
 	}
-	for _, ev := range sched.Events {
-		if ev.Kind == faults.KindFlashStart {
-			if err := checkFlashChannel(r.tr, ev.Channel); err != nil {
-				return fmt.Errorf("fault plan: %w", err)
-			}
-		}
-	}
 	r.repairer, _ = r.proto.(Repairer)
 	r.reseeder, _ = r.proto.(Reseeder)
 	for _, ev := range sched.Events {
@@ -157,11 +150,6 @@ func (r *runner) applyFault(ev faults.Event, now time.Duration) {
 	case faults.KindChaosEnd:
 		r.windows--
 		r.chaosLossP = 0
-	case faults.KindFlashStart:
-		r.windows++
-		r.startPlanFlash(ev, now)
-	case faults.KindFlashEnd:
-		r.windows--
 	}
 }
 

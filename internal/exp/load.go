@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"github.com/socialtube/socialtube/internal/dist"
-	"github.com/socialtube/socialtube/internal/faults"
 	"github.com/socialtube/socialtube/internal/load"
 	"github.com/socialtube/socialtube/internal/trace"
 	"github.com/socialtube/socialtube/internal/vod"
@@ -57,27 +56,14 @@ func (r *runner) installLoad(p *load.Profile) error {
 		}
 		r.flashChannel = f.Channel
 	}
-	return r.openStream(p, 0, false)
-}
-
-// openStream starts an arrival stream from the profile, its clock offset by
-// base, lazily building the arrival-side RNG and accounting block that
-// profile arrivals and plan-driven flash crowds share. flash sends every
-// arrival of the stream to the viral video.
-func (r *runner) openStream(p *load.Profile, base time.Duration, flash bool) error {
 	gen, err := load.NewGen(p)
 	if err != nil {
 		return err
 	}
-	if r.loadG == nil {
-		// A dedicated stream: arrival decisions must not perturb the
-		// main RNG's draws (closed-loop runs with a flash-crowd plan
-		// keep their session schedule byte-identical).
-		r.loadG = dist.NewRNG(r.cfg.Seed*7919 + 0x10ad)
-	}
-	if r.res.Load == nil {
-		r.res.Load = &LoadInfo{}
-	}
+	// A dedicated stream: arrival decisions must not perturb the main
+	// RNG's draws.
+	r.loadG = dist.NewRNG(r.cfg.Seed*7919 + 0x10ad)
+	r.res.Load = &LoadInfo{}
 	// The stream self-clocks on one event, allocated here rather than per
 	// arrival: firing it schedules it again for the arrival after a.
 	var a load.Arrival
@@ -86,11 +72,11 @@ func (r *runner) openStream(p *load.Profile, base time.Duration, flash bool) err
 		var ok bool
 		if a, ok = gen.Next(); ok {
 			r.streams++
-			r.engine.At(base+a.At, fire)
+			r.engine.At(a.At, fire)
 		}
 	}
 	fire = func(now time.Duration) {
-		viral := flash || a.Flash
+		viral := a.Flash
 		r.streams--
 		pump()
 		r.applyArrival(viral, now)
@@ -152,23 +138,4 @@ func (r *runner) pickIdleNode() (int, bool) {
 		}
 	}
 	return 0, false
-}
-
-// startPlanFlash runs a plan-driven flash crowd (faults.KindFlashStart):
-// a steady arrival stream at ev.RPS against ev.Channel's viral video
-// over the event's window, layered on top of whatever workload —
-// closed-loop session replay or an open-loop profile — is running.
-func (r *runner) startPlanFlash(ev faults.Event, now time.Duration) {
-	prof := &load.Profile{
-		Mode:     load.Steady,
-		Seed:     r.cfg.Seed*104_729 + int64(ev.Channel+1),
-		RPS:      ev.RPS,
-		Duration: ev.Until - ev.At,
-	}
-	r.flashChannel = ev.Channel
-	if err := r.openStream(prof, now, true); err != nil {
-		// The plan validated RPS and the window at compile time;
-		// reaching this is a programming error.
-		panic(fmt.Sprintf("flash profile from compiled plan invalid: %v", err))
-	}
 }

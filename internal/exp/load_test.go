@@ -285,28 +285,3 @@ func TestOpenLoopShardedWorkerInvariance(t *testing.T) {
 		t.Fatalf("worker counts 1 and 4 marshalled differently:\n%s\nvs\n%s", a, b)
 	}
 }
-
-// TestFlashPlanLayersArrivals smokes the plan-driven flash crowd on a
-// closed-loop run: a faults.FlashPlan injects extra viral-video arrivals
-// without an Options.Load profile, and they land in Result.Load.
-func TestFlashPlanLayersArrivals(t *testing.T) {
-	tr := expTrace(t)
-	cfg := quickConfig()
-	cfg.Sessions = 1
-	cfg.VideosPerSession = 2
-	res, err := RunCtx(t.Context(), cfg, tr, socialTube(t, tr), simnet.DefaultConfig(),
-		Options{Faults: faults.FlashPlan(1, 30*time.Second, 0, 15)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Load == nil {
-		t.Fatal("flash plan ran but Result.Load is nil")
-	}
-	if res.Load.FlashOffered == 0 {
-		t.Fatal("flash plan offered no flash arrivals")
-	}
-	if res.Load.Offered != res.Load.FlashOffered {
-		t.Fatalf("closed-loop run offered %d profile arrivals, want flash only (%d)",
-			res.Load.Offered, res.Load.FlashOffered)
-	}
-}

@@ -212,15 +212,18 @@ func (rt *remoteRouter) forward(r *runner, node int, plan vod.SessionPlan, idx i
 		return false
 	}
 	r.res.Sharded.RemoteLookups++
+	// The local search is spent whether or not the reply beats the horizon;
+	// the located result then carries only what the remote leg adds.
+	r.res.Messages.Addn(int64(res.Messages))
 	rt.se.Send(src, dst, now, rt.key(src), func(at time.Duration) {
 		// The provider id is cell-local to the home community: not
 		// addressable here, so it travels as remoteProvider.
 		_, hops, msgs, ok := rt.remotes[dst].RemoteLookup(res.Span, v)
 		rt.se.Send(dst, src, at, rt.key(dst), func(resumeAt time.Duration) {
+			located := res // assigning to the captured res would heap-allocate it per lookup
 			// One message to reach the remote community server, plus the
 			// messages its search spent.
-			r.res.Messages.Addn(int64(msgs + 1))
-			located := res // assigning to the captured res would heap-allocate it per lookup
+			located.Messages = msgs + 1
 			if ok {
 				r.res.Sharded.RemoteHits++
 				located.Source = vod.SourcePeer

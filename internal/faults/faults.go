@@ -110,21 +110,6 @@ type ChaosBurst struct {
 	StallFor time.Duration
 }
 
-// FlashCrowd slams one channel's most popular video with a sudden
-// extra request stream for a window — the "viral video" stressor. The
-// experiment engine turns the window into a seeded open-loop arrival
-// stream at RPS requests per second, all for the channel's top-ranked
-// video, layered on top of the run's normal workload. The emulation,
-// which has no per-channel request synthesizer, ignores flash events.
-type FlashCrowd struct {
-	At       time.Duration
-	Duration time.Duration
-	// Channel is the channel whose top video goes viral.
-	Channel int
-	// RPS is the flash stream's request rate (simulated seconds).
-	RPS float64
-}
-
 // Partition splits the cluster — tracker replicas and peers alike —
 // into Groups sides for a window: traffic within a side flows normally,
 // traffic across the cut is dropped at the sender (and backstopped at
@@ -161,7 +146,6 @@ type Plan struct {
 	Outages     []Outage
 	Brownouts   []Brownout
 	Chaos       []ChaosBurst
-	Flash       []FlashCrowd
 	Partitions  []Partition
 }
 
@@ -190,10 +174,6 @@ const (
 	// window (corrupt/truncate/duplicate/stall).
 	KindChaosStart
 	KindChaosEnd
-	// KindFlashStart / KindFlashEnd bracket a viral-video flash crowd
-	// (an extra open-loop request stream against one channel).
-	KindFlashStart
-	KindFlashEnd
 	// KindPartitionStart / KindPartitionEnd bracket a network split: the
 	// cluster divides into Groups sides that cannot talk across the cut.
 	KindPartitionStart
@@ -224,10 +204,6 @@ func (k Kind) String() string {
 		return "chaos-start"
 	case KindChaosEnd:
 		return "chaos-end"
-	case KindFlashStart:
-		return "flash-start"
-	case KindFlashEnd:
-		return "flash-end"
 	case KindPartitionStart:
 		return "partition-start"
 	case KindPartitionEnd:
@@ -268,11 +244,6 @@ type Event struct {
 	DuplicateP float64       `json:"duplicateP,omitempty"`
 	StallP     float64       `json:"stallP,omitempty"`
 	StallFor   time.Duration `json:"stallFor,omitempty"`
-	// Channel and RPS carry a flash crowd's target and request rate
-	// (both on the start and end events). omitempty keeps archived
-	// flashless schedules byte-identical.
-	Channel int     `json:"channel,omitempty"`
-	RPS     float64 `json:"rps,omitempty"`
 	// Groups carries a partition's side count (on both the start and end
 	// events). omitempty keeps archived partitionless schedules
 	// byte-identical.
@@ -357,16 +328,6 @@ func (p *Plan) Validate() error {
 			return fmt.Errorf("faults: chaos burst %d has StallP %g but no StallFor", i, c.StallP)
 		case c.StallFor < 0:
 			return fmt.Errorf("faults: chaos burst %d StallFor %v negative", i, c.StallFor)
-		}
-	}
-	for i, f := range p.Flash {
-		switch {
-		case f.At < 0 || f.Duration <= 0:
-			return fmt.Errorf("faults: flash crowd %d needs At ≥ 0 and Duration > 0", i)
-		case f.Channel < 0:
-			return fmt.Errorf("faults: flash crowd %d Channel %d negative", i, f.Channel)
-		case f.RPS <= 0:
-			return fmt.Errorf("faults: flash crowd %d RPS %g must be positive", i, f.RPS)
 		}
 	}
 	for i, pt := range p.Partitions {
@@ -461,12 +422,6 @@ func (p *Plan) Compile(nodes int) (*Schedule, error) {
 				DuplicateP: c.DuplicateP, StallP: c.StallP, StallFor: c.StallFor},
 			Event{At: end, Kind: KindChaosEnd, Node: -1})
 	}
-	for _, f := range p.Flash {
-		end := f.At + f.Duration
-		evs = append(evs,
-			Event{At: f.At, Kind: KindFlashStart, Node: -1, Until: end, Channel: f.Channel, RPS: f.RPS},
-			Event{At: end, Kind: KindFlashEnd, Node: -1, Channel: f.Channel})
-	}
 	for _, pt := range p.Partitions {
 		end := pt.At + pt.Duration
 		evs = append(evs,
@@ -548,18 +503,6 @@ func ReplicaOutagePlan(seed int64, unit time.Duration, shard, replica int) *Plan
 		Seed: seed,
 		Outages: []Outage{
 			{At: unit, Duration: 2 * unit, Shard: shard, Replica: replica},
-		},
-	}
-}
-
-// FlashPlan is the viral-video stressor: the channel's top video draws
-// an extra rps-requests-per-second open-loop stream for two units
-// starting at one unit, with no other faults.
-func FlashPlan(seed int64, unit time.Duration, channel int, rps float64) *Plan {
-	return &Plan{
-		Seed: seed,
-		Flash: []FlashCrowd{
-			{At: unit, Duration: 2 * unit, Channel: channel, RPS: rps},
 		},
 	}
 }

@@ -53,16 +53,6 @@ type Scale struct {
 	Tracer obs.Tracer
 }
 
-// attach installs the scale's tracer on protocols that accept one.
-func (s Scale) attach(p vod.Protocol) {
-	if s.Tracer == nil {
-		return
-	}
-	if t, ok := p.(obs.Traceable); ok {
-		t.SetTracer(s.Tracer)
-	}
-}
-
 // SmallScale returns a seconds-long configuration.
 func SmallScale() Scale {
 	return Scale{
@@ -310,7 +300,9 @@ func (s Scale) protocol(name string, tr *trace.Trace, prefetch bool) (vod.Protoc
 	if err != nil {
 		return nil, err
 	}
-	s.attach(p)
+	if t, ok := p.(obs.Traceable); ok && s.Tracer != nil {
+		t.SetTracer(s.Tracer)
+	}
 	return p, nil
 }
 
@@ -328,13 +320,7 @@ type simJob struct {
 
 // protocolJob is the common case: one of the named comparison systems
 // over the default network.
-func protocolJob(name string) simJob {
-	return simJob{
-		label: name,
-		build: func(s Scale, tr *trace.Trace) (vod.Protocol, error) { return s.Protocol(name, tr) },
-		net:   simnet.DefaultConfig(),
-	}
-}
+func protocolJob(name string) simJob { return variant{name, name, true}.job() }
 
 func protocolJobs(names []string) []simJob {
 	jobs := make([]simJob, len(names))
@@ -423,25 +409,6 @@ func (s Scale) runJobs(tr *trace.Trace, shards int, jobs []simJob, done func(i i
 	return results, nil
 }
 
-// RunSocialTube runs one SocialTube variant through the standard workload —
-// the entry point of the ablation benches (TTL sweep, link-budget sweep,
-// channel-only overlay).
-func RunSocialTube(s Scale, tr *trace.Trace, cfg core.Config) (*exp.Result, error) {
-	return s.run(tr, simJob{
-		label: "SocialTube",
-		build: func(s Scale, tr *trace.Trace) (vod.Protocol, error) {
-			sys, err := core.New(cfg, tr)
-			if err == nil {
-				s.attach(sys)
-			}
-			return sys, err
-		},
-		net: simnet.DefaultConfig(),
-	}, 0)
-}
-
-var protoOrder = []string{"PA-VoD", "SocialTube", "NetTube"}
-
 // RunAllProtocols executes the standard workload for each of the three
 // protocols and returns the raw results keyed by protocol name (the
 // socialtube-sim -json path).
@@ -489,76 +456,6 @@ func countersTable(title string, names []string, results []*exp.Result) *Table {
 	addRow("engineEventsScheduled", func(i int) any { return results[i].Engine.EventsScheduled })
 	addRow("engineHeapHighWater", func(i int) any { return results[i].Engine.HeapHighWater })
 	return t
-}
-
-// Fig16a prints the normalized peer bandwidth percentiles per protocol on
-// the simulator, with the per-protocol counter summary.
-func Fig16a(s Scale, tr *trace.Trace) (*Report, error) {
-	results, err := s.runJobs(tr, 0, protocolJobs(protoOrder), nil)
-	if err != nil {
-		return nil, err
-	}
-	t := NewTable("Fig. 16(a) — normalized peer bandwidth (simulator)",
-		"protocol", "p1", "p50", "p99")
-	for i, name := range protoOrder {
-		p1, p50, p99 := results[i].NormalizedPeerBandwidthPercentiles()
-		t.AddRow(name, p1, p50, p99)
-	}
-	return &Report{Tables: []*Table{
-		t, countersTable("Fig. 16(a) — protocol counters", protoOrder, results),
-	}}, nil
-}
-
-// Fig17a prints startup delay with and without prefetching per protocol on
-// the simulator, with the per-variant counter summary.
-func Fig17a(s Scale, tr *trace.Trace) (*Report, error) {
-	variant := func(label, proto string, prefetch bool) simJob {
-		j := protocolJob(proto)
-		j.label = label
-		j.build = func(s Scale, tr *trace.Trace) (vod.Protocol, error) { return s.protocol(proto, tr, prefetch) }
-		return j
-	}
-	jobs := []simJob{
-		variant("PA-VoD", "PA-VoD", true),
-		variant("SocialTube w/ PF", "SocialTube", true),
-		variant("SocialTube w/o PF", "SocialTube", false),
-		variant("NetTube w/ PF", "NetTube", true),
-		variant("NetTube w/o PF", "NetTube", false),
-	}
-	results, err := s.runJobs(tr, 0, jobs, nil)
-	if err != nil {
-		return nil, err
-	}
-	t := NewTable("Fig. 17(a) — startup delay (simulator)",
-		"variant", "meanMs", "p50Ms", "p99Ms")
-	names := make([]string, len(jobs))
-	for i, j := range jobs {
-		names[i] = j.label
-		d := results[i].StartupDelay.Summary()
-		t.AddRow(j.label, d.Mean, d.P50, d.P99)
-	}
-	return &Report{Tables: []*Table{
-		t, countersTable("Fig. 17(a) — protocol counters", names, results),
-	}}, nil
-}
-
-// Fig18a prints maintenance overhead versus videos watched per protocol on
-// the simulator (the paper plots SocialTube vs NetTube), with the
-// per-protocol counter summary.
-func Fig18a(s Scale, tr *trace.Trace) (*Report, error) {
-	names := []string{"SocialTube", "NetTube"}
-	results, err := s.runJobs(tr, 0, protocolJobs(names), nil)
-	if err != nil {
-		return nil, err
-	}
-	t := NewTable("Fig. 18(a) — maintenance overhead vs videos watched (simulator)",
-		"videosWatched", "SocialTube", "NetTube")
-	for k := 0; k < s.VideosPerSession; k++ {
-		t.AddRow(k+1, results[0].LinksByVideoIndex[k].Mean(), results[1].LinksByVideoIndex[k].Mean())
-	}
-	return &Report{Tables: []*Table{
-		t, countersTable("Fig. 18(a) — protocol counters", names, results),
-	}}, nil
 }
 
 // Table1 prints the experiment's default parameters alongside the paper's.

@@ -102,7 +102,7 @@ func (s EmuScale) planeFaults(tr *trace.Trace, cp emu.ControlPlaneConfig, title 
 		p.Protocol = res.Protocol
 		p.Seed = s.Seed
 		p.Shards, p.Replicas = cp.Shards, cp.Replicas
-		p.Requests = res.CacheHits + res.PeerHits + res.ServerHits
+		p.Requests = res.Delivered()
 		p.Failed = res.FailedRequests
 		p.HitRate = 1
 		if p.Requests > 0 {
@@ -111,9 +111,9 @@ func (s EmuScale) planeFaults(tr *trace.Trace, cp emu.ControlPlaneConfig, title 
 		p.Env = ControlPlaneEnv{
 			WallMs:       float64(res.Elapsed.Nanoseconds()) / 1e6,
 			TakeoverMs:   res.TakeoverMs,
-			PeerHits:     res.PeerHits,
-			ServerHits:   res.ServerHits,
-			CacheHits:    res.CacheHits,
+			PeerHits:     res.PeerHits.Value(),
+			ServerHits:   res.ServerHits.Value(),
+			CacheHits:    res.CacheHits.Value(),
 			DeclaredDead: res.Obs.ShardsDeclaredDead,
 			Revived:      res.Obs.ShardsRevived,
 			Reroutes:     res.Obs.TakeoverReroutes,

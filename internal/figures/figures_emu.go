@@ -59,7 +59,9 @@ func (s EmuScale) EmuTrace() (*trace.Trace, error) {
 	return trace.Generate(cfg)
 }
 
-func (s EmuScale) clusterConfig(mode emu.Mode) emu.ClusterConfig {
+// runMode runs one cluster of the scale's size in the given mode, with
+// mutate (when non-nil) editing the configuration first.
+func (s EmuScale) runMode(tr *trace.Trace, mode emu.Mode, mutate func(*emu.ClusterConfig)) (*emu.ClusterResult, error) {
 	cfg := emu.DefaultClusterConfig(mode)
 	cfg.Peers = s.Peers
 	cfg.Sessions = s.Sessions
@@ -80,11 +82,6 @@ func (s EmuScale) clusterConfig(mode emu.Mode) emu.ClusterConfig {
 			fmt.Printf("# live metrics: http://%s/metrics\n", addr)
 		}
 	}
-	return cfg
-}
-
-func (s EmuScale) runMode(tr *trace.Trace, mode emu.Mode, mutate func(*emu.ClusterConfig)) (*emu.ClusterResult, error) {
-	cfg := s.clusterConfig(mode)
 	if mutate != nil {
 		mutate(&cfg)
 	}
@@ -93,54 +90,6 @@ func (s EmuScale) runMode(tr *trace.Trace, mode emu.Mode, mutate func(*emu.Clust
 		return nil, fmt.Errorf("emulate %s: %w", mode, err)
 	}
 	return res, nil
-}
-
-// Fig16b prints normalized peer bandwidth percentiles per protocol over the
-// TCP emulation.
-func Fig16b(s EmuScale, tr *trace.Trace) (*Report, error) {
-	t := NewTable("Fig. 16(b) — normalized peer bandwidth (TCP emulation)",
-		"protocol", "p1", "p50", "p99")
-	for _, mode := range []emu.Mode{emu.ModePAVoD, emu.ModeSocialTube, emu.ModeNetTube} {
-		res, err := s.runMode(tr, mode, nil)
-		if err != nil {
-			return nil, err
-		}
-		p1, p50, p99 := res.NormalizedPeerBandwidthPercentiles()
-		t.AddRow(res.Protocol, p1, p50, p99)
-	}
-	return &Report{Tables: []*Table{t}}, nil
-}
-
-// Fig17b prints startup delay with and without prefetching per protocol
-// over the TCP emulation.
-func Fig17b(s EmuScale, tr *trace.Trace) (*Report, error) {
-	t := NewTable("Fig. 17(b) — startup delay (TCP emulation)",
-		"variant", "meanMs", "p50Ms", "p99Ms")
-	variants := []struct {
-		name     string
-		mode     emu.Mode
-		prefetch bool
-	}{
-		{"PA-VoD", emu.ModePAVoD, false},
-		{"SocialTube w/ PF", emu.ModeSocialTube, true},
-		{"SocialTube w/o PF", emu.ModeSocialTube, false},
-		{"NetTube w/ PF", emu.ModeNetTube, true},
-		{"NetTube w/o PF", emu.ModeNetTube, false},
-	}
-	for _, variant := range variants {
-		variant := variant
-		res, err := s.runMode(tr, variant.mode, func(c *emu.ClusterConfig) {
-			if !variant.prefetch {
-				c.PrefetchCount = 0
-			}
-		})
-		if err != nil {
-			return nil, err
-		}
-		d := res.StartupDelay.Summary()
-		t.AddRow(variant.name, d.Mean, d.P50, d.P99)
-	}
-	return &Report{Tables: []*Table{t}}, nil
 }
 
 // outageUnit derives the emu fault plan's time base from the workload:
@@ -160,9 +109,9 @@ func (s EmuScale) outageUnit() time.Duration {
 // local cache, peer links formed before the outage, failover or takeover —
 // not patience.
 func tightRetry(c *emu.ClusterConfig) {
-	c.RPCTimeout = 250 * time.Millisecond
-	c.MaxRetries = 1
-	c.RetryBackoff = 25 * time.Millisecond
+	c.Peer.RPCTimeout = 250 * time.Millisecond
+	c.Peer.MaxRetries = 1
+	c.Peer.RetryBackoff = 25 * time.Millisecond
 }
 
 // FigOutage measures service continuity through the standard OutagePlan
@@ -173,8 +122,8 @@ func FigOutage(s EmuScale, tr *trace.Trace) (*Report, error) {
 	t := NewTable(
 		fmt.Sprintf("Tracker outage resilience under OutagePlan(unit=%s) (TCP emulation)", unit),
 		"protocol", "outageReqs", "outageServed", "failed", "crashes", "rejoins", "serverHits")
-	for _, mode := range []emu.Mode{emu.ModePAVoD, emu.ModeSocialTube, emu.ModeNetTube} {
-		res, err := s.runMode(tr, mode, func(c *emu.ClusterConfig) {
+	for _, name := range protoOrder {
+		res, err := s.runMode(tr, emuModes[name], func(c *emu.ClusterConfig) {
 			c.Faults = faults.OutagePlan(s.Seed, unit)
 			tightRetry(c)
 		})
@@ -186,26 +135,7 @@ func FigOutage(s EmuScale, tr *trace.Trace) (*Report, error) {
 			served = float64(res.OutageServed) / float64(res.OutageRequests)
 		}
 		t.AddRow(res.Protocol, res.OutageRequests, served, res.FailedRequests,
-			res.Crashes, res.Rejoins, res.ServerHits)
-	}
-	return &Report{Tables: []*Table{t}}, nil
-}
-
-// Fig18b prints maintenance overhead versus videos watched over the TCP
-// emulation.
-func Fig18b(s EmuScale, tr *trace.Trace) (*Report, error) {
-	st, err := s.runMode(tr, emu.ModeSocialTube, nil)
-	if err != nil {
-		return nil, err
-	}
-	nt, err := s.runMode(tr, emu.ModeNetTube, nil)
-	if err != nil {
-		return nil, err
-	}
-	t := NewTable("Fig. 18(b) — maintenance overhead vs videos watched (TCP emulation)",
-		"videosWatched", "SocialTube", "NetTube")
-	for k := 0; k < s.VideosPerSession; k++ {
-		t.AddRow(k+1, st.LinksByVideoIndex[k].Mean(), nt.LinksByVideoIndex[k].Mean())
+			res.Crashes, res.Rejoins, res.ServerHits.Value())
 	}
 	return &Report{Tables: []*Table{t}}, nil
 }

@@ -92,12 +92,12 @@ func FigFailover(s EmuScale, tr *trace.Trace) (*Report, error) {
 		"Failover resilience under mid-stream provider crashes (TCP emulation)",
 		"protocol", "crashed", "noRestart", "peerDone", "rescues", "restarts", "handoffs", "waitMs", "brkSkips")
 	points := make([]FailoverPoint, 0, 3)
-	for _, mode := range []emu.Mode{emu.ModePAVoD, emu.ModeSocialTube, emu.ModeNetTube} {
-		cfg := emu.DefaultFailoverConfig(mode)
+	for _, name := range protoOrder {
+		cfg := emu.DefaultFailoverConfig(emuModes[name])
 		cfg.Seed = s.Seed
 		res, err := emu.RunFailover(cfg, tr)
 		if err != nil {
-			return nil, fmt.Errorf("failover %s: %w", mode, err)
+			return nil, fmt.Errorf("failover %s: %w", name, err)
 		}
 		t.AddRow(res.Protocol, res.Crashed, res.NoRestartFraction(), res.PeerCompleted,
 			res.ServerRescues, res.ServerRestarts, res.Handoffs,

@@ -2,6 +2,7 @@ package figures
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -148,6 +149,61 @@ func TestEmuFigures(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireRows(t, fo, "outageServed")
+}
+
+// TestDeliveryFiguresShareOneBuilder: each of Figs. 16–18 is stated once
+// over the ledger both substrates keep, so its simulator and emulation
+// registry entries must render the same columns and row labels under titles
+// that differ only in the panel and the substrate's name — and only the
+// simulator appends a counter summary.
+func TestDeliveryFiguresShareOneBuilder(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every delivery figure on both substrates")
+	}
+	es := SmallEmuScale()
+	es.Peers, es.Sessions, es.VideosPerSession, es.WatchTime = 6, 1, 2, time.Millisecond
+	etr, err := es.EmuTrace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss := tinyScale()
+	ss.VideosPerSession = es.VideosPerSession // Fig. 18 has one row per video of a session
+	in := &Inputs{Scale: ss, Trace: tinyTrace(t), Emu: es, EmuTrace: etr}
+	run := func(g Group, id string) *Report {
+		figs, err := Resolve(g, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := figs[0].Run(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	labels := func(tb *Table) []string {
+		out := make([]string, len(tb.rows))
+		for i, row := range tb.rows {
+			out[i] = row[0]
+		}
+		return out
+	}
+	for _, num := range []string{"16", "17", "18"} {
+		sim, emu := run(GroupSim, num+"a"), run(GroupEmu, num+"b")
+		if len(sim.Tables) != 2 || len(emu.Tables) != 1 {
+			t.Fatalf("Fig. %s: %d simulator and %d emulation tables, want 2 (figure + counters) and 1", num, len(sim.Tables), len(emu.Tables))
+		}
+		a, b := sim.Tables[0], emu.Tables[0]
+		if !slices.Equal(a.headers, b.headers) {
+			t.Errorf("Fig. %s: header rows differ: %v vs %v", num, a.headers, b.headers)
+		}
+		if !slices.Equal(labels(a), labels(b)) {
+			t.Errorf("Fig. %s: row labels differ: %v vs %v", num, labels(a), labels(b))
+		}
+		onB := strings.NewReplacer("(a)", "(b)", "(simulator)", "(TCP emulation)").Replace(a.title)
+		if !strings.HasPrefix(a.title, "Fig. "+num+"(a) — ") || onB != b.title {
+			t.Errorf("Fig. %s: titles %q and %q are not one title on two substrates", num, a.title, b.title)
+		}
+	}
 }
 
 func TestPaperScaleParameters(t *testing.T) {

@@ -107,9 +107,9 @@ func TestScenarioClusterFaults(t *testing.T) {
 	cfg.Sessions = 1
 	cfg.VideosPerSession = 3
 	cfg.WatchTime = 5 * time.Millisecond
-	cfg.RPCTimeout = 30 * time.Millisecond
-	cfg.MaxRetries = 1
-	cfg.RetryBackoff = 2 * time.Millisecond
+	cfg.Peer.RPCTimeout = 30 * time.Millisecond
+	cfg.Peer.MaxRetries = 1
+	cfg.Peer.RetryBackoff = 2 * time.Millisecond
 	var ctr socialtube.Counters
 	res, err := socialtube.RunClusterCtx(context.Background(), cfg, tr,
 		socialtube.WithFaults(&socialtube.FaultPlan{
@@ -124,7 +124,7 @@ func TestScenarioClusterFaults(t *testing.T) {
 		t.Fatal("no requests overlapped the outage")
 	}
 	want := int64(cfg.Peers * cfg.Sessions * cfg.VideosPerSession)
-	if got := res.CacheHits + res.PeerHits + res.ServerHits; got != want {
+	if got := res.Delivered(); got != want {
 		t.Fatalf("requests lost during outage: %d of %d", got, want)
 	}
 	if ctr != res.Obs {

@@ -99,7 +99,7 @@ func TestPublicAPIEmulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.CacheHits+res.PeerHits+res.ServerHits == 0 {
+	if res.Delivered() == 0 {
 		t.Fatal("emulated cluster served nothing")
 	}
 }
