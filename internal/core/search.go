@@ -219,7 +219,7 @@ func (s *System) ensureAttached(node int, ch trace.ChannelID) {
 // seedInterLinks asks the server for one random online node per channel in
 // the category until the node's inter-link budget N_h is filled.
 func (s *System) seedInterLinks(node int, cat trace.CategoryID) {
-	if s.cfg.InterLinks == 0 || cat < 0 || int(cat) >= len(s.byCat) || s.inter.Full(node) {
+	if cat < 0 || int(cat) >= len(s.byCat) || s.inter.Full(node) {
 		return
 	}
 	chans := s.byCat[cat]

@@ -73,6 +73,33 @@ func paVoD(t *testing.T, tr *trace.Trace) *baseline.PAVoD {
 	return pv
 }
 
+// TestZeroInterLinkBudgetHoldsNoInterLinks runs the N_h = 0 ablation end to
+// end: a zero budget must hold nothing, so server assist cannot grow
+// inter-links that the category phase would then flood.
+func TestZeroInterLinkBudgetHoldsNoInterLinks(t *testing.T) {
+	tr := expTrace(t)
+	pcfg := core.DefaultConfig()
+	pcfg.InterLinks = 0
+	s, err := core.New(pcfg, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := quickConfig()
+	cfg.Sessions, cfg.VideosPerSession = 3, 6
+	if _, err := Run(cfg, tr, s, simnet.DefaultConfig()); err != nil {
+		t.Fatal(err)
+	}
+	holding := 0
+	for u := range tr.Users {
+		if s.InterLinks(u) != 0 {
+			holding++
+		}
+	}
+	if holding != 0 {
+		t.Fatalf("%d of %d nodes hold inter-links under N_h = 0", holding, len(tr.Users))
+	}
+}
+
 func TestConfigValidate(t *testing.T) {
 	tests := []struct {
 		name   string

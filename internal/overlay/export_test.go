@@ -9,7 +9,7 @@ import "slices"
 // Len returns the number of neighbours.
 func (l *Links) Len() int { return len(l.items) }
 
-// Max returns the capacity (0 = unbounded).
+// Max returns the capacity.
 func (l *Links) Max() int { return l.max }
 
 // List returns the neighbours in ascending order (a copy the caller owns).

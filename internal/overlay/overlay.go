@@ -19,9 +19,9 @@ type Links struct {
 	items []int // sorted ascending
 }
 
-// NewLinks returns a neighbour set bounded to max entries (max <= 0 means
-// unbounded). Small bounded sets (the common N_l/N_h case) allocate their
-// full backing array up front so Add never reallocates.
+// NewLinks returns a neighbour set bounded to max entries (max <= 0 holds
+// nothing). Small sets (the common N_l/N_h case) allocate their full backing
+// array up front so Add never reallocates.
 func NewLinks(max int) *Links {
 	l := &Links{max: max}
 	if max > 0 && max <= 64 {
@@ -40,7 +40,7 @@ func (l *Links) Add(n int) bool {
 	if ok {
 		return false
 	}
-	if l.max > 0 && len(l.items) >= l.max {
+	if len(l.items) >= l.max {
 		return false
 	}
 	l.items = append(l.items, 0)
@@ -65,7 +65,7 @@ func (l *Links) Has(n int) bool {
 }
 
 // Full reports whether the set is at capacity.
-func (l *Links) Full() bool { return l.max > 0 && len(l.items) >= l.max }
+func (l *Links) Full() bool { return len(l.items) >= l.max }
 
 // Clear removes all neighbours, reusing the backing storage.
 func (l *Links) Clear() {
@@ -90,15 +90,13 @@ type Mesh struct {
 	dense []Links
 }
 
-// NewMesh returns a keyed mesh whose nodes each hold at most max links
-// (max <= 0 means unbounded).
+// NewMesh returns a keyed mesh whose nodes each hold at most max links.
 func NewMesh(max int) *Mesh {
 	return &Mesh{max: max, keyed: make(map[int]*Links)}
 }
 
 // NewDenseMesh returns a mesh over node ids 0..n-1, each holding at most max
-// links, with every link array allocated here, once (max = 0 means
-// unbounded, and then the arrays grow on demand instead). Ids outside the
+// links, with every link array allocated here, once. Ids outside the
 // population are never linked.
 func NewDenseMesh(max, n int) *Mesh {
 	m := &Mesh{max: max, dense: make([]Links, n)}

@@ -28,20 +28,8 @@ func TestLinksAddRemove(t *testing.T) {
 	}
 }
 
-func TestLinksUnbounded(t *testing.T) {
-	l := NewLinks(0)
-	for i := 0; i < 100; i++ {
-		if !l.Add(i) {
-			t.Fatalf("unbounded add %d failed", i)
-		}
-	}
-	if l.Full() {
-		t.Fatal("unbounded links reported full")
-	}
-}
-
 func TestLinksListSortedCopy(t *testing.T) {
-	l := NewLinks(0)
+	l := NewLinks(8)
 	for _, n := range []int{5, 1, 3} {
 		l.Add(n)
 	}
@@ -68,17 +56,11 @@ func TestLinksClear(t *testing.T) {
 }
 
 // eachMesh runs a Mesh test over both constructions: keyed, and dense over a
-// population that covers every node id the tests use (their "unbounded"
-// max <= 0 becomes a bound no test reaches).
+// population that covers every node id the tests use.
 func eachMesh(t *testing.T, test func(t *testing.T, newMesh func(max int) *Mesh)) {
 	t.Run("keyed", func(t *testing.T) { test(t, NewMesh) })
 	t.Run("dense", func(t *testing.T) {
-		test(t, func(max int) *Mesh {
-			if max <= 0 {
-				max = 64
-			}
-			return NewDenseMesh(max, 128)
-		})
+		test(t, func(max int) *Mesh { return NewDenseMesh(max, 128) })
 	})
 }
 
@@ -122,7 +104,7 @@ func TestMeshCapacityRespected(t *testing.T) {
 
 func TestMeshDisconnect(t *testing.T) {
 	eachMesh(t, func(t *testing.T, newMesh func(max int) *Mesh) {
-		m := newMesh(0)
+		m := newMesh(8)
 		m.Connect(1, 2)
 		m.Disconnect(1, 2)
 		if m.Connected(1, 2) || m.Connected(2, 1) {
@@ -135,7 +117,7 @@ func TestMeshDisconnect(t *testing.T) {
 
 func TestMeshRemoveNode(t *testing.T) {
 	eachMesh(t, func(t *testing.T, newMesh func(max int) *Mesh) {
-		m := newMesh(0)
+		m := newMesh(8)
 		m.Connect(1, 2)
 		m.Connect(1, 3)
 		m.RemoveNode(1)
@@ -151,7 +133,7 @@ func TestMeshRemoveNode(t *testing.T) {
 
 func TestMeshNeighborsAndNodes(t *testing.T) {
 	eachMesh(t, func(t *testing.T, newMesh func(max int) *Mesh) {
-		m := newMesh(0)
+		m := newMesh(8)
 		m.Connect(2, 5)
 		m.Connect(2, 3)
 		nbs := m.Neighbors(2)
@@ -207,7 +189,7 @@ func TestMeshInvariantsProperty(t *testing.T) {
 }
 
 func ringMesh(n int) *Mesh {
-	m := NewMesh(0)
+	m := NewMesh(8)
 	for i := 0; i < n; i++ {
 		m.Connect(i, (i+1)%n)
 	}
@@ -252,7 +234,7 @@ func TestFloodOriginNotMatched(t *testing.T) {
 func TestFloodNoDuplicateVisits(t *testing.T) {
 	// Dense mesh: many redundant edges, but each node processes the query
 	// once.
-	m := NewMesh(0)
+	m := NewMesh(8)
 	for i := 0; i < 6; i++ {
 		for j := i + 1; j < 6; j++ {
 			m.Connect(i, j)
@@ -284,7 +266,7 @@ func TestFloodDegenerateInputs(t *testing.T) {
 // message count is bounded by edges reachable within TTL.
 func TestFloodInvariantsProperty(t *testing.T) {
 	f := func(edges []uint16, ttlRaw, target uint8) bool {
-		m := NewMesh(0)
+		m := NewMesh(32)
 		for _, e := range edges {
 			a, b := int(e%31), int((e>>5)%31)
 			m.Connect(a, b)
@@ -324,18 +306,19 @@ func TestDenseMeshOutsidePopulation(t *testing.T) {
 	}
 }
 
-// TestDenseMeshUnbounded: max = 0 keeps NewMesh's meaning — no bound — which
-// core relies on when an ablation sets N_h = 0.
-func TestDenseMeshUnbounded(t *testing.T) {
-	m := NewDenseMesh(0, 8)
-	for b := 1; b < 8; b++ {
-		if !m.Connect(0, b) {
-			t.Fatalf("unbounded dense mesh refused edge 0-%d", b)
+// TestZeroBoundHoldsNothing: a bound of 0 is a budget of no links — what
+// core's N_h = 0 ablation asks of its inter mesh — on a bare set and on
+// both mesh constructions.
+func TestZeroBoundHoldsNothing(t *testing.T) {
+	if l := NewLinks(0); l.Add(1) || !l.Full() {
+		t.Fatal("zero-bound links took a neighbour")
+	}
+	eachMesh(t, func(t *testing.T, newMesh func(max int) *Mesh) {
+		m := newMesh(0)
+		if m.Connect(0, 1) || m.Degree(0) != 0 || m.Degree(1) != 0 || !m.Full(0) {
+			t.Fatal("zero-bound mesh linked a pair")
 		}
-	}
-	if m.Degree(0) != 7 || m.Full(0) || !m.Symmetric() {
-		t.Fatalf("degree %d, full %v after 7 unbounded connects", m.Degree(0), m.Full(0))
-	}
+	})
 }
 
 // TestDenseMeshNeverAllocates: every link array is carved at construction,

@@ -11,7 +11,7 @@ import (
 func TestFloodScratchMatchesFlood(t *testing.T) {
 	scratch := NewFloodScratch(0) // deliberately undersized: must grow
 	f := func(edges []uint16, ttlRaw, target uint8) bool {
-		m := NewMesh(0)
+		m := NewMesh(32)
 		for _, e := range edges {
 			m.Connect(int(e%31), int((e>>5)%31))
 		}
@@ -90,7 +90,7 @@ func TestLinksClearReusesStorage(t *testing.T) {
 
 // TestLinksViewIsLiveAndSorted pins the zero-copy read contract.
 func TestLinksViewIsLiveAndSorted(t *testing.T) {
-	l := NewLinks(0)
+	l := NewLinks(8)
 	for _, n := range []int{9, 1, 5} {
 		l.Add(n)
 	}
@@ -109,7 +109,7 @@ func TestLinksViewIsLiveAndSorted(t *testing.T) {
 // predicate, on both endpoints, and reports the examined count.
 func TestMeshPrune(t *testing.T) {
 	eachMesh(t, func(t *testing.T, newMesh func(max int) *Mesh) {
-		m := newMesh(0)
+		m := newMesh(8)
 		for _, b := range []int{1, 2, 3, 4, 5} {
 			m.Connect(0, b)
 		}
@@ -140,7 +140,7 @@ func TestMeshPrune(t *testing.T) {
 // entries as the underlying slice shrinks.
 func TestMeshPruneAll(t *testing.T) {
 	eachMesh(t, func(t *testing.T, newMesh func(max int) *Mesh) {
-		m := newMesh(0)
+		m := newMesh(8)
 		for b := 1; b <= 6; b++ {
 			m.Connect(0, b)
 		}
