@@ -53,7 +53,8 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		res, err := socialtube.RunExperimentCtx(context.Background(), expCfg, tr, sys)
+		res, err := socialtube.RunExperimentCtx(context.Background(), expCfg, tr, sys,
+			socialtube.DefaultNetworkConfig(), socialtube.ExperimentOptions{})
 		if err != nil {
 			return err
 		}

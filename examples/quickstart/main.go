@@ -49,7 +49,8 @@ func run() error {
 	expCfg.WatchScale = 0.05 // compress playback 20x
 	expCfg.MeanOffTime = 60 * time.Second
 	expCfg.Horizon = 12 * time.Hour
-	res, err := socialtube.RunExperimentCtx(context.Background(), expCfg, tr, sys)
+	res, err := socialtube.RunExperimentCtx(context.Background(), expCfg, tr, sys,
+		socialtube.DefaultNetworkConfig(), socialtube.ExperimentOptions{})
 	if err != nil {
 		return err
 	}

@@ -89,29 +89,6 @@ func BenchmarkRequestTraced(b *testing.B) {
 	}
 }
 
-// BenchmarkRequestRingTraced prices live tracing into an in-memory ring
-// buffer — the upper bound users pay for `-trace` style introspection
-// without a file sink.
-func BenchmarkRequestRingTraced(b *testing.B) {
-	sys, tr := benchSystem(b)
-	sys.SetTracer(obs.NewRing(4096))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		u := tr.Users[i%len(tr.Users)]
-		node := int(u.ID)
-		if len(u.Subscriptions) == 0 {
-			continue
-		}
-		ch := tr.Channel(u.Subscriptions[0])
-		if ch == nil || len(ch.Videos) == 0 {
-			continue
-		}
-		v := ch.Videos[(i+1)%len(ch.Videos)]
-		sys.Request(node, v)
-	}
-}
-
 // BenchmarkProbe measures one maintenance round for an attached node.
 func BenchmarkProbe(b *testing.B) {
 	sys, tr := benchSystem(b)

@@ -1,8 +1,8 @@
 // Package ctrl is the control-plane layer behind the emulated cluster:
 // a rendezvous-hash ring mapping channel keys to tracker shards, a
-// directory of shard replica endpoints, a versioned membership table with
-// tombstones that replicas reconcile by anti-entropy gossip, and a seeded
-// sibling selector driving the gossip schedule.
+// versioned membership table with tombstones that replicas reconcile by
+// anti-entropy gossip, and a seeded sibling selector driving the gossip
+// schedule.
 //
 // The paper's per-community hierarchy hands the control plane its natural
 // shard key: every tracker-path operation is keyed by the channel (or by
@@ -87,85 +87,6 @@ func (r *Ring) OwnerExcluding(key int64, dead uint64) int {
 		return r.Owner(key)
 	}
 	return best
-}
-
-// Directory is the client-side view of the control plane: the ring plus
-// the replica endpoint lists, one per shard. Immutable after construction;
-// peers share one directory by value semantics (it is never mutated).
-type Directory struct {
-	ring     *Ring
-	replicas [][]string // replicas[shard][replica] = endpoint address
-	total    int
-}
-
-// NewDirectory builds a directory over the given replica endpoint lists.
-// replicas[i] holds shard i's endpoints in failover order; every shard
-// needs at least one endpoint.
-func NewDirectory(seed int64, replicas [][]string) (*Directory, error) {
-	if len(replicas) == 0 {
-		return nil, fmt.Errorf("ctrl: directory needs >= 1 shard")
-	}
-	ring, err := NewRing(seed, len(replicas))
-	if err != nil {
-		return nil, err
-	}
-	total := 0
-	for i, reps := range replicas {
-		if len(reps) == 0 {
-			return nil, fmt.Errorf("ctrl: shard %d has no replicas", i)
-		}
-		for j, addr := range reps {
-			if addr == "" {
-				return nil, fmt.Errorf("ctrl: shard %d replica %d has empty address", i, j)
-			}
-		}
-		total += len(reps)
-	}
-	cp := make([][]string, len(replicas))
-	for i, reps := range replicas {
-		cp[i] = append([]string(nil), reps...)
-	}
-	return &Directory{ring: ring, replicas: cp, total: total}, nil
-}
-
-// NumShards returns the number of shards.
-func (d *Directory) NumShards() int { return len(d.replicas) }
-
-// Owner returns the shard index owning key.
-func (d *Directory) Owner(key int64) int { return d.ring.Owner(key) }
-
-// OwnerExcluding returns the shard owning key with the dead-bitmask
-// shards removed from the ring; see Ring.OwnerExcluding.
-func (d *Directory) OwnerExcluding(key int64, dead uint64) int {
-	return d.ring.OwnerExcluding(key, dead)
-}
-
-// Replicas returns shard's endpoints in failover order. The returned
-// slice is shared; callers must not mutate it.
-func (d *Directory) Replicas(shard int) []string { return d.replicas[shard] }
-
-// Endpoints returns the total endpoint count across all shards.
-func (d *Directory) Endpoints() int { return d.total }
-
-// EndpointIndex returns a stable flat index for (shard, replica), usable
-// as a circuit-breaker id: shards are laid out in order, replicas within
-// a shard consecutively.
-func (d *Directory) EndpointIndex(shard, replica int) int {
-	idx := 0
-	for s := 0; s < shard; s++ {
-		idx += len(d.replicas[s])
-	}
-	return idx + replica
-}
-
-// All returns every endpoint address across all shards, shard-major. Used
-// for plane-wide broadcasts (register, leave).
-func (d *Directory) All() []string {
-	out := make([]string, 0, d.total)
-	for _, reps := range d.replicas {
-		out = append(out, reps...)
-	}
-	return out
 }
 
 // Gossiper yields the anti-entropy partner schedule for one replica: a

@@ -29,25 +29,6 @@ func TestRingOwnershipProperty(t *testing.T) {
 	}
 }
 
-// The ring hashes channels to shard indices only — replicas are not ring
-// members — so adding a replica to a shard moves no keys at all.
-func TestRingStableUnderReplicaAddition(t *testing.T) {
-	before, err := NewDirectory(7, [][]string{{"a0"}, {"b0"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	after, err := NewDirectory(7, [][]string{{"a0", "a1"}, {"b0", "b1", "b2"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for key := int64(0); key < 1000; key++ {
-		if before.Owner(key) != after.Owner(key) {
-			t.Fatalf("key %d moved shard (%d -> %d) when only replicas were added",
-				key, before.Owner(key), after.Owner(key))
-		}
-	}
-}
-
 // Rendezvous hashing should spread keys roughly evenly; with 1000 keys
 // over 4 shards each shard should hold well within 2x of the fair share.
 func TestRingRoughBalance(t *testing.T) {
@@ -80,42 +61,6 @@ func TestRingSeeded(t *testing.T) {
 	}
 	if diff == 0 {
 		t.Fatal("seeds 1 and 2 produced identical assignments for 1000 keys")
-	}
-}
-
-func TestDirectoryValidation(t *testing.T) {
-	if _, err := NewDirectory(1, nil); err == nil {
-		t.Fatal("empty directory accepted")
-	}
-	if _, err := NewDirectory(1, [][]string{{"a"}, {}}); err == nil {
-		t.Fatal("shard with no replicas accepted")
-	}
-	if _, err := NewDirectory(1, [][]string{{"a"}, {""}}); err == nil {
-		t.Fatal("empty endpoint accepted")
-	}
-	d, err := NewDirectory(1, [][]string{{"a0", "a1"}, {"b0"}, {"c0", "c1", "c2"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := d.Endpoints(); got != 6 {
-		t.Fatalf("Endpoints() = %d, want 6", got)
-	}
-	// Flat endpoint indices are stable and collision-free.
-	seen := map[int]bool{}
-	for s := 0; s < d.NumShards(); s++ {
-		for rep := range d.Replicas(s) {
-			idx := d.EndpointIndex(s, rep)
-			if seen[idx] {
-				t.Fatalf("EndpointIndex(%d,%d) = %d collides", s, rep, idx)
-			}
-			seen[idx] = true
-			if idx < 0 || idx >= d.Endpoints() {
-				t.Fatalf("EndpointIndex(%d,%d) = %d out of range", s, rep, idx)
-			}
-		}
-	}
-	if got := len(d.All()); got != 6 {
-		t.Fatalf("All() returned %d endpoints, want 6", got)
 	}
 }
 

@@ -20,7 +20,6 @@ var (
 // analysis in §IV-B uses exactly this form.
 type Zipf struct {
 	n   int
-	s   float64
 	cdf []float64 // cdf[k] = P(rank <= k+1)
 }
 
@@ -41,14 +40,11 @@ func NewZipf(n int, s float64) (*Zipf, error) {
 	for i := range cdf {
 		cdf[i] /= total
 	}
-	return &Zipf{n: n, s: s, cdf: cdf}, nil
+	return &Zipf{n: n, cdf: cdf}, nil
 }
 
 // N returns the number of ranks.
 func (z *Zipf) N() int { return z.n }
-
-// S returns the characteristic exponent.
-func (z *Zipf) S() float64 { return z.s }
 
 // Sample draws a rank in [1, N].
 func (z *Zipf) Sample(g *RNG) int {

@@ -305,19 +305,6 @@ func TestRNGDeterminismUnderSeed(t *testing.T) {
 	}
 }
 
-func TestRNGForkIndependence(t *testing.T) {
-	parent := NewRNG(42)
-	child := parent.Fork()
-	// The child must be deterministic given the parent's seed.
-	parent2 := NewRNG(42)
-	child2 := parent2.Fork()
-	for i := 0; i < 100; i++ {
-		if child.Int63() != child2.Int63() {
-			t.Fatal("forked RNGs not reproducible")
-		}
-	}
-}
-
 // Property: Zipf.TopP is monotone non-decreasing in m and bounded by [0, 1].
 func TestZipfTopPMonotoneProperty(t *testing.T) {
 	f := func(nRaw uint8, sRaw uint8) bool {

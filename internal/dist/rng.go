@@ -20,13 +20,6 @@ func NewRNG(seed int64) *RNG {
 	return &RNG{r: rand.New(rand.NewSource(seed))}
 }
 
-// Fork returns a new RNG derived from this one. Forked streams are
-// independent: consuming from the child does not perturb the parent beyond
-// the single draw used to derive the child's seed.
-func (g *RNG) Fork() *RNG {
-	return NewRNG(g.r.Int63())
-}
-
 // Float64 returns a uniform sample in [0, 1).
 func (g *RNG) Float64() float64 { return g.r.Float64() }
 

@@ -228,8 +228,8 @@ func TestPeerCrashRejoin(t *testing.T) {
 	p.Rejoin()
 }
 
-// TestTrackerOutageAndBrownout exercises SetDown and SetCapacityFactor
-// against a live tracker.
+// TestTrackerOutageAndBrownout exercises SetDown against a live tracker:
+// a dark tracker answers nothing, a recovered one serves again.
 func TestTrackerOutageAndBrownout(t *testing.T) {
 	tr := emuTrace(t)
 	tk := startTracker(t, tr, fastConditions())
@@ -248,29 +248,6 @@ func TestTrackerOutageAndBrownout(t *testing.T) {
 	tk.SetDown(false)
 	if _, err := rpc(tk.Addr(), reg, time.Second); err != nil {
 		t.Fatalf("recovered tracker refused a register: %v", err)
-	}
-
-	// A brownout stretches the chunk transmission time by 1/factor.
-	serve := &Message{Type: MsgServe, From: 1, Video: int(tr.Videos[0].ID), Chunk: 0}
-	healthyStart := time.Now()
-	if _, err := rpc(tk.Addr(), serve, 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	healthy := time.Since(healthyStart)
-	tk.SetCapacityFactor(0.05)
-	slowStart := time.Now()
-	if _, err := rpc(tk.Addr(), serve, 10*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	slow := time.Since(slowStart)
-	tk.SetCapacityFactor(1)
-	if slow <= healthy {
-		t.Fatalf("brownout did not slow the server: healthy=%v brownout=%v", healthy, slow)
-	}
-	// Out-of-range factors restore full capacity rather than exploding.
-	tk.SetCapacityFactor(-3)
-	if f := tk.capacityFactor(); f != 1 {
-		t.Fatalf("negative capacity factor stored as %v", f)
 	}
 }
 

@@ -152,13 +152,6 @@ type ClusterResult struct {
 	// Crashes / Rejoins count applied churn events.
 	Crashes int64
 	Rejoins int64
-	// HandoffAttempts / Handoffs / ServerRescues aggregate mid-stream
-	// provider failovers across all requests; HandoffWaitMs samples the
-	// per-handoff stall in milliseconds.
-	HandoffAttempts int64
-	Handoffs        int64
-	ServerRescues   int64
-	HandoffWaitMs   obs.Hist
 	// Obs merges the tracker's and every peer's protocol-counter
 	// snapshots at the end of the run.
 	Obs obs.Counters
@@ -310,10 +303,6 @@ func (f *faultDriver) drive(sched *faults.Schedule, begin time.Time, stop <-chan
 		case faults.KindOutageEnd:
 			f.outage.Store(false)
 			setOutage(cp, ev, false)
-		case faults.KindBrownoutStart:
-			cp.SetCapacityFactor(ev.CapacityFactor)
-		case faults.KindBrownoutEnd:
-			cp.SetCapacityFactor(1)
 		case faults.KindChaosStart:
 			cond.SetChaos(&ChaosMix{
 				CorruptP:   ev.CorruptP,
@@ -606,16 +595,6 @@ func runPeerSessions(cfg ClusterConfig, tr *trace.Trace, picker *vod.Picker, p *
 			res.Record(idx, rec.RequestResult, rec.Startup)
 			if rec.Failed {
 				res.FailedRequests++
-			}
-			res.HandoffAttempts += int64(rec.HandoffAttempts)
-			res.Handoffs += int64(rec.Handoffs)
-			if rec.ServerRescued {
-				res.ServerRescues++
-			}
-			for h := 0; h < rec.Handoffs; h++ {
-				// One request can hand off more than once; spread the
-				// recorded wait evenly across its handoffs.
-				res.HandoffWaitMs.Add(float64(rec.HandoffWait) / float64(rec.Handoffs) / float64(time.Millisecond))
 			}
 			if outage {
 				res.OutageRequests++

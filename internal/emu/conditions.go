@@ -20,11 +20,6 @@ type Conditions struct {
 	MaxLatency time.Duration
 	// LossP is the probability an incoming request is dropped.
 	LossP float64
-	// Regions clusters nodes geographically, as PlanetLab sites are:
-	// same-region pairs get latencies near MinLatency, cross-region
-	// pairs near MaxLatency. Zero or one disables clustering (uniform
-	// per-pair latency).
-	Regions int
 
 	lossCounter atomic.Uint64
 	// burstLatBits / burstLossBits hold a transient degradation window
@@ -33,8 +28,8 @@ type Conditions struct {
 	burstLatBits  atomic.Uint64
 	burstLossBits atomic.Uint64
 	// chaos holds an open frame-chaos window (nil means inactive) set by
-	// the fault driver; chaosCounter seeds the per-frame fault decision
-	// the same way lossCounter seeds Drop.
+	// the fault driver; chaosCounter keys the per-frame fault decision
+	// the same way lossCounter keys Drop.
 	chaos        atomic.Pointer[ChaosMix]
 	chaosCounter atomic.Uint64
 	// partGroups holds an open network-partition window (0 means whole):
@@ -66,9 +61,7 @@ func DefaultConditions() *Conditions {
 }
 
 // Latency returns the deterministic one-way delay between nodes a and b
-// (tracker = -1). It is symmetric. With Regions configured, same-region
-// pairs draw from the lower quarter of the latency range and cross-region
-// pairs from the upper three quarters.
+// (tracker = -1). It is symmetric.
 func (c *Conditions) Latency(a, b int) time.Duration {
 	if c == nil || a == b || c.MaxLatency <= 0 {
 		return 0
@@ -78,16 +71,7 @@ func (c *Conditions) Latency(a, b int) time.Duration {
 	if span < 0 {
 		span = 0
 	}
-	var d time.Duration
-	switch {
-	case c.Regions > 1 && c.region(a) == c.region(b):
-		d = c.MinLatency + time.Duration(u*float64(span/4))
-	case c.Regions > 1:
-		quarter := span / 4
-		d = c.MinLatency + quarter + time.Duration(u*float64(span-quarter))
-	default:
-		d = c.MinLatency + time.Duration(u*float64(span))
-	}
+	d := c.MinLatency + time.Duration(u*float64(span))
 	if bits := c.burstLatBits.Load(); bits != 0 {
 		if f := math.Float64frombits(bits); f > 1 {
 			d = time.Duration(float64(d) * f)
@@ -196,8 +180,8 @@ func (c *Conditions) Severed(a, b int) bool {
 }
 
 // nextChaos picks the fault for the next written frame: chaosNone when no
-// window is open, otherwise a counter-seeded deterministic draw across
-// the mix (at most one fault per frame). Healthy runs take the nil-load
+// window is open, otherwise a counter-keyed deterministic draw across the
+// mix (at most one fault per frame). Healthy runs take the nil-load
 // branch and draw nothing.
 func (c *Conditions) nextChaos() (chaosAction, time.Duration) {
 	if c == nil {
@@ -207,9 +191,7 @@ func (c *Conditions) nextChaos() (chaosAction, time.Duration) {
 	if mix == nil {
 		return chaosNone, 0
 	}
-	n := c.chaosCounter.Add(1)
-	g := dist.NewRNG(int64(n) + c.Seed*32_452_843)
-	u := g.Float64()
+	u := dist.PairUniform(c.Seed, chaosStream, int64(c.chaosCounter.Add(1)))
 	switch {
 	case u < mix.CorruptP:
 		return chaosCorrupt, 0
@@ -221,14 +203,6 @@ func (c *Conditions) nextChaos() (chaosAction, time.Duration) {
 		return chaosStall, mix.StallFor
 	}
 	return chaosNone, 0
-}
-
-// region assigns a node (tracker included) to a geographic cluster.
-func (c *Conditions) region(n int) int {
-	if n < 0 {
-		n = -n
-	}
-	return n % c.Regions
 }
 
 // Drop reports whether to drop the next message. It is safe for concurrent
@@ -247,7 +221,15 @@ func (c *Conditions) Drop() bool {
 	if p <= 0 {
 		return false // no counter draw: healthy runs stay deterministic
 	}
-	n := c.lossCounter.Add(1)
-	g := dist.NewRNG(int64(n) + c.Seed*15_485_863)
-	return g.Float64() < p
+	return dist.PairUniform(c.Seed, lossStream, int64(c.lossCounter.Add(1))) < p
 }
+
+// The per-frame draw streams: a frame's loss or chaos decision is
+// PairUniform over (seed, stream, frame counter) — stateless, so a counter
+// always gives the same decision and a draw allocates nothing. Stream ids
+// sit below every node id (the tracker is -1), so no frame draw reuses a
+// latency pair's value.
+const (
+	lossStream  = -2
+	chaosStream = -3
+)

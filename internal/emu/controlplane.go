@@ -2,6 +2,7 @@ package emu
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/socialtube/socialtube/internal/ctrl"
@@ -72,19 +73,22 @@ func (c ControlPlaneConfig) Validate() error {
 	return nil
 }
 
-// ControlPlane is the tracker plane behind a cluster: the directory every
-// peer routes by (which shard owns a channel, which replica endpoints
-// serve a shard), and — when built by StartControlPlane — the in-process
-// tracker replicas themselves, addressable for fault injection as
-// plane.Shard(i).SetDown(...).
+// ControlPlane is the tracker plane behind a cluster: the routing every
+// peer follows (the ring says which shard owns a channel, the replica
+// lists which endpoints serve a shard, in failover order), and — when
+// built by StartControlPlane — the in-process tracker replicas themselves,
+// addressable for fault injection as plane.Shard(i).SetDown(...).
 //
 // Two constructors, one type: StartControlPlane launches the trackers
 // in-process (RunClusterCtx, figures, tests); NewControlPlaneClient holds
-// only the directory, for peers connecting to tracker processes started
+// only the routing, for peers connecting to tracker processes started
 // elsewhere (cmd/socialtube-node). Server-side methods are no-ops on a
 // client-only plane.
 type ControlPlane struct {
-	dir *ctrl.Directory
+	ring *ctrl.Ring
+	// replicas[shard][replica] is an endpoint address. The ring hashes
+	// over shards only, so adding a replica to a shard moves no channel.
+	replicas [][]string
 	// trackers[shard][replica]; nil on a client-only plane.
 	trackers [][]*Tracker
 }
@@ -93,11 +97,31 @@ type ControlPlane struct {
 // tracker endpoints: replicas[shard][replica] lists their addresses.
 // ringSeed must match the seed the tracker processes were sharded with.
 func NewControlPlaneClient(ringSeed int64, replicas [][]string) (*ControlPlane, error) {
-	dir, err := ctrl.NewDirectory(ringSeed, replicas)
-	if err != nil {
+	cp := &ControlPlane{}
+	if err := cp.route(ringSeed, replicas); err != nil {
 		return nil, err
 	}
-	return &ControlPlane{dir: dir}, nil
+	return cp, nil
+}
+
+// route installs the ring and a private copy of the replica lists; every
+// shard needs at least one non-empty address.
+func (cp *ControlPlane) route(ringSeed int64, replicas [][]string) error {
+	ring, err := ctrl.NewRing(ringSeed, len(replicas))
+	if err != nil {
+		return err
+	}
+	cp.ring, cp.replicas = ring, make([][]string, len(replicas))
+	for i, reps := range replicas {
+		if len(reps) == 0 {
+			return fmt.Errorf("control plane: shard %d has no replicas", i)
+		}
+		if slices.Contains(reps, "") {
+			return fmt.Errorf("control plane: shard %d has an empty replica address", i)
+		}
+		cp.replicas[i] = slices.Clone(reps)
+	}
+	return nil
 }
 
 // StartControlPlane launches Shards x Replicas trackers over the trace
@@ -140,8 +164,7 @@ func StartControlPlane(cfg ControlPlaneConfig, tc TrackerConfig, tr *trace.Trace
 			tk.StartGossip(cfg.RingSeed, addrs, s, r, cfg.GossipInterval, cfg.GossipTimeout)
 		}
 	}
-	var err error
-	if cp.dir, err = ctrl.NewDirectory(cfg.RingSeed, addrs); err != nil {
+	if err := cp.route(cfg.RingSeed, addrs); err != nil {
 		cp.Stop()
 		return nil, err
 	}
@@ -149,16 +172,16 @@ func StartControlPlane(cfg ControlPlaneConfig, tc TrackerConfig, tr *trace.Trace
 }
 
 // NumShards returns the number of shards.
-func (cp *ControlPlane) NumShards() int { return cp.dir.NumShards() }
+func (cp *ControlPlane) NumShards() int { return len(cp.replicas) }
 
 // Owner returns the shard index owning a channel key.
-func (cp *ControlPlane) Owner(key int64) int { return cp.dir.Owner(key) }
+func (cp *ControlPlane) Owner(key int64) int { return cp.ring.Owner(key) }
 
 // OwnerExcluding returns the shard owning key with the dead-bitmask
 // shards removed from the ring — the takeover owner peers route to after
 // a whole-shard death.
 func (cp *ControlPlane) OwnerExcluding(key int64, dead uint64) int {
-	return cp.dir.OwnerExcluding(key, dead)
+	return cp.ring.OwnerExcluding(key, dead)
 }
 
 // ArmTakeover marks wall time since (UnixNano) as the start of the run's
@@ -186,12 +209,17 @@ func (cp *ControlPlane) TakeoverMs() float64 {
 
 // Replicas returns a shard's endpoints in failover order (shared slice —
 // do not mutate).
-func (cp *ControlPlane) Replicas(shard int) []string { return cp.dir.Replicas(shard) }
+func (cp *ControlPlane) Replicas(shard int) []string { return cp.replicas[shard] }
 
 // EndpointIndex returns the stable flat index of (shard, replica) — the
-// circuit-breaker id peers key endpoint health by.
+// circuit-breaker id peers key endpoint health by: shards laid out in
+// order, a shard's replicas consecutively.
 func (cp *ControlPlane) EndpointIndex(shard, replica int) int {
-	return cp.dir.EndpointIndex(shard, replica)
+	idx := replica
+	for _, reps := range cp.replicas[:shard] {
+		idx += len(reps)
+	}
+	return idx
 }
 
 // ShardHandle addresses one shard's replicas for fault injection.
@@ -234,14 +262,6 @@ func (s ShardHandle) Replica(j int) *Tracker {
 func (cp *ControlPlane) SetDown(v bool) {
 	for _, tk := range cp.Trackers() {
 		tk.SetDown(v)
-	}
-}
-
-// SetCapacityFactor throttles the whole plane. No-op on a client-only
-// plane.
-func (cp *ControlPlane) SetCapacityFactor(f float64) {
-	for _, tk := range cp.Trackers() {
-		tk.SetCapacityFactor(f)
 	}
 }
 

@@ -41,13 +41,57 @@ func TestControlPlaneClientIsInert(t *testing.T) {
 		}
 	}
 	cp.SetDown(true)
-	cp.SetCapacityFactor(0.5)
 	cp.Shard(0).SetDown(true)
 	cp.Shard(99).SetDown(true)
 	if cp.First() != nil || cp.Trackers() != nil {
 		t.Fatal("client-only plane exposes trackers")
 	}
 	cp.Stop()
+}
+
+// TestRingStableUnderReplicaAddition: the ring hashes channels to shard
+// indices only — replicas are not ring members — so adding a replica to a
+// shard moves no keys at all.
+func TestRingStableUnderReplicaAddition(t *testing.T) {
+	before, err := NewControlPlaneClient(7, [][]string{{"a0"}, {"b0"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	after, err := NewControlPlaneClient(7, [][]string{{"a0", "a1"}, {"b0", "b1", "b2"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for key := int64(0); key < 1000; key++ {
+		if before.Owner(key) != after.Owner(key) {
+			t.Fatalf("key %d moved shard (%d -> %d) when only replicas were added",
+				key, before.Owner(key), after.Owner(key))
+		}
+	}
+}
+
+// TestDirectoryValidation: a plane's replica lists must name at least one
+// shard, every shard at least one replica, every replica an address; flat
+// endpoint indices are stable and collision-free.
+func TestDirectoryValidation(t *testing.T) {
+	for _, bad := range [][][]string{nil, {{"a"}, {}}, {{"a"}, {""}}} {
+		if _, err := NewControlPlaneClient(1, bad); err == nil {
+			t.Fatalf("replica lists %q accepted", bad)
+		}
+	}
+	cp, err := NewControlPlaneClient(1, [][]string{{"a0", "a1"}, {"b0"}, {"c0", "c1", "c2"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[int]bool{}
+	for s := 0; s < cp.NumShards(); s++ {
+		for rep := range cp.Replicas(s) {
+			idx := cp.EndpointIndex(s, rep)
+			if seen[idx] || idx < 0 || idx >= 6 {
+				t.Fatalf("EndpointIndex(%d,%d) = %d collides or leaves [0, 6)", s, rep, idx)
+			}
+			seen[idx] = true
+		}
+	}
 }
 
 // TestTrackerRPCRoutesToOwningShard drives member joins through a peer's

@@ -141,7 +141,7 @@ type Peer struct {
 	// ctr counts protocol events (atomic fields; see Counters).
 	ctr obs.Counters
 	// peers short-circuits RPCs to neighbours that keep failing; replicas
-	// does the same for control-plane endpoints, keyed by the directory's
+	// does the same for control-plane endpoints, keyed by the plane's
 	// flat endpoint index, so the failover walk skips replicas known dark.
 	peers    *guard
 	replicas *guard
@@ -187,7 +187,7 @@ type Peer struct {
 }
 
 // NewPeerWithControlPlane builds a peer over the trace, routing every
-// tracker-path RPC through the control plane's shard directory. Call
+// tracker-path RPC through the control plane's shard routing. Call
 // Start before use.
 func NewPeerWithControlPlane(cfg PeerConfig, tr *trace.Trace, cp *ControlPlane, cond *Conditions) (*Peer, error) {
 	if err := cfg.Validate(); err != nil {

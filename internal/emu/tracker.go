@@ -2,7 +2,6 @@ package emu
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -27,19 +26,11 @@ type TrackerConfig struct {
 	ChunkPayload int
 	// Seed drives the tracker's random peer recommendations.
 	Seed int64
-	// JoinPeers bounds how many neighbours one join response recommends.
-	JoinPeers int
 	// ISPs partitions peers into that many ISPs for PA-VoD's
 	// ISP-localized peer assistance (Huang et al.): watch-start
 	// redirects only point at watchers in the requester's ISP. Values
 	// below 2 disable locality.
 	ISPs int
-	// TombstoneHorizon is the version-clock age (in table ticks) past
-	// which the gossip loop garbage-collects membership tombstones; 0
-	// uses defaultTombstoneHorizon. Only replicas with gossip configured
-	// compact — a standalone tracker never ships snapshots, so its
-	// tombstones cost nothing on the wire.
-	TombstoneHorizon uint64
 }
 
 // DefaultTrackerConfig returns settings scaled for loopback experiments.
@@ -49,7 +40,6 @@ func DefaultTrackerConfig() TrackerConfig {
 		UplinkBps:    8_000_000,
 		ChunkPayload: 8 << 10,
 		Seed:         1,
-		JoinPeers:    12,
 	}
 }
 
@@ -70,9 +60,6 @@ type Tracker struct {
 	// down simulates a tracker outage: requests are read and then
 	// dropped without a response, so clients see timeouts, not resets.
 	down atomic.Bool
-	// capacityBits holds a float64 uplink scale in (0,1] (0 means 1),
-	// the server-brownout knob.
-	capacityBits atomic.Uint64
 
 	mu    sync.Mutex
 	g     *dist.RNG
@@ -141,18 +128,22 @@ type gossipPeer struct {
 // the gossip schedule.
 const defaultSuspicionRounds = 5
 
-// defaultTombstoneHorizon is the version-clock age past which gossiping
-// replicas compact tombstones — thousands of ticks against per-round
-// divergence of at most a few hundred writes (see
-// ctrl.MemberTable.CompactTombstones).
-const defaultTombstoneHorizon = 1 << 12
+// joinPeers bounds how many neighbours one join response recommends.
+const joinPeers = 12
+
+// tombstoneHorizon is the version-clock age past which gossiping replicas
+// compact tombstones — thousands of ticks against per-round divergence of
+// at most a few hundred writes (see ctrl.MemberTable.CompactTombstones).
+// Only replicas with gossip configured compact: a standalone tracker never
+// ships snapshots, so its tombstones cost nothing on the wire.
+const tombstoneHorizon = 1 << 12
 
 // NewTracker builds a tracker over the trace. Call Start to begin serving.
 func NewTracker(cfg TrackerConfig, tr *trace.Trace, cond *Conditions) (*Tracker, error) {
 	if tr == nil || len(tr.Videos) == 0 {
 		return nil, fmt.Errorf("%w: tracker needs a non-empty trace", dist.ErrBadParameter)
 	}
-	if cfg.UplinkBps <= 0 || cfg.ChunkPayload <= 0 || cfg.JoinPeers <= 0 {
+	if cfg.UplinkBps <= 0 || cfg.ChunkPayload <= 0 {
 		return nil, fmt.Errorf("%w: tracker config %+v", dist.ErrBadParameter, cfg)
 	}
 	t := &Tracker{
@@ -345,13 +336,9 @@ func (t *Tracker) noteTransitions(died, revived []int, now int64) {
 // compactTables garbage-collects membership tombstones past the horizon.
 // Runs once per gossip round, so only replicas that gossip compact.
 func (t *Tracker) compactTables() {
-	h := t.cfg.TombstoneHorizon
-	if h == 0 {
-		h = defaultTombstoneHorizon
-	}
-	t.channels.CompactTombstones(h)
-	t.videos.CompactTombstones(h)
-	t.watchers.CompactTombstones(h)
+	t.channels.CompactTombstones(tombstoneHorizon)
+	t.videos.CompactTombstones(tombstoneHorizon)
+	t.watchers.CompactTombstones(tombstoneHorizon)
 }
 
 // Membership table names on the wire.
@@ -417,23 +404,6 @@ func (t *Tracker) SetDown(v bool) {
 // Down reports whether the tracker is in a simulated outage.
 func (t *Tracker) Down() bool {
 	return t.down.Load()
-}
-
-// SetCapacityFactor scales the server's uplink by f in (0,1] — a brownout.
-// Values outside (0,1] restore full capacity.
-func (t *Tracker) SetCapacityFactor(f float64) {
-	if f <= 0 || f > 1 {
-		f = 1
-	}
-	t.capacityBits.Store(math.Float64bits(f))
-}
-
-func (t *Tracker) capacityFactor() float64 {
-	b := t.capacityBits.Load()
-	if b == 0 {
-		return 1
-	}
-	return math.Float64frombits(b)
 }
 
 // Counters returns a snapshot of the tracker's protocol counters.
@@ -579,7 +549,7 @@ func (t *Tracker) handleJoin(req *Message) *Message {
 	chans := t.byCat[cat]
 	perm := t.g.Perm(len(chans))
 	for _, idx := range perm {
-		if len(resp.Peers) >= t.cfg.JoinPeers {
+		if len(resp.Peers) >= joinPeers {
 			break
 		}
 		sib := chans[idx]
@@ -608,7 +578,7 @@ func (t *Tracker) handleJoinVideo(req *Message) *Message {
 	members := t.videos.Live(int64(v))
 	for _, id := range sortedMemberIDs(members, req.From) {
 		resp.Peers = append(resp.Peers, PeerInfo{ID: id, Addr: members[id], Channel: req.Video})
-		if len(resp.Peers) >= t.cfg.JoinPeers {
+		if len(resp.Peers) >= joinPeers {
 			break
 		}
 	}
@@ -636,11 +606,7 @@ func (t *Tracker) handleServe(req *Message) *Message {
 	if t.tr.Video(trace.VideoID(req.Video)) == nil {
 		return &Message{Type: MsgMiss, From: -1}
 	}
-	bps := float64(t.cfg.UplinkBps) * t.capacityFactor()
-	if bps < 1 {
-		bps = 1
-	}
-	tx := time.Duration(float64(t.cfg.ChunkPayload*8) / bps * float64(time.Second))
+	tx := time.Duration(float64(t.cfg.ChunkPayload*8) / float64(t.cfg.UplinkBps) * float64(time.Second))
 	t.mu.Lock()
 	now := time.Now()
 	start := now

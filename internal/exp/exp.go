@@ -200,7 +200,7 @@ type runner struct {
 	// rejoinsPending counts scheduled-but-unfired rejoin events, so the
 	// probe loop knows crashed nodes will come back (see probeAll).
 	rejoinsPending int
-	windows        int // open burst/outage/brownout/chaos windows
+	windows        int // open burst/outage/chaos windows
 	latencyFactor  float64
 	burstLossP     float64
 	// chaosLossP is the per-request probability a located provider's

@@ -138,12 +138,6 @@ func (r *runner) applyFault(ev faults.Event, now time.Duration) {
 	case faults.KindOutageEnd:
 		r.windows--
 		r.outageUntil = 0
-	case faults.KindBrownoutStart:
-		r.windows++
-		r.net.SetServerUplinkFactor(ev.CapacityFactor)
-	case faults.KindBrownoutEnd:
-		r.windows--
-		r.net.SetServerUplinkFactor(1)
 	case faults.KindChaosStart:
 		r.windows++
 		r.chaosLossP = ev.CorruptP + ev.TruncateP + ev.StallP

@@ -1,7 +1,7 @@
 // Package faults is the deterministic fault-injection layer: a seeded
-// Plan of adversarial conditions (churn waves, correlated regional
-// departures, link latency/loss bursts, tracker outages, server
-// brownouts) compiles into a flat, time-ordered Schedule of events.
+// Plan of adversarial conditions (churn waves, link latency/loss bursts,
+// tracker outages, frame chaos, network partitions) compiles into a flat,
+// time-ordered Schedule of events.
 //
 // The same compiled Schedule drives both halves of the evaluation: the
 // discrete-event simulator applies each event at its virtual timestamp
@@ -36,11 +36,6 @@ type ChurnWave struct {
 	// DownFor is how long each crashed node stays gone before it
 	// rejoins; 0 means it never comes back.
 	DownFor time.Duration
-	// Region, when positive, restricts the wave to one latency region
-	// (a correlated regional departure, e.g. an ISP failure). Regions
-	// are 1-based here: Region r targets nodes with node%Regions ==
-	// r-1, matching emu.Conditions region assignment. 0 means any.
-	Region int
 }
 
 // LinkBurst degrades every link for a window: latencies multiply by
@@ -73,16 +68,6 @@ type Outage struct {
 	// 1-based. 0 takes every replica of the targeted shard down.
 	// Replica > 0 requires Shard > 0.
 	Replica int
-}
-
-// Brownout throttles the server uplink to CapacityFactor×nominal for a
-// window without taking it offline.
-type Brownout struct {
-	At       time.Duration
-	Duration time.Duration
-	// CapacityFactor is the remaining fraction of server capacity,
-	// in (0, 1).
-	CapacityFactor float64
 }
 
 // ChaosBurst injects frame-level wire faults for a window: each frame a
@@ -122,9 +107,8 @@ type Partition struct {
 	At       time.Duration
 	Duration time.Duration
 	// Groups is how many sides the cut creates (≥ 2). Node n — peer id
-	// or tracker replica index — lands on side n%Groups, matching
-	// emu.Conditions region assignment so sides are stable and seeded
-	// placement stays deterministic.
+	// or tracker replica index — lands on side n%Groups, so sides are
+	// stable and seeded placement stays deterministic.
 	Groups int
 }
 
@@ -133,10 +117,6 @@ type Partition struct {
 type Plan struct {
 	// Seed drives every random choice made during compilation.
 	Seed int64
-	// Regions is the number of latency regions nodes are spread over
-	// (matching emu.Conditions.Regions); only consulted when a wave
-	// targets a specific region. Nodes map to regions as node%Regions.
-	Regions int
 	// DetectDelay bounds how long neighbors take to notice a crash:
 	// each crash schedules a repair event a uniform (0, DetectDelay]
 	// later. 0 disables repair events (recovery rides probes alone).
@@ -144,7 +124,6 @@ type Plan struct {
 	Waves       []ChurnWave
 	Bursts      []LinkBurst
 	Outages     []Outage
-	Brownouts   []Brownout
 	Chaos       []ChaosBurst
 	Partitions  []Partition
 }
@@ -166,10 +145,6 @@ const (
 	// KindOutageStart / KindOutageEnd bracket a tracker/server outage.
 	KindOutageStart
 	KindOutageEnd
-	// KindBrownoutStart / KindBrownoutEnd bracket a server capacity
-	// throttle window.
-	KindBrownoutStart
-	KindBrownoutEnd
 	// KindChaosStart / KindChaosEnd bracket a frame-level wire-fault
 	// window (corrupt/truncate/duplicate/stall).
 	KindChaosStart
@@ -196,10 +171,6 @@ func (k Kind) String() string {
 		return "outage-start"
 	case KindOutageEnd:
 		return "outage-end"
-	case KindBrownoutStart:
-		return "brownout-start"
-	case KindBrownoutEnd:
-		return "brownout-end"
 	case KindChaosStart:
 		return "chaos-start"
 	case KindChaosEnd:
@@ -228,8 +199,6 @@ type Event struct {
 	// LatencyFactor and LossP carry a burst's parameters.
 	LatencyFactor float64 `json:"latencyFactor,omitempty"`
 	LossP         float64 `json:"lossP,omitempty"`
-	// CapacityFactor carries a brownout's remaining capacity.
-	CapacityFactor float64 `json:"capacityFactor,omitempty"`
 	// Shard and Replica carry an outage's control-plane targeting
 	// (1-based; 0 = whole plane / all replicas). Both appear on the
 	// start and end events, so replays never have to pair windows to
@@ -260,9 +229,6 @@ type Schedule struct {
 
 // Validate rejects plans that cannot compile into a sane schedule.
 func (p *Plan) Validate() error {
-	if p.Regions < 0 {
-		return fmt.Errorf("faults: Regions %d negative", p.Regions)
-	}
 	if p.DetectDelay < 0 {
 		return fmt.Errorf("faults: DetectDelay %v negative", p.DetectDelay)
 	}
@@ -276,12 +242,6 @@ func (p *Plan) Validate() error {
 			return fmt.Errorf("faults: wave %d Fraction %g outside [0,1]", i, w.Fraction)
 		case w.Count == 0 && w.Fraction == 0:
 			return fmt.Errorf("faults: wave %d selects no nodes (Count and Fraction both zero)", i)
-		case w.Region < 0:
-			return fmt.Errorf("faults: wave %d Region %d negative (regions are 1-based, 0 = any)", i, w.Region)
-		case w.Region > 0 && p.Regions == 0:
-			return fmt.Errorf("faults: wave %d targets region %d but the plan has no Regions", i, w.Region)
-		case w.Region > p.Regions:
-			return fmt.Errorf("faults: wave %d region %d out of range [1,%d]", i, w.Region, p.Regions)
 		}
 	}
 	for i, b := range p.Bursts {
@@ -303,14 +263,6 @@ func (p *Plan) Validate() error {
 				i, o.Shard, o.Replica)
 		case o.Replica > 0 && o.Shard == 0:
 			return fmt.Errorf("faults: outage %d targets replica %d without a shard", i, o.Replica)
-		}
-	}
-	for i, b := range p.Brownouts {
-		switch {
-		case b.At < 0 || b.Duration <= 0:
-			return fmt.Errorf("faults: brownout %d needs At ≥ 0 and Duration > 0", i)
-		case b.CapacityFactor <= 0 || b.CapacityFactor >= 1:
-			return fmt.Errorf("faults: brownout %d CapacityFactor %g outside (0,1)", i, b.CapacityFactor)
 		}
 	}
 	for i, c := range p.Chaos {
@@ -358,23 +310,12 @@ func (p *Plan) Compile(nodes int) (*Schedule, error) {
 	var evs []Event
 	crashes := 0
 	for _, w := range p.Waves {
-		var eligible []int
-		for n := 0; n < nodes; n++ {
-			if w.Region > 0 && p.Regions > 0 && n%p.Regions != w.Region-1 {
-				continue
-			}
-			eligible = append(eligible, n)
-		}
 		count := w.Count
 		if count == 0 {
-			count = int(math.Ceil(w.Fraction * float64(len(eligible))))
+			count = int(math.Ceil(w.Fraction * float64(nodes)))
 		}
-		if count > len(eligible) {
-			count = len(eligible)
-		}
-		perm := g.Perm(len(eligible))
-		for _, pi := range perm[:count] {
-			node := eligible[pi]
+		count = min(count, nodes)
+		for _, node := range g.Perm(nodes)[:count] {
 			at := w.At
 			if w.Spread > 0 {
 				at += time.Duration(g.Float64() * float64(w.Spread))
@@ -407,12 +348,6 @@ func (p *Plan) Compile(nodes int) (*Schedule, error) {
 		evs = append(evs,
 			Event{At: o.At, Kind: KindOutageStart, Node: -1, Until: end, Shard: o.Shard, Replica: o.Replica},
 			Event{At: end, Kind: KindOutageEnd, Node: -1, Shard: o.Shard, Replica: o.Replica})
-	}
-	for _, b := range p.Brownouts {
-		end := b.At + b.Duration
-		evs = append(evs,
-			Event{At: b.At, Kind: KindBrownoutStart, Node: -1, Until: end, CapacityFactor: b.CapacityFactor},
-			Event{At: end, Kind: KindBrownoutEnd, Node: -1})
 	}
 	for _, c := range p.Chaos {
 		end := c.At + c.Duration
@@ -458,23 +393,6 @@ func ChurnPlan(seed int64, unit time.Duration) *Plan {
 		},
 		Bursts: []LinkBurst{
 			{At: 3 * unit, Duration: unit / 2, LatencyFactor: 3, LossP: 0.25},
-		},
-	}
-}
-
-// FailoverPlan is the provider-crash stress behind the failover figure:
-// two crash waves that together take down half the provider population
-// while downloads are in flight, with no rejoins — every handoff has to
-// find a still-live candidate or fall back to the server. The unit is
-// one chunk-delivery step in the figure's progress-keyed replay (the
-// requester advances the clock by one unit per chunk received), so the
-// same compiled schedule also replays on wall-clock offsets.
-func FailoverPlan(seed int64, unit time.Duration) *Plan {
-	return &Plan{
-		Seed: seed,
-		Waves: []ChurnWave{
-			{At: unit, Spread: 2 * unit, Fraction: 0.25},
-			{At: 4 * unit, Spread: 2 * unit, Fraction: 0.34},
 		},
 	}
 }

@@ -99,31 +99,6 @@ func TestAddHops(t *testing.T) {
 	}
 }
 
-func TestRingWraparound(t *testing.T) {
-	r := NewRing(4)
-	for i := 0; i < 10; i++ {
-		r.Emit(Event{Node: i})
-	}
-	if r.Total() != 10 {
-		t.Fatalf("total = %d, want 10", r.Total())
-	}
-	got := r.Events()
-	if len(got) != 4 {
-		t.Fatalf("retained %d events, want 4", len(got))
-	}
-	for i, e := range got {
-		if e.Node != 6+i {
-			t.Fatalf("event %d is node %d, want %d (oldest-first order broken)", i, e.Node, 6+i)
-		}
-	}
-	// A partially filled ring returns only what was emitted.
-	r2 := NewRing(8)
-	r2.Emit(Event{Node: 42})
-	if got := r2.Events(); len(got) != 1 || got[0].Node != 42 {
-		t.Fatalf("partial ring events = %+v", got)
-	}
-}
-
 func TestJSONLRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	j := NewJSONL(&buf)

@@ -46,11 +46,6 @@ func WritePromCounters(w io.Writer, prefix string, c *Counters) {
 	}
 }
 
-// WritePromGauge renders one gauge sample.
-func WritePromGauge(w io.Writer, name string, v float64) {
-	fmt.Fprintf(w, "# TYPE %s gauge\n%s %s\n", name, name, promFloat(v))
-}
-
 // WritePromHist renders a Hist as a Prometheus histogram: one
 // `<name>_bucket{le="..."}` line per non-empty bucket (cumulative), the
 // mandatory `le="+Inf"` bucket, and `<name>_sum` / `<name>_count`.

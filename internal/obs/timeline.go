@@ -12,15 +12,15 @@ import (
 // so same-seed runs produce byte-identical timelines regardless of host
 // speed or worker count.
 //
-// Series are registered up front (Counter, Gauge, Hist) and addressed
+// Series are registered up front (Counter, Hist) and addressed
 // through the returned *Series handles; the hot path (Add / Observe) is
 // a window-index computation plus a slice element update, with amortized
 // slice growth as the simulation clock advances — no per-observation
 // allocation.
 //
 // Timelines merge (Merge) when both sides share the same window width
-// and the same series registered in the same order: counters and gauges
-// add element-wise, histogram windows fold via Hist.Merge. The sharded
+// and the same series registered in the same order: counters add
+// element-wise, histogram windows fold via Hist.Merge. The sharded
 // engine records one Timeline per community cell and merges them in
 // ascending cell order, which keeps merged timelines byte-identical for
 // any worker count (merging is commutative here, but the fixed order
@@ -39,10 +39,6 @@ type SeriesKind string
 const (
 	// SeriesCounter sums integer deltas per window.
 	SeriesCounter SeriesKind = "counter"
-	// SeriesGauge also sums per window; the distinction is semantic
-	// (a level sampled into the window rather than a monotonic count)
-	// and is preserved in the JSON so plots label axes correctly.
-	SeriesGauge SeriesKind = "gauge"
 	// SeriesHist keeps a per-window Hist of observations.
 	SeriesHist SeriesKind = "hist"
 )
@@ -52,7 +48,7 @@ type Series struct {
 	name   string
 	kind   SeriesKind
 	window time.Duration
-	values []int64 // counter / gauge windows
+	values []int64 // counter windows
 	hists  []*Hist // hist windows (lazily allocated per window)
 }
 
@@ -70,9 +66,6 @@ func (t *Timeline) Window() time.Duration { return t.window }
 
 // Counter registers (or returns the existing) counter series.
 func (t *Timeline) Counter(name string) *Series { return t.register(name, SeriesCounter) }
-
-// Gauge registers (or returns the existing) gauge series.
-func (t *Timeline) Gauge(name string) *Series { return t.register(name, SeriesGauge) }
 
 // Hist registers (or returns the existing) histogram series.
 func (t *Timeline) Hist(name string) *Series { return t.register(name, SeriesHist) }
@@ -125,7 +118,7 @@ func (s *Series) windowIndex(at time.Duration) int {
 }
 
 // Add folds an integer delta into the window covering simulated time at.
-// Valid for counter and gauge series.
+// Valid for counter series.
 func (s *Series) Add(at time.Duration, n int64) {
 	idx := s.windowIndex(at)
 	for len(s.values) <= idx {
@@ -147,7 +140,7 @@ func (s *Series) Observe(at time.Duration, v float64) {
 	s.hists[idx].Add(v)
 }
 
-// Value returns the counter/gauge total for window idx (0 beyond the
+// Value returns the counter total for window idx (0 beyond the
 // recorded range).
 func (s *Series) Value(idx int) int64 {
 	if idx < 0 || idx >= len(s.values) {

@@ -11,7 +11,7 @@ func buildTimeline(vals [][3]int64) *Timeline {
 	tl := NewTimeline(time.Minute)
 	req := tl.Counter("requests")
 	del := tl.Hist("startupMs")
-	load := tl.Gauge("serverBytes")
+	load := tl.Counter("serverBytes")
 	for _, v := range vals {
 		at := time.Duration(v[0])
 		req.Add(at, 1)
@@ -113,7 +113,7 @@ func TestTimelineMergeRejectsMismatch(t *testing.T) {
 		t.Fatal("window mismatch accepted")
 	}
 	c := NewTimeline(time.Minute)
-	c.Gauge("x")
+	c.Hist("x")
 	if err := a.Merge(c); err == nil {
 		t.Fatal("kind mismatch accepted")
 	}

@@ -123,57 +123,6 @@ type nopTracer struct{}
 
 func (nopTracer) Emit(Event) {}
 
-// Ring is a bounded in-memory tracer: it keeps the most recent capacity
-// events, overwriting the oldest. The buffer is allocated up front, so a
-// steady-state Emit allocates nothing (it takes a mutex and copies one
-// struct).
-type Ring struct {
-	mu    sync.Mutex
-	buf   []Event
-	next  int
-	total uint64
-}
-
-// NewRing returns a ring tracer holding up to capacity events.
-func NewRing(capacity int) *Ring {
-	if capacity <= 0 {
-		capacity = 1
-	}
-	return &Ring{buf: make([]Event, 0, capacity)}
-}
-
-// Emit implements Tracer.
-func (r *Ring) Emit(e Event) {
-	r.mu.Lock()
-	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, e)
-	} else {
-		r.buf[r.next] = e
-	}
-	r.next = (r.next + 1) % cap(r.buf)
-	r.total++
-	r.mu.Unlock()
-}
-
-// Total returns how many events were emitted over the ring's lifetime.
-func (r *Ring) Total() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
-}
-
-// Events returns the retained events oldest-first (a copy).
-func (r *Ring) Events() []Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Event, 0, len(r.buf))
-	if len(r.buf) < cap(r.buf) {
-		return append(out, r.buf...)
-	}
-	out = append(out, r.buf[r.next:]...)
-	return append(out, r.buf[:r.next]...)
-}
-
 // JSONL is a tracer that appends one JSON object per line to a writer — the
 // `-trace-out` format. Writes are buffered; call Close (or Flush) to ensure
 // everything reaches the underlying writer. Write errors are sticky and

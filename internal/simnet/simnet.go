@@ -41,8 +41,7 @@ type Config struct {
 	// the server uplink when a new request arrives. Arrivals beyond
 	// the bound are shed (see ServerTransfer). 0 keeps the legacy
 	// unbounded FIFO, whose queueing delay grows without limit under
-	// overload. The queue's service rate is the (brownout-scaled)
-	// server uplink, so SetServerUplinkFactor also slows draining.
+	// overload. The queue's service rate is the server uplink.
 	ServerQueueCap int
 }
 
@@ -77,9 +76,6 @@ func (c Config) Validate() error {
 type Network struct {
 	cfg       Config
 	busyUntil map[NodeID]time.Duration
-	// serverFactor throttles the server uplink during a brownout
-	// window (0 or 1 = full capacity). See SetServerUplinkFactor.
-	serverFactor float64
 	// serverQ holds the uplink-free times of admitted server requests,
 	// in ascending order, when ServerQueueCap > 0.
 	serverQ []time.Duration
@@ -111,27 +107,10 @@ func (n *Network) Latency(a, b NodeID) time.Duration {
 	return n.cfg.MinLatency + time.Duration(dist.PairUniform(n.cfg.Seed, int64(a), int64(b))*float64(span))
 }
 
-// SetServerUplinkFactor throttles the server uplink to factor×configured
-// capacity — the fault layer's brownout hook. Factors outside (0, 1]
-// restore full capacity. Transfers already reserved keep their slots;
-// only subsequent transfers see the reduced rate.
-func (n *Network) SetServerUplinkFactor(factor float64) {
-	if factor <= 0 || factor > 1 {
-		factor = 1
-	}
-	n.serverFactor = factor
-}
-
 // uplinkBps returns the upload capacity of the given endpoint.
 func (n *Network) uplinkBps(id NodeID) int64 {
 	if id == ServerID {
-		bps := n.cfg.ServerUplinkBps
-		if n.serverFactor > 0 && n.serverFactor < 1 {
-			if bps = int64(float64(bps) * n.serverFactor); bps < 1 {
-				bps = 1
-			}
-		}
-		return bps
+		return n.cfg.ServerUplinkBps
 	}
 	return n.cfg.PeerUplinkBps
 }

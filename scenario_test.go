@@ -9,6 +9,8 @@ import (
 	"time"
 
 	socialtube "github.com/socialtube/socialtube"
+	"github.com/socialtube/socialtube/internal/exp"
+	"github.com/socialtube/socialtube/internal/simnet"
 )
 
 func quickExperimentConfig() socialtube.ExperimentConfig {
@@ -21,18 +23,18 @@ func quickExperimentConfig() socialtube.ExperimentConfig {
 	return cfg
 }
 
-// TestScenarioDefaultsToDefaultNetwork pins what a run without
-// WithNetwork means: the result is bit-identical to one that passes
-// DefaultNetworkConfig explicitly.
+// TestScenarioDefaultsToDefaultNetwork pins what the facade passes
+// through: a run on DefaultNetworkConfig with zero options is
+// bit-identical to the internal driver's plain Run.
 func TestScenarioDefaultsToDefaultNetwork(t *testing.T) {
 	tr := smallTrace(t)
-	run := func(opts ...socialtube.RunOption) []byte {
+	run := func(drive func(socialtube.Protocol) (*socialtube.ExperimentResult, error)) []byte {
 		t.Helper()
 		sys, err := socialtube.NewSystem(socialtube.DefaultSystemConfig(), tr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := socialtube.RunExperimentCtx(context.Background(), quickExperimentConfig(), tr, sys, opts...)
+		res, err := drive(sys)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,41 +44,41 @@ func TestScenarioDefaultsToDefaultNetwork(t *testing.T) {
 		}
 		return raw
 	}
-	explicit := run(socialtube.WithNetwork(socialtube.DefaultNetworkConfig()))
-	if implicit := run(); string(implicit) != string(explicit) {
-		t.Fatal("RunExperimentCtx without WithNetwork diverged from the default network")
+	facade := run(func(p socialtube.Protocol) (*socialtube.ExperimentResult, error) {
+		return socialtube.RunExperimentCtx(context.Background(), quickExperimentConfig(), tr, p,
+			socialtube.DefaultNetworkConfig(), socialtube.ExperimentOptions{})
+	})
+	direct := run(func(p socialtube.Protocol) (*socialtube.ExperimentResult, error) {
+		return exp.Run(quickExperimentConfig(), tr, p, simnet.DefaultConfig())
+	})
+	if string(facade) != string(direct) {
+		t.Fatal("RunExperimentCtx on the default network diverged from exp.Run")
 	}
 }
 
-// TestScenarioOptionsCompose runs one simulation with faults, a tracer
-// and a counter sink attached at once.
+// TestScenarioOptionsCompose runs one simulation with a fault plan and a
+// tracer attached at once, and reads the counters off the result.
 func TestScenarioOptionsCompose(t *testing.T) {
 	tr := smallTrace(t)
 	sys, err := socialtube.NewSystem(socialtube.DefaultSystemConfig(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ctr socialtube.Counters
 	tracer := &collectingTracer{}
 	res, err := socialtube.RunExperimentCtx(context.Background(), quickExperimentConfig(), tr, sys,
-		socialtube.WithNetwork(socialtube.DefaultNetworkConfig()),
-		socialtube.WithFaults(socialtube.ChurnPlan(1, 4*time.Minute)),
-		socialtube.WithTracer(tracer),
-		socialtube.WithCounters(&ctr))
+		socialtube.DefaultNetworkConfig(),
+		socialtube.ExperimentOptions{Faults: socialtube.ChurnPlan(1, 4*time.Minute), Tracer: tracer})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Resilience.Crashes == 0 {
-		t.Fatal("fault plan applied no crashes through the Scenario API")
+		t.Fatal("fault plan applied no crashes through the facade")
 	}
-	if ctr != res.Obs {
-		t.Fatal("WithCounters sink differs from the result snapshot")
-	}
-	if ctr.RepairCalls == 0 {
+	if res.Obs.RepairCalls == 0 {
 		t.Fatal("churned SocialTube run recorded no repair calls")
 	}
 	if tracer.count() == 0 {
-		t.Fatal("WithTracer received no events")
+		t.Fatal("the tracer received no events")
 	}
 }
 
@@ -88,7 +90,9 @@ func TestScenarioContextCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := socialtube.RunExperimentCtx(ctx, quickExperimentConfig(), tr, sys); !errors.Is(err, context.Canceled) {
+	_, err = socialtube.RunExperimentCtx(ctx, quickExperimentConfig(), tr, sys,
+		socialtube.DefaultNetworkConfig(), socialtube.ExperimentOptions{})
+	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("sim: want context.Canceled, got %v", err)
 	}
 	cfg := socialtube.DefaultClusterConfig(socialtube.ModeSocialTube)
@@ -99,7 +103,7 @@ func TestScenarioContextCancellation(t *testing.T) {
 }
 
 // TestScenarioClusterFaults drives the emulated cluster through the
-// Scenario API with an outage plan and a counter sink.
+// facade with an outage plan set on its ClusterConfig.
 func TestScenarioClusterFaults(t *testing.T) {
 	tr := smallTrace(t)
 	cfg := socialtube.DefaultClusterConfig(socialtube.ModeSocialTube)
@@ -110,13 +114,11 @@ func TestScenarioClusterFaults(t *testing.T) {
 	cfg.Peer.RPCTimeout = 30 * time.Millisecond
 	cfg.Peer.MaxRetries = 1
 	cfg.Peer.RetryBackoff = 2 * time.Millisecond
-	var ctr socialtube.Counters
-	res, err := socialtube.RunClusterCtx(context.Background(), cfg, tr,
-		socialtube.WithFaults(&socialtube.FaultPlan{
-			Seed:    5,
-			Outages: []socialtube.Outage{{At: 0, Duration: 150 * time.Millisecond}},
-		}),
-		socialtube.WithCounters(&ctr))
+	cfg.Faults = &socialtube.FaultPlan{
+		Seed:    5,
+		Outages: []socialtube.Outage{{At: 0, Duration: 150 * time.Millisecond}},
+	}
+	res, err := socialtube.RunClusterCtx(context.Background(), cfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,9 +128,6 @@ func TestScenarioClusterFaults(t *testing.T) {
 	want := int64(cfg.Peers * cfg.Sessions * cfg.VideosPerSession)
 	if got := res.Delivered(); got != want {
 		t.Fatalf("requests lost during outage: %d of %d", got, want)
-	}
-	if ctr != res.Obs {
-		t.Fatal("WithCounters sink differs from the cluster snapshot")
 	}
 }
 

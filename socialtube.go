@@ -29,24 +29,26 @@
 //	sys, err := socialtube.NewSystem(socialtube.DefaultSystemConfig(), tr)
 //	if err != nil { ... }
 //	res, err := socialtube.RunExperimentCtx(ctx,
-//		socialtube.DefaultExperimentConfig(), tr, sys)
+//		socialtube.DefaultExperimentConfig(), tr, sys,
+//		socialtube.DefaultNetworkConfig(), socialtube.ExperimentOptions{})
 //	if err != nil { ... }
 //	p1, p50, p99 := res.NormalizedPeerBandwidthPercentiles()
 //
-// # Scenarios: context, fault injection and observability
+// # Fault injection and observability
 //
-// RunExperimentCtx and RunClusterCtx are the two run entry points.
-// Cross-cutting concerns — a deterministic fault plan, a trace sink, a
-// counter snapshot destination, a non-default network, a sharded control
-// plane — attach through functional options:
+// RunExperimentCtx and RunClusterCtx are the two run entry points. A
+// simulated run takes its network and its cross-cutting concerns — a
+// deterministic fault plan, a tracer — as arguments; a cluster run reads
+// the same concerns, plus WAN conditions and the control-plane shape, from
+// its ClusterConfig. Both results carry the run's final counter snapshot
+// in Obs:
 //
-//	var ctr socialtube.Counters
 //	res, err := socialtube.RunExperimentCtx(ctx,
 //		socialtube.DefaultExperimentConfig(), tr, sys,
-//		socialtube.WithFaults(socialtube.ChurnPlan(1, 4*time.Minute)),
-//		socialtube.WithCounters(&ctr))
+//		socialtube.DefaultNetworkConfig(),
+//		socialtube.ExperimentOptions{Faults: socialtube.ChurnPlan(1, 4*time.Minute)})
 //	if err != nil { ... }
-//	fmt.Println(res.Resilience.HitRateUnderFaults(), ctr.RepairCalls)
+//	fmt.Println(res.Resilience.HitRateUnderFaults(), res.Obs.RepairCalls)
 //
 // The same FaultPlan drives both engines: compiled once per run from its
 // seed, it replays identically in simulated time (RunExperimentCtx) and
@@ -185,6 +187,9 @@ type (
 	ExperimentConfig = exp.Config
 	// ExperimentResult aggregates one simulated run.
 	ExperimentResult = exp.Result
+	// ExperimentOptions carries a simulated run's cross-cutting concerns:
+	// fault plan, tracer, telemetry window and open-loop load profile.
+	ExperimentOptions = exp.Options
 	// NetworkConfig sets the simulated network (bandwidths, latency).
 	NetworkConfig = simnet.Config
 	// Resilience aggregates a run's degradation-and-recovery metrics.
@@ -214,8 +219,6 @@ type (
 	LinkBurst = faults.LinkBurst
 	// Outage takes the tracker/server down for a window.
 	Outage = faults.Outage
-	// Brownout scales the server uplink down for a window.
-	Brownout = faults.Brownout
 	// FaultSchedule is a compiled, replayable fault event sequence.
 	FaultSchedule = faults.Schedule
 )
@@ -232,72 +235,6 @@ func ReplicaOutagePlan(seed int64, unit time.Duration, shard, replica int) *Faul
 	return faults.ReplicaOutagePlan(seed, unit, shard, replica)
 }
 
-// Scenario bundles a run's cross-cutting concerns: the network model,
-// emulated WAN conditions, a fault plan, a tracer and a counter sink.
-// Build one implicitly by passing RunOptions to RunExperimentCtx /
-// RunClusterCtx, or explicitly with NewScenario.
-type Scenario struct {
-	network      NetworkConfig
-	conditions   *Conditions
-	faults       *FaultPlan
-	tracer       Tracer
-	counters     *Counters
-	controlPlane *ControlPlaneConfig
-}
-
-// RunOption configures one aspect of a Scenario.
-type RunOption func(*Scenario)
-
-// NewScenario applies the options to a fresh Scenario, whose network is
-// DefaultNetworkConfig until WithNetwork says otherwise.
-func NewScenario(opts ...RunOption) *Scenario {
-	s := &Scenario{network: simnet.DefaultConfig()}
-	for _, o := range opts {
-		if o != nil {
-			o(s)
-		}
-	}
-	return s
-}
-
-// WithNetwork sets the simulated network model (simulation runs only;
-// emulated clusters model the network with Conditions instead).
-func WithNetwork(net NetworkConfig) RunOption {
-	return func(s *Scenario) { s.network = net }
-}
-
-// WithConditions sets the emulated WAN conditions (cluster runs only).
-func WithConditions(cond *Conditions) RunOption {
-	return func(s *Scenario) { s.conditions = cond }
-}
-
-// WithFaults attaches a deterministic fault plan to the run.
-func WithFaults(plan *FaultPlan) RunOption {
-	return func(s *Scenario) { s.faults = plan }
-}
-
-// WithTracer streams the run's protocol events to tr. Simulation runs
-// install it on protocols that support tracing; emulated clusters emit
-// the workload driver's serve/handoff/rescue/join/leave stream.
-func WithTracer(tr Tracer) RunOption {
-	return func(s *Scenario) { s.tracer = tr }
-}
-
-// WithCounters copies the run's final protocol-counter snapshot into dst
-// when the run completes successfully.
-func WithCounters(dst *Counters) RunOption {
-	return func(s *Scenario) { s.counters = dst }
-}
-
-// WithControlPlane shards and replicates the cluster's tracker (cluster
-// runs only): cp.Shards x cp.Replicas trackers are started, channels map
-// to shards by rendezvous hashing, and peers fail over between a shard's
-// replicas. Without this option the cluster runs the 1x1 plane: one
-// tracker.
-func WithControlPlane(cp ControlPlaneConfig) RunOption {
-	return func(s *Scenario) { s.controlPlane = &cp }
-}
-
 // DefaultExperimentConfig returns Table I's workload parameters.
 func DefaultExperimentConfig() ExperimentConfig { return exp.DefaultConfig() }
 
@@ -305,19 +242,12 @@ func DefaultExperimentConfig() ExperimentConfig { return exp.DefaultConfig() }
 func DefaultNetworkConfig() NetworkConfig { return simnet.DefaultConfig() }
 
 // RunExperimentCtx drives the protocol over the trace with churn under
-// ctx and returns the paper's three evaluation metrics. Options attach a
-// fault plan, a tracer, a counter sink and a non-default network model
-// (the default is DefaultNetworkConfig).
-func RunExperimentCtx(ctx context.Context, cfg ExperimentConfig, tr *Trace, p Protocol, opts ...RunOption) (*ExperimentResult, error) {
-	sc := NewScenario(opts...)
-	res, err := exp.RunCtx(ctx, cfg, tr, p, sc.network, exp.Options{Faults: sc.faults, Tracer: sc.tracer})
-	if err != nil {
-		return nil, err
-	}
-	if sc.counters != nil {
-		*sc.counters = res.Obs
-	}
-	return res, nil
+// ctx, on the simulated network net, and returns the paper's three
+// evaluation metrics. opts attaches a fault plan, a tracer, a telemetry
+// timeline or an open-loop load profile; its zero value is a plain healthy
+// run.
+func RunExperimentCtx(ctx context.Context, cfg ExperimentConfig, tr *Trace, p Protocol, net NetworkConfig, opts ExperimentOptions) (*ExperimentResult, error) {
+	return exp.RunCtx(ctx, cfg, tr, p, net, opts)
 }
 
 // Emulation layer: the PlanetLab-style TCP evaluation.
@@ -376,7 +306,7 @@ func NewTracker(cfg TrackerConfig, tr *Trace, cond *Conditions) (*Tracker, error
 }
 
 // NewPeerWithControlPlane builds one TCP peer that routes tracker-path
-// RPCs through the control plane's shard directory and fails over
+// RPCs through the control plane's shard routing and fails over
 // between a shard's replicas.
 func NewPeerWithControlPlane(cfg PeerConfig, tr *Trace, cp *ControlPlane, cond *Conditions) (*Peer, error) {
 	return emu.NewPeerWithControlPlane(cfg, tr, cp, cond)
@@ -401,29 +331,8 @@ func NewControlPlaneClient(ringSeed int64, replicas [][]string) (*ControlPlane, 
 // RunClusterCtx starts a control plane plus peers, drives the session
 // workload under ctx and returns aggregated metrics: cancellation stops
 // the workload and releases every tracker and peer goroutine before
-// returning ctx.Err(). WithConditions, WithFaults, WithTracer and
-// WithCounters apply; WithNetwork is simulation-only and is ignored here
-// (emulated clusters model the network with Conditions instead).
-func RunClusterCtx(ctx context.Context, cfg ClusterConfig, tr *Trace, opts ...RunOption) (*ClusterResult, error) {
-	sc := NewScenario(opts...)
-	if sc.conditions != nil {
-		cfg.Conditions = sc.conditions
-	}
-	if sc.faults != nil {
-		cfg.Faults = sc.faults
-	}
-	if sc.tracer != nil {
-		cfg.Tracer = sc.tracer
-	}
-	if sc.controlPlane != nil {
-		cfg.ControlPlane = *sc.controlPlane
-	}
-	res, err := emu.RunClusterCtx(ctx, cfg, tr)
-	if err != nil {
-		return nil, err
-	}
-	if sc.counters != nil {
-		*sc.counters = res.Obs
-	}
-	return res, nil
+// returning ctx.Err(). cfg carries the run's conditions, fault plan,
+// tracer and control-plane shape.
+func RunClusterCtx(ctx context.Context, cfg ClusterConfig, tr *Trace) (*ClusterResult, error) {
+	return emu.RunClusterCtx(ctx, cfg, tr)
 }

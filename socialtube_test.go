@@ -36,7 +36,8 @@ func TestPublicAPIEndToEndSimulation(t *testing.T) {
 	cfg.WatchScale = 0.05
 	cfg.MeanOffTime = 60 * time.Second
 	cfg.Horizon = 6 * time.Hour
-	res, err := socialtube.RunExperimentCtx(context.Background(), cfg, tr, sys)
+	res, err := socialtube.RunExperimentCtx(context.Background(), cfg, tr, sys,
+		socialtube.DefaultNetworkConfig(), socialtube.ExperimentOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
