@@ -383,10 +383,10 @@ func (p *Peer) connectTo(info PeerInfo, link string, channel, video int) bool {
 	if !fits {
 		return false
 	}
-	resp, err := rpc(info.Addr, &Message{
+	resp, err := p.cl.rpc(info.Addr, &Message{
 		Type: MsgConnect, From: p.cfg.ID, Addr: p.Addr(),
 		Link: link, Channel: channel, Video: video,
-	}, p.cfg.RPCTimeout)
+	})
 	if err != nil || resp.Type != MsgOK || !resp.Accepted {
 		return false
 	}
@@ -497,9 +497,7 @@ func (p *Peer) netTubePrefetch(watched trace.VideoID) {
 		p.mu.Lock()
 		nb := nbs[p.g.Intn(len(nbs))]
 		p.mu.Unlock()
-		resp, err := rpc(nb.Addr, &Message{
-			Type: MsgCacheSample, From: p.cfg.ID, TTL: p.cfg.PrefetchCount,
-		}, p.cfg.RPCTimeout)
+		resp, err := p.cl.rpc(nb.Addr, &Message{Type: MsgCacheSample, From: p.cfg.ID, TTL: p.cfg.PrefetchCount})
 		if err != nil || resp.Type != MsgOK {
 			continue
 		}
@@ -529,7 +527,7 @@ func (p *Peer) Probe() int {
 	nbs := p.links.neighbours("")
 	p.mu.Unlock()
 	for _, nb := range nbs {
-		if _, err := rpc(nb.Addr, &Message{Type: MsgProbe, From: p.cfg.ID}, p.cfg.RPCTimeout); err != nil {
+		if _, err := p.cl.rpc(nb.Addr, &Message{Type: MsgProbe, From: p.cfg.ID}); err != nil {
 			p.mu.Lock()
 			p.links.dropPeer(nb.ID)
 			p.mu.Unlock()
@@ -546,7 +544,7 @@ func (p *Peer) LeaveOverlays() {
 	nbs := p.links.neighbours("")
 	p.mu.Unlock()
 	for _, nb := range nbs {
-		rpc(nb.Addr, &Message{Type: MsgBye, From: p.cfg.ID}, p.cfg.RPCTimeout)
+		p.cl.rpc(nb.Addr, &Message{Type: MsgBye, From: p.cfg.ID})
 	}
 	// Leave is plane-wide: every shard replica may hold membership rows
 	// for this peer (gossip also carries the departure between replicas).

@@ -19,17 +19,17 @@ var errBreakerOpen = errors.New("emu: circuit breaker open")
 // outcome after. A well-formed negative answer (MsgMiss) is a healthy
 // target without the content, so only transport failures count.
 type guard struct {
-	mu      sync.Mutex
-	set     *health.Set
-	epoch   time.Time // health.Set wants offsets: every call passes time.Since(epoch)
-	timeout time.Duration
+	mu    sync.Mutex
+	set   *health.Set
+	epoch time.Time // health.Set wants offsets: every call passes time.Since(epoch)
+	cl    *client   // the peer's one client
 }
 
-func newGuard(cfg PeerConfig, epoch time.Time) *guard {
+func newGuard(cfg PeerConfig, epoch time.Time, cl *client) *guard {
 	return &guard{
-		set:     health.NewSet(health.Config{Threshold: cfg.BreakerThreshold, OpenFor: cfg.BreakerOpenFor}, 0),
-		epoch:   epoch,
-		timeout: cfg.RPCTimeout,
+		set:   health.NewSet(health.Config{Threshold: cfg.BreakerThreshold, OpenFor: cfg.BreakerOpenFor}, 0),
+		epoch: epoch,
+		cl:    cl,
 	}
 }
 
@@ -46,7 +46,7 @@ func (g *guard) allow(id int) bool {
 // provider) or that must probe regardless (the last replica of a dark
 // shard) use it directly; everyone else goes through call.
 func (g *guard) send(id int, addr string, req *Message) (*Message, error) {
-	resp, err := rpc(addr, req, g.timeout)
+	resp, err := g.cl.rpc(addr, req)
 	g.mu.Lock()
 	if err != nil {
 		g.set.Ensure(id)

@@ -134,6 +134,8 @@ type Peer struct {
 	cond *Conditions
 	cp   *ControlPlane
 	ep   *endpoint
+	// cl is the peer's one client: every RPC it makes goes through it.
+	cl client
 	// crashed marks an abrupt failure: the process is alive but drops
 	// every incoming message, exactly like a host that lost power —
 	// neighbors keep dangling links until their probes time out.
@@ -199,14 +201,12 @@ func NewPeerWithControlPlane(cfg PeerConfig, tr *trace.Trace, cp *ControlPlane, 
 	if cp == nil {
 		return nil, fmt.Errorf("%w: peer needs a control plane", dist.ErrBadParameter)
 	}
-	epoch := time.Now()
 	p := &Peer{
 		cfg:      cfg,
 		tr:       tr,
 		cond:     cond,
 		cp:       cp,
-		peers:    newGuard(cfg, epoch),
-		replicas: newGuard(cfg, epoch),
+		cl:       client{timeout: cfg.RPCTimeout},
 		prefRep:  make(map[int]int),
 		g:        dist.NewRNG(cfg.Seed),
 		online:   true,
@@ -215,6 +215,8 @@ func NewPeerWithControlPlane(cfg PeerConfig, tr *trace.Trace, cp *ControlPlane, 
 		subs:     make(map[trace.ChannelID]bool),
 		links:    newLinkTable(cfg),
 	}
+	epoch := time.Now()
+	p.peers, p.replicas = newGuard(cfg, epoch, &p.cl), newGuard(cfg, epoch, &p.cl)
 	// A few RPC timeouts per exchange: a stalled client cannot pin a
 	// handler, yet legitimately queued chunk transfers are not cut off.
 	p.ep = newEndpoint(cfg.ID, cond, 4*cfg.RPCTimeout, &p.ctr, p.admit, p.dispatch)
@@ -253,7 +255,7 @@ func (p *Peer) broadcastPlane(req *Message, retry bool) {
 				p.queueHint(addr, req)
 				continue
 			}
-			once := func() (*Message, error) { return rpc(addr, req, p.cfg.RPCTimeout) }
+			once := func() (*Message, error) { return p.cl.rpc(addr, req) }
 			var err error
 			if retry {
 				_, err = p.retry(once)
@@ -303,7 +305,7 @@ func (p *Peer) ReplayHints() {
 	p.hintMu.Unlock()
 	var still []hint
 	for _, h := range pending {
-		if _, err := rpc(h.addr, h.msg, p.cfg.RPCTimeout); err != nil {
+		if _, err := p.cl.rpc(h.addr, h.msg); err != nil {
 			still = append(still, h)
 			continue
 		}
@@ -341,8 +343,9 @@ func (p *Peer) planeView() (int64, uint64) {
 // Addr returns the peer's listen address (valid after Start).
 func (p *Peer) Addr() string { return p.ep.addr() }
 
-// Stop closes the listener and waits for all handler goroutines.
-func (p *Peer) Stop() { p.ep.stop() }
+// Stop closes the listener, waits for all handler goroutines and closes
+// the peer's connections.
+func (p *Peer) Stop() { p.ep.stop(); p.cl.closeAll() }
 
 // ServedBytes returns the bytes this peer uploaded to others.
 func (p *Peer) ServedBytes() int64 {
@@ -408,6 +411,7 @@ func (p *Peer) Rejoin() {
 	home := p.links.home
 	p.links.reset()
 	p.mu.Unlock()
+	p.cl.closeAll()
 	p.broadcastPlane(&Message{Type: MsgRegister, From: p.cfg.ID, Addr: p.Addr()}, true)
 	p.ReplayHints()
 	if p.cfg.Mode == ModeSocialTube && home >= 0 {
@@ -725,7 +729,7 @@ func (p *Peer) handleChunkReq(req *Message) *Message {
 	return &Message{
 		Type: MsgOK, From: p.cfg.ID,
 		Video: req.Video, Chunk: req.Chunk,
-		Payload: make([]byte, p.cfg.ChunkPayload),
+		Payload: chunkPayload(p.cfg.ChunkPayload),
 	}
 }
 

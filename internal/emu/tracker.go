@@ -52,13 +52,16 @@ type Tracker struct {
 	tr   *trace.Trace
 	cond *Conditions
 	ep   *endpoint
+	// cl is the tracker's one client, for gossip; StartGossip sets its
+	// timeout.
+	cl client
 
 	// ctr is updated with atomics (some handlers touch it outside t.mu)
 	// and read lock-free by MetricsSnapshot while the run is live.
 	ctr obs.Counters
 
 	// down simulates a tracker outage: requests are read and then
-	// dropped without a response, so clients see timeouts, not resets.
+	// refused unanswered, so clients fail fast with EOF.
 	down atomic.Bool
 
 	mu    sync.Mutex
@@ -95,7 +98,6 @@ type Tracker struct {
 	gossipAddrs    []string // own shard's replica endpoints
 	gossipSelf     int      // replica index within the shard
 	gossipInterval time.Duration
-	gossipTimeout  time.Duration
 	gossiper       *ctrl.Gossiper // same-shard rotation (nil when single-replica)
 	gossipOthers   []gossipPeer   // other shards' endpoints, shard-major
 	gossipNext     int            // seeded rotation cursor over gossipOthers
@@ -223,7 +225,7 @@ func (t *Tracker) StartGossip(seed int64, plane [][]string, shard, replica int, 
 	t.gossipAddrs = append([]string(nil), plane[shard]...)
 	t.gossipSelf = replica
 	t.gossipInterval = interval
-	t.gossipTimeout = timeout
+	t.cl.timeout = timeout
 	t.gossiper = g
 	t.gossipOthers = others
 	if len(others) > 0 {
@@ -258,7 +260,6 @@ func (t *Tracker) gossipLoop() {
 		}
 		t.gossipMu.Lock()
 		self := t.gossipSelf
-		timeout := t.gossipTimeout
 		sibIdx := -1
 		var sibAddr string
 		if t.gossiper != nil {
@@ -279,7 +280,7 @@ func (t *Tracker) gossipLoop() {
 		if sibIdx >= 0 && !t.cond.Severed(self, sibIdx) {
 			req := &Message{Type: MsgSync, From: -1, Sync: t.syncSnapshot()}
 			t.attachLiveness(req)
-			if resp, err := rpc(sibAddr, req, timeout); err == nil && resp.Type == MsgOK {
+			if resp, err := t.cl.rpc(sibAddr, req); err == nil && resp.Type == MsgOK {
 				t.syncMerge(resp.Sync)
 				t.mergeLiveness(resp)
 			}
@@ -287,7 +288,7 @@ func (t *Tracker) gossipLoop() {
 		if hasCross && t.live.Load() != nil && !t.cond.Severed(self, cross.replica) {
 			req := &Message{Type: MsgSync, From: -1}
 			t.attachLiveness(req)
-			if resp, err := rpc(cross.addr, req, timeout); err == nil && resp.Type == MsgOK {
+			if resp, err := t.cl.rpc(cross.addr, req); err == nil && resp.Type == MsgOK {
 				t.mergeLiveness(resp)
 			}
 		}
@@ -390,13 +391,14 @@ func (t *Tracker) handleSync(req *Message) *Message {
 // Addr returns the tracker's listen address (valid after Start).
 func (t *Tracker) Addr() string { return t.ep.addr() }
 
-// Stop shuts the tracker down and waits for its goroutines.
-func (t *Tracker) Stop() { t.ep.stop() }
+// Stop shuts the tracker down, waits for its goroutines and closes its
+// connections.
+func (t *Tracker) Stop() { t.ep.stop(); t.cl.closeAll() }
 
 // SetDown starts (true) or ends (false) a simulated outage. While down the
-// tracker accepts connections and reads requests but never answers, so
-// clients see timeouts, not resets — the failure mode a request timeout
-// plus retry is designed for.
+// tracker accepts connections and reads requests but answers none: it
+// closes the connection, so clients read EOF at once — the failure mode
+// retry with backoff is designed for.
 func (t *Tracker) SetDown(v bool) {
 	t.down.Store(v)
 }
@@ -424,8 +426,8 @@ func (t *Tracker) ServedBytes() int64 {
 const trackerHandleBudget = 10 * time.Second
 
 // admit is the endpoint's reachability check: in a simulated outage the
-// request vanishes, and a partitioned peer is on the other side of the
-// cut.
+// request is refused unanswered (the caller reads EOF, not a timeout), and
+// a partitioned peer is on the other side of the cut.
 func (t *Tracker) admit(req *Message) bool {
 	return !t.down.Load() && !(req.From >= 0 && t.cond.Severed(req.From, int(t.side.Load())))
 }
@@ -624,7 +626,7 @@ func (t *Tracker) handleServe(req *Message) *Message {
 		From:    -1,
 		Video:   req.Video,
 		Chunk:   req.Chunk,
-		Payload: make([]byte, t.cfg.ChunkPayload),
+		Payload: chunkPayload(t.cfg.ChunkPayload),
 	}
 }
 

@@ -75,18 +75,6 @@ func PaperLoadSweep() LoadSweep {
 	return sw
 }
 
-// SmokeLoadSweep is the seconds-long variant for unit tests and CI:
-// two columns, the top one saturating, over a toy trace.
-func SmokeLoadSweep() LoadSweep {
-	sw := DefaultLoadSweep()
-	sw.RPS = []float64{3, 18}
-	sw.Duration = 45 * time.Second
-	sw.Channels = 60
-	sw.Users = 200
-	sw.Categories = 8
-	return sw
-}
-
 // scale assembles the Scale the sweep's cells share. Sessions and
 // VideosPerSession still size the exp.Config, but under Options.Load the
 // session chains are driven by arrivals: one video per arrival keeps the

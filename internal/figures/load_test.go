@@ -3,15 +3,28 @@ package figures
 import (
 	"encoding/json"
 	"testing"
+	"time"
 
 	"github.com/socialtube/socialtube/internal/load"
 )
+
+// smokeLoadSweep is the seconds-long variant of the load sweep: two
+// columns, the top one saturating, over a toy trace.
+func smokeLoadSweep() LoadSweep {
+	sw := DefaultLoadSweep()
+	sw.RPS = []float64{3, 18}
+	sw.Duration = 45 * time.Second
+	sw.Channels = 60
+	sw.Users = 200
+	sw.Categories = 8
+	return sw
+}
 
 // TestLoadSweepDeterminism pins the figure's reproducibility: two
 // same-seed sweeps (flash crowd included) must render identical tables
 // and byte-identical canonical points.
 func TestLoadSweepDeterminism(t *testing.T) {
-	sw := SmokeLoadSweep()
+	sw := smokeLoadSweep()
 	sw.Flash = &load.FlashCrowd{Channel: 0, At: sw.Duration / 4, For: sw.Duration / 4}
 	a, err := RunLoad(sw)
 	if err != nil {
@@ -50,7 +63,7 @@ func TestLoadSweepDeterminism(t *testing.T) {
 // queue honored, and the top column actually saturating (sheds on every
 // protocol) while the bottom column stays clean.
 func TestLoadSweepShape(t *testing.T) {
-	sw := SmokeLoadSweep()
+	sw := smokeLoadSweep()
 	fig, err := RunLoad(sw)
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +105,7 @@ func TestLoadSweepShape(t *testing.T) {
 // layout-independence on the load figure: 1 vs 4 workers over the same
 // seed must produce byte-identical canonical points.
 func TestLoadSweepShardedWorkerInvariance(t *testing.T) {
-	sw := SmokeLoadSweep()
+	sw := smokeLoadSweep()
 	sw.RPS = sw.RPS[len(sw.RPS)-1:] // the saturating column exercises shed merging
 	sw.Shards = 1
 	a, err := RunLoad(sw)
