@@ -85,8 +85,8 @@ type ChaosBurst struct {
 	// TruncateP writes a header promising more bytes than follow, so the
 	// receiver blocks until EOF and sees an unexpected-EOF error.
 	TruncateP float64
-	// DuplicateP writes the frame twice; one-shot RPC readers must
-	// tolerate trailing data on the connection.
+	// DuplicateP writes the frame twice; the caller's next exchange on
+	// the connection skips the copy by its exchange number.
 	DuplicateP float64
 	// StallP delays the frame by StallFor before writing it, driving
 	// receivers into their timeout path.
