@@ -140,8 +140,8 @@ func (p *PAVoD) eligibleProvider(v trace.VideoID, exclude int) int {
 		if id == exclude || !p.Online(id) {
 			continue
 		}
-		if p.cfg.ISPs > 1 && id%p.cfg.ISPs != exclude%p.cfg.ISPs {
-			continue // ISP-localized peer assistance
+		if !vod.SameISP(id, exclude, p.cfg.ISPs) {
+			continue
 		}
 		if p.cfg.ReadyDelay > 0 && p.Now()-p.nodes[id].startedAt < p.cfg.ReadyDelay {
 			continue

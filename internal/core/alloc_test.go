@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/socialtube/socialtube/internal/obs"
+	"github.com/socialtube/socialtube/internal/trace"
 )
 
 // TestRequestStaysAllocFree pins the zero-overhead contract of the
@@ -194,6 +195,43 @@ func TestProbeAllocFree(t *testing.T) {
 	}
 	if reseeded < 2000 {
 		t.Fatalf("only %d of 2000 probes re-seeded inter-links", reseeded)
+	}
+}
+
+// TestFinishAllocFree pins the prefetch path at 0 allocs/op: Finish with
+// prefetch on re-runs the shared top-M pick, whose skip predicate (the
+// cache's HasPrefix method value) must not escape to the heap. The loop
+// replays benchSystem's warm-up (user, video) pairs, so the caches hold
+// every pick already and only the pick itself can allocate.
+func TestFinishAllocFree(t *testing.T) {
+	sys, tr := benchSystem(t)
+	type pair struct {
+		node int
+		v    trace.VideoID
+	}
+	var pairs []pair
+	prefixes := 0
+	for _, u := range tr.Users {
+		if len(u.Subscriptions) == 0 {
+			continue
+		}
+		ch := tr.Channel(u.Subscriptions[0])
+		if ch == nil || len(ch.Videos) == 0 {
+			continue
+		}
+		pairs = append(pairs, pair{int(u.ID), ch.Videos[int(u.ID)%len(ch.Videos)]})
+		prefixes += sys.Cache(int(u.ID)).PrefixLen()
+	}
+	if sys.cfg.PrefetchCount == 0 || prefixes == 0 {
+		t.Fatal("warm-up prefetched nothing: the guard would measure no pick")
+	}
+	i := 0
+	if avg := testing.AllocsPerRun(2000, func() {
+		i++
+		p := pairs[i%len(pairs)]
+		sys.Finish(p.node, p.v)
+	}); avg != 0 {
+		t.Fatalf("finish allocates %.2f allocs/op, want 0", avg)
 	}
 }
 

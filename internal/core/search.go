@@ -258,26 +258,22 @@ func (s *System) Finish(node int, v trace.VideoID) {
 	}
 	cache := &s.nodes[node].cache
 	cache.AddFull(v)
-	for _, top := range s.prefetchChoice(cache, video.Channel) {
+	// §IV-B's pick: of the top M, those the cache holds no first chunk of
+	// (the video just watched is held in full, hence never chosen).
+	s.topBuf = vod.PickPrefetch(s.topBuf[:0], s.topM(video.Channel), s.cfg.PrefetchCount, cache.HasPrefix)
+	for _, top := range s.topBuf {
 		cache.AddPrefix(top)
 		s.Prefetched(node, top)
 	}
 }
 
-// prefetchChoice is §IV-B's decision: of the channel's M most popular
-// videos — its list is ordered by popularity rank, so the top-M the server
-// publishes is the prefix — those the cache holds no first chunk of. A
-// video just watched is cached in full, hence never chosen. The result is
-// valid until the next call.
-func (s *System) prefetchChoice(cache *vod.Cache, id trace.ChannelID) []trace.VideoID {
-	choice := s.topBuf[:0]
-	if ch := s.Trace.Channel(id); ch != nil {
-		for i := 0; i < len(ch.Videos) && i < s.cfg.PrefetchCount; i++ {
-			if !cache.HasPrefix(ch.Videos[i]) {
-				choice = append(choice, ch.Videos[i])
-			}
-		}
+// topM is the popularity list the server publishes for prefetching: the
+// channel's M most popular videos, the prefix of its rank-ordered list
+// (empty for no channel).
+func (s *System) topM(id trace.ChannelID) []trace.VideoID {
+	ch := s.Trace.Channel(id)
+	if ch == nil {
+		return nil
 	}
-	s.topBuf = choice
-	return choice
+	return ch.Videos[:min(len(ch.Videos), s.cfg.PrefetchCount)]
 }

@@ -62,7 +62,7 @@ type System struct {
 	matchNode  func(int) bool
 	// keepOnline is the probe/repair predicate for Mesh.Prune.
 	keepOnline func(int) bool
-	// topBuf backs prefetchChoice's result, permBuf seedInterLinks' random
+	// topBuf backs the prefetch pick's result, permBuf seedInterLinks' random
 	// channel order.
 	topBuf  []trace.VideoID
 	permBuf []int

@@ -324,8 +324,8 @@ func (p *Peer) attachChannel(ch trace.ChannelID) []PeerInfo {
 	p.mu.Lock()
 	subscribed := p.subs[ch]
 	home := p.links.home
-	noInner := p.links.size(linkInner, 0) == 0
-	needInter := p.links.room(linkInter, 0) > 0
+	noInner := p.links.inner.Len() == 0
+	needInter := !p.links.inter.Full()
 	joinedEpoch := p.joinedEpoch
 	p.mu.Unlock()
 	curEpoch, _ := p.planeView()
@@ -378,7 +378,7 @@ func (p *Peer) connectTo(info PeerInfo, link string, channel, video int) bool {
 	}
 	v := trace.VideoID(video)
 	p.mu.Lock()
-	fits := p.links.canAdd(link, info, v)
+	fits := p.links.canAdd(link, info.ID, v)
 	p.mu.Unlock()
 	if !fits {
 		return false
@@ -452,7 +452,8 @@ func (p *Peer) FinishVideo(v trace.VideoID) {
 }
 
 // socialTubePrefetch pulls the channel's popularity list from the server
-// and caches the first chunks of the top-M videos (§IV-B).
+// and caches the first chunks of the top-M videos (§IV-B): vod.PickPrefetch
+// over the top M+1, skipping only the video just watched.
 func (p *Peer) socialTubePrefetch(ch trace.ChannelID, watched trace.VideoID) {
 	if p.cfg.PrefetchCount <= 0 {
 		return
@@ -463,20 +464,16 @@ func (p *Peer) socialTubePrefetch(ch trace.ChannelID, watched trace.VideoID) {
 	if err != nil || resp.Type != MsgOK {
 		return
 	}
-	added := 0
-	for _, raw := range resp.Videos {
-		if added >= p.cfg.PrefetchCount {
-			break
-		}
-		v := trace.VideoID(raw)
-		if v == watched {
-			continue
-		}
-		p.mu.Lock()
-		p.cache.AddPrefix(v)
-		p.mu.Unlock()
-		added++
+	top := make([]trace.VideoID, len(resp.Videos))
+	for i, v := range resp.Videos {
+		top[i] = trace.VideoID(v)
 	}
+	picks := vod.PickPrefetch(nil, top, p.cfg.PrefetchCount, func(v trace.VideoID) bool { return v == watched })
+	p.mu.Lock()
+	for _, v := range picks {
+		p.cache.AddPrefix(v)
+	}
+	p.mu.Unlock()
 }
 
 // netTubePrefetch prefetches the first chunks of videos sampled at random

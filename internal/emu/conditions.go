@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/socialtube/socialtube/internal/dist"
+	"github.com/socialtube/socialtube/internal/simnet"
 )
 
 // Conditions injects WAN behaviour into loopback TCP: deterministic per-pair
@@ -61,17 +62,13 @@ func DefaultConditions() *Conditions {
 }
 
 // Latency returns the deterministic one-way delay between nodes a and b
-// (tracker = -1). It is symmetric.
+// (tracker = -1): the simulator's simnet.PairLatency, with MaxLatency
+// raised to MinLatency when below it, scaled by an open burst window.
 func (c *Conditions) Latency(a, b int) time.Duration {
-	if c == nil || a == b || c.MaxLatency <= 0 {
+	if c == nil || c.MaxLatency <= 0 {
 		return 0
 	}
-	u := dist.PairUniform(c.Seed, int64(a), int64(b))
-	span := c.MaxLatency - c.MinLatency
-	if span < 0 {
-		span = 0
-	}
-	d := c.MinLatency + time.Duration(u*float64(span))
+	d := simnet.PairLatency(c.Seed, c.MinLatency, max(c.MinLatency, c.MaxLatency), int64(a), int64(b))
 	if bits := c.burstLatBits.Load(); bits != 0 {
 		if f := math.Float64frombits(bits); f > 1 {
 			d = time.Duration(float64(d) * f)

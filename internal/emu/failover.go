@@ -185,7 +185,7 @@ func RunFailover(cfg FailoverConfig, tr *trace.Trace) (*FailoverResult, error) {
 		// The requester is an established member: each join grants at
 		// most one more inner link.
 		requester.mu.Lock()
-		warm := requester.links.room(linkInner, 0)
+		warm := requester.cfg.InnerLinks - requester.links.inner.Len()
 		requester.mu.Unlock()
 		for i := 0; i < warm && i < cfg.Providers; i++ {
 			requester.JoinChannel(ch.ID)

@@ -1,8 +1,9 @@
 package emu
 
 import (
-	"sort"
+	"slices"
 
+	"github.com/socialtube/socialtube/internal/overlay"
 	"github.com/socialtube/socialtube/internal/trace"
 )
 
@@ -13,83 +14,78 @@ const (
 	linkVideo = "video" // NetTube: within one per-video overlay
 )
 
-// linkSet identifies one bounded neighbour set: the inner set, the inter
-// set, or one per-video overlay.
-type linkSet struct {
-	kind  string
-	video trace.VideoID
-}
-
-// setOf names the set a (kind, video) pair addresses. Only per-video
-// overlays are keyed by video: whatever a frame carries there, there is
-// one inner and one inter set.
-func setOf(kind string, video trace.VideoID) linkSet {
-	if kind != linkVideo {
-		video = 0
-	}
-	return linkSet{kind, video}
-}
-
 // linkTable is a peer's whole neighbour state and the only place a link
 // budget, a duplicate or a self-link is checked — the paper's "at most N_l
 // inner- plus N_h inter-links per node" (§IV-A) and NetTube's per-overlay
-// bound. It does no I/O and is not safe for concurrent use (Peer guards it
-// with p.mu).
+// bound. The bounded sets are the simulator's own overlay.Links; the table
+// adds only what a socket needs (each linked peer's address) and the home
+// channel. It does no I/O and is not safe for concurrent use (Peer guards
+// it with p.mu).
 type linkTable struct {
-	self   int
-	budget map[string]int
+	self         int
+	inner, inter *overlay.Links
+	// videos holds one set per per-video overlay this peer joined.
+	videos   map[trace.VideoID]*overlay.Links
+	perVideo int
 	// home is the channel the inner set belongs to (-1 = none): inner
 	// links only exist within the home channel's overlay, so changing
 	// home empties the set.
 	home trace.ChannelID
-	sets map[linkSet]map[int]PeerInfo
+	// addrs maps every linked peer to its address. An id no set links any
+	// more may linger until dropPeer or reset; nothing reads it.
+	addrs map[int]string
 }
 
 func newLinkTable(cfg PeerConfig) *linkTable {
-	return &linkTable{
-		self: cfg.ID,
-		budget: map[string]int{
-			linkInner: cfg.InnerLinks,
-			linkInter: cfg.InterLinks,
-			linkVideo: cfg.LinksPerOverlay,
-		},
-		home: -1,
-		sets: make(map[linkSet]map[int]PeerInfo),
+	t := &linkTable{
+		self:     cfg.ID,
+		inner:    overlay.NewLinks(cfg.InnerLinks),
+		inter:    overlay.NewLinks(cfg.InterLinks),
+		perVideo: cfg.LinksPerOverlay,
 	}
+	t.reset()
+	return t
 }
 
-// size returns how many links the (kind, video) set holds.
-func (t *linkTable) size(kind string, video trace.VideoID) int {
-	return len(t.sets[setOf(kind, video)])
+// set returns the bounded set a (kind, video) pair addresses: nil for an
+// unknown kind or a per-video overlay not joined. Only per-video overlays
+// are keyed by video: whatever a frame carries there, there is one inner
+// and one inter set.
+func (t *linkTable) set(kind string, video trace.VideoID) *overlay.Links {
+	switch kind {
+	case linkInner:
+		return t.inner
+	case linkInter:
+		return t.inter
+	case linkVideo:
+		return t.videos[video]
+	}
+	return nil
 }
 
-// room returns how many more links the (kind, video) set can take.
-func (t *linkTable) room(kind string, video trace.VideoID) int {
-	return t.budget[kind] - t.size(kind, video)
-}
-
-// canAdd reports whether a link to info fits the (kind, video) set: not a
-// self-link, not a duplicate, within budget. An unknown kind has no budget.
-func (t *linkTable) canAdd(kind string, info PeerInfo, video trace.VideoID) bool {
-	if info.ID == t.self {
+// canAdd reports whether a link to id fits the (kind, video) set: not a
+// self-link, not a duplicate, within budget. An unknown kind has no budget;
+// a per-video overlay not joined yet is empty.
+func (t *linkTable) canAdd(kind string, id int, video trace.VideoID) bool {
+	if id == t.self {
 		return false
 	}
-	if _, dup := t.sets[setOf(kind, video)][info.ID]; dup {
-		return false
+	if s := t.set(kind, video); s != nil {
+		return !s.Has(id) && !s.Full()
 	}
-	return t.room(kind, video) > 0
+	return kind == linkVideo && t.perVideo > 0
 }
 
 // add records a link this peer asked for and the far side accepted.
 func (t *linkTable) add(kind string, info PeerInfo, video trace.VideoID) bool {
-	if !t.canAdd(kind, info, video) {
+	if !t.canAdd(kind, info.ID, video) {
 		return false
 	}
-	key := setOf(kind, video)
-	if t.sets[key] == nil {
-		t.sets[key] = make(map[int]PeerInfo)
+	if kind == linkVideo {
+		t.joinVideo(video)
 	}
-	t.sets[key][info.ID] = info
+	t.set(kind, video).Add(info.ID)
+	t.addrs[info.ID] = info.Addr
 	return true
 }
 
@@ -104,7 +100,7 @@ func (t *linkTable) accept(kind string, info PeerInfo, video trace.VideoID, cach
 			return false
 		}
 	case linkVideo:
-		if !cached && t.sets[setOf(kind, video)] == nil {
+		if !cached && t.videos[video] == nil {
 			return false
 		}
 	}
@@ -113,39 +109,43 @@ func (t *linkTable) accept(kind string, info PeerInfo, video trace.VideoID, cach
 
 // joinVideo marks this peer a member of v's overlay (with no links yet).
 func (t *linkTable) joinVideo(v trace.VideoID) {
-	key := setOf(linkVideo, v)
-	if t.sets[key] == nil {
-		t.sets[key] = make(map[int]PeerInfo)
+	if t.videos[v] == nil {
+		t.videos[v] = overlay.NewLinks(t.perVideo)
 	}
 }
 
 // setHome moves the inner set to channel ch, emptying it when ch differs
-// from the current home. Inter-links persist across the move.
+// from the current home. Inter-links persist across the move (the
+// simulator drops them on a category change: a DESIGN.md §2 divergence).
 func (t *linkTable) setHome(ch trace.ChannelID) {
 	if t.home != ch {
 		t.home = ch
-		delete(t.sets, setOf(linkInner, 0))
+		t.inner.Clear()
 	}
 }
 
 // neighbours returns the distinct peers linked through sets of the given
 // kind ("" = every kind), ordered by id so floods, probes and seeded picks
-// walk them in the same order run-to-run (Go map iteration is random).
+// walk them in the same order run-to-run.
 func (t *linkTable) neighbours(kind string) []PeerInfo {
-	seen := make(map[int]bool)
-	var out []PeerInfo
-	for key, set := range t.sets {
-		if kind != "" && key.kind != kind {
-			continue
-		}
-		for id, info := range set {
-			if !seen[id] {
-				seen[id] = true
-				out = append(out, info)
-			}
+	var ids []int
+	if kind == "" || kind == linkInner {
+		ids = append(ids, t.inner.View()...)
+	}
+	if kind == "" || kind == linkInter {
+		ids = append(ids, t.inter.View()...)
+	}
+	if kind == "" || kind == linkVideo {
+		for _, s := range t.videos {
+			ids = append(ids, s.View()...)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	out := make([]PeerInfo, len(ids))
+	for i, id := range ids {
+		out[i] = PeerInfo{ID: id, Addr: t.addrs[id]}
+	}
 	return out
 }
 
@@ -153,22 +153,28 @@ func (t *linkTable) neighbours(kind string) []PeerInfo {
 // notifies all of its neighbors, which will update the links", §IV-A; a
 // failed probe does the same for an abrupt departure).
 func (t *linkTable) dropPeer(id int) {
-	for _, set := range t.sets {
-		delete(set, id)
+	t.inner.Remove(id)
+	t.inter.Remove(id)
+	for _, s := range t.videos {
+		s.Remove(id)
 	}
+	delete(t.addrs, id)
 }
 
 // reset forgets every link, overlay membership and the home channel.
 func (t *linkTable) reset() {
 	t.home = -1
-	t.sets = make(map[linkSet]map[int]PeerInfo)
+	t.inner.Clear()
+	t.inter.Clear()
+	t.videos = make(map[trace.VideoID]*overlay.Links)
+	t.addrs = make(map[int]string)
 }
 
 // count returns the total link count — the node's maintenance overhead.
 func (t *linkTable) count() int {
-	n := 0
-	for _, set := range t.sets {
-		n += len(set)
+	n := t.inner.Len() + t.inter.Len()
+	for _, s := range t.videos {
+		n += s.Len()
 	}
 	return n
 }

@@ -1,9 +1,11 @@
 package emu
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/socialtube/socialtube/internal/dist"
+	"github.com/socialtube/socialtube/internal/overlay"
 	"github.com/socialtube/socialtube/internal/trace"
 )
 
@@ -39,7 +41,7 @@ func TestLinkTableInvariants(t *testing.T) {
 			case 3:
 				lt.joinVideo(v)
 			case 4, 5, 6:
-				fits := lt.canAdd(kind, info, v)
+				fits := lt.canAdd(kind, info.ID, v)
 				if got := lt.add(kind, info, v); got != fits {
 					t.Fatalf("seed %d step %d: add=%v but canAdd=%v", seed, step, got, fits)
 				}
@@ -53,25 +55,28 @@ func TestLinkTableInvariants(t *testing.T) {
 
 func checkLinkTable(t *testing.T, lt *linkTable, cfg PeerConfig) {
 	t.Helper()
-	budget := map[string]int{linkInner: cfg.InnerLinks, linkInter: cfg.InterLinks, linkVideo: cfg.LinksPerOverlay}
 	sum := 0
-	for key, set := range lt.sets {
-		max, known := budget[key.kind]
-		if !known {
-			t.Fatalf("set of unknown kind %q exists", key.kind)
+	linked := make(map[int]bool)
+	check := func(name string, s *overlay.Links, max int) {
+		if s.Len() > max {
+			t.Fatalf("%s set holds %d links, budget %d", name, s.Len(), max)
 		}
-		if key.kind != linkVideo && key.video != 0 {
-			t.Fatalf("%s set keyed by video %d", key.kind, key.video)
-		}
-		if len(set) > max {
-			t.Fatalf("%s set (video %d) holds %d links, budget %d", key.kind, key.video, len(set), max)
-		}
-		for id, info := range set {
-			if id == cfg.ID || info.ID != id {
-				t.Fatalf("%s set holds a self- or mis-keyed link: key %d info %+v", key.kind, id, info)
+		view := s.View()
+		for i, id := range view {
+			if id == cfg.ID || (i > 0 && view[i-1] >= id) {
+				t.Fatalf("%s set holds a self- or duplicate link: %v", name, view)
 			}
+			if _, ok := lt.addrs[id]; !ok {
+				t.Fatalf("%s set links %d with no address", name, id)
+			}
+			linked[id] = true
 		}
-		sum += len(set)
+		sum += s.Len()
+	}
+	check("inner", lt.inner, cfg.InnerLinks)
+	check("inter", lt.inter, cfg.InterLinks)
+	for v, s := range lt.videos {
+		check(fmt.Sprintf("video %d", v), s, cfg.LinksPerOverlay)
 	}
 	if got := lt.count(); got != sum {
 		t.Fatalf("count() = %d, sets sum to %d", got, sum)
@@ -83,8 +88,13 @@ func checkLinkTable(t *testing.T, lt *linkTable, cfg PeerConfig) {
 			t.Fatalf("neighbours not strictly id-ordered: %v", all)
 		}
 	}
-	if len(all) > sum {
-		t.Fatalf("union of %d exceeds link count %d", len(all), sum)
+	if len(all) != len(linked) {
+		t.Fatalf("neighbours lists %d peers, the sets link %d", len(all), len(linked))
+	}
+	for _, nb := range all {
+		if !linked[nb.ID] {
+			t.Fatalf("neighbours lists %d, which no set links", nb.ID)
+		}
 	}
 }
 
@@ -105,7 +115,7 @@ func TestLinkTableAcceptRules(t *testing.T) {
 		t.Fatal("duplicate inner link accepted")
 	}
 	lt.setHome(8)
-	if lt.size(linkInner, 0) != 0 {
+	if lt.inner.Len() != 0 {
 		t.Fatal("home switch kept the old channel's inner links")
 	}
 	if lt.accept(linkVideo, peer, 5, false) {
@@ -120,6 +130,32 @@ func TestLinkTableAcceptRules(t *testing.T) {
 	}
 	lt.dropPeer(1)
 	if lt.count() != 0 {
+		t.Fatalf("dropPeer left %d links", lt.count())
+	}
+}
+
+// TestLinkTablePeerInTwoSets pins a peer that holds both an inner and an
+// inter link: two links counted, one neighbour listed, and one drop
+// removes both.
+func TestLinkTablePeerInTwoSets(t *testing.T) {
+	lt := newLinkTable(DefaultPeerConfig(0, ModeSocialTube))
+	lt.setHome(7)
+	peer := PeerInfo{ID: 1, Addr: "x", Channel: 7}
+	if !lt.add(linkInner, peer, 0) || !lt.add(linkInter, peer, 0) {
+		t.Fatal("one peer could not take an inner and an inter link")
+	}
+	if got := lt.count(); got != 2 {
+		t.Fatalf("count() = %d, want 2", got)
+	}
+	all := lt.neighbours("")
+	if len(all) != 1 || all[0] != (PeerInfo{ID: 1, Addr: "x"}) {
+		t.Fatalf("neighbours = %v, want peer 1 once", all)
+	}
+	if len(lt.neighbours(linkInner)) != 1 || len(lt.neighbours(linkInter)) != 1 {
+		t.Fatal("per-kind views miss the shared peer")
+	}
+	lt.dropPeer(1)
+	if lt.count() != 0 || len(lt.neighbours("")) != 0 {
 		t.Fatalf("dropPeer left %d links", lt.count())
 	}
 }

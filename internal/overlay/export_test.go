@@ -3,22 +3,14 @@ package overlay
 import "slices"
 
 // Test-only views of Links, Mesh and Members: nothing outside this package's
-// tests reads a bare link set, enumerates a mesh, cuts a single edge or
-// lists members.
-
-// Len returns the number of neighbours.
-func (l *Links) Len() int { return len(l.items) }
+// tests reads a link set's capacity, copies one, enumerates a mesh, cuts a
+// single edge or lists members.
 
 // Max returns the capacity.
 func (l *Links) Max() int { return l.max }
 
 // List returns the neighbours in ascending order (a copy the caller owns).
 func (l *Links) List() []int { return append([]int(nil), l.items...) }
-
-// View returns the neighbours in ascending order without copying. The slice
-// is live: it is invalidated by the next Add/Remove/Clear and must not be
-// mutated or retained across mutations.
-func (l *Links) View() []int { return l.items }
 
 // Disconnect removes the symmetric edge (a, b) if present.
 func (m *Mesh) Disconnect(a, b int) {

@@ -67,6 +67,14 @@ func (l *Links) Has(n int) bool {
 // Full reports whether the set is at capacity.
 func (l *Links) Full() bool { return len(l.items) >= l.max }
 
+// Len returns the number of neighbours held.
+func (l *Links) Len() int { return len(l.items) }
+
+// View returns the neighbours in ascending order without copying. The slice
+// is live: it is invalidated by the next Add/Remove/Clear and must not be
+// mutated or retained across them.
+func (l *Links) View() []int { return l.items }
+
 // Clear removes all neighbours, reusing the backing storage.
 func (l *Links) Clear() {
 	l.items = l.items[:0]

@@ -100,11 +100,25 @@ func New(cfg Config) (*Network, error) {
 // Latency returns the one-way propagation delay between a and b. It is
 // symmetric and deterministic under the configured seed.
 func (n *Network) Latency(a, b NodeID) time.Duration {
+	return PairLatency(n.cfg.Seed, n.cfg.MinLatency, n.cfg.MaxLatency, int64(a), int64(b))
+}
+
+// PairLatency is the WAN latency model both substrates share: the one-way
+// delay between nodes a and b is lo + PairUniform(seed, a, b)·(hi − lo),
+// symmetric, stateless, and 0 when a == b.
+func PairLatency(seed int64, lo, hi time.Duration, a, b int64) time.Duration {
 	if a == b {
 		return 0
 	}
-	span := n.cfg.MaxLatency - n.cfg.MinLatency
-	return n.cfg.MinLatency + time.Duration(dist.PairUniform(n.cfg.Seed, int64(a), int64(b))*float64(span))
+	return lo + time.Duration(dist.PairUniform(seed, a, b)*float64(hi-lo))
+}
+
+// Reserve is the FIFO uplink rule both substrates share: bytes offered at
+// now to an uplink of bps that is busy until busyUntil start at
+// max(now, busyUntil) and finish leaving at the returned time, the
+// uplink's new busy-until.
+func Reserve(busyUntil, now time.Duration, bytes, bps int64) time.Duration {
+	return max(now, busyUntil) + time.Duration(float64(bytes*8)/float64(bps)*float64(time.Second))
 }
 
 // uplinkBps returns the upload capacity of the given endpoint.
@@ -124,13 +138,7 @@ func (n *Network) Transfer(from, to NodeID, bytes int64, now time.Duration) time
 	if bytes < 0 {
 		bytes = 0
 	}
-	start := now
-	if busy := n.busyUntil[from]; busy > start {
-		start = busy
-	}
-	bps := n.uplinkBps(from)
-	tx := time.Duration(float64(bytes*8) / float64(bps) * float64(time.Second))
-	done := start + tx
+	done := Reserve(n.busyUntil[from], now, bytes, n.uplinkBps(from))
 	n.busyUntil[from] = done
 	if from == ServerID {
 		n.serverBytes += bytes

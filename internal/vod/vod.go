@@ -113,6 +113,25 @@ func (c *Cache) PrefixLen() int { return len(c.prefix) }
 // FullVideos returns the ids of all fully cached videos (copy).
 func (c *Cache) FullVideos() []trace.VideoID { return slices.Clone(c.order) }
 
+// PickPrefetch is §IV-B's top-M prefetch pick, the one statement both
+// substrates call: it appends to out the first m entries of the
+// popularity-ordered list that skip does not reject, in rank order.
+func PickPrefetch(out, list []trace.VideoID, m int, skip func(trace.VideoID) bool) []trace.VideoID {
+	for i := 0; i < len(list) && m > 0; i++ {
+		if !skip(list[i]) {
+			out = append(out, list[i])
+			m--
+		}
+	}
+	return out
+}
+
+// SameISP is PA-VoD's locality rule (Huang et al. "localize P2P traffic
+// within an ISP"): with isps ≥ 2 ISPs, nodes a and b may exchange video
+// only when they land in the same ISP by id modulo isps. Fewer than two
+// ISPs disable locality.
+func SameISP(a, b, isps int) bool { return isps < 2 || a%isps == b%isps }
+
 // Behavior holds the probabilities of the paper's video-selection mechanism
 // (§V): when choosing the next video, a node picks from the same channel
 // with PSameChannel, the same category with PSameCategory, and anywhere

@@ -1,6 +1,7 @@
 package vod
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -155,6 +156,33 @@ func TestCacheBoundProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestPickPrefetch pins the shared top-M pick in both call patterns: the
+// simulator passes the channel's top M and skips what the cache holds a
+// prefix of; the emulator passes the tracker's top M+1 and skips only the
+// video just watched.
+func TestPickPrefetch(t *testing.T) {
+	held := NewCache(0)
+	held.AddPrefix(11)
+	watched := trace.VideoID(11)
+	for _, tc := range []struct {
+		name string
+		list []trace.VideoID
+		skip func(trace.VideoID) bool
+		want []trace.VideoID
+	}{
+		{"simulator: top 3, one prefix held", []trace.VideoID{10, 11, 12}, held.HasPrefix, []trace.VideoID{10, 12}},
+		{"emulator: top 4 holding the watched video", []trace.VideoID{10, 11, 12, 13}, func(v trace.VideoID) bool { return v == watched }, []trace.VideoID{10, 12, 13}},
+		{"emulator: watched video outside the top 3", []trace.VideoID{10, 12, 13, 14}, func(v trace.VideoID) bool { return v == watched }, []trace.VideoID{10, 12, 13}},
+		{"short list", []trace.VideoID{10}, held.HasPrefix, []trace.VideoID{10}},
+	} {
+		out := []trace.VideoID{99} // appended to, not overwritten
+		got := PickPrefetch(out, tc.list, 3, tc.skip)
+		if !slices.Equal(got, append([]trace.VideoID{99}, tc.want...)) {
+			t.Errorf("%s: got %v, want 99 then %v", tc.name, got, tc.want)
+		}
 	}
 }
 
