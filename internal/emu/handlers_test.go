@@ -1,6 +1,8 @@
 package emu
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -346,6 +348,44 @@ func TestTrackerISPLocalizedWatchStart(t *testing.T) {
 	}
 	if resp.Provider != 2 {
 		t.Fatalf("same-ISP requester got provider %d, want 2", resp.Provider)
+	}
+}
+
+// TestJoinVideoSpreadsRecommendations is the regression test for NetTube
+// joins that always named the overlay's lowest ids: over a 30-member
+// overlay, members re-joining must be sent beyond the 13 lowest ids (the
+// most a lowest-12-but-never-yourself answer can name), and each answer
+// holds at most 12 distinct ids, never the joiner's own.
+func TestJoinVideoSpreadsRecommendations(t *testing.T) {
+	tr := emuTrace(t)
+	tk, err := NewTracker(DefaultTrackerConfig(), tr, fastConditions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := int(tr.Videos[0].ID)
+	join := func(id int) *Message {
+		return tk.dispatch(&Message{Type: MsgJoinVideo, From: id, Addr: fmt.Sprintf("127.0.0.1:%d", id), Video: v})
+	}
+	for id := 100; id < 130; id++ {
+		join(id)
+	}
+	named := make(map[int]bool)
+	for id := 100; id < 130; id++ {
+		resp := join(id)
+		if resp.Type != MsgJoinOK || len(resp.Peers) == 0 || len(resp.Peers) > joinPeers {
+			t.Fatalf("join by %d: %v with %d peers, want 1..%d", id, resp.Type, len(resp.Peers), joinPeers)
+		}
+		ids := make([]int, len(resp.Peers))
+		for i, p := range resp.Peers {
+			if p.ID == id || slices.Contains(ids[:i], p.ID) {
+				t.Fatalf("join by %d recommends itself or a duplicate: %v", id, resp.Peers)
+			}
+			ids[i] = p.ID
+			named[p.ID] = true
+		}
+	}
+	if len(named) <= joinPeers+1 {
+		t.Fatalf("30 joins named only %d distinct members: %v", len(named), named)
 	}
 }
 
