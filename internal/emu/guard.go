@@ -67,13 +67,6 @@ func (g *guard) call(id int, addr string, req *Message) (*Message, error) {
 	return g.send(id, addr, req)
 }
 
-// state returns id's breaker state.
-func (g *guard) state(id int) health.State {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.set.State(id)
-}
-
 // addStats folds the set's breaker statistics into c.
 func (g *guard) addStats(c *obs.Counters) {
 	g.mu.Lock()

@@ -166,55 +166,6 @@ func TestHintedHandoffReplaysOnHeal(t *testing.T) {
 	}
 }
 
-// TestBreakerDemotesPreferredReplica is the regression test for
-// preferred-replica demotion: once the configured preference's breaker
-// opens, the next successful walk re-points the preference at the
-// winning replica so steady-state requests stop paying the failover walk.
-func TestBreakerDemotesPreferredReplica(t *testing.T) {
-	tr := emuTrace(t)
-	cond := fastConditions()
-	plane, err := StartControlPlane(ControlPlaneConfig{
-		Shards: 1, Replicas: 2, RingSeed: 3,
-		GossipInterval: 2 * time.Millisecond,
-		GossipTimeout:  20 * time.Millisecond,
-	}, DefaultTrackerConfig(), tr, cond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer plane.Stop()
-
-	pc := DefaultPeerConfig(0, ModeSocialTube) // configured preference: replica 0
-	pc.RPCTimeout = 20 * time.Millisecond
-	pc.MaxRetries = 0
-	p, err := NewPeerWithControlPlane(pc, tr, plane, cond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer p.Stop()
-
-	plane.Shard(0).Replica(0).SetDown(true)
-	req := &Message{Type: MsgRegister, From: 0, Addr: p.Addr()}
-	// Breaker threshold failures open the preference; the next walk's
-	// winner becomes the new preference.
-	for i := 0; i < 4; i++ {
-		if _, err := p.trackerRPC(1, req); err != nil {
-			t.Fatalf("call %d failed despite a live replica: %v", i, err)
-		}
-	}
-	p.planeMu.Lock()
-	v, ok := p.prefRep[0]
-	p.planeMu.Unlock()
-	if !ok || v != 1 {
-		t.Fatalf("preference not demoted to the surviving replica: got %v/%v", v, ok)
-	}
-	if got := p.preferredReplica(0, 2); got != 1 {
-		t.Fatalf("preferredReplica still answers %d after demotion", got)
-	}
-}
-
 // TestTakeoverLatchIgnoresPreOutageVerdicts pins the time-to-takeover
 // latch: a false suspicion declared before the whole-shard outage began
 // must not consume it — the figure measures the first death verdict at
