@@ -54,6 +54,7 @@ emu:
 # message handlers must survive arbitrary bytes without panicking.
 fuzz-smoke:
 	$(GO) test ./internal/emu -run '^$$' -fuzz '^FuzzReadMessage$$' -fuzztime 30s
+	$(GO) test ./internal/emu -run '^$$' -fuzz '^FuzzDecodeBody$$' -fuzztime 30s
 	$(GO) test ./internal/emu -run '^$$' -fuzz '^FuzzHandleMessage$$' -fuzztime 30s
 
 # Record a JSONL event trace from the Fig. 17(a) run, validate it against

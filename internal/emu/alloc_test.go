@@ -6,7 +6,13 @@
 
 package emu
 
-import "testing"
+import (
+	"bytes"
+	"encoding/binary"
+	"io"
+	"runtime"
+	"testing"
+)
 
 // TestFrameDrawAllocFree pins the per-frame loss and chaos draws as
 // stateless: Drop runs on every admitted frame, so it must not build a
@@ -24,6 +30,65 @@ func TestFrameDrawAllocFree(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("a frame's draws allocate %.2f allocs/op, want 0", avg)
+	}
+}
+
+// TestWireAllocs pins the codec's allocation budget on the two frames a
+// flood exchanges: writing a 12-provider response allocates nothing, and
+// reading it or a query with a Visited list allocates the message, its
+// one list and one string holding every decoded string.
+func TestWireAllocs(t *testing.T) {
+	resp := &Message{Type: MsgOK, From: 5, Addr: "127.0.0.1:40005", Video: 4242, Channel: 37,
+		Hops: 2, Provider: 100, ProviderAddr: "127.0.0.1:40100", Messages: 9}
+	for i := 0; i < 12; i++ {
+		resp.Providers = append(resp.Providers, PeerInfo{ID: 100 + i, Addr: "127.0.0.1:40100", Channel: 37})
+	}
+	query := &Message{Type: MsgQuery, From: 17, Addr: "127.0.0.1:40017", Video: 4242, Channel: 37,
+		TTL: 2, Provider: -1, Visited: []int{17, 3, 99}}
+	if avg := testing.AllocsPerRun(1000, func() {
+		if err := WriteMessage(io.Discard, resp); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Errorf("WriteMessage of a 12-provider response: %.1f allocs/op, want 0", avg)
+	}
+	for _, m := range []*Message{resp, query} {
+		var buf bytes.Buffer
+		if err := WriteMessage(&buf, m); err != nil {
+			t.Fatal(err)
+		}
+		var rd bytes.Reader
+		avg := testing.AllocsPerRun(1000, func() {
+			rd.Reset(buf.Bytes())
+			if _, err := ReadMessage(&rd); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if avg > 4 {
+			t.Errorf("ReadMessage of a %s frame: %.1f allocs/op, want ≤ 4", m.Type, avg)
+		}
+	}
+}
+
+// TestHostileListCountAllocatesNothing sends a frame whose Visited count
+// is the bound, 65,536 ids, in a body of a few bytes: the decoder must
+// refuse it before allocating the list.
+func TestHostileListCountAllocatesNothing(t *testing.T) {
+	body := append([]byte("\x05probe"), make([]byte, 7)...) // type, seq .. ttl
+	body = binary.AppendUvarint(body, maxWireVisited)
+	frame := frameOf(append(body, make([]byte, 15)...))
+	var rd bytes.Reader
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 100; i++ {
+		rd.Reset(frame)
+		if m, err := ReadMessage(&rd); err == nil {
+			t.Fatalf("decoded as %+v", m)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / 100; per > 4<<10 {
+		t.Fatalf("a refused frame allocates %d B", per)
 	}
 }
 

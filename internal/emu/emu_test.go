@@ -3,7 +3,7 @@ package emu
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"io"
@@ -87,14 +87,17 @@ func TestMessageRoundTrip(t *testing.T) {
 	if err := WriteMessage(&buf, in); err != nil {
 		t.Fatal(err)
 	}
-	// The frame is exactly json.Marshal's bytes behind their big-endian
-	// length: nothing else (no trailing newline) rides in it.
-	body, err := json.Marshal(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if frame := buf.Bytes(); binary.BigEndian.Uint32(frame) != uint32(len(body)) || !bytes.Equal(frame[4:], body) {
-		t.Fatalf("frame is not length-prefixed Marshal output: %q", frame)
+	// The frame's exact bytes: any change to the wire format shows here.
+	const golden = "00000031" + "0c4deb66" + // length of what follows, CRC-32C
+		"05" + "7175657279" + "00" + "0e" + // type "query", seq 0, from 7
+		"0b" + "3132372e302e302e313a39" + // addr
+		"06" + "00" + "00" + "04" + // video 3, chunk, channel, ttl 2
+		"02" + "0204" + // visited [1 2]
+		"00000000000000" + // hops .. videos
+		"03" + "010203" + // payload
+		"00000000000000" // link .. deadShards
+	if got := hex.EncodeToString(buf.Bytes()); got != golden {
+		t.Fatalf("frame is\n%s\nwant\n%s", got, golden)
 	}
 	out, err := ReadMessage(&buf)
 	if err != nil {

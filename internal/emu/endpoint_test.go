@@ -73,7 +73,8 @@ func TestEndpoint(t *testing.T) {
 			}
 			answers("fresh endpoint")
 
-			// Malformed: a plausible-length header followed by non-JSON.
+			// Malformed: a plausible-length header followed by bytes that
+			// fail the frame checksum.
 			conn, err := net.Dial("tcp", addr)
 			if err != nil {
 				t.Fatal(err)

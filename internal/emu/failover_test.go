@@ -175,6 +175,14 @@ func TestChaosFrameFaults(t *testing.T) {
 	if got := p.Counters().ChaosCorrupted; got == 0 {
 		t.Fatal("ChaosCorrupted not accounted")
 	}
+	// A chunk reply is almost all payload, so every flipped byte lands in
+	// it and the body still parses: only the frame checksum refuses it.
+	v := tr.Videos[0].ID
+	p.SeedCache(v)
+	chunkReq := &Message{Type: MsgChunkReq, From: 0, Video: int(v)}
+	if resp, err := rpc(p.Addr(), chunkReq, timeout); err == nil {
+		t.Fatalf("corrupted chunk reply accepted: %d payload bytes", len(resp.Payload))
+	}
 
 	cond.SetChaos(&ChaosMix{TruncateP: 1})
 	if _, err := rpc(p.Addr(), probe, timeout); err == nil {
@@ -206,6 +214,10 @@ func TestChaosFrameFaults(t *testing.T) {
 	resp, err = rpc(p.Addr(), probe, timeout)
 	if err != nil || resp.Type != MsgOK {
 		t.Fatalf("post-chaos probe failed: %v %v", resp, err)
+	}
+	resp, err = rpc(p.Addr(), chunkReq, timeout)
+	if err != nil || len(resp.Payload) != DefaultPeerConfig(1, ModeSocialTube).ChunkPayload {
+		t.Fatalf("post-chaos chunk request failed: %v %v", resp, err)
 	}
 }
 

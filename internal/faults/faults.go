@@ -79,8 +79,9 @@ type Outage struct {
 type ChaosBurst struct {
 	At       time.Duration
 	Duration time.Duration
-	// CorruptP flips bytes inside the frame body, so the receiver sees a
-	// well-framed but undecodable (or invalid) message.
+	// CorruptP flips bytes after the frame's length prefix, so the receiver
+	// sees a well-framed message whose checksum fails: always undecodable,
+	// which is why the simulator books the frame as lost.
 	CorruptP float64
 	// TruncateP writes a header promising more bytes than follow, so the
 	// receiver blocks until EOF and sees an unexpected-EOF error.
@@ -393,19 +394,6 @@ func ChurnPlan(seed int64, unit time.Duration) *Plan {
 		},
 		Bursts: []LinkBurst{
 			{At: 3 * unit, Duration: unit / 2, LatencyFactor: 3, LossP: 0.25},
-		},
-	}
-}
-
-// ChaosPlan is the wire-fault stress used by chaos tests and demos: one
-// window mixing corrupted, truncated, duplicated and stalled frames.
-func ChaosPlan(seed int64, unit time.Duration) *Plan {
-	return &Plan{
-		Seed: seed,
-		Chaos: []ChaosBurst{
-			{At: unit, Duration: 2 * unit,
-				CorruptP: 0.1, TruncateP: 0.05, DuplicateP: 0.05,
-				StallP: 0.05, StallFor: unit / 2},
 		},
 	}
 }

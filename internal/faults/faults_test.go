@@ -23,6 +23,19 @@ func stressPlan(seed int64) *Plan {
 	}
 }
 
+// chaosPlan is the wire-fault stress the chaos tests compile: one window
+// mixing corrupted, truncated, duplicated and stalled frames.
+func chaosPlan(seed int64, unit time.Duration) *Plan {
+	return &Plan{
+		Seed: seed,
+		Chaos: []ChaosBurst{
+			{At: unit, Duration: 2 * unit,
+				CorruptP: 0.1, TruncateP: 0.05, DuplicateP: 0.05,
+				StallP: 0.05, StallFor: unit / 2},
+		},
+	}
+}
+
 // TestCannedPlanSchedulesPinned hashes the compiled schedule of every
 // canned plan a figure or test replays, one line per event with the kind
 // by name, so renumbering Kind moves no hash while moving, adding or
@@ -38,7 +51,7 @@ func TestCannedPlanSchedulesPinned(t *testing.T) {
 		{"replica-outage", ReplicaOutagePlan(7, time.Minute, 2, 1), "678b501e85b1f5758c9d5921617592113b08a36fa8e1447f24d92fd9a02ddc64"},
 		{"shard-outage", ShardOutagePlan(7, time.Minute, 1), "8293b8c4cbf5c357c514b5b94bd1bfe2815d82bc873a14b9c1c0b05f746c1153"},
 		{"partition", PartitionPlan(7, time.Minute, 2), "a670016a6a197394380314e99b123b7e57111938e91a3b43f9abacd931593e8b"},
-		{"chaos", ChaosPlan(7, time.Minute), "6a9daed43636e00725f6ca6cca2184b9ca18085e1fb7956ac37e0bef751d67ad"},
+		{"chaos", chaosPlan(7, time.Minute), "6a9daed43636e00725f6ca6cca2184b9ca18085e1fb7956ac37e0bef751d67ad"},
 	} {
 		s, err := c.plan.Compile(50)
 		if err != nil {
@@ -205,8 +218,8 @@ func TestHelperPlansCompile(t *testing.T) {
 		}
 	}
 
-	// ChaosPlan compiles to one paired chaos window carrying the mix.
-	cs, err := ChaosPlan(9, time.Minute).Compile(8)
+	// chaosPlan compiles to one paired chaos window carrying the mix.
+	cs, err := chaosPlan(9, time.Minute).Compile(8)
 	if err != nil {
 		t.Fatalf("chaos: %v", err)
 	}

@@ -55,17 +55,20 @@ echo "== experiment-driver gate (golden Results, determinism table, N_h = 0, fau
 go test -race -count=5 -run 'TestGoldenResults|TestDeterministicUnderSeed|TestSharded(Timeline)?WorkerCountInvariance|TestZeroInterLinkBudgetHoldsNoInterLinks' ./internal/exp/
 go test -race -count=5 -run 'TestCannedPlanSchedulesPinned' ./internal/faults/
 
-echo "== emulator connection-reuse gate (-race x5) =="
+echo "== emulator wire and connection-reuse gate (-race x5) =="
+# The frame format is pinned and round-trips, a frame with any byte flipped
+# or a malformed body never decodes, and corrupted replies are RPC errors.
 # Nodes keep connections open between RPCs: one socket per (caller,
 # destination), a duplicated reply never answers the next request, a lost
 # request is never re-sent, and Stop/Rejoin release every socket at once.
-go test -race -count=5 -run 'TestClientReusesOneConnection|TestReusedConnectionSkipsDuplicatedReply|TestDroppedRequestOnReusedConnectionFailsFast|TestStopAndRejoinReleaseConnections|TestChaosFrameFaults|TestEndpoint' ./internal/emu/
+go test -race -count=5 -run 'TestMessageRoundTrip|TestWireRoundTrip|TestCorruptFrameNeverDecodes|TestReadMessageRejectsMalformedBody|TestClientReusesOneConnection|TestReusedConnectionSkipsDuplicatedReply|TestDroppedRequestOnReusedConnectionFailsFast|TestStopAndRejoinReleaseConnections|TestChaosFrameFaults|TestEndpoint' ./internal/emu/
 
 echo "== go test -race =="
 go test -race ./...
 
 echo "== wire-layer fuzz smoke (30s per target) =="
 go test ./internal/emu -run '^$' -fuzz '^FuzzReadMessage$' -fuzztime 30s
+go test ./internal/emu -run '^$' -fuzz '^FuzzDecodeBody$' -fuzztime 30s
 go test ./internal/emu -run '^$' -fuzz '^FuzzHandleMessage$' -fuzztime 30s
 
 echo "== short benchmarks (allocations) =="
