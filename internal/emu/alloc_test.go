@@ -10,8 +10,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"net"
 	"runtime"
 	"testing"
+	"time"
+
+	"github.com/socialtube/socialtube/internal/obs"
 )
 
 // TestFrameDrawAllocFree pins the per-frame loss and chaos draws as
@@ -90,6 +94,54 @@ func TestHostileListCountAllocatesNothing(t *testing.T) {
 	if per := (after.TotalAlloc - before.TotalAlloc) / 100; per > 4<<10 {
 		t.Fatalf("a refused frame allocates %d B", per)
 	}
+}
+
+// TestParkedReaderPinsNoFrameBuffer: an endpoint handler parked between
+// frames holds no pooled frame buffer. 256 connections each fetch one
+// 8 KiB chunk and then stay open and idle; once the pool has been emptied
+// by GC, what both ends of them keep on the heap must be well under the
+// chunk frame each handler would otherwise pin.
+func TestParkedReaderPinsNoFrameBuffer(t *testing.T) {
+	const conns = 256
+	ep := newEndpoint(0, nil, time.Minute, &obs.Counters{},
+		func(*Message) bool { return true },
+		func(*Message) *Message { return &Message{Type: MsgOK, Payload: chunkPayload(8 << 10)} })
+	if err := ep.start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer ep.stop()
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC() // the second cycle drops the pool's victim cache
+		runtime.ReadMemStats(&ms)
+		return ms.HeapInuse
+	}
+	before := heap()
+	open := make([]net.Conn, 0, conns)
+	defer func() {
+		for _, c := range open {
+			c.Close()
+		}
+	}()
+	for i := 0; i < conns; i++ {
+		c, err := net.Dial("tcp", ep.addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		open = append(open, c)
+		if err := WriteMessage(c, &Message{Type: MsgChunkReq, Seq: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if resp, err := ReadMessage(c); err != nil || len(resp.Payload) != 8<<10 {
+			t.Fatalf("connection %d: %v", i, err)
+		}
+	}
+	per := (int64(heap()) - int64(before)) / conns
+	if per >= 6<<10 {
+		t.Fatalf("an idle connection keeps %d B of heap, want < 6 KiB", per)
+	}
+	t.Logf("%d B of heap per idle connection", per)
 }
 
 // dropSink keeps the compiler from eliding the measured calls.

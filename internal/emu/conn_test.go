@@ -152,6 +152,63 @@ func TestDroppedRequestOnReusedConnectionFailsFast(t *testing.T) {
 	}
 }
 
+// TestIdleLifetime pins idleTTL both ways: two exchanges 20 ms apart — past
+// a 10 ms lifetime, inside a 30 ms one — ride one connection; once the
+// connection has been idle for idleTTL the client has closed it, the
+// endpoint no longer serves it, and the next exchange dials anew.
+func TestIdleLifetime(t *testing.T) {
+	tr := emuTrace(t)
+	tk := startTracker(t, tr, nil)
+	p := startPeer(t, tr, tk, 1, ModeSocialTube, nil)
+	probe := func(c *client) *clientConn {
+		t.Helper()
+		if _, err := c.rpc(p.Addr(), &Message{Type: MsgProbe, From: 0}); err != nil {
+			t.Fatal(err)
+		}
+		conns := idleConns(c)
+		if len(conns) != 1 {
+			t.Fatalf("%d idle connections after an exchange, want 1", len(conns))
+		}
+		return conns[0]
+	}
+	var c *client
+	var first, second *clientConn
+	// A loaded host may oversleep the gap; try again rather than judge a
+	// gap that was not 20 ms.
+	for try := 0; ; try++ {
+		c = &client{timeout: time.Second}
+		defer c.closeAll()
+		first = probe(c)
+		begin := time.Now()
+		time.Sleep(20 * time.Millisecond)
+		if time.Since(begin) < 25*time.Millisecond {
+			second = probe(c)
+			break
+		}
+		if try == 4 {
+			t.Skip("the host never slept 20 ms within 5 ms")
+		}
+	}
+	if second != first {
+		t.Fatal("an exchange 20 ms after the last one dialled a new connection")
+	}
+
+	local := first.LocalAddr().String()
+	time.Sleep(idleTTL + 10*time.Millisecond)
+	for deadline := time.Now().Add(2 * time.Second); len(idleConns(c)) > 0 || slices.Contains(serving(p.ep), local); {
+		if time.Now().After(deadline) {
+			t.Fatal("2 s past its idle lifetime the connection is still open")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := first.SetReadDeadline(time.Time{}); !errors.Is(err, net.ErrClosed) {
+		t.Fatalf("the client did not close the idle connection (%v)", err)
+	}
+	if third := probe(c); third == first || third.LocalAddr().String() == local {
+		t.Fatal("the exchange after the idle lifetime reused the expired connection")
+	}
+}
+
 // openFDs counts this process's open descriptors.
 func openFDs(t *testing.T) int {
 	t.Helper()

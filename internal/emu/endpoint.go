@@ -175,8 +175,10 @@ func (e *endpoint) arm(conn net.Conn) bool {
 	return conn.SetDeadline(time.Now().Add(idleTTL+e.budget)) == nil
 }
 
-// idleTTL is how long a node keeps an idle connection open for reuse.
-const idleTTL = 10 * time.Millisecond
+// idleTTL is how long a node keeps an idle connection open for reuse, long
+// enough for NetTube's 2-hop forwards and short of a churning peer's 50–100
+// ms replica gaps (DESIGN.md §11).
+const idleTTL = 30 * time.Millisecond
 
 // client is one node's outgoing side: its open connections, keyed by
 // destination address, never shared with another node. The caller owns a

@@ -266,8 +266,13 @@ func chunkPayload(n int) []byte {
 }
 
 // frames recycles frame buffers: a frame is garbage once written or
-// decoded, and a chunk's is tens of kilobytes.
+// decoded, and a chunk's is tens of kilobytes. A reader takes one only once
+// a frame's length prefix has arrived, so a connection parked between
+// frames holds none.
 var frames sync.Pool
+
+// prefixes recycles the 4-byte length prefix a reader blocks on.
+var prefixes = sync.Pool{New: func() any { return new([4]byte) }}
 
 // frameBuf takes a pooled buffer of length n; frames.Put gives it back.
 func frameBuf(n int) *[]byte {
@@ -403,17 +408,18 @@ func WriteMessage(w io.Writer, m *Message) error {
 // varint or bool, a list longer than its bound or than the bytes left, and
 // trailing bytes are all errors. Nothing decoded aliases the frame buffer.
 func ReadMessage(r io.Reader) (*Message, error) {
-	bp := frameBuf(4)
-	defer frames.Put(bp)
-	if _, err := io.ReadFull(r, *bp); err != nil {
+	prefix := prefixes.Get().(*[4]byte)
+	defer prefixes.Put(prefix)
+	if _, err := io.ReadFull(r, prefix[:]); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(*bp)
+	n := binary.BigEndian.Uint32(prefix[:])
 	if n > maxFrame {
 		return nil, ErrMessageTooLarge
 	}
-	frame := slices.Grow((*bp)[:0], int(n))[:n]
-	*bp = frame
+	bp := frameBuf(int(n))
+	defer frames.Put(bp)
+	frame := *bp
 	if _, err := io.ReadFull(r, frame); err != nil {
 		return nil, fmt.Errorf("read frame body: %w", err)
 	}

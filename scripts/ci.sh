@@ -59,9 +59,11 @@ echo "== emulator wire and connection-reuse gate (-race x5) =="
 # The frame format is pinned and round-trips, a frame with any byte flipped
 # or a malformed body never decodes, and corrupted replies are RPC errors.
 # Nodes keep connections open between RPCs: one socket per (caller,
-# destination), a duplicated reply never answers the next request, a lost
-# request is never re-sent, and Stop/Rejoin release every socket at once.
-go test -race -count=5 -run 'TestMessageRoundTrip|TestWireRoundTrip|TestCorruptFrameNeverDecodes|TestReadMessageRejectsMalformedBody|TestClientReusesOneConnection|TestReusedConnectionSkipsDuplicatedReply|TestDroppedRequestOnReusedConnectionFailsFast|TestStopAndRejoinReleaseConnections|TestChaosFrameFaults|TestEndpoint' ./internal/emu/
+# destination), reused for 30 ms after its last exchange and closed on both
+# ends after that, a duplicated reply never answers the next request, a
+# lost request is never re-sent, and Stop/Rejoin release every socket at
+# once.
+go test -race -count=5 -run 'TestMessageRoundTrip|TestWireRoundTrip|TestCorruptFrameNeverDecodes|TestReadMessageRejectsMalformedBody|TestClientReusesOneConnection|TestIdleLifetime|TestReusedConnectionSkipsDuplicatedReply|TestDroppedRequestOnReusedConnectionFailsFast|TestStopAndRejoinReleaseConnections|TestChaosFrameFaults|TestEndpoint' ./internal/emu/
 
 echo "== go test -race =="
 go test -race ./...
