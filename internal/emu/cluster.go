@@ -353,40 +353,19 @@ func sleepOrStop(d time.Duration, stop <-chan struct{}) bool {
 	return sleepUntil(time.Now().Add(d), stop)
 }
 
-// startPeers starts n peers on the plane, each a copy of the template with
-// only its id and its own seed stream set. The caller stops them; on error
-// the ones already started are stopped here.
-func startPeers(template PeerConfig, n int, seed int64, tr *trace.Trace, plane *ControlPlane, cond *Conditions) ([]*Peer, error) {
-	peers := make([]*Peer, 0, n)
-	for i := 0; i < n; i++ {
-		pc := template
-		pc.ID, pc.Seed = i, seed+int64(i)*7919
-		p, err := NewPeerWithControlPlane(pc, tr, plane, cond)
-		if err == nil {
-			err = p.Start()
-		}
-		if err != nil {
-			stopPeers(peers)
-			return nil, err
-		}
-		peers = append(peers, p)
-	}
-	return peers, nil
+// Cluster is a started control plane plus cfg.Peers copies of the peer
+// template. RunClusterCtx drives it with session loops; a figure harness
+// may instead stage it and issue requests by hand.
+type Cluster struct {
+	Plane *ControlPlane
+	// Peers[i] has id i and its own seed stream.
+	Peers []*Peer
 }
 
-func stopPeers(peers []*Peer) {
-	for _, p := range peers {
-		p.Stop()
-	}
-}
-
-// RunClusterCtx starts a control plane and peers, drives the session
-// workload to completion, shuts everything down and returns aggregated
-// metrics. A cancelled context stops the workload, the fault driver and
-// every tracker/peer goroutine before returning ctx.Err(). With a fault
-// plan, the compiled schedule is replayed on wall-clock offsets while the
-// workload runs.
-func RunClusterCtx(ctx context.Context, cfg ClusterConfig, tr *trace.Trace) (*ClusterResult, error) {
+// StartCluster validates cfg against the trace, then starts the control
+// plane and the peers. The caller stops the cluster; on error whatever
+// had started is stopped here.
+func StartCluster(cfg ClusterConfig, tr *trace.Trace) (*Cluster, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("cluster config: %w", err)
 	}
@@ -396,12 +375,63 @@ func RunClusterCtx(ctx context.Context, cfg ClusterConfig, tr *trace.Trace) (*Cl
 	if cfg.Peers > len(tr.Users) {
 		return nil, fmt.Errorf("%w: %d peers but only %d users in trace", dist.ErrBadParameter, cfg.Peers, len(tr.Users))
 	}
+	plane, err := StartControlPlane(cfg.plane(), cfg.Tracker, tr, cfg.Conditions)
+	if err != nil {
+		return nil, err
+	}
+	c := &Cluster{Plane: plane, Peers: make([]*Peer, 0, cfg.Peers)}
+	for i := 0; i < cfg.Peers; i++ {
+		pc := cfg.Peer
+		pc.ID, pc.Seed = i, cfg.Seed+int64(i)*7919
+		p, err := NewPeerWithControlPlane(pc, tr, plane, cfg.Conditions)
+		if err == nil {
+			err = p.Start()
+		}
+		if err != nil {
+			c.Stop()
+			return nil, err
+		}
+		c.Peers = append(c.Peers, p)
+	}
+	return c, nil
+}
+
+// Stop stops every peer, then the control plane.
+func (c *Cluster) Stop() {
+	for _, p := range c.Peers {
+		p.Stop()
+	}
+	c.Plane.Stop()
+}
+
+// Counters merges the plane's counters with every peer's.
+func (c *Cluster) Counters() obs.Counters {
+	ctr := c.Plane.Counters()
+	for _, p := range c.Peers {
+		ctr.Merge(p.Counters())
+	}
+	return ctr
+}
+
+// RunClusterCtx starts a cluster, drives the session workload to
+// completion, shuts everything down and returns aggregated metrics. A
+// cancelled context stops the workload, the fault driver and every
+// tracker/peer goroutine before returning ctx.Err(). With a fault plan,
+// the compiled schedule is replayed on wall-clock offsets while the
+// workload runs.
+func RunClusterCtx(ctx context.Context, cfg ClusterConfig, tr *trace.Trace) (*ClusterResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	c, err := StartCluster(cfg, tr)
+	if err != nil {
+		return nil, err
+	}
+	defer c.Stop()
+	plane, peers := c.Plane, c.Peers
 	picker, err := vod.NewPicker(tr, cfg.Behavior)
 	if err != nil {
 		return nil, err
@@ -414,18 +444,6 @@ func RunClusterCtx(ctx context.Context, cfg ClusterConfig, tr *trace.Trace) (*Cl
 		}
 	}
 
-	plane, err := StartControlPlane(cfg.plane(), cfg.Tracker, tr, cfg.Conditions)
-	if err != nil {
-		return nil, err
-	}
-	defer plane.Stop()
-
-	peers, err := startPeers(cfg.Peer, cfg.Peers, cfg.Seed, tr, plane, cfg.Conditions)
-	if err != nil {
-		return nil, err
-	}
-	defer stopPeers(peers)
-
 	res := &ClusterResult{
 		Protocol: cfg.Peer.Mode.String(),
 		Ledger:   vod.NewLedger(cfg.Peers, cfg.VideosPerSession),
@@ -436,12 +454,8 @@ func RunClusterCtx(ctx context.Context, cfg ClusterConfig, tr *trace.Trace) (*Cl
 		memW := obs.NewMemWatermark(1) // refreshed on every scrape
 		traceBytes := tr.Bytes()
 		prom := func(w io.Writer) {
-			// Live counter view: the plane's block merged with every
-			// peer's, same fold the final result performs.
-			ctr := plane.Counters()
-			for _, p := range peers {
-				ctr.Merge(p.Counters())
-			}
+			// Live counter view, the same fold the final result takes.
+			ctr := c.Counters()
 			obs.WritePromCounters(w, "socialtube", &ctr)
 			// A plain copy would alias the live bucket window.
 			resMu.Lock()
@@ -507,10 +521,9 @@ func RunClusterCtx(ctx context.Context, cfg ClusterConfig, tr *trace.Trace) (*Cl
 	res.Elapsed = time.Since(begin)
 	res.ServerBytes = plane.ServedBytes()
 	res.TakeoverMs = plane.TakeoverMs()
-	res.Obs = plane.Counters()
+	res.Obs = c.Counters()
 	for _, p := range peers {
 		res.PeerBytes += p.ServedBytes()
-		res.Obs.Merge(p.Counters())
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err

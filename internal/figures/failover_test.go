@@ -87,4 +87,25 @@ func TestFailoverDeterministic(t *testing.T) {
 	if string(a) != string(b) {
 		t.Fatalf("same-seed failover points differ:\n%s\n%s", a, b)
 	}
+	// The seed-1 points themselves, so a drift in the staging shows here
+	// and not only in a manual diff of two builds' output.
+	want := []FailoverPoint{
+		{Protocol: "PA-VoD", Crashed: 2, PeerCompleted: 8, ServerRescues: 2, ServerRestarts: 6,
+			NoRestartFrac: 0.625, Messages: 18},
+		{Protocol: "SocialTube", Crashed: 6, PeerCompleted: 16,
+			NoRestartFrac: 1, HandoffAttempts: 6, Handoffs: 6, Messages: 48},
+		{Protocol: "NetTube", Crashed: 5, PeerCompleted: 9, ServerRescues: 2, ServerRestarts: 5,
+			NoRestartFrac: 0.6875, HandoffAttempts: 5, Handoffs: 3, Messages: 104},
+	}
+	for i := range want {
+		want[i].Seed, want[i].Providers, want[i].CachersPerVideo = 1, 12, 2
+		want[i].Requests, want[i].CrashEvery = 16, 3
+	}
+	pinned, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(a) != string(pinned) {
+		t.Fatalf("seed-1 failover points moved:\n got %s\nwant %s", a, pinned)
+	}
 }

@@ -21,7 +21,7 @@ type EmuScale struct {
 	VideosPerSession int
 	// WatchTime is the emulated playback per video.
 	WatchTime time.Duration
-	// Seed drives the workload.
+	// Seed drives the workload, the trackers and the link conditions.
 	Seed int64
 	// MetricsAddr, when non-empty, serves live cluster metrics on
 	// GET <addr>/metrics while each emulated run is in flight (append
@@ -68,7 +68,9 @@ func (s EmuScale) runMode(tr *trace.Trace, mode emu.Mode, mutate func(*emu.Clust
 	cfg.VideosPerSession = s.VideosPerSession
 	cfg.WatchTime = s.WatchTime
 	cfg.MeanOffTime = s.WatchTime
-	cfg.Seed = s.Seed
+	// One seed for the whole run: workload, tracker recommendations, and
+	// link latency and loss.
+	cfg.Seed, cfg.Tracker.Seed, cfg.Conditions.Seed = s.Seed, s.Seed, s.Seed
 	// PA-VoD's ISP-localized assistance, as in the simulator baseline:
 	// one ISP per ≈50 emulated peers once the cluster is big enough.
 	if s.Peers >= 100 {
