@@ -234,7 +234,7 @@ func runPeer(tr *trace.Trace, addr, trackerAddr string, ringSeed int64, id int, 
 		for _, v := range plan.Videos {
 			rec := p.RequestVideo(v)
 			fmt.Printf("session %d: video %d from %s in %v (links %d, msgs %d)\n",
-				s+1, v, rec.Source, rec.Startup.Round(time.Millisecond), rec.Links, rec.Messages)
+				s+1, v, rec.Source, rec.Startup.Round(time.Millisecond), p.Links(), rec.Messages)
 			time.Sleep(watch)
 			p.FinishVideo(v)
 		}

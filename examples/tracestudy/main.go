@@ -52,7 +52,7 @@ func run() error {
 	subs, views := tr.ViewsVsSubscriptions()
 	fmt.Printf("O2  channel-based sharing: views/subscriptions Pearson %.2f; "+
 		"subscribers p25=%.0f p75=%.0f\n",
-		socialtubePearson(subs, views), quantile(subs, 0.25), quantile(subs, 0.75))
+		socialtube.Pearson(subs, views), quantile(subs, 0.25), quantile(subs, 0.75))
 
 	// O3: video popularity within a channel is Zipf — prefetch the top.
 	ch := tr.ChannelPopularityClass(1.0)
@@ -77,40 +77,4 @@ func run() error {
 	fmt.Printf("\nFig. 15 model: after 10 videos a NetTube node maintains %.0f links, "+
 		"a SocialTube node %.0f\n", m.NetTube(10), m.SocialTube(10))
 	return nil
-}
-
-// socialtubePearson is a tiny local Pearson implementation so the example
-// stays dependent on the public API only.
-func socialtubePearson(xs, ys []float64) float64 {
-	if len(xs) != len(ys) || len(xs) == 0 {
-		return 0
-	}
-	var mx, my float64
-	for i := range xs {
-		mx += xs[i]
-		my += ys[i]
-	}
-	mx /= float64(len(xs))
-	my /= float64(len(ys))
-	var num, dx, dy float64
-	for i := range xs {
-		num += (xs[i] - mx) * (ys[i] - my)
-		dx += (xs[i] - mx) * (xs[i] - mx)
-		dy += (ys[i] - my) * (ys[i] - my)
-	}
-	if dx == 0 || dy == 0 {
-		return 0
-	}
-	return num / (sqrt(dx) * sqrt(dy))
-}
-
-func sqrt(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	z := x
-	for i := 0; i < 40; i++ {
-		z = (z + x/z) / 2
-	}
-	return z
 }

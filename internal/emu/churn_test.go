@@ -234,20 +234,20 @@ func TestTrackerOutageAndBrownout(t *testing.T) {
 	tr := emuTrace(t)
 	tk := startTracker(t, tr, fastConditions())
 
-	reg := &Message{Type: MsgRegister, From: 1, Addr: "127.0.0.1:1"}
-	if _, err := rpc(tk.Addr(), reg, time.Second); err != nil {
-		t.Fatalf("healthy tracker refused a register: %v", err)
+	req := &Message{Type: MsgTopList, From: 1}
+	if _, err := rpc(tk.Addr(), req, time.Second); err != nil {
+		t.Fatalf("healthy tracker refused a request: %v", err)
 	}
 	tk.SetDown(true)
 	if !tk.Down() {
 		t.Fatal("SetDown(true) not visible")
 	}
-	if _, err := rpc(tk.Addr(), reg, 200*time.Millisecond); err == nil {
+	if _, err := rpc(tk.Addr(), req, 200*time.Millisecond); err == nil {
 		t.Fatal("down tracker answered a request")
 	}
 	tk.SetDown(false)
-	if _, err := rpc(tk.Addr(), reg, time.Second); err != nil {
-		t.Fatalf("recovered tracker refused a register: %v", err)
+	if _, err := rpc(tk.Addr(), req, time.Second); err != nil {
+		t.Fatalf("recovered tracker refused a request: %v", err)
 	}
 }
 

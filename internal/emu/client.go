@@ -24,8 +24,6 @@ type Record struct {
 	// requests still carry SourceServer so hit counts sum to the
 	// request total.
 	Failed bool
-	// Links is the peer's link count right after the request.
-	Links int
 	// HandoffAttempts / Handoffs count mid-stream provider switches
 	// tried and completed; HandoffWait is the stall between losing a
 	// provider and the first chunk resumed from its replacement.
@@ -53,7 +51,6 @@ func (p *Peer) RequestVideo(v trace.VideoID) Record {
 	rec := Record{RequestResult: vod.RequestResult{PrefixCached: prefix}}
 	if full {
 		rec.Source = vod.SourceCache
-		rec.Links = p.Links()
 		return rec
 	}
 
@@ -70,7 +67,6 @@ func (p *Peer) RequestVideo(v trace.VideoID) Record {
 	} else {
 		rec.Startup = time.Since(start)
 	}
-	rec.Links = p.Links()
 	return rec
 }
 
@@ -543,10 +539,8 @@ func (p *Peer) LeaveOverlays() {
 	for _, nb := range nbs {
 		p.cl.rpc(nb.Addr, &Message{Type: MsgBye, From: p.cfg.ID})
 	}
-	// Leave is plane-wide: every shard replica may hold membership rows
-	// for this peer (gossip also carries the departure between replicas).
-	// Unreachable replicas get the leave as a hinted handoff.
-	p.broadcastPlane(&Message{Type: MsgLeave, From: p.cfg.ID}, false)
+	// Gossip also carries the departure between replicas.
+	p.broadcastLeave()
 	p.mu.Lock()
 	p.links.reset()
 	p.mu.Unlock()

@@ -166,8 +166,8 @@ type ClusterResult struct {
 }
 
 // LiveMetrics is the JSON document the cluster's /metrics endpoint serves
-// while a run is in flight: the tracker's view plus the workload aggregates
-// collected so far.
+// while a run is in flight: the whole control plane's view plus the
+// workload aggregates collected so far.
 type LiveMetrics struct {
 	Protocol       string          `json:"protocol"`
 	Tracker        TrackerMetrics  `json:"tracker"`
@@ -185,7 +185,7 @@ type LiveMetrics struct {
 	HeapHighWater uint64       `json:"heapHighWaterBytes"`
 }
 
-func liveMetrics(cfg ClusterConfig, tracker *Tracker, res *ClusterResult, resMu *sync.Mutex, mem *obs.MemWatermark, traceBytes uint64, users int) LiveMetrics {
+func liveMetrics(cfg ClusterConfig, plane *ControlPlane, res *ClusterResult, resMu *sync.Mutex, mem *obs.MemWatermark, traceBytes uint64, users int) LiveMetrics {
 	resMu.Lock()
 	m := LiveMetrics{
 		Protocol:       cfg.Peer.Mode.String(),
@@ -197,7 +197,7 @@ func liveMetrics(cfg ClusterConfig, tracker *Tracker, res *ClusterResult, resMu 
 		Messages:       res.Messages.Value(),
 	}
 	resMu.Unlock()
-	m.Tracker = tracker.MetricsSnapshot()
+	m.Tracker = metricsOf(plane.Trackers()...)
 	m.Mem = obs.MemUsage{
 		TraceBytes:   traceBytes,
 		BytesPerUser: float64(traceBytes) / float64(users),
@@ -464,7 +464,7 @@ func RunClusterCtx(ctx context.Context, cfg ClusterConfig, tr *trace.Trace) (*Cl
 			obs.WritePromHist(w, "socialtube_startup_delay_ms", &hist)
 		}
 		srv, err := obs.ServeMetrics(cfg.MetricsAddr, func() any {
-			return liveMetrics(cfg, plane.First(), res, &resMu, memW, traceBytes, len(tr.Users))
+			return liveMetrics(cfg, plane, res, &resMu, memW, traceBytes, len(tr.Users))
 		}, prom, cfg.PprofEnabled)
 		if err != nil {
 			return nil, fmt.Errorf("cluster metrics: %w", err)

@@ -282,8 +282,7 @@ func (cp *ControlPlane) Trackers() []*Tracker {
 	return out
 }
 
-// First returns shard 0 replica 0 (nil on a client-only plane). Live
-// metrics snapshots key on it.
+// First returns shard 0 replica 0 (nil on a client-only plane).
 func (cp *ControlPlane) First() *Tracker {
 	if cp.trackers == nil {
 		return nil

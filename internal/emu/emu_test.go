@@ -12,9 +12,11 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"github.com/socialtube/socialtube/internal/obs"
 	"github.com/socialtube/socialtube/internal/trace"
 	"github.com/socialtube/socialtube/internal/vod"
 )
@@ -511,12 +513,63 @@ func TestClusterLiveMetrics(t *testing.T) {
 	}
 }
 
+// TestStartedClusterIsQuiet pins that starting peers sends the control
+// plane nothing: a peer first talks to the tracker when a request joins
+// an overlay.
+func TestStartedClusterIsQuiet(t *testing.T) {
+	c, err := StartCluster(fastClusterConfig(ModeSocialTube), emuTrace(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	if stats := c.Plane.First().Stats(); len(stats) != 0 {
+		t.Fatalf("tracker handled %v before any request; want nothing", stats)
+	}
+}
+
+// TestLiveMetricsCoverThePlane pins that the /metrics JSON counts the
+// requests of every tracker of the plane, as its Prometheus view does,
+// not only those of shard 0 replica 0, and counts a peer listed on two
+// replicas once.
+func TestLiveMetricsCoverThePlane(t *testing.T) {
+	tr := emuTrace(t)
+	cfg := fastClusterConfig(ModeSocialTube)
+	cfg.ControlPlane = ControlPlaneConfig{Shards: 2, Replicas: 2, RingSeed: 1}
+	plane, err := StartControlPlane(cfg.plane(), cfg.Tracker, tr, cfg.Conditions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plane.Stop()
+	ch := int(tr.Channels[0].ID)
+	far := plane.Shard(1).Replica(1)
+	if _, err := rpc(far.Addr(), &Message{Type: MsgTopList, From: 1, Channel: ch}, time.Second); err != nil {
+		t.Fatal(err)
+	}
+	// One peer joining on two replicas is one peer.
+	for _, tk := range []*Tracker{plane.First(), far} {
+		if _, err := rpc(tk.Addr(), &Message{Type: MsgJoin, From: 7, Addr: "127.0.0.1:9", Channel: ch, TTL: 1}, time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res := &ClusterResult{Ledger: vod.NewLedger(1, 1)}
+	var mu sync.Mutex
+	m := liveMetrics(cfg, plane, res, &mu, obs.NewMemWatermark(1), tr.Bytes(), len(tr.Users))
+	if got := m.Tracker.RequestsByType[MsgTopList]; got != 1 {
+		t.Fatalf("live metrics count %d top_list requests; want the 1 sent to replica (1,1)", got)
+	}
+	if m.Tracker.Peers != 1 {
+		t.Fatalf("live metrics count %d peers; want 1", m.Tracker.Peers)
+	}
+}
+
 // TestPromScrapeRacesRequests scrapes the Prometheus exposition in a loop
 // while requests complete. The handler renders the startup-delay histogram
 // after releasing the result lock, so it must work on a deep copy: a plain
 // struct copy shares the slice-backed bucket window with the histogram the
 // session goroutines keep adding to (the race detector flags it, and a
-// torn render shows buckets summing past the count). Run under -race.
+// torn render shows buckets summing past the count). Each round also
+// fetches the JSON view, which reads every tracker's member tables while
+// the handlers write them. Run under -race.
 func TestPromScrapeRacesRequests(t *testing.T) {
 	cfg := DefaultClusterConfig(ModeSocialTube)
 	cfg.Peers = 8
@@ -538,6 +591,9 @@ func TestPromScrapeRacesRequests(t *testing.T) {
 				case <-runDone:
 					return
 				default:
+				}
+				if resp, err := http.Get("http://" + addr + "/metrics"); err == nil {
+					resp.Body.Close()
 				}
 				resp, err := http.Get("http://" + addr + "/metrics?format=prom")
 				if err != nil {

@@ -36,7 +36,7 @@ func TestEndpoint(t *testing.T) {
 				t.Fatal(err)
 			}
 			return owner{tk.ep, tk.Start, tk.Stop, tk.Counters, tk.SetDown,
-				&Message{Type: MsgRegister, From: 1, Addr: "127.0.0.1:1"}}
+				&Message{Type: MsgTopList, From: 1, Channel: int(tr.Channels[0].ID)}}
 		},
 		"peer": func(t *testing.T) owner {
 			tk := startTracker(t, tr, nil)

@@ -271,7 +271,7 @@ func TestRPCRetryExhaustsBudgetWithDoublingBackoff(t *testing.T) {
 
 	begin := time.Now()
 	_, err := p.retry(func() (*Message, error) {
-		return rpc(addr, &Message{Type: MsgRegister, From: 1, Addr: p.Addr()}, p.cfg.RPCTimeout)
+		return rpc(addr, &Message{Type: MsgProbe, From: 1}, p.cfg.RPCTimeout)
 	})
 	elapsed := time.Since(begin)
 	if err == nil {
@@ -306,7 +306,7 @@ func TestRPCRetryAbortsOnStop(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		_, err := p.retry(func() (*Message, error) {
-			return rpc(addr, &Message{Type: MsgRegister, From: 1, Addr: p.Addr()}, p.cfg.RPCTimeout)
+			return rpc(addr, &Message{Type: MsgProbe, From: 1}, p.cfg.RPCTimeout)
 		})
 		done <- err
 	}()

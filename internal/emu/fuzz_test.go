@@ -15,7 +15,6 @@ import (
 // golden corpus both fuzzers start from.
 func fuzzSeedMessages() []*Message {
 	return []*Message{
-		{Type: MsgRegister, From: 1, Addr: "127.0.0.1:9"},
 		{Type: MsgJoin, From: 2, Addr: "127.0.0.1:9", Channel: 3, TTL: 1},
 		{Type: MsgJoinVideo, From: 2, Addr: "127.0.0.1:9", Video: 7},
 		{Type: MsgLeave, From: 2, Channel: 3},

@@ -306,10 +306,10 @@ func TestGracefulLeaveNotifiesNeighbors(t *testing.T) {
 func TestTrackerStats(t *testing.T) {
 	tr := emuTrace(t)
 	tk := startTracker(t, tr, fastConditions())
-	rpc(tk.Addr(), &Message{Type: MsgRegister, From: 1, Addr: "127.0.0.1:1"}, time.Second)
+	rpc(tk.Addr(), &Message{Type: MsgTopList, From: 1}, time.Second)
 	rpc(tk.Addr(), &Message{Type: MsgServe, From: 1, Video: 0, Chunk: 0}, 2*time.Second)
 	stats := tk.Stats()
-	if stats[MsgRegister] != 1 || stats[MsgServe] != 1 {
+	if stats[MsgTopList] != 1 || stats[MsgServe] != 1 {
 		t.Fatalf("stats = %v", stats)
 	}
 	// The snapshot is a copy.

@@ -2,6 +2,7 @@ package emu
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -163,10 +164,10 @@ type Peer struct {
 	planeEpoch int64
 	planeDead  uint64
 
-	// hintMu guards the hinted-handoff queue: plane-broadcast writes
-	// (register/leave) that could not reach a replica, replayed on heal.
+	// hintMu guards the hinted-handoff queue: the replica addresses the
+	// leave broadcast could not reach, owed this peer's leave on heal.
 	hintMu sync.Mutex
-	hints  []hint
+	hints  []string
 
 	mu     sync.Mutex
 	g      *dist.RNG
@@ -232,93 +233,65 @@ func NewPeerWithControlPlane(cfg PeerConfig, tr *trace.Trace, cp *ControlPlane, 
 	return p, nil
 }
 
-// Start begins listening and registers with the tracker.
+// Start begins listening. A peer tells the tracker nothing until its
+// first request joins an overlay.
 func (p *Peer) Start() error {
 	if err := p.ep.start(p.cfg.Addr); err != nil {
 		return fmt.Errorf("peer %d listen: %w", p.cfg.ID, err)
 	}
-	// Registration is plane-wide (every shard replica tracks the address
-	// book) and best-effort: it is retried implicitly by later joins, so
-	// losing an RPC here mirrors a lossy network, not a fatal error. A
-	// replica the write cannot reach gets a hint instead, replayed when
-	// the partition heals.
-	p.broadcastPlane(&Message{Type: MsgRegister, From: p.cfg.ID, Addr: p.Addr()}, false)
 	return nil
 }
 
-// broadcastPlane sends req to every replica of every shard, shard-major
-// (register and leave are plane-wide writes). Replicas across an open
-// partition cut are skipped outright, and any replica the write fails to
-// reach is queued as a hinted handoff for replay on heal. retry spends the
-// peer's retry budget per endpoint (Rejoin's re-registration) instead of
-// a single best-effort attempt (Start, LeaveOverlays).
-func (p *Peer) broadcastPlane(req *Message, retry bool) {
+// broadcastLeave sends this peer's leave to every replica of every shard,
+// shard-major: any replica may hold membership rows for it, so a leave is
+// the plane's one plane-wide write. A replica across an open partition
+// cut is skipped outright, and any replica the leave does not reach is
+// owed it as a hinted handoff, replayed on heal.
+func (p *Peer) broadcastLeave() {
+	leave := &Message{Type: MsgLeave, From: p.cfg.ID}
 	for s := 0; s < p.cp.NumShards(); s++ {
 		for r, addr := range p.cp.Replicas(s) {
 			if p.cond.Severed(p.cfg.ID, r) {
-				p.queueHint(addr, req)
-				continue
-			}
-			once := func() (*Message, error) { return p.cl.rpc(addr, req) }
-			var err error
-			if retry {
-				_, err = p.retry(once)
-			} else {
-				_, err = once()
-			}
-			if err != nil {
-				p.queueHint(addr, req)
+				p.queueHint(addr)
+			} else if _, err := p.cl.rpc(addr, leave); err != nil {
+				p.queueHint(addr)
 			}
 		}
 	}
 }
 
-// hint is one queued hinted-handoff write: a plane-broadcast RPC that
-// could not reach addr while it was dark or severed.
-type hint struct {
-	addr string
-	msg  *Message
-}
-
-// queueHint queues req for later replay to addr, one slot per
-// (addr, message type) — a newer register to the same replica supersedes
-// the older one rather than queueing behind it.
-func (p *Peer) queueHint(addr string, req *Message) {
-	cp := *req // private copy: callers may reuse the message
+// queueHint records that addr is owed this peer's leave; an address
+// already owed it is not queued twice.
+func (p *Peer) queueHint(addr string) {
 	p.hintMu.Lock()
-	for i := range p.hints {
-		if p.hints[i].addr == addr && p.hints[i].msg.Type == cp.Type {
-			p.hints[i].msg = &cp
-			p.hintMu.Unlock()
-			return
-		}
+	defer p.hintMu.Unlock()
+	if slices.Contains(p.hints, addr) {
+		return
 	}
-	p.hints = append(p.hints, hint{addr: addr, msg: &cp})
-	p.hintMu.Unlock()
+	p.hints = append(p.hints, addr)
 	atomic.AddUint64(&p.ctr.HintsQueued, 1)
 }
 
-// ReplayHints redelivers every queued hinted-handoff write, requeueing
-// the ones that still fail. The cluster's fault driver calls it when a
-// partition heals; anti-entropy gossip then spreads the replayed writes
+// ReplayHints redelivers the leave to every replica owed it, keeping the
+// ones that still fail queued. The cluster's fault driver calls it when a
+// partition heals; anti-entropy gossip then spreads the replayed leaves
 // to the replicas that were dark rather than severed.
 func (p *Peer) ReplayHints() {
 	p.hintMu.Lock()
 	pending := p.hints
 	p.hints = nil
 	p.hintMu.Unlock()
-	var still []hint
-	for _, h := range pending {
-		if _, err := p.cl.rpc(h.addr, h.msg); err != nil {
-			still = append(still, h)
+	leave := &Message{Type: MsgLeave, From: p.cfg.ID}
+	for _, addr := range pending {
+		if _, err := p.cl.rpc(addr, leave); err != nil {
+			p.hintMu.Lock()
+			if !slices.Contains(p.hints, addr) {
+				p.hints = append(p.hints, addr)
+			}
+			p.hintMu.Unlock()
 			continue
 		}
 		atomic.AddUint64(&p.ctr.HintsReplayed, 1)
-	}
-	if len(still) > 0 {
-		p.hintMu.Lock()
-		p.hints = append(still, p.hints...)
-		p.hintMu.Unlock()
 	}
 }
 
@@ -405,8 +378,9 @@ func (p *Peer) IsCrashed() bool {
 
 // Rejoin brings a crashed peer back: its link state is gone (a restarted
 // process holds no sockets) but its cache survived on disk. The peer
-// re-registers with the tracker and, under SocialTube, re-seeds its prefetch
-// prefixes from its home channel's popularity list (§IV-B re-seeding).
+// replays the leaves it still owes and, under SocialTube, re-seeds its
+// prefetch prefixes from its home channel's popularity list (§IV-B
+// re-seeding); its next request re-joins an overlay.
 func (p *Peer) Rejoin() {
 	if !p.crashed.Swap(false) {
 		return
@@ -416,7 +390,6 @@ func (p *Peer) Rejoin() {
 	p.links.reset()
 	p.mu.Unlock()
 	p.cl.closeAll()
-	p.broadcastPlane(&Message{Type: MsgRegister, From: p.cfg.ID, Addr: p.Addr()}, true)
 	p.ReplayHints()
 	if p.cfg.Mode == ModeSocialTube && home >= 0 {
 		p.socialTubePrefetch(home, -1)

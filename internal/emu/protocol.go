@@ -27,7 +27,6 @@ type MsgType string
 // Wire message types.
 const (
 	// Peer -> tracker RPCs.
-	MsgRegister   MsgType = "register"    // announce address
 	MsgJoin       MsgType = "join"        // SocialTube: join a channel overlay
 	MsgJoinVideo  MsgType = "join_video"  // NetTube: join a per-video overlay
 	MsgLeave      MsgType = "leave"       // graceful departure
@@ -166,9 +165,9 @@ const (
 // the decoder interns a frame's type against it, and Validate rejects
 // anything else before dispatch.
 var wireTypes = [...]MsgType{
-	MsgRegister, MsgJoin, MsgJoinVideo, MsgLeave, MsgServe, MsgTopList,
-	MsgWatchStart, MsgWatchDone, MsgHave, MsgQuery, MsgChunkReq, MsgConnect,
-	MsgProbe, MsgBye, MsgCacheSample, MsgSync, MsgJoinOK, MsgOK, MsgMiss,
+	MsgJoin, MsgJoinVideo, MsgLeave, MsgServe, MsgTopList, MsgWatchStart,
+	MsgWatchDone, MsgHave, MsgQuery, MsgChunkReq, MsgConnect, MsgProbe,
+	MsgBye, MsgCacheSample, MsgSync, MsgJoinOK, MsgOK, MsgMiss,
 }
 
 // Validate enforces strict field bounds on a decoded message. The wire

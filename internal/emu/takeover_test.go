@@ -113,9 +113,9 @@ func TestPartitionGossipSplitBrainHeals(t *testing.T) {
 }
 
 // TestHintedHandoffReplaysOnHeal pins the write-side half of partition
-// tolerance: a plane-wide write (the peer's register broadcast) made
-// under a partition queues a hint for the unreachable replica instead of
-// silently dropping it, and ReplayHints delivers it after the heal.
+// tolerance: a leave broadcast under a partition queues a hint for the
+// unreachable replica instead of silently dropping it, and ReplayHints
+// delivers the leave after the heal.
 func TestHintedHandoffReplaysOnHeal(t *testing.T) {
 	tr := emuTrace(t)
 	cond := fastConditions()
@@ -129,7 +129,6 @@ func TestHintedHandoffReplaysOnHeal(t *testing.T) {
 	}
 	defer plane.Stop()
 
-	cond.SetPartition(2)
 	pc := DefaultPeerConfig(0, ModeSocialTube) // side 0: replica 1 is cut off
 	p, err := NewPeerWithControlPlane(pc, tr, plane, cond)
 	if err != nil {
@@ -140,29 +139,32 @@ func TestHintedHandoffReplaysOnHeal(t *testing.T) {
 	}
 	defer p.Stop()
 
-	ctr := p.Counters()
-	if ctr.HintsQueued != 1 {
-		t.Fatalf("register broadcast queued %d hints; want 1 (the severed replica)", ctr.HintsQueued)
-	}
+	ch := tr.Users[0].Subscriptions[0]
+	p.attachChannel(ch)
 	far := plane.Shard(0).Replica(1)
-	far.mu.Lock()
-	_, leaked := far.addrs[0]
-	far.mu.Unlock()
-	if leaked {
-		t.Fatal("register crossed the partition cut")
+	listed := func() bool { return far.channels.Live(int64(ch))[0] != "" }
+	for deadline := time.Now().Add(5 * time.Second); !listed(); time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("far replica never learned the member by gossip")
+		}
+	}
+
+	cond.SetPartition(2)
+	p.LeaveOverlays()
+	if got := p.Counters().HintsQueued; got != 1 {
+		t.Fatalf("leave broadcast queued %d hints; want 1 (the severed replica)", got)
+	}
+	if !listed() {
+		t.Fatal("leave crossed the partition cut")
 	}
 
 	cond.ClearPartition()
 	p.ReplayHints()
-	ctr = p.Counters()
-	if ctr.HintsReplayed != 1 {
-		t.Fatalf("replayed %d hints after heal; want 1", ctr.HintsReplayed)
+	if got := p.Counters().HintsReplayed; got != 1 {
+		t.Fatalf("replayed %d hints after heal; want 1", got)
 	}
-	far.mu.Lock()
-	addr := far.addrs[0]
-	far.mu.Unlock()
-	if addr != p.Addr() {
-		t.Fatalf("far-side replica never caught up: addr %q want %q", addr, p.Addr())
+	if listed() {
+		t.Fatal("far-side replica still lists the peer after the replayed leave")
 	}
 }
 

@@ -60,20 +60,21 @@ type Tracker struct {
 	cl client
 
 	// ctr is updated with atomics (some handlers touch it outside t.mu)
-	// and read lock-free by MetricsSnapshot while the run is live.
+	// and read lock-free by the live metrics while the run is live.
 	ctr obs.Counters
 
 	// down simulates a tracker outage: requests are read and then
 	// refused unanswered, so clients fail fast with EOF.
 	down atomic.Bool
 
-	mu    sync.Mutex
-	g     *dist.RNG
-	addrs map[int]string
+	mu sync.Mutex
+	g  *dist.RNG
 	// Membership state lives in replicated, versioned tables (tombstoned
 	// departures, last-writer-wins merge) so shard replicas reconcile by
-	// anti-entropy gossip. Live() hands handlers an id -> addr map and
-	// every selection goes through a sorted view.
+	// anti-entropy gossip. The tables are the tracker's only peer state;
+	// each locks itself, so t.mu guards only g, the uplink queue and the
+	// request counts. Live() hands handlers an id -> addr map and every
+	// selection goes through a sorted view.
 	//
 	// channels: online SocialTube members per channel overlay. Membership
 	// is exclusive — a peer's home is one channel, so registering it under
@@ -125,8 +126,8 @@ type Tracker struct {
 
 // gossipPeer is one cross-shard gossip partner.
 type gossipPeer struct {
-	addr           string
-	shard, replica int
+	addr    string
+	replica int
 }
 
 // defaultSuspicionRounds is how many of a replica's own gossip rounds
@@ -159,7 +160,6 @@ func NewTracker(cfg TrackerConfig, tr *trace.Trace, cond *Conditions) (*Tracker,
 		cond:     cond,
 		g:        dist.NewRNG(cfg.Seed),
 		epoch:    time.Now(),
-		addrs:    make(map[int]string),
 		channels: ctrl.NewMemberTable(0),
 		videos:   ctrl.NewMemberTable(0),
 		watchers: ctrl.NewMemberTable(0),
@@ -191,8 +191,8 @@ func (t *Tracker) Start() error {
 // own rounds and the verdict gossips plane-wide. The per-shard gossip
 // seed is derived as seed + shard*7919, preserving the schedule the
 // sharded control plane has always used. Call after every replica of the
-// plane has Started and before peers register, so the tables' version
-// stamps carry the replica id from the first write. A replica with no
+// plane has Started and before peers join, so the tables' version stamps
+// carry the replica id from the first write. A replica with no
 // partner at all (the 1x1 plane) has nobody to gossip with and starts no
 // loop.
 func (t *Tracker) StartGossip(seed int64, plane [][]string, shard, replica int, interval, timeout time.Duration) {
@@ -212,7 +212,7 @@ func (t *Tracker) StartGossip(seed int64, plane [][]string, shard, replica int, 
 				continue
 			}
 			for r, addr := range reps {
-				others = append(others, gossipPeer{addr: addr, shard: s, replica: r})
+				others = append(others, gossipPeer{addr: addr, replica: r})
 			}
 		}
 		sus := t.suspicionRounds
@@ -472,20 +472,34 @@ type TrackerMetrics struct {
 	Counters       obs.Counters      `json:"counters"`
 }
 
-// MetricsSnapshot captures the tracker's current metrics. Safe to call from
-// any goroutine while the tracker serves.
-func (t *Tracker) MetricsSnapshot() TrackerMetrics {
-	m := TrackerMetrics{RequestsByType: t.Stats(), Counters: t.ctr.Snapshot()}
-	t.mu.Lock()
-	m.Peers, m.ServedBytes = len(t.addrs), t.servedBytes
-	t.mu.Unlock()
+// metricsOf merges the live metrics of trackers: peers is the number of
+// distinct ids with a live row in any of their member tables. Safe to
+// call from any goroutine while the trackers serve.
+func metricsOf(trackers ...*Tracker) TrackerMetrics {
+	m := TrackerMetrics{RequestsByType: make(map[MsgType]int64)}
+	ids := make(map[int]bool)
+	for _, t := range trackers {
+		for k, v := range t.Stats() {
+			m.RequestsByType[k] += v
+		}
+		m.ServedBytes += t.ServedBytes()
+		m.Counters.Merge(t.Counters())
+		for _, s := range t.syncSnapshot() {
+			for _, r := range s.Recs {
+				if !r.Dead {
+					ids[r.ID] = true
+				}
+			}
+		}
+	}
+	m.Peers = len(ids)
 	return m
 }
 
-// ServeMetrics exposes this tracker's MetricsSnapshot on addr (and the pprof
+// ServeMetrics exposes this tracker's live metrics on addr (and the pprof
 // handlers when enabled). The caller owns the returned server's lifetime.
 func (t *Tracker) ServeMetrics(addr string, pprofEnabled bool) (*obs.MetricsServer, error) {
-	return obs.ServeMetrics(addr, func() any { return t.MetricsSnapshot() }, nil, pprofEnabled)
+	return obs.ServeMetrics(addr, func() any { return metricsOf(t) }, nil, pprofEnabled)
 }
 
 func (t *Tracker) dispatch(req *Message) *Message {
@@ -493,8 +507,6 @@ func (t *Tracker) dispatch(req *Message) *Message {
 	t.requests[req.Type]++
 	t.mu.Unlock()
 	switch req.Type {
-	case MsgRegister:
-		return t.handleRegister(req)
 	case MsgJoin:
 		return t.handleJoin(req)
 	case MsgJoinVideo:
@@ -518,20 +530,12 @@ func (t *Tracker) dispatch(req *Message) *Message {
 	}
 }
 
-func (t *Tracker) handleRegister(req *Message) *Message {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.addrs[req.From] = req.Addr
-	return &Message{Type: MsgOK, From: -1}
-}
-
 // handleJoin registers a SocialTube peer in a channel overlay and
 // recommends a random member of that overlay plus a random member per
 // sibling channel in the category (§IV-A's join assist).
 func (t *Tracker) handleJoin(req *Message) *Message {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.addrs[req.From] = req.Addr
 	ch := trace.ChannelID(req.Channel)
 	chn := t.tr.Channel(ch)
 	if chn == nil {
@@ -574,7 +578,6 @@ func (t *Tracker) handleJoin(req *Message) *Message {
 func (t *Tracker) handleJoinVideo(req *Message) *Message {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.addrs[req.From] = req.Addr
 	v := trace.VideoID(req.Video)
 	if t.tr.Video(v) == nil {
 		return &Message{Type: MsgMiss, From: -1}
@@ -588,9 +591,6 @@ func (t *Tracker) handleJoinVideo(req *Message) *Message {
 
 func (t *Tracker) handleLeave(req *Message) *Message {
 	atomic.AddUint64(&t.ctr.OverlayLeaves, 1)
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	delete(t.addrs, req.From)
 	// Tombstones, not deletions: gossip carries the departure to the
 	// shard's other replicas instead of letting them resurrect the peer.
 	t.channels.RemoveEverywhere(req.From)
@@ -646,7 +646,6 @@ func (t *Tracker) handleTopList(req *Message) *Message {
 func (t *Tracker) handleWatchStart(req *Message) *Message {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.addrs[req.From] = req.Addr
 	v := trace.VideoID(req.Video)
 	if t.tr.Video(v) == nil {
 		return &Message{Type: MsgMiss, From: -1}
@@ -667,8 +666,6 @@ func (t *Tracker) handleWatchStart(req *Message) *Message {
 }
 
 func (t *Tracker) handleWatchDone(req *Message) *Message {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	t.watchers.Remove(int64(req.Video), req.From)
 	return &Message{Type: MsgOK, From: -1}
 }
@@ -676,8 +673,6 @@ func (t *Tracker) handleWatchDone(req *Message) *Message {
 // handleHave records that a NetTube peer caches a video (so the server can
 // direct first requests at it).
 func (t *Tracker) handleHave(req *Message) *Message {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	v := trace.VideoID(req.Video)
 	if t.tr.Video(v) == nil {
 		return &Message{Type: MsgMiss, From: -1}

@@ -169,8 +169,7 @@ func FigShardedOutage(s EmuScale, tr *trace.Trace) (*Report, error) {
 // must come from gossip liveness declaring the shard dead and the
 // survivors adopting its channels — and one run with a 2-way partition
 // for two units, where both sides keep serving and hinted handoff plus
-// the LWW merge re-converge the tables on heal with zero lost
-// registrations.
+// the LWW merge re-converge the tables on heal with zero lost rows.
 func FigTakeover(s EmuScale, tr *trace.Trace) (*Report, error) {
 	cp := emu.DefaultControlPlaneConfig()
 	cp.RingSeed = s.Seed

@@ -16,6 +16,33 @@ func takeoverScale() EmuScale {
 	}
 }
 
+// TestShardedOutageLosesNothing pins the sharded-outage figure's
+// headline: on the default 2x2 plane, each tracker replica dark in turn
+// costs no request, because peers fail over to the shard's survivor.
+func TestShardedOutageLosesNothing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("TCP cluster runs")
+	}
+	s := EmuScale{Peers: 12, Sessions: 1, VideosPerSession: 4, WatchTime: 10 * time.Millisecond, Seed: 1}
+	tr, err := s.EmuTrace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := FigShardedOutage(s, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	points := pointsOf[ControlPlanePoint](t, f)
+	if len(points) != 5 {
+		t.Fatalf("want baseline + 4 replica-down points, got %d", len(points))
+	}
+	for _, p := range points {
+		if p.Failed != 0 {
+			t.Errorf("%s: lost %d requests; want 0", p.Variant, p.Failed)
+		}
+	}
+}
+
 // TestTakeoverRecovers pins the takeover figure's headline on a small
 // scale: with a whole shard (every replica) dead for two units, the
 // survivors declare the shard, peers reroute onto them, and the run
