@@ -227,6 +227,47 @@ func TestNetTubeFailThenProbe(t *testing.T) {
 	}
 }
 
+// TestNetTubeHalfJoinedProvider pins a known defect, not a wish: a node
+// found by a flood in an overlay it has not joined takes the edge into that
+// overlay's mesh without the overlay entering its joined list, so its own
+// link count and its next Leave both miss that edge. a watches v1 and
+// leaves (its cache stays), comes back into v2's overlay, where b finds it;
+// b's flood for v1 then links b to a in v1's mesh.
+func TestNetTubeHalfJoinedProvider(t *testing.T) {
+	tr := baselineTrace(t)
+	nt, err := NewNetTube(DefaultNetTubeConfig(), tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := int(tr.Users[0].ID), int(tr.Users[1].ID)
+	v1, v2 := tr.Videos[0].ID, tr.Videos[1].ID
+	nt.Join(a)
+	nt.Request(a, v1)
+	nt.Finish(a, v1)
+	nt.Leave(a)
+	nt.Join(a)
+	nt.Request(a, v2)
+	nt.Finish(a, v2)
+	nt.Join(b)
+	if res := nt.Request(b, v2); res.Source != vod.SourcePeer || res.Provider != a {
+		t.Fatalf("b's v2 request = %+v, want server-directed to %d", res, a)
+	}
+	if res := nt.Request(b, v1); res.Source != vod.SourcePeer || res.Provider != a || res.Hops != 1 {
+		t.Fatalf("b's v1 request = %+v, want flood hit on %d at 1 hop", res, a)
+	}
+	if got := nt.overlays.Degree(v1, a); got != 1 {
+		t.Fatalf("a's degree in v1's mesh = %d, want 1", got)
+	}
+	if nt.Links(a) != 1 || nt.Overlays(a) != 1 || nt.Links(b) != 2 {
+		t.Fatalf("Links(a)=%d Overlays(a)=%d Links(b)=%d, want 1 1 2 (the v1 edge is off a's books)",
+			nt.Links(a), nt.Overlays(a), nt.Links(b))
+	}
+	nt.Leave(a)
+	if got := nt.overlays.Degree(v1, a); got != 1 || nt.Links(b) != 1 {
+		t.Fatalf("after a's leave: degree(v1, a)=%d Links(b)=%d, want 1 1 (the v1 edge outlives it)", got, nt.Links(b))
+	}
+}
+
 func TestNetTubeCachePersistsAcrossSessions(t *testing.T) {
 	tr := baselineTrace(t)
 	nt, err := NewNetTube(DefaultNetTubeConfig(), tr)
@@ -409,6 +450,11 @@ func TestPAVoDDegenerate(t *testing.T) {
 		t.Fatal("unknown video should fall to server")
 	}
 	pv.Finish(0, tr.Videos[5].ID) // finishing an unwatched video is a no-op
+	for _, v := range []trace.VideoID{-1, trace.VideoID(len(tr.Videos)), 1 << 30} {
+		if got := pv.Watchers(v); got != 0 {
+			t.Fatalf("Watchers(%d) outside the catalog = %d, want 0", v, got)
+		}
+	}
 }
 
 // TestThreeProtocolAvailabilityOrdering is a cross-protocol sanity check of

@@ -7,7 +7,7 @@ package baseline
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/socialtube/socialtube/internal/dist"
 	"github.com/socialtube/socialtube/internal/obs"
@@ -65,12 +65,12 @@ func (c NetTubeConfig) Validate() error {
 type NetTube struct {
 	vod.Chassis
 	cfg NetTubeConfig
-	// overlays holds one mesh per video; a node that watched the video
-	// stays in its overlay as a provider.
-	overlays *overlay.Registry[trace.VideoID, overlay.Mesh]
-	// members tracks the online members of each per-video overlay — the
-	// per-video state the central server must keep (contrast §IV-A).
-	members *overlay.Registry[trace.VideoID, overlay.Members]
+	// overlays holds one mesh per video, stored with its nodes; a node
+	// that watched the video stays in its overlay as a provider.
+	overlays *overlay.Family[trace.VideoID]
+	// members tracks the online members of each per-video overlay, by video
+	// id — the per-video state the central server must keep (contrast §IV-A).
+	members []overlay.Members
 	nodes   []ntNode
 
 	// scratch is the reusable flood state; unionSeen/unionBuf back the
@@ -92,13 +92,9 @@ type ntNode struct {
 
 // joinedAdd inserts v into the sorted joined list if absent.
 func (st *ntNode) joinedAdd(v trace.VideoID) {
-	i := sort.Search(len(st.joined), func(i int) bool { return st.joined[i] >= v })
-	if i < len(st.joined) && st.joined[i] == v {
-		return
+	if i, ok := slices.BinarySearch(st.joined, v); !ok {
+		st.joined = slices.Insert(st.joined, i, v)
 	}
-	st.joined = append(st.joined, 0)
-	copy(st.joined[i+1:], st.joined[i:])
-	st.joined[i] = v
 }
 
 // NewNetTube builds a NetTube system over the trace.
@@ -113,8 +109,8 @@ func NewNetTube(cfg NetTubeConfig, tr *trace.Trace) (*NetTube, error) {
 	n := &NetTube{
 		Chassis:  chassis,
 		cfg:      cfg,
-		overlays: overlay.NewRegistry[trace.VideoID](func() *overlay.Mesh { return overlay.NewMesh(cfg.LinksPerOverlay) }),
-		members:  overlay.NewRegistry[trace.VideoID](overlay.NewMembers),
+		overlays: overlay.NewFamily[trace.VideoID](cfg.LinksPerOverlay, len(tr.Users)),
+		members:  make([]overlay.Members, len(tr.Videos)),
 		nodes:    make([]ntNode, len(tr.Users)),
 		scratch:  *overlay.NewFloodScratch(len(tr.Users)),
 	}
@@ -136,8 +132,8 @@ func (n *NetTube) Leave(node int) {
 	}
 	st := &n.nodes[node]
 	for _, v := range st.joined {
-		n.overlays.Get(v).RemoveNode(node)
-		n.members.Get(v).Remove(node)
+		n.overlays.RemoveNode(v, node)
+		n.members[v].Remove(node)
 	}
 	st.joined = st.joined[:0]
 }
@@ -149,7 +145,7 @@ func (n *NetTube) Fail(node int) {
 		return
 	}
 	for _, v := range n.nodes[node].joined {
-		n.members.Get(v).Remove(node)
+		n.members[v].Remove(node)
 	}
 }
 
@@ -164,7 +160,7 @@ func (n *NetTube) unionNeighbors(node int) []int {
 	n.unionSeen.Reset()
 	out := n.unionBuf[:0]
 	for _, v := range n.nodes[node].joined {
-		for _, nb := range n.overlays.Get(v).NeighborsView(node) {
+		for _, nb := range n.overlays.NeighborsView(v, node) {
 			if n.unionSeen.Add(nb) {
 				out = append(out, nb)
 			}
@@ -218,7 +214,7 @@ func (n *NetTube) locate(node int, v trace.VideoID) vod.RequestResult {
 	// already in the video's overlay.
 	n.Ctr.LookupsServer++
 	if len(st.joined) == 0 {
-		if provider := n.members.Get(v).Random(n.RNG, node); provider >= 0 && match(provider) {
+		if provider := n.members[v].Random(n.RNG, node); provider >= 0 && match(provider) {
 			res.Source, res.Provider, res.Hops = vod.SourcePeer, provider, 1
 			res.Messages++ // the server-directed contact
 			n.Flooded(node, v, obs.LevelServer, true, provider, 1, 1)
@@ -234,20 +230,19 @@ func (n *NetTube) locate(node int, v trace.VideoID) vod.RequestResult {
 // joinOverlay places the node in the video's overlay, linking it to the
 // provider (when given) and to random overlay members up to the bound.
 func (n *NetTube) joinOverlay(node int, v trace.VideoID, provider int) {
-	mesh := n.overlays.Get(v)
-	members := n.members.Get(v)
+	members := &n.members[v]
 	n.nodes[node].joinedAdd(v)
 	members.Add(node)
 	if provider >= 0 {
-		mesh.Connect(node, provider)
+		n.overlays.Connect(v, node, provider)
 	}
-	for attempts := 0; !mesh.Full(node) && attempts < 2*n.cfg.LinksPerOverlay; attempts++ {
+	for attempts := 0; !n.overlays.Full(v, node) && attempts < 2*n.cfg.LinksPerOverlay; attempts++ {
 		cand := members.Random(n.RNG, node)
 		if cand < 0 {
 			break
 		}
 		if n.Online(cand) {
-			mesh.Connect(node, cand)
+			n.overlays.Connect(v, node, cand)
 		}
 	}
 }
@@ -270,12 +265,11 @@ func (n *NetTube) Finish(node int, v trace.VideoID) {
 	}
 	prefetched := 0
 	for attempts := 0; prefetched < n.cfg.PrefetchCount && attempts < 4*n.cfg.PrefetchCount; attempts++ {
-		nb := neighbors[n.RNG.Intn(len(neighbors))]
-		vids := n.nodes[nb].cache.FullVideos()
-		if len(vids) == 0 {
+		held := &n.nodes[neighbors[n.RNG.Intn(len(neighbors))]].cache
+		if held.FullLen() == 0 {
 			continue
 		}
-		pick := vids[n.RNG.Intn(len(vids))]
+		pick := held.FullAt(n.RNG.Intn(held.FullLen()))
 		if cache.HasPrefix(pick) {
 			continue // already local (the video just watched included)
 		}
@@ -291,7 +285,7 @@ func (n *NetTube) Finish(node int, v trace.VideoID) {
 func (n *NetTube) Links(node int) int {
 	total := 0
 	for _, v := range n.joined(node) {
-		total += n.overlays.Get(v).Degree(node)
+		total += n.overlays.Degree(v, node)
 	}
 	return total
 }
@@ -302,12 +296,12 @@ func (n *NetTube) Probe(node int) int {
 	if !n.Online(node) {
 		return 0
 	}
-	before := n.Links(node)
-	msgs := 0
+	msgs, pruned := 0, 0
 	for _, v := range n.nodes[node].joined {
-		msgs += n.overlays.Get(v).Prune(node, n.Online)
+		examined, removed := n.overlays.Prune(v, node, n.Online)
+		msgs, pruned = msgs+examined, pruned+removed
 	}
-	n.Ctr.LinksPruned += uint64(before - n.Links(node))
+	n.Ctr.LinksPruned += uint64(pruned)
 	n.Probed(node, msgs)
 	return msgs
 }

@@ -55,9 +55,9 @@ func (c PAVoDConfig) Validate() error {
 type PAVoD struct {
 	vod.Chassis
 	cfg PAVoDConfig
-	// watchers tracks who is currently watching each video — the
-	// server-side state PA-VoD needs.
-	watchers *overlay.Registry[trace.VideoID, overlay.Members]
+	// watchers tracks who is currently watching each video, indexed by
+	// video id — the server-side state PA-VoD needs.
+	watchers []overlay.Members
 	nodes    []paNode
 	// eligible is the reusable candidate buffer of eligibleProvider.
 	eligible []int
@@ -89,7 +89,7 @@ func NewPAVoD(cfg PAVoDConfig, tr *trace.Trace) (*PAVoD, error) {
 	p := &PAVoD{
 		Chassis:  chassis,
 		cfg:      cfg,
-		watchers: overlay.NewRegistry[trace.VideoID](overlay.NewMembers),
+		watchers: make([]overlay.Members, len(tr.Videos)),
 		nodes:    make([]paNode, len(tr.Users)),
 	}
 	for i := range p.nodes {
@@ -120,7 +120,7 @@ func (p *PAVoD) Fail(node int) {
 func (p *PAVoD) stopWatching(node int) {
 	st := &p.nodes[node]
 	if st.watching >= 0 {
-		p.watchers.Get(st.watching).Remove(node)
+		p.watchers[st.watching].Remove(node)
 		st.startedAt = 0
 		st.watching = -1
 	}
@@ -136,7 +136,7 @@ func (p *PAVoD) stopWatching(node int) {
 // to hold the leading chunk and (b) has upload capacity left.
 func (p *PAVoD) eligibleProvider(v trace.VideoID, exclude int) int {
 	eligible := p.eligible[:0]
-	for _, id := range p.watchers.Get(v).View() {
+	for _, id := range p.watchers[v].View() {
 		if id == exclude || !p.Online(id) {
 			continue
 		}
@@ -187,7 +187,7 @@ func (p *PAVoD) locate(node int, v trace.VideoID) vod.RequestResult {
 	}
 	st.watching = v
 	st.startedAt = p.Now()
-	p.watchers.Get(v).Add(node)
+	p.watchers[v].Add(node)
 	return res
 }
 
@@ -208,7 +208,11 @@ func (p *PAVoD) Links(node int) int {
 	return 1
 }
 
-// Watchers returns how many nodes currently watch the video (tests).
+// Watchers returns how many nodes currently watch the video (tests); 0 for
+// an id outside the catalog.
 func (p *PAVoD) Watchers(v trace.VideoID) int {
-	return p.watchers.Get(v).Len()
+	if p.Trace.Video(v) == nil {
+		return 0
+	}
+	return p.watchers[v].Len()
 }

@@ -500,7 +500,7 @@ func TestPrefetchAccuracyMatchesPaper(t *testing.T) {
 }
 
 func TestMemberSet(t *testing.T) {
-	m := overlay.NewMembers()
+	m := &overlay.Members{}
 	g := dist.NewRNG(1)
 	if m.Random(g, -1) != -1 {
 		t.Fatal("empty set should return -1")

@@ -4,7 +4,7 @@ import "slices"
 
 // Test-only views of Links, Mesh and Members: nothing outside this package's
 // tests reads a link set's capacity, copies one, enumerates a mesh, cuts a
-// single edge or lists members.
+// single edge, builds a member set on the heap or lists members.
 
 // Max returns the capacity.
 func (l *Links) Max() int { return l.max }
@@ -49,6 +49,11 @@ func (m *Mesh) Symmetric() bool {
 func Flood(origin int, ttl int, neighbors func(int) []int, match func(int) bool) FloodResult {
 	var s FloodScratch
 	return s.Flood(origin, ttl, neighbors, match)
+}
+
+// NewMembers returns an empty member set.
+func NewMembers() *Members {
+	return &Members{index: make(map[int]int)}
 }
 
 // Has reports membership of n.

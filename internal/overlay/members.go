@@ -12,11 +12,6 @@ type Members struct {
 	index map[int]int
 }
 
-// NewMembers returns an empty member set.
-func NewMembers() *Members {
-	return &Members{index: make(map[int]int)}
-}
-
 // Add inserts n if absent.
 func (m *Members) Add(n int) {
 	if _, ok := m.index[n]; ok {

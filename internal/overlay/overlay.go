@@ -86,12 +86,11 @@ func (l *Links) Clear() {
 //
 // A mesh stores its per-node Links one of two ways, fixed by the
 // constructor. NewMesh keys them by node id and creates a node's set on its
-// first Connect — right for NetTube's many tiny per-video overlays, where
-// almost every node is absent from almost every mesh. NewDenseMesh, for one
+// first Connect (the bench probe and tests use it). NewDenseMesh, for one
 // overlay over a known population, holds them by value in a node-indexed
-// slice whose backing arrays are carved from a single arena: no per-node
-// allocation and no hash probe per adjacency read. Only get and links know
-// which; every edge operation is written once over them.
+// slice carved from a single arena: no per-node allocation and no hash probe
+// per adjacency read. Only get and links know which; every edge operation is
+// written once over them.
 type Mesh struct {
 	max   int
 	keyed map[int]*Links

@@ -62,6 +62,11 @@ func TestCacheMatchesMapModel(t *testing.T) {
 			if got := c.FullVideos(); !slices.Equal(got, m.order) {
 				t.Fatalf("max=%d step %d: FullVideos %v, model %v", maxVideos, step, got, m.order)
 			}
+			for i, v := range m.order {
+				if got := c.FullAt(i); got != v {
+					t.Fatalf("max=%d step %d: FullAt(%d) = %d, model %d", maxVideos, step, i, got, v)
+				}
+			}
 			for probe := trace.VideoID(-1); probe <= 40; probe++ {
 				if c.HasFull(probe) != m.full[probe] || c.HasPrefix(probe) != (m.full[probe] || m.prefix[probe]) {
 					t.Fatalf("max=%d step %d: video %d: HasFull %v HasPrefix %v, model full %v prefix %v",

@@ -107,6 +107,10 @@ func (c *Cache) HasPrefix(v trace.VideoID) bool {
 // FullLen returns the number of complete videos cached.
 func (c *Cache) FullLen() int { return len(c.full) }
 
+// FullAt returns the i-th fully cached video in LRU order, oldest first
+// (the order FullVideos copies), for 0 <= i < FullLen.
+func (c *Cache) FullAt(i int) trace.VideoID { return c.order[i] }
+
 // PrefixLen returns the number of prefix-only entries.
 func (c *Cache) PrefixLen() int { return len(c.prefix) }
 
