@@ -181,7 +181,11 @@ func run(args []string) (retErr error) {
 	}
 	in.Scale.Seed = *seed
 	// The sweeps build their own traces (one per population or column
-	// set), so they skip the shared trace and its banner.
+	// set), so they skip the shared trace and its banner, and with it the
+	// event trace and the raw dump that run over that trace.
+	if figs[0].Sweep && (*traceOut != "" || *jsonDump) {
+		return fmt.Errorf("-trace-out and -json do not apply to -fig %s", *fig)
+	}
 	if !figs[0].Sweep {
 		if *shards > 0 || *users > 0 {
 			return fmt.Errorf("-shards and -users apply to -fig scale and -fig load only")

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"path/filepath"
 	"testing"
 )
 
@@ -28,6 +29,18 @@ func TestRunUnknownScale(t *testing.T) {
 func TestRunBadFlags(t *testing.T) {
 	if err := run([]string{"-bogus"}); err == nil {
 		t.Fatal("expected flag parse error")
+	}
+	// The sweeps build their own traces: a flag reading the shared one
+	// is refused, not dropped.
+	for _, args := range [][]string{
+		{"-fig", "scale", "-trace-out", filepath.Join(t.TempDir(), "t.jsonl")},
+		{"-fig", "load", "-trace-out", filepath.Join(t.TempDir(), "t.jsonl")},
+		{"-fig", "scale", "-json"},
+		{"-fig", "load", "-json"},
+	} {
+		if err := run(args); err == nil {
+			t.Errorf("args %v accepted", args)
+		}
 	}
 }
 

@@ -72,6 +72,9 @@ type NetTube struct {
 	// id — the per-video state the central server must keep (contrast §IV-A).
 	members []overlay.Members
 	nodes   []ntNode
+	// caches holds every node's cache beside the fingerprint word the
+	// flood's hit test reads first.
+	caches vod.Caches
 
 	// scratch is the reusable flood state; unionSeen/unionBuf back the
 	// allocation-free cross-overlay neighbour union, which runs inside a
@@ -84,7 +87,6 @@ type NetTube struct {
 var _ vod.Protocol = (*NetTube)(nil)
 
 type ntNode struct {
-	cache vod.Cache
 	// joined lists the per-video overlays the node currently has links
 	// in, sorted ascending so every iteration order is deterministic.
 	joined []trace.VideoID
@@ -112,10 +114,8 @@ func NewNetTube(cfg NetTubeConfig, tr *trace.Trace) (*NetTube, error) {
 		overlays: overlay.NewFamily[trace.VideoID](cfg.LinksPerOverlay, len(tr.Users)),
 		members:  make([]overlay.Members, len(tr.Videos)),
 		nodes:    make([]ntNode, len(tr.Users)),
+		caches:   vod.NewCaches(len(tr.Users), cfg.CacheVideos),
 		scratch:  *overlay.NewFloodScratch(len(tr.Users)),
-	}
-	for i := range n.nodes {
-		n.nodes[i] = ntNode{cache: *vod.NewCache(cfg.CacheVideos)}
 	}
 	return n, nil
 }
@@ -185,12 +185,12 @@ func (n *NetTube) locate(node int, v trace.VideoID) vod.RequestResult {
 		return vod.RequestResult{Source: vod.SourceServer}
 	}
 	st := &n.nodes[node]
-	res := vod.RequestResult{PrefixCached: st.cache.HasPrefix(v)}
-	if st.cache.HasFull(v) {
+	res := vod.RequestResult{PrefixCached: n.caches.Cache(node).HasPrefix(v)}
+	if n.caches.HasFull(node, v) {
 		res.Source = vod.SourceCache
 		return res
 	}
-	match := func(m int) bool { return n.Online(m) && n.nodes[m].cache.HasFull(v) }
+	match := func(m int) bool { return n.Online(m) && n.caches.HasFull(m, v) }
 	// A node with overlay links queries its neighbours within TTL hops;
 	// a fresh node (first request of a session) instead asks the server,
 	// which directs it to providers in the video's overlay. On a miss the
@@ -254,8 +254,7 @@ func (n *NetTube) Finish(node int, v trace.VideoID) {
 	if !n.Known(node) || n.Trace.Video(v) == nil {
 		return
 	}
-	cache := &n.nodes[node].cache
-	cache.AddFull(v)
+	n.caches.AddFull(node, v)
 	if n.cfg.PrefetchCount <= 0 {
 		return
 	}
@@ -265,15 +264,15 @@ func (n *NetTube) Finish(node int, v trace.VideoID) {
 	}
 	prefetched := 0
 	for attempts := 0; prefetched < n.cfg.PrefetchCount && attempts < 4*n.cfg.PrefetchCount; attempts++ {
-		held := &n.nodes[neighbors[n.RNG.Intn(len(neighbors))]].cache
+		held := n.caches.Cache(neighbors[n.RNG.Intn(len(neighbors))])
 		if held.FullLen() == 0 {
 			continue
 		}
 		pick := held.FullAt(n.RNG.Intn(held.FullLen()))
-		if cache.HasPrefix(pick) {
+		if n.caches.Cache(node).HasPrefix(pick) {
 			continue // already local (the video just watched included)
 		}
-		cache.AddPrefix(pick)
+		n.caches.Cache(node).AddPrefix(pick)
 		n.Prefetched(node, pick)
 		prefetched++
 	}
@@ -311,7 +310,7 @@ func (n *NetTube) Cache(node int) *vod.Cache {
 	if !n.Known(node) {
 		return nil
 	}
-	return &n.nodes[node].cache
+	return n.caches.Cache(node)
 }
 
 // Overlays returns how many per-video overlays the node currently belongs

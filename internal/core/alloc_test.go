@@ -258,3 +258,30 @@ func TestLeaveJoinAllocFree(t *testing.T) {
 		t.Fatal("no rejoin reconnected: the cycle measured nothing")
 	}
 }
+
+// TestRemoteLookupAllocFree pins the cross-cell lookup at 0 allocs/op: it
+// sets the video the hit test matches, picks a channel member and floods
+// that overlay through the system's reusable scratch, as a request's
+// server-assisted phase does.
+func TestRemoteLookupAllocFree(t *testing.T) {
+	sys, tr := benchSystem(t)
+	lookup := func(i int) bool {
+		_, _, _, ok := sys.RemoteLookup(uint64(i), tr.Videos[i%len(tr.Videos)].ID)
+		return ok
+	}
+	for i := range tr.Videos {
+		lookup(i)
+	}
+	i, hits := 0, 0
+	if avg := testing.AllocsPerRun(2000, func() {
+		i++
+		if lookup(i) {
+			hits++
+		}
+	}); avg != 0 {
+		t.Fatalf("remote lookup allocates %.2f allocs/op, want 0", avg)
+	}
+	if hits == 0 {
+		t.Fatal("no remote lookup found a provider: the guard measured no hit")
+	}
+}

@@ -14,6 +14,7 @@ import (
 
 	"github.com/socialtube/socialtube/internal/dist"
 	"github.com/socialtube/socialtube/internal/health"
+	"github.com/socialtube/socialtube/internal/overlay"
 )
 
 // Config holds SocialTube's protocol parameters. Defaults are the paper's
@@ -62,9 +63,9 @@ func DefaultConfig() Config {
 // ablation discussed in DESIGN.md.
 func (c Config) Validate() error {
 	switch {
-	case c.InnerLinks <= 0:
+	case c.InnerLinks <= 0 || c.InnerLinks > overlay.MaxLinks:
 		return fmt.Errorf("%w: innerLinks=%d", dist.ErrBadParameter, c.InnerLinks)
-	case c.InterLinks < 0:
+	case c.InterLinks < 0 || c.InterLinks > overlay.MaxLinks:
 		return fmt.Errorf("%w: interLinks=%d", dist.ErrBadParameter, c.InterLinks)
 	case c.TTL <= 0:
 		return fmt.Errorf("%w: ttl=%d", dist.ErrBadParameter, c.TTL)

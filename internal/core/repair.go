@@ -54,11 +54,10 @@ func (s *System) Reseed(node int) int {
 	if !s.Online(node) {
 		return 0
 	}
-	st := &s.nodes[node]
 	// An unattached node (home -1) has no top-M list, so it picks nothing.
-	s.topBuf = vod.PickPrefetch(s.topBuf[:0], s.topM(st.home), s.cfg.PrefetchCount, st.cache.HasPrefix)
+	s.topBuf = vod.PickPrefetch(s.topBuf[:0], s.topM(s.nodes[node].home), s.cfg.PrefetchCount, s.caches.Cache(node).HasPrefix)
 	for _, v := range s.topBuf {
-		st.cache.AddPrefix(v)
+		s.caches.Cache(node).AddPrefix(v)
 	}
 	s.Ctr.PrefetchReseeds += uint64(len(s.topBuf))
 	return len(s.topBuf)

@@ -56,8 +56,8 @@ func (s *System) locate(node int, v trace.VideoID) vod.RequestResult {
 		return vod.RequestResult{Source: vod.SourceServer}
 	}
 	st := &s.nodes[node]
-	res := vod.RequestResult{PrefixCached: st.cache.HasPrefix(v)}
-	if st.cache.HasFull(v) {
+	res := vod.RequestResult{PrefixCached: s.caches.Cache(node).HasPrefix(v)}
+	if s.caches.HasFull(node, v) {
 		res.Source = vod.SourceCache
 		return res
 	}
@@ -256,13 +256,12 @@ func (s *System) Finish(node int, v trace.VideoID) {
 	if !s.Known(node) || video == nil {
 		return
 	}
-	cache := &s.nodes[node].cache
-	cache.AddFull(v)
+	s.caches.AddFull(node, v)
 	// §IV-B's pick: of the top M, those the cache holds no first chunk of
 	// (the video just watched is held in full, hence never chosen).
-	s.topBuf = vod.PickPrefetch(s.topBuf[:0], s.topM(video.Channel), s.cfg.PrefetchCount, cache.HasPrefix)
+	s.topBuf = vod.PickPrefetch(s.topBuf[:0], s.topM(video.Channel), s.cfg.PrefetchCount, s.caches.Cache(node).HasPrefix)
 	for _, top := range s.topBuf {
-		cache.AddPrefix(top)
+		s.caches.Cache(node).AddPrefix(top)
 		s.Prefetched(node, top)
 	}
 }

@@ -17,13 +17,14 @@ import (
 // decisions. It is single-threaded, driven by the experiment engine.
 //
 // Node ids are dense (trace users are 0..len(Users)-1) and so are channel
-// ids, so state is indexed, not hashed: cache, both link sets (by value in
-// the two dense meshes), subscriptions, remembered neighbours and breaker
-// by node id, member sets and the category index by channel and category
-// id. A flood and a probe round touch no hash bucket, and neither they
-// nor a leave/join cycle allocate; the one map left is inside
-// overlay.Members (node → slot), read when a request re-asserts the
-// node's membership and written when it enters or leaves a member set.
+// ids, so state is indexed, not hashed: cache and its fingerprint word,
+// both link sets (in the two dense meshes), subscriptions, remembered
+// neighbours and breaker by node id, member sets and the category index
+// by channel and category id. A flood and a probe round touch no hash
+// bucket, and neither they nor a leave/join cycle allocate; the one map
+// left is inside overlay.Members (node → slot), read when a request
+// re-asserts the node's membership and written when it enters or leaves a
+// member set.
 type System struct {
 	vod.Chassis
 	cfg Config
@@ -44,6 +45,10 @@ type System struct {
 	members []overlay.Members
 	// nodes is indexed by node id.
 	nodes []nodeState
+	// caches holds every node's cache, which survives offline periods
+	// ("nodes store their cached videos for their next session"), beside
+	// the fingerprint word a flood's hit test reads first.
+	caches vod.Caches
 	// byCat indexes channels by primary category for inter-link seeding.
 	byCat [][]trace.ChannelID
 	// subs is each node's subscription set, indexed by node id: the
@@ -76,10 +81,8 @@ type System struct {
 
 var _ vod.Protocol = (*System)(nil)
 
-// nodeState is one peer's protocol state. The cache survives offline
-// periods ("nodes store their cached videos for their next session").
+// nodeState is one peer's protocol state beside its cache.
 type nodeState struct {
-	cache vod.Cache
 	// home is the channel overlay the node currently belongs to (the
 	// channel it is watching); -1 when unattached.
 	home trace.ChannelID
@@ -105,6 +108,7 @@ func New(cfg Config, tr *trace.Trace) (*System, error) {
 		inter:   overlay.NewDenseMesh(cfg.InterLinks, len(tr.Users)),
 		members: make([]overlay.Members, len(tr.Channels)),
 		nodes:   make([]nodeState, len(tr.Users)),
+		caches:  vod.NewCaches(len(tr.Users), cfg.CacheVideos),
 		byCat:   make([][]trace.ChannelID, tr.Categories),
 		subs:    make([][]trace.ChannelID, len(tr.Users)),
 		scratch: *overlay.NewFloodScratch(len(tr.Users)),
@@ -122,7 +126,7 @@ func New(cfg Config, tr *trace.Trace) (*System, error) {
 	for i := range tr.Users {
 		u := &tr.Users[i]
 		node := int(u.ID)
-		s.nodes[node] = nodeState{cache: *vod.NewCache(cfg.CacheVideos), home: -1}
+		s.nodes[node] = nodeState{home: -1}
 		s.subs[node] = u.Subscriptions
 	}
 	// The flood and probe closures are built once and steered through
@@ -134,7 +138,7 @@ func New(cfg Config, tr *trace.Trace) (*System, error) {
 		return s.inner.NeighborsView(n)
 	}
 	s.matchNode = func(n int) bool {
-		return s.Online(n) && s.nodes[n].cache.HasFull(s.matchVideo)
+		return s.Online(n) && s.caches.HasFull(n, s.matchVideo)
 	}
 	s.keepOnline = s.Online
 	return s, nil
@@ -302,7 +306,7 @@ func (s *System) Cache(node int) *vod.Cache {
 	if !s.Known(node) {
 		return nil
 	}
-	return &s.nodes[node].cache
+	return s.caches.Cache(node)
 }
 
 func (s *System) channelCategory(ch trace.ChannelID) trace.CategoryID {

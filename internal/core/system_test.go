@@ -65,6 +65,8 @@ func TestConfigValidate(t *testing.T) {
 		{"zero inner", func(c *Config) { c.InnerLinks = 0 }, false},
 		{"negative inter", func(c *Config) { c.InterLinks = -1 }, false},
 		{"zero inter allowed", func(c *Config) { c.InterLinks = 0 }, true},
+		{"inner past a mesh's bound", func(c *Config) { c.InnerLinks = overlay.MaxLinks + 1 }, false},
+		{"inter past a mesh's bound", func(c *Config) { c.InterLinks = overlay.MaxLinks + 1 }, false},
 		{"zero ttl", func(c *Config) { c.TTL = 0 }, false},
 		{"negative prefetch", func(c *Config) { c.PrefetchCount = -1 }, false},
 		{"zero prefetch allowed", func(c *Config) { c.PrefetchCount = 0 }, true},

@@ -36,7 +36,8 @@ func BenchmarkFlood(b *testing.B) {
 	}
 }
 
-// eachMeshKind runs a benchmark over both Mesh constructions for n nodes.
+// eachMeshKind runs a benchmark over both Mesh constructions for n nodes:
+// NewMesh grown to the ids it links ("keyed") and NewDenseMesh.
 func eachMeshKind(b *testing.B, n int, bench func(b *testing.B, newMesh func(max int) *Mesh)) {
 	b.Run("keyed", func(b *testing.B) { bench(b, NewMesh) })
 	b.Run("dense", func(b *testing.B) { bench(b, func(max int) *Mesh { return NewDenseMesh(max, n) }) })

@@ -1,7 +1,5 @@
 package overlay
 
-import "slices"
-
 // Test-only views of Links, Mesh and Members: nothing outside this package's
 // tests reads a link set's capacity, copies one, enumerates a mesh, cuts a
 // single edge, builds a member set on the heap or lists members.
@@ -21,14 +19,11 @@ func (m *Mesh) Disconnect(a, b int) {
 // Nodes returns all node ids holding at least one link, ascending.
 func (m *Mesh) Nodes() []int {
 	var out []int
-	for n := range m.keyed {
-		out = append(out, n)
+	for n := range m.deg {
+		if m.Degree(n) > 0 {
+			out = append(out, n)
+		}
 	}
-	for n := range m.dense {
-		out = append(out, n)
-	}
-	out = slices.DeleteFunc(out, func(n int) bool { return m.Degree(n) == 0 })
-	slices.Sort(out)
 	return out
 }
 

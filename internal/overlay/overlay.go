@@ -6,11 +6,15 @@
 // so Links stores a single sorted []int instead of a map. Membership is a
 // binary search, iteration is allocation-free and already in ascending
 // order, and the flood hot path reads adjacency through Mesh.NeighborsView
-// without copying. A Mesh over a known population (NewDenseMesh) also keeps
-// the sets themselves in a node-indexed slice, so that read probes no map.
+// without copying. A Mesh keeps every node's set in one node-indexed arena
+// beside a node-indexed byte of degree, so that read probes no map.
 package overlay
 
-import "slices"
+import (
+	"fmt"
+	"math"
+	"slices"
+)
 
 // Links is a bounded set of neighbour node ids, kept sorted ascending. The
 // zero value is unusable; construct with NewLinks.
@@ -84,79 +88,80 @@ func (l *Links) Clear() {
 // both endpoints or not at all, which is the paper's structure-maintenance
 // invariant (neighbours probe each other and drop dead links on both sides).
 //
-// A mesh stores its per-node Links one of two ways, fixed by the
-// constructor. NewMesh keys them by node id and creates a node's set on its
-// first Connect (the bench probe and tests use it). NewDenseMesh, for one
-// overlay over a known population, holds them by value in a node-indexed
-// slice carved from a single arena: no per-node allocation and no hash probe
-// per adjacency read. Only get and links know which; every edge operation is
-// written once over them.
+// A mesh is two node-indexed arrays: deg[n], node n's link count in one
+// byte, and an arena whose n*max..n*max+deg[n] range holds n's neighbours
+// ascending. Full, Degree and Connect's budget check read one byte, and the
+// flood's adjacency read one slice of the arena: no per-node header, no
+// per-node allocation. NewDenseMesh sizes both arrays for a known
+// population; NewMesh grows them to the largest id it links.
 type Mesh struct {
 	max   int
-	keyed map[int]*Links
-	dense []Links
+	limit int     // ids 0..limit-1 can be linked
+	deg   []uint8 // ids at or past len(deg) hold no links
+	arena []int
 }
 
-// NewMesh returns a keyed mesh whose nodes each hold at most max links.
-func NewMesh(max int) *Mesh {
-	return &Mesh{max: max, keyed: make(map[int]*Links)}
+// MaxLinks is the largest per-node link bound a Mesh holds: its degree
+// counts fit one byte.
+const MaxLinks = math.MaxUint8
+
+// newMesh returns a mesh whose nodes each hold at most bound links, over
+// ids below limit, with room for the first n of them. A bound past MaxLinks
+// is a caller's bug (configurations validate against it), so it panics.
+func newMesh(bound, limit, n int) *Mesh {
+	if bound > MaxLinks {
+		panic(fmt.Sprintf("overlay: link bound %d exceeds MaxLinks", bound))
+	}
+	bound = max(bound, 0)
+	return &Mesh{max: bound, limit: limit, deg: make([]uint8, n), arena: make([]int, n*bound)}
 }
 
-// NewDenseMesh returns a mesh over node ids 0..n-1, each holding at most max
-// links, with every link array allocated here, once. Ids outside the
+// NewMesh returns a mesh whose nodes each hold at most bound links; its
+// arrays grow to the largest node id it links. Node ids are dense user
+// indices: a negative id is never linked.
+func NewMesh(bound int) *Mesh { return newMesh(bound, math.MaxInt, 0) }
+
+// NewDenseMesh returns a mesh over node ids 0..n-1, each holding at most
+// bound links, with every link array allocated here, once. Ids outside the
 // population are never linked.
-func NewDenseMesh(max, n int) *Mesh {
-	m := &Mesh{max: max, dense: make([]Links, n)}
-	arena := make([]int, n*max)
-	for i := range m.dense {
-		m.dense[i] = Links{max: max, items: arena[i*max : i*max : (i+1)*max]}
-	}
-	return m
-}
+func NewDenseMesh(bound, n int) *Mesh { return newMesh(bound, n, n) }
 
-// get returns n's link set, or nil when n has none (keyed: never connected;
-// dense: outside the population).
-func (m *Mesh) get(n int) *Links {
-	if m.dense != nil {
-		if n < 0 || n >= len(m.dense) {
-			return nil
-		}
-		return &m.dense[n]
+// grow extends the arrays to hold node n.
+func (m *Mesh) grow(n int) {
+	if n < len(m.deg) {
+		return
 	}
-	return m.keyed[n]
-}
-
-// links is get for an endpoint about to be connected: a keyed mesh creates
-// the set on first use.
-func (m *Mesh) links(n int) *Links {
-	l := m.get(n)
-	if l == nil && m.keyed != nil {
-		l = NewLinks(m.max)
-		m.keyed[n] = l
-	}
-	return l
+	size := min(n+1+n/2, m.limit)
+	m.deg = append(m.deg, make([]uint8, size-len(m.deg))...)
+	m.arena = append(m.arena, make([]int, size*m.max-len(m.arena))...)
 }
 
 // Connect adds the symmetric edge (a, b). It reports false — and changes
-// nothing — when a == b, the edge exists, either endpoint is full, or the
-// mesh is dense and an endpoint lies outside its population.
+// nothing — when a == b, the edge exists, either endpoint is full, or an
+// endpoint is an id the mesh never links.
 func (m *Mesh) Connect(a, b int) bool {
-	if a == b {
+	if a == b || a < 0 || b < 0 || a >= m.limit || b >= m.limit ||
+		m.Full(a) || m.Full(b) || m.Connected(a, b) {
 		return false
 	}
-	la, lb := m.links(a), m.links(b)
-	if la == nil || lb == nil || la.Has(b) || la.Full() || lb.Full() {
-		return false
-	}
-	la.Add(b)
-	lb.Add(a)
+	m.grow(max(a, b))
+	m.link(a, b)
+	m.link(b, a)
 	return true
+}
+
+// link inserts b into a's links, which have room.
+func (m *Mesh) link(a, b int) {
+	l := m.NeighborsView(a)
+	i, _ := slices.BinarySearch(l, b)
+	l = slices.Insert(l, i, b) // within a's capacity: no reallocation
+	m.deg[a] = uint8(len(l))
 }
 
 // Connected reports whether the edge (a, b) exists.
 func (m *Mesh) Connected(a, b int) bool {
-	la := m.get(a)
-	return la != nil && la.Has(b)
+	_, ok := slices.BinarySearch(m.NeighborsView(a), b)
+	return ok
 }
 
 // Neighbors returns a's neighbours in ascending order (a copy the caller
@@ -173,62 +178,44 @@ func (m *Mesh) Neighbors(a int) []int {
 // live: it is invalidated by the next mutation of a's links and must not be
 // mutated or retained across Connect/RemoveNode/Prune.
 func (m *Mesh) NeighborsView(a int) []int {
-	la := m.get(a)
-	if la == nil {
+	if a < 0 || a >= len(m.deg) {
 		return nil
 	}
-	return la.items
+	at := a * m.max
+	return m.arena[at : at+int(m.deg[a]) : at+m.max]
 }
 
 // Degree returns the number of links a holds.
 func (m *Mesh) Degree(a int) int { return len(m.NeighborsView(a)) }
 
-// Full reports whether a cannot take more links.
-func (m *Mesh) Full(a int) bool {
-	la := m.get(a)
-	return la != nil && la.Full()
-}
+// Full reports whether a cannot take more links; an unlinkable id is not.
+func (m *Mesh) Full(a int) bool { return a >= 0 && a < m.limit && m.Degree(a) >= m.max }
 
 // unlink removes a from b's side of an edge.
 func (m *Mesh) unlink(b, a int) {
-	if lb := m.get(b); lb != nil {
-		lb.Remove(a)
+	l := m.NeighborsView(b)
+	if i, ok := slices.BinarySearch(l, a); ok {
+		copy(l[i:], l[i+1:])
+		m.deg[b]--
 	}
 }
 
 // RemoveNode drops a and all its edges (both directions).
-func (m *Mesh) RemoveNode(a int) {
-	la := m.get(a)
-	if la == nil {
-		return
-	}
-	for _, b := range la.items {
-		m.unlink(b, a)
-	}
-	la.Clear()
-	delete(m.keyed, a) // a keyed mesh forgets the node; no-op on a dense one
-}
+func (m *Mesh) RemoveNode(a int) { m.Prune(a, func(int) bool { return false }) }
 
 // Prune removes a's edges to every neighbour failing keep and reports the
 // number of neighbours examined — the probe/repair primitive. It runs
 // without allocating: the neighbour list is walked in descending order so
 // in-place removals never shift an unvisited entry.
 func (m *Mesh) Prune(a int, keep func(int) bool) int {
-	la := m.get(a)
-	if la == nil {
-		return 0
-	}
-	nbs := la.items
-	examined := len(nbs)
+	nbs := m.NeighborsView(a)
 	for i := len(nbs) - 1; i >= 0; i-- {
-		b := nbs[i]
-		if keep(b) {
-			continue
+		if b := nbs[i]; !keep(b) {
+			m.unlink(a, b)
+			m.unlink(b, a)
 		}
-		la.Remove(b)
-		m.unlink(b, a)
 	}
-	return examined
+	return len(nbs)
 }
 
 // FloodResult reports the outcome of a TTL-scoped flood search.

@@ -55,8 +55,9 @@ func TestLinksClear(t *testing.T) {
 	}
 }
 
-// eachMesh runs a Mesh test over both constructions: keyed, and dense over a
-// population that covers every node id the tests use.
+// eachMesh runs a Mesh test over both constructions: NewMesh, grown to the
+// ids it is handed (subtest "keyed"), and dense over a population that
+// covers every node id the tests use.
 func eachMesh(t *testing.T, test func(t *testing.T, newMesh func(max int) *Mesh)) {
 	t.Run("keyed", func(t *testing.T) { test(t, NewMesh) })
 	t.Run("dense", func(t *testing.T) {

@@ -76,3 +76,47 @@ func TestCacheMatchesMapModel(t *testing.T) {
 		}
 	}
 }
+
+// TestCachesMatchMapModel drives a Caches over a few nodes and one map model
+// per node through the same random AddFull/AddPrefix sequence, unbounded and
+// at two LRU bounds. After every step each node's word must be the OR of its
+// held full videos' bits, and HasFull and HasPrefix must agree with the
+// model for every video in the catalog. The catalog spans more than 64 ids,
+// so words also carry bits set by a different video than the one asked.
+func TestCachesMatchMapModel(t *testing.T) {
+	const nodes, catalog = 4, 100
+	for _, maxVideos := range []int{0, 1, 3} {
+		c := NewCaches(nodes, maxVideos)
+		models := make([]*mapCache, nodes)
+		for i := range models {
+			models[i] = &mapCache{maxVideos: maxVideos, full: map[trace.VideoID]bool{}, prefix: map[trace.VideoID]bool{}}
+		}
+		g := dist.NewRNG(int64(maxVideos) + 11)
+		for step := 0; step < 2000; step++ {
+			node, v := g.Intn(nodes), trace.VideoID(g.Intn(catalog))
+			if g.Bool(0.5) {
+				c.AddFull(node, v)
+				models[node].AddFull(v)
+			} else {
+				c.Cache(node).AddPrefix(v)
+				models[node].AddPrefix(v)
+			}
+			for n, m := range models {
+				var want uint64
+				for held := range m.full {
+					want |= fingerprint(held)
+				}
+				if c.words[n] != want {
+					t.Fatalf("max=%d step %d: node %d word %#x, held videos %v give %#x",
+						maxVideos, step, n, c.words[n], m.order, want)
+				}
+				for probe := trace.VideoID(0); probe < catalog; probe++ {
+					if c.HasFull(n, probe) != m.full[probe] || c.Cache(n).HasPrefix(probe) != (m.full[probe] || m.prefix[probe]) {
+						t.Fatalf("max=%d step %d: node %d video %d: HasFull %v HasPrefix %v, model full %v prefix %v",
+							maxVideos, step, n, probe, c.HasFull(n, probe), c.Cache(n).HasPrefix(probe), m.full[probe], m.prefix[probe])
+					}
+				}
+			}
+		}
+	}
+}

@@ -117,6 +117,53 @@ func (c *Cache) PrefixLen() int { return len(c.prefix) }
 // FullVideos returns the ids of all fully cached videos (copy).
 func (c *Cache) FullVideos() []trace.VideoID { return slices.Clone(c.order) }
 
+// Caches holds a known population's caches, node-indexed, beside one
+// fingerprint word per node: bit v%64 is set when the node holds a full
+// video whose id is v modulo 64. A flood asks each node it visits whether it
+// holds one video; the word answers most misses with one load, and a set bit
+// still runs the exact search: saturation costs speed, never an answer.
+type Caches struct {
+	caches []Cache
+	words  []uint64
+}
+
+// NewCaches returns n empty caches bounded to maxVideos full videos each.
+func NewCaches(n, maxVideos int) Caches {
+	c := Caches{caches: make([]Cache, n), words: make([]uint64, n)}
+	for i := range c.caches {
+		c.caches[i].maxVideos = maxVideos
+	}
+	return c
+}
+
+func fingerprint(v trace.VideoID) uint64 { return 1 << (uint64(v) & 63) }
+
+// Cache returns the node's cache. Store full videos through AddFull, which
+// keeps the node's word in step; prefixes and reads need no word.
+func (c *Caches) Cache(node int) *Cache { return &c.caches[node] }
+
+// AddFull is Cache.AddFull on the node's cache. A new video sets its bit; a
+// held one, or one whose storing evicted another, rebuilds the word.
+func (c *Caches) AddFull(node int, v trace.VideoID) {
+	cache := &c.caches[node]
+	held := len(cache.full)
+	cache.AddFull(v)
+	w := c.words[node] | fingerprint(v)
+	if len(cache.full) == held {
+		w = 0
+		for _, u := range cache.full {
+			w |= fingerprint(u)
+		}
+	}
+	c.words[node] = w
+}
+
+// HasFull is Cache.HasFull on the node's cache, skipping the search when
+// the node's word lacks v's bit.
+func (c *Caches) HasFull(node int, v trace.VideoID) bool {
+	return c.words[node]&fingerprint(v) != 0 && c.caches[node].HasFull(v)
+}
+
 // PickPrefetch is §IV-B's top-M prefetch pick, the one statement both
 // substrates call: it appends to out the first m entries of the
 // popularity-ordered list that skip does not reject, in rank order.

@@ -55,6 +55,15 @@ echo "== experiment-driver gate (golden Results, determinism table, N_h = 0, fau
 go test -race -count=5 -run 'TestGoldenResults|TestDeterministicUnderSeed|TestSharded(Timeline)?WorkerCountInvariance|TestZeroInterLinkBudgetHoldsNoInterLinks' ./internal/exp/
 go test -race -count=5 -run 'TestCannedPlanSchedulesPinned' ./internal/faults/
 
+echo "== hot-path layout gate (cache fingerprint words, one mesh representation; -race x5) =="
+# A flood's hit test reads a node's fingerprint word before its cache, and
+# every link-budget check reads a mesh's degree byte. Both are pinned against
+# map models after every random step: the word is the OR of the held
+# videos' bits (evictions included), and the mesh matches a map of
+# neighbour sets in degree, order, fullness and symmetry. Seconds.
+go test -race -count=5 -run 'TestCachesMatchMapModel' ./internal/vod/
+go test -race -count=5 -run 'TestMeshMatchesSetModel|TestMeshBoundFitsDegree' ./internal/overlay/
+
 echo "== emulator wire and connection-reuse gate (-race x5) =="
 # The frame format is pinned and round-trips, a frame with any byte flipped
 # or a malformed body never decodes, and corrupted replies are RPC errors.
