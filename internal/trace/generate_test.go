@@ -340,26 +340,47 @@ func TestInterestsDerivedFromFavorites(t *testing.T) {
 // TestGenerateGoldenBytes pins the generator's output byte-for-byte: the
 // sha-256 of SaveStream for the default configuration at three population
 // sizes, taken before the subscription draws stopped building a weight
-// slice per draw. Any change to the RNG stream or the draw arithmetic
-// moves every figure and must show up here first.
+// slice per draw, plus two shapes the default rows miss, taken before the
+// generator dropped its per-user maps: sim-closed's population (the
+// 4.4x catalog, whose channels reach the large-n Zipf samplers) and a
+// 6-category trace with the interest cap clamped to the category count.
+// Any change to the RNG stream or the draw arithmetic moves every figure
+// and must show up here first.
 func TestGenerateGoldenBytes(t *testing.T) {
-	golden := map[int]string{
-		2_000:   "3cf5fced5c38c126b80fd9fc2707b577bc5cfe343c3e96a9ef5ea34ccd8adf10",
-		10_000:  "231261a462196b53d330e0c3afb82d82d1582bf9a5b7e7a98137327436b6c1ed",
-		100_000: "41f68ee7ce16ed1508db1b26acf150f7900914a53f0164098b3a90deb0e608be",
+	scaled := func(c *Config) {
+		c.Users = 10_000
+		c.VideoCountMultiplier = 4.4
+		// figures.Scale.BuildTrace scales the per-channel cap with
+		// the catalog.
+		c.MaxVideosPerChannel = int(float64(c.MaxVideosPerChannel) * 4.4)
 	}
-	for users, want := range golden {
-		if users > 10_000 && testing.Short() {
+	sixCategories := func(c *Config) {
+		c.Categories = 6
+		c.MaxInterestsPerUser = 6
+	}
+	golden := []struct {
+		name   string
+		mutate func(*Config)
+		want   string
+	}{
+		{"2k users", func(c *Config) { c.Users = 2_000 }, "3cf5fced5c38c126b80fd9fc2707b577bc5cfe343c3e96a9ef5ea34ccd8adf10"},
+		{"10k users", func(c *Config) { c.Users = 10_000 }, "231261a462196b53d330e0c3afb82d82d1582bf9a5b7e7a98137327436b6c1ed"},
+		{"100k users", func(c *Config) { c.Users = 100_000 }, "41f68ee7ce16ed1508db1b26acf150f7900914a53f0164098b3a90deb0e608be"},
+		{"sim-closed population", scaled, "483952f8bcfb307b14c182c72fe9cec3213c1020927f3b4e7b9c412c333eca4c"},
+		{"6 categories", sixCategories, "46d088d798bb7ee539a9641bb4795a27d1cc5a800653d5c7eca0a139a7094e66"},
+	}
+	for _, row := range golden {
+		cfg := DefaultConfig()
+		row.mutate(&cfg)
+		if cfg.Users > 10_000 && testing.Short() {
 			continue
 		}
-		cfg := DefaultConfig()
-		cfg.Users = users
 		h := sha256.New()
 		if err := mustGenerate(t, cfg).SaveStream(h); err != nil {
 			t.Fatal(err)
 		}
-		if got := hex.EncodeToString(h.Sum(nil)); got != want {
-			t.Errorf("%d users: SaveStream sha-256 %s, want %s", users, got, want)
+		if got := hex.EncodeToString(h.Sum(nil)); got != row.want {
+			t.Errorf("%s: SaveStream sha-256 %s, want %s", row.name, got, row.want)
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 	"time"
 )
@@ -166,6 +168,119 @@ func TestPartitionCoversGeneratedTrace(t *testing.T) {
 		c := p.Home[u]
 		if c < 0 || c >= len(p.Cells) {
 			t.Fatalf("user %d home %d out of range", u, c)
+		}
+	}
+}
+
+// referencePartition is the partition written the slow, obvious way: a
+// user's home is the majority primary category of its subscriptions
+// (smallest id on ties), else its first interest, else its id modulo the
+// category count; each cell then filters every channel's subscriber list
+// down to its own users on its own pass.
+func referencePartition(t *Trace) *Partition {
+	p := &Partition{parent: t, Cells: make([]CellTrace, t.Categories), Home: make([]int, len(t.Users))}
+	for i := range t.Users {
+		u := &t.Users[i]
+		counts := make([]int, t.Categories)
+		for _, ch := range u.Subscriptions {
+			counts[t.Channels[ch].Primary]++
+		}
+		home, best := -1, 0
+		for c, n := range counts {
+			if n > best {
+				home, best = c, n
+			}
+		}
+		switch {
+		case home >= 0:
+		case len(u.Interests) > 0:
+			home = int(u.Interests[0])
+		default:
+			home = int(u.ID) % t.Categories
+		}
+		p.Home[i] = home
+	}
+	local := make([]int, len(t.Users))
+	for c := range p.Cells {
+		p.Cells[c].Cell = c
+		for i := range t.Users {
+			if p.Home[i] == c {
+				local[i] = len(p.Cells[c].Users)
+				p.Cells[c].Users = append(p.Cells[c].Users, t.Users[i].ID)
+			}
+		}
+	}
+	for c := range p.Cells {
+		cell := &Trace{
+			Seed:       t.Seed,
+			Categories: t.Categories,
+			Channels:   make([]Channel, len(t.Channels)),
+			Videos:     t.Videos,
+			Users:      make([]User, len(p.Cells[c].Users)),
+			Start:      t.Start,
+			End:        t.End,
+		}
+		for i := range t.Channels {
+			cell.Channels[i] = t.Channels[i]
+			subs := []UserID{}
+			for _, u := range t.Channels[i].Subscribers {
+				if p.Home[u] == c {
+					subs = append(subs, UserID(local[u]))
+				}
+			}
+			cell.Channels[i].Subscribers = subs
+		}
+		for li, gid := range p.Cells[c].Users {
+			cell.Users[li] = t.Users[gid]
+			cell.Users[li].ID = UserID(li)
+		}
+		p.Cells[c].Trace = cell
+	}
+	return p
+}
+
+// TestPartitionMatchesReference checks PartitionByCategory against
+// referencePartition on generated traces: the same homes, the same cell
+// membership, and byte-identical cell traces. The 5-channel trace has
+// more categories than primaries in use, so some cells are empty.
+func TestPartitionMatchesReference(t *testing.T) {
+	tiny := DefaultConfig()
+	tiny.Channels = 5
+	tiny.Users = 300
+	for _, cfg := range []Config{smallConfig(5), DefaultConfig(), tiny} {
+		tr := mustGenerate(t, cfg)
+		got, err := PartitionByCategory(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := referencePartition(tr)
+		if !slices.Equal(got.Home, want.Home) {
+			t.Fatalf("%d channels, %d users: homes differ from the reference", cfg.Channels, cfg.Users)
+		}
+		if len(got.Cells) != len(want.Cells) {
+			t.Fatalf("%d cells, reference has %d", len(got.Cells), len(want.Cells))
+		}
+		empty := 0
+		for c := range want.Cells {
+			if !slices.Equal(got.Cells[c].Users, want.Cells[c].Users) {
+				t.Fatalf("%d channels, %d users: cell %d users differ from the reference", cfg.Channels, cfg.Users, c)
+			}
+			var gotBytes, wantBytes bytes.Buffer
+			if err := got.Cells[c].Trace.SaveStream(&gotBytes); err != nil {
+				t.Fatal(err)
+			}
+			if err := want.Cells[c].Trace.SaveStream(&wantBytes); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(gotBytes.Bytes(), wantBytes.Bytes()) {
+				t.Fatalf("%d channels, %d users: cell %d trace bytes differ from the reference", cfg.Channels, cfg.Users, c)
+			}
+			if len(want.Cells[c].Users) == 0 {
+				empty++
+			}
+		}
+		if cfg.Channels == tiny.Channels && empty == 0 {
+			t.Fatalf("%d channels over %d categories left no cell empty", cfg.Channels, cfg.Categories)
 		}
 	}
 }
