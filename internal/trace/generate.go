@@ -1,9 +1,10 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"github.com/socialtube/socialtube/internal/dist"
@@ -99,7 +100,9 @@ func (c Config) Validate() error {
 }
 
 // generator holds the per-run state of a single Generate call so concurrent
-// generations never share mutable state.
+// generations never share mutable state. It holds no per-user map: the
+// per-user scratch below is indexed by category id and cleared after
+// each user, and duplicate checks scan the user's own short lists.
 type generator struct {
 	cfg        Config
 	g          *dist.RNG
@@ -109,32 +112,44 @@ type generator struct {
 	chanDraw   dist.Cumulative   // chanPop as a draw over all channels
 	byCat      [][]ChannelID     // channels indexed by primary category
 	catDraw    []dist.Cumulative // catDraw[c] draws an index into byCat[c] by chanPop
-	zipfCache  map[zipfKey]*dist.Zipf
+	zipfs      []zipfCache       // one per exponent in use
+	catSeen    []bool            // sampleInterests' scratch, one per category
+	catCount   []int             // deriveInterests' tally, one per category
+	derived    []CategoryID      // deriveInterests' scratch list
 }
 
-type zipfKey struct {
-	n int
-	s float64
+// zipfCache holds the samplers built for one exponent, indexed by n.
+type zipfCache struct {
+	s   float64
+	byN []*dist.Zipf
 }
 
 // zipfFor returns a cached Zipf sampler for (n, s). Constructing a
 // sampler is O(n) and draws nothing from the RNG, so caching keeps the
 // generation stream bit-identical while turning the per-favourite
 // construction from quadratic to linear at paper scale (1M users drawing
-// from channels holding hundreds of videos each).
+// from channels holding hundreds of videos each). Only three exponents
+// are ever asked for, so a linear scan finds the exponent's cache.
 func (gen *generator) zipfFor(n int, s float64) (*dist.Zipf, error) {
-	k := zipfKey{n, s}
-	if z, ok := gen.zipfCache[k]; ok {
-		return z, nil
+	i := 0
+	for i < len(gen.zipfs) && gen.zipfs[i].s != s {
+		i++
+	}
+	if i == len(gen.zipfs) {
+		gen.zipfs = append(gen.zipfs, zipfCache{s: s})
+	}
+	c := &gen.zipfs[i]
+	if n >= 0 && n < len(c.byN) && c.byN[n] != nil {
+		return c.byN[n], nil
 	}
 	z, err := dist.NewZipf(n, s)
 	if err != nil {
 		return nil, err
 	}
-	if gen.zipfCache == nil {
-		gen.zipfCache = make(map[zipfKey]*dist.Zipf)
+	if n >= len(c.byN) {
+		c.byN = append(c.byN, make([]*dist.Zipf, n+1-len(c.byN))...)
 	}
-	gen.zipfCache[k] = z
+	c.byN[n] = z
 	return z, nil
 }
 
@@ -153,6 +168,8 @@ func Generate(cfg Config) (*Trace, error) {
 			Start:      cfg.Start,
 			End:        cfg.Start.Add(cfg.Span),
 		},
+		catSeen:  make([]bool, cfg.Categories),
+		catCount: make([]int, cfg.Categories),
 	}
 	gen.catWeights = categoryWeights(gen.g, cfg.Categories)
 	if err := gen.channels(); err != nil {
@@ -188,24 +205,25 @@ func (gen *generator) deriveInterests(u *User) {
 	if len(u.Favorites) == 0 {
 		return
 	}
-	counts := make(map[CategoryID]int)
+	counts, derived := gen.catCount, gen.derived[:0]
 	for _, vid := range u.Favorites {
-		counts[gen.tr.Videos[vid].Category]++
-	}
-	derived := make([]CategoryID, 0, len(counts))
-	for c := range counts {
-		derived = append(derived, c)
-	}
-	sort.Slice(derived, func(i, j int) bool {
-		if counts[derived[i]] != counts[derived[j]] {
-			return counts[derived[i]] > counts[derived[j]]
+		c := gen.tr.Videos[vid].Category
+		if counts[c] == 0 {
+			derived = append(derived, c)
 		}
-		return derived[i] < derived[j]
-	})
-	if len(derived) > gen.cfg.MaxInterestsPerUser {
-		derived = derived[:gen.cfg.MaxInterestsPerUser]
+		counts[c]++
 	}
-	u.Interests = derived
+	slices.SortFunc(derived, func(a, b CategoryID) int {
+		if n := cmp.Compare(counts[b], counts[a]); n != 0 {
+			return n
+		}
+		return cmp.Compare(a, b)
+	})
+	for _, c := range derived {
+		counts[c] = 0
+	}
+	gen.derived = derived // keep the grown scratch for the next user
+	u.Interests = slices.Clone(derived[:min(len(derived), gen.cfg.MaxInterestsPerUser)])
 }
 
 // categoryWeights gives each category a popularity weight so some categories
@@ -261,16 +279,14 @@ func (gen *generator) channels() error {
 func pickCategories(g *dist.RNG, total, primary, n int) []CategoryID {
 	cats := make([]CategoryID, 0, n)
 	cats = append(cats, CategoryID(primary))
-	seen := map[int]bool{primary: true}
 	for len(cats) < n {
-		c := g.Intn(total)
-		if seen[c] {
+		c := CategoryID(g.Intn(total))
+		if slices.Contains(cats, c) {
 			continue
 		}
-		seen[c] = true
-		cats = append(cats, CategoryID(c))
+		cats = append(cats, c)
 	}
-	sort.Slice(cats, func(i, j int) bool { return cats[i] < cats[j] })
+	slices.Sort(cats)
 	return cats
 }
 
@@ -369,19 +385,18 @@ func (gen *generator) users() error {
 		if nInterests > cfg.MaxInterestsPerUser {
 			nInterests = cfg.MaxInterestsPerUser
 		}
-		u.Interests = sampleInterests(g, gen.catWeights, nInterests)
+		u.Interests = gen.sampleInterests(nInterests)
 
 		nSubs := 1 + dist.Poisson(g, cfg.MeanSubscriptionsPerUser-1)
-		subscribed := make(map[ChannelID]bool, nSubs)
+		u.Subscriptions = make([]ChannelID, 0, nSubs)
 		for s := 0; s < nSubs; s++ {
 			ch, err := gen.pickSubscription(&u)
 			if err != nil {
 				return err
 			}
-			if ch < 0 || subscribed[ch] {
+			if ch < 0 || slices.Contains(u.Subscriptions, ch) {
 				continue
 			}
-			subscribed[ch] = true
 			u.Subscriptions = append(u.Subscriptions, ch)
 			tr.Channels[ch].Subscribers = append(tr.Channels[ch].Subscribers, u.ID)
 		}
@@ -393,16 +408,19 @@ func (gen *generator) users() error {
 // sampleInterests draws n distinct categories in preference order: the first
 // entries are the user's dominant interests, which receive most of the
 // user's subscriptions.
-func sampleInterests(g *dist.RNG, catWeights dist.Cumulative, n int) []CategoryID {
-	seen := make(map[int]bool, n)
+func (gen *generator) sampleInterests(n int) []CategoryID {
+	seen := gen.catSeen
 	out := make([]CategoryID, 0, n)
 	for attempts := 0; len(out) < n && attempts < 20*n; attempts++ {
-		c := catWeights.Choice(g)
+		c := gen.catWeights.Choice(gen.g)
 		if c < 0 || seen[c] {
 			continue
 		}
 		seen[c] = true
 		out = append(out, CategoryID(c))
+	}
+	for _, c := range out {
+		seen[c] = false
 	}
 	return out
 }
@@ -447,7 +465,7 @@ func (gen *generator) favorites(u *User) error {
 	if nFavs == 0 || len(tr.Videos) == 0 {
 		return nil
 	}
-	seen := make(map[VideoID]bool, nFavs)
+	u.Favorites = make([]VideoID, 0, nFavs)
 	for attempts := 0; len(u.Favorites) < nFavs && attempts < 20*nFavs; attempts++ {
 		var vid VideoID
 		// Favourites come mostly from subscribed channels (popular
@@ -455,7 +473,7 @@ func (gen *generator) favorites(u *User) error {
 		// interests from favourite videos; generating favourites from
 		// subscriptions keeps that relationship consistent.
 		if len(u.Subscriptions) > 0 && g.Bool(0.8) {
-			ch := tr.Channels[u.Subscriptions[g.Intn(len(u.Subscriptions))]]
+			ch := &tr.Channels[u.Subscriptions[g.Intn(len(u.Subscriptions))]]
 			if len(ch.Videos) == 0 {
 				continue
 			}
@@ -467,10 +485,9 @@ func (gen *generator) favorites(u *User) error {
 		} else {
 			vid = VideoID(g.Intn(len(tr.Videos)))
 		}
-		if seen[vid] {
+		if slices.Contains(u.Favorites, vid) {
 			continue
 		}
-		seen[vid] = true
 		u.Favorites = append(u.Favorites, vid)
 	}
 	return nil

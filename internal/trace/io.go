@@ -153,9 +153,9 @@ func LoadStream(r io.Reader) (*Trace, error) {
 		sawEOF = chunk.EOF
 		for i := range chunk.Channels {
 			ch := chunk.Channels[i]
-			ch.Categories = packCat(&t.catArena, ch.Categories)
-			ch.Videos = packVid(&t.vidArena, ch.Videos)
-			ch.Subscribers = packUser(&t.userArena, ch.Subscribers)
+			ch.Categories = pack(&t.catArena, ch.Categories)
+			ch.Videos = pack(&t.vidArena, ch.Videos)
+			ch.Subscribers = pack(&t.userArena, ch.Subscribers)
 			t.Channels = append(t.Channels, ch)
 		}
 		for i := range chunk.Videos {
@@ -163,9 +163,9 @@ func LoadStream(r io.Reader) (*Trace, error) {
 		}
 		for i := range chunk.Users {
 			u := chunk.Users[i]
-			u.Interests = packCat(&t.catArena, u.Interests)
-			u.Subscriptions = packChan(&t.chanArena, u.Subscriptions)
-			u.Favorites = packVid(&t.vidArena, u.Favorites)
+			u.Interests = pack(&t.catArena, u.Interests)
+			u.Subscriptions = pack(&t.chanArena, u.Subscriptions)
+			u.Favorites = pack(&t.vidArena, u.Favorites)
 			t.Users = append(t.Users, u)
 		}
 	}

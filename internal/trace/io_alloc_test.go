@@ -61,15 +61,22 @@ func TestLoadStreamHeapBudget(t *testing.T) {
 // TestGenerateAllocBudget guards the subscription draws: they used to
 // build a channel-id slice and a weight slice per draw (28.9 MB/op at
 // 2 000 users, three quarters of it from those two slices); drawing from
-// weights built once leaves ~7.4 MB/op.
+// weights built once leaves ~7.4 MB/op. The count bound guards the
+// per-user layout: four maps per user and lists grown by append made
+// 17.1 allocations per user; map-free draws into lists sized from the
+// drawn counts make about 6.
 func TestGenerateAllocBudget(t *testing.T) {
+	cfg := DefaultConfig()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if _, err := Generate(DefaultConfig()); err != nil {
+	if _, err := Generate(cfg); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
 	if got, budget := after.TotalAlloc-before.TotalAlloc, uint64(10<<20); got > budget {
 		t.Fatalf("Generate allocates %d bytes at 2 000 users, budget %d", got, budget)
+	}
+	if got, budget := after.Mallocs-before.Mallocs, uint64(8*cfg.Users); got > budget {
+		t.Fatalf("Generate makes %d allocations at %d users, budget %d (8 per user)", got, cfg.Users, budget)
 	}
 }

@@ -175,42 +175,21 @@ func (t *Trace) Compact() {
 	t.chanArena = make([]ChannelID, 0, nChan)
 	for i := range t.Channels {
 		ch := &t.Channels[i]
-		ch.Categories = packCat(&t.catArena, ch.Categories)
-		ch.Videos = packVid(&t.vidArena, ch.Videos)
-		ch.Subscribers = packUser(&t.userArena, ch.Subscribers)
+		ch.Categories = pack(&t.catArena, ch.Categories)
+		ch.Videos = pack(&t.vidArena, ch.Videos)
+		ch.Subscribers = pack(&t.userArena, ch.Subscribers)
 	}
 	for i := range t.Users {
 		u := &t.Users[i]
-		u.Interests = packCat(&t.catArena, u.Interests)
-		u.Subscriptions = packChan(&t.chanArena, u.Subscriptions)
-		u.Favorites = packVid(&t.vidArena, u.Favorites)
+		u.Interests = pack(&t.catArena, u.Interests)
+		u.Subscriptions = pack(&t.chanArena, u.Subscriptions)
+		u.Favorites = pack(&t.vidArena, u.Favorites)
 	}
 }
 
-// The pack helpers append one list to its arena and return the
-// capacity-clamped view. (Go has no generics-free way to share one body
-// across element types without reflection; four tiny copies beat an
-// interface indirection on a million-element path.)
-
-func packCat(arena *[]CategoryID, list []CategoryID) []CategoryID {
-	off := len(*arena)
-	*arena = append(*arena, list...)
-	return (*arena)[off:len(*arena):len(*arena)]
-}
-
-func packVid(arena *[]VideoID, list []VideoID) []VideoID {
-	off := len(*arena)
-	*arena = append(*arena, list...)
-	return (*arena)[off:len(*arena):len(*arena)]
-}
-
-func packUser(arena *[]UserID, list []UserID) []UserID {
-	off := len(*arena)
-	*arena = append(*arena, list...)
-	return (*arena)[off:len(*arena):len(*arena)]
-}
-
-func packChan(arena *[]ChannelID, list []ChannelID) []ChannelID {
+// pack appends one list to its arena and returns the capacity-clamped
+// view.
+func pack[T any](arena *[]T, list []T) []T {
 	off := len(*arena)
 	*arena = append(*arena, list...)
 	return (*arena)[off:len(*arena):len(*arena)]

@@ -70,9 +70,7 @@ func PartitionByCategory(t *Trace) (*Partition, error) {
 		local[i] = len(p.Cells[c].Users)
 		p.Cells[c].Users = append(p.Cells[c].Users, t.Users[i].ID)
 	}
-	for c := range p.Cells {
-		p.Cells[c].Trace = t.cellTrace(p, c, local)
-	}
+	t.fillCells(p, local)
 	return p, nil
 }
 
@@ -105,47 +103,57 @@ func (t *Trace) userHome(u *User, counts []int) int {
 	return int(u.ID) % len(counts)
 }
 
-// cellTrace materializes cell c: users renumbered to local ids, channels
-// copied with subscriber lists filtered to the cell, everything else a
-// shared view of the parent.
-func (t *Trace) cellTrace(p *Partition, c int, local []int) *Trace {
-	cell := &Trace{
-		Seed:       t.Seed,
-		Categories: t.Categories,
-		Channels:   make([]Channel, len(t.Channels)),
-		Videos:     t.Videos, // read-only shared catalog
-		Users:      make([]User, len(p.Cells[c].Users)),
-		Start:      t.Start,
-		End:        t.End,
-	}
-	// One subscriber arena for the whole cell keeps the copy dense.
-	var nSubs int
+// fillCells materializes every cell in two passes over the subscriptions:
+// one counts each cell's share to size its subscriber arena, one walks the
+// channels in id order appending each subscriber's local id to its home
+// cell's arena. A cell channel's Subscribers is the run its channel
+// appended, so every list keeps the parent's order. Users are renumbered
+// to local ids; everything else is a shared view of the parent.
+func (t *Trace) fillCells(p *Partition, local []int) {
+	nSubs := make([]int, len(p.Cells))
 	for i := range t.Channels {
 		for _, u := range t.Channels[i].Subscribers {
-			if p.Home[u] == c {
-				nSubs++
-			}
+			nSubs[p.Home[u]]++
 		}
 	}
-	arena := make([]UserID, 0, nSubs)
+	arenas := make([][]UserID, len(p.Cells))
+	for c := range p.Cells {
+		arenas[c] = make([]UserID, 0, nSubs[c])
+		p.Cells[c].Trace = &Trace{
+			Seed:       t.Seed,
+			Categories: t.Categories,
+			Channels:   make([]Channel, len(t.Channels)),
+			Videos:     t.Videos, // read-only shared catalog
+			Users:      make([]User, len(p.Cells[c].Users)),
+			Start:      t.Start,
+			End:        t.End,
+		}
+	}
+	off := make([]int, len(p.Cells)) // where the current channel's run starts
 	for i := range t.Channels {
 		src := &t.Channels[i]
-		dst := &cell.Channels[i]
-		*dst = *src // Categories and Videos lists stay shared views
-		off := len(arena)
-		for _, u := range src.Subscribers {
-			if p.Home[u] == c {
-				arena = append(arena, UserID(local[u]))
-			}
+		for c := range arenas {
+			off[c] = len(arenas[c])
 		}
-		dst.Subscribers = arena[off:len(arena):len(arena)]
+		for _, u := range src.Subscribers {
+			c := p.Home[u]
+			arenas[c] = append(arenas[c], UserID(local[u]))
+		}
+		for c := range p.Cells {
+			dst := &p.Cells[c].Trace.Channels[i]
+			*dst = *src // Categories and Videos lists stay shared views
+			end := len(arenas[c])
+			dst.Subscribers = arenas[c][off[c]:end:end]
+		}
 	}
-	for li, gid := range p.Cells[c].Users {
-		u := t.Users[gid] // struct copy; the id lists stay shared views
-		u.ID = UserID(li)
-		cell.Users[li] = u
+	for c := range p.Cells {
+		cell := p.Cells[c].Trace
+		for li, gid := range p.Cells[c].Users {
+			u := t.Users[gid] // struct copy; the id lists stay shared views
+			u.ID = UserID(li)
+			cell.Users[li] = u
+		}
 	}
-	return cell
 }
 
 // HomeOfVideo returns the home cell of a video — the primary category of

@@ -55,6 +55,13 @@ echo "== experiment-driver gate (golden Results, determinism table, N_h = 0, fau
 go test -race -count=5 -run 'TestGoldenResults|TestDeterministicUnderSeed|TestSharded(Timeline)?WorkerCountInvariance|TestZeroInterLinkBudgetHoldsNoInterLinks' ./internal/exp/
 go test -race -count=5 -run 'TestCannedPlanSchedulesPinned' ./internal/faults/
 
+echo "== trace pin gate (generator golden bytes, partition vs reference) =="
+# Every run starts from a generated trace and most from its partition. The
+# generator's SaveStream bytes are pinned for five shapes (the 100k-user
+# row too, so not -short), and the partition must match the per-cell
+# reference filter byte for byte. Seconds.
+go test -count=1 -run 'TestGenerateGoldenBytes|TestPartitionMatchesReference' ./internal/trace/
+
 echo "== hot-path layout gate (cache fingerprint words, one mesh representation; -race x5) =="
 # A flood's hit test reads a node's fingerprint word before its cache, and
 # every link-budget check reads a mesh's degree byte. Both are pinned against
