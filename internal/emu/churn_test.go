@@ -265,9 +265,9 @@ func TestConditionsBurst(t *testing.T) {
 	if got := c.Latency(1, 2); got < 2*base {
 		t.Fatalf("burst latency %v did not scale from %v", got, base)
 	}
-	c.SetBurst(0.5, 1) // factor clamps up to 1, loss caps at 1
-	if got := c.Latency(1, 2); got != base {
-		t.Fatalf("clamped factor changed latency: %v != %v", got, base)
+	c.SetBurst(0.5, 1) // a recovery window halves latency; loss caps at 1
+	if got, want := c.Latency(1, 2), time.Duration(float64(base)*0.5); got != want {
+		t.Fatalf("boost window latency %v, want %v", got, want)
 	}
 	if !c.Drop() {
 		t.Fatal("lossP=1 burst did not drop")
@@ -278,6 +278,10 @@ func TestConditionsBurst(t *testing.T) {
 	}
 	if got := c.Latency(1, 2); got != base {
 		t.Fatalf("cleared burst changed latency: %v != %v", got, base)
+	}
+	c.SetBurst(-2, 0) // a non-positive factor leaves latency alone
+	if got := c.Latency(1, 2); got != base {
+		t.Fatalf("negative factor changed latency: %v != %v", got, base)
 	}
 	var nilC *Conditions
 	nilC.SetBurst(2, 0.5)

@@ -25,7 +25,7 @@ type Conditions struct {
 	lossCounter atomic.Uint64
 	// burstLatBits / burstLossBits hold a transient degradation window
 	// (float64 bits; 0 means inactive) set by the fault driver: a
-	// latency multiplier ≥ 1 and an extra loss probability.
+	// latency multiplier and an extra loss probability.
 	burstLatBits  atomic.Uint64
 	burstLossBits atomic.Uint64
 	// chaos holds an open frame-chaos window (nil means inactive) set by
@@ -70,23 +70,22 @@ func (c *Conditions) Latency(a, b int) time.Duration {
 	}
 	d := simnet.PairLatency(c.Seed, c.MinLatency, max(c.MinLatency, c.MaxLatency), int64(a), int64(b))
 	if bits := c.burstLatBits.Load(); bits != 0 {
-		if f := math.Float64frombits(bits); f > 1 {
+		if f := math.Float64frombits(bits); f > 0 {
 			d = time.Duration(float64(d) * f)
 		}
 	}
 	return d
 }
 
-// SetBurst opens a degradation window: every latency is multiplied by
-// latencyFactor (clamped to ≥ 1) and messages are additionally dropped
-// with probability lossP. Nil receivers and out-of-range values are
-// tolerated so the fault driver can call this unconditionally.
+// SetBurst opens a degradation window: every latency is multiplied by a
+// positive latencyFactor, as the simulator does — above 1 degrades, in
+// (0,1) models a recovery window — and messages are additionally dropped
+// with probability lossP. A factor ≤ 0 leaves latency unchanged. Nil
+// receivers and out-of-range values are tolerated so the fault driver can
+// call this unconditionally.
 func (c *Conditions) SetBurst(latencyFactor, lossP float64) {
 	if c == nil {
 		return
-	}
-	if latencyFactor < 1 {
-		latencyFactor = 1
 	}
 	if lossP < 0 {
 		lossP = 0

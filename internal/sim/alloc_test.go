@@ -11,18 +11,17 @@ import (
 	"time"
 )
 
-// TestScheduledNodesRecycled pins the freelist contract: once a run
-// reaches steady state (queue length oscillating around a plateau), the
-// schedule-fire-reschedule cycle reuses popped event nodes instead of
-// allocating fresh ones, so the per-event allocation on the hot loop is
-// gone. Each measured iteration fires exactly one event which reschedules
-// exactly one — Pop feeds Push through the freelist.
-func TestScheduledNodesRecycled(t *testing.T) {
+// TestEngineSteadyStateAllocFree pins the event loop's allocation cost:
+// once a run reaches steady state (queue length oscillating around a
+// plateau), scheduling and firing allocate nothing, because the queue
+// holds events by value in a slice that has already grown. Each measured
+// iteration fires exactly one event which reschedules exactly one.
+func TestEngineSteadyStateAllocFree(t *testing.T) {
 	e := NewEngine()
 	var chain func(now time.Duration)
 	chain = func(now time.Duration) { e.After(time.Millisecond, chain) }
 	e.At(0, chain)
-	// Warm up past any one-time growth (heap backing array, freelist).
+	// Warm up past the heap's one-time growth.
 	if err := e.Run(0, 64); err != nil {
 		t.Fatal(err)
 	}
@@ -32,14 +31,13 @@ func TestScheduledNodesRecycled(t *testing.T) {
 		}
 	})
 	if avg >= 1 {
-		t.Fatalf("steady-state event loop allocates %.2f allocs/op, want <1 (freelist regression)", avg)
+		t.Fatalf("steady-state event loop allocates %.2f allocs/op, want <1", avg)
 	}
 }
 
 // BenchmarkEngineSteadyState measures the steady-state event loop: one
-// fire plus one reschedule per iteration. The b.ReportAllocs output is the
-// regression pin next to the wall-clock number: 0 allocs/op with the
-// freelist, 1 alloc/op without it.
+// fire plus one reschedule per iteration. The b.ReportAllocs output sits
+// next to the wall-clock number: the loop allocates nothing.
 func BenchmarkEngineSteadyState(b *testing.B) {
 	e := NewEngine()
 	var chain func(now time.Duration)
@@ -58,12 +56,11 @@ func BenchmarkEngineSteadyState(b *testing.B) {
 }
 
 // BenchmarkEngineBurst measures a bursty pattern — schedule a batch, drain
-// it — where the freelist turns the burst's node churn into reuse after
-// the first burst sizes the pool.
+// it — after the first burst has sized the heap.
 func BenchmarkEngineBurst(b *testing.B) {
 	e := NewEngine()
 	nop := func(time.Duration) {}
-	// First burst sizes heap and freelist.
+	// First burst sizes the heap.
 	for i := 0; i < 256; i++ {
 		e.After(time.Duration(i)*time.Microsecond, nop)
 	}

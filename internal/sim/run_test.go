@@ -131,63 +131,3 @@ func TestBudgetReturnWithinHorizonKeepsClock(t *testing.T) {
 		t.Fatalf("pending %d, want 1", e.Pending())
 	}
 }
-
-// TestStopHonoredOnResumedRun: Stop set by the last event of a run must not
-// leak into the next run (Run clears it), but Stop during a run still
-// interrupts before the next event fires.
-func TestStopHonoredOnResumedRun(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	e.At(time.Second, func(time.Duration) { count++; e.Stop() })
-	e.At(2*time.Second, func(time.Duration) { count++ })
-	if err := e.Run(0, 0); err != ErrStopped {
-		t.Fatalf("run = %v, want ErrStopped", err)
-	}
-	if count != 1 || e.Pending() != 1 {
-		t.Fatalf("stop mid-run: count %d pending %d", count, e.Pending())
-	}
-	// The stop is consumed: a fresh Run proceeds.
-	if err := e.Run(0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if count != 2 {
-		t.Fatalf("resumed run fired %d events, want 2", count)
-	}
-}
-
-// TestStopInsideEventDuringResumedRun: a run interrupted by a horizon and
-// resumed later must still honor Stop called from inside an event that
-// fires during the resumed run — the resume path clears the previous stop
-// but must not swallow a fresh one.
-func TestStopInsideEventDuringResumedRun(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	e.At(1*time.Second, func(time.Duration) { count++ })
-	e.At(3*time.Second, func(time.Duration) { count++; e.Stop() })
-	e.At(4*time.Second, func(time.Duration) { count++ })
-
-	// First run ends on the horizon, leaving two events queued.
-	if err := e.Run(2*time.Second, 0); err != nil {
-		t.Fatal(err)
-	}
-	if count != 1 || e.Pending() != 2 {
-		t.Fatalf("horizon run: count %d pending %d, want 1 and 2", count, e.Pending())
-	}
-	// The resumed run fires the 3s event, whose Stop interrupts before 4s.
-	if err := e.Run(0, 0); err != ErrStopped {
-		t.Fatalf("resumed run = %v, want ErrStopped", err)
-	}
-	if count != 2 || e.Pending() != 1 {
-		t.Fatalf("stop in resumed run: count %d pending %d, want 2 and 1", count, e.Pending())
-	}
-	if e.Now() != 3*time.Second {
-		t.Fatalf("clock %v after mid-resume stop, want 3s", e.Now())
-	}
-	// A further resume consumes the stop and drains the schedule.
-	if err := e.Run(0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if count != 3 || e.Pending() != 0 {
-		t.Fatalf("final resume: count %d pending %d, want 3 and 0", count, e.Pending())
-	}
-}

@@ -43,9 +43,6 @@ type ShardedEngine struct {
 	epoch   time.Duration
 	workers int
 	now     time.Duration
-	// stopped is atomic: Stop may be called from events firing on
-	// different shards in the same epoch.
-	stopped atomic.Bool
 
 	// outbox[s] buffers shard s's cross-shard sends during the current
 	// epoch; only shard s's goroutine appends to it between barriers.
@@ -145,11 +142,8 @@ func NewShardedEngine(cfg ShardedConfig) (*ShardedEngine, error) {
 	return se, nil
 }
 
-// Shards returns the shard count.
-func (se *ShardedEngine) Shards() int { return len(se.shards) }
-
 // Shard returns shard i's engine. Schedule local events through it; during
-// Run, an event firing on shard i may only touch shard i's engine, and
+// RunCtx, an event firing on shard i may only touch shard i's engine, and
 // must use Send for everything cross-shard.
 func (se *ShardedEngine) Shard(i int) *Engine { return se.shards[i] }
 
@@ -167,40 +161,23 @@ func (se *ShardedEngine) Epochs() uint64 { return se.epochs }
 // Workers returns the resolved parallelism.
 func (se *ShardedEngine) Workers() int { return se.workers }
 
-// Send buffers a cross-shard event from shard src to shard dst. It is safe
-// to call from inside an event firing on shard src while Run is in
-// progress (each shard owns its buffer between barriers) and from the
-// driving goroutine before Run. The event is delivered into dst's engine
-// at the barrier ending the current epoch, to fire no earlier than
-// max(at, barrier time); deliveries are ordered by ascending (at, key)
-// across all sources. Keys should be unique per barrier for a total
-// order, and derived from logical ids (not shard indexes) when results
-// must be independent of the community→shard layout. Sending to the local
-// shard is allowed and still crosses the barrier — that is what makes a
-// partition-keyed program's results independent of how partitions map to
-// shards.
+// Send buffers a cross-shard event from shard src to shard dst. Call it
+// from inside an event firing on shard src while RunCtx is in progress:
+// each shard owns its buffer between barriers. The event is delivered
+// into dst's engine at the barrier ending the current epoch, to fire no
+// earlier than max(at, barrier time); deliveries are ordered by
+// ascending (at, key) across all sources. Keys should be unique per
+// barrier for a total order, and derived from logical ids (not shard
+// indexes) when results must be independent of the community→shard
+// layout. Sending to the local shard is allowed and still crosses the
+// barrier — that is what makes a partition-keyed program's results
+// independent of how partitions map to shards.
 func (se *ShardedEngine) Send(src, dst int, at time.Duration, key uint64, fn Event) {
 	if src < 0 || src >= len(se.shards) || dst < 0 || dst >= len(se.shards) || fn == nil {
 		return
 	}
 	se.outbox[src] = append(se.outbox[src], mailItem{dst: dst, at: at, key: key, fn: fn})
 	se.stats[src].MailSent++
-}
-
-// Stop makes Run return ErrStopped at the next barrier. Safe to call from
-// inside an event: the flag is only read between epochs, so it takes
-// effect at the barrier ending the epoch that set it.
-func (se *ShardedEngine) Stop() { se.stopped.Store(true) }
-
-// pendingMail reports whether any outbox holds undelivered events (only
-// possible from pre-run Sends; in-run sends drain at their own barrier).
-func (se *ShardedEngine) pendingMail() bool {
-	for _, box := range se.outbox {
-		if len(box) > 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // nextEventAt returns the earliest queued event time across shards, or
@@ -230,39 +207,30 @@ func (se *ShardedEngine) gridCeil(t time.Duration) time.Duration {
 	return k * se.epoch
 }
 
-// Run executes the sharded schedule until every queue drains and no mail
-// is in flight, the barrier clock reaches horizon (0 means no horizon), or
-// Stop is called (ErrStopped). Unlike Engine.Run there is no event budget:
-// epochs are the unit of progress. A horizon return leaves the remaining
-// schedule (and any undelivered mail) intact for a later resume; like
-// Engine.Run, the clock advances to the horizon itself.
-func (se *ShardedEngine) Run(horizon time.Duration) error {
-	return se.RunCtx(context.Background(), horizon)
-}
-
-// RunCtx is Run with cooperative cancellation, checked at every barrier
-// and, inside an epoch, by each shard every ctxCheckInterval events — so a
-// long epoch (a gridless run is a single one) still cancels promptly. On
-// cancellation it returns ctx.Err() with the remaining schedule intact.
+// RunCtx executes the sharded schedule until every queue drains or the
+// barrier clock reaches horizon (0 means no horizon). Unlike Engine.RunCtx
+// there is no event budget: epochs are the unit of progress. Every Send
+// made inside an epoch is delivered at the barrier that ends it, so with
+// no queued event on any shard the run has drained. A horizon return
+// leaves the remaining schedule intact for a later call and, like
+// Engine.RunCtx, advances the clock to the horizon itself.
+//
+// Cancellation is checked at every barrier and, inside an epoch, by each
+// shard every ctxCheckInterval events, so a long epoch (a gridless run is
+// a single one) still cancels promptly. A cancelled run returns ctx.Err()
+// and is not resumable: it may stop mid-epoch with mail undelivered, so
+// its caller discards it. A nil ctx behaves like context.Background().
 func (se *ShardedEngine) RunCtx(ctx context.Context, horizon time.Duration) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	se.stopped.Store(false)
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if se.stopped.Load() {
-			return ErrStopped
-		}
 		next, ok := se.nextEventAt()
-		if !ok && !se.pendingMail() {
-			return nil // drained
-		}
 		if !ok {
-			// Mail only: it delivers at the next barrier.
-			next = se.now
+			return nil // drained
 		}
 		// Skip empty stretches: barrier at the grid point covering the
 		// earliest pending work, but always strictly past the current
@@ -276,7 +244,7 @@ func (se *ShardedEngine) RunCtx(ctx context.Context, horizon time.Duration) erro
 			}
 		}
 		if horizon > 0 && barrier > horizon {
-			if next > horizon && !se.pendingMail() {
+			if next > horizon {
 				// All remaining work lies beyond the horizon.
 				se.now = horizon
 				return nil
@@ -298,9 +266,6 @@ func (se *ShardedEngine) RunCtx(ctx context.Context, horizon time.Duration) erro
 		se.deliver(barrier)
 		se.now = barrier
 		se.epochs++
-		if se.stopped.Load() {
-			return ErrStopped
-		}
 		if horizon > 0 && se.now >= horizon {
 			return nil
 		}
@@ -308,8 +273,8 @@ func (se *ShardedEngine) RunCtx(ctx context.Context, horizon time.Duration) erro
 }
 
 // runEpoch advances every shard's engine to the barrier, in parallel when
-// workers > 1. A direct Engine.Stop on a shard (returning ErrStopped), or
-// a cancelled ctx, stops the whole sharded run at this barrier.
+// workers > 1. A cancelled ctx stops each shard within ctxCheckInterval
+// events; RunCtx sees the cancellation once the epoch returns.
 //
 // A parallel epoch hands shards out longest-first by their busy time in the
 // previous epoch (ties by index), so the heaviest cell starts at once
@@ -348,9 +313,7 @@ func (se *ShardedEngine) runEpoch(ctx context.Context, barrier time.Duration) {
 // no lock.
 func (se *ShardedEngine) runShard(ctx context.Context, i int, barrier time.Duration) {
 	start := time.Now()
-	if err := se.shards[i].RunCtx(ctx, barrier, 0); err != nil {
-		se.stopped.Store(true)
-	}
+	_ = se.shards[i].RunCtx(ctx, barrier, 0) // its only error is ctx's, which RunCtx checks
 	se.lastBusy[i] = time.Since(start)
 	se.stats[i].Busy += se.lastBusy[i]
 }

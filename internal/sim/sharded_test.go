@@ -58,11 +58,11 @@ func buildShardedProgram(t *testing.T, shards, workers int) (*ShardedEngine, *[]
 func TestShardedParallelMatchesSequential(t *testing.T) {
 	const shards = 4
 	seqEng, seqLog := buildShardedProgram(t, shards, 1)
-	if err := seqEng.Run(0); err != nil {
+	if err := seqEng.RunCtx(context.Background(), 0); err != nil {
 		t.Fatal(err)
 	}
 	parEng, parLog := buildShardedProgram(t, shards, shards)
-	if err := parEng.Run(0); err != nil {
+	if err := parEng.RunCtx(context.Background(), 0); err != nil {
 		t.Fatal(err)
 	}
 	for s := 0; s < shards; s++ {
@@ -112,7 +112,7 @@ func TestShardedMailboxOrdering(t *testing.T) {
 		se.Send(1, 0, now-10*time.Millisecond, 30, recv(30)) // earlier at wins over lower key
 		se.Send(1, 0, now, 20, recv(20))
 	})
-	if err := se.Run(0); err != nil {
+	if err := se.RunCtx(context.Background(), 0); err != nil {
 		t.Fatal(err)
 	}
 	// Ordering is (at, key): at=10ms carries keys 10, 30, 40; at=20ms
@@ -140,7 +140,7 @@ func TestShardedEpochGridSkipsEmptyStretches(t *testing.T) {
 	var fired []time.Duration
 	se.Shard(0).At(500*time.Millisecond, func(now time.Duration) { fired = append(fired, now) })
 	se.Shard(1).At(3*time.Hour+300*time.Millisecond, func(now time.Duration) { fired = append(fired, now) })
-	if err := se.Run(0); err != nil {
+	if err := se.RunCtx(context.Background(), 0); err != nil {
 		t.Fatal(err)
 	}
 	if len(fired) != 2 || fired[0] != 500*time.Millisecond || fired[1] != 3*time.Hour+300*time.Millisecond {
@@ -155,8 +155,8 @@ func TestShardedEpochGridSkipsEmptyStretches(t *testing.T) {
 }
 
 // TestShardedHorizonAndResume pins horizon semantics: the clock advances
-// to the horizon, the remaining schedule (including undelivered mail sent
-// in the final partial epoch) survives, and a later Run resumes it.
+// to the horizon, the remaining schedule survives, and a later RunCtx
+// resumes it.
 func TestShardedHorizonAndResume(t *testing.T) {
 	se, err := NewShardedEngine(ShardedConfig{Shards: 2, Epoch: time.Second, Workers: 1})
 	if err != nil {
@@ -169,7 +169,7 @@ func TestShardedHorizonAndResume(t *testing.T) {
 	se.Shard(0).At(5*time.Second, func(now time.Duration) {
 		fired = append(fired, fmt.Sprintf("b@%v", now))
 	})
-	if err := se.Run(2 * time.Second); err != nil {
+	if err := se.RunCtx(context.Background(), 2*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if se.Now() != 2*time.Second {
@@ -178,7 +178,7 @@ func TestShardedHorizonAndResume(t *testing.T) {
 	if len(fired) != 1 || fired[0] != "a@300ms" {
 		t.Fatalf("horizon run fired %v", fired)
 	}
-	if err := se.Run(0); err != nil {
+	if err := se.RunCtx(context.Background(), 0); err != nil {
 		t.Fatal(err)
 	}
 	if len(fired) != 2 || fired[1] != "b@5s" {
@@ -197,7 +197,7 @@ func TestShardedHorizonInsidePartialEpoch(t *testing.T) {
 	n := 0
 	se.Shard(0).At(1500*time.Millisecond, func(time.Duration) { n++ })
 	se.Shard(0).At(1800*time.Millisecond, func(time.Duration) { n++ })
-	if err := se.Run(1600 * time.Millisecond); err != nil {
+	if err := se.RunCtx(context.Background(), 1600*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	if n != 1 {
@@ -211,40 +211,10 @@ func TestShardedHorizonInsidePartialEpoch(t *testing.T) {
 	}
 }
 
-// TestShardedStopAtBarrier pins Stop semantics: Stop from inside an event
-// takes effect at the barrier ending that epoch — the rest of the epoch
-// still runs (shards are independent mid-epoch) but no further epoch
-// starts, and the remaining schedule survives.
-func TestShardedStopAtBarrier(t *testing.T) {
-	se, err := NewShardedEngine(ShardedConfig{Shards: 2, Epoch: time.Second, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	se.Shard(0).At(100*time.Millisecond, func(time.Duration) { n++; se.Stop() })
-	se.Shard(1).At(200*time.Millisecond, func(time.Duration) { n++ }) // same epoch: still fires
-	se.Shard(0).At(5*time.Second, func(time.Duration) { n++ })        // later epoch: must not fire
-	if err := se.Run(0); !errors.Is(err, ErrStopped) {
-		t.Fatalf("run = %v, want ErrStopped", err)
-	}
-	if n != 2 {
-		t.Fatalf("fired %d events before the stop barrier, want 2", n)
-	}
-	if se.Shard(0).Pending() != 1 {
-		t.Fatalf("pending %d after stop, want the 5s event intact", se.Shard(0).Pending())
-	}
-	// Resume consumes the stop and drains.
-	if err := se.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if n != 3 {
-		t.Fatalf("resume fired %d total, want 3", n)
-	}
-}
-
 // TestShardedRunCtxCancelled: a context cancelled from inside an event
 // stops the run no later than that epoch's barrier, with the remaining
-// schedule intact.
+// queued events intact. No mail is in flight here, so a fresh RunCtx
+// still finishes them; in general a cancelled run is not resumable.
 func TestShardedRunCtxCancelled(t *testing.T) {
 	se, err := NewShardedEngine(ShardedConfig{Shards: 2, Epoch: time.Second, Workers: 1})
 	if err != nil {
@@ -325,7 +295,7 @@ func TestShardedGridlessDeliversMailAtDrain(t *testing.T) {
 		se.Send(0, 1, now, 1, func(got time.Duration) { at = got })
 	})
 	se.Shard(1).At(5*time.Second, func(time.Duration) {})
-	if err := se.Run(0); err != nil {
+	if err := se.RunCtx(context.Background(), 0); err != nil {
 		t.Fatal(err)
 	}
 	if at != 5*time.Second || se.Now() != 5*time.Second || se.Epochs() != 2 {
@@ -369,7 +339,7 @@ func TestShardedRunCtxCancelsInsideEpoch(t *testing.T) {
 // mail counters balance (sent == received in a drained run).
 func TestShardedStatsMerge(t *testing.T) {
 	se, _ := buildShardedProgram(t, 4, 1)
-	if err := se.Run(0); err != nil {
+	if err := se.RunCtx(context.Background(), 0); err != nil {
 		t.Fatal(err)
 	}
 	merged := se.Stats()
@@ -432,22 +402,5 @@ func TestShardedEpochOrderLongestFirst(t *testing.T) {
 		if n != 1 {
 			t.Fatalf("shard %d fired %d events in the epoch, want 1", i, n)
 		}
-	}
-}
-
-// TestShardedStopFromEveryShard: events on different shards may call Stop
-// in the same parallel epoch (run under -race); the run stops at that
-// epoch's barrier.
-func TestShardedStopFromEveryShard(t *testing.T) {
-	se, err := NewShardedEngine(ShardedConfig{Shards: 4, Epoch: time.Second, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		se.Shard(i).At(time.Millisecond, func(time.Duration) { se.Stop() })
-		se.Shard(i).At(5*time.Second, func(time.Duration) { t.Error("event past the stop barrier fired") })
-	}
-	if err := se.Run(0); !errors.Is(err, ErrStopped) {
-		t.Fatalf("run = %v, want ErrStopped", err)
 	}
 }

@@ -5,16 +5,8 @@
 package sim
 
 import (
-	"container/heap"
 	"context"
-	"errors"
 	"time"
-)
-
-// Engine runs errors.
-var (
-	// ErrStopped is returned by Run when Stop was called.
-	ErrStopped = errors.New("sim: stopped")
 )
 
 // Event is a callback scheduled to fire at a virtual time.
@@ -26,52 +18,25 @@ type scheduled struct {
 	fire Event
 }
 
-type eventQueue []*scheduled
-
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-
-// Push implements heap.Interface. It is only ever called by container/heap
-// with *scheduled values; anything else is a programming error, so the type
-// assertion is allowed to panic rather than silently dropping the event.
-func (q *eventQueue) Push(x any) {
-	*q = append(*q, x.(*scheduled))
-}
-
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	item := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return item
+// before is the queue order: time, then insertion sequence. Sequence
+// numbers are unique, so the order is total and any correct heap pops
+// the same sequence.
+func (s *scheduled) before(o *scheduled) bool {
+	return s.at < o.at || s.at == o.at && s.seq < o.seq
 }
 
 // Engine is the simulation core. The zero value is not usable; construct
 // with NewEngine. Engine is not safe for concurrent use: a simulation runs
 // single-threaded, which is what makes it deterministic.
 type Engine struct {
-	now     time.Duration
-	queue   eventQueue
-	seq     uint64
-	stopped bool
-	fired   uint64
+	now time.Duration
+	// queue is a binary min-heap of values under scheduled.before.
+	queue []scheduled
+	seq   uint64
+	fired uint64
 	// hwm is the largest queue length ever reached — the heap's
 	// high-water mark, reported via Stats.
 	hwm int
-	// free recycles fired *scheduled nodes back into At: Pop feeds Push,
-	// so a steady-state run (queue length oscillating around a plateau)
-	// allocates no event nodes at all. The freelist never exceeds the
-	// queue's high-water mark.
-	free []*scheduled
 }
 
 // Stats is the engine's lifetime accounting, reported alongside protocol
@@ -115,19 +80,40 @@ func (e *Engine) At(at time.Duration, fn Event) {
 		at = e.now
 	}
 	e.seq++
-	var node *scheduled
-	if n := len(e.free); n > 0 {
-		node = e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		node.at, node.seq, node.fire = at, e.seq, fn
-	} else {
-		node = &scheduled{at: at, seq: e.seq, fire: fn}
+	ev := scheduled{at: at, seq: e.seq, fire: fn}
+	e.queue = append(e.queue, ev)
+	q := e.queue
+	i := len(q) - 1
+	for p := (i - 1) / 2; i > 0 && ev.before(&q[p]); p = (i - 1) / 2 {
+		q[i] = q[p]
+		i = p
 	}
-	heap.Push(&e.queue, node)
-	if len(e.queue) > e.hwm {
-		e.hwm = len(e.queue)
+	q[i] = ev
+	if len(q) > e.hwm {
+		e.hwm = len(q)
 	}
+}
+
+// pop removes and returns the earliest event. It zeroes the vacated slot,
+// so the backing array does not keep a fired closure alive.
+func (e *Engine) pop() scheduled {
+	q := e.queue
+	top, n := q[0], len(q)-1
+	last, i := q[n], 0
+	for c := 1; c < n; c = 2*i + 1 {
+		if c+1 < n && q[c+1].before(&q[c]) {
+			c++
+		}
+		if !q[c].before(&last) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	q[i] = last
+	q[n] = scheduled{}
+	e.queue = q[:n]
+	return top
 }
 
 // After schedules fn to run delay after the current virtual time.
@@ -138,50 +124,9 @@ func (e *Engine) After(delay time.Duration, fn Event) {
 	e.At(e.now+delay, fn)
 }
 
-// Stop makes Run return after the current event completes.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Run executes events in non-decreasing time order until the queue drains,
-// the virtual clock passes horizon (0 means no horizon), or maxEvents have
-// fired in total across this engine's lifetime (0 means unbounded).
-//
-// Returning for any reason leaves unfired events queued: a horizon or
-// event-budget return keeps the remaining schedule intact, so calling Run
-// again with a larger horizon (or budget) resumes exactly where the
-// previous call left off. On a horizon return the clock advances to the
-// horizon itself; a second Run with the same horizon fires nothing and
-// returns immediately. The horizon check precedes the event-budget check,
-// so when the budget runs out with only beyond-horizon events left the
-// clock still advances to the horizon — a budget return and a horizon
-// return report consistent clocks. Stop is checked before every event,
-// including the first of a resumed run; entering Run clears a previous
-// stop. It returns ErrStopped if Stop was called.
+// Run is RunCtx without cancellation.
 func (e *Engine) Run(horizon time.Duration, maxEvents uint64) error {
-	e.stopped = false
-	for len(e.queue) > 0 {
-		if e.stopped {
-			return ErrStopped
-		}
-		next := e.queue[0]
-		if horizon > 0 && next.at > horizon {
-			e.now = horizon
-			return nil
-		}
-		if maxEvents > 0 && e.fired >= maxEvents {
-			return nil
-		}
-		popped := heap.Pop(&e.queue).(*scheduled)
-		e.now = popped.at
-		popped.fire(e.now)
-		e.fired++
-		// Recycle the node only after fire returns: the callback may
-		// schedule (and so reuse freelist nodes) while running. Dropping
-		// the closure reference here keeps fired events from pinning
-		// their captures until the node's next reuse.
-		popped.fire = nil
-		e.free = append(e.free, popped)
-	}
-	return nil
+	return e.RunCtx(context.Background(), horizon, maxEvents)
 }
 
 // ctxCheckInterval is how many events RunCtx fires between context
@@ -189,33 +134,42 @@ func (e *Engine) Run(horizon time.Duration, maxEvents uint64) error {
 // the check off the per-event fast path.
 const ctxCheckInterval = 256
 
-// RunCtx is Run with cooperative cancellation: it executes the same
-// schedule with identical semantics, checking ctx between batches of
-// events (every ctxCheckInterval fires). On cancellation it returns
-// ctx.Err(), leaving the remaining schedule intact like every other
-// early return. A nil ctx behaves like context.Background().
+// RunCtx executes events in (time, insertion) order until the queue
+// drains, the virtual clock passes horizon (0 means no horizon), or
+// maxEvents have fired in total across this engine's lifetime (0 means
+// unbounded). It checks ctx before its first event and then every
+// ctxCheckInterval fires, returning ctx.Err() on cancellation. A nil ctx
+// behaves like context.Background().
+//
+// Returning for any reason leaves unfired events queued: a horizon,
+// budget or cancellation return keeps the remaining schedule intact, so a
+// later call with a larger horizon (or budget) resumes exactly where this
+// one left off. On a horizon return the clock advances to the horizon
+// itself; a second call with the same horizon fires nothing. The horizon
+// check precedes the budget check, so when the budget runs out with only
+// beyond-horizon events left the clock still advances to the horizon — a
+// budget return and a horizon return report consistent clocks.
 func (e *Engine) RunCtx(ctx context.Context, horizon time.Duration, maxEvents uint64) error {
 	if ctx == nil {
-		return e.Run(horizon, maxEvents)
+		ctx = context.Background()
 	}
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
+	for n := uint(0); len(e.queue) > 0; n++ {
+		if n%ctxCheckInterval == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
 		}
-		chunk := e.fired + ctxCheckInterval
-		if maxEvents > 0 && maxEvents < chunk {
-			chunk = maxEvents
+		if horizon > 0 && e.queue[0].at > horizon {
+			e.now = horizon
+			return nil
 		}
-		if err := e.Run(horizon, chunk); err != nil {
-			return err
+		if maxEvents > 0 && e.fired >= maxEvents {
+			return nil
 		}
-		switch {
-		case len(e.queue) == 0:
-			return nil // drained
-		case e.fired < chunk:
-			return nil // horizon reached with budget to spare
-		case maxEvents > 0 && e.fired >= maxEvents:
-			return nil // lifetime event budget exhausted
-		}
+		ev := e.pop()
+		e.now = ev.at
+		ev.fire(e.now)
+		e.fired++
 	}
+	return nil
 }

@@ -1,7 +1,9 @@
 package sim
 
 import (
-	"errors"
+	"cmp"
+	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -122,23 +124,6 @@ func TestMaxEventsBudget(t *testing.T) {
 	}
 }
 
-func TestStopInterruptsRun(t *testing.T) {
-	e := NewEngine()
-	fired := 0
-	e.At(time.Second, func(time.Duration) {
-		fired++
-		e.Stop()
-	})
-	e.At(2*time.Second, func(time.Duration) { fired++ })
-	err := e.Run(0, 0)
-	if !errors.Is(err, ErrStopped) {
-		t.Fatalf("err = %v, want ErrStopped", err)
-	}
-	if fired != 1 {
-		t.Fatalf("fired %d, want 1", fired)
-	}
-}
-
 func TestNilEventIgnored(t *testing.T) {
 	e := NewEngine()
 	e.At(time.Second, nil)
@@ -215,5 +200,77 @@ func TestRunOrderProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestEngineOrderMatchesReference pins the queue's pop order against a
+// sorted reference. Each seed builds a random schedule with many
+// equal-time ties, events that schedule children (some in the past, so
+// clamped to now) and outside schedules between runs, and drives it
+// through a mix of horizon and budget returns until it drains. Every
+// scheduled event sorts after the one firing when it was scheduled, so
+// the whole fired sequence must equal every event ever scheduled sorted
+// by (time, insertion sequence).
+func TestEngineOrderMatchesReference(t *testing.T) {
+	type ref struct {
+		at  time.Duration
+		seq uint64
+	}
+	for seed := uint64(0); seed < 256; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 1))
+		e := NewEngine()
+		var want []ref
+		var got []uint64
+		var schedule func(now, at time.Duration)
+		schedule = func(now, at time.Duration) {
+			seq := uint64(len(want) + 1)
+			want = append(want, ref{at: max(at, now), seq: seq})
+			e.At(at, func(fired time.Duration) {
+				if fired != want[seq-1].at {
+					t.Fatalf("seed %d: event %d fired at %v, scheduled for %v", seed, seq, fired, want[seq-1].at)
+				}
+				got = append(got, seq)
+				for k := rng.IntN(3); k > 0 && len(want) < 400; k-- {
+					// Offsets in [-5ms, 10ms]: ties, and past times clamped to now.
+					schedule(fired, fired+time.Duration(rng.IntN(16)-5)*time.Millisecond)
+				}
+			})
+		}
+		for i := 0; i < 20; i++ {
+			schedule(0, time.Duration(rng.IntN(8))*time.Millisecond)
+		}
+		for e.Pending() > 0 {
+			if rng.IntN(2) == 0 {
+				h := e.Now() + time.Duration(1+rng.IntN(10))*time.Millisecond
+				if err := e.Run(h, 0); err != nil {
+					t.Fatal(err)
+				}
+				if e.Pending() > 0 && (e.Now() != h || e.queue[0].at <= h) {
+					t.Fatalf("seed %d: horizon %v return at %v with next event at %v", seed, h, e.Now(), e.queue[0].at)
+				}
+			} else {
+				budget := e.Fired() + uint64(1+rng.IntN(20))
+				if err := e.Run(0, budget); err != nil {
+					t.Fatal(err)
+				}
+				if e.Pending() > 0 && e.Fired() != budget {
+					t.Fatalf("seed %d: budget %d return after %d fires", seed, budget, e.Fired())
+				}
+			}
+			if rng.IntN(4) == 0 {
+				schedule(e.Now(), e.Now()-time.Duration(rng.IntN(3))*time.Millisecond)
+			}
+		}
+		slices.SortFunc(want, func(a, b ref) int {
+			return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.seq, b.seq))
+		})
+		if len(got) != len(want) || e.Stats().EventsScheduled != uint64(len(want)) {
+			t.Fatalf("seed %d: fired %d of %d scheduled events", seed, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i].seq {
+				t.Fatalf("seed %d: fire %d was event %d, reference order says %d", seed, i, got[i], want[i].seq)
+			}
+		}
 	}
 }

@@ -82,7 +82,6 @@ type Network struct {
 	// Stats.
 	serverBytes int64
 	peerBytes   int64
-	serverShed  int64
 	queuePeak   int
 }
 
@@ -178,7 +177,6 @@ func (n *Network) ServerTransfer(to NodeID, head, total int64, now time.Duration
 	if qcap := n.cfg.ServerQueueCap; qcap > 0 {
 		n.drainServerQ(now)
 		if len(n.serverQ) >= qcap {
-			n.serverShed++
 			return 0, false
 		}
 	}
@@ -198,42 +196,12 @@ func (n *Network) ServerTransfer(to NodeID, head, total int64, now time.Duration
 	return headDone, true
 }
 
-// QueueDelay returns how long a transfer from the endpoint would wait before
-// starting at virtual time now.
-func (n *Network) QueueDelay(id NodeID, now time.Duration) time.Duration {
-	if busy := n.busyUntil[id]; busy > now {
-		return busy - now
-	}
-	return 0
-}
-
 // ServerBytes returns the total bytes served by the server so far.
 func (n *Network) ServerBytes() int64 { return n.serverBytes }
 
 // PeerBytes returns the total bytes served by peers so far.
 func (n *Network) PeerBytes() int64 { return n.peerBytes }
 
-// ServerShed returns how many requests the bounded admission queue has
-// turned away so far.
-func (n *Network) ServerShed() int64 { return n.serverShed }
-
 // ServerQueuePeak returns the high-water occupancy of the bounded
 // admission queue (0 when unbounded).
 func (n *Network) ServerQueuePeak() int { return n.queuePeak }
-
-// ServerQueueLen returns the admission-queue occupancy at virtual time
-// now (0 when unbounded).
-func (n *Network) ServerQueueLen(now time.Duration) int {
-	n.drainServerQ(now)
-	return len(n.serverQ)
-}
-
-// Reset clears occupancy and statistics, keeping the latency model.
-func (n *Network) Reset() {
-	n.busyUntil = make(map[NodeID]time.Duration)
-	n.serverBytes = 0
-	n.peerBytes = 0
-	n.serverQ = nil
-	n.serverShed = 0
-	n.queuePeak = 0
-}

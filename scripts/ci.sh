@@ -62,14 +62,17 @@ echo "== trace pin gate (generator golden bytes, partition vs reference) =="
 # reference filter byte for byte. Seconds.
 go test -count=1 -run 'TestGenerateGoldenBytes|TestPartitionMatchesReference' ./internal/trace/
 
-echo "== hot-path layout gate (cache fingerprint words, one mesh representation; -race x5) =="
+echo "== hot-path layout gate (cache fingerprint words, one mesh representation, event heap order; -race x5) =="
 # A flood's hit test reads a node's fingerprint word before its cache, and
 # every link-budget check reads a mesh's degree byte. Both are pinned against
 # map models after every random step: the word is the OR of the held
 # videos' bits (evictions included), and the mesh matches a map of
-# neighbour sets in degree, order, fullness and symmetry. Seconds.
+# neighbour sets in degree, order, fullness and symmetry. The event heap
+# must fire a random schedule in the (time, seq) order of a sorted
+# reference list, across horizon and budget resumes. Seconds.
 go test -race -count=5 -run 'TestCachesMatchMapModel' ./internal/vod/
 go test -race -count=5 -run 'TestMeshMatchesSetModel|TestMeshBoundFitsDegree' ./internal/overlay/
+go test -race -count=5 -run 'TestEngineOrderMatchesReference' ./internal/sim/
 
 echo "== emulator wire and connection-reuse gate (-race x5) =="
 # The frame format is pinned and round-trips, a frame with any byte flipped
