@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/socialtube/socialtube/internal/health"
 	"github.com/socialtube/socialtube/internal/trace"
 )
 
@@ -13,7 +14,7 @@ import (
 // and a rejoin resets the breaker so contact resumes immediately.
 func TestBreakerStopsPayingForDeadInterNeighbor(t *testing.T) {
 	tr := coreTrace(t)
-	s := newSystem(t, tr, func(c *Config) { c.BreakerOpenFor = time.Second })
+	s := newSystem(t, tr, nil)
 
 	// A video nobody caches, so every request walks the inter loop and
 	// finds nothing.
@@ -53,8 +54,7 @@ func TestBreakerStopsPayingForDeadInterNeighbor(t *testing.T) {
 	}
 	s.Fail(b) // abrupt: a keeps the dangling link until probed
 
-	th := DefaultConfig().BreakerThreshold
-	for i := 0; i < th; i++ {
+	for i := 0; i < health.Threshold; i++ {
 		if got := s.Request(a, v).Messages; got != 1 {
 			t.Fatalf("request %d spent %d messages, want 1 (dead contact)", i, got)
 		}
@@ -70,7 +70,7 @@ func TestBreakerStopsPayingForDeadInterNeighbor(t *testing.T) {
 		t.Fatal("BreakerSkips not accounted")
 	}
 	// Past the window one probation probe is admitted — and fails again.
-	s.SetNow(2 * time.Second)
+	s.SetNow(health.DefaultConfig().OpenFor + time.Second)
 	if got := s.Request(a, v).Messages; got != 1 {
 		t.Fatalf("half-open probe spent %d messages, want 1", got)
 	}

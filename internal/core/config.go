@@ -10,10 +10,8 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/socialtube/socialtube/internal/dist"
-	"github.com/socialtube/socialtube/internal/health"
 	"github.com/socialtube/socialtube/internal/overlay"
 )
 
@@ -35,12 +33,6 @@ type Config struct {
 	// CacheVideos bounds each node's cache in full videos (0 reproduces
 	// the paper's unbounded session cache).
 	CacheVideos int
-	// BreakerThreshold / BreakerOpenFor parameterise the per-peer
-	// circuit breaker that stops dead neighbours from eating the query
-	// message budget (zero fields select health.DefaultConfig). The
-	// window is virtual time: the experiment engine's clock drives it.
-	BreakerThreshold int
-	BreakerOpenFor   time.Duration
 	// Seed drives the protocol's random choices (server peer selection).
 	Seed int64
 }
@@ -48,13 +40,11 @@ type Config struct {
 // DefaultConfig returns the paper's Table I protocol parameters.
 func DefaultConfig() Config {
 	return Config{
-		InnerLinks:       5,
-		InterLinks:       10,
-		TTL:              2,
-		PrefetchCount:    3,
-		BreakerThreshold: health.DefaultConfig().Threshold,
-		BreakerOpenFor:   health.DefaultConfig().OpenFor,
-		Seed:             1,
+		InnerLinks:    5,
+		InterLinks:    10,
+		TTL:           2,
+		PrefetchCount: 3,
+		Seed:          1,
 	}
 }
 
@@ -73,8 +63,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("%w: prefetchCount=%d", dist.ErrBadParameter, c.PrefetchCount)
 	case c.CacheVideos < 0:
 		return fmt.Errorf("%w: cacheVideos=%d", dist.ErrBadParameter, c.CacheVideos)
-	case c.BreakerThreshold < 0 || c.BreakerOpenFor < 0:
-		return fmt.Errorf("%w: breaker policy", dist.ErrBadParameter)
 	}
 	return nil
 }

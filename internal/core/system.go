@@ -112,10 +112,7 @@ func New(cfg Config, tr *trace.Trace) (*System, error) {
 		byCat:   make([][]trace.ChannelID, tr.Categories),
 		subs:    make([][]trace.ChannelID, len(tr.Users)),
 		scratch: *overlay.NewFloodScratch(len(tr.Users)),
-		brk: health.NewSet(health.Config{
-			Threshold: cfg.BreakerThreshold,
-			OpenFor:   cfg.BreakerOpenFor,
-		}, len(tr.Users)),
+		brk:     health.NewSet(health.DefaultConfig(), len(tr.Users)),
 	}
 	for i := range tr.Channels {
 		ch := &tr.Channels[i]

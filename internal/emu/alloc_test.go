@@ -105,7 +105,7 @@ func TestParkedReaderPinsNoFrameBuffer(t *testing.T) {
 	const conns = 256
 	ep := newEndpoint(0, nil, time.Minute, &obs.Counters{},
 		func(*Message) bool { return true },
-		func(*Message) *Message { return &Message{Type: MsgOK, Payload: chunkPayload(8 << 10)} })
+		func(*Message) *Message { return &Message{Type: MsgOK, Payload: chunkPayload} })
 	if err := ep.start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}

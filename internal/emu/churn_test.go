@@ -3,6 +3,7 @@ package emu
 import (
 	"context"
 	"errors"
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -282,6 +283,20 @@ func TestConditionsBurst(t *testing.T) {
 	c.SetBurst(-2, 0) // a non-positive factor leaves latency alone
 	if got := c.Latency(1, 2); got != base {
 		t.Fatalf("negative factor changed latency: %v != %v", got, base)
+	}
+	// Burst loss adds to the baseline as an independent loss:
+	// 1-(1-0.2)(1-0.5) = 0.6, not max(0.2, 0.5).
+	c.LossP = 0.2
+	c.SetBurst(1, 0.5)
+	const draws = 20_000
+	dropped := 0
+	for range draws {
+		if c.Drop() {
+			dropped++
+		}
+	}
+	if got := float64(dropped) / draws; math.Abs(got-0.6) > 0.02 {
+		t.Fatalf("LossP 0.2 under a 0.5 burst dropped %.3f, want 0.6 ± 0.02", got)
 	}
 	var nilC *Conditions
 	nilC.SetBurst(2, 0.5)

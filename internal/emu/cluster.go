@@ -34,8 +34,6 @@ type ClusterConfig struct {
 	ProbeInterval time.Duration
 	// Seed drives workload randomness.
 	Seed int64
-	// Behavior is the 75/15/10 video-selection model.
-	Behavior vod.Behavior
 	// Peer is the template every peer is a copy of, ID and Seed aside: the
 	// protocol they all run (Mode), link budgets, TTL, prefetch count, RPC
 	// timeout, retry and breaker policy. Outage experiments want a short
@@ -87,7 +85,6 @@ func DefaultClusterConfig(mode Mode) ClusterConfig {
 		MeanOffTime:      60 * time.Millisecond,
 		ProbeInterval:    300 * time.Millisecond,
 		Seed:             1,
-		Behavior:         vod.DefaultBehavior(),
 		Peer:             DefaultPeerConfig(0, mode),
 		Tracker:          DefaultTrackerConfig(),
 		Conditions:       DefaultConditions(),
@@ -114,10 +111,7 @@ func (c ClusterConfig) Validate() error {
 			return err
 		}
 	}
-	if err := c.plane().Validate(); err != nil {
-		return err
-	}
-	return c.Behavior.Validate()
+	return c.plane().Validate()
 }
 
 // plane returns the control-plane shape the cluster runs: ControlPlane,
@@ -432,7 +426,7 @@ func RunClusterCtx(ctx context.Context, cfg ClusterConfig, tr *trace.Trace) (*Cl
 	}
 	defer c.Stop()
 	plane, peers := c.Plane, c.Peers
-	picker, err := vod.NewPicker(tr, cfg.Behavior)
+	picker, err := vod.NewPicker(tr, vod.DefaultBehavior())
 	if err != nil {
 		return nil, err
 	}

@@ -201,18 +201,19 @@ func (c *Conditions) nextChaos() (chaosAction, time.Duration) {
 	return chaosNone, 0
 }
 
-// Drop reports whether to drop the next message. It is safe for concurrent
-// use; the decision sequence is deterministic under the seed, though its
-// interleaving across goroutines is not.
+// Drop reports whether to drop the next message. An open burst's loss q is
+// independent of the baseline LossP p, so a message survives only if it
+// escapes both: it is dropped with probability 1-(1-p)(1-q). It is safe
+// for concurrent use; the decision sequence is deterministic under the
+// seed, though its interleaving across goroutines is not.
 func (c *Conditions) Drop() bool {
 	if c == nil {
 		return false
 	}
 	p := c.LossP
 	if bits := c.burstLossBits.Load(); bits != 0 {
-		if bp := math.Float64frombits(bits); bp > p {
-			p = bp
-		}
+		q := math.Float64frombits(bits)
+		p += q - p*q // 1-(1-p)(1-q), exact when either is 0
 	}
 	if p <= 0 {
 		return false // no counter draw: healthy runs stay deterministic

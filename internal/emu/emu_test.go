@@ -189,10 +189,10 @@ func TestTrackerServesChunk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Type != MsgOK || len(resp.Payload) != DefaultTrackerConfig().ChunkPayload {
+	if resp.Type != MsgOK || len(resp.Payload) != chunkPayloadBytes {
 		t.Fatalf("bad serve response: type=%v payload=%d", resp.Type, len(resp.Payload))
 	}
-	if tk.ServedBytes() != int64(DefaultTrackerConfig().ChunkPayload) {
+	if tk.ServedBytes() != chunkPayloadBytes {
 		t.Fatalf("served bytes %d", tk.ServedBytes())
 	}
 }

@@ -154,7 +154,7 @@ func TestLatencyDrawSharedWithSimnet(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		emu := &Conditions{Seed: seed, MinLatency: nc.MinLatency, MaxLatency: nc.MaxLatency}
+		emu := &Conditions{Seed: seed, MinLatency: simnet.MinLatency, MaxLatency: simnet.MaxLatency}
 		for a := -1; a < 12; a++ {
 			for b := -1; b < 12; b++ {
 				if got, want := emu.Latency(a, b), sim.Latency(simnet.NodeID(a), simnet.NodeID(b)); got != want {

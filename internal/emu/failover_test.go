@@ -91,7 +91,7 @@ func TestMidStreamCrashResumesOnSecondCandidate(t *testing.T) {
 	if rec.HandoffAttempts != 1 || rec.Handoffs != 1 {
 		t.Fatalf("handoffs = %d/%d attempts, want 1/1", rec.Handoffs, rec.HandoffAttempts)
 	}
-	payload := int64(DefaultPeerConfig(0, ModeSocialTube).ChunkPayload)
+	const payload = chunkPayloadBytes
 	if got := providers[crashed].ServedBytes(); got != payload {
 		t.Fatalf("crashed provider served %d bytes, want exactly one chunk (%d)", got, payload)
 	}
@@ -216,7 +216,7 @@ func TestChaosFrameFaults(t *testing.T) {
 		t.Fatalf("post-chaos probe failed: %v %v", resp, err)
 	}
 	resp, err = rpc(p.Addr(), chunkReq, timeout)
-	if err != nil || len(resp.Payload) != DefaultPeerConfig(1, ModeSocialTube).ChunkPayload {
+	if err != nil || len(resp.Payload) != chunkPayloadBytes {
 		t.Fatalf("post-chaos chunk request failed: %v %v", resp, err)
 	}
 }

@@ -111,7 +111,6 @@ func FuzzHandleMessage(f *testing.F) {
 	}
 	pc := DefaultPeerConfig(1, ModeSocialTube)
 	pc.RPCTimeout = time.Millisecond
-	pc.ChunkPayload = 64
 	pc.UplinkBps = 1 << 30
 	p := newTestPeer(f, pc, tr, "127.0.0.1:1", nil)
 	if err := p.Start(); err != nil {

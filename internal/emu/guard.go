@@ -27,7 +27,7 @@ type guard struct {
 
 func newGuard(cfg PeerConfig, epoch time.Time, cl *client) *guard {
 	return &guard{
-		set:   health.NewSet(health.Config{Threshold: cfg.BreakerThreshold, OpenFor: cfg.BreakerOpenFor}, 0),
+		set:   health.NewSet(health.Config{OpenFor: cfg.BreakerOpenFor}, 0),
 		epoch: epoch,
 		cl:    cl,
 	}

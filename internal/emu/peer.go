@@ -9,6 +9,7 @@ import (
 
 	"github.com/socialtube/socialtube/internal/core"
 	"github.com/socialtube/socialtube/internal/dist"
+	"github.com/socialtube/socialtube/internal/health"
 	"github.com/socialtube/socialtube/internal/obs"
 	"github.com/socialtube/socialtube/internal/simnet"
 	"github.com/socialtube/socialtube/internal/trace"
@@ -66,8 +67,6 @@ type PeerConfig struct {
 	PrefetchCount int
 	// UplinkBps is the peer's upload capacity.
 	UplinkBps int64
-	// ChunkPayload is the bytes shipped per chunk.
-	ChunkPayload int
 	// RPCTimeout bounds each peer-to-peer RPC.
 	RPCTimeout time.Duration
 	// MaxRetries bounds additional attempts for tracker-path RPCs
@@ -75,17 +74,17 @@ type PeerConfig struct {
 	// attempts, doubled per retry.
 	MaxRetries   int
 	RetryBackoff time.Duration
-	// BreakerThreshold / BreakerOpenFor parameterise the per-neighbour
-	// circuit breaker (zero fields select health.DefaultConfig).
-	BreakerThreshold int
-	BreakerOpenFor   time.Duration
+	// BreakerOpenFor is how long the per-neighbour circuit breaker stays
+	// open after health.Threshold consecutive failures (0 selects
+	// health.DefaultConfig).
+	BreakerOpenFor time.Duration
 	// Seed drives the peer's random choices.
 	Seed int64
 }
 
 // DefaultPeerConfig returns the simulator's protocol defaults
-// (core.DefaultConfig: Table I's N_l, N_h, TTL and M, and the breaker
-// policy) with transport settings scaled for loopback runs.
+// (core.DefaultConfig: Table I's N_l, N_h, TTL and M; health.DefaultConfig's
+// breaker window) with transport settings scaled for loopback runs.
 func DefaultPeerConfig(id int, mode Mode) PeerConfig {
 	table1 := core.DefaultConfig()
 	return PeerConfig{
@@ -96,17 +95,15 @@ func DefaultPeerConfig(id int, mode Mode) PeerConfig {
 		InterLinks: table1.InterLinks,
 		// The simulator's NetTube bound is 6 (baseline.DefaultNetTubeConfig):
 		// a DESIGN.md §2 divergence.
-		LinksPerOverlay:  4,
-		TTL:              table1.TTL,
-		PrefetchCount:    table1.PrefetchCount,
-		UplinkBps:        4_000_000,
-		ChunkPayload:     8 << 10,
-		RPCTimeout:       3 * time.Second,
-		MaxRetries:       2,
-		RetryBackoff:     5 * time.Millisecond,
-		BreakerThreshold: table1.BreakerThreshold,
-		BreakerOpenFor:   table1.BreakerOpenFor,
-		Seed:             int64(id) + 1,
+		LinksPerOverlay: 4,
+		TTL:             table1.TTL,
+		PrefetchCount:   table1.PrefetchCount,
+		UplinkBps:       4_000_000,
+		RPCTimeout:      3 * time.Second,
+		MaxRetries:      2,
+		RetryBackoff:    5 * time.Millisecond,
+		BreakerOpenFor:  health.DefaultConfig().OpenFor,
+		Seed:            int64(id) + 1,
 	}
 }
 
@@ -121,14 +118,14 @@ func (c PeerConfig) Validate() error {
 		return fmt.Errorf("%w: ttl=%d", dist.ErrBadParameter, c.TTL)
 	case c.PrefetchCount < 0:
 		return fmt.Errorf("%w: prefetchCount=%d", dist.ErrBadParameter, c.PrefetchCount)
-	case c.UplinkBps <= 0 || c.ChunkPayload <= 0:
-		return fmt.Errorf("%w: uplink/payload", dist.ErrBadParameter)
+	case c.UplinkBps <= 0:
+		return fmt.Errorf("%w: uplinkBps=%d", dist.ErrBadParameter, c.UplinkBps)
 	case c.RPCTimeout <= 0:
 		return fmt.Errorf("%w: rpcTimeout=%v", dist.ErrBadParameter, c.RPCTimeout)
 	case c.MaxRetries < 0 || c.RetryBackoff < 0:
 		return fmt.Errorf("%w: retry policy", dist.ErrBadParameter)
-	case c.BreakerThreshold < 0 || c.BreakerOpenFor < 0:
-		return fmt.Errorf("%w: breaker policy", dist.ErrBadParameter)
+	case c.BreakerOpenFor < 0:
+		return fmt.Errorf("%w: breakerOpenFor=%v", dist.ErrBadParameter, c.BreakerOpenFor)
 	}
 	return nil
 }
@@ -668,15 +665,15 @@ func (p *Peer) handleChunkReq(req *Message) *Message {
 		return &Message{Type: MsgMiss, From: p.cfg.ID}
 	}
 	now := time.Since(p.epoch)
-	p.busyUntil = simnet.Reserve(p.busyUntil, now, int64(p.cfg.ChunkPayload), p.cfg.UplinkBps)
+	p.busyUntil = simnet.Reserve(p.busyUntil, now, chunkPayloadBytes, p.cfg.UplinkBps)
 	wait := p.busyUntil - now
-	p.servedBytes += int64(p.cfg.ChunkPayload)
+	p.servedBytes += chunkPayloadBytes
 	p.mu.Unlock()
 	time.Sleep(wait)
 	return &Message{
 		Type: MsgOK, From: p.cfg.ID,
 		Video: req.Video, Chunk: req.Chunk,
-		Payload: chunkPayload(p.cfg.ChunkPayload),
+		Payload: chunkPayload,
 	}
 }
 

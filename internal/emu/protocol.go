@@ -252,17 +252,14 @@ func (m *Message) Validate() error {
 	return nil
 }
 
-// zeros backs every chunk payload up to its length: payload bytes are
-// never written, so responses share them.
-var zeros = make([]byte, 64<<10)
+// chunkPayloadBytes is the number of bytes a peer or the tracker ships per
+// chunk: scaled down from the real chunk size to keep runs fast, and charged
+// against the sender's UplinkBps for delivery timing.
+const chunkPayloadBytes = 8 << 10
 
-// chunkPayload returns n payload bytes.
-func chunkPayload(n int) []byte {
-	if n <= len(zeros) {
-		return zeros[:n:n]
-	}
-	return make([]byte, n)
-}
+// chunkPayload backs every chunk response: payload bytes are never
+// written, so responses share them.
+var chunkPayload = make([]byte, chunkPayloadBytes)
 
 // frames recycles frame buffers: a frame is garbage once written or
 // decoded, and a chunk's is tens of kilobytes. A reader takes one only once

@@ -23,10 +23,6 @@ type TrackerConfig struct {
 	// UplinkBps is the server's upload capacity; concurrent chunk serves
 	// queue behind each other, reproducing server-overload delays.
 	UplinkBps int64
-	// ChunkPayload is the number of bytes actually shipped per chunk
-	// (scaled down from the real chunk size to keep runs fast; delivery
-	// timing uses UplinkBps against this payload).
-	ChunkPayload int
 	// Seed drives the tracker's random peer recommendations.
 	Seed int64
 	// ISPs partitions peers into that many ISPs for PA-VoD's
@@ -39,10 +35,9 @@ type TrackerConfig struct {
 // DefaultTrackerConfig returns settings scaled for loopback experiments.
 func DefaultTrackerConfig() TrackerConfig {
 	return TrackerConfig{
-		Addr:         "127.0.0.1:0",
-		UplinkBps:    8_000_000,
-		ChunkPayload: 8 << 10,
-		Seed:         1,
+		Addr:      "127.0.0.1:0",
+		UplinkBps: 8_000_000,
+		Seed:      1,
 	}
 }
 
@@ -151,7 +146,7 @@ func NewTracker(cfg TrackerConfig, tr *trace.Trace, cond *Conditions) (*Tracker,
 	if tr == nil || len(tr.Videos) == 0 {
 		return nil, fmt.Errorf("%w: tracker needs a non-empty trace", dist.ErrBadParameter)
 	}
-	if cfg.UplinkBps <= 0 || cfg.ChunkPayload <= 0 {
+	if cfg.UplinkBps <= 0 {
 		return nil, fmt.Errorf("%w: tracker config %+v", dist.ErrBadParameter, cfg)
 	}
 	t := &Tracker{
@@ -608,9 +603,9 @@ func (t *Tracker) handleServe(req *Message) *Message {
 	}
 	t.mu.Lock()
 	now := time.Since(t.epoch)
-	t.busyUntil = simnet.Reserve(t.busyUntil, now, int64(t.cfg.ChunkPayload), t.cfg.UplinkBps)
+	t.busyUntil = simnet.Reserve(t.busyUntil, now, chunkPayloadBytes, t.cfg.UplinkBps)
 	wait := t.busyUntil - now
-	t.servedBytes += int64(t.cfg.ChunkPayload)
+	t.servedBytes += chunkPayloadBytes
 	t.mu.Unlock()
 	atomic.AddUint64(&t.ctr.ChunksServer, 1)
 	time.Sleep(wait)
@@ -619,7 +614,7 @@ func (t *Tracker) handleServe(req *Message) *Message {
 		From:    -1,
 		Video:   req.Video,
 		Chunk:   req.Chunk,
-		Payload: chunkPayload(t.cfg.ChunkPayload),
+		Payload: chunkPayload,
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 // chunkReply is a peer's answer to a chunk request: one real payload.
 func chunkReply() *Message {
 	return &Message{Type: MsgOK, From: 3, Video: 7, Chunk: 2,
-		Payload: chunkPayload(DefaultPeerConfig(3, ModeSocialTube).ChunkPayload)}
+		Payload: chunkPayload}
 }
 
 // wireSamples is every frame shape the wire tests exercise: the fuzz

@@ -33,8 +33,20 @@ type Timed interface {
 	SetNow(now time.Duration)
 }
 
+// abruptLeaveP is the probability a session ends with an abrupt failure
+// instead of a graceful departure, exercising the probe-based repair path.
+const abruptLeaveP = 0.3
+
+// playoutBuffer is how much content must arrive before playback starts.
+// Peers' uplinks exceed the bitrate (§IV-B: "most Internet users have
+// typical download bandwidths of at least twice that bitrate"), so startup
+// is buffering plus query time, not a full chunk download.
+const playoutBuffer = 2 * time.Second
+
 // Config sets the workload parameters. Defaults follow Table I of the
-// paper, scaled by the caller through the trace size.
+// paper, scaled by the caller through the trace size. The chunk count,
+// bitrate and video-selection mix are the vod package's Table I
+// constants, shared with the emulator.
 type Config struct {
 	// Seed drives session scheduling and churn decisions.
 	Seed int64
@@ -50,22 +62,6 @@ type Config struct {
 	ProbeInterval time.Duration
 	// Horizon bounds simulated time (paper: 3 days). 0 disables.
 	Horizon time.Duration
-	// ChunksPerVideo splits each video into chunks (paper: 2).
-	ChunksPerVideo int
-	// BitrateBps is the video bitrate (paper: 320 kbps).
-	BitrateBps int64
-	// AbruptLeaveP is the probability a session ends with an abrupt
-	// failure instead of a graceful departure, exercising the
-	// probe-based repair path.
-	AbruptLeaveP float64
-	// PlayoutBuffer is how much content must arrive before playback
-	// starts. Peers' uplinks exceed the bitrate (§IV-B: "most Internet
-	// users have typical download bandwidths of at least twice that
-	// bitrate"), so startup is buffering plus query time, not a full
-	// chunk download.
-	PlayoutBuffer time.Duration
-	// Behavior is the video-selection model (paper: 75/15/10).
-	Behavior vod.Behavior
 	// WatchScale compresses playback time: a video of length L occupies
 	// L*WatchScale of virtual time. 1.0 reproduces real playback; small
 	// values shorten experiments without changing request ordering.
@@ -81,11 +77,6 @@ func DefaultConfig() Config {
 		MeanOffTime:      500 * time.Second,
 		ProbeInterval:    10 * time.Minute,
 		Horizon:          3 * 24 * time.Hour,
-		ChunksPerVideo:   vod.DefaultChunksPerVideo,
-		BitrateBps:       vod.DefaultBitrateBps,
-		AbruptLeaveP:     0.3,
-		PlayoutBuffer:    2 * time.Second,
-		Behavior:         vod.DefaultBehavior(),
 		WatchScale:       1,
 	}
 }
@@ -103,18 +94,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("%w: probeInterval=%v", dist.ErrBadParameter, c.ProbeInterval)
 	case c.Horizon < 0:
 		return fmt.Errorf("%w: horizon=%v", dist.ErrBadParameter, c.Horizon)
-	case c.ChunksPerVideo <= 0:
-		return fmt.Errorf("%w: chunksPerVideo=%d", dist.ErrBadParameter, c.ChunksPerVideo)
-	case c.BitrateBps <= 0:
-		return fmt.Errorf("%w: bitrateBps=%d", dist.ErrBadParameter, c.BitrateBps)
-	case c.AbruptLeaveP < 0 || c.AbruptLeaveP > 1:
-		return fmt.Errorf("%w: abruptLeaveP=%v", dist.ErrBadParameter, c.AbruptLeaveP)
-	case c.PlayoutBuffer < 0:
-		return fmt.Errorf("%w: playoutBuffer=%v", dist.ErrBadParameter, c.PlayoutBuffer)
 	case c.WatchScale <= 0:
 		return fmt.Errorf("%w: watchScale=%v", dist.ErrBadParameter, c.WatchScale)
 	}
-	return c.Behavior.Validate()
+	return nil
 }
 
 // Result aggregates one experiment run. It marshals to JSON with every
@@ -417,7 +400,7 @@ func newRunner(cfg Config, tr *trace.Trace, proto vod.Protocol, netCfg simnet.Co
 	if err != nil {
 		return nil, err
 	}
-	picker, err := vod.NewPicker(tr, cfg.Behavior)
+	picker, err := vod.NewPicker(tr, vod.DefaultBehavior())
 	if err != nil {
 		return nil, err
 	}
@@ -549,14 +532,14 @@ func (r *runner) watchAccount(node int, plan vod.SessionPlan, idx int, gen uint6
 	// Chunk sizes scale with WatchScale so compressed timelines offer the
 	// server a proportionally compressed load; otherwise time compression
 	// would multiply the offered bitrate without scaling capacity.
-	chunkBytes := int64(float64(vod.ChunkBytes(video.Length, r.cfg.BitrateBps, r.cfg.ChunksPerVideo)) * r.cfg.WatchScale)
+	chunkBytes := int64(float64(vod.ChunkBytes(video.Length, vod.DefaultBitrateBps, vod.DefaultChunksPerVideo)) * r.cfg.WatchScale)
 	ready := now  // when playback can start: at once from the local cache
 	var shed bool // server admission queue turned the request away
 	serverBytes := r.net.ServerBytes()
 	switch res.Source {
 	case vod.SourcePeer:
 		ready, _ = r.deliver(node, simnet.NodeID(res.Provider), res, chunkBytes, now)
-		r.ctr.ChunksPeer += uint64(r.cfg.ChunksPerVideo)
+		r.ctr.ChunksPeer += vod.DefaultChunksPerVideo
 	case vod.SourceServer:
 		at := now
 		if r.outageUntil > now {
@@ -577,7 +560,7 @@ func (r *runner) watchAccount(node int, plan vod.SessionPlan, idx int, gen uint6
 			if r.res.Load != nil {
 				r.res.Load.ServerAdmitted++
 			}
-			r.ctr.ChunksServer += uint64(r.cfg.ChunksPerVideo)
+			r.ctr.ChunksServer += vod.DefaultChunksPerVideo
 		}
 	}
 	if shed {
@@ -638,7 +621,7 @@ func (r *runner) deliver(node int, from simnet.NodeID, res vod.RequestResult, ch
 	queryDelay := time.Duration(res.Hops+1) * lat
 	start := now + queryDelay
 
-	total := chunkBytes * int64(r.cfg.ChunksPerVideo)
+	total := chunkBytes * vod.DefaultChunksPerVideo
 	fetch := total
 	if res.PrefixCached {
 		// The leading chunk is already local: only the remainder is
@@ -648,7 +631,7 @@ func (r *runner) deliver(node int, from simnet.NodeID, res vod.RequestResult, ch
 	// head is what must land before playback starts: the playout buffer,
 	// or nothing when playback starts from the local chunk and the whole
 	// fetch streams behind it.
-	head := min(fetch, int64(float64(r.cfg.BitrateBps)*r.cfg.PlayoutBuffer.Seconds()/8*r.cfg.WatchScale))
+	head := min(fetch, int64(float64(vod.DefaultBitrateBps)*playoutBuffer.Seconds()/8*r.cfg.WatchScale))
 	if res.PrefixCached {
 		head = 0
 	}
@@ -656,7 +639,7 @@ func (r *runner) deliver(node int, from simnet.NodeID, res vod.RequestResult, ch
 	switch {
 	case remote:
 		r.res.Sharded.RemoteBytes += fetch
-		headDone = start + time.Duration(float64(head)*8/float64(r.remote.peerUplinkBps)*float64(time.Second))
+		headDone = start + time.Duration(float64(head)*8/float64(simnet.PeerUplinkBps)*float64(time.Second))
 	case from == simnet.ServerID:
 		var ok bool
 		if headDone, ok = r.net.ServerTransfer(to, head, fetch, start); !ok {
@@ -687,7 +670,7 @@ func (r *runner) deliver(node int, from simnet.NodeID, res vod.RequestResult, ch
 func (r *runner) endSession(node int, offTime time.Duration) {
 	if r.online[node] {
 		r.online[node] = false
-		if r.g.Bool(r.cfg.AbruptLeaveP) {
+		if r.g.Bool(abruptLeaveP) {
 			r.proto.Fail(node)
 		} else {
 			r.proto.Leave(node)

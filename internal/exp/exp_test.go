@@ -110,11 +110,7 @@ func TestConfigValidate(t *testing.T) {
 		{"zero off time", func(c *Config) { c.MeanOffTime = 0 }},
 		{"zero probe", func(c *Config) { c.ProbeInterval = 0 }},
 		{"negative horizon", func(c *Config) { c.Horizon = -1 }},
-		{"zero chunks", func(c *Config) { c.ChunksPerVideo = 0 }},
-		{"zero bitrate", func(c *Config) { c.BitrateBps = 0 }},
-		{"bad abrupt p", func(c *Config) { c.AbruptLeaveP = 1.5 }},
 		{"zero watch scale", func(c *Config) { c.WatchScale = 0 }},
-		{"bad behavior", func(c *Config) { c.Behavior.PSameChannel = 2 }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -279,9 +275,7 @@ func TestHorizonBoundsRun(t *testing.T) {
 
 func TestProbesRunForMaintainers(t *testing.T) {
 	tr := expTrace(t)
-	cfg := quickConfig()
-	cfg.AbruptLeaveP = 1 // every departure abrupt: probes must fire and repair
-	res, err := Run(cfg, tr, socialTube(t, tr), simnet.DefaultConfig())
+	res, err := Run(quickConfig(), tr, socialTube(t, tr), simnet.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,7 +52,7 @@ func deliverRunner(t *testing.T) *runner {
 func TestDeliverPrefixCachedServerBytes(t *testing.T) {
 	r := deliverRunner(t)
 	const chunkBytes = 1_000_000
-	chunks := int64(r.cfg.ChunksPerVideo)
+	const chunks int64 = vod.DefaultChunksPerVideo
 	res := vod.RequestResult{Source: vod.SourceServer, PrefixCached: true}
 	ready, shed := r.deliver(0, simnet.ServerID, res, chunkBytes, 0)
 	if shed {
@@ -73,7 +73,7 @@ func TestDeliverPrefixCachedServerBytes(t *testing.T) {
 func TestDeliverPrefixCachedPeerBytes(t *testing.T) {
 	r := deliverRunner(t)
 	const chunkBytes = 1_000_000
-	chunks := int64(r.cfg.ChunksPerVideo)
+	const chunks int64 = vod.DefaultChunksPerVideo
 	res := vod.RequestResult{Source: vod.SourcePeer, Provider: 1, PrefixCached: true}
 	ready, shed := r.deliver(0, simnet.NodeID(1), res, chunkBytes, 0)
 	if shed {
@@ -97,7 +97,7 @@ func TestDeliverRemoteProvider(t *testing.T) {
 	const chunkBytes = 1_000_000
 	for _, prefix := range []bool{false, true} {
 		r := deliverRunner(t)
-		r.remote = &remoteRouter{peerUplinkBps: simnet.DefaultConfig().PeerUplinkBps}
+		r.remote = &remoteRouter{}
 		r.res.Sharded = &ShardedInfo{}
 		res := vod.RequestResult{Source: vod.SourcePeer, Provider: int(remoteProvider), Hops: 2, PrefixCached: prefix}
 		const now = 5 * time.Second
@@ -105,12 +105,12 @@ func TestDeliverRemoteProvider(t *testing.T) {
 		if shed {
 			t.Fatal("remote delivery shed")
 		}
-		total := chunkBytes * int64(r.cfg.ChunksPerVideo)
+		total := int64(chunkBytes * vod.DefaultChunksPerVideo)
 		want, fetched := now, total-chunkBytes
 		if !prefix {
 			fetched = total
-			buffer := float64(r.cfg.BitrateBps) * r.cfg.PlayoutBuffer.Seconds() / 8 * r.cfg.WatchScale
-			fill := time.Duration(float64(int64(buffer)) * 8 / float64(r.remote.peerUplinkBps) * float64(time.Second))
+			buffer := float64(vod.DefaultBitrateBps) * playoutBuffer.Seconds() / 8 * r.cfg.WatchScale
+			fill := time.Duration(float64(int64(buffer)) * 8 / float64(simnet.PeerUplinkBps) * float64(time.Second))
 			want = now + 3*r.net.Latency(simnet.ServerID, 0) + fill
 		}
 		if ready != want {

@@ -124,10 +124,9 @@ func RunShardedCtx(ctx context.Context, cfg Config, tr *trace.Trace, factory Cel
 	}
 	n := len(part.Cells)
 	router := &remoteRouter{
-		part:          part,
-		remotes:       make([]RemoteSearcher, n),
-		seq:           make([]uint64, n),
-		peerUplinkBps: netCfg.PeerUplinkBps,
+		part:    part,
+		remotes: make([]RemoteSearcher, n),
+		seq:     make([]uint64, n),
 	}
 	cells := make([]cell, n)
 	name := ""
@@ -186,9 +185,6 @@ type remoteRouter struct {
 	part    *trace.Partition
 	remotes []RemoteSearcher
 	seq     []uint64
-	// peerUplinkBps models the remote provider's uplink for deliver's
-	// analytic cross-community path.
-	peerUplinkBps int64
 }
 
 // key returns the next mailbox ordering key for a cell: community id in

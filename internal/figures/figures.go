@@ -468,8 +468,8 @@ func Table1(s Scale, tr *trace.Trace) *Table {
 	t.AddRow("number of nodes", 10000, len(tr.Users))
 	t.AddRow("number of videos", 101121, len(tr.Videos))
 	t.AddRow("number of channels", 545, len(tr.Channels))
-	t.AddRow("chunks per video", 2, cfg.ChunksPerVideo)
-	t.AddRow("video bitrate (kbps)", 320, cfg.BitrateBps/1000)
+	t.AddRow("chunks per video", 2, vod.DefaultChunksPerVideo)
+	t.AddRow("video bitrate (kbps)", 320, vod.DefaultBitrateBps/1000)
 	t.AddRow("server bandwidth (mbps)", 50, net.ServerUplinkBps/1_000_000)
 	t.AddRow("inner links N_l", 5, core.DefaultConfig().InnerLinks)
 	t.AddRow("inter links N_h", 10, core.DefaultConfig().InterLinks)

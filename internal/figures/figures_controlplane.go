@@ -66,13 +66,6 @@ type ControlPlanePoint struct {
 	Env ControlPlaneEnv `json:"env"`
 }
 
-// Canonical returns the point with its environmental block zeroed — the
-// form determinism comparisons use.
-func (p ControlPlanePoint) Canonical() ControlPlanePoint {
-	p.Env = ControlPlaneEnv{}
-	return p
-}
-
 // planeVariant is one run of a control-plane fault figure: the fault plan
 // (nil on the baseline) and the point's variant name and target fields.
 type planeVariant struct {

@@ -46,13 +46,6 @@ type FailoverPoint struct {
 	Env FailoverEnv `json:"env"`
 }
 
-// Canonical returns the point with its environmental block zeroed — the
-// form determinism comparisons use.
-func (p FailoverPoint) Canonical() FailoverPoint {
-	p.Env = FailoverEnv{}
-	return p
-}
-
 // The failover figure's schedule: 12 providers (2 NetTube replicas per
 // video), 16 sequential requests, the chunk-0 provider of every third
 // request crashed — up to 6 of the 12 providers die over the run.

@@ -127,8 +127,7 @@ func (sw LoadSweep) profile(rps float64) *load.Profile {
 
 // LoadEnv carries a cell's environmental measurements — wall clock and
 // the sharded worker count. They ride along in BENCH_load.json but never
-// enter the figure tables; Canonical() zeroes them for determinism
-// comparisons.
+// enter the figure tables, and determinism comparisons zero them.
 type LoadEnv struct {
 	WallMs  float64 `json:"wallMs"`
 	Workers int     `json:"workers,omitempty"`
@@ -166,13 +165,6 @@ type LoadPoint struct {
 	QueuePeak      int     `json:"queuePeak"`
 
 	Env LoadEnv `json:"env"`
-}
-
-// Canonical returns the point with its environmental block zeroed — the
-// form determinism comparisons use.
-func (p LoadPoint) Canonical() LoadPoint {
-	p.Env = LoadEnv{}
-	return p
 }
 
 // loadPoint reduces one cell's run result to its figure point.

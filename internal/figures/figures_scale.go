@@ -121,7 +121,7 @@ type ScaleEnv struct {
 	WallMs             float64 `json:"wallMs"`
 	// Workers and ShardLoad appear on sharded-engine points only: the
 	// worker-pool size the run was launched with and the per-community
-	// loop load. They live in Env — Canonical() zeroes them — because
+	// loop load. They live in Env — determinism comparisons zero it — because
 	// busy time is wall-clock and Workers is a launch parameter; the
 	// EventsFired column rides along to give the times a denominator.
 	Workers   int            `json:"workers,omitempty"`
@@ -173,13 +173,6 @@ type ScalePoint struct {
 	RemoteHits    int64 `json:"remoteHits,omitempty"`
 
 	Env ScaleEnv `json:"env"`
-}
-
-// Canonical returns the point with its environmental block zeroed — the
-// form determinism comparisons use.
-func (p ScalePoint) Canonical() ScalePoint {
-	p.Env = ScaleEnv{}
-	return p
 }
 
 // sweepPoint reduces one run result to its sweep cell. probeInterval is

@@ -36,8 +36,10 @@ func TestScaleSweepDeterministic(t *testing.T) {
 		t.Fatalf("point counts differ: %d vs %d", len(pa), len(pb))
 	}
 	for i := range pa {
-		ja, _ := json.Marshal(pa[i].Canonical())
-		jb, _ := json.Marshal(pb[i].Canonical())
+		ca, cb := pa[i], pb[i]
+		ca.Env, cb.Env = ScaleEnv{}, ScaleEnv{} // wall time and workers differ run to run
+		ja, _ := json.Marshal(ca)
+		jb, _ := json.Marshal(cb)
 		if string(ja) != string(jb) {
 			t.Fatalf("point %d differs across same-seed sweeps:\n%s\nvs\n%s", i, ja, jb)
 		}
@@ -126,8 +128,10 @@ func TestScaleSweepSharded(t *testing.T) {
 		t.Fatalf("point counts: %d and %d, want %d", len(pa), len(pb), len(protoOrder))
 	}
 	for i := range pa {
-		ja, _ := json.Marshal(pa[i].Canonical())
-		jb, _ := json.Marshal(pb[i].Canonical())
+		ca, cb := pa[i], pb[i]
+		ca.Env, cb.Env = ScaleEnv{}, ScaleEnv{} // wall time and workers differ run to run
+		ja, _ := json.Marshal(ca)
+		jb, _ := json.Marshal(cb)
 		if string(ja) != string(jb) {
 			t.Fatalf("point %d differs between 1 and 4 workers:\n%s\nvs\n%s", i, ja, jb)
 		}

@@ -23,19 +23,21 @@ package health
 
 import "time"
 
+// Threshold is K: consecutive failures before a breaker opens. It mirrors
+// the emulator's retry budget of three strikes.
+const Threshold = 3
+
 // Config parameterises a breaker set.
 type Config struct {
-	// Threshold is K: consecutive failures before the breaker opens.
-	Threshold int
 	// OpenFor is how long an open breaker rejects calls before allowing
 	// a half-open probation probe.
 	OpenFor time.Duration
 }
 
-// DefaultConfig mirrors the emulator's retry budget: three strikes, then
-// back off for well over an RPC timeout before probing again.
+// DefaultConfig backs off for well over an RPC timeout before probing
+// again.
 func DefaultConfig() Config {
-	return Config{Threshold: 3, OpenFor: 30 * time.Second}
+	return Config{OpenFor: 30 * time.Second}
 }
 
 // State is a breaker's position in the closed/open/half-open machine.
@@ -90,9 +92,6 @@ type Set struct {
 // admitted unconditionally and never tracked (Allow true, Success/Failure
 // no-ops), so callers never have to bounds-check.
 func NewSet(cfg Config, n int) *Set {
-	if cfg.Threshold <= 0 {
-		cfg.Threshold = DefaultConfig().Threshold
-	}
 	if cfg.OpenFor <= 0 {
 		cfg.OpenFor = DefaultConfig().OpenFor
 	}
@@ -101,9 +100,6 @@ func NewSet(cfg Config, n int) *Set {
 	}
 	return &Set{cfg: cfg, b: make([]breaker, n)}
 }
-
-// Len reports the number of tracked ids.
-func (s *Set) Len() int { return len(s.b) }
 
 // Ensure grows the table so id is tracked. Amortized-allocating — callers
 // on allocation-free hot paths must pre-size with NewSet instead.
@@ -194,7 +190,7 @@ func (s *Set) Failure(id int, now time.Duration) {
 		return
 	}
 	b.fails++
-	if b.fails >= s.cfg.Threshold {
+	if b.fails >= Threshold {
 		b.state = Open
 		b.fails = 0
 		b.openUntil = now + s.cfg.OpenFor

@@ -5,7 +5,7 @@ import (
 	"time"
 )
 
-func cfg() Config { return Config{Threshold: 3, OpenFor: 10 * time.Second} }
+func cfg() Config { return Config{OpenFor: 10 * time.Second} }
 
 func TestClosedAdmitsAndFailureStreakOpens(t *testing.T) {
 	s := NewSet(cfg(), 4)

@@ -8,7 +8,6 @@ package obs_test
 
 import (
 	"bytes"
-	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -141,7 +140,7 @@ func TestSocialTubeCounters(t *testing.T) {
 	if err := tracer.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	schema, err := obs.LoadSchemaFile(filepath.Join("testdata", "trace_schema.json"))
+	schema, err := obs.GoldenSchema()
 	if err != nil {
 		t.Fatal(err)
 	}

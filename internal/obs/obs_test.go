@@ -199,7 +199,7 @@ func TestEventString(t *testing.T) {
 }
 
 func TestSchemaValidate(t *testing.T) {
-	s, err := LoadSchemaFile(filepath.Join("testdata", "trace_schema.json"))
+	s, err := GoldenSchema()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestSchemaValidate(t *testing.T) {
 }
 
 func TestValidateJSONL(t *testing.T) {
-	s, err := LoadSchemaFile(filepath.Join("testdata", "trace_schema.json"))
+	s, err := GoldenSchema()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,12 +7,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 )
 
-// goldenSchemaJSON is the checked-in golden trace schema; the same file the
-// tests load from disk is embedded so the binaries can validate traces
-// without a repo checkout.
+// goldenSchemaJSON is the checked-in golden trace schema, embedded so the
+// binaries and the tests validate traces against one copy without a repo
+// checkout.
 //
 //go:embed testdata/trace_schema.json
 var goldenSchemaJSON []byte
@@ -44,16 +43,6 @@ func LoadSchema(r io.Reader) (*Schema, error) {
 		return nil, fmt.Errorf("trace schema: empty required/kinds")
 	}
 	return &s, nil
-}
-
-// LoadSchemaFile loads a schema from the file at path.
-func LoadSchemaFile(path string) (*Schema, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return LoadSchema(f)
 }
 
 func contains(keys []string, k string) bool {

@@ -19,6 +19,18 @@ type NodeID int
 // ServerID is the NodeID of the central VoD server.
 const ServerID NodeID = -1
 
+// PeerUplinkBps is a peer's upload capacity. The paper notes typical
+// download bandwidth is at least twice the 320 kbps bitrate; uploads are
+// modelled at 1 Mbps.
+const PeerUplinkBps = 1_000_000
+
+// MinLatency and MaxLatency bound one-way propagation delay between any two
+// endpoints.
+const (
+	MinLatency = 10 * time.Millisecond
+	MaxLatency = 150 * time.Millisecond
+)
+
 // Config sets the physical parameters of the modelled network. They default
 // to the paper's Table I: 320 kbps video bitrate, 50 Mbps server uplink and
 // residential peer uplinks of roughly twice the bitrate.
@@ -28,14 +40,6 @@ type Config struct {
 	// ServerUplinkBps is the server's total upload capacity (Table I:
 	// 50 Mbps).
 	ServerUplinkBps int64
-	// PeerUplinkBps is a peer's upload capacity. The paper notes typical
-	// download bandwidth is at least twice the 320 kbps bitrate; uploads
-	// are modelled at 1 Mbps.
-	PeerUplinkBps int64
-	// MinLatency and MaxLatency bound one-way propagation delay between
-	// any two endpoints.
-	MinLatency time.Duration
-	MaxLatency time.Duration
 	// ServerQueueCap bounds the server's admission queue: the maximum
 	// number of admitted requests that may still be draining through
 	// the server uplink when a new request arrives. Arrivals beyond
@@ -50,9 +54,6 @@ func DefaultConfig() Config {
 	return Config{
 		Seed:            1,
 		ServerUplinkBps: 50_000_000,
-		PeerUplinkBps:   1_000_000,
-		MinLatency:      10 * time.Millisecond,
-		MaxLatency:      150 * time.Millisecond,
 	}
 }
 
@@ -61,10 +62,6 @@ func (c Config) Validate() error {
 	switch {
 	case c.ServerUplinkBps <= 0:
 		return fmt.Errorf("%w: serverUplinkBps=%d", dist.ErrBadParameter, c.ServerUplinkBps)
-	case c.PeerUplinkBps <= 0:
-		return fmt.Errorf("%w: peerUplinkBps=%d", dist.ErrBadParameter, c.PeerUplinkBps)
-	case c.MinLatency <= 0 || c.MaxLatency < c.MinLatency:
-		return fmt.Errorf("%w: latency range [%v, %v]", dist.ErrBadParameter, c.MinLatency, c.MaxLatency)
 	case c.ServerQueueCap < 0:
 		return fmt.Errorf("%w: serverQueueCap=%d", dist.ErrBadParameter, c.ServerQueueCap)
 	}
@@ -99,7 +96,7 @@ func New(cfg Config) (*Network, error) {
 // Latency returns the one-way propagation delay between a and b. It is
 // symmetric and deterministic under the configured seed.
 func (n *Network) Latency(a, b NodeID) time.Duration {
-	return PairLatency(n.cfg.Seed, n.cfg.MinLatency, n.cfg.MaxLatency, int64(a), int64(b))
+	return PairLatency(n.cfg.Seed, MinLatency, MaxLatency, int64(a), int64(b))
 }
 
 // PairLatency is the WAN latency model both substrates share: the one-way
@@ -125,7 +122,7 @@ func (n *Network) uplinkBps(id NodeID) int64 {
 	if id == ServerID {
 		return n.cfg.ServerUplinkBps
 	}
-	return n.cfg.PeerUplinkBps
+	return PeerUplinkBps
 }
 
 // Transfer reserves from's uplink for a transfer of size bytes starting no

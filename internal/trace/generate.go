@@ -10,6 +10,20 @@ import (
 	"github.com/socialtube/socialtube/internal/dist"
 )
 
+// The shape of the crawl every generated trace shares (Section III).
+const (
+	// zipfExponent is the within-channel popularity exponent s (Fig. 9
+	// measures s ≈ 1).
+	zipfExponent = 1.0
+	// meanSubscriptionsPerUser is the average number of channels a user
+	// subscribes to.
+	meanSubscriptionsPerUser = 6
+	// meanFavoritesPerUser is how many favourites each user marks.
+	meanFavoritesPerUser = 8
+	// span is the period the trace covers (Fig. 2 plots uploads over it).
+	span = 2 * 365 * 24 * time.Hour
+)
+
 // Config controls synthetic trace generation. The defaults reproduce the
 // shape of the paper's crawl (Section III) at laptop scale; the benches grow
 // a trace toward the paper's 10,000-node simulations by raising Users and
@@ -33,24 +47,12 @@ type Config struct {
 	// video-rich popular ones. Paper-scale runs set this multiplier to
 	// recover that catalog size.
 	VideoCountMultiplier float64
-	// ZipfExponent is the within-channel popularity exponent s (Fig. 9
-	// measures s ≈ 1).
-	ZipfExponent float64
 	// MaxInterestsPerUser bounds user interests (Fig. 13: max ≈18).
 	MaxInterestsPerUser int
-	// MeanSubscriptionsPerUser sets the average number of channels a user
-	// subscribes to.
-	MeanSubscriptionsPerUser float64
 	// InterestAlignedSubscriptionP is the probability a subscription is
 	// drawn from the user's own interest categories (Fig. 12: median
 	// similarity 1.0, i.e. most subscriptions align with interests).
 	InterestAlignedSubscriptionP float64
-	// MeanFavoritesPerUser sets how many favourites each user marks.
-	MeanFavoritesPerUser float64
-	// Span is the period the trace covers (Fig. 2 plots uploads over it).
-	Span time.Duration
-	// Start is the first upload date.
-	Start time.Time
 }
 
 // DefaultConfig returns a laptop-scale configuration whose ratios follow the
@@ -64,13 +66,8 @@ func DefaultConfig() Config {
 		Channels:                     545,
 		Users:                        2000,
 		MaxVideosPerChannel:          400,
-		ZipfExponent:                 1.0,
 		MaxInterestsPerUser:          18,
-		MeanSubscriptionsPerUser:     6,
 		InterestAlignedSubscriptionP: 0.85,
-		MeanFavoritesPerUser:         8,
-		Span:                         2 * 365 * 24 * time.Hour,
-		Start:                        time.Date(2008, time.January, 18, 0, 0, 0, 0, time.UTC),
 	}
 }
 
@@ -85,14 +82,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("%w: users=%d", dist.ErrBadParameter, c.Users)
 	case c.MaxVideosPerChannel < 2:
 		return fmt.Errorf("%w: maxVideosPerChannel=%d", dist.ErrBadParameter, c.MaxVideosPerChannel)
-	case c.ZipfExponent <= 0:
-		return fmt.Errorf("%w: zipfExponent=%v", dist.ErrBadParameter, c.ZipfExponent)
 	case c.MaxInterestsPerUser <= 0 || c.MaxInterestsPerUser > c.Categories:
 		return fmt.Errorf("%w: maxInterestsPerUser=%d", dist.ErrBadParameter, c.MaxInterestsPerUser)
 	case c.InterestAlignedSubscriptionP < 0 || c.InterestAlignedSubscriptionP > 1:
 		return fmt.Errorf("%w: interestAlignedSubscriptionP=%v", dist.ErrBadParameter, c.InterestAlignedSubscriptionP)
-	case c.Span <= 0:
-		return fmt.Errorf("%w: span=%v", dist.ErrBadParameter, c.Span)
 	case c.VideoCountMultiplier < 0:
 		return fmt.Errorf("%w: videoCountMultiplier=%v", dist.ErrBadParameter, c.VideoCountMultiplier)
 	}
@@ -128,7 +121,7 @@ type zipfCache struct {
 // sampler is O(n) and draws nothing from the RNG, so caching keeps the
 // generation stream bit-identical while turning the per-favourite
 // construction from quadratic to linear at paper scale (1M users drawing
-// from channels holding hundreds of videos each). Only three exponents
+// from channels holding hundreds of videos each). Only two exponents
 // are ever asked for, so a linear scan finds the exponent's cache.
 func (gen *generator) zipfFor(n int, s float64) (*dist.Zipf, error) {
 	i := 0
@@ -159,14 +152,15 @@ func Generate(cfg Config) (*Trace, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("trace config: %w", err)
 	}
+	start := time.Date(2008, time.January, 18, 0, 0, 0, 0, time.UTC) // the first upload date
 	gen := &generator{
 		cfg: cfg,
 		g:   dist.NewRNG(cfg.Seed),
 		tr: &Trace{
 			Seed:       cfg.Seed,
 			Categories: cfg.Categories,
-			Start:      cfg.Start,
-			End:        cfg.Start.Add(cfg.Span),
+			Start:      start,
+			End:        start.Add(span),
 		},
 		catSeen:  make([]bool, cfg.Categories),
 		catCount: make([]int, cfg.Categories),
@@ -303,7 +297,7 @@ func (gen *generator) videos() error {
 	if err != nil {
 		return err
 	}
-	spanSec := cfg.Span.Seconds()
+	spanSec := span.Seconds()
 	for ci := range tr.Channels {
 		ch := &tr.Channels[ci]
 		mult := cfg.VideoCountMultiplier
@@ -314,7 +308,7 @@ func (gen *generator) videos() error {
 		if nVideos < 1 {
 			nVideos = 1
 		}
-		zipf, err := gen.zipfFor(nVideos, cfg.ZipfExponent)
+		zipf, err := gen.zipfFor(nVideos, zipfExponent)
 		if err != nil {
 			return err
 		}
@@ -341,7 +335,7 @@ func (gen *generator) videos() error {
 			// the span (Fig. 2): sqrt-transform of a uniform puts
 			// more uploads late in the period.
 			u := g.Float64()
-			at := gen.cfg.Start.Add(time.Duration(math.Sqrt(u) * spanSec * float64(time.Second)))
+			at := tr.Start.Add(time.Duration(math.Sqrt(u) * spanSec * float64(time.Second)))
 			length := time.Duration(lengthDist.Sample(g) * float64(time.Second))
 			if length < 10*time.Second {
 				length = 10 * time.Second
@@ -387,7 +381,7 @@ func (gen *generator) users() error {
 		}
 		u.Interests = gen.sampleInterests(nInterests)
 
-		nSubs := 1 + dist.Poisson(g, cfg.MeanSubscriptionsPerUser-1)
+		nSubs := 1 + dist.Poisson(g, meanSubscriptionsPerUser-1)
 		u.Subscriptions = make([]ChannelID, 0, nSubs)
 		for s := 0; s < nSubs; s++ {
 			ch, err := gen.pickSubscription(&u)
@@ -460,8 +454,8 @@ func (gen *generator) pickSubscription(u *User) (ChannelID, error) {
 }
 
 func (gen *generator) favorites(u *User) error {
-	cfg, g, tr := gen.cfg, gen.g, gen.tr
-	nFavs := dist.Poisson(g, cfg.MeanFavoritesPerUser)
+	g, tr := gen.g, gen.tr
+	nFavs := dist.Poisson(g, meanFavoritesPerUser)
 	if nFavs == 0 || len(tr.Videos) == 0 {
 		return nil
 	}
@@ -477,7 +471,7 @@ func (gen *generator) favorites(u *User) error {
 			if len(ch.Videos) == 0 {
 				continue
 			}
-			z, err := gen.zipfFor(len(ch.Videos), 1)
+			z, err := gen.zipfFor(len(ch.Videos), zipfExponent)
 			if err != nil {
 				return fmt.Errorf("favourite zipf (%d videos): %w", len(ch.Videos), err)
 			}

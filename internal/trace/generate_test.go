@@ -37,12 +37,10 @@ func TestConfigValidate(t *testing.T) {
 		{"zero channels", func(c *Config) { c.Channels = 0 }},
 		{"zero users", func(c *Config) { c.Users = 0 }},
 		{"tiny max videos", func(c *Config) { c.MaxVideosPerChannel = 1 }},
-		{"zero zipf", func(c *Config) { c.ZipfExponent = 0 }},
 		{"zero interests", func(c *Config) { c.MaxInterestsPerUser = 0 }},
 		{"interests above categories", func(c *Config) { c.MaxInterestsPerUser = c.Categories + 1 }},
 		{"negative align p", func(c *Config) { c.InterestAlignedSubscriptionP = -0.1 }},
 		{"align p above one", func(c *Config) { c.InterestAlignedSubscriptionP = 1.1 }},
-		{"zero span", func(c *Config) { c.Span = 0 }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

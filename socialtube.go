@@ -119,8 +119,6 @@ type (
 	RequestResult = vod.RequestResult
 	// Source says who served a request.
 	Source = vod.Source
-	// Behavior is the video-selection model (75/15/10 in the paper).
-	Behavior = vod.Behavior
 
 	// System is the SocialTube protocol (the paper's contribution).
 	System = core.System
@@ -171,9 +169,6 @@ func DefaultPAVoDConfig() PAVoDConfig { return baseline.DefaultPAVoDConfig() }
 func NewPAVoD(cfg PAVoDConfig, tr *Trace) (*PAVoD, error) {
 	return baseline.NewPAVoD(cfg, tr)
 }
-
-// DefaultBehavior returns the paper's 75/15/10 video-selection split.
-func DefaultBehavior() Behavior { return vod.DefaultBehavior() }
 
 // DefaultMaintenanceModel returns Fig. 15's model parameters.
 func DefaultMaintenanceModel() MaintenanceModel { return core.DefaultMaintenanceModel() }
