@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/socialtube/socialtube/internal/exp"
 	"github.com/socialtube/socialtube/internal/obs"
 	"github.com/socialtube/socialtube/internal/trace"
 )
@@ -88,26 +89,19 @@ func TestRequestAllocFreeWithOpenBreakers(t *testing.T) {
 }
 
 // TestRequestAllocFreeWithTelemetry pins the full instrumented hot path:
-// every Request is accompanied by the bounded histogram and the windowed
-// timeline updates the experiment recorder performs per request (counter
-// Add plus startup-delay Observe into an already-touched window), and the
-// combination stays below 1 alloc/op. Hist is an inline bucket array and
-// Series.Add/Observe are index-plus-update once a window exists; only the
-// first observation in a fresh window allocates, which the warm-up below
-// pays for up front exactly as a long-running simulation would.
+// every Request is accompanied by the bounded histogram and the timeline
+// updates the experiment recorder performs per request (request count plus
+// startup-delay observation into an existing exp.Window), and the
+// combination stays below 1 alloc/op. A window is a fixed record with an
+// inline histogram, so filing into one is field updates; only the first
+// observation in a window's histogram allocates its bucket range, which
+// amortizes away exactly as it does in a long-running simulation.
 func TestRequestAllocFreeWithTelemetry(t *testing.T) {
 	sys, tr := benchSystem(t)
 	var hist obs.Hist
-	tl := obs.NewTimeline(10 * time.Minute)
-	requests := tl.Counter("requests")
-	delays := tl.Hist("startupDelayMs")
-	// Warm the windows the loop will touch so slice growth and the lazy
-	// per-window Hist allocation happen before the measured region.
-	const horizon = time.Hour
-	for at := time.Duration(0); at <= horizon; at += 10 * time.Minute {
-		requests.Add(at, 0)
-		delays.Observe(at, 0)
-	}
+	// One hour of simulated time in 10-minute windows, materialized before
+	// the measured region as a running simulation would have them.
+	tl := exp.Timeline{Width: 10 * time.Minute, Windows: make([]exp.Window, 6)}
 	i := 0
 	avg := testing.AllocsPerRun(2000, func() {
 		i++
@@ -120,13 +114,13 @@ func TestRequestAllocFreeWithTelemetry(t *testing.T) {
 			return
 		}
 		res := sys.Request(int(u.ID), ch.Videos[(i+1)%len(ch.Videos)])
-		at := time.Duration(i%60) * time.Minute
-		requests.Add(at, 1)
+		w := &tl.Windows[time.Duration(i%60)*time.Minute/tl.Width]
+		w.Requests++
 		// The exp layer derives the startup delay from hop count and
 		// network timing; hops stands in for it here — what matters is
 		// that a float lands in both histograms every iteration.
 		hist.Add(float64(res.Hops))
-		delays.Observe(at, float64(res.Hops))
+		w.StartupMs.Add(float64(res.Hops))
 	})
 	if avg >= 1 {
 		t.Fatalf("instrumented request path allocates %.2f allocs/op, want <1", avg)

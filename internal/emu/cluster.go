@@ -626,7 +626,7 @@ func runPeerSessions(cfg ClusterConfig, tr *trace.Trace, picker *vod.Picker, p *
 		}
 		emit(obs.Event{Kind: obs.KindLeave, Video: -1, Provider: -1})
 		if s+1 < cfg.Sessions {
-			if !sleepOrStop(time.Duration(dist.Exponential(g, float64(cfg.MeanOffTime))), stop) {
+			if !sleepOrStop(plan.OffTime, stop) {
 				return
 			}
 		}

@@ -10,12 +10,14 @@ import (
 	"math"
 	"net/http"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/socialtube/socialtube/internal/dist"
 	"github.com/socialtube/socialtube/internal/obs"
 	"github.com/socialtube/socialtube/internal/trace"
 	"github.com/socialtube/socialtube/internal/vod"
@@ -636,6 +638,56 @@ func TestPromScrapeRacesRequests(t *testing.T) {
 	}
 	if res.StartupDelay.Len() == 0 {
 		t.Fatal("run recorded no startup delays")
+	}
+}
+
+// serveLog records the video of every serve event, per node.
+type serveLog struct {
+	mu     sync.Mutex
+	videos map[int][]trace.VideoID
+}
+
+func (l *serveLog) Emit(e obs.Event) {
+	if e.Kind != obs.KindServe {
+		return
+	}
+	l.mu.Lock()
+	l.videos[e.Node] = append(l.videos[e.Node], trace.VideoID(e.Video))
+	l.mu.Unlock()
+}
+
+// TestPeerSessionsFollowPlans: each peer replays the sessions its own
+// stream plans, back to back, as the simulator does. The off period
+// between sessions is the plan's own, so no extra draw may shift the
+// stream the next session is planned from.
+func TestPeerSessionsFollowPlans(t *testing.T) {
+	tr := emuTrace(t)
+	cfg := DefaultClusterConfig(ModeSocialTube)
+	cfg.Peers = 4
+	cfg.Sessions = 3
+	cfg.VideosPerSession = 3
+	cfg.WatchTime = time.Millisecond
+	cfg.MeanOffTime = 2 * time.Millisecond
+	cfg.ProbeInterval = 0
+	cfg.Conditions = nil
+	served := &serveLog{videos: map[int][]trace.VideoID{}}
+	cfg.Tracer = served
+	if _, err := RunClusterCtx(context.Background(), cfg, tr); err != nil {
+		t.Fatal(err)
+	}
+	picker, err := vod.NewPicker(tr, vod.DefaultBehavior())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for idx := 0; idx < cfg.Peers; idx++ {
+		g := dist.NewRNG(cfg.Seed*1_000_003 + int64(idx))
+		var want []trace.VideoID
+		for s := 0; s < cfg.Sessions; s++ {
+			want = append(want, picker.PlanSession(g, &tr.Users[idx], cfg.VideosPerSession, cfg.MeanOffTime).Videos...)
+		}
+		if got := served.videos[idx]; !slices.Equal(got, want) {
+			t.Fatalf("peer %d served %v, want the planned sessions %v", idx, got, want)
+		}
 	}
 }
 

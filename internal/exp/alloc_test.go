@@ -133,3 +133,26 @@ func TestFinishedResultFootprint(t *testing.T) {
 			short, shortReq, long, longReq)
 	}
 }
+
+// TestTimelineRecordAllocFree pins the timeline hot path: filing a request
+// into a window that already exists allocates nothing.
+func TestTimelineRecordAllocFree(t *testing.T) {
+	tl := &Timeline{Width: time.Second}
+	// Materialize the windows the loop touches and their histograms'
+	// bucket ranges.
+	for i := 0; i < 512; i++ {
+		w := tl.at(time.Duration(i) * time.Second)
+		w.StartupMs.Add(1)
+		w.StartupMs.Add(999)
+	}
+	i := 0
+	avg := testing.AllocsPerRun(100_000, func() {
+		i++
+		w := tl.at(time.Duration(i%512) * time.Second)
+		w.Requests++
+		w.StartupMs.Add(float64(i % 1000))
+	})
+	if avg != 0 {
+		t.Fatalf("timeline record path allocates %.2f allocs/op in steady state, want 0", avg)
+	}
+}

@@ -136,10 +136,8 @@ type Result struct {
 	// (RunSharded); nil on the identity partition (Run, RunCtx).
 	Sharded *ShardedInfo `json:"sharded,omitempty"`
 	// Timeline is the per-window telemetry recorded when
-	// Options.TimelineWindow is set; nil otherwise. Windows are keyed by
-	// simulated time, so same-seed timelines are byte-identical — on the
-	// category partition for any worker count.
-	Timeline *obs.Timeline `json:"timeline,omitempty"`
+	// Options.TimelineWindow is set; nil otherwise.
+	Timeline *Timeline `json:"timeline,omitempty"`
 	// Load carries the open-loop engine's accounting when Options.Load
 	// installed an offered-load profile; nil otherwise.
 	Load *LoadInfo `json:"load,omitempty"`
@@ -202,9 +200,9 @@ type runner struct {
 	// pays one comparison.
 	remote *remoteRouter
 	cell   int
-	// tl is the per-window telemetry recorder; nil unless
-	// Options.TimelineWindow is set, so untimed runs pay one comparison.
-	tl *timelineRec
+	// filedOpens is the breaker-open total last filed into res.Timeline,
+	// so each request files the delta into its own window.
+	filedOpens uint64
 	// Open-loop load state (Options.Load); all nil/zero in closed-loop
 	// runs. streams counts pending arrival events: one while the profile's
 	// stream is still emitting.
@@ -216,71 +214,6 @@ type runner struct {
 	// flashChannel is the channel whose top video a flash arrival
 	// requests.
 	flashChannel int
-}
-
-// timelineRec bundles the runner's timeline series handles. The series
-// set and registration order are fixed — every cell of a run builds the
-// same layout, which is what makes cell-order merging valid.
-type timelineRec struct {
-	tl           *obs.Timeline
-	requests     *obs.Series
-	cacheHits    *obs.Series
-	peerHits     *obs.Series
-	serverHits   *obs.Series
-	startup      *obs.Series
-	serverBytes  *obs.Series
-	breakerOpens *obs.Series
-	// offered counts open-loop arrivals per window; shed counts
-	// requests the bounded server queue turned away. Both stay flat
-	// zero in closed-loop, unbounded runs.
-	offered *obs.Series
-	shed    *obs.Series
-	// lastOpens is the previous breaker-open total, so each request
-	// files the delta into its own window.
-	lastOpens uint64
-}
-
-func newTimelineRec(window time.Duration) *timelineRec {
-	tl := obs.NewTimeline(window)
-	return &timelineRec{
-		tl:           tl,
-		requests:     tl.Counter("requests"),
-		cacheHits:    tl.Counter("cacheHits"),
-		peerHits:     tl.Counter("peerHits"),
-		serverHits:   tl.Counter("serverHits"),
-		startup:      tl.Hist("startupDelayMs"),
-		serverBytes:  tl.Counter("serverBytes"),
-		breakerOpens: tl.Counter("breakerOpens"),
-		offered:      tl.Counter("offered"),
-		shed:         tl.Counter("serverShed"),
-	}
-}
-
-// record files one completed request into the window of its *issue* time
-// (reqAt): the request belongs to the load of the window that produced
-// it, even when a cross-cell barrier delays the reply.
-func (t *timelineRec) record(ctr *obs.Counters, res vod.RequestResult, reqAt, ready time.Duration, servedBytes int64, shed bool) {
-	t.requests.Add(reqAt, 1)
-	if opens := ctr.BreakerOpens; opens != t.lastOpens {
-		t.breakerOpens.Add(reqAt, int64(opens-t.lastOpens))
-		t.lastOpens = opens
-	}
-	switch {
-	case shed:
-		t.shed.Add(reqAt, 1)
-		return
-	case res.Source == vod.SourceCache:
-		t.cacheHits.Add(reqAt, 1)
-		return
-	case res.Source == vod.SourcePeer:
-		t.peerHits.Add(reqAt, 1)
-	default:
-		t.serverHits.Add(reqAt, 1)
-	}
-	t.startup.Observe(reqAt, float64(ready-reqAt)/float64(time.Millisecond))
-	if servedBytes > 0 {
-		t.serverBytes.Add(reqAt, servedBytes)
-	}
 }
 
 // watermarkEvery is the request period between heap samples. ReadMemStats
@@ -324,6 +257,9 @@ type cell struct {
 // router's cross-cell mail, so without a router the run is a single epoch:
 // for one cell, exactly sim.Engine.RunCtx.
 func drive(ctx context.Context, tr *trace.Trace, cells []cell, opts ShardedOptions, router *remoteRouter) (*Result, error) {
+	if opts.TimelineWindow < 0 {
+		return nil, fmt.Errorf("%w: timeline window %v", dist.ErrBadParameter, opts.TimelineWindow)
+	}
 	if opts.Faults != nil && len(cells) > 1 {
 		return nil, fmt.Errorf("%w: a fault plan addresses global node ids and cannot be installed on a %d-cell partition",
 			dist.ErrBadParameter, len(cells))
@@ -444,8 +380,7 @@ func (r *runner) arm(opts Options) error {
 		}
 	}
 	if opts.TimelineWindow > 0 {
-		r.tl = newTimelineRec(opts.TimelineWindow)
-		r.res.Timeline = r.tl.tl
+		r.res.Timeline = &Timeline{Width: opts.TimelineWindow}
 	}
 	if opts.Load != nil {
 		// Open loop: arrivals come from the rate profile instead of
@@ -570,8 +505,8 @@ func (r *runner) watchAccount(node int, plan vod.SessionPlan, idx int, gen uint6
 	} else {
 		r.res.Record(node, res, ready-reqAt)
 	}
-	if r.tl != nil {
-		r.tl.record(r.ctr, res, reqAt, ready, r.net.ServerBytes()-serverBytes, shed)
+	if r.res.Timeline != nil {
+		r.recordWindow(res, reqAt, ready, r.net.ServerBytes()-serverBytes, shed)
 	}
 	// Playback, then the next video — immediately when the request was shed:
 	// the viewer abandons it and the session chain moves on.
@@ -738,12 +673,9 @@ func (res *Result) merge(o *Result) {
 	res.Obs.Merge(o.Obs)
 	res.Mem.HeapHighWater = max(res.Mem.HeapHighWater, o.Mem.HeapHighWater)
 	// The partition arms every cell alike, so the optional blocks are
-	// present in all of them or in none — and every timeline has the layout
-	// newTimelineRec built, so a merge error is a programming error.
+	// present in all of them or in none.
 	if res.Timeline != nil {
-		if err := res.Timeline.Merge(o.Timeline); err != nil {
-			panic(err)
-		}
+		res.Timeline.merge(o.Timeline)
 	}
 	if res.Sharded != nil {
 		res.Sharded.RemoteLookups += o.Sharded.RemoteLookups

@@ -1,11 +1,13 @@
 package exp
 
 import (
+	"errors"
 	"testing"
 	"time"
 
 	"github.com/socialtube/socialtube/internal/baseline"
 	"github.com/socialtube/socialtube/internal/core"
+	"github.com/socialtube/socialtube/internal/dist"
 	"github.com/socialtube/socialtube/internal/simnet"
 	"github.com/socialtube/socialtube/internal/trace"
 	"github.com/socialtube/socialtube/internal/vod"
@@ -143,6 +145,10 @@ func TestRunRejectsBadInputs(t *testing.T) {
 	badNet.ServerUplinkBps = 0
 	if _, err := Run(quickConfig(), tr, socialTube(t, tr), badNet); err == nil {
 		t.Fatal("bad network config accepted")
+	}
+	negWindow := Options{TimelineWindow: -time.Minute}
+	if _, err := RunCtx(t.Context(), quickConfig(), tr, socialTube(t, tr), simnet.DefaultConfig(), negWindow); !errors.Is(err, dist.ErrBadParameter) {
+		t.Fatalf("negative timeline window: err = %v, want a wrapped dist.ErrBadParameter", err)
 	}
 }
 

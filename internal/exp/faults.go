@@ -23,7 +23,8 @@ type Options struct {
 	// TimelineWindow, when positive, records per-window telemetry (hit
 	// counters, startup-delay histograms, server load, breaker opens)
 	// keyed by simulated time into Result.Timeline. 0 disables the
-	// recorder and leaves the Result JSON unchanged.
+	// recorder and leaves the Result JSON unchanged; a negative window is
+	// refused.
 	TimelineWindow time.Duration
 	// Load, when non-nil, replaces the closed-loop session replay with
 	// open-loop arrivals from the rate profile (internal/load): the

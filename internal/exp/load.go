@@ -105,8 +105,8 @@ func (r *runner) applyArrival(flash bool, now time.Duration) {
 	if flash {
 		info.FlashOffered++
 	}
-	if r.tl != nil {
-		r.tl.offered.Add(now, 1)
+	if tl := r.res.Timeline; tl != nil {
+		tl.at(now).Offered++
 	}
 	node, ok := r.pickIdleNode()
 	if !ok {

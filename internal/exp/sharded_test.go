@@ -2,6 +2,7 @@ package exp
 
 import (
 	"encoding/json"
+	"errors"
 	"slices"
 	"sync"
 	"testing"
@@ -9,6 +10,7 @@ import (
 
 	"github.com/socialtube/socialtube/internal/baseline"
 	"github.com/socialtube/socialtube/internal/core"
+	"github.com/socialtube/socialtube/internal/dist"
 	"github.com/socialtube/socialtube/internal/load"
 	"github.com/socialtube/socialtube/internal/obs"
 	"github.com/socialtube/socialtube/internal/simnet"
@@ -127,16 +129,12 @@ func checkDeterminism(t *testing.T, partition string, variants ...string) {
 			if row.variant.window > 0 {
 				// The merged per-window request counts must re-sum to the
 				// run total.
-				if ref.Timeline == nil || ref.Timeline.Windows() == 0 {
+				if ref.Timeline == nil || len(ref.Timeline.Windows) == 0 {
 					t.Fatal("timeline run recorded no windows")
 				}
-				reqs := ref.Timeline.Series("requests")
-				if reqs == nil {
-					t.Fatal("timeline is missing the requests series")
-				}
 				var total int64
-				for i := 0; i < ref.Timeline.Windows(); i++ {
-					total += reqs.Value(i)
+				for _, w := range ref.Timeline.Windows {
+					total += w.Requests
 				}
 				if total != ref.Requests {
 					t.Fatalf("timeline windows sum to %d requests, run counted %d", total, ref.Requests)
@@ -286,6 +284,10 @@ func TestShardedRejectsBadInputs(t *testing.T) {
 	bad.Sessions = 0
 	if _, err := RunSharded(bad, tr, socialTubeFactory(1), simnet.DefaultConfig(), ShardedOptions{}); err == nil {
 		t.Fatal("invalid config accepted")
+	}
+	negWindow := ShardedOptions{Options: Options{TimelineWindow: -time.Minute}}
+	if _, err := RunSharded(shardedConfig(), tr, socialTubeFactory(1), simnet.DefaultConfig(), negWindow); !errors.Is(err, dist.ErrBadParameter) {
+		t.Fatalf("negative timeline window: err = %v, want a wrapped dist.ErrBadParameter", err)
 	}
 }
 

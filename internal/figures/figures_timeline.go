@@ -5,7 +5,6 @@ import (
 
 	"github.com/socialtube/socialtube/internal/exp"
 	"github.com/socialtube/socialtube/internal/faults"
-	"github.com/socialtube/socialtube/internal/obs"
 	"github.com/socialtube/socialtube/internal/trace"
 )
 
@@ -36,36 +35,28 @@ type TimelinePoint struct {
 
 // timelinePoints reduces one run's Timeline to its figure cells, one per
 // window in ascending window order.
-func timelinePoints(protocol string, seed int64, tl *obs.Timeline) []TimelinePoint {
+func timelinePoints(protocol string, seed int64, tl *exp.Timeline) []TimelinePoint {
 	if tl == nil {
 		return nil
 	}
-	var (
-		requests     = tl.Series("requests")
-		cacheHits    = tl.Series("cacheHits")
-		peerHits     = tl.Series("peerHits")
-		startup      = tl.Series("startupDelayMs")
-		serverBytes  = tl.Series("serverBytes")
-		breakerOpens = tl.Series("breakerOpens")
-	)
-	windowMs := tl.Window().Milliseconds()
-	pts := make([]TimelinePoint, 0, tl.Windows())
-	for i := 0; i < tl.Windows(); i++ {
+	windowMs := tl.Width.Milliseconds()
+	pts := make([]TimelinePoint, 0, len(tl.Windows))
+	for i, w := range tl.Windows {
 		p := TimelinePoint{
 			Protocol:     protocol,
 			Seed:         seed,
 			WindowMs:     windowMs,
 			StartMs:      int64(i) * windowMs,
-			Requests:     requests.Value(i),
-			ServerBytes:  serverBytes.Value(i),
-			BreakerOpens: breakerOpens.Value(i),
+			Requests:     w.Requests,
+			ServerBytes:  w.ServerBytes,
+			BreakerOpens: w.BreakerOpens,
 		}
 		if p.Requests > 0 {
-			p.HitRate = float64(cacheHits.Value(i)+peerHits.Value(i)) / float64(p.Requests)
+			p.HitRate = float64(w.CacheHits+w.PeerHits) / float64(p.Requests)
 		}
-		if h := startup.HistAt(i); h != nil && h.Len() > 0 {
-			p.P50Ms = h.Percentile(50)
-			p.P99Ms = h.Percentile(99)
+		if w.StartupMs.Len() > 0 {
+			p.P50Ms = w.StartupMs.Percentile(50)
+			p.P99Ms = w.StartupMs.Percentile(99)
 		}
 		pts = append(pts, p)
 	}

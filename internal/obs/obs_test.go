@@ -178,6 +178,45 @@ func TestOpenJSONLAndPretty(t *testing.T) {
 	}
 }
 
+func TestPrettySpans(t *testing.T) {
+	var in bytes.Buffer
+	enc := json.NewEncoder(&in)
+	events := []Event{
+		{T: 1, Proto: "SocialTube", Kind: KindJoin, Node: 1, Video: -1, Provider: -1},                              // no span: skipped
+		{T: 2, Proto: "SocialTube", Kind: KindFlood, Node: 1, Video: 7, Provider: -1, Span: 42, Level: "channel"},  // span 42
+		{T: 3, Proto: "SocialTube", Kind: KindServe, Node: 1, Video: 7, Provider: 9, Span: 42, Source: "peer"},     // span 42
+		{T: 4, Proto: "SocialTube", Kind: KindFlood, Node: 2, Video: 8, Provider: -1, Span: 43, Level: "category"}, // span 43
+		{T: 5, Proto: "NetTube", Kind: KindServe, Node: 3, Video: 7, Provider: -1, Span: 42, Source: "server"},     // same id, other protocol: distinct span
+	}
+	for _, e := range events {
+		if err := enc.Encode(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var out bytes.Buffer
+	n, err := PrettySpans(bytes.NewReader(in.Bytes()), &out, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 3 {
+		t.Fatalf("printed %d spans, want 3", n)
+	}
+	s := out.String()
+	if !bytes.Contains(out.Bytes(), []byte("span SocialTube/42 (2 events)")) {
+		t.Fatalf("span 42 not reconstructed:\n%s", s)
+	}
+	// Span ids restart per engine: the NetTube event with the same id
+	// must not fold into the SocialTube chain.
+	if !bytes.Contains(out.Bytes(), []byte("span NetTube/42 (1 events)")) {
+		t.Fatalf("protocols sharing a span id were merged:\n%s", s)
+	}
+	// max bounds the span count.
+	out.Reset()
+	if n, err := PrettySpans(bytes.NewReader(in.Bytes()), &out, 1); err != nil || n != 1 {
+		t.Fatalf("max=1 printed %d spans (err %v)", n, err)
+	}
+}
+
 func TestEventString(t *testing.T) {
 	cases := []struct {
 		e    Event

@@ -49,10 +49,11 @@ check_loc "bench/" scripts/loc-budget-bench bench
 echo "== experiment-driver gate (golden Results, determinism table, N_h = 0, fault schedules; -race x5) =="
 # exp has one driver; these pin it. The golden hashes hold the whole
 # marshalled Result of both partitions, the table reruns each under worker
-# counts {1, 2, 4, 8}, the N_h = 0 run must end with no inter-links, and
+# counts {1, 2, 4, 8}, the timeline's windowing, cell-order merge and JSON
+# layout are pinned, the N_h = 0 run must end with no inter-links, and
 # every canned fault plan must compile to its pinned schedule. Seconds, so
 # they run before the minute-long suite.
-go test -race -count=5 -run 'TestGoldenResults|TestDeterministicUnderSeed|TestSharded(Timeline)?WorkerCountInvariance|TestZeroInterLinkBudgetHoldsNoInterLinks' ./internal/exp/
+go test -race -count=5 -run 'TestGoldenResults|TestDeterministicUnderSeed|TestSharded(Timeline)?WorkerCountInvariance|TestTimeline|TestZeroInterLinkBudgetHoldsNoInterLinks' ./internal/exp/
 go test -race -count=5 -run 'TestCannedPlanSchedulesPinned' ./internal/faults/
 
 echo "== trace pin gate (generator golden bytes, partition vs reference) =="
