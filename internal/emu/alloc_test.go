@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/socialtube/socialtube/internal/faults"
 	"github.com/socialtube/socialtube/internal/obs"
 )
 
@@ -23,7 +24,7 @@ import (
 // random source per call.
 func TestFrameDrawAllocFree(t *testing.T) {
 	c := &Conditions{Seed: 3, LossP: 0.5}
-	c.SetChaos(&ChaosMix{CorruptP: 0.1})
+	c.Apply(faults.Event{Kind: faults.KindChaosStart, CorruptP: 0.1})
 	avg := testing.AllocsPerRun(10_000, func() {
 		if c.Drop() {
 			dropSink++

@@ -253,41 +253,46 @@ func TestTrackerOutageAndBrownout(t *testing.T) {
 }
 
 // TestConditionsBurst pins the burst window: latency scales by the
-// factor, loss rises to the burst probability, and clearing restores
-// the baseline. Nil receivers must not panic (the fault driver calls
-// unconditionally).
+// factor, loss rises to the burst probability, and closing the window
+// restores the baseline.
 func TestConditionsBurst(t *testing.T) {
 	c := fastConditions()
 	base := c.Latency(1, 2)
 	if base <= 0 {
 		t.Fatal("baseline latency is zero; the test is vacuous")
 	}
-	c.SetBurst(3, 0)
+	burst := func(factor, lossP float64) {
+		c.Apply(faults.Event{Kind: faults.KindBurstStart, LatencyFactor: factor, LossP: lossP})
+	}
+	end := func() { c.Apply(faults.Event{Kind: faults.KindBurstEnd}) }
+	burst(3, 0)
 	if got := c.Latency(1, 2); got < 2*base {
 		t.Fatalf("burst latency %v did not scale from %v", got, base)
 	}
-	c.SetBurst(0.5, 1) // a recovery window halves latency; loss caps at 1
+	end()
+	burst(0.5, 1) // a recovery window halves latency
 	if got, want := c.Latency(1, 2), time.Duration(float64(base)*0.5); got != want {
 		t.Fatalf("boost window latency %v, want %v", got, want)
 	}
 	if !c.Drop() {
 		t.Fatal("lossP=1 burst did not drop")
 	}
-	c.ClearBurst()
+	end()
 	if c.Drop() {
 		t.Fatal("cleared burst still dropping with LossP=0")
 	}
 	if got := c.Latency(1, 2); got != base {
 		t.Fatalf("cleared burst changed latency: %v != %v", got, base)
 	}
-	c.SetBurst(-2, 0) // a non-positive factor leaves latency alone
+	burst(-2, 0) // a non-positive factor leaves latency alone
 	if got := c.Latency(1, 2); got != base {
 		t.Fatalf("negative factor changed latency: %v != %v", got, base)
 	}
 	// Burst loss adds to the baseline as an independent loss:
 	// 1-(1-0.2)(1-0.5) = 0.6, not max(0.2, 0.5).
 	c.LossP = 0.2
-	c.SetBurst(1, 0.5)
+	end()
+	burst(1, 0.5)
 	const draws = 20_000
 	dropped := 0
 	for range draws {
@@ -298,7 +303,4 @@ func TestConditionsBurst(t *testing.T) {
 	if got := float64(dropped) / draws; math.Abs(got-0.6) > 0.02 {
 		t.Fatalf("LossP 0.2 under a 0.5 burst dropped %.3f, want 0.6 ± 0.02", got)
 	}
-	var nilC *Conditions
-	nilC.SetBurst(2, 0.5)
-	nilC.ClearBurst()
 }

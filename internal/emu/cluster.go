@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/socialtube/socialtube/internal/dist"
@@ -47,7 +46,9 @@ type ClusterConfig struct {
 	// hashing, and peers fail over between a shard's replicas. The zero
 	// value is the 1x1 plane: one tracker.
 	ControlPlane ControlPlaneConfig
-	// Conditions injects latency and loss (nil = pristine loopback).
+	// Conditions injects latency and loss (nil = pristine loopback). A
+	// run with Faults folds the plan's windows into them, into zero-valued
+	// ones when nil.
 	Conditions *Conditions
 	// Tracer, when non-nil, receives the run's event stream: one serve
 	// event per request (plus handoff/rescue events for mid-stream
@@ -205,7 +206,8 @@ func liveMetrics(cfg ClusterConfig, plane *ControlPlane, res *ClusterResult, res
 // session loops consult it for outage accounting and for the "no rejoin
 // is coming" signal; a nil driver (no plan) answers false everywhere.
 type faultDriver struct {
-	outage atomic.Bool
+	// cond holds the open windows the driver folds every event into.
+	cond *Conditions
 	// done closes when the last scheduled event has fired (or the run
 	// stopped), so a crashed peer whose rejoin will never come can give
 	// up instead of waiting forever.
@@ -213,7 +215,7 @@ type faultDriver struct {
 }
 
 func (f *faultDriver) duringOutage() bool {
-	return f != nil && f.outage.Load()
+	return f != nil && f.cond.window().OutageUntil() > 0
 }
 
 // waitRejoin blocks while p is crashed. It returns false when the caller
@@ -257,16 +259,19 @@ func setOutage(cp *ControlPlane, ev faults.Event, down bool) {
 }
 
 // drive replays the compiled schedule against the live cluster on
-// wall-clock offsets from begin. Repair events are deliberately skipped:
-// in the emulator the probe loop is the failure detector, so repair
-// happens organically when probes time out on the crashed peer.
+// wall-clock offsets from begin. Every event is folded into the
+// conditions' windows; the switch adds what only a live cluster does.
+// Repair events are deliberately skipped: in the emulator the probe loop
+// is the failure detector, so repair happens organically when probes time
+// out on the crashed peer.
 func (f *faultDriver) drive(sched *faults.Schedule, begin time.Time, stop <-chan struct{},
-	peers []*Peer, cp *ControlPlane, cond *Conditions, res *ClusterResult, resMu *sync.Mutex) {
+	peers []*Peer, cp *ControlPlane, res *ClusterResult, resMu *sync.Mutex) {
 	defer close(f.done)
 	for _, ev := range sched.Events {
 		if !sleepUntil(begin.Add(ev.At), stop) {
 			return
 		}
+		f.cond.Apply(ev)
 		switch ev.Kind {
 		case faults.KindCrash:
 			if ev.Node >= 0 && ev.Node < len(peers) {
@@ -282,35 +287,14 @@ func (f *faultDriver) drive(sched *faults.Schedule, begin time.Time, stop <-chan
 				res.Rejoins++
 				resMu.Unlock()
 			}
-		case faults.KindRepair:
-			// Probing detects and repairs; nothing to do centrally.
-		case faults.KindBurstStart:
-			cond.SetBurst(ev.LatencyFactor, ev.LossP)
-		case faults.KindBurstEnd:
-			cond.ClearBurst()
 		case faults.KindOutageStart:
-			f.outage.Store(true)
 			if ev.Shard > 0 && ev.Replica == 0 {
 				cp.ArmTakeover(time.Now().UnixNano())
 			}
 			setOutage(cp, ev, true)
 		case faults.KindOutageEnd:
-			f.outage.Store(false)
 			setOutage(cp, ev, false)
-		case faults.KindChaosStart:
-			cond.SetChaos(&ChaosMix{
-				CorruptP:   ev.CorruptP,
-				TruncateP:  ev.TruncateP,
-				DuplicateP: ev.DuplicateP,
-				StallP:     ev.StallP,
-				StallFor:   ev.StallFor,
-			})
-		case faults.KindChaosEnd:
-			cond.ClearChaos()
-		case faults.KindPartitionStart:
-			cond.SetPartition(ev.Groups)
 		case faults.KindPartitionEnd:
-			cond.ClearPartition()
 			// The cut is healed: replay every hinted-handoff write the
 			// peers queued for replicas on the far side.
 			for _, p := range peers {
@@ -420,6 +404,9 @@ func RunClusterCtx(ctx context.Context, cfg ClusterConfig, tr *trace.Trace) (*Cl
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	if cfg.Faults != nil && cfg.Conditions == nil {
+		cfg.Conditions = &Conditions{}
+	}
 	c, err := StartCluster(cfg, tr)
 	if err != nil {
 		return nil, err
@@ -491,11 +478,11 @@ func RunClusterCtx(ctx context.Context, cfg ClusterConfig, tr *trace.Trace) (*Cl
 	var fd *faultDriver
 	var faultWG sync.WaitGroup
 	if sched != nil {
-		fd = &faultDriver{done: make(chan struct{})}
+		fd = &faultDriver{cond: cfg.Conditions, done: make(chan struct{})}
 		faultWG.Add(1)
 		go func() {
 			defer faultWG.Done()
-			fd.drive(sched, begin, stop, peers, plane, cfg.Conditions, res, &resMu)
+			fd.drive(sched, begin, stop, peers, plane, res, &resMu)
 		}()
 	}
 

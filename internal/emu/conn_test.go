@@ -9,6 +9,8 @@ import (
 	"slices"
 	"testing"
 	"time"
+
+	"github.com/socialtube/socialtube/internal/faults"
 )
 
 // rpc runs one exchange through a node's client, as a fresh caller that
@@ -79,11 +81,11 @@ func TestReusedConnectionSkipsDuplicatedReply(t *testing.T) {
 	c := client{timeout: time.Second}
 	defer c.closeAll()
 
-	cond.SetChaos(&ChaosMix{DuplicateP: 1})
+	cond.Apply(faults.Event{Kind: faults.KindChaosStart, DuplicateP: 1})
 	if resp, err := c.rpc(p.Addr(), &Message{Type: MsgChunkReq, From: 0, Video: v}); err != nil || resp.Chunk != 0 {
 		t.Fatalf("duplicated reply: %+v %v", resp, err)
 	}
-	cond.ClearChaos()
+	cond.Apply(faults.Event{Kind: faults.KindChaosEnd})
 	if got := p.Counters().ChaosDuplicated; got != 1 {
 		t.Fatalf("ChaosDuplicated = %d, want 1", got)
 	}
@@ -100,11 +102,11 @@ func TestReusedConnectionSkipsDuplicatedReply(t *testing.T) {
 
 	// The last reply is duplicated too; hanging up with the copy unread
 	// resets the connection, which ends it like EOF.
-	cond.SetChaos(&ChaosMix{DuplicateP: 1})
+	cond.Apply(faults.Event{Kind: faults.KindChaosStart, DuplicateP: 1})
 	if _, err := c.rpc(p.Addr(), &Message{Type: MsgProbe, From: 0}); err != nil {
 		t.Fatal(err)
 	}
-	cond.ClearChaos()
+	cond.Apply(faults.Event{Kind: faults.KindChaosEnd})
 	local := conns[0].LocalAddr().String()
 	c.closeAll()
 	for deadline := time.Now().Add(2 * time.Second); slices.Contains(serving(p.ep), local); {
@@ -136,8 +138,8 @@ func TestDroppedRequestOnReusedConnectionFailsFast(t *testing.T) {
 		t.Fatalf("%d idle connections after one exchange, want 1", n)
 	}
 
-	cond.SetBurst(1, 1) // every request is lost
-	defer cond.ClearBurst()
+	cond.Apply(faults.Event{Kind: faults.KindBurstStart, LatencyFactor: 1, LossP: 1}) // every request is lost
+	defer cond.Apply(faults.Event{Kind: faults.KindBurstEnd})
 	before := cond.lossCounter.Load()
 	begin := time.Now()
 	_, err := c.rpc(p.Addr(), probe)

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/socialtube/socialtube/internal/faults"
 	"github.com/socialtube/socialtube/internal/trace"
 	"github.com/socialtube/socialtube/internal/vod"
 )
@@ -168,7 +169,7 @@ func TestChaosFrameFaults(t *testing.T) {
 	probe := &Message{Type: MsgProbe, From: 0}
 	const timeout = 150 * time.Millisecond
 
-	cond.SetChaos(&ChaosMix{CorruptP: 1})
+	cond.Apply(faults.Event{Kind: faults.KindChaosStart, CorruptP: 1})
 	if _, err := rpc(p.Addr(), probe, timeout); err == nil {
 		t.Fatal("corrupted response frame produced no error")
 	}
@@ -184,7 +185,8 @@ func TestChaosFrameFaults(t *testing.T) {
 		t.Fatalf("corrupted chunk reply accepted: %d payload bytes", len(resp.Payload))
 	}
 
-	cond.SetChaos(&ChaosMix{TruncateP: 1})
+	cond.Apply(faults.Event{Kind: faults.KindChaosEnd})
+	cond.Apply(faults.Event{Kind: faults.KindChaosStart, TruncateP: 1})
 	if _, err := rpc(p.Addr(), probe, timeout); err == nil {
 		t.Fatal("truncated response frame produced no error")
 	}
@@ -192,7 +194,8 @@ func TestChaosFrameFaults(t *testing.T) {
 		t.Fatal("ChaosTruncated not accounted")
 	}
 
-	cond.SetChaos(&ChaosMix{DuplicateP: 1})
+	cond.Apply(faults.Event{Kind: faults.KindChaosEnd})
+	cond.Apply(faults.Event{Kind: faults.KindChaosStart, DuplicateP: 1})
 	resp, err := rpc(p.Addr(), probe, timeout)
 	if err != nil || resp.Type != MsgOK {
 		t.Fatalf("duplicated frame broke the RPC: %v %v", resp, err)
@@ -201,7 +204,8 @@ func TestChaosFrameFaults(t *testing.T) {
 		t.Fatal("ChaosDuplicated not accounted")
 	}
 
-	cond.SetChaos(&ChaosMix{StallP: 1, StallFor: time.Second})
+	cond.Apply(faults.Event{Kind: faults.KindChaosEnd})
+	cond.Apply(faults.Event{Kind: faults.KindChaosStart, StallP: 1, StallFor: time.Second})
 	if _, err := rpc(p.Addr(), probe, timeout); err == nil {
 		t.Fatal("stalled response frame beat the deadline")
 	}
@@ -210,7 +214,7 @@ func TestChaosFrameFaults(t *testing.T) {
 	}
 
 	// The window closes and the peer is immediately healthy again.
-	cond.ClearChaos()
+	cond.Apply(faults.Event{Kind: faults.KindChaosEnd})
 	resp, err = rpc(p.Addr(), probe, timeout)
 	if err != nil || resp.Type != MsgOK {
 		t.Fatalf("post-chaos probe failed: %v %v", resp, err)

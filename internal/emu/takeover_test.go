@@ -95,7 +95,7 @@ func TestPartitionGossipSplitBrainHeals(t *testing.T) {
 
 	// Split: member 4 sits on side 0, member 5 on side 1 — each write
 	// lands on its own side's replica and must stay there.
-	cond.SetPartition(2)
+	cond.Apply(faults.Event{Kind: faults.KindPartitionStart, Groups: 2})
 	join(ta, 4)
 	join(tb, 5)
 	time.Sleep(20 * time.Millisecond)
@@ -107,7 +107,7 @@ func TestPartitionGossipSplitBrainHeals(t *testing.T) {
 	}
 
 	// Heal: both sides merge; no registration may be lost.
-	cond.ClearPartition()
+	cond.Apply(faults.Event{Kind: faults.KindPartitionEnd})
 	waitLive(tb, 4)
 	waitLive(ta, 5)
 }
@@ -149,7 +149,7 @@ func TestHintedHandoffReplaysOnHeal(t *testing.T) {
 		}
 	}
 
-	cond.SetPartition(2)
+	cond.Apply(faults.Event{Kind: faults.KindPartitionStart, Groups: 2})
 	p.LeaveOverlays()
 	if got := p.Counters().HintsQueued; got != 1 {
 		t.Fatalf("leave broadcast queued %d hints; want 1 (the severed replica)", got)
@@ -158,7 +158,7 @@ func TestHintedHandoffReplaysOnHeal(t *testing.T) {
 		t.Fatal("leave crossed the partition cut")
 	}
 
-	cond.ClearPartition()
+	cond.Apply(faults.Event{Kind: faults.KindPartitionEnd})
 	p.ReplayHints()
 	if got := p.Counters().HintsReplayed; got != 1 {
 		t.Fatalf("replayed %d hints after heal; want 1", got)

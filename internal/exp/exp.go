@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/socialtube/socialtube/internal/dist"
+	"github.com/socialtube/socialtube/internal/faults"
 	"github.com/socialtube/socialtube/internal/load"
 	"github.com/socialtube/socialtube/internal/obs"
 	"github.com/socialtube/socialtube/internal/sim"
@@ -181,17 +182,10 @@ type runner struct {
 	// rejoinsPending counts scheduled-but-unfired rejoin events, so the
 	// probe loop knows crashed nodes will come back (see probeAll).
 	rejoinsPending int
-	windows        int // open burst/outage/chaos windows
-	latencyFactor  float64
-	burstLossP     float64
-	// chaosLossP is the per-request probability a located provider's
-	// delivery dies to frame-level chaos (corrupt/truncate/stall — the
-	// sim has no frames, so the window degrades like a lossy burst;
-	// duplicated frames are harmless and not counted).
-	chaosLossP  float64
-	outageUntil time.Duration
-	repairer    Repairer
-	reseeder    Reseeder
+	// win folds the plan's burst, outage and chaos windows.
+	win      faults.Window
+	repairer Repairer
+	reseeder Reseeder
 	// mem samples the heap high-water mark once per watermarkEvery
 	// requests (power of two, so the hot path pays one mask test).
 	mem *obs.MemWatermark
@@ -352,14 +346,13 @@ func newRunner(cfg Config, tr *trace.Trace, proto vod.Protocol, netCfg simnet.Co
 			Protocol: proto.Name(),
 			Ledger:   vod.NewLedger(len(tr.Users), cfg.VideosPerSession),
 		},
-		sessionsLeft:  make([]int, len(tr.Users)),
-		online:        make([]bool, len(tr.Users)),
-		gen:           make([]uint64, len(tr.Users)),
-		crashed:       make([]bool, len(tr.Users)),
-		ctr:           &obs.Counters{},
-		latencyFactor: 1,
-		mem:           obs.NewMemWatermark(watermarkEvery),
-		flashChannel:  -1,
+		sessionsLeft: make([]int, len(tr.Users)),
+		online:       make([]bool, len(tr.Users)),
+		gen:          make([]uint64, len(tr.Users)),
+		crashed:      make([]bool, len(tr.Users)),
+		ctr:          &obs.Counters{},
+		mem:          obs.NewMemWatermark(watermarkEvery),
+		flashChannel: -1,
 	}
 	r.timed, _ = proto.(Timed)
 	if inst, ok := proto.(obs.Instrumented); ok {
@@ -477,11 +470,11 @@ func (r *runner) watchAccount(node int, plan vod.SessionPlan, idx int, gen uint6
 		r.ctr.ChunksPeer += vod.DefaultChunksPerVideo
 	case vod.SourceServer:
 		at := now
-		if r.outageUntil > now {
+		if until := r.win.OutageUntil(); until > now {
 			// The server is dark: the request retries until the
 			// outage lifts, then is served (graceful fallback). The
 			// wait shows up as startup delay.
-			at = r.outageUntil
+			at = until
 			r.res.Resilience.ServerDeferred++
 		}
 		ready, shed = r.deliver(node, simnet.ServerID, res, chunkBytes, at)
@@ -547,12 +540,7 @@ func (r *runner) deliver(node int, from simnet.NodeID, res vod.RequestResult, ch
 	}
 	// Query path: one one-way latency per overlay hop (server requests
 	// pay one round trip to the server).
-	lat := r.net.Latency(from, to)
-	if r.latencyFactor != 1 && r.latencyFactor > 0 {
-		// A link burst is open: propagation is degraded (factor > 1) or
-		// boosted (recovery factors in (0,1)) everywhere.
-		lat = time.Duration(float64(lat) * r.latencyFactor)
-	}
+	lat := r.win.ScaleLatency(r.net.Latency(from, to))
 	queryDelay := time.Duration(res.Hops+1) * lat
 	start := now + queryDelay
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/socialtube/socialtube/internal/dist"
 	"github.com/socialtube/socialtube/internal/faults"
 	"github.com/socialtube/socialtube/internal/load"
 	"github.com/socialtube/socialtube/internal/obs"
@@ -97,6 +98,10 @@ func (r *Resilience) HitRateUnderFaults() float64 {
 // scheduleFaults compiles the plan against the runner's population and
 // schedules every event of it.
 func (r *runner) scheduleFaults(plan *faults.Plan) error {
+	if len(plan.Partitions) > 0 {
+		// One global tracker state has no side to cut off.
+		return fmt.Errorf("%w: the simulator cannot run a network partition", dist.ErrBadParameter)
+	}
 	sched, err := plan.Compile(len(r.tr.Users))
 	if err != nil {
 		return fmt.Errorf("fault plan: %w", err)
@@ -113,8 +118,7 @@ func (r *runner) scheduleFaults(plan *faults.Plan) error {
 }
 
 // applyFault fires one compiled event. Churn events go through the apply*
-// handlers; window events open or close a window and set or reset the
-// degradation knob it governs.
+// handlers; every other event opens or closes a window of r.win.
 func (r *runner) applyFault(ev faults.Event, now time.Duration) {
 	switch ev.Kind {
 	case faults.KindCrash:
@@ -124,27 +128,8 @@ func (r *runner) applyFault(ev faults.Event, now time.Duration) {
 		r.applyRejoin(ev.Node, now)
 	case faults.KindRepair:
 		r.applyRepair(ev, now)
-	case faults.KindBurstStart:
-		r.windows++
-		// Compile normalized the factor: 1 for "unchanged", (0,1) for
-		// recovery windows, > 1 for degradation. All are honored here.
-		r.latencyFactor = ev.LatencyFactor
-		r.burstLossP = ev.LossP
-	case faults.KindBurstEnd:
-		r.windows--
-		r.latencyFactor, r.burstLossP = 1, 0
-	case faults.KindOutageStart:
-		r.windows++
-		r.outageUntil = ev.Until
-	case faults.KindOutageEnd:
-		r.windows--
-		r.outageUntil = 0
-	case faults.KindChaosStart:
-		r.windows++
-		r.chaosLossP = ev.CorruptP + ev.TruncateP + ev.StallP
-	case faults.KindChaosEnd:
-		r.windows--
-		r.chaosLossP = 0
+	default:
+		r.win.Apply(ev)
 	}
 }
 
@@ -230,15 +215,15 @@ func (r *runner) orphanFraction() float64 {
 // accounted. Without a plan every branch is a cheap false comparison
 // and no randomness is drawn, keeping healthy runs bit-identical.
 func (r *runner) accountFaults(res *vod.RequestResult) {
-	if r.burstLossP > 0 && res.Source == vod.SourcePeer && r.g.Bool(r.burstLossP) {
+	if p := r.win.Loss(0); p > 0 && res.Source == vod.SourcePeer && r.g.Bool(p) {
 		res.Source = vod.SourceServer
 		r.res.Resilience.LinkFailures++
 	}
-	if r.chaosLossP > 0 && res.Source == vod.SourcePeer && r.g.Bool(r.chaosLossP) {
+	if p := r.win.ChaosLoss(); p > 0 && res.Source == vod.SourcePeer && r.g.Bool(p) {
 		res.Source = vod.SourceServer
 		r.res.Resilience.ChaosFailures++
 	}
-	if r.crashedCount > 0 || r.windows > 0 {
+	if r.crashedCount > 0 || r.win.Open() {
 		r.res.Resilience.RequestsDuringFaults++
 		if res.Source != vod.SourceServer {
 			r.res.Resilience.PeerServedDuringFaults++

@@ -215,4 +215,100 @@ func TestRunCtxRejectsBadPlan(t *testing.T) {
 	if _, err := RunCtx(context.Background(), quickConfig(), tr, socialTube(t, tr), simnet.DefaultConfig(), Options{Faults: bad}); err == nil {
 		t.Fatal("invalid plan accepted")
 	}
+	// One global tracker state has no side to cut off: a partition is
+	// refused, not run as a healthy window.
+	split := faults.PartitionPlan(3, 10*time.Minute, 2)
+	res, err := RunCtx(context.Background(), quickConfig(), tr, socialTube(t, tr), simnet.DefaultConfig(), Options{Faults: split})
+	if !errors.Is(err, dist.ErrBadParameter) || res != nil {
+		t.Fatalf("partition plan: run = %v, %v; want nil and a wrapped dist.ErrBadParameter", res, err)
+	}
+}
+
+// TestNestedOutageEqualsOuter: an outage nested inside another changes
+// nothing, since the server is dark either way: the inner outage's end
+// must not reopen the server while the outer one holds it dark.
+func TestNestedOutageEqualsOuter(t *testing.T) {
+	tr := expTrace(t)
+	outer := faults.Outage{At: 2 * time.Minute, Duration: 20 * time.Minute}
+	inner := faults.Outage{At: 5 * time.Minute, Duration: 2 * time.Minute}
+	a := runWithPlan(t, tr, socialTube(t, tr), &faults.Plan{Seed: 3, Outages: []faults.Outage{outer}})
+	b := runWithPlan(t, tr, socialTube(t, tr), &faults.Plan{Seed: 3, Outages: []faults.Outage{outer, inner}})
+	b.Engine = a.Engine // b's engine also fired the inner outage's two events
+	ja, _ := json.Marshal(a)
+	jb, _ := json.Marshal(b)
+	if string(ja) != string(jb) {
+		t.Fatalf("nested outage moved the run: deferred %d → %d, fault-time requests %d → %d",
+			a.Resilience.ServerDeferred, b.Resilience.ServerDeferred,
+			a.Resilience.RequestsDuringFaults, b.Resilience.RequestsDuringFaults)
+	}
+	if a.Resilience.ServerDeferred == 0 {
+		t.Fatal("the outage deferred nothing; the comparison is vacuous")
+	}
+}
+
+// TestChaosWindowInSimulator: the simulator books a chaos window's
+// corrupted frames as lost deliveries, and its duplicated ones as harmless.
+func TestChaosWindowInSimulator(t *testing.T) {
+	tr := expTrace(t)
+	healthy := runWithPlan(t, tr, socialTube(t, tr), nil)
+	chaos := func(c faults.ChaosBurst) *Result {
+		c.At, c.Duration = 2*time.Minute, 20*time.Minute
+		return runWithPlan(t, tr, socialTube(t, tr), &faults.Plan{Seed: 3, Chaos: []faults.ChaosBurst{c}})
+	}
+	if rz := chaos(faults.ChaosBurst{CorruptP: 0.5}).Resilience; rz.ChaosFailures == 0 {
+		t.Fatalf("a CorruptP 0.5 window lost no delivery: %+v", rz)
+	}
+	dup := chaos(faults.ChaosBurst{DuplicateP: 0.5})
+	if rz := dup.Resilience; rz.ChaosFailures != 0 || rz.RequestsDuringFaults == 0 {
+		t.Fatalf("a DuplicateP window: %d chaos failures over %d fault-time requests, want 0 over > 0",
+			rz.ChaosFailures, rz.RequestsDuringFaults)
+	}
+	if got, want := dup.PeerHits.Value(), healthy.PeerHits.Value(); got != want {
+		t.Fatalf("a DuplicateP window moved peer hits %d → %d", want, got)
+	}
+}
+
+// TestRunnerWindowIsTheFold: through a whole run, the runner's window at
+// every event instant equals the plan's schedule folded through
+// faults.Window.Apply, for a plan with every window kind the simulator
+// runs, overlapping outages and touching bursts.
+func TestRunnerWindowIsTheFold(t *testing.T) {
+	tr := expTrace(t)
+	plan := testPlan(3)
+	plan.Outages = append(plan.Outages, faults.Outage{At: 7 * time.Minute, Duration: 20 * time.Minute},
+		faults.Outage{At: 8 * time.Minute, Duration: time.Minute, Shard: 1})
+	plan.Bursts = append(plan.Bursts, faults.LinkBurst{At: 11 * time.Minute, Duration: time.Minute, LatencyFactor: 0.5})
+	plan.Chaos = []faults.ChaosBurst{{At: 9 * time.Minute, Duration: 4 * time.Minute, CorruptP: 0.2, DuplicateP: 0.1}}
+	r, err := newRunner(quickConfig(), tr, socialTube(t, tr), simnet.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.arm(Options{Faults: plan}); err != nil {
+		t.Fatal(err)
+	}
+	sched, err := plan.Compile(len(tr.Users))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The runner's own fault events are queued first, so at each instant
+	// they all fire before its check.
+	var fold faults.Window
+	checks := 0
+	for i, ev := range sched.Events {
+		r.engine.At(ev.At, func(now time.Duration) {
+			fold.Apply(ev)
+			if i+1 < len(sched.Events) && sched.Events[i+1].At == now {
+				return
+			}
+			if checks++; r.win != fold {
+				t.Fatalf("at %v: runner window %+v, fold %+v", now, r.win, fold)
+			}
+		})
+	}
+	if err := r.engine.Run(quickConfig().Horizon, 0); err != nil {
+		t.Fatal(err)
+	}
+	if checks == 0 || fold.Open() {
+		t.Fatalf("%d checks, windows open at the end: %v", checks, fold.Open())
+	}
 }

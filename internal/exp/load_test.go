@@ -132,7 +132,7 @@ func TestDeliverRemoteProvider(t *testing.T) {
 func TestDeliverHonorsLatencyBoost(t *testing.T) {
 	readyAt := func(factor float64) (time.Duration, time.Duration) {
 		r := deliverRunner(t)
-		r.latencyFactor = factor
+		r.win.Apply(faults.Event{Kind: faults.KindBurstStart, LatencyFactor: factor})
 		res := vod.RequestResult{Source: vod.SourceServer}
 		ready, shed := r.deliver(0, simnet.ServerID, res, 1_000_000, 0)
 		if shed {

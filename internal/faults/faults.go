@@ -103,7 +103,7 @@ type ChaosBurst struct {
 // keep serving whatever shards they can reach, and the versioned LWW
 // merge re-converges the member tables after the heal. The emulation
 // applies the cut literally on its RPC paths; the simulator, which has
-// one global tracker state, ignores partition events.
+// one global tracker state, refuses a plan with partitions.
 type Partition struct {
 	At       time.Duration
 	Duration time.Duration
@@ -245,6 +245,7 @@ func (p *Plan) Validate() error {
 			return fmt.Errorf("faults: wave %d selects no nodes (Count and Fraction both zero)", i)
 		}
 	}
+	var bursts, chaos, partitions []span
 	for i, b := range p.Bursts {
 		switch {
 		case b.At < 0 || b.Duration <= 0:
@@ -254,6 +255,7 @@ func (p *Plan) Validate() error {
 		case b.LatencyFactor < 0:
 			return fmt.Errorf("faults: burst %d LatencyFactor %g negative", i, b.LatencyFactor)
 		}
+		bursts = append(bursts, span{b.At, b.At + b.Duration})
 	}
 	for i, o := range p.Outages {
 		switch {
@@ -282,6 +284,7 @@ func (p *Plan) Validate() error {
 		case c.StallFor < 0:
 			return fmt.Errorf("faults: chaos burst %d StallFor %v negative", i, c.StallFor)
 		}
+		chaos = append(chaos, span{c.At, c.At + c.Duration})
 	}
 	for i, pt := range p.Partitions {
 		switch {
@@ -290,9 +293,25 @@ func (p *Plan) Validate() error {
 		case pt.Groups < 2:
 			return fmt.Errorf("faults: partition %d Groups %d must be ≥ 2", i, pt.Groups)
 		}
+		partitions = append(partitions, span{pt.At, pt.At + pt.Duration})
+	}
+	// A Window holds one open burst, chaos window and partition at a time;
+	// outages may overlap.
+	for k, spans := range [][]span{bursts, chaos, partitions} {
+		for i, a := range spans {
+			for j, b := range spans[i+1:] {
+				if a.at < b.end && b.at < a.end {
+					return fmt.Errorf("faults: %s %d and %d overlap",
+						[...]string{"bursts", "chaos bursts", "partitions"}[k], i, i+1+j)
+				}
+			}
+		}
 	}
 	return nil
 }
+
+// span is a window's half-open interval [at, end).
+type span struct{ at, end time.Duration }
 
 func bad01(p float64) bool { return p < 0 || p > 1 }
 

@@ -190,6 +190,10 @@ func TestValidateRejectsBadPlans(t *testing.T) {
 		{Partitions: []Partition{{At: 0, Groups: 2}}},                                        // zero duration
 		{Partitions: []Partition{{At: 0, Duration: time.Second, Groups: 1}}},                 // one side is no cut
 		{Partitions: []Partition{{At: -time.Second, Duration: time.Second, Groups: 2}}},      // negative At
+		// One burst, chaos window and partition is open at a time.
+		{Bursts: []LinkBurst{{At: 0, Duration: 20 * time.Minute}, {At: time.Minute, Duration: 2 * time.Minute}}},
+		{Chaos: []ChaosBurst{{At: 0, Duration: 2 * time.Second, CorruptP: 0.1}, {At: time.Second, Duration: 2 * time.Second, DuplicateP: 0.1}}},
+		{Partitions: []Partition{{At: time.Second, Duration: time.Second, Groups: 2}, {At: 0, Duration: 3 * time.Second, Groups: 3}}},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
