@@ -455,6 +455,46 @@ func TestPAVoDDegenerate(t *testing.T) {
 			t.Fatalf("Watchers(%d) outside the catalog = %d, want 0", v, got)
 		}
 	}
+	// A catalog video nobody has watched has no watcher set yet: it reads
+	// as empty, and its first watcher allocates it.
+	v := tr.Videos[7].ID
+	if pv.watchers[v] != nil || pv.Watchers(v) != 0 {
+		t.Fatalf("untouched video %d: watcher set %v, Watchers %d, want nil and 0", v, pv.watchers[v], pv.Watchers(v))
+	}
+	if res := pv.Request(0, v); res.Source != vod.SourceServer {
+		t.Fatalf("first watcher of video %d served from %v, want the server", v, res.Source)
+	}
+	if pv.Watchers(v) != 1 {
+		t.Fatalf("video %d has %d watchers after its first request, want 1", v, pv.Watchers(v))
+	}
+}
+
+// TestNetTubeUntouchedVideoReadsEmpty: a video no node has joined has no
+// member set. A fresh node's server-directed lookup for it finds no provider
+// without drawing, the server serves it, and that join allocates the set.
+func TestNetTubeUntouchedVideoReadsEmpty(t *testing.T) {
+	tr := baselineTrace(t)
+	nt, err := NewNetTube(DefaultNetTubeConfig(), tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := tr.Videos[7].ID
+	if nt.members[v] != nil || nt.members[v].Len() != 0 {
+		t.Fatalf("untouched video %d has member set %v, want nil", v, nt.members[v])
+	}
+	nt.Join(0)
+	nt.Leave(0) // leaving with no overlays touches no set
+	nt.Join(0)
+	fresh := dist.NewRNG(DefaultNetTubeConfig().Seed)
+	if res := nt.Request(0, v); res.Source != vod.SourceServer {
+		t.Fatalf("first request for video %d served from %v, want the server", v, res.Source)
+	}
+	if got := nt.members[v].View(); len(got) != 1 || got[0] != 0 {
+		t.Fatalf("video %d members after the first join = %v, want [0]", v, got)
+	}
+	if got, want := nt.RNG.Int63(), fresh.Int63(); got != want {
+		t.Fatalf("a lookup on an empty set and a join into it drew from the RNG: next %d, want %d", got, want)
+	}
 }
 
 // TestThreeProtocolAvailabilityOrdering is a cross-protocol sanity check of

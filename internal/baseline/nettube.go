@@ -70,7 +70,8 @@ type NetTube struct {
 	overlays *overlay.Family[trace.VideoID]
 	// members tracks the online members of each per-video overlay, by video
 	// id — the per-video state the central server must keep (contrast §IV-A).
-	members []overlay.Members
+	// A video no node has joined has a nil entry, which reads as empty.
+	members []*overlay.Members
 	nodes   []ntNode
 	// caches holds every node's cache beside the fingerprint word the
 	// flood's hit test reads first.
@@ -112,7 +113,7 @@ func NewNetTube(cfg NetTubeConfig, tr *trace.Trace) (*NetTube, error) {
 		Chassis:  chassis,
 		cfg:      cfg,
 		overlays: overlay.NewFamily[trace.VideoID](cfg.LinksPerOverlay, len(tr.Users)),
-		members:  make([]overlay.Members, len(tr.Videos)),
+		members:  make([]*overlay.Members, len(tr.Videos)),
 		nodes:    make([]ntNode, len(tr.Users)),
 		caches:   vod.NewCaches(len(tr.Users), cfg.CacheVideos),
 		scratch:  *overlay.NewFloodScratch(len(tr.Users)),
@@ -230,7 +231,10 @@ func (n *NetTube) locate(node int, v trace.VideoID) vod.RequestResult {
 // joinOverlay places the node in the video's overlay, linking it to the
 // provider (when given) and to random overlay members up to the bound.
 func (n *NetTube) joinOverlay(node int, v trace.VideoID, provider int) {
-	members := &n.members[v]
+	if n.members[v] == nil {
+		n.members[v] = &overlay.Members{}
+	}
+	members := n.members[v]
 	n.nodes[node].joinedAdd(v)
 	members.Add(node)
 	if provider >= 0 {

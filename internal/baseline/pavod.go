@@ -56,8 +56,8 @@ type PAVoD struct {
 	vod.Chassis
 	cfg PAVoDConfig
 	// watchers tracks who is currently watching each video, indexed by
-	// video id — the server-side state PA-VoD needs.
-	watchers []overlay.Members
+	// video id — the server-side state PA-VoD needs; nil until first watched.
+	watchers []*overlay.Members
 	nodes    []paNode
 	// eligible is the reusable candidate buffer of eligibleProvider.
 	eligible []int
@@ -89,7 +89,7 @@ func NewPAVoD(cfg PAVoDConfig, tr *trace.Trace) (*PAVoD, error) {
 	p := &PAVoD{
 		Chassis:  chassis,
 		cfg:      cfg,
-		watchers: make([]overlay.Members, len(tr.Videos)),
+		watchers: make([]*overlay.Members, len(tr.Videos)),
 		nodes:    make([]paNode, len(tr.Users)),
 	}
 	for i := range p.nodes {
@@ -187,6 +187,9 @@ func (p *PAVoD) locate(node int, v trace.VideoID) vod.RequestResult {
 	}
 	st.watching = v
 	st.startedAt = p.Now()
+	if p.watchers[v] == nil {
+		p.watchers[v] = &overlay.Members{}
+	}
 	p.watchers[v].Add(node)
 	return res
 }

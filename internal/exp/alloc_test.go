@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/socialtube/socialtube/internal/baseline"
 	"github.com/socialtube/socialtube/internal/load"
 	"github.com/socialtube/socialtube/internal/simnet"
 	"github.com/socialtube/socialtube/internal/trace"
@@ -76,6 +77,53 @@ func TestHeapHighWaterReportsThePeak(t *testing.T) {
 	}
 	res, err = RunSharded(cfg, tr, factory, simnet.DefaultConfig(), ShardedOptions{Workers: 1})
 	check("category", res, err, spiked)
+}
+
+// TestCellsCostTheirUsersNotTheCatalog runs NetTube over a trace whose
+// catalog dwarfs its population, once as one cell and once split into 18
+// community cells. Every cell shares the run's one vod.Picker and allocates
+// a per-video member set only on the video's first join, so the partition
+// allocates a small multiple of the single loop. A cell that rebuilt the
+// picker or sized a member set per catalog video allocated that catalog
+// once per cell: 18 times over.
+func TestCellsCostTheirUsersNotTheCatalog(t *testing.T) {
+	tcfg := trace.DefaultConfig()
+	tcfg.Seed = 43
+	tcfg.Users = 300
+	tcfg.Channels = 200
+	tcfg.VideoCountMultiplier = 4.4
+	tr, err := trace.Generate(tcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := quickConfig()
+	cfg.Sessions = 1
+	allocated := func(run func() (*Result, error)) uint64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if _, err := run(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	one := allocated(func() (*Result, error) {
+		nt, err := baseline.NewNetTube(baseline.DefaultNetTubeConfig(), tr)
+		if err != nil {
+			return nil, err
+		}
+		return Run(cfg, tr, nt, simnet.DefaultConfig())
+	})
+	cells := allocated(func() (*Result, error) {
+		return RunSharded(cfg, tr, netTubeFactory(1), simnet.DefaultConfig(), ShardedOptions{Workers: 1})
+	})
+	t.Logf("%d users, %d videos: one cell allocates %d KiB, %d cells %d KiB (%.1fx)",
+		len(tr.Users), len(tr.Videos), one>>10, tr.Categories, cells>>10, float64(cells)/float64(one))
+	if cells > 5*one {
+		t.Fatalf("the %d-cell run allocates %d KiB, more than 5x the one-cell run's %d KiB: catalog-sized state is built per cell",
+			tr.Categories, cells>>10, one>>10)
+	}
 }
 
 // TestFinishedResultFootprint keeps finished Results of an open-loop run

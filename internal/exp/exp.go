@@ -243,13 +243,14 @@ type cell struct {
 	load  *load.Profile
 }
 
-// drive is the package's one experiment driver: it builds a runner per
-// cell on that cell's loop of a sim.ShardedEngine, arms it, advances all
-// loops to the horizon — opts.Workers at a time, cancellable every few
-// hundred events — and folds the cells' results in cell order. tr is the
-// population the cells partition. The barrier grid only carries the
-// router's cross-cell mail, so without a router the run is a single epoch:
-// for one cell, exactly sim.Engine.RunCtx.
+// drive is the package's one experiment driver: it builds one vod.Picker
+// over tr that every cell shares, and a runner per cell on that cell's loop
+// of a sim.ShardedEngine, arms it, advances all loops to the horizon —
+// opts.Workers at a time, cancellable every few hundred events — and folds
+// the cells' results in cell order. tr is the population the cells
+// partition. The barrier grid only carries the router's cross-cell mail, so
+// without a router the run is a single epoch: for one cell, exactly
+// sim.Engine.RunCtx.
 func drive(ctx context.Context, tr *trace.Trace, cells []cell, opts ShardedOptions, router *remoteRouter) (*Result, error) {
 	if opts.TimelineWindow < 0 {
 		return nil, fmt.Errorf("%w: timeline window %v", dist.ErrBadParameter, opts.TimelineWindow)
@@ -257,6 +258,10 @@ func drive(ctx context.Context, tr *trace.Trace, cells []cell, opts ShardedOptio
 	if opts.Faults != nil && len(cells) > 1 {
 		return nil, fmt.Errorf("%w: a fault plan addresses global node ids and cannot be installed on a %d-cell partition",
 			dist.ErrBadParameter, len(cells))
+	}
+	picker, err := vod.NewPicker(tr, vod.DefaultBehavior())
+	if err != nil {
+		return nil, err
 	}
 	loops := sim.ShardedConfig{Shards: len(cells), Workers: opts.Workers}
 	if router != nil {
@@ -274,7 +279,7 @@ func drive(ctx context.Context, tr *trace.Trace, cells []cell, opts ShardedOptio
 		if cl.tr == nil || len(cl.tr.Users) == 0 {
 			continue
 		}
-		r, err := newRunner(cl.cfg, cl.tr, cl.proto, cl.net)
+		r, err := newRunner(cl.cfg, cl.tr, picker, cl.proto, cl.net)
 		if err == nil {
 			// Everything the runner schedules stays on its cell's loop.
 			r.engine, r.remote, r.cell = se.Shard(c), router, c
@@ -316,10 +321,10 @@ func drive(ctx context.Context, tr *trace.Trace, cells []cell, opts ShardedOptio
 }
 
 // newRunner validates the inputs and builds a fully wired runner over a
-// non-empty trace, on a private engine, with no events scheduled yet.
+// non-empty trace and shared picker, on a private engine, no events queued.
 // Split from drive so lifecycle unit tests can drive individual
 // transitions (startSession/watch/endSession) directly.
-func newRunner(cfg Config, tr *trace.Trace, proto vod.Protocol, netCfg simnet.Config) (*runner, error) {
+func newRunner(cfg Config, tr *trace.Trace, picker *vod.Picker, proto vod.Protocol, netCfg simnet.Config) (*runner, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("exp config: %w", err)
 	}
@@ -327,10 +332,6 @@ func newRunner(cfg Config, tr *trace.Trace, proto vod.Protocol, netCfg simnet.Co
 		return nil, fmt.Errorf("%w: nil protocol", dist.ErrBadParameter)
 	}
 	network, err := simnet.New(netCfg)
-	if err != nil {
-		return nil, err
-	}
-	picker, err := vod.NewPicker(tr, vod.DefaultBehavior())
 	if err != nil {
 		return nil, err
 	}

@@ -28,6 +28,26 @@ func expTrace(t *testing.T) *trace.Trace {
 	return tr
 }
 
+func testPicker(t *testing.T, tr *trace.Trace) *vod.Picker {
+	t.Helper()
+	picker, err := vod.NewPicker(tr, vod.DefaultBehavior())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return picker
+}
+
+// testRunner is newRunner with the run's picker built over tr, as drive
+// builds it.
+func testRunner(t *testing.T, cfg Config, tr *trace.Trace, proto vod.Protocol) *runner {
+	t.Helper()
+	r, err := newRunner(cfg, tr, testPicker(t, tr), proto, simnet.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 // quickConfig shrinks the workload so the full matrix of tests stays fast.
 func quickConfig() Config {
 	cfg := DefaultConfig()

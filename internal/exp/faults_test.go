@@ -279,10 +279,7 @@ func TestRunnerWindowIsTheFold(t *testing.T) {
 		faults.Outage{At: 8 * time.Minute, Duration: time.Minute, Shard: 1})
 	plan.Bursts = append(plan.Bursts, faults.LinkBurst{At: 11 * time.Minute, Duration: time.Minute, LatencyFactor: 0.5})
 	plan.Chaos = []faults.ChaosBurst{{At: 9 * time.Minute, Duration: 4 * time.Minute, CorruptP: 0.2, DuplicateP: 0.1}}
-	r, err := newRunner(quickConfig(), tr, socialTube(t, tr), simnet.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := testRunner(t, quickConfig(), tr, socialTube(t, tr))
 	if err := r.arm(Options{Faults: plan}); err != nil {
 		t.Fatal(err)
 	}

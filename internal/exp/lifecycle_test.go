@@ -113,10 +113,7 @@ func TestEndSessionOfflineReschedules(t *testing.T) {
 	cfg.Sessions = 2
 	cfg.VideosPerSession = 2
 	p := &joinCounter{Protocol: socialTube(t, tr), joins: make([]int, len(tr.Users))}
-	r, err := newRunner(cfg, tr, p, simnet.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := testRunner(t, cfg, tr, p)
 	const node = 0
 	r.sessionsLeft[node] = cfg.Sessions
 	// The node is offline and not crashed — the state watch() sees when
@@ -133,10 +130,7 @@ func TestEndSessionOfflineReschedules(t *testing.T) {
 	}
 	// A crashed node's restart belongs to its rejoin event: endSession
 	// must NOT double-book a wake-up for it.
-	r2, err := newRunner(cfg, tr, socialTube(t, tr), simnet.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r2 := testRunner(t, cfg, tr, socialTube(t, tr))
 	r2.sessionsLeft[node] = cfg.Sessions
 	r2.crashed[node] = true
 	r2.engine.At(0, func(time.Duration) { r2.endSession(node, time.Minute) })

@@ -37,11 +37,7 @@ func alwaysServer() *scriptedProto {
 
 func deliverRunner(t *testing.T) *runner {
 	t.Helper()
-	r, err := newRunner(quickConfig(), expTrace(t), alwaysServer(), simnet.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r
+	return testRunner(t, quickConfig(), expTrace(t), alwaysServer())
 }
 
 // TestDeliverPrefixCachedServerBytes is the regression test for the

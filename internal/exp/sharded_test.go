@@ -18,6 +18,60 @@ import (
 	"github.com/socialtube/socialtube/internal/vod"
 )
 
+// TestSharedPickerDrawsAsCellPickers: drive builds one vod.Picker over the
+// partition's parent trace and every cell draws its sessions from it. A
+// picker reads only the catalog the cells share, so for every cell user the
+// parent's picker must plan exactly the sessions a picker over that cell's
+// own trace plans under the same per-user seed. Two goroutines then plan
+// every user's sessions from one fresh shared picker at once, in opposite
+// orders; each must get the sequential plans, and under -race a picker
+// that fills a cache lazily without a lock fails here.
+func TestSharedPickerDrawsAsCellPickers(t *testing.T) {
+	tr := expTrace(t)
+	part, err := trace.PartitionByCategory(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := func(p *vod.Picker, u *trace.User, gid trace.UserID) vod.SessionPlan {
+		return p.PlanSession(dist.NewRNG(int64(gid)+1), u, 12, 500*time.Second)
+	}
+	parent := testPicker(t, tr)
+	want := make([]vod.SessionPlan, len(tr.Users))
+	for _, c := range part.Cells {
+		if len(c.Users) == 0 {
+			continue
+		}
+		own := testPicker(t, c.Trace)
+		for li, gid := range c.Users {
+			u := &c.Trace.Users[li]
+			want[gid] = plan(own, u, gid)
+			if got := plan(parent, u, gid); !slices.Equal(got.Videos, want[gid].Videos) || got.OffTime != want[gid].OffTime {
+				t.Fatalf("cell %d user %d: parent picker plans %v, the cell's own %v", c.Cell, gid, got, want[gid])
+			}
+		}
+	}
+	shared := testPicker(t, tr)
+	var wg sync.WaitGroup
+	for _, step := range []int{1, -1} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range tr.Users {
+				i := k
+				if step < 0 {
+					i = len(tr.Users) - 1 - k
+				}
+				got := plan(shared, &tr.Users[i], trace.UserID(i))
+				if !slices.Equal(got.Videos, want[i].Videos) || got.OffTime != want[i].OffTime {
+					t.Errorf("concurrent user %d: plans %v, sequential %v", i, got, want[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // socialTubeFactory builds one SocialTube instance per community cell,
 // seeding each cell's protocol RNG from its cell id.
 func socialTubeFactory(seed int64) CellProtocol {

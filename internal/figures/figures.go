@@ -377,10 +377,10 @@ func (s Scale) run(tr *trace.Trace, j simJob, shards int) (*exp.Result, error) {
 // budget belongs to each job's community loops. Protocols are built inside
 // their worker so each one's node state is released as soon as its run ends.
 // done, when non-nil, is called — possibly concurrently — as each job
-// finishes, with its wall time.
-func (s Scale) runJobs(tr *trace.Trace, shards int, jobs []simJob, done func(i int, res *exp.Result, wall time.Duration)) ([]*exp.Result, error) {
+// finishes, with its wall time and how many jobs run at once.
+func (s Scale) runJobs(tr *trace.Trace, shards int, jobs []simJob, done func(i int, res *exp.Result, wall time.Duration, workers int)) ([]*exp.Result, error) {
 	results := make([]*exp.Result, len(jobs))
-	workers := runtime.GOMAXPROCS(0)
+	workers := min(runtime.GOMAXPROCS(0), len(jobs))
 	if shards > 0 {
 		workers = 1
 	}
@@ -396,7 +396,7 @@ func (s Scale) runJobs(tr *trace.Trace, shards int, jobs []simJob, done func(i i
 			start := time.Now()
 			results[i], errs[i] = s.run(tr, jobs[i], shards)
 			if errs[i] == nil && done != nil {
-				done(i, results[i], time.Since(start))
+				done(i, results[i], time.Since(start), workers)
 			}
 		}(i)
 	}

@@ -117,6 +117,9 @@ func progressf(listener func(msg string), format string, args ...any) {
 // deterministic fields but never enter the figure tables, so same-seed
 // sweeps render identical tables.
 type ScaleEnv struct {
+	// HeapHighWaterBytes is the process's heap high-water during the run,
+	// not the protocol's own: on the identity partition Scale.runJobs runs
+	// up to GOMAXPROCS protocol jobs at once, and each counts them all.
 	HeapHighWaterBytes uint64  `json:"heapHighWaterBytes"`
 	WallMs             float64 `json:"wallMs"`
 	// Workers and ShardLoad appear on sharded-engine points only: the
@@ -284,11 +287,11 @@ func (sw ScaleSweep) runShard(users int) ([]ScalePoint, error) {
 	}
 	probeInterval := s.expConfig().ProbeInterval
 	pts := make([]ScalePoint, len(jobs))
-	_, err = s.runJobs(tr, sw.Shards, jobs, func(i int, res *exp.Result, wall time.Duration) {
+	_, err = s.runJobs(tr, sw.Shards, jobs, func(i int, res *exp.Result, wall time.Duration, inFlight int) {
 		pts[i] = sweepPoint(users, protoOrder[i], sw.Seed, probeInterval, sw.Shards, res, wall)
-		progressf(sw.Progress, "N=%d %s: %d requests, peer %.3f, probes/node %.2f, heap %.1f MB, %v",
+		progressf(sw.Progress, "N=%d %s: %d requests, peer %.3f, probes/node %.2f, heap %.1f MB (process-wide, jobs in flight: %d), %v",
 			users, protoOrder[i], pts[i].Requests, pts[i].PeerHitRate, pts[i].ProbesPerNode,
-			float64(pts[i].Env.HeapHighWaterBytes)/1e6, wall.Round(time.Millisecond))
+			float64(pts[i].Env.HeapHighWaterBytes)/1e6, inFlight, wall.Round(time.Millisecond))
 	})
 	return pts, err
 }

@@ -6,7 +6,7 @@ import (
 
 // Members tracks the online members of one overlay with O(1) insert, delete
 // and uniform random selection — the operations the tracking server performs
-// when it assists joins. The zero value is an empty set.
+// when it assists joins. The zero value and a nil *Members are empty sets.
 type Members struct {
 	items []int
 	index map[int]int
@@ -26,6 +26,9 @@ func (m *Members) Add(n int) {
 
 // Remove deletes n if present.
 func (m *Members) Remove(n int) {
+	if m == nil {
+		return
+	}
 	i, ok := m.index[n]
 	if !ok {
 		return
@@ -38,33 +41,39 @@ func (m *Members) Remove(n int) {
 }
 
 // Len returns the member count.
-func (m *Members) Len() int { return len(m.items) }
+func (m *Members) Len() int { return len(m.View()) }
 
 // View returns the members in insertion-compacted order without copying.
 // The slice is live: it is invalidated by the next Add/Remove and must not
 // be mutated or retained across mutations.
-func (m *Members) View() []int { return m.items }
+func (m *Members) View() []int {
+	if m == nil {
+		return nil
+	}
+	return m.items
+}
 
 // Random returns a uniformly random member, excluding the given node. It
 // returns -1 when no eligible member exists.
 func (m *Members) Random(g *dist.RNG, exclude int) int {
-	switch len(m.items) {
+	items := m.View()
+	switch len(items) {
 	case 0:
 		return -1
 	case 1:
-		if m.items[0] == exclude {
+		if items[0] == exclude {
 			return -1
 		}
-		return m.items[0]
+		return items[0]
 	}
 	for attempts := 0; attempts < 8; attempts++ {
-		n := m.items[g.Intn(len(m.items))]
+		n := items[g.Intn(len(items))]
 		if n != exclude {
 			return n
 		}
 	}
 	// Deterministic fallback scan.
-	for _, n := range m.items {
+	for _, n := range items {
 		if n != exclude {
 			return n
 		}

@@ -35,6 +35,26 @@ func TestMembersAddRemoveRandom(t *testing.T) {
 	}
 }
 
+// TestNilMembersIsEmpty: a nil *Members is the empty set, so a per-id table
+// of sets allocates each entry on its first Add. It has no members, removing
+// from it is a no-op, and Random finds no one without taking a draw.
+func TestNilMembersIsEmpty(t *testing.T) {
+	var m *Members
+	if m.Len() != 0 || m.View() != nil {
+		t.Fatalf("nil set: Len %d, View %v, want 0 and nil", m.Len(), m.View())
+	}
+	m.Remove(3)
+	g, fresh := dist.NewRNG(9), dist.NewRNG(9)
+	for _, exclude := range []int{-1, 0, 3} {
+		if got := m.Random(g, exclude); got != -1 {
+			t.Fatalf("nil set: Random(exclude %d) = %d, want -1", exclude, got)
+		}
+	}
+	if got, want := g.Int63(), fresh.Int63(); got != want {
+		t.Fatalf("Random on a nil set took a draw: next value %d, a fresh same-seed RNG gives %d", got, want)
+	}
+}
+
 func TestMembersListIsCopy(t *testing.T) {
 	m := NewMembers()
 	m.Add(5)

@@ -6,7 +6,6 @@ package vod
 import (
 	"fmt"
 	"slices"
-	"sync"
 	"time"
 
 	"github.com/socialtube/socialtube/internal/dist"
@@ -206,7 +205,9 @@ func (b Behavior) Validate() error {
 }
 
 // Picker selects videos according to the behaviour model over a trace. It
-// precomputes popularity indexes so repeated picks are cheap.
+// precomputes popularity indexes so repeated picks are cheap. It never
+// changes after NewPicker and reads only the catalog, so the cells of a
+// partition and the emulator's peers share one without a lock.
 type Picker struct {
 	tr       *trace.Trace
 	behavior Behavior
@@ -215,10 +216,7 @@ type Picker struct {
 	byCat     [][]trace.VideoID
 	byCatDraw []dist.Cumulative
 	all       dist.Cumulative
-	// zipfBySize caches Zipf samplers keyed by channel size; building
-	// the CDF is O(n) and channel sizes repeat constantly. zipfMu guards
-	// the cache: the emulator shares one Picker across peer goroutines.
-	zipfMu     sync.Mutex
+	// zipfBySize holds a Zipf sampler for every channel size in the catalog.
 	zipfBySize map[int]*dist.Zipf
 }
 
@@ -236,6 +234,11 @@ func NewPicker(tr *trace.Trace, b Behavior) (*Picker, error) {
 		byCat:      make([][]trace.VideoID, tr.Categories),
 		byCatDraw:  make([]dist.Cumulative, tr.Categories),
 		zipfBySize: make(map[int]*dist.Zipf),
+	}
+	for i := range tr.Channels {
+		if n := len(tr.Channels[i].Videos); n > 0 && p.zipfBySize[n] == nil {
+			p.zipfBySize[n], _ = dist.NewZipf(n, 1) // n ≥ 1 and s = 1 always build
+		}
 	}
 	for _, v := range tr.Videos {
 		p.all.Add(float64(v.Views))
@@ -297,19 +300,7 @@ func (p *Picker) Next(g *dist.RNG, current trace.VideoID) trace.VideoID {
 // fromChannel draws a video from the channel, Zipf-weighted by rank — the
 // within-channel popularity distribution of Fig. 9.
 func (p *Picker) fromChannel(g *dist.RNG, ch *trace.Channel) trace.VideoID {
-	p.zipfMu.Lock()
-	z, ok := p.zipfBySize[len(ch.Videos)]
-	if !ok {
-		var err error
-		z, err = dist.NewZipf(len(ch.Videos), 1)
-		if err != nil {
-			p.zipfMu.Unlock()
-			return ch.Videos[0]
-		}
-		p.zipfBySize[len(ch.Videos)] = z
-	}
-	p.zipfMu.Unlock()
-	return ch.Videos[z.Sample(g)-1]
+	return ch.Videos[p.zipfBySize[len(ch.Videos)].Sample(g)-1]
 }
 
 func (p *Picker) fromCategory(g *dist.RNG, c trace.CategoryID) (trace.VideoID, bool) {

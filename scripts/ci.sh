@@ -46,16 +46,19 @@ check_loc() { # name budget-file find-args...
 check_loc "outside bench/" scripts/loc-budget . -not -path './bench/*'
 check_loc "bench/" scripts/loc-budget-bench bench
 
-echo "== experiment-driver gate (golden Results, determinism table, N_h = 0, fault schedules and windows; -race x5) =="
+echo "== experiment-driver gate (golden Results, determinism table, shared picker, N_h = 0, fault schedules and windows; -race x5) =="
 # exp has one driver; these pin it. The golden hashes hold the whole
 # marshalled Result of both partitions, the table reruns each under worker
 # counts {1, 2, 4, 8}, the timeline's windowing, cell-order merge and JSON
 # layout are pinned, the N_h = 0 run must end with no inter-links, and
-# every canned fault plan must compile to its pinned schedule. A fault
-# window is the fold of faults.Window.Apply: it must match a brute-force
-# reference over 256 random plans, and the runner must hold that fold.
-# Seconds, so they run before the minute-long suite.
-go test -race -count=5 -run 'TestGoldenResults|TestDeterministicUnderSeed|TestSharded(Timeline)?WorkerCountInvariance|TestTimeline|TestZeroInterLinkBudgetHoldsNoInterLinks|TestRunnerWindowIsTheFold|TestNestedOutageEqualsOuter|TestChaosWindowInSimulator' ./internal/exp/
+# every canned fault plan must compile to its pinned schedule. Every cell
+# draws from the run's one vod.Picker: it must plan what a picker over the
+# cell's own trace plans, and two goroutines drawing from it at once must
+# each get the sequential plans (a race here is a lazily filled cache). A
+# fault window is the fold of faults.Window.Apply: it must match a
+# brute-force reference over 256 random plans, and the runner must hold
+# that fold. Seconds, so they run before the minute-long suite.
+go test -race -count=5 -run 'TestGoldenResults|TestDeterministicUnderSeed|TestSharded(Timeline)?WorkerCountInvariance|TestSharedPickerDrawsAsCellPickers|TestTimeline|TestZeroInterLinkBudgetHoldsNoInterLinks|TestRunnerWindowIsTheFold|TestNestedOutageEqualsOuter|TestChaosWindowInSimulator' ./internal/exp/
 go test -race -count=5 -run 'TestCannedPlanSchedulesPinned|TestWindowMatchesReference|TestValidateRejectsBadPlans' ./internal/faults/
 
 echo "== trace pin gate (generator golden bytes, partition vs reference) =="
