@@ -135,7 +135,7 @@ func run(args []string) (retErr error) {
 		fig        = fs.String("fig", "all", figures.Help(figures.GroupSim))
 		scale      = fs.String("scale", "small", "workload scale: small or paper (-fig scale also takes 10m)")
 		seed       = fs.Int64("seed", 1, "experiment seed")
-		shards     = fs.Int("shards", 0, "with -fig scale or -fig load, run each point over the category partition (one loop per interest community) with this many workers (0 = the whole trace on one loop)")
+		shards     = fs.Int("shards", 0, "with -fig scale, run each point over the category partition (one loop per interest community) with this many workers (0 = the whole trace on one loop)")
 		users      = fs.Int("users", 0, "with -fig scale or -fig load, replace the preset population with this single size (0 = preset)")
 		benchOut   = fs.String("bench-out", "", "append the figure's per-point results to this JSONL file (empty = write nothing)")
 		jsonDump   = fs.Bool("json", false, "run the three protocols once and dump raw results as JSON")
@@ -159,6 +159,9 @@ func run(args []string) (retErr error) {
 	}
 	if *users < 0 {
 		return fmt.Errorf("-users must be ≥ 0, got %d", *users)
+	}
+	if *shards > 0 && *fig != "scale" {
+		return fmt.Errorf("-shards applies to -fig scale only")
 	}
 	switch {
 	case *traceCheck != "":
@@ -187,8 +190,8 @@ func run(args []string) (retErr error) {
 		return fmt.Errorf("-trace-out and -json do not apply to -fig %s", *fig)
 	}
 	if !figs[0].Sweep {
-		if *shards > 0 || *users > 0 {
-			return fmt.Errorf("-shards and -users apply to -fig scale and -fig load only")
+		if *users > 0 {
+			return fmt.Errorf("-users applies to -fig scale and -fig load only")
 		}
 		if lf.set() {
 			return fmt.Errorf("-load-* flags apply to -fig load only")

@@ -54,6 +54,7 @@ func TestRunRejectsBadCounts(t *testing.T) {
 		{"negative shards", []string{"-fig", "scale", "-shards", "-1"}},
 		{"negative users", []string{"-fig", "scale", "-users", "-4"}},
 		{"shards outside scale/load", []string{"-fig", "16a", "-shards", "2"}},
+		{"shards on fig load", []string{"-fig", "load", "-shards", "2"}},
 		{"users outside scale/load", []string{"-fig", "16a", "-users", "100"}},
 		{"load flags outside fig load", []string{"-fig", "16a", "-load-rps", "3,18"}},
 		{"bad load rps", []string{"-fig", "load", "-load-rps", "3,banana"}},

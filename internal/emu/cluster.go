@@ -258,48 +258,52 @@ func setOutage(cp *ControlPlane, ev faults.Event, down bool) {
 	}
 }
 
-// drive replays the compiled schedule against the live cluster on
-// wall-clock offsets from begin. Every event is folded into the
-// conditions' windows; the switch adds what only a live cluster does.
-// Repair events are deliberately skipped: in the emulator the probe loop
-// is the failure detector, so repair happens organically when probes time
-// out on the crashed peer.
-func (f *faultDriver) drive(sched *faults.Schedule, begin time.Time, stop <-chan struct{},
+// drive replays the schedule's events against the live cluster on
+// wall-clock offsets from begin.
+func (f *faultDriver) drive(events []faults.Event, begin time.Time, stop <-chan struct{},
 	peers []*Peer, cp *ControlPlane, res *ClusterResult, resMu *sync.Mutex) {
 	defer close(f.done)
-	for _, ev := range sched.Events {
+	for _, ev := range events {
 		if !sleepUntil(begin.Add(ev.At), stop) {
 			return
 		}
-		f.cond.Apply(ev)
-		switch ev.Kind {
-		case faults.KindCrash:
-			if ev.Node >= 0 && ev.Node < len(peers) {
-				peers[ev.Node].Crash()
-				resMu.Lock()
-				res.Crashes++
-				resMu.Unlock()
-			}
-		case faults.KindRejoin:
-			if ev.Node >= 0 && ev.Node < len(peers) {
-				peers[ev.Node].Rejoin()
-				resMu.Lock()
-				res.Rejoins++
-				resMu.Unlock()
-			}
-		case faults.KindOutageStart:
-			if ev.Shard > 0 && ev.Replica == 0 {
-				cp.ArmTakeover(time.Now().UnixNano())
-			}
-			setOutage(cp, ev, true)
-		case faults.KindOutageEnd:
-			setOutage(cp, ev, false)
-		case faults.KindPartitionEnd:
-			// The cut is healed: replay every hinted-handoff write the
-			// peers queued for replicas on the far side.
-			for _, p := range peers {
-				p.ReplayHints()
-			}
+		f.apply(ev, peers, cp, res, resMu)
+	}
+}
+
+// apply folds one event into the conditions' windows; the switch adds what
+// only a live cluster does. Repair events are deliberately skipped: in the
+// emulator the probe loop is the failure detector, so repair happens
+// organically when probes time out on the crashed peer.
+func (f *faultDriver) apply(ev faults.Event, peers []*Peer, cp *ControlPlane, res *ClusterResult, resMu *sync.Mutex) {
+	f.cond.Apply(ev)
+	switch ev.Kind {
+	case faults.KindCrash:
+		if ev.Node >= 0 && ev.Node < len(peers) {
+			peers[ev.Node].Crash()
+			resMu.Lock()
+			res.Crashes++
+			resMu.Unlock()
+		}
+	case faults.KindRejoin:
+		if ev.Node >= 0 && ev.Node < len(peers) {
+			peers[ev.Node].Rejoin()
+			resMu.Lock()
+			res.Rejoins++
+			resMu.Unlock()
+		}
+	case faults.KindOutageStart:
+		if ev.Shard > 0 && ev.Replica == 0 {
+			cp.ArmTakeover(time.Now().UnixNano())
+		}
+		setOutage(cp, ev, true)
+	case faults.KindOutageEnd:
+		setOutage(cp, ev, false)
+	case faults.KindPartitionEnd:
+		// The cut is healed: replay every hinted-handoff write the
+		// peers queued for replicas on the far side.
+		for _, p := range peers {
+			p.ReplayHints()
 		}
 	}
 }
@@ -479,10 +483,17 @@ func RunClusterCtx(ctx context.Context, cfg ClusterConfig, tr *trace.Trace) (*Cl
 	var faultWG sync.WaitGroup
 	if sched != nil {
 		fd = &faultDriver{cond: cfg.Conditions, done: make(chan struct{})}
+		// Events due at the start land before any peer issues a request;
+		// the driver replays the rest (the schedule is sorted by time).
+		rest := sched.Events
+		for len(rest) > 0 && rest[0].At <= 0 {
+			fd.apply(rest[0], peers, plane, res, &resMu)
+			rest = rest[1:]
+		}
 		faultWG.Add(1)
 		go func() {
 			defer faultWG.Done()
-			fd.drive(sched, begin, stop, peers, plane, res, &resMu)
+			fd.drive(rest, begin, stop, peers, plane, res, &resMu)
 		}()
 	}
 

@@ -11,16 +11,14 @@ import (
 	"github.com/socialtube/socialtube/internal/vod"
 )
 
-// Options carries a run's cross-cutting concerns, on either partition
-// (ShardedOptions embeds it). The zero value is a plain healthy run.
+// Options carries a run's cross-cutting concerns on the identity partition
+// (RunCtx); the category partition takes none (ShardedOptions). The zero
+// value is a plain healthy run. A tracer is the protocol's own
+// (obs.Traceable.SetTracer), installed before the run.
 type Options struct {
 	// Faults is a deterministic fault plan compiled against the
 	// trace's user population; nil disables fault injection entirely.
-	// Its node ids are global, so a run of more than one cell refuses it.
 	Faults *faults.Plan
-	// Tracer, when non-nil, is installed on the protocol before the
-	// run if it implements obs.Traceable.
-	Tracer obs.Tracer
 	// TimelineWindow, when positive, records per-window telemetry (hit
 	// counters, startup-delay histograms, server load, breaker opens)
 	// keyed by simulated time into Result.Timeline. 0 disables the

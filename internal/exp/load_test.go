@@ -254,30 +254,3 @@ func TestOpenLoopDeterminism(t *testing.T) {
 		t.Fatalf("same-seed open-loop runs marshalled differently:\n%s\nvs\n%s", a, b)
 	}
 }
-
-// TestOpenLoopShardedWorkerInvariance pins the sharded engine's
-// layout-independence under open-loop load with a flash crowd: the full
-// merged Result must be byte-identical for 1 and 4 workers.
-func TestOpenLoopShardedWorkerInvariance(t *testing.T) {
-	tr := expTrace(t)
-	netCfg := simnet.DefaultConfig()
-	netCfg.ServerQueueCap = 8
-	prof := flashProfile()
-	run := func(workers int) []byte {
-		t.Helper()
-		res, err := RunSharded(openLoopConfig(), tr, socialTubeFactory(1), netCfg,
-			ShardedOptions{Options: Options{Load: prof}, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := json.Marshal(res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	a, b := run(1), run(4)
-	if string(a) != string(b) {
-		t.Fatalf("worker counts 1 and 4 marshalled differently:\n%s\nvs\n%s", a, b)
-	}
-}

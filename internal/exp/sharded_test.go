@@ -2,7 +2,6 @@ package exp
 
 import (
 	"encoding/json"
-	"errors"
 	"slices"
 	"sync"
 	"testing"
@@ -117,8 +116,8 @@ func runSharded(t *testing.T, workers int) *Result {
 // — must marshal to byte-identical JSON. The worker count decides only
 // which OS thread advances which cell's loop; it must never leak into
 // results. The identity partition has one cell, so its rows are the
-// same-seed rerun pin; the category partition's are the worker-count
-// invariance pin, the same code checking both.
+// same-seed rerun pin; the category partition's — plain, the one run it
+// takes — is the worker-count invariance pin, the same code checking both.
 var determinismTable = []struct {
 	partition string // "identity" or "category"
 	variant   goldenVariant
@@ -127,8 +126,6 @@ var determinismTable = []struct {
 	{"identity", goldenVariant{name: "timeline", window: 30 * time.Minute}},
 	{"identity", goldenVariant{name: "load", prof: flashProfile()}},
 	{"category", goldenVariant{name: "plain"}},
-	{"category", goldenVariant{name: "timeline", window: 30 * time.Minute}},
-	{"category", goldenVariant{name: "load", prof: flashProfile()}},
 }
 
 func flashProfile() *load.Profile {
@@ -147,16 +144,15 @@ func runPartition(t *testing.T, tr *trace.Trace, partition string, v goldenVaria
 		cfg = openLoopConfig()
 		netCfg.ServerQueueCap = 8
 	}
-	opts := ShardedOptions{Options: Options{TimelineWindow: v.window, Load: v.prof}, Workers: workers}
 	var (
 		res *Result
 		err error
 	)
 	if partition == "identity" {
-		lone := []cell{{cfg: cfg, tr: tr, proto: socialTube(t, tr), net: netCfg, load: v.prof}}
-		res, err = drive(t.Context(), tr, lone, opts, nil)
+		lone := []cell{{cfg: cfg, tr: tr, proto: socialTube(t, tr), net: netCfg}}
+		res, err = drive(t.Context(), tr, lone, Options{TimelineWindow: v.window, Load: v.prof}, workers, nil)
 	} else {
-		res, err = RunShardedCtx(t.Context(), cfg, tr, socialTubeFactory(1), netCfg, opts)
+		res, err = RunShardedCtx(t.Context(), cfg, tr, socialTubeFactory(1), netCfg, ShardedOptions{Workers: workers})
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -164,12 +160,11 @@ func runPartition(t *testing.T, tr *trace.Trace, partition string, v goldenVaria
 	return res
 }
 
-// checkDeterminism runs the table's rows for one partition (and, when
-// given, only the named variants).
-func checkDeterminism(t *testing.T, partition string, variants ...string) {
+// checkDeterminism runs the table's rows for one partition.
+func checkDeterminism(t *testing.T, partition string) {
 	tr := expTrace(t)
 	for _, row := range determinismTable {
-		if row.partition != partition || (len(variants) > 0 && !slices.Contains(variants, row.variant.name)) {
+		if row.partition != partition {
 			continue
 		}
 		t.Run(row.partition+"/"+row.variant.name, func(t *testing.T) {
@@ -181,8 +176,8 @@ func checkDeterminism(t *testing.T, partition string, variants ...string) {
 				t.Fatalf("sharded block present = %v on the %s partition", ref.Sharded != nil, row.partition)
 			}
 			if row.variant.window > 0 {
-				// The merged per-window request counts must re-sum to the
-				// run total.
+				// The per-window request counts must re-sum to the run
+				// total.
 				if ref.Timeline == nil || len(ref.Timeline.Windows) == 0 {
 					t.Fatal("timeline run recorded no windows")
 				}
@@ -215,16 +210,12 @@ func checkDeterminism(t *testing.T, partition string, variants ...string) {
 	}
 }
 
-// The table's three entry points keep the names the rows were first pinned
+// The table's two entry points keep the names the rows were first pinned
 // under: same-seed reruns of the one-cell run, and worker-count invariance
-// of the per-community one without and with a timeline.
+// of the per-community one.
 func TestDeterministicUnderSeed(t *testing.T) { checkDeterminism(t, "identity") }
 
-func TestShardedWorkerCountInvariance(t *testing.T) { checkDeterminism(t, "category", "plain", "load") }
-
-func TestShardedTimelineWorkerCountInvariance(t *testing.T) {
-	checkDeterminism(t, "category", "timeline")
-}
+func TestShardedWorkerCountInvariance(t *testing.T) { checkDeterminism(t, "category") }
 
 // TestShardedAccountingConsistency checks the merged result's internal
 // arithmetic: hits partition the requests, remote accounting is coherent,
@@ -280,16 +271,22 @@ func (c *cellSpans) Emit(e obs.Event) {
 	}
 }
 
-// TestShardedRunInstallsTheTracerOnEveryCell: Options.Tracer used to stop
-// at the identity partition; on the category partition it reaches every
-// cell's protocol, and tracing changes no result byte.
+// TestShardedRunInstallsTheTracerOnEveryCell: a tracer the cell factory
+// installs (obs.Traceable.SetTracer) sees every cell's requests, under span
+// ranges disjoint per cell, and tracing changes no result byte.
 func TestShardedRunInstallsTheTracerOnEveryCell(t *testing.T) {
 	tr := expTrace(t)
 	tracer := &cellSpans{cells: map[uint64]bool{}}
-	run := func(opts Options) []byte {
+	run := func(tc obs.Tracer) []byte {
 		t.Helper()
-		res, err := RunSharded(shardedConfig(), tr, socialTubeFactory(1), simnet.DefaultConfig(),
-			ShardedOptions{Options: opts, Workers: 2})
+		factory := func(cell int, cellTr *trace.Trace) (vod.Protocol, error) {
+			p, err := socialTubeFactory(1)(cell, cellTr)
+			if err == nil && tc != nil {
+				p.(obs.Traceable).SetTracer(tc)
+			}
+			return p, err
+		}
+		res, err := RunSharded(shardedConfig(), tr, factory, simnet.DefaultConfig(), ShardedOptions{Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -299,7 +296,7 @@ func TestShardedRunInstallsTheTracerOnEveryCell(t *testing.T) {
 		}
 		return raw
 	}
-	traced, plain := run(Options{Tracer: tracer}), run(Options{})
+	traced, plain := run(tracer), run(nil)
 	if len(tracer.cells) != 10 { // expTrace's 10 categories are all populated
 		t.Fatalf("trace carries spans of %d cells, want all 10", len(tracer.cells))
 	}
@@ -338,10 +335,6 @@ func TestShardedRejectsBadInputs(t *testing.T) {
 	bad.Sessions = 0
 	if _, err := RunSharded(bad, tr, socialTubeFactory(1), simnet.DefaultConfig(), ShardedOptions{}); err == nil {
 		t.Fatal("invalid config accepted")
-	}
-	negWindow := ShardedOptions{Options: Options{TimelineWindow: -time.Minute}}
-	if _, err := RunSharded(shardedConfig(), tr, socialTubeFactory(1), simnet.DefaultConfig(), negWindow); !errors.Is(err, dist.ErrBadParameter) {
-		t.Fatalf("negative timeline window: err = %v, want a wrapped dist.ErrBadParameter", err)
 	}
 }
 

@@ -11,9 +11,8 @@ import (
 // Timeline is a run's per-window telemetry (Options.TimelineWindow):
 // Windows[i] covers simulated time [i*Width, (i+1)*Width). Windows are
 // keyed by the engine's virtual clock, never wall-clock, so same-seed
-// timelines are byte-identical for any host speed and, on the category
-// partition, any worker count: each cell records its own and the driver
-// folds them in ascending cell order.
+// timelines are byte-identical for any host speed. Only the identity
+// partition records one.
 type Timeline struct {
 	Width   time.Duration
 	Windows []Window
@@ -44,25 +43,6 @@ func (tl *Timeline) at(t time.Duration) *Window {
 		tl.Windows = append(tl.Windows, Window{})
 	}
 	return &tl.Windows[i]
-}
-
-// merge folds another cell's timeline into tl, window by window.
-func (tl *Timeline) merge(o *Timeline) {
-	for len(tl.Windows) < len(o.Windows) {
-		tl.Windows = append(tl.Windows, Window{})
-	}
-	for i := range o.Windows {
-		w, ow := &tl.Windows[i], &o.Windows[i]
-		w.Requests += ow.Requests
-		w.CacheHits += ow.CacheHits
-		w.PeerHits += ow.PeerHits
-		w.ServerHits += ow.ServerHits
-		w.StartupMs.Merge(&ow.StartupMs)
-		w.ServerBytes += ow.ServerBytes
-		w.BreakerOpens += ow.BreakerOpens
-		w.Offered += ow.Offered
-		w.ServerShed += ow.ServerShed
-	}
 }
 
 // timelineSeries is one column of the JSON form: a counter's per-window
@@ -111,7 +91,7 @@ func (tl *Timeline) MarshalJSON() ([]byte, error) {
 
 // recordWindow files one completed request into the timeline window of
 // its *issue* time (reqAt): the request belongs to the load of the window
-// that produced it, even when a cross-cell barrier delays the reply.
+// that produced it.
 func (r *runner) recordWindow(res vod.RequestResult, reqAt, ready time.Duration, servedBytes int64, shed bool) {
 	w := r.res.Timeline.at(reqAt)
 	w.Requests++

@@ -58,37 +58,6 @@ func TestTimelineHistSeries(t *testing.T) {
 	}
 }
 
-// TestTimelineMergeMatchesDirect: folding per-cell timelines in cell order
-// must equal recording every request into one timeline directly.
-func TestTimelineMergeMatchesDirect(t *testing.T) {
-	samples := make([]timelineSample, 0, 300)
-	for i := 0; i < 300; i++ {
-		samples = append(samples, timelineSample{time.Duration(i) * 7 * time.Second, float64(i % 50 * 13), int64(i * 100)})
-	}
-	direct := buildTimeline(samples)
-	merged := buildTimeline(nil)
-	for cell := 0; cell < 3; cell++ {
-		var sub []timelineSample
-		for i, s := range samples {
-			if i%3 == cell {
-				sub = append(sub, s)
-			}
-		}
-		merged.merge(buildTimeline(sub))
-	}
-	dj, err := json.Marshal(direct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mj, err := json.Marshal(merged)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(dj) != string(mj) {
-		t.Fatalf("merged timeline != direct\nmerged: %s\ndirect: %s", mj, dj)
-	}
-}
-
 // TestTimelineJSONShape pins the wire layout Result carries: the nine
 // columns in a fixed order, each padded to the window count, with null
 // for a window whose startup histogram is empty.

@@ -9,6 +9,7 @@ import (
 	"github.com/socialtube/socialtube/internal/emu"
 	"github.com/socialtube/socialtube/internal/exp"
 	"github.com/socialtube/socialtube/internal/faults"
+	"github.com/socialtube/socialtube/internal/load"
 )
 
 // TestSimAndEmuAgreeOnWinner is the cross-environment check the paper makes
@@ -67,29 +68,40 @@ func TestSimAndEmuAgreeOnWinner(t *testing.T) {
 }
 
 // TestRunCarriesJobOptionsToEitherPartition: a job states its options once
-// and Scale.run hands them whole to whichever partition runs it. A fault
-// plan on the category partition (shards ≥ 1) used to be dropped on the way
-// to the engine — the run came back healthy; now the driver refuses it,
-// while the identity partition (shards 0) still runs it.
+// and Scale.run hands them to the identity partition (shards 0), which runs
+// each of them; the category partition (shards ≥ 1) replays closed-loop
+// sessions only and refuses every one with a wrapped dist.ErrBadParameter
+// rather than dropping it on the way to the engine.
 func TestRunCarriesJobOptionsToEitherPartition(t *testing.T) {
 	s := tinyScale()
 	tr := tinyTrace(t)
-	job := protocolJob("SocialTube")
-	job.opts = exp.Options{Faults: faults.ChurnPlan(s.Seed, s.churnUnit()), TimelineWindow: s.churnUnit()}
-	res, err := s.run(tr, job, 0)
-	if err != nil {
-		t.Fatal(err)
+	for _, o := range []struct {
+		name    string
+		opts    exp.Options
+		applied func(*exp.Result) bool
+	}{
+		{"fault plan", exp.Options{Faults: faults.ChurnPlan(s.Seed, s.churnUnit())},
+			func(res *exp.Result) bool { return res.Resilience.Crashes > 0 }},
+		{"timeline", exp.Options{TimelineWindow: s.churnUnit()},
+			func(res *exp.Result) bool { return res.Timeline != nil }},
+		{"load profile", exp.Options{Load: &load.Profile{Mode: load.Steady, Seed: s.Seed, RPS: 5, Duration: 30 * time.Second}},
+			func(res *exp.Result) bool { return res.Load != nil && res.Load.Offered > 0 }},
+	} {
+		job := protocolJob("SocialTube")
+		job.opts = o.opts
+		res, err := s.run(tr, job, 0)
+		if err != nil {
+			t.Fatalf("identity partition, %s: %v", o.name, err)
+		}
+		if !o.applied(res) {
+			t.Fatalf("identity partition ran without its %s", o.name)
+		}
+		if res, err = s.run(tr, job, 2); !errors.Is(err, dist.ErrBadParameter) || res != nil {
+			t.Fatalf("category partition with a %s: %v, %v; want nil and a wrapped dist.ErrBadParameter", o.name, res, err)
+		}
 	}
-	if res.Resilience.Crashes == 0 || res.Timeline == nil {
-		t.Fatalf("identity partition: crashes=%d timeline=%v, want the plan and the timeline applied",
-			res.Resilience.Crashes, res.Timeline != nil)
-	}
-	if res, err = s.run(tr, job, 2); !errors.Is(err, dist.ErrBadParameter) || res != nil {
-		t.Fatalf("category partition with a fault plan: %v, %v; want nil and a wrapped dist.ErrBadParameter", res, err)
-	}
-	job.opts.Faults = nil
-	if res, err = s.run(tr, job, 2); err != nil || res.Timeline == nil || res.Sharded == nil {
-		t.Fatalf("category partition without the plan: err=%v, want a sharded result with its timeline", err)
+	if res, err := s.run(tr, protocolJob("SocialTube"), 2); err != nil || res.Sharded == nil {
+		t.Fatalf("category partition without options: err=%v, want a sharded result", err)
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 
 	"github.com/socialtube/socialtube/internal/baseline"
 	"github.com/socialtube/socialtube/internal/core"
+	"github.com/socialtube/socialtube/internal/dist"
 	"github.com/socialtube/socialtube/internal/exp"
 	"github.com/socialtube/socialtube/internal/obs"
 	"github.com/socialtube/socialtube/internal/simnet"
@@ -34,9 +35,6 @@ type Scale struct {
 	VideosPerSession int
 	// WatchScale compresses playback in the simulator.
 	WatchScale float64
-	// MeanOffTime overrides the between-session off period (0 keeps the
-	// Table I default of 500 s).
-	MeanOffTime time.Duration
 	// ProbeInterval overrides the maintenance probe period (0 keeps the
 	// Table I default of 10 min). Compressed-time workloads need a
 	// proportionally compressed period or sessions end before the first
@@ -122,9 +120,6 @@ func (s Scale) expConfig() exp.Config {
 		// keep the on/off duty cycle comparable.
 		cfg.MeanOffTime = 60 * time.Second
 		cfg.Horizon = 24 * time.Hour
-	}
-	if s.MeanOffTime > 0 {
-		cfg.MeanOffTime = s.MeanOffTime
 	}
 	if s.ProbeInterval > 0 {
 		cfg.ProbeInterval = s.ProbeInterval
@@ -308,8 +303,8 @@ func (s Scale) protocol(name string, tr *trace.Trace, prefetch bool) (vod.Protoc
 
 // simJob is one simulation a figure asks for: the protocol to build, the
 // network it runs over and the run options (fault plan, timeline window,
-// open-loop profile), stated once for whichever partition runs it. build
-// is called once per cell — on the category partition with the cell's own
+// open-loop profile), which only the identity partition takes. build is
+// called once per cell — on the category partition with the cell's own
 // Scale — and attaches the scale's tracer.
 type simJob struct {
 	label string
@@ -334,16 +329,21 @@ func protocolJobs(names []string) []simJob {
 // a protocol for a run and picks the partition exp's one driver runs it
 // over: shards == 0 is the identity partition (the whole trace in one
 // cell), shards ≥ 1 the category partition — one cell per interest
-// community — advanced by that many workers. The job's options travel
-// whole to either; the driver refuses what a partition cannot honour (a
-// fault plan on more than one cell). Deterministic result fields are
-// byte-identical across shards ≥ 1; they differ from the identity
-// partition's, whose streams and overlays are global, not per-community.
+// community — advanced by that many workers. The category partition runs
+// the closed-loop sessions only, so a job with options (fault plan,
+// timeline window, load profile) is refused there. Deterministic result
+// fields are byte-identical across shards ≥ 1; they differ from the
+// identity partition's, whose streams and overlays are global, not
+// per-community.
 func (s Scale) run(tr *trace.Trace, j simJob, shards int) (*exp.Result, error) {
 	var (
 		res *exp.Result
 		err error
 	)
+	if shards > 0 && j.opts != (exp.Options{}) {
+		return nil, fmt.Errorf("run %s: %w: the category partition (shards=%d) takes no fault plan, timeline or load profile",
+			j.label, dist.ErrBadParameter, shards)
+	}
 	if shards > 0 {
 		// Each community cell gets its own protocol instance over the
 		// cell's renumbered trace, with the protocol RNG reseeded per cell
@@ -356,7 +356,7 @@ func (s Scale) run(tr *trace.Trace, j simJob, shards int) (*exp.Result, error) {
 			cs.TraceUsers = len(cellTr.Users)
 			return j.build(cs, cellTr)
 		}
-		res, err = exp.RunSharded(s.expConfig(), tr, factory, j.net, exp.ShardedOptions{Options: j.opts, Workers: shards})
+		res, err = exp.RunSharded(s.expConfig(), tr, factory, j.net, exp.ShardedOptions{Workers: shards})
 	} else {
 		var p vod.Protocol
 		if p, err = j.build(s, tr); err == nil {

@@ -38,8 +38,6 @@ type LoadSweep struct {
 	WatchScale float64
 	// Seed drives the trace, the protocols and the arrival streams.
 	Seed int64
-	// Shards selects the engine, as in ScaleSweep.
-	Shards int
 	// Progress, when non-nil, receives one line per completed cell.
 	Progress func(msg string)
 }
@@ -125,17 +123,15 @@ func (sw LoadSweep) profile(rps float64) *load.Profile {
 	return p
 }
 
-// LoadEnv carries a cell's environmental measurements — wall clock and
-// the sharded worker count. They ride along in BENCH_load.json but never
-// enter the figure tables, and determinism comparisons zero them.
+// LoadEnv carries a cell's environmental measurement — wall clock. It
+// rides along in BENCH_load.json but never enters the figure tables, and
+// determinism comparisons zero it.
 type LoadEnv struct {
-	WallMs  float64 `json:"wallMs"`
-	Workers int     `json:"workers,omitempty"`
+	WallMs float64 `json:"wallMs"`
 }
 
 // LoadPoint is one (offered RPS, protocol) cell of the load figure.
-// Every field except Env is deterministic under a fixed seed — in
-// sharded cells for any worker count.
+// Every field except Env is deterministic under a fixed seed.
 type LoadPoint struct {
 	Protocol string  `json:"protocol"`
 	Seed     int64   `json:"seed"`
@@ -179,10 +175,7 @@ func (sw LoadSweep) loadPoint(protocol string, rps float64, res *exp.Result, wal
 		P50Ms:    res.StartupDelay.Percentile(50),
 		P99Ms:    res.StartupDelay.Percentile(99),
 		P999Ms:   res.StartupDelay.Percentile(99.9),
-		Env: LoadEnv{
-			WallMs:  float64(wall.Nanoseconds()) / 1e6,
-			Workers: sw.Shards,
-		},
+		Env:      LoadEnv{WallMs: float64(wall.Nanoseconds()) / 1e6},
 	}
 	if info := res.Load; info != nil {
 		p.Offered = info.Offered
@@ -224,7 +217,7 @@ func RunLoad(sw LoadSweep) (*Report, error) {
 		return nil, fmt.Errorf("load sweep: trace: %w", err)
 	}
 	points := make([]LoadPoint, len(jobs))
-	_, err = s.runJobs(tr, sw.Shards, jobs, func(i int, res *exp.Result, wall time.Duration, _ int) {
+	_, err = s.runJobs(tr, 0, jobs, func(i int, res *exp.Result, wall time.Duration, _ int) {
 		p := sw.loadPoint(jobs[i].label, sw.RPS[i/len(protoOrder)], res, wall)
 		points[i] = p
 		progressf(sw.Progress, "rps %g %s: offered %d, shed %d (%.3f), p99 %.0f ms, %v",

@@ -102,34 +102,3 @@ func TestLoadSweepShape(t *testing.T) {
 		}
 	}
 }
-
-// TestLoadSweepShardedWorkerInvariance pins the sharded engine's
-// layout-independence on the load figure: 1 vs 4 workers over the same
-// seed must produce byte-identical canonical points.
-func TestLoadSweepShardedWorkerInvariance(t *testing.T) {
-	sw := smokeLoadSweep()
-	sw.RPS = sw.RPS[len(sw.RPS)-1:] // the saturating column exercises shed merging
-	sw.Shards = 1
-	a, err := RunLoad(sw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sw.Shards = 4
-	b, err := RunLoad(sw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pa, pb := pointsOf[LoadPoint](t, a), pointsOf[LoadPoint](t, b)
-	if len(pa) != len(protoOrder) || len(pb) != len(pa) {
-		t.Fatalf("point counts: %d and %d, want %d", len(pa), len(pb), len(protoOrder))
-	}
-	for i := range pa {
-		ca, cb := pa[i], pb[i]
-		ca.Env, cb.Env = LoadEnv{}, LoadEnv{} // wall time and workers differ run to run
-		ja, _ := json.Marshal(ca)
-		jb, _ := json.Marshal(cb)
-		if string(ja) != string(jb) {
-			t.Fatalf("point %d differs between 1 and 4 workers:\n%s\nvs\n%s", i, ja, jb)
-		}
-	}
-}

@@ -28,11 +28,11 @@ type Inputs struct {
 	// MinShared is Fig. 10's shared-subscriber threshold.
 	MinShared int
 	// SweepScale names the sweep figures' preset: small or paper, and
-	// for the scale sweep also 10m. Shards and Users, when positive,
-	// select the category partition's worker count and replace the preset
-	// population; TuneLoad, when non-nil, edits the load sweep's preset
-	// before it runs; Progress, when non-nil, receives the sweeps'
-	// per-point progress lines.
+	// for the scale sweep also 10m. Shards, when positive, runs the scale
+	// sweep over the category partition with that many workers; Users,
+	// when positive, replaces the preset population; TuneLoad, when
+	// non-nil, edits the load sweep's preset before it runs; Progress,
+	// when non-nil, receives the sweeps' per-point progress lines.
 	SweepScale string
 	Shards     int
 	Users      int
@@ -195,7 +195,6 @@ func runLoadFigure(in *Inputs) (*Report, error) {
 		}
 	}
 	sw.Seed = in.Scale.Seed
-	sw.Shards = in.Shards
 	if in.Users > 0 {
 		sw.Users = in.Users
 	}

@@ -13,9 +13,7 @@
 // thinning: candidate interarrivals are exponential at the profile's
 // peak rate and each candidate at time t is accepted with probability
 // rate(t)/peak. One seeded RNG drives the whole stream in time order,
-// so the sequence is deterministic for a given Profile — the property
-// the sharded runner relies on for byte-identical results across
-// worker counts.
+// so the sequence is deterministic for a given Profile.
 package load
 
 import (
@@ -44,10 +42,10 @@ const (
 )
 
 // FlashCrowd slams one channel with a sudden demand spike: during
-// [At, At+For) an extra Share·(Multiplier−1)·rate(t) arrivals per
-// second all request the channel's most popular video. With the
-// defaults (Share 1%, Multiplier 100) the flash window roughly doubles
-// total traffic while multiplying that one video's demand ~100×.
+// [At, At+For) an extra DefaultFlashShare·(DefaultFlashMultiplier−1)·rate(t)
+// arrivals per second all request the channel's most popular video. The
+// flash window roughly doubles total traffic while multiplying that one
+// video's demand ~100×.
 type FlashCrowd struct {
 	// Channel is the channel whose top-ranked video goes viral.
 	Channel int `json:"channel"`
@@ -55,17 +53,11 @@ type FlashCrowd struct {
 	At time.Duration `json:"at"`
 	// For is how long the flash crowd lasts.
 	For time.Duration `json:"for"`
-	// Multiplier scales the viral video's baseline demand share
-	// (which is Share of all traffic). Must be > 1; 0 means the
-	// default of 100.
-	Multiplier float64 `json:"multiplier,omitempty"`
-	// Share is the fraction of baseline traffic the video would
-	// organically attract, in (0, 1]. 0 means the default of 0.01.
-	Share float64 `json:"share,omitempty"`
 }
 
-// Default flash-crowd parameters, applied when the corresponding
-// FlashCrowd field is zero.
+// Flash-crowd intensity: the viral video would organically attract
+// DefaultFlashShare of the baseline traffic, and the crowd multiplies that
+// demand by DefaultFlashMultiplier.
 const (
 	DefaultFlashMultiplier = 100.0
 	DefaultFlashShare      = 0.01
@@ -145,12 +137,6 @@ func (p *Profile) Validate() error {
 		if f.Channel < 0 {
 			return fmt.Errorf("load: %w: flash channel %d must be >= 0", dist.ErrBadParameter, f.Channel)
 		}
-		if f.Multiplier != 0 && f.Multiplier <= 1 {
-			return fmt.Errorf("load: %w: flash multiplier %v must be > 1", dist.ErrBadParameter, f.Multiplier)
-		}
-		if f.Share < 0 || f.Share > 1 {
-			return fmt.Errorf("load: %w: flash share %v outside [0, 1]", dist.ErrBadParameter, f.Share)
-		}
 		if f.For <= 0 {
 			return fmt.Errorf("load: %w: flash window %v must be positive", dist.ErrBadParameter, f.For)
 		}
@@ -194,15 +180,7 @@ func (p *Profile) flashRate(t time.Duration) float64 {
 	if f == nil || t < f.At || t >= f.At+f.For {
 		return 0
 	}
-	mult := f.Multiplier
-	if mult == 0 {
-		mult = DefaultFlashMultiplier
-	}
-	share := f.Share
-	if share == 0 {
-		share = DefaultFlashShare
-	}
-	return p.Rate(t) * share * (mult - 1)
+	return p.Rate(t) * DefaultFlashShare * (DefaultFlashMultiplier - 1)
 }
 
 // Peak returns an upper bound on the total instantaneous rate (base +
@@ -217,51 +195,10 @@ func (p *Profile) Peak() float64 {
 	case Diurnal:
 		base = p.RPS * (1 + p.Swing)
 	}
-	if f := p.Flash; f != nil {
-		mult := f.Multiplier
-		if mult == 0 {
-			mult = DefaultFlashMultiplier
-		}
-		share := f.Share
-		if share == 0 {
-			share = DefaultFlashShare
-		}
-		base *= 1 + share*(mult-1)
+	if p.Flash != nil {
+		base *= 1 + DefaultFlashShare*(DefaultFlashMultiplier-1)
 	}
 	return base
-}
-
-// Split scales the profile down to one community cell of a sharded
-// run: the cell with `users` of `total` users offers that fraction of
-// the base rate, under a seed derived from the cell index so every
-// cell draws an independent deterministic stream. The flash crowd only
-// fires in the cell that homes the viral channel (hasFlash), where its
-// multiplier is rescaled so the crowd keeps its full global intensity
-// even though the cell's base rate shrank.
-func (p *Profile) Split(cell, users, total int, hasFlash bool) *Profile {
-	c := *p
-	frac := 0.0
-	if total > 0 {
-		frac = float64(users) / float64(total)
-	}
-	c.RPS *= frac
-	c.EndRPS *= frac
-	c.BurstRPS *= frac
-	c.Seed = p.Seed*1_000_003 + int64(cell+1)
-	c.Flash = nil
-	if f := p.Flash; f != nil && hasFlash && frac > 0 {
-		fc := *f
-		mult := fc.Multiplier
-		if mult == 0 {
-			mult = DefaultFlashMultiplier
-		}
-		// The cell's base rate is frac·global, so scaling the
-		// multiplier surplus by 1/frac keeps the absolute flash
-		// rate equal to the global profile's.
-		fc.Multiplier = 1 + (mult-1)/frac
-		c.Flash = &fc
-	}
-	return &c
 }
 
 // Arrival is one open-loop request arrival.

@@ -157,38 +157,6 @@ func TestGenDeterminism(t *testing.T) {
 	}
 }
 
-func TestSplitConservesRate(t *testing.T) {
-	p := &Profile{Mode: Steady, Seed: 17, RPS: 80, Duration: 200 * time.Second,
-		Flash: &FlashCrowd{Channel: 4, At: 50 * time.Second, For: 50 * time.Second}}
-	// Three cells of 500/300/200 users; flash channel homes in cell 1.
-	users := []int{500, 300, 200}
-	var total, flash int
-	for c, u := range users {
-		cp := p.Split(c, u, 1000, c == 1)
-		if cp.Seed == p.Seed {
-			t.Fatalf("cell %d kept the global seed", c)
-		}
-		arr := collect(t, cp)
-		total += len(arr)
-		for _, a := range arr {
-			if a.Flash {
-				flash++
-				if c != 1 {
-					t.Fatalf("flash arrival in non-home cell %d", c)
-				}
-			}
-		}
-	}
-	global := collect(t, p)
-	if math.Abs(float64(total)-float64(len(global)))/float64(len(global)) > 0.1 {
-		t.Fatalf("split cells offered %d arrivals, global profile %d", total, len(global))
-	}
-	wantFlash := 80.0 * DefaultFlashShare * (DefaultFlashMultiplier - 1) * 50
-	if math.Abs(float64(flash)-wantFlash)/wantFlash > 0.15 {
-		t.Fatalf("split flash arrivals %d, want ~%v (full global intensity in home cell)", flash, wantFlash)
-	}
-}
-
 func TestValidateRejectsBadProfiles(t *testing.T) {
 	bad := []*Profile{
 		{Mode: Steady, RPS: 0, Duration: time.Second},
@@ -200,8 +168,6 @@ func TestValidateRejectsBadProfiles(t *testing.T) {
 		{Mode: Diurnal, RPS: 5, Period: 0, Duration: time.Second},
 		{Mode: Diurnal, RPS: 5, Period: time.Second, Swing: 1.5, Duration: time.Second},
 		{Mode: Steady, RPS: 5, Duration: time.Second, Flash: &FlashCrowd{Channel: -1, For: time.Second}},
-		{Mode: Steady, RPS: 5, Duration: time.Second, Flash: &FlashCrowd{Multiplier: 0.5, For: time.Second}},
-		{Mode: Steady, RPS: 5, Duration: time.Second, Flash: &FlashCrowd{Share: 2, For: time.Second}},
 		{Mode: Steady, RPS: 5, Duration: time.Second, Flash: &FlashCrowd{For: 0}},
 		{Mode: Steady, RPS: 5, Duration: time.Second, Flash: &FlashCrowd{For: time.Second, At: 2 * time.Second}},
 	}

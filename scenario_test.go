@@ -65,9 +65,10 @@ func TestScenarioOptionsCompose(t *testing.T) {
 		t.Fatal(err)
 	}
 	tracer := &collectingTracer{}
+	sys.SetTracer(tracer)
 	res, err := socialtube.RunExperimentCtx(context.Background(), quickExperimentConfig(), tr, sys,
 		socialtube.DefaultNetworkConfig(),
-		socialtube.ExperimentOptions{Faults: socialtube.ChurnPlan(1, 4*time.Minute), Tracer: tracer})
+		socialtube.ExperimentOptions{Faults: socialtube.ChurnPlan(1, 4*time.Minute)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,20 +46,23 @@ check_loc() { # name budget-file find-args...
 check_loc "outside bench/" scripts/loc-budget . -not -path './bench/*'
 check_loc "bench/" scripts/loc-budget-bench bench
 
-echo "== experiment-driver gate (golden Results, determinism table, shared picker, N_h = 0, fault schedules and windows; -race x5) =="
+echo "== experiment-driver gate (golden Results, determinism table, shared picker, N_h = 0, fault schedules and windows, partition options; -race x5) =="
 # exp has one driver; these pin it. The golden hashes hold the whole
 # marshalled Result of both partitions, the table reruns each under worker
-# counts {1, 2, 4, 8}, the timeline's windowing, cell-order merge and JSON
-# layout are pinned, the N_h = 0 run must end with no inter-links, and
+# counts {1, 2, 4, 8}, the timeline's windowing and JSON layout are
+# pinned, the N_h = 0 run must end with no inter-links, and
 # every canned fault plan must compile to its pinned schedule. Every cell
 # draws from the run's one vod.Picker: it must plan what a picker over the
 # cell's own trace plans, and two goroutines drawing from it at once must
 # each get the sequential plans (a race here is a lazily filled cache). A
 # fault window is the fold of faults.Window.Apply: it must match a
 # brute-force reference over 256 random plans, and the runner must hold
-# that fold. Seconds, so they run before the minute-long suite.
-go test -race -count=5 -run 'TestGoldenResults|TestDeterministicUnderSeed|TestSharded(Timeline)?WorkerCountInvariance|TestSharedPickerDrawsAsCellPickers|TestTimeline|TestZeroInterLinkBudgetHoldsNoInterLinks|TestRunnerWindowIsTheFold|TestNestedOutageEqualsOuter|TestChaosWindowInSimulator' ./internal/exp/
+# that fold. The identity partition runs a job's fault plan, timeline and
+# load profile; the category partition refuses each. Seconds, so they run
+# before the minute-long suite.
+go test -race -count=5 -run 'TestGoldenResults|TestDeterministicUnderSeed|TestShardedWorkerCountInvariance|TestSharedPickerDrawsAsCellPickers|TestTimeline|TestZeroInterLinkBudgetHoldsNoInterLinks|TestRunnerWindowIsTheFold|TestNestedOutageEqualsOuter|TestChaosWindowInSimulator' ./internal/exp/
 go test -race -count=5 -run 'TestCannedPlanSchedulesPinned|TestWindowMatchesReference|TestValidateRejectsBadPlans' ./internal/faults/
+go test -race -count=5 -run 'TestRunCarriesJobOptionsToEitherPartition' ./internal/figures/
 
 echo "== trace pin gate (generator golden bytes, partition vs reference) =="
 # Every run starts from a generated trace and most from its partition. The
@@ -87,8 +90,9 @@ echo "== emulator wire and connection-reuse gate (-race x5) =="
 # destination), reused for 30 ms after its last exchange and closed on both
 # ends after that, a duplicated reply never answers the next request, a
 # lost request is never re-sent, and Stop/Rejoin release every socket at
-# once.
-go test -race -count=5 -run 'TestMessageRoundTrip|TestWireRoundTrip|TestCorruptFrameNeverDecodes|TestReadMessageRejectsMalformedBody|TestClientReusesOneConnection|TestIdleLifetime|TestReusedConnectionSkipsDuplicatedReply|TestDroppedRequestOnReusedConnectionFailsFast|TestStopAndRejoinReleaseConnections|TestChaosFrameFaults|TestEndpoint' ./internal/emu/
+# once. A plan's events due at the start apply before any peer's first
+# request.
+go test -race -count=5 -run 'TestMessageRoundTrip|TestWireRoundTrip|TestCorruptFrameNeverDecodes|TestReadMessageRejectsMalformedBody|TestClientReusesOneConnection|TestIdleLifetime|TestReusedConnectionSkipsDuplicatedReply|TestDroppedRequestOnReusedConnectionFailsFast|TestStopAndRejoinReleaseConnections|TestChaosFrameFaults|TestEndpoint|TestNilConditionsRunPlanWindows' ./internal/emu/
 
 echo "== go test -race =="
 go test -race ./...
@@ -132,7 +136,7 @@ esac
 echo "== load figure smoke (tiny sweep, canonical-stable points) =="
 # Same tiny sweep twice: every emitted line must carry a point, and the
 # two runs must agree byte-for-byte once the run stamp and the point's env
-# block (wall time, workers) are stripped — the canonical form the
+# block (wall time) are stripped — the canonical form the
 # determinism tests pin.
 go run ./cmd/socialtube-sim -fig load -load-rps 3,18 -load-dur 20s \
 	-bench-out "$tracetmp/BENCH_load_a.json" > /dev/null

@@ -38,10 +38,11 @@
 //
 // RunExperimentCtx and RunClusterCtx are the two run entry points. A
 // simulated run takes its network and its cross-cutting concerns — a
-// deterministic fault plan, a tracer — as arguments; a cluster run reads
-// the same concerns, plus WAN conditions and the control-plane shape, from
-// its ClusterConfig. Both results carry the run's final counter snapshot
-// in Obs:
+// deterministic fault plan, a telemetry window, an open-loop load profile —
+// as arguments, and a tracer is installed on the protocol itself
+// (sys.SetTracer); a cluster run reads its fault plan and tracer, plus WAN
+// conditions and the control-plane shape, from its ClusterConfig. Both
+// results carry the run's final counter snapshot in Obs:
 //
 //	res, err := socialtube.RunExperimentCtx(ctx,
 //		socialtube.DefaultExperimentConfig(), tr, sys,
@@ -186,7 +187,7 @@ type (
 	// ExperimentResult aggregates one simulated run.
 	ExperimentResult = exp.Result
 	// ExperimentOptions carries a simulated run's cross-cutting concerns:
-	// fault plan, tracer, telemetry window and open-loop load profile.
+	// fault plan, telemetry window and open-loop load profile.
 	ExperimentOptions = exp.Options
 	// NetworkConfig sets the simulated network (bandwidths, latency).
 	NetworkConfig = simnet.Config
@@ -198,7 +199,8 @@ type (
 type (
 	// Counters is the protocol-wide counter set a run snapshots.
 	Counters = obs.Counters
-	// Tracer receives protocol events when installed on a run.
+	// Tracer receives protocol events once installed on a protocol
+	// (SetTracer) or a cluster (ClusterConfig.Tracer).
 	Tracer = obs.Tracer
 	// TraceEvent is one emitted protocol event.
 	TraceEvent = obs.Event
@@ -241,9 +243,8 @@ func DefaultNetworkConfig() NetworkConfig { return simnet.DefaultConfig() }
 
 // RunExperimentCtx drives the protocol over the trace with churn under
 // ctx, on the simulated network net, and returns the paper's three
-// evaluation metrics. opts attaches a fault plan, a tracer, a telemetry
-// timeline or an open-loop load profile; its zero value is a plain healthy
-// run.
+// evaluation metrics. opts attaches a fault plan, a telemetry timeline or
+// an open-loop load profile; its zero value is a plain healthy run.
 func RunExperimentCtx(ctx context.Context, cfg ExperimentConfig, tr *Trace, p Protocol, net NetworkConfig, opts ExperimentOptions) (*ExperimentResult, error) {
 	return exp.RunCtx(ctx, cfg, tr, p, net, opts)
 }
