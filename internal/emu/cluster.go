@@ -173,7 +173,8 @@ type LiveMetrics struct {
 	ServerHits     int64           `json:"serverHits"`
 	Messages       int64           `json:"messages"`
 	// Mem reports the trace's deterministic memory footprint;
-	// HeapHighWater is the live heap peak, refreshed on every scrape
+	// HeapHighWater is the HeapAlloc peak (not yet freed garbage
+	// included, so not the live heap), refreshed on every scrape
 	// (serialized here explicitly because MemUsage keeps environmental
 	// numbers out of its own JSON encoding).
 	Mem           obs.MemUsage `json:"mem"`

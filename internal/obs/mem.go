@@ -17,16 +17,18 @@ type MemUsage struct {
 	// sweep's headline number (flat bytes-per-user means the dense
 	// layout scales linearly in N with no per-object overhead creep).
 	BytesPerUser float64 `json:"bytesPerUser"`
-	// HeapHighWater is the largest live-heap sample observed during the
-	// run. It is environmental (allocator and GC timing dependent), so
-	// it is excluded from the JSON encoding: same-seed results must stay
+	// HeapHighWater is the largest runtime.MemStats.HeapAlloc sample of
+	// the run: not the live heap, as it counts garbage the GC has not
+	// freed yet (after set-up, the trace generator's too). It is
+	// environmental (allocator and GC timing dependent), so it is
+	// excluded from the JSON encoding: same-seed results must stay
 	// byte-identical. Consumers that report environmental numbers anyway
 	// (the emu /metrics endpoint, the scale sweep's BENCH records, which
 	// carry wall-clock timings too) serve it through explicit fields.
 	HeapHighWater uint64 `json:"-"`
 }
 
-// MemWatermark tracks the process heap high-water mark at bounded cost.
+// MemWatermark tracks the process HeapAlloc high-water mark at low cost.
 // Tick is called once per unit of work (a video request, a served chunk)
 // and reads runtime.MemStats only on power-of-two period boundaries,
 // because ReadMemStats briefly stops the world. All state is atomic, so
@@ -55,11 +57,11 @@ func (m *MemWatermark) Tick() {
 	}
 }
 
-// Sample reads the current live heap unconditionally and folds it into
-// the high-water mark. Call it at run end so short runs that never crossed
-// a period boundary still report a watermark, then report HighWater: Sample
-// returns nothing so that the heap at that one moment cannot be published
-// under the name of the peak.
+// Sample reads HeapAlloc (allocated and not yet freed, garbage included)
+// unconditionally and folds it into the high-water mark. Call it at run
+// end so short runs that never crossed a period boundary still report a
+// watermark, then report HighWater: Sample returns nothing so that the
+// heap at that one moment cannot be published under the name of the peak.
 func (m *MemWatermark) Sample() {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)

@@ -53,78 +53,77 @@ func Crawl(tr *Trace, seed int64, maxUsers int) (*Trace, error) {
 }
 
 // subTrace builds a dense, self-consistent trace restricted to the given
-// users and channels.
+// users and channels. The catalog is sized exactly before it is filled,
+// and every list is carved from shared blocks at its final size.
 func subTrace(tr *Trace, users []UserID, chans map[ChannelID]bool) (*Trace, error) {
 	userIdx := make(map[UserID]UserID, len(users))
 	for i, uid := range users {
 		userIdx[uid] = UserID(i)
 	}
-	chanIdx := make(map[ChannelID]ChannelID, len(chans))
+	nVideos := 0
+	for cid := range chans {
+		nVideos += len(tr.Channel(cid).Videos)
+	}
 	out := &Trace{
 		Seed:       tr.Seed,
 		Categories: tr.Categories,
+		Channels:   make([]Channel, 0, len(chans)),
+		Videos:     make([]Video, 0, nVideos),
+		Users:      make([]User, 0, len(users)),
 		Start:      tr.Start,
 		End:        tr.End,
 	}
-	// Channels in ascending old-id order for determinism.
+	// Channels, and each one's videos, in ascending old-id order for
+	// determinism.
+	chanIdx := make(map[ChannelID]ChannelID, len(chans))
+	videoIdx := make(map[VideoID]VideoID, nVideos)
+	var cats slab[CategoryID]
+	var vids slab[VideoID]
+	var chanLists slab[ChannelID]
 	for i := range tr.Channels {
 		ch := &tr.Channels[i]
 		if !chans[ch.ID] {
 			continue
 		}
-		chanIdx[ch.ID] = ChannelID(len(out.Channels))
-		out.Channels = append(out.Channels, Channel{
-			ID:         chanIdx[ch.ID],
+		nc := Channel{
+			ID:         ChannelID(len(out.Channels)),
 			Primary:    ch.Primary,
-			Categories: append([]CategoryID(nil), ch.Categories...),
-		})
-	}
-	videoIdx := make(map[VideoID]VideoID)
-	for i := range tr.Channels {
-		ch := &tr.Channels[i]
-		if !chans[ch.ID] {
-			continue
+			Categories: cats.clone(ch.Categories),
+			Videos:     vids.take(len(ch.Videos)),
 		}
-		newCh := &out.Channels[chanIdx[ch.ID]]
-		for _, vid := range ch.Videos {
-			v := tr.Video(vid)
-			id := VideoID(len(out.Videos))
-			out.Videos = append(out.Videos, Video{
-				ID:        id,
-				Channel:   newCh.ID,
-				Category:  v.Category,
-				Views:     v.Views,
-				Favorites: v.Favorites,
-				Uploaded:  v.Uploaded,
-				Length:    v.Length,
-				Rank:      v.Rank,
-			})
-			videoIdx[vid] = id
-			newCh.Videos = append(newCh.Videos, id)
+		chanIdx[ch.ID] = nc.ID
+		for r, vid := range ch.Videos {
+			v := *tr.Video(vid)
+			v.ID, v.Channel = VideoID(len(out.Videos)), nc.ID
+			out.Videos = append(out.Videos, v)
+			videoIdx[vid] = v.ID
+			nc.Videos[r] = v.ID
 		}
+		out.Channels = append(out.Channels, nc)
 	}
+	var subs []ChannelID
+	var favs []VideoID
 	for _, uid := range users {
 		u := tr.User(uid)
-		nu := User{
-			ID:        userIdx[uid],
-			Interests: append([]CategoryID(nil), u.Interests...),
-		}
+		subs, favs = subs[:0], favs[:0]
 		for _, cid := range u.Subscriptions {
-			nc, ok := chanIdx[cid]
-			if !ok {
-				continue
+			if nc, ok := chanIdx[cid]; ok {
+				subs = append(subs, nc)
 			}
-			nu.Subscriptions = append(nu.Subscriptions, nc)
-			out.Channels[nc].Subscribers = append(out.Channels[nc].Subscribers, nu.ID)
 		}
 		for _, vid := range u.Favorites {
 			if nv, ok := videoIdx[vid]; ok {
-				nu.Favorites = append(nu.Favorites, nv)
+				favs = append(favs, nv)
 			}
 		}
-		out.Users = append(out.Users, nu)
+		out.Users = append(out.Users, User{
+			ID:            userIdx[uid],
+			Interests:     cats.clone(u.Interests),
+			Subscriptions: chanLists.clone(subs),
+			Favorites:     vids.clone(favs),
+		})
 	}
-	out.Compact()
+	out.fillSubscribers()
 	if err := out.Validate(); err != nil {
 		return nil, fmt.Errorf("crawl produced inconsistent trace: %w", err)
 	}

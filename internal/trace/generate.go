@@ -109,6 +109,13 @@ type generator struct {
 	catSeen    []bool            // sampleInterests' scratch, one per category
 	catCount   []int             // deriveInterests' tally, one per category
 	derived    []CategoryID      // deriveInterests' scratch list
+	subs       []ChannelID       // users' scratch subscription list
+	favs       []VideoID         // favorites' scratch list
+	// Every kept list but Subscribers is carved from these at its final
+	// size; latent holds the interests deriveInterests replaces.
+	cats, latent slab[CategoryID]
+	vids         slab[VideoID]
+	chans        slab[ChannelID]
 }
 
 // zipfCache holds the samplers built for one exponent, indexed by n.
@@ -175,6 +182,7 @@ func Generate(cfg Config) (*Trace, error) {
 	if err := gen.users(); err != nil {
 		return nil, err
 	}
+	gen.tr.fillSubscribers()
 	if err := gen.videos(); err != nil {
 		return nil, err
 	}
@@ -185,9 +193,8 @@ func Generate(cfg Config) (*Trace, error) {
 		}
 		gen.deriveInterests(u)
 	}
-	// Pack the per-object lists into shared arenas: from here on the
-	// trace is read-only for every consumer.
-	gen.tr.Compact()
+	// Every list is a view into a slab or the subscriber array: from here
+	// on the trace is read-only for every consumer.
 	return gen.tr, nil
 }
 
@@ -197,6 +204,7 @@ func Generate(cfg Config) (*Trace, error) {
 // their latent preferences.
 func (gen *generator) deriveInterests(u *User) {
 	if len(u.Favorites) == 0 {
+		u.Interests = gen.cats.clone(u.Interests)
 		return
 	}
 	counts, derived := gen.catCount, gen.derived[:0]
@@ -217,7 +225,7 @@ func (gen *generator) deriveInterests(u *User) {
 		counts[c] = 0
 	}
 	gen.derived = derived // keep the grown scratch for the next user
-	u.Interests = slices.Clone(derived[:min(len(derived), gen.cfg.MaxInterestsPerUser)])
+	u.Interests = gen.cats.clone(derived[:min(len(derived), gen.cfg.MaxInterestsPerUser)])
 }
 
 // categoryWeights gives each category a popularity weight so some categories
@@ -249,17 +257,11 @@ func (gen *generator) channels() error {
 		primary := CategoryID(gen.catWeights.Choice(g))
 		// Channels focus on few categories (Fig. 11): 1 + Poisson(0.9)
 		// extra categories, capped at 5.
-		nCats := 1 + dist.Poisson(g, 0.9)
-		if nCats > 5 {
-			nCats = 5
-		}
-		if nCats > cfg.Categories {
-			nCats = cfg.Categories
-		}
+		nCats := min(1+dist.Poisson(g, 0.9), 5, cfg.Categories)
 		tr.Channels = append(tr.Channels, Channel{
 			ID:         ChannelID(i),
 			Primary:    primary,
-			Categories: pickCategories(g, cfg.Categories, int(primary), nCats),
+			Categories: gen.cats.clone(pickCategories(g, cfg.Categories, int(primary), nCats)),
 		})
 		pop := popDist.Sample(g)
 		gen.chanPop = append(gen.chanPop, pop)
@@ -290,43 +292,40 @@ func (gen *generator) videos() error {
 	if err != nil {
 		return err
 	}
-	// Videos per channel (Fig. 6): heavy-tailed, median around 9.
-	// Calibrated to Fig. 6: median ≈9 videos per channel, top 10% above
-	// ≈116, bounded by the configured maximum.
+	// Videos per channel (Fig. 6): heavy-tailed, calibrated to a median
+	// of ≈9 and a top 10% above ≈116, bounded by the configured maximum.
 	countDist, err := dist.NewBoundedPareto(0.65, 3.1, float64(cfg.MaxVideosPerChannel))
 	if err != nil {
 		return err
 	}
 	spanSec := span.Seconds()
+	mult := cfg.VideoCountMultiplier
+	if mult <= 0 {
+		mult = 1
+	}
+	// Each channel's videos go into a block of exactly the drawn size,
+	// concatenated once into an exact-size catalog after the loop:
+	// appending ~100k videos one by one would allocate several catalogs'
+	// worth of outgrown arrays.
+	blocks, total := make([][]Video, len(tr.Channels)), 0
 	for ci := range tr.Channels {
 		ch := &tr.Channels[ci]
-		mult := cfg.VideoCountMultiplier
-		if mult <= 0 {
-			mult = 1
-		}
-		nVideos := int(countDist.Sample(g) * mult)
-		if nVideos < 1 {
-			nVideos = 1
-		}
+		nVideos := max(1, int(countDist.Sample(g)*mult))
 		zipf, err := gen.zipfFor(nVideos, zipfExponent)
 		if err != nil {
 			return err
 		}
-		// Total channel views scale with the channel's subscriber count
-		// (Fig. 5's strong positive correlation) plus a popularity
-		// floor so unsubscribed channels still accrue some views.
-		// Total views grow with the audience (subscribers, Fig. 5) and
-		// sublinearly with catalog size: a channel's viewers
-		// concentrate on its top-ranked videos, so doubling the
-		// catalog does not double total views.
+		// Total channel views grow with the subscriber count (Fig. 5's
+		// strong positive correlation) over a popularity floor, so
+		// unsubscribed channels still accrue some views, and sublinearly
+		// with catalog size: viewers concentrate on a channel's
+		// top-ranked videos, so doubling it does not double the views.
 		nSubs := float64(len(ch.Subscribers))
 		totalViews := (gen.chanPop[ci] + 40*nSubs*(0.75+0.5*g.Float64())) * math.Sqrt(float64(nVideos)) * 12
-		ch.Videos = make([]VideoID, 0, nVideos)
+		ch.Videos = gen.vids.take(nVideos)
+		blocks[ci] = make([]Video, nVideos)
 		for r := 1; r <= nVideos; r++ {
-			views := int64(totalViews * zipf.P(r))
-			if views < 1 {
-				views = 1
-			}
+			views := max(1, int64(totalViews*zipf.P(r)))
 			// Favourites correlate strongly with views (Fig. 8;
 			// Chatzopoulou et al. report Pearson > 0.9).
 			favRate := 0.002 + 0.003*g.Float64()
@@ -336,15 +335,9 @@ func (gen *generator) videos() error {
 			// more uploads late in the period.
 			u := g.Float64()
 			at := tr.Start.Add(time.Duration(math.Sqrt(u) * spanSec * float64(time.Second)))
-			length := time.Duration(lengthDist.Sample(g) * float64(time.Second))
-			if length < 10*time.Second {
-				length = 10 * time.Second
-			}
-			if length > 30*time.Minute {
-				length = 30 * time.Minute
-			}
-			id := VideoID(len(tr.Videos))
-			tr.Videos = append(tr.Videos, Video{
+			length := min(max(time.Duration(lengthDist.Sample(g)*float64(time.Second)), 10*time.Second), 30*time.Minute)
+			id := VideoID(total + r - 1)
+			blocks[ci][r-1] = Video{
 				ID:        id,
 				Channel:   ch.ID,
 				Category:  videoCategory(g, ch),
@@ -353,9 +346,14 @@ func (gen *generator) videos() error {
 				Uploaded:  at,
 				Length:    length,
 				Rank:      r,
-			})
-			ch.Videos = append(ch.Videos, id)
+			}
+			ch.Videos[r-1] = id
 		}
+		total += nVideos
+	}
+	tr.Videos = make([]Video, 0, total) // not slices.Concat: it rounds the capacity up
+	for _, b := range blocks {
+		tr.Videos = append(tr.Videos, b...)
 	}
 	return nil
 }
@@ -375,25 +373,21 @@ func (gen *generator) users() error {
 	for i := 0; i < cfg.Users; i++ {
 		u := User{ID: UserID(i)}
 		// Interests per user (Fig. 13): ~60% below 10, max ≈18.
-		nInterests := 1 + dist.Poisson(g, 6.5)
-		if nInterests > cfg.MaxInterestsPerUser {
-			nInterests = cfg.MaxInterestsPerUser
-		}
-		u.Interests = gen.sampleInterests(nInterests)
+		u.Interests = gen.sampleInterests(min(1+dist.Poisson(g, 6.5), cfg.MaxInterestsPerUser))
 
 		nSubs := 1 + dist.Poisson(g, meanSubscriptionsPerUser-1)
-		u.Subscriptions = make([]ChannelID, 0, nSubs)
+		subs := gen.subs[:0]
 		for s := 0; s < nSubs; s++ {
 			ch, err := gen.pickSubscription(&u)
 			if err != nil {
 				return err
 			}
-			if ch < 0 || slices.Contains(u.Subscriptions, ch) {
+			if ch < 0 || slices.Contains(subs, ch) {
 				continue
 			}
-			u.Subscriptions = append(u.Subscriptions, ch)
-			tr.Channels[ch].Subscribers = append(tr.Channels[ch].Subscribers, u.ID)
+			subs = append(subs, ch)
 		}
+		u.Subscriptions, gen.subs = gen.chans.clone(subs), subs
 		tr.Users = append(tr.Users, u)
 	}
 	return nil
@@ -404,7 +398,7 @@ func (gen *generator) users() error {
 // user's subscriptions.
 func (gen *generator) sampleInterests(n int) []CategoryID {
 	seen := gen.catSeen
-	out := make([]CategoryID, 0, n)
+	out := gen.latent.take(n)[:0]
 	for attempts := 0; len(out) < n && attempts < 20*n; attempts++ {
 		c := gen.catWeights.Choice(gen.g)
 		if c < 0 || seen[c] {
@@ -456,11 +450,11 @@ func (gen *generator) pickSubscription(u *User) (ChannelID, error) {
 func (gen *generator) favorites(u *User) error {
 	g, tr := gen.g, gen.tr
 	nFavs := dist.Poisson(g, meanFavoritesPerUser)
-	if nFavs == 0 || len(tr.Videos) == 0 {
-		return nil
+	if len(tr.Videos) == 0 {
+		nFavs = 0
 	}
-	u.Favorites = make([]VideoID, 0, nFavs)
-	for attempts := 0; len(u.Favorites) < nFavs && attempts < 20*nFavs; attempts++ {
+	favs := gen.favs[:0]
+	for attempts := 0; len(favs) < nFavs && attempts < 20*nFavs; attempts++ {
 		var vid VideoID
 		// Favourites come mostly from subscribed channels (popular
 		// ranks first), occasionally anywhere. The paper derives user
@@ -479,10 +473,11 @@ func (gen *generator) favorites(u *User) error {
 		} else {
 			vid = VideoID(g.Intn(len(tr.Videos)))
 		}
-		if slices.Contains(u.Favorites, vid) {
+		if slices.Contains(favs, vid) {
 			continue
 		}
-		u.Favorites = append(u.Favorites, vid)
+		favs = append(favs, vid)
 	}
+	u.Favorites, gen.favs = gen.vids.clone(favs), favs
 	return nil
 }

@@ -335,6 +335,44 @@ func TestInterestsDerivedFromFavorites(t *testing.T) {
 	}
 }
 
+// TestTraceListsAreFullViews checks every list of a generated and of a
+// crawled trace: non-nil, so an empty one encodes as [] and not null, and
+// with no spare capacity, so a consumer's append reallocates instead of
+// writing into the next object's list in the shared block.
+func TestTraceListsAreFullViews(t *testing.T) {
+	tr := mustGenerate(t, smallConfig(5))
+	crawled, err := Crawl(tr, 5, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A lone user with no lists at all: the crawl's first lists are empty.
+	lone, err := Crawl(&Trace{Categories: 1, Users: []User{{ID: 0}}}, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, x := range map[string]*Trace{"generated": tr, "crawled": crawled, "lone crawled": lone} {
+		for i := range x.Channels {
+			ch := &x.Channels[i]
+			checkFullView(t, name, "channel categories", ch.Categories)
+			checkFullView(t, name, "channel videos", ch.Videos)
+			checkFullView(t, name, "channel subscribers", ch.Subscribers)
+		}
+		for i := range x.Users {
+			u := &x.Users[i]
+			checkFullView(t, name, "user interests", u.Interests)
+			checkFullView(t, name, "user subscriptions", u.Subscriptions)
+			checkFullView(t, name, "user favourites", u.Favorites)
+		}
+	}
+}
+
+func checkFullView[T any](t *testing.T, trace, what string, list []T) {
+	t.Helper()
+	if list == nil || cap(list) != len(list) {
+		t.Fatalf("%s trace: %s list is nil=%v with len %d, cap %d", trace, what, list == nil, len(list), cap(list))
+	}
+}
+
 // TestGenerateGoldenBytes pins the generator's output byte-for-byte: the
 // sha-256 of SaveStream for the default configuration at three population
 // sizes, taken before the subscription draws stopped building a weight

@@ -78,9 +78,10 @@ type User struct {
 // Trace is a complete synthetic crawl of the modelled social network.
 //
 // The layout is dense and index-addressed: objects live in value slices
-// (id == index, enforced by Validate), and after Compact() every
-// per-object variable-length list is a view into one of four shared
-// arenas. At paper scale (1M users) this removes millions of individual
+// (id == index, enforced by Validate), and every per-object
+// variable-length list is a view into a shared array: Generate and Crawl
+// carve them from a few blocks, LoadStream packs them into four arenas.
+// At paper scale (1M users) this removes millions of individual
 // allocations and pointer targets, cutting both the heap footprint and
 // GC scan time; the JSON encoding is unchanged.
 type Trace struct {
@@ -92,8 +93,8 @@ type Trace struct {
 	// Start and End bound the upload dates in the trace.
 	Start time.Time `json:"start"`
 	End   time.Time `json:"end"`
-	// Arenas backing the per-object lists after Compact. Unexported:
-	// they are a storage detail, rebuilt on demand, never serialized.
+	// Arenas backing a loaded trace's per-object lists. Unexported: they
+	// are a storage detail, never serialized.
 	catArena  []CategoryID
 	vidArena  []VideoID
 	userArena []UserID
@@ -139,56 +140,57 @@ func (t *Trace) ChannelViews(id ChannelID) int64 {
 	return total
 }
 
-// ChannelsInCategory returns the ids of channels whose primary category is c.
-func (t *Trace) ChannelsInCategory(c CategoryID) []ChannelID {
-	var out []ChannelID
-	for i := range t.Channels {
-		if t.Channels[i].Primary == c {
-			out = append(out, t.Channels[i].ID)
+// fillSubscribers derives every channel's Subscribers from the users'
+// Subscriptions in one counted pass: each list is a full-capacity view
+// into one exact-size array, in user order, so no list grows by append.
+func (t *Trace) fillSubscribers() {
+	pos := make([]int, len(t.Channels)+1) // counts, then where channel c's next subscriber goes
+	for i := range t.Users {
+		for _, c := range t.Users[i].Subscriptions {
+			pos[c+1]++
 		}
 	}
+	for c := 1; c < len(pos); c++ {
+		pos[c] += pos[c-1]
+	}
+	arena := make([]UserID, pos[len(t.Channels)])
+	for i := range t.Users {
+		for _, c := range t.Users[i].Subscriptions {
+			arena[pos[c]] = t.Users[i].ID
+			pos[c]++
+		}
+	}
+	start := 0
+	for c := range t.Channels {
+		t.Channels[c].Subscribers = arena[start:pos[c]:pos[c]]
+		start = pos[c]
+	}
+}
+
+// slab hands out exact-size lists carved from shared blocks, so a built
+// trace needs no second copy of its lists and its heap holds a few large
+// objects instead of one per list. Each list is non-nil, so an empty one
+// encodes as [] and not null, and has no spare capacity, so a stray
+// append reallocates instead of bleeding into the next object's list.
+type slab[T any] struct{ free []T }
+
+func (s *slab[T]) take(n int) []T {
+	if n > len(s.free) || s.free == nil {
+		s.free = make([]T, max(n, 1<<12))
+	}
+	out := s.free[:n:n]
+	s.free = s.free[n:]
 	return out
 }
 
-// Compact repacks every per-object variable-length list (a channel's
-// categories/videos/subscribers, a user's interests/subscriptions/
-// favourites) into four shared arenas, replacing millions of small
-// heap allocations with a handful of large ones. Each list becomes a
-// full-capacity three-index view arena[off:end:end], so a stray append
-// reallocates instead of bleeding into the next object's list. Safe to
-// call repeatedly; content is unchanged.
-func (t *Trace) Compact() {
-	var nCat, nVid, nUser, nChan int
-	for i := range t.Channels {
-		nCat += len(t.Channels[i].Categories)
-		nVid += len(t.Channels[i].Videos)
-		nUser += len(t.Channels[i].Subscribers)
-	}
-	for i := range t.Users {
-		nCat += len(t.Users[i].Interests)
-		nChan += len(t.Users[i].Subscriptions)
-		nVid += len(t.Users[i].Favorites)
-	}
-	t.catArena = make([]CategoryID, 0, nCat)
-	t.vidArena = make([]VideoID, 0, nVid)
-	t.userArena = make([]UserID, 0, nUser)
-	t.chanArena = make([]ChannelID, 0, nChan)
-	for i := range t.Channels {
-		ch := &t.Channels[i]
-		ch.Categories = pack(&t.catArena, ch.Categories)
-		ch.Videos = pack(&t.vidArena, ch.Videos)
-		ch.Subscribers = pack(&t.userArena, ch.Subscribers)
-	}
-	for i := range t.Users {
-		u := &t.Users[i]
-		u.Interests = pack(&t.catArena, u.Interests)
-		u.Subscriptions = pack(&t.chanArena, u.Subscriptions)
-		u.Favorites = pack(&t.vidArena, u.Favorites)
-	}
+func (s *slab[T]) clone(list []T) []T {
+	out := s.take(len(list))
+	copy(out, list)
+	return out
 }
 
-// pack appends one list to its arena and returns the capacity-clamped
-// view.
+// pack appends one list to LoadStream's arena and returns the
+// full-capacity view.
 func pack[T any](arena *[]T, list []T) []T {
 	off := len(*arena)
 	*arena = append(*arena, list...)

@@ -341,20 +341,3 @@ func TestTraceAccessorsOutOfRange(t *testing.T) {
 		t.Error("ChannelViews out-of-range should be 0")
 	}
 }
-
-func TestChannelsInCategory(t *testing.T) {
-	tr := mustGenerate(t, smallConfig(14))
-	total := 0
-	for c := 0; c < tr.Categories; c++ {
-		ids := tr.ChannelsInCategory(CategoryID(c))
-		total += len(ids)
-		for _, id := range ids {
-			if tr.Channels[id].Primary != CategoryID(c) {
-				t.Fatalf("channel %d primary mismatch", id)
-			}
-		}
-	}
-	if total != len(tr.Channels) {
-		t.Errorf("per-category channel counts sum to %d, want %d", total, len(tr.Channels))
-	}
-}

@@ -2,9 +2,9 @@
 # CI gate for the SocialTube reproduction.
 #
 # Build, vet and gofmt, check what fails fast (the nested benchmark module, the two
-# line-count budgets), race-test everything once (no per-subsystem -run
-# reruns: the ./... line already ran them), then run the short allocation
-# benchmarks and the end-to-end CLI smokes.
+# line-count budgets), run the pinned gates and the allocation guards the
+# race build compiles out, race-test everything once, then run the short
+# allocation benchmarks and the end-to-end CLI smokes.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -70,6 +70,14 @@ echo "== trace pin gate (generator golden bytes, partition vs reference) =="
 # row too, so not -short), and the partition must match the per-cell
 # reference filter byte for byte. Seconds.
 go test -count=1 -run 'TestGenerateGoldenBytes|TestPartitionMatchesReference' ./internal/trace/
+
+echo "== allocation guards (the !race tests, without -race) =="
+# The race build compiles out every //go:build !race test: its
+# instrumentation inflates allocation counts. These are all of them: heap
+# budgets of a loaded or generated trace and of a run's cells and result,
+# and the hot paths that must not allocate. Seconds.
+go test -count=1 -run '^(TestLoadStreamHeapBudget|TestGenerateAllocBudget|TestGenerateAllocatesWhatItKeeps|TestHistObserveAllocFree|TestNetTubeProbeAndLinksAllocFree|TestFrameDrawAllocFree|TestWireAllocs|TestHostileListCountAllocatesNothing|TestParkedReaderPinsNoFrameBuffer|TestEngineSteadyStateAllocFree|TestLatencyAllocFree|TestRequestAllocFreeAfterRepair|TestRequestAllocFreeWithOpenBreakers|TestRequestAllocFreeWithTelemetry|TestRequestStaysAllocFree|TestProbeAllocFree|TestFinishAllocFree|TestLeaveJoinAllocFree|TestRemoteLookupAllocFree|TestHeapHighWaterReportsThePeak|TestCellsCostTheirUsersNotTheCatalog|TestFinishedResultFootprint|TestTimelineRecordAllocFree)$' \
+	./internal/trace/ ./internal/obs/ ./internal/baseline/ ./internal/emu/ ./internal/sim/ ./internal/simnet/ ./internal/core/ ./internal/exp/
 
 echo "== hot-path layout gate (cache fingerprint words, one mesh representation, event heap order; -race x5) =="
 # A flood's hit test reads a node's fingerprint word before its cache, and
