@@ -173,7 +173,7 @@ func TestProbeAllocFree(t *testing.T) {
 	probeNext := func() {
 		for tries := 0; tries < len(tr.Users); tries++ {
 			i++
-			if n := i % len(tr.Users); sys.Home(n) >= 0 && !sys.inter.Full(n) {
+			if n := i % len(tr.Users); sys.nodes[n].home >= 0 && !sys.inter.Full(n) {
 				sys.Probe(n)
 				reseeded++
 				return
@@ -214,7 +214,7 @@ func TestFinishAllocFree(t *testing.T) {
 			continue
 		}
 		pairs = append(pairs, pair{int(u.ID), ch.Videos[int(u.ID)%len(ch.Videos)]})
-		prefixes += sys.Cache(int(u.ID)).PrefixLen()
+		prefixes += sys.caches.Cache(int(u.ID)).PrefixLen()
 	}
 	if sys.cfg.PrefetchCount == 0 || prefixes == 0 {
 		t.Fatal("warm-up prefetched nothing: the guard would measure no pick")

@@ -17,7 +17,7 @@ func (s *System) RepairNeighbors(dead int) (links, msgs int) {
 		return 0, 0
 	}
 	// Drop the dead node's stale edges from both meshes. Fail already
-	// saved them in prevInner/prevInter, so a later rejoin can still
+	// saved them in its prev row, so a later rejoin can still
 	// try to reconnect.
 	nbs := append(s.inner.Neighbors(dead), s.inter.NeighborsView(dead)...)
 	s.inner.RemoveNode(dead)

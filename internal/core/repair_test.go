@@ -78,7 +78,7 @@ func TestReseedRestoresPrefixes(t *testing.T) {
 	tr := coreTrace(t)
 	s, node, _ := failCluster(t, tr)
 	s.Join(node)
-	home := s.Home(node)
+	home := s.nodes[node].home
 	if home < 0 {
 		t.Fatal("rejoined node has no home channel")
 	}
@@ -95,7 +95,7 @@ func TestReseedRestoresPrefixes(t *testing.T) {
 	}
 	have := 0
 	for i := 0; i < want; i++ {
-		if s.Cache(node).HasPrefix(ch.Videos[i]) {
+		if s.caches.Cache(node).HasPrefix(ch.Videos[i]) {
 			have++
 		}
 	}

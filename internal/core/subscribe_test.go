@@ -65,13 +65,13 @@ func TestSubscribeChangesJoinBehavior(t *testing.T) {
 
 	s.Join(node)
 	s.Request(node, v)
-	if s.Home(node) == ch.ID {
+	if s.nodes[node].home == ch.ID {
 		t.Fatal("non-subscriber joined the channel overlay")
 	}
 	s.Subscribe(node, ch.ID)
 	s.Request(node, v)
-	if s.Home(node) != ch.ID {
-		t.Fatalf("subscriber's home = %d, want %d", s.Home(node), ch.ID)
+	if s.nodes[node].home != ch.ID {
+		t.Fatalf("subscriber's home = %d, want %d", s.nodes[node].home, ch.ID)
 	}
 }
 
@@ -82,13 +82,13 @@ func TestUnsubscribeDetachesHomeOverlay(t *testing.T) {
 	ch := tr.Video(v).Channel
 	s.Join(node)
 	s.Request(node, v)
-	if s.Home(node) != ch {
+	if s.nodes[node].home != ch {
 		t.Skip("node did not join its subscribed channel")
 	}
 	if !s.Unsubscribe(node, ch) {
 		t.Fatal("unsubscribe failed")
 	}
-	if s.Home(node) == ch {
+	if s.nodes[node].home == ch {
 		t.Fatal("unsubscribed node still in the channel overlay")
 	}
 	if s.InnerLinks(node) != 0 {
@@ -168,12 +168,12 @@ func TestRequestAfterCategorySwitchDropsInterLinks(t *testing.T) {
 	s.Join(node)
 	s.Request(node, chA.Videos[0])
 	s.Request(node, chB.Videos[0])
-	if s.Home(node) != chB.ID {
-		t.Fatalf("home = %d, want %d after switch", s.Home(node), chB.ID)
+	if s.nodes[node].home != chB.ID {
+		t.Fatalf("home = %d, want %d after switch", s.nodes[node].home, chB.ID)
 	}
 	// All inter links must now point into chB's category.
 	for _, nb := range s.inter.Neighbors(node) {
-		nbHome := s.Home(nb)
+		nbHome := s.nodes[nb].home
 		if nbHome < 0 {
 			continue
 		}
@@ -229,7 +229,7 @@ func TestNonSubscriberServedViaCategory(t *testing.T) {
 	if res.Source != vod.SourcePeer {
 		t.Fatalf("non-subscriber source = %v, want peer via category overlay", res.Source)
 	}
-	if s.Home(outsider) == ch.ID {
+	if s.nodes[outsider].home == ch.ID {
 		t.Fatal("non-subscriber must not join the channel overlay")
 	}
 }

@@ -43,8 +43,12 @@ type System struct {
 	// id — the state the server keeps so it can assist joins (much less
 	// than NetTube's per-video tracking, as §IV-A notes).
 	members []overlay.Members
-	// nodes is indexed by node id.
+	// nodes is indexed by node id, and so are prev's rows.
 	nodes []nodeState
+	// prev remembers each node's neighbours across sessions so a returning
+	// node can reconnect without the server: row n is N_l+N_h slots, the
+	// inner neighbours first, then the inter ones, counted in nodeState.
+	prev []int32
 	// caches holds every node's cache, which survives offline periods
 	// ("nodes store their cached videos for their next session"), beside
 	// the fingerprint word a flood's hit test reads first.
@@ -86,10 +90,9 @@ type nodeState struct {
 	// home is the channel overlay the node currently belongs to (the
 	// channel it is watching); -1 when unattached.
 	home trace.ChannelID
-	// prevInner/prevInter remember neighbours across sessions so a
-	// returning node can reconnect without the server.
-	prevInner []int
-	prevInter []int
+	// prevInner and prevInter count the neighbours remembered in the
+	// node's prev row.
+	prevInner, prevInter uint8
 }
 
 // New builds a SocialTube system over the trace.
@@ -108,6 +111,7 @@ func New(cfg Config, tr *trace.Trace) (*System, error) {
 		inter:   overlay.NewDenseMesh(cfg.InterLinks, len(tr.Users)),
 		members: make([]overlay.Members, len(tr.Channels)),
 		nodes:   make([]nodeState, len(tr.Users)),
+		prev:    make([]int32, len(tr.Users)*(cfg.InnerLinks+cfg.InterLinks)),
 		caches:  vod.NewCaches(len(tr.Users), cfg.CacheVideos),
 		byCat:   make([][]trace.ChannelID, tr.Categories),
 		subs:    make([][]trace.ChannelID, len(tr.Users)),
@@ -164,15 +168,17 @@ func (s *System) Join(node int) {
 	// Drop stale mesh edges left by an earlier abrupt failure.
 	s.prune(node)
 	reconnected := false
-	for _, nb := range st.prevInner {
-		if s.Online(nb) && s.nodes[nb].home == st.home {
+	inner := int(st.prevInner)
+	prev := s.prevRow(node)[:inner+int(st.prevInter)]
+	for _, nb := range prev[:inner] {
+		if nb := int(nb); s.Online(nb) && s.nodes[nb].home == st.home {
 			if s.inner.Connected(node, nb) || s.inner.Connect(node, nb) {
 				reconnected = true
 			}
 		}
 	}
-	for _, nb := range st.prevInter {
-		if s.Online(nb) {
+	for _, nb := range prev[inner:] {
+		if nb := int(nb); s.Online(nb) {
 			if s.inter.Connected(node, nb) || s.inter.Connect(node, nb) {
 				reconnected = true
 			}
@@ -211,12 +217,24 @@ func (s *System) Fail(node int) {
 	}
 }
 
-// rememberNeighbors saves the departing node's links, refilling the two
-// lists in place.
+// prevRow returns the node's row of remembered neighbours.
+func (s *System) prevRow(node int) []int32 {
+	w := s.cfg.InnerLinks + s.cfg.InterLinks
+	return s.prev[node*w : (node+1)*w]
+}
+
+// rememberNeighbors saves the departing node's links into its row. Each
+// mesh bounds a node's degree by its link budget, so both fit.
 func (s *System) rememberNeighbors(node int) {
-	st := &s.nodes[node]
-	st.prevInner = append(st.prevInner[:0], s.inner.NeighborsView(node)...)
-	st.prevInter = append(st.prevInter[:0], s.inter.NeighborsView(node)...)
+	st, prev := &s.nodes[node], s.prevRow(node)
+	inner, inter := s.inner.NeighborsView(node), s.inter.NeighborsView(node)
+	for i, nb := range inner {
+		prev[i] = int32(nb)
+	}
+	for i, nb := range inter {
+		prev[len(inner)+i] = int32(nb)
+	}
+	st.prevInner, st.prevInter = uint8(len(inner)), uint8(len(inter))
 }
 
 // detach removes a node from its overlays entirely (used when switching
@@ -287,24 +305,6 @@ func (s *System) InnerLinks(node int) int { return s.inner.Degree(node) }
 
 // InterLinks returns the node's higher-level link count.
 func (s *System) InterLinks(node int) int { return s.inter.Degree(node) }
-
-// Home returns the channel overlay the node currently belongs to (-1 when
-// unattached).
-func (s *System) Home(node int) trace.ChannelID {
-	if !s.Known(node) {
-		return -1
-	}
-	return s.nodes[node].home
-}
-
-// Cache exposes the node's cache (read-mostly; used by tests and the
-// experiment engine for accounting).
-func (s *System) Cache(node int) *vod.Cache {
-	if !s.Known(node) {
-		return nil
-	}
-	return s.caches.Cache(node)
-}
 
 func (s *System) channelCategory(ch trace.ChannelID) trace.CategoryID {
 	c := s.Trace.Channel(ch)

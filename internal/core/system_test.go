@@ -282,8 +282,8 @@ func TestRejoinReconnectsToPreviousNeighbors(t *testing.T) {
 	if s.Links(node) == 0 {
 		t.Fatal("rejoin did not reconnect to previous neighbours")
 	}
-	if s.Home(node) != ch {
-		t.Fatalf("rejoined home = %d, want %d", s.Home(node), ch)
+	if s.nodes[node].home != ch {
+		t.Fatalf("rejoined home = %d, want %d", s.nodes[node].home, ch)
 	}
 }
 
@@ -325,7 +325,7 @@ func TestPrefetchMarksTopChannelVideos(t *testing.T) {
 	watched := ch.Videos[4]
 	s.Request(node, watched)
 	s.Finish(node, watched)
-	cache := s.Cache(node)
+	cache := s.caches.Cache(node)
 	for i := 0; i < DefaultConfig().PrefetchCount; i++ {
 		if !cache.HasPrefix(ch.Videos[i]) {
 			t.Fatalf("top-%d video %d not prefetched", i+1, ch.Videos[i])
@@ -345,7 +345,7 @@ func TestPrefetchDisabled(t *testing.T) {
 	s.Join(node)
 	s.Request(node, v)
 	s.Finish(node, v)
-	if got := s.Cache(node).PrefixLen(); got != 0 {
+	if got := s.caches.Cache(node).PrefixLen(); got != 0 {
 		t.Fatalf("prefetch disabled but %d prefixes cached", got)
 	}
 }
@@ -390,9 +390,6 @@ func TestRequestUnknownNodeOrVideo(t *testing.T) {
 	if got := s.Links(1 << 30); got != 0 {
 		t.Fatal("unknown node has links")
 	}
-	if s.Cache(1<<30) != nil {
-		t.Fatal("unknown node has a cache")
-	}
 }
 
 func TestOfflineNodeRequestGoesToServer(t *testing.T) {
@@ -427,7 +424,7 @@ func TestMeshesStaySymmetricUnderChurn(t *testing.T) {
 			case 4:
 				// Dropping the home channel's subscription detaches the
 				// node; resubscribing lets a later request rejoin.
-				if home := s.Home(node); home >= 0 && g.Bool(0.5) {
+				if home := s.nodes[node].home; home >= 0 && g.Bool(0.5) {
 					s.Unsubscribe(node, home)
 				} else if subs := tr.Users[node].Subscriptions; len(subs) > 0 {
 					s.Subscribe(node, subs[g.Intn(len(subs))])

@@ -42,9 +42,6 @@ func NewRing(seed int64, shards int) (*Ring, error) {
 	return &Ring{seed: seed, shards: shards}, nil
 }
 
-// Shards returns the number of shards the ring hashes over.
-func (r *Ring) Shards() int { return r.shards }
-
 // Owner returns the shard index in [0, Shards()) owning key.
 func (r *Ring) Owner(key int64) int {
 	if r.shards == 1 {

@@ -149,21 +149,6 @@ func (t *MemberTable) Live(key int64) map[int]string {
 	return out
 }
 
-// LiveCount returns the number of live entries across all keys.
-func (t *MemberTable) LiveCount() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n := 0
-	for _, row := range t.m {
-		for _, e := range row {
-			if !e.Dead {
-				n++
-			}
-		}
-	}
-	return n
-}
-
 // Snapshot returns every row (tombstones included) sorted by (key, id) —
 // the deterministic wire form gossip exchanges.
 func (t *MemberTable) Snapshot() []SyncRecord {
@@ -220,18 +205,6 @@ func (t *MemberTable) CompactTombstones(horizon uint64) (dropped int) {
 		}
 	}
 	return dropped
-}
-
-// Size returns the total number of stored rows, tombstones included —
-// the quantity tombstone GC bounds.
-func (t *MemberTable) Size() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n := 0
-	for _, row := range t.m {
-		n += len(row)
-	}
-	return n
 }
 
 // Merge folds a snapshot in: a record wins iff its version is strictly

@@ -107,14 +107,14 @@ func TestCompactTombstonesChurn(t *testing.T) {
 	// Live set: the trailing 100 members. Tombstones: only those younger
 	// than the horizon can remain. 2 ticks per churned member bounds the
 	// surviving tombstones by horizon/2.
-	if got := tbl.LiveCount(); got != 100 {
+	if got := liveRows(tbl); got != 100 {
 		t.Fatalf("live count = %d, want 100", got)
 	}
-	if got, limit := tbl.Size(), 100+horizon; got > limit {
+	if got, limit := len(tbl.Snapshot()), 100+horizon; got > limit {
 		t.Fatalf("table size %d exceeds GC bound %d after 10k-member churn", got, limit)
 	}
 	// And GC must never touch live rows.
-	if tbl.Live(int64(members-1)%16) == nil && tbl.LiveCount() == 0 {
+	if tbl.Live(int64(members-1)%16) == nil && liveRows(tbl) == 0 {
 		t.Fatal("GC deleted live entries")
 	}
 }

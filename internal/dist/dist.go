@@ -43,9 +43,6 @@ func NewZipf(n int, s float64) (*Zipf, error) {
 	return &Zipf{n: n, cdf: cdf}, nil
 }
 
-// N returns the number of ranks.
-func (z *Zipf) N() int { return z.n }
-
 // Sample draws a rank in [1, N].
 func (z *Zipf) Sample(g *RNG) int {
 	u := g.Float64()

@@ -404,11 +404,6 @@ func (t *Tracker) SetDown(v bool) {
 	t.down.Store(v)
 }
 
-// Down reports whether the tracker is in a simulated outage.
-func (t *Tracker) Down() bool {
-	return t.down.Load()
-}
-
 // Counters returns a snapshot of the tracker's protocol counters.
 func (t *Tracker) Counters() obs.Counters {
 	return t.ctr.Snapshot()

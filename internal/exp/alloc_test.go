@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/socialtube/socialtube/internal/baseline"
 	"github.com/socialtube/socialtube/internal/load"
@@ -202,5 +203,82 @@ func TestTimelineRecordAllocFree(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("timeline record path allocates %.2f allocs/op in steady state, want 0", avg)
+	}
+}
+
+// stubProto answers every request without allocating: from the local
+// cache, a peer or the server, picked by the video id, and as the home
+// community of a forwarded lookup, with a hit for every other video.
+type stubProto struct {
+	scriptedProto
+	users int
+}
+
+func (p *stubProto) Request(node int, v trace.VideoID) vod.RequestResult {
+	switch v % 3 {
+	case 0:
+		return vod.RequestResult{Source: vod.SourceCache}
+	case 1:
+		return vod.RequestResult{Source: vod.SourcePeer, Provider: (node + 1) % p.users, Hops: 1, Messages: 2}
+	}
+	return vod.RequestResult{Source: vod.SourceServer, Messages: 3, PrefixCached: v%2 == 0}
+}
+
+func (p *stubProto) RemoteLookup(_ uint64, v trace.VideoID) (provider, hops, msgs int, ok bool) {
+	return 0, 1, 4, v%2 == 1
+}
+
+// TestSessionChainAllocFree pins the runner's session chain: a view is a
+// scheduled value, not a closure, on both partitions and on both hops of a
+// cross-community lookup. A protocol that allocates nothing leaves the
+// runner one allocation per session, the plan's video list, so the
+// mallocs a run adds per added request stay at 1/VideosPerSession. It
+// used to allocate a closure for every finish event and two for every
+// remote lookup. A chain record also stays at 48 bytes per node.
+func TestSessionChainAllocFree(t *testing.T) {
+	if size := unsafe.Sizeof(chain{}); size > 48 {
+		t.Fatalf("a chain record is %d B, budget 48 B", size)
+	}
+	tr := expTrace(t)
+	cfg := quickConfig()
+	cfg.VideosPerSession = 8
+	cfg.Horizon = 0
+	run := map[string]func(cfg Config) (*Result, error){
+		"identity": func(cfg Config) (*Result, error) {
+			return Run(cfg, tr, &stubProto{users: len(tr.Users)}, simnet.DefaultConfig())
+		},
+		"category": func(cfg Config) (*Result, error) {
+			factory := func(_ int, cellTr *trace.Trace) (vod.Protocol, error) {
+				return &stubProto{users: len(cellTr.Users)}, nil
+			}
+			return RunSharded(cfg, tr, factory, simnet.DefaultConfig(), ShardedOptions{Workers: 1})
+		},
+	}
+	for _, name := range []string{"identity", "category"} {
+		measure := func(sessions int) (mallocs uint64, requests int64) {
+			cfg := cfg
+			cfg.Sessions = sessions
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			res, err := run[name](cfg)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if name == "category" && res.Sharded.RemoteHits == 0 {
+				t.Fatal("category: no remote lookup answered, the test misses the remote leg")
+			}
+			return after.Mallocs - before.Mallocs, res.Requests
+		}
+		const sessions = 2
+		m1, r1 := measure(sessions)
+		m4, r4 := measure(4 * sessions)
+		perReq := float64(m4-m1) / float64(r4-r1)
+		t.Logf("%s: %d mallocs over %d requests, %d over %d: %.3f per added request", name, m1, r1, m4, r4, perReq)
+		if perReq > 0.2 {
+			t.Errorf("%s: %.3f mallocs per added request, want ≤ 0.2 (one plan per session of %d videos)",
+				name, perReq, cfg.VideosPerSession)
+		}
 	}
 }

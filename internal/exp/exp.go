@@ -172,7 +172,15 @@ type runner struct {
 	// gen is a per-node session generation: a crash abandons the
 	// session chain, and the generation check stops its still-queued
 	// finish events from resurrecting after a rejoin.
-	gen []uint64
+	gen    []uint32
+	chains []chain
+	// The chain's events, bound once: onStart's payload is the node, every
+	// other's ref(node, gen). onNext is indexed by whether the video played
+	// (1) or was shed (0), a remote lookup's two hops by whether the
+	// requester holds the video's first chunk, which its chain has no room
+	// for.
+	onStart                   sim.Handler
+	onNext, onLookup, onReply [2]sim.Handler
 	// Fault-injection state (internal/faults). All of it stays
 	// zero-valued without a plan, so a healthy run pays only cheap
 	// comparisons on the hot path and draws no extra randomness.
@@ -208,6 +216,20 @@ type runner struct {
 	// requests.
 	flashChannel int
 }
+
+// chain is a node's session chain between its events, in 48 bytes: the
+// plan's videos sliced to those requested so far (cap is the plan's
+// length), its off-time, and a remote lookup's issue time and word
+// (remoteRouter.lookup).
+type chain struct {
+	videos  []trace.VideoID
+	off, at time.Duration
+	word    uint64
+}
+
+// ref is a chain event's payload: the node, and its session generation in
+// the high half.
+func ref(node int, gen uint32) uint64 { return uint64(gen)<<32 | uint64(uint32(node)) }
 
 // watermarkEvery is the request period between heap samples. ReadMemStats
 // stops the world, so the period trades watermark resolution against run
@@ -310,7 +332,7 @@ func drive(ctx context.Context, tr *trace.Trace, cells []cell, opts Options, wor
 	merged.Mem.TraceBytes = tr.Bytes()
 	merged.Mem.BytesPerUser = float64(merged.Mem.TraceBytes) / float64(len(tr.Users))
 	if info := merged.Sharded; info != nil {
-		info.Cells, info.Epoch, info.Epochs, info.ShardLoad = len(cells), se.EpochLen(), se.Epochs(), se.ShardStats()
+		info.Cells, info.Epoch, info.Epochs, info.ShardLoad = len(cells), DefaultShardedEpoch, se.Epochs(), se.ShardStats()
 	}
 	return merged, nil
 }
@@ -344,11 +366,18 @@ func newRunner(cfg Config, tr *trace.Trace, picker *vod.Picker, proto vod.Protoc
 		},
 		sessionsLeft: make([]int, len(tr.Users)),
 		online:       make([]bool, len(tr.Users)),
-		gen:          make([]uint64, len(tr.Users)),
+		gen:          make([]uint32, len(tr.Users)),
+		chains:       make([]chain, len(tr.Users)),
 		crashed:      make([]bool, len(tr.Users)),
 		ctr:          &obs.Counters{},
 		mem:          obs.NewMemWatermark(watermarkEvery),
 		flashChannel: -1,
+	}
+	r.onStart = func(now time.Duration, node uint64) { r.startSession(int(node), now) }
+	for k := range r.onNext {
+		r.onNext[k] = func(now time.Duration, arg uint64) { r.next(arg, k == 1, now) }
+		r.onLookup[k] = func(now time.Duration, arg uint64) { r.remote.lookup(r, arg, k, now) }
+		r.onReply[k] = func(now time.Duration, arg uint64) { r.remote.reply(r, arg, k == 1, now) }
 	}
 	r.timed, _ = proto.(Timed)
 	if inst, ok := proto.(obs.Instrumented); ok {
@@ -376,7 +405,7 @@ func (r *runner) arm(opts Options) error {
 		for node := range r.tr.Users {
 			r.sessionsLeft[node] = r.cfg.Sessions
 			delay := time.Duration(dist.Exponential(r.g, float64(r.cfg.MeanOffTime)))
-			r.engine.At(delay, func(now time.Duration) { r.startSession(node, now) })
+			r.engine.Schedule(delay, r.onStart, uint64(node))
 		}
 	}
 	if m, ok := r.proto.(Maintainer); ok {
@@ -403,51 +432,55 @@ func (r *runner) startSession(node int, now time.Duration) {
 	if r.sessionsLeft[node] <= 0 || r.crashed[node] || r.online[node] {
 		return
 	}
-	r.tick(now)
 	r.sessionsLeft[node]--
+	r.begin(node, r.picker.PlanSession(r.g, &r.tr.Users[node], r.cfg.VideosPerSession, r.cfg.MeanOffTime), now)
+}
+
+// begin brings the node online in a new session generation and starts its
+// chain on the plan. The plan's draws touch no protocol state, so drawing
+// it before Join draws what drawing it after would.
+func (r *runner) begin(node int, plan vod.SessionPlan, now time.Duration) {
+	r.tick(now)
 	r.online[node] = true
 	r.gen[node]++
 	r.proto.Join(node)
-	plan := r.picker.PlanSession(r.g, &r.tr.Users[node], r.cfg.VideosPerSession, r.cfg.MeanOffTime)
-	r.watch(node, plan, 0, r.gen[node], now)
+	r.chains[node] = chain{videos: plan.Videos[:0:len(plan.Videos)], off: plan.OffTime}
+	r.watch(node, now)
 }
 
-// watch requests plan.Videos[idx], accounts its delivery, and schedules the
-// next step after playback. gen is the session generation the chain
-// belongs to; a crash+rejoin supersedes it and orphans the old chain.
-func (r *runner) watch(node int, plan vod.SessionPlan, idx int, gen uint64, now time.Duration) {
-	if r.gen[node] != gen {
+// watch requests the chain's next video, accounts its delivery, and
+// schedules the next step after playback. A chain out of videos, or whose
+// node went offline, ends the session.
+func (r *runner) watch(node int, now time.Duration) {
+	c := &r.chains[node]
+	idx := len(c.videos)
+	if idx == cap(c.videos) || !r.online[node] {
+		r.endSession(node, c.off)
 		return
 	}
-	if idx >= len(plan.Videos) || !r.online[node] {
-		r.endSession(node, plan.OffTime)
-		return
-	}
-	v := plan.Videos[idx]
+	c.videos = c.videos[:idx+1]
+	v := c.videos[idx]
 	r.tick(now)
 	res := r.proto.Request(node, v)
 	r.res.Requests++
 	r.mem.Tick()
 	r.accountFaults(&res)
-	if r.remote != nil && res.Source == vod.SourceServer &&
-		r.remote.forward(r, node, plan, idx, gen, v, res, now) {
+	if r.remote != nil && res.Source == vod.SourceServer && r.remote.forward(r, node, v, res, now) {
 		// The lookup is in flight to the video's home community; the
 		// session chain resumes in watchAccount when the reply event
 		// arrives after the epoch barrier.
 		return
 	}
-	r.watchAccount(node, plan, idx, gen, res, now, now)
+	r.watchAccount(node, res, now, now)
 }
 
 // watchAccount is the second half of watch: account the located result's
 // delivery and schedule the post-playback step. reqAt is when the request
 // was issued and now when the result became known — they differ only for
 // cross-community lookups, whose barrier wait is real startup delay.
-func (r *runner) watchAccount(node int, plan vod.SessionPlan, idx int, gen uint64, res vod.RequestResult, reqAt, now time.Duration) {
-	if r.gen[node] != gen {
-		return
-	}
-	video := r.tr.Video(plan.Videos[idx])
+func (r *runner) watchAccount(node int, res vod.RequestResult, reqAt, now time.Duration) {
+	c := &r.chains[node]
+	video := r.tr.Video(c.videos[len(c.videos)-1])
 	// Chunk sizes scale with WatchScale so compressed timelines offer the
 	// server a proportionally compressed load; otherwise time compression
 	// would multiply the offered bitrate without scaling capacity.
@@ -494,21 +527,28 @@ func (r *runner) watchAccount(node int, plan vod.SessionPlan, idx int, gen uint6
 	}
 	// Playback, then the next video — immediately when the request was shed:
 	// the viewer abandons it and the session chain moves on.
-	finishAt := ready
+	finishAt, played := ready, 0
 	if !shed {
-		finishAt += time.Duration(float64(video.Length) * r.cfg.WatchScale)
+		finishAt, played = ready+time.Duration(float64(video.Length)*r.cfg.WatchScale), 1
 	}
-	r.engine.At(finishAt, func(at time.Duration) {
-		if !r.online[node] || r.gen[node] != gen {
-			return
-		}
-		r.tick(at)
-		if !shed {
-			r.proto.Finish(node, plan.Videos[idx])
-			r.res.Links(idx, r.proto.Links(node))
-		}
-		r.watch(node, plan, idx+1, gen, at)
-	})
+	r.engine.Schedule(finishAt, r.onNext[played], ref(node, r.gen[node]))
+}
+
+// next ends the chain's current video and moves the chain on, unless the
+// node went offline or a crash and rejoin superseded the chain.
+func (r *runner) next(arg uint64, played bool, now time.Duration) {
+	node := int(uint32(arg))
+	if !r.online[node] || r.gen[node] != uint32(arg>>32) {
+		return
+	}
+	r.tick(now)
+	if played {
+		c := &r.chains[node]
+		idx := len(c.videos) - 1
+		r.proto.Finish(node, c.videos[idx])
+		r.res.Links(idx, r.proto.Links(node))
+	}
+	r.watch(node, now)
 }
 
 // deliver models the network path of one video: the query travels the
@@ -593,7 +633,7 @@ func (r *runner) endSession(node int, offTime time.Duration) {
 		return
 	}
 	if r.sessionsLeft[node] > 0 {
-		r.engine.After(offTime, func(now time.Duration) { r.startSession(node, now) })
+		r.engine.Schedule(r.engine.Now()+offTime, r.onStart, uint64(node))
 	}
 }
 

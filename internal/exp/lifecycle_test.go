@@ -7,6 +7,7 @@ import (
 
 	"github.com/socialtube/socialtube/internal/faults"
 	"github.com/socialtube/socialtube/internal/simnet"
+	"github.com/socialtube/socialtube/internal/trace"
 	"github.com/socialtube/socialtube/internal/vod"
 )
 
@@ -140,5 +141,80 @@ func TestEndSessionOfflineReschedules(t *testing.T) {
 	if r2.sessionsLeft[node] != cfg.Sessions {
 		t.Fatalf("crashed node consumed %d sessions via endSession; rejoin owns the restart",
 			cfg.Sessions-r2.sessionsLeft[node])
+	}
+}
+
+// call is one protocol callback a recordingProto saw.
+type call struct {
+	finish bool
+	v      trace.VideoID
+	at     time.Duration
+}
+
+// recordingProto serves every request from the local cache, so a video's
+// finish event lands exactly its watched length after the request, and
+// records each Request and Finish with the virtual time it came at.
+type recordingProto struct {
+	scriptedProto
+	now   time.Duration
+	calls []call
+}
+
+func (p *recordingProto) SetNow(now time.Duration) { p.now = now }
+func (p *recordingProto) Request(_ int, v trace.VideoID) vod.RequestResult {
+	p.calls = append(p.calls, call{v: v, at: p.now})
+	return vod.RequestResult{Source: vod.SourceCache}
+}
+func (p *recordingProto) Finish(_ int, v trace.VideoID) {
+	p.calls = append(p.calls, call{finish: true, v: v, at: p.now})
+}
+
+// TestOrphanedChainStaysDead pins the session generation check: a node
+// crashes mid-video, while its finish event is still queued, and rejoins
+// before that event's time. The old event must fire into nothing — no
+// Finish of the abandoned video, no Request of its successor — and the
+// rejoined session's chain must play its videos in order, each finished
+// exactly its watched length after it was requested.
+func TestOrphanedChainStaysDead(t *testing.T) {
+	tr := expTrace(t)
+	cfg := quickConfig()
+	p := &recordingProto{}
+	r := testRunner(t, cfg, tr, p)
+	const node = 0
+	r.sessionsLeft[node] = 2
+	watched := func(v trace.VideoID) time.Duration {
+		return time.Duration(float64(tr.Video(v).Length) * cfg.WatchScale)
+	}
+	var orphanAt time.Duration
+	r.engine.At(0, func(now time.Duration) {
+		r.startSession(node, now)
+		// The first video's finish event is queued for orphanAt: crash
+		// before it, and rejoin — starting the second session — before it
+		// fires.
+		orphanAt = watched(p.calls[0].v)
+		r.engine.At(orphanAt/3, func(now time.Duration) { r.applyCrash(node, now) })
+		r.engine.At(orphanAt/2, func(now time.Duration) { r.applyRejoin(node, now) })
+	})
+	if err := r.engine.RunCtx(context.Background(), 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if len(p.calls) < 2 || p.calls[0].finish || p.calls[0].at != 0 {
+		t.Fatalf("first session: calls %+v, want one request at 0 before the crash", p.calls)
+	}
+	chain := p.calls[1:]
+	if len(chain) != 2*cfg.VideosPerSession {
+		t.Fatalf("rejoined chain made %d calls, want a request and a finish for each of %d videos: %+v",
+			len(chain), cfg.VideosPerSession, chain)
+	}
+	at := orphanAt / 2
+	for i := 0; i < len(chain); i += 2 {
+		req, fin := chain[i], chain[i+1]
+		if req.finish || req.at != at {
+			t.Fatalf("call %d: %+v, want the chain's request %d at %v", i+1, req, i/2, at)
+		}
+		at += watched(req.v)
+		if !fin.finish || fin.v != req.v || fin.at != at {
+			t.Fatalf("call %d: %+v, want the finish of video %d at %v", i+2, fin, req.v, at)
+		}
 	}
 }

@@ -93,10 +93,6 @@ func (r *runner) applyArrival(flash bool, now time.Duration) {
 		info.Busy++
 		return
 	}
-	r.tick(now)
-	r.online[node] = true
-	r.gen[node]++
-	r.proto.Join(node)
 	var plan vod.SessionPlan
 	if flash {
 		// The viral video: the flash channel's top-ranked one.
@@ -104,7 +100,7 @@ func (r *runner) applyArrival(flash bool, now time.Duration) {
 	} else {
 		plan = r.picker.PlanSession(r.loadG, &r.tr.Users[node], r.cfg.VideosPerSession, r.cfg.MeanOffTime)
 	}
-	r.watch(node, plan, 0, r.gen[node], now)
+	r.begin(node, plan, now)
 }
 
 // pickIdleNode claims a node that is neither online nor crashed,

@@ -88,16 +88,11 @@ type ShardedInfo struct {
 // protocol implements RemoteSearcher. Same seed ⇒ byte-identical Result
 // for any Workers value.
 func RunSharded(cfg Config, tr *trace.Trace, factory CellProtocol, netCfg simnet.Config, opts ShardedOptions) (*Result, error) {
-	return RunShardedCtx(context.Background(), cfg, tr, factory, netCfg, opts)
-}
-
-// RunShardedCtx is RunSharded with cooperative cancellation.
-func RunShardedCtx(ctx context.Context, cfg Config, tr *trace.Trace, factory CellProtocol, netCfg simnet.Config, opts ShardedOptions) (*Result, error) {
 	cells, router, err := categoryCells(cfg, tr, factory, netCfg)
 	if err != nil {
 		return nil, err
 	}
-	return drive(ctx, tr, cells, Options{}, opts.Workers, router)
+	return drive(context.Background(), tr, cells, Options{}, opts.Workers, router)
 }
 
 // categoryCells is the category partition of the one driver, and decides
@@ -184,9 +179,9 @@ func (rt *remoteRouter) key(cell int) uint64 {
 // It returns false — caller serves locally — when the video already lives
 // in the requester's own community or the protocol cannot answer remote
 // lookups. Otherwise the lookup crosses the epoch barrier to the home
-// cell, runs the community server's search there, and the reply crosses
-// back, resuming the session chain in watchAccount.
-func (rt *remoteRouter) forward(r *runner, node int, plan vod.SessionPlan, idx int, gen uint64, v trace.VideoID, res vod.RequestResult, now time.Duration) bool {
+// cell (lookup), and the answer crosses back (reply), resuming the session
+// chain in watchAccount.
+func (rt *remoteRouter) forward(r *runner, node int, v trace.VideoID, res vod.RequestResult, now time.Duration) bool {
 	src := r.cell
 	dst := rt.part.HomeOfVideo(v)
 	if dst < 0 || dst == src || rt.remotes[dst] == nil {
@@ -196,23 +191,51 @@ func (rt *remoteRouter) forward(r *runner, node int, plan vod.SessionPlan, idx i
 	// The local search is spent whether or not the reply beats the horizon;
 	// the located result then carries only what the remote leg adds.
 	r.res.Messages.Addn(int64(res.Messages))
-	rt.se.Send(src, dst, now, rt.key(src), func(at time.Duration) {
-		// The provider id is cell-local to the home community: not
-		// addressable here, so it travels as remoteProvider.
-		_, hops, msgs, ok := rt.remotes[dst].RemoteLookup(res.Span, v)
-		rt.se.Send(dst, src, at, rt.key(dst), func(resumeAt time.Duration) {
-			located := res // assigning to the captured res would heap-allocate it per lookup
-			// One message to reach the remote community server, plus the
-			// messages its search spent.
-			located.Messages = msgs + 1
-			if ok {
-				r.res.Sharded.RemoteHits++
-				located.Source = vod.SourcePeer
-				located.Provider = int(remoteProvider)
-				located.Hops = hops + 1
-			}
-			r.watchAccount(node, plan, idx, gen, located, now, resumeAt)
-		})
-	})
+	c := &r.chains[node]
+	c.at, c.word = now, res.Span
+	prefixed := 0
+	if res.PrefixCached {
+		prefixed = 1
+	}
+	rt.se.Send(src, dst, now, rt.key(src), r.onLookup[prefixed], ref(node, r.gen[node]))
 	return true
+}
+
+// lookup is a remote lookup's first hop, on the home cell's loop. It reads
+// the requester's chain, which is fixed in place, written before the Send,
+// untouched while the chain waits and ordered before this hop by the
+// barrier, and writes the answer into the chain's word for the reply: the
+// messages the home community spent in the high half, the located
+// result's hop count in the low half (0: no provider). The provider id is
+// cell-local to the home community and not addressable from the requester,
+// so it travels as remoteProvider.
+func (rt *remoteRouter) lookup(r *runner, arg uint64, prefixed int, now time.Duration) {
+	c := &r.chains[uint32(arg)]
+	v := c.videos[len(c.videos)-1]
+	dst := rt.part.HomeOfVideo(v)
+	_, hops, msgs, ok := rt.remotes[dst].RemoteLookup(c.word, v)
+	c.word = uint64(uint32(msgs)) << 32
+	if ok {
+		// One hop to reach the remote community server, then its search's.
+		c.word |= uint64(uint32(hops + 1))
+	}
+	rt.se.Send(dst, r.cell, now, rt.key(dst), r.onReply[prefixed], arg)
+}
+
+// reply resumes the requester's chain, unless a crash and rejoin
+// superseded it, with the home community's answer: a peer result when the
+// home found a provider, else a server one, which travels no overlay hops;
+// either way one message to reach the remote server plus its search's.
+func (rt *remoteRouter) reply(r *runner, arg uint64, prefixed bool, now time.Duration) {
+	node := int(uint32(arg))
+	if r.gen[node] != uint32(arg>>32) {
+		return
+	}
+	c := &r.chains[node]
+	located := vod.RequestResult{Source: vod.SourceServer, Messages: int(c.word>>32) + 1, PrefixCached: prefixed}
+	if hops := int(uint32(c.word)); hops > 0 {
+		r.res.Sharded.RemoteHits++
+		located.Source, located.Provider, located.Hops = vod.SourcePeer, int(remoteProvider), hops
+	}
+	r.watchAccount(node, located, c.at, now)
 }

@@ -152,7 +152,7 @@ func runPartition(t *testing.T, tr *trace.Trace, partition string, v goldenVaria
 		lone := []cell{{cfg: cfg, tr: tr, proto: socialTube(t, tr), net: netCfg}}
 		res, err = drive(t.Context(), tr, lone, Options{TimelineWindow: v.window, Load: v.prof}, workers, nil)
 	} else {
-		res, err = RunShardedCtx(t.Context(), cfg, tr, socialTubeFactory(1), netCfg, ShardedOptions{Workers: workers})
+		res, err = RunSharded(cfg, tr, socialTubeFactory(1), netCfg, ShardedOptions{Workers: workers})
 	}
 	if err != nil {
 		t.Fatal(err)

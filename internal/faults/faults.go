@@ -387,15 +387,6 @@ func (p *Plan) Compile(nodes int) (*Schedule, error) {
 	return &Schedule{Events: evs, Crashes: crashes}, nil
 }
 
-// Span returns the timestamp of the last event, i.e. how long a replay
-// needs to run for the whole schedule to fire.
-func (s *Schedule) Span() time.Duration {
-	if len(s.Events) == 0 {
-		return 0
-	}
-	return s.Events[len(s.Events)-1].At
-}
-
 // ChurnPlan is the standard churn-resilience stress used by the churn
 // figure and demos: a 30% crash wave that rejoins after two units, a
 // tracker outage, then a lossy high-latency burst, with neighbor crash

@@ -136,9 +136,6 @@ func (h *Hist) AddDuration(d time.Duration) {
 // Len returns the number of observations.
 func (h *Hist) Len() int { return int(h.count) }
 
-// Sum returns the exact sum of all observations.
-func (h *Hist) Sum() float64 { return h.sum }
-
 // Mean returns the exact arithmetic mean (0 if empty).
 func (h *Hist) Mean() float64 {
 	if h.count == 0 {

@@ -140,8 +140,8 @@ func TestJSONLStickyError(t *testing.T) {
 	if err := j.Flush(); err == nil {
 		t.Fatal("expected sticky write error")
 	}
-	if j.Err() == nil {
-		t.Fatal("Err lost the failure")
+	if err := j.Flush(); err == nil {
+		t.Fatal("a second Flush lost the failure")
 	}
 }
 

@@ -174,13 +174,6 @@ func (j *JSONL) Total() uint64 {
 	return j.total
 }
 
-// Err returns the first write error, if any.
-func (j *JSONL) Err() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.err
-}
-
 // Flush forces buffered events to the underlying writer.
 func (j *JSONL) Flush() error {
 	j.mu.Lock()

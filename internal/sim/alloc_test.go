@@ -33,6 +33,23 @@ func TestEngineSteadyStateAllocFree(t *testing.T) {
 	if avg >= 1 {
 		t.Fatalf("steady-state event loop allocates %.2f allocs/op, want <1", avg)
 	}
+	// The same chain as payload events of a handler bound once: nothing
+	// at all.
+	e = NewEngine()
+	var next Handler
+	next = func(now time.Duration, n uint64) { e.Schedule(now+time.Millisecond, next, n+1) }
+	e.Schedule(0, next, 0)
+	if err := e.Run(0, 64); err != nil {
+		t.Fatal(err)
+	}
+	avg = testing.AllocsPerRun(2000, func() {
+		if err := e.Run(0, e.Fired()+1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("steady-state payload events allocate %.2f allocs/op, want 0", avg)
+	}
 }
 
 // BenchmarkEngineSteadyState measures the steady-state event loop: one

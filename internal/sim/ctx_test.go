@@ -95,15 +95,15 @@ func TestRunCtxCancelExactlyOnChunkBoundary(t *testing.T) {
 	if fired != ctxCheckInterval {
 		t.Fatalf("fired %d events, want exactly %d (the chunk boundary)", fired, ctxCheckInterval)
 	}
-	if e.Pending() != 10 {
-		t.Fatalf("pending %d after boundary cancel, want 10", e.Pending())
+	if len(e.queue) != 10 {
+		t.Fatalf("pending %d after boundary cancel, want 10", len(e.queue))
 	}
 	// The schedule stays intact: a fresh context resumes and drains.
 	if err := e.RunCtx(context.Background(), 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if fired != ctxCheckInterval+10 || e.Pending() != 0 {
-		t.Fatalf("resume after boundary cancel: fired %d pending %d", fired, e.Pending())
+	if fired != ctxCheckInterval+10 || len(e.queue) != 0 {
+		t.Fatalf("resume after boundary cancel: fired %d pending %d", fired, len(e.queue))
 	}
 }
 
@@ -118,7 +118,7 @@ func TestRunCtxCancelled(t *testing.T) {
 	if err := e.RunCtx(ctx, 0, 0); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
-	if e.Pending() == 0 {
+	if len(e.queue) == 0 {
 		t.Fatal("cancellation drained the queue; schedule should stay intact")
 	}
 	// Cancellation mid-run: cancel from inside an event; the run stops

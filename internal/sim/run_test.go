@@ -24,16 +24,16 @@ func TestRunResumesAfterHorizon(t *testing.T) {
 	if e.Now() != 2*time.Minute {
 		t.Fatalf("clock %v after horizon return, want 2m", e.Now())
 	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending %d after horizon return, want 1", e.Pending())
+	if len(e.queue) != 1 {
+		t.Fatalf("pending %d after horizon return, want 1", len(e.queue))
 	}
 
 	// Same horizon again: nothing to do, clock stays put.
 	if err := e.Run(2*time.Minute, 0); err != nil {
 		t.Fatal(err)
 	}
-	if len(fired) != 1 || e.Pending() != 1 {
-		t.Fatalf("same-horizon rerun fired events: %v pending %d", fired, e.Pending())
+	if len(fired) != 1 || len(e.queue) != 1 {
+		t.Fatalf("same-horizon rerun fired events: %v pending %d", fired, len(e.queue))
 	}
 
 	// Larger horizon: the queued event fires at its original time.
@@ -71,8 +71,8 @@ func TestMaxEventsIsLifetimeBudget(t *testing.T) {
 	if err := e.Run(0, 2); err != nil {
 		t.Fatal(err)
 	}
-	if count != 2 || e.Pending() != 1 {
-		t.Fatalf("raised budget: count %d pending %d, want 2 and 1", count, e.Pending())
+	if count != 2 || len(e.queue) != 1 {
+		t.Fatalf("raised budget: count %d pending %d, want 2 and 1", count, len(e.queue))
 	}
 }
 
@@ -127,7 +127,7 @@ func TestBudgetReturnWithinHorizonKeepsClock(t *testing.T) {
 	if e.Now() != 5*time.Second {
 		t.Fatalf("clock %v after in-horizon budget return, want 5s", e.Now())
 	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending %d, want 1", e.Pending())
+	if len(e.queue) != 1 {
+		t.Fatalf("pending %d, want 1", len(e.queue))
 	}
 }

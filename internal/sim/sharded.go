@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -66,7 +65,8 @@ type mailItem struct {
 	dst int
 	at  time.Duration
 	key uint64
-	fn  Event
+	h   Handler
+	arg uint64
 }
 
 // ShardStat is one shard's load accounting, surfaced so experiments can
@@ -75,13 +75,9 @@ type mailItem struct {
 // byte-identically regardless of machine load — the same convention as
 // obs.MemUsage.
 type ShardStat struct {
-	// Shard is the shard index.
+	// Shard is the shard index, and Stats its engine's.
 	Shard int `json:"shard"`
-	// EventsFired / EventsScheduled / HeapHighWater mirror Engine.Stats
-	// for this shard.
-	EventsFired     uint64 `json:"eventsFired"`
-	EventsScheduled uint64 `json:"eventsScheduled"`
-	HeapHighWater   int    `json:"heapHighWater"`
+	Stats
 	// MailSent counts cross-shard events this shard buffered; MailRecv
 	// counts barrier deliveries into this shard.
 	MailSent uint64 `json:"mailSent"`
@@ -152,31 +148,25 @@ func (se *ShardedEngine) Shard(i int) *Engine { return se.shards[i] }
 // every queue drained first — Engine.Now's semantics.
 func (se *ShardedEngine) Now() time.Duration { return se.now }
 
-// EpochLen returns the barrier interval.
-func (se *ShardedEngine) EpochLen() time.Duration { return se.epoch }
-
 // Epochs returns the number of executed (non-skipped) epochs.
 func (se *ShardedEngine) Epochs() uint64 { return se.epochs }
 
-// Workers returns the resolved parallelism.
-func (se *ShardedEngine) Workers() int { return se.workers }
-
-// Send buffers a cross-shard event from shard src to shard dst. Call it
-// from inside an event firing on shard src while RunCtx is in progress:
-// each shard owns its buffer between barriers. The event is delivered
-// into dst's engine at the barrier ending the current epoch, to fire no
-// earlier than max(at, barrier time); deliveries are ordered by
-// ascending (at, key) across all sources. Keys should be unique per
-// barrier for a total order, and derived from logical ids (not shard
-// indexes) when results must be independent of the community→shard
-// layout. Sending to the local shard is allowed and still crosses the
-// barrier — that is what makes a partition-keyed program's results
-// independent of how partitions map to shards.
-func (se *ShardedEngine) Send(src, dst int, at time.Duration, key uint64, fn Event) {
-	if src < 0 || src >= len(se.shards) || dst < 0 || dst >= len(se.shards) || fn == nil {
+// Send buffers a cross-shard event, h(now, arg), from shard src to shard
+// dst. Call it from inside an event firing on shard src while RunCtx is in
+// progress: each shard owns its buffer between barriers. The event is
+// delivered into dst's engine at the barrier ending the current epoch, to
+// fire no earlier than max(at, barrier time); deliveries are ordered by
+// ascending (at, key) across all sources. Keys must be unique per barrier
+// for a total order, and derived from logical ids (not shard indexes)
+// when results must be independent of the community→shard layout.
+// Sending to the local shard is allowed and still crosses the barrier —
+// that is what makes a partition-keyed program's results independent of
+// how partitions map to shards.
+func (se *ShardedEngine) Send(src, dst int, at time.Duration, key uint64, h Handler, arg uint64) {
+	if src < 0 || src >= len(se.shards) || dst < 0 || dst >= len(se.shards) || h == nil {
 		return
 	}
-	se.outbox[src] = append(se.outbox[src], mailItem{dst: dst, at: at, key: key, fn: fn})
+	se.outbox[src] = append(se.outbox[src], mailItem{dst: dst, at: at, key: key, h: h, arg: arg})
 	se.stats[src].MailSent++
 }
 
@@ -319,7 +309,8 @@ func (se *ShardedEngine) runShard(ctx context.Context, i int, barrier time.Durat
 }
 
 // deliver drains every outbox into the destination engines in ascending
-// (at, key) order, clamping fire times to the barrier.
+// (at, key) order, clamping fire times to the barrier. Keys are unique, so
+// the sort needs no stability and allocates nothing.
 func (se *ShardedEngine) deliver(barrier time.Duration) {
 	se.scratch = se.scratch[:0]
 	for s := range se.outbox {
@@ -329,23 +320,12 @@ func (se *ShardedEngine) deliver(barrier time.Duration) {
 	if len(se.scratch) == 0 {
 		return
 	}
-	sort.SliceStable(se.scratch, func(i, j int) bool {
-		if se.scratch[i].at != se.scratch[j].at {
-			return se.scratch[i].at < se.scratch[j].at
-		}
-		return se.scratch[i].key < se.scratch[j].key
+	slices.SortFunc(se.scratch, func(a, b mailItem) int {
+		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.key, b.key))
 	})
-	for i := range se.scratch {
-		m := &se.scratch[i]
-		at := m.at
-		if at < barrier {
-			at = barrier
-		}
-		se.shards[m.dst].At(at, m.fn)
+	for _, m := range se.scratch {
+		se.shards[m.dst].Schedule(max(m.at, barrier), m.h, m.arg)
 		se.stats[m.dst].MailRecv++
-		// Drop the closure so the reusable scratch buffer does not pin it
-		// until the next barrier overwrites this slot.
-		m.fn = nil
 	}
 }
 
@@ -370,12 +350,8 @@ func (se *ShardedEngine) Stats() Stats {
 func (se *ShardedEngine) ShardStats() []ShardStat {
 	out := make([]ShardStat, len(se.stats))
 	for i, e := range se.shards {
-		s := se.stats[i]
-		es := e.Stats()
-		s.EventsFired = es.EventsFired
-		s.EventsScheduled = es.EventsScheduled
-		s.HeapHighWater = es.HeapHighWater
-		out[i] = s
+		out[i] = se.stats[i]
+		out[i].Stats = e.Stats()
 	}
 	return out
 }

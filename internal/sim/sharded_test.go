@@ -27,6 +27,14 @@ func buildShardedProgram(t *testing.T, shards, workers int) (*ShardedEngine, *[]
 	}
 	log := make([][]firing, shards)
 	logs := &log
+	// One mail handler per destination shard, bound once; the key rides
+	// as the payload.
+	recv := make([]Handler, shards)
+	for dst := range recv {
+		recv[dst] = func(at time.Duration, key uint64) {
+			log[dst] = append(log[dst], firing{shard: dst, at: at, tag: key})
+		}
+	}
 	for s := 0; s < shards; s++ {
 		s := s
 		ticks := 0
@@ -42,9 +50,7 @@ func buildShardedProgram(t *testing.T, shards, workers int) (*ShardedEngine, *[]
 			// because the program itself is defined per shard).
 			dst := (s + 1) % shards
 			key := uint64(s)<<32 | uint64(ticks)
-			se.Send(s, dst, now+10*time.Millisecond, key, func(at time.Duration) {
-				log[dst] = append(log[dst], firing{shard: dst, at: at, tag: key})
-			})
+			se.Send(s, dst, now+10*time.Millisecond, key, recv[dst], key)
 		}
 		se.Shard(s).At(time.Duration(s+1)*7*time.Millisecond, chain)
 	}
@@ -92,25 +98,23 @@ func TestShardedMailboxOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []uint64
-	recv := func(key uint64) Event {
-		return func(now time.Duration) {
-			got = append(got, key)
-			// Delivery is clamped to the barrier: a send targeting a time
-			// inside its own epoch fires exactly at the barrier.
-			if now < time.Second {
-				t.Errorf("key %d delivered at %v, before the 1s barrier", key, now)
-			}
+	recv := func(now time.Duration, key uint64) {
+		got = append(got, key)
+		// Delivery is clamped to the barrier: a send targeting a time
+		// inside its own epoch fires exactly at the barrier.
+		if now < time.Second {
+			t.Errorf("key %d delivered at %v, before the 1s barrier", key, now)
 		}
 	}
 	// Shard 2 sends keys out of order, shard 1 interleaves; all target
 	// shard 0 with at-times inside the first epoch.
 	se.Shard(2).At(10*time.Millisecond, func(now time.Duration) {
-		se.Send(2, 0, now, 40, recv(40))
-		se.Send(2, 0, now, 10, recv(10))
+		se.Send(2, 0, now, 40, recv, 40)
+		se.Send(2, 0, now, 10, recv, 10)
 	})
 	se.Shard(1).At(20*time.Millisecond, func(now time.Duration) {
-		se.Send(1, 0, now-10*time.Millisecond, 30, recv(30)) // earlier at wins over lower key
-		se.Send(1, 0, now, 20, recv(20))
+		se.Send(1, 0, now-10*time.Millisecond, 30, recv, 30) // earlier at wins over lower key
+		se.Send(1, 0, now, 20, recv, 20)
 	})
 	if err := se.RunCtx(context.Background(), 0); err != nil {
 		t.Fatal(err)
@@ -206,8 +210,8 @@ func TestShardedHorizonInsidePartialEpoch(t *testing.T) {
 	if se.Now() != 1600*time.Millisecond {
 		t.Fatalf("clock %v, want the 1.6s horizon", se.Now())
 	}
-	if se.Shard(0).Pending() != 1 {
-		t.Fatalf("pending %d, want the 1.8s event intact", se.Shard(0).Pending())
+	if len(se.Shard(0).queue) != 1 {
+		t.Fatalf("pending %d, want the 1.8s event intact", len(se.Shard(0).queue))
 	}
 }
 
@@ -292,7 +296,7 @@ func TestShardedGridlessDeliversMailAtDrain(t *testing.T) {
 	}
 	var at time.Duration
 	se.Shard(0).At(2*time.Second, func(now time.Duration) {
-		se.Send(0, 1, now, 1, func(got time.Duration) { at = got })
+		se.Send(0, 1, now, 1, func(got time.Duration, _ uint64) { at = got }, 0)
 	})
 	se.Shard(1).At(5*time.Second, func(time.Duration) {})
 	if err := se.RunCtx(context.Background(), 0); err != nil {
@@ -328,8 +332,8 @@ func TestShardedRunCtxCancelsInsideEpoch(t *testing.T) {
 		if n > 100+ctxCheckInterval {
 			t.Fatalf("workers=%d: %d events fired, cancellation at 100 must bite within %d", workers, n, ctxCheckInterval)
 		}
-		if se.Shard(0).Pending() != 1 {
-			t.Fatalf("workers=%d: pending %d, want the chain's next event intact", workers, se.Shard(0).Pending())
+		if len(se.Shard(0).queue) != 1 {
+			t.Fatalf("workers=%d: pending %d, want the chain's next event intact", workers, len(se.Shard(0).queue))
 		}
 	}
 }
@@ -376,8 +380,8 @@ func TestShardedConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if se.Workers() != 2 {
-		t.Fatalf("workers %d, want capped at shard count 2", se.Workers())
+	if se.workers != 2 {
+		t.Fatalf("workers %d, want capped at shard count 2", se.workers)
 	}
 }
 

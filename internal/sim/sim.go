@@ -12,10 +12,17 @@ import (
 // Event is a callback scheduled to fire at a virtual time.
 type Event func(now time.Duration)
 
+// Handler is a callback scheduled with a payload word, h(now, arg). Bound
+// once, it schedules values: the payload carries what a closure would
+// capture, so a stream of its events allocates nothing.
+type Handler func(now time.Duration, arg uint64)
+
+// scheduled is one queued event, 32 bytes.
 type scheduled struct {
 	at   time.Duration
 	seq  uint64 // insertion order breaks ties deterministically
-	fire Event
+	fire Handler
+	arg  uint64
 }
 
 // before is the queue order: time, then insertion sequence. Sequence
@@ -37,6 +44,11 @@ type Engine struct {
 	// hwm is the largest queue length ever reached — the heap's
 	// high-water mark, reported via Stats.
 	hwm int
+	// parked holds the closures At queued until they fire: a closure is
+	// queued with a nil handler and its slot as the payload, and free
+	// lists the slots to reuse.
+	parked []Event
+	free   []uint64
 }
 
 // Stats is the engine's lifetime accounting, reported alongside protocol
@@ -66,9 +78,6 @@ func (e *Engine) Now() time.Duration { return e.now }
 // Fired returns the number of events executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Pending returns the number of queued events.
-func (e *Engine) Pending() int { return len(e.queue) }
-
 // At schedules fn to run at the absolute virtual time at. Events scheduled
 // in the past fire immediately at the current time (time never goes
 // backwards).
@@ -76,11 +85,31 @@ func (e *Engine) At(at time.Duration, fn Event) {
 	if fn == nil {
 		return
 	}
+	slot := uint64(len(e.parked))
+	if n := len(e.free); n > 0 {
+		slot, e.free = e.free[n-1], e.free[:n-1]
+		e.parked[slot] = fn
+	} else {
+		e.parked = append(e.parked, fn)
+	}
+	e.push(at, nil, slot)
+}
+
+// Schedule queues h(now, arg) at the absolute virtual time at, clamped to
+// the current time: At's queue and order without a closure.
+func (e *Engine) Schedule(at time.Duration, h Handler, arg uint64) {
+	if h != nil {
+		e.push(at, h, arg)
+	}
+}
+
+// push queues one event; a nil h marks a parked closure.
+func (e *Engine) push(at time.Duration, h Handler, arg uint64) {
 	if at < e.now {
 		at = e.now
 	}
 	e.seq++
-	ev := scheduled{at: at, seq: e.seq, fire: fn}
+	ev := scheduled{at: at, seq: e.seq, fire: h, arg: arg}
 	e.queue = append(e.queue, ev)
 	q := e.queue
 	i := len(q) - 1
@@ -95,7 +124,7 @@ func (e *Engine) At(at time.Duration, fn Event) {
 }
 
 // pop removes and returns the earliest event. It zeroes the vacated slot,
-// so the backing array does not keep a fired closure alive.
+// so the backing array does not keep a fired handler alive.
 func (e *Engine) pop() scheduled {
 	q := e.queue
 	top, n := q[0], len(q)-1
@@ -116,13 +145,9 @@ func (e *Engine) pop() scheduled {
 	return top
 }
 
-// After schedules fn to run delay after the current virtual time.
-func (e *Engine) After(delay time.Duration, fn Event) {
-	if delay < 0 {
-		delay = 0
-	}
-	e.At(e.now+delay, fn)
-}
+// After schedules fn to run delay after the current virtual time; a
+// negative delay fires it now, as At does a past time.
+func (e *Engine) After(delay time.Duration, fn Event) { e.At(e.now+delay, fn) }
 
 // Run is RunCtx without cancellation.
 func (e *Engine) Run(horizon time.Duration, maxEvents uint64) error {
@@ -168,7 +193,14 @@ func (e *Engine) RunCtx(ctx context.Context, horizon time.Duration, maxEvents ui
 		}
 		ev := e.pop()
 		e.now = ev.at
-		ev.fire(e.now)
+		if ev.fire != nil {
+			ev.fire(e.now, ev.arg)
+		} else {
+			fn := e.parked[ev.arg]
+			e.parked[ev.arg] = nil
+			e.free = append(e.free, ev.arg)
+			fn(e.now)
+		}
 		e.fired++
 	}
 	return nil

@@ -106,8 +106,8 @@ func TestHorizonStopsRun(t *testing.T) {
 	if e.Now() != time.Minute {
 		t.Fatalf("clock = %v, want horizon", e.Now())
 	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1 beyond-horizon event retained", e.Pending())
+	if len(e.queue) != 1 {
+		t.Fatalf("pending = %d, want 1 beyond-horizon event retained", len(e.queue))
 	}
 }
 
@@ -127,7 +127,7 @@ func TestMaxEventsBudget(t *testing.T) {
 func TestNilEventIgnored(t *testing.T) {
 	e := NewEngine()
 	e.At(time.Second, nil)
-	if e.Pending() != 0 {
+	if len(e.queue) != 0 {
 		t.Fatal("nil event was queued")
 	}
 }
@@ -196,7 +196,7 @@ func TestRunOrderProperty(t *testing.T) {
 				return false
 			}
 		}
-		return e.Pending() == 0
+		return len(e.queue) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -210,42 +210,49 @@ func TestRunOrderProperty(t *testing.T) {
 // through a mix of horizon and budget returns until it drains. Every
 // scheduled event sorts after the one firing when it was scheduled, so
 // the whole fired sequence must equal every event ever scheduled sorted
-// by (time, insertion sequence).
+// by (time, insertion sequence). The schedules run twice: closures only,
+// then closures mixed at random with payload events of one bound handler.
 func TestEngineOrderMatchesReference(t *testing.T) {
 	type ref struct {
 		at  time.Duration
 		seq uint64
 	}
-	for seed := uint64(0); seed < 256; seed++ {
-		rng := rand.New(rand.NewPCG(seed, 1))
+	for seed := uint64(0); seed < 512; seed++ {
+		mixed := seed >= 256
+		rng := rand.New(rand.NewPCG(seed%256, 1))
 		e := NewEngine()
 		var want []ref
 		var got []uint64
 		var schedule func(now, at time.Duration)
+		fire := func(fired time.Duration, seq uint64) {
+			if fired != want[seq-1].at {
+				t.Fatalf("seed %d: event %d fired at %v, scheduled for %v", seed, seq, fired, want[seq-1].at)
+			}
+			got = append(got, seq)
+			for k := rng.IntN(3); k > 0 && len(want) < 400; k-- {
+				// Offsets in [-5ms, 10ms]: ties, and past times clamped to now.
+				schedule(fired, fired+time.Duration(rng.IntN(16)-5)*time.Millisecond)
+			}
+		}
 		schedule = func(now, at time.Duration) {
 			seq := uint64(len(want) + 1)
 			want = append(want, ref{at: max(at, now), seq: seq})
-			e.At(at, func(fired time.Duration) {
-				if fired != want[seq-1].at {
-					t.Fatalf("seed %d: event %d fired at %v, scheduled for %v", seed, seq, fired, want[seq-1].at)
-				}
-				got = append(got, seq)
-				for k := rng.IntN(3); k > 0 && len(want) < 400; k-- {
-					// Offsets in [-5ms, 10ms]: ties, and past times clamped to now.
-					schedule(fired, fired+time.Duration(rng.IntN(16)-5)*time.Millisecond)
-				}
-			})
+			if mixed && rng.IntN(2) == 0 {
+				e.Schedule(at, fire, seq)
+				return
+			}
+			e.At(at, func(fired time.Duration) { fire(fired, seq) })
 		}
 		for i := 0; i < 20; i++ {
 			schedule(0, time.Duration(rng.IntN(8))*time.Millisecond)
 		}
-		for e.Pending() > 0 {
+		for len(e.queue) > 0 {
 			if rng.IntN(2) == 0 {
 				h := e.Now() + time.Duration(1+rng.IntN(10))*time.Millisecond
 				if err := e.Run(h, 0); err != nil {
 					t.Fatal(err)
 				}
-				if e.Pending() > 0 && (e.Now() != h || e.queue[0].at <= h) {
+				if len(e.queue) > 0 && (e.Now() != h || e.queue[0].at <= h) {
 					t.Fatalf("seed %d: horizon %v return at %v with next event at %v", seed, h, e.Now(), e.queue[0].at)
 				}
 			} else {
@@ -253,7 +260,7 @@ func TestEngineOrderMatchesReference(t *testing.T) {
 				if err := e.Run(0, budget); err != nil {
 					t.Fatal(err)
 				}
-				if e.Pending() > 0 && e.Fired() != budget {
+				if len(e.queue) > 0 && e.Fired() != budget {
 					t.Fatalf("seed %d: budget %d return after %d fires", seed, budget, e.Fired())
 				}
 			}

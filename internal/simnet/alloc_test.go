@@ -25,6 +25,25 @@ func TestLatencyAllocFree(t *testing.T) {
 	}
 }
 
+// TestTransferAllocFree pins the dense uplink table: a transfer from a
+// node, or the server, that has already sent reads its slot and allocates
+// nothing.
+func TestTransferAllocFree(t *testing.T) {
+	n := mustNew(t, DefaultConfig())
+	const nodes = 1000
+	for id := ServerID; id < nodes; id++ {
+		n.Transfer(id, 0, 1000, 0)
+	}
+	i := 0
+	avg := testing.AllocsPerRun(10_000, func() {
+		i++
+		latencySink += n.Transfer(NodeID(i%nodes), NodeID(i%7), 1000, 0) + n.Transfer(ServerID, NodeID(i), 1000, 0)
+	})
+	if avg != 0 {
+		t.Fatalf("Transfer from a node that has sent allocates %.2f allocs/op, want 0", avg)
+	}
+}
+
 // latencySink keeps the compiler from eliding the measured calls.
 var latencySink time.Duration
 

@@ -71,8 +71,10 @@ func (c Config) Validate() error {
 // Network tracks uplink occupancy and answers latency/transfer queries. It
 // is single-threaded, like the simulator that drives it.
 type Network struct {
-	cfg       Config
-	busyUntil map[NodeID]time.Duration
+	cfg Config
+	// busyUntil is each uplink's busy-until time by node id + 1 (the
+	// server at 0), grown by doubling to the largest id that has sent.
+	busyUntil []time.Duration
 	// serverQ holds the uplink-free times of admitted server requests,
 	// in ascending order, when ServerQueueCap > 0.
 	serverQ []time.Duration
@@ -87,10 +89,7 @@ func New(cfg Config) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("simnet config: %w", err)
 	}
-	return &Network{
-		cfg:       cfg,
-		busyUntil: make(map[NodeID]time.Duration),
-	}, nil
+	return &Network{cfg: cfg}, nil
 }
 
 // Latency returns the one-way propagation delay between a and b. It is
@@ -117,14 +116,6 @@ func Reserve(busyUntil, now time.Duration, bytes, bps int64) time.Duration {
 	return max(now, busyUntil) + time.Duration(float64(bytes*8)/float64(bps)*float64(time.Second))
 }
 
-// uplinkBps returns the upload capacity of the given endpoint.
-func (n *Network) uplinkBps(id NodeID) int64 {
-	if id == ServerID {
-		return n.cfg.ServerUplinkBps
-	}
-	return PeerUplinkBps
-}
-
 // Transfer reserves from's uplink for a transfer of size bytes starting no
 // earlier than now and returns the absolute virtual time at which the last
 // byte arrives at to (queueing + transmission + propagation). Uplinks are
@@ -134,13 +125,18 @@ func (n *Network) Transfer(from, to NodeID, bytes int64, now time.Duration) time
 	if bytes < 0 {
 		bytes = 0
 	}
-	done := Reserve(n.busyUntil[from], now, bytes, n.uplinkBps(from))
-	n.busyUntil[from] = done
+	i, bps := int(from)+1, int64(PeerUplinkBps)
+	if i >= len(n.busyUntil) {
+		n.busyUntil = append(n.busyUntil, make([]time.Duration, max(i+1, 2*len(n.busyUntil))-len(n.busyUntil))...)
+	}
 	if from == ServerID {
+		bps = n.cfg.ServerUplinkBps
 		n.serverBytes += bytes
 	} else {
 		n.peerBytes += bytes
 	}
+	done := Reserve(n.busyUntil[i], now, bytes, bps)
+	n.busyUntil[i] = done
 	return done + n.Latency(from, to)
 }
 
@@ -185,7 +181,7 @@ func (n *Network) ServerTransfer(to NodeID, head, total int64, now time.Duration
 		// The request occupies its slot until the uplink has pushed
 		// its last byte; busyUntil is monotonic, so the queue stays
 		// sorted by completion time.
-		n.serverQ = append(n.serverQ, n.busyUntil[ServerID])
+		n.serverQ = append(n.serverQ, n.busyUntil[0])
 		if len(n.serverQ) > n.queuePeak {
 			n.queuePeak = len(n.serverQ)
 		}

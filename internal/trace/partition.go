@@ -170,6 +170,3 @@ func (p *Partition) HomeOfVideo(v VideoID) int {
 	}
 	return int(ch.Primary)
 }
-
-// Parent returns the partitioned trace.
-func (p *Partition) Parent() *Trace { return p.parent }

@@ -19,12 +19,6 @@ const DefaultBitrateBps = 320_000
 // DefaultChunksPerVideo is Table I's chunk count per video.
 const DefaultChunksPerVideo = 2
 
-// Chunk identifies one piece of a video.
-type Chunk struct {
-	Video trace.VideoID `json:"video"`
-	Index int           `json:"index"`
-}
-
 // ChunkBytes returns the size in bytes of one chunk of a video of the given
 // length at the given bitrate, split into chunks equal parts.
 func ChunkBytes(length time.Duration, bitrateBps int64, chunks int) int64 {

@@ -58,9 +58,10 @@ echo "== experiment-driver gate (golden Results, determinism table, shared picke
 # fault window is the fold of faults.Window.Apply: it must match a
 # brute-force reference over 256 random plans, and the runner must hold
 # that fold. The identity partition runs a job's fault plan, timeline and
-# load profile; the category partition refuses each. Seconds, so they run
+# load profile; the category partition refuses each. A session chain a
+# crash and rejoin superseded must fire into nothing. Seconds, so they run
 # before the minute-long suite.
-go test -race -count=5 -run 'TestGoldenResults|TestDeterministicUnderSeed|TestShardedWorkerCountInvariance|TestSharedPickerDrawsAsCellPickers|TestTimeline|TestZeroInterLinkBudgetHoldsNoInterLinks|TestRunnerWindowIsTheFold|TestNestedOutageEqualsOuter|TestChaosWindowInSimulator' ./internal/exp/
+go test -race -count=5 -run 'TestGoldenResults|TestDeterministicUnderSeed|TestShardedWorkerCountInvariance|TestSharedPickerDrawsAsCellPickers|TestTimeline|TestZeroInterLinkBudgetHoldsNoInterLinks|TestRunnerWindowIsTheFold|TestNestedOutageEqualsOuter|TestChaosWindowInSimulator|TestOrphanedChainStaysDead' ./internal/exp/
 go test -race -count=5 -run 'TestCannedPlanSchedulesPinned|TestWindowMatchesReference|TestValidateRejectsBadPlans' ./internal/faults/
 go test -race -count=5 -run 'TestRunCarriesJobOptionsToEitherPartition' ./internal/figures/
 
@@ -75,8 +76,9 @@ echo "== allocation guards (the !race tests, without -race) =="
 # The race build compiles out every //go:build !race test: its
 # instrumentation inflates allocation counts. These are all of them: heap
 # budgets of a loaded or generated trace and of a run's cells and result,
-# and the hot paths that must not allocate. Seconds.
-go test -count=1 -run '^(TestLoadStreamHeapBudget|TestGenerateAllocBudget|TestGenerateAllocatesWhatItKeeps|TestHistObserveAllocFree|TestNetTubeProbeAndLinksAllocFree|TestFrameDrawAllocFree|TestWireAllocs|TestHostileListCountAllocatesNothing|TestParkedReaderPinsNoFrameBuffer|TestEngineSteadyStateAllocFree|TestLatencyAllocFree|TestRequestAllocFreeAfterRepair|TestRequestAllocFreeWithOpenBreakers|TestRequestAllocFreeWithTelemetry|TestRequestStaysAllocFree|TestProbeAllocFree|TestFinishAllocFree|TestLeaveJoinAllocFree|TestRemoteLookupAllocFree|TestHeapHighWaterReportsThePeak|TestCellsCostTheirUsersNotTheCatalog|TestFinishedResultFootprint|TestTimelineRecordAllocFree)$' \
+# and the hot paths that must not allocate, the runner's session chain
+# among them. Seconds.
+go test -count=1 -run '^(TestLoadStreamHeapBudget|TestGenerateAllocBudget|TestGenerateAllocatesWhatItKeeps|TestHistObserveAllocFree|TestNetTubeProbeAndLinksAllocFree|TestFrameDrawAllocFree|TestWireAllocs|TestHostileListCountAllocatesNothing|TestParkedReaderPinsNoFrameBuffer|TestEngineSteadyStateAllocFree|TestLatencyAllocFree|TestTransferAllocFree|TestRequestAllocFreeAfterRepair|TestRequestAllocFreeWithOpenBreakers|TestRequestAllocFreeWithTelemetry|TestRequestStaysAllocFree|TestProbeAllocFree|TestFinishAllocFree|TestLeaveJoinAllocFree|TestRemoteLookupAllocFree|TestHeapHighWaterReportsThePeak|TestCellsCostTheirUsersNotTheCatalog|TestFinishedResultFootprint|TestTimelineRecordAllocFree|TestSessionChainAllocFree)$' \
 	./internal/trace/ ./internal/obs/ ./internal/baseline/ ./internal/emu/ ./internal/sim/ ./internal/simnet/ ./internal/core/ ./internal/exp/
 
 echo "== hot-path layout gate (cache fingerprint words, one mesh representation, event heap order; -race x5) =="
