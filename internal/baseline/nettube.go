@@ -317,10 +317,6 @@ func (n *NetTube) Cache(node int) *vod.Cache {
 	return n.caches.Cache(node)
 }
 
-// Overlays returns how many per-video overlays the node currently belongs
-// to (tests and ablations).
-func (n *NetTube) Overlays(node int) int { return len(n.joined(node)) }
-
 // joined is the node's sorted overlay list (nil for an unknown node).
 func (n *NetTube) joined(node int) []trace.VideoID {
 	if !n.Known(node) {

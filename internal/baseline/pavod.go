@@ -210,12 +210,3 @@ func (p *PAVoD) Links(node int) int {
 	}
 	return 1
 }
-
-// Watchers returns how many nodes currently watch the video (tests); 0 for
-// an id outside the catalog.
-func (p *PAVoD) Watchers(v trace.VideoID) int {
-	if p.Trace.Video(v) == nil {
-		return 0
-	}
-	return p.watchers[v].Len()
-}

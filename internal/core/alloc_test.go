@@ -214,7 +214,7 @@ func TestFinishAllocFree(t *testing.T) {
 			continue
 		}
 		pairs = append(pairs, pair{int(u.ID), ch.Videos[int(u.ID)%len(ch.Videos)]})
-		prefixes += sys.caches.Cache(int(u.ID)).PrefixLen()
+		prefixes += prefixOnly(sys.caches.Cache(int(u.ID)), tr)
 	}
 	if sys.cfg.PrefetchCount == 0 || prefixes == 0 {
 		t.Fatal("warm-up prefetched nothing: the guard would measure no pick")

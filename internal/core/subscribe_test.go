@@ -75,43 +75,6 @@ func TestSubscribeChangesJoinBehavior(t *testing.T) {
 	}
 }
 
-func TestUnsubscribeDetachesHomeOverlay(t *testing.T) {
-	tr := coreTrace(t)
-	s := newSystem(t, tr, nil)
-	node, v := subscribedVideo(t, tr)
-	ch := tr.Video(v).Channel
-	s.Join(node)
-	s.Request(node, v)
-	if s.nodes[node].home != ch {
-		t.Skip("node did not join its subscribed channel")
-	}
-	if !s.Unsubscribe(node, ch) {
-		t.Fatal("unsubscribe failed")
-	}
-	if s.nodes[node].home == ch {
-		t.Fatal("unsubscribed node still in the channel overlay")
-	}
-	if s.InnerLinks(node) != 0 {
-		t.Fatal("unsubscribed node keeps inner links")
-	}
-	if s.Unsubscribe(node, ch) {
-		t.Fatal("double unsubscribe should report false")
-	}
-}
-
-func TestUnsubscribeUnknown(t *testing.T) {
-	tr := coreTrace(t)
-	s := newSystem(t, tr, nil)
-	if s.Unsubscribe(1<<30, 0) {
-		t.Fatal("unknown node unsubscribed")
-	}
-	node := int(tr.Users[0].ID)
-	ch := unsubscribedChannel(t, tr, node)
-	if s.Unsubscribe(node, ch.ID) {
-		t.Fatal("unsubscribing a non-subscription should report false")
-	}
-}
-
 // TestSubscriptionsSnapshotIsCopy guards against aliasing internal state.
 func TestSubscriptionsSnapshotIsCopy(t *testing.T) {
 	tr := coreTrace(t)

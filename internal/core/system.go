@@ -56,8 +56,8 @@ type System struct {
 	// byCat indexes channels by primary category for inter-link seeding.
 	byCat [][]trace.ChannelID
 	// subs is each node's subscription set, indexed by node id: the
-	// trace's own list until the node's first Subscribe or Unsubscribe,
-	// which replace it with a fresh one and never write through it.
+	// trace's own list until the node's first Subscribe, which replaces
+	// it with a fresh one and never writes through it.
 	subs [][]trace.ChannelID
 
 	// scratch is the reusable flood state; one flood runs at a time, so a
@@ -325,22 +325,6 @@ func (s *System) Subscribe(node int, ch trace.ChannelID) bool {
 		return false
 	}
 	s.subs[node] = append(slices.Clip(s.subs[node]), ch) // clipped: always a fresh array
-	return true
-}
-
-// Unsubscribe removes a channel subscription at runtime. A node
-// unsubscribed from its home channel leaves that overlay: it no longer
-// tends to watch the channel's videos, so keeping inner-links there would
-// waste the link budget.
-func (s *System) Unsubscribe(node int, ch trace.ChannelID) bool {
-	if !s.subscribed(node, ch) {
-		return false
-	}
-	s.subs[node] = slices.DeleteFunc(slices.Clone(s.subs[node]),
-		func(c trace.ChannelID) bool { return c == ch })
-	if s.nodes[node].home == ch {
-		s.detach(node)
-	}
 	return true
 }
 

@@ -83,6 +83,7 @@ func (z *Zipf) TopP(m int) float64 {
 type BoundedPareto struct {
 	alpha  float64
 	lo, hi float64
+	la, ha float64 // lo^alpha and hi^alpha, fixed per sampler
 }
 
 // NewBoundedPareto builds a bounded Pareto sampler with tail index alpha on
@@ -91,14 +92,12 @@ func NewBoundedPareto(alpha, lo, hi float64) (*BoundedPareto, error) {
 	if alpha <= 0 || lo <= 0 || hi <= lo {
 		return nil, fmt.Errorf("%w: pareto alpha=%v lo=%v hi=%v", ErrBadParameter, alpha, lo, hi)
 	}
-	return &BoundedPareto{alpha: alpha, lo: lo, hi: hi}, nil
+	return &BoundedPareto{alpha: alpha, lo: lo, hi: hi, la: math.Pow(lo, alpha), ha: math.Pow(hi, alpha)}, nil
 }
 
 // Sample draws a value in [lo, hi] by inverse-CDF transform.
 func (p *BoundedPareto) Sample(g *RNG) float64 {
-	u := g.Float64()
-	la := math.Pow(p.lo, p.alpha)
-	ha := math.Pow(p.hi, p.alpha)
+	u, la, ha := g.Float64(), p.la, p.ha
 	// Inverse CDF of the bounded Pareto.
 	x := math.Pow(-(u*ha-u*la-ha)/(ha*la), -1/p.alpha)
 	if x < p.lo {
@@ -178,6 +177,10 @@ func Poisson(g *RNG, mean float64) int {
 type Cumulative struct {
 	acc []float64 // acc[i] = sum of the positive weights among the first i+1
 }
+
+// NewCumulative returns an empty vector with room for n weights, so one
+// whose length is known up front never regrows its array.
+func NewCumulative(n int) Cumulative { return Cumulative{acc: make([]float64, 0, n)} }
 
 // Add appends a weight to the vector.
 func (c *Cumulative) Add(w float64) {

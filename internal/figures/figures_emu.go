@@ -35,17 +35,6 @@ type EmuScale struct {
 	Tracer obs.Tracer
 }
 
-// SmallEmuScale returns a seconds-long emulation.
-func SmallEmuScale() EmuScale {
-	return EmuScale{
-		Peers:            64,
-		Sessions:         3,
-		VideosPerSession: 8,
-		WatchTime:        20 * time.Millisecond,
-		Seed:             1,
-	}
-}
-
 // EmuTrace generates the PlanetLab-style trace of §V: 6 categories of 10
 // channels with 40 videos each (2,400 videos), scaled to the peer count.
 func (s EmuScale) EmuTrace() (*trace.Trace, error) {

@@ -125,11 +125,7 @@ func TestEmuFigures(t *testing.T) {
 	if testing.Short() {
 		t.Skip("TCP cluster runs")
 	}
-	s := SmallEmuScale()
-	s.Peers = 10
-	s.Sessions = 1
-	s.VideosPerSession = 4
-	s.WatchTime = 5 * time.Millisecond
+	s := EmuScale{Peers: 10, Sessions: 1, VideosPerSession: 4, WatchTime: 5 * time.Millisecond, Seed: 1}
 	tr, err := s.EmuTrace()
 	if err != nil {
 		t.Fatal(err)
@@ -160,8 +156,7 @@ func TestDeliveryFiguresShareOneBuilder(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every delivery figure on both substrates")
 	}
-	es := SmallEmuScale()
-	es.Peers, es.Sessions, es.VideosPerSession, es.WatchTime = 6, 1, 2, time.Millisecond
+	es := EmuScale{Peers: 6, Sessions: 1, VideosPerSession: 2, WatchTime: time.Millisecond, Seed: 1}
 	etr, err := es.EmuTrace()
 	if err != nil {
 		t.Fatal(err)

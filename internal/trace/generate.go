@@ -303,11 +303,11 @@ func (gen *generator) videos() error {
 	if mult <= 0 {
 		mult = 1
 	}
-	// Each channel's videos go into a block of exactly the drawn size,
-	// concatenated once into an exact-size catalog after the loop:
-	// appending ~100k videos one by one would allocate several catalogs'
-	// worth of outgrown arrays.
-	blocks, total := make([][]Video, len(tr.Channels)), 0
+	// Each video is drawn into a pointer-free record in fixed-size chunks,
+	// and the exact-size catalog is written once the total is known, so
+	// no catalog-sized array is outgrown or copied.
+	var chunks [][]stagedVideo
+	total := 0
 	for ci := range tr.Channels {
 		ch := &tr.Channels[ci]
 		nVideos := max(1, int(countDist.Sample(g)*mult))
@@ -323,7 +323,6 @@ func (gen *generator) videos() error {
 		nSubs := float64(len(ch.Subscribers))
 		totalViews := (gen.chanPop[ci] + 40*nSubs*(0.75+0.5*g.Float64())) * math.Sqrt(float64(nVideos)) * 12
 		ch.Videos = gen.vids.take(nVideos)
-		blocks[ci] = make([]Video, nVideos)
 		for r := 1; r <= nVideos; r++ {
 			views := max(1, int64(totalViews*zipf.P(r)))
 			// Favourites correlate strongly with views (Fig. 8;
@@ -334,29 +333,42 @@ func (gen *generator) videos() error {
 			// the span (Fig. 2): sqrt-transform of a uniform puts
 			// more uploads late in the period.
 			u := g.Float64()
-			at := tr.Start.Add(time.Duration(math.Sqrt(u) * spanSec * float64(time.Second)))
+			at := time.Duration(math.Sqrt(u) * spanSec * float64(time.Second))
 			length := min(max(time.Duration(lengthDist.Sample(g)*float64(time.Second)), 10*time.Second), 30*time.Minute)
-			id := VideoID(total + r - 1)
-			blocks[ci][r-1] = Video{
-				ID:        id,
-				Channel:   ch.ID,
-				Category:  videoCategory(g, ch),
-				Views:     views,
-				Favorites: favs,
-				Uploaded:  at,
-				Length:    length,
-				Rank:      r,
+			id := total + r - 1
+			if id%stagedChunk == 0 {
+				chunks = append(chunks, make([]stagedVideo, stagedChunk))
 			}
-			ch.Videos[r-1] = id
+			chunks[id/stagedChunk][id%stagedChunk] = stagedVideo{views, favs, at, length, videoCategory(g, ch)}
+			ch.Videos[r-1] = VideoID(id)
 		}
 		total += nVideos
 	}
-	tr.Videos = make([]Video, 0, total) // not slices.Concat: it rounds the capacity up
-	for _, b := range blocks {
-		tr.Videos = append(tr.Videos, b...)
+	// Fields are set in place: a composite literal would build each 80 B
+	// Video as a temporary and copy it.
+	tr.Videos = make([]Video, total)
+	for ci := range tr.Channels {
+		ch := &tr.Channels[ci]
+		for r, id := range ch.Videos {
+			s, v := &chunks[int(id)/stagedChunk][int(id)%stagedChunk], &tr.Videos[id]
+			v.ID, v.Channel, v.Category, v.Rank = id, ch.ID, s.cat, r+1
+			v.Views, v.Favorites, v.Uploaded, v.Length = s.views, s.favs, tr.Start.Add(s.at), s.length
+		}
 	}
 	return nil
 }
+
+// stagedVideo is a drawn video before the catalog exists: the fields its
+// draws decide, with the upload time as an offset from the trace's start
+// so that it holds no pointer and the collector never scans a chunk.
+type stagedVideo struct {
+	views, favs int64
+	at, length  time.Duration
+	cat         CategoryID
+}
+
+// stagedChunk is the number of staged videos per chunk (160 KB).
+const stagedChunk = 4096
 
 func videoCategory(g *dist.RNG, ch *Channel) CategoryID {
 	// Most videos belong to the channel's primary category; the rest are

@@ -61,12 +61,14 @@ func TestLoadStreamHeapBudget(t *testing.T) {
 // TestGenerateAllocBudget guards the subscription draws: they used to
 // build a channel-id slice and a weight slice per draw (28.9 MB/op at
 // 2 000 users, three quarters of it from those two slices); drawing from
-// weights built once left 6.1 MiB/op, and building the catalog, the
-// subscriber lists and every per-object list at their exact sizes leaves
-// 3.2 MiB/op. The count bound guards the per-user layout: four maps per
-// user and lists grown by append made 17.1 allocations per user, map-free
-// draws into lists sized from the drawn counts made about 6, and carving
-// the lists from shared blocks makes 0.8.
+// weights built once left 6.1 MiB/op, building the catalog, the
+// subscriber lists and every per-object list at their exact sizes left
+// 3.2 MiB/op, and staging the catalog in pointer-free chunks instead of
+// per-channel []Video blocks leaves 2.7 MiB/op. The count bound guards the
+// per-user layout: four maps per user and lists grown by append made 17.1
+// allocations per user, map-free draws into lists sized from the drawn
+// counts made about 6, carving the lists from shared blocks made 0.8
+// (1 615), and dropping the per-channel blocks makes 0.53 (1 068).
 func TestGenerateAllocBudget(t *testing.T) {
 	cfg := DefaultConfig()
 	var before, after runtime.MemStats
@@ -75,11 +77,11 @@ func TestGenerateAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
-	if got, budget := after.TotalAlloc-before.TotalAlloc, uint64(5<<20); got > budget {
+	if got, budget := after.TotalAlloc-before.TotalAlloc, uint64(3<<20); got > budget {
 		t.Fatalf("Generate allocates %d bytes at 2 000 users, budget %d", got, budget)
 	}
-	if got, budget := after.Mallocs-before.Mallocs, uint64(cfg.Users); got > budget {
-		t.Fatalf("Generate makes %d allocations at %d users, budget %d (1 per user)", got, cfg.Users, budget)
+	if got, budget := after.Mallocs-before.Mallocs, uint64(cfg.Users*3/5); got > budget {
+		t.Fatalf("Generate makes %d allocations at %d users, budget %d (0.6 per user)", got, cfg.Users, budget)
 	}
 }
 
@@ -89,8 +91,10 @@ func TestGenerateAllocBudget(t *testing.T) {
 // 1.25x per step, and each channel's subscriber list grew by append to
 // ~4.4x its final size: generation allocated 4.3x the trace it returned.
 // Per-channel blocks concatenated once, subscriber lists filled in one
-// counted pass and the other lists carved from shared blocks allocate
-// 1.9x; the catalog keeps no spare capacity.
+// counted pass and the other lists carved from shared blocks allocated
+// 1.89x (22.7 MB for 12.0 MB); drawing each video into a 40 B pointer-free
+// staging record and writing the catalog once allocates 1.51x (18.1 MB).
+// The catalog keeps no spare capacity.
 func TestGenerateAllocatesWhatItKeeps(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Users = 10_000
@@ -104,8 +108,8 @@ func TestGenerateAllocatesWhatItKeeps(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	got, kept := after.TotalAlloc-before.TotalAlloc, tr.Bytes()
-	if budget := kept * 5 / 2; got > budget {
-		t.Errorf("Generate allocates %d bytes for a %d-byte trace (%.2fx), budget 2.5x", got, kept, float64(got)/float64(kept))
+	if budget := kept * 8 / 5; got > budget {
+		t.Errorf("Generate allocates %d bytes for a %d-byte trace (%.2fx), budget 1.6x", got, kept, float64(got)/float64(kept))
 	}
 	if cap(tr.Videos) != len(tr.Videos) {
 		t.Errorf("catalog holds %d videos in a %d-video array", len(tr.Videos), cap(tr.Videos))

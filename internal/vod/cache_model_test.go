@@ -55,9 +55,9 @@ func TestCacheMatchesMapModel(t *testing.T) {
 				c.AddPrefix(v)
 				m.AddPrefix(v)
 			}
-			if c.FullLen() != len(m.full) || c.PrefixLen() != len(m.prefix) {
+			if c.FullLen() != len(m.full) || len(c.prefix) != len(m.prefix) {
 				t.Fatalf("max=%d step %d: lens full %d prefix %d, model %d %d",
-					maxVideos, step, c.FullLen(), c.PrefixLen(), len(m.full), len(m.prefix))
+					maxVideos, step, c.FullLen(), len(c.prefix), len(m.full), len(m.prefix))
 			}
 			if got := c.FullVideos(); !slices.Equal(got, m.order) {
 				t.Fatalf("max=%d step %d: FullVideos %v, model %v", maxVideos, step, got, m.order)

@@ -104,9 +104,6 @@ func (c *Cache) FullLen() int { return len(c.full) }
 // (the order FullVideos copies), for 0 <= i < FullLen.
 func (c *Cache) FullAt(i int) trace.VideoID { return c.order[i] }
 
-// PrefixLen returns the number of prefix-only entries.
-func (c *Cache) PrefixLen() int { return len(c.prefix) }
-
 // FullVideos returns the ids of all fully cached videos (copy).
 func (c *Cache) FullVideos() []trace.VideoID { return slices.Clone(c.order) }
 
@@ -234,10 +231,24 @@ func NewPicker(tr *trace.Trace, b Behavior) (*Picker, error) {
 			p.zipfBySize[n], _ = dist.NewZipf(n, 1) // n ≥ 1 and s = 1 always build
 		}
 	}
-	for _, v := range tr.Videos {
+	// Count each category's videos first, so every table is carved or
+	// allocated at its final size and the catalog is walked in place.
+	counts := make([]int, tr.Categories)
+	for i := range tr.Videos {
+		if c := int(tr.Videos[i].Category); c >= 0 && c < tr.Categories {
+			counts[c]++
+		}
+	}
+	ids := make([]trace.VideoID, len(tr.Videos))
+	for c, n := range counts {
+		p.byCat[c], ids = ids[:0:n], ids[n:]
+		p.byCatDraw[c] = dist.NewCumulative(n)
+	}
+	p.all = dist.NewCumulative(len(tr.Videos))
+	for i := range tr.Videos {
+		v := &tr.Videos[i]
 		p.all.Add(float64(v.Views))
-		c := int(v.Category)
-		if c >= 0 && c < tr.Categories {
+		if c := int(v.Category); c >= 0 && c < tr.Categories {
 			p.byCat[c] = append(p.byCat[c], v.ID)
 			p.byCatDraw[c].Add(float64(v.Views))
 		}

@@ -57,11 +57,11 @@ func TestCacheAddFullAndPrefix(t *testing.T) {
 	if !c.HasFull(1) || !c.HasPrefix(1) {
 		t.Fatal("full video should satisfy both")
 	}
-	if c.PrefixLen() != 0 {
+	if len(c.prefix) != 0 {
 		t.Fatal("full video should supersede its prefix entry")
 	}
 	c.AddPrefix(1)
-	if c.PrefixLen() != 0 {
+	if len(c.prefix) != 0 {
 		t.Fatal("prefix after full should be a no-op")
 	}
 }
@@ -113,7 +113,7 @@ func TestCacheClear(t *testing.T) {
 	c.AddFull(1)
 	c.AddPrefix(2)
 	c.Clear()
-	if c.FullLen() != 0 || c.PrefixLen() != 0 || c.HasPrefix(2) {
+	if c.FullLen() != 0 || len(c.prefix) != 0 || c.HasPrefix(2) {
 		t.Fatal("clear left residue")
 	}
 }
