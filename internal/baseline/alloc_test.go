@@ -5,12 +5,18 @@
 
 package baseline
 
-import "testing"
+import (
+	"slices"
+	"testing"
+
+	"github.com/socialtube/socialtube/internal/trace"
+)
 
 // TestNetTubeProbeAndLinksAllocFree pins NetTube's maintenance path at 0
 // allocs/op: once every node has watched a few videos and some have failed
-// (so the first probes prune dead links), Probe and Links read and prune the
-// node-side overlay lists in place.
+// (so the first probes prune dead links), Probe, Links and the flood's
+// neighbour union merge-walk the node-side overlay lists in place, and so
+// do a quiet probe and a suspect one after a neighbour's Fail.
 func TestNetTubeProbeAndLinksAllocFree(t *testing.T) {
 	tr := baselineTrace(t)
 	nt, err := NewNetTube(DefaultNetTubeConfig(), tr)
@@ -41,11 +47,34 @@ func TestNetTubeProbeAndLinksAllocFree(t *testing.T) {
 		i++
 		n := i % len(tr.Users)
 		probed += nt.Probe(n)
-		links += nt.Links(n)
+		links += nt.Links(n) + len(nt.unionNeighbors(n))
 	}); avg != 0 {
 		t.Fatalf("probe+links allocates %.2f allocs/op, want 0", avg)
 	}
 	if probed == 0 {
 		t.Fatal("no probe examined a link")
+	}
+	n := 1
+	for nt.Links(n) == 0 || !nt.Online(n) {
+		n++
+	}
+	v := nt.nodes[n].joined[slices.IndexFunc(nt.nodes[n].joined, func(v trace.VideoID) bool {
+		return len(nt.overlays.NeighborsView(v, n)) > 0
+	})]
+	if avg := testing.AllocsPerRun(2000, func() { nt.Probe(n) }); avg != 0 || nt.nodes[n].suspect {
+		t.Fatalf("quiet probe allocates %.2f allocs/op (suspect %v), want 0", avg, nt.nodes[n].suspect)
+	}
+	pruned := nt.Ctr.LinksPruned
+	if avg := testing.AllocsPerRun(2000, func() {
+		nb := nt.overlays.NeighborsView(v, n)[0]
+		nt.Fail(nb)
+		nt.Probe(n)
+		nt.Join(nb)
+		nt.overlays.Connect(v, n, nb)
+	}); avg != 0 {
+		t.Fatalf("suspect probe allocates %.2f allocs/op, want 0", avg)
+	}
+	if got := nt.Ctr.LinksPruned - pruned; got < 2000 {
+		t.Fatalf("2000 suspect probes pruned %d links", got)
 	}
 }

@@ -233,7 +233,8 @@ func TestNetTubeFailThenProbe(t *testing.T) {
 // overlay's mesh without the overlay entering its joined list, so its own
 // link count and its next Leave both miss that edge. a watches v1 and
 // leaves (its cache stays), comes back into v2's overlay, where b finds it;
-// b's flood for v1 then links b to a in v1's mesh.
+// b's flood for v1 then links b to a in v1's mesh. The edge outlives a's
+// next Leave until b's next probe prunes it.
 func TestNetTubeHalfJoinedProvider(t *testing.T) {
 	tr := baselineTrace(t)
 	nt, err := NewNetTube(DefaultNetTubeConfig(), tr)
@@ -256,7 +257,7 @@ func TestNetTubeHalfJoinedProvider(t *testing.T) {
 	if res := nt.Request(b, v1); res.Source != vod.SourcePeer || res.Provider != a || res.Hops != 1 {
 		t.Fatalf("b's v1 request = %+v, want flood hit on %d at 1 hop", res, a)
 	}
-	if got := nt.overlays.Degree(v1, a); got != 1 {
+	if got := len(nt.overlays.NeighborsView(v1, a)); got != 1 {
 		t.Fatalf("a's degree in v1's mesh = %d, want 1", got)
 	}
 	if nt.Links(a) != 1 || len(nt.joined(a)) != 1 || nt.Links(b) != 2 {
@@ -264,8 +265,11 @@ func TestNetTubeHalfJoinedProvider(t *testing.T) {
 			nt.Links(a), len(nt.joined(a)), nt.Links(b))
 	}
 	nt.Leave(a)
-	if got := nt.overlays.Degree(v1, a); got != 1 || nt.Links(b) != 1 {
+	if got := len(nt.overlays.NeighborsView(v1, a)); got != 1 || nt.Links(b) != 1 {
 		t.Fatalf("after a's leave: degree(v1, a)=%d Links(b)=%d, want 1 1 (the v1 edge outlives it)", got, nt.Links(b))
+	}
+	if msgs := nt.Probe(b); msgs != 1 || nt.Links(b) != 0 {
+		t.Fatalf("b's probe after a's leave sent %d messages and left Links(b)=%d, want 1 0", msgs, nt.Links(b))
 	}
 }
 
@@ -375,8 +379,8 @@ func TestPAVoDNoProviderAfterFinish(t *testing.T) {
 	pv.Join(b)
 	pv.Request(a, v)
 	pv.Finish(a, v)
-	if pv.watchers[v].Len() != 0 {
-		t.Fatalf("watchers after finish = %d, want 0", pv.watchers[v].Len())
+	if len(pv.watchers[v].View()) != 0 {
+		t.Fatalf("watchers after finish = %d, want 0", len(pv.watchers[v].View()))
 	}
 	if res := pv.Request(b, v); res.Source != vod.SourceServer {
 		t.Fatalf("source = %v, want server (no concurrent watcher)", res.Source)
@@ -411,7 +415,7 @@ func TestPAVoDLeaveClearsWatcher(t *testing.T) {
 	pv.Join(0)
 	pv.Request(0, v)
 	pv.Leave(0)
-	if pv.watchers[v].Len() != 0 {
+	if len(pv.watchers[v].View()) != 0 {
 		t.Fatal("leave did not clear watcher registration")
 	}
 	pv.Fail(0) // offline fail is a no-op
@@ -430,10 +434,10 @@ func TestPAVoDSwitchingVideosMovesWatcher(t *testing.T) {
 	pv.Join(0)
 	pv.Request(0, v1)
 	pv.Request(0, v2)
-	if pv.watchers[v1].Len() != 0 {
+	if len(pv.watchers[v1].View()) != 0 {
 		t.Fatal("moving to a new video should stop providing the old one")
 	}
-	if pv.watchers[v2].Len() != 1 {
+	if len(pv.watchers[v2].View()) != 1 {
 		t.Fatal("node not registered as watcher of new video")
 	}
 }
@@ -455,14 +459,14 @@ func TestPAVoDDegenerate(t *testing.T) {
 	// A catalog video nobody has watched has no watcher set yet: it reads
 	// as empty, and its first watcher allocates it.
 	v := tr.Videos[7].ID
-	if pv.watchers[v] != nil || pv.watchers[v].Len() != 0 {
-		t.Fatalf("untouched video %d: watcher set %v, %d watchers, want nil and 0", v, pv.watchers[v], pv.watchers[v].Len())
+	if pv.watchers[v] != nil || len(pv.watchers[v].View()) != 0 {
+		t.Fatalf("untouched video %d: watcher set %v, %d watchers, want nil and 0", v, pv.watchers[v], len(pv.watchers[v].View()))
 	}
 	if res := pv.Request(0, v); res.Source != vod.SourceServer {
 		t.Fatalf("first watcher of video %d served from %v, want the server", v, res.Source)
 	}
-	if pv.watchers[v].Len() != 1 {
-		t.Fatalf("video %d has %d watchers after its first request, want 1", v, pv.watchers[v].Len())
+	if len(pv.watchers[v].View()) != 1 {
+		t.Fatalf("video %d has %d watchers after its first request, want 1", v, len(pv.watchers[v].View()))
 	}
 }
 
@@ -476,7 +480,7 @@ func TestNetTubeUntouchedVideoReadsEmpty(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := tr.Videos[7].ID
-	if nt.members[v] != nil || nt.members[v].Len() != 0 {
+	if nt.members[v] != nil || len(nt.members[v].View()) != 0 {
 		t.Fatalf("untouched video %d has member set %v, want nil", v, nt.members[v])
 	}
 	nt.Join(0)

@@ -91,13 +91,9 @@ type ntNode struct {
 	// joined lists the per-video overlays the node currently has links
 	// in, sorted ascending so every iteration order is deterministic.
 	joined []trace.VideoID
-}
-
-// joinedAdd inserts v into the sorted joined list if absent.
-func (st *ntNode) joinedAdd(v trace.VideoID) {
-	if i, ok := slices.BinarySearch(st.joined, v); !ok {
-		st.joined = slices.Insert(st.joined, i, v)
-	}
+	// suspect: a joined overlay may link an offline node (depart and
+	// joinOverlay set it); only then does a probe prune, clearing it.
+	suspect bool
 }
 
 // NewNetTube builds a NetTube system over the trace.
@@ -127,26 +123,56 @@ func NewNetTube(cfg NetTubeConfig, tr *trace.Trace) (*NetTube, error) {
 func (n *NetTube) Join(node int) { n.Arrive(node) }
 
 // Leave implements vod.Protocol: graceful departure from every overlay.
-func (n *NetTube) Leave(node int) {
-	if !n.Depart(node, obs.KindLeave) {
+func (n *NetTube) Leave(node int) { n.depart(node, obs.KindLeave) }
+
+// Fail implements vod.Protocol: the node vanishes from member sets but its
+// mesh links linger until neighbours probe.
+func (n *NetTube) Fail(node int) { n.depart(node, obs.KindFail) }
+
+// depart takes the node out of its member sets (a leave also out of its
+// joined overlays' meshes) and marks every node it still links suspect: a
+// failure keeps every edge, a leave those in slots it never joined.
+func (n *NetTube) depart(node int, kind obs.Kind) {
+	if !n.Depart(node, kind) {
 		return
 	}
 	st := &n.nodes[node]
 	for _, v := range st.joined {
-		n.overlays.RemoveNode(v, node)
 		n.members[v].Remove(node)
+		if kind == obs.KindLeave {
+			n.overlays.RemoveNode(v, node)
+		}
 	}
-	st.joined = st.joined[:0]
+	if kind == obs.KindLeave {
+		st.joined = st.joined[:0]
+	}
+	for i := 0; ; i++ {
+		_, nbs, ok := n.overlays.Slot(node, i)
+		if !ok {
+			return
+		}
+		for _, nb := range nbs {
+			n.nodes[nb].suspect = true
+		}
+	}
 }
 
-// Fail implements vod.Protocol: the node vanishes from member sets but its
-// mesh links linger until neighbours probe.
-func (n *NetTube) Fail(node int) {
-	if !n.Depart(node, obs.KindFail) {
-		return
-	}
-	for _, v := range n.nodes[node].joined {
-		n.members[v].Remove(node)
+// eachJoined calls fn with each joined overlay the node has a slot in, in
+// video order: one merge walk of the joined list against the slot list.
+func (n *NetTube) eachJoined(node int, fn func(v trace.VideoID, nbs []int)) {
+	joined := n.joined(node)
+	for i, j := 0, 0; i < len(joined); {
+		switch v, nbs, ok := n.overlays.Slot(node, j); {
+		case !ok:
+			return
+		case v < joined[i]:
+			j++
+		case v > joined[i]:
+			i++
+		default:
+			fn(v, nbs)
+			i, j = i+1, j+1
+		}
 	}
 }
 
@@ -160,13 +186,13 @@ func (n *NetTube) unionNeighbors(node int) []int {
 	}
 	n.unionSeen.Reset()
 	out := n.unionBuf[:0]
-	for _, v := range n.nodes[node].joined {
-		for _, nb := range n.overlays.NeighborsView(v, node) {
+	n.eachJoined(node, func(_ trace.VideoID, nbs []int) {
+		for _, nb := range nbs {
 			if n.unionSeen.Add(nb) {
 				out = append(out, nb)
 			}
 		}
-	}
+	})
 	n.unionBuf = out
 	return out
 }
@@ -235,7 +261,13 @@ func (n *NetTube) joinOverlay(node int, v trace.VideoID, provider int) {
 		n.members[v] = &overlay.Members{}
 	}
 	members := n.members[v]
-	n.nodes[node].joinedAdd(v)
+	st := &n.nodes[node]
+	if i, in := slices.BinarySearch(st.joined, v); !in {
+		st.joined = slices.Insert(st.joined, i, v)
+		if len(n.overlays.NeighborsView(v, node)) > 0 {
+			st.suspect = true // no probe has walked this slot
+		}
+	}
 	members.Add(node)
 	if provider >= 0 {
 		n.overlays.Connect(v, node, provider)
@@ -287,24 +319,24 @@ func (n *NetTube) Finish(node int, v trace.VideoID) {
 // separately — exactly the overhead §IV-C criticizes.
 func (n *NetTube) Links(node int) int {
 	total := 0
-	for _, v := range n.joined(node) {
-		total += n.overlays.Degree(v, node)
-	}
+	n.eachJoined(node, func(_ trace.VideoID, nbs []int) { total += len(nbs) })
 	return total
 }
 
-// Probe drops dead links in every joined overlay and returns the number of
-// probe messages sent.
+// Probe checks every link in the node's joined overlays, pruning dead ones
+// if the node is suspect, and returns the number of probe messages sent.
 func (n *NetTube) Probe(node int) int {
 	if !n.Online(node) {
 		return 0
 	}
-	msgs, pruned := 0, 0
-	for _, v := range n.nodes[node].joined {
-		examined, removed := n.overlays.Prune(v, node, n.Online)
-		msgs, pruned = msgs+examined, pruned+removed
+	msgs := n.Links(node)
+	if st := &n.nodes[node]; st.suspect {
+		st.suspect = false
+		n.eachJoined(node, func(v trace.VideoID, _ []int) {
+			_, removed := n.overlays.Prune(v, node, n.Online)
+			n.Ctr.LinksPruned += uint64(removed)
+		})
 	}
-	n.Ctr.LinksPruned += uint64(pruned)
 	n.Probed(node, msgs)
 	return msgs
 }

@@ -6,6 +6,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -189,6 +190,30 @@ func TestProbeAllocFree(t *testing.T) {
 	}
 	if reseeded < 2000 {
 		t.Fatalf("only %d of 2000 probes re-seeded inter-links", reseeded)
+	}
+	// A quiet probe reads the link count and prunes nothing; a suspect one,
+	// after a neighbour's Fail, prunes that link. Both stay at 0 allocs/op
+	// (the failed neighbour rejoins after each probe).
+	n := slices.IndexFunc(tr.Users, func(u trace.User) bool { return sys.inner.Degree(int(u.ID)) > 0 })
+	sys.Probe(n)
+	if avg := testing.AllocsPerRun(2000, func() { sys.Probe(n) }); avg != 0 || sys.nodes[n].suspect {
+		t.Fatalf("quiet probe allocates %.0f allocs/op (suspect %v), want 0", avg, sys.nodes[n].suspect)
+	}
+	pruned := sys.Ctr.LinksPruned
+	if avg := testing.AllocsPerRun(2000, func() {
+		nbs := sys.inter.NeighborsView(n)
+		if inner := sys.inner.NeighborsView(n); len(inner) > 0 {
+			nbs = inner
+		}
+		nb := nbs[0]
+		sys.Fail(nb)
+		sys.Probe(n)
+		sys.Join(nb)
+	}); avg != 0 {
+		t.Fatalf("suspect probe allocates %.0f allocs/op, want 0", avg)
+	}
+	if got := sys.Ctr.LinksPruned - pruned; got < 2000 {
+		t.Fatalf("2000 suspect probes pruned %d links", got)
 	}
 }
 

@@ -18,9 +18,8 @@ func (s *System) RemoteLookup(span uint64, v trace.VideoID) (provider, hops, msg
 	if video == nil {
 		return 0, 0, 0, false
 	}
-	s.matchVideo = v
 	s.Ctr.LookupsServer++
-	provider, hops, msgs, ok = s.searchChannelOverlay(-1, video.Channel)
+	provider, hops, msgs, ok = s.searchChannelOverlay(-1, video.Channel, v)
 	s.Queried(span, v, ok, provider, hops, msgs)
 	if !ok && msgs > 0 {
 		s.Ctr.TTLExhausted++

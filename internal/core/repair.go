@@ -19,7 +19,7 @@ func (s *System) RepairNeighbors(dead int) (links, msgs int) {
 	// Drop the dead node's stale edges from both meshes. Fail already
 	// saved them in its prev row, so a later rejoin can still
 	// try to reconnect.
-	nbs := append(s.inner.Neighbors(dead), s.inter.NeighborsView(dead)...)
+	nbs := append(append([]int(nil), s.inner.NeighborsView(dead)...), s.inter.NeighborsView(dead)...)
 	s.inner.RemoveNode(dead)
 	s.inter.RemoveNode(dead)
 	if len(nbs) == 0 {
@@ -36,10 +36,8 @@ func (s *System) RepairNeighbors(dead int) (links, msgs int) {
 		seen[nb] = struct{}{}
 		msgs++
 		before := s.Links(nb)
-		s.replenish(nb)
-		if d := s.Links(nb) - before; d > 0 {
-			links += d
-		}
+		s.replenish(nb) // only ever adds links
+		links += s.Links(nb) - before
 	}
 	s.Repaired(dead, links, msgs)
 	return links, msgs

@@ -9,18 +9,26 @@ import (
 	"github.com/socialtube/socialtube/internal/vod"
 )
 
-// flood runs one TTL-scoped flood of origin's channel overlay — the inner
-// mesh reaches only nodes that share origin's home — through the system's
-// reusable scratch and hoisted closures: zero allocation per query.
-func (s *System) flood(origin int) overlay.FloodResult {
-	return s.scratch.Flood(origin, s.cfg.TTL, s.floodNeighbors, s.matchNode)
+// flood runs one TTL-scoped flood of origin's channel overlay for v — the
+// inner mesh reaches only nodes that share origin's home — through the
+// system's reusable scratch. Neither closure escapes: zero allocation per
+// query.
+func (s *System) flood(origin int, v trace.VideoID) overlay.FloodResult {
+	return s.scratch.Flood(origin, s.cfg.TTL, func(n int) []int {
+		if !s.Online(n) {
+			return nil // a failed node cannot forward
+		}
+		return s.inner.NeighborsView(n)
+	}, func(n int) bool { return s.holds(n, v) })
 }
+
+// holds reports whether n is online with v in its cache in full.
+func (s *System) holds(n int, v trace.VideoID) bool { return s.Online(n) && s.caches.HasFull(n, v) }
 
 // breakerAllow / breakerFail / breakerOK wrap the breaker set, mirroring
 // its transition statistics into the dense counter block so snapshots
-// always carry them. Healthy runs only ever take the closed-breaker path,
-// so message counts and RNG draws stay bit-identical with PR-1 runs; all
-// three are allocation-free (the set is pre-sized to the population).
+// always carry them. Healthy runs only take the closed-breaker path, which
+// costs no message and no draw; the set is pre-sized, so none allocates.
 func (s *System) breakerAllow(id int) bool {
 	ok := s.brk.Allow(id, s.Now())
 	s.Ctr.BreakerSkips = s.brk.Skips
@@ -62,12 +70,11 @@ func (s *System) locate(node int, v trace.VideoID) vod.RequestResult {
 		return res
 	}
 	s.ensureAttached(node, video.Channel)
-	s.matchVideo = v
 
 	// Phase 1: flood the node's channel overlay along inner-links.
 	if st.home >= 0 {
 		s.Ctr.LookupsChannel++
-		fr := s.flood(node)
+		fr := s.flood(node, v)
 		res.Messages += fr.Messages
 		s.Flooded(node, v, obs.LevelChannel, fr.OK, fr.Found, fr.Hops, fr.Messages)
 		if fr.OK {
@@ -102,11 +109,11 @@ func (s *System) locate(node int, v trace.VideoID) vod.RequestResult {
 		}
 		s.breakerOK(j)
 		provider, hops := j, 1
-		if !s.matchNode(j) {
+		if !s.holds(j, v) {
 			if s.nodes[j].home < 0 {
 				continue
 			}
-			fr := s.flood(j)
+			fr := s.flood(j, v)
 			res.Messages += fr.Messages
 			catMsgs += fr.Messages
 			if !fr.OK {
@@ -135,7 +142,7 @@ func (s *System) locate(node int, v trace.VideoID) vod.RequestResult {
 	// the video", §IV-A) — the path that rescues non-subscribers and
 	// cross-channel views.
 	if st.home != video.Channel {
-		provider, hops, msgs, ok := s.searchChannelOverlay(node, video.Channel)
+		provider, hops, msgs, ok := s.searchChannelOverlay(node, video.Channel, v)
 		res.Messages += msgs
 		if msgs > 0 {
 			s.Flooded(node, v, obs.LevelServer, ok, provider, hops, msgs)
@@ -154,9 +161,8 @@ func (s *System) locate(node int, v trace.VideoID) vod.RequestResult {
 }
 
 // searchChannelOverlay queries a server-recommended member of the channel's
-// overlay and lets the query flood that overlay with the TTL, matching the
-// video set by the caller through s.matchVideo.
-func (s *System) searchChannelOverlay(node int, ch trace.ChannelID) (provider, hops, msgs int, ok bool) {
+// overlay and lets the query for v flood that overlay with the TTL.
+func (s *System) searchChannelOverlay(node int, ch trace.ChannelID, v trace.VideoID) (provider, hops, msgs int, ok bool) {
 	entry := s.members[ch].Random(s.RNG, node)
 	if entry < 0 || !s.breakerAllow(entry) {
 		return 0, 0, 0, false
@@ -169,10 +175,10 @@ func (s *System) searchChannelOverlay(node int, ch trace.ChannelID) (provider, h
 	}
 	s.breakerOK(entry)
 	msgs = 1 // the contact with the recommended entry node
-	if s.matchNode(entry) {
+	if s.holds(entry, v) {
 		return entry, 1, msgs, true
 	}
-	fr := s.flood(entry) // entry is a member of ch's overlay: its home is ch
+	fr := s.flood(entry, v) // entry is a member of ch's overlay: its home is ch
 	msgs += fr.Messages
 	if fr.OK {
 		return fr.Found, 1 + fr.Hops, msgs, true

@@ -135,7 +135,7 @@ func TestRequestAfterCategorySwitchDropsInterLinks(t *testing.T) {
 		t.Fatalf("home = %d, want %d after switch", s.nodes[node].home, chB.ID)
 	}
 	// All inter links must now point into chB's category.
-	for _, nb := range s.inter.Neighbors(node) {
+	for _, nb := range s.inter.NeighborsView(node) {
 		nbHome := s.nodes[nb].home
 		if nbHome < 0 {
 			continue

@@ -16,15 +16,10 @@ import (
 // clock, spans, accounting); what this package states is SocialTube's
 // decisions. It is single-threaded, driven by the experiment engine.
 //
-// Node ids are dense (trace users are 0..len(Users)-1) and so are channel
-// ids, so state is indexed, not hashed: cache and its fingerprint word,
-// both link sets (in the two dense meshes), subscriptions, remembered
-// neighbours and breaker by node id, member sets and the category index
-// by channel and category id. A flood and a probe round touch no hash
-// bucket, and neither they nor a leave/join cycle allocate; the one map
-// left is inside overlay.Members (node → slot), read when a request
-// re-asserts the node's membership and written when it enters or leaves a
-// member set.
+// Node and channel ids are dense, so all state is slice-indexed; the one
+// map is inside overlay.Members (node → slot). No flood, probe or
+// leave/join cycle allocates, and a probe prunes only when a neighbour's
+// failure marked its node suspect.
 type System struct {
 	vod.Chassis
 	cfg Config
@@ -63,14 +58,6 @@ type System struct {
 	// scratch is the reusable flood state; one flood runs at a time, so a
 	// single scratch serves every query the system issues.
 	scratch overlay.FloodScratch
-	// floodNeighbors is inner-link adjacency as a live node forwards it,
-	// built once so no flood allocates a closure.
-	floodNeighbors func(int) []int
-	// matchVideo is the video matchNode tests for, set per request.
-	matchVideo trace.VideoID
-	matchNode  func(int) bool
-	// keepOnline is the probe/repair predicate for Mesh.Prune.
-	keepOnline func(int) bool
 	// topBuf backs the prefetch pick's result, permBuf seedInterLinks' random
 	// channel order.
 	topBuf  []trace.VideoID
@@ -93,6 +80,9 @@ type nodeState struct {
 	// prevInner and prevInter count the neighbours remembered in the
 	// node's prev row.
 	prevInner, prevInter uint8
+	// suspect: a neighbour failed with the edge in place, so the next
+	// prune runs (and clears it).
+	suspect bool
 }
 
 // New builds a SocialTube system over the trace.
@@ -130,18 +120,6 @@ func New(cfg Config, tr *trace.Trace) (*System, error) {
 		s.nodes[node] = nodeState{home: -1}
 		s.subs[node] = u.Subscriptions
 	}
-	// The flood and probe closures are built once and steered through
-	// System fields, so the per-request hot path allocates nothing.
-	s.floodNeighbors = func(n int) []int {
-		if !s.Online(n) {
-			return nil // a failed node cannot forward
-		}
-		return s.inner.NeighborsView(n)
-	}
-	s.matchNode = func(n int) bool {
-		return s.Online(n) && s.caches.HasFull(n, s.matchVideo)
-	}
-	s.keepOnline = s.Online
 	return s, nil
 }
 
@@ -212,8 +190,14 @@ func (s *System) Fail(node int) {
 		return
 	}
 	s.rememberNeighbors(node)
-	if home := s.nodes[node].home; home >= 0 {
-		s.members[home].Remove(node)
+	st := &s.nodes[node]
+	if st.home >= 0 {
+		s.members[st.home].Remove(node)
+	}
+	// Connect links online nodes and Leave cuts every edge: only a Fail
+	// leaves a link to an offline node, at each neighbour just remembered.
+	for _, nb := range s.prevRow(node)[:int(st.prevInner)+int(st.prevInter)] {
+		s.nodes[nb].suspect = true
 	}
 }
 
@@ -253,24 +237,29 @@ func (s *System) leaveHome(node int) {
 	}
 }
 
-// prune removes the node's mesh edges to offline neighbours — what a probe
-// round or a fresh session's reconnection attempt discovers — and returns
-// the number of neighbours examined.
-func (s *System) prune(node int) int {
+// prune removes a suspect node's mesh edges to offline neighbours — what a
+// probe round or a fresh session's reconnection attempt discovers.
+func (s *System) prune(node int) {
+	st := &s.nodes[node]
+	if !st.suspect {
+		return
+	}
+	st.suspect = false
 	before := s.Links(node)
-	examined := s.inner.Prune(node, s.keepOnline) + s.inter.Prune(node, s.keepOnline)
+	s.inner.Prune(node, s.Online)
+	s.inter.Prune(node, s.Online)
 	s.Ctr.LinksPruned += uint64(before - s.Links(node))
-	return examined
 }
 
 // Probe implements the periodic structure maintenance of §IV-A: the node
 // checks its neighbours, drops the dead ones and replenishes links. It
-// returns the number of probe messages sent.
+// returns the number of probe messages sent, one per link.
 func (s *System) Probe(node int) int {
 	if !s.Online(node) {
 		return 0
 	}
-	msgs := s.prune(node)
+	msgs := s.Links(node)
+	s.prune(node)
 	s.replenish(node)
 	s.Probed(node, msgs)
 	return msgs
@@ -297,11 +286,8 @@ func (s *System) replenish(node int) {
 // Links implements vod.Protocol: the node's maintenance overhead is the
 // total number of overlay links it holds (inner + inter).
 func (s *System) Links(node int) int {
-	return s.InnerLinks(node) + s.InterLinks(node)
+	return s.inner.Degree(node) + s.InterLinks(node)
 }
-
-// InnerLinks returns the node's lower-level link count.
-func (s *System) InnerLinks(node int) int { return s.inner.Degree(node) }
 
 // InterLinks returns the node's higher-level link count.
 func (s *System) InterLinks(node int) int { return s.inter.Degree(node) }

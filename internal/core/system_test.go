@@ -189,10 +189,10 @@ func TestLinkBoundsNeverExceeded(t *testing.T) {
 	}
 	for _, u := range tr.Users {
 		node := int(u.ID)
-		if got := s.InnerLinks(node); got > cfg.InnerLinks {
+		if got := s.inner.Degree(node); got > cfg.InnerLinks {
 			t.Fatalf("node %d inner links %d > N_l %d", node, got, cfg.InnerLinks)
 		}
-		if got := s.InterLinks(node); got > cfg.InterLinks {
+		if got := s.inter.Degree(node); got > cfg.InterLinks {
 			t.Fatalf("node %d inter links %d > N_h %d", node, got, cfg.InterLinks)
 		}
 		if got := s.Links(node); got > cfg.InnerLinks+cfg.InterLinks {
@@ -367,7 +367,7 @@ func TestInterLinksDisabledAblation(t *testing.T) {
 	node, v := subscribedVideo(t, tr)
 	s.Join(node)
 	s.Request(node, v)
-	if got := s.InterLinks(node); got != 0 {
+	if got := s.inter.Degree(node); got != 0 {
 		t.Fatalf("inter links = %d with N_h = 0", got)
 	}
 }
@@ -518,8 +518,8 @@ func TestMemberSet(t *testing.T) {
 	m.Add(1)
 	m.Add(2)
 	m.Add(2) // duplicate
-	if m.Len() != 2 {
-		t.Fatalf("len = %d, want 2", m.Len())
+	if len(m.View()) != 2 {
+		t.Fatalf("len = %d, want 2", len(m.View()))
 	}
 	if view := m.View(); !slices.Contains(view, 1) || slices.Contains(view, 3) {
 		t.Fatal("membership wrong")
@@ -533,7 +533,7 @@ func TestMemberSet(t *testing.T) {
 	}
 	m.Remove(42) // no-op
 	m.Remove(2)
-	if m.Len() != 0 {
+	if len(m.View()) != 0 {
 		t.Fatal("set not empty after removals")
 	}
 }

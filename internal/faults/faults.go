@@ -156,30 +156,14 @@ const (
 	KindPartitionEnd
 )
 
+var kindNames = [...]string{KindCrash: "crash", KindRejoin: "rejoin", KindRepair: "repair",
+	KindBurstStart: "burst-start", KindBurstEnd: "burst-end", KindOutageStart: "outage-start",
+	KindOutageEnd: "outage-end", KindChaosStart: "chaos-start", KindChaosEnd: "chaos-end",
+	KindPartitionStart: "partition-start", KindPartitionEnd: "partition-end"}
+
 func (k Kind) String() string {
-	switch k {
-	case KindCrash:
-		return "crash"
-	case KindRejoin:
-		return "rejoin"
-	case KindRepair:
-		return "repair"
-	case KindBurstStart:
-		return "burst-start"
-	case KindBurstEnd:
-		return "burst-end"
-	case KindOutageStart:
-		return "outage-start"
-	case KindOutageEnd:
-		return "outage-end"
-	case KindChaosStart:
-		return "chaos-start"
-	case KindChaosEnd:
-		return "chaos-end"
-	case KindPartitionStart:
-		return "partition-start"
-	case KindPartitionEnd:
-		return "partition-end"
+	if k > 0 && int(k) < len(kindNames) {
+		return kindNames[k]
 	}
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // goldenSchemaJSON is the checked-in golden trace schema, embedded so the
@@ -45,15 +46,6 @@ func LoadSchema(r io.Reader) (*Schema, error) {
 	return &s, nil
 }
 
-func contains(keys []string, k string) bool {
-	for _, key := range keys {
-		if key == k {
-			return true
-		}
-	}
-	return false
-}
-
 // ValidateEvent checks one decoded event object against the schema.
 func (s *Schema) ValidateEvent(obj map[string]any) error {
 	kindVal, ok := obj["kind"].(string)
@@ -70,7 +62,7 @@ func (s *Schema) ValidateEvent(obj map[string]any) error {
 		}
 	}
 	for k := range obj {
-		if !contains(allowed, k) {
+		if !slices.Contains(allowed, k) {
 			return fmt.Errorf("kind %q carries unexpected key %q", kindVal, k)
 		}
 	}

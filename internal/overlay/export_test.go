@@ -1,8 +1,11 @@
 package overlay
 
+import "slices"
+
 // Test-only views of Links, Mesh and Members: nothing outside this package's
-// tests reads a link set's capacity, copies one, enumerates a mesh, cuts a
-// single edge, builds a member set on the heap or lists members.
+// tests reads a link set's capacity, copies one, copies or enumerates a
+// mesh, cuts a single edge, builds a member set on the heap or lists
+// members.
 
 // Max returns the capacity.
 func (l *Links) Max() int { return l.max }
@@ -14,6 +17,15 @@ func (l *Links) List() []int { return append([]int(nil), l.items...) }
 func (m *Mesh) Disconnect(a, b int) {
 	m.unlink(a, b)
 	m.unlink(b, a)
+}
+
+// Neighbors returns a's neighbours in ascending order (a copy the caller
+// owns).
+func (m *Mesh) Neighbors(a int) []int {
+	if view := m.NeighborsView(a); len(view) > 0 {
+		return slices.Clone(view)
+	}
+	return nil
 }
 
 // Nodes returns all node ids holding at least one link, ascending.
@@ -56,6 +68,9 @@ func (m *Members) Has(n int) bool {
 	_, ok := m.index[n]
 	return ok
 }
+
+// Len returns the member count.
+func (m *Members) Len() int { return len(m.View()) }
 
 // List returns the members in insertion-compacted order (a copy).
 func (m *Members) List() []int { return append([]int(nil), m.items...) }

@@ -5,9 +5,9 @@ import "slices"
 // Family is one bounded symmetric mesh per key (NetTube's per-video
 // overlays) stored with its nodes: node n keeps one flat []int of max+2-int
 // slots — key, degree, neighbours ascending — one per overlay it has links
-// in, in key order. An operation binary-searches the node's own list, and an
-// unjoined overlay costs nothing. Each operation is Mesh's with the key
-// first and returns what one NewMesh per key would.
+// in, in key order. A keyed operation binary-searches the node's own list
+// (an unjoined overlay costs nothing), is Mesh's with the key first and
+// returns what one NewMesh per key would; Slot walks the list in order.
 type Family[K ~int] struct {
 	max   int
 	nodes [][]int
@@ -43,15 +43,28 @@ func (f *Family[K]) search(key K, n int) (int, bool) {
 // copying. The slice is live: a Connect, Prune or RemoveNode touching a, in
 // any overlay, invalidates it.
 func (f *Family[K]) NeighborsView(key K, a int) []int {
-	at, ok := f.search(key, a)
-	if !ok {
-		return nil
+	if at, ok := f.search(key, a); ok {
+		return f.view(a, at)
 	}
-	return f.nodes[a][at+2 : at+2+f.nodes[a][at+1] : at+2+f.max]
+	return nil
 }
 
-// Degree returns the number of links a holds in key's overlay.
-func (f *Family[K]) Degree(key K, a int) int { return len(f.NeighborsView(key, a)) }
+// view returns the neighbours in a's slot at offset at.
+func (f *Family[K]) view(a, at int) []int {
+	s := f.nodes[a][at:]
+	return s[2 : 2+s[1] : f.max+2]
+}
+
+// Slot returns a's i-th slot in key order, as NeighborsView would, or false
+// past the last: a walk beside a sorted key list needs no search. Prune
+// keeps slot indices; Connect and RemoveNode may shift them.
+func (f *Family[K]) Slot(a, i int) (key K, nbs []int, ok bool) {
+	at := i * (f.max + 2)
+	if a < 0 || a >= len(f.nodes) || i < 0 || at >= len(f.nodes[a]) {
+		return 0, nil, false
+	}
+	return K(f.nodes[a][at]), f.view(a, at), true
+}
 
 // Full reports whether a cannot take more links in key's overlay.
 func (f *Family[K]) Full(key K, a int) bool {
@@ -59,24 +72,29 @@ func (f *Family[K]) Full(key K, a int) bool {
 	return ok && f.nodes[a][at+1] >= f.max
 }
 
-// Connect adds the symmetric edge (a, b) to key's overlay. It reports false
-// — and changes nothing — when a == b, the edge exists, or either endpoint
-// is full or outside the population.
+// Connect adds the symmetric edge (a, b) to key's overlay, searching each
+// endpoint's list once. It reports false — and changes nothing — when
+// a == b, the edge exists, or either endpoint is full or outside the
+// population.
 func (f *Family[K]) Connect(key K, a, b int) bool {
-	if a == b || a < 0 || b < 0 || a >= len(f.nodes) || b >= len(f.nodes) || f.max == 0 ||
-		f.Full(key, a) || f.Full(key, b) || slices.Contains(f.NeighborsView(key, a), b) {
+	if a == b || a < 0 || b < 0 || a >= len(f.nodes) || b >= len(f.nodes) || f.max == 0 {
 		return false
 	}
-	f.link(key, a, b)
-	f.link(key, b, a)
+	at, inA := f.search(key, a)
+	bt, inB := f.search(key, b)
+	if inA && (f.nodes[a][at+1] >= f.max || slices.Contains(f.view(a, at), b)) ||
+		inB && f.nodes[b][bt+1] >= f.max {
+		return false
+	}
+	f.insert(key, a, at, inA, b)
+	f.insert(key, b, bt, inB, a)
 	return true
 }
 
-// link adds b to a's slot for key, which has room, first inserting the slot
-// if a has none.
-func (f *Family[K]) link(key K, a, b int) {
-	at, ok := f.search(key, a)
-	if !ok {
+// insert adds b to a's slot for key at offset at, which has room, first
+// inserting that slot there when a has none (found false).
+func (f *Family[K]) insert(key K, a, at int, found bool, b int) {
+	if !found {
 		f.nodes[a] = slices.Insert(f.nodes[a], at, f.blank...)
 		f.nodes[a][at] = int(key)
 	}
@@ -89,11 +107,12 @@ func (f *Family[K]) link(key K, a, b int) {
 
 // unlink removes b from a's slot for key, if there.
 func (f *Family[K]) unlink(key K, a, b int) {
-	nbs := f.NeighborsView(key, a)
-	if i, ok := slices.BinarySearch(nbs, b); ok {
-		copy(nbs[i:], nbs[i+1:])
-		at, _ := f.search(key, a)
-		f.nodes[a][at+1]--
+	if at, ok := f.search(key, a); ok {
+		nbs := f.view(a, at)
+		if i, ok := slices.BinarySearch(nbs, b); ok {
+			copy(nbs[i:], nbs[i+1:])
+			f.nodes[a][at+1]--
+		}
 	}
 }
 

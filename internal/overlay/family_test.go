@@ -9,7 +9,9 @@ import (
 // TestFamilyMatchesMeshPerKey drives a Family and one keyed Mesh per key
 // through the same seeded random Connect/Prune/RemoveNode sequence and
 // requires every return value and, after each operation, every node's
-// neighbours, degree and fullness to agree, with both sides symmetric.
+// neighbours, degree and fullness to agree, with both sides symmetric, and
+// each node's Slot walk to list its overlays in key order with the same
+// neighbours.
 func TestFamilyMatchesMeshPerKey(t *testing.T) {
 	const nodes, keys, max, steps = 50, 4, 3, 4000
 	for seed := uint64(1); seed <= 3; seed++ {
@@ -50,7 +52,7 @@ func TestFamilyMatchesMeshPerKey(t *testing.T) {
 				}
 				for n := 0; n < nodes; n++ {
 					got, want := f.NeighborsView(key, n), m.NeighborsView(n)
-					if !slices.Equal(got, want) || f.Degree(key, n) != m.Degree(n) || f.Full(key, n) != m.Full(n) {
+					if !slices.Equal(got, want) || f.Full(key, n) != m.Full(n) {
 						t.Fatalf("seed %d step %d: key %d node %d: family %v (full %v), mesh %v (full %v)",
 							seed, step, key, n, got, f.Full(key, n), want, m.Full(n))
 					}
@@ -59,6 +61,27 @@ func TestFamilyMatchesMeshPerKey(t *testing.T) {
 							t.Fatalf("seed %d step %d: key %d edge %d-%d is one-sided", seed, step, key, n, b)
 						}
 					}
+				}
+			}
+			for n := 0; n < nodes; n++ {
+				held, slots := 0, 0
+				for ; ; slots++ {
+					key, nbs, ok := f.Slot(n, slots)
+					if !ok {
+						break
+					}
+					if prev, _, _ := f.Slot(n, slots-1); slots > 0 && key <= prev || !slices.Equal(nbs, meshes[key].NeighborsView(n)) {
+						t.Fatalf("seed %d step %d: node %d slot %d (key %d) = %v, out of order or unlike the mesh",
+							seed, step, n, slots, key, nbs)
+					}
+				}
+				for _, m := range meshes {
+					if m.Degree(n) > 0 {
+						held++
+					}
+				}
+				if slots < held {
+					t.Fatalf("seed %d step %d: node %d has %d slots for %d linked overlays", seed, step, n, slots, held)
 				}
 			}
 		}
@@ -74,7 +97,7 @@ func TestFamilyBounds(t *testing.T) {
 			t.Fatalf("Connect(7, %d, %d) linked", e[0], e[1])
 		}
 	}
-	if f.Degree(7, 9) != 0 || f.Full(7, -1) || f.NeighborsView(3, 0) != nil {
+	if f.NeighborsView(7, 9) != nil || func() bool { _, _, ok := f.Slot(9, 0); return ok }() || f.Full(7, -1) || f.NeighborsView(3, 0) != nil {
 		t.Fatal("reads outside the population or of an unjoined overlay are not empty")
 	}
 	f.RemoveNode(7, 9)

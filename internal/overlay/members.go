@@ -40,9 +40,6 @@ func (m *Members) Remove(n int) {
 	delete(m.index, n)
 }
 
-// Len returns the member count.
-func (m *Members) Len() int { return len(m.View()) }
-
 // View returns the members in insertion-compacted order without copying.
 // The slice is live: it is invalidated by the next Add/Remove and must not
 // be mutated or retained across mutations.

@@ -1,13 +1,9 @@
 // Package overlay provides the unstructured-P2P building blocks shared by
 // SocialTube and the baseline protocols: bounded neighbour sets, symmetric
-// link meshes and TTL-scoped flood search.
-//
-// Data layout: neighbour sets are small (the paper's N_l=5, N_h=10 bounds),
-// so Links stores a single sorted []int instead of a map. Membership is a
-// binary search, iteration is allocation-free and already in ascending
-// order, and the flood hot path reads adjacency through Mesh.NeighborsView
-// without copying. A Mesh keeps every node's set in one node-indexed arena
-// beside a node-indexed byte of degree, so that read probes no map.
+// link meshes and TTL-scoped flood search. Neighbour sets are small (the
+// paper's N_l=5, N_h=10 bounds), so each is a sorted []int, never a map:
+// membership is a binary search and iteration is allocation-free and
+// ascending. Links, Mesh and Family each describe their layout.
 package overlay
 
 import (
@@ -41,25 +37,18 @@ func (l *Links) search(n int) (int, bool) { return slices.BinarySearch(l.items, 
 // neighbour is already present.
 func (l *Links) Add(n int) bool {
 	i, ok := l.search(n)
-	if ok {
+	if ok || len(l.items) >= l.max {
 		return false
 	}
-	if len(l.items) >= l.max {
-		return false
-	}
-	l.items = append(l.items, 0)
-	copy(l.items[i+1:], l.items[i:])
-	l.items[i] = n
+	l.items = slices.Insert(l.items, i, n)
 	return true
 }
 
 // Remove deletes a neighbour if present.
 func (l *Links) Remove(n int) {
-	i, ok := l.search(n)
-	if !ok {
-		return
+	if i, ok := l.search(n); ok {
+		l.items = slices.Delete(l.items, i, i+1)
 	}
-	l.items = append(l.items[:i], l.items[i+1:]...)
 }
 
 // Has reports whether n is a neighbour.
@@ -80,9 +69,7 @@ func (l *Links) Len() int { return len(l.items) }
 func (l *Links) View() []int { return l.items }
 
 // Clear removes all neighbours, reusing the backing storage.
-func (l *Links) Clear() {
-	l.items = l.items[:0]
-}
+func (l *Links) Clear() { l.items = l.items[:0] }
 
 // Mesh maintains symmetric bounded links between nodes: an edge exists on
 // both endpoints or not at all, which is the paper's structure-maintenance
@@ -162,15 +149,6 @@ func (m *Mesh) link(a, b int) {
 func (m *Mesh) Connected(a, b int) bool {
 	_, ok := slices.BinarySearch(m.NeighborsView(a), b)
 	return ok
-}
-
-// Neighbors returns a's neighbours in ascending order (a copy the caller
-// owns).
-func (m *Mesh) Neighbors(a int) []int {
-	if view := m.NeighborsView(a); len(view) > 0 {
-		return slices.Clone(view)
-	}
-	return nil
 }
 
 // NeighborsView returns a's neighbours in ascending order without copying —

@@ -78,7 +78,7 @@ func (c *Chassis) Arrive(node int) bool {
 	}
 	c.online[node] = true
 	c.Ctr.OverlayJoins++
-	c.emit(c.event(obs.KindJoin, node, -1, -1))
+	c.emit(obs.KindJoin, node, -1, 0, 0)
 	return true
 }
 
@@ -95,7 +95,7 @@ func (c *Chassis) Depart(node int, kind obs.Kind) bool {
 	} else {
 		c.Ctr.OverlayLeaves++
 	}
-	c.emit(c.event(kind, node, -1, -1))
+	c.emit(kind, node, -1, 0, 0)
 	return true
 }
 
@@ -192,15 +192,13 @@ func (c *Chassis) countSearch(level string, ok bool, msgs int) {
 // Probed accounts one maintenance round of the node.
 func (c *Chassis) Probed(node, msgs int) {
 	c.Ctr.ProbeMsgs += uint64(msgs)
-	e := c.event(obs.KindProbe, node, -1, -1)
-	e.Msgs = msgs
-	c.emit(e)
+	c.emit(obs.KindProbe, node, -1, 0, msgs)
 }
 
 // Prefetched accounts one first-chunk prefix the node stored.
 func (c *Chassis) Prefetched(node int, v trace.VideoID) {
 	c.Ctr.PrefetchStored++
-	c.emit(c.event(obs.KindPrefetch, node, v, -1))
+	c.emit(obs.KindPrefetch, node, v, 0, 0)
 }
 
 // Repaired accounts one active self-repair round around a dead node: the
@@ -208,9 +206,7 @@ func (c *Chassis) Prefetched(node int, v trace.VideoID) {
 func (c *Chassis) Repaired(dead, links, msgs int) {
 	c.Ctr.RepairCalls++
 	c.Ctr.RepairedLinks += uint64(links)
-	e := c.event(obs.KindRepair, dead, -1, -1)
-	e.Hops, e.Msgs = links, msgs
-	c.emit(e)
+	c.emit(obs.KindRepair, dead, -1, links, msgs)
 }
 
 // event fills the fields every trace event carries; video and provider are
@@ -219,10 +215,12 @@ func (c *Chassis) event(kind obs.Kind, node int, video trace.VideoID, provider i
 	return obs.Event{T: int64(c.now), Proto: c.name, Kind: kind, Node: node, Video: int64(video), Provider: provider}
 }
 
-// emit sends a churn or maintenance event; the per-request emitters check
-// the tracer before building theirs.
-func (c *Chassis) emit(e obs.Event) {
+// emit sends a churn, prefetch or maintenance event, building it only when
+// a tracer listens (the per-request emitters check before building theirs).
+func (c *Chassis) emit(kind obs.Kind, node int, video trace.VideoID, hops, msgs int) {
 	if c.tracer != nil {
+		e := c.event(kind, node, video, -1)
+		e.Hops, e.Msgs = hops, msgs
 		c.tracer.Emit(e)
 	}
 }

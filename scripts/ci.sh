@@ -81,16 +81,21 @@ echo "== allocation guards (the !race tests, without -race) =="
 go test -count=1 -run '^(TestLoadStreamHeapBudget|TestGenerateAllocBudget|TestGenerateAllocatesWhatItKeeps|TestHistObserveAllocFree|TestNetTubeProbeAndLinksAllocFree|TestFrameDrawAllocFree|TestWireAllocs|TestHostileListCountAllocatesNothing|TestParkedReaderPinsNoFrameBuffer|TestEngineSteadyStateAllocFree|TestLatencyAllocFree|TestTransferAllocFree|TestRequestAllocFreeAfterRepair|TestRequestAllocFreeWithOpenBreakers|TestRequestAllocFreeWithTelemetry|TestRequestStaysAllocFree|TestProbeAllocFree|TestFinishAllocFree|TestLeaveJoinAllocFree|TestRemoteLookupAllocFree|TestHeapHighWaterReportsThePeak|TestCellsCostTheirUsersNotTheCatalog|TestFinishedResultFootprint|TestTimelineRecordAllocFree|TestSessionChainAllocFree|TestNewPickerAllocatesWhatItKeeps)$' \
 	./internal/trace/ ./internal/vod/ ./internal/obs/ ./internal/baseline/ ./internal/emu/ ./internal/sim/ ./internal/simnet/ ./internal/core/ ./internal/exp/
 
-echo "== hot-path layout gate (cache fingerprint words, one mesh representation, event heap order; -race x5) =="
+echo "== hot-path layout gate (cache fingerprint words, one mesh representation, suspect-only pruning, event heap order; -race x5) =="
 # A flood's hit test reads a node's fingerprint word before its cache, and
 # every link-budget check reads a mesh's degree byte. Both are pinned against
 # map models after every random step: the word is the OR of the held
 # videos' bits (evictions included), and the mesh matches a map of
-# neighbour sets in degree, order, fullness and symmetry. The event heap
+# neighbour sets in degree, order, fullness and symmetry. A probe prunes
+# only a node a departure marked suspect: each protocol must run in
+# lockstep with a full-prune copy over 200 random churn sequences, and no
+# online node that is not suspect may link an offline one. The event heap
 # must fire a random schedule in the (time, seq) order of a sorted
 # reference list, across horizon and budget resumes. Seconds.
 go test -race -count=5 -run 'TestCachesMatchMapModel' ./internal/vod/
 go test -race -count=5 -run 'TestMeshMatchesSetModel|TestMeshBoundFitsDegree' ./internal/overlay/
+go test -race -count=5 -run 'TestProbeMatchesFullPrune' ./internal/core/
+go test -race -count=5 -run 'TestNetTubeProbeMatchesFullPrune' ./internal/baseline/
 go test -race -count=5 -run 'TestEngineOrderMatchesReference' ./internal/sim/
 
 echo "== emulator wire and connection-reuse gate (-race x5) =="
