@@ -1,7 +1,7 @@
-// Command socialtube-node runs one real SocialTube network element — the
-// tracker (central server) or a peer — so a cluster can be spread across
-// real machines, PlanetLab-style. All elements must share the same trace
-// file (generate one with `socialtube-trace -save trace.json`).
+// Command socialtube-node runs one real SocialTube network element — a
+// tracker replica or a peer — so a cluster can be spread across real
+// machines, PlanetLab-style. All elements must share the same trace file
+// (generate one with `socialtube-trace -save trace.json`).
 //
 // Usage:
 //
@@ -10,26 +10,32 @@
 //	    -id 7 -sessions 3 -videos 10
 //
 // A sharded, replicated control plane is a -tracker spec listing every
-// tracker endpoint, shards separated by ';' and a shard's replicas by ','
-// (all elements must agree on -ring-seed):
+// tracker endpoint, shards separated by ';' and a shard's replicas by ','.
+// Every element takes the same spec and -ring-seed; a tracker also takes
+// -id, its endpoint's index counted shard-major:
 //
-//	socialtube-node -role peer -trace trace.json -ring-seed 1 \
+//	socialtube-node -role tracker -trace trace.json -ring-seed 1 -id 2 \
+//	    -tracker 'hostA:7070,hostB:7070;hostC:7070,hostD:7070'
+//	socialtube-node -role peer -trace trace.json -ring-seed 1 -id 7 \
 //	    -tracker 'hostA:7070,hostB:7070;hostC:7070,hostD:7070'
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
 
-	"github.com/socialtube/socialtube/internal/dist"
 	"github.com/socialtube/socialtube/internal/emu"
 	"github.com/socialtube/socialtube/internal/obs"
 	"github.com/socialtube/socialtube/internal/trace"
-	"github.com/socialtube/socialtube/internal/vod"
 )
+
+// stdout receives everything the node prints.
+var stdout io.Writer = os.Stdout
 
 func main() {
 	if err := run(os.Args[1:], make(chan struct{})); err != nil {
@@ -43,23 +49,19 @@ func main() {
 func run(args []string, stop chan struct{}) error {
 	fs := flag.NewFlagSet("socialtube-node", flag.ContinueOnError)
 	var (
-		role        = fs.String("role", "", "tracker or peer")
-		tracePath   = fs.String("trace", "", "path to the shared trace JSON (see socialtube-trace -save)")
-		addr        = fs.String("addr", "127.0.0.1:0", "listen address")
-		trackerAddr = fs.String("tracker", "", "tracker endpoints (peer role): shards separated by ';', a shard's replicas by ',' (one address = a 1x1 plane: one tracker)")
-		ringSeed    = fs.Int64("ring-seed", 0, "channel->shard ring seed; must match on every peer of a sharded plane (peer role)")
-		id          = fs.Int("id", 0, "peer id — the user id this peer plays (peer role)")
-		mode        = fs.String("mode", "socialtube", "protocol: socialtube, nettube or pavod")
-		sessions    = fs.Int("sessions", 1, "sessions to run before exiting (peer role)")
-		videos      = fs.Int("videos", 10, "videos per session (peer role)")
-		watch       = fs.Duration("watch", 500*time.Millisecond, "emulated playback per video (peer role)")
-		seed        = fs.Int64("seed", 1, "workload seed (peer role)")
-		metrics     = fs.String("metrics", "", "serve live node metrics on this address (e.g. 127.0.0.1:8080)")
-		pprof       = fs.Bool("pprof", false, "with -metrics, also mount net/http/pprof on the metrics listener")
-		replicas    = fs.String("replicas", "", "comma-separated addresses of every replica of this tracker's shard, in shard order, this one included (tracker role; empty = unreplicated)")
-		replicaSelf = fs.Int("replica-self", 0, "this tracker's index within -replicas (tracker role)")
-		shard       = fs.Int("shard", 0, "this tracker's shard index, for the gossip seed (tracker role)")
-		gossipEvery = fs.Duration("gossip-interval", 200*time.Millisecond, "anti-entropy period between shard replicas (tracker role, with -replicas)")
+		role      = fs.String("role", "", "tracker or peer")
+		tracePath = fs.String("trace", "", "path to the shared trace JSON (see socialtube-trace -save)")
+		addr      = fs.String("addr", "127.0.0.1:0", "listen address (a peer, or a tracker without -tracker)")
+		spec      = fs.String("tracker", "", "tracker endpoints: shards separated by ';', a shard's replicas by ',' (one address = a 1x1 plane: one tracker); a tracker listens on endpoint -id")
+		ringSeed  = fs.Int64("ring-seed", 0, "channel->shard ring seed; every element of a plane must agree")
+		id        = fs.Int("id", 0, "a peer's user id in the trace; a tracker's endpoint index in -tracker, shard-major")
+		mode      = fs.String("mode", "socialtube", "protocol: socialtube, nettube or pavod")
+		sessions  = fs.Int("sessions", 1, "sessions to run before exiting (peer role)")
+		videos    = fs.Int("videos", 10, "videos per session (peer role)")
+		watch     = fs.Duration("watch", 500*time.Millisecond, "emulated playback per video, and the mean off-time between sessions (peer role)")
+		seed      = fs.Int64("seed", 1, "workload seed (peer role)")
+		metrics   = fs.String("metrics", "", "serve live node metrics on this address (e.g. 127.0.0.1:8080)")
+		pprof     = fs.Bool("pprof", false, "with -metrics, also mount net/http/pprof on the metrics listener")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -74,10 +76,6 @@ func run(args []string, stop chan struct{}) error {
 		return fmt.Errorf("-watch must be > 0, got %v", *watch)
 	case *id < 0:
 		return fmt.Errorf("-id must be ≥ 0, got %d", *id)
-	case *shard < 0:
-		return fmt.Errorf("-shard must be ≥ 0, got %d", *shard)
-	case *replicaSelf < 0:
-		return fmt.Errorf("-replica-self must be ≥ 0, got %d", *replicaSelf)
 	}
 	if *tracePath == "" {
 		return fmt.Errorf("-trace is required")
@@ -92,155 +90,82 @@ func run(args []string, stop chan struct{}) error {
 		return err
 	}
 
+	if *spec == "" {
+		if *role == "peer" {
+			return fmt.Errorf("-tracker is required for the peer role")
+		}
+		*spec = *addr // the 1x1 plane
+	}
+	plane, err := parsePlaneSpec(*spec, *ringSeed)
+	if err != nil {
+		return err
+	}
 	switch *role {
 	case "tracker":
-		return runTracker(tr, *addr, *metrics, *pprof, *replicas, *replicaSelf, *shard, *ringSeed, *gossipEvery, stop)
+		tk, err := emu.StartReplica(plane, *id, emu.DefaultTrackerConfig(), tr, emu.DefaultConditions())
+		if err != nil {
+			return err
+		}
+		defer tk.Stop()
+		if *metrics != "" {
+			srv, err := tk.ServeMetrics(*metrics, *pprof)
+			if err != nil {
+				return err
+			}
+			defer srv.Close()
+			fmt.Fprintf(stdout, "metrics on http://%s/metrics\n", srv.Addr())
+		}
+		fmt.Fprintf(stdout, "tracker %d of a %d-shard plane serving %d videos on %s\n", *id, plane.NumShards(), len(tr.Videos), tk.Addr())
+		<-stop
+		fmt.Fprintf(stdout, "tracker served %d bytes\n", tk.ServedBytes())
+		return nil
 	case "peer":
-		return runPeer(tr, *addr, *trackerAddr, *ringSeed, *id, *mode, *sessions, *videos, *watch, *seed, *metrics, *pprof)
+		m, ok := modes[*mode]
+		if !ok {
+			return fmt.Errorf("unknown mode %q", *mode)
+		}
+		cfg := emu.DefaultClusterConfig(m)
+		cfg.Sessions, cfg.VideosPerSession, cfg.Seed = *sessions, *videos, *seed
+		cfg.WatchTime, cfg.MeanOffTime = *watch, *watch
+		cfg.Peer.Addr, cfg.Tracer = *addr, printer{}
+		cfg.MetricsAddr, cfg.PprofEnabled = *metrics, *pprof
+		cfg.OnMetricsAddr = func(a string) { fmt.Fprintf(stdout, "metrics on http://%s/metrics\n", a) }
+		res, err := emu.RunPeer(context.Background(), cfg, tr, plane, *id)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "peer %d (%s) done: %d requests (cache %d / peer %d / server %d), uploaded %d bytes\n",
+			*id, m, res.Delivered(), res.CacheHits.Value(), res.PeerHits.Value(), res.ServerHits.Value(), res.PeerBytes)
+		return nil
 	default:
 		return fmt.Errorf("unknown role %q (want tracker or peer)", *role)
 	}
 }
 
-func runTracker(tr *trace.Trace, addr, metricsAddr string, pprof bool, replicaSpec string, replicaSelf, shard int, ringSeed int64, gossipEvery time.Duration, stop chan struct{}) error {
-	cfg := emu.DefaultTrackerConfig()
-	cfg.Addr = addr
-	tk, err := emu.NewTracker(cfg, tr, emu.DefaultConditions())
-	if err != nil {
-		return err
-	}
-	if err := tk.Start(); err != nil {
-		return err
-	}
-	defer tk.Stop()
-	if replicaSpec != "" {
-		var reps []string
-		for _, a := range strings.Split(replicaSpec, ",") {
-			if a = strings.TrimSpace(a); a != "" {
-				reps = append(reps, a)
-			}
-		}
-		if replicaSelf < 0 || replicaSelf >= len(reps) {
-			return fmt.Errorf("-replica-self %d outside -replicas (%d entries)", replicaSelf, len(reps))
-		}
-		// The node CLI only knows its own shard's replica list, so it runs a
-		// single-shard plane view (no cross-shard liveness) with the seed
-		// pre-mixed the way StartControlPlane would for this shard index —
-		// mixed in-process/cross-machine planes rotate partners alike.
-		tk.StartGossip(ringSeed+int64(shard)*7919, [][]string{reps}, 0, replicaSelf, gossipEvery, 0)
-		fmt.Printf("gossiping as replica %d of shard %d with %v every %v\n", replicaSelf, shard, reps, gossipEvery)
-	}
-	if metricsAddr != "" {
-		srv, err := tk.ServeMetrics(metricsAddr, pprof)
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Printf("metrics on http://%s/metrics\n", srv.Addr())
-	}
-	fmt.Printf("tracker serving %d videos on %s\n", len(tr.Videos), tk.Addr())
-	<-stop
-	fmt.Printf("tracker served %d bytes\n", tk.ServedBytes())
-	return nil
-}
-
-func parseMode(mode string) (emu.Mode, error) {
-	switch mode {
-	case "socialtube":
-		return emu.ModeSocialTube, nil
-	case "nettube":
-		return emu.ModeNetTube, nil
-	case "pavod":
-		return emu.ModePAVoD, nil
-	default:
-		return 0, fmt.Errorf("unknown mode %q", mode)
-	}
-}
+// modes names each protocol -mode selects.
+var modes = map[string]emu.Mode{"socialtube": emu.ModeSocialTube, "nettube": emu.ModeNetTube, "pavod": emu.ModePAVoD}
 
 // parsePlaneSpec turns a -tracker spec into a routing-only control plane:
 // shards are separated by ';', a shard's replicas by ','. A single bare
-// address yields the 1x1 plane.
+// address yields the 1x1 plane. Empty segments are kept, so the plane
+// refuses a spec with an empty shard or address.
 func parsePlaneSpec(spec string, ringSeed int64) (*emu.ControlPlane, error) {
 	var replicas [][]string
 	for _, shard := range strings.Split(spec, ";") {
 		var reps []string
 		for _, a := range strings.Split(shard, ",") {
-			if a = strings.TrimSpace(a); a != "" {
-				reps = append(reps, a)
-			}
+			reps = append(reps, strings.TrimSpace(a))
 		}
-		if len(reps) > 0 {
-			replicas = append(replicas, reps)
-		}
+		replicas = append(replicas, reps)
 	}
-	if len(replicas) == 0 {
-		return nil, fmt.Errorf("-tracker spec %q names no endpoints", spec)
+	cp, err := emu.NewControlPlaneClient(ringSeed, replicas)
+	if err != nil {
+		return nil, fmt.Errorf("-tracker %q: %w", spec, err)
 	}
-	return emu.NewControlPlaneClient(ringSeed, replicas)
+	return cp, nil
 }
 
-func runPeer(tr *trace.Trace, addr, trackerAddr string, ringSeed int64, id int, modeName string, sessions, videos int, watch time.Duration, seed int64, metricsAddr string, pprof bool) error {
-	if trackerAddr == "" {
-		return fmt.Errorf("-tracker is required for the peer role")
-	}
-	if tr.User(trace.UserID(id)) == nil {
-		return fmt.Errorf("peer id %d is not a user of the trace (0..%d)", id, len(tr.Users)-1)
-	}
-	mode, err := parseMode(modeName)
-	if err != nil {
-		return err
-	}
-	cp, err := parsePlaneSpec(trackerAddr, ringSeed)
-	if err != nil {
-		return err
-	}
-	cfg := emu.DefaultPeerConfig(id, mode)
-	cfg.Addr = addr
-	p, err := emu.NewPeerWithControlPlane(cfg, tr, cp, emu.DefaultConditions())
-	if err != nil {
-		return err
-	}
-	if err := p.Start(); err != nil {
-		return err
-	}
-	defer p.Stop()
-	if metricsAddr != "" {
-		srv, err := obs.ServeMetrics(metricsAddr, func() any {
-			return struct {
-				Peer        int    `json:"peer"`
-				Mode        string `json:"mode"`
-				Links       int    `json:"links"`
-				CachedVideo int    `json:"cachedVideos"`
-				ServedBytes int64  `json:"servedBytes"`
-			}{id, mode.String(), p.Links(), p.CacheLen(), p.ServedBytes()}
-		}, nil, pprof)
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Printf("metrics on http://%s/metrics\n", srv.Addr())
-	}
-	fmt.Printf("peer %d (%s) on %s, tracker %s\n", id, mode, p.Addr(), trackerAddr)
+// printer writes the session driver's events, one line each.
+type printer struct{}
 
-	picker, err := vod.NewPicker(tr, vod.DefaultBehavior())
-	if err != nil {
-		return err
-	}
-	g := dist.NewRNG(seed + int64(id))
-	user := &tr.Users[id]
-	for s := 0; s < sessions; s++ {
-		p.SetOnline(true)
-		plan := picker.PlanSession(g, user, videos, watch)
-		for _, v := range plan.Videos {
-			rec := p.RequestVideo(v)
-			fmt.Printf("session %d: video %d from %s in %v (links %d, msgs %d)\n",
-				s+1, v, rec.Source, rec.Startup.Round(time.Millisecond), p.Links(), rec.Messages)
-			time.Sleep(watch)
-			p.FinishVideo(v)
-		}
-		p.SetOnline(false)
-		p.LeaveOverlays()
-	}
-	fmt.Printf("peer %d done: cached %d videos, uploaded %d bytes\n", id, p.CacheLen(), p.ServedBytes())
-	return nil
-}
+func (printer) Emit(ev obs.Event) { fmt.Fprintln(stdout, ev) }

@@ -514,15 +514,19 @@ func (p *Peer) netTubePrefetch(watched trace.VideoID) {
 }
 
 // Probe checks every neighbour once and drops every link to the ones that
-// do not answer. It returns the number of probe messages sent.
+// do not answer, counting the probes and the pruned links as the
+// simulator does. It returns the number of probe messages sent.
 func (p *Peer) Probe() int {
 	p.mu.Lock()
 	nbs := p.links.neighbours("")
 	p.mu.Unlock()
+	atomic.AddUint64(&p.ctr.ProbeMsgs, uint64(len(nbs)))
 	for _, nb := range nbs {
 		if _, err := p.cl.rpc(nb.Addr, &Message{Type: MsgProbe, From: p.cfg.ID}); err != nil {
 			p.mu.Lock()
+			before := p.links.count()
 			p.links.dropPeer(nb.ID)
+			atomic.AddUint64(&p.ctr.LinksPruned, uint64(before-p.links.count()))
 			p.mu.Unlock()
 		}
 	}

@@ -260,15 +260,14 @@ func setOutage(cp *ControlPlane, ev faults.Event, down bool) {
 }
 
 // drive replays the schedule's events against the live cluster on
-// wall-clock offsets from begin.
-func (f *faultDriver) drive(events []faults.Event, begin time.Time, stop <-chan struct{},
-	peers []*Peer, cp *ControlPlane, res *ClusterResult, resMu *sync.Mutex) {
+// wall-clock offsets from the workload's start.
+func (f *faultDriver) drive(events []faults.Event, w *workload, peers []*Peer, cp *ControlPlane) {
 	defer close(f.done)
 	for _, ev := range events {
-		if !sleepUntil(begin.Add(ev.At), stop) {
+		if !sleepUntil(w.begin.Add(ev.At), w.stop) {
 			return
 		}
-		f.apply(ev, peers, cp, res, resMu)
+		f.apply(ev, w, peers, cp)
 	}
 }
 
@@ -276,22 +275,22 @@ func (f *faultDriver) drive(events []faults.Event, begin time.Time, stop <-chan 
 // only a live cluster does. Repair events are deliberately skipped: in the
 // emulator the probe loop is the failure detector, so repair happens
 // organically when probes time out on the crashed peer.
-func (f *faultDriver) apply(ev faults.Event, peers []*Peer, cp *ControlPlane, res *ClusterResult, resMu *sync.Mutex) {
+func (f *faultDriver) apply(ev faults.Event, w *workload, peers []*Peer, cp *ControlPlane) {
 	f.cond.Apply(ev)
 	switch ev.Kind {
 	case faults.KindCrash:
 		if ev.Node >= 0 && ev.Node < len(peers) {
 			peers[ev.Node].Crash()
-			resMu.Lock()
-			res.Crashes++
-			resMu.Unlock()
+			w.mu.Lock()
+			w.res.Crashes++
+			w.mu.Unlock()
 		}
 	case faults.KindRejoin:
 		if ev.Node >= 0 && ev.Node < len(peers) {
 			peers[ev.Node].Rejoin()
-			resMu.Lock()
-			res.Rejoins++
-			resMu.Unlock()
+			w.mu.Lock()
+			w.res.Rejoins++
+			w.mu.Unlock()
 		}
 	case faults.KindOutageStart:
 		if ev.Shard > 0 && ev.Replica == 0 {
@@ -331,11 +330,6 @@ func sleepUntil(deadline time.Time, stop <-chan struct{}) bool {
 	}
 }
 
-// sleepOrStop sleeps for d, returning false if stop closed first.
-func sleepOrStop(d time.Duration, stop <-chan struct{}) bool {
-	return sleepUntil(time.Now().Add(d), stop)
-}
-
 // Cluster is a started control plane plus cfg.Peers copies of the peer
 // template. RunClusterCtx drives it with session loops; a figure harness
 // may instead stage it and issue requests by hand.
@@ -364,12 +358,7 @@ func StartCluster(cfg ClusterConfig, tr *trace.Trace) (*Cluster, error) {
 	}
 	c := &Cluster{Plane: plane, Peers: make([]*Peer, 0, cfg.Peers)}
 	for i := 0; i < cfg.Peers; i++ {
-		pc := cfg.Peer
-		pc.ID, pc.Seed = i, cfg.Seed+int64(i)*7919
-		p, err := NewPeerWithControlPlane(pc, tr, plane, cfg.Conditions)
-		if err == nil {
-			err = p.Start()
-		}
+		p, err := startClusterPeer(cfg, tr, plane, i)
 		if err != nil {
 			c.Stop()
 			return nil, err
@@ -377,6 +366,18 @@ func StartCluster(cfg ClusterConfig, tr *trace.Trace) (*Cluster, error) {
 		c.Peers = append(c.Peers, p)
 	}
 	return c, nil
+}
+
+// startClusterPeer starts peer id of cfg's cluster against plane: a copy
+// of the cfg.Peer template with the id and its own seed stream.
+func startClusterPeer(cfg ClusterConfig, tr *trace.Trace, plane *ControlPlane, id int) (*Peer, error) {
+	pc := cfg.Peer
+	pc.ID, pc.Seed = id, cfg.Seed+int64(id)*7919
+	p, err := NewPeerWithControlPlane(pc, tr, plane, cfg.Conditions)
+	if err == nil {
+		err = p.Start()
+	}
+	return p, err
 }
 
 // Stop stops every peer, then the control plane.
@@ -403,12 +404,6 @@ func (c *Cluster) Counters() obs.Counters {
 // the compiled schedule is replayed on wall-clock offsets while the
 // workload runs.
 func RunClusterCtx(ctx context.Context, cfg ClusterConfig, tr *trace.Trace) (*ClusterResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	if cfg.Faults != nil && cfg.Conditions == nil {
 		cfg.Conditions = &Conditions{}
 	}
@@ -417,7 +412,38 @@ func RunClusterCtx(ctx context.Context, cfg ClusterConfig, tr *trace.Trace) (*Cl
 		return nil, err
 	}
 	defer c.Stop()
-	plane, peers := c.Plane, c.Peers
+	return c.run(ctx, cfg, tr)
+}
+
+// RunPeer runs peer id of cfg's cluster, and only it, against plane: a
+// cluster peer in a process of its own, started as StartCluster starts
+// each of its own, driven through its sessions as RunClusterCtx drives
+// them (probe loop and metrics endpoint included) and stopped. It takes
+// no fault plan; its result accounts this peer alone.
+func RunPeer(ctx context.Context, cfg ClusterConfig, tr *trace.Trace, plane *ControlPlane, id int) (*ClusterResult, error) {
+	if cfg.Faults != nil || tr == nil || tr.User(trace.UserID(id)) == nil {
+		return nil, fmt.Errorf("%w: a lone peer takes no fault plan and plays a user of the trace, not %d", dist.ErrBadParameter, id)
+	}
+	if err := cfg.Validate(); err != nil {
+		return nil, fmt.Errorf("cluster config: %w", err)
+	}
+	p, err := startClusterPeer(cfg, tr, plane, id)
+	if err != nil {
+		return nil, err
+	}
+	defer p.Stop()
+	return (&Cluster{Plane: plane, Peers: []*Peer{p}}).run(ctx, cfg, tr)
+}
+
+// run drives the started cluster's peers through cfg's workload, each on
+// its own id's stream and ledger row.
+func (c *Cluster) run(ctx context.Context, cfg ClusterConfig, tr *trace.Trace) (*ClusterResult, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	picker, err := vod.NewPicker(tr, vod.DefaultBehavior())
 	if err != nil {
 		return nil, err
@@ -429,28 +455,26 @@ func RunClusterCtx(ctx context.Context, cfg ClusterConfig, tr *trace.Trace) (*Cl
 			return nil, fmt.Errorf("cluster faults: %w", err)
 		}
 	}
-
-	res := &ClusterResult{
+	w := &workload{cfg: cfg, tr: tr, picker: picker, res: &ClusterResult{
 		Protocol: cfg.Peer.Mode.String(),
-		Ledger:   vod.NewLedger(cfg.Peers, cfg.VideosPerSession),
-	}
-	var resMu sync.Mutex
+		Ledger:   vod.NewLedger(len(tr.Users), cfg.VideosPerSession),
+	}}
 
 	if cfg.MetricsAddr != "" {
 		memW := obs.NewMemWatermark(1) // refreshed on every scrape
 		traceBytes := tr.Bytes()
-		prom := func(w io.Writer) {
+		prom := func(out io.Writer) {
 			// Live counter view, the same fold the final result takes.
 			ctr := c.Counters()
-			obs.WritePromCounters(w, "socialtube", &ctr)
+			obs.WritePromCounters(out, "socialtube", &ctr)
 			// A plain copy would alias the live bucket window.
-			resMu.Lock()
-			hist := res.StartupDelay.Clone()
-			resMu.Unlock()
-			obs.WritePromHist(w, "socialtube_startup_delay_ms", &hist)
+			w.mu.Lock()
+			hist := w.res.StartupDelay.Clone()
+			w.mu.Unlock()
+			obs.WritePromHist(out, "socialtube_startup_delay_ms", &hist)
 		}
 		srv, err := obs.ServeMetrics(cfg.MetricsAddr, func() any {
-			return liveMetrics(cfg, plane, res, &resMu, memW, traceBytes, len(tr.Users))
+			return liveMetrics(cfg, c.Plane, w.res, &w.mu, memW, traceBytes, len(tr.Users))
 		}, prom, cfg.PprofEnabled)
 		if err != nil {
 			return nil, fmt.Errorf("cluster metrics: %w", err)
@@ -461,61 +485,47 @@ func RunClusterCtx(ctx context.Context, cfg ClusterConfig, tr *trace.Trace) (*Cl
 		}
 	}
 
-	// stop fans the shutdown signal out to the session loops and the
-	// fault driver; it closes on context cancellation or normal
-	// completion.
-	stop := make(chan struct{})
-	var stopOnce sync.Once
-	halt := func() { stopOnce.Do(func() { close(stop) }) }
+	// stop fans the shutdown out to the session loops and the fault
+	// driver, on cancellation or once the workload completes.
+	stop, halt := context.WithCancel(ctx)
 	defer halt()
-	watchDone := make(chan struct{})
-	defer close(watchDone)
-	go func() {
-		select {
-		case <-ctx.Done():
-			halt()
-		case <-watchDone:
-		}
-	}()
-
-	begin := time.Now()
-
-	var fd *faultDriver
+	w.stop, w.begin = stop.Done(), time.Now()
 	var faultWG sync.WaitGroup
 	if sched != nil {
-		fd = &faultDriver{cond: cfg.Conditions, done: make(chan struct{})}
+		w.fd = &faultDriver{cond: cfg.Conditions, done: make(chan struct{})}
 		// Events due at the start land before any peer issues a request;
 		// the driver replays the rest (the schedule is sorted by time).
 		rest := sched.Events
 		for len(rest) > 0 && rest[0].At <= 0 {
-			fd.apply(rest[0], peers, plane, res, &resMu)
+			w.fd.apply(rest[0], w, c.Peers, c.Plane)
 			rest = rest[1:]
 		}
 		faultWG.Add(1)
 		go func() {
 			defer faultWG.Done()
-			fd.drive(rest, begin, stop, peers, plane, res, &resMu)
+			w.fd.drive(rest, w, c.Peers, c.Plane)
 		}()
 	}
 
 	var wg sync.WaitGroup
-	for i, p := range peers {
+	for _, p := range c.Peers {
 		wg.Add(1)
-		go func(idx int, p *Peer) {
+		go func() {
 			defer wg.Done()
-			runPeerSessions(cfg, tr, picker, p, idx, begin, res, &resMu, stop, fd)
-		}(i, p)
+			w.sessions(p)
+		}()
 	}
 	wg.Wait()
 	halt()
 	faultWG.Wait()
 
+	res := w.res
 	res.Close()
-	res.Elapsed = time.Since(begin)
-	res.ServerBytes = plane.ServedBytes()
-	res.TakeoverMs = plane.TakeoverMs()
+	res.Elapsed = time.Since(w.begin)
+	res.ServerBytes = c.Plane.ServedBytes()
+	res.TakeoverMs = c.Plane.TakeoverMs()
 	res.Obs = c.Counters()
-	for _, p := range peers {
+	for _, p := range c.Peers {
 		res.PeerBytes += p.ServedBytes()
 	}
 	if err := ctx.Err(); err != nil {
@@ -524,13 +534,26 @@ func RunClusterCtx(ctx context.Context, cfg ClusterConfig, tr *trace.Trace) (*Cl
 	return res, nil
 }
 
-// runPeerSessions drives one peer through its sessions, mirroring the
-// simulator's workload loop over real time. It returns early when stop
-// closes or when the peer crashed permanently (no rejoin scheduled).
-func runPeerSessions(cfg ClusterConfig, tr *trace.Trace, picker *vod.Picker, p *Peer, idx int,
-	begin time.Time, res *ClusterResult, resMu *sync.Mutex, stop <-chan struct{}, fd *faultDriver) {
+// workload is one run's session driver: what every peer's session loop
+// reads, and the result they file into under mu. fd is nil without faults.
+type workload struct {
+	cfg    ClusterConfig
+	tr     *trace.Trace
+	picker *vod.Picker
+	begin  time.Time
+	stop   <-chan struct{}
+	fd     *faultDriver
+	mu     sync.Mutex
+	res    *ClusterResult
+}
+
+// sessions drives peer p through its sessions, mirroring the simulator's
+// workload loop over real time. It returns early when stop closes or when
+// the peer crashed permanently (no rejoin scheduled).
+func (w *workload) sessions(p *Peer) {
+	cfg, idx := w.cfg, p.cfg.ID
 	g := dist.NewRNG(cfg.Seed*1_000_003 + int64(idx))
-	user := &tr.Users[idx]
+	user := &w.tr.Users[idx]
 	proto := cfg.Peer.Mode.String()
 	// Per-peer span sequence with the peer id in the high bits, so spans
 	// from different peers never alias in a merged trace.
@@ -539,7 +562,7 @@ func runPeerSessions(cfg ClusterConfig, tr *trace.Trace, picker *vod.Picker, p *
 		if cfg.Tracer == nil {
 			return
 		}
-		ev.T = int64(time.Since(begin))
+		ev.T = int64(time.Since(w.begin))
 		ev.Proto = proto
 		ev.Node = idx
 		cfg.Tracer.Emit(ev)
@@ -573,17 +596,17 @@ func runPeerSessions(cfg ClusterConfig, tr *trace.Trace, picker *vod.Picker, p *
 	}()
 
 	for s := 0; s < cfg.Sessions; s++ {
-		if !fd.waitRejoin(p, stop) {
+		if !w.fd.waitRejoin(p, w.stop) {
 			return
 		}
 		p.SetOnline(true)
 		emit(obs.Event{Kind: obs.KindJoin, Video: -1, Provider: -1})
-		plan := picker.PlanSession(g, user, cfg.VideosPerSession, cfg.MeanOffTime)
+		plan := w.picker.PlanSession(g, user, cfg.VideosPerSession, cfg.MeanOffTime)
 		for i, v := range plan.Videos {
-			if !fd.waitRejoin(p, stop) {
+			if !w.fd.waitRejoin(p, w.stop) {
 				return
 			}
-			outage := fd.duringOutage()
+			outage := w.fd.duringOutage()
 			rec := p.RequestVideo(v)
 			spanSeq++
 			span := uint64(idx+1)<<40 | spanSeq
@@ -597,27 +620,27 @@ func runPeerSessions(cfg ClusterConfig, tr *trace.Trace, picker *vod.Picker, p *
 				emit(obs.Event{Kind: obs.KindRescue, Video: int64(v), Provider: -1,
 					Source: vod.SourceServer.String(), Span: span})
 			}
-			resMu.Lock()
-			res.Record(idx, rec.RequestResult, rec.Startup)
+			w.mu.Lock()
+			w.res.Record(idx, rec.RequestResult, rec.Startup)
 			if rec.Failed {
-				res.FailedRequests++
+				w.res.FailedRequests++
 			}
 			if outage {
-				res.OutageRequests++
+				w.res.OutageRequests++
 				if !rec.Failed {
-					res.OutageServed++
+					w.res.OutageServed++
 				}
 			}
-			resMu.Unlock()
-			if !sleepOrStop(cfg.WatchTime, stop) {
+			w.mu.Unlock()
+			if !sleepUntil(time.Now().Add(cfg.WatchTime), w.stop) {
 				return
 			}
 			if !p.IsCrashed() {
 				p.FinishVideo(v)
 			}
-			resMu.Lock()
-			res.Links(i, p.Links())
-			resMu.Unlock()
+			w.mu.Lock()
+			w.res.Links(i, p.Links())
+			w.mu.Unlock()
 		}
 		p.SetOnline(false)
 		if !p.IsCrashed() {
@@ -625,7 +648,7 @@ func runPeerSessions(cfg ClusterConfig, tr *trace.Trace, picker *vod.Picker, p *
 		}
 		emit(obs.Event{Kind: obs.KindLeave, Video: -1, Provider: -1})
 		if s+1 < cfg.Sessions {
-			if !sleepOrStop(plan.OffTime, stop) {
+			if !sleepUntil(time.Now().Add(plan.OffTime), w.stop) {
 				return
 			}
 		}

@@ -28,8 +28,8 @@ type ControlPlaneConfig struct {
 	// RingSeed seeds the channel -> shard rendezvous hash and the gossip
 	// partner rotation.
 	RingSeed int64
-	// GossipInterval is the anti-entropy period per replica (0 with
-	// Replicas > 1 selects the default; irrelevant for Replicas = 1).
+	// GossipInterval is the anti-entropy period per replica (0 selects
+	// the default; irrelevant for the 1x1 plane).
 	GossipInterval time.Duration
 	// GossipTimeout bounds one sync exchange (0 selects 1s).
 	GossipTimeout time.Duration
@@ -82,10 +82,11 @@ func (c ControlPlaneConfig) Validate() error {
 // Two constructors, one type: StartControlPlane launches the trackers
 // in-process (RunClusterCtx, figures, tests); NewControlPlaneClient holds
 // only the routing, for peers connecting to tracker processes started
-// elsewhere (cmd/socialtube-node). Server-side methods are no-ops on a
-// client-only plane.
+// elsewhere, each by StartReplica (cmd/socialtube-node). Server-side
+// methods are no-ops on a client-only plane.
 type ControlPlane struct {
 	ring *ctrl.Ring
+	seed int64 // the ring's, which also seeds gossip partner rotation
 	// replicas[shard][replica] is an endpoint address. The ring hashes
 	// over shards only, so adding a replica to a shard moves no channel.
 	replicas [][]string
@@ -111,7 +112,7 @@ func (cp *ControlPlane) route(ringSeed int64, replicas [][]string) error {
 	if err != nil {
 		return err
 	}
-	cp.ring, cp.replicas = ring, make([][]string, len(replicas))
+	cp.ring, cp.seed, cp.replicas = ring, ringSeed, make([][]string, len(replicas))
 	for i, reps := range replicas {
 		if len(reps) == 0 {
 			return fmt.Errorf("control plane: shard %d has no replicas", i)
@@ -133,23 +134,13 @@ func StartControlPlane(cfg ControlPlaneConfig, tc TrackerConfig, tr *trace.Trace
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	// Multi-replica planes need gossip for convergence; multi-shard
-	// planes need it for liveness (the cross-shard heartbeat leg).
-	if (cfg.Replicas > 1 || cfg.Shards > 1) && cfg.GossipInterval == 0 {
-		cfg.GossipInterval = DefaultControlPlaneConfig().GossipInterval
-	}
 	// cp owns every tracker from the moment it starts, so any later
 	// failure releases them all through Stop.
 	cp := &ControlPlane{trackers: make([][]*Tracker, cfg.Shards)}
 	addrs := make([][]string, cfg.Shards)
 	for s := 0; s < cfg.Shards; s++ {
 		for r := 0; r < cfg.Replicas; r++ {
-			rtc := tc
-			rtc.Seed = tc.Seed + int64(s*cfg.Replicas+r)*104_729
-			tk, err := NewTracker(rtc, tr, cond)
-			if err == nil {
-				err = tk.Start()
-			}
+			tk, err := startReplica(tc, s*cfg.Replicas+r, tr, cond)
 			if err != nil {
 				cp.Stop()
 				return nil, fmt.Errorf("control plane shard %d replica %d: %w", s, r, err)
@@ -160,8 +151,7 @@ func StartControlPlane(cfg ControlPlaneConfig, tc TrackerConfig, tr *trace.Trace
 	}
 	for s, reps := range cp.trackers {
 		for r, tk := range reps {
-			tk.suspicionRounds = cfg.SuspicionRounds
-			tk.StartGossip(cfg.RingSeed, addrs, s, r, cfg.GossipInterval, cfg.GossipTimeout)
+			tk.StartGossip(cfg, addrs, s, r)
 		}
 	}
 	if err := cp.route(cfg.RingSeed, addrs); err != nil {
@@ -169,6 +159,46 @@ func StartControlPlane(cfg ControlPlaneConfig, tc TrackerConfig, tr *trace.Trace
 		return nil, err
 	}
 	return cp, nil
+}
+
+// StartReplica starts endpoint index of a routing-only plane (counted as
+// EndpointIndex counts) in this process, listening on the endpoint's
+// address: the tracker StartControlPlane would run there, with its seed
+// offset, the default suspicion rounds and gossip over the whole plane at
+// the default period. Started in one process per endpoint, the trackers
+// form the same plane StartControlPlane starts in one. The caller owns
+// Stop.
+func StartReplica(plane *ControlPlane, index int, tc TrackerConfig, tr *trace.Trace, cond *Conditions) (*Tracker, error) {
+	cfg := ControlPlaneConfig{Shards: plane.NumShards(), RingSeed: plane.seed}
+	for _, reps := range plane.replicas {
+		cfg.Replicas = max(cfg.Replicas, len(reps))
+	}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	for s, reps := range plane.replicas {
+		if r := index - plane.EndpointIndex(s, 0); r >= 0 && r < len(reps) {
+			tc.Addr = reps[r]
+			tk, err := startReplica(tc, index, tr, cond)
+			if err != nil {
+				return nil, err
+			}
+			tk.StartGossip(cfg, plane.replicas, s, r)
+			return tk, nil
+		}
+	}
+	return nil, fmt.Errorf("%w: endpoint %d outside the plane", dist.ErrBadParameter, index)
+}
+
+// startReplica starts the plane's tracker at flat endpoint index, seeded
+// at the index's offset from tc.Seed. On error it is not running.
+func startReplica(tc TrackerConfig, index int, tr *trace.Trace, cond *Conditions) (*Tracker, error) {
+	tc.Seed += int64(index) * 104_729
+	tk, err := NewTracker(tc, tr, cond)
+	if err == nil {
+		err = tk.Start()
+	}
+	return tk, err
 }
 
 // NumShards returns the number of shards.

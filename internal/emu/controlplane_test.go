@@ -174,8 +174,8 @@ func TestTrackerGossipConvergesOverTCP(t *testing.T) {
 	ta := startTracker(t, tr, fastConditions())
 	tb := startTracker(t, tr, fastConditions())
 	addrs := []string{ta.Addr(), tb.Addr()}
-	ta.StartGossip(11, [][]string{addrs}, 0, 0, 2*time.Millisecond, time.Second)
-	tb.StartGossip(11, [][]string{addrs}, 0, 1, 2*time.Millisecond, time.Second)
+	ta.StartGossip(ControlPlaneConfig{RingSeed: 11, GossipInterval: 2 * time.Millisecond, GossipTimeout: time.Second}, [][]string{addrs}, 0, 0)
+	tb.StartGossip(ControlPlaneConfig{RingSeed: 11, GossipInterval: 2 * time.Millisecond, GossipTimeout: time.Second}, [][]string{addrs}, 0, 1)
 
 	ch := tr.Channels[0].ID
 	join := func(id int) {

@@ -408,11 +408,24 @@ func TestProbeDropsDeadLinks(t *testing.T) {
 		t.Skip("peers did not link")
 	}
 	pb.Stop() // hard kill: listener gone
-	if msgs := pa.Probe(); msgs == 0 {
-		t.Fatal("probe sent no messages")
+	pa.mu.Lock()
+	nbs := len(pa.links.neighbours(""))
+	pa.mu.Unlock()
+	before := pa.Counters()
+	if msgs := pa.Probe(); msgs == 0 || msgs != nbs {
+		t.Fatalf("a probe of %d neighbours sent %d messages", nbs, msgs)
 	}
 	if pa.Links() != 0 {
 		t.Fatalf("dead link survived probe: %d links", pa.Links())
+	}
+	// Counted as the simulator counts them: one probe message per
+	// neighbour, and every link dropped to a dead one.
+	after := pa.Counters()
+	if got := after.ProbeMsgs - before.ProbeMsgs; got != uint64(nbs) {
+		t.Fatalf("a probe of %d neighbours counted %d probe messages", nbs, got)
+	}
+	if after.LinksPruned == before.LinksPruned {
+		t.Fatal("a probe that dropped a dead link counted no pruned link")
 	}
 }
 

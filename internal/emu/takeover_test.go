@@ -64,8 +64,8 @@ func TestPartitionGossipSplitBrainHeals(t *testing.T) {
 	ta := startTracker(t, tr, cond)
 	tb := startTracker(t, tr, cond)
 	addrs := []string{ta.Addr(), tb.Addr()}
-	ta.StartGossip(17, [][]string{addrs}, 0, 0, 2*time.Millisecond, 50*time.Millisecond)
-	tb.StartGossip(17, [][]string{addrs}, 0, 1, 2*time.Millisecond, 50*time.Millisecond)
+	ta.StartGossip(ControlPlaneConfig{RingSeed: 17, GossipInterval: 2 * time.Millisecond, GossipTimeout: 50 * time.Millisecond}, [][]string{addrs}, 0, 0)
+	tb.StartGossip(ControlPlaneConfig{RingSeed: 17, GossipInterval: 2 * time.Millisecond, GossipTimeout: 50 * time.Millisecond}, [][]string{addrs}, 0, 1)
 
 	ch := tr.Channels[0].ID
 	join := func(tk *Tracker, id int) {

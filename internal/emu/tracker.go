@@ -3,6 +3,7 @@ package emu
 import (
 	"fmt"
 	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -91,29 +92,16 @@ type Tracker struct {
 	// byCat indexes channels by primary category.
 	byCat map[trace.CategoryID][]trace.ChannelID
 
-	// Anti-entropy gossip across the plane (configured by StartGossip;
-	// zero value = standalone tracker). Same-shard siblings exchange full
-	// membership snapshots; cross-shard partners exchange liveness only
-	// (beats, shard-status verdicts, the ring epoch).
-	gossipMu       sync.Mutex
-	gossipAddrs    []string // own shard's replica endpoints
-	gossipSelf     int      // replica index within the shard
-	gossipInterval time.Duration
-	gossiper       *ctrl.Gossiper // same-shard rotation (nil when single-replica)
-	gossipOthers   []gossipPeer   // other shards' endpoints, shard-major
-	gossipNext     int            // seeded rotation cursor over gossipOthers
-
 	// live is the plane failure detector (nil on 1-shard planes and
-	// standalone trackers); suspicionRounds tunes it (0 = default).
-	// takeoverSince is the wall time the run's whole-shard outage began
-	// (0 until ControlPlane.ArmTakeover); declaredNano latches this
-	// replica's first shard death verdict at or after it — the takeover
-	// figure's time-to-takeover numerator. Verdicts before the outage are
-	// false suspicions and must not consume the latch.
-	live            atomic.Pointer[ctrl.Liveness]
-	suspicionRounds int
-	takeoverSince   atomic.Int64
-	declaredNano    atomic.Int64
+	// standalone trackers). takeoverSince is the wall time the run's
+	// whole-shard outage began (0 until ControlPlane.ArmTakeover);
+	// declaredNano latches this replica's first shard death verdict at or
+	// after it — the takeover figure's time-to-takeover numerator.
+	// Verdicts before the outage are false suspicions and must not
+	// consume the latch.
+	live          atomic.Pointer[ctrl.Liveness]
+	takeoverSince atomic.Int64
+	declaredNano  atomic.Int64
 	// side is this replica's partition side id (its replica index), read
 	// by the receive path's partition backstop.
 	side atomic.Int32
@@ -178,19 +166,20 @@ func (t *Tracker) Start() error {
 
 // StartGossip turns on anti-entropy for replica (shard, replica) of the
 // plane: plane lists every shard's replica endpoints in order (this
-// replica included). Every interval the replica exchanges full membership
-// snapshots with one seeded-rotation shard sibling, and — on multi-shard
-// planes — liveness (heartbeat versions, shard-status verdicts, the ring
-// epoch) with one seeded-rotation replica of another shard, so any
-// survivor can declare a whole shard dead after suspicionRounds of its
-// own rounds and the verdict gossips plane-wide. The per-shard gossip
-// seed is derived as seed + shard*7919, preserving the schedule the
-// sharded control plane has always used. Call after every replica of the
-// plane has Started and before peers join, so the tables' version stamps
-// carry the replica id from the first write. A replica with no
-// partner at all (the 1x1 plane) has nobody to gossip with and starts no
-// loop.
-func (t *Tracker) StartGossip(seed int64, plane [][]string, shard, replica int, interval, timeout time.Duration) {
+// replica included), and cfg gives the ring seed, the gossip period and
+// timeout and the suspicion rounds (zero selects each default). Every
+// period the replica exchanges full membership snapshots with one
+// seeded-rotation shard sibling, and — on multi-shard planes — liveness
+// (heartbeat versions, shard-status verdicts, the ring epoch) with one
+// seeded-rotation replica of another shard, so any survivor can declare a
+// whole shard dead after the suspicion rounds of its own rounds and the
+// verdict gossips plane-wide. The per-shard gossip seed is derived as
+// seed + shard*7919, preserving the schedule the sharded control plane
+// has always used. Call after every replica of the plane has Started and
+// before peers join, so the tables' version stamps carry the replica id
+// from the first write. A replica with no partner at all (the 1x1 plane)
+// has nobody to gossip with and starts no loop.
+func (t *Tracker) StartGossip(cfg ControlPlaneConfig, plane [][]string, shard, replica int) {
 	t.channels.SetNode(replica)
 	t.videos.SetNode(replica)
 	t.watchers.SetNode(replica)
@@ -198,7 +187,7 @@ func (t *Tracker) StartGossip(seed int64, plane [][]string, shard, replica int, 
 	if shard < 0 || shard >= len(plane) {
 		return
 	}
-	eff := seed + int64(shard)*7919
+	eff := cfg.RingSeed + int64(shard)*7919
 	g := ctrl.NewGossiper(eff, replica, len(plane[shard]))
 	var others []gossipPeer
 	if len(plane) > 1 {
@@ -210,33 +199,31 @@ func (t *Tracker) StartGossip(seed int64, plane [][]string, shard, replica int, 
 				others = append(others, gossipPeer{addr: addr, replica: r})
 			}
 		}
-		sus := t.suspicionRounds
+		sus := cfg.SuspicionRounds
 		if sus <= 0 {
 			sus = defaultSuspicionRounds
 		}
 		t.live.Store(ctrl.NewLiveness(len(plane), shard, replica, sus))
 	}
-	if (g == nil && len(others) == 0) || interval <= 0 {
+	if g == nil && len(others) == 0 {
 		return
+	}
+	interval, timeout := cfg.GossipInterval, cfg.GossipTimeout
+	if interval <= 0 {
+		interval = DefaultControlPlaneConfig().GossipInterval
 	}
 	if timeout <= 0 {
 		timeout = time.Second
 	}
-	t.gossipMu.Lock()
-	t.gossipAddrs = append([]string(nil), plane[shard]...)
-	t.gossipSelf = replica
-	t.gossipInterval = interval
 	t.cl.timeout = timeout
-	t.gossiper = g
-	t.gossipOthers = others
+	next := 0
 	if len(others) > 0 {
 		// Seeded rotation start, like ctrl.NewGossiper's, so replicas
 		// spread their cross-shard probes instead of thundering.
-		t.gossipNext = dist.NewRNG(eff ^ int64(replica)*104_729).Intn(len(others))
+		next = dist.NewRNG(eff ^ int64(replica)*104_729).Intn(len(others))
 	}
-	t.gossipMu.Unlock()
 	t.ep.wg.Add(1)
-	go t.gossipLoop()
+	go t.gossipLoop(interval, replica, slices.Clone(plane[shard]), g, others, next)
 }
 
 // gossipLoop drives the replica's anti-entropy rounds until Stop. A
@@ -245,10 +232,12 @@ func (t *Tracker) StartGossip(seed int64, plane [][]string, shard, replica int, 
 // exactly the signal the suspicion timeout turns into a death verdict.
 // Partition windows sever rounds at the sender: both gossip legs know
 // their partner's replica index, so a cut exchange is skipped outright
-// and the two sides' views diverge until heal.
-func (t *Tracker) gossipLoop() {
+// and the two sides' views diverge until heal. The loop owns its
+// schedule: replica self's shard siblings sibs in g's rotation and the
+// other shards' endpoints others from cursor next.
+func (t *Tracker) gossipLoop(interval time.Duration, self int, sibs []string, g *ctrl.Gossiper, others []gossipPeer, next int) {
 	defer t.ep.wg.Done()
-	ticker := time.NewTicker(t.gossipInterval)
+	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
 	for {
 		select {
@@ -259,38 +248,30 @@ func (t *Tracker) gossipLoop() {
 		if t.down.Load() {
 			continue
 		}
-		t.gossipMu.Lock()
-		self := t.gossipSelf
 		sibIdx := -1
-		var sibAddr string
-		if t.gossiper != nil {
-			sibIdx = t.gossiper.Next()
-			sibAddr = t.gossipAddrs[sibIdx]
+		if g != nil {
+			sibIdx = g.Next()
 		}
-		var cross gossipPeer
-		hasCross := false
-		if len(t.gossipOthers) > 0 {
-			cross = t.gossipOthers[t.gossipNext%len(t.gossipOthers)]
-			t.gossipNext++
-			hasCross = true
-		}
-		t.gossipMu.Unlock()
 		if live := t.live.Load(); live != nil {
 			t.noteTransitions(live.Tick(), nil, time.Now().UnixNano())
 		}
 		if sibIdx >= 0 && !t.cond.Severed(self, sibIdx) {
 			req := &Message{Type: MsgSync, From: -1, Sync: t.syncSnapshot()}
 			t.attachLiveness(req)
-			if resp, err := t.cl.rpc(sibAddr, req); err == nil && resp.Type == MsgOK {
+			if resp, err := t.cl.rpc(sibs[sibIdx], req); err == nil && resp.Type == MsgOK {
 				t.syncMerge(resp.Sync)
 				t.mergeLiveness(resp)
 			}
 		}
-		if hasCross && t.live.Load() != nil && !t.cond.Severed(self, cross.replica) {
-			req := &Message{Type: MsgSync, From: -1}
-			t.attachLiveness(req)
-			if resp, err := t.cl.rpc(cross.addr, req); err == nil && resp.Type == MsgOK {
-				t.mergeLiveness(resp)
+		if len(others) > 0 {
+			cross := others[next%len(others)]
+			next++
+			if t.live.Load() != nil && !t.cond.Severed(self, cross.replica) {
+				req := &Message{Type: MsgSync, From: -1}
+				t.attachLiveness(req)
+				if resp, err := t.cl.rpc(cross.addr, req); err == nil && resp.Type == MsgOK {
+					t.mergeLiveness(resp)
+				}
 			}
 		}
 		t.compactTables()

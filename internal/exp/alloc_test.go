@@ -13,6 +13,7 @@ import (
 	"unsafe"
 
 	"github.com/socialtube/socialtube/internal/baseline"
+	"github.com/socialtube/socialtube/internal/faults"
 	"github.com/socialtube/socialtube/internal/load"
 	"github.com/socialtube/socialtube/internal/simnet"
 	"github.com/socialtube/socialtube/internal/trace"
@@ -280,5 +281,55 @@ func TestSessionChainAllocFree(t *testing.T) {
 			t.Errorf("%s: %.3f mallocs per added request, want ≤ 0.2 (one plan per session of %d videos)",
 				name, perReq, cfg.VideosPerSession)
 		}
+	}
+}
+
+// TestFaultArmingAllocFree pins how a fault plan is armed: each event is
+// scheduled as its index into the compiled schedule on the runner's one
+// fault handler, so arming a plan of over 1,000 events allocates O(1)
+// beyond compiling it. It used to allocate a closure per event.
+func TestFaultArmingAllocFree(t *testing.T) {
+	tr := expTrace(t)
+	plan := &faults.Plan{Seed: 3}
+	for i := 1; i <= 600; i++ {
+		plan.Outages = append(plan.Outages, faults.Outage{At: time.Duration(i) * time.Minute, Duration: 30 * time.Second})
+	}
+	mallocs := func(f func() error) uint64 {
+		t.Helper()
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		err := f()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	events := 0
+	compile := mallocs(func() error {
+		sched, err := plan.Compile(len(tr.Users))
+		if err == nil {
+			events = len(sched.Events)
+		}
+		return err
+	})
+	if events < 1000 {
+		t.Fatalf("the plan compiles to %d events, the test needs at least 1,000", events)
+	}
+	r := testRunner(t, quickConfig(), tr, socialTube(t, tr))
+	// Grow the event heap past the schedule first: its growth is the
+	// engine's, not the arming's.
+	for i := 0; i < 2*events; i++ {
+		r.engine.Schedule(0, func(time.Duration, uint64) {}, 0)
+	}
+	if err := r.engine.Run(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	arm := mallocs(func() error { return r.scheduleFaults(plan) })
+	t.Logf("compiling %d events: %d mallocs; arming them: %d", events, compile, arm)
+	if arm > compile+8 {
+		t.Fatalf("arming %d fault events made %d mallocs, %d beyond compiling them; want at most 8",
+			events, arm, arm-compile)
 	}
 }

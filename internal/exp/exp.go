@@ -12,6 +12,7 @@ import (
 
 	"github.com/socialtube/socialtube/internal/dist"
 	"github.com/socialtube/socialtube/internal/faults"
+	"github.com/socialtube/socialtube/internal/load"
 	"github.com/socialtube/socialtube/internal/obs"
 	"github.com/socialtube/socialtube/internal/sim"
 	"github.com/socialtube/socialtube/internal/simnet"
@@ -181,9 +182,16 @@ type runner struct {
 	// for.
 	onStart                   sim.Handler
 	onNext, onLookup, onReply [2]sim.Handler
+	// The run's other events, bound once too: onFault's payload indexes
+	// faults, onArrive fires the pending arrival and onProbe runs a
+	// maintenance round of maint.
+	onFault, onArrive, onProbe sim.Handler
+	maint                      Maintainer
 	// Fault-injection state (internal/faults). All of it stays
 	// zero-valued without a plan, so a healthy run pays only cheap
-	// comparisons on the hot path and draws no extra randomness.
+	// comparisons on the hot path and draws no extra randomness. faults
+	// is the compiled schedule's events.
+	faults       []faults.Event
 	crashed      []bool
 	crashedCount int
 	// rejoinsPending counts scheduled-but-unfired rejoin events, so the
@@ -205,9 +213,11 @@ type runner struct {
 	// so each request files the delta into its own window.
 	filedOpens uint64
 	// Open-loop load state (Options.Load); all nil/zero in closed-loop
-	// runs. streams counts pending arrival events: one while the profile's
-	// stream is still emitting.
-	streams int
+	// runs. streams counts pending arrival events: one (arrival, drawn
+	// from arrivals) while the profile's stream still emits.
+	streams  int
+	arrivals *load.Gen
+	arrival  load.Arrival
 	// loadG is a dedicated RNG for arrival-side decisions (idle-node
 	// choice, session sampling) so installing a load profile never
 	// perturbs the main stream's draws.
@@ -379,6 +389,14 @@ func newRunner(cfg Config, tr *trace.Trace, picker *vod.Picker, proto vod.Protoc
 		r.onLookup[k] = func(now time.Duration, arg uint64) { r.remote.lookup(r, arg, k, now) }
 		r.onReply[k] = func(now time.Duration, arg uint64) { r.remote.reply(r, arg, k == 1, now) }
 	}
+	r.onFault = func(now time.Duration, i uint64) { r.applyFault(r.faults[i], now) }
+	r.onArrive = func(now time.Duration, _ uint64) {
+		viral := r.arrival.Flash
+		r.streams--
+		r.pump()
+		r.applyArrival(viral, now)
+	}
+	r.onProbe = func(now time.Duration, _ uint64) { r.probeAll(now) }
 	r.timed, _ = proto.(Timed)
 	if inst, ok := proto.(obs.Instrumented); ok {
 		r.ctr = inst.ObsCounters()
@@ -408,8 +426,8 @@ func (r *runner) arm(opts Options) error {
 			r.engine.Schedule(delay, r.onStart, uint64(node))
 		}
 	}
-	if m, ok := r.proto.(Maintainer); ok {
-		r.engine.After(r.cfg.ProbeInterval, func(now time.Duration) { r.probeAll(m, now) })
+	if r.maint, _ = r.proto.(Maintainer); r.maint != nil {
+		r.engine.Schedule(r.engine.Now()+r.cfg.ProbeInterval, r.onProbe, 0)
 	}
 	if opts.Faults != nil {
 		return r.scheduleFaults(opts.Faults)
@@ -637,10 +655,10 @@ func (r *runner) endSession(node int, offTime time.Duration) {
 	}
 }
 
-func (r *runner) probeAll(m Maintainer, now time.Duration) {
+func (r *runner) probeAll(now time.Duration) {
 	for node := range r.online {
 		if r.online[node] {
-			r.res.ProbeMessages.Addn(int64(m.Probe(node)))
+			r.res.ProbeMessages.Addn(int64(r.maint.Probe(node)))
 		}
 	}
 	// Keep probing while any session work remains. A permanently
@@ -656,7 +674,7 @@ func (r *runner) probeAll(m Maintainer, now time.Duration) {
 		more = r.online[node] || (r.sessionsLeft[node] > 0 && (!r.crashed[node] || rejoinable))
 	}
 	if more {
-		r.engine.After(r.cfg.ProbeInterval, func(at time.Duration) { r.probeAll(m, at) })
+		r.engine.Schedule(now+r.cfg.ProbeInterval, r.onProbe, 0)
 	}
 }
 

@@ -106,11 +106,12 @@ func (r *runner) scheduleFaults(plan *faults.Plan) error {
 	}
 	r.repairer, _ = r.proto.(Repairer)
 	r.reseeder, _ = r.proto.(Reseeder)
-	for _, ev := range sched.Events {
+	r.faults = sched.Events
+	for i, ev := range r.faults {
 		if ev.Kind == faults.KindRejoin {
 			r.rejoinsPending++
 		}
-		r.engine.At(ev.At, func(now time.Duration) { r.applyFault(ev, now) })
+		r.engine.Schedule(ev.At, r.onFault, uint64(i))
 	}
 	return nil
 }

@@ -55,25 +55,20 @@ func (r *runner) installLoad(p *load.Profile) error {
 	// RNG's draws.
 	r.loadG = dist.NewRNG(r.cfg.Seed*7919 + 0x10ad)
 	r.res.Load = &LoadInfo{}
-	// The stream self-clocks on one event, allocated here rather than per
-	// arrival: firing it schedules it again for the arrival after a.
-	var a load.Arrival
-	var fire func(time.Duration)
-	pump := func() {
-		var ok bool
-		if a, ok = gen.Next(); ok {
-			r.streams++
-			r.engine.At(a.At, fire)
-		}
-	}
-	fire = func(now time.Duration) {
-		viral := a.Flash
-		r.streams--
-		pump()
-		r.applyArrival(viral, now)
-	}
-	pump()
+	r.arrivals = gen
+	r.pump()
 	return nil
+}
+
+// pump schedules the stream's next arrival, if it has one. The stream
+// self-clocks on onArrive, which fires the pending arrival after pumping
+// the one after it.
+func (r *runner) pump() {
+	var ok bool
+	if r.arrival, ok = r.arrivals.Next(); ok {
+		r.streams++
+		r.engine.Schedule(r.arrival.At, r.onArrive, 0)
+	}
 }
 
 // applyArrival turns one offered arrival into a session on an idle

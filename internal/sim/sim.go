@@ -45,10 +45,11 @@ type Engine struct {
 	// high-water mark, reported via Stats.
 	hwm int
 	// parked holds the closures At queued until they fire: a closure is
-	// queued with a nil handler and its slot as the payload, and free
-	// lists the slots to reuse.
-	parked []Event
-	free   []uint64
+	// queued as runParked with its slot as the payload, and free lists
+	// the slots to reuse.
+	parked    []Event
+	free      []uint64
+	runParked Handler
 }
 
 // Stats is the engine's lifetime accounting, reported alongside protocol
@@ -69,7 +70,14 @@ func (e *Engine) Stats() Stats {
 
 // NewEngine returns an engine with an empty queue at virtual time zero.
 func NewEngine() *Engine {
-	return &Engine{}
+	e := &Engine{}
+	e.runParked = func(now time.Duration, slot uint64) {
+		fn := e.parked[slot]
+		e.parked[slot] = nil
+		e.free = append(e.free, slot)
+		fn(now)
+	}
+	return e
 }
 
 // Now returns the current virtual time.
@@ -92,7 +100,7 @@ func (e *Engine) At(at time.Duration, fn Event) {
 	} else {
 		e.parked = append(e.parked, fn)
 	}
-	e.push(at, nil, slot)
+	e.push(at, e.runParked, slot)
 }
 
 // Schedule queues h(now, arg) at the absolute virtual time at, clamped to
@@ -103,7 +111,7 @@ func (e *Engine) Schedule(at time.Duration, h Handler, arg uint64) {
 	}
 }
 
-// push queues one event; a nil h marks a parked closure.
+// push queues one event.
 func (e *Engine) push(at time.Duration, h Handler, arg uint64) {
 	if at < e.now {
 		at = e.now
@@ -193,14 +201,7 @@ func (e *Engine) RunCtx(ctx context.Context, horizon time.Duration, maxEvents ui
 		}
 		ev := e.pop()
 		e.now = ev.at
-		if ev.fire != nil {
-			ev.fire(e.now, ev.arg)
-		} else {
-			fn := e.parked[ev.arg]
-			e.parked[ev.arg] = nil
-			e.free = append(e.free, ev.arg)
-			fn(e.now)
-		}
+		ev.fire(e.now, ev.arg)
 		e.fired++
 	}
 	return nil

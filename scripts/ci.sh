@@ -78,7 +78,7 @@ echo "== allocation guards (the !race tests, without -race) =="
 # budgets of a loaded or generated trace, of the picker's tables and of a
 # run's cells and result, and the hot paths that must not allocate, the
 # runner's session chain among them. Seconds.
-go test -count=1 -run '^(TestLoadStreamHeapBudget|TestGenerateAllocBudget|TestGenerateAllocatesWhatItKeeps|TestHistObserveAllocFree|TestNetTubeProbeAndLinksAllocFree|TestFrameDrawAllocFree|TestWireAllocs|TestHostileListCountAllocatesNothing|TestParkedReaderPinsNoFrameBuffer|TestEngineSteadyStateAllocFree|TestLatencyAllocFree|TestTransferAllocFree|TestRequestAllocFreeAfterRepair|TestRequestAllocFreeWithOpenBreakers|TestRequestAllocFreeWithTelemetry|TestRequestStaysAllocFree|TestProbeAllocFree|TestFinishAllocFree|TestLeaveJoinAllocFree|TestRemoteLookupAllocFree|TestHeapHighWaterReportsThePeak|TestCellsCostTheirUsersNotTheCatalog|TestFinishedResultFootprint|TestTimelineRecordAllocFree|TestSessionChainAllocFree|TestNewPickerAllocatesWhatItKeeps)$' \
+go test -count=1 -run '^(TestLoadStreamHeapBudget|TestGenerateAllocBudget|TestGenerateAllocatesWhatItKeeps|TestHistObserveAllocFree|TestNetTubeProbeAndLinksAllocFree|TestFrameDrawAllocFree|TestWireAllocs|TestHostileListCountAllocatesNothing|TestParkedReaderPinsNoFrameBuffer|TestEngineSteadyStateAllocFree|TestLatencyAllocFree|TestTransferAllocFree|TestRequestAllocFreeAfterRepair|TestRequestAllocFreeWithOpenBreakers|TestRequestAllocFreeWithTelemetry|TestRequestStaysAllocFree|TestProbeAllocFree|TestFinishAllocFree|TestLeaveJoinAllocFree|TestRemoteLookupAllocFree|TestHeapHighWaterReportsThePeak|TestCellsCostTheirUsersNotTheCatalog|TestFinishedResultFootprint|TestTimelineRecordAllocFree|TestSessionChainAllocFree|TestFaultArmingAllocFree|TestNewPickerAllocatesWhatItKeeps)$' \
 	./internal/trace/ ./internal/vod/ ./internal/obs/ ./internal/baseline/ ./internal/emu/ ./internal/sim/ ./internal/simnet/ ./internal/core/ ./internal/exp/
 
 echo "== hot-path layout gate (cache fingerprint words, one mesh representation, suspect-only pruning, event heap order; -race x5) =="
@@ -98,7 +98,7 @@ go test -race -count=5 -run 'TestProbeMatchesFullPrune' ./internal/core/
 go test -race -count=5 -run 'TestNetTubeProbeMatchesFullPrune' ./internal/baseline/
 go test -race -count=5 -run 'TestEngineOrderMatchesReference' ./internal/sim/
 
-echo "== emulator wire and connection-reuse gate (-race x5) =="
+echo "== emulator wire, connection-reuse and node gate (-race x5) =="
 # The frame format is pinned and round-trips, a frame with any byte flipped
 # or a malformed body never decodes, and corrupted replies are RPC errors.
 # Nodes keep connections open between RPCs: one socket per (caller,
@@ -106,8 +106,12 @@ echo "== emulator wire and connection-reuse gate (-race x5) =="
 # ends after that, a duplicated reply never answers the next request, a
 # lost request is never re-sent, and Stop/Rejoin release every socket at
 # once. A plan's events due at the start apply before any peer's first
-# request.
+# request. socialtube-node runs the same emulator one element per process:
+# a -tracker spec with an empty shard or address is refused, two tracker
+# elements of one 2x1 plane declare each other's shard dead, and a peer
+# element requests what the same peer of an in-process cluster requests.
 go test -race -count=5 -run 'TestMessageRoundTrip|TestWireRoundTrip|TestCorruptFrameNeverDecodes|TestReadMessageRejectsMalformedBody|TestClientReusesOneConnection|TestIdleLifetime|TestReusedConnectionSkipsDuplicatedReply|TestDroppedRequestOnReusedConnectionFailsFast|TestStopAndRejoinReleaseConnections|TestChaosFrameFaults|TestEndpoint|TestNilConditionsRunPlanWindows' ./internal/emu/
+go test -race -count=5 -run 'TestPlaneSpecValidation|TestCrossShardLivenessAcrossProcesses|TestPeerReplaysClusterPeer|TestTrackerAndPeerEndToEnd' ./cmd/socialtube-node/
 
 echo "== go test -race =="
 go test -race ./...
