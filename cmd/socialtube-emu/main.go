@@ -16,6 +16,7 @@ import (
 	"os"
 	"time"
 
+	"github.com/socialtube/socialtube/internal/emu"
 	"github.com/socialtube/socialtube/internal/figures"
 	"github.com/socialtube/socialtube/internal/obs"
 )
@@ -59,31 +60,26 @@ func run(args []string) (retErr error) {
 	if err != nil {
 		return err
 	}
-	s := figures.EmuScale{
-		Peers:            *peers,
-		Sessions:         *sessions,
-		VideosPerSession: *videos,
-		WatchTime:        *watch,
-		Seed:             *seed,
-		MetricsAddr:      *metrics,
-		Pprof:            *pprof,
-	}
+	cfg := emu.NewClusterConfig(emu.ModeSocialTube, *sessions, *videos, *watch, *seed)
+	cfg.Peers = *peers
+	cfg.MetricsAddr, cfg.PprofEnabled = *metrics, *pprof
+	cfg.OnMetricsAddr = func(addr string) { fmt.Printf("# live metrics: http://%s/metrics\n", addr) }
 	if *traceOut != "" {
 		j, err := obs.OpenJSONL(*traceOut)
 		if err != nil {
 			return err
 		}
-		s.Tracer = j
+		cfg.Tracer = j
 		defer j.Finish(*traceOut, &retErr)
 	}
-	tr, err := s.EmuTrace()
+	tr, err := figures.EmuTrace(cfg)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("emulation: %d TCP peers, %d sessions x %d videos over %d channels\n\n",
-		s.Peers, s.Sessions, s.VideosPerSession, len(tr.Channels))
+		cfg.Peers, cfg.Sessions, cfg.VideosPerSession, len(tr.Channels))
 
-	in := &figures.Inputs{Emu: s, EmuTrace: tr}
+	in := &figures.Inputs{Emu: cfg, EmuTrace: tr}
 	for _, f := range figs {
 		if err := f.Show(in, *benchOut); err != nil {
 			return err

@@ -18,6 +18,11 @@
 //	    -tracker 'hostA:7070,hostB:7070;hostC:7070,hostD:7070'
 //	socialtube-node -role peer -trace trace.json -ring-seed 1 -id 7 \
 //	    -tracker 'hostA:7070,hostB:7070;hostC:7070,hostD:7070'
+//
+// Both roles build one emu.ClusterConfig from the same flags, so -seed
+// seeds a node plane's trackers, link conditions and workload as
+// socialtube-emu seeds its cluster. SIGINT or SIGTERM stops an element
+// cleanly: it prints its summary and exits 0.
 package main
 
 import (
@@ -26,7 +31,9 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"os/signal"
 	"strings"
+	"syscall"
 	"time"
 
 	"github.com/socialtube/socialtube/internal/emu"
@@ -38,15 +45,19 @@ import (
 var stdout io.Writer = os.Stdout
 
 func main() {
-	if err := run(os.Args[1:], make(chan struct{})); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:])
+	stop()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "socialtube-node:", err)
 		os.Exit(1)
 	}
 }
 
-// run executes the node until its work completes or stop closes (stop only
-// applies to the tracker role, which otherwise serves forever).
-func run(args []string, stop chan struct{}) error {
+// run executes the node until its work completes or ctx is done: a peer
+// stops its sessions and reports what it ran, a tracker (which otherwise
+// serves forever) stops serving.
+func run(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("socialtube-node", flag.ContinueOnError)
 	var (
 		role      = fs.String("role", "", "tracker or peer")
@@ -59,7 +70,7 @@ func run(args []string, stop chan struct{}) error {
 		sessions  = fs.Int("sessions", 1, "sessions to run before exiting (peer role)")
 		videos    = fs.Int("videos", 10, "videos per session (peer role)")
 		watch     = fs.Duration("watch", 500*time.Millisecond, "emulated playback per video, and the mean off-time between sessions (peer role)")
-		seed      = fs.Int64("seed", 1, "workload seed (peer role)")
+		seed      = fs.Int64("seed", 1, "run seed: workload, tracker recommendations and link conditions")
 		metrics   = fs.String("metrics", "", "serve live node metrics on this address (e.g. 127.0.0.1:8080)")
 		pprof     = fs.Bool("pprof", false, "with -metrics, also mount net/http/pprof on the metrics listener")
 	)
@@ -100,42 +111,44 @@ func run(args []string, stop chan struct{}) error {
 	if err != nil {
 		return err
 	}
+	m, ok := modes[*mode]
+	if !ok {
+		return fmt.Errorf("unknown mode %q", *mode)
+	}
+	cfg := emu.NewClusterConfig(m, *sessions, *videos, *watch, *seed)
+	cfg.Peer.Addr, cfg.Tracer = *addr, printer{}
+	cfg.MetricsAddr, cfg.PprofEnabled = *metrics, *pprof
+	cfg.OnMetricsAddr = func(a string) { fmt.Fprintf(stdout, "metrics on http://%s/metrics\n", a) }
 	switch *role {
 	case "tracker":
-		tk, err := emu.StartReplica(plane, *id, emu.DefaultTrackerConfig(), tr, emu.DefaultConditions())
+		tk, err := emu.StartReplica(plane, *id, cfg, tr)
 		if err != nil {
 			return err
 		}
 		defer tk.Stop()
-		if *metrics != "" {
-			srv, err := tk.ServeMetrics(*metrics, *pprof)
+		if cfg.MetricsAddr != "" {
+			srv, err := tk.ServeMetrics(cfg.MetricsAddr, cfg.PprofEnabled)
 			if err != nil {
 				return err
 			}
 			defer srv.Close()
-			fmt.Fprintf(stdout, "metrics on http://%s/metrics\n", srv.Addr())
+			cfg.OnMetricsAddr(srv.Addr())
 		}
 		fmt.Fprintf(stdout, "tracker %d of a %d-shard plane serving %d videos on %s\n", *id, plane.NumShards(), len(tr.Videos), tk.Addr())
-		<-stop
+		<-ctx.Done()
 		fmt.Fprintf(stdout, "tracker served %d bytes\n", tk.ServedBytes())
 		return nil
 	case "peer":
-		m, ok := modes[*mode]
-		if !ok {
-			return fmt.Errorf("unknown mode %q", *mode)
-		}
-		cfg := emu.DefaultClusterConfig(m)
-		cfg.Sessions, cfg.VideosPerSession, cfg.Seed = *sessions, *videos, *seed
-		cfg.WatchTime, cfg.MeanOffTime = *watch, *watch
-		cfg.Peer.Addr, cfg.Tracer = *addr, printer{}
-		cfg.MetricsAddr, cfg.PprofEnabled = *metrics, *pprof
-		cfg.OnMetricsAddr = func(a string) { fmt.Fprintf(stdout, "metrics on http://%s/metrics\n", a) }
-		res, err := emu.RunPeer(context.Background(), cfg, tr, plane, *id)
-		if err != nil {
+		res, err := emu.RunPeer(ctx, cfg, tr, plane, *id)
+		if res == nil {
 			return err
 		}
-		fmt.Fprintf(stdout, "peer %d (%s) done: %d requests (cache %d / peer %d / server %d), uploaded %d bytes\n",
-			*id, m, res.Delivered(), res.CacheHits.Value(), res.PeerHits.Value(), res.ServerHits.Value(), res.PeerBytes)
+		end := "done"
+		if err != nil {
+			end = "stopped"
+		}
+		fmt.Fprintf(stdout, "peer %d (%s) %s: %d requests (cache %d / peer %d / server %d), uploaded %d bytes\n",
+			*id, m, end, res.Delivered(), res.CacheHits.Value(), res.PeerHits.Value(), res.ServerHits.Value(), res.PeerBytes)
 		return nil
 	default:
 		return fmt.Errorf("unknown role %q (want tracker or peer)", *role)

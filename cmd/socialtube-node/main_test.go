@@ -4,21 +4,41 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net"
 	"net/http"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
 	"github.com/socialtube/socialtube/internal/emu"
 	"github.com/socialtube/socialtube/internal/obs"
+	"github.com/socialtube/socialtube/internal/simnet"
 	"github.com/socialtube/socialtube/internal/trace"
 )
+
+// nodeArgsEnv, when set, makes the test binary run main with its
+// newline-separated arguments instead of the tests, so a test can signal a
+// whole element process.
+const nodeArgsEnv = "SOCIALTUBE_NODE_ARGS"
+
+func TestMain(m *testing.M) {
+	if args, ok := os.LookupEnv(nodeArgsEnv); ok {
+		os.Args = append([]string{"socialtube-node"}, strings.Split(args, "\n")...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
 
 func writeTrace(t *testing.T) string {
 	t.Helper()
@@ -44,25 +64,39 @@ func writeTrace(t *testing.T) string {
 	return path
 }
 
+func loadTrace(t *testing.T, path string) *trace.Trace {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	tr, err := trace.LoadStream(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
 func TestRunRequiresFlags(t *testing.T) {
-	stop := make(chan struct{})
-	if err := run([]string{}, stop); err == nil {
+	ctx := context.Background()
+	if err := run(ctx, []string{}); err == nil {
 		t.Fatal("missing -trace accepted")
 	}
 	path := writeTrace(t)
-	if err := run([]string{"-trace", path}, stop); err == nil {
+	if err := run(ctx, []string{"-trace", path}); err == nil {
 		t.Fatal("missing role accepted")
 	}
-	if err := run([]string{"-trace", path, "-role", "peer"}, stop); err == nil {
+	if err := run(ctx, []string{"-trace", path, "-role", "peer"}); err == nil {
 		t.Fatal("peer without tracker accepted")
 	}
-	if err := run([]string{"-trace", path, "-role", "peer", "-tracker", "127.0.0.1:1", "-mode", "bogus"}, stop); err == nil {
+	if err := run(ctx, []string{"-trace", path, "-role", "peer", "-tracker", "127.0.0.1:1", "-mode", "bogus"}); err == nil {
 		t.Fatal("bogus mode accepted")
 	}
-	if err := run([]string{"-trace", path, "-role", "peer", "-tracker", "127.0.0.1:1", "-id", "999"}, stop); err == nil {
+	if err := run(ctx, []string{"-trace", path, "-role", "peer", "-tracker", "127.0.0.1:1", "-id", "999"}); err == nil {
 		t.Fatal("out-of-trace peer id accepted")
 	}
-	if err := run([]string{"-trace", "/nonexistent.json", "-role", "tracker"}, stop); err == nil {
+	if err := run(ctx, []string{"-trace", "/nonexistent.json", "-role", "tracker"}); err == nil {
 		t.Fatal("missing trace file accepted")
 	}
 }
@@ -83,7 +117,7 @@ func TestRunRejectsBadCounts(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if err := run(tt.args, make(chan struct{})); err == nil {
+			if err := run(context.Background(), tt.args); err == nil {
 				t.Fatalf("args %v accepted", tt.args)
 			}
 		})
@@ -94,38 +128,22 @@ func TestRunRejectsBadCounts(t *testing.T) {
 // plus a peer process loop against it.
 func TestTrackerAndPeerEndToEnd(t *testing.T) {
 	path := writeTrace(t)
-	// Reserve a port for the tracker deterministically.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-
-	stop := make(chan struct{})
+	addr := freeAddr(t)
+	ctx, stop := context.WithCancel(context.Background())
 	trackerDone := make(chan error, 1)
 	go func() {
-		trackerDone <- run([]string{"-role", "tracker", "-trace", path, "-addr", addr}, stop)
+		trackerDone <- run(ctx, []string{"-role", "tracker", "-trace", path, "-addr", addr})
 	}()
-	// Wait for the tracker to accept connections.
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		conn, err := net.DialTimeout("tcp", addr, 200*time.Millisecond)
-		if err == nil {
-			conn.Close()
-			break
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
+	waitListening(t, addr)
 
-	err = run([]string{
+	err := run(context.Background(), []string{
 		"-role", "peer", "-trace", path, "-tracker", addr,
 		"-id", "1", "-sessions", "1", "-videos", "2", "-watch", "5ms",
-	}, make(chan struct{}))
+	})
 	if err != nil {
 		t.Fatalf("peer run: %v", err)
 	}
-	close(stop)
+	stop()
 	if err := <-trackerDone; err != nil {
 		t.Fatalf("tracker run: %v", err)
 	}
@@ -171,7 +189,7 @@ func TestPlaneSpecValidation(t *testing.T) {
 		{"-role", "tracker", "-tracker", "127.0.0.1:1,,127.0.0.1:2", "-id", "0"},
 		{"-role", "peer", "-tracker", "127.0.0.1:1;;127.0.0.1:2"},
 	} {
-		if err := run(append(args, "-trace", path), make(chan struct{})); err == nil {
+		if err := run(context.Background(), append(args, "-trace", path)); err == nil {
 			t.Errorf("args %v accepted", args)
 		}
 	}
@@ -192,21 +210,14 @@ func freeAddr(t *testing.T) string {
 // is called, once addr accepts connections.
 func startNode(t *testing.T, addr string, args ...string) (stop func()) {
 	t.Helper()
-	quit, done := make(chan struct{}), make(chan error, 1)
-	go func() { done <- run(args, quit) }()
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(20 * time.Millisecond) {
-		if conn, err := net.DialTimeout("tcp", addr, 200*time.Millisecond); err == nil {
-			conn.Close()
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("element %v never listened on %s", args, addr)
-		}
-	}
+	ctx, quit := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- run(ctx, args) }()
+	waitListening(t, addr)
 	var once sync.Once
 	stop = func() {
 		once.Do(func() {
-			close(quit)
+			quit()
 			if err := <-done; err != nil {
 				t.Errorf("element %v: %v", args, err)
 			}
@@ -214,6 +225,20 @@ func startNode(t *testing.T, addr string, args ...string) (stop func()) {
 	}
 	t.Cleanup(stop)
 	return stop
+}
+
+// waitListening returns once addr accepts connections.
+func waitListening(t *testing.T, addr string) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		if conn, err := net.DialTimeout("tcp", addr, 200*time.Millisecond); err == nil {
+			conn.Close()
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("nothing listened on %s", addr)
+		}
+	}
 }
 
 // trackerCounters scrapes a tracker element's /metrics.
@@ -311,9 +336,9 @@ func TestPeerReplaysClusterPeer(t *testing.T) {
 	addr := freeAddr(t)
 	startNode(t, addr, "-role", "tracker", "-trace", path, "-addr", addr)
 	const peer, seed, sessions, videos = 5, 9, 3, 3
-	if err := run([]string{"-role", "peer", "-trace", path, "-tracker", addr,
+	if err := run(context.Background(), []string{"-role", "peer", "-trace", path, "-tracker", addr,
 		"-id", strconv.Itoa(peer), "-seed", strconv.Itoa(seed), "-sessions", strconv.Itoa(sessions),
-		"-videos", strconv.Itoa(videos), "-watch", "5ms"}, make(chan struct{})); err != nil {
+		"-videos", strconv.Itoa(videos), "-watch", "5ms"}); err != nil {
 		t.Fatal(err)
 	}
 	var got []int64
@@ -328,18 +353,9 @@ func TestPeerReplaysClusterPeer(t *testing.T) {
 		}
 	}
 
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := trace.LoadStream(f)
-	f.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := emu.DefaultClusterConfig(emu.ModeSocialTube)
-	cfg.Peers, cfg.Sessions, cfg.VideosPerSession, cfg.Seed = peer+1, sessions, videos, seed
-	cfg.WatchTime, cfg.MeanOffTime = 5*time.Millisecond, 5*time.Millisecond
+	tr := loadTrace(t, path)
+	cfg := emu.NewClusterConfig(emu.ModeSocialTube, sessions, videos, 5*time.Millisecond, seed)
+	cfg.Peers = peer + 1
 	want := &clusterServes{node: peer}
 	cfg.Tracer = want
 	if _, err := emu.RunClusterCtx(context.Background(), cfg, tr); err != nil {
@@ -348,4 +364,147 @@ func TestPeerReplaysClusterPeer(t *testing.T) {
 	if len(want.videos) != sessions*videos || !slices.Equal(got, want.videos) {
 		t.Fatalf("the peer element requested %v; peer %d of the cluster requested %v", got, peer, want.videos)
 	}
+}
+
+// exchange sends req to addr on a connection of its own and returns the
+// reply and the round trip that got it, retrying a request the element's
+// injected loss dropped unanswered (a dropped request is never served).
+func exchange(t *testing.T, addr string, req emu.Message) (*emu.Message, time.Duration) {
+	t.Helper()
+	var err error
+	for range 20 {
+		var conn net.Conn
+		if conn, err = net.DialTimeout("tcp", addr, time.Second); err != nil {
+			continue
+		}
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		begin := time.Now()
+		var resp *emu.Message
+		if err = emu.WriteMessage(conn, &req); err == nil {
+			resp, err = emu.ReadMessage(conn)
+		}
+		rtt := time.Since(begin)
+		conn.Close()
+		if err == nil {
+			return resp, rtt
+		}
+	}
+	t.Fatalf("%s never answered %v: %v", addr, req.Type, err)
+	return nil, 0
+}
+
+// TestTrackerElementSeedsAsCluster: -seed seeds a tracker element as
+// StartCluster seeds its trackers. Endpoint 1 of a 2x1 plane started with
+// -seed 7 recommends what a tracker seeded 7 + 104,729 recommends to the
+// same joins, and answers each no sooner than the latency
+// simnet.PairLatency(7, …) draws for the caller. The callers are peers
+// whose seed-7 latency exceeds their seed-1 one by 5 ms, so a tracker on
+// the default seed answers measurably sooner.
+func TestTrackerElementSeedsAsCluster(t *testing.T) {
+	path := writeTrace(t)
+	tr := loadTrace(t, path)
+	a, b := freeAddr(t), freeAddr(t)
+	startNode(t, b, "-role", "tracker", "-trace", path, "-tracker", a+";"+b, "-id", "1", "-seed", "7")
+	tc := emu.DefaultTrackerConfig()
+	tc.Seed = 7 + 104_729
+	ref, err := emu.NewTracker(tc, tr, nil)
+	if err == nil {
+		err = ref.Start()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Stop()
+
+	cond := emu.DefaultConditions()
+	latency := func(seed int64, from int) time.Duration {
+		return simnet.PairLatency(seed, cond.MinLatency, cond.MaxLatency, -1, int64(from))
+	}
+	var from []int
+	for id := 0; len(from) < 8; id++ {
+		if latency(7, id) > latency(1, id)+5*time.Millisecond {
+			from = append(from, id)
+		}
+	}
+	var sibs []int
+	for _, ch := range tr.Channels {
+		if ch.Primary == tr.Channels[0].Primary {
+			sibs = append(sibs, int(ch.ID))
+		}
+	}
+	for i, id := range from {
+		req := emu.Message{Type: emu.MsgJoin, From: id, Addr: fmt.Sprintf("127.0.0.1:%d", 9000+id),
+			Channel: sibs[i%len(sibs)], TTL: 1}
+		want, _ := exchange(t, ref.Addr(), req)
+		got, rtt := exchange(t, b, req)
+		if !reflect.DeepEqual(got.Peers, want.Peers) {
+			t.Fatalf("join %d: the element recommends %v, a tracker seeded 7 + 104,729 %v", i, got.Peers, want.Peers)
+		}
+		if rtt < latency(7, id) {
+			t.Fatalf("join %d from %d answered in %v, under the seed-7 latency %v", i, id, rtt, latency(7, id))
+		}
+	}
+}
+
+// TestTrackerElementExitsOnSIGTERM: a tracker element sent SIGTERM stops
+// its tracker, prints its summary and exits 0.
+func TestTrackerElementExitsOnSIGTERM(t *testing.T) {
+	path := writeTrace(t)
+	addr := freeAddr(t)
+	out := signalElement(t, []string{"-role", "tracker", "-trace", path, "-addr", addr},
+		func(*syncBuffer) { waitListening(t, addr) })
+	if !strings.Contains(out, "tracker served ") {
+		t.Fatalf("element printed no summary; output:\n%s", out)
+	}
+}
+
+// TestPeerElementExitsOnSIGTERM: a peer element sent SIGTERM mid-run stops
+// its sessions, prints what it ran and exits 0.
+func TestPeerElementExitsOnSIGTERM(t *testing.T) {
+	path := writeTrace(t)
+	addr := freeAddr(t)
+	startNode(t, addr, "-role", "tracker", "-trace", path, "-addr", addr)
+	out := signalElement(t, []string{"-role", "peer", "-trace", path, "-tracker", addr,
+		"-id", "5", "-sessions", "50", "-videos", "10", "-watch", "100ms"},
+		func(out *syncBuffer) {
+			for deadline := time.Now().Add(5 * time.Second); !strings.Contains(out.String(), " serve "); time.Sleep(10 * time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("the peer served nothing; output:\n%s", out)
+				}
+			}
+		})
+	if !strings.Contains(out, "peer 5 ") || !strings.Contains(out, " stopped: ") {
+		t.Fatalf("element printed no summary; output:\n%s", out)
+	}
+}
+
+// signalElement re-runs the test binary as the element args, waits for
+// ready, sends the element SIGTERM and returns its output once it has
+// exited 0.
+func signalElement(t *testing.T, args []string, ready func(out *syncBuffer)) string {
+	t.Helper()
+	if runtime.GOOS == "windows" {
+		t.Skip("no SIGTERM")
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^$")
+	cmd.Env = append(os.Environ(), nodeArgsEnv+"="+strings.Join(args, "\n"))
+	out := &syncBuffer{}
+	cmd.Stdout, cmd.Stderr = out, out
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if cmd.ProcessState == nil {
+			cmd.Process.Kill()
+			cmd.Wait()
+		}
+	})
+	ready(out)
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Wait(); err != nil {
+		t.Fatalf("element exited with %v; output:\n%s", err, out)
+	}
+	return out.String()
 }

@@ -31,7 +31,9 @@ type ClusterConfig struct {
 	MeanOffTime time.Duration
 	// ProbeInterval is the neighbour probe period (0 disables probing).
 	ProbeInterval time.Duration
-	// Seed drives workload randomness.
+	// Seed drives the whole run: the workload, every tracker's
+	// recommendations (endpoint i of the plane draws from Seed + i·104,729)
+	// and the link conditions' latency, loss and chaos draws.
 	Seed int64
 	// Peer is the template every peer is a copy of, ID and Seed aside: the
 	// protocol they all run (Mode), link budgets, TTL, prefetch count, RPC
@@ -39,16 +41,18 @@ type ClusterConfig struct {
 	// RPCTimeout: a down tracker costs the default 3 s per attempt.
 	Peer PeerConfig
 	// Tracker configures the central server — the template for every
-	// tracker replica of the control plane.
+	// tracker replica of the control plane, Seed aside.
 	Tracker TrackerConfig
 	// ControlPlane shards and replicates the tracker: Shards x Replicas
 	// trackers are started, channels map to shards by rendezvous
 	// hashing, and peers fail over between a shard's replicas. The zero
 	// value is the 1x1 plane: one tracker.
 	ControlPlane ControlPlaneConfig
-	// Conditions injects latency and loss (nil = pristine loopback). A
-	// run with Faults folds the plan's windows into them, into zero-valued
-	// ones when nil.
+	// Conditions injects latency and loss (nil = pristine loopback). It
+	// is a template, Seed aside: each started cluster, lone peer or
+	// replica runs a fresh copy, so runs never share windows or draw
+	// counters. A run with Faults folds the plan's windows into that copy,
+	// a zero-valued one when nil.
 	Conditions *Conditions
 	// Tracer, when non-nil, receives the run's event stream: one serve
 	// event per request (plus handoff/rescue events for mid-stream
@@ -74,6 +78,17 @@ type ClusterConfig struct {
 	// concrete address as soon as the endpoint is up (before the workload
 	// starts), so callers using port 0 can find it.
 	OnMetricsAddr func(addr string)
+}
+
+// NewClusterConfig returns DefaultClusterConfig(mode) running sessions of
+// videos per peer, watch of playback per video and watch of mean off-time
+// between sessions, seeded from seed: the run socialtube-emu and
+// socialtube-node build from their -sessions, -videos, -watch and -seed.
+func NewClusterConfig(mode Mode, sessions, videos int, watch time.Duration, seed int64) ClusterConfig {
+	c := DefaultClusterConfig(mode)
+	c.Sessions, c.VideosPerSession, c.Seed = sessions, videos, seed
+	c.WatchTime, c.MeanOffTime = watch, watch
+	return c
 }
 
 // DefaultClusterConfig returns a loopback-scaled PlanetLab workload.
@@ -113,6 +128,17 @@ func (c ClusterConfig) Validate() error {
 		}
 	}
 	return c.plane().Validate()
+}
+
+// elements returns what cfg's trackers and peers run: the tracker template
+// and a fresh copy of the conditions template, both seeded from Seed.
+func (c ClusterConfig) elements() (TrackerConfig, *Conditions) {
+	tc := c.Tracker
+	tc.Seed = c.Seed
+	if c.Conditions == nil && c.Faults == nil {
+		return tc, nil
+	}
+	return tc, c.Conditions.fresh(c.Seed)
 }
 
 // plane returns the control-plane shape the cluster runs: ControlPlane,
@@ -337,11 +363,13 @@ type Cluster struct {
 	Plane *ControlPlane
 	// Peers[i] has id i and its own seed stream.
 	Peers []*Peer
+	// cond is the run's copy of the conditions, which faults fold into.
+	cond *Conditions
 }
 
 // StartCluster validates cfg against the trace, then starts the control
-// plane and the peers. The caller stops the cluster; on error whatever
-// had started is stopped here.
+// plane and the peers, every element seeded from cfg.Seed. The caller
+// stops the cluster; on error whatever had started is stopped here.
 func StartCluster(cfg ClusterConfig, tr *trace.Trace) (*Cluster, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("cluster config: %w", err)
@@ -352,13 +380,14 @@ func StartCluster(cfg ClusterConfig, tr *trace.Trace) (*Cluster, error) {
 	if cfg.Peers > len(tr.Users) {
 		return nil, fmt.Errorf("%w: %d peers but only %d users in trace", dist.ErrBadParameter, cfg.Peers, len(tr.Users))
 	}
-	plane, err := StartControlPlane(cfg.plane(), cfg.Tracker, tr, cfg.Conditions)
+	tc, cond := cfg.elements()
+	plane, err := StartControlPlane(cfg.plane(), tc, tr, cond)
 	if err != nil {
 		return nil, err
 	}
-	c := &Cluster{Plane: plane, Peers: make([]*Peer, 0, cfg.Peers)}
+	c := &Cluster{Plane: plane, Peers: make([]*Peer, 0, cfg.Peers), cond: cond}
 	for i := 0; i < cfg.Peers; i++ {
-		p, err := startClusterPeer(cfg, tr, plane, i)
+		p, err := startClusterPeer(cfg, tr, plane, cond, i)
 		if err != nil {
 			c.Stop()
 			return nil, err
@@ -370,10 +399,10 @@ func StartCluster(cfg ClusterConfig, tr *trace.Trace) (*Cluster, error) {
 
 // startClusterPeer starts peer id of cfg's cluster against plane: a copy
 // of the cfg.Peer template with the id and its own seed stream.
-func startClusterPeer(cfg ClusterConfig, tr *trace.Trace, plane *ControlPlane, id int) (*Peer, error) {
+func startClusterPeer(cfg ClusterConfig, tr *trace.Trace, plane *ControlPlane, cond *Conditions, id int) (*Peer, error) {
 	pc := cfg.Peer
 	pc.ID, pc.Seed = id, cfg.Seed+int64(id)*7919
-	p, err := NewPeerWithControlPlane(pc, tr, plane, cfg.Conditions)
+	p, err := NewPeerWithControlPlane(pc, tr, plane, cond)
 	if err == nil {
 		err = p.Start()
 	}
@@ -400,13 +429,11 @@ func (c *Cluster) Counters() obs.Counters {
 // RunClusterCtx starts a cluster, drives the session workload to
 // completion, shuts everything down and returns aggregated metrics. A
 // cancelled context stops the workload, the fault driver and every
-// tracker/peer goroutine before returning ctx.Err(). With a fault plan,
+// tracker/peer goroutine before returning ctx.Err(), with what the
+// workload had run when it started before the cancellation. With a fault plan,
 // the compiled schedule is replayed on wall-clock offsets while the
 // workload runs.
 func RunClusterCtx(ctx context.Context, cfg ClusterConfig, tr *trace.Trace) (*ClusterResult, error) {
-	if cfg.Faults != nil && cfg.Conditions == nil {
-		cfg.Conditions = &Conditions{}
-	}
 	c, err := StartCluster(cfg, tr)
 	if err != nil {
 		return nil, err
@@ -427,12 +454,13 @@ func RunPeer(ctx context.Context, cfg ClusterConfig, tr *trace.Trace, plane *Con
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("cluster config: %w", err)
 	}
-	p, err := startClusterPeer(cfg, tr, plane, id)
+	_, cond := cfg.elements()
+	p, err := startClusterPeer(cfg, tr, plane, cond, id)
 	if err != nil {
 		return nil, err
 	}
 	defer p.Stop()
-	return (&Cluster{Plane: plane, Peers: []*Peer{p}}).run(ctx, cfg, tr)
+	return (&Cluster{Plane: plane, Peers: []*Peer{p}, cond: cond}).run(ctx, cfg, tr)
 }
 
 // run drives the started cluster's peers through cfg's workload, each on
@@ -492,7 +520,7 @@ func (c *Cluster) run(ctx context.Context, cfg ClusterConfig, tr *trace.Trace) (
 	w.stop, w.begin = stop.Done(), time.Now()
 	var faultWG sync.WaitGroup
 	if sched != nil {
-		w.fd = &faultDriver{cond: cfg.Conditions, done: make(chan struct{})}
+		w.fd = &faultDriver{cond: c.cond, done: make(chan struct{})}
 		// Events due at the start land before any peer issues a request;
 		// the driver replays the rest (the schedule is sorted by time).
 		rest := sched.Events
@@ -528,10 +556,7 @@ func (c *Cluster) run(ctx context.Context, cfg ClusterConfig, tr *trace.Trace) (
 	for _, p := range c.Peers {
 		res.PeerBytes += p.ServedBytes()
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return res, ctx.Err()
 }
 
 // workload is one run's session driver: what every peer's session loop

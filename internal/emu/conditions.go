@@ -41,6 +41,17 @@ func DefaultConditions() *Conditions {
 	}
 }
 
+// fresh returns a copy of the template c seeded from seed, with no
+// windows and fresh draw counters: what one run injects. A nil template
+// gives the zero-valued copy a fault plan folds into.
+func (c *Conditions) fresh(seed int64) *Conditions {
+	cp := &Conditions{Seed: seed}
+	if c != nil {
+		cp.MinLatency, cp.MaxLatency, cp.LossP = c.MinLatency, c.MaxLatency, c.LossP
+	}
+	return cp
+}
+
 // Latency returns the deterministic one-way delay between nodes a and b
 // (tracker = -1): the simulator's simnet.PairLatency, with MaxLatency
 // raised to MinLatency when below it, scaled by an open burst window.

@@ -163,19 +163,22 @@ func StartControlPlane(cfg ControlPlaneConfig, tc TrackerConfig, tr *trace.Trace
 
 // StartReplica starts endpoint index of a routing-only plane (counted as
 // EndpointIndex counts) in this process, listening on the endpoint's
-// address: the tracker StartControlPlane would run there, with its seed
-// offset, the default suspicion rounds and gossip over the whole plane at
-// the default period. Started in one process per endpoint, the trackers
-// form the same plane StartControlPlane starts in one. The caller owns
+// address: the tracker StartCluster would start there for cfg, seeded
+// and conditioned from cfg.Seed, gossiping over the whole plane with
+// cfg.ControlPlane's timing. The plane, not cfg, gives the shape and the
+// ring seed. Started in one process per endpoint from one cfg, the
+// trackers form the plane StartCluster starts in one. The caller owns
 // Stop.
-func StartReplica(plane *ControlPlane, index int, tc TrackerConfig, tr *trace.Trace, cond *Conditions) (*Tracker, error) {
-	cfg := ControlPlaneConfig{Shards: plane.NumShards(), RingSeed: plane.seed}
+func StartReplica(plane *ControlPlane, index int, cfg ClusterConfig, tr *trace.Trace) (*Tracker, error) {
+	pc := cfg.ControlPlane
+	pc.Shards, pc.Replicas, pc.RingSeed = plane.NumShards(), 0, plane.seed
 	for _, reps := range plane.replicas {
-		cfg.Replicas = max(cfg.Replicas, len(reps))
+		pc.Replicas = max(pc.Replicas, len(reps))
 	}
-	if err := cfg.Validate(); err != nil {
+	if err := pc.Validate(); err != nil {
 		return nil, err
 	}
+	tc, cond := cfg.elements()
 	for s, reps := range plane.replicas {
 		if r := index - plane.EndpointIndex(s, 0); r >= 0 && r < len(reps) {
 			tc.Addr = reps[r]
@@ -183,7 +186,7 @@ func StartReplica(plane *ControlPlane, index int, tc TrackerConfig, tr *trace.Tr
 			if err != nil {
 				return nil, err
 			}
-			tk.StartGossip(cfg, plane.replicas, s, r)
+			tk.StartGossip(pc, plane.replicas, s, r)
 			return tk, nil
 		}
 	}

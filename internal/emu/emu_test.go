@@ -8,6 +8,7 @@ import (
 	"errors"
 	"io"
 	"math"
+	"net"
 	"net/http"
 	"runtime"
 	"slices"
@@ -19,6 +20,7 @@ import (
 
 	"github.com/socialtube/socialtube/internal/dist"
 	"github.com/socialtube/socialtube/internal/obs"
+	"github.com/socialtube/socialtube/internal/simnet"
 	"github.com/socialtube/socialtube/internal/trace"
 	"github.com/socialtube/socialtube/internal/vod"
 )
@@ -539,6 +541,93 @@ func TestStartedClusterIsQuiet(t *testing.T) {
 	defer c.Stop()
 	if stats := c.Plane.First().Stats(); len(stats) != 0 {
 		t.Fatalf("tracker handled %v before any request; want nothing", stats)
+	}
+}
+
+// TestClusterSeedsEveryElement: StartCluster seeds every element from
+// ClusterConfig.Seed, whatever seeds its Tracker and Conditions templates
+// carry. Tracker i of a 3x1 plane started with Seed 7 recommends what a
+// tracker seeded 7 + i·104,729 recommends to the same joins, and every
+// tracker and peer injects the latency simnet.PairLatency(7, …) draws.
+func TestClusterSeedsEveryElement(t *testing.T) {
+	tr := emuTrace(t)
+	cfg := DefaultClusterConfig(ModeSocialTube)
+	cfg.Peers, cfg.Seed = 4, 7
+	cfg.ControlPlane = ControlPlaneConfig{Shards: 3, Replicas: 1, RingSeed: 1}
+	c, err := StartCluster(cfg, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	var sibs []int
+	for _, ch := range tr.Channels {
+		if ch.Primary == tr.Channels[0].Primary {
+			sibs = append(sibs, int(ch.ID))
+		}
+	}
+	joins := func(tk *Tracker) [][]PeerInfo {
+		var out [][]PeerInfo
+		for id := range 12 {
+			resp := tk.dispatch(&Message{Type: MsgJoin, From: id, Addr: "127.0.0.1:" + strconv.Itoa(9000+id),
+				Channel: sibs[id%len(sibs)], TTL: 1})
+			out = append(out, resp.Peers)
+		}
+		return out
+	}
+	def := DefaultConditions()
+	var conds []*Conditions
+	for i, tk := range c.Plane.Trackers() {
+		tc := DefaultTrackerConfig()
+		tc.Seed = 7 + int64(i)*104_729
+		ref, err := NewTracker(tc, tr, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := joins(tk), joins(ref); !slices.EqualFunc(got, want, slices.Equal) {
+			t.Fatalf("tracker %d recommends %v; a tracker seeded 7 + %d·104,729 %v", i, got, i, want)
+		}
+		conds = append(conds, tk.cond)
+	}
+	for _, p := range c.Peers {
+		conds = append(conds, p.cond)
+	}
+	for i, cond := range conds {
+		for a := -1; a < 6; a++ {
+			for b := -1; b < 6; b++ {
+				if got, want := cond.Latency(a, b), simnet.PairLatency(7, def.MinLatency, def.MaxLatency, int64(a), int64(b)); got != want {
+					t.Fatalf("element %d: latency %d→%d = %v, want %v", i, a, b, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestReplicaKeepsPlaneTiming: StartReplica gossips with cfg.ControlPlane's
+// timing, as StartCluster's trackers do, while the routing plane, not cfg,
+// gives the shape.
+func TestReplicaKeepsPlaneTiming(t *testing.T) {
+	var addrs [][]string
+	for range 2 {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs = append(addrs, []string{ln.Addr().String()})
+		ln.Close()
+	}
+	plane, err := NewControlPlaneClient(3, addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultClusterConfig(ModeSocialTube)
+	cfg.ControlPlane = ControlPlaneConfig{Shards: 5, Replicas: 5, GossipTimeout: 123 * time.Millisecond}
+	tk, err := StartReplica(plane, 1, cfg, emuTrace(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tk.Stop()
+	if tk.cl.timeout != cfg.ControlPlane.GossipTimeout {
+		t.Fatalf("replica gossips with a %v timeout, want the config's %v", tk.cl.timeout, cfg.ControlPlane.GossipTimeout)
 	}
 }
 

@@ -75,7 +75,10 @@ type Message struct {
 	Chunk int `json:"chunk"`
 	// Channel identifies a channel (join, top-list).
 	Channel int `json:"channel"`
-	// TTL bounds query forwarding.
+	// TTL is the message's one small count, read by type: a query's
+	// forwarding bound, a join's member flag (> 0: register the sender as
+	// a member of the channel overlay), a top-list's list length and a
+	// cache sample's sample size.
 	TTL int `json:"ttl"`
 	// Visited carries the ids of peers that already saw the query so
 	// floods never revisit a node.

@@ -517,8 +517,8 @@ func (t *Tracker) handleJoin(req *Message) *Message {
 	// One random member of the channel overlay itself.
 	resp.Peers = t.pickLocked(t.channels.Live(int64(ch)), req.From, 1, int(ch))
 	// Subscribers become members; non-subscribers only get category
-	// recommendations (the Visited field doubles as a "member" flag: the
-	// peer sets TTL=1 when it wants membership). Membership is exclusive:
+	// recommendations (TTL doubles as the member flag: the peer sets
+	// TTL=1 when it wants membership). Membership is exclusive:
 	// a peer whose home moved is tombstoned under its previous channel,
 	// so it is never again recommended for an overlay it left (it would
 	// reject the inner link, wasting the requester's entry point).

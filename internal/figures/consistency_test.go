@@ -37,22 +37,16 @@ func TestSimAndEmuAgreeOnWinner(t *testing.T) {
 	}
 
 	// Emulator side (scaled down to keep the test fast).
-	es := EmuScale{
-		Peers:            40,
-		Sessions:         2,
-		VideosPerSession: 6,
-		WatchTime:        8 * time.Millisecond,
-		Seed:             1,
-	}
-	etr, err := es.EmuTrace()
+	es := emuConfig(40, 2, 6, 8*time.Millisecond)
+	etr, err := EmuTrace(es)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stRes, err := es.runMode(etr, emu.ModeSocialTube, nil)
+	stRes, err := runMode(es, etr, emu.ModeSocialTube, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pvRes, err := es.runMode(etr, emu.ModePAVoD, nil)
+	pvRes, err := runMode(es, etr, emu.ModePAVoD, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,17 +4,11 @@ import (
 	"encoding/json"
 	"testing"
 	"time"
+
+	"github.com/socialtube/socialtube/internal/emu"
 )
 
-func failoverScale() EmuScale {
-	return EmuScale{
-		Peers:            24,
-		Sessions:         2,
-		VideosPerSession: 6,
-		WatchTime:        5 * time.Millisecond,
-		Seed:             1,
-	}
-}
+func failoverConfig() emu.ClusterConfig { return emuConfig(24, 2, 6, 5*time.Millisecond) }
 
 // TestFailoverOrdering pins the figure's headline: under the standard
 // mid-stream provider-crash schedule, SocialTube's community cache keeps
@@ -26,12 +20,12 @@ func TestFailoverOrdering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("TCP cluster runs")
 	}
-	s := failoverScale()
-	tr, err := s.EmuTrace()
+	c := failoverConfig()
+	tr, err := EmuTrace(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := FigFailover(s, tr)
+	f, err := FigFailover(c, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,14 +56,14 @@ func TestFailoverDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("TCP cluster runs")
 	}
-	s := failoverScale()
-	tr, err := s.EmuTrace()
+	c := failoverConfig()
+	tr, err := EmuTrace(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	canonical := func() []byte {
 		t.Helper()
-		f, err := FigFailover(s, tr)
+		f, err := FigFailover(c, tr)
 		if err != nil {
 			t.Fatal(err)
 		}

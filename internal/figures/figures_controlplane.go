@@ -77,13 +77,13 @@ type planeVariant struct {
 // tight retry policy and renders the shared columns plus the figure's
 // own. The plans inject no churn, so request totals are deterministic and
 // hit rates compare directly against variants[0], the no-fault baseline.
-func (s EmuScale) planeFaults(tr *trace.Trace, cp emu.ControlPlaneConfig, title string,
+func planeFaults(base emu.ClusterConfig, tr *trace.Trace, cp emu.ControlPlaneConfig, title string,
 	variants []planeVariant, headers []string, extra func(ControlPlanePoint) []any) (*Report, error) {
 	t := NewTable(title,
 		append([]string{"variant", "requests", "failed", "hitRate", "deltaVsBaseline"}, headers...)...)
 	points := make([]ControlPlanePoint, 0, len(variants))
 	for _, v := range variants {
-		res, err := s.runMode(tr, emu.ModeSocialTube, func(c *emu.ClusterConfig) {
+		res, err := runMode(base, tr, emu.ModeSocialTube, func(c *emu.ClusterConfig) {
 			c.ControlPlane = cp
 			c.Faults = v.plan
 			tightRetry(c)
@@ -93,7 +93,7 @@ func (s EmuScale) planeFaults(tr *trace.Trace, cp emu.ControlPlaneConfig, title 
 		}
 		p := v.target
 		p.Protocol = res.Protocol
-		p.Seed = s.Seed
+		p.Seed = base.Seed
 		p.Shards, p.Replicas = cp.Shards, cp.Replicas
 		p.Requests = res.Delivered()
 		p.Failed = res.FailedRequests
@@ -133,15 +133,15 @@ func (s EmuScale) planeFaults(tr *trace.Trace, cp emu.ControlPlaneConfig, title 
 // baseline — the headline of the control-plane redesign, versus the
 // whole-plane outage of FigOutage where the dark window visibly costs
 // requests.
-func FigShardedOutage(s EmuScale, tr *trace.Trace) (*Report, error) {
+func FigShardedOutage(base emu.ClusterConfig, tr *trace.Trace) (*Report, error) {
 	cp := emu.DefaultControlPlaneConfig()
-	cp.RingSeed = s.Seed
-	unit := s.outageUnit()
+	cp.RingSeed = base.Seed
+	unit := outageUnit(base)
 	variants := []planeVariant{{target: ControlPlanePoint{Variant: "baseline"}}}
 	for shard := 1; shard <= cp.Shards; shard++ {
 		for replica := 1; replica <= cp.Replicas; replica++ {
 			variants = append(variants, planeVariant{
-				plan: faults.ReplicaOutagePlan(s.Seed, unit, shard, replica),
+				plan: faults.ReplicaOutagePlan(base.Seed, unit, shard, replica),
 				target: ControlPlanePoint{
 					Variant:   fmt.Sprintf("shard%d-replica%d-down", shard, replica),
 					DownShard: shard, DownReplica: replica,
@@ -149,7 +149,7 @@ func FigShardedOutage(s EmuScale, tr *trace.Trace) (*Report, error) {
 			})
 		}
 	}
-	return s.planeFaults(tr, cp,
+	return planeFaults(base, tr, cp,
 		fmt.Sprintf("SocialTube hit rate, %dx%d control plane, one replica dark for 2x%s (TCP emulation)",
 			cp.Shards, cp.Replicas, unit),
 		variants, []string{"brkOpens"},
@@ -163,10 +163,10 @@ func FigShardedOutage(s EmuScale, tr *trace.Trace) (*Report, error) {
 // survivors adopting its channels — and one run with a 2-way partition
 // for two units, where both sides keep serving and hinted handoff plus
 // the LWW merge re-converge the tables on heal with zero lost rows.
-func FigTakeover(s EmuScale, tr *trace.Trace) (*Report, error) {
+func FigTakeover(base emu.ClusterConfig, tr *trace.Trace) (*Report, error) {
 	cp := emu.DefaultControlPlaneConfig()
-	cp.RingSeed = s.Seed
-	unit := s.outageUnit()
+	cp.RingSeed = base.Seed
+	unit := outageUnit(base)
 	// Suspicion timing scaled to the workload unit: gossip every unit/16
 	// with sync exchanges bounded by unit/8, so three suspicion rounds
 	// declare a dead shard well inside its two-unit outage even when
@@ -176,10 +176,10 @@ func FigTakeover(s EmuScale, tr *trace.Trace) (*Report, error) {
 	cp.SuspicionRounds = 3
 	variants := []planeVariant{
 		{target: ControlPlanePoint{Variant: "baseline"}},
-		{faults.ShardOutagePlan(s.Seed, unit, 1), ControlPlanePoint{Variant: "shard1-dead", DeadShard: 1}},
-		{faults.PartitionPlan(s.Seed, unit, 2), ControlPlanePoint{Variant: "partition-2way", Groups: 2}},
+		{faults.ShardOutagePlan(base.Seed, unit, 1), ControlPlanePoint{Variant: "shard1-dead", DeadShard: 1}},
+		{faults.PartitionPlan(base.Seed, unit, 2), ControlPlanePoint{Variant: "partition-2way", Groups: 2}},
 	}
-	return s.planeFaults(tr, cp,
+	return planeFaults(base, tr, cp,
 		fmt.Sprintf("SocialTube hit rate, %dx%d control plane, whole-shard death and split brain for 2x%s (TCP emulation)",
 			cp.Shards, cp.Replicas, unit),
 		variants, []string{"takeoverMs", "reroutes", "rejoins"},

@@ -88,12 +88,13 @@ func (s Scale) substrate(tr *trace.Trace) substrate {
 	}}
 }
 
-// substrate runs the variants one after another on loopback TCP clusters.
-func (s EmuScale) substrate(tr *trace.Trace) substrate {
+// emuSubstrate runs the variants one after another on loopback TCP
+// clusters of the template base.
+func emuSubstrate(base emu.ClusterConfig, tr *trace.Trace) substrate {
 	return substrate{"b", "TCP emulation", func(_ string, vs []variant) ([]*vod.Ledger, []*Table, error) {
 		ledgers := make([]*vod.Ledger, len(vs))
 		for i, v := range vs {
-			res, err := s.runMode(tr, emuModes[v.proto], func(c *emu.ClusterConfig) {
+			res, err := runMode(base, tr, emuModes[v.proto], func(c *emu.ClusterConfig) {
 				if !v.prefetch {
 					c.Peer.PrefetchCount = 0
 				}
@@ -161,6 +162,6 @@ func Fig16a(s Scale, tr *trace.Trace) (*Report, error) { return fig16(s.substrat
 func Fig17a(s Scale, tr *trace.Trace) (*Report, error) { return fig17(s.substrate(tr)) }
 func Fig18a(s Scale, tr *trace.Trace) (*Report, error) { return fig18(s.substrate(tr)) }
 
-func Fig16b(s EmuScale, tr *trace.Trace) (*Report, error) { return fig16(s.substrate(tr)) }
-func Fig17b(s EmuScale, tr *trace.Trace) (*Report, error) { return fig17(s.substrate(tr)) }
-func Fig18b(s EmuScale, tr *trace.Trace) (*Report, error) { return fig18(s.substrate(tr)) }
+func Fig16b(c emu.ClusterConfig, tr *trace.Trace) (*Report, error) { return fig16(emuSubstrate(c, tr)) }
+func Fig17b(c emu.ClusterConfig, tr *trace.Trace) (*Report, error) { return fig17(emuSubstrate(c, tr)) }
+func Fig18b(c emu.ClusterConfig, tr *trace.Trace) (*Report, error) { return fig18(emuSubstrate(c, tr)) }

@@ -7,71 +7,32 @@ import (
 
 	"github.com/socialtube/socialtube/internal/emu"
 	"github.com/socialtube/socialtube/internal/faults"
-	"github.com/socialtube/socialtube/internal/obs"
 	"github.com/socialtube/socialtube/internal/trace"
 )
 
-// EmuScale sizes the TCP emulation (the PlanetLab substitute).
-type EmuScale struct {
-	// Peers is the number of TCP nodes (paper: 250 PlanetLab hosts).
-	Peers int
-	// Sessions per peer (paper: 50).
-	Sessions int
-	// VideosPerSession per session (paper: 10).
-	VideosPerSession int
-	// WatchTime is the emulated playback per video.
-	WatchTime time.Duration
-	// Seed drives the workload, the trackers and the link conditions.
-	Seed int64
-	// MetricsAddr, when non-empty, serves live cluster metrics on
-	// GET <addr>/metrics while each emulated run is in flight (append
-	// ?format=prom for Prometheus exposition).
-	MetricsAddr string
-	// Pprof mounts net/http/pprof on the metrics listener.
-	Pprof bool
-	// Tracer, when non-nil, receives every emulated run's event stream
-	// (the -trace-out path). It must be safe for concurrent Emit: peer
-	// session loops emit in parallel.
-	Tracer obs.Tracer
-}
-
 // EmuTrace generates the PlanetLab-style trace of §V: 6 categories of 10
-// channels with 40 videos each (2,400 videos), scaled to the peer count.
-func (s EmuScale) EmuTrace() (*trace.Trace, error) {
+// channels with 40 videos each (2,400 videos), one user per peer of the
+// cluster template c, seeded by its seed.
+func EmuTrace(c emu.ClusterConfig) (*trace.Trace, error) {
 	cfg := trace.DefaultConfig()
-	cfg.Seed = s.Seed
+	cfg.Seed = c.Seed
 	cfg.Categories = 6
 	cfg.Channels = 60
-	cfg.Users = s.Peers
+	cfg.Users = c.Peers
 	cfg.MaxVideosPerChannel = 40
 	cfg.MaxInterestsPerUser = 6
 	return trace.Generate(cfg)
 }
 
-// runMode runs one cluster of the scale's size in the given mode, with
+// runMode runs one cluster of the template base in the given mode, with
 // mutate (when non-nil) editing the configuration first.
-func (s EmuScale) runMode(tr *trace.Trace, mode emu.Mode, mutate func(*emu.ClusterConfig)) (*emu.ClusterResult, error) {
-	cfg := emu.DefaultClusterConfig(mode)
-	cfg.Peers = s.Peers
-	cfg.Sessions = s.Sessions
-	cfg.VideosPerSession = s.VideosPerSession
-	cfg.WatchTime = s.WatchTime
-	cfg.MeanOffTime = s.WatchTime
-	// One seed for the whole run: workload, tracker recommendations, and
-	// link latency and loss.
-	cfg.Seed, cfg.Tracker.Seed, cfg.Conditions.Seed = s.Seed, s.Seed, s.Seed
+func runMode(base emu.ClusterConfig, tr *trace.Trace, mode emu.Mode, mutate func(*emu.ClusterConfig)) (*emu.ClusterResult, error) {
+	cfg := base
+	cfg.Peer.Mode = mode
 	// PA-VoD's ISP-localized assistance, as in the simulator baseline:
 	// one ISP per ≈50 emulated peers once the cluster is big enough.
-	if s.Peers >= 100 {
-		cfg.Tracker.ISPs = s.Peers / 50
-	}
-	cfg.MetricsAddr = s.MetricsAddr
-	cfg.PprofEnabled = s.Pprof
-	cfg.Tracer = s.Tracer
-	if s.MetricsAddr != "" {
-		cfg.OnMetricsAddr = func(addr string) {
-			fmt.Printf("# live metrics: http://%s/metrics\n", addr)
-		}
+	if cfg.Peers >= 100 {
+		cfg.Tracker.ISPs = cfg.Peers / 50
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -84,11 +45,11 @@ func (s EmuScale) runMode(tr *trace.Trace, mode emu.Mode, mutate func(*emu.Clust
 }
 
 // outageUnit derives the emu fault plan's time base from the workload:
-// one session of playback (the cluster sets MeanOffTime equal to
-// WatchTime), floored so the outage window stays wide enough to matter
+// one session of playback and as much off-time (emu.NewClusterConfig
+// sets MeanOffTime equal to WatchTime), floored so the outage window stays wide enough to matter
 // against real socket timing.
-func (s EmuScale) outageUnit() time.Duration {
-	u := time.Duration(s.VideosPerSession) * 2 * s.WatchTime
+func outageUnit(c emu.ClusterConfig) time.Duration {
+	u := time.Duration(c.VideosPerSession) * 2 * c.WatchTime
 	if u < 100*time.Millisecond {
 		u = 100 * time.Millisecond
 	}
@@ -108,14 +69,14 @@ func tightRetry(c *emu.ClusterConfig) {
 // FigOutage measures service continuity through the standard OutagePlan
 // (a 20% crash wave, then the tracker dark for one unit) over the TCP
 // emulation, under the tight retry policy.
-func FigOutage(s EmuScale, tr *trace.Trace) (*Report, error) {
-	unit := s.outageUnit()
+func FigOutage(base emu.ClusterConfig, tr *trace.Trace) (*Report, error) {
+	unit := outageUnit(base)
 	t := NewTable(
 		fmt.Sprintf("Tracker outage resilience under OutagePlan(unit=%s) (TCP emulation)", unit),
 		"protocol", "outageReqs", "outageServed", "failed", "crashes", "rejoins", "serverHits")
 	for _, name := range protoOrder {
-		res, err := s.runMode(tr, emuModes[name], func(c *emu.ClusterConfig) {
-			c.Faults = faults.OutagePlan(s.Seed, unit)
+		res, err := runMode(base, tr, emuModes[name], func(c *emu.ClusterConfig) {
+			c.Faults = faults.OutagePlan(base.Seed, unit)
 			tightRetry(c)
 		})
 		if err != nil {

@@ -66,13 +66,13 @@ const (
 // construction; NetTube mixes live links with the tracker's stale
 // per-video member lists; PA-VoD depends entirely on the tracker's
 // watcher lists, which crashed watchers never leave.
-func FigFailover(s EmuScale, tr *trace.Trace) (*Report, error) {
+func FigFailover(base emu.ClusterConfig, tr *trace.Trace) (*Report, error) {
 	t := NewTable(
 		"Failover resilience under mid-stream provider crashes (TCP emulation)",
 		"protocol", "crashed", "noRestart", "peerDone", "rescues", "restarts", "handoffs", "waitMs", "brkSkips")
 	points := make([]FailoverPoint, 0, 3)
 	for _, name := range protoOrder {
-		p, err := runFailover(emuModes[name], s.Seed, tr)
+		p, err := runFailover(base, emuModes[name], tr)
 		if err != nil {
 			return nil, fmt.Errorf("failover %s: %w", name, err)
 		}
@@ -83,16 +83,16 @@ func FigFailover(s EmuScale, tr *trace.Trace) (*Report, error) {
 	return report(points, t), nil
 }
 
-// runFailover stages one protocol's provider pool on a started cluster
-// (peer 0 requests, peers 1..12 provide), replays the crash schedule and
-// reduces the run to its figure cell. Network conditions are pristine:
-// the only fault is the schedule's own crashes, keyed to download
-// progress and issued from the one requesting goroutine, so every count
-// but Env is identical under one seed.
-func runFailover(mode emu.Mode, seed int64, tr *trace.Trace) (FailoverPoint, error) {
-	cfg := emu.DefaultClusterConfig(mode)
+// runFailover stages one protocol's provider pool on a started cluster of
+// the template base (peer 0 requests, peers 1..12 provide), replays the
+// crash schedule and reduces the run to its figure cell. Network
+// conditions are pristine: the only fault is the schedule's own crashes,
+// keyed to download progress and issued from the one requesting
+// goroutine, so every count but Env is identical under one seed.
+func runFailover(base emu.ClusterConfig, mode emu.Mode, tr *trace.Trace) (FailoverPoint, error) {
+	cfg, seed := base, base.Seed
+	cfg.Peer.Mode = mode
 	cfg.Peers = failoverProviders + 1
-	cfg.Seed, cfg.Tracker.Seed = seed, seed
 	cfg.Conditions = nil
 	// A crashed provider costs one RPCTimeout per attempt until the
 	// requester's breaker opens, and an opened breaker stays open for the

@@ -29,15 +29,11 @@ type LoadSweep struct {
 	// Flash, when non-nil, layers a flash crowd on every column: the
 	// channel's viral video is slammed by the profile's flash share.
 	Flash *load.FlashCrowd
-	// Channels / Users / Categories size the fixed trace shared by
-	// every column.
-	Channels   int
-	Users      int
-	Categories int
-	// WatchScale compresses playback (and chunk sizes) as in Scale.
-	WatchScale float64
-	// Seed drives the trace, the protocols and the arrival streams.
-	Seed int64
+	// Scale is every cell's configuration: the fixed trace shared by
+	// every column, the playback compression, and the seed of the trace,
+	// the protocols and the arrival streams. RunLoad sets Sessions and
+	// VideosPerSession to 1 (see there).
+	Scale Scale
 	// Progress, when non-nil, receives one line per completed cell.
 	Progress func(msg string)
 }
@@ -48,15 +44,17 @@ type LoadSweep struct {
 // shed path is exercised on every run.
 func DefaultLoadSweep() LoadSweep {
 	return LoadSweep{
-		RPS:        []float64{2, 6, 18},
-		Mode:       load.Steady,
-		Duration:   90 * time.Second,
-		QueueCap:   32,
-		Channels:   100,
-		Users:      300,
-		Categories: 10,
-		WatchScale: 0.05,
-		Seed:       1,
+		RPS:      []float64{2, 6, 18},
+		Mode:     load.Steady,
+		Duration: 90 * time.Second,
+		QueueCap: 32,
+		Scale: Scale{
+			TraceChannels: 100,
+			TraceUsers:    300,
+			Categories:    10,
+			WatchScale:    0.05,
+			Seed:          1,
+		},
 	}
 }
 
@@ -67,26 +65,10 @@ func PaperLoadSweep() LoadSweep {
 	sw := DefaultLoadSweep()
 	sw.RPS = []float64{4, 12, 36}
 	sw.Duration = 120 * time.Second
-	sw.Channels = 545
-	sw.Users = 2000
-	sw.Categories = 18
+	sw.Scale.TraceChannels = 545
+	sw.Scale.TraceUsers = 2000
+	sw.Scale.Categories = 18
 	return sw
-}
-
-// scale assembles the Scale the sweep's cells share. Sessions and
-// VideosPerSession still size the exp.Config, but under Options.Load the
-// session chains are driven by arrivals: one video per arrival keeps the
-// offered rate and the request rate identical.
-func (sw LoadSweep) scale() Scale {
-	return Scale{
-		TraceChannels:    sw.Channels,
-		TraceUsers:       sw.Users,
-		Categories:       sw.Categories,
-		Sessions:         1,
-		VideosPerSession: 1,
-		WatchScale:       sw.WatchScale,
-		Seed:             sw.Seed,
-	}
 }
 
 // profile shapes one column's rate profile around its RPS value. Every
@@ -95,7 +77,7 @@ func (sw LoadSweep) scale() Scale {
 func (sw LoadSweep) profile(rps float64) *load.Profile {
 	p := &load.Profile{
 		Mode:     sw.Mode,
-		Seed:     sw.Seed,
+		Seed:     sw.Scale.Seed,
 		RPS:      rps,
 		Duration: sw.Duration,
 		Flash:    sw.Flash,
@@ -167,7 +149,7 @@ type LoadPoint struct {
 func (sw LoadSweep) loadPoint(protocol string, rps float64, res *exp.Result, wall time.Duration) LoadPoint {
 	p := LoadPoint{
 		Protocol: protocol,
-		Seed:     sw.Seed,
+		Seed:     sw.Scale.Seed,
 		Mode:     string(sw.Mode),
 		RPS:      rps,
 		QueueCap: sw.QueueCap,
@@ -211,7 +193,11 @@ func RunLoad(sw LoadSweep) (*Report, error) {
 			jobs = append(jobs, j)
 		}
 	}
-	s := sw.scale()
+	// Sessions and VideosPerSession still size the exp.Config, but under
+	// Options.Load arrivals drive the session chains: one video per
+	// arrival keeps the offered rate and the request rate identical.
+	s := sw.Scale
+	s.Sessions, s.VideosPerSession = 1, 1
 	tr, err := s.BuildTrace()
 	if err != nil {
 		return nil, fmt.Errorf("load sweep: trace: %w", err)

@@ -19,22 +19,13 @@ import (
 type ScaleSweep struct {
 	// Sizes are the user populations, one shard per entry.
 	Sizes []int
-	// Channels / Categories / VideoCountMultiplier fix the catalog
-	// shared by every shard.
-	Channels             int
-	Categories           int
-	VideoCountMultiplier float64
-	// Sessions / VideosPerSession / WatchScale size the per-point
-	// workload. The sweep default is deliberately small per user — the
-	// total is Sizes summed, times three protocols.
-	Sessions         int
-	VideosPerSession int
-	WatchScale       float64
-	// ProbeInterval is the maintenance period, compressed to match
-	// WatchScale so every session sees several probe rounds.
-	ProbeInterval time.Duration
-	// Seed drives every shard (trace and workload).
-	Seed int64
+	// Scale is every shard's configuration, TraceUsers aside (each shard
+	// sets it to its entry of Sizes): the fixed catalog, the per-point
+	// workload (deliberately small per user — the total is Sizes summed,
+	// times three protocols), a probe interval compressed to match
+	// WatchScale so every session sees several probe rounds, and the seed
+	// of every shard's trace and workload.
+	Scale Scale
 	// Shards selects the partition (see Scale.run): 0 runs each point as
 	// one cell on one loop, ≥1 over the category partition with that many
 	// worker goroutines advancing the per-category loops.
@@ -48,15 +39,17 @@ type ScaleSweep struct {
 // Table I catalog (545 channels, ~100k videos).
 func DefaultScaleSweep() ScaleSweep {
 	return ScaleSweep{
-		Sizes:                []int{10_000, 50_000, 100_000, 500_000, 1_000_000},
-		Channels:             545,
-		Categories:           18,
-		VideoCountMultiplier: 4.4,
-		Sessions:             1,
-		VideosPerSession:     3,
-		WatchScale:           0.05,
-		ProbeInterval:        time.Minute,
-		Seed:                 1,
+		Sizes: []int{10_000, 50_000, 100_000, 500_000, 1_000_000},
+		Scale: Scale{
+			TraceChannels:        545,
+			Categories:           18,
+			VideoCountMultiplier: 4.4,
+			Sessions:             1,
+			VideosPerSession:     3,
+			WatchScale:           0.05,
+			ProbeInterval:        time.Minute,
+			Seed:                 1,
+		},
 	}
 }
 
@@ -68,8 +61,8 @@ func DefaultScaleSweep() ScaleSweep {
 func TenMScaleSweep() ScaleSweep {
 	sw := DefaultScaleSweep()
 	sw.Sizes = []int{10_000_000}
-	sw.Sessions = 1
-	sw.VideosPerSession = 1
+	sw.Scale.Sessions = 1
+	sw.Scale.VideosPerSession = 1
 	return sw
 }
 
@@ -77,30 +70,16 @@ func TenMScaleSweep() ScaleSweep {
 // bench-short: same shape, toy populations.
 func SmokeScaleSweep() ScaleSweep {
 	return ScaleSweep{
-		Sizes:            []int{200, 400, 800},
-		Channels:         60,
-		Categories:       8,
-		Sessions:         1,
-		VideosPerSession: 3,
-		WatchScale:       0.05,
-		ProbeInterval:    time.Minute,
-		Seed:             1,
-	}
-}
-
-// scaleFor assembles the per-shard Scale: the sweep's fixed catalog with
-// one entry of Sizes as the population.
-func (sw ScaleSweep) scaleFor(users int) Scale {
-	return Scale{
-		TraceChannels:        sw.Channels,
-		TraceUsers:           users,
-		Categories:           sw.Categories,
-		Sessions:             sw.Sessions,
-		VideosPerSession:     sw.VideosPerSession,
-		WatchScale:           sw.WatchScale,
-		VideoCountMultiplier: sw.VideoCountMultiplier,
-		ProbeInterval:        sw.ProbeInterval,
-		Seed:                 sw.Seed,
+		Sizes: []int{200, 400, 800},
+		Scale: Scale{
+			TraceChannels:    60,
+			Categories:       8,
+			Sessions:         1,
+			VideosPerSession: 3,
+			WatchScale:       0.05,
+			ProbeInterval:    time.Minute,
+			Seed:             1,
+		},
 	}
 }
 
@@ -262,7 +241,8 @@ func RunScaleSweep(sw ScaleSweep) (*Report, error) {
 // runShard builds one shard's trace and runs every protocol over it,
 // returning the cells in protoOrder.
 func (sw ScaleSweep) runShard(users int) ([]ScalePoint, error) {
-	s := sw.scaleFor(users)
+	s := sw.Scale
+	s.TraceUsers = users
 	begin := time.Now()
 	tr, err := s.BuildTrace()
 	if err != nil {
@@ -288,7 +268,7 @@ func (sw ScaleSweep) runShard(users int) ([]ScalePoint, error) {
 	probeInterval := s.expConfig().ProbeInterval
 	pts := make([]ScalePoint, len(jobs))
 	_, err = s.runJobs(tr, sw.Shards, jobs, func(i int, res *exp.Result, wall time.Duration, inFlight int) {
-		pts[i] = sweepPoint(users, protoOrder[i], sw.Seed, probeInterval, sw.Shards, res, wall)
+		pts[i] = sweepPoint(users, protoOrder[i], s.Seed, probeInterval, sw.Shards, res, wall)
 		progressf(sw.Progress, "N=%d %s: %d requests, peer %.3f, probes/node %.2f, heap %.1f MB (process-wide, jobs in flight: %d), %v",
 			users, protoOrder[i], pts[i].Requests, pts[i].PeerHitRate, pts[i].ProbesPerNode,
 			float64(pts[i].Env.HeapHighWaterBytes)/1e6, inFlight, wall.Round(time.Millisecond))

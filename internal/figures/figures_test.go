@@ -7,8 +7,17 @@ import (
 	"testing"
 	"time"
 
+	"github.com/socialtube/socialtube/internal/emu"
 	"github.com/socialtube/socialtube/internal/trace"
 )
+
+// emuConfig is the cluster template socialtube-emu builds from -peers,
+// -sessions, -videos and -watch, at seed 1.
+func emuConfig(peers, sessions, videos int, watch time.Duration) emu.ClusterConfig {
+	c := emu.NewClusterConfig(emu.ModeSocialTube, sessions, videos, watch, 1)
+	c.Peers = peers
+	return c
+}
 
 func tinyScale() Scale {
 	return Scale{
@@ -125,22 +134,22 @@ func TestEmuFigures(t *testing.T) {
 	if testing.Short() {
 		t.Skip("TCP cluster runs")
 	}
-	s := EmuScale{Peers: 10, Sessions: 1, VideosPerSession: 4, WatchTime: 5 * time.Millisecond, Seed: 1}
-	tr, err := s.EmuTrace()
+	c := emuConfig(10, 1, 4, 5*time.Millisecond)
+	tr, err := EmuTrace(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f16, err := Fig16b(s, tr)
+	f16, err := Fig16b(c, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireRows(t, f16, "SocialTube")
-	f18, err := Fig18b(s, tr)
+	f18, err := Fig18b(c, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireRows(t, f18, "NetTube")
-	fo, err := FigOutage(s, tr)
+	fo, err := FigOutage(c, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,8 +165,8 @@ func TestDeliveryFiguresShareOneBuilder(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every delivery figure on both substrates")
 	}
-	es := EmuScale{Peers: 6, Sessions: 1, VideosPerSession: 2, WatchTime: time.Millisecond, Seed: 1}
-	etr, err := es.EmuTrace()
+	es := emuConfig(6, 1, 2, time.Millisecond)
+	etr, err := EmuTrace(es)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,9 +14,9 @@ func smokeLoadSweep() LoadSweep {
 	sw := DefaultLoadSweep()
 	sw.RPS = []float64{3, 18}
 	sw.Duration = 45 * time.Second
-	sw.Channels = 60
-	sw.Users = 200
-	sw.Categories = 8
+	sw.Scale.TraceChannels = 60
+	sw.Scale.TraceUsers = 200
+	sw.Scale.Categories = 8
 	return sw
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"github.com/socialtube/socialtube/internal/emu"
 	"github.com/socialtube/socialtube/internal/trace"
 )
 
@@ -38,8 +39,9 @@ type Inputs struct {
 	Users      int
 	TuneLoad   func(*LoadSweep) error
 	Progress   func(msg string)
-	// Emu and EmuTrace feed the emulation figures.
-	Emu      EmuScale
+	// Emu and EmuTrace feed the emulation figures: the cluster template
+	// every emulated run copies (its mode aside) and the trace it runs.
+	Emu      emu.ClusterConfig
 	EmuTrace *trace.Trace
 }
 
@@ -80,7 +82,7 @@ func simFig(id string, all bool, fig func(Scale, *trace.Trace) (*Report, error))
 	}}
 }
 
-func emuFig(id string, fig func(EmuScale, *trace.Trace) (*Report, error)) Figure {
+func emuFig(id string, fig func(emu.ClusterConfig, *trace.Trace) (*Report, error)) Figure {
 	return Figure{ID: id, Group: GroupEmu, All: true, Run: func(in *Inputs) (*Report, error) {
 		return fig(in.Emu, in.EmuTrace)
 	}}
@@ -171,7 +173,7 @@ func runScaleFigure(in *Inputs) (*Report, error) {
 		return nil, fmt.Errorf("unknown scale %q (want small, paper or 10m)", in.SweepScale)
 	}
 	sw := preset()
-	sw.Seed = in.Scale.Seed
+	sw.Scale.Seed = in.Scale.Seed
 	sw.Shards = in.Shards
 	if in.Users > 0 {
 		sw.Sizes = []int{in.Users}
@@ -194,9 +196,9 @@ func runLoadFigure(in *Inputs) (*Report, error) {
 			return nil, err
 		}
 	}
-	sw.Seed = in.Scale.Seed
+	sw.Scale.Seed = in.Scale.Seed
 	if in.Users > 0 {
-		sw.Users = in.Users
+		sw.Scale.TraceUsers = in.Users
 	}
 	sw.Progress = in.Progress
 	return RunLoad(sw)

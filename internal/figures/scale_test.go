@@ -68,7 +68,7 @@ func TestScaleSweepShape(t *testing.T) {
 		if p.Users != wantUsers || p.Protocol != wantProto {
 			t.Fatalf("point %d is (%d, %s), want (%d, %s)", i, p.Users, p.Protocol, wantUsers, wantProto)
 		}
-		if want := int64(p.Users * sw.Sessions * sw.VideosPerSession); p.Requests != want {
+		if want := int64(p.Users * sw.Scale.Sessions * sw.Scale.VideosPerSession); p.Requests != want {
 			t.Errorf("(%d, %s): %d requests, want %d", p.Users, p.Protocol, p.Requests, want)
 		}
 		if p.TraceBytes == 0 || p.BytesPerUser != float64(p.TraceBytes)/float64(p.Users) {
@@ -137,10 +137,10 @@ func TestScaleSweepSharded(t *testing.T) {
 		}
 	}
 	for _, p := range pb {
-		if p.Cells != sw.Categories {
-			t.Errorf("%s: %d cells, want %d", p.Protocol, p.Cells, sw.Categories)
+		if p.Cells != sw.Scale.Categories {
+			t.Errorf("%s: %d cells, want %d", p.Protocol, p.Cells, sw.Scale.Categories)
 		}
-		if want := int64(p.Users * sw.Sessions * sw.VideosPerSession); p.Requests != want {
+		if want := int64(p.Users * sw.Scale.Sessions * sw.Scale.VideosPerSession); p.Requests != want {
 			t.Errorf("%s: %d requests, want %d", p.Protocol, p.Requests, want)
 		}
 		if sum := p.CacheHitRate + p.PeerHitRate + p.ServerHitRate; sum < 0.999 || sum > 1.001 {

@@ -4,17 +4,11 @@ import (
 	"encoding/json"
 	"testing"
 	"time"
+
+	"github.com/socialtube/socialtube/internal/emu"
 )
 
-func takeoverScale() EmuScale {
-	return EmuScale{
-		Peers:            24,
-		Sessions:         2,
-		VideosPerSession: 6,
-		WatchTime:        5 * time.Millisecond,
-		Seed:             1,
-	}
-}
+func takeoverConfig() emu.ClusterConfig { return emuConfig(24, 2, 6, 5*time.Millisecond) }
 
 // TestShardedOutageLosesNothing pins the sharded-outage figure's
 // headline: on the default 2x2 plane, each tracker replica dark in turn
@@ -23,12 +17,12 @@ func TestShardedOutageLosesNothing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("TCP cluster runs")
 	}
-	s := EmuScale{Peers: 12, Sessions: 1, VideosPerSession: 4, WatchTime: 10 * time.Millisecond, Seed: 1}
-	tr, err := s.EmuTrace()
+	c := emuConfig(12, 1, 4, 10*time.Millisecond)
+	tr, err := EmuTrace(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := FigShardedOutage(s, tr)
+	f, err := FigShardedOutage(c, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,12 +45,12 @@ func TestTakeoverRecovers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("TCP cluster runs")
 	}
-	s := takeoverScale()
-	tr, err := s.EmuTrace()
+	c := takeoverConfig()
+	tr, err := EmuTrace(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := FigTakeover(s, tr)
+	f, err := FigTakeover(c, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,14 +86,14 @@ func TestTakeoverDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("TCP cluster runs")
 	}
-	s := takeoverScale()
-	tr, err := s.EmuTrace()
+	c := takeoverConfig()
+	tr, err := EmuTrace(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	canonical := func() []byte {
 		t.Helper()
-		f, err := FigTakeover(s, tr)
+		f, err := FigTakeover(c, tr)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -110,8 +110,11 @@ echo "== emulator wire, connection-reuse and node gate (-race x5) =="
 # a -tracker spec with an empty shard or address is refused, two tracker
 # elements of one 2x1 plane declare each other's shard dead, and a peer
 # element requests what the same peer of an in-process cluster requests.
-go test -race -count=5 -run 'TestMessageRoundTrip|TestWireRoundTrip|TestCorruptFrameNeverDecodes|TestReadMessageRejectsMalformedBody|TestClientReusesOneConnection|TestIdleLifetime|TestReusedConnectionSkipsDuplicatedReply|TestDroppedRequestOnReusedConnectionFailsFast|TestStopAndRejoinReleaseConnections|TestChaosFrameFaults|TestEndpoint|TestNilConditionsRunPlanWindows' ./internal/emu/
-go test -race -count=5 -run 'TestPlaneSpecValidation|TestCrossShardLivenessAcrossProcesses|TestPeerReplaysClusterPeer|TestTrackerAndPeerEndToEnd' ./cmd/socialtube-node/
+# A cluster and a tracker element seed every element from the one run
+# seed alike, a lone replica keeps the config's gossip timing, and a
+# tracker or peer element sent SIGTERM prints its summary and exits 0.
+go test -race -count=5 -run 'TestMessageRoundTrip|TestWireRoundTrip|TestCorruptFrameNeverDecodes|TestReadMessageRejectsMalformedBody|TestClientReusesOneConnection|TestIdleLifetime|TestReusedConnectionSkipsDuplicatedReply|TestDroppedRequestOnReusedConnectionFailsFast|TestStopAndRejoinReleaseConnections|TestChaosFrameFaults|TestEndpoint|TestNilConditionsRunPlanWindows|TestClusterSeedsEveryElement|TestReplicaKeepsPlaneTiming' ./internal/emu/
+go test -race -count=5 -run 'TestPlaneSpecValidation|TestCrossShardLivenessAcrossProcesses|TestPeerReplaysClusterPeer|TestTrackerAndPeerEndToEnd|TestTrackerElementSeedsAsCluster|TestTrackerElementExitsOnSIGTERM|TestPeerElementExitsOnSIGTERM' ./cmd/socialtube-node/
 
 echo "== go test -race =="
 go test -race ./...
