@@ -292,6 +292,47 @@ func TestCrossShardLivenessAcrossProcesses(t *testing.T) {
 	})
 }
 
+// TestStaggeredStartDeclaresNothing: the two tracker elements of a 2x1
+// plane, started four suspicion windows apart, declare nothing and keep
+// ring epoch 0 while both run; the first to start only waits for a shard it
+// has never heard from.
+func TestStaggeredStartDeclaresNothing(t *testing.T) {
+	path := writeTrace(t)
+	ch := int(loadTrace(t, path).Channels[0].ID)
+	a, b := freeAddr(t), freeAddr(t)
+	spec := a + ";" + b
+	metrics := []string{freeAddr(t), freeAddr(t)}
+	addrs := []string{a, b}
+	element := func(id int) func() {
+		return startNode(t, addrs[id], "-role", "tracker", "-trace", path, "-tracker", spec,
+			"-ring-seed", "1", "-id", strconv.Itoa(id), "-metrics", metrics[id])
+	}
+	// An element gossips at the default interval and suspects a shard
+	// after the tracker's default five silent rounds.
+	window := 5 * emu.DefaultControlPlaneConfig().GossipInterval
+	element(0)
+	time.Sleep(4 * window)
+	element(1)
+	settled := func() bool {
+		return trackerCounters(t, metrics[0]).RequestsByType[emu.MsgSync] >= 3 &&
+			trackerCounters(t, metrics[1]).RequestsByType[emu.MsgSync] >= 3
+	}
+	for deadline := time.Now().Add(10 * time.Second); !settled(); time.Sleep(20 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the elements never gossiped")
+		}
+	}
+	time.Sleep(2 * window)
+	for id, addr := range addrs {
+		if c := trackerCounters(t, metrics[id]).Counters; c.ShardsDeclaredDead != 0 || c.ShardsRevived != 0 {
+			t.Errorf("element %d: %d verdicts and %d revivals with both elements up", id, c.ShardsDeclaredDead, c.ShardsRevived)
+		}
+		if resp, _ := exchange(t, addr, emu.Message{Type: emu.MsgTopList, From: -1, Channel: ch}); resp.Epoch != 0 {
+			t.Errorf("element %d: ring epoch %d with both elements up, want 0", id, resp.Epoch)
+		}
+	}
+}
+
 // syncBuffer is a bytes.Buffer safe for the elements' concurrent writes.
 type syncBuffer struct {
 	mu sync.Mutex

@@ -133,9 +133,8 @@ func run(args []string) (retErr error) {
 	var lf loadFlags
 	var (
 		fig        = fs.String("fig", "all", figures.Help(figures.GroupSim))
-		scale      = fs.String("scale", "small", "workload scale: small or paper (-fig scale also takes 10m)")
+		scale      = fs.String("scale", "small", "workload scale: small or paper")
 		seed       = fs.Int64("seed", 1, "experiment seed")
-		shards     = fs.Int("shards", 0, "with -fig scale, run each point over the category partition (one loop per interest community) with this many workers (0 = the whole trace on one loop)")
 		users      = fs.Int("users", 0, "with -fig scale or -fig load, replace the preset population with this single size (0 = preset)")
 		benchOut   = fs.String("bench-out", "", "append the figure's per-point results to this JSONL file (empty = write nothing)")
 		jsonDump   = fs.Bool("json", false, "run the three protocols once and dump raw results as JSON")
@@ -154,14 +153,8 @@ func run(args []string) (retErr error) {
 		return err
 	}
 	// Fail fast on nonsensical counts before any trace is built.
-	if *shards < 0 {
-		return fmt.Errorf("-shards must be ≥ 0, got %d", *shards)
-	}
 	if *users < 0 {
 		return fmt.Errorf("-users must be ≥ 0, got %d", *users)
-	}
-	if *shards > 0 && *fig != "scale" {
-		return fmt.Errorf("-shards applies to -fig scale only")
 	}
 	switch {
 	case *traceCheck != "":
@@ -177,7 +170,6 @@ func run(args []string) (retErr error) {
 	}
 	in := &figures.Inputs{
 		SweepScale: *scale,
-		Shards:     *shards,
 		Users:      *users,
 		TuneLoad:   lf.tune,
 		Progress:   func(msg string) { fmt.Println("# " + msg) },
@@ -195,9 +187,6 @@ func run(args []string) (retErr error) {
 		}
 		if lf.set() {
 			return fmt.Errorf("-load-* flags apply to -fig load only")
-		}
-		if *scale == "10m" {
-			return fmt.Errorf("-scale 10m applies to -fig scale only")
 		}
 		if in.Scale, err = figures.ScalePreset(*scale); err != nil {
 			return err

@@ -79,13 +79,20 @@ func (l *Liveness) tickLocked() uint64 {
 	return l.sclock<<8 | l.node
 }
 
+// neverHeardGrace is how many suspicion windows a shard no beat has ever
+// been seen from gets before its first verdict: the elements of a
+// machine-spanning plane start one by one, and a shard that has not started
+// yet is not dead. A shard that never starts is declared at round
+// neverHeardGrace × suspicion.
+const neverHeardGrace = 20
+
 // Tick advances one local gossip round: bumps the replica's own beat and
 // runs the suspicion check. A remote shard every one of whose known beats
 // has been frozen for suspicion rounds is declared dead; the returned
 // slice names the shards this call transitioned to dead (for counters and
 // takeover timestamps). A shard no beat has ever been seen from is
-// suspected from round zero — a shard dark since startup must still be
-// declared, not waited on forever.
+// declared once the never-heard grace has passed — a shard dark since
+// startup must still be declared, not waited on forever.
 func (l *Liveness) Tick() (died []int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -102,18 +109,19 @@ func (l *Liveness) Tick() (died []int) {
 		if st, ok := l.status[s]; ok && st.Dead {
 			continue
 		}
-		stale := true
+		heard, fresh := false, false
 		for key, at := range l.seen {
-			if key>>8 == s && l.round-at < l.suspicion {
-				stale = false
-				break
+			if key>>8 == s {
+				heard = true
+				fresh = fresh || l.round-at < l.suspicion
 			}
 		}
-		if stale {
-			l.status[s] = ShardStatus{Shard: s, Dead: true, Ver: l.tickLocked()}
-			l.epoch++
-			died = append(died, s)
+		if fresh || !heard && l.round < neverHeardGrace*l.suspicion {
+			continue
 		}
+		l.status[s] = ShardStatus{Shard: s, Dead: true, Ver: l.tickLocked()}
+		l.epoch++
+		died = append(died, s)
 	}
 	return died
 }

@@ -182,6 +182,7 @@ func TestLivenessSuspicionDeclaresDeadShard(t *testing.T) {
 // outranks the death when gossiped back.
 func TestLivenessRevivalOnBeatAdvance(t *testing.T) {
 	l := NewLiveness(2, 0, 0, 2)
+	l.MergeBeats([]Beat{{Key: 1 << 8, Ver: 1}})
 	for i := 0; i < 4; i++ {
 		l.Tick()
 	}
@@ -215,7 +216,10 @@ func TestLivenessRevivalOnBeatAdvance(t *testing.T) {
 func TestLivenessStatusMergeConverges(t *testing.T) {
 	a := NewLiveness(4, 0, 0, 2)
 	b := NewLiveness(4, 1, 0, 2)
-	// Keep each other alive, let shards 2 and 3 go dark.
+	// Keep each other alive, let shards 2 and 3 go dark after one beat.
+	dark := []Beat{{Key: 2 << 8, Ver: 1}, {Key: 3 << 8, Ver: 1}}
+	a.MergeBeats(dark)
+	b.MergeBeats(dark)
 	for i := 0; i < 4; i++ {
 		a.MergeBeats(b.Beats())
 		b.MergeBeats(a.Beats())

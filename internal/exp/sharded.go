@@ -76,7 +76,7 @@ type ShardedInfo struct {
 	RemoteBytes int64 `json:"remoteBytes"`
 	// ShardLoad is the per-community-loop load accounting (events fired,
 	// mail exchanged, and — outside the JSON — busy wall time), the
-	// load-imbalance signal the scale figures surface.
+	// load-imbalance signal bench/'s sim-sharded workload reports.
 	ShardLoad []sim.ShardStat `json:"shardLoad"`
 }
 
@@ -86,7 +86,8 @@ type ShardedInfo struct {
 // parallel between epoch barriers. Cross-community requests that the local
 // search cannot serve are forwarded to the video's home community when the
 // protocol implements RemoteSearcher. Same seed ⇒ byte-identical Result
-// for any Workers value.
+// for any Workers value. No figure or CLI runs it: it remains only for the
+// sim-sharded workload of bench/, until that workload is retired.
 func RunSharded(cfg Config, tr *trace.Trace, factory CellProtocol, netCfg simnet.Config, opts ShardedOptions) (*Result, error) {
 	cells, router, err := categoryCells(cfg, tr, factory, netCfg)
 	if err != nil {

@@ -1,11 +1,9 @@
 package figures
 
 import (
-	"errors"
 	"testing"
 	"time"
 
-	"github.com/socialtube/socialtube/internal/dist"
 	"github.com/socialtube/socialtube/internal/emu"
 	"github.com/socialtube/socialtube/internal/exp"
 	"github.com/socialtube/socialtube/internal/faults"
@@ -62,10 +60,8 @@ func TestSimAndEmuAgreeOnWinner(t *testing.T) {
 }
 
 // TestRunCarriesJobOptionsToEitherPartition: a job states its options once
-// and Scale.run hands them to the identity partition (shards 0), which runs
-// each of them; the category partition (shards ≥ 1) replays closed-loop
-// sessions only and refuses every one with a wrapped dist.ErrBadParameter
-// rather than dropping it on the way to the engine.
+// and Scale.run hands each of them to the run rather than dropping it on
+// the way to the engine.
 func TestRunCarriesJobOptionsToEitherPartition(t *testing.T) {
 	s := tinyScale()
 	tr := tinyTrace(t)
@@ -83,19 +79,13 @@ func TestRunCarriesJobOptionsToEitherPartition(t *testing.T) {
 	} {
 		job := protocolJob("SocialTube")
 		job.opts = o.opts
-		res, err := s.run(tr, job, 0)
+		res, err := s.run(tr, job)
 		if err != nil {
 			t.Fatalf("identity partition, %s: %v", o.name, err)
 		}
 		if !o.applied(res) {
 			t.Fatalf("identity partition ran without its %s", o.name)
 		}
-		if res, err = s.run(tr, job, 2); !errors.Is(err, dist.ErrBadParameter) || res != nil {
-			t.Fatalf("category partition with a %s: %v, %v; want nil and a wrapped dist.ErrBadParameter", o.name, res, err)
-		}
-	}
-	if res, err := s.run(tr, protocolJob("SocialTube"), 2); err != nil || res.Sharded == nil {
-		t.Fatalf("category partition without options: err=%v, want a sharded result", err)
 	}
 }
 
@@ -116,7 +106,7 @@ func TestChurnResilienceOrdering(t *testing.T) {
 	for i := range jobs {
 		jobs[i].opts.Faults = faults.ChurnPlan(s.Seed, s.churnUnit())
 	}
-	results, err := s.runJobs(tr, 0, jobs, nil)
+	results, err := s.runJobs(tr, jobs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,6 @@ import (
 
 	"github.com/socialtube/socialtube/internal/baseline"
 	"github.com/socialtube/socialtube/internal/core"
-	"github.com/socialtube/socialtube/internal/dist"
 	"github.com/socialtube/socialtube/internal/exp"
 	"github.com/socialtube/socialtube/internal/obs"
 	"github.com/socialtube/socialtube/internal/simnet"
@@ -303,9 +302,8 @@ func (s Scale) protocol(name string, tr *trace.Trace, prefetch bool) (vod.Protoc
 
 // simJob is one simulation a figure asks for: the protocol to build, the
 // network it runs over and the run options (fault plan, timeline window,
-// open-loop profile), which only the identity partition takes. build is
-// called once per cell — on the category partition with the cell's own
-// Scale — and attaches the scale's tracer.
+// open-loop profile). build is called once per run and attaches the
+// scale's tracer.
 type simJob struct {
 	label string
 	build func(s Scale, tr *trace.Trace) (vod.Protocol, error)
@@ -326,42 +324,12 @@ func protocolJobs(names []string) []simJob {
 }
 
 // run executes one job. It is the only place in this package that builds
-// a protocol for a run and picks the partition exp's one driver runs it
-// over: shards == 0 is the identity partition (the whole trace in one
-// cell), shards ≥ 1 the category partition — one cell per interest
-// community — advanced by that many workers. The category partition runs
-// the closed-loop sessions only, so a job with options (fault plan,
-// timeline window, load profile) is refused there. Deterministic result
-// fields are byte-identical across shards ≥ 1; they differ from the
-// identity partition's, whose streams and overlays are global, not
-// per-community.
-func (s Scale) run(tr *trace.Trace, j simJob, shards int) (*exp.Result, error) {
-	var (
-		res *exp.Result
-		err error
-	)
-	if shards > 0 && j.opts != (exp.Options{}) {
-		return nil, fmt.Errorf("run %s: %w: the category partition (shards=%d) takes no fault plan, timeline or load profile",
-			j.label, dist.ErrBadParameter, shards)
-	}
-	if shards > 0 {
-		// Each community cell gets its own protocol instance over the
-		// cell's renumbered trace, with the protocol RNG reseeded per cell
-		// (the derivation the category partition uses for its own streams)
-		// and the population-derived knobs — PA-VoD's ISP count — computed
-		// from the cell's own size.
-		factory := func(cell int, cellTr *trace.Trace) (vod.Protocol, error) {
-			cs := s
-			cs.Seed = s.Seed*1_000_003 + int64(cell+1)
-			cs.TraceUsers = len(cellTr.Users)
-			return j.build(cs, cellTr)
-		}
-		res, err = exp.RunSharded(s.expConfig(), tr, factory, j.net, exp.ShardedOptions{Workers: shards})
-	} else {
-		var p vod.Protocol
-		if p, err = j.build(s, tr); err == nil {
-			res, err = exp.RunCtx(context.Background(), s.expConfig(), tr, p, j.net, j.opts)
-		}
+// a protocol for a run; the run covers the whole trace in one cell.
+func (s Scale) run(tr *trace.Trace, j simJob) (*exp.Result, error) {
+	p, err := j.build(s, tr)
+	var res *exp.Result
+	if err == nil {
+		res, err = exp.RunCtx(context.Background(), s.expConfig(), tr, p, j.net, j.opts)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("run %s: %w", j.label, err)
@@ -370,20 +338,16 @@ func (s Scale) run(tr *trace.Trace, j simJob, shards int) (*exp.Result, error) {
 }
 
 // runJobs executes the jobs over one trace and returns their results in
-// job order. Identity-partition jobs are independent single-threaded
-// deterministic simulations (own RNG, own simnet, read-only trace), so
-// they run side by side, bounded by GOMAXPROCS, and only wall-clock time
-// changes; category-partition jobs run one at a time because the worker
-// budget belongs to each job's community loops. Protocols are built inside
-// their worker so each one's node state is released as soon as its run ends.
-// done, when non-nil, is called — possibly concurrently — as each job
-// finishes, with its wall time and how many jobs run at once.
-func (s Scale) runJobs(tr *trace.Trace, shards int, jobs []simJob, done func(i int, res *exp.Result, wall time.Duration, workers int)) ([]*exp.Result, error) {
+// job order. Jobs are independent single-threaded deterministic
+// simulations (own RNG, own simnet, read-only trace), so they run side by
+// side, bounded by GOMAXPROCS, and only wall-clock time changes. Protocols
+// are built inside their worker so each one's node state is released as
+// soon as its run ends. done, when non-nil, is called — possibly
+// concurrently — as each job finishes, with its wall time and how many
+// jobs run at once.
+func (s Scale) runJobs(tr *trace.Trace, jobs []simJob, done func(i int, res *exp.Result, wall time.Duration, workers int)) ([]*exp.Result, error) {
 	results := make([]*exp.Result, len(jobs))
 	workers := min(runtime.GOMAXPROCS(0), len(jobs))
-	if shards > 0 {
-		workers = 1
-	}
 	sem := make(chan struct{}, workers)
 	errs := make([]error, len(jobs))
 	var wg sync.WaitGroup
@@ -394,7 +358,7 @@ func (s Scale) runJobs(tr *trace.Trace, shards int, jobs []simJob, done func(i i
 			defer wg.Done()
 			defer func() { <-sem }()
 			start := time.Now()
-			results[i], errs[i] = s.run(tr, jobs[i], shards)
+			results[i], errs[i] = s.run(tr, jobs[i])
 			if errs[i] == nil && done != nil {
 				done(i, results[i], time.Since(start), workers)
 			}
@@ -413,7 +377,7 @@ func (s Scale) runJobs(tr *trace.Trace, shards int, jobs []simJob, done func(i i
 // protocols and returns the raw results keyed by protocol name (the
 // socialtube-sim -json path).
 func RunAllProtocols(s Scale, tr *trace.Trace) (map[string]*exp.Result, error) {
-	results, err := s.runJobs(tr, 0, protocolJobs(protoOrder), nil)
+	results, err := s.runJobs(tr, protocolJobs(protoOrder), nil)
 	if err != nil {
 		return nil, err
 	}

@@ -44,7 +44,7 @@ func FigChurn(s Scale, tr *trace.Trace) (*Report, error) {
 	for i := n; i < 2*n; i++ {
 		jobs[i].opts.Faults = faults.ChurnPlan(s.Seed, unit)
 	}
-	results, err := s.runJobs(tr, 0, jobs, nil)
+	results, err := s.runJobs(tr, jobs, nil)
 	if err != nil {
 		return nil, err
 	}

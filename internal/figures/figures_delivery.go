@@ -76,7 +76,7 @@ func (s Scale) substrate(tr *trace.Trace) substrate {
 		for i, v := range vs {
 			jobs[i], names[i] = v.job(), v.label
 		}
-		results, err := s.runJobs(tr, 0, jobs, nil)
+		results, err := s.runJobs(tr, jobs, nil)
 		if err != nil {
 			return nil, nil, err
 		}

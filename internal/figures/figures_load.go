@@ -203,7 +203,7 @@ func RunLoad(sw LoadSweep) (*Report, error) {
 		return nil, fmt.Errorf("load sweep: trace: %w", err)
 	}
 	points := make([]LoadPoint, len(jobs))
-	_, err = s.runJobs(tr, 0, jobs, func(i int, res *exp.Result, wall time.Duration, _ int) {
+	_, err = s.runJobs(tr, jobs, func(i int, res *exp.Result, wall time.Duration, _ int) {
 		p := sw.loadPoint(jobs[i].label, sw.RPS[i/len(protoOrder)], res, wall)
 		points[i] = p
 		progressf(sw.Progress, "rps %g %s: offered %d, shed %d (%.3f), p99 %.0f ms, %v",

@@ -17,19 +17,15 @@ import (
 // link budget (N_l inner + N_h inter) is a protocol constant, so its
 // per-node maintenance must stay flat.
 type ScaleSweep struct {
-	// Sizes are the user populations, one shard per entry.
+	// Sizes are the user populations, one point per entry.
 	Sizes []int
-	// Scale is every shard's configuration, TraceUsers aside (each shard
+	// Scale is every point's configuration, TraceUsers aside (each point
 	// sets it to its entry of Sizes): the fixed catalog, the per-point
 	// workload (deliberately small per user — the total is Sizes summed,
 	// times three protocols), a probe interval compressed to match
 	// WatchScale so every session sees several probe rounds, and the seed
-	// of every shard's trace and workload.
+	// of every point's trace and workload.
 	Scale Scale
-	// Shards selects the partition (see Scale.run): 0 runs each point as
-	// one cell on one loop, ≥1 over the category partition with that many
-	// worker goroutines advancing the per-category loops.
-	Shards int
 	// Progress, when non-nil, receives one line per trace build and per
 	// completed point; paper-size sweeps run for minutes.
 	Progress func(msg string)
@@ -51,19 +47,6 @@ func DefaultScaleSweep() ScaleSweep {
 			Seed:                 1,
 		},
 	}
-}
-
-// TenMScaleSweep is the 10M-user scale point: one population an order of
-// magnitude past the paper sweep's 1M ceiling, over the same fixed
-// Table I catalog. The workload is trimmed to one video per session so
-// the point stays at ~10M requests per protocol; it is meant to run over
-// the category partition (Shards ≥ 1 via the -shards flag).
-func TenMScaleSweep() ScaleSweep {
-	sw := DefaultScaleSweep()
-	sw.Sizes = []int{10_000_000}
-	sw.Scale.Sessions = 1
-	sw.Scale.VideosPerSession = 1
-	return sw
 }
 
 // SmokeScaleSweep is the seconds-long variant for unit tests, CI and
@@ -97,32 +80,10 @@ func progressf(listener func(msg string), format string, args ...any) {
 // sweeps render identical tables.
 type ScaleEnv struct {
 	// HeapHighWaterBytes is the process's heap high-water during the run,
-	// not the protocol's own: on the identity partition Scale.runJobs runs
-	// up to GOMAXPROCS protocol jobs at once, and each counts them all.
+	// not the protocol's own: Scale.runJobs runs up to GOMAXPROCS
+	// protocol jobs at once, and each counts them all.
 	HeapHighWaterBytes uint64  `json:"heapHighWaterBytes"`
 	WallMs             float64 `json:"wallMs"`
-	// Workers and ShardLoad appear on sharded-engine points only: the
-	// worker-pool size the run was launched with and the per-community
-	// loop load. They live in Env — determinism comparisons zero it — because
-	// busy time is wall-clock and Workers is a launch parameter; the
-	// EventsFired column rides along to give the times a denominator.
-	Workers   int            `json:"workers,omitempty"`
-	ShardLoad []ShardLoadEnv `json:"shardLoad,omitempty"`
-	// Utilisation is Σbusy / (workers × wall): how much of the worker
-	// pool the run kept occupied. CriticalPathFrac is max busy / Σbusy:
-	// the share of the work in the hottest loop, whose inverse bounds the
-	// speedup this partition allows. Same definitions as bench/'s
-	// sim.sharded.utilisation and sim.sharded.critical_path_frac.
-	Utilisation      float64 `json:"utilisation,omitempty"`
-	CriticalPathFrac float64 `json:"criticalPathFrac,omitempty"`
-}
-
-// ShardLoadEnv is one community loop's load in a sharded point: the
-// events it fired and the wall time its engine ran.
-type ShardLoadEnv struct {
-	Shard       int     `json:"shard"`
-	EventsFired uint64  `json:"eventsFired"`
-	BusyMs      float64 `json:"busyMs"`
 }
 
 // ScalePoint is one (population, protocol) cell of the sweep. Every field
@@ -147,21 +108,14 @@ type ScalePoint struct {
 	// Memory accounting from the dense trace layout.
 	TraceBytes   uint64  `json:"traceBytes"`
 	BytesPerUser float64 `json:"bytesPerUser"`
-	// Sharded-engine points only: the community cell count and the
-	// cross-community lookup totals. Deterministic — byte-identical for
-	// any worker count — so they sit outside Env.
-	Cells         int   `json:"cells,omitempty"`
-	RemoteLookups int64 `json:"remoteLookups,omitempty"`
-	RemoteHits    int64 `json:"remoteHits,omitempty"`
 
 	Env ScaleEnv `json:"env"`
 }
 
 // sweepPoint reduces one run result to its sweep cell. probeInterval is
 // the run's maintenance period, used to convert the probe total into a
-// per-node per-round rate; workers is the category partition's worker-pool
-// size (0 on the identity partition).
-func sweepPoint(users int, protocol string, seed int64, probeInterval time.Duration, workers int, res *exp.Result, wall time.Duration) ScalePoint {
+// per-node per-round rate.
+func sweepPoint(users int, protocol string, seed int64, probeInterval time.Duration, res *exp.Result, wall time.Duration) ScalePoint {
 	p := ScalePoint{
 		Users:        users,
 		Protocol:     protocol,
@@ -189,38 +143,13 @@ func sweepPoint(users int, protocol string, seed int64, probeInterval time.Durat
 	if k := len(res.LinksByVideoIndex); k > 0 {
 		p.MeanLinks = res.LinksByVideoIndex[k-1].Mean()
 	}
-	if info := res.Sharded; info != nil {
-		p.Cells = info.Cells
-		p.RemoteLookups = info.RemoteLookups
-		p.RemoteHits = info.RemoteHits
-		p.Env.Workers = workers
-		p.Env.ShardLoad = make([]ShardLoadEnv, 0, len(info.ShardLoad))
-		var busy, longest time.Duration
-		for _, s := range info.ShardLoad {
-			p.Env.ShardLoad = append(p.Env.ShardLoad, ShardLoadEnv{
-				Shard:       s.Shard,
-				EventsFired: s.EventsFired,
-				BusyMs:      float64(s.Busy.Nanoseconds()) / 1e6,
-			})
-			busy += s.Busy
-			if s.Busy > longest {
-				longest = s.Busy
-			}
-		}
-		if workers > 0 && wall > 0 {
-			p.Env.Utilisation = busy.Seconds() / (float64(workers) * wall.Seconds())
-		}
-		if busy > 0 {
-			p.Env.CriticalPathFrac = longest.Seconds() / busy.Seconds()
-		}
-	}
 	return p
 }
 
 // RunScaleSweep executes the sweep and returns the overhead-vs-N,
-// hit-rate-vs-N and memory curves with the raw per-cell points. Shards run
+// hit-rate-vs-N and memory curves with the raw per-cell points. Points run
 // strictly one population at a time — the sweep's live heap is bounded by
-// its largest shard, not the sum — while the protocols inside a shard
+// its largest point, not the sum — while the protocols inside a point
 // share one read-only trace (Scale.runJobs). The tables and the points'
 // deterministic fields are bit-identical run over run.
 func RunScaleSweep(sw ScaleSweep) (*Report, error) {
@@ -229,18 +158,18 @@ func RunScaleSweep(sw ScaleSweep) (*Report, error) {
 	}
 	points := make([]ScalePoint, 0, len(sw.Sizes)*len(protoOrder))
 	for _, n := range sw.Sizes {
-		shard, err := sw.runShard(n)
+		pts, err := sw.runPoint(n)
 		if err != nil {
 			return nil, fmt.Errorf("scale %d: %w", n, err)
 		}
-		points = append(points, shard...)
+		points = append(points, pts...)
 	}
 	return report(points, scaleOverheadTable(points), scaleHitRateTable(points), scaleMemoryTable(points)), nil
 }
 
-// runShard builds one shard's trace and runs every protocol over it,
+// runPoint builds one population's trace and runs every protocol over it,
 // returning the cells in protoOrder.
-func (sw ScaleSweep) runShard(users int) ([]ScalePoint, error) {
+func (sw ScaleSweep) runPoint(users int) ([]ScalePoint, error) {
 	s := sw.Scale
 	s.TraceUsers = users
 	begin := time.Now()
@@ -267,8 +196,8 @@ func (sw ScaleSweep) runShard(users int) ([]ScalePoint, error) {
 	}
 	probeInterval := s.expConfig().ProbeInterval
 	pts := make([]ScalePoint, len(jobs))
-	_, err = s.runJobs(tr, sw.Shards, jobs, func(i int, res *exp.Result, wall time.Duration, inFlight int) {
-		pts[i] = sweepPoint(users, protoOrder[i], s.Seed, probeInterval, sw.Shards, res, wall)
+	_, err = s.runJobs(tr, jobs, func(i int, res *exp.Result, wall time.Duration, inFlight int) {
+		pts[i] = sweepPoint(users, protoOrder[i], s.Seed, probeInterval, res, wall)
 		progressf(sw.Progress, "N=%d %s: %d requests, peer %.3f, probes/node %.2f, heap %.1f MB (process-wide, jobs in flight: %d), %v",
 			users, protoOrder[i], pts[i].Requests, pts[i].PeerHitRate, pts[i].ProbesPerNode,
 			float64(pts[i].Env.HeapHighWaterBytes)/1e6, inFlight, wall.Round(time.Millisecond))

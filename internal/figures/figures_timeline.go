@@ -77,7 +77,7 @@ func RunTimeline(s Scale, tr *trace.Trace) (*Report, error) {
 	for i := range jobs {
 		jobs[i].opts = exp.Options{Faults: faults.ChurnPlan(s.Seed, unit), TimelineWindow: unit}
 	}
-	results, err := s.runJobs(tr, 0, jobs, nil)
+	results, err := s.runJobs(tr, jobs, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -28,14 +28,11 @@ type Inputs struct {
 	Trace *trace.Trace
 	// MinShared is Fig. 10's shared-subscriber threshold.
 	MinShared int
-	// SweepScale names the sweep figures' preset: small or paper, and
-	// for the scale sweep also 10m. Shards, when positive, runs the scale
-	// sweep over the category partition with that many workers; Users,
+	// SweepScale names the sweep figures' preset: small or paper. Users,
 	// when positive, replaces the preset population; TuneLoad, when
 	// non-nil, edits the load sweep's preset before it runs; Progress,
 	// when non-nil, receives the sweeps' per-point progress lines.
 	SweepScale string
-	Shards     int
 	Users      int
 	TuneLoad   func(*LoadSweep) error
 	Progress   func(msg string)
@@ -163,18 +160,15 @@ func idList(g Group) string {
 }
 
 // runScaleFigure is -fig scale: the sweep preset named by SweepScale with
-// the inputs' seed, engine and population overrides applied.
+// the inputs' seed and population overrides applied.
 func runScaleFigure(in *Inputs) (*Report, error) {
-	presets := map[string]func() ScaleSweep{
-		"small": SmokeScaleSweep, "paper": DefaultScaleSweep, "10m": TenMScaleSweep,
-	}
+	presets := map[string]func() ScaleSweep{"small": SmokeScaleSweep, "paper": DefaultScaleSweep}
 	preset, ok := presets[in.SweepScale]
 	if !ok {
-		return nil, fmt.Errorf("unknown scale %q (want small, paper or 10m)", in.SweepScale)
+		return nil, fmt.Errorf("unknown scale %q (want small or paper)", in.SweepScale)
 	}
 	sw := preset()
 	sw.Scale.Seed = in.Scale.Seed
-	sw.Shards = in.Shards
 	if in.Users > 0 {
 		sw.Sizes = []int{in.Users}
 	}

@@ -21,7 +21,7 @@ func TestAppendPoints(t *testing.T) {
 	}{
 		{"scale", []any{
 			ScalePoint{Users: 100, Protocol: "SocialTube", Seed: 1, Requests: 300},
-			ScalePoint{Users: 100, Protocol: "NetTube", Seed: 1, Requests: 300, Cells: 8, Env: ScaleEnv{Workers: 2}},
+			ScalePoint{Users: 100, Protocol: "NetTube", Seed: 1, Requests: 300, MeanLinks: 4.5, Env: ScaleEnv{WallMs: 2.5}},
 		}},
 		{"load", []any{
 			LoadPoint{Protocol: "SocialTube", Seed: 1, Mode: "steady", RPS: 3, Offered: 133, Requests: 133},

@@ -7,7 +7,7 @@ import (
 	"github.com/socialtube/socialtube/internal/core"
 )
 
-// testSweep trims the smoke sweep to two shards so the determinism test's
+// testSweep trims the smoke sweep to two populations so the determinism test's
 // two full executions stay inside the unit-test budget.
 func testSweep() ScaleSweep {
 	sw := SmokeScaleSweep()
@@ -103,78 +103,5 @@ func TestScaleSweepShape(t *testing.T) {
 	if large.MeanLinks <= small.MeanLinks {
 		t.Errorf("NetTube links did not grow with N: %f at N=%d, %f at N=%d",
 			small.MeanLinks, small.Users, large.MeanLinks, large.Users)
-	}
-}
-
-// TestScaleSweepSharded pins the sharded sweep path: points carry the
-// community-cell block, full workloads still complete, and the
-// deterministic fields are byte-identical across worker counts — the
-// Shards knob may only move wall clock and the Env block.
-func TestScaleSweepSharded(t *testing.T) {
-	sw := testSweep()
-	sw.Sizes = []int{150}
-	sw.Shards = 1
-	a, err := RunScaleSweep(sw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sw.Shards = 4
-	b, err := RunScaleSweep(sw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pa, pb := pointsOf[ScalePoint](t, a), pointsOf[ScalePoint](t, b)
-	if len(pa) != len(protoOrder) || len(pb) != len(pa) {
-		t.Fatalf("point counts: %d and %d, want %d", len(pa), len(pb), len(protoOrder))
-	}
-	for i := range pa {
-		ca, cb := pa[i], pb[i]
-		ca.Env, cb.Env = ScaleEnv{}, ScaleEnv{} // wall time and workers differ run to run
-		ja, _ := json.Marshal(ca)
-		jb, _ := json.Marshal(cb)
-		if string(ja) != string(jb) {
-			t.Fatalf("point %d differs between 1 and 4 workers:\n%s\nvs\n%s", i, ja, jb)
-		}
-	}
-	for _, p := range pb {
-		if p.Cells != sw.Scale.Categories {
-			t.Errorf("%s: %d cells, want %d", p.Protocol, p.Cells, sw.Scale.Categories)
-		}
-		if want := int64(p.Users * sw.Scale.Sessions * sw.Scale.VideosPerSession); p.Requests != want {
-			t.Errorf("%s: %d requests, want %d", p.Protocol, p.Requests, want)
-		}
-		if sum := p.CacheHitRate + p.PeerHitRate + p.ServerHitRate; sum < 0.999 || sum > 1.001 {
-			t.Errorf("%s: hit rates sum to %f", p.Protocol, sum)
-		}
-		if p.Env.Workers != 4 {
-			t.Errorf("%s: env records %d workers, want 4", p.Protocol, p.Env.Workers)
-		}
-		if len(p.Env.ShardLoad) != p.Cells {
-			t.Errorf("%s: %d shard-load rows for %d cells", p.Protocol, len(p.Env.ShardLoad), p.Cells)
-		}
-		// The two imbalance numbers share bench/'s definitions: the pool
-		// cannot be more than fully busy, and the hottest of k loops holds
-		// between 1/k and all of the work.
-		if u := p.Env.Utilisation; u <= 0 || u > 1.001 {
-			t.Errorf("%s: utilisation %f outside (0, 1]", p.Protocol, u)
-		}
-		if c := p.Env.CriticalPathFrac; c < 1/float64(p.Cells)-1e-9 || c > 1 {
-			t.Errorf("%s: criticalPathFrac %f outside [1/%d, 1]", p.Protocol, c, p.Cells)
-		}
-		if p.Protocol == "SocialTube" && p.RemoteHits > p.RemoteLookups {
-			t.Errorf("remote hits %d exceed lookups %d", p.RemoteHits, p.RemoteLookups)
-		}
-	}
-	// The legacy path's points must not grow the sharded block.
-	legacy := testSweep()
-	legacy.Sizes = []int{150}
-	c, err := RunScaleSweep(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range pointsOf[ScalePoint](t, c) {
-		if p.Cells != 0 || p.Env.Workers != 0 || p.Env.ShardLoad != nil {
-			t.Fatalf("%s: single-engine point carries sharded fields: %+v", p.Protocol, p)
-		}
 	}
 }

@@ -106,7 +106,9 @@ type ShardedConfig struct {
 }
 
 // NewShardedEngine builds a sharded engine with empty queues at virtual
-// time zero.
+// time zero. Every experiment run builds one; an engine of more than one
+// shard remains only for the sim-sharded workload of bench/ (through
+// exp.RunSharded), until that workload is retired.
 func NewShardedEngine(cfg ShardedConfig) (*ShardedEngine, error) {
 	if cfg.Shards <= 0 {
 		return nil, fmt.Errorf("sim: sharded engine needs ≥1 shard, got %d", cfg.Shards)

@@ -42,7 +42,9 @@ type CellTrace struct {
 // (ties break to the smallest category id); users with no subscriptions
 // fall back to their first interest, and users with neither spread by
 // id modulo the category count. Every rule reads only the user's own
-// row, so home assignment is trivially parallel-safe and layout-free.
+// row, so home assignment is trivially parallel-safe and layout-free. No
+// figure or CLI partitions a trace: it remains only for the sim-sharded
+// workload of bench/, until that workload is retired.
 func PartitionByCategory(t *Trace) (*Partition, error) {
 	if t == nil || t.Categories <= 0 {
 		return nil, fmt.Errorf("trace: partition needs a trace with categories")

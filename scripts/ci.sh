@@ -46,7 +46,7 @@ check_loc() { # name budget-file find-args...
 check_loc "outside bench/" scripts/loc-budget . -not -path './bench/*'
 check_loc "bench/" scripts/loc-budget-bench bench
 
-echo "== experiment-driver gate (golden Results, determinism table, shared picker, N_h = 0, fault schedules and windows, partition options; -race x5) =="
+echo "== experiment-driver gate (golden Results, determinism table, shared picker, N_h = 0, fault schedules and windows, job options; -race x5) =="
 # exp has one driver; these pin it. The golden hashes hold the whole
 # marshalled Result of both partitions, the table reruns each under worker
 # counts {1, 2, 4, 8}, the timeline's windowing and JSON layout are
@@ -57,8 +57,8 @@ echo "== experiment-driver gate (golden Results, determinism table, shared picke
 # each get the sequential plans (a race here is a lazily filled cache). A
 # fault window is the fold of faults.Window.Apply: it must match a
 # brute-force reference over 256 random plans, and the runner must hold
-# that fold. The identity partition runs a job's fault plan, timeline and
-# load profile; the category partition refuses each. A session chain a
+# that fold. A figure job's fault plan, timeline and load profile each
+# reach the run that Scale.run starts. A session chain a
 # crash and rejoin superseded must fire into nothing. Seconds, so they run
 # before the minute-long suite.
 go test -race -count=5 -run 'TestGoldenResults|TestDeterministicUnderSeed|TestShardedWorkerCountInvariance|TestSharedPickerDrawsAsCellPickers|TestTimeline|TestZeroInterLinkBudgetHoldsNoInterLinks|TestRunnerWindowIsTheFold|TestNestedOutageEqualsOuter|TestChaosWindowInSimulator|TestOrphanedChainStaysDead' ./internal/exp/
@@ -108,13 +108,18 @@ echo "== emulator wire, connection-reuse and node gate (-race x5) =="
 # once. A plan's events due at the start apply before any peer's first
 # request. socialtube-node runs the same emulator one element per process:
 # a -tracker spec with an empty shard or address is refused, two tracker
-# elements of one 2x1 plane declare each other's shard dead, and a peer
+# elements of one 2x1 plane declare each other's shard dead once one stops
+# and nothing while both run, however late the second starts, and a peer
 # element requests what the same peer of an in-process cluster requests.
 # A cluster and a tracker element seed every element from the one run
 # seed alike, a lone replica keeps the config's gossip timing, and a
 # tracker or peer element sent SIGTERM prints its summary and exits 0.
+# The liveness detector gives a shard it has never heard from a grace of
+# 20 suspicion windows, over 200 exchange orders per start delay, and
+# declares one that never starts at exactly that bound.
 go test -race -count=5 -run 'TestMessageRoundTrip|TestWireRoundTrip|TestCorruptFrameNeverDecodes|TestReadMessageRejectsMalformedBody|TestClientReusesOneConnection|TestIdleLifetime|TestReusedConnectionSkipsDuplicatedReply|TestDroppedRequestOnReusedConnectionFailsFast|TestStopAndRejoinReleaseConnections|TestChaosFrameFaults|TestEndpoint|TestNilConditionsRunPlanWindows|TestClusterSeedsEveryElement|TestReplicaKeepsPlaneTiming' ./internal/emu/
-go test -race -count=5 -run 'TestPlaneSpecValidation|TestCrossShardLivenessAcrossProcesses|TestPeerReplaysClusterPeer|TestTrackerAndPeerEndToEnd|TestTrackerElementSeedsAsCluster|TestTrackerElementExitsOnSIGTERM|TestPeerElementExitsOnSIGTERM' ./cmd/socialtube-node/
+go test -race -count=5 -run 'TestLivenessStaggeredStartNoVerdict|TestLivenessNeverStartedShardDeclared' ./internal/ctrl/
+go test -race -count=5 -run 'TestPlaneSpecValidation|TestCrossShardLivenessAcrossProcesses|TestStaggeredStartDeclaresNothing|TestPeerReplaysClusterPeer|TestTrackerAndPeerEndToEnd|TestTrackerElementSeedsAsCluster|TestTrackerElementExitsOnSIGTERM|TestPeerElementExitsOnSIGTERM' ./cmd/socialtube-node/
 
 echo "== go test -race =="
 go test -race ./...
