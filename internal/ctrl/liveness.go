@@ -79,11 +79,11 @@ func (l *Liveness) tickLocked() uint64 {
 	return l.sclock<<8 | l.node
 }
 
-// neverHeardGrace is how many suspicion windows a shard no beat has ever
-// been seen from gets before its first verdict: the elements of a
-// machine-spanning plane start one by one, and a shard that has not started
-// yet is not dead. A shard that never starts is declared at round
-// neverHeardGrace × suspicion.
+// neverHeardGrace is the suspicion windows a never-heard shard gets before
+// its verdict, as a plane's elements start one by one: 20 windows (2 s at
+// the default 5 rounds of 20 ms) cover the ~1.5 s stagger of elements started
+// by hand, and a shard that never starts is still declared at round
+// neverHeardGrace × suspicion, within 2 s.
 const neverHeardGrace = 20
 
 // Tick advances one local gossip round: bumps the replica's own beat and

@@ -201,8 +201,12 @@ func TestLivenessRevivalOnBeatAdvance(t *testing.T) {
 	}
 	// A peer that still holds the stale death verdict loses the merge.
 	stale := NewLiveness(2, 0, 1, 2)
+	stale.MergeBeats([]Beat{{Key: 1 << 8, Ver: 1}})
 	for i := 0; i < 4; i++ {
 		stale.Tick()
+	}
+	if stale.DeadMask() != 1<<1 {
+		t.Fatalf("setup: stale replica should hold shard 1's death, mask=%b", stale.DeadMask())
 	}
 	stale.MergeStatus(l.Status(), l.Epoch())
 	if stale.DeadMask() != 0 {
