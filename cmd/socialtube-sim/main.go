@@ -1,7 +1,8 @@
 // Command socialtube-sim runs the trace-driven simulation evaluation (the
 // PeerSim experiments): the sim group of the figure registry
 // (internal/figures) — Figs. 15, 16(a), 17(a), 18(a), Table I, churn
-// resilience, the telemetry timeline and the scale and load sweeps.
+// resilience, the telemetry timeline, the scale and load sweeps and the
+// §IV-B prefetch study.
 //
 // Usage:
 //

@@ -38,9 +38,16 @@ type ControlPlaneConfig struct {
 	// and its keys re-rendezvous onto survivors (0 selects the tracker
 	// default). Counted in rounds, not wall-clock, so detection latency
 	// is deterministic in the gossip schedule. Only meaningful on planes
-	// with >= 2 shards.
+	// with >= 2 shards. Validate refuses 1 and 2: one flip of the gossip
+	// exchange order can leave a live shard's newest beat two rounds old,
+	// so at those values healthy shards are declared dead; 3 held over
+	// 200 exchange orders.
 	SuspicionRounds int
 }
+
+// minSuspicionRounds is the lowest SuspicionRounds Validate accepts
+// besides 0.
+const minSuspicionRounds = 3
 
 // DefaultControlPlaneConfig returns the 2x2 plane the sharded-outage
 // figure runs: two shards, two replicas each, gossiping every 20ms so a
@@ -65,8 +72,9 @@ func (c ControlPlaneConfig) Validate() error {
 		return fmt.Errorf("%w: %d replicas exceed the 8-bit version stamp", dist.ErrBadParameter, c.Replicas)
 	case c.Shards > 64:
 		return fmt.Errorf("%w: %d shards exceed the 64-bit dead-shard mask", dist.ErrBadParameter, c.Shards)
-	case c.SuspicionRounds < 0:
-		return fmt.Errorf("%w: negative suspicion rounds", dist.ErrBadParameter)
+	case c.SuspicionRounds < 0 || c.SuspicionRounds > 0 && c.SuspicionRounds < minSuspicionRounds:
+		return fmt.Errorf("%w: %d suspicion rounds (0 for the default, else >= %d)",
+			dist.ErrBadParameter, c.SuspicionRounds, minSuspicionRounds)
 	case c.GossipInterval < 0 || c.GossipTimeout < 0:
 		return fmt.Errorf("%w: negative gossip timing", dist.ErrBadParameter)
 	}

@@ -2,10 +2,12 @@ package emu
 
 import (
 	"context"
+	"errors"
 	"runtime"
 	"testing"
 	"time"
 
+	"github.com/socialtube/socialtube/internal/dist"
 	"github.com/socialtube/socialtube/internal/faults"
 	"github.com/socialtube/socialtube/internal/trace"
 	"github.com/socialtube/socialtube/internal/vod"
@@ -91,6 +93,40 @@ func TestDirectoryValidation(t *testing.T) {
 			}
 			seen[idx] = true
 		}
+	}
+}
+
+// TestControlPlaneConfigValidate: a plane's shape, timing and suspicion
+// count are checked before any tracker starts. SuspicionRounds 1 and 2
+// declare live shards dead, so only 0 (the default) and >= 3 pass.
+func TestControlPlaneConfigValidate(t *testing.T) {
+	for _, tt := range []struct {
+		name string
+		edit func(*ControlPlaneConfig)
+		ok   bool
+	}{
+		{"default", func(*ControlPlaneConfig) {}, true},
+		{"zero shards", func(c *ControlPlaneConfig) { c.Shards = 0 }, false},
+		{"too many replicas", func(c *ControlPlaneConfig) { c.Replicas = 257 }, false},
+		{"too many shards", func(c *ControlPlaneConfig) { c.Shards = 65 }, false},
+		{"negative gossip interval", func(c *ControlPlaneConfig) { c.GossipInterval = -time.Millisecond }, false},
+		{"negative suspicion", func(c *ControlPlaneConfig) { c.SuspicionRounds = -1 }, false},
+		{"suspicion 1", func(c *ControlPlaneConfig) { c.SuspicionRounds = 1 }, false},
+		{"suspicion 2", func(c *ControlPlaneConfig) { c.SuspicionRounds = 2 }, false},
+		{"suspicion 3", func(c *ControlPlaneConfig) { c.SuspicionRounds = 3 }, true},
+		{"suspicion 5", func(c *ControlPlaneConfig) { c.SuspicionRounds = 5 }, true},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			cfg := DefaultControlPlaneConfig()
+			tt.edit(&cfg)
+			err := cfg.Validate()
+			if tt.ok && err != nil {
+				t.Fatalf("rejected: %v", err)
+			}
+			if !tt.ok && !errors.Is(err, dist.ErrBadParameter) {
+				t.Fatalf("got %v, want ErrBadParameter", err)
+			}
+		})
 	}
 }
 

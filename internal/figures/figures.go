@@ -261,12 +261,13 @@ func (s Scale) pavodConfig() baseline.PAVoDConfig {
 // Protocol builds one comparison system by name ("SocialTube", "NetTube"
 // or "PA-VoD") over a trace at this scale, tracer attached.
 func (s Scale) Protocol(name string, tr *trace.Trace) (vod.Protocol, error) {
-	return s.protocol(name, tr, true)
+	return s.protocol(name, tr, shippedPF)
 }
 
-// protocol is Protocol with prefetching optionally off (Fig. 17's "w/o
-// PF" variants; PA-VoD never prefetches).
-func (s Scale) protocol(name string, tr *trace.Trace, prefetch bool) (vod.Protocol, error) {
+// protocol is Protocol with prefetch videos per view set to prefetch
+// (Fig. 17's "w/o PF" variants and the §IV-B sweep); shippedPF keeps the
+// protocol's own count, and PA-VoD never prefetches.
+func (s Scale) protocol(name string, tr *trace.Trace, prefetch int) (vod.Protocol, error) {
 	var (
 		p   vod.Protocol
 		err error
@@ -275,15 +276,15 @@ func (s Scale) protocol(name string, tr *trace.Trace, prefetch bool) (vod.Protoc
 	case "SocialTube":
 		cfg := core.DefaultConfig()
 		cfg.Seed = s.Seed
-		if !prefetch {
-			cfg.PrefetchCount = 0
+		if prefetch != shippedPF {
+			cfg.PrefetchCount = prefetch
 		}
 		p, err = core.New(cfg, tr)
 	case "NetTube":
 		cfg := baseline.DefaultNetTubeConfig()
 		cfg.Seed = s.Seed
-		if !prefetch {
-			cfg.PrefetchCount = 0
+		if prefetch != shippedPF {
+			cfg.PrefetchCount = prefetch
 		}
 		p, err = baseline.NewNetTube(cfg, tr)
 	case "PA-VoD":
@@ -313,7 +314,7 @@ type simJob struct {
 
 // protocolJob is the common case: one of the named comparison systems
 // over the default network.
-func protocolJob(name string) simJob { return variant{name, name, true}.job() }
+func protocolJob(name string) simJob { return variant{name, name, shippedPF}.job() }
 
 func protocolJobs(names []string) []simJob {
 	jobs := make([]simJob, len(names))
@@ -445,12 +446,38 @@ func Table1(s Scale, tr *trace.Trace) *Table {
 	return t
 }
 
-// PrefetchAccuracyTable prints the §IV-B prefetch-accuracy analysis.
-func PrefetchAccuracyTable() *Table {
-	t := NewTable("§IV-B — prefetch accuracy (Zipf s=1, 25-video channel)",
+// prefetchCounts are the values of M the measured §IV-B sweep runs.
+var prefetchCounts = []int{0, 1, 3, 5}
+
+// FigPrefetch prints the §IV-B prefetch study: the Zipf model's accuracy,
+// then SocialTube measured at each M of prefetchCounts. Its hit rate is
+// the share of the requests the session cache missed that a prefetched
+// first chunk served.
+func FigPrefetch(s Scale, tr *trace.Trace) (*Report, error) {
+	model := NewTable("§IV-B — prefetch accuracy (Zipf s=1, 25-video channel)",
 		"prefetchedVideos", "accuracy")
 	for m := 1; m <= 6; m++ {
-		t.AddRow(m, core.PrefetchAccuracy(25, m))
+		model.AddRow(m, core.PrefetchAccuracy(25, m))
 	}
-	return t
+	jobs, names := make([]simJob, len(prefetchCounts)), make([]string, len(prefetchCounts))
+	for i, m := range prefetchCounts {
+		names[i] = fmt.Sprintf("M=%d", m)
+		jobs[i] = variant{names[i], "SocialTube", m}.job()
+	}
+	results, err := s.runJobs(tr, jobs, nil)
+	if err != nil {
+		return nil, err
+	}
+	measured := NewTable("§IV-B — measured prefetching (SocialTube, simulator)",
+		"prefetchedVideos", "prefetchHitRate", "startupMeanMs", "startupP99Ms")
+	for i, r := range results {
+		hitRate := 0.0
+		if missed := r.Requests - r.CacheHits.Value(); missed > 0 {
+			hitRate = float64(r.PrefixHits.Value()) / float64(missed)
+		}
+		measured.AddRow(prefetchCounts[i], hitRate, r.StartupDelay.Mean(), r.StartupDelay.Percentile(99))
+	}
+	return &Report{Tables: []*Table{
+		model, measured, countersTable("§IV-B — protocol counters", names, results),
+	}}, nil
 }

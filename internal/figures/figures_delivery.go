@@ -14,12 +14,17 @@ import (
 // substrates keep; the (a) and (b) registry entries differ only in the
 // substrate that produced the ledgers.
 
-// variant is one run a delivery figure asks for: its row label, the
-// comparison system, and whether that system prefetches.
+// variant is one run a figure asks for: its row label, the comparison
+// system, and how many videos that system prefetches (shippedPF keeps its
+// own count; PA-VoD never prefetches).
 type variant struct {
 	label, proto string
-	prefetch     bool
+	prefetch     int
 }
+
+// shippedPF is the variant prefetch count that keeps the protocol's own,
+// Table I's M = 3.
+const shippedPF = -1
 
 var (
 	// protoOrder is the comparison systems in the paper's plotting order.
@@ -27,13 +32,13 @@ var (
 	// linkPair is Fig. 18's: the paper plots SocialTube against NetTube.
 	linkPair = []string{"SocialTube", "NetTube"}
 	// prefetchVariants is Fig. 17's: with and without prefetching, for the
-	// systems that prefetch at all (the flag is inert for PA-VoD).
+	// systems that prefetch at all.
 	prefetchVariants = []variant{
-		{"PA-VoD", "PA-VoD", true},
-		{"SocialTube w/ PF", "SocialTube", true},
-		{"SocialTube w/o PF", "SocialTube", false},
-		{"NetTube w/ PF", "NetTube", true},
-		{"NetTube w/o PF", "NetTube", false},
+		{"PA-VoD", "PA-VoD", shippedPF},
+		{"SocialTube w/ PF", "SocialTube", shippedPF},
+		{"SocialTube w/o PF", "SocialTube", 0},
+		{"NetTube w/ PF", "NetTube", shippedPF},
+		{"NetTube w/o PF", "NetTube", 0},
 	}
 	emuModes = map[string]emu.Mode{
 		"PA-VoD": emu.ModePAVoD, "SocialTube": emu.ModeSocialTube, "NetTube": emu.ModeNetTube,
@@ -44,7 +49,7 @@ var (
 func protocolVariants(names []string) []variant {
 	vs := make([]variant, len(names))
 	for i, name := range names {
-		vs[i] = variant{name, name, true}
+		vs[i] = variant{name, name, shippedPF}
 	}
 	return vs
 }
@@ -95,8 +100,8 @@ func emuSubstrate(base emu.ClusterConfig, tr *trace.Trace) substrate {
 		ledgers := make([]*vod.Ledger, len(vs))
 		for i, v := range vs {
 			res, err := runMode(base, tr, emuModes[v.proto], func(c *emu.ClusterConfig) {
-				if !v.prefetch {
-					c.Peer.PrefetchCount = 0
+				if v.prefetch != shippedPF {
+					c.Peer.PrefetchCount = v.prefetch
 				}
 			})
 			if err != nil {

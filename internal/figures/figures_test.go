@@ -3,6 +3,7 @@ package figures
 import (
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -61,9 +62,10 @@ func requireRows(t *testing.T, tb fmt.Stringer, wantSubstring string) {
 	}
 }
 
-// TestTableFigures renders every registry figure that needs no
-// simulation or emulation run — the whole trace group plus the sim
-// group's analytical tables — and checks each for its signature content.
+// TestTableFigures renders the registry's trace group plus the sim group's
+// analytical tables (Fig. 15, Table I) and -fig prefetch, whose measured
+// rows come from a tiny single-protocol run, and checks each for its
+// signature content.
 func TestTableFigures(t *testing.T) {
 	in := &Inputs{Scale: tinyScale(), Trace: tinyTrace(t), MinShared: 2}
 	tests := []struct {
@@ -128,6 +130,41 @@ func TestSimFigures(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireRows(t, fc, "repairMs")
+}
+
+// TestPrefetchFigureMeasured pins -fig prefetch's measured table: two runs
+// at one seed print the same report, M = 0 serves nothing from a prefetched
+// chunk, and M = 3 serves some.
+func TestPrefetchFigureMeasured(t *testing.T) {
+	s, tr := tinyScale(), tinyTrace(t)
+	reps := make([]*Report, 2)
+	for i := range reps {
+		rep, err := FigPrefetch(s, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reps[i] = rep
+	}
+	if a, b := reps[0].String(), reps[1].String(); a != b {
+		t.Fatalf("same-seed runs differ:\n%s\n---\n%s", a, b)
+	}
+	if len(reps[0].Tables) != 3 {
+		t.Fatalf("%d tables, want model, measured and counters", len(reps[0].Tables))
+	}
+	hitRate := map[string]float64{}
+	for _, row := range reps[0].Tables[1].rows {
+		v, err := strconv.ParseFloat(strings.TrimSpace(row[1]), 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hitRate[row[0]] = v
+	}
+	if len(hitRate) != len(prefetchCounts) {
+		t.Fatalf("measured rows %v, want one per M in %v", hitRate, prefetchCounts)
+	}
+	if hitRate["0"] != 0 || hitRate["3"] <= 0 {
+		t.Fatalf("prefetch hit rate %v at M=0 and %v at M=3, want 0 and > 0", hitRate["0"], hitRate["3"])
+	}
 }
 
 func TestEmuFigures(t *testing.T) {

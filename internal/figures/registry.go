@@ -114,7 +114,7 @@ func registry() []Figure {
 		simFig("timeline", false, RunTimeline),
 		{ID: "scale", Group: GroupSim, Sweep: true, Run: runScaleFigure},
 		{ID: "load", Group: GroupSim, Sweep: true, Run: runLoadFigure},
-		tableFig("prefetch", GroupSim, false, func(*Inputs) *Table { return PrefetchAccuracyTable() }),
+		simFig("prefetch", false, FigPrefetch),
 
 		emuFig("16b", Fig16b), emuFig("17b", Fig17b), emuFig("18b", Fig18b),
 		emuFig("outage", FigOutage), emuFig("outage-shard", FigShardedOutage),

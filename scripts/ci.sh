@@ -181,6 +181,9 @@ echo "== timeline figure smoke =="
 go run ./cmd/socialtube-sim -fig timeline -bench-out "$tracetmp/BENCH_timeline.json" > /dev/null
 test -s "$tracetmp/BENCH_timeline.json" || { echo "timeline figure emitted no bench points"; exit 1; }
 
+echo "== prefetch figure smoke (model table, measured M sweep, counters) =="
+go run ./cmd/socialtube-sim -fig prefetch > /dev/null
+
 echo "== tracing overhead guard (BenchmarkRequest traced vs untraced) =="
 # Min-of-3 ns/op for the bare and nop-traced request hot path: the tracing
 # seam may cost at most ~10% and must stay at 0 allocs/op.

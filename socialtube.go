@@ -109,9 +109,6 @@ func CrawlTrace(tr *Trace, seed int64, maxUsers int) (*Trace, error) {
 	return trace.Crawl(tr, seed, maxUsers)
 }
 
-// Pearson returns the correlation coefficient of two equal-length samples.
-func Pearson(xs, ys []float64) float64 { return trace.Pearson(xs, ys) }
-
 // Protocol layer: SocialTube and the two baselines.
 type (
 	// Protocol is the contract every P2P VoD scheme implements.
