@@ -544,3 +544,73 @@ func TestCachingBeatsNoCaching(t *testing.T) {
 		t.Fatalf("NetTube peer hits %d should exceed PA-VoD %d", peerNT, peerPV)
 	}
 }
+
+// TestMemberSlotsFollowChurn drives both baselines through 200 seeded
+// random churn sequences and checks after every step that each member of a
+// video's set sits at the slot its node state holds for that video, and
+// that every held slot names its node: NetTube's memberAt beside joined, -1
+// for an entry a failure left there, and PA-VoD's beside the watched video.
+func TestMemberSlotsFollowChurn(t *testing.T) {
+	tr := baselineTrace(t)
+	for seed := int64(1); seed <= 200; seed++ {
+		nt, err := NewNetTube(NetTubeConfig{LinksPerOverlay: 3, TTL: 2, PrefetchCount: 1, Seed: seed}, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pa, err := NewPAVoD(PAVoDConfig{Seed: seed}, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := dist.NewRNG(seed)
+		for step := 0; step < 60; step++ {
+			node, v := g.Intn(12), tr.Videos[g.Intn(6)].ID
+			for _, p := range []vod.Protocol{nt, pa} {
+				switch g.Intn(5) {
+				case 0:
+					p.Join(node)
+				case 1:
+					p.Leave(node)
+				case 2:
+					p.Fail(node)
+				default:
+					p.Request(node, v)
+					if g.Bool(0.5) {
+						p.Finish(node, v)
+					}
+				}
+			}
+			held := 0
+			for n := range nt.nodes {
+				st := &nt.nodes[n]
+				if len(st.memberAt) != len(st.joined) {
+					t.Fatalf("seed %d step %d: node %d holds %d member slots for %d joined videos", seed, step, n, len(st.memberAt), len(st.joined))
+				}
+				for i, at := range st.memberAt {
+					if at >= 0 {
+						held++
+						if got := nt.members[st.joined[i]].View()[at]; got != n {
+							t.Fatalf("seed %d step %d: node %d's slot %d in video %d's set holds %d", seed, step, n, at, st.joined[i], got)
+						}
+					}
+				}
+			}
+			for _, m := range nt.members {
+				held -= len(m.View())
+			}
+			for n, st := range pa.nodes {
+				if st.watching >= 0 {
+					held++
+					if got := pa.watchers[st.watching].View()[st.slot]; got != n {
+						t.Fatalf("seed %d step %d: node %d's slot %d in video %d's watchers holds %d", seed, step, n, st.slot, st.watching, got)
+					}
+				}
+			}
+			for _, w := range pa.watchers {
+				held -= len(w.View())
+			}
+			if held != 0 {
+				t.Fatalf("seed %d step %d: member sets and held slots differ by %d", seed, step, held)
+			}
+		}
+	}
+}

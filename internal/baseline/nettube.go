@@ -70,7 +70,8 @@ type NetTube struct {
 	overlays *overlay.Family[trace.VideoID]
 	// members tracks the online members of each per-video overlay, by video
 	// id — the per-video state the central server must keep (contrast §IV-A).
-	// A video no node has joined has a nil entry, which reads as empty.
+	// A video no node has joined has a nil entry, which reads as empty. A
+	// node's index in members[v] sits beside v in its ntNode.
 	members []*overlay.Members
 	nodes   []ntNode
 	// caches holds every node's cache beside the fingerprint word the
@@ -91,6 +92,9 @@ type ntNode struct {
 	// joined lists the per-video overlays the node currently has links
 	// in, sorted ascending so every iteration order is deterministic.
 	joined []trace.VideoID
+	// memberAt[i] is the node's index in members[joined[i]]; -1 while a
+	// failed node's entry stays in joined but has left the set.
+	memberAt []int32
 	// suspect: a joined overlay may link an offline node (depart and
 	// joinOverlay set it); only then does a probe prune, clearing it.
 	suspect bool
@@ -137,14 +141,14 @@ func (n *NetTube) depart(node int, kind obs.Kind) {
 		return
 	}
 	st := &n.nodes[node]
-	for _, v := range st.joined {
-		n.members[v].Remove(node)
+	for i, v := range st.joined {
+		n.unenroll(node, i)
 		if kind == obs.KindLeave {
 			n.overlays.RemoveNode(v, node)
 		}
 	}
 	if kind == obs.KindLeave {
-		st.joined = st.joined[:0]
+		st.joined, st.memberAt = st.joined[:0], st.memberAt[:0]
 	}
 	for i := 0; ; i++ {
 		_, nbs, ok := n.overlays.Slot(node, i)
@@ -155,6 +159,21 @@ func (n *NetTube) depart(node int, kind obs.Kind) {
 			n.nodes[nb].suspect = true
 		}
 	}
+}
+
+// unenroll takes the node out of the member set of its i-th joined video,
+// if there, and gives the member moved into its place that index.
+func (n *NetTube) unenroll(node, i int) {
+	st := &n.nodes[node]
+	v, at := st.joined[i], st.memberAt[i]
+	if at < 0 {
+		return
+	}
+	if moved := n.members[v].Remove(int(at)); moved >= 0 {
+		j, _ := slices.BinarySearch(n.nodes[moved].joined, v)
+		n.nodes[moved].memberAt[j] = at
+	}
+	st.memberAt[i] = -1
 }
 
 // eachJoined calls fn with each joined overlay the node has a slot in, in
@@ -262,13 +281,17 @@ func (n *NetTube) joinOverlay(node int, v trace.VideoID, provider int) {
 	}
 	members := n.members[v]
 	st := &n.nodes[node]
-	if i, in := slices.BinarySearch(st.joined, v); !in {
+	i, in := slices.BinarySearch(st.joined, v)
+	if !in {
 		st.joined = slices.Insert(st.joined, i, v)
+		st.memberAt = slices.Insert(st.memberAt, i, -1)
 		if len(n.overlays.NeighborsView(v, node)) > 0 {
 			st.suspect = true // no probe has walked this slot
 		}
 	}
-	members.Add(node)
+	if st.memberAt[i] < 0 {
+		st.memberAt[i] = int32(members.Add(node))
+	}
 	if provider >= 0 {
 		n.overlays.Connect(v, node, provider)
 	}
@@ -339,14 +362,6 @@ func (n *NetTube) Probe(node int) int {
 	}
 	n.Probed(node, msgs)
 	return msgs
-}
-
-// Cache exposes the node's cache for accounting.
-func (n *NetTube) Cache(node int) *vod.Cache {
-	if !n.Known(node) {
-		return nil
-	}
-	return n.caches.Cache(node)
 }
 
 // joined is the node's sorted overlay list (nil for an unknown node).

@@ -67,14 +67,16 @@ var _ vod.Protocol = (*PAVoD)(nil)
 
 type paNode struct {
 	watching trace.VideoID
+	// slot is the node's index in watchers[watching], while watching ≥ 0.
+	slot int32
+	// uploads counts the node's concurrent uploads.
+	uploads int32
 	// startedAt is when the node began its current watch, for the
 	// readiness constraint.
 	startedAt time.Duration
 	// provider is the peer currently streaming to this node (-1 when the
 	// server serves it); it is the node's only "link".
 	provider int
-	// uploads counts the node's concurrent uploads.
-	uploads int
 }
 
 // NewPAVoD builds a PA-VoD system over the trace.
@@ -103,16 +105,14 @@ func NewPAVoD(cfg PAVoDConfig, tr *trace.Trace) (*PAVoD, error) {
 func (p *PAVoD) Join(node int) { p.Arrive(node) }
 
 // Leave implements vod.Protocol.
-func (p *PAVoD) Leave(node int) {
-	if p.Depart(node, obs.KindLeave) {
-		p.stopWatching(node)
-	}
-}
+func (p *PAVoD) Leave(node int) { p.depart(node, obs.KindLeave) }
 
 // Fail implements vod.Protocol. PA-VoD keeps no overlay links, so an abrupt
 // failure behaves like a departure from the server's perspective.
-func (p *PAVoD) Fail(node int) {
-	if p.Depart(node, obs.KindFail) {
+func (p *PAVoD) Fail(node int) { p.depart(node, obs.KindFail) }
+
+func (p *PAVoD) depart(node int, kind obs.Kind) {
+	if p.Depart(node, kind) {
 		p.stopWatching(node)
 	}
 }
@@ -120,7 +120,9 @@ func (p *PAVoD) Fail(node int) {
 func (p *PAVoD) stopWatching(node int) {
 	st := &p.nodes[node]
 	if st.watching >= 0 {
-		p.watchers[st.watching].Remove(node)
+		if moved := p.watchers[st.watching].Remove(int(st.slot)); moved >= 0 {
+			p.nodes[moved].slot = st.slot
+		}
 		st.startedAt = 0
 		st.watching = -1
 	}
@@ -146,7 +148,7 @@ func (p *PAVoD) eligibleProvider(v trace.VideoID, exclude int) int {
 		if p.cfg.ReadyDelay > 0 && p.Now()-p.nodes[id].startedAt < p.cfg.ReadyDelay {
 			continue
 		}
-		if p.cfg.MaxUploads > 0 && p.nodes[id].uploads >= p.cfg.MaxUploads {
+		if p.cfg.MaxUploads > 0 && int(p.nodes[id].uploads) >= p.cfg.MaxUploads {
 			continue
 		}
 		eligible = append(eligible, id)
@@ -190,7 +192,7 @@ func (p *PAVoD) locate(node int, v trace.VideoID) vod.RequestResult {
 	if p.watchers[v] == nil {
 		p.watchers[v] = &overlay.Members{}
 	}
-	p.watchers[v].Add(node)
+	st.slot = int32(p.watchers[v].Add(node))
 	return res
 }
 

@@ -24,11 +24,7 @@ type MaintenanceModel struct {
 
 // DefaultMaintenanceModel returns the parameters used for Fig. 15.
 func DefaultMaintenanceModel() MaintenanceModel {
-	return MaintenanceModel{
-		UsersPerVideo:    500,
-		UsersPerChannel:  5_000,
-		UsersPerInterest: 25_000,
-	}
+	return MaintenanceModel{UsersPerVideo: 500, UsersPerChannel: 5_000, UsersPerInterest: 25_000}
 }
 
 // SocialTube returns the modelled number of links a SocialTube node
@@ -58,9 +54,6 @@ func PrefetchAccuracy(channelVideos, prefetchCount int) float64 {
 	if channelVideos <= 0 || prefetchCount <= 0 {
 		return 0
 	}
-	z, err := dist.NewZipf(channelVideos, 1)
-	if err != nil {
-		return 0
-	}
+	z, _ := dist.NewZipf(channelVideos, 1) // n ≥ 1 and s = 1 always build
 	return z.TopP(prefetchCount)
 }

@@ -2,16 +2,11 @@ package core
 
 import "github.com/socialtube/socialtube/internal/vod"
 
-// RepairNeighbors runs active overlay self-repair around a crashed
-// node: once the fault layer decides the crash has been detected (a
-// plan's DetectDelay after the abrupt Fail), every surviving neighbor
-// drops its edge to the dead node and immediately selects replacement
-// inner/inter-links instead of waiting for its next probe round. It
-// returns the number of replacement links created and the repair
-// messages exchanged (one death confirmation per surviving neighbor).
-//
-// This is the hook internal/exp drives through its Repairer interface;
-// it is never called on the request hot path.
+// RepairNeighbors is active self-repair around a crashed node, the hook
+// exp's Repairer drives a plan's DetectDelay after the Fail: every
+// surviving neighbor drops its edge to the dead node and replaces links at
+// once instead of at its next probe. It returns the replacement links
+// created and the repair messages (one death confirmation per neighbor).
 func (s *System) RepairNeighbors(dead int) (links, msgs int) {
 	if !s.Known(dead) || s.Online(dead) {
 		return 0, 0

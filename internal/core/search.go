@@ -201,7 +201,7 @@ func (s *System) ensureAttached(node int, ch trace.ChannelID) {
 		return
 	}
 	if st.home == ch {
-		s.members[ch].Add(node)
+		s.enroll(node)
 		s.replenish(node)
 		return
 	}
@@ -214,7 +214,7 @@ func (s *System) ensureAttached(node int, ch trace.ChannelID) {
 		s.inter.RemoveNode(node)
 	}
 	st.home = ch
-	s.members[ch].Add(node)
+	s.enroll(node)
 	// The server assists the join with inner neighbours from the channel
 	// overlay and inter neighbours across the category's channels; links
 	// reach the steady-state N_l + N_h Fig. 18 observes ("15 links at

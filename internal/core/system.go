@@ -16,10 +16,10 @@ import (
 // clock, spans, accounting); what this package states is SocialTube's
 // decisions. It is single-threaded, driven by the experiment engine.
 //
-// Node and channel ids are dense, so all state is slice-indexed; the one
-// map is inside overlay.Members (node → slot). No flood, probe or
-// leave/join cycle allocates, and a probe prunes only when a neighbour's
-// failure marked its node suspect.
+// Node and channel ids are dense, so all state is slice-indexed and no map
+// is kept: a node's slot in its home channel's member set lives in its
+// nodeState. No flood, probe or leave/join cycle allocates, and a probe
+// prunes only when a neighbour's failure marked its node suspect.
 type System struct {
 	vod.Chassis
 	cfg Config
@@ -36,7 +36,8 @@ type System struct {
 	inter *overlay.Mesh
 	// members tracks online nodes per channel overlay, indexed by channel
 	// id — the state the server keeps so it can assist joins (much less
-	// than NetTube's per-video tracking, as §IV-A notes).
+	// than NetTube's per-video tracking, as §IV-A notes). A node is in its
+	// home's set at most, at its nodeState.slot.
 	members []overlay.Members
 	// nodes is indexed by node id, and so are prev's rows.
 	nodes []nodeState
@@ -77,6 +78,8 @@ type nodeState struct {
 	// home is the channel overlay the node currently belongs to (the
 	// channel it is watching); -1 when unattached.
 	home trace.ChannelID
+	// slot is the node's index in members[home]; -1 when it is not there.
+	slot int32
 	// prevInner and prevInter count the neighbours remembered in the
 	// node's prev row.
 	prevInner, prevInter uint8
@@ -117,7 +120,7 @@ func New(cfg Config, tr *trace.Trace) (*System, error) {
 	for i := range tr.Users {
 		u := &tr.Users[i]
 		node := int(u.ID)
-		s.nodes[node] = nodeState{home: -1}
+		s.nodes[node] = nodeState{home: -1, slot: -1}
 		s.subs[node] = u.Subscriptions
 	}
 	return s, nil
@@ -163,7 +166,7 @@ func (s *System) Join(node int) {
 		}
 	}
 	if reconnected {
-		s.members[st.home].Add(node)
+		s.enroll(node)
 		return
 	}
 	// No previous neighbour survived: rejoin from scratch via the
@@ -190,10 +193,8 @@ func (s *System) Fail(node int) {
 		return
 	}
 	s.rememberNeighbors(node)
+	s.unenroll(node)
 	st := &s.nodes[node]
-	if st.home >= 0 {
-		s.members[st.home].Remove(node)
-	}
 	// Connect links online nodes and Leave cuts every edge: only a Fail
 	// leaves a link to an offline node, at each neighbour just remembered.
 	for _, nb := range s.prevRow(node)[:int(st.prevInner)+int(st.prevInter)] {
@@ -231,10 +232,30 @@ func (s *System) detach(node int) {
 // leaveHome drops the node's inner-links and membership in its home overlay
 // but still remembers the channel, so a later session can try to reconnect.
 func (s *System) leaveHome(node int) {
-	if home := s.nodes[node].home; home >= 0 {
+	if s.nodes[node].home >= 0 {
 		s.inner.RemoveNode(node)
-		s.members[home].Remove(node)
+		s.unenroll(node)
 	}
+}
+
+// enroll adds the node to its home channel's member set unless it is there.
+func (s *System) enroll(node int) {
+	if st := &s.nodes[node]; st.slot < 0 {
+		st.slot = int32(s.members[st.home].Add(node))
+	}
+}
+
+// unenroll takes the node out of its home channel's member set, if there,
+// and gives the member moved into its slot that slot.
+func (s *System) unenroll(node int) {
+	st := &s.nodes[node]
+	if st.slot < 0 {
+		return
+	}
+	if moved := s.members[st.home].Remove(int(st.slot)); moved >= 0 {
+		s.nodes[moved].slot = st.slot
+	}
+	st.slot = -1
 }
 
 // prune removes a suspect node's mesh edges to offline neighbours — what a
@@ -312,15 +333,4 @@ func (s *System) Subscribe(node int, ch trace.ChannelID) bool {
 	}
 	s.subs[node] = append(slices.Clip(s.subs[node]), ch) // clipped: always a fresh array
 	return true
-}
-
-// Subscriptions returns the node's current subscription set in ascending
-// order (a copy).
-func (s *System) Subscriptions(node int) []trace.ChannelID {
-	if node < 0 || node >= len(s.subs) {
-		return nil
-	}
-	out := slices.Clone(s.subs[node])
-	slices.Sort(out)
-	return slices.Compact(out)
 }

@@ -466,6 +466,25 @@ func TestMeshesStaySymmetricUnderChurn(t *testing.T) {
 				}
 			}
 		}
+		// Every member sits at the slot its nodeState holds, in its home's
+		// set, and every held slot names its node.
+		members := 0
+		for ch := range s.members {
+			for at, m := range s.members[ch].View() {
+				if st := s.nodes[m]; int(st.home) != ch || int(st.slot) != at || !s.Online(m) {
+					t.Fatalf("channel %d slot %d holds node %d (home %d, slot %d, online %v) after round %d", ch, at, m, st.home, st.slot, s.Online(m), round)
+				}
+			}
+			members += len(s.members[ch].View())
+		}
+		for _, st := range s.nodes {
+			if st.slot >= 0 {
+				members--
+			}
+		}
+		if members != 0 {
+			t.Fatalf("member sets and held slots differ by %d after round %d", members, round)
+		}
 	}
 }
 
@@ -515,11 +534,10 @@ func TestMemberSet(t *testing.T) {
 	if m.Random(g, -1) != -1 {
 		t.Fatal("empty set should return -1")
 	}
-	m.Add(1)
-	m.Add(2)
-	m.Add(2) // duplicate
-	if len(m.View()) != 2 {
-		t.Fatalf("len = %d, want 2", len(m.View()))
+	one := m.Add(1)
+	two := m.Add(2)
+	if len(m.View()) != 2 || one != 0 || two != 1 {
+		t.Fatalf("len = %d, slots %d and %d, want 2, 0 and 1", len(m.View()), one, two)
 	}
 	if view := m.View(); !slices.Contains(view, 1) || slices.Contains(view, 3) {
 		t.Fatal("membership wrong")
@@ -527,12 +545,13 @@ func TestMemberSet(t *testing.T) {
 	if got := m.Random(g, 2); got != 1 {
 		t.Fatalf("random excluding 2 = %d, want 1", got)
 	}
-	m.Remove(1)
+	if moved := m.Remove(one); moved != 2 {
+		t.Fatalf("removing node 1 moved %d into its slot, want 2", moved)
+	}
 	if got := m.Random(g, 2); got != -1 {
 		t.Fatalf("random with everything excluded = %d, want -1", got)
 	}
-	m.Remove(42) // no-op
-	m.Remove(2)
+	m.Remove(one) // node 2 now sits in node 1's old slot
 	if len(m.View()) != 0 {
 		t.Fatal("set not empty after removals")
 	}

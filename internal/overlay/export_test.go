@@ -1,11 +1,15 @@
 package overlay
 
-import "slices"
+import (
+	"slices"
+
+	"github.com/socialtube/socialtube/internal/dist"
+)
 
 // Test-only views of Links, Mesh and Members: nothing outside this package's
 // tests reads a link set's capacity, copies one, copies or enumerates a
-// mesh, cuts a single edge, builds a member set on the heap or lists
-// members.
+// mesh, cuts a single edge, counts or copies members, or keeps a member
+// set's retired map index.
 
 // Max returns the capacity.
 func (l *Links) Max() int { return l.max }
@@ -58,19 +62,51 @@ func Flood(origin int, ttl int, neighbors func(int) []int, match func(int) bool)
 	return s.Flood(origin, ttl, neighbors, match)
 }
 
-// NewMembers returns an empty member set.
-func NewMembers() *Members {
-	return &Members{index: make(map[int]int)}
-}
-
-// Has reports membership of n.
-func (m *Members) Has(n int) bool {
-	_, ok := m.index[n]
-	return ok
-}
-
 // Len returns the member count.
 func (m *Members) Len() int { return len(m.View()) }
 
 // List returns the members in insertion-compacted order (a copy).
-func (m *Members) List() []int { return append([]int(nil), m.items...) }
+func (m *Members) List() []int { return slices.Clone(m.View()) }
+
+// MapMembers is the map-indexed member set Members replaced, kept as the
+// reference its equivalence test runs against: it finds a member's slot in
+// its own node → slot map instead of taking it from the caller, so Add of a
+// member and Remove of a non-member are no-ops.
+type MapMembers struct {
+	items []int
+	index map[int]int
+}
+
+// Add inserts n if absent.
+func (m *MapMembers) Add(n int) {
+	if _, ok := m.index[n]; ok {
+		return
+	}
+	if m.index == nil {
+		m.index = make(map[int]int)
+	}
+	m.index[n] = len(m.items)
+	m.items = append(m.items, n)
+}
+
+// Remove deletes n if present.
+func (m *MapMembers) Remove(n int) {
+	i, ok := m.index[n]
+	if !ok {
+		return
+	}
+	last := len(m.items) - 1
+	m.items[i] = m.items[last]
+	m.index[m.items[i]] = i
+	m.items = m.items[:last]
+	delete(m.index, n)
+}
+
+// View returns the members in insertion-compacted order without copying.
+func (m *MapMembers) View() []int { return m.items }
+
+// Random is Members.Random over the same list: the draw never read the
+// index.
+func (m *MapMembers) Random(g *dist.RNG, exclude int) int {
+	return (&Members{items: m.items}).Random(g, exclude)
+}

@@ -99,17 +99,15 @@ func (f *Family[K]) insert(key K, a, at int, found bool, b int) {
 		f.nodes[a][at] = int(key)
 	}
 	s := f.nodes[a][at:]
-	i, _ := slices.BinarySearch(s[2:2+s[1]], b)
-	copy(s[3+i:3+s[1]], s[2+i:2+s[1]])
-	s[2+i] = b
-	s[1]++
+	i, _ := find(s[2:2+s[1]], b)
+	s[1] = insert(s[2:2+s[1]], i, b)
 }
 
 // unlink removes b from a's slot for key, if there.
 func (f *Family[K]) unlink(key K, a, b int) {
 	if at, ok := f.search(key, a); ok {
 		nbs := f.view(a, at)
-		if i, ok := slices.BinarySearch(nbs, b); ok {
+		if i, ok := find(nbs, b); ok {
 			copy(nbs[i:], nbs[i+1:])
 			f.nodes[a][at+1]--
 		}

@@ -4,40 +4,31 @@ import (
 	"github.com/socialtube/socialtube/internal/dist"
 )
 
-// Members tracks the online members of one overlay with O(1) insert, delete
+// Members lists the online members of one overlay with O(1) insert, delete
 // and uniform random selection — the operations the tracking server performs
-// when it assists joins. The zero value and a nil *Members are empty sets.
+// when it assists joins. It keeps no index: Add returns a member's slot, the
+// caller stores it in the node state it already has, and Remove takes that
+// slot back and names the member it moved, whose stored slot the caller
+// updates. The zero value and a nil *Members are empty sets.
 type Members struct {
 	items []int
-	index map[int]int
 }
 
-// Add inserts n if absent.
-func (m *Members) Add(n int) {
-	if _, ok := m.index[n]; ok {
-		return
-	}
-	if m.index == nil {
-		m.index = make(map[int]int)
-	}
-	m.index[n] = len(m.items)
+// Add appends n, which the caller knows is absent, and returns its slot.
+func (m *Members) Add(n int) int {
 	m.items = append(m.items, n)
+	return len(m.items) - 1
 }
 
-// Remove deletes n if present.
-func (m *Members) Remove(n int) {
-	if m == nil {
-		return
-	}
-	i, ok := m.index[n]
-	if !ok {
-		return
-	}
+// Remove deletes the member at slot i by moving the last member into it. It
+// returns the moved member, now at slot i, or -1 when i was the last slot.
+func (m *Members) Remove(i int) int {
 	last := len(m.items) - 1
-	m.items[i] = m.items[last]
-	m.index[m.items[i]] = i
-	m.items = m.items[:last]
-	delete(m.index, n)
+	m.items[i], m.items = m.items[last], m.items[:last]
+	if i == last {
+		return -1
+	}
+	return m.items[i]
 }
 
 // View returns the members in insertion-compacted order without copying.
@@ -50,26 +41,16 @@ func (m *Members) View() []int {
 	return m.items
 }
 
-// Random returns a uniformly random member, excluding the given node. It
-// returns -1 when no eligible member exists.
+// Random returns a uniformly random member, excluding the given node: up to
+// eight draws, then a deterministic scan. It returns -1 when no eligible
+// member exists, and draws nothing from a set of fewer than two.
 func (m *Members) Random(g *dist.RNG, exclude int) int {
 	items := m.View()
-	switch len(items) {
-	case 0:
-		return -1
-	case 1:
-		if items[0] == exclude {
-			return -1
-		}
-		return items[0]
-	}
-	for attempts := 0; attempts < 8; attempts++ {
-		n := items[g.Intn(len(items))]
-		if n != exclude {
+	for attempts := 0; len(items) > 1 && attempts < 8; attempts++ {
+		if n := items[g.Intn(len(items))]; n != exclude {
 			return n
 		}
 	}
-	// Deterministic fallback scan.
 	for _, n := range items {
 		if n != exclude {
 			return n

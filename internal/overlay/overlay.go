@@ -2,8 +2,8 @@
 // SocialTube and the baseline protocols: bounded neighbour sets, symmetric
 // link meshes and TTL-scoped flood search. Neighbour sets are small (the
 // paper's N_l=5, N_h=10 bounds), so each is a sorted []int, never a map:
-// membership is a binary search and iteration is allocation-free and
-// ascending. Links, Mesh and Family each describe their layout.
+// membership is a search of a short list and iteration is allocation-free
+// and ascending. Links, Mesh and Family each describe their layout.
 package overlay
 
 import (
@@ -30,13 +30,10 @@ func NewLinks(max int) *Links {
 	return l
 }
 
-// search returns the insertion index of n and whether n is present.
-func (l *Links) search(n int) (int, bool) { return slices.BinarySearch(l.items, n) }
-
 // Add inserts a neighbour. It reports false when the set is full or the
 // neighbour is already present.
 func (l *Links) Add(n int) bool {
-	i, ok := l.search(n)
+	i, ok := find(l.items, n)
 	if ok || len(l.items) >= l.max {
 		return false
 	}
@@ -46,14 +43,14 @@ func (l *Links) Add(n int) bool {
 
 // Remove deletes a neighbour if present.
 func (l *Links) Remove(n int) {
-	if i, ok := l.search(n); ok {
+	if i, ok := find(l.items, n); ok {
 		l.items = slices.Delete(l.items, i, i+1)
 	}
 }
 
 // Has reports whether n is a neighbour.
 func (l *Links) Has(n int) bool {
-	_, ok := l.search(n)
+	_, ok := find(l.items, n)
 	return ok
 }
 
@@ -124,30 +121,48 @@ func (m *Mesh) grow(n int) {
 }
 
 // Connect adds the symmetric edge (a, b). It reports false — and changes
-// nothing — when a == b, the edge exists, either endpoint is full, or an
-// endpoint is an id the mesh never links.
+// no link — when a == b, the edge exists, either endpoint is full, or an
+// endpoint is an id the mesh never links. One search of each endpoint's
+// list gives both the edge test and the insertion index.
 func (m *Mesh) Connect(a, b int) bool {
-	if a == b || a < 0 || b < 0 || a >= m.limit || b >= m.limit ||
-		m.Full(a) || m.Full(b) || m.Connected(a, b) {
+	if a == b || a < 0 || b < 0 || a >= m.limit || b >= m.limit {
 		return false
 	}
 	m.grow(max(a, b))
-	m.link(a, b)
-	m.link(b, a)
+	la, lb := m.NeighborsView(a), m.NeighborsView(b)
+	i, ok := find(la, b)
+	if ok || len(la) >= m.max || len(lb) >= m.max {
+		return false
+	}
+	j, _ := find(lb, a)
+	m.deg[a], m.deg[b] = uint8(insert(la, i, b)), uint8(insert(lb, j, a))
 	return true
 }
 
-// link inserts b into a's links, which have room.
-func (m *Mesh) link(a, b int) {
-	l := m.NeighborsView(a)
-	i, _ := slices.BinarySearch(l, b)
-	l = slices.Insert(l, i, b) // within a's capacity: no reallocation
-	m.deg[a] = uint8(len(l))
+// find returns the index of n in the ascending list l, or where n would be
+// inserted, and whether it is there. Neighbour lists are short: it scans.
+func find(l []int, n int) (int, bool) {
+	for i, x := range l {
+		if x >= n {
+			return i, x == n
+		}
+	}
+	return len(l), false
+}
+
+// insert puts n at index i of l, which has room, and returns l's new length.
+func insert(l []int, i, n int) int {
+	l = l[:len(l)+1]
+	for k := len(l) - 1; k > i; k-- {
+		l[k] = l[k-1]
+	}
+	l[i] = n
+	return len(l)
 }
 
 // Connected reports whether the edge (a, b) exists.
 func (m *Mesh) Connected(a, b int) bool {
-	_, ok := slices.BinarySearch(m.NeighborsView(a), b)
+	_, ok := find(m.NeighborsView(a), b)
 	return ok
 }
 
@@ -172,7 +187,7 @@ func (m *Mesh) Full(a int) bool { return a >= 0 && a < m.limit && m.Degree(a) >=
 // unlink removes a from b's side of an edge.
 func (m *Mesh) unlink(b, a int) {
 	l := m.NeighborsView(b)
-	if i, ok := slices.BinarySearch(l, a); ok {
+	if i, ok := find(l, a); ok {
 		copy(l[i:], l[i+1:])
 		m.deg[b]--
 	}
@@ -184,13 +199,15 @@ func (m *Mesh) RemoveNode(a int) { m.Prune(a, func(int) bool { return false }) }
 // Prune removes a's edges to every neighbour failing keep and reports the
 // number of neighbours examined — the probe/repair primitive. It runs
 // without allocating: the neighbour list is walked in descending order so
-// in-place removals never shift an unvisited entry.
+// removing the entry at the walk's own index never shifts an unvisited one,
+// and only the far side of a cut edge is searched.
 func (m *Mesh) Prune(a int, keep func(int) bool) int {
 	nbs := m.NeighborsView(a)
 	for i := len(nbs) - 1; i >= 0; i-- {
 		if b := nbs[i]; !keep(b) {
-			m.unlink(a, b)
 			m.unlink(b, a)
+			m.deg[a]--
+			copy(nbs[i:m.deg[a]], nbs[i+1:])
 		}
 	}
 	return len(nbs)
@@ -227,9 +244,7 @@ type Stamps struct {
 func (s *Stamps) Reset() {
 	s.epoch++
 	if s.epoch == 0 { // wrapped: stale stamps could collide, so clear all
-		for i := range s.at {
-			s.at[i] = 0
-		}
+		clear(s.at)
 		s.epoch = 1
 	}
 }
@@ -237,9 +252,7 @@ func (s *Stamps) Reset() {
 // Add inserts n and reports whether it was absent.
 func (s *Stamps) Add(n int) bool {
 	if n >= len(s.at) {
-		grown := make([]uint32, n+1+n/2)
-		copy(grown, s.at)
-		s.at = grown
+		s.at = append(s.at, make([]uint32, n+1+n/2-len(s.at))...)
 	} else if s.at[n] == s.epoch {
 		return false
 	}
@@ -260,10 +273,7 @@ type FloodScratch struct {
 // NewFloodScratch returns a scratch pre-sized for node ids below n, so the
 // first floods do not grow the visited set incrementally.
 func NewFloodScratch(n int) *FloodScratch {
-	if n < 0 {
-		n = 0
-	}
-	return &FloodScratch{visited: Stamps{at: make([]uint32, n)}}
+	return &FloodScratch{visited: Stamps{at: make([]uint32, max(n, 0))}}
 }
 
 // Flood performs the paper's query forwarding, reusing the scratch buffers:
@@ -280,7 +290,7 @@ func (s *FloodScratch) Flood(origin int, ttl int, neighbors func(int) []int, mat
 	s.visited.Reset()
 	s.visited.Add(origin)
 	s.frontier = append(s.frontier[:0], origin)
-	for depth := 1; depth <= ttl; depth++ {
+	for depth := 1; depth <= ttl && len(s.frontier) > 0; depth++ {
 		s.next = s.next[:0]
 		for _, sender := range s.frontier {
 			for _, nb := range neighbors(sender) {
@@ -299,9 +309,6 @@ func (s *FloodScratch) Flood(origin int, ttl int, neighbors func(int) []int, mat
 			}
 		}
 		s.frontier, s.next = s.next, s.frontier
-		if len(s.frontier) == 0 {
-			break
-		}
 	}
 	return res
 }

@@ -43,7 +43,12 @@ func TestNewPickerAllocatesWhatItKeeps(t *testing.T) {
 	if budget := kept * 5 / 4; int64(got) > budget {
 		t.Errorf("NewPicker allocates %d bytes and keeps %d (%.2fx), budget 1.25x", got, kept, float64(got)/float64(kept))
 	}
-	sizes := len(p.zipfBySize)
+	sizes := 0 // distinct channel sizes: the table's non-nil entries
+	for _, z := range p.zipfBySize {
+		if z != nil {
+			sizes++
+		}
+	}
 	if got, budget := after.Mallocs-before.Mallocs, uint64(3*sizes+2*tr.Categories+16); got > budget {
 		t.Errorf("NewPicker makes %d allocations over %d videos, budget %d (3 per channel size, 2 per category)", got, len(tr.Videos), budget)
 	}

@@ -207,8 +207,9 @@ type Picker struct {
 	byCat     [][]trace.VideoID
 	byCatDraw []dist.Cumulative
 	all       dist.Cumulative
-	// zipfBySize holds a Zipf sampler for every channel size in the catalog.
-	zipfBySize map[int]*dist.Zipf
+	// zipfBySize holds a Zipf sampler for every channel size in the
+	// catalog, indexed by that size; sizes no channel has are nil.
+	zipfBySize []*dist.Zipf
 }
 
 // NewPicker builds a picker over the trace with the given behaviour.
@@ -219,12 +220,16 @@ func NewPicker(tr *trace.Trace, b Behavior) (*Picker, error) {
 	if tr == nil || len(tr.Videos) == 0 {
 		return nil, fmt.Errorf("%w: picker needs a non-empty trace", dist.ErrBadParameter)
 	}
+	largest := 0
+	for i := range tr.Channels {
+		largest = max(largest, len(tr.Channels[i].Videos))
+	}
 	p := &Picker{
 		tr:         tr,
 		behavior:   b,
 		byCat:      make([][]trace.VideoID, tr.Categories),
 		byCatDraw:  make([]dist.Cumulative, tr.Categories),
-		zipfBySize: make(map[int]*dist.Zipf),
+		zipfBySize: make([]*dist.Zipf, largest+1),
 	}
 	for i := range tr.Channels {
 		if n := len(tr.Channels[i].Videos); n > 0 && p.zipfBySize[n] == nil {

@@ -78,24 +78,27 @@ echo "== allocation guards (the !race tests, without -race) =="
 # budgets of a loaded or generated trace, of the picker's tables and of a
 # run's cells and result, and the hot paths that must not allocate, the
 # runner's session chain among them. Seconds.
-go test -count=1 -run '^(TestLoadStreamHeapBudget|TestGenerateAllocBudget|TestGenerateAllocatesWhatItKeeps|TestHistObserveAllocFree|TestNetTubeProbeAndLinksAllocFree|TestFrameDrawAllocFree|TestWireAllocs|TestHostileListCountAllocatesNothing|TestParkedReaderPinsNoFrameBuffer|TestEngineSteadyStateAllocFree|TestLatencyAllocFree|TestTransferAllocFree|TestRequestAllocFreeAfterRepair|TestRequestAllocFreeWithOpenBreakers|TestRequestAllocFreeWithTelemetry|TestRequestStaysAllocFree|TestProbeAllocFree|TestFinishAllocFree|TestLeaveJoinAllocFree|TestRemoteLookupAllocFree|TestHeapHighWaterReportsThePeak|TestCellsCostTheirUsersNotTheCatalog|TestFinishedResultFootprint|TestTimelineRecordAllocFree|TestSessionChainAllocFree|TestFaultArmingAllocFree|TestNewPickerAllocatesWhatItKeeps)$' \
+go test -count=1 -run '^(TestLoadStreamHeapBudget|TestGenerateAllocBudget|TestGenerateAllocatesWhatItKeeps|TestHistObserveAllocFree|TestNetTubeProbeAndLinksAllocFree|TestFrameDrawAllocFree|TestWireAllocs|TestHostileListCountAllocatesNothing|TestParkedReaderPinsNoFrameBuffer|TestEngineSteadyStateAllocFree|TestLatencyAllocFree|TestTransferAllocFree|TestRequestAllocFreeAfterRepair|TestRequestAllocFreeWithOpenBreakers|TestRequestAllocFreeWithTelemetry|TestRequestStaysAllocFree|TestProbeAllocFree|TestFinishAllocFree|TestLeaveJoinAllocFree|TestMemberSetsAllocFree|TestRemoteLookupAllocFree|TestHeapHighWaterReportsThePeak|TestCellsCostTheirUsersNotTheCatalog|TestFinishedResultFootprint|TestTimelineRecordAllocFree|TestSessionChainAllocFree|TestFaultArmingAllocFree|TestNewPickerAllocatesWhatItKeeps)$' \
 	./internal/trace/ ./internal/vod/ ./internal/obs/ ./internal/baseline/ ./internal/emu/ ./internal/sim/ ./internal/simnet/ ./internal/core/ ./internal/exp/
 
-echo "== hot-path layout gate (cache fingerprint words, one mesh representation, suspect-only pruning, event heap order; -race x5) =="
+echo "== hot-path layout gate (cache fingerprint words, one mesh representation, index-free member sets, suspect-only pruning, event heap order; -race x5) =="
 # A flood's hit test reads a node's fingerprint word before its cache, and
 # every link-budget check reads a mesh's degree byte. Both are pinned against
 # map models after every random step: the word is the OR of the held
 # videos' bits (evictions included), and the mesh matches a map of
-# neighbour sets in degree, order, fullness and symmetry. A probe prunes
+# neighbour sets in degree, order, fullness and symmetry. A member set keeps
+# no index: with each slot held outside it, it must list and draw as the
+# retired map-indexed set over 256 random sequences, and every slot the
+# baselines hold must name its node through random churn. A probe prunes
 # only a node a departure marked suspect: each protocol must run in
 # lockstep with a full-prune copy over 200 random churn sequences, and no
 # online node that is not suspect may link an offline one. The event heap
 # must fire a random schedule in the (time, seq) order of a sorted
 # reference list, across horizon and budget resumes. Seconds.
 go test -race -count=5 -run 'TestCachesMatchMapModel' ./internal/vod/
-go test -race -count=5 -run 'TestMeshMatchesSetModel|TestMeshBoundFitsDegree' ./internal/overlay/
+go test -race -count=5 -run 'TestMeshMatchesSetModel|TestMeshBoundFitsDegree|TestMembersMatchMapModel' ./internal/overlay/
 go test -race -count=5 -run 'TestProbeMatchesFullPrune' ./internal/core/
-go test -race -count=5 -run 'TestNetTubeProbeMatchesFullPrune' ./internal/baseline/
+go test -race -count=5 -run 'TestNetTubeProbeMatchesFullPrune|TestMemberSlotsFollowChurn' ./internal/baseline/
 go test -race -count=5 -run 'TestEngineOrderMatchesReference' ./internal/sim/
 
 echo "== emulator wire, connection-reuse and node gate (-race x5) =="
