@@ -1,7 +1,7 @@
 // Command socialtube-node runs one real SocialTube network element — a
 // tracker replica or a peer — so a cluster can be spread across real
 // machines, PlanetLab-style. All elements must share the same trace file
-// (generate one with `socialtube-trace -save trace.json`).
+// (generate one with `socialtube -fig trace -save trace.json`).
 //
 // Usage:
 //
@@ -21,7 +21,7 @@
 //
 // Both roles build one emu.ClusterConfig from the same flags, so -seed
 // seeds a node plane's trackers, link conditions and workload as
-// socialtube-emu seeds its cluster. SIGINT or SIGTERM stops an element
+// socialtube seeds its emulated cluster. SIGINT or SIGTERM stops an element
 // cleanly: it prints its summary and exits 0.
 package main
 
@@ -61,7 +61,7 @@ func run(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("socialtube-node", flag.ContinueOnError)
 	var (
 		role      = fs.String("role", "", "tracker or peer")
-		tracePath = fs.String("trace", "", "path to the shared trace JSON (see socialtube-trace -save)")
+		tracePath = fs.String("trace", "", "path to the shared trace JSON (see socialtube -fig trace -save)")
 		addr      = fs.String("addr", "127.0.0.1:0", "listen address (a peer, or a tracker without -tracker)")
 		spec      = fs.String("tracker", "", "tracker endpoints: shards separated by ';', a shard's replicas by ',' (one address = a 1x1 plane: one tracker); a tracker listens on endpoint -id")
 		ringSeed  = fs.Int64("ring-seed", 0, "channel->shard ring seed; every element of a plane must agree")

@@ -231,8 +231,8 @@ func (n *NetTube) locate(node int, v trace.VideoID) vod.RequestResult {
 		return vod.RequestResult{Source: vod.SourceServer}
 	}
 	st := &n.nodes[node]
-	res := vod.RequestResult{PrefixCached: n.caches.Cache(node).HasPrefix(v)}
-	if n.caches.HasFull(node, v) {
+	res := vod.RequestResult{PrefixCached: n.caches.HasPrefix(node, v)}
+	if res.PrefixCached && n.caches.HasFull(node, v) {
 		res.Source = vod.SourceCache
 		return res
 	}
@@ -328,7 +328,7 @@ func (n *NetTube) Finish(node int, v trace.VideoID) {
 			continue
 		}
 		pick := held.FullAt(n.RNG.Intn(held.FullLen()))
-		if n.caches.Cache(node).HasPrefix(pick) {
+		if n.caches.HasPrefix(node, pick) {
 			continue // already local (the video just watched included)
 		}
 		n.caches.Cache(node).AddPrefix(pick)

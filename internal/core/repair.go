@@ -1,6 +1,9 @@
 package core
 
-import "github.com/socialtube/socialtube/internal/vod"
+import (
+	"github.com/socialtube/socialtube/internal/trace"
+	"github.com/socialtube/socialtube/internal/vod"
+)
 
 // RepairNeighbors is active self-repair around a crashed node, the hook
 // exp's Repairer drives a plan's DetectDelay after the Fail: every
@@ -48,7 +51,7 @@ func (s *System) Reseed(node int) int {
 		return 0
 	}
 	// An unattached node (home -1) has no top-M list, so it picks nothing.
-	s.topBuf = vod.PickPrefetch(s.topBuf[:0], s.topM(s.nodes[node].home), s.cfg.PrefetchCount, s.caches.Cache(node).HasPrefix)
+	s.topBuf = vod.PickPrefetch(s.topBuf[:0], s.topM(s.nodes[node].home), s.cfg.PrefetchCount, func(v trace.VideoID) bool { return s.caches.HasPrefix(node, v) })
 	for _, v := range s.topBuf {
 		s.caches.Cache(node).AddPrefix(v)
 	}

@@ -64,8 +64,8 @@ func (s *System) locate(node int, v trace.VideoID) vod.RequestResult {
 		return vod.RequestResult{Source: vod.SourceServer}
 	}
 	st := &s.nodes[node]
-	res := vod.RequestResult{PrefixCached: s.caches.Cache(node).HasPrefix(v)}
-	if s.caches.HasFull(node, v) {
+	res := vod.RequestResult{PrefixCached: s.caches.HasPrefix(node, v)}
+	if res.PrefixCached && s.caches.HasFull(node, v) {
 		res.Source = vod.SourceCache
 		return res
 	}
@@ -265,7 +265,7 @@ func (s *System) Finish(node int, v trace.VideoID) {
 	s.caches.AddFull(node, v)
 	// §IV-B's pick: of the top M, those the cache holds no first chunk of
 	// (the video just watched is held in full, hence never chosen).
-	s.topBuf = vod.PickPrefetch(s.topBuf[:0], s.topM(video.Channel), s.cfg.PrefetchCount, s.caches.Cache(node).HasPrefix)
+	s.topBuf = vod.PickPrefetch(s.topBuf[:0], s.topM(video.Channel), s.cfg.PrefetchCount, func(v trace.VideoID) bool { return s.caches.HasPrefix(node, v) })
 	for _, top := range s.topBuf {
 		s.caches.Cache(node).AddPrefix(top)
 		s.Prefetched(node, top)

@@ -82,8 +82,9 @@ type ClusterConfig struct {
 
 // NewClusterConfig returns DefaultClusterConfig(mode) running sessions of
 // videos per peer, watch of playback per video and watch of mean off-time
-// between sessions, seeded from seed: the run socialtube-emu and
-// socialtube-node build from their -sessions, -videos, -watch and -seed.
+// between sessions, seeded from seed: the run socialtube's emulation
+// figures and socialtube-node build from their -sessions, -videos, -watch
+// and -seed.
 func NewClusterConfig(mode Mode, sessions, videos int, watch time.Duration, seed int64) ClusterConfig {
 	c := DefaultClusterConfig(mode)
 	c.Sessions, c.VideosPerSession, c.Seed = sessions, videos, seed

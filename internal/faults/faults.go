@@ -439,7 +439,7 @@ func PartitionPlan(seed int64, unit time.Duration, groups int) *Plan {
 
 // OutagePlan is a tracker-outage scenario with background churn: a
 // small crash wave, then the tracker goes dark for one unit starting at
-// 2×unit. Used by the emu outage figure (`socialtube-emu -fig outage`).
+// 2×unit. Used by the emu outage figure (`socialtube -fig outage`).
 func OutagePlan(seed int64, unit time.Duration) *Plan {
 	return &Plan{
 		Seed:        seed,

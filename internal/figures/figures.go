@@ -376,7 +376,7 @@ func (s Scale) runJobs(tr *trace.Trace, jobs []simJob, done func(i int, res *exp
 
 // RunAllProtocols executes the standard workload for each of the three
 // protocols and returns the raw results keyed by protocol name (the
-// socialtube-sim -json path).
+// socialtube -json path).
 func RunAllProtocols(s Scale, tr *trace.Trace) (map[string]*exp.Result, error) {
 	results, err := s.runJobs(tr, protocolJobs(protoOrder), nil)
 	if err != nil {

@@ -67,6 +67,17 @@ const (
 // per-video member lists; PA-VoD depends entirely on the tracker's
 // watcher lists, which crashed watchers never leave.
 func FigFailover(base emu.ClusterConfig, tr *trace.Trace) (*Report, error) {
+	// The cluster is one requester plus the providers, whatever the
+	// template's size: a shared trace too small for it gives way to one
+	// generated for it at the template's seed.
+	if len(tr.Users) < failoverProviders+1 {
+		c := base
+		c.Peers = failoverProviders + 1
+		var err error
+		if tr, err = EmuTrace(c); err != nil {
+			return nil, err
+		}
+	}
 	t := NewTable(
 		"Failover resilience under mid-stream provider crashes (TCP emulation)",
 		"protocol", "crashed", "noRestart", "peerDone", "rescues", "restarts", "handoffs", "waitMs", "brkSkips")

@@ -12,7 +12,7 @@ import (
 	"github.com/socialtube/socialtube/internal/trace"
 )
 
-// emuConfig is the cluster template socialtube-emu builds from -peers,
+// emuConfig is the cluster template socialtube builds from -peers,
 // -sessions, -videos and -watch, at seed 1.
 func emuConfig(peers, sessions, videos int, watch time.Duration) emu.ClusterConfig {
 	c := emu.NewClusterConfig(emu.ModeSocialTube, sessions, videos, watch, 1)
@@ -69,29 +69,28 @@ func requireRows(t *testing.T, tb fmt.Stringer, wantSubstring string) {
 func TestTableFigures(t *testing.T) {
 	in := &Inputs{Scale: tinyScale(), Trace: tinyTrace(t), MinShared: 2}
 	tests := []struct {
-		group Group
-		id    string
-		want  string
+		id   string
+		want string
 	}{
-		{GroupTrace, "2", "Fig. 2"},
-		{GroupTrace, "3", "Fig. 3"},
-		{GroupTrace, "4", "Fig. 4"},
-		{GroupTrace, "5", "pearson"},
-		{GroupTrace, "6", "Fig. 6"},
-		{GroupTrace, "7", "Fig. 7"},
-		{GroupTrace, "8", "Fig. 8"},
-		{GroupTrace, "9", "zipf"},
-		{GroupTrace, "10", "intraCategoryFraction"},
-		{GroupTrace, "11", "Fig. 11"},
-		{GroupTrace, "12", "similarity"},
-		{GroupTrace, "13", "interests"},
-		{GroupSim, "15", "NetTube"},
-		{GroupSim, "prefetch", "accuracy"},
-		{GroupSim, "table1", "Table I"},
+		{"2", "Fig. 2"},
+		{"3", "Fig. 3"},
+		{"4", "Fig. 4"},
+		{"5", "pearson"},
+		{"6", "Fig. 6"},
+		{"7", "Fig. 7"},
+		{"8", "Fig. 8"},
+		{"9", "zipf"},
+		{"10", "intraCategoryFraction"},
+		{"11", "Fig. 11"},
+		{"12", "similarity"},
+		{"13", "interests"},
+		{"15", "NetTube"},
+		{"prefetch", "accuracy"},
+		{"table1", "Table I"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.id, func(t *testing.T) {
-			figs, err := Resolve(tt.group, tt.id)
+			figs, err := Resolve(tt.id)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -210,8 +209,8 @@ func TestDeliveryFiguresShareOneBuilder(t *testing.T) {
 	ss := tinyScale()
 	ss.VideosPerSession = es.VideosPerSession // Fig. 18 has one row per video of a session
 	in := &Inputs{Scale: ss, Trace: tinyTrace(t), Emu: es, EmuTrace: etr}
-	run := func(g Group, id string) *Report {
-		figs, err := Resolve(g, id)
+	run := func(id string) *Report {
+		figs, err := Resolve(id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,7 +228,7 @@ func TestDeliveryFiguresShareOneBuilder(t *testing.T) {
 		return out
 	}
 	for _, num := range []string{"16", "17", "18"} {
-		sim, emu := run(GroupSim, num+"a"), run(GroupEmu, num+"b")
+		sim, emu := run(num+"a"), run(num+"b")
 		if len(sim.Tables) != 2 || len(emu.Tables) != 1 {
 			t.Fatalf("Fig. %s: %d simulator and %d emulation tables, want 2 (figure + counters) and 1", num, len(sim.Tables), len(emu.Tables))
 		}

@@ -8,17 +8,18 @@ import (
 	"github.com/socialtube/socialtube/internal/trace"
 )
 
-// Group names the CLI a figure belongs to.
+// Group names the inputs a figure reads; a group's name is also a -fig
+// value, its All figures.
 type Group string
 
 const (
-	GroupTrace Group = "trace" // Section III trace analysis (socialtube-trace)
-	GroupSim   Group = "sim"   // Section IV models and Section V simulation (socialtube-sim)
-	GroupEmu   Group = "emu"   // Section V TCP emulation (socialtube-emu)
+	GroupTrace Group = "trace" // Section III trace analysis: Trace, MinShared
+	GroupSim   Group = "sim"   // Section IV models and Section V simulation: Scale, Trace or the sweep fields
+	GroupEmu   Group = "emu"   // Section V TCP emulation: Emu, EmuTrace
 )
 
-// Inputs is everything a figure may draw on. Each CLI fills the part its
-// group reads.
+// Inputs is everything a figure may draw on. The CLI fills each group's
+// part just before that group's first figure runs.
 type Inputs struct {
 	// Scale and Trace feed the trace-analysis and simulation figures:
 	// workload sizing, seed and tracer, and the one synthetic trace they
@@ -42,13 +43,14 @@ type Inputs struct {
 	EmuTrace *trace.Trace
 }
 
-// Figure is one entry of the experiment index: an id a CLI's -fig flag
+// Figure is one entry of the experiment index: an id the CLI's -fig flag
 // accepts, and the run that regenerates it.
 type Figure struct {
 	ID    string
 	Group Group
-	// All marks the figures the group CLI's `-fig all` runs; the rest —
-	// the sweeps and the timeline, each a run of its own — go by id only.
+	// All marks the figures `-fig all` and `-fig <group>` run; the rest —
+	// the sweeps, the timeline and the prefetch study, each a run of its
+	// own — go by id only.
 	All bool
 	// Sweep marks the figures that size their own traces from
 	// Inputs.SweepScale instead of taking Inputs.Scale and Inputs.Trace.
@@ -122,41 +124,31 @@ func registry() []Figure {
 	}
 }
 
-// Figures returns a group's figures in registry order.
-func Figures(g Group) []Figure {
+// Resolve maps a -fig value to the figures to run, in registry order:
+// "all" is every All figure, a group's name is that group's All figures,
+// anything else must be one figure's id.
+func Resolve(id string) ([]Figure, error) {
 	var out []Figure
 	for _, f := range registry() {
-		if f.Group == g {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
-// Resolve maps a -fig value to the figures to run: "all" is the group's
-// All subset in registry order, anything else must be one figure's id.
-func Resolve(g Group, id string) ([]Figure, error) {
-	var out []Figure
-	for _, f := range Figures(g) {
-		if f.ID == id || (id == "all" && f.All) {
+		if f.ID == id || f.All && (id == "all" || id == string(f.Group)) {
 			out = append(out, f)
 		}
 	}
 	if len(out) == 0 {
-		return nil, fmt.Errorf("unknown figure %q (want %s)", id, idList(g))
+		return nil, fmt.Errorf("unknown figure %q (want %s)", id, idList())
 	}
 	return out, nil
 }
 
-// Help is the -fig flag's usage string for a group's CLI.
-func Help(g Group) string { return "figure to regenerate: " + idList(g) }
+// Help is the -fig flag's usage string.
+func Help() string { return "figure to regenerate: " + idList() }
 
-func idList(g Group) string {
+func idList() string {
 	var ids []string
-	for _, f := range Figures(g) {
+	for _, f := range registry() {
 		ids = append(ids, f.ID)
 	}
-	return strings.Join(ids, ", ") + " or all"
+	return strings.Join(ids, ", ") + "; a group: trace, sim or emu; or all"
 }
 
 // runScaleFigure is -fig scale: the sweep preset named by SweepScale with

@@ -98,14 +98,21 @@ func AppendPoints(path, fig string, points []any) error {
 	return f.Close()
 }
 
-// Show runs the figure, prints its tables to stdout and, when benchOut is
-// non-empty and the figure produced points, appends them to that log.
-func (f Figure) Show(in *Inputs, benchOut string) error {
+// Show runs the figure, prints its tables to stdout — aligned, or with csv
+// each as CSV under a "# title" line — and, when benchOut is non-empty and
+// the figure produced points, appends them to that log.
+func (f Figure) Show(in *Inputs, benchOut string, csv bool) error {
 	rep, err := f.Run(in)
 	if err != nil {
 		return err
 	}
-	fmt.Println(rep)
+	if csv {
+		for _, t := range rep.Tables {
+			fmt.Printf("# %s\n%s\n", t.Title(), t.CSV())
+		}
+	} else {
+		fmt.Println(rep)
+	}
 	if benchOut == "" || len(rep.Points) == 0 {
 		return nil
 	}

@@ -75,7 +75,7 @@ type Event struct {
 	Span uint64 `json:"span,omitempty"`
 }
 
-// String renders the event human-readably — the format `socialtube-sim
+// String renders the event human-readably — the format `socialtube
 // -trace-print` and `make trace-demo` display.
 func (e Event) String() string {
 	at := time.Duration(e.T).Round(time.Millisecond)

@@ -118,7 +118,7 @@ func LoadStream(r io.Reader) (*Trace, error) {
 	err := dec.Decode(&hdr) // a type error still fills the fields that fit
 	if hdr.Format != StreamFormat {
 		return nil, fmt.Errorf("not a %s trace stream (first line declares format %q): the single-document "+
-			"encoding is no longer read, regenerate the file with socialtube-trace -save", StreamFormat, hdr.Format)
+			"encoding is no longer read, regenerate the file with socialtube -fig trace -save", StreamFormat, hdr.Format)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("decode trace header: %w", err)

@@ -144,7 +144,7 @@ func TestLoadRejectsSingleDocument(t *testing.T) {
 	if err == nil {
 		t.Fatal("single-document trace accepted")
 	}
-	for _, want := range []string{StreamFormat, "single-document", "socialtube-trace -save"} {
+	for _, want := range []string{StreamFormat, "single-document", "socialtube -fig trace -save"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not mention %q", err, want)
 		}

@@ -80,9 +80,10 @@ func TestCacheMatchesMapModel(t *testing.T) {
 // TestCachesMatchMapModel drives a Caches over a few nodes and one map model
 // per node through the same random AddFull/AddPrefix sequence, unbounded and
 // at two LRU bounds. After every step each node's word must be the OR of its
-// held full videos' bits, and HasFull and HasPrefix must agree with the
-// model for every video in the catalog. The catalog spans more than 64 ids,
-// so words also carry bits set by a different video than the one asked.
+// held full videos' bits, and HasFull and both HasPrefix statements must
+// agree with the model for every video in the catalog. The catalog spans
+// more than 64 ids, so words also carry bits set by a different video than
+// the one asked.
 func TestCachesMatchMapModel(t *testing.T) {
 	const nodes, catalog = 4, 100
 	for _, maxVideos := range []int{0, 1, 3} {
@@ -111,9 +112,10 @@ func TestCachesMatchMapModel(t *testing.T) {
 						maxVideos, step, n, c.words[n], m.order, want)
 				}
 				for probe := trace.VideoID(0); probe < catalog; probe++ {
-					if c.HasFull(n, probe) != m.full[probe] || c.Cache(n).HasPrefix(probe) != (m.full[probe] || m.prefix[probe]) {
-						t.Fatalf("max=%d step %d: node %d video %d: HasFull %v HasPrefix %v, model full %v prefix %v",
-							maxVideos, step, n, probe, c.HasFull(n, probe), c.Cache(n).HasPrefix(probe), m.full[probe], m.prefix[probe])
+					prefix := m.full[probe] || m.prefix[probe]
+					if c.HasFull(n, probe) != m.full[probe] || c.Cache(n).HasPrefix(probe) != prefix || c.HasPrefix(n, probe) != prefix {
+						t.Fatalf("max=%d step %d: node %d video %d: HasFull %v Cache.HasPrefix %v Caches.HasPrefix %v, model full %v prefix %v",
+							maxVideos, step, n, probe, c.HasFull(n, probe), c.Cache(n).HasPrefix(probe), c.HasPrefix(n, probe), m.full[probe], m.prefix[probe])
 					}
 				}
 			}

@@ -154,6 +154,14 @@ func (c *Caches) HasFull(node int, v trace.VideoID) bool {
 	return c.words[node]&fingerprint(v) != 0 && c.caches[node].HasFull(v)
 }
 
+// HasPrefix is Cache.HasPrefix on the node's cache: the prefix list, then
+// the word-guarded HasFull, so a miss searches the full list only when the
+// node's word has v's bit.
+func (c *Caches) HasPrefix(node int, v trace.VideoID) bool {
+	_, ok := slices.BinarySearch(c.caches[node].prefix, v)
+	return ok || c.HasFull(node, v)
+}
+
 // PickPrefetch is §IV-B's top-M prefetch pick, the one statement both
 // substrates call: it appends to out the first m entries of the
 // popularity-ordered list that skip does not reject, in rank order.

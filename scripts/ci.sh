@@ -147,17 +147,17 @@ tracetmp=$(mktemp -d)
 trap 'rm -rf "$tracetmp"' EXIT
 
 echo "== scale sweep smoke (small N) =="
-go run ./cmd/socialtube-sim -fig scale -bench-out "$tracetmp/BENCH_scale.json" > /dev/null
+go run ./cmd/socialtube -fig scale -bench-out "$tracetmp/BENCH_scale.json" > /dev/null
 test -s "$tracetmp/BENCH_scale.json" || { echo "scale sweep emitted no bench points"; exit 1; }
 
 echo "== trace schema (end-to-end golden validation) =="
-go run ./cmd/socialtube-sim -fig 16a -trace-out "$tracetmp/run.jsonl" > /dev/null
-go run ./cmd/socialtube-sim -trace-check "$tracetmp/run.jsonl"
+go run ./cmd/socialtube -fig 16a -trace-out "$tracetmp/run.jsonl" > /dev/null
+go run ./cmd/socialtube -trace-check "$tracetmp/run.jsonl"
 
 echo "== span-linked trace view =="
 # The same trace, grouped by request span: a freshly generated sim trace
 # must contain spans (the engines stamp one per request since schema v2).
-spans=$(go run ./cmd/socialtube-sim -trace-spans "$tracetmp/run.jsonl" -trace-max 10 | tail -1)
+spans=$(go run ./cmd/socialtube -trace-spans "$tracetmp/run.jsonl" -trace-max 10 | tail -1)
 echo "$spans"
 case "$spans" in
 "# 0 spans" | "") echo "generated trace contains no request spans"; exit 1 ;;
@@ -168,9 +168,9 @@ echo "== load figure smoke (tiny sweep, canonical-stable points) =="
 # two runs must agree byte-for-byte once the run stamp and the point's env
 # block (wall time) are stripped — the canonical form the
 # determinism tests pin.
-go run ./cmd/socialtube-sim -fig load -load-rps 3,18 -load-dur 20s \
+go run ./cmd/socialtube -fig load -load-rps 3,18 -load-dur 20s \
 	-bench-out "$tracetmp/BENCH_load_a.json" > /dev/null
-go run ./cmd/socialtube-sim -fig load -load-rps 3,18 -load-dur 20s \
+go run ./cmd/socialtube -fig load -load-rps 3,18 -load-dur 20s \
 	-bench-out "$tracetmp/BENCH_load_b.json" > /dev/null
 test -s "$tracetmp/BENCH_load_a.json" || { echo "load figure emitted no bench points"; exit 1; }
 grep -v '"protocol":"' "$tracetmp/BENCH_load_a.json" \
@@ -181,11 +181,16 @@ cmp -s "$tracetmp/load_a.canon" "$tracetmp/load_b.canon" \
 	|| { echo "load bench points not canonical-stable across reruns"; exit 1; }
 
 echo "== timeline figure smoke =="
-go run ./cmd/socialtube-sim -fig timeline -bench-out "$tracetmp/BENCH_timeline.json" > /dev/null
+go run ./cmd/socialtube -fig timeline -bench-out "$tracetmp/BENCH_timeline.json" > /dev/null
 test -s "$tracetmp/BENCH_timeline.json" || { echo "timeline figure emitted no bench points"; exit 1; }
 
 echo "== prefetch figure smoke (model table, measured M sweep, counters) =="
-go run ./cmd/socialtube-sim -fig prefetch > /dev/null
+go run ./cmd/socialtube -fig prefetch > /dev/null
+
+echo "== failover figure smoke (template smaller than the failover cluster) =="
+# 8 peers is a shared trace too small for the 13-peer failover cluster:
+# the figure must run on a trace generated for that cluster instead.
+go run ./cmd/socialtube -fig failover -peers 8 -sessions 1 -videos 2 -watch 5ms > /dev/null
 
 echo "== tracing overhead guard (BenchmarkRequest traced vs untraced) =="
 # Min-of-3 ns/op for the bare and nop-traced request hot path: the tracing
