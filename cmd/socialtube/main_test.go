@@ -33,14 +33,19 @@ func TestRunAnalyticalFigures(t *testing.T) {
 }
 
 func TestRunUnknownFigure(t *testing.T) {
-	for _, args := range [][]string{
-		{"-fig", "nope"},
-		{"-fig", "99", "-channels", "10", "-users", "50", "-categories", "6"},
-		{"-fig", "nope", "-peers", "4"},
+	for _, tt := range []struct {
+		name string
+		args []string
+	}{
+		{"unknown name", []string{"-fig", "nope"}},
+		{"unknown trace figure number", []string{"-fig", "99", "-channels", "10", "-users", "50", "-categories", "6"}},
+		{"unknown name with -peers", []string{"-fig", "nope", "-peers", "4"}},
 	} {
-		if err := run(args); err == nil {
-			t.Errorf("args %v accepted", args)
-		}
+		t.Run(tt.name, func(t *testing.T) {
+			if err := run(tt.args); err == nil {
+				t.Fatalf("args %v accepted", tt.args)
+			}
+		})
 	}
 }
 
@@ -51,20 +56,24 @@ func TestRunUnknownScale(t *testing.T) {
 }
 
 func TestRunBadFlags(t *testing.T) {
-	if err := run([]string{"-bogus"}); err == nil {
-		t.Fatal("expected flag parse error")
-	}
 	// The sweeps build their own traces: a flag reading the shared one
 	// is refused, not dropped.
-	for _, args := range [][]string{
-		{"-fig", "scale", "-trace-out", filepath.Join(t.TempDir(), "t.jsonl")},
-		{"-fig", "load", "-trace-out", filepath.Join(t.TempDir(), "t.jsonl")},
-		{"-fig", "scale", "-json"},
-		{"-fig", "load", "-json"},
+	for _, tt := range []struct {
+		name string
+		args []string
+	}{
+		{"unknown flag", []string{"-bogus"}},
+		{"unknown flag after emulation flags", []string{"-fig", "16b", "-peers", "4", "-bogus"}},
+		{"trace-out with fig scale", []string{"-fig", "scale", "-trace-out", filepath.Join(t.TempDir(), "t.jsonl")}},
+		{"trace-out with fig load", []string{"-fig", "load", "-trace-out", filepath.Join(t.TempDir(), "t.jsonl")}},
+		{"json with fig scale", []string{"-fig", "scale", "-json"}},
+		{"json with fig load", []string{"-fig", "load", "-json"}},
 	} {
-		if err := run(args); err == nil {
-			t.Errorf("args %v accepted", args)
-		}
+		t.Run(tt.name, func(t *testing.T) {
+			if err := run(tt.args); err == nil {
+				t.Fatalf("args %v accepted", tt.args)
+			}
+		})
 	}
 }
 
@@ -75,9 +84,8 @@ func TestRunBadTraceConfig(t *testing.T) {
 }
 
 // TestRunRejectsBadCounts pins the fail-fast flag validation: negative
-// counts, nonpositive emulation workloads and misplaced flags error out
-// before any trace is built or TCP cluster spun up, so before a banner or
-// a figure reaches stdout.
+// counts and misplaced flags error out before any trace is built, so
+// before a banner or a figure reaches stdout.
 func TestRunRejectsBadCounts(t *testing.T) {
 	tests := []struct {
 		name string
@@ -91,6 +99,19 @@ func TestRunRejectsBadCounts(t *testing.T) {
 		{"bad load rps", []string{"-fig", "load", "-load-rps", "3,banana"}},
 		{"bad load mode", []string{"-fig", "load", "-load-mode", "lunar"}},
 		{"bad load scale", []string{"-fig", "load", "-scale", "10m"}},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) { refusedSilently(t, tt.args) })
+	}
+}
+
+// TestRunRejectsBadEmulationCounts is the same check for nonpositive
+// emulation workloads: they error out before a TCP cluster is spun up.
+func TestRunRejectsBadEmulationCounts(t *testing.T) {
+	tests := []struct {
+		name string
+		args []string
+	}{
 		{"zero peers", []string{"-fig", "16b", "-peers", "0"}},
 		{"negative peers", []string{"-fig", "16b", "-peers", "-8"}},
 		{"zero sessions", []string{"-fig", "16b", "-sessions", "0"}},
@@ -98,23 +119,28 @@ func TestRunRejectsBadCounts(t *testing.T) {
 		{"zero watch", []string{"-fig", "16b", "-watch", "0s"}},
 	}
 	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			out, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer out.Close()
-			stdout := os.Stdout
-			os.Stdout = out
-			err = run(tt.args)
-			os.Stdout = stdout
-			if err == nil {
-				t.Fatalf("args %v accepted", tt.args)
-			}
-			if printed, _ := os.ReadFile(out.Name()); len(printed) > 0 {
-				t.Fatalf("args %v refused only after printing %q", tt.args, printed)
-			}
-		})
+		t.Run(tt.name, func(t *testing.T) { refusedSilently(t, tt.args) })
+	}
+}
+
+// refusedSilently fails t unless run refuses args without printing
+// anything to stdout.
+func refusedSilently(t *testing.T, args []string) {
+	t.Helper()
+	out, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	stdout := os.Stdout
+	os.Stdout = out
+	err = run(args)
+	os.Stdout = stdout
+	if err == nil {
+		t.Fatalf("args %v accepted", args)
+	}
+	if printed, _ := os.ReadFile(out.Name()); len(printed) > 0 {
+		t.Fatalf("args %v refused only after printing %q", args, printed)
 	}
 }
 
