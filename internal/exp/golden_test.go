@@ -4,7 +4,13 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
+	"text/tabwriter"
 	"time"
 
 	"github.com/socialtube/socialtube/internal/faults"
@@ -39,31 +45,172 @@ func goldenVariants() []goldenVariant {
 	}
 }
 
-func resultDigest(t *testing.T, res *Result, err error) string {
-	t.Helper()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Requests == 0 {
-		t.Fatal("golden run issued no requests")
-	}
+func resultDigest(res *Result) (string, error) {
 	raw, err := json.Marshal(res)
 	if err != nil {
-		t.Fatal(err)
+		return "", err
 	}
 	sum := sha256.Sum256(raw)
-	return hex.EncodeToString(sum[:])
+	return hex.EncodeToString(sum[:]), nil
 }
 
-// TestGoldenResults pins the sha-256 of the whole marshalled Result —
-// simulatedTimeNanos, engine stats, timelines, load block and the presence
-// or absence of the sharded block included — for the three protocols on
-// the identity partition (Run/RunCtx), each plain, cut at a horizon, with
-// a timeline, with an open-loop profile and with both, for SocialTube on
-// the category partition (RunSharded) plain and cut at a horizon — the
-// only runs it takes — plus one churn-plan run. The hashes were taken at
-// the commit before the two drivers were merged into one; they back every
-// table in EXPERIMENTS.md, so a refactor of the driver must not move them.
+// goldenColumns heads the rows of testdata/golden.txt. The w* columns sum
+// a timeline's windows and read "-" for a run that records none.
+var goldenColumns = []string{
+	"run", "requests", "cache", "peer", "server", "hitsChan", "hitsCat", "hitsAssist",
+	"serverBytes", "peerBytes", "p50ms", "p99ms", "linksLast", "msgsPerReq",
+	"simTime", "events", "traceBytes",
+	"windows", "wRequests", "wCache", "wPeer", "wServer", "wStartups", "wServerBytes", "wOpens", "wOffered", "wShed",
+}
+
+// goldenRow is the readable summary of one golden run, one field per
+// goldenColumns entry.
+func goldenRow(name string, res *Result) []string {
+	last := &res.LinksByVideoIndex[len(res.LinksByVideoIndex)-1]
+	row := []string{name}
+	for _, v := range []any{
+		res.Requests, res.CacheHits.Value(), res.PeerHits.Value(), res.ServerHits.Value(),
+		res.Obs.HitsChannel, res.Obs.HitsCategory, res.Obs.HitsServerAssist,
+		res.ServerBytes, res.PeerBytes,
+		fmt.Sprintf("%.3f", res.StartupDelay.Percentile(50)), fmt.Sprintf("%.3f", res.StartupDelay.Percentile(99)),
+		fmt.Sprintf("%.4f", last.Mean()), fmt.Sprintf("%.4f", float64(res.Messages.Value())/float64(res.Requests)),
+		res.SimulatedTime, res.Engine.EventsFired, res.Mem.TraceBytes,
+	} {
+		row = append(row, fmt.Sprint(v))
+	}
+	tl := res.Timeline
+	if tl == nil {
+		for len(row) < len(goldenColumns) {
+			row = append(row, "-")
+		}
+		return row
+	}
+	var sum Window
+	for i := range tl.Windows {
+		w := &tl.Windows[i]
+		sum.Requests += w.Requests
+		sum.CacheHits += w.CacheHits
+		sum.PeerHits += w.PeerHits
+		sum.ServerHits += w.ServerHits
+		sum.StartupMs.Merge(&w.StartupMs)
+		sum.ServerBytes += w.ServerBytes
+		sum.BreakerOpens += w.BreakerOpens
+		sum.Offered += w.Offered
+		sum.ServerShed += w.ServerShed
+	}
+	for _, v := range []any{len(tl.Windows), sum.Requests, sum.CacheHits, sum.PeerHits, sum.ServerHits,
+		sum.StartupMs.Len(), sum.ServerBytes, sum.BreakerOpens, sum.Offered, sum.ServerShed} {
+		row = append(row, fmt.Sprint(v))
+	}
+	return row
+}
+
+// formatGolden renders rows, sorted by run name, under goldenColumns as
+// an aligned table.
+func formatGolden(rows [][]string) string {
+	rows = slices.Clone(rows)
+	slices.SortFunc(rows, func(a, b []string) int { return strings.Compare(a[0], b[0]) })
+	var b strings.Builder
+	w := tabwriter.NewWriter(&b, 0, 0, 2, ' ', 0)
+	for _, row := range append([][]string{goldenColumns}, rows...) {
+		fmt.Fprintln(w, strings.Join(row, "\t"))
+	}
+	w.Flush()
+	return b.String()
+}
+
+// goldenDiff lists, field by field, how the rows of the fresh table got
+// differ from the committed table want; empty when they agree.
+func goldenDiff(want, got string) string {
+	parse := func(table string) (cols, names []string, rows map[string][]string) {
+		rows = map[string][]string{}
+		for _, line := range strings.Split(strings.TrimSpace(table), "\n") {
+			f := strings.Fields(line)
+			switch {
+			case len(f) == 0:
+			case cols == nil:
+				cols = f
+			default:
+				names = append(names, f[0])
+				rows[f[0]] = f
+			}
+		}
+		return cols, names, rows
+	}
+	wantCols, wantNames, wantRows := parse(want)
+	gotCols, gotNames, gotRows := parse(got)
+	var b strings.Builder
+	if !slices.Equal(wantCols, gotCols) {
+		fmt.Fprintf(&b, "columns: %v -> %v\n", wantCols, gotCols)
+	}
+	for _, name := range gotNames {
+		w, ok := wantRows[name]
+		switch {
+		case !ok:
+			fmt.Fprintf(&b, "%s: new row\n", name)
+		case len(w) != len(gotRows[name]):
+			fmt.Fprintf(&b, "%s: %d fields -> %d\n", name, len(w), len(gotRows[name]))
+		default:
+			for i, v := range gotRows[name] {
+				if w[i] != v {
+					fmt.Fprintf(&b, "%s: %s %s -> %s\n", name, gotCols[i], w[i], v)
+				}
+			}
+		}
+	}
+	for _, name := range wantNames {
+		if _, ok := gotRows[name]; !ok {
+			fmt.Fprintf(&b, "%s: row gone\n", name)
+		}
+	}
+	return b.String()
+}
+
+// checkConservation fails t unless res accounts for every request: each
+// is a cache, peer or server hit or was shed, each server-bound one was
+// admitted or shed, and under a load profile each arrival became a
+// request unless every node was busy. A category-partition run cut at its
+// horizon may leave lookups in flight to a home community: counted as
+// requests, they are neither served nor shed, and at most the forwarded
+// lookups that found no provider.
+func checkConservation(t *testing.T, name string, res *Result, cut bool) {
+	t.Helper()
+	shed := int64(res.Obs.ServerShed)
+	open := res.Requests - res.Delivered() - shed
+	var openBound int64
+	if s := res.Sharded; s != nil && cut {
+		openBound = s.RemoteLookups - s.RemoteHits
+	}
+	if open < 0 || open > openBound {
+		t.Errorf("%s: requests %d != cache+peer+server %d + shed %d + in flight (at most %d)",
+			name, res.Requests, res.Delivered(), shed, openBound)
+	}
+	bound := res.Requests - res.CacheHits.Value() - res.PeerHits.Value() - open
+	if admitted := int64(res.Obs.ServerAdmitted); admitted+shed != bound {
+		t.Errorf("%s: admitted %d + shed %d != server-bound requests %d", name, admitted, shed, bound)
+	}
+	if l := res.Load; l != nil {
+		if l.Offered != l.Busy+res.Requests {
+			t.Errorf("%s: offered %d != busy %d + requests %d", name, l.Offered, l.Busy, res.Requests)
+		}
+		if l.ServerAdmitted+l.ServerShed != bound {
+			t.Errorf("%s: load block admitted %d + shed %d != server-bound requests %d", name, l.ServerAdmitted, l.ServerShed, bound)
+		}
+	}
+}
+
+// TestGoldenResults pins every golden run twice: as the sha-256 of the
+// whole marshalled Result (simulatedTimeNanos, engine stats, timelines,
+// load block and the presence or absence of the sharded block included),
+// and as a readable row of testdata/golden.txt, so a moved hash comes
+// with the fields that moved. The runs are the three protocols on the
+// identity partition (Run/RunCtx), each plain, cut at a horizon, with a
+// timeline, with an open-loop profile and with both; SocialTube on the
+// category partition (RunSharded) plain and cut at a horizon; and one
+// churn-plan run. Every run must also conserve its requests. The rows
+// back every table in EXPERIMENTS.md: a change that moves one must show
+// its row diff, and a change that moves only hashes must leave the rows
+// alone.
 func TestGoldenResults(t *testing.T) {
 	tr := expTrace(t)
 	netCfg := simnet.DefaultConfig()
@@ -77,6 +224,21 @@ func TestGoldenResults(t *testing.T) {
 		{"PA-VoD", func() vod.Protocol { return paVoD(t, tr) }},
 	}
 	got := map[string]string{}
+	var rows [][]string
+	file := func(name string, res *Result, err error, cut bool) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if res.Requests == 0 {
+			t.Fatalf("%s: golden run issued no requests", name)
+		}
+		if got[name], err = resultDigest(res); err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, goldenRow(name, res))
+		checkConservation(t, name, res, cut)
+	}
 	for _, v := range goldenVariants() {
 		cfg := quickConfig()
 		if v.prof != nil {
@@ -91,7 +253,7 @@ func TestGoldenResults(t *testing.T) {
 			if res != nil && res.Sharded != nil {
 				t.Fatalf("identity/%s/%s carries a sharded block", p.name, v.name)
 			}
-			got["identity/"+p.name+"/"+v.name] = resultDigest(t, res, err)
+			file("identity/"+p.name+"/"+v.name, res, err, v.horizon > 0)
 		}
 		if v.window > 0 || v.prof != nil {
 			continue
@@ -100,14 +262,14 @@ func TestGoldenResults(t *testing.T) {
 		if res != nil && res.Sharded == nil {
 			t.Fatalf("category/SocialTube/%s carries no sharded block", v.name)
 		}
-		got["category/SocialTube/"+v.name] = resultDigest(t, res, err)
+		file("category/SocialTube/"+v.name, res, err, v.horizon > 0)
 	}
 	res, err := RunCtx(t.Context(), quickConfig(), tr, socialTube(t, tr), simnet.DefaultConfig(),
 		Options{Faults: faults.ChurnPlan(1, 2*time.Minute), TimelineWindow: 2 * time.Minute})
 	if err == nil && res.Resilience.Crashes == 0 {
 		t.Fatal("churn plan crashed nobody")
 	}
-	got["identity/SocialTube/churn"] = resultDigest(t, res, err)
+	file("identity/SocialTube/churn", res, err, false)
 
 	want := map[string]string{
 		"category/SocialTube/horizon":       "98929cd1306ccb53afc88947e9b11a98c1addc93c06b5e7e80e6851c9c3b307e",
@@ -136,5 +298,12 @@ func TestGoldenResults(t *testing.T) {
 		if want[name] != sum {
 			t.Errorf("%q: %q,", name, sum)
 		}
+	}
+	committed, err := os.ReadFile(filepath.Join("testdata", "golden.txt"))
+	if err != nil {
+		t.Error(err)
+	}
+	if fresh := formatGolden(rows); string(committed) != fresh {
+		t.Errorf("golden rows moved:\n%s\nfresh testdata/golden.txt:\n%s", goldenDiff(string(committed), fresh), fresh)
 	}
 }
