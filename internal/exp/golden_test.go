@@ -277,19 +277,19 @@ func TestGoldenResults(t *testing.T) {
 		"identity/NetTube/horizon":          "bebc860910481750ca2e35ffcbc674e3c984c870f5d084d2302e5a67049db7a7",
 		"identity/NetTube/load":             "00212d5c5ca2e19ab6d9a5f8c24c1bc44715b23e61ab39e70732630023d1ecf8",
 		"identity/NetTube/plain":            "dcded36cb81875b5e066d1213f61298f60eb24d6d00013ada6916c2208617f27",
-		"identity/NetTube/timeline":         "cf5fd64a2e1935e9a6f064f2073d86b95b9be450731dd9131238c7786e228145",
-		"identity/NetTube/timeline+load":    "a7ad32400d5a13c8f86ecc039ec98cfdcb30476beaa44dc578a9673ed18933c1",
+		"identity/NetTube/timeline":         "c91c0dd645346e7ee01122d89d8341065b7de325b784cb83af27fad2cac4284c",
+		"identity/NetTube/timeline+load":    "cfac4f6f5e7bc3647ad39d9e4f206a4e708214ab331a3187d05713b2e109a1d4",
 		"identity/PA-VoD/horizon":           "52fad9c8d6b0708666eeea971eb88aee06a468e6e5a32b1138b91198ff903c58",
 		"identity/PA-VoD/load":              "b26a29a20464e73cdafadf73e09abcbf609fd849cf4f7e9e9b48054f42a4076e",
 		"identity/PA-VoD/plain":             "e41dbba737f9158b49d808d59769bc5e6448864dbeab00aa3839bfde6f906ec2",
-		"identity/PA-VoD/timeline":          "23b20c8be691e67ed44a178cf1bd3e24a0f6d3301634daffd8d98aa2e4b79ccb",
-		"identity/PA-VoD/timeline+load":     "1f9627934a6e8d436a63e504eb977ec961792fb085a3c666c05767705dc228d6",
-		"identity/SocialTube/churn":         "651ea053e008e7ca756486f69bf2eefd626eb98839562ea6d9474b8532e2a628",
+		"identity/PA-VoD/timeline":          "0d2b47f71ed07be4c554ef6ea9545b3c9cd14b234ed224de357df622f3de8b10",
+		"identity/PA-VoD/timeline+load":     "a055a3543aff3a7a600f8565eac55730e47c2ae22daf39498077b8955d0e45af",
+		"identity/SocialTube/churn":         "27f1f1c6ef95462906833d976556d25a60e7dfd696bbaf97702f63d2dcc9ac83",
 		"identity/SocialTube/horizon":       "0ca8d0e8f3de4181c0b0076592e873900e55a0ba5bca093da6fed6ee21c53782",
 		"identity/SocialTube/load":          "71c6100b4f46a217045914b07490e2e9e88dc748701ad194e41d9cf1775818c4",
 		"identity/SocialTube/plain":         "0968c776f2bd4c13fd7ddc5dac27f2514c4770c1cbbbae985b74ed64796fbb9a",
-		"identity/SocialTube/timeline":      "7ee82e27181f5796b69fab463d7d680374f64613f23e0717372ac97aa8940859",
-		"identity/SocialTube/timeline+load": "09754db01b76b75cd3e65c929f167aa10c1daf0ac14aa7277730cf35be3ffd65",
+		"identity/SocialTube/timeline":      "83433bc59035fe98a36d598f4a2432647449aebc2a2ef2bf6fe2ffc0aa05b4d8",
+		"identity/SocialTube/timeline+load": "d7b4a6afa203bed3c6785dcac5c26531fd17233ed976d4d958efb70800df53db",
 	}
 	if len(got) != len(want) {
 		t.Errorf("%d golden runs, %d pinned hashes", len(got), len(want))

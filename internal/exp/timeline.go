@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"encoding/json"
 	"time"
 
 	"github.com/socialtube/socialtube/internal/obs"
@@ -43,50 +42,6 @@ func (tl *Timeline) at(t time.Duration) *Window {
 		tl.Windows = append(tl.Windows, Window{})
 	}
 	return &tl.Windows[i]
-}
-
-// timelineSeries is one column of the JSON form: a counter's per-window
-// values or the startup histogram's per-window summaries.
-type timelineSeries struct {
-	Name    string             `json:"name"`
-	Kind    string             `json:"kind"`
-	Values  []int64            `json:"values,omitempty"`
-	Windows []*obs.HistSummary `json:"windows,omitempty"`
-}
-
-// MarshalJSON writes the timeline as named columns in a fixed order, each
-// padded to the window count, with null for a window whose startup
-// histogram is empty.
-func (tl *Timeline) MarshalJSON() ([]byte, error) {
-	counter := func(name string, field func(*Window) int64) timelineSeries {
-		s := timelineSeries{Name: name, Kind: "counter", Values: make([]int64, len(tl.Windows))}
-		for i := range tl.Windows {
-			s.Values[i] = field(&tl.Windows[i])
-		}
-		return s
-	}
-	startup := timelineSeries{Name: "startupDelayMs", Kind: "hist", Windows: make([]*obs.HistSummary, len(tl.Windows))}
-	for i := range tl.Windows {
-		if h := &tl.Windows[i].StartupMs; h.Len() > 0 {
-			sum := h.Summary()
-			startup.Windows[i] = &sum
-		}
-	}
-	return json.Marshal(struct {
-		WindowMs int64            `json:"windowMs"`
-		Windows  int              `json:"windows"`
-		Series   []timelineSeries `json:"series"`
-	}{tl.Width.Milliseconds(), len(tl.Windows), []timelineSeries{
-		counter("requests", func(w *Window) int64 { return w.Requests }),
-		counter("cacheHits", func(w *Window) int64 { return w.CacheHits }),
-		counter("peerHits", func(w *Window) int64 { return w.PeerHits }),
-		counter("serverHits", func(w *Window) int64 { return w.ServerHits }),
-		startup,
-		counter("serverBytes", func(w *Window) int64 { return w.ServerBytes }),
-		counter("breakerOpens", func(w *Window) int64 { return w.BreakerOpens }),
-		counter("offered", func(w *Window) int64 { return w.Offered }),
-		counter("serverShed", func(w *Window) int64 { return w.ServerShed }),
-	}})
 }
 
 // recordWindow files one completed request into the timeline window of

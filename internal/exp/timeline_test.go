@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"encoding/json"
 	"testing"
 	"time"
 )
@@ -55,34 +54,5 @@ func TestTimelineHistSeries(t *testing.T) {
 		if tl.Windows[i].StartupMs.Len() != 0 {
 			t.Fatalf("window %d observed nothing but its histogram is not empty", i)
 		}
-	}
-}
-
-// TestTimelineJSONShape pins the wire layout Result carries: the nine
-// columns in a fixed order, each padded to the window count, with null
-// for a window whose startup histogram is empty.
-func TestTimelineJSONShape(t *testing.T) {
-	tl := &Timeline{Width: time.Minute}
-	w := tl.at(30 * time.Second)
-	w.Requests, w.PeerHits, w.ServerHits, w.ServerBytes, w.BreakerOpens, w.Offered = 2, 1, 1, 4096, 1, 2
-	w.StartupMs.Add(120)
-	w = tl.at(150 * time.Second)
-	w.Requests, w.CacheHits, w.ServerShed, w.Offered = 2, 1, 1, 3
-	got, err := json.Marshal(tl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const want = `{"windowMs":60000,"windows":3,"series":[` +
-		`{"name":"requests","kind":"counter","values":[2,0,2]},` +
-		`{"name":"cacheHits","kind":"counter","values":[0,0,1]},` +
-		`{"name":"peerHits","kind":"counter","values":[1,0,0]},` +
-		`{"name":"serverHits","kind":"counter","values":[1,0,0]},` +
-		`{"name":"startupDelayMs","kind":"hist","windows":[{"count":1,"mean":120,"p1":120,"p25":120,"p50":120,"p75":120,"p90":120,"p99":120,"min":120,"max":120},null,null]},` +
-		`{"name":"serverBytes","kind":"counter","values":[4096,0,0]},` +
-		`{"name":"breakerOpens","kind":"counter","values":[1,0,0]},` +
-		`{"name":"offered","kind":"counter","values":[2,0,3]},` +
-		`{"name":"serverShed","kind":"counter","values":[0,0,1]}]}`
-	if string(got) != want {
-		t.Fatalf("timeline JSON\n got: %s\nwant: %s", got, want)
 	}
 }

@@ -48,9 +48,10 @@ check_loc "bench/" scripts/loc-budget-bench bench
 
 echo "== experiment-driver gate (golden Results, determinism table, shared picker, N_h = 0, fault schedules and windows, job options; -race x5) =="
 # exp has one driver; these pin it. The golden hashes hold the whole
-# marshalled Result of both partitions, the table reruns each under worker
-# counts {1, 2, 4, 8}, the timeline's windowing and JSON layout are
-# pinned, the N_h = 0 run must end with no inter-links, and
+# marshalled Result of both partitions and testdata/golden.txt a readable
+# row of each, every golden run must conserve its requests, the table
+# reruns each under worker counts {1, 2, 4, 8}, the timeline's windowing
+# is pinned, the N_h = 0 run must end with no inter-links, and
 # every canned fault plan must compile to its pinned schedule. Every cell
 # draws from the run's one vod.Picker: it must plan what a picker over the
 # cell's own trace plans, and two goroutines drawing from it at once must
