@@ -272,24 +272,24 @@ func TestGoldenResults(t *testing.T) {
 	file("identity/SocialTube/churn", res, err, false)
 
 	want := map[string]string{
-		"category/SocialTube/horizon":       "98929cd1306ccb53afc88947e9b11a98c1addc93c06b5e7e80e6851c9c3b307e",
-		"category/SocialTube/plain":         "f93b71a5dfa743deb73b7f88d99a67fc90ded6c7ea9b0f5de9ca11e6130a8e8f",
-		"identity/NetTube/horizon":          "bebc860910481750ca2e35ffcbc674e3c984c870f5d084d2302e5a67049db7a7",
-		"identity/NetTube/load":             "00212d5c5ca2e19ab6d9a5f8c24c1bc44715b23e61ab39e70732630023d1ecf8",
-		"identity/NetTube/plain":            "dcded36cb81875b5e066d1213f61298f60eb24d6d00013ada6916c2208617f27",
-		"identity/NetTube/timeline":         "c91c0dd645346e7ee01122d89d8341065b7de325b784cb83af27fad2cac4284c",
-		"identity/NetTube/timeline+load":    "cfac4f6f5e7bc3647ad39d9e4f206a4e708214ab331a3187d05713b2e109a1d4",
-		"identity/PA-VoD/horizon":           "52fad9c8d6b0708666eeea971eb88aee06a468e6e5a32b1138b91198ff903c58",
-		"identity/PA-VoD/load":              "b26a29a20464e73cdafadf73e09abcbf609fd849cf4f7e9e9b48054f42a4076e",
-		"identity/PA-VoD/plain":             "e41dbba737f9158b49d808d59769bc5e6448864dbeab00aa3839bfde6f906ec2",
-		"identity/PA-VoD/timeline":          "0d2b47f71ed07be4c554ef6ea9545b3c9cd14b234ed224de357df622f3de8b10",
-		"identity/PA-VoD/timeline+load":     "a055a3543aff3a7a600f8565eac55730e47c2ae22daf39498077b8955d0e45af",
-		"identity/SocialTube/churn":         "27f1f1c6ef95462906833d976556d25a60e7dfd696bbaf97702f63d2dcc9ac83",
-		"identity/SocialTube/horizon":       "0ca8d0e8f3de4181c0b0076592e873900e55a0ba5bca093da6fed6ee21c53782",
-		"identity/SocialTube/load":          "71c6100b4f46a217045914b07490e2e9e88dc748701ad194e41d9cf1775818c4",
-		"identity/SocialTube/plain":         "0968c776f2bd4c13fd7ddc5dac27f2514c4770c1cbbbae985b74ed64796fbb9a",
-		"identity/SocialTube/timeline":      "83433bc59035fe98a36d598f4a2432647449aebc2a2ef2bf6fe2ffc0aa05b4d8",
-		"identity/SocialTube/timeline+load": "d7b4a6afa203bed3c6785dcac5c26531fd17233ed976d4d958efb70800df53db",
+		"category/SocialTube/horizon":       "4ee2e8a5f2f2cd124a3f65c74b5a739575a8bf5ec7c0e9956b1ddcb60a1539fc",
+		"category/SocialTube/plain":         "9337f94bef78d49c95e9f4590875bd1a12a90f702ac8c669593329ec0aa50e7b",
+		"identity/NetTube/horizon":          "8f1d7919e42e92d59666345e06a35d35d29c5fffc0bc59dd642dbfdd1809e316",
+		"identity/NetTube/load":             "11c072b03c0eeb94d383317bb0550e90a4a05f5de619b07b49aab2e3be17f0a4",
+		"identity/NetTube/plain":            "4645736a4d918e636e2b256cdc2c1cd5ea328450ff5d05fb96d010b95cd3465d",
+		"identity/NetTube/timeline":         "0ef8a3cb749e3b74fc4a96ca499468631a578ee5ba15f8398bbe6cfe25de3f0f",
+		"identity/NetTube/timeline+load":    "8584ec313733b6f9634ba8ea638e44382b22160427409928ad01735179d4a795",
+		"identity/PA-VoD/horizon":           "1fc31fdf1b46c867850f7e57517bc2c123a8eb67a5dd3d1ee6a8c12d9e528d86",
+		"identity/PA-VoD/load":              "99a702b0b1f8239c27e0fc3a7676f71483aa29a9d94b55b8e7542e271d7a76ce",
+		"identity/PA-VoD/plain":             "d282b37224435d1f3a0556611d6f912e57c45c742e7a33eaa3d49d074b73bfe9",
+		"identity/PA-VoD/timeline":          "33fc56fbdb38fab7352c73cd26b3204a5161fc70ee7ca373050f6c5ff83aaf66",
+		"identity/PA-VoD/timeline+load":     "a9a9eb3a237956dc4bd39e613e0c9fb8b7d45d734b3be7ac08f80322accea893",
+		"identity/SocialTube/churn":         "7f0cbdb4b96c69a3ef689dca690d1ef6670d698032fd20cf5380d7795cd798ec",
+		"identity/SocialTube/horizon":       "24555236befd36660ff06aac0602baca000c46e543613dc521820c9f0669145c",
+		"identity/SocialTube/load":          "8001e9a5a830a5dba1bad2087d684ff2f6faf09c21b6fc0be4c6318766d883ca",
+		"identity/SocialTube/plain":         "fa51cd3a0d876738f0f807cd4c62910e77544daf72e863f5fa5b1866d7aacc37",
+		"identity/SocialTube/timeline":      "3348b6ef74fac9867c750c8accdb973ea2ee7c501dcc637b108b8ed0fb035902",
+		"identity/SocialTube/timeline+load": "92bfbde747f847250f9ec6d98d05e04697685a03654a0fd7822ef77399f7b745",
 	}
 	if len(got) != len(want) {
 		t.Errorf("%d golden runs, %d pinned hashes", len(got), len(want))

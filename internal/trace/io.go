@@ -110,8 +110,8 @@ func (t *Trace) SaveStream(w io.Writer) error {
 }
 
 // LoadStream reads the chunked JSONL format, packing each object's
-// lists into the trace arenas as it goes: peak decoder memory is the
-// final trace plus one chunk, regardless of trace size.
+// lists as it goes into four arenas sized from the header: peak decoder
+// memory is the final trace plus one chunk, regardless of trace size.
 func LoadStream(r io.Reader) (*Trace, error) {
 	dec := json.NewDecoder(bufio.NewReaderSize(r, 1<<20))
 	var hdr streamHeader
@@ -135,11 +135,11 @@ func LoadStream(r io.Reader) (*Trace, error) {
 		Channels:   make([]Channel, 0, hdr.Channels),
 		Videos:     make([]Video, 0, hdr.Videos),
 		Users:      make([]User, 0, hdr.Users),
-		catArena:   make([]CategoryID, 0, hdr.CatArena),
-		vidArena:   make([]VideoID, 0, hdr.VidArena),
-		userArena:  make([]UserID, 0, hdr.UserArena),
-		chanArena:  make([]ChannelID, 0, hdr.ChanArena),
 	}
+	catArena := make([]CategoryID, 0, hdr.CatArena)
+	vidArena := make([]VideoID, 0, hdr.VidArena)
+	userArena := make([]UserID, 0, hdr.UserArena)
+	chanArena := make([]ChannelID, 0, hdr.ChanArena)
 	sawEOF := false
 	for !sawEOF {
 		var chunk streamChunk
@@ -153,9 +153,9 @@ func LoadStream(r io.Reader) (*Trace, error) {
 		sawEOF = chunk.EOF
 		for i := range chunk.Channels {
 			ch := chunk.Channels[i]
-			ch.Categories = pack(&t.catArena, ch.Categories)
-			ch.Videos = pack(&t.vidArena, ch.Videos)
-			ch.Subscribers = pack(&t.userArena, ch.Subscribers)
+			ch.Categories = pack(&catArena, ch.Categories)
+			ch.Videos = pack(&vidArena, ch.Videos)
+			ch.Subscribers = pack(&userArena, ch.Subscribers)
 			t.Channels = append(t.Channels, ch)
 		}
 		for i := range chunk.Videos {
@@ -163,9 +163,9 @@ func LoadStream(r io.Reader) (*Trace, error) {
 		}
 		for i := range chunk.Users {
 			u := chunk.Users[i]
-			u.Interests = pack(&t.catArena, u.Interests)
-			u.Subscriptions = pack(&t.chanArena, u.Subscriptions)
-			u.Favorites = pack(&t.vidArena, u.Favorites)
+			u.Interests = pack(&catArena, u.Interests)
+			u.Subscriptions = pack(&chanArena, u.Subscriptions)
+			u.Favorites = pack(&vidArena, u.Favorites)
 			t.Users = append(t.Users, u)
 		}
 	}

@@ -93,12 +93,6 @@ type Trace struct {
 	// Start and End bound the upload dates in the trace.
 	Start time.Time `json:"start"`
 	End   time.Time `json:"end"`
-	// Arenas backing a loaded trace's per-object lists. Unexported: they
-	// are a storage detail, never serialized.
-	catArena  []CategoryID
-	vidArena  []VideoID
-	userArena []UserID
-	chanArena []ChannelID
 }
 
 // Channel returns the channel with the given id, or nil when out of range.
