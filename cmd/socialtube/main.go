@@ -161,6 +161,15 @@ var (
 	isEmu    = func(f figures.Figure) bool { return f.Group == figures.GroupEmu }
 )
 
+// modes maps each flag that runs instead of the figures to the other
+// flags it reads; any other flag given with it is refused, not dropped.
+var modes = map[string][]string{
+	"json":        {"seed", "scale", "trace-out"},
+	"trace-check": nil,
+	"trace-print": {"trace-max"},
+	"trace-spans": {"trace-max"},
+}
+
 // readers maps each such flag to the figures that read it; a flag given
 // while no resolved figure reads it is refused, not dropped. The flags
 // absent here apply to every figure or select a mode of their own.
@@ -168,8 +177,8 @@ var readers = map[string]func(figures.Figure) bool{
 	"channels": isTrace, "categories": isTrace, "minshared": isTrace, "save": isTrace, "crawl": isTrace,
 	"users":     func(f figures.Figure) bool { return isTrace(f) || f.Sweep },
 	"scale":     isSim,
-	"json":      isShared,
 	"trace-out": func(f figures.Figure) bool { return isShared(f) || isEmu(f) },
+	"trace-max": func(figures.Figure) bool { return false },
 	"load-mode": isLoad, "load-rps": isLoad, "load-dur": isLoad, "load-cap": isLoad, "load-flash": isLoad,
 	"peers": isEmu, "sessions": isEmu, "videos": isEmu, "watch": isEmu, "metrics": isEmu, "pprof": isEmu,
 }
@@ -190,7 +199,7 @@ func run(args []string) (retErr error) {
 		save       = fs.String("save", "", "write the Section III trace to this file (the chunked JSONL stream socialtube-node -trace reads)")
 		crawl      = fs.Int("crawl", 0, "BFS-crawl this many users from the generated network first (the paper's Section III sampling methodology)")
 		scale      = fs.String("scale", "small", "simulation workload scale: small or paper")
-		jsonDump   = fs.Bool("json", false, "run the three protocols once over the shared sim trace and dump raw results as JSON")
+		jsonDump   = fs.Bool("json", false, "run the three protocols once over the shared sim trace and dump raw results as JSON (reads only -seed, -scale and -trace-out)")
 		tracePrint = fs.String("trace-print", "", "pretty-print an existing JSONL event trace and exit")
 		traceSpans = fs.String("trace-spans", "", "pretty-print an existing JSONL event trace grouped by request span and exit")
 		traceMax   = fs.Int("trace-max", 0, "with -trace-print/-trace-spans, stop after this many events/spans (0 = all)")
@@ -212,6 +221,19 @@ func run(args []string) (retErr error) {
 	}
 	// Every refusal happens here, before any trace is built or figure
 	// printed.
+	var set []string
+	mode := ""
+	fs.Visit(func(fl *flag.Flag) {
+		set = append(set, fl.Name)
+		if _, ok := modes[fl.Name]; ok && mode == "" && fl.Value.String() != fl.DefValue {
+			mode = fl.Name
+		}
+	})
+	for _, name := range set {
+		if mode != "" && name != mode && !slices.Contains(modes[mode], name) {
+			return fmt.Errorf("-%s does not apply to -%s", name, mode)
+		}
+	}
 	switch {
 	case *users < 0:
 		return fmt.Errorf("-users must be ≥ 0, got %d", *users)

@@ -45,13 +45,20 @@ func goldenVariants() []goldenVariant {
 	}
 }
 
-func resultDigest(res *Result) (string, error) {
+func resultDigest(t *testing.T, res *Result, err error) string {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Requests == 0 {
+		t.Fatal("golden run issued no requests")
+	}
 	raw, err := json.Marshal(res)
 	if err != nil {
-		return "", err
+		t.Fatal(err)
 	}
 	sum := sha256.Sum256(raw)
-	return hex.EncodeToString(sum[:]), nil
+	return hex.EncodeToString(sum[:])
 }
 
 // goldenColumns heads the rows of testdata/golden.txt. The w* columns sum
@@ -119,8 +126,8 @@ func formatGolden(rows [][]string) string {
 	return b.String()
 }
 
-// goldenDiff lists, field by field, how the rows of the fresh table got
-// differ from the committed table want; empty when they agree.
+// goldenDiff lists, field by field, where the fresh table got differs
+// from the committed table want; empty when they agree.
 func goldenDiff(want, got string) string {
 	parse := func(table string) (cols, names []string, rows map[string][]string) {
 		rows = map[string][]string{}
@@ -227,15 +234,7 @@ func TestGoldenResults(t *testing.T) {
 	var rows [][]string
 	file := func(name string, res *Result, err error, cut bool) {
 		t.Helper()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if res.Requests == 0 {
-			t.Fatalf("%s: golden run issued no requests", name)
-		}
-		if got[name], err = resultDigest(res); err != nil {
-			t.Fatal(err)
-		}
+		got[name] = resultDigest(t, res, err)
 		rows = append(rows, goldenRow(name, res))
 		checkConservation(t, name, res, cut)
 	}

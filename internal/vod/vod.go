@@ -31,8 +31,9 @@ func ChunkBytes(length time.Duration, bitrateBps int64, chunks int) int64 {
 
 // Cache is a peer's video store. The paper's protocols cache every video
 // watched during a session (NetTube, SocialTube) plus prefetched first
-// chunks; MaxVideos=0 reproduces that unbounded session cache, while a
-// positive bound turns it into an LRU cache for the ablation benches.
+// chunks; a bound of 0 reproduces that unbounded session cache, while a
+// positive bound turns it into an LRU cache. No figure or bench sets a
+// bound; only tests do.
 //
 // A peer holds few short videos, so both sets are sorted slices, not maps:
 // a lookup is a binary search over a cache line or two, and a Cache is three
